@@ -24,9 +24,9 @@ root and replayed by ``tests/fabric/test_cert_replay.py``.
 import json
 from pathlib import Path
 
+from repro.api import Pipeline
 from repro.check import check_refinement
 from repro.fabric.certify import fabric_hosted
-from repro.lang.builder import engine_builder
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT = REPO_ROOT / "CERT_fabric_fig2.json"
@@ -42,7 +42,7 @@ def certify_all():
     yield (
         "fig2-fabric-hosted",
         check_refinement(
-            engine_builder(FIG2_SRC),
+            Pipeline.from_source(FIG2_SRC).with_trace().builder(),
             fabric_hosted(FIG2_SRC, tenants=TENANTS),
             seeds=SEEDS,
         ),
@@ -50,7 +50,7 @@ def certify_all():
     yield (
         "fig2-fabric-hosted-q1",
         check_refinement(
-            engine_builder(FIG2_SRC),
+            Pipeline.from_source(FIG2_SRC).with_trace().builder(),
             fabric_hosted(FIG2_SRC, tenants=TENANTS, quantum=1),
             seeds=SEEDS,
         ),

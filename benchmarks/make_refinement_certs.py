@@ -21,8 +21,8 @@ Pinned seeds make the output stable; the file is committed next to the
 import json
 from pathlib import Path
 
+from repro.api import Pipeline
 from repro.check import Projection, check_refinement
-from repro.lang import engine_builder
 from repro.media import arrays
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +38,8 @@ MEDIA_SRC = (
     "buffer(8) >> clocked_pump(30) >> collect"
 )
 SEQ = Projection.by_attr("seq")
+FIG2 = Pipeline.from_source(FIG2_SRC).with_trace()
+MEDIA = Pipeline.from_source(MEDIA_SRC).with_trace()
 
 
 def batch_certs():
@@ -45,16 +47,16 @@ def batch_certs():
         yield (
             f"fig2-batch{batch_max}",
             check_refinement(
-                engine_builder(FIG2_SRC),
-                engine_builder(FIG2_SRC, batch_max=batch_max),
+                FIG2.builder(),
+                FIG2.with_batching(batch_max).builder(),
                 seeds=SEEDS,
             ),
         )
         yield (
             f"media-batch{batch_max}",
             check_refinement(
-                engine_builder(MEDIA_SRC),
-                engine_builder(MEDIA_SRC, batch_max=batch_max),
+                MEDIA.builder(),
+                MEDIA.with_batching(batch_max).builder(),
                 seeds=SEEDS,
                 projection=SEQ,
             ),
@@ -95,7 +97,7 @@ def backend_cert():
     numpy_backend = arrays.np
 
     def with_backend(backend):
-        build = engine_builder(MEDIA_SRC)
+        build = MEDIA.builder()
 
         def build_with_backend():
             arrays.np = backend

@@ -17,8 +17,8 @@ from repro import (
     PushDefragmenter,
     PullDefragmenter,
     allocate,
+    api,
     pipeline,
-    run_pipeline,
 )
 
 STYLES = {
@@ -42,7 +42,7 @@ def run_one(style_name, style_cls, mode):
         "direct call" if stage in plan.sections[0].direct_members
         else "coroutine"
     )
-    engine = run_pipeline(pipe)
+    engine = api.Pipeline.from_pipeline(pipe).run().engine
     return {
         "style": style_name,
         "mode": mode,

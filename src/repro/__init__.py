@@ -5,7 +5,8 @@ Flow Middleware* (Koster, Black, Huang, Walpole, Pu; Middleware 2001).
 
 Quickstart (the paper's video player, section 4)::
 
-    from repro import ClockedPump, run_pipeline
+    from repro import ClockedPump
+    from repro.api import Pipeline
     from repro.media import MpegFileSource, MpegDecoder, VideoDisplay
 
     source = MpegFileSource("test.mpg", frames=300)
@@ -13,7 +14,7 @@ Quickstart (the paper's video player, section 4)::
     pump = ClockedPump(30)  # 30 Hz
     sink = VideoDisplay()
     player = source >> decode >> pump >> sink
-    run_pipeline(player)
+    Pipeline.from_pipeline(player).run()
 
 Composition is checked dynamically: incompatible components make ``>>``
 raise :class:`~repro.errors.CompositionError`.  Threads, coroutines and all
@@ -95,13 +96,7 @@ from repro.errors import (
     RuntimeFault,
     TypespecMismatch,
 )
-from repro.runtime import (
-    BatchPolicy,
-    Engine,
-    PipelineStats,
-    attach_adaptive_batching,
-    run_pipeline,
-)
+from repro.runtime import BatchPolicy, Engine, PipelineStats
 from repro import api
 from repro.deploy import Deployment, DeploymentResult, Placement, deploy
 
@@ -176,12 +171,10 @@ __all__ = [
     "Placement",
     "allocate",
     "api",
-    "attach_adaptive_batching",
     "connect",
     "deploy",
     "is_eos",
     "is_nil",
     "pipeline",
     "props",
-    "run_pipeline",
 ]

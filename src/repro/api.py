@@ -51,7 +51,7 @@ class BuiltApp:
         engine.run(until=until, max_steps=max_steps)
         if until is not None:
             engine.stop()
-            engine.run(max_steps=max_steps or 1_000_000)
+            engine.run(max_steps=max_steps)
         if self.tracer is not None:
             self.tracer.finalize_inflight()
         return self
@@ -161,14 +161,14 @@ class Pipeline:
             from repro.deploy.worker import build_program
             from repro.runtime.engine import Engine
 
-            return Engine(
-                build_program(self.program),
-                backend=self.backend,
-                batch_max=self.batch_max,
-                trace=self.trace,
-                trace_limit=self.trace_limit,
+            options = {
+                "backend": self.backend,
+                "batch_max": self.batch_max,
+                "trace": self.trace,
+                "trace_limit": self.trace_limit,
                 **self.engine_kwargs,
-            )
+            }
+            return Engine(build_program(self.program), **options)
 
         build_engine.__name__ = "api_pipeline_builder"
         return build_engine

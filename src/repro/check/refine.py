@@ -112,10 +112,12 @@ class PipelineUnderTest:
                 PipelineUnderTest.from_lang(SRC, batch_max=32),
             )
         """
-        from repro.lang.builder import engine_builder
+        from repro.api import Pipeline
 
+        engine_kwargs.setdefault("trace", True)
+        app = Pipeline.from_source(source, registry)
         return cls(
-            build=engine_builder(source, registry=registry, **engine_kwargs),
+            build=app.with_engine_options(**engine_kwargs).builder(),
             drive=drive,
             name=name or "lang-pipeline",
         )

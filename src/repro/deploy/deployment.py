@@ -13,8 +13,8 @@ pipeline, checkable with :meth:`certify`.
 Execution modes:
 
 * ``shards == 1`` — runs a plain in-process :class:`Engine`, producing
-  bit-for-bit the same scheduler trace as ``run_pipeline`` (the golden
-  traces pin this).
+  bit-for-bit the same scheduler trace as ``repro.api.Pipeline.run``
+  (the golden traces pin this).
 * ``shards > 1`` — one OS process per shard; cut edges are bridged with
   PR 4's coalesced netpipe frames over ``socket.socketpair()`` (or TCP)
   via :class:`~repro.net.socketlink.SocketLink`.

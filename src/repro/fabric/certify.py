@@ -7,12 +7,12 @@ tenants churning around it — must not change what its sinks observe.
 the ``build()`` callable the refinement checker and the explorer take,
 so the claim is machine-checked instead of asserted::
 
+    from repro.api import Pipeline
     from repro.check import check_refinement
     from repro.fabric.certify import fabric_hosted
-    from repro.lang.builder import engine_builder
 
     cert = check_refinement(
-        engine_builder(SRC),            # dedicated engine (specification)
+        Pipeline.from_source(SRC).with_trace().builder(),  # specification
         fabric_hosted(SRC, tenants=3),  # same program, multiplexed
     )
 

@@ -29,22 +29,6 @@ Grammar (one statement per line; ``#`` starts a comment)::
 from repro.lang.parser import LangError, parse
 from repro.lang.registry import Registry, default_registry
 from repro.lang.builder import BuildResult, build
-from repro.lang.builder import engine_builder as _engine_builder
-
-
-def engine_builder(source, registry=None, **engine_kwargs):
-    """Deprecated: use ``repro.api.Pipeline.from_source(...).builder()``.
-
-    Delegates to the original implementation (internal callers — the
-    refinement checker, the explorer — import it from
-    :mod:`repro.lang.builder` and do not warn)."""
-    from repro._compat import warn_deprecated
-
-    warn_deprecated(
-        "repro.lang.engine_builder(...)",
-        "repro.api.Pipeline.from_source(...).builder()",
-    )
-    return _engine_builder(source, registry=registry, **engine_kwargs)
 
 __all__ = [
     "BuildResult",
@@ -52,6 +36,5 @@ __all__ = [
     "Registry",
     "build",
     "default_registry",
-    "engine_builder",
     "parse",
 ]

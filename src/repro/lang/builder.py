@@ -96,43 +96,6 @@ def build(source: str, registry: Registry | None = None) -> BuildResult:
     return BuildResult(pipeline=pipe, aliases=aliases)
 
 
-def engine_builder(
-    source: str,
-    registry: Registry | None = None,
-    **engine_kwargs,
-):
-    """A zero-arg builder of fresh Engines for one pipeline description.
-
-    Exploration and refinement checking (:mod:`repro.check`) need to build
-    the *same* program many times, once per schedule; this packages a
-    microlanguage source plus Engine configuration into exactly the
-    ``build()`` callable those harnesses take::
-
-        from repro.check import check_refinement
-
-        cert = check_refinement(
-            engine_builder(SRC),                # the per-item original
-            engine_builder(SRC, batch_max=32),  # the batched re-compile
-        )
-
-    ``engine_kwargs`` go to :class:`~repro.runtime.engine.Engine`
-    (``batch_max``, ``trace``, ...).  The source is parsed once up front so
-    syntax errors surface immediately, then re-built per call (components
-    are stateful; schedules must not share them).
-    """
-    parse(source)  # fail fast on syntax errors, outside the harness loop
-    engine_kwargs.setdefault("trace", True)
-
-    def builder():
-        from repro.runtime.engine import Engine
-
-        result = build(source, registry)
-        return Engine(result.pipeline, **engine_kwargs)
-
-    builder.__name__ = "engine_builder"
-    return builder
-
-
 def _pick_out_port(component: Component, port_name: str | None,
                    line: int) -> Port:
     if port_name is not None:

@@ -14,50 +14,11 @@ computes its :class:`~repro.core.glue.AllocationPlan`, and realizes it on a
 """
 
 from repro.runtime.batching import BatchPolicy
-from repro.runtime.batching import (
-    attach_adaptive_batching as _attach_adaptive_batching,
-)
 from repro.runtime.engine import Engine
-from repro.runtime.engine import run_pipeline as _run_pipeline
 from repro.runtime.stats import PipelineStats
-
-
-def run_pipeline(pipe, until=None, backend="generator", max_steps=None,
-                 **engine_kwargs):
-    """Deprecated: use ``repro.api.Pipeline.from_pipeline(pipe).run()``.
-
-    Delegates to the original implementation unchanged (the golden
-    traces pin its behaviour); only the entry point moved."""
-    from repro._compat import warn_deprecated
-
-    warn_deprecated(
-        "repro.run_pipeline(...)",
-        "repro.api.Pipeline.from_pipeline(pipe).run(until=...)",
-    )
-    return _run_pipeline(
-        pipe, until=until, backend=backend, max_steps=max_steps,
-        **engine_kwargs,
-    )
-
-
-def attach_adaptive_batching(engine, *args, **kwargs):
-    """Deprecated: use
-    ``repro.api.Pipeline.with_engine_options(batch_policy=...)`` or call
-    :func:`repro.runtime.batching.attach_adaptive_batching` directly."""
-    from repro._compat import warn_deprecated
-
-    warn_deprecated(
-        "repro.attach_adaptive_batching(...)",
-        "repro.runtime.batching.attach_adaptive_batching(...) or the "
-        "repro.api facade",
-    )
-    return _attach_adaptive_batching(engine, *args, **kwargs)
-
 
 __all__ = [
     "BatchPolicy",
     "Engine",
     "PipelineStats",
-    "attach_adaptive_batching",
-    "run_pipeline",
 ]

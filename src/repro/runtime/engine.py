@@ -34,7 +34,7 @@ from repro.mbt.constraints import Constraint
 from repro.mbt.coroutine import Done, Suspendable
 from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler
-from repro.mbt.syscalls import CONTINUE, Send, Work
+from repro.mbt.syscalls import CONTINUE, Reply, Send, Work
 from repro.mbt.timers import PeriodicTimer
 from repro.runtime.batching import BatchPolicy
 from repro.runtime.bridge import PendingEmits, ReplayIntake, build_suspendable
@@ -46,9 +46,7 @@ from repro.runtime.section import (
     compile_pull_many,
     compile_push,
     compile_push_many,
-    maybe_work,
-    pull_from,
-    push_to,
+    ends_in_eos,
 )
 from repro.runtime.stats import PipelineStats
 
@@ -293,18 +291,7 @@ class PumpDriver:
                     flow.deliver(self.thread_name, origin.name, 1)
 
             if flow is not None:
-                # Cycle epilogue, inlined: unsampled leftovers are just a
-                # pending count (zeroed) or all-``None`` slots (one
-                # C-level clear); only a stranded sampled context pays
-                # the drain call.
-                carried = self._flow_carried
-                if carried:
-                    if any(carried):
-                        self._flow_cycle_end()
-                    else:
-                        carried.clear()
-                self._flow_pending[0] = 0
-                self._flow_last[0] = None
+                self._flow_epilogue()
             self.items_moved += 1
             if obs_cycle is not None:
                 obs_cycle.observe(self._obs_now() - cycle_start)
@@ -316,24 +303,10 @@ class PumpDriver:
                 self.finish()
 
         if repost:
-            if (
-                origin.running
-                and not self.finished
-                and not self.waiting_for_data
-            ):
-                name = self.thread_name
-                yield Send(
-                    Message(
-                        kind="cycle",
-                        sender=name,
-                        target=name,
-                        constraint=self._cycle_constraint,
-                    )
-                )
-                # The loop is provably still active here (running, not
-                # finished, not waiting, timerless): sync would be a no-op.
+            message = self._next_cycle()
+            if message is not None:
+                yield Send(message)
                 return CONTINUE
-            self._loop_active = False
         self.sync_running_state()
         return CONTINUE
 
@@ -383,7 +356,7 @@ class PumpDriver:
             if cost > 0.0:
                 yield Work(cost)
 
-        eos = bool(run) and run[-1] is EOS
+        eos = ends_in_eos(run)
         data = run[:-1] if eos else run
 
         if data:
@@ -412,15 +385,7 @@ class PumpDriver:
                     flow.deliver(self.thread_name, origin.name, count)
 
             if flow is not None:
-                # Same inlined epilogue as the per-item cycle above.
-                carried = self._flow_carried
-                if carried:
-                    if any(carried):
-                        self._flow_cycle_end()
-                    else:
-                        carried.clear()
-                self._flow_pending[0] = 0
-                self._flow_last[0] = None
+                self._flow_epilogue()
             self.items_moved += count
             self.batches += 1
             self.batched_items += count
@@ -450,24 +415,47 @@ class PumpDriver:
             self.finish()
 
         if repost:
-            if (
-                origin.running
-                and not self.finished
-                and not self.waiting_for_data
-            ):
-                name = self.thread_name
-                yield Send(
-                    Message(
-                        kind="cycle",
-                        sender=name,
-                        target=name,
-                        constraint=self._cycle_constraint,
-                    )
-                )
+            message = self._next_cycle()
+            if message is not None:
+                yield Send(message)
                 return CONTINUE
-            self._loop_active = False
         self.sync_running_state()
         return CONTINUE
+
+    def _flow_epilogue(self) -> None:
+        """End-of-cycle sweep of the carried lineage: unsampled leftovers
+        are just a pending count (zeroed) or all-``None`` slots (one
+        C-level clear); only a stranded sampled context pays the drain
+        call."""
+        carried = self._flow_carried
+        if carried:
+            if any(carried):
+                self._flow_cycle_end()
+            else:
+                carried.clear()
+        self._flow_pending[0] = 0
+        self._flow_last[0] = None
+
+    def _next_cycle(self) -> Message | None:
+        """The greedy loop's self-addressed next ``cycle`` message, or
+        None (loop marked inactive) when it must not repost.  While it
+        reposts the loop is provably still active (running, not finished,
+        not waiting, timerless), so the caller skips the running-state
+        resync, which would be a no-op."""
+        if (
+            self.origin.running
+            and not self.finished
+            and not self.waiting_for_data
+        ):
+            name = self.thread_name
+            return Message(
+                kind="cycle",
+                sender=name,
+                target=name,
+                constraint=self._cycle_constraint,
+            )
+        self._loop_active = False
+        return None
 
     def _enter_waiting(self) -> None:
         """Greedy pump found no data under a nil policy: sleep until any
@@ -588,14 +576,10 @@ class CoroutineDriver:
                 self.thread_name, event, target_name
             )
             return CONTINUE
-        if kind == "ip-push" and self.mode is Mode.PUSH:
+        if kind in ("ip-push", "ip-push-batch") and self.mode is Mode.PUSH:
             return self._handle_push(message)
-        if kind == "ip-pull" and self.mode is Mode.PULL:
+        if kind in ("ip-pull", "ip-pull-batch") and self.mode is Mode.PULL:
             return self._handle_pull(message)
-        if kind == "ip-push-batch" and self.mode is Mode.PUSH:
-            return self._handle_push_batch(message)
-        if kind == "ip-pull-batch" and self.mode is Mode.PULL:
-            return self._handle_pull_batch(message)
         raise RuntimeFault(
             f"coroutine {self.component.name!r} ({self.mode} mode) got "
             f"unexpected message {message.kind!r}"
@@ -604,63 +588,29 @@ class CoroutineDriver:
     # -- push mode -------------------------------------------------------------
 
     def _handle_push(self, message: Message):
-        from repro.mbt.syscalls import Reply
-
-        if self.finished:
-            yield Reply(message, "ok")
-            return
-        if not self.started:
-            request = self._start()
-            request = yield from self._drive_to_pull(request)
-            if self.finished:
-                yield Reply(message, "ok")
-                return
-
-        item = message.payload
-        if item is EOS:
-            request = self._resume_eos()
+        """One ``ip-push`` / ``ip-push-batch`` crossing: feed the pushed
+        items to the body, one resume/drive round per item, then reply.
+        A batch payload is a pure-data run and a per-item payload the run
+        of one; EOS only ever arrives through the per-item kind."""
+        if not self.finished and not self.started:
+            yield from self._drive_to_pull(self._start())
+        payload = message.payload
+        if payload is EOS:
+            # A body asking for more input after EOS stays ended.
             while not self.finished:
-                request = yield from self._drive_to_pull(request)
+                yield from self._drive_to_pull(self._resume_eos())
+        else:
+            run = payload if message.kind == "ip-push-batch" else (payload,)
+            # Active bodies count on actual delivery, like pull mode does
+            # — the body's *request* for input (its PullOp) may only ever
+            # be answered by EOS, which is not an item.
+            active = self.component.style is Style.ACTIVE
+            for item in run:
                 if self.finished:
                     break
-                # The body asked for more input after EOS: it stays ended.
-                request = self._resume_eos()
-            yield Reply(message, "ok")
-            return
-
-        if self.component.style is Style.ACTIVE:
-            # Count on actual delivery, like pull mode does — the body's
-            # *request* for input (its PullOp) may only ever be answered
-            # by EOS, which is not an item.
-            self.component.stats["items_in"] += 1
-        request = self._resume(item)
-        yield from self._drive_to_pull(request)
-        yield Reply(message, "ok")
-
-    def _handle_push_batch(self, message: Message):
-        """One ip-push-batch crossing: feed every item of the run to the
-        body, one resume/drive round per item (the payload is pure data —
-        EOS always arrives through the per-item ``ip-push`` path)."""
-        from repro.mbt.syscalls import Reply
-
-        if self.finished:
-            yield Reply(message, "ok")
-            return
-        if not self.started:
-            request = self._start()
-            request = yield from self._drive_to_pull(request)
-            if self.finished:
-                yield Reply(message, "ok")
-                return
-
-        active = self.component.style is Style.ACTIVE
-        for item in message.payload:
-            if self.finished:
-                break
-            if active:
-                self.component.stats["items_in"] += 1
-            request = self._resume(item)
-            yield from self._drive_to_pull(request)
+                if active:
+                    self.component.stats["items_in"] += 1
+                yield from self._drive_to_pull(self._resume(item))
         yield Reply(message, "ok")
 
     def _drive_to_pull(self, request):
@@ -700,21 +650,13 @@ class CoroutineDriver:
     # -- pull mode --------------------------------------------------------------
 
     def _handle_pull(self, message: Message):
-        from repro.mbt.syscalls import Reply
-
-        if self.finished:
-            yield Reply(message, EOS)
-            return
-        value = yield from self._next_output()
-        yield Reply(message, value)
-
-    def _handle_pull_batch(self, message: Message):
-        """One ip-pull-batch crossing: collect up to n outputs before
-        replying, with the same run conventions as the batch walkers
-        (data first, at most one trailing EOS, [] means no data now)."""
-        from repro.mbt.syscalls import Reply
-
-        n = message.payload
+        """One ``ip-pull`` / ``ip-pull-batch`` crossing: collect up to n
+        outputs (one for the per-item kind) before replying.  A batch
+        reply follows the batch walkers' run conventions (data first, at
+        most one trailing EOS, [] means no data now); the per-item reply
+        is the item itself, EOS, or NIL."""
+        batch = message.kind == "ip-pull-batch"
+        n = message.payload if batch else 1
         run = []
         while len(run) < n:
             if self.finished:
@@ -726,13 +668,14 @@ class CoroutineDriver:
             run.append(value)
             if value is EOS:
                 break
-        yield Reply(message, run)
+        if batch:
+            yield Reply(message, run)
+        else:
+            yield Reply(message, run[0] if run else NIL)
 
     def _next_output(self):
         """Advance the body to its next output item; returns the item, or
-        EOS when the body finishes (setting ``finished``).  Exactly the
-        serving loop ``_handle_pull`` always ran, factored out so the
-        batch handler can call it repeatedly per crossing."""
+        EOS when the body finishes (setting ``finished``)."""
         if not self.started:
             request = self._start()
         elif self._at_push:
@@ -1279,26 +1222,3 @@ class Engine:
         if self._telemetry is not None:
             self._telemetry.decorate(snapshot)
         return snapshot
-
-
-def run_pipeline(
-    pipe: Pipeline,
-    until: float | None = None,
-    backend: str = "generator",
-    max_steps: int | None = None,
-    **engine_kwargs: Any,
-) -> Engine:
-    """Convenience: build an engine, start the pipeline, run it.
-
-    With ``until`` the pipeline runs to that virtual time and is stopped;
-    without it, it runs to completion (finite sources).
-    """
-    engine = Engine(pipe, backend=backend, **engine_kwargs)
-    engine.start()
-    if until is not None:
-        engine.run(until=until, max_steps=max_steps)
-        engine.stop()
-        engine.run(max_steps=max_steps)
-    else:
-        engine.run(max_steps=max_steps)
-    return engine

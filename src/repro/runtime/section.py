@@ -14,20 +14,15 @@ mid-chain, and each stays responsive to control events:
 * **simulated CPU work** — ``component.charge()`` is drained into ``Work``
   syscalls, making stage costs preemptible.
 
-Two implementations of chain walking coexist:
-
-* the **generic walkers** :func:`pull_from` / :func:`push_to`, which
-  re-derive everything (isinstance checks, gate/lock/replay lookups,
-  style dispatch) on every item — kept as the reference implementation
-  and for ad-hoc callers;
-* the **compiled walkers** built by :func:`compile_pull` /
-  :func:`compile_push` at plan-realization time (see
-  ``Engine._compile_walkers``), which resolve all of that *once per
-  node* and return bound generator closures, so steady-state item
-  movement does one dict-free call per hop.  They must mirror the
-  generic walkers' behaviour exactly; any recompilation trigger (today:
-  :func:`repro.runtime.restructure.replace_component`) re-runs the
-  compilation pass.
+Chains are walked by **compiled walkers**: :func:`compile_pull` /
+:func:`compile_push` (and their ``*_many`` batch forms) run at
+plan-realization time (see ``Engine._compile_walkers``), resolve every
+isinstance check, gate/lock/replay lookup and style dispatch *once per
+node*, and return bound generator closures, so steady-state item movement
+does one dict-free call per hop.  The walkers are the flow semantics; any
+recompilation trigger (today:
+:func:`repro.runtime.restructure.replace_component`) re-runs the
+compilation pass.
 """
 
 from __future__ import annotations
@@ -37,9 +32,9 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Union
 
 from repro.core.component import Component
-from repro.core.events import EOS, is_eos
+from repro.core.events import EOS
 from repro.core.glue import BoundaryRef, FlowNode
-from repro.core.items import NIL, is_nil
+from repro.core.items import NIL
 from repro.core.styles import EndOfStream, Style
 from repro.components.buffers import EMPTY, FULL, OK
 from repro.errors import RuntimeFault
@@ -60,18 +55,6 @@ class ThreadCtx:
         self.engine = engine
         self.thread_name = thread_name
 
-    # -- constraints ------------------------------------------------------
-
-    def data_constraint(self):
-        """Constraint propagated onto data messages this thread sends: the
-        constraint of the message currently being processed (section 4:
-        "Messages between coroutines inherit the constraint from the
-        message received by the sending component")."""
-        thread = self.engine.scheduler.threads.get(self.thread_name)
-        if thread is not None and thread.processing is not None:
-            return thread.processing.constraint
-        return None
-
     # -- receiving with event transparency ---------------------------------
 
     def receive_data(self, kinds: set[str]):
@@ -86,62 +69,9 @@ class ThreadCtx:
                 continue
             return message
 
-    def receive_reply(self, request: Message):
-        """Wait for the reply to ``request``, dispatching control events
-        that arrive in the meantime (the paper's mechanism for keeping a
-        blocked push/pull responsive)."""
-        while True:
-            message = yield Receive(
-                match=lambda m: m.reply_to == request.msg_id
-                or m.kind == "event"
-            )
-            if message.kind == "event":
-                self.dispatch_event_message(message)
-                continue
-            return message
-
     def dispatch_event_message(self, message: Message) -> None:
         event, target_name = message.payload
         self.engine.dispatch_event_local(self.thread_name, event, target_name)
-
-    # -- coroutine boundaries ----------------------------------------------
-
-    def coroutine_push(self, component, item: Any):
-        """Synchronous push into a coroutine running in another thread."""
-        target = self.engine.thread_of(component)
-        request = Message(
-            kind="ip-push",
-            payload=item,
-            sender=self.thread_name,
-            target=target,
-            constraint=self.data_constraint(),
-            needs_reply=True,
-        )
-        self.engine.stats_counters["coroutine_switches"] += 1
-        yield Send(request)
-        yield from self.receive_reply(request)
-
-    def coroutine_pull(self, component):
-        """Synchronous pull from a coroutine running in another thread."""
-        target = self.engine.thread_of(component)
-        request = Message(
-            kind="ip-pull",
-            sender=self.thread_name,
-            target=target,
-            constraint=self.data_constraint(),
-            needs_reply=True,
-        )
-        self.engine.stats_counters["coroutine_switches"] += 1
-        yield Send(request)
-        reply = yield from self.receive_reply(request)
-        return reply.payload
-
-
-def maybe_work(component):
-    """Drain a component's charged CPU cost into a Work syscall."""
-    cost = component.drain_cost()
-    if cost > 0.0:
-        yield Work(cost)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +193,7 @@ class BufferGate:
                     status = OK
             if status != EMPTY:
                 if self._flow is not None:
-                    count = len(run)
-                    if count and run[-1] is EOS:
-                        count -= 1
+                    count = _run_data_count(run)
                     if count:
                         self._flow.boundary_get(
                             self._flow_key, port, ctx.thread_name, count
@@ -354,145 +282,10 @@ class SegmentLock:
 
 
 # ---------------------------------------------------------------------------
-# Chain walking
-# ---------------------------------------------------------------------------
-
-
-def pull_from(ctx: ThreadCtx, target: FlowTarget):
-    """Obtain one item from the pull-side continuation ``target``.
-
-    Returns the item, NIL (no data under a nil policy) or EOS.
-    """
-    engine = ctx.engine
-    if isinstance(target, BoundaryRef):
-        component = target.component
-        gate = engine.gate_for(component)
-        if gate is not None:
-            return (yield from gate.get(ctx, target.port.name))
-        # Passive source.
-        item = component.serve_pull(target.port.name)
-        yield from maybe_work(component)
-        return item
-
-    component = target.component
-    lock = engine.lock_for(component)
-    if lock is not None and not lock.held_by(ctx):
-        yield from lock.acquire(ctx)
-        try:
-            return (yield from _pull_from_node(ctx, target))
-        finally:
-            yield from lock.release(ctx)
-    return (yield from _pull_from_node(ctx, target))
-
-
-def _pull_from_node(ctx: ThreadCtx, node: FlowNode):
-    engine = ctx.engine
-    component = node.component
-
-    if engine.is_coroutine(component):
-        return (yield from ctx.coroutine_pull(component))
-
-    if component.style is Style.FUNCTION:
-        item = yield from pull_from(ctx, node.branches["in"])
-        if is_eos(item) or is_nil(item):
-            return item
-        component.stats["items_in"] += 1
-        result = component.convert(item)
-        component.stats["items_out"] += 1
-        yield from maybe_work(component)
-        return result
-
-    # Producer style (possibly multi-input) under deterministic replay.
-    replay = engine.replay_for(component)
-    while True:
-        replay.begin()
-        try:
-            result = component.serve_pull(node.entry_port)
-        except NeedMoreInput as need:
-            yield from maybe_work(component)
-            upstream = yield from pull_from(ctx, node.branches[need.port])
-            if is_nil(upstream):
-                return NIL  # cannot complete now; prefetch is preserved
-            replay.feed(need.port, upstream)
-            continue
-        except EndOfStream:
-            yield from maybe_work(component)
-            return EOS
-        replay.commit()
-        yield from maybe_work(component)
-        return result
-
-
-def push_to(ctx: ThreadCtx, target: FlowTarget, item: Any):
-    """Deliver one item into the push-side continuation ``target``."""
-    engine = ctx.engine
-    if isinstance(target, BoundaryRef):
-        component = target.component
-        gate = engine.gate_for(component)
-        if gate is not None:
-            yield from gate.put(ctx, item, target.port.name)
-            return
-        # Passive sink.
-        if is_eos(item):
-            engine.note_sink_eos(component)
-            on_eos = getattr(component, "on_eos", None)
-            if on_eos is not None:
-                on_eos()
-            return
-        component.receive_push(item, target.port.name)
-        yield from maybe_work(component)
-        return
-
-    component = target.component
-    lock = engine.lock_for(component)
-    if lock is not None and not lock.held_by(ctx):
-        yield from lock.acquire(ctx)
-        try:
-            yield from _push_to_node(ctx, target, item)
-        finally:
-            yield from lock.release(ctx)
-        return
-    yield from _push_to_node(ctx, target, item)
-
-
-def _push_to_node(ctx: ThreadCtx, node: FlowNode, item: Any):
-    engine = ctx.engine
-    component = node.component
-
-    if engine.is_coroutine(component):
-        yield from ctx.coroutine_push(component, item)
-        return
-
-    if is_eos(item):
-        # EOS bypasses user code and fans out to every downstream branch.
-        for child in node.branches.values():
-            yield from push_to(ctx, child, EOS)
-        return
-
-    if component.style is Style.FUNCTION:
-        component.stats["items_in"] += 1
-        result = component.convert(item)
-        component.stats["items_out"] += 1
-        yield from maybe_work(component)
-        yield from push_to(ctx, node.branches["out"], result)
-        return
-
-    # Consumer style (including push tees): emissions are collected and
-    # delivered after push() returns, possibly suspending between them.
-    pending = engine.pending_for(component)
-    component.receive_push(item, node.entry_port)
-    yield from maybe_work(component)
-    while pending.queue:
-        port, out = pending.queue.popleft()
-        yield from push_to(ctx, node.branches[port], out)
-
-
-# ---------------------------------------------------------------------------
 # Compiled walkers
 # ---------------------------------------------------------------------------
 #
-# Everything below is the ahead-of-time twin of pull_from/push_to above:
-# one bound generator closure per (thread, flow node), with the gate, lock,
+# One bound generator closure per (thread, flow node), with the gate, lock,
 # replay intake, pending-emit queue, coroutine target thread and per-port
 # child walkers all resolved at compile time.  The run-time body of a hop
 # is then just the user code plus the unavoidable suspension points.
@@ -540,29 +333,44 @@ def _bind_receive_push(component, port: str):
     return partial(component.receive_push, port=port)
 
 
-def _bind_drain(component):
-    """Compile-time drain binding: ``(stock, drain)``.
-
-    ``stock`` is True when the component keeps the stock
-    :meth:`Component.drain_cost` (every component in this repository does),
-    letting walkers read and reset ``_cost_accumulator`` directly instead
-    of paying a method call per item; overriding components keep ``drain``.
-    """
+def ends_in_eos(run) -> bool:
+    """True when ``run`` carries a trailing EOS.  Columnar runs are pure
+    data by convention and are never indexed here (indexing one would
+    materialize a per-item object just to compare it with EOS)."""
     return (
-        type(component).drain_cost is Component.drain_cost,
-        component.drain_cost,
+        len(run) > 0
+        and not getattr(run, "columnar", False)
+        and run[-1] is EOS
     )
 
 
-def _compile_coro_pull(ctx: ThreadCtx, component):
-    """Bound ip-pull round trip to a coroutine component's thread.
+def _run_data_count(run) -> int:
+    """Data items in a run (excluding a trailing EOS)."""
+    return len(run) - 1 if ends_in_eos(run) else len(run)
 
-    The reply wait is ``ThreadCtx.receive_reply`` unrolled in place (one
-    generator frame fewer per crossing), with the same event transparency.
 
-    When telemetry is attached at compile time, a *timed* variant is bound
-    instead, recording the request-to-reply round trip; the untimed
-    closure never branches on telemetry, so the cost when off is zero.
+def _item_data_count(item) -> int:
+    """Data items in a per-item payload: EOS and NIL carry none."""
+    return 0 if item is EOS or item is NIL else 1
+
+
+def _compile_crossing(ctx: ThreadCtx, component, kind: str):
+    """Bound round trip to a coroutine component's thread.
+
+    ``kind`` is ``ip-pull`` / ``ip-push`` (one item per crossing) or
+    ``ip-pull-batch`` / ``ip-push-batch`` (one run per crossing).  The
+    walker sends its argument as the request payload — nothing for a
+    per-item pull, the item or pure-data run for a push, the run limit
+    for a batch pull — waits for the reply while dispatching control
+    events that arrive in the meantime (the paper's mechanism for keeping
+    a blocked push/pull responsive), and returns the reply payload.
+
+    Telemetry and flow tracing are wrapper stages bound only when
+    attached at compile time, so the plain closure never branches on
+    either.  The timed stage records the request-to-reply round trip
+    weighted by the data items that crossed (a crossing that carried only
+    EOS/NIL counts once), so ``wait_p*`` summaries count items, not runs;
+    the flow stage moves the items' positional contexts with them.
     """
     engine = ctx.engine
     target = engine.thread_of(component)
@@ -570,12 +378,12 @@ def _compile_coro_pull(ctx: ThreadCtx, component):
     thread = engine.scheduler.threads[sender]
     dispatch_event = ctx.dispatch_event_message
     counter = engine._switch_counter()
-    hist = _coro_histogram(engine, component)
 
-    def coro_pull():
+    def crossing(payload=None):
         message = thread._current_message
         request = Message(
-            kind="ip-pull",
+            kind=kind,
+            payload=payload,
             sender=sender,
             target=target,
             constraint=message.constraint if message is not None else None,
@@ -594,112 +402,85 @@ def _compile_coro_pull(ctx: ThreadCtx, component):
                 continue
             return reply.payload
 
-    base = coro_pull
-    if hist is not None:
-        now = engine._telemetry.now
-
-        def coro_pull_timed():
-            start = now()
-            value = yield from coro_pull()
-            hist.observe(now() - start)
-            return value
-
-        base = coro_pull_timed
-
-    flow = engine._flow_tracer
-    if flow is None:
-        return base
-
-    # The pulled item crossed from the coroutine's thread to ours: its
-    # positional context crosses with it.
-    inner = base
-
-    def coro_pull_flow():
-        value = yield from inner()
-        if value is not EOS and value is not NIL:
-            flow.transfer(target, sender, 1)
-        return value
-
-    return coro_pull_flow
-
-
-def _coro_histogram(engine, component):
-    """The round-trip histogram for a coroutine crossing, or None when
-    telemetry is absent (the common case: plain walkers get bound)."""
+    inner = crossing
+    pushing = kind in ("ip-push", "ip-push-batch")
+    data_count = (
+        _run_data_count if kind.endswith("-batch") else _item_data_count
+    )
     telemetry = engine._telemetry
-    if telemetry is None:
-        return None
-    return telemetry.coroutine_histogram(component)
-
-
-def _compile_coro_push(ctx: ThreadCtx, component):
-    """Bound ip-push round trip to a coroutine component's thread.
-
-    Like :func:`_compile_coro_pull`, binds a timed variant when telemetry
-    is attached at compile time.
-    """
-    engine = ctx.engine
-    target = engine.thread_of(component)
-    sender = ctx.thread_name
-    thread = engine.scheduler.threads[sender]
-    dispatch_event = ctx.dispatch_event_message
-    counter = engine._switch_counter()
-    hist = _coro_histogram(engine, component)
-
-    def coro_push(item):
-        message = thread._current_message
-        request = Message(
-            kind="ip-push",
-            payload=item,
-            sender=sender,
-            target=target,
-            constraint=message.constraint if message is not None else None,
-            needs_reply=True,
-        )
-        counter[0] += 1
-        yield Send(request)
-        rid = request.msg_id
-        while True:
-            reply = yield Receive(
-                match=lambda m, _rid=rid: m.reply_to == _rid
-                or m.kind == "event"
-            )
-            if reply.kind == "event":
-                dispatch_event(reply)
-                continue
-            return
-
-    base = coro_push
+    hist = (
+        None if telemetry is None
+        else telemetry.coroutine_histogram(component)
+    )
     if hist is not None:
-        now = engine._telemetry.now
+        now = telemetry.now
 
-        def coro_push_timed(item):
+        def crossing_timed(payload=None):
             start = now()
-            yield from coro_push(item)
-            hist.observe(now() - start)
+            reply = yield from crossing(payload)
+            hist.observe_count(
+                now() - start, data_count(payload if pushing else reply) or 1
+            )
+            return reply
 
-        base = coro_push_timed
+        inner = crossing_timed
 
     flow = engine._flow_tracer
     if flow is None:
-        return base
+        return inner
+    if pushing:
+        # The contexts move before the Send: the coroutine's own walkers
+        # pop them from *its* carried deque while handling the push.
+        def crossing_flow(payload):
+            count = data_count(payload)
+            if count:
+                flow.transfer(sender, target, count)
+            return (yield from inner(payload))
+    else:
+        # The pulled items crossed from the coroutine's thread to ours.
+        def crossing_flow(payload=None):
+            reply = yield from inner(payload)
+            count = data_count(reply)
+            if count:
+                flow.transfer(target, sender, count)
+            return reply
 
-    # The context moves before the Send: the coroutine's own walkers pop
-    # it from *its* carried deque while handling the push.
-    inner = base
+    return crossing_flow
 
-    def coro_push_flow(item):
-        if item is not EOS and item is not NIL:
-            flow.transfer(sender, target, 1)
-        yield from inner(item)
 
-    return coro_push_flow
+def _under_lock(ctx: ThreadCtx, lock: SegmentLock, walker):
+    """Run ``walker`` holding ``lock`` (reentrant per thread).
+
+    Uncontended acquire/release never suspend: the lock is taken and
+    dropped inline, falling back to the generator protocol only under
+    actual contention (a holder to wait for, a waiter to wake).  Exactly
+    the steps lock.acquire/release would perform.
+    """
+    acquire, release = lock.acquire, lock.release
+    thread_name = ctx.thread_name
+
+    def locked(*args):
+        holder = lock.holder
+        if holder == thread_name:
+            return (yield from walker(*args))
+        if holder is None:
+            lock.holder = thread_name
+        else:
+            yield from acquire(ctx)
+        try:
+            return (yield from walker(*args))
+        finally:
+            if lock._waiters:
+                yield from release(ctx)
+            else:
+                lock.holder = None
+
+    return locked
 
 
 def compile_pull(ctx: ThreadCtx, target: FlowTarget):
     """Compile ``target`` into a bound pull walker: ``() -> generator``
-    producing one item (or NIL/EOS), semantically identical to
-    ``pull_from(ctx, target)``."""
+    producing one item, NIL (no data under a nil policy) or EOS."""
     engine = ctx.engine
     if isinstance(target, BoundaryRef):
         component = target.component
@@ -714,14 +495,12 @@ def compile_pull(ctx: ThreadCtx, target: FlowTarget):
             return gate_pull
 
         serve = _bind_serve_pull(component, port)
-        stock_drain, drain = _bind_drain(component)
 
         def source_pull():
             item = serve()
-            cost = component._cost_accumulator if stock_drain else drain()
+            cost = component._cost_accumulator
             if cost > 0.0:
-                if stock_drain:
-                    component._cost_accumulator = 0.0
+                component._cost_accumulator = 0.0
                 yield Work(cost)
             return item
 
@@ -743,10 +522,9 @@ def compile_pull(ctx: ThreadCtx, target: FlowTarget):
 
         def source_pull_traced():
             item = serve()
-            cost = component._cost_accumulator if stock_drain else drain()
+            cost = component._cost_accumulator
             if cost > 0.0:
-                if stock_drain:
-                    component._cost_accumulator = 0.0
+                component._cost_accumulator = 0.0
                 yield Work(cost)
             if item is not EOS and item is not NIL:
                 n = births[0] + 1
@@ -763,30 +541,7 @@ def compile_pull(ctx: ThreadCtx, target: FlowTarget):
     lock = engine.lock_for(target.component)
     if lock is None:
         return node_pull
-    acquire, release = lock.acquire, lock.release
-    thread_name = ctx.thread_name
-
-    def locked_pull():
-        # Uncontended acquire/release never suspend; take and drop the
-        # lock inline and only fall back to the generator protocol when
-        # there is actual contention (a holder to wait for, a waiter to
-        # wake).  Exactly the steps lock.acquire/release would perform.
-        holder = lock.holder
-        if holder == thread_name:
-            return (yield from node_pull())
-        if holder is None:
-            lock.holder = thread_name
-        else:
-            yield from acquire(ctx)
-        try:
-            return (yield from node_pull())
-        finally:
-            if lock._waiters:
-                yield from release(ctx)
-            else:
-                lock.holder = None
-
-    return locked_pull
+    return _under_lock(ctx, lock, node_pull)
 
 
 def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
@@ -794,9 +549,8 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
     component = node.component
 
     if engine.is_coroutine(component):
-        return _compile_coro_pull(ctx, component)
+        return _compile_crossing(ctx, component, "ip-pull")
 
-    stock_drain, drain = _bind_drain(component)
 
     if component.style is Style.FUNCTION:
         inner = compile_pull(ctx, node.branches["in"])
@@ -810,10 +564,9 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
             stats["items_in"] += 1
             result = convert(item)
             stats["items_out"] += 1
-            cost = component._cost_accumulator if stock_drain else drain()
+            cost = component._cost_accumulator
             if cost > 0.0:
-                if stock_drain:
-                    component._cost_accumulator = 0.0
+                component._cost_accumulator = 0.0
                 yield Work(cost)
             return result
 
@@ -833,10 +586,9 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
             try:
                 result = serve()
             except NeedMoreInput as need:
-                cost = component._cost_accumulator if stock_drain else drain()
+                cost = component._cost_accumulator
                 if cost > 0.0:
-                    if stock_drain:
-                        component._cost_accumulator = 0.0
+                    component._cost_accumulator = 0.0
                     yield Work(cost)
                 upstream = yield from branch_pulls[need.port]()
                 if upstream is NIL:
@@ -844,17 +596,15 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
                 feed(need.port, upstream)
                 continue
             except EndOfStream:
-                cost = component._cost_accumulator if stock_drain else drain()
+                cost = component._cost_accumulator
                 if cost > 0.0:
-                    if stock_drain:
-                        component._cost_accumulator = 0.0
+                    component._cost_accumulator = 0.0
                     yield Work(cost)
                 return EOS
             commit()
-            cost = component._cost_accumulator if stock_drain else drain()
+            cost = component._cost_accumulator
             if cost > 0.0:
-                if stock_drain:
-                    component._cost_accumulator = 0.0
+                component._cost_accumulator = 0.0
                 yield Work(cost)
             return result
 
@@ -862,8 +612,8 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
 
 
 def compile_push(ctx: ThreadCtx, target: FlowTarget):
-    """Compile ``target`` into a bound push walker: ``(item) -> generator``,
-    semantically identical to ``push_to(ctx, target, item)``."""
+    """Compile ``target`` into a bound push walker: ``(item) -> generator``
+    delivering one item (or EOS) into the push-side continuation."""
     engine = ctx.engine
     if isinstance(target, BoundaryRef):
         component = target.component
@@ -878,7 +628,6 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
             return gate_push
 
         receive = _bind_receive_push(component, port)
-        stock_drain, drain = _bind_drain(component)
         note_sink_eos = engine.note_sink_eos
         on_eos = getattr(component, "on_eos", None)
 
@@ -889,10 +638,9 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
                     on_eos()
                 return
             receive(item)
-            cost = component._cost_accumulator if stock_drain else drain()
+            cost = component._cost_accumulator
             if cost > 0.0:
-                if stock_drain:
-                    component._cost_accumulator = 0.0
+                component._cost_accumulator = 0.0
                 yield Work(cost)
 
         flow = engine._flow_tracer
@@ -923,10 +671,9 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
                     on_eos()
                 return
             receive(item)
-            cost = component._cost_accumulator if stock_drain else drain()
+            cost = component._cost_accumulator
             if cost > 0.0:
-                if stock_drain:
-                    component._cost_accumulator = 0.0
+                component._cost_accumulator = 0.0
                 yield Work(cost)
             if carried:
                 flow_ctx = carried_popleft()
@@ -945,28 +692,7 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
     lock = engine.lock_for(target.component)
     if lock is None:
         return node_push
-    acquire, release = lock.acquire, lock.release
-    thread_name = ctx.thread_name
-
-    def locked_push(item):
-        # Same uncontended fast path as locked_pull above.
-        holder = lock.holder
-        if holder == thread_name:
-            yield from node_push(item)
-            return
-        if holder is None:
-            lock.holder = thread_name
-        else:
-            yield from acquire(ctx)
-        try:
-            yield from node_push(item)
-        finally:
-            if lock._waiters:
-                yield from release(ctx)
-            else:
-                lock.holder = None
-
-    return locked_push
+    return _under_lock(ctx, lock, node_push)
 
 
 def _compile_push_node(ctx: ThreadCtx, node: FlowNode):
@@ -974,9 +700,8 @@ def _compile_push_node(ctx: ThreadCtx, node: FlowNode):
     component = node.component
 
     if engine.is_coroutine(component):
-        return _compile_coro_push(ctx, component)
+        return _compile_crossing(ctx, component, "ip-push")
 
-    stock_drain, drain = _bind_drain(component)
     branch_pushes = {
         port: compile_push(ctx, child) for port, child in node.branches.items()
     }
@@ -996,10 +721,9 @@ def _compile_push_node(ctx: ThreadCtx, node: FlowNode):
             stats["items_in"] += 1
             result = convert(item)
             stats["items_out"] += 1
-            cost = component._cost_accumulator if stock_drain else drain()
+            cost = component._cost_accumulator
             if cost > 0.0:
-                if stock_drain:
-                    component._cost_accumulator = 0.0
+                component._cost_accumulator = 0.0
                 yield Work(cost)
             yield from out_push(result)
 
@@ -1016,10 +740,9 @@ def _compile_push_node(ctx: ThreadCtx, node: FlowNode):
                 yield from child(EOS)
             return
         receive(item)
-        cost = component._cost_accumulator if stock_drain else drain()
+        cost = component._cost_accumulator
         if cost > 0.0:
-            if stock_drain:
-                component._cost_accumulator = 0.0
+            component._cost_accumulator = 0.0
             yield Work(cost)
         while queue:
             port, out = queue.popleft()
@@ -1056,9 +779,6 @@ def _compile_push_node(ctx: ThreadCtx, node: FlowNode):
 
 def _bind_drain_fn(component):
     """Zero-arg "take accumulated cost" closure for batch walkers."""
-    stock, drain = _bind_drain(component)
-    if not stock:
-        return drain
 
     def take():
         cost = component._cost_accumulator
@@ -1306,14 +1026,11 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
 
             def source_pull_many(n):
                 run = pull_run(n)
-                count = len(run)
+                count = _run_data_count(run)
                 if count:
-                    if not getattr(run, "columnar", False) and run[-1] is EOS:
-                        count -= 1
-                    if count:
-                        stats["items_out"] += count
-                        if births is not None:
-                            births(count)
+                    stats["items_out"] += count
+                    if births is not None:
+                        births(count)
                 cost = take_cost()
                 if cost > 0.0:
                     yield Work(cost)
@@ -1350,7 +1067,7 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
     if isinstance(target, FlowNode) and engine.lock_for(target.component) is None:
         component = target.component
         if engine.is_coroutine(component):
-            return _compile_coro_pull_many(ctx, component)
+            return _compile_crossing(ctx, component, "ip-pull-batch")
         if component.style is Style.FUNCTION:
             inner_many = compile_pull_many(ctx, target.branches["in"])
             convert_many = _convert_many_fn(component)
@@ -1361,7 +1078,7 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
                 run = yield from inner_many(n)
                 if not run:
                     return run
-                eos = run[-1] is EOS
+                eos = ends_in_eos(run)
                 data = run[:-1] if eos else run
                 if data:
                     stats["items_in"] += len(data)
@@ -1399,141 +1116,6 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
         return run
 
     return generic_pull_many
-
-
-def _run_data_count(run) -> int:
-    """Data items in a run (excluding a trailing EOS; columnar runs are
-    pure data by convention)."""
-    count = len(run)
-    if count and not getattr(run, "columnar", False) and run[-1] is EOS:
-        count -= 1
-    return count
-
-
-def _compile_coro_pull_many(ctx: ThreadCtx, component):
-    """Bound ip-pull-batch round trip: one crossing per run.
-
-    Like the per-item crossing, binds a timed variant when telemetry is
-    attached — weighted by the *items* inside the run (observe_count), so
-    ``wait_p*`` summaries count items, not runs, at batch_max > 1 — and a
-    flow variant when a tracer is attached.
-    """
-    engine = ctx.engine
-    target = engine.thread_of(component)
-    sender = ctx.thread_name
-    thread = engine.scheduler.threads[sender]
-    dispatch_event = ctx.dispatch_event_message
-    counter = engine._switch_counter()
-    hist = _coro_histogram(engine, component)
-
-    def coro_pull_many(n):
-        message = thread._current_message
-        request = Message(
-            kind="ip-pull-batch",
-            payload=n,
-            sender=sender,
-            target=target,
-            constraint=message.constraint if message is not None else None,
-            needs_reply=True,
-        )
-        counter[0] += 1
-        yield Send(request)
-        rid = request.msg_id
-        while True:
-            reply = yield Receive(
-                match=lambda m, _rid=rid: m.reply_to == _rid
-                or m.kind == "event"
-            )
-            if reply.kind == "event":
-                dispatch_event(reply)
-                continue
-            return reply.payload
-
-    base = coro_pull_many
-    if hist is not None:
-        now = engine._telemetry.now
-
-        def coro_pull_many_timed(n):
-            start = now()
-            run = yield from coro_pull_many(n)
-            hist.observe_count(now() - start, _run_data_count(run) or 1)
-            return run
-
-        base = coro_pull_many_timed
-
-    flow = engine._flow_tracer
-    if flow is None:
-        return base
-    inner = base
-
-    def coro_pull_many_flow(n):
-        run = yield from inner(n)
-        count = _run_data_count(run)
-        if count:
-            flow.transfer(target, sender, count)
-        return run
-
-    return coro_pull_many_flow
-
-
-def _compile_coro_push_many(ctx: ThreadCtx, component):
-    """Bound ip-push-batch round trip: one crossing per run.
-
-    Timed/flow variants mirror :func:`_compile_coro_pull_many`; pushed
-    runs are pure data, so the whole length counts.
-    """
-    engine = ctx.engine
-    target = engine.thread_of(component)
-    sender = ctx.thread_name
-    thread = engine.scheduler.threads[sender]
-    dispatch_event = ctx.dispatch_event_message
-    counter = engine._switch_counter()
-    hist = _coro_histogram(engine, component)
-
-    def coro_push_many(items):
-        message = thread._current_message
-        request = Message(
-            kind="ip-push-batch",
-            payload=items,
-            sender=sender,
-            target=target,
-            constraint=message.constraint if message is not None else None,
-            needs_reply=True,
-        )
-        counter[0] += 1
-        yield Send(request)
-        rid = request.msg_id
-        while True:
-            reply = yield Receive(
-                match=lambda m, _rid=rid: m.reply_to == _rid
-                or m.kind == "event"
-            )
-            if reply.kind == "event":
-                dispatch_event(reply)
-                continue
-            return
-
-    base = coro_push_many
-    if hist is not None:
-        now = engine._telemetry.now
-
-        def coro_push_many_timed(items):
-            start = now()
-            yield from coro_push_many(items)
-            hist.observe_count(now() - start, len(items) or 1)
-
-        base = coro_push_many_timed
-
-    flow = engine._flow_tracer
-    if flow is None:
-        return base
-    inner = base
-
-    def coro_push_many_flow(items):
-        flow.transfer(sender, target, len(items))
-        yield from inner(items)
-
-    return coro_push_many_flow
 
 
 def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
@@ -1603,29 +1185,8 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
     lock = engine.lock_for(target.component)
     if lock is None:
         return node_many
-    acquire, release = lock.acquire, lock.release
-    thread_name = ctx.thread_name
-
-    def locked_push_many(items):
-        # One acquire/release per run; same uncontended fast path as the
-        # per-item locked_push.
-        holder = lock.holder
-        if holder == thread_name:
-            yield from node_many(items)
-            return
-        if holder is None:
-            lock.holder = thread_name
-        else:
-            yield from acquire(ctx)
-        try:
-            yield from node_many(items)
-        finally:
-            if lock._waiters:
-                yield from release(ctx)
-            else:
-                lock.holder = None
-
-    return locked_push_many
+    # One acquire/release per run.
+    return _under_lock(ctx, lock, node_many)
 
 
 def _compile_push_node_many(ctx: ThreadCtx, node: FlowNode):
@@ -1633,7 +1194,7 @@ def _compile_push_node_many(ctx: ThreadCtx, node: FlowNode):
     component = node.component
 
     if engine.is_coroutine(component):
-        return _compile_coro_push_many(ctx, component)
+        return _compile_crossing(ctx, component, "ip-push-batch")
 
     if component.style is Style.FUNCTION:
         out_many = compile_push_many(ctx, node.branches["out"])

@@ -9,6 +9,7 @@ re-run — across every transmission policy it certified (``batch_max``
 
 import pytest
 
+from repro.api import Pipeline
 from repro.check import (
     Projection,
     RefinementCertificate,
@@ -16,7 +17,6 @@ from repro.check import (
     replay_certificate,
 )
 from repro.check.explorer import SeededChooser, run_once
-from repro.lang import engine_builder
 from repro.media import arrays
 
 MEDIA_SRC = (
@@ -24,13 +24,15 @@ MEDIA_SRC = (
     "buffer(8) >> clocked_pump(30) >> collect"
 )
 
+MEDIA = Pipeline.from_source(MEDIA_SRC).with_trace()
+
 BATCH_MAXES = [1, 8, 32]
 
 
 def certify(batch_max: int, seeds: int = 4) -> RefinementCertificate:
     cert = check_refinement(
-        engine_builder(MEDIA_SRC),
-        engine_builder(MEDIA_SRC, batch_max=batch_max),
+        MEDIA.builder(),
+        MEDIA.with_batching(batch_max).builder(),
         seeds=seeds, witness_seeds=2,
         # Frames carry the decoder's auto-numbered name in ``owner``,
         # which differs between independent builds; the stream identity
@@ -44,8 +46,7 @@ def certify(batch_max: int, seeds: int = 4) -> RefinementCertificate:
 @pytest.mark.parametrize("batch_max", BATCH_MAXES)
 def test_certificate_replays_to_identical_trace_hash(batch_max):
     cert = certify(batch_max)
-    report = replay_certificate(cert, engine_builder(MEDIA_SRC,
-                                                     batch_max=batch_max))
+    report = replay_certificate(cert, MEDIA.with_batching(batch_max).builder())
     assert report["ok"], report
     assert report["matched"] == len(cert.concrete["runs"])
 
@@ -60,15 +61,14 @@ def test_certificate_replays_identically_on_pure_backend(
     # disabled: frame payloads change representation, the schedule and
     # hence every trace hash must not.
     monkeypatch.setattr(arrays, "np", None)
-    report = replay_certificate(cert, engine_builder(MEDIA_SRC,
-                                                     batch_max=batch_max))
+    report = replay_certificate(cert, MEDIA.with_batching(batch_max).builder())
     assert report["ok"], report
 
 
 def test_seeded_chooser_is_deterministic_per_seed():
     # The determinism the certificates lean on, stated directly: one seed,
     # one schedule, one trace hash — run twice.
-    build = engine_builder(MEDIA_SRC, batch_max=8)
+    build = MEDIA.with_batching(8).builder()
     hashes = [
         run_once(build, SeededChooser(13), seed=13)[0].trace_hash
         for _ in range(2)

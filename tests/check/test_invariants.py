@@ -8,6 +8,7 @@ from repro import (
     GreedyPump,
     IterSource,
     MapFilter,
+    api,
     pipeline,
 )
 from repro.check import (
@@ -24,7 +25,7 @@ from repro.components.buffers import OnFull
 from repro.components.filters import PredicateFilter
 from repro.core.styles import Consumer
 from repro.errors import InvariantViolation
-from repro.runtime.engine import Engine, run_pipeline
+from repro.runtime.engine import Engine
 
 
 class SilentlyLossy(Consumer):
@@ -50,7 +51,7 @@ class Duplicator(Consumer):
 
 
 def run_and_check(*stages):
-    engine = run_pipeline(pipeline(*stages))
+    engine = api.Pipeline.from_pipeline(pipeline(*stages)).run().engine
     return engine, check_conservation(engine)
 
 
@@ -152,12 +153,10 @@ def test_non_one_to_one_components_are_exempt():
 
 def test_record_tap_and_fifo_assertions():
     records = []
-    engine = run_pipeline(
-        pipeline(
+    engine = api.Pipeline.from_pipeline(pipeline(
             IterSource(range(15)), record_tap(records), GreedyPump(),
             CollectSink(),
-        )
-    )
+        )).run().engine
     assert records == list(range(15))
     assert_fifo(records)
     assert_no_duplicates(records)

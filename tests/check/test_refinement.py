@@ -20,6 +20,7 @@ from repro import (
     GreedyPump,
     IterSource,
     Pipeline,
+    api,
     connect,
     pipeline,
 )
@@ -39,7 +40,6 @@ from repro.check.refine import (
 from repro.check.invariants import install_sink_taps
 from repro.components.buffers import OK
 from repro.core.typespec import Typespec
-from repro.lang import engine_builder
 from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     MpegDecoder,
@@ -99,13 +99,14 @@ def test_projection_resolution():
 FIG2_SRC = (
     "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> collect"
 )
+FIG2 = api.Pipeline.from_source(FIG2_SRC).with_trace()
 
 
 @pytest.mark.parametrize("batch_max", [1, 8, 32])
 def test_figure2_batched_refines_per_item_original(batch_max):
     cert = check_refinement(
-        engine_builder(FIG2_SRC),
-        engine_builder(FIG2_SRC, batch_max=batch_max),
+        FIG2.builder(),
+        FIG2.with_batching(batch_max).builder(),
         seeds=SEEDS,
     )
     assert cert.ok, cert.summary()
@@ -328,8 +329,8 @@ def test_lifo_mutation_minimized_replayable_counterexample():
 
 def test_certificate_json_roundtrip(tmp_path):
     cert = check_refinement(
-        engine_builder(FIG2_SRC),
-        engine_builder(FIG2_SRC, batch_max=8),
+        FIG2.builder(),
+        FIG2.with_batching(8).builder(),
         seeds=3, witness_seeds=2,
     )
     path = tmp_path / "CERT_fig2_batch8.json"
@@ -343,16 +344,16 @@ def test_certificate_json_roundtrip(tmp_path):
 
 def test_replay_certificate_catches_drift(tmp_path):
     cert = check_refinement(
-        engine_builder(FIG2_SRC),
-        engine_builder(FIG2_SRC, batch_max=8),
+        FIG2.builder(),
+        FIG2.with_batching(8).builder(),
         seeds=3, witness_seeds=1,
     )
-    good = replay_certificate(cert, engine_builder(FIG2_SRC, batch_max=8))
+    good = replay_certificate(cert, FIG2.with_batching(8).builder())
     assert good["ok"], good
     assert good["matched"] == good["replayed"] == 4
     # Replaying against a *differently configured* build must mismatch:
     # the certificate pins the schedule of the build it certified.
-    drifted = replay_certificate(cert, engine_builder(FIG2_SRC, batch_max=32))
+    drifted = replay_certificate(cert, FIG2.with_batching(32).builder())
     assert not drifted["ok"]
     assert drifted["mismatched"]
 
@@ -365,8 +366,8 @@ def test_explicit_lossy_parameter_overrides_detection():
     src_keep = "mpeg_file(frames=30) >> greedy_pump >> dropper(level=0) >> collect"
     src_drop = "mpeg_file(frames=30) >> greedy_pump >> dropper(level=1) >> collect"
     cert = check_refinement(
-        engine_builder(src_keep),
-        engine_builder(src_drop),
+        api.Pipeline.from_source(src_keep).with_trace().builder(),
+        api.Pipeline.from_source(src_drop).with_trace().builder(),
         seeds=5, witness_seeds=2,
         lossy={"collect-sink": "level-1 dropper sheds B frames"},
         projection=Projection.by_attr("seq"),
@@ -379,8 +380,8 @@ def test_explicit_lossy_parameter_overrides_detection():
     # Without the declaration (and with exact comparison forced by an
     # empty lossy set), the same pair is rejected.
     cert = check_refinement(
-        engine_builder(src_keep),
-        engine_builder(src_drop),
+        api.Pipeline.from_source(src_keep).with_trace().builder(),
+        api.Pipeline.from_source(src_drop).with_trace().builder(),
         seeds=5, witness_seeds=2,
         lossy={},
         projection=Projection.by_attr("seq"),
@@ -409,9 +410,7 @@ def test_abstract_failure_is_reported_not_blamed_on_concrete():
     def broken():
         raise RuntimeError("abstract build exploded")
 
-    cert = check_refinement(
-        broken, engine_builder(FIG2_SRC), seeds=2, witness_seeds=1
-    )
+    cert = check_refinement(broken, FIG2.builder(), seeds=2, witness_seeds=1)
     assert cert.verdict == "abstract-failed"
     assert not cert.ok
     assert "abstract build exploded" in cert.counterexample["error"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CollectSink, GreedyPump, IterSource, pipeline, run_pipeline
+from repro import CollectSink, GreedyPump, IterSource, api, pipeline
 from repro.components.batch import (
     PullBatcher,
     PullUnbatcher,
@@ -18,7 +18,7 @@ def test_batcher_groups_items(batcher_cls, position):
     stage, pump, sink = batcher_cls(3), GreedyPump(), CollectSink()
     chain = ([src, pump, stage, sink] if position == "push"
              else [src, stage, pump, sink])
-    run_pipeline(pipeline(*chain))
+    api.Pipeline.from_pipeline(pipeline(*chain)).run()
     assert sink.items == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
 
 
@@ -29,7 +29,7 @@ def test_unbatcher_flattens(unbatcher_cls, position):
     stage, pump, sink = unbatcher_cls(), GreedyPump(), CollectSink()
     chain = ([src, pump, stage, sink] if position == "push"
              else [src, stage, pump, sink])
-    run_pipeline(pipeline(*chain))
+    api.Pipeline.from_pipeline(pipeline(*chain)).run()
     assert sink.items == [0, 1, 2, 3, 4]
 
 
@@ -40,14 +40,16 @@ def test_batch_unbatch_roundtrip(batcher_cls, unbatcher_cls):
     src = IterSource(range(12))
     sink = CollectSink()
     pipe = pipeline(src, GreedyPump(), batcher_cls(4), unbatcher_cls(), sink)
-    run_pipeline(pipe)
+    api.Pipeline.from_pipeline(pipe).run()
     assert sink.items == list(range(12))
 
 
 def test_partial_trailing_batch_is_discarded():
     src = IterSource(range(7))
     sink = CollectSink()
-    run_pipeline(pipeline(src, GreedyPump(), PushBatcher(3), sink))
+    api.Pipeline.from_pipeline(
+        pipeline(src, GreedyPump(), PushBatcher(3), sink)
+    ).run()
     assert sink.items == [(0, 1, 2), (3, 4, 5)]
 
 

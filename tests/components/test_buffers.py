@@ -156,7 +156,7 @@ class TestZipBuffer:
 
     def test_zip_buffer_in_pipeline(self):
         from repro import (
-            CollectSink, GreedyPump, IterSource, Pipeline, run_pipeline,
+            CollectSink, GreedyPump, IterSource, Pipeline, api,
         )
 
         a, b = IterSource([1, 2, 3]), IterSource(["x", "y", "z"])
@@ -170,5 +170,5 @@ class TestZipBuffer:
         pipe.connect(pb.out_port, zb.port("in1"))
         pipe.connect(zb.out_port, p3.in_port)
         pipe.connect(p3.out_port, sink.in_port)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [(1, "x"), (2, "y"), (3, "z")]

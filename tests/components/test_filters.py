@@ -11,8 +11,8 @@ from repro import (
     MapFilter,
     PredicateFilter,
     SequenceStamp,
+    api,
     pipeline,
-    run_pipeline,
 )
 from repro.core.styles import Style
 
@@ -24,7 +24,7 @@ class TestMapFilter:
             IterSource([1, 2, 3]), GreedyPump(), MapFilter(lambda x: x * 10),
             sink,
         )
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [10, 20, 30]
 
     def test_function_style_works_in_both_modes(self):
@@ -35,7 +35,7 @@ class TestMapFilter:
                 [src, pump, f, sink] if position == "push"
                 else [src, f, pump, sink]
             )
-            run_pipeline(pipeline(*chain))
+            api.Pipeline.from_pipeline(pipeline(*chain)).run()
             assert sink.items == [2]
 
     def test_cost_charged_per_item(self):
@@ -43,7 +43,7 @@ class TestMapFilter:
             IterSource(range(5)), GreedyPump(),
             MapFilter(lambda x: x, cost=0.01), CollectSink(),
         )
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert engine.now() == pytest.approx(0.05, rel=0.01)
 
     def test_style(self):
@@ -56,7 +56,7 @@ class TestCostFilter:
         pipe = pipeline(
             IterSource([5]), GreedyPump(), CostFilter(0.5), sink
         )
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert sink.items == [5]
         assert engine.now() == pytest.approx(0.5)
 
@@ -66,7 +66,7 @@ class TestPredicateFilter:
         keep_even = PredicateFilter(lambda x: x % 2 == 0)
         sink = CollectSink()
         pipe = pipeline(IterSource(range(10)), GreedyPump(), keep_even, sink)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [0, 2, 4, 6, 8]
         assert keep_even.stats["dropped"] == 5
 
@@ -78,20 +78,24 @@ class TestPredicateFilter:
 
         plan = allocate(pipe)
         assert plan.sections[0].coroutine_count == 2  # wrapper needed
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [0, 2, 4, 6, 8]
 
 
 class TestGate:
     def test_open_gate_passes(self):
         sink = CollectSink()
-        run_pipeline(pipeline(IterSource([1]), GreedyPump(), Gate(), sink))
+        api.Pipeline.from_pipeline(
+            pipeline(IterSource([1]), GreedyPump(), Gate(), sink)
+        ).run()
         assert sink.items == [1]
 
     def test_closed_gate_drops(self):
         gate = Gate(open_=False)
         sink = CollectSink()
-        run_pipeline(pipeline(IterSource([1, 2]), GreedyPump(), gate, sink))
+        api.Pipeline.from_pipeline(
+            pipeline(IterSource([1, 2]), GreedyPump(), gate, sink)
+        ).run()
         assert sink.items == []
         assert gate.stats["dropped"] == 2
 
@@ -102,5 +106,5 @@ class TestSequenceStamp:
         pipe = pipeline(
             IterSource(["a", "b", "c"]), GreedyPump(), SequenceStamp(), sink
         )
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [(0, "a"), (1, "b"), (2, "c")]

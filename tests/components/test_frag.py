@@ -12,8 +12,8 @@ from repro import (
     PushFragmenter,
     PullDefragmenter,
     PullFragmenter,
+    api,
     pipeline,
-    run_pipeline,
 )
 from repro.components.frag import default_assemble, default_split
 
@@ -90,17 +90,17 @@ class TestExternalActivityIdentical:
     @pytest.mark.parametrize("style", STYLES)
     def test_push_mode_output(self, style):
         sink = CollectSink()
-        run_pipeline(
+        api.Pipeline.from_pipeline(
             pipeline(IterSource(range(6)), GreedyPump(), style(), sink)
-        )
+        ).run()
         assert sink.items == [(0, 1), (2, 3), (4, 5)]
 
     @pytest.mark.parametrize("style", STYLES)
     def test_pull_mode_output(self, style):
         sink = CollectSink()
-        run_pipeline(
+        api.Pipeline.from_pipeline(
             pipeline(IterSource(range(6)), style(), GreedyPump(), sink)
-        )
+        ).run()
         assert sink.items == [(0, 1), (2, 3), (4, 5)]
 
     @pytest.mark.parametrize("style", STYLES)
@@ -116,15 +116,17 @@ class TestExternalActivityIdentical:
 
         src = CountingIter(range(6))
         sink = CollectSink()
-        run_pipeline(pipeline(src, style(), GreedyPump(), sink))
+        api.Pipeline.from_pipeline(
+            pipeline(src, style(), GreedyPump(), sink)
+        ).run()
         assert len([p for p in pulls if isinstance(p, int)]) == 6
 
     @pytest.mark.parametrize("style", STYLES)
     def test_odd_trailing_item_discarded(self, style):
         sink = CollectSink()
-        run_pipeline(
+        api.Pipeline.from_pipeline(
             pipeline(IterSource(range(5)), GreedyPump(), style(), sink)
-        )
+        ).run()
         assert sink.items == [(0, 1), (2, 3)]
 
 
@@ -140,5 +142,5 @@ class TestFragmenters:
             [src, pump, style(), sink] if position == "push"
             else [src, style(), pump, sink]
         )
-        run_pipeline(pipeline(*chain))
+        api.Pipeline.from_pipeline(pipeline(*chain)).run()
         assert sink.items == [0, 1, 2, 3]

@@ -12,8 +12,8 @@ from repro import (
     GreedyPump,
     IterSource,
     NullSink,
+    api,
     pipeline,
-    run_pipeline,
 )
 from repro.components.sinks import ActiveCollectSink
 from repro.components.sources import TickingSource
@@ -61,18 +61,20 @@ class TestPassiveSinks:
     def test_collect_sink_limit(self):
         sink = CollectSink(limit=2)
         pipe = IterSource(range(10)) >> GreedyPump() >> sink
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [0, 1]
 
     def test_callback_sink(self):
         seen = []
         pipe = IterSource(range(3)) >> GreedyPump() >> CallbackSink(seen.append)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert seen == [0, 1, 2]
 
     def test_null_sink_counts(self):
         sink = NullSink()
-        run_pipeline(IterSource(range(5)) >> GreedyPump() >> sink)
+        api.Pipeline.from_pipeline(
+            IterSource(range(5)) >> GreedyPump() >> sink
+        ).run()
         assert sink.stats["items_in"] == 5
 
     def test_in_port_is_passive_push(self):
@@ -87,14 +89,14 @@ class TestActiveSources:
         src = TickingSource(lambda: next(count), rate_hz=20)
         sink = CollectSink()
         pipe = src >> sink
-        run_pipeline(pipe, until=1.0)
+        api.Pipeline.from_pipeline(pipe).run(until=1.0)
         assert 18 <= len(sink.items) <= 22
 
     def test_active_source_eos_ends_pipeline(self):
         values = iter([1, 2, EOS])
         src = TickingSource(lambda: next(values), rate_hz=100)
         sink = CollectSink()
-        engine = run_pipeline(src >> sink)
+        engine = api.Pipeline.from_pipeline(src >> sink).run().engine
         assert sink.items == [1, 2]
         assert engine.completed
 
@@ -102,7 +104,7 @@ class TestActiveSources:
         count = iter(range(1000))
         src = TickingSource(lambda: next(count), rate_hz=1000, max_items=5)
         sink = CollectSink()
-        run_pipeline(src >> sink)
+        api.Pipeline.from_pipeline(src >> sink).run()
         assert len(sink.items) == 5
 
     def test_rate_validation(self):
@@ -114,14 +116,14 @@ class TestActiveSinks:
     def test_active_collect_sink_pulls_at_rate(self):
         src = CountingSource()
         buf_pipe = pipeline(src, ActiveCollectSink(rate_hz=10))
-        engine = run_pipeline(buf_pipe, until=1.0)
+        engine = api.Pipeline.from_pipeline(buf_pipe).run(until=1.0).engine
         sink = buf_pipe.components[-1]
         assert 9 <= len(sink.items) <= 12
 
     def test_active_sink_greedy_mode(self):
         sink = ActiveCollectSink()  # no rate: greedy
         pipe = pipeline(IterSource(range(7)), sink)
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert sink.items == list(range(7))
         assert engine.completed
 

@@ -13,8 +13,8 @@ from repro import (
     MulticastTee,
     Pipeline,
     RoutingSwitch,
+    api,
     connect,
-    run_pipeline,
 )
 from repro.core.polarity import Mode, Polarity
 from repro.errors import PortError
@@ -27,7 +27,7 @@ class TestMulticast:
         pipe = src >> pump >> tee
         for i, sink in enumerate(sinks):
             pipe.connect(tee.port(f"out{i}"), sink.in_port)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         for sink in sinks:
             assert sink.items == [0, 1, 2]
 
@@ -53,7 +53,7 @@ class TestRoutingSwitch:
         pipe = src >> pump >> switch
         for i, sink in enumerate(sinks):
             pipe.connect(switch.port(f"out{i}"), sink.in_port)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sinks[0].items == [0, 3]
         assert sinks[1].items == [1, 4]
         assert sinks[2].items == [2, 5]
@@ -86,7 +86,7 @@ class TestRoutingSwitch:
         pipe.connect(down0.out_port, s0.in_port)
         pipe.connect(b1.out_port, down1.in_port)
         pipe.connect(down1.out_port, s1.in_port)
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         # both downstream pumps saw EOS and finished
         assert engine.completed
 
@@ -102,7 +102,7 @@ class TestMergeTee:
         pipe.connect(b.out_port, pb.in_port)
         pipe.connect(pb.out_port, merge.port("in1"))
         pipe.connect(merge.out_port, sink.in_port)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sorted(sink.items) == ["a0", "a1", "b0", "b1"]
         assert merge.stats["per_input"] == {"in0": 2, "in1": 2}
 
@@ -137,7 +137,7 @@ class TestActivityRouter:
         pipe.connect(p0.out_port, s0.in_port)
         pipe.connect(router.port("out1"), p1.in_port)
         pipe.connect(p1.out_port, s1.in_port)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sorted(s0.items + s1.items) == [0, 1, 2, 3]
         assert sum(router.stats["per_output"].values()) == 4
 

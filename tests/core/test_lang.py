@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CollectSink, TypespecMismatch, allocate, run_pipeline
+from repro import CollectSink, TypespecMismatch, allocate, api
 from repro.lang import LangError, Registry, build, default_registry, parse
 from repro.lang.parser import Chain, FactoryCall, Reference
 
@@ -88,7 +88,7 @@ class TestBuilder:
             'mpeg_file("test.mpg", frames=30) >> decoder '
             ">> clocked_pump(30) >> display : screen"
         )
-        run_pipeline(result.pipeline)
+        api.Pipeline.from_pipeline(result.pipeline).run()
         assert result["screen"].stats["displayed"] == 30
 
     def test_allocation_matches_hand_built(self):
@@ -106,7 +106,7 @@ class TestBuilder:
             t.out1 >> collect : right
             """
         )
-        run_pipeline(result.pipeline)
+        api.Pipeline.from_pipeline(result.pipeline).run()
         assert result["left"].items == list(range(6))
         assert result["right"].items == list(range(6))
 
@@ -118,7 +118,7 @@ class TestBuilder:
             m >> collect : out
             """
         )
-        run_pipeline(result.pipeline)
+        api.Pipeline.from_pipeline(result.pipeline).run()
         assert sorted(result["out"].items) == [0, 0, 1, 1, 2, 2]
 
     def test_bare_name_resolves_alias_before_factory(self):
@@ -160,7 +160,7 @@ class TestBuilder:
             "counting(limit=3) >> greedy_pump >> double >> collect : out",
             registry=registry,
         )
-        run_pipeline(result.pipeline)
+        api.Pipeline.from_pipeline(result.pipeline).run()
         assert result["out"].items == [0, 2, 4]
 
 

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Pipeline
 from repro.check import check_refinement
 from repro.check.refine import RefinementCertificate
 from repro.fabric.certify import fabric_hosted
-from repro.lang.builder import engine_builder
 
 CERT_PATH = (
     Path(__file__).resolve().parent.parent.parent / "CERT_fabric_fig2.json"
@@ -52,7 +52,7 @@ def test_replay_reproduces_the_hosted_certificate(document):
     src = document["fig2_source"]
 
     replay = check_refinement(
-        engine_builder(src),
+        Pipeline.from_source(src).with_trace().builder(),
         fabric_hosted(src, tenants=tenants),
         seeds=seeds,
     )
@@ -73,7 +73,7 @@ def test_quantum_one_variant_refines_on_replay(document):
     src = document["fig2_source"]
 
     replay = check_refinement(
-        engine_builder(src),
+        Pipeline.from_source(src).with_trace().builder(),
         fabric_hosted(src, tenants=tenants, quantum=1),
         seeds=seeds,
     )

@@ -14,8 +14,8 @@ from repro import (
     IterSource,
     MapFilter,
     allocate,
+    api,
     pipeline,
-    run_pipeline,
 )
 from repro.core.polarity import Mode, Polarity
 
@@ -69,7 +69,7 @@ def test_pump_thread_interleaving_order():
     pipe = pipeline(
         IterSource(range(3)), up, GreedyPump(), down, CollectSink()
     )
-    run_pipeline(pipe)
+    api.Pipeline.from_pipeline(pipe).run()
     assert trace == [
         ("pull-side", 0), ("push-side", 0),
         ("pull-side", 1), ("push-side", 1),

@@ -18,8 +18,8 @@ from repro import (
     MapFilter,
     PushDefragmenter,
     PullDefragmenter,
+    api,
     pipeline,
-    run_pipeline,
 )
 
 STYLES = [PushDefragmenter, PullDefragmenter, ActiveDefragmenter]
@@ -34,7 +34,7 @@ def interleaving_push_mode(style_cls):
         IterSource(range(6)), GreedyPump(), before, style_cls(), after,
         CollectSink(),
     )
-    run_pipeline(pipe)
+    api.Pipeline.from_pipeline(pipe).run()
     return trace
 
 
@@ -46,7 +46,7 @@ def interleaving_pull_mode(style_cls):
         IterSource(range(6)), before, style_cls(), after, GreedyPump(),
         CollectSink(),
     )
-    run_pipeline(pipe)
+    api.Pipeline.from_pipeline(pipe).run()
     return trace
 
 

@@ -19,8 +19,8 @@ from repro import (
     IterSource,
     Producer,
     allocate,
+    api,
     pipeline,
-    run_pipeline,
 )
 
 
@@ -46,7 +46,7 @@ class TestPushModeWrapperForPull:
         # the wrapper is a coroutine: set of two
         assert plan.sections[0].coroutine_count == 2
         assert stage in plan.sections[0].coroutine_members
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [("pulled", 0), ("pulled", 1), ("pulled", 2)]
 
 
@@ -57,7 +57,7 @@ class TestPullModeWrapperForPush:
         plan = allocate(pipe)
         assert plan.sections[0].coroutine_count == 2
         assert stage in plan.sections[0].coroutine_members
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [("pushed", 0), ("pushed", 1), ("pushed", 2)]
 
 
@@ -70,7 +70,7 @@ class TestNoWrapperWhenStyleMatchesMode:
         )
         plan = allocate(pipe)
         assert plan.sections[0].coroutine_count == 1
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [("pushed", ("pulled", 0)),
                               ("pushed", ("pulled", 1))]
 
@@ -92,7 +92,7 @@ class TestFunctionGlue:
             pipe = pipeline(*chain)
             plan = allocate(pipe)
             assert plan.sections[0].coroutine_count == 1  # direct call
-            run_pipeline(pipe)
+            api.Pipeline.from_pipeline(pipe).run()
             assert sink.items == [101, 102]
 
 
@@ -109,5 +109,5 @@ class TestMultiEmitThroughWrapper:
 
         sink = CollectSink()
         pipe = pipeline(IterSource(range(6)), Burst(), GreedyPump(), sink)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [0, 0, 2, 2, 4, 4]

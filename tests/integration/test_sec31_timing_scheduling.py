@@ -17,8 +17,8 @@ from repro import (
     FeedbackPump,
     GreedyPump,
     IterSource,
+    api,
     pipeline,
-    run_pipeline,
 )
 from repro.components.sources import CountingSource
 from repro.media import (
@@ -35,9 +35,9 @@ class TestPumpClasses:
         """First pump class: 'Clock driven pumps typically operate at a
         constant rate and are often used with passive sinks and sources.'"""
         sink = CollectSink()
-        engine = run_pipeline(
-            pipeline(CountingSource(), ClockedPump(25), sink), until=4.0
-        )
+        engine = api.Pipeline.from_pipeline(
+            pipeline(CountingSource(), ClockedPump(25), sink)
+        ).run(until=4.0).engine
         assert len(sink.items) == pytest.approx(100, abs=2)
 
     def test_self_adjusting_pump_relies_on_buffer_blocking(self):
@@ -50,7 +50,7 @@ class TestPumpClasses:
             CountingSource(limit=40), GreedyPump(), buf, ClockedPump(20),
             sink,
         )
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert sink.items == list(range(40))
         assert buf.stats["drops"] == 0
         # The greedy pump was paced to ~20 items/s by backpressure alone.

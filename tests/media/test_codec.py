@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CollectSink, GreedyPump, IterSource, pipeline, run_pipeline
+from repro import CollectSink, GreedyPump, IterSource, api, pipeline
 from repro.core.events import Event
 from repro.media.codec import MpegDecoder, MpegEncoder
 from repro.media.frames import VideoFrame
@@ -17,7 +17,7 @@ class TestDecoderBasics:
     def test_decodes_clean_stream_completely(self):
         dec, sink = MpegDecoder(share_references=False), CollectSink()
         pipe = pipeline(IterSource(frames(18)), GreedyPump(), dec, sink)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert len(sink.items) == 18
         assert all(not f.encoded for f in sink.items)
         assert dec.stats["decoded"] == 18
@@ -43,7 +43,7 @@ class TestLossSensitivity:
         missing_i = stream[1:]  # drop the I frame
         dec, sink = MpegDecoder(share_references=False), CollectSink()
         pipe = pipeline(IterSource(missing_i), GreedyPump(), dec, sink)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         # everything in the GOP depended (transitively) on the lost I
         assert sink.items == []
         assert dec.stats["skipped_undecodable"] == 8
@@ -53,7 +53,7 @@ class TestLossSensitivity:
         broken = stream[1:]  # first I lost; second GOP intact
         dec, sink = MpegDecoder(share_references=False), CollectSink()
         pipe = pipeline(IterSource(broken), GreedyPump(), dec, sink)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert [f.seq for f in sink.items] == list(range(9, 18))
 
     def test_b_loss_harms_nothing_else(self):
@@ -61,7 +61,7 @@ class TestLossSensitivity:
         without_b = [f for f in stream if f.kind != "B"]
         dec, sink = MpegDecoder(share_references=False), CollectSink()
         pipe = pipeline(IterSource(without_b), GreedyPump(), dec, sink)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert len(sink.items) == len(without_b)
         assert dec.stats["skipped_undecodable"] == 0
 
@@ -115,7 +115,7 @@ class TestEncoder:
         enc, dec = MpegEncoder(), MpegDecoder(share_references=False)
         sink = CollectSink()
         pipe = pipeline(IterSource(raw), GreedyPump(), enc, dec, sink)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert len(sink.items) == 9
         assert [f.seq for f in sink.items] == list(range(9))
 

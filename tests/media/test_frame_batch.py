@@ -8,11 +8,14 @@ column types).
 
 import pytest
 
+from repro import CollectSink, Engine, FunctionComponent, GreedyPump, pipeline
 from repro.errors import MarshalError
 from repro.media import (
     AudioSample,
+    AudioSource,
     FrameBatch,
     GopStructure,
+    MpegFileSource,
     SampleBatch,
     VideoFrame,
     synth_payload,
@@ -200,3 +203,51 @@ class TestCrossBackend:
         sub = batch.select([1, 3])  # take() dispatches on column type
         assert [f.seq for f in sub.to_frames()] == [1, 3]
         assert bytes(sub.payload_view(0)) == bytes(batch.payload_view(1))
+
+
+class Passthrough(FunctionComponent):
+    def convert(self, item):
+        return item
+
+    def convert_many(self, items):
+        return items
+
+
+class RunSink(CollectSink):
+    """Coalescing sink: takes each run whole, as a netpipe sender does."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs = []
+
+    def push_many(self, items):
+        self.runs.append(items)
+
+
+class TestColumnarRunsStayColumnar:
+    @pytest.mark.parametrize(
+        "source, batch_type, materialize",
+        [
+            (lambda: MpegFileSource("t.mpg", frames=40), FrameBatch, "frame"),
+            (lambda: AudioSource(blocks=40), SampleBatch, "sample"),
+        ],
+        ids=["frames", "samples"],
+    )
+    def test_function_hop_and_batched_cycle_materialize_nothing(
+        self, backend, monkeypatch, source, batch_type, materialize
+    ):
+        # Asking a run whether it ends in EOS must not index a columnar
+        # batch: that builds a throw-away VideoFrame/AudioSample per run.
+        calls = []
+        original = getattr(batch_type, materialize)
+        monkeypatch.setattr(
+            batch_type, materialize,
+            lambda self, i: calls.append(i) or original(self, i),
+        )
+        sink = RunSink()
+        pipe = pipeline(source(), Passthrough(), GreedyPump(), sink)
+        Engine(pipe, batch_max=8).run_to_completion()
+        assert [len(run) for run in sink.runs] == [8] * 5
+        assert all(isinstance(run, batch_type) for run in sink.runs)
+        assert sink.stats["items_in"] == 40
+        assert calls == []

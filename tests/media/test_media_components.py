@@ -9,8 +9,8 @@ from repro import (
     Engine,
     GreedyPump,
     IterSource,
+    api,
     pipeline,
-    run_pipeline,
 )
 from repro.core.events import EOS, Event, is_eos
 from repro.media import (
@@ -113,7 +113,7 @@ class TestVideoDisplay:
         dec = MpegDecoder(share_references=False)
         disp = VideoDisplay()
         pipe = pipeline(src, dec, ClockedPump(30), disp)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert disp.stats["displayed"] == 30
         assert len(disp.arrivals) == 30
         assert disp.continuity(30) == 1.0
@@ -123,7 +123,7 @@ class TestVideoDisplay:
         dec = MpegDecoder(share_references=False)
         disp = VideoDisplay(render_cost=0.0)
         pipe = pipeline(src, dec, ClockedPump(30), disp)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert disp.interarrival_jitter() == pytest.approx(0.0, abs=1e-9)
 
     def test_lateness_offset_normalized(self):
@@ -131,7 +131,7 @@ class TestVideoDisplay:
         dec = MpegDecoder(share_references=False)
         disp = VideoDisplay(render_cost=0.0)
         pipe = pipeline(src, dec, ClockedPump(30), disp)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         lates = disp.lateness()
         assert lates[0] == pytest.approx(0.0)
         assert disp.late_fraction() == pytest.approx(0.0)
@@ -141,7 +141,7 @@ class TestVideoDisplay:
         dec = MpegDecoder(share_references=True)
         disp = VideoDisplay()
         pipe = pipeline(src, dec, ClockedPump(30), disp)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert disp.stats["releases_sent"] > 0
         assert dec.stats["released"] == disp.stats["releases_sent"]
         assert dec.shared_frame_count == 0  # no leak at end of stream
@@ -189,7 +189,7 @@ class TestAudio:
     def test_audio_device_plays_at_its_own_clock(self):
         src = AudioSource(blocks=50, block_duration=0.02)
         dev = AudioDevice(rate_hz=50)
-        engine = run_pipeline(pipeline(src, dev))
+        engine = api.Pipeline.from_pipeline(pipeline(src, dev)).run().engine
         assert len(dev.consumed) == 50
         assert engine.now() == pytest.approx(1.0, rel=0.05)
         assert dev.stats["underruns"] == 0
@@ -201,7 +201,7 @@ class TestAudio:
         buf = Buffer(capacity=4)
         dev = AudioDevice(rate_hz=50)
         pipe = pipeline(src, slow_pump, buf, dev)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert dev.stats["underruns"] > 0
 
 

@@ -23,7 +23,7 @@ from repro.feedback import (
     RateSensor,
 )
 from repro.mbt.scheduler import Scheduler
-from repro.obs import FlightRecorder, MetricsRegistry, Telemetry
+from repro.obs import FlightRecorder, FlowTracer, MetricsRegistry, Telemetry
 
 
 class Stage(ActiveComponent):
@@ -40,13 +40,28 @@ def buffered_pipeline(items=20, capacity=4):
     )
 
 
-def coroutine_pipeline(items=10):
+def coroutine_pipeline(items=10, pull_side=False, consume=lambda item: None):
     # Fixed names: auto-numbered names draw from process-global counters,
     # and the inertness test compares traces across two builds.
-    return pipeline(
+    stages = [
         IterSource(range(items), name="src"), GreedyPump(name="pump"),
-        Stage(name="stage"), CallbackSink(lambda item: None, name="sink"),
-    )
+        CallbackSink(consume, name="sink"),
+    ]
+    # An active stage is a coroutine on either side of the pump: pulled
+    # from (ip-pull) upstream of it, pushed into (ip-push) downstream.
+    stages.insert(1 if pull_side else 2, Stage(name="stage"))
+    return pipeline(*stages)
+
+
+#: crossing kind -> (coroutine on the pull side, batch_max, message kinds
+#: crossing, crossings that carried only EOS).  A pushed EOS follows the
+#: batched runs through the per-item kind; a pulled EOS rides the last run.
+CROSSINGS = {
+    "ip-push": (False, 1, {"ip-push"}, 1),
+    "ip-pull": (True, 1, {"ip-pull"}, 1),
+    "ip-push-batch": (False, 4, {"ip-push-batch", "ip-push"}, 1),
+    "ip-pull-batch": (True, 4, {"ip-pull-batch"}, 0),
+}
 
 
 def run_with_telemetry(pipe, **kwargs):
@@ -70,12 +85,39 @@ class TestSpans:
         # Two pumps, each moved 20 items.
         assert sorted(h.count for h in stages) == [20, 20]
 
-    def test_coroutine_roundtrip_histogram(self):
-        _engine, telemetry = run_with_telemetry(coroutine_pipeline(items=10))
-        hists = telemetry.registry.family("repro_coroutine_roundtrip_seconds")
-        assert len(hists) == 1
-        # One crossing per item plus the EOS hand-off.
-        assert hists[0].count >= 10
+    @pytest.mark.parametrize("observed", ["plain", "telemetry", "flow"])
+    @pytest.mark.parametrize("kind", list(CROSSINGS))
+    def test_coroutine_roundtrip_histogram(self, kind, observed):
+        pull_side, batch_max, message_kinds, eos_only = CROSSINGS[kind]
+        seen = []
+        engine = Engine(
+            coroutine_pipeline(10, pull_side, seen.append),
+            batch_max=batch_max, trace=True,
+        )
+        if observed == "telemetry":
+            telemetry = Telemetry().attach(engine)
+        elif observed == "flow":
+            tracer = FlowTracer(sample_every=1).attach(engine)
+        engine.start()
+        engine.run()
+        # The same sink stream whatever wraps the crossing.
+        assert seen == list(range(10))
+        assert {
+            event[2] for event in engine.scheduler._trace
+            if event[1] == "deliver" and event[2] in CROSSINGS
+        } == message_kinds
+        if observed == "telemetry":
+            hists = telemetry.registry.family(
+                "repro_coroutine_roundtrip_seconds"
+            )
+            assert len(hists) == 1
+            # Weighted by the data items that crossed, not by runs; a
+            # crossing that carried only EOS counts once, and an EOS that
+            # ends a data run adds nothing.
+            assert hists[0].count == 10 + eos_only
+        elif observed == "flow":
+            # Every sampled lineage crossed with its item and closed.
+            assert [t.status for t in tracer.traces()] == ["delivered"] * 10
 
     def test_waits_measure_virtual_time(self):
         # Clocked consumer drains a pre-filled buffer: wait > 0.

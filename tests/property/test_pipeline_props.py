@@ -13,8 +13,8 @@ from repro import (
     PredicateFilter,
     PushDefragmenter,
     PullDefragmenter,
+    api,
     pipeline,
-    run_pipeline,
 )
 from repro.components.buffers import OnFull
 
@@ -32,7 +32,9 @@ positions = st.sampled_from(["push", "pull"])
 @settings(max_examples=30, deadline=None)
 def test_identity_pipeline_preserves_items(items):
     sink = CollectSink()
-    run_pipeline(pipeline(IterSource(items), GreedyPump(), sink))
+    api.Pipeline.from_pipeline(
+        pipeline(IterSource(items), GreedyPump(), sink)
+    ).run()
     assert sink.items == items
 
 
@@ -46,7 +48,7 @@ def test_defragmenter_pairs_any_input(items, style, position):
         [src, pump, stage, sink] if position == "push"
         else [src, stage, pump, sink]
     )
-    run_pipeline(pipeline(*chain))
+    api.Pipeline.from_pipeline(pipeline(*chain)).run()
     expected = [
         (items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)
     ]
@@ -61,7 +63,7 @@ def test_buffer_preserves_order_and_count_with_blocking(items, capacity):
     pipe = pipeline(
         IterSource(items), GreedyPump(), buf, GreedyPump(), sink
     )
-    run_pipeline(pipe)
+    api.Pipeline.from_pipeline(pipe).run()
     assert sink.items == items
     assert buf.stats["drops"] == 0
 
@@ -72,7 +74,9 @@ def test_filter_conservation(items):
     """kept + dropped == total for a predicate filter."""
     keep = PredicateFilter(lambda x: x % 3 == 0)
     sink = CollectSink()
-    run_pipeline(pipeline(IterSource(items), GreedyPump(), keep, sink))
+    api.Pipeline.from_pipeline(
+        pipeline(IterSource(items), GreedyPump(), keep, sink)
+    ).run()
     assert len(sink.items) + keep.stats["dropped"] == len(items)
     assert sink.items == [x for x in items if x % 3 == 0]
 
@@ -83,7 +87,9 @@ def test_map_chain_composition(items, chain_length):
     """n mapped filters compose like function composition."""
     filters = [MapFilter(lambda x, k=k: x + k) for k in range(chain_length)]
     sink = CollectSink()
-    run_pipeline(pipeline(IterSource(items), GreedyPump(), *filters, sink))
+    api.Pipeline.from_pipeline(
+        pipeline(IterSource(items), GreedyPump(), *filters, sink)
+    ).run()
     offset = sum(range(chain_length))
     assert sink.items == [x + offset for x in items]
 
@@ -96,7 +102,7 @@ def test_stats_conservation_through_sections(items, capacity):
     buf = Buffer(capacity=capacity)
     sink = CollectSink()
     pipe = pipeline(src, GreedyPump(), buf, GreedyPump(), sink)
-    engine = run_pipeline(pipe)
+    engine = api.Pipeline.from_pipeline(pipe).run().engine
     stats = engine.stats
     assert stats.items_in(sink.name) == len(items)
     assert stats.items_in(buf.name) == stats.items_out(buf.name) == len(items)

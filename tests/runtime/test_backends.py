@@ -18,8 +18,8 @@ from repro import (
     PushDefragmenter,
     PullFragmenter,
     PushFragmenter,
+    api,
     pipeline,
-    run_pipeline,
 )
 
 BACKENDS = ["generator", "thread"]
@@ -35,7 +35,7 @@ def run_chain(stage, backend, position):
         pipe = pipeline(src, pump, stage, sink)
     else:
         pipe = pipeline(src, stage, pump, sink)
-    run_pipeline(pipe, backend=backend)
+    api.Pipeline.from_pipeline(pipe).with_backend(backend).run()
     return sink.items
 
 
@@ -65,7 +65,7 @@ def test_fragment_defragment_roundtrip(backend):
     pipe = pipeline(
         src, GreedyPump(), PushFragmenter(), PushDefragmenter(), sink
     )
-    run_pipeline(pipe, backend=backend)
+    api.Pipeline.from_pipeline(pipe).with_backend(backend).run()
     assert sink.items == [(i, i + 1) for i in range(0, 10, 2)]
 
 
@@ -77,7 +77,7 @@ def test_chained_coroutines(backend):
     pipe = pipeline(
         src, GreedyPump(), ActiveDefragmenter(), ActiveDefragmenter(), sink
     )
-    run_pipeline(pipe, backend=backend)
+    api.Pipeline.from_pipeline(pipe).with_backend(backend).run()
     # default_assemble concatenates tuple fragments, so two defrag stages
     # turn groups of four scalars into one 4-tuple.
     assert sink.items == [(0, 1, 2, 3), (4, 5, 6, 7),
@@ -112,5 +112,5 @@ def test_active_component_flush_on_eos(backend):
     # BlockingApi surfaces EOS as the exception for actives.
     sink = CollectSink()
     pipe = pipeline(IterSource([1, 2, 3, 4]), GreedyPump(), Summer(), sink)
-    run_pipeline(pipe, backend=backend)
+    api.Pipeline.from_pipeline(pipe).with_backend(backend).run()
     assert sink.items == [10]

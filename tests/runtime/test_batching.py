@@ -19,7 +19,6 @@ from repro import (
     MapFilter,
     Pipeline,
     ZipBuffer,
-    attach_adaptive_batching,
     pipeline,
 )
 from repro.check import assert_flow, explore
@@ -27,7 +26,7 @@ from repro.components.buffers import EMPTY, FULL, OK
 from repro.core.events import EOS
 from repro.core.styles import FunctionComponent
 from repro.errors import RuntimeFault
-from repro.runtime.batching import BatchPolicy
+from repro.runtime.batching import BatchPolicy, attach_adaptive_batching
 
 BATCH_SIZES = [1, 2, 7, 8, 32]
 

@@ -17,7 +17,7 @@ from repro import (
     OnFull,
     Pipeline,
     RuntimeFault,
-    run_pipeline,
+    api,
 )
 from repro.components.sources import CountingSource
 
@@ -75,7 +75,7 @@ class TestLifecycle:
     def test_run_pipeline_with_until_stops(self):
         sink = CollectSink()
         pipe = CountingSource() >> ClockedPump(100) >> sink
-        engine = run_pipeline(pipe, until=0.5)
+        engine = api.Pipeline.from_pipeline(pipe).run(until=0.5).engine
         assert 45 <= len(sink.items) <= 55
         assert engine.now() >= 0.5
 
@@ -84,7 +84,7 @@ class TestClockedPump:
     def test_rate_controls_item_count(self):
         sink = CollectSink()
         pipe = CountingSource() >> ClockedPump(30) >> sink
-        run_pipeline(pipe, until=2.0)
+        api.Pipeline.from_pipeline(pipe).run(until=2.0)
         assert 58 <= len(sink.items) <= 62
 
     def test_feedback_pump_rate_change_applies_live(self):
@@ -103,7 +103,7 @@ class TestClockedPump:
     def test_greedy_pump_max_items(self):
         sink = CollectSink()
         pipe = CountingSource() >> GreedyPump(max_items=7) >> sink
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert len(sink.items) == 7
 
 
@@ -117,7 +117,7 @@ class TestEos:
             >> GreedyPump()
             >> sink
         )
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert sink.items == list(range(10))
         assert engine.completed
 
@@ -130,7 +130,7 @@ class TestEos:
             >> ClockedPump(100)
             >> sink
         )
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert sink.items == list(range(5))
         assert engine.completed
 
@@ -143,7 +143,7 @@ class TestEos:
             >> MapFilter(lambda x: calls.append(x) or x)
             >> sink
         )
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert calls == [0, 1, 2]  # convert never saw EOS
 
 
@@ -158,7 +158,7 @@ class TestBackpressure:
             >> ClockedPump(10)
             >> sink
         )
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert sink.items == list(range(50))
         assert buf.stats["drops"] == 0
         # pacing means completion takes about 5 seconds of virtual time
@@ -174,7 +174,7 @@ class TestBackpressure:
             >> ClockedPump(10)
             >> sink
         )
-        run_pipeline(pipe, until=20.0)
+        api.Pipeline.from_pipeline(pipe).run(until=20.0)
         assert buf.stats["drops"] > 0
         assert len(sink.items) < 50
         # delivered items preserve order
@@ -190,7 +190,7 @@ class TestBackpressure:
             >> ClockedPump(10)
             >> sink
         )
-        run_pipeline(pipe, until=20.0)
+        api.Pipeline.from_pipeline(pipe).run(until=20.0)
         assert buf.stats["drops"] > 0
         assert 49 in sink.items  # the newest item survives
 
@@ -204,7 +204,7 @@ class TestBackpressure:
             >> ClockedPump(50)
             >> sink
         )
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert sink.items == [0, 1, 2]
         # the fast consumer pump saw many empty (nil) cycles
         assert sum(engine.stats.nil_cycles.values()) > 10
@@ -214,7 +214,7 @@ class TestStats:
     def test_stats_snapshot(self):
         sink = NullSink()
         pipe = IterSource(range(20)) >> GreedyPump() >> CostFilter(0.001) >> sink
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         stats = engine.stats
         assert stats.items_in(sink.name) == 20
         assert stats.total_cycles() >= 20
@@ -224,7 +224,7 @@ class TestStats:
 
     def test_cost_filter_consumes_virtual_time(self):
         pipe = IterSource(range(10)) >> GreedyPump() >> CostFilter(0.01) >> NullSink()
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert engine.now() == pytest.approx(0.1, rel=0.05)
 
     def test_coroutine_switch_counter(self):
@@ -236,7 +236,7 @@ class TestStats:
             >> ActiveDefragmenter()
             >> NullSink()
         )
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         # one ip-push per item, plus one for the EOS crossing the boundary
         assert engine.stats.coroutine_switches == 11
 

@@ -13,8 +13,8 @@ from repro import (
     Pipeline,
     RuntimeFault,
     allocate,
+    api,
     pipeline,
-    run_pipeline,
 )
 from repro.core.events import EOS
 from repro.errors import AllocationError
@@ -93,7 +93,7 @@ class TestMergeEosSemantics:
         pipe.connect(b.out_port, pb.in_port)
         pipe.connect(pb.out_port, merge.port("in1"))
         pipe.connect(merge.out_port, sink.in_port)
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert engine.completed
         assert sorted(sink.items) == [1, 2, 10, 20]
 
@@ -108,7 +108,7 @@ class TestMergeEosSemantics:
         pipe.connect(b.out_port, pb.in_port)
         pipe.connect(pb.out_port, merge.port("in1"))
         pipe.connect(merge.out_port, sink.in_port)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert set(range(100, 110)) <= set(sink.items)
 
 
@@ -118,20 +118,22 @@ class TestEosThroughBufferChains:
             IterSource(range(5)), GreedyPump(), Buffer(2), GreedyPump(),
             Buffer(2), GreedyPump(), CollectSink(),
         )
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert engine.completed
         assert engine.pipeline.sinks()[0].items == list(range(5))
 
     def test_empty_source_completes_immediately(self):
         sink = CollectSink()
-        engine = run_pipeline(IterSource([]) >> GreedyPump() >> sink)
+        engine = api.Pipeline.from_pipeline(
+            IterSource([]) >> GreedyPump() >> sink
+        ).run().engine
         assert engine.completed
         assert sink.items == []
 
     def test_eos_item_in_source_iterable_is_the_end(self):
         sink = CollectSink()
-        engine = run_pipeline(
+        engine = api.Pipeline.from_pipeline(
             IterSource([1, EOS, 2]) >> GreedyPump() >> sink
-        )
+        ).run().engine
         assert sink.items == [1]
         assert engine.completed

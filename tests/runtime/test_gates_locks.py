@@ -11,8 +11,8 @@ from repro import (
     MapFilter,
     MergeTee,
     Pipeline,
+    api,
     pipeline,
-    run_pipeline,
 )
 from repro.runtime.section import SegmentLock, ThreadCtx
 from repro.errors import RuntimeFault
@@ -56,7 +56,7 @@ class TestGates:
             IterSource(range(20)), GreedyPump(), buf, GreedyPump(),
             CollectSink()
         )
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert 1 <= buf.stats["high_watermark"] <= 8
 
 
@@ -104,7 +104,7 @@ class TestSharedSegments:
         pipe.connect(tag.out_port, buf.in_port)
         pipe.connect(buf.out_port, p3.in_port)
         pipe.connect(p3.out_port, sink.in_port)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         assert len(sink.items) == 40
         # Per-stream order preserved through the shared segment.
         a_items = [i for tagged, i, _ in sink.items if tagged == "a"]
@@ -123,7 +123,7 @@ class TestSharedSegments:
         pipe.connect(pa.out_port, s1.in_port)
         pipe.connect(router.port("out1"), pb.in_port)
         pipe.connect(pb.out_port, s2.in_port)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         combined = sorted(s1.items + s2.items)
         assert combined == list(range(30))
         assert not (set(s1.items) & set(s2.items))

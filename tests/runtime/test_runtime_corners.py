@@ -13,9 +13,9 @@ from repro import (
     IterSource,
     NIL,
     OnEmpty,
+    api,
     is_nil,
     pipeline,
-    run_pipeline,
 )
 from repro.components.sources import CountingSource
 from repro.mbt import Scheduler, VirtualClock
@@ -44,7 +44,7 @@ class TestNilThroughCoroutines:
         sink = CollectSink()
         # NilAware is active and upstream of `fast` -> pull-mode coroutine.
         pipe = pipeline(source, slow, buf, NilAware(), fast, sink)
-        run_pipeline(pipe)
+        api.Pipeline.from_pipeline(pipe).run()
         data = [i for i in sink.items if i != GAP]
         gaps = [i for i in sink.items if i == GAP]
         assert data == [0, 1, 2]
@@ -61,7 +61,7 @@ class TestGreedyPumpOnNilBuffer:
         greedy = GreedyPump()
         sink = CollectSink()
         pipe = pipeline(source, slow, buf, greedy, sink)
-        engine = run_pipeline(pipe)
+        engine = api.Pipeline.from_pipeline(pipe).run().engine
         assert sink.items == [0, 1, 2, 3, 4]
         driver = next(d for d in engine.pump_drivers if d.origin is greedy)
         # a handful of nil cycles at most -- not thousands of spins
@@ -103,7 +103,7 @@ class TestLangExplicitPorts:
             m >> collect : out
             """
         )
-        run_pipeline(result.pipeline)
+        api.Pipeline.from_pipeline(result.pipeline).run()
         assert sorted(result["out"].items) == [0, 0, 1, 1]
 
     def test_router_outputs_addressed_by_port(self):
@@ -116,7 +116,7 @@ class TestLangExplicitPorts:
             r.out1 >> greedy_pump(max_items=3) >> collect : right
             """
         )
-        run_pipeline(result.pipeline)
+        api.Pipeline.from_pipeline(result.pipeline).run()
         combined = sorted(result["left"].items + result["right"].items)
         assert combined == list(range(6))
 
@@ -134,7 +134,7 @@ class TestDropOldUnderCoroutines:
         sink = CollectSink()
         pipe = pipeline(source, GreedyPump(), defrag, buf, ClockedPump(5),
                         sink)
-        run_pipeline(pipe, until=10.0)
+        api.Pipeline.from_pipeline(pipe).run(until=10.0)
         assert buf.stats["drops"] > 0
         # the freshest pair survived
         assert (38, 39) in sink.items

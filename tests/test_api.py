@@ -1,10 +1,10 @@
 """The fluent facade: one surface for run / trace / deploy / certify."""
 
-import warnings
-
 import pytest
 
+from repro import ActiveComponent, ClockedPump, CollectSink, pipeline
 from repro.api import Pipeline
+from repro.components.sources import CountingSource
 from repro.errors import DeployError
 from repro.lang.parser import LangError
 
@@ -42,6 +42,16 @@ def dataclasses_error():
     return dataclasses.FrozenInstanceError
 
 
+class SlowEcho(ActiveComponent):
+    """Active stage with per-item CPU cost — runs as a coroutine."""
+
+    def run(self):
+        while True:
+            item = yield self.pull()
+            self.charge(0.05)
+            yield self.push(item)
+
+
 class TestRun:
     def test_run_delivers_and_exposes_stats(self):
         built = Pipeline.from_source(SRC).run()
@@ -71,6 +81,24 @@ class TestRun:
         assert built.tracer is not None
         assert built.slo is not None
 
+    def test_until_drain_ignores_steps_already_executed(self):
+        # The tick at t=0.4 pushes into the coroutine, whose 0.05 s of
+        # work overruns the horizon: its reply and the STOP events are
+        # still undelivered when run(until=...) starts draining.  The
+        # drain used to be capped at a million *cumulative* scheduler
+        # steps, so a long-lived scheduler drained nothing.
+        pump, sink = ClockedPump(10), CollectSink()
+        built = Pipeline.from_pipeline(
+            pipeline(CountingSource(), pump, SlowEcho(), sink)
+        ).build()
+        scheduler = built.engine.scheduler
+        scheduler.steps = 2_000_000
+        built.run(until=0.42)
+        assert sink.items == [0, 1, 2, 3, 4]
+        assert not pump.running
+        for thread in scheduler.threads.values():
+            assert len(thread.mailbox) == 0, thread
+
     def test_builder_yields_fresh_engines(self):
         build = Pipeline.from_source(SRC).with_trace().builder()
         first, second = build(), build()
@@ -93,30 +121,3 @@ class TestDeploymentBridge:
             .deployment(shards=2)
         assert d.batch_max == 8
         assert d.telemetry is True
-
-
-class TestDeprecationShims:
-    def test_run_pipeline_warns_but_works(self):
-        from repro.deploy.worker import build_program
-        from repro.runtime import run_pipeline
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = run_pipeline(build_program(SRC))
-        assert engine.stats.items_in("collect-sink-1") == 24
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        message = str(caught[0].message)
-        assert "repro.api" in message or "Pipeline" in message
-
-    def test_engine_builder_shim_warns(self):
-        from repro.lang import engine_builder
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build = engine_builder(SRC)
-        assert callable(build)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
