@@ -235,8 +235,10 @@ def extract_shard(
 
 def build_shard_pipeline(
     spec: ShardSpec, sockets: dict[int, Any]
-) -> tuple[Pipeline, list[SocketLink]]:
-    """Build this shard's pipeline and its socket transports."""
+) -> tuple[Pipeline, dict[int, SocketLink]]:
+    """Build this shard's pipeline and every socket transport it uses,
+    inbound and outbound, keyed by cut index.  The caller owns the links
+    and closes them."""
     pipeline = build_program(spec.program)
     links: dict[int, SocketLink] = {}
 
@@ -258,29 +260,53 @@ def build_shard_pipeline(
     shard_pipe = extract_shard(
         pipeline, spec.assignment, spec.cuts, spec.shard, bridges
     )
-    incoming = [
-        links[cut.index]
-        for cut in spec.cuts
-        if cut.dst_shard == spec.shard and cut.index in links
-    ]
-    return shard_pipe, incoming
+    return shard_pipe, links
+
+
+#: Receive-ahead bound, in items: a wire receiver already holding this many
+#: is not handed more; the rest waits in the link's read buffer and the
+#: kernel's socket buffer, where it blocks the producer's ``sendall``.
+#: It stands in for the capacity of the buffer a cut removes, and is
+#: deliberately not that capacity: every refill costs a ``select`` and a
+#: scheduler re-entry, so a bound as small as ``buffer(64)`` spends the
+#: seam's gain on them.  Picked by measurement, ``python3 -m bench
+#: --workload deploy-seam-2shard --seconds 15``, medians of three runs
+#: (seeds 40-42), items/s by bound: 64 -> 672k, 128 -> 754k, 256 -> 816k,
+#: 512 -> 864k, 1024 -> 881k, 4096 -> 895k, unbounded -> 904k, with
+#: ``peak_rss_mb`` 78.2-78.6 on every row.  1024 is the knee.
+RECEIVE_AHEAD_ITEMS = 1024
 
 
 class ShardIO:
-    """The engine's I/O pump: inbound wire links plus the control pipe."""
+    """The engine's I/O pump: the shard's wire receivers (each fed by its
+    own inbound link) plus the control pipe."""
 
-    def __init__(self, incoming: list[SocketLink], conn):
-        self.incoming = incoming
+    def __init__(self, receivers: list[NetpipeReceiver], conn):
+        self.receivers = receivers
         self.conn = conn
         self.stop_requested = False
 
     def pump(self) -> int:
-        return sum(link.pump() for link in self.incoming)
+        """Top every receiver up to the receive-ahead bound, one message
+        (a frame is one message) at a time; a frame that overshoots the
+        bound is still delivered whole."""
+        delivered = 0
+        for receiver in self.receivers:
+            pump = receiver.protocol.pump
+            while receiver.fill_level < RECEIVE_AHEAD_ITEMS and pump(1):
+                delivered += 1
+        return delivered
 
     def wait(self, timeout: float) -> bool:
         import select as _select
 
-        readables = [l for l in self.incoming if not l.peer_closed]
+        # A receiver at its bound is waiting for the engine, not for the
+        # wire: its readable socket must not turn this wait into a spin.
+        readables = [
+            r.protocol for r in self.receivers
+            if r.fill_level < RECEIVE_AHEAD_ITEMS
+            and not r.protocol.peer_closed
+        ]
         ready, _, _ = _select.select(
             [*readables, self.conn], [], [], timeout
         )
@@ -302,18 +328,32 @@ class ShardIO:
 
 
 def _collect_sink_items(pipeline: Pipeline) -> dict[str, list]:
-    """Picklable sink contents (CollectSink-style ``items`` lists)."""
-    collected = {}
-    for component in pipeline.components:
-        items = getattr(component, "items", None)
-        if isinstance(items, list):
+    """Sink contents (CollectSink-style ``items`` lists) by component."""
+    return {
+        component.name: component.items
+        for component in pipeline.components
+        if isinstance(getattr(component, "items", None), list)
+    }
+
+
+#: What pickling a sink item that cannot cross a process boundary raises.
+_PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
+
+
+def _done_message(payload: dict[str, Any]) -> bytes:
+    """The pickled ``("done", payload)`` message — the sink lists are
+    pickled once, here.  Only when that fails is each sink probed on its
+    own and the unpicklable ones replaced by their items' ``repr``."""
+    try:
+        return pickle.dumps(("done", payload))
+    except _PICKLE_ERRORS:
+        sinks = dict(payload["sinks"])
+        for name, items in sinks.items():
             try:
                 pickle.dumps(items)
-            except Exception:
-                collected[component.name] = [repr(i) for i in items]
-            else:
-                collected[component.name] = items
-    return collected
+            except _PICKLE_ERRORS:
+                sinks[name] = [repr(item) for item in items]
+        return pickle.dumps(("done", {**payload, "sinks": sinks}))
 
 
 def _stats_payload(engine) -> dict[str, Any]:
@@ -334,11 +374,11 @@ def _stats_payload(engine) -> dict[str, Any]:
 
 def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
     """Process entry point for one shard (top level: spawn-picklable)."""
-    links: list[SocketLink] = []
+    links: dict[int, SocketLink] = {}
     try:
         from repro.runtime.engine import Engine
 
-        shard_pipe, incoming = build_shard_pipeline(spec, sockets)
+        shard_pipe, links = build_shard_pipeline(spec, sockets)
         engine = Engine(
             shard_pipe,
             backend=spec.backend,
@@ -358,7 +398,14 @@ def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
                 registry=telemetry.registry if telemetry else None,
             ).attach(engine)
         engine.setup()
-        io = ShardIO(incoming, conn)
+        io = ShardIO(
+            [
+                c for c in shard_pipe.components
+                if isinstance(c, NetpipeReceiver)
+                and isinstance(c.protocol, SocketLink)
+            ],
+            conn,
+        )
         conn.send(("ready", spec.shard))
         message = conn.recv()
         if not message or message[0] != "go":
@@ -377,15 +424,16 @@ def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
                 if spec.collect_sinks else {}
             ),
             "wire": {
-                cut.index: dict(link.stats)
-                for cut, link in _links_by_cut(spec, incoming)
+                cut.index: dict(links[cut.index].stats)
+                for cut in spec.cuts if cut.dst_shard == spec.shard
             },
         }
         if telemetry is not None:
             from repro.obs.metrics import dump_registry
 
             payload["metrics"] = dump_registry(telemetry.registry)
-        conn.send(("done", payload))
+        # The parent's ``conn.recv()`` unpickles exactly these bytes.
+        conn.send_bytes(_done_message(payload))
         # Shutdown barrier: hold sockets open until the parent confirms
         # every shard reported, so no peer sees a mid-stream close.
         try:
@@ -398,14 +446,6 @@ def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
-        for link in links:
+        for link in links.values():
             link.close()
         conn.close()
-
-
-def _links_by_cut(spec: ShardSpec, incoming: list[SocketLink]):
-    by_flow = {link.flow: link for link in incoming}
-    for cut in spec.cuts:
-        link = by_flow.get(cut.via)
-        if link is not None:
-            yield cut, link

@@ -315,10 +315,6 @@ class SessionFabric:
                 driver.timer.stop()
         for thread_name in session.thread_names:
             self.scheduler.remove_thread(thread_name)
-        self.scheduler._parked -= {
-            t for t in self.scheduler._parked
-            if t.name in set(session.thread_names)
-        }
         self.scheduler.remove_tenant(name)
         if self.admission is not None:
             self.admission.release(name)

@@ -308,6 +308,7 @@ class Scheduler:
         if thread is not None:
             thread.terminated = True
             thread.clear_execution_state()
+            self._parked.discard(thread)
 
     def blocked_threads(self) -> list[MThread]:
         return [t for t in self.threads.values() if t.is_blocked()]

@@ -8,10 +8,23 @@ The wire format is a compact tag-length-value binary encoding built with
 to decode.  Applications register codecs for their own item classes with
 :func:`register_codec` (the media substrate registers its frame types).
 
-Two encoding tiers coexist:
+Two encodings coexist on the wire, and the first has two routes:
 
 * **per-item TLV** — :func:`encode_item` / :func:`decode_item`, the
-  original format, unchanged byte-for-byte (golden traces pin it);
+  original format, unchanged byte-for-byte (golden traces pin it).  A
+  run of two or more plain ``int``s, or of plain ``float``s, produces
+  and consumes *the same bytes* by another route: one cached
+  ``struct.Struct`` packs the whole run straight into frame layout
+  (:func:`_encode_scalar_run`, returning an :class:`EncodedRun`), one
+  ``unpack`` checks every length prefix of a uniform-stride frame
+  (:func:`decode_frame_run`, which keeps the frame whole as an
+  :class:`EncodedRun`), and one ``unpack`` checks every tag and reads
+  every value (:func:`_decode_scalar_run`).  The route is chosen from
+  what the run is observed to hold; anything it does not recognise —
+  ``bool``, ``int`` subclasses, mixed or single-item runs, an int
+  outside int64, unequal lengths, a foreign tag — takes the per-item
+  functions and the per-chunk loop (:func:`decode_batch_views`), which
+  are also the oracle the property tests compare the run route against;
 * **columnar runs** — a :class:`~repro.core.runs.ColumnarRun` whose type
   was registered with :func:`register_run_codec` encodes straight into ONE
   preallocated ``bytearray`` already laid out in the coalesced frame
@@ -24,6 +37,7 @@ Two encoding tiers coexist:
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Any, Callable
 
 from repro.core.runs import ColumnarRun, is_columnar
@@ -313,16 +327,30 @@ class EncodedRun(ColumnarRun):
     no reassembly copy.  Indexing and iteration yield ``memoryview``
     chunk slices, so the run still behaves as N byte items for gates,
     stats and any per-item fallback path.
+
+    The receiving netpipe keeps a uniform-stride frame in the same form
+    (:func:`decode_frame_run`), over the received bytes: read-only, so
+    :meth:`append_side_chunk` is for the sending side alone.
     """
 
     __slots__ = ("buffer", "offsets", "lengths", "_mv")
 
-    def __init__(self, buffer: bytearray, offsets: list[int],
-                 lengths: list[int]):
+    def __init__(self, buffer: "bytearray | memoryview",
+                 offsets: list[int], lengths: list[int]):
         self.buffer = buffer
         self.offsets = offsets
         self.lengths = lengths
         self._mv = memoryview(buffer)
+
+    @classmethod
+    def uniform(cls, buffer, count: int, length: int) -> "EncodedRun":
+        """The run over a frame-format ``buffer`` of ``count`` chunks,
+        every one ``length`` bytes long."""
+        stride = 4 + length
+        return cls(
+            buffer, list(range(8, 8 + count * stride, stride)),
+            [length] * count,
+        )
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -380,6 +408,77 @@ def encode_run(run: Any) -> EncodedRun | None:
     return None if encoder is None else encoder(run)
 
 
+# -- scalar runs: the per-item TLV bytes, packed and unpacked a run at a time ----
+
+#: Wire length of an int or float TLV chunk: the tag byte and 8 body bytes.
+_SCALAR_LEN = 9
+#: Exact item type -> (tag, struct code).  ``bool`` and ``int`` subclasses
+#: are other types and keep the per-item route.
+_SCALAR_WIRE = {int: (_T_INT, "q"), float: (_T_FLOAT, "d")}
+_SCALAR_CODE = {tag: code for tag, code in _SCALAR_WIRE.values()}
+#: Longest run the run-granular routes take: keeps every cached Struct
+#: small.  Longer runs (batch_max is tens to hundreds) go per item.
+_RUN_MAX = 4096
+#: A frame's chunk count and its first chunk's length prefix.
+_COUNT_AND_LENGTH = struct.Struct("!II")
+
+
+@lru_cache(maxsize=128)
+def _repeat_struct(head: str, unit: str, n: int) -> struct.Struct:
+    """``head`` then ``unit`` repeated ``n`` times, network order.  Callers
+    size ``n`` from items or bytes they hold, never from a wire field."""
+    return struct.Struct("!" + head + unit * n)
+
+
+def _encode_scalar_run(items: list) -> EncodedRun | None:
+    """A run of two or more exact ``int``s, or of exact ``float``s, packed
+    by ONE struct call straight into frame layout — byte for byte
+    ``encode_batch([encode_item(i) for i in items])``.  ``None`` for any
+    other run (mixed, ``bool``, subclasses, an int outside int64): the
+    caller encodes those per item."""
+    n = len(items)
+    if not 2 <= n <= _RUN_MAX:
+        return None
+    kinds = set(map(type, items))
+    if len(kinds) != 1:
+        return None
+    wire = _SCALAR_WIRE.get(kinds.pop())
+    if wire is None:
+        return None
+    tag, code = wire
+    fields = [_SCALAR_LEN, tag, None] * n
+    fields[2::3] = items
+    buffer = bytearray(4 + (4 + _SCALAR_LEN) * n)
+    try:
+        _repeat_struct("I", "IB" + code, n).pack_into(buffer, 0, n, *fields)
+    except struct.error:
+        return None
+    return EncodedRun.uniform(buffer, n, _SCALAR_LEN)
+
+
+def _decode_scalar_run(chunks, lengths: list[int]) -> list | None:
+    """Inverse of :func:`_encode_scalar_run`: ONE unpack when every chunk
+    is scalar-sized and every tag equals the first (int or float);
+    ``None`` otherwise, for :func:`decode_item`.  A frame kept whole
+    (:func:`decode_frame_run`) is unpacked where it lies, stepping over
+    the count and the length prefixes; a list of chunks is joined first."""
+    n = len(lengths)
+    if not 2 <= n <= _RUN_MAX or lengths.count(_SCALAR_LEN) != n:
+        return None
+    if type(chunks) is EncodedRun:
+        data, gap, first = chunks.frame_payload(), "4x", 8
+    else:
+        data, gap, first = b"".join(chunks), "", 0
+    tag = data[first]
+    code = _SCALAR_CODE.get(tag)
+    if code is None:
+        return None
+    fields = _repeat_struct(gap, gap + "B" + code, n).unpack(data)
+    if fields[0::2].count(tag) != n:
+        return None
+    return list(fields[1::2])
+
+
 def decode_batch(data) -> list[bytes]:
     """Split a frame payload back into its encoded items (copying)."""
     return [bytes(chunk) for chunk in decode_batch_views(data)]
@@ -391,7 +490,8 @@ def decode_batch_views(data) -> list[memoryview]:
     Every chunk aliases the received frame buffer; raising a clear
     :class:`MarshalError` on truncated or malformed frames (count or
     length prefixes pointing past the end, trailing garbage) instead of
-    misparsing.
+    misparsing.  This per-chunk loop is the general frame split, and
+    what :func:`decode_frame_run` is tested against.
     """
     view = data if isinstance(data, memoryview) else memoryview(data)
     total = view.nbytes
@@ -423,6 +523,29 @@ def decode_batch_views(data) -> list[memoryview]:
             f"trailing garbage: consumed {offset} of {total} bytes"
         )
     return chunks
+
+
+def decode_frame_run(data) -> "EncodedRun | list[memoryview]":
+    """:func:`decode_batch_views` for the receiving netpipe: a frame of
+    two or more equal-length chunks stays whole — ONE :class:`EncodedRun`
+    over the received buffer (the receive-side twin of the sender's), no
+    per-chunk object.  Every other frame, valid or not, takes the
+    per-chunk loop.
+
+    The count and the first length prefix are believed only once they
+    account for the frame's size exactly, so the format checked next is
+    sized by bytes that arrived, not by a forged field; then EVERY length
+    prefix is read in one ``unpack`` and must equal the first.
+    """
+    view = data if isinstance(data, memoryview) else memoryview(data)
+    total = view.nbytes
+    if total >= 8:
+        count, length = _COUNT_AND_LENGTH.unpack_from(view, 0)
+        if 2 <= count <= _RUN_MAX and 4 + count * (4 + length) == total:
+            prefixes = _repeat_struct("4x", f"I{length}x", count).unpack(view)
+            if prefixes.count(length) == count:
+                return EncodedRun.uniform(view, count, length)
+    return decode_batch_views(view)
 
 
 # -- trace-context side-chunks (repro.obs.flow) --------------------------------
@@ -499,17 +622,18 @@ class MarshalFilter(FunctionComponent):
         return data
 
     def convert_many(self, items: list) -> Any:
+        run = None
         if is_columnar(items):
             run = encode_run(items)
-            if run is not None:
-                total = run.nbytes
-                self.stats["bytes_out"] += total
-                if self._cost_per_kb:
-                    self.charge(self._cost_per_kb * total / 1024.0)
-                return run
-            items = list(items)
-        out = [encode_item(item) for item in items]
-        total = sum(len(data) for data in out)
+            if run is None:
+                items = list(items)
+        if run is None:
+            run = _encode_scalar_run(items)
+        if run is not None:
+            out, total = run, run.nbytes
+        else:
+            out = [encode_item(item) for item in items]
+            total = sum(map(len, out))
         self.stats["bytes_out"] += total
         if self._cost_per_kb:
             self.charge(self._cost_per_kb * total / 1024.0)
@@ -538,11 +662,17 @@ class UnmarshalFilter(FunctionComponent):
         return decode_item(data)
 
     def convert_many(self, chunks: list) -> Any:
-        total = sum(len(data) for data in chunks)
+        if type(chunks) is EncodedRun:
+            lengths = chunks.lengths
+        else:
+            lengths = list(map(len, chunks))
+        total = sum(lengths)
         self.stats["bytes_in"] += total
         if self._cost_per_kb:
             self.charge(self._cost_per_kb * total / 1024.0)
         run = self._decode_run(chunks)
+        if run is None:
+            run = _decode_scalar_run(chunks, lengths)
         if run is not None:
             return run
         return [decode_item(data) for data in chunks]

@@ -47,6 +47,7 @@ dropped, never poisoning the remaining tenants.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from typing import Any, Callable
 
 from repro.errors import MarshalError, RemoteError
@@ -134,7 +135,7 @@ class MuxStream:
         self.credits = credits
         self.window = credits
         #: Locally queued (kind, payload) sends awaiting credit.
-        self.pending: list = []
+        self.pending: deque = deque()
         self.eos_sent = False
         self.eos_received = False
         self.stats = {
@@ -198,7 +199,7 @@ class MuxStream:
                 self.credits is not None and self.credits <= 0
             ):
                 return
-            pending.pop(0)
+            pending.popleft()
             if self.credits is not None:
                 self.credits -= cost
             if kind == MUX_EOS:

@@ -27,7 +27,7 @@ from repro.errors import MarshalError, RemoteError
 from repro.net.marshal import (
     EncodedRun,
     append_frame_chunk,
-    decode_batch_views,
+    decode_frame_run,
     encode_batch,
 )
 from repro.net.network import Network
@@ -147,9 +147,12 @@ class NetpipeReceiver(Component):
         self.location = protocol.dst
         self.on_empty = on_empty
         self.flow_spec = flow_spec or Typespec({props.FORMAT: "bytes"})
-        #: Received wire chunks: bytes for per-item messages, zero-copy
-        #: memoryview slices into the frame buffer for coalesced frames.
+        #: Received wire data, oldest first: bytes for a per-item message,
+        #: ONE EncodedRun for a coalesced frame of equal-length chunks,
+        #: zero-copy memoryview slices into the frame buffer for any
+        #: other frame.  ``_queued`` counts items, not entries.
         self._queue: deque = deque()
+        self._queued = 0
         self._eos_pending = False
         self._gate = None
         self.stats.update(frames_in=0, bytes_in=0, bytes_out=0)
@@ -188,7 +191,7 @@ class NetpipeReceiver(Component):
         self._obs_wait = histogram
         ts = deque()
         current = now()
-        for _ in self._queue:
+        for _ in range(self._queued):
             ts.append(current)
         self._obs_ts = ts
 
@@ -200,7 +203,24 @@ class NetpipeReceiver(Component):
 
     @property
     def fill_level(self) -> int:
-        return len(self._queue)
+        return self._queued
+
+    def _take(self, k: int) -> list:
+        """The first ``k`` queued items as a list of chunks, splitting a
+        frame run the cut falls inside."""
+        queue = self._queue
+        run: list = []
+        while len(run) < k:
+            head = queue.popleft()
+            if type(head) is EncodedRun:
+                run += head[:]
+            else:
+                run.append(head)
+        if len(run) > k:
+            queue.extendleft(reversed(run[k:]))
+            del run[k:]
+        self._queued -= k
+        return run
 
     def try_push(self, item: Any, port: str = "in") -> str:
         raise RemoteError(
@@ -212,7 +232,11 @@ class NetpipeReceiver(Component):
             self.stats["items_out"] += 1
             if self._obs_now is not None and self._obs_ts:
                 self._obs_wait.observe(self._obs_now() - self._obs_ts.popleft())
-            chunk = self._queue.popleft()
+            if type(self._queue[0]) is EncodedRun:
+                (chunk,) = self._take(1)
+            else:
+                chunk = self._queue.popleft()
+                self._queued -= 1
             self.stats["bytes_out"] += len(chunk)
             if self._drained_hook is not None:
                 self._drained_hook(1)
@@ -227,12 +251,19 @@ class NetpipeReceiver(Component):
     def try_pull_many(self, n: int, port: str = "out") -> tuple[str, list]:
         """Batched pull with the Buffer run conventions (data first, EOS
         at most once and last, [] for nil-now)."""
-        queued = len(self._queue)
+        queued = self._queued
         if queued:
             k = queued if queued < n else n
-            queue = self._queue
-            run = [queue.popleft() for _ in range(k)]
-            self.stats["bytes_out"] += sum(len(chunk) for chunk in run)
+            run = self._queue[0]
+            if type(run) is EncodedRun and len(run) == k:
+                # The head frame is exactly the run asked for: it goes
+                # downstream whole, as it went into the wire.
+                self._queue.popleft()
+                self._queued = queued - k
+                self.stats["bytes_out"] += run.nbytes
+            else:
+                run = self._take(k)
+                self.stats["bytes_out"] += sum(map(len, run))
             if self._obs_now is not None and self._obs_ts:
                 now = self._obs_now()
                 ts = self._obs_ts
@@ -244,6 +275,8 @@ class NetpipeReceiver(Component):
                 self._drained_hook(k)
             if k < n and self._eos_pending:
                 self._eos_pending = False
+                if type(run) is not list:
+                    run = run[:]
                 run.append(EOS)
             return OK, run
         if self._eos_pending:
@@ -260,6 +293,7 @@ class NetpipeReceiver(Component):
 
     def _deliver(self, payload: bytes) -> None:
         self._queue.append(payload)
+        self._queued += 1
         if self._obs_now is not None:
             self._obs_ts.append(self._obs_now())
         if self._flow is not None:
@@ -276,13 +310,18 @@ class NetpipeReceiver(Component):
         The chunks handed downstream are ``memoryview`` slices into the
         received frame buffer — zero payload copies on the receive path
         (the run-codec decoders keep aliasing that buffer all the way
-        into component payload views).  A truncated or malformed frame
-        raises a clear :class:`~repro.errors.MarshalError`.
+        into component payload views) — and a frame of equal-length
+        chunks is not even sliced: it queues as one run.  A truncated or
+        malformed frame raises a clear :class:`~repro.errors.MarshalError`.
         """
-        chunks = decode_batch_views(payload)
+        chunks = decode_frame_run(payload)
         if self._flow is not None:
             chunks = self._flow.wire_arrival(self, chunks)
-        self._queue.extend(chunks)
+        if type(chunks) is list:
+            self._queue.extend(chunks)
+        else:
+            self._queue.append(chunks)
+        self._queued += len(chunks)
         self.stats["bytes_in"] += len(payload)
         if self._obs_now is not None:
             now = self._obs_now()

@@ -225,40 +225,52 @@ class SocketLink:
         return bool(ready)
 
     def pump(self, max_messages: int | None = None) -> int:
-        """Drain whatever the socket holds *right now* into the bound
+        """Deliver what the socket holds *right now* into the bound
         receiver callbacks; returns the number of delivered messages.
 
         Non-blocking: returns 0 immediately when nothing is waiting.  The
         shard worker loop alternates ``engine.run()`` with ``pump()``
         (see :meth:`repro.runtime.engine.Engine.run_with_io`).
+
+        The socket is read only when the bytes already buffered hold no
+        complete message, so with ``max_messages`` set whatever was not
+        asked for stays in the kernel's socket buffer, where it
+        backpressures the sender, rather than piling up here.
         """
         if self._sock_in is None:
             return 0
         delivered = 0
-        while max_messages is None or delivered < max_messages:
-            while self.readable(0.0):
-                try:
-                    chunk = self._sock_in.recv(_RECV_CHUNK)
-                except (BlockingIOError, InterruptedError):
-                    break
-                if not chunk:
-                    self.peer_closed = True
-                    break
-                self._buf += chunk
-            n = self._dispatch(
+        while True:
+            delivered += self._dispatch(
                 None if max_messages is None else max_messages - delivered
             )
-            delivered += n
-            if n == 0:
+            if max_messages is not None and delivered >= max_messages:
                 break
-        if self.peer_closed and self._buf and max_messages is None:
-            # All complete messages were dispatched above, so leftover
-            # bytes can only be a truncated message.
-            raise MarshalError(
-                f"link {self.flow!r}: peer closed mid-message "
-                f"({len(self._buf)} stray bytes)"
-            )
+            if not self._recv_more():
+                if self.peer_closed and self._buf:
+                    # Every complete message was dispatched above, so the
+                    # leftover bytes can only be a truncated one.
+                    raise MarshalError(
+                        f"link {self.flow!r}: peer closed mid-message "
+                        f"({len(self._buf)} stray bytes)"
+                    )
+                break
         return delivered
+
+    def _recv_more(self) -> bool:
+        """One non-blocking read into the buffer; False when nothing is
+        waiting or the peer closed."""
+        if not self.readable(0.0):
+            return False
+        try:
+            chunk = self._sock_in.recv(_RECV_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return False
+        if not chunk:
+            self.peer_closed = True
+            return False
+        self._buf += chunk
+        return True
 
     def wait(self, timeout: float) -> bool:
         """Block up to ``timeout`` seconds for inbound bytes."""

@@ -161,6 +161,40 @@ class TestParking:
         fabric.unpark("s")
         assert not session.parked
 
+    def test_closing_one_parked_session_touches_only_its_own_threads(self):
+        class NoScanSet(set):
+            """The scheduler's parked set, refusing to be walked."""
+
+            def __iter__(self):
+                raise AssertionError("close_session scanned the parked fleet")
+
+        build, sinks = counting_program(items=20)
+        fabric = SessionFabric()
+        sessions = [
+            fabric.open_session(build, name=f"s{i}") for i in range(6)
+        ]
+        for session in sessions:
+            fabric.park(session.name)
+        victim, others = sessions[2], sessions[:2] + sessions[3:]
+        victim_threads = victim.threads
+        kept_threads = [t for s in others for t in s.threads]
+        scheduler = fabric.scheduler
+        scheduler._parked = NoScanSet(set.__iter__(scheduler._parked))
+        fabric.close_session(victim.name)
+        parked = set(set.__iter__(scheduler._parked))
+        assert parked == set(kept_threads)
+        assert all(s.parked and t.parked for s in others for t in s.threads)
+        assert all(t.terminated for t in victim_threads)
+        # The survivors still wake and finish.
+        scheduler._parked = parked
+        for session in others:
+            session.unpark()
+        run_rounds(fabric)
+        assert [s.items for i, s in enumerate(sinks) if i != 2] == [
+            list(range(20))
+        ] * 5
+        assert sinks[2].items == []
+
 
 class TestWeights:
     def test_sessions_become_weighted_tenants(self):
