@@ -98,7 +98,7 @@ from repro.errors import (
 )
 from repro.runtime import BatchPolicy, Engine, PipelineStats
 from repro import api
-from repro.deploy import Deployment, DeploymentResult, Placement, deploy
+from repro.deploy import Deployment, DeploymentResult, Placement
 
 __version__ = "0.2.0"
 
@@ -172,7 +172,6 @@ __all__ = [
     "allocate",
     "api",
     "connect",
-    "deploy",
     "is_eos",
     "is_nil",
     "pipeline",

@@ -6,12 +6,18 @@
     python -m repro run pipeline.ipc --until 10
     python -m repro run pipeline.ipc --metrics --trace-out trace.json
     python -m repro run pipeline.ipc --until 5 --serve-metrics 0 --serve-for 2
-    python -m repro run pipeline.ipc --shards 4
     python -m repro deploy pipeline.ipc --shards 4 --describe
     python -m repro deploy pipeline.ipc --shards 2 --transport tcp
+    python -m repro deploy pipeline.ipc --shards 2 --metrics --flow-sample 4
     python -m repro top pipeline.ipc --until 5
     python -m repro timeline pipeline.ipc --until 5
     python -m repro components
+
+Every execution command maps its flags onto ONE run spec
+(:class:`repro.api.Pipeline`, see ``_app``) and hands it to the same
+realisation the library uses, so a flag means on the command line what
+its ``with_*`` step means in code — and each command accepts only the
+flags it reads.
 
 ``describe`` prints the thread/coroutine allocation the middleware chose;
 ``run`` executes the pipeline on the virtual clock and prints statistics —
@@ -21,18 +27,18 @@ flow tracer (1-in-N items), with ``--trace-out``/``--events-out``/
 ``--flow-out`` it exports a Chrome trace-event JSON (flow arrows
 included when tracing is on) / JSONL event log / JSONL flow-trace log,
 and with ``--serve-metrics PORT`` it serves the Prometheus exposition
-plus JSON flow/SLO snapshots over HTTP after the run; with ``--shards N``
-(N > 1) it delegates to ``deploy``.  ``deploy`` plans a multi-core
-placement (cutting only at Buffer/netpipe seams), runs one OS process
-per shard bridged over sockets, and prints the gathered statistics —
-``--describe`` prints the plan without running.  ``top`` runs the
-pipeline behind a live top(1)-style dashboard; ``timeline`` prints the
-text Gantt chart of which thread held the CPU; ``components`` lists the
-factory names usable in descriptions.
+plus JSON flow/SLO snapshots over HTTP after the run.  ``deploy`` plans a
+multi-core placement (cutting only at Buffer/netpipe seams), runs one OS
+process per shard bridged over sockets — each shard realising the same
+spec, so ``--metrics`` and ``--flow-sample`` reach every shard — and
+prints the gathered statistics; ``--describe`` prints the plan without
+running.  ``top`` runs the pipeline behind a live top(1)-style
+dashboard; ``timeline`` prints the text Gantt chart of which thread held
+the CPU; ``components`` lists the factory names usable in descriptions.
 
 Every execution command accepts ``--config file.toml`` as an escape
 hatch: flat keys (or a ``[command]`` table) provide defaults for any
-long option, with explicit command-line flags winning.
+long option of that command, with explicit command-line flags winning.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ import argparse
 import pathlib
 import sys
 
-from repro import Engine, allocate
+from repro import allocate
+from repro.api import Pipeline
 from repro.errors import InfopipeError
 from repro.lang import build, default_registry
 
@@ -64,72 +71,35 @@ def cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_engine(args: argparse.Namespace, trace: bool = False):
-    """Build the described pipeline and attach the requested telemetry."""
-    result = build(_load_source(args.pipeline))
-    want_trace = trace or getattr(args, "trace_out", None) is not None \
-        or getattr(args, "events_out", None) is not None
-    engine = Engine(
-        result.pipeline,
-        backend=args.backend,
-        trace=want_trace,
-        trace_limit=getattr(args, "trace_limit", None),
-        batch_max=getattr(args, "batch_max", None),
-    )
-    telemetry = None
-    serve = getattr(args, "serve_metrics", None) is not None
-    top = getattr(args, "top", False)
-    if getattr(args, "metrics", False) or serve or top:
-        from repro.obs import Telemetry
+def _app(args: argparse.Namespace) -> Pipeline:
+    """The run spec the command's flags state."""
 
-        telemetry = Telemetry().attach(engine)
-    tracer = None
-    flow_sample = getattr(args, "flow_sample", None)
-    if flow_sample is None and (
-        serve or top or getattr(args, "flow_out", None) is not None
-    ):
+    def flag(name: str):
+        return getattr(args, name, None)
+
+    app = Pipeline.from_source(_load_source(args.pipeline)).with_backend(
+        args.backend
+    )
+    if args.batch_max is not None:
+        app = app.with_batching(args.batch_max)
+    if flag("trace_out") is not None or flag("events_out") is not None:
+        app = app.with_trace(args.trace_limit)
+    if flag("metrics"):
+        app = app.with_metrics()
+    flow_sample = flag("flow_sample")
+    if flow_sample is None and flag("flow_out") is not None:
         flow_sample = 1
     if flow_sample is not None:
-        from repro.obs.flow import FlowTracer
-
-        tracer = FlowTracer(
-            sample_every=flow_sample,
-            registry=telemetry.registry if telemetry is not None else None,
-        ).attach(engine)
-    slo = None
-    if tracer is not None and (serve or getattr(args, "top", False)):
-        from repro.obs.slo import Objective, SloEngine
-
-        slo = SloEngine(
-            [
-                Objective(
-                    "e2e-latency", "latency_p99",
-                    target=getattr(args, "slo_latency", 0.1),
-                ),
-                Objective("delivery", "delivered_fraction", target=0.99),
-            ],
-            registry=telemetry.registry if telemetry is not None else None,
-        ).attach(tracer)
-    return engine, telemetry, tracer, slo
-
-
-def _run_engine(args: argparse.Namespace, trace: bool = False):
-    """Build, telemeter (if asked) and run the described pipeline."""
-    engine, telemetry, tracer, slo = _build_engine(args, trace=trace)
-    engine.start()
-    engine.run(until=args.until, max_steps=args.max_steps)
-    if args.until is not None:
-        engine.stop()
-        engine.run(max_steps=args.max_steps or 1_000_000)
-    if tracer is not None:
-        tracer.finalize_inflight()
-    return engine, telemetry, tracer, slo
+        app = app.with_tracing(flow_sample)
+    if flag("serve_metrics") is not None:
+        # The live surfaces show metrics, flows and SLO burn together.
+        app = app.with_slo(args.slo_latency)
+    return app
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if getattr(args, "shards", None) is not None and args.shards > 1:
-        return cmd_deploy(args)
-    engine, telemetry, tracer, slo = _run_engine(args)
+    built = _app(args).run(until=args.until, max_steps=args.max_steps)
+    engine, tracer = built.engine, built.tracer
     print(engine.stats.summary())
     if args.trace_out is not None:
         from repro.obs import export_chrome_trace
@@ -146,21 +116,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         count = export_jsonl(engine.scheduler, args.events_out)
         print(f"wrote {count} events to {args.events_out}")
-    if args.flow_out is not None and tracer is not None:
+    if args.flow_out is not None:
         from repro.obs import export_flow_traces
 
         count = export_flow_traces(tracer, args.flow_out)
         print(f"wrote {count} flow traces to {args.flow_out}")
-    if telemetry is not None and getattr(args, "metrics", False):
+    if args.metrics:
         print()
-        print(telemetry.prometheus(), end="")
+        print(built.prometheus(), end="")
     if args.serve_metrics is not None:
         from repro.obs.dashboard import MetricsServer
 
         server = MetricsServer(
-            registry=telemetry.registry if telemetry is not None else None,
+            registry=built.telemetry.registry,
             tracer=tracer,
-            slo=slo,
+            slo=built.slo,
             port=args.serve_metrics,
         ).start()
         print(f"serving metrics at {server.url} "
@@ -197,29 +167,23 @@ def _parse_place(value: str) -> dict[str, int]:
 
 
 def cmd_deploy(args: argparse.Namespace) -> int:
-    from repro.deploy import Deployment, Placement
+    from repro.deploy import Placement
 
-    source = _load_source(args.pipeline)
-    place = getattr(args, "place", None)
-    if place:
+    if args.place:
         placement = Placement.explicit(
-            _parse_place(place), shards=getattr(args, "shards", None)
+            _parse_place(args.place), shards=args.shards
         )
     else:
-        placement = Placement.auto(getattr(args, "shards", None) or 1)
-    deployment = Deployment(
-        source,
+        placement = Placement.auto(args.shards or 1)
+    deployment = _app(args).deployment(
         placement,
-        backend=args.backend,
-        batch_max=getattr(args, "batch_max", None),
-        transport=getattr(args, "transport", "socketpair"),
-        start_method=getattr(args, "start_method", None),
-        telemetry=getattr(args, "metrics", False),
+        transport=args.transport,
+        start_method=args.start_method,
     )
-    if getattr(args, "describe", False):
+    if args.describe:
         print(deployment.describe())
         return 0
-    result = deployment.run(timeout=getattr(args, "timeout", None))
+    result = deployment.run(timeout=args.timeout)
     summary = result.summary()
     print(
         f"shards={summary['shards']} transport={summary['transport']} "
@@ -241,7 +205,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
             f"messages={stats['messages_delivered']} "
             f"sink_items={delivered}"
         )
-    if getattr(args, "metrics", False):
+    if args.metrics:
         from repro.obs import prometheus_text
 
         print()
@@ -252,9 +216,8 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 def cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import Dashboard, render_top
 
-    args.top = True
-    engine, telemetry, tracer, slo = _build_engine(args)
-    engine.start()
+    built = _app(args).with_slo(args.slo_latency).build()
+    engine = built.engine.start()
     horizon = args.until
     interval = args.interval
 
@@ -264,20 +227,16 @@ def cmd_top(args: argparse.Namespace) -> int:
         state["t"] += interval
         target = state["t"]
         if horizon is not None and target >= horizon:
-            engine.run(until=horizon, max_steps=args.max_steps)
-            engine.stop()
-            engine.run(max_steps=args.max_steps or 1_000_000)
-            if tracer is not None:
-                tracer.finalize_inflight()
+            built.finish(until=horizon, max_steps=args.max_steps)
             return False
         engine.run(until=target, max_steps=args.max_steps)
         return not engine.completed
 
     def render() -> str:
         return render_top(
-            registry=telemetry.registry if telemetry is not None else None,
-            tracer=tracer,
-            slo=slo,
+            registry=built.telemetry.registry,
+            tracer=built.tracer,
+            slo=built.slo,
             engine=engine,
         )
 
@@ -289,7 +248,9 @@ def cmd_top(args: argparse.Namespace) -> int:
 def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.mbt.tracing import summarize, timeline
 
-    engine, _, _, _ = _run_engine(args, trace=True)
+    engine = _app(args).with_trace(args.trace_limit).run(
+        until=args.until, max_steps=args.max_steps
+    ).engine
     print(timeline(engine.scheduler, width=args.width))
     print()
     print(summarize(engine.scheduler))
@@ -303,61 +264,112 @@ def cmd_components(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shared option layers (run / top / timeline / deploy all build on these)
+# Flags: each stated once; a command lists exactly the ones it reads
 # ---------------------------------------------------------------------------
 
+FLAGS: dict[str, dict] = {
+    "pipeline": dict(help="description text or file path"),
+    "--backend": dict(choices=("generator", "thread"), default="generator"),
+    "--batch-max": dict(
+        type=int, help="batched data plane: move up to N items per pump "
+                       "cycle (default 1 = per-item)"),
+    "--config": dict(
+        metavar="FILE.toml", help="TOML file supplying defaults for any "
+        "long option (explicit flags win); flat keys or a [command] table"),
+    "--until": dict(
+        type=float, help="virtual-time horizon (default: run to EOS)"),
+    "--max-steps": dict(type=int),
+    "--trace-limit": dict(
+        type=int, help="keep only the newest N trace events (ring)"),
+    "--metrics": dict(
+        action="store_true", help="attach telemetry; print Prometheus "
+                                  "exposition after the run"),
+    "--flow-sample": dict(
+        type=int, metavar="N", help="attach causal flow tracing, sampling "
+                                    "1-in-N source items"),
+    "--slo-latency": dict(
+        type=float, default=0.1, metavar="SECONDS",
+        help="p99 end-to-end latency objective of the built-in SLOs the "
+             "live surfaces show (default 0.1)"),
+    "--trace-out": dict(
+        metavar="FILE", help="write a Chrome trace-event JSON file (with "
+                             "flow arrows when tracing is on)"),
+    "--events-out": dict(
+        metavar="FILE", help="write the scheduler event log as JSONL"),
+    "--flow-out": dict(
+        metavar="FILE", help="write finished flow traces as JSONL"),
+    "--serve-metrics": dict(
+        type=int, metavar="PORT", help="after the run, serve /metrics, "
+        "/flow and /slo over HTTP (0 = pick a free port)"),
+    "--serve-for": dict(
+        type=float, metavar="SECONDS", help="stop the metrics server after "
+        "this long (default: serve until interrupted)"),
+    "--shards": dict(
+        type=int, metavar="N", help="number of shard processes (placement "
+        "cuts only at Buffer/netpipe seams)"),
+    "--place": dict(
+        metavar="NAME:SHARD,...", help="explicit component-to-shard "
+        "assignment (default: auto planner)"),
+    "--transport": dict(
+        choices=("socketpair", "tcp"), default="socketpair",
+        help="wire transport bridging cut edges"),
+    "--start-method": dict(
+        choices=("fork", "spawn", "forkserver"),
+        help="multiprocessing start method (default: platform default)"),
+    "--timeout": dict(
+        type=float, help="seconds to wait for shards before failing"),
+    "--describe": dict(
+        action="store_true", help="print the placement plan without running"),
+    "--interval": dict(
+        type=float, default=0.5, help="virtual seconds advanced per frame"),
+    "--frames": dict(
+        type=int, help="stop after N frames (default: run to the end)"),
+    "--plain": dict(
+        action="store_true", help="print frames instead of the curses screen"),
+    "--width": dict(type=int, default=64, help="timeline width in columns"),
+}
 
-def _add_exec_options(parser: argparse.ArgumentParser) -> None:
-    """Execution options every pipeline-running command shares."""
-    parser.add_argument("pipeline", help="description text or file path")
-    parser.add_argument("--until", type=float, default=None,
-                        help="virtual-time horizon (default: run to EOS)")
-    parser.add_argument("--max-steps", type=int, default=None)
-    parser.add_argument("--backend", choices=("generator", "thread"),
-                        default="generator")
-    parser.add_argument("--trace-limit", type=int, default=None,
-                        help="keep only the newest N trace events (ring)")
-    parser.add_argument("--batch-max", type=int, default=None,
-                        help="batched data plane: move up to N items per "
-                             "pump cycle (default 1 = per-item)")
-    parser.add_argument("--config", default=None, metavar="FILE.toml",
-                        help="TOML file supplying defaults for any long "
-                             "option (explicit flags win); flat keys or "
-                             "a [command] table")
+#: What every pipeline-executing command reads: the run spec's flags.
+SPEC_FLAGS = ("pipeline", "--backend", "--batch-max", "--config")
+#: How far an in-process run goes.
+HORIZON_FLAGS = ("--until", "--max-steps")
 
-
-def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
-    """Observability options shared by run / top / deploy."""
-    parser.add_argument("--metrics", action="store_true",
-                        help="attach telemetry; print Prometheus "
-                             "exposition after the run")
-    parser.add_argument("--flow-sample", type=int, default=None,
-                        metavar="N",
-                        help="attach causal flow tracing, sampling "
-                             "1-in-N source items")
-    parser.add_argument("--slo-latency", type=float, default=0.1,
-                        metavar="SECONDS",
-                        help="p99 end-to-end latency objective used by "
-                             "the built-in SLOs (default 0.1)")
-
-
-def _add_deploy_options(parser: argparse.ArgumentParser) -> None:
-    """Sharded-execution options (deploy, and run --shards)."""
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="number of shard processes (placement cuts "
-                             "only at Buffer/netpipe seams)")
-    parser.add_argument("--place", default=None, metavar="NAME:SHARD,...",
-                        help="explicit component-to-shard assignment "
-                             "(default: auto planner)")
-    parser.add_argument("--transport", choices=("socketpair", "tcp"),
-                        default="socketpair",
-                        help="wire transport bridging cut edges")
-    parser.add_argument("--start-method", default=None,
-                        choices=("fork", "spawn", "forkserver"),
-                        help="multiprocessing start method "
-                             "(default: platform default)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="seconds to wait for shards before failing")
+#: command -> (handler, help, the flags it reads).
+COMMANDS: dict[str, tuple] = {
+    "describe": (
+        cmd_describe, "print the allocation for a description",
+        ("pipeline",),
+    ),
+    "run": (
+        cmd_run, "execute a description",
+        SPEC_FLAGS + HORIZON_FLAGS + (
+            "--trace-limit", "--metrics", "--flow-sample", "--slo-latency",
+            "--trace-out", "--events-out", "--flow-out", "--serve-metrics",
+            "--serve-for",
+        ),
+    ),
+    "deploy": (
+        cmd_deploy, "run a description sharded over N processes",
+        SPEC_FLAGS + (
+            "--metrics", "--flow-sample", "--shards", "--place",
+            "--transport", "--start-method", "--timeout", "--describe",
+        ),
+    ),
+    "top": (
+        cmd_top, "run a description behind a live dashboard",
+        SPEC_FLAGS + HORIZON_FLAGS + (
+            "--flow-sample", "--slo-latency", "--interval", "--frames",
+            "--plain",
+        ),
+    ),
+    "timeline": (
+        cmd_timeline, "run traced and print the thread timeline",
+        SPEC_FLAGS + HORIZON_FLAGS + ("--trace-limit", "--width"),
+    ),
+    "components": (
+        cmd_components, "list registered component types", (),
+    ),
+}
 
 
 def _apply_config(args: argparse.Namespace,
@@ -398,78 +410,15 @@ def main(argv: list[str] | None = None) -> int:
         description="Run and inspect Infopipe pipeline descriptions.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    describe = commands.add_parser(
-        "describe", help="print the allocation for a description"
-    )
-    describe.add_argument("pipeline", help="description text or file path")
-    describe.set_defaults(handler=cmd_describe)
-
-    run = commands.add_parser("run", help="execute a description")
-    _add_exec_options(run)
-    _add_telemetry_options(run)
-    _add_deploy_options(run)
-    run.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write a Chrome trace-event JSON file "
-                          "(with flow arrows when tracing is on)")
-    run.add_argument("--events-out", default=None, metavar="FILE",
-                     help="write the scheduler event log as JSONL")
-    run.add_argument("--flow-out", default=None, metavar="FILE",
-                     help="write finished flow traces as JSONL")
-    run.add_argument("--serve-metrics", type=int, default=None,
-                     metavar="PORT",
-                     help="after the run, serve /metrics, /flow and /slo "
-                          "over HTTP (0 = pick a free port)")
-    run.add_argument("--serve-for", type=float, default=None,
-                     metavar="SECONDS",
-                     help="stop the metrics server after this long "
-                          "(default: serve until interrupted)")
-    run.set_defaults(handler=cmd_run)
-
-    deploy = commands.add_parser(
-        "deploy",
-        help="run a description sharded over N processes",
-    )
-    _add_exec_options(deploy)
-    _add_telemetry_options(deploy)
-    _add_deploy_options(deploy)
-    deploy.add_argument("--describe", action="store_true",
-                        help="print the placement plan without running")
-    deploy.set_defaults(handler=cmd_deploy)
-
-    top = commands.add_parser(
-        "top", help="run a description behind a live dashboard"
-    )
-    _add_exec_options(top)
-    _add_telemetry_options(top)
-    top.add_argument("--interval", type=float, default=0.5,
-                     help="virtual seconds advanced per frame")
-    top.add_argument("--frames", type=int, default=None,
-                     help="stop after N frames (default: run to the end)")
-    top.add_argument("--plain", action="store_true",
-                     help="print frames instead of the curses screen")
-    top.set_defaults(handler=cmd_top)
-
-    timeline_cmd = commands.add_parser(
-        "timeline", help="run traced and print the thread timeline"
-    )
-    _add_exec_options(timeline_cmd)
-    timeline_cmd.add_argument("--width", type=int, default=64,
-                              help="timeline width in columns")
-    timeline_cmd.set_defaults(handler=cmd_timeline)
-
-    components = commands.add_parser(
-        "components", help="list registered component types"
-    )
-    components.set_defaults(handler=cmd_components)
-
-    subparsers = {
-        "describe": describe, "run": run, "deploy": deploy, "top": top,
-        "timeline": timeline_cmd, "components": components,
-    }
+    subparsers = {}
+    for name, (handler, summary, flags) in COMMANDS.items():
+        subparsers[name] = sub = commands.add_parser(name, help=summary)
+        for flag in flags:
+            sub.add_argument(flag, **FLAGS[flag])
+        sub.set_defaults(handler=handler)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, subparsers.get(args.command, parser))
+        _apply_config(args, subparsers[args.command])
         return args.handler(args)
     except InfopipeError as exc:
         print(f"error: {exc}", file=sys.stderr)

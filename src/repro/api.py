@@ -30,7 +30,40 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.composition import Pipeline as CorePipeline
+from repro.core.naming import fresh_scope
 from repro.errors import DeployError
+from repro.runtime.engine import Engine
+
+
+def build_program(program: Any) -> CorePipeline:
+    """Materialize a program into a composed core Pipeline.
+
+    Source strings and builder callables build under a private naming
+    scope (:func:`repro.core.naming.fresh_scope`), so every build of one
+    program yields identical names; a live graph is returned as it is."""
+    if isinstance(program, CorePipeline):
+        return program
+    if isinstance(program, str):
+        from repro.lang.builder import build
+
+        with fresh_scope():
+            return build(program).pipeline
+    if callable(program):
+        with fresh_scope():
+            result = program()
+        if isinstance(result, CorePipeline):
+            return result
+        pipeline = getattr(result, "pipeline", None)
+        if isinstance(pipeline, CorePipeline):
+            return pipeline
+        raise DeployError(
+            f"program callable returned {type(result).__name__}, not a "
+            "Pipeline"
+        )
+    raise DeployError(
+        f"cannot build a pipeline from {type(program).__name__}; pass a "
+        "microlanguage source string or a callable returning a Pipeline"
+    )
 
 
 @dataclass
@@ -46,8 +79,15 @@ class BuiltApp:
         self, until: float | None = None, max_steps: int | None = None
     ) -> "BuiltApp":
         """Start and run: to EOS, or to ``until`` then stop and drain."""
+        self.engine.start()
+        return self.finish(until=until, max_steps=max_steps)
+
+    def finish(
+        self, until: float | None = None, max_steps: int | None = None
+    ) -> "BuiltApp":
+        """Run the started engine to its end: to EOS, or to ``until``
+        then stop and drain whatever the horizon left undelivered."""
         engine = self.engine
-        engine.start()
         engine.run(until=until, max_steps=max_steps)
         if until is not None:
             engine.stop()
@@ -89,6 +129,12 @@ class Pipeline:
     engine_kwargs: dict[str, Any] = field(default_factory=dict)
 
     # ----------------------------------------------------------- sources
+
+    @classmethod
+    def of(cls, program: Any) -> "Pipeline":
+        """``program`` itself when it already is a run spec; a bare
+        program (any form above) is the spec with default options."""
+        return program if isinstance(program, cls) else cls(program=program)
 
     @classmethod
     def from_source(cls, source: str, registry: Any = None) -> "Pipeline":
@@ -153,46 +199,40 @@ class Pipeline:
 
     # ------------------------------------------------------- realization
 
-    def builder(self) -> Callable[[], Any]:
-        """A zero-arg callable building a fresh, un-run Engine — the
-        form the refinement checker and schedule explorer consume."""
+    def build(
+        self, pipeline: CorePipeline | None = None, scheduler: Any = None
+    ) -> BuiltApp:
+        """Realise the spec: the engine plus the telemetry it asks for.
 
-        def build_engine():
-            from repro.deploy.worker import build_program
-            from repro.runtime.engine import Engine
-
-            options = {
-                "backend": self.backend,
-                "batch_max": self.batch_max,
-                "trace": self.trace,
-                "trace_limit": self.trace_limit,
-                **self.engine_kwargs,
-            }
-            return Engine(build_program(self.program), **options)
-
-        build_engine.__name__ = "api_pipeline_builder"
-        return build_engine
-
-    def build(self) -> BuiltApp:
-        """Build the engine and attach the requested telemetry."""
-        engine = self.builder()()
+        Every execution path goes through here — in-process runs, shard
+        workers (``pipeline`` is the shard's cut sub-graph), co-simulated
+        twins and fabric sessions (``scheduler`` is the shared one) — so
+        an option stated on the spec means the same thing in all of them.
+        """
+        if pipeline is None:
+            pipeline = build_program(self.program)
+        options = {
+            "backend": self.backend,
+            "batch_max": self.batch_max,
+            "trace": self.trace,
+            "trace_limit": self.trace_limit,
+            **self.engine_kwargs,
+        }
+        engine = Engine(pipeline, scheduler=scheduler, **options)
         telemetry = tracer = slo = None
-        want_metrics = self.metrics or self.slo_latency is not None
-        want_tracing = (
-            self.flow_sample is not None or self.slo_latency is not None
-        )
-        if want_metrics:
+        want_slo = self.slo_latency is not None
+        if self.metrics or want_slo:
             from repro.obs import Telemetry
 
             telemetry = Telemetry().attach(engine)
-        if want_tracing:
+        registry = telemetry.registry if telemetry is not None else None
+        if self.flow_sample is not None or want_slo:
             from repro.obs.flow import FlowTracer
 
             tracer = FlowTracer(
-                sample_every=self.flow_sample or 1,
-                registry=telemetry.registry if telemetry else None,
+                sample_every=self.flow_sample or 1, registry=registry
             ).attach(engine)
-        if self.slo_latency is not None:
+        if want_slo:
             from repro.obs.slo import Objective, SloEngine
 
             slo = SloEngine(
@@ -205,11 +245,26 @@ class Pipeline:
                         "delivery", "delivered_fraction", target=0.99
                     ),
                 ],
-                registry=telemetry.registry if telemetry else None,
+                registry=registry,
             ).attach(tracer)
         return BuiltApp(
             engine=engine, telemetry=telemetry, tracer=tracer, slo=slo
         )
+
+    def builder(self) -> Callable[[], Any]:
+        """A zero-arg callable building a fresh, un-run Engine — the
+        form the refinement checker and schedule explorer consume."""
+        return lambda: self.build().engine
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Pickling is how the spec reaches a shard process.
+        if isinstance(self.program, CorePipeline):
+            raise DeployError(
+                "a live Pipeline cannot be shipped to shard processes; "
+                "pass a microlanguage source string or a picklable "
+                "builder callable"
+            )
+        return self.__dict__
 
     def run(
         self, until: float | None = None, max_steps: int | None = None
@@ -229,16 +284,7 @@ class Pipeline:
         """A configured :class:`~repro.deploy.Deployment` (not yet run)."""
         from repro.deploy import Deployment
 
-        return Deployment(
-            self.program,
-            placement,
-            shards=shards,
-            backend=self.backend,
-            batch_max=self.batch_max,
-            telemetry=self.metrics,
-            engine_kwargs=dict(self.engine_kwargs),
-            **kwargs,
-        )
+        return Deployment(self, placement, shards=shards, **kwargs)
 
     def deploy(
         self,

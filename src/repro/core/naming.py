@@ -2,11 +2,36 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
 from collections import defaultdict
 
-_counters: defaultdict[str, itertools.count] = defaultdict(lambda: itertools.count(1))
+
+def _new_counters() -> defaultdict[str, itertools.count]:
+    return defaultdict(lambda: itertools.count(1))
+
+
+_counters = _new_counters()
+
+
+@contextlib.contextmanager
+def fresh_scope():
+    """Build under a private auto-naming scope.
+
+    Component auto-names draw from a process-global counter, so the same
+    program built twice (or built in a worker process that has already
+    imported other pipelines) would get different names — and a plan's
+    name → shard assignment would no longer match.  Swapping in fresh
+    counters makes every build of one program yield identical names in
+    every process, session and co-simulated twin."""
+    global _counters
+    saved = _counters
+    _counters = _new_counters()
+    try:
+        yield
+    finally:
+        _counters = saved
 
 
 def fresh_name(prefix: str) -> str:

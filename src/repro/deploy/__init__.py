@@ -19,7 +19,7 @@ sockets.  Sharding is therefore a checkable refinement, not a rewrite::
 See ``docs/DEPLOY.md`` for the full tour.
 """
 
-from repro.deploy.deployment import Deployment, DeploymentResult, deploy
+from repro.deploy.deployment import Deployment, DeploymentResult
 from repro.deploy.placement import (
     Cut,
     Placement,
@@ -39,6 +39,5 @@ __all__ = [
     "ShardSpec",
     "apply_cuts",
     "build_program",
-    "deploy",
     "plan_placement",
 ]

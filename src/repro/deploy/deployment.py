@@ -1,10 +1,10 @@
 """The Deployment API: run one pipeline on N cores, policy-free.
 
-A :class:`Deployment` binds a *program* (a microlanguage source string or
-a picklable builder callable — the same forms :func:`repro.check.refine
-.check_refinement` accepts) to a :class:`~repro.deploy.placement
-.Placement` policy.  The program says nothing about processes; the
-placement says nothing about component internals.  The planner may only
+A :class:`Deployment` binds a run spec (:class:`repro.api.Pipeline`: the
+program — a microlanguage source string or a picklable builder callable —
+plus its execution options, stated once) to a :class:`~repro.deploy
+.placement.Placement` policy.  The program says nothing about processes;
+the placement says nothing about component internals.  The planner may only
 cut the pipeline at ``Buffer`` or netpipe boundaries — exactly the
 asynchronous seams the paper's polarity model already treats as
 scheduling frontiers — so sharding is a *refinement* of the single-core
@@ -12,9 +12,9 @@ pipeline, checkable with :meth:`certify`.
 
 Execution modes:
 
-* ``shards == 1`` — runs a plain in-process :class:`Engine`, producing
-  bit-for-bit the same scheduler trace as ``repro.api.Pipeline.run``
-  (the golden traces pin this).
+* ``shards == 1`` — ``repro.api.Pipeline.build()`` run in-process,
+  bit-for-bit the scheduler trace of ``repro.api.Pipeline.run`` (the
+  golden traces pin this).
 * ``shards > 1`` — one OS process per shard; cut edges are bridged with
   PR 4's coalesced netpipe frames over ``socket.socketpair()`` (or TCP)
   via :class:`~repro.net.socketlink.SocketLink`.
@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from repro import api
 from repro.core.composition import Pipeline
 from repro.errors import DeployError
 from repro.deploy.placement import Placement, ShardPlan, plan_placement
@@ -37,6 +38,7 @@ from repro.deploy.worker import (
     ShardSpec,
     apply_cuts,
     build_program,
+    done_payload,
     shard_main,
 )
 from repro.net.socketlink import InProcessLink
@@ -145,15 +147,16 @@ class DeploymentResult:
 
 
 class Deployment:
-    """Bind a program to a placement and run it on N cores.
+    """Bind a run spec to a placement and run it on N cores.
 
     Parameters
     ----------
     program:
-        Microlanguage source string or a picklable zero-arg callable
-        returning a composed :class:`Pipeline`.  A live Pipeline instance
-        is accepted for single-shard and :meth:`simulate` use, but cannot
-        be shipped to worker processes.
+        A :class:`repro.api.Pipeline` run spec, or a bare program (source
+        string, picklable zero-arg callable returning a composed
+        :class:`Pipeline`, or a live Pipeline) run with default options.
+        A live Pipeline is accepted for single-shard and :meth:`simulate`
+        use, but cannot be shipped to worker processes.
     placement:
         A :class:`Placement`; default ``Placement.auto(shards)``.
     shards:
@@ -171,13 +174,8 @@ class Deployment:
         placement: Placement | None = None,
         *,
         shards: int | None = None,
-        backend: str = "generator",
-        batch_max: int | None = None,
         transport: str = "socketpair",
         start_method: str | None = None,
-        collect_sinks: bool = True,
-        telemetry: bool = False,
-        engine_kwargs: dict[str, Any] | None = None,
     ):
         if placement is not None and shards is not None \
                 and placement.shards != shards:
@@ -187,21 +185,18 @@ class Deployment:
             )
         if placement is None:
             placement = Placement.auto(shards if shards is not None else 1)
-        self.program = program
+        self.app = api.Pipeline.of(program)
         self.placement = placement
-        self.backend = backend
-        self.batch_max = batch_max
         self.transport = transport
         self.start_method = start_method
-        self.collect_sinks = collect_sinks
-        self.telemetry = telemetry
-        self.engine_kwargs = dict(engine_kwargs or {})
 
     # ------------------------------------------------------------ planning
 
     def plan(self) -> ShardPlan:
         """Plan the placement against a freshly built pipeline."""
-        return plan_placement(build_program(self.program), self.placement)
+        return plan_placement(
+            build_program(self.app.program), self.placement
+        )
 
     def describe(self) -> str:
         return self.plan().describe()
@@ -213,61 +208,24 @@ class Deployment:
         plan = self.plan()
         if plan.shards == 1:
             return self._run_local(plan)
-        if isinstance(self.program, Pipeline):
-            raise DeployError(
-                "a live Pipeline cannot be shipped to shard processes; "
-                "pass a microlanguage source string or a picklable "
-                "builder callable"
-            )
+        # Spawn pickles the spec and a live Pipeline is refused there;
+        # fork would not ask, so ask for it.
+        self.app.__getstate__()
         return self._run_sharded(plan, timeout)
 
-    def _build_engine(self):
-        from repro.runtime.engine import Engine
-
-        pipeline = build_program(self.program)
-        return Engine(
-            pipeline,
-            backend=self.backend,
-            batch_max=self.batch_max,
-            **self.engine_kwargs,
-        )
-
     def _run_local(self, plan: ShardPlan) -> DeploymentResult:
-        # The single-shard path is a plain Engine run — same scheduler,
-        # same instruction stream, bit-for-bit the golden traces.
-        from repro.deploy.worker import _collect_sink_items, _stats_payload
-
-        engine = self._build_engine()
-        telemetry = None
-        if self.telemetry:
-            from repro.obs import Telemetry
-
-            telemetry = Telemetry().attach(engine)
+        # The single-shard path is a plain in-process run — same
+        # scheduler, same instruction stream, bit-for-bit the golden
+        # traces.
+        built = self.app.build()
         started = time.perf_counter()
-        engine.start()
-        engine.run()
+        built.run()
         wall = time.perf_counter() - started
-        payload: dict[str, Any] = {
-            "shard": 0,
-            "run_seconds": wall,
-            "completed": engine.completed,
-            "stats": _stats_payload(engine),
-            "sinks": (
-                _collect_sink_items(engine.pipeline)
-                if self.collect_sinks else {}
-            ),
-            "wire": {},
-        }
-        if telemetry is not None:
-            from repro.obs.metrics import dump_registry
-
-            payload["metrics"] = dump_registry(telemetry.registry)
         return DeploymentResult(
             plan=plan,
             wall_seconds=wall,
-            shard_payloads={0: payload},
-            engine=engine,
-            transport="in-process",
+            shard_payloads={0: done_payload(0, built, wall, {})},
+            engine=built.engine,
         )
 
     def _run_sharded(
@@ -286,14 +244,9 @@ class Deployment:
                 spec = ShardSpec(
                     shard=shard,
                     shards=plan.shards,
-                    program=self.program,
+                    app=self.app,
                     assignment=dict(plan.assignment),
                     cuts=plan.cuts,
-                    backend=self.backend,
-                    batch_max=self.batch_max,
-                    collect_sinks=self.collect_sinks,
-                    telemetry=self.telemetry,
-                    engine_kwargs=self.engine_kwargs,
                 )
                 socks = {}
                 for cut in plan.cuts:
@@ -397,9 +350,7 @@ class Deployment:
         multi-shard dataflow runs under one deterministic, seedable
         scheduler.  This is the *concrete* side of :meth:`certify`.
         """
-        from repro.runtime.engine import Engine
-
-        pipeline = build_program(self.program)
+        pipeline = build_program(self.app.program)
         plan = plan_placement(pipeline, self.placement)
         for cut in plan.cuts:
             if cut.kind == "netpipe":
@@ -425,12 +376,7 @@ class Deployment:
         ] + bridges
         twin = Pipeline(components)
         twin.derive_typespecs()
-        return Engine(
-            twin,
-            backend=self.backend,
-            batch_max=self.batch_max,
-            **self.engine_kwargs,
-        )
+        return self.app.build(twin).engine
 
     # ------------------------------------------------------- certification
 
@@ -454,7 +400,7 @@ class Deployment:
 
         plan = self.plan()
         abstract = PipelineUnderTest(
-            build=self._build_engine,
+            build=self.app.builder(),
             drive=drive,
             name="single-core",
         )
@@ -468,9 +414,3 @@ class Deployment:
         return check_refinement(
             abstract, concrete, seeds=seeds, **check_kwargs
         )
-
-
-def deploy(program: Any, **kwargs: Any) -> DeploymentResult:
-    """One-call convenience: ``Deployment(program, **kwargs).run()``."""
-    timeout = kwargs.pop("timeout", None)
-    return Deployment(program, **kwargs).run(timeout=timeout)

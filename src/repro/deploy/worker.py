@@ -1,12 +1,14 @@
 """Shard workers: build, cut, bridge and run one shard's engine.
 
 Each shard is one OS process running one :class:`~repro.runtime.engine
-.Engine`.  The worker rebuilds the *whole* pipeline from the deployment's
+.Engine`.  The worker rebuilds the *whole* pipeline from the run spec's
 program (a microlanguage source string or a picklable builder callable —
 nothing live crosses the process boundary), applies the plan's cuts,
-keeps only its own shard's connected subgraph, and bridges the cut edges
+keeps only its own shard's connected subgraph, bridges the cut edges
 with :class:`~repro.net.socketlink.SocketLink` transports whose socket
-ends the parent passed in.
+ends the parent passed in, and realises the spec over that subgraph
+(:meth:`repro.api.Pipeline.build`) — so every execution option stated on
+the spec means in a shard what it means in-process.
 
 Lifecycle (the cross-process start/EOS/shutdown barrier):
 
@@ -23,15 +25,14 @@ Lifecycle (the cross-process start/EOS/shutdown barrier):
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import pickle
 import time
 import traceback
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
+from repro import api
+from repro.api import build_program
 from repro.components.buffers import OnEmpty
 from repro.core.component import Component
 from repro.core.composition import Pipeline, connect, derive_typespecs
@@ -49,64 +50,11 @@ class ShardSpec:
 
     shard: int
     shards: int
-    #: Microlanguage source string or a picklable zero-arg callable
-    #: returning a composed Pipeline.
-    program: Any
+    #: The run spec: the program (source string or picklable builder
+    #: callable) and every execution option, exactly as stated once.
+    app: api.Pipeline
     assignment: dict[str, int]
     cuts: tuple[Cut, ...] = ()
-    backend: str = "generator"
-    batch_max: int | None = None
-    collect_sinks: bool = True
-    telemetry: bool = False
-    flow_sample: int | None = None
-    engine_kwargs: dict[str, Any] = field(default_factory=dict)
-
-
-@contextlib.contextmanager
-def _fresh_names():
-    """Build under a private auto-naming scope.
-
-    Component auto-names draw from a process-global counter, so the same
-    program built twice (or built in a worker process that has already
-    imported other pipelines) would get different names — and the plan's
-    name → shard assignment would no longer match.  Swapping in fresh
-    counters makes every build of one program yield identical names in
-    every process."""
-    from repro.core import naming
-
-    saved = naming._counters
-    naming._counters = defaultdict(lambda: itertools.count(1))
-    try:
-        yield
-    finally:
-        naming._counters = saved
-
-
-def build_program(program: Any) -> Pipeline:
-    """Materialize a deployment program into a composed Pipeline."""
-    if isinstance(program, Pipeline):
-        return program
-    if isinstance(program, str):
-        from repro.lang.builder import build
-
-        with _fresh_names():
-            return build(program).pipeline
-    if callable(program):
-        with _fresh_names():
-            result = program()
-        if isinstance(result, Pipeline):
-            return result
-        pipeline = getattr(result, "pipeline", None)
-        if isinstance(pipeline, Pipeline):
-            return pipeline
-        raise DeployError(
-            f"program callable returned {type(result).__name__}, not a "
-            "Pipeline"
-        )
-    raise DeployError(
-        f"cannot build a pipeline from {type(program).__name__}; pass a "
-        "microlanguage source string or a callable returning a Pipeline"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +187,7 @@ def build_shard_pipeline(
     """Build this shard's pipeline and every socket transport it uses,
     inbound and outbound, keyed by cut index.  The caller owns the links
     and closes them."""
-    pipeline = build_program(spec.program)
+    pipeline = build_program(spec.app.program)
     links: dict[int, SocketLink] = {}
 
     def transport_for(cut: Cut):
@@ -327,15 +275,6 @@ class ShardIO:
         return self.stop_requested
 
 
-def _collect_sink_items(pipeline: Pipeline) -> dict[str, list]:
-    """Sink contents (CollectSink-style ``items`` lists) by component."""
-    return {
-        component.name: component.items
-        for component in pipeline.components
-        if isinstance(getattr(component, "items", None), list)
-    }
-
-
 #: What pickling a sink item that cannot cross a process boundary raises.
 _PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
 
@@ -356,47 +295,51 @@ def _done_message(payload: dict[str, Any]) -> bytes:
         return pickle.dumps(("done", {**payload, "sinks": sinks}))
 
 
-def _stats_payload(engine) -> dict[str, Any]:
+def done_payload(
+    shard: int, built: api.BuiltApp, run_seconds: float, wire: dict[int, dict]
+) -> dict[str, Any]:
+    """What one finished shard reports: the ``done`` payload of a shard
+    process and of the in-process single-shard run alike."""
+    engine = built.engine
     stats = engine.stats
-    return {
-        "components": stats.components,
-        "cycles": stats.cycles,
-        "nil_cycles": stats.nil_cycles,
-        "batching": stats.batching,
-        "retained": stats.retained,
-        "context_switches": stats.context_switches,
-        "coroutine_switches": stats.coroutine_switches,
-        "messages_delivered": stats.messages_delivered,
-        "time": stats.time,
-        "threads": stats.threads,
+    payload: dict[str, Any] = {
+        "shard": shard,
+        "run_seconds": run_seconds,
+        "completed": engine.completed,
+        "stats": {
+            "components": stats.components,
+            "cycles": stats.cycles,
+            "nil_cycles": stats.nil_cycles,
+            "batching": stats.batching,
+            "retained": stats.retained,
+            "context_switches": stats.context_switches,
+            "coroutine_switches": stats.coroutine_switches,
+            "messages_delivered": stats.messages_delivered,
+            "time": stats.time,
+            "threads": stats.threads,
+        },
+        # Sink contents (CollectSink-style ``items`` lists) by component.
+        "sinks": {
+            component.name: component.items
+            for component in engine.pipeline.components
+            if isinstance(getattr(component, "items", None), list)
+        },
+        "wire": wire,
     }
+    if built.telemetry is not None:
+        from repro.obs.metrics import dump_registry
+
+        payload["metrics"] = dump_registry(built.telemetry.registry)
+    return payload
 
 
 def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
     """Process entry point for one shard (top level: spawn-picklable)."""
     links: dict[int, SocketLink] = {}
     try:
-        from repro.runtime.engine import Engine
-
         shard_pipe, links = build_shard_pipeline(spec, sockets)
-        engine = Engine(
-            shard_pipe,
-            backend=spec.backend,
-            batch_max=spec.batch_max,
-            **spec.engine_kwargs,
-        )
-        telemetry = None
-        if spec.telemetry:
-            from repro.obs import Telemetry
-
-            telemetry = Telemetry().attach(engine)
-        if spec.flow_sample is not None:
-            from repro.obs.flow import FlowTracer
-
-            FlowTracer(
-                sample_every=spec.flow_sample,
-                registry=telemetry.registry if telemetry else None,
-            ).attach(engine)
+        built = spec.app.build(shard_pipe)
+        engine = built.engine
         engine.setup()
         io = ShardIO(
             [
@@ -413,25 +356,13 @@ def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
         started = time.perf_counter()
         engine.start()
         engine.run_with_io(io)
-        run_seconds = time.perf_counter() - started
-        payload: dict[str, Any] = {
-            "shard": spec.shard,
-            "run_seconds": run_seconds,
-            "completed": engine.completed,
-            "stats": _stats_payload(engine),
-            "sinks": (
-                _collect_sink_items(shard_pipe)
-                if spec.collect_sinks else {}
-            ),
-            "wire": {
+        payload = done_payload(
+            spec.shard, built, time.perf_counter() - started,
+            {
                 cut.index: dict(links[cut.index].stats)
                 for cut in spec.cuts if cut.dst_shard == spec.shard
             },
-        }
-        if telemetry is not None:
-            from repro.obs.metrics import dump_registry
-
-            payload["metrics"] = dump_registry(telemetry.registry)
+        )
         # The parent's ``conn.recv()`` unpickles exactly these bytes.
         conn.send_bytes(_done_message(payload))
         # Shutdown barrier: hold sockets open until the parent confirms

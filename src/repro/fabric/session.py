@@ -1,8 +1,9 @@
 """The session fabric: thousands of pipelines on one scheduler.
 
 A :class:`SessionFabric` is the multi-tenant front-end of the runtime.
-Every :meth:`~SessionFabric.open_session` builds its own pipeline and its
-own :class:`~repro.runtime.engine.Engine` — per-session allocation plans,
+Every :meth:`~SessionFabric.open_session` realises its run spec
+(:meth:`repro.api.Pipeline.build`) into its own pipeline and its own
+:class:`~repro.runtime.engine.Engine` — per-session allocation plans,
 event services and stats stay fully isolated — but all engines share ONE
 :class:`~repro.mbt.scheduler.Scheduler`.  Thread transparency does the
 heavy lifting: a session's pumps and coroutines are just more user-level
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.deploy.worker import _fresh_names, build_program
+from repro.api import Pipeline, build_program
 from repro.errors import DeployError
 from repro.fabric.admission import (
     QUEUE,
@@ -44,9 +45,9 @@ from repro.fabric.admission import (
     Decision,
     SessionRequest,
 )
-from repro.mbt.clock import Clock, VirtualClock
+from repro.mbt.clock import VirtualClock
 from repro.mbt.scheduler import Scheduler
-from repro.runtime.engine import Engine
+from repro.runtime.engine import Engine, drive_with_io
 from repro.runtime.stats import PipelineStats
 
 
@@ -138,17 +139,12 @@ class SessionFabric:
 
     Parameters
     ----------
-    clock / scheduler:
-        Either pass a ready-made shared scheduler or let the fabric make
-        one over ``clock`` (default: a fresh virtual clock).
-    backend:
-        Default engine backend for sessions (``"generator"``).
+    scheduler:
+        A ready-made shared scheduler (default: a fresh one over a
+        virtual clock, with ``quantum`` as its ``fair_quantum``).
     admission:
         Optional :class:`AdmissionController`; without one every open is
         accepted.
-    fair_lag:
-        The scheduler's waking-tenant lag allowance (0.0 = strict
-        start-time fair queueing).
     quantum:
         Dispatch quantum for the fabric's tenants (the scheduler's
         ``fair_quantum``): how many consecutive dispatches one session
@@ -163,20 +159,15 @@ class SessionFabric:
 
     def __init__(
         self,
-        clock: Clock | None = None,
         scheduler: Scheduler | None = None,
-        backend: str = "generator",
         admission: AdmissionController | None = None,
-        fair_lag: float = 0.0,
         quantum: int = 8,
     ):
         if scheduler is None:
             scheduler = Scheduler(
-                clock=clock or VirtualClock(), fair_quantum=quantum
+                clock=VirtualClock(), fair_quantum=quantum
             )
         self.scheduler = scheduler
-        self.scheduler._fair_lag = fair_lag
-        self.backend = backend
         self.admission = admission
         self.sessions: dict[str, Session] = {}
         #: Requests the admission policy queued: (request, program, kwargs).
@@ -194,13 +185,14 @@ class SessionFabric:
         namespace: bool = True,
         request: SessionRequest | None = None,
         start: bool = True,
-        **engine_kwargs: Any,
     ) -> Session | None:
         """Build, admit, attach and start one tenant's pipeline.
 
-        ``program`` is anything :func:`repro.deploy.worker.build_program`
-        accepts: a composed Pipeline, a microlanguage source string, or a
-        zero-arg builder callable.  The build runs under a private naming
+        ``program`` is a :class:`repro.api.Pipeline` run spec — whose
+        execution options (backend, batching, telemetry) the session
+        honours — or a bare program run with the defaults: a composed
+        Pipeline, a microlanguage source string, or a zero-arg builder
+        callable.  Strings and callables build under a private naming
         scope, so a thousand sessions of the same program get identical
         pre-prefix names.
 
@@ -225,17 +217,13 @@ class SessionFabric:
             if decision.action == QUEUE:
                 self.pending.append((request, program, dict(
                     weight=weight, namespace=namespace, start=start,
-                    **engine_kwargs,
                 )))
                 return None
             if decision.weight is not None:  # degraded admission
                 weight = decision.weight
 
-        if isinstance(program, str) or callable(program):
-            pipeline = build_program(program)
-        else:
-            with _fresh_names():
-                pipeline = build_program(program)
+        app = Pipeline.of(program)
+        pipeline = build_program(app.program)
         if namespace:
             for component in pipeline.components:
                 component.name = f"{name}/{component.name}"
@@ -247,12 +235,7 @@ class SessionFabric:
                 )
             self._bare_session = name
 
-        engine = Engine(
-            pipeline,
-            backend=self.backend,
-            scheduler=self.scheduler,
-            **engine_kwargs,
-        )
+        engine = app.build(pipeline, scheduler=self.scheduler).engine
         engine.setup()
         # The engine's drivers are the only spawn sites, so their names
         # enumerate the session's threads without an O(total-threads)
@@ -367,29 +350,14 @@ class SessionFabric:
         self.scheduler.run(max_steps=max_steps)
         return self
 
-    def run_with_io(
-        self,
-        io: Any,
-        idle_timeout: float = 0.05,
-        max_steps: int | None = None,
-        horizon: float = 1.0,
-    ) -> "SessionFabric":
+    def run_with_io(self, io: Any, **loop: Any) -> "SessionFabric":
         """Fabric-level main loop: alternate scheduler runs with pumping
         a shared I/O source (typically a :class:`repro.net.mux.StreamMux`
         over one shared SocketLink, or a :class:`FabricIO` over several).
-        Same contract as :meth:`Engine.run_with_io`."""
-        should_stop = getattr(io, "should_stop", None)
-        while True:
-            until = self.scheduler.clock.now() + horizon
-            self.scheduler.run(until=until, max_steps=max_steps)
-            if self.completed:
-                return self
-            if io.pump():
-                continue
-            if should_stop is not None and should_stop():
-                return self
-            if not io.wait(idle_timeout):
-                continue
+        Same contract and keywords as
+        :func:`repro.runtime.engine.drive_with_io`."""
+        drive_with_io(self.scheduler, lambda: self.completed, io, **loop)
+        return self
 
     # ------------------------------------------------------------ obs
 

@@ -261,12 +261,9 @@ class Scheduler:
         #: no fabric is multiplexing sessions onto this scheduler.
         self._tenants: dict[str, Tenant] = {}
         #: Virtual start time of the most recently dispatched tenanted
-        #: thread; waking tenants are clamped to it (minus ``_fair_lag``)
-        #: so idleness does not bank credit.
+        #: thread; waking tenants are clamped to it (strict start-time
+        #: fair queueing), so idleness does not bank credit.
         self._fair_clock = 0.0
-        #: How far behind the fair clock a waking tenant may start; 0.0 is
-        #: strict start-time fair queueing.
-        self._fair_lag = 0.0
         #: Dispatch quantum for tenanted threads: how many consecutive
         #: dispatches a tenant may burst before the fair order is
         #: re-evaluated.  1 (the default) is strict per-dispatch fairness;
@@ -573,9 +570,9 @@ class Scheduler:
             vtime = 0.0
         else:
             vtime = tenant.vtime
-            floor = self._fair_clock - self._fair_lag
+            floor = self._fair_clock
             if vtime < floor:
-                # Waking from idle: no banked credit past the lag bound.
+                # Waking from idle: no banked credit.
                 vtime = tenant.vtime = floor
         entry = [
             key[0],
@@ -642,9 +639,9 @@ class Scheduler:
             vtime = 0.0
         else:
             vtime = tenant.vtime
-            floor = self._fair_clock - self._fair_lag
+            floor = self._fair_clock
             if vtime < floor:
-                # Waking from idle: no banked credit past the lag bound.
+                # Waking from idle: no banked credit.
                 vtime = tenant.vtime = floor
         new_entry = [
             key[0],

@@ -101,46 +101,32 @@ class Span:
         return self._hist
 
 
-def _labels_dict(labels: tuple) -> dict[str, str]:
-    return dict(labels)
-
-
 class Telemetry:
     """Wires the observability layer through a pipeline engine.
 
-    Everything is opt-in at attach time and *inert when absent*: an engine
-    without telemetry runs the exact same instruction stream it did before
-    this module existed (golden scheduler traces pin that bit-for-bit).
+    Attaching installs the :class:`SchedulerProbe` (run-queue wait, CPU
+    attribution, inheritance counters) and the three span families
+    (buffer waits, stage latency, coroutine round trips); it is *inert
+    when absent*: an engine without telemetry runs the exact same
+    instruction stream it did before this module existed (golden scheduler
+    traces pin that bit-for-bit).
 
     Parameters
     ----------
     registry:
         Metrics registry to publish into (default: a fresh one).
-    scheduler_probe:
-        Install a :class:`SchedulerProbe` (run-queue wait, CPU attribution,
-        inheritance counters).
     recorder_capacity:
         When set, attach a :class:`FlightRecorder` ring of that many events
         (kept even when full tracing is off).
-    buffer_waits / stage_latency / coroutine_latency:
-        Enable the corresponding span family.
     """
 
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
-        scheduler_probe: bool = True,
         recorder_capacity: int | None = None,
-        buffer_waits: bool = True,
-        stage_latency: bool = True,
-        coroutine_latency: bool = True,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._want_probe = scheduler_probe
         self._recorder_capacity = recorder_capacity
-        self._want_buffer_waits = buffer_waits
-        self._want_stage_latency = stage_latency
-        self._want_coroutine_latency = coroutine_latency
 
         self.scheduler_probe: SchedulerProbe | None = None
         self.recorder: FlightRecorder | None = None
@@ -161,9 +147,7 @@ class Telemetry:
         # item movement, and Scheduler.now would add a frame per call.
         self._now = scheduler.clock.now
 
-        if self._want_probe:
-            self.scheduler_probe = SchedulerProbe(self.registry)
-            self.scheduler_probe.install(scheduler)
+        self.scheduler_probe = SchedulerProbe(self.registry).install(scheduler)
         if self._recorder_capacity is not None:
             self.recorder = FlightRecorder(self._recorder_capacity)
             self.recorder.attach(scheduler)
@@ -172,19 +156,17 @@ class Telemetry:
             self._publish_component(component)
         self._publish_engine(engine)
 
-        if self._want_stage_latency:
-            for driver in engine.pump_drivers:
-                driver._obs_cycle = self.registry.histogram(
-                    "repro_stage_latency_seconds",
-                    help="Pump-cycle service time per section",
-                    stage=driver.origin.name,
-                )
-                driver._obs_now = self._now
-        if self._want_coroutine_latency:
-            # Recompile the flow walkers so coroutine crossings bind their
-            # timed variants (zero cost stays zero when this is off: the
-            # untimed closures never branch on telemetry).
-            engine._compile_walkers()
+        for driver in engine.pump_drivers:
+            driver._obs_cycle = self.registry.histogram(
+                "repro_stage_latency_seconds",
+                help="Pump-cycle service time per section",
+                stage=driver.origin.name,
+            )
+            driver._obs_now = self._now
+        # Recompile the flow walkers so coroutine crossings bind their
+        # timed variants (without telemetry the untimed closures never
+        # branch on it).
+        engine._compile_walkers()
         return self
 
     def _publish_component(self, component) -> None:
@@ -221,9 +203,7 @@ class Telemetry:
                 fn=lambda c=component: c.fill_fraction,
                 component=name,
             )
-        if self._want_buffer_waits and hasattr(
-            component, "enable_wait_telemetry"
-        ):
+        if hasattr(component, "enable_wait_telemetry"):
             component.enable_wait_telemetry(
                 self._now,
                 registry.histogram(
@@ -273,9 +253,9 @@ class Telemetry:
     # ------------------------------------------------------------ runtime
 
     def coroutine_histogram(self, component) -> Histogram | None:
-        """Round-trip histogram for a coroutine component, or None when
-        coroutine spans are disabled (bound at walker-compile time)."""
-        if not self._want_coroutine_latency or self._now is None:
+        """Round-trip histogram for a coroutine component, or None before
+        attach (bound at walker-compile time)."""
+        if self._now is None:
             return None
         hist = self._coro_hists.get(component.name)
         if hist is None:
@@ -326,7 +306,7 @@ class Telemetry:
             for hist in self.registry.family(family):
                 if hist.count == 0:
                     continue
-                target = _labels_dict(hist.labels).get(label_key)
+                target = dict(hist.labels).get(label_key)
                 if target is None:
                     continue
                 counters = stats.components.setdefault(target, {})

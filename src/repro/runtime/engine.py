@@ -11,7 +11,7 @@ underlying thread package."  (paper, section 4)
 
 from __future__ import annotations
 
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 from repro.components.buffers import Buffer
 from repro.core import events as ev
@@ -733,6 +733,51 @@ def _boundary_gates(engine: "Engine", root: FlowTarget | None):
             stack.extend(node.branches.values())
 
 
+def drive_with_io(
+    scheduler: Scheduler,
+    completed: Callable[[], bool],
+    io: Any,
+    idle_timeout: float = 0.05,
+    max_steps: int | None = None,
+    horizon: float = 1.0,
+) -> None:
+    """Run ``scheduler`` until ``completed()`` while pumping an external
+    I/O source: the one main loop of a shard process
+    (:meth:`Engine.run_with_io`) and of a session fabric
+    (:meth:`repro.fabric.SessionFabric.run_with_io`).
+
+    ``io`` is anything with ``pump() -> int`` (drain ready inbound
+    messages into the pipeline, returning how many arrived),
+    ``wait(timeout) -> bool`` (block until inbound bytes or timeout)
+    and optionally ``should_stop() -> bool`` (external shutdown, e.g.
+    a control message from the deployment parent).  The loop
+    alternates scheduler runs with I/O pumping: the scheduler runs
+    until quiescent, arrivals wake the boundary gates
+    (``external_wake_pullers``), and an engine completes when
+    every pump driver finished — which for a downstream shard means
+    its netpipe receivers saw the cross-process EOS.
+
+    Each scheduler run is bounded to ``horizon`` virtual seconds: a
+    periodic timer (a clocked pump waiting on wire data) keeps the
+    scheduler non-quiescent forever, so an unbounded run would never
+    hand control back to the I/O pump.  Each shard's virtual clock
+    is local and free-running, so burning through idle virtual time
+    while real bytes are in flight only skews timestamps, never the
+    data flow.
+    """
+    should_stop = getattr(io, "should_stop", None)
+    while True:
+        scheduler.run(
+            until=scheduler.clock.now() + horizon, max_steps=max_steps
+        )
+        if completed():
+            return
+        if io.pump():
+            continue
+        if should_stop is not None and should_stop():
+            return
+        io.wait(idle_timeout)
+
 class Engine:
     """Executes a pipeline: thread transparency made concrete.
 
@@ -1127,49 +1172,14 @@ class Engine:
         self.scheduler.run(max_steps=max_steps)
         return self
 
-    def run_with_io(
-        self,
-        io: Any,
-        idle_timeout: float = 0.05,
-        max_steps: int | None = None,
-        horizon: float = 1.0,
-    ) -> "Engine":
-        """Run to completion while pumping an external I/O source — the
-        shard-local main loop of a multi-process deployment
-        (:mod:`repro.deploy`).
-
-        ``io`` is anything with ``pump() -> int`` (drain ready inbound
-        messages into the pipeline, returning how many arrived),
-        ``wait(timeout) -> bool`` (block until inbound bytes or timeout)
-        and optionally ``should_stop() -> bool`` (external shutdown, e.g.
-        a control message from the deployment parent).  The loop
-        alternates scheduler runs with I/O pumping: the scheduler runs
-        until quiescent, arrivals wake the boundary gates
-        (``external_wake_pullers``), and the pipeline completes when
-        every pump driver finished — which for a downstream shard means
-        its netpipe receivers saw the cross-process EOS.
-
-        Each scheduler run is bounded to ``horizon`` virtual seconds: a
-        periodic timer (a clocked pump waiting on wire data) keeps the
-        scheduler non-quiescent forever, so an unbounded run would never
-        hand control back to the I/O pump.  Each shard's virtual clock
-        is local and free-running, so burning through idle virtual time
-        while real bytes are in flight only skews timestamps, never the
-        data flow.
-        """
+    def run_with_io(self, io: Any, **loop: Any) -> "Engine":
+        """Run to completion while pumping ``io`` — the shard-local main
+        loop of a multi-process deployment (:mod:`repro.deploy`).  ``io``
+        and the ``idle_timeout`` / ``max_steps`` / ``horizon`` keywords
+        are :func:`drive_with_io`'s."""
         self.setup()
-        should_stop = getattr(io, "should_stop", None)
-        while True:
-            until = self.scheduler.clock.now() + horizon
-            self.scheduler.run(until=until, max_steps=max_steps)
-            if self.completed:
-                return self
-            if io.pump():
-                continue
-            if should_stop is not None and should_stop():
-                return self
-            if not io.wait(idle_timeout):
-                continue
+        drive_with_io(self.scheduler, lambda: self.completed, io, **loop)
+        return self
 
     @property
     def completed(self) -> bool:

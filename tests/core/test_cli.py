@@ -123,3 +123,53 @@ def test_description_from_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "items_in=2" in out
+
+
+SEAM = "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> collect"
+
+
+def test_deploy_describe_prints_the_plan_without_running(capsys):
+    code = main(["deploy", SEAM, "--shards", "2", "--describe"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "buffer-1" in out and "shard 0 -> 1" in out
+    assert "completed=" not in out
+
+
+def test_deploy_two_shards_prints_gathered_stats(capsys):
+    code = main(["deploy", SEAM, "--shards", "2", "--timeout", "60"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "shards=2 transport=socketpair completed=True" in out
+    assert "shard 1:" in out and "sink_items=24" in out
+    assert "repro_" not in out  # no --metrics, no exposition
+
+
+def test_deploy_metrics_and_flow_sample_reach_every_shard(capsys):
+    code = main([
+        "deploy", SEAM, "--shards", "2", "--timeout", "60",
+        "--metrics", "--flow-sample", "1",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert 'repro_flow_traces_total{shard="0",status="delivered"} 0' in out
+    assert 'repro_flow_traces_total{shard="1",status="delivered"} 24' in out
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("deploy", ["--until", "1"]),
+    ("deploy", ["--max-steps", "10"]),
+    ("deploy", ["--trace-limit", "10"]),
+    ("deploy", ["--slo-latency", "0.5"]),
+    ("run", ["--shards", "2"]),
+    ("top", ["--metrics"]),
+    ("top", ["--trace-limit", "10"]),
+    ("timeline", ["--flow-sample", "1"]),
+])
+def test_a_flag_the_command_does_not_read_is_an_error(
+    command, flag, capsys
+):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, SEAM, *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.api import Pipeline
 from repro.check.explorer import trace_hash
 from repro.deploy import Deployment, DeployError, Placement
 from repro.deploy.presets import fig1_stages, fig9a_chains
@@ -22,7 +23,7 @@ class TestSingleShard:
         plain.start()
         plain.run()
         deployed = Deployment(
-            SRC, Placement.auto(1), engine_kwargs={"trace": True}
+            Pipeline.from_source(SRC).with_trace(), Placement.auto(1)
         ).run()
         assert deployed.completed
         assert trace_hash(list(plain.scheduler._trace)) == \
@@ -84,7 +85,7 @@ class TestShardedExecution:
 
     def test_telemetry_dumps_merge_across_shards(self):
         result = Deployment(
-            SRC, Placement.auto(2), telemetry=True
+            Pipeline.from_source(SRC).with_metrics(), Placement.auto(2)
         ).run(timeout=60)
         registry = result.merged_metrics()
         from repro.obs import prometheus_text

@@ -6,11 +6,13 @@ payload sent back over the control pipe cross a pickle boundary.  These
 tests pin that contract without paying for a full process launch.
 """
 
+import multiprocessing
 import pickle
 
 import pytest
 
-from repro.deploy import Placement, plan_placement
+from repro.api import Pipeline
+from repro.deploy import DeployError, Placement, plan_placement
 from repro.deploy.presets import fig1_drive, fig1_stages, fig9a_chains
 from repro.deploy.worker import ShardSpec, build_program
 from repro.obs.metrics import MetricsRegistry, dump_registry, merge_dump
@@ -22,21 +24,60 @@ def roundtrip(obj):
     return pickle.loads(pickle.dumps(obj))
 
 
+def module_level_builder():
+    from repro.lang.builder import build
+
+    return build(SRC).pipeline
+
+
 class TestSpecPickling:
     def test_shard_spec_with_lang_source_roundtrips(self):
         plan = plan_placement(build_program(SRC), Placement.auto(2))
         spec = ShardSpec(
             shard=0,
             shards=2,
-            program=SRC,
+            app=Pipeline.from_source(SRC).with_metrics(),
             assignment=dict(plan.assignment),
             cuts=plan.cuts,
-            telemetry=True,
         )
         clone = roundtrip(spec)
         assert clone.assignment == spec.assignment
         assert clone.cuts == plan.cuts
-        assert build_program(clone.program) is not None
+        assert clone.app == spec.app
+        assert build_program(clone.app.program) is not None
+
+    def test_run_spec_roundtrips_with_every_option_it_states(self):
+        spec = (
+            Pipeline.from_source(SRC)
+            .with_backend("thread")
+            .with_batching(8)
+            .with_trace(limit=64)
+            .with_metrics()
+            .with_tracing(4)
+            .with_slo(0.5)
+            .with_engine_options(on_thread_error="raise")
+        )
+        assert roundtrip(spec) == spec
+        by_callable = Pipeline.from_builder(module_level_builder) \
+            .with_batching(8)
+        clone = roundtrip(by_callable)
+        assert clone == by_callable
+        assert clone.batch_max == 8
+        assert build_program(clone.program).components
+
+    def test_run_spec_crosses_a_spawned_process_boundary(self):
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(1) as pool:
+            for spec in (
+                Pipeline.from_source(SRC).with_batching(8).with_tracing(2),
+                Pipeline.from_builder(module_level_builder).with_metrics(),
+            ):
+                assert pool.apply(roundtrip, (spec,)) == spec
+
+    def test_live_pipeline_spec_refuses_to_pickle(self):
+        live = Pipeline.from_pipeline(build_program(SRC)).with_metrics()
+        with pytest.raises(DeployError, match="live Pipeline"):
+            pickle.dumps(live)
 
     def test_preset_builders_are_picklable(self):
         for builder in (fig9a_chains(2, 32), fig1_stages(frames=12)):

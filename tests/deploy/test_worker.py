@@ -7,6 +7,7 @@ import socket
 import threading
 
 from repro import CollectSink, GreedyPump, IterSource, pipeline
+from repro.api import Pipeline
 from repro.components.filters import MapFilter
 from repro.components.pumps import ClockedPump
 from repro.deploy import Deployment, Placement, plan_placement
@@ -27,11 +28,11 @@ from repro.runtime.engine import Engine
 SRC = "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> collect"
 
 
-def shard_spec(shard: int, **overrides) -> ShardSpec:
+def shard_spec(shard: int, app=Pipeline.from_source(SRC)) -> ShardSpec:
     plan = plan_placement(build_program(SRC), Placement.auto(2))
     return ShardSpec(
-        shard=shard, shards=2, program=SRC,
-        assignment=dict(plan.assignment), cuts=plan.cuts, **overrides,
+        shard=shard, shards=2, app=app,
+        assignment=dict(plan.assignment), cuts=plan.cuts,
     )
 
 
@@ -90,7 +91,12 @@ class TestLinkOwnership:
         a, b = socket.socketpair()
         try:
             # Engine() rejects the option after the links were built.
-            spec = shard_spec(0, engine_kwargs={"no_such_option": True})
+            spec = shard_spec(
+                0,
+                Pipeline.from_source(SRC).with_engine_options(
+                    no_such_option=True
+                ),
+            )
             (message,) = run_shard(spec, a)
             assert message[0] == "error" and message[1] == 0
             assert "no_such_option" in message[2]

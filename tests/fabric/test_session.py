@@ -3,6 +3,7 @@
 import pytest
 
 from repro import CollectSink, GreedyPump, IterSource, pipeline
+from repro.api import Pipeline
 from repro.errors import DeployError
 from repro.fabric import SessionFabric
 from repro.mbt import Scheduler, VirtualClock
@@ -289,6 +290,24 @@ class TestStatsAndObs:
 
 
 class TestSharedScheduler:
+    def test_session_honours_a_run_spec_on_the_shared_scheduler(self):
+        build, sinks = counting_program(items=40)
+        fabric = SessionFabric()
+        spec = Pipeline.from_builder(build).with_batching(8).with_metrics()
+        batched = fabric.open_session(spec, name="batched")
+        plain = fabric.open_session(build, name="plain")
+        assert batched.engine.scheduler is fabric.scheduler
+        assert batched.engine.batch_policy.batch_max == 8
+        assert plain.engine.batch_policy.batch_max == 1
+        # Only the session whose spec asked for telemetry carries it.
+        assert batched.engine._telemetry is not None
+        assert plain.engine._telemetry is None
+        run_rounds(fabric)
+        assert [s.items for s in sinks] == [list(range(40))] * 2
+        (driver,) = batched.engine.pump_drivers
+        assert driver.batches and driver.batched_items == 40
+        assert not plain.engine.pump_drivers[0].batches
+
     def test_external_scheduler_is_used(self):
         scheduler = Scheduler(clock=VirtualClock())
         build, _ = counting_program()
