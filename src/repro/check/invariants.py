@@ -404,6 +404,16 @@ def _wrap_sink_entry(component, records: list) -> None:
             _push(item)
 
         component.push = tapped_push
+        push_many = getattr(component, "push_many", None)
+        if callable(push_many):
+            # Tap the run entry too, so a batched run is observed on the
+            # route production takes rather than forced onto the loop.
+            def tapped_push_many(items, _push_many=push_many,
+                                 _records=records):
+                _records.extend(items)
+                _push_many(items)
+
+            component.push_many = tapped_push_many
         return
     consume = getattr(component, "consume", None)
     if callable(consume):

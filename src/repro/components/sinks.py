@@ -7,6 +7,7 @@ has its own timing and pulls — the paper's example being an audio device
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable
 
 from repro.core.component import Component, Role
@@ -53,9 +54,20 @@ class CollectSink(Sink):
         if self.limit is None or len(self.items) < self.limit:
             self.items.append(item)
 
+    def push_many(self, items) -> None:
+        """Run entry: one ``extend`` for a pure-data run, kept to
+        ``limit`` exactly as per-item :meth:`push` calls would."""
+        if self.limit is None:
+            self.items.extend(items)
+        else:
+            room = self.limit - len(self.items)
+            if room > 0:
+                self.items.extend(islice(items, room))
+
 
 class CallbackSink(Sink):
-    """Passive sink invoking ``consumer(item)`` per item."""
+    """Passive sink invoking ``consumer(item)`` per item (no run entry:
+    the callback *is* per-item user code)."""
 
     def __init__(
         self,
@@ -74,6 +86,9 @@ class NullSink(Sink):
     """Passive sink discarding everything (counting it in ``stats``)."""
 
     def push(self, item: Any) -> None:
+        pass
+
+    def push_many(self, items) -> None:
         pass
 
 

@@ -12,6 +12,7 @@ from typing import Any, Callable, Iterable
 
 from repro.core.component import Component, Role
 from repro.core.events import EOS
+from repro.core.items import NIL
 from repro.core.polarity import Mode
 from repro.core.styles import Style
 from repro.core.typespec import Typespec
@@ -62,11 +63,28 @@ class IterSource(Source):
             return item
         return EOS
 
+    def pull_many(self, n: int) -> list:
+        """Run entry: what up to ``n`` :meth:`pull` calls would deliver —
+        data first, a trailing EOS once the iterable is exhausted.  A NIL
+        or EOS *inside* the iterable ends the run where the per-item
+        walker would stop pulling, so nothing behind it is drawn early
+        (which is why this is a loop and not one ``islice``)."""
+        run: list = []
+        for item in self._iterator:
+            if item is NIL:
+                return run
+            run.append(item)
+            if item is EOS or len(run) >= n:
+                return run
+        run.append(EOS)
+        return run
+
 
 class CallbackSource(Source):
     """Passive source calling ``producer()`` for each pull.
 
-    The callback may return EOS to end the stream.
+    The callback may return EOS to end the stream.  There is no run entry:
+    the callback *is* per-item user code, so a batched pump loops it.
     """
 
     def __init__(
@@ -101,6 +119,19 @@ class CountingSource(Source):
         value = self._next
         self._next += 1
         return value
+
+    def pull_many(self, n: int) -> list:
+        """Run entry: the next ``n`` integers, ending in EOS where the
+        limit cuts the run short."""
+        start = self._next
+        stop = start + n
+        if self.limit is not None and stop > self.limit:
+            stop = max(self.limit, start)
+        self._next = stop
+        run = list(range(start, stop))
+        if len(run) < n:
+            run.append(EOS)
+        return run
 
 
 class ActiveSource(Component):

@@ -354,6 +354,59 @@ def _item_data_count(item) -> int:
     return 0 if item is EOS or item is NIL else 1
 
 
+def _run_entry(component, item_entry: str):
+    """The component's run entry — ``pull_many(n)`` for ``"pull"``,
+    ``push_many(items)`` for ``"push"`` — or None when the batch walkers
+    must loop the per-item entry.
+
+    A run entry is a transmission policy: it moves a run the way that many
+    per-item calls would (data first, at most one trailing EOS, stopping
+    at NIL), so it may only stand in for the per-item entry its author
+    knew.  Walking the instance and then the class's MRO, whichever of
+    the two names is defined first decides: an instance-tapped ``push``
+    or a subclass overriding ``pull`` below the class that provides the
+    run entry *is* the semantics, and the per-item loop stays; a subclass
+    (or a tap) that supplies the run entry itself is taken whole.
+    """
+    run_name = {"pull": "pull_many", "push": "push_many"}[item_entry]
+    entry = getattr(component, run_name, None)
+    if entry is None:
+        return None
+    for holder in (component, *type(component).__mro__):
+        namespace = getattr(holder, "__dict__", {})  # {}: slotted instance
+        if run_name in namespace:
+            return entry
+        if item_entry in namespace:
+            return None
+    return entry
+
+
+def _bind_source_run(ctx: ThreadCtx, component):
+    """Plain ``(n) -> run`` over a gate-less boundary source's run entry
+    (None when it has none), charging ``items_out`` and the flow births
+    of the run's data items as ``n`` served pulls would."""
+    pull_run = _run_entry(component, "pull")
+    if pull_run is None:
+        return None
+    stats = component.stats
+    flow = ctx.engine._flow_tracer
+    births = None if flow is None else flow.births_fn(ctx.thread_name)
+
+    def serve_run(n):
+        run = pull_run(n)
+        # _run_data_count, minus a call: a refill pays this per output item.
+        count = len(run)
+        if count and ends_in_eos(run):
+            count -= 1
+        if count:
+            stats["items_out"] += count
+            if births is not None:
+                births(count)
+        return run
+
+    return serve_run
+
+
 def _compile_crossing(ctx: ThreadCtx, component, kind: str):
     """Bound round trip to a coroutine component's thread.
 
@@ -804,12 +857,12 @@ def _convert_many_fn(component):
 
 def _subtree_batch_source(engine, target) -> bool:
     """True when ``target`` is a chain of plain FUNCTION nodes over a
-    gate-less boundary source that offers a batch ``pull_many`` entry.
+    gate-less boundary source with a run entry (:func:`_run_entry`).
 
     Such subtrees must NOT collapse into the per-item plain tier — the
-    recursive FUNCTION composition reaches the source's columnar fast
-    path instead, so whole batches flow through without materializing
-    per-item objects.
+    recursive FUNCTION composition reaches the source's run entry
+    instead, so whole runs (columnar batches included) flow through
+    ``convert_many`` without a per-item call or per-item objects.
     """
     while isinstance(target, FlowNode):
         component = target.component
@@ -823,7 +876,7 @@ def _subtree_batch_source(engine, target) -> bool:
     component = target.component
     return (
         engine.gate_for(component) is None
-        and getattr(component, "pull_many", None) is not None
+        and _run_entry(component, "pull") is not None
     )
 
 
@@ -895,57 +948,50 @@ def _compile_pull_plain(ctx: ThreadCtx, target: FlowTarget):
     # items each port consumed on the last successful pull and refills up
     # to that count in one go, cutting the attempts to ~2.  Over-fetched
     # items simply stay in the replay intake buffers (the same place the
-    # per-item walker parks partial reads), and the refill loop stops at
+    # per-item walker parks partial reads), and the refill stops at
     # EOS/NIL, so the item stream and the quiescent flow accounting are
     # identical to the per-item walker at every batch size.
-    branch_fns = {}
+    replay = engine.replay_for(component)
+    refills = {}
     drains = [_bind_drain_fn(component)]
     for port, child in target.branches.items():
         sub = _compile_pull_plain(ctx, child)
         if sub is None:
             return None
-        branch_fns[port] = sub[0]
+        fetch_run = None
+        if isinstance(child, BoundaryRef):
+            # A (gate-less) boundary source with a run entry hands over
+            # the items the refill would fetch one by one as one run.
+            fetch_run = _bind_source_run(ctx, child.component)
+        refills[port] = _bind_refill(
+            replay, port, fetch_run or _loop_run(sub[0])
+        )
         drains.extend(sub[1])
-    replay = engine.replay_for(component)
     serve = _bind_serve_pull(component, target.entry_port)
-    begin, feed, commit = replay.begin, replay.feed, replay.commit
-    buffers = replay.buffers
+    begin, commit = replay.begin, replay.commit
     read_counts = replay._read
-    demand = {port: 1 for port in branch_fns}
+    demand = {port: 1 for port in refills}
 
-    if len(branch_fns) == 1:
-        # Single-input producer (the common case): port/buffer/fetch are
-        # fixed, and the predicted demand is refilled *before* the first
-        # serve() attempt, so a steady-state pull succeeds on attempt one
-        # instead of paying a probe run + NeedMoreInput per item.
-        (only_port,) = branch_fns
-        fetch = branch_fns[only_port]
-        buffer = buffers[only_port]
+    if len(refills) == 1:
+        # Single-input producer (the common case): the port is fixed, and
+        # the predicted demand is refilled *before* the first serve()
+        # attempt, so a steady-state pull succeeds on attempt one instead
+        # of paying a probe run + NeedMoreInput per item.
+        ((only_port, refill),) = refills.items()
+        buffer = replay.buffers[only_port]
         ports_at_eos = replay.eos
         want_cell = [1]
 
-        def refill():
-            upstream = fetch()
-            if upstream is NIL:
-                return False
-            feed(only_port, upstream)
-            want = want_cell[0]
-            while upstream is not EOS and len(buffer) < want:
-                upstream = fetch()
-                if upstream is NIL:
-                    break
-                feed(only_port, upstream)
-            return True
-
         def single_producer_plain():
-            if len(buffer) < want_cell[0] and only_port not in ports_at_eos:
-                refill()
+            want = want_cell[0]
+            if len(buffer) < want and only_port not in ports_at_eos:
+                refill(want)
             while True:
                 begin()
                 try:
                     result = serve()
                 except NeedMoreInput:
-                    if not refill():
+                    if not refill(want_cell[0]):
                         return NIL  # prefetch is preserved for the retry
                     continue
                 except EndOfStream:
@@ -964,19 +1010,8 @@ def _compile_pull_plain(ctx: ThreadCtx, target: FlowTarget):
             try:
                 result = serve()
             except NeedMoreInput as need:
-                port = need.port
-                fetch = branch_fns[port]
-                upstream = fetch()
-                if upstream is NIL:
+                if not refills[need.port](demand[need.port]):
                     return NIL  # cannot complete now; prefetch is preserved
-                feed(port, upstream)
-                buffer = buffers[port]
-                want = demand[port]
-                while upstream is not EOS and len(buffer) < want:
-                    upstream = fetch()
-                    if upstream is NIL:
-                        break
-                    feed(port, upstream)
                 continue
             except EndOfStream:
                 return EOS
@@ -987,6 +1022,44 @@ def _compile_pull_plain(ctx: ThreadCtx, target: FlowTarget):
             return result
 
     return producer_plain, drains
+
+
+def _loop_run(fn):
+    """``(n) -> run`` looping the plain per-item pull ``fn``: data first,
+    stopping at NIL (dropped) or after EOS (kept, last)."""
+
+    def fetch_run(n):
+        run = []
+        while len(run) < n:
+            item = fn()
+            if item is NIL:
+                break
+            run.append(item)
+            if item is EOS:
+                break
+        return run
+
+    return fetch_run
+
+
+def _bind_refill(replay, port: str, fetch_run):
+    """``refill(want) -> bool`` for one producer input: top the port's
+    intake buffer up to ``want`` items — always fetching at least one,
+    and never past EOS/NIL; False when upstream had no data now."""
+    buffer = replay.buffers[port]
+    ports_at_eos = replay.eos
+
+    def refill(want):
+        short = want - len(buffer)
+        run = fetch_run(short if short > 0 else 1)
+        if not run:
+            return False
+        buffer.extend(run)
+        if buffer[-1] is EOS:
+            ports_at_eos.add(port)  # what ReplayIntake.feed notes per item
+        return True
+
+    return refill
 
 
 def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
@@ -1011,26 +1084,14 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
 
             return gate_pull_many
 
-        pull_run = getattr(component, "pull_many", None)
-        if pull_run is not None:
-            # Batch-aware source: one pull_many call per run, typically
-            # returning a columnar batch (pure data; EOS arrives as its
-            # own [EOS] run on a later cycle).
-            stats = component.stats
+        serve_run = _bind_source_run(ctx, component)
+        if serve_run is not None:
+            # Run-entry source: one call per run (a list, or a columnar
+            # batch whose EOS arrives as its own [EOS] run later).
             take_cost = _bind_drain_fn(component)
 
-            flow = engine._flow_tracer
-            births = (
-                None if flow is None else flow.births_fn(ctx.thread_name)
-            )
-
             def source_pull_many(n):
-                run = pull_run(n)
-                count = _run_data_count(run)
-                if count:
-                    stats["items_out"] += count
-                    if births is not None:
-                        births(count)
+                run = serve_run(n)
                 cost = take_cost()
                 if cost > 0.0:
                     yield Work(cost)
@@ -1044,17 +1105,11 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
         else _compile_pull_plain(ctx, target)
     )
     if plain is not None:
-        fn, drains = plain
+        fetch_run = _loop_run(plain[0])
+        drains = plain[1]
 
         def plain_pull_many(n):
-            run = []
-            while len(run) < n:
-                item = fn()
-                if item is NIL:
-                    break
-                run.append(item)
-                if item is EOS:
-                    break
+            run = fetch_run(n)
             total = 0.0
             for take in drains:
                 total += take()
@@ -1137,43 +1192,43 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
             return gate_push_many
 
         take_cost = _bind_drain_fn(component)
-        flow = engine._flow_tracer
-        push_many_impl = getattr(component, "push_many", None)
-        if push_many_impl is not None:
-            # Coalescing sink (NetpipeSender): one frame per run.
+        push_run = _run_entry(component, "push")
+        if push_run is not None:
+            # Run-entry sink (a collecting sink's extend, a netpipe
+            # sender's one frame per run).
             stats = component.stats
 
-            def frame_sink_push_many(items):
+            def sink_push_many(items):
                 stats["items_in"] += len(items)
-                push_many_impl(items)
+                push_run(items)
                 cost = take_cost()
                 if cost > 0.0:
                     yield Work(cost)
 
-            if flow is None or not getattr(component, "wire_sink", False):
-                return frame_sink_push_many
-            thread = ctx.thread_name
+        else:
+            receive = _bind_receive_push(component, port)
+
+            def sink_push_many(items):
+                for item in items:
+                    receive(item)
+                cost = take_cost()
+                if cost > 0.0:
+                    yield Work(cost)
+
+        flow = engine._flow_tracer
+        if flow is None:
+            return sink_push_many
+        thread = ctx.thread_name
+        if push_run is not None and getattr(component, "wire_sink", False):
 
             def wire_sink_push_many(items):
                 # Stage the run's contexts before the send so the frame
                 # carries them as its trace-context side-chunk.
                 flow.stage_wire(component, thread, len(items))
-                yield from frame_sink_push_many(items)
+                yield from sink_push_many(items)
 
             return wire_sink_push_many
-
-        receive = _bind_receive_push(component, port)
-
-        def sink_push_many(items):
-            for item in items:
-                receive(item)
-            cost = take_cost()
-            if cost > 0.0:
-                yield Work(cost)
-
-        if flow is None:
-            return sink_push_many
-        deliver_many = flow.deliver_many_fn(ctx.thread_name, component.name)
+        deliver_many = flow.deliver_many_fn(thread, component.name)
 
         def sink_push_many_traced(items):
             yield from sink_push_many(items)

@@ -17,6 +17,7 @@ from repro import (
     pipeline,
 )
 from repro.check import declare_lossy
+from repro.components.sinks import Sink
 from repro.errors import InvariantViolation
 from repro.mbt import Scheduler, VirtualClock
 from repro.net import Network, Node, RemoteBinder
@@ -261,6 +262,37 @@ class TestPipelineTracing:
         _, tracer = _run(pipe, batch_max=32)
         assert len(tracer.delivered()) == 100
         assert len(sink.items) == 100
+
+    @pytest.mark.parametrize("sample_every, sampled", [(1, 100), (8, 12)])
+    def test_run_entry_sink_reports_its_run_delivered(
+        self, sample_every, sampled
+    ):
+        """A sink taken a run at a time (``push_many``) that is not a wire
+        sink still ends its items' traces: the run walker owes the same
+        ``deliver_many`` epilogue as the per-item loop."""
+
+        class RunSink(Sink):
+            def __init__(self):
+                super().__init__()
+                self.runs = []
+
+            def push(self, item):
+                raise AssertionError("the run entry stands for push")
+
+            def push_many(self, items):
+                self.runs.append(list(items))
+
+        sink = RunSink()
+        pipe = pipeline(
+            IterSource(range(100)), GreedyPump(), Buffer(capacity=256),
+            GreedyPump(), sink,
+        )
+        _, tracer = _run(pipe, sample_every=sample_every, batch_max=32)
+        assert sum(sink.runs, []) == list(range(100))
+        assert tracer.dropped() == []
+        delivered = tracer.delivered()
+        assert len(delivered) == sampled
+        assert all(trace.site == sink.name for trace in delivered)
 
     def test_registry_metrics_published(self):
         registry = MetricsRegistry()
