@@ -71,27 +71,6 @@ class Buffer(Component):
         self._eos_pending = False
         self.stats.update(drops=0, high_watermark=0)
 
-    # -- wait telemetry ----------------------------------------------------
-    # Class-level defaults keep uninstrumented buffers untouched: the hot
-    # path pays a single attribute test and no per-item state travels with
-    # the data — enqueue times live in a parallel deque (positional span
-    # context, see repro.obs.spans).
-
-    _obs_now = None
-    _obs_wait = None
-    _obs_ts: deque | None = None
-
-    def enable_wait_telemetry(self, now, histogram) -> None:
-        """Record enqueue-to-dequeue waits into ``histogram`` using clock
-        ``now``.  Items already queued are timed from this call."""
-        self._obs_now = now
-        self._obs_wait = histogram
-        ts = deque()
-        current = now()
-        for _ in self._items:
-            ts.append(current)
-        self._obs_ts = ts
-
     # -- typespec ---------------------------------------------------------
 
     @property
@@ -138,12 +117,8 @@ class Buffer(Component):
                 return OK
             # DROP_OLD: evict the oldest queued item to make room.
             self._items.popleft()
-            if self._obs_ts is not None and self._obs_ts:
-                self._obs_ts.popleft()
             self.stats["drops"] += 1
         self._items.append(item)
-        if self._obs_now is not None:
-            self._obs_ts.append(self._obs_now())
         self.stats["items_in"] += 1
         self.stats["high_watermark"] = max(
             self.stats["high_watermark"], len(self._items)
@@ -155,8 +130,6 @@ class Buffer(Component):
         ``(EMPTY, None)`` under the BLOCK policy."""
         if self._items:
             item = self._items.popleft()
-            if self._obs_now is not None and self._obs_ts:
-                self._obs_wait.observe(self._obs_now() - self._obs_ts.popleft())
             self.stats["items_out"] += 1
             return OK, item
         if self._eos_pending:
@@ -186,11 +159,6 @@ class Buffer(Component):
         free = self.capacity - len(self._items)
         if n <= free:
             self._items.extend(items)
-            if self._obs_now is not None:
-                now = self._obs_now()
-                ts = self._obs_ts
-                for _ in range(n):
-                    ts.append(now)
             self.stats["items_in"] += n
             if len(self._items) > self.stats["high_watermark"]:
                 self.stats["high_watermark"] = len(self._items)
@@ -211,12 +179,6 @@ class Buffer(Component):
             k = queued if queued < n else n
             items = self._items
             run = [items.popleft() for _ in range(k)]
-            if self._obs_now is not None and self._obs_ts:
-                now = self._obs_now()
-                ts = self._obs_ts
-                observe = self._obs_wait.observe
-                for _ in range(min(k, len(ts))):
-                    observe(now - ts.popleft())
             self.stats["items_out"] += k
             if k < n and self._eos_pending:
                 self._eos_pending = False
@@ -233,8 +195,6 @@ class Buffer(Component):
         """Drop all buffered items (``flush`` event); returns count."""
         count = len(self._items)
         self._items.clear()
-        if self._obs_ts is not None:
-            self._obs_ts.clear()
         return count
 
     events_handled = frozenset({"flush"})

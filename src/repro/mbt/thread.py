@@ -148,8 +148,9 @@ class MThread:
         #: Virtual time this thread entered the ready queue; maintained
         #: only when a scheduler observability probe is installed.
         self._ready_since: float | None = None
-        #: (probe, dispatch_counter, wall_counter) cached by the installed
-        #: SchedulerProbe so the per-dispatch hooks skip the name lookups.
+        #: (run-queue-wait histogram, dispatch counter, wall counter) of the
+        #: SchedulerProbe that owns this thread, cached by the installed
+        #: probe so the per-dispatch hooks skip the name lookups.
         self._obs_counters: tuple | None = None
         #: Fair-share tenant (repro.mbt.scheduler.Tenant) this thread is
         #: charged to; None (the default) keeps the classic sort order.

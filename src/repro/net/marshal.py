@@ -583,17 +583,6 @@ def split_flow_chunk(chunks: list) -> tuple[list, list | None]:
     return chunks[:-1], decode_item(last[1:])
 
 
-def append_frame_chunk(payload: bytes, side: bytes) -> bytes:
-    """Return ``payload`` (an :func:`encode_batch` frame) with one extra
-    length-prefixed chunk appended and the chunk count patched."""
-    (count,) = struct.unpack_from("!I", payload, 0)
-    out = bytearray(payload)
-    struct.pack_into("!I", out, 0, count + 1)
-    out += struct.pack("!I", len(side))
-    out += side
-    return bytes(out)
-
-
 class Codec:
     """Object-style facade over the module-level codec functions."""
 

@@ -24,12 +24,7 @@ from repro.core.polarity import Mode
 from repro.core.styles import Style
 from repro.core.typespec import Typespec, props
 from repro.errors import MarshalError, RemoteError
-from repro.net.marshal import (
-    EncodedRun,
-    append_frame_chunk,
-    decode_frame_run,
-    encode_batch,
-)
+from repro.net.marshal import EncodedRun, decode_frame_run, encode_batch
 from repro.net.network import Network
 from repro.net.protocols import DatagramProtocol, Protocol, StreamProtocol
 
@@ -42,13 +37,12 @@ class NetpipeSender(Component):
     is_activity_origin = False
     input_spec = Typespec({props.FORMAT: "bytes"})
 
-    #: Marks this sink as a wire crossing for flow tracing: the traced
-    #: sink walker stages item contexts here (``_flow_staged``) instead
-    #: of finishing them, and the next send carries them as a
-    #: trace-context side-chunk.  Both stay None when tracing is off.
+    #: The items pushed here are not delivered: they continue on a wire.
+    #: The runtime may therefore stage ``trailer`` — one opaque chunk the
+    #: next frame carries after its data chunks, for the receiving gate to
+    #: strip — before it calls :meth:`push` / :meth:`push_many`.
     wire_sink = True
-    _flow = None
-    _flow_staged = None
+    trailer: bytes | None = None
 
     def __init__(self, protocol: Protocol, name: str | None = None):
         super().__init__(name)
@@ -64,17 +58,12 @@ class NetpipeSender(Component):
                 f"upstream (got {type(item).__name__})"
             )
         self.stats["bytes_in"] += len(item)
-        staged = self._flow_staged
-        if staged is not None:
-            self._flow_staged = None
-            side = self._flow.wire_chunk(staged, self.name)
-            if side is not None:
-                # Promote the single packet to a two-chunk frame so the
-                # context travels with its item.
-                self.stats["frames_out"] += 1
-                self.protocol.send_frame(encode_batch([item, side]))
-                return
-        self.protocol.send(item)
+        if self.trailer is None:
+            self.protocol.send(item)
+        else:
+            # Promote the single packet to a frame so the trailer travels
+            # with its item.
+            self._send_frame([item])
 
     def push_many(self, items: list) -> None:
         """Batched entry used by the batched data plane: coalesce the run
@@ -90,32 +79,33 @@ class NetpipeSender(Component):
         """
         if isinstance(items, EncodedRun):
             self.stats["bytes_in"] += items.nbytes
-            self.stats["frames_out"] += 1
-            staged = self._flow_staged
-            if staged is not None:
-                self._flow_staged = None
-                side = self._flow.wire_chunk(staged, self.name)
-                if side is not None:
-                    items.append_side_chunk(side)
-            self.protocol.send_frame(items.frame_payload())
-            return
-        total = 0
-        for item in items:
-            if not isinstance(item, (bytes, bytearray, memoryview)):
-                raise MarshalError(
-                    f"{self.name!r} needs a byte flow; put a MarshalFilter "
-                    f"upstream (got {type(item).__name__})"
-                )
-            total += len(item)
-        self.stats["bytes_in"] += total
+        else:
+            total = 0
+            for item in items:
+                if not isinstance(item, (bytes, bytearray, memoryview)):
+                    raise MarshalError(
+                        f"{self.name!r} needs a byte flow; put a "
+                        f"MarshalFilter upstream (got {type(item).__name__})"
+                    )
+                total += len(item)
+            self.stats["bytes_in"] += total
+        self._send_frame(items)
+
+    def _send_frame(self, chunks) -> None:
+        """One coalesced frame out; a staged trailer rides as its last
+        chunk (appended in place to an :class:`EncodedRun`)."""
         self.stats["frames_out"] += 1
-        payload = encode_batch(items)
-        staged = self._flow_staged
-        if staged is not None:
-            self._flow_staged = None
-            side = self._flow.wire_chunk(staged, self.name)
-            if side is not None:
-                payload = append_frame_chunk(payload, side)
+        trailer = self.trailer
+        if trailer is not None:
+            self.trailer = None
+        if isinstance(chunks, EncodedRun):
+            if trailer is not None:
+                chunks.append_side_chunk(trailer)
+            payload = chunks.frame_payload()
+        else:
+            payload = encode_batch(
+                chunks if trailer is None else [*chunks, trailer]
+            )
         self.protocol.send_frame(payload)
 
     def on_eos(self) -> None:
@@ -172,29 +162,6 @@ class NetpipeReceiver(Component):
             self.flow_spec, context=f"flow received by {self.name!r}"
         )
 
-    # -- wait telemetry (same positional scheme as Buffer) -------------------
-
-    _obs_now = None
-    _obs_wait = None
-    _obs_ts: deque | None = None
-
-    #: Flow tracer, when attached: arriving frames hand their chunks to
-    #: :meth:`~repro.obs.flow.FlowTracer.wire_arrival` so trace-context
-    #: side-chunks are stripped (and their traces reassembled) before the
-    #: data chunks enter the receive queue.
-    _flow = None
-
-    def enable_wait_telemetry(self, now, histogram) -> None:
-        """Record arrival-to-pull waits into ``histogram``; packets already
-        queued are timed from this call."""
-        self._obs_now = now
-        self._obs_wait = histogram
-        ts = deque()
-        current = now()
-        for _ in range(self._queued):
-            ts.append(current)
-        self._obs_ts = ts
-
     # -- runtime boundary interface (buffer-compatible) ----------------------
 
     @property
@@ -230,8 +197,6 @@ class NetpipeReceiver(Component):
     def try_pull(self, port: str = "out") -> tuple[str, Any]:
         if self._queue:
             self.stats["items_out"] += 1
-            if self._obs_now is not None and self._obs_ts:
-                self._obs_wait.observe(self._obs_now() - self._obs_ts.popleft())
             if type(self._queue[0]) is EncodedRun:
                 (chunk,) = self._take(1)
             else:
@@ -264,12 +229,6 @@ class NetpipeReceiver(Component):
             else:
                 run = self._take(k)
                 self.stats["bytes_out"] += sum(map(len, run))
-            if self._obs_now is not None and self._obs_ts:
-                now = self._obs_now()
-                ts = self._obs_ts
-                observe = self._obs_wait.observe
-                for _ in range(min(k, len(ts))):
-                    observe(now - ts.popleft())
             self.stats["items_out"] += k
             if self._drained_hook is not None:
                 self._drained_hook(k)
@@ -292,16 +251,7 @@ class NetpipeReceiver(Component):
         self._gate = engine.gate_for(self)
 
     def _deliver(self, payload: bytes) -> None:
-        self._queue.append(payload)
-        self._queued += 1
-        if self._obs_now is not None:
-            self._obs_ts.append(self._obs_now())
-        if self._flow is not None:
-            self._flow.wire_arrival_plain(self)
-        self.stats["items_in"] += 1
-        self.stats["bytes_in"] += len(payload)
-        if self._gate is not None:
-            self._gate.external_wake_pullers()
+        self._arrive([payload], len(payload), framed=False)
 
     def _deliver_frame(self, payload) -> None:
         """A coalesced frame arrived: unfragment back to items, one wake
@@ -314,24 +264,25 @@ class NetpipeReceiver(Component):
         chunks is not even sliced: it queues as one run.  A truncated or
         malformed frame raises a clear :class:`~repro.errors.MarshalError`.
         """
-        chunks = decode_frame_run(payload)
-        if self._flow is not None:
-            chunks = self._flow.wire_arrival(self, chunks)
+        self.stats["frames_in"] += 1
+        self._arrive(decode_frame_run(payload), len(payload), framed=True)
+
+    def _arrive(self, chunks, nbytes: int, framed: bool) -> None:
+        """Queue arrived chunks — what the gate says is data among them:
+        the runtime strips what the sending side's runtime added to a
+        frame — and wake the pullers once."""
+        gate = self._gate
+        if gate is not None:
+            chunks = gate.external_put(chunks, framed)
         if type(chunks) is list:
             self._queue.extend(chunks)
         else:
             self._queue.append(chunks)
         self._queued += len(chunks)
-        self.stats["bytes_in"] += len(payload)
-        if self._obs_now is not None:
-            now = self._obs_now()
-            ts = self._obs_ts
-            for _ in chunks:
-                ts.append(now)
         self.stats["items_in"] += len(chunks)
-        self.stats["frames_in"] += 1
-        if self._gate is not None:
-            self._gate.external_wake_pullers()
+        self.stats["bytes_in"] += nbytes
+        if gate is not None:
+            gate.external_wake_pullers()
 
     def _deliver_eos(self) -> None:
         self._eos_pending = True

@@ -2,12 +2,14 @@
 
 End-to-end telemetry for the infopipe runtime, built around three ideas:
 
-* **Inert when off** — every runtime hook is a ``None`` check; an engine
-  without a :class:`Telemetry` attached runs the identical instruction
-  stream (pinned by the golden scheduler traces).
-* **No per-item allocation** — span context is positional (timestamp
-  queues at FIFO boundaries) and every measurement streams into fixed
-  log-bucket histograms.
+* **Inert when off** — components carry no instrumentation and the
+  runtime's one plant (a hand per thread, a lane per boundary queue, the
+  scheduler probe) is ``None`` until a collector attaches; an engine
+  without one runs the identical instruction stream (pinned by the
+  golden scheduler traces).
+* **No per-item allocation** — the record is positional (one lane entry
+  per queued item, read by histograms and flow traces alike) and every
+  measurement streams into fixed log-bucket histograms.
 * **One source of truth** — the runtime publishes into a single
   :class:`MetricsRegistry`; feedback sensors, ``stats.summary()``
   decoration, and the Prometheus/Chrome/JSONL exporters all read from it.

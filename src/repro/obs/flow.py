@@ -11,33 +11,43 @@ deques — the item itself carries nothing, and an engine without a
 
 Mechanics
 ---------
-* Every pump/coroutine thread owns a *carried* deque: one entry (a
-  context, or ``None`` for unsampled items) per data item currently in
-  the thread's hands mid-cycle.  Source walkers append (birth), sink
-  walkers pop (delivery), coroutine crossings move entries between
-  threads.
+The runtime reports each movement of an item at exactly one site; this
+module owns the positional record those reports are kept in, and both
+collectors (:class:`~repro.obs.spans.Telemetry` for histograms, the
+:class:`FlowTracer` for lineage) read that one record:
+
+* Every pump/coroutine thread has a :class:`Hand`: one slot (a context,
+  or nothing for an unsampled item) per data item the thread holds
+  mid-cycle, plus the thread's cycle clock.  A source's plain entry is
+  hooked so what it hands out is *born* in the hand; a sink's walker
+  reports the items *delivered*; a coroutine crossing moves slots to the
+  peer thread's hand; the end of a pump cycle sweeps what is left (an
+  item that reached neither sink nor boundary was dropped by the
+  section's declared-lossy stage, or absorbed).
 * Every buffer-like boundary (``Buffer``, ``ZipBuffer``, netpipe
-  receiver) owns a *boundary record*: a deque mirroring the queue
-  contents.  ``BufferGate`` put/get hooks move entries between the
-  carried deques and the records, closing a ``service`` segment and
-  opening a ``wait`` segment (and vice versa).  Records self-heal
-  against the queue's fill level, so drop policies (DROP_OLD evicts the
-  oldest entry, DROP_NEW the incoming one) and ``flush`` events finalize
-  the evicted contexts as *dropped at that buffer*.
-* Batch walkers move **runs**: ``births(thread, k)`` / ``k``-entry
-  transfers keep the per-run cost O(1) dict lookups plus k deque ops —
-  no per-item allocation for unsampled entries (a ``None`` slot each).
-* A netpipe crossing serializes sampled contexts into a trace-context
-  side-chunk (first byte :data:`~repro.net.marshal.FLOW_CHUNK_MAGIC`)
-  appended to the coalesced frame — including in-place on the zero-copy
-  :class:`~repro.net.marshal.EncodedRun` fast path, which is the
-  per-run context column for the 0x20/0x21 run codecs.  The receiver
-  strips it, rebuilds the contexts (now carrying a closed ``wire``
-  segment) and re-registers them, so one trace reassembles end-to-end
-  across simulated-network hops.
-* Fan-out forks (an underflowing pop duplicates the last-popped
-  context with a child id); fan-in at a :class:`ZipBuffer` joins (the
-  secondary contexts finish as ``joined`` into the primary).
+  receiver) has a :class:`Lane`, held by its ``BufferGate``: one entry
+  per queued item — its enqueue timestamp, or its sampled context, whose
+  open ``wait`` segment began at that same instant.  A gate put moves
+  slots from the hand into the lane, a gate get moves them back and
+  closes the wait; ``repro_buffer_wait_seconds`` and the trace's
+  ``wait`` segment are the same subtraction on the same entry, so
+  ``wait_p*`` and flow decompositions cannot disagree.  The lane only
+  sees transfers, so it heals against the queue's fill level: what a
+  drop policy (DROP_OLD the oldest entry, DROP_NEW the incoming one) or
+  a ``flush`` discarded is finalized as *dropped at that buffer*.
+* Runs move as runs: one clock read and one lane/hand call per run, and
+  unsampled items cost an integer (``Hand.pending``), not an allocation.
+* A netpipe crossing serializes the run's sampled contexts into a
+  trace-context side-chunk (first byte
+  :data:`~repro.net.marshal.FLOW_CHUNK_MAGIC`) that the sender appends to
+  the frame as its trailer — in place on the zero-copy
+  :class:`~repro.net.marshal.EncodedRun` fast path.  The receiving
+  gate's lane strips it and rebuilds the contexts (now carrying a closed
+  ``wire`` segment) under the same ids, so one trace reassembles
+  end-to-end across simulated-network hops.
+* Fan-out forks (an underflowing take duplicates the last-taken context
+  with a child id); fan-in at a :class:`ZipBuffer` joins (the secondary
+  contexts finish as ``joined`` into the primary).
 
 Segments tile the trace exactly: every ``advance`` closes the open
 segment at time *t* and opens the next at the same *t*, so::
@@ -67,12 +77,16 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from repro.core.events import EOS
+from repro.core.items import NIL
+from repro.net.marshal import encode_flow_chunk, split_flow_chunk
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import Engine
 
-#: Safety bound on positional state: a carried deque or boundary record
-#: never holds more than this many entries; overflow finalizes the oldest
-#: as ``absorbed`` instead of growing without bound.
+#: Safety bound on positional state: a hand or a lane never holds more
+#: than this many entries; overflow finalizes the oldest as ``absorbed``
+#: instead of growing without bound.
 MAX_POSITIONAL = 4096
 
 #: Terminal trace statuses.
@@ -357,17 +371,385 @@ class LineageStore:
         return len(self._traces)
 
 
-class _BoundaryRecord:
-    """Positional context deque mirroring one boundary queue."""
+class Hand:
+    """One pump or coroutine thread's hold on the items it is moving.
 
-    __slots__ = ("name", "entries", "fill", "drop_newest")
+    ``carried`` keeps one slot per data item in the thread's hands, oldest
+    first: a sampled item's :class:`TraceContext`, or ``None``.
+    ``pending`` counts unsampled slots *younger* than all of those that
+    were never materialized — the unsampled fast path is that one
+    integer — and ``last`` anchors fan-out forks.
 
-    def __init__(self, name: str, fill: Callable[[], int],
-                 drop_newest: bool = False):
-        self.name = name
-        self.entries: deque = deque()
-        self.fill = fill
-        self.drop_newest = drop_newest
+    The hand is also the thread's clock: ``stage`` (the pump's
+    stage-latency histogram) and ``rtt`` (coroutine round-trip histograms
+    by peer thread) are set by :class:`~repro.obs.spans.Telemetry`;
+    ``tracer`` is the :class:`FlowTracer` holding the hand, and while it
+    is None no slot is ever kept.  ``peers`` maps every thread of the
+    engine to its hand.
+    """
+
+    __slots__ = (
+        "thread", "now", "peers", "rtt", "stage", "tracer", "lossy",
+        "carried", "pending", "last",
+    )
+
+    def __init__(self, thread: str, now: Callable[[], float],
+                 peers: dict[str, "Hand"]):
+        self.thread = thread
+        self.now = now
+        self.peers = peers
+        self.rtt: dict[str, Any] = {}
+        self.stage = None
+        self.tracer: "FlowTracer | None" = None
+        #: (component name, reason) of the thread's declared-lossy stage.
+        self.lossy: tuple[str, str] | None = None
+        self.carried: deque = deque()
+        self.pending = 0
+        self.last: TraceContext | None = None
+
+    # -- slots in and out ----------------------------------------------------
+
+    def take(self, k: int) -> list:
+        """The slots of the next ``k`` items leaving the hand, oldest
+        first.  An underflow (fan-out: one pulled item became several
+        pushed ones) forks the last-taken context, so every branch keeps
+        the shared history under its own id."""
+        carried = self.carried
+        if not carried and self.pending >= k:
+            self.pending -= k
+            self.last = None
+            return [None] * k
+        slots = []
+        for _ in range(k):
+            if carried:
+                ctx = self.last = carried.popleft()
+            elif self.pending:
+                self.pending -= 1
+                ctx = self.last = None
+            else:
+                ctx = self.last
+                if ctx is not None:
+                    ctx = ctx.fork(self.tracer._new_id())
+                    self.tracer.store.register(ctx)
+            slots.append(ctx)
+        return slots
+
+    def hold(self, slots: list) -> None:
+        """Take in the slots of items entering the hand (youngest last)."""
+        if not any(slots):
+            self.pending += len(slots)
+            return
+        carried = self.carried
+        if self.pending:
+            carried.extend([None] * min(self.pending, MAX_POSITIONAL))
+            self.pending = 0
+        carried.extend(slots)
+        while len(carried) > MAX_POSITIONAL:
+            stale = carried.popleft()
+            if stale is not None:
+                self.tracer._finish(stale, ABSORBED, site=self.thread)
+
+    # -- the movements (one emitter each) -------------------------------------
+
+    def source(self, entry: Callable, count: Callable | None = None):
+        """Hook a source's plain entry: every data item it hands out is
+        born in this hand *as it leaves the entry*, so the source's own
+        cost is service time in the trace.  ``entry`` is the zero-arg
+        per-item entry, or with ``count`` (the data items in a run) the
+        ``(n) -> run`` entry."""
+        tracer = self.tracer
+        every = tracer.sample_every
+
+        def sample() -> None:
+            ctx = TraceContext(
+                tracer._new_id(), self.now(), "service", self.thread
+            )
+            tracer.store.register(ctx)
+            self.hold([ctx])
+
+        if count is None:
+            def source_item():
+                item = entry()
+                if item is not EOS and item is not NIL:
+                    n = tracer._births = tracer._births + 1
+                    if n % every:
+                        self.pending += 1
+                    else:
+                        sample()
+                return item
+
+            return source_item
+
+        def source_run(limit):
+            run = entry(limit)
+            k = count(run)
+            n = tracer._births
+            tracer._births = n + k
+            if (n + k) // every == n // every:  # nobody in the run sampled
+                self.pending += k
+            else:
+                for i in range(n + 1, n + k + 1):
+                    if i % every:
+                        self.pending += 1
+                    else:
+                        sample()
+            return run
+
+        return source_run
+
+    def deliver(self, site: str, k: int) -> None:
+        """``k`` data items just landed in sink ``site``."""
+        tracer = self.tracer
+        if tracer is not None:
+            for ctx in self.take(k):
+                if ctx is not None:
+                    tracer._finish(ctx, DELIVERED, site=site)
+
+    def wire(self, entry: Callable, sender, count: Callable | None = None):
+        """Hook a wire sink's plain entry (one item per call, or with
+        ``count`` a run): the items continue on ``sender``'s wire, so
+        their sampled contexts — advanced into a ``wire`` segment — leave
+        the hand as the trailer chunk of the frame about to be sent."""
+        name = sender.name
+
+        def wire_out(payload):
+            slots = self.take(1 if count is None else count(payload))
+            if any(slots):
+                t = self.now()
+                staged = []
+                for index, ctx in enumerate(slots):
+                    if ctx is not None:
+                        ctx.advance("wire", name, t)
+                        staged.append((index, ctx.to_wire()))
+                sender.trailer = encode_flow_chunk(staged)
+            return entry(payload)
+
+        return wire_out
+
+    def depart(self, peer: str, pushed: int) -> float:
+        """A crossing to coroutine thread ``peer`` is about to be sent.
+        A push hands its ``pushed`` items' slots over first — the
+        coroutine's own walkers take them while handling the request.
+        Returns the departure time."""
+        if pushed and self.tracer is not None:
+            self.peers[peer].hold(self.take(pushed))
+        return self.now()
+
+    def arrive(self, peer: str, start: float, pushed: int,
+               pulled: int) -> None:
+        """The reply to the crossing sent at ``start`` is back, and with
+        it a pull's ``pulled`` items crossed from ``peer`` into this
+        hand.  The round trip is weighted by the data items that crossed
+        either way (a crossing that carried only EOS/NIL counts once)."""
+        if pulled and self.tracer is not None:
+            self.hold(self.peers[peer].take(pulled))
+        rtt = self.rtt.get(peer)
+        if rtt is not None:
+            rtt.observe_count(self.now() - start, pushed or pulled or 1)
+
+    def cycle_end(self, start: float, count: int) -> None:
+        """The pump cycle begun at ``start`` moved ``count`` items: record
+        its service time, then sweep the hand — a context still here
+        reached neither a sink nor a boundary, so the section's
+        declared-lossy stage dropped it (or it was absorbed)."""
+        if self.stage is not None:
+            self.stage.observe_count(self.now() - start, count)
+        if self.carried:
+            lossy = self.lossy
+            for ctx in self.carried:
+                if ctx is None:
+                    continue
+                if lossy is not None:
+                    self.tracer._finish(
+                        ctx, DROPPED, site=lossy[0], reason=lossy[1]
+                    )
+                else:
+                    self.tracer._finish(ctx, ABSORBED, site=self.thread)
+            self.carried.clear()
+        self.pending = 0
+        self.last = None
+
+
+class Lane:
+    """The positional record of one boundary queue, held by its gate.
+
+    One entry per queued data item, oldest first: the enqueue timestamp,
+    or the sampled item's :class:`TraceContext` — whose open ``wait``
+    segment started at that same instant.  ``wait`` is the queue's
+    ``repro_buffer_wait_seconds`` histogram (set by Telemetry) and
+    ``tracer`` the FlowTracer reading the lane; either may be None.
+    """
+
+    __slots__ = (
+        "name", "now", "fill", "drop_newest", "entries", "wait", "tracer",
+    )
+
+    def __init__(self, component, now: Callable[[], float],
+                 fill: Callable[[], int] | None = None):
+        self.name = component.name
+        self.now = now
+        self.fill = fill or (lambda: component.fill_level)
+        self.drop_newest = (
+            getattr(getattr(component, "on_full", None), "value", "")
+            == "drop-new"
+        )
+        # Items queued before the plant are timed from now.
+        self.entries: deque = deque([now()] * self.fill())
+        self.wait = None
+        self.tracer: "FlowTracer | None" = None
+
+    def put(self, hand: Hand, k: int, port: str | None = None) -> None:
+        """``k`` data items moved from ``hand`` into the queue."""
+        t = self.now()
+        if self.tracer is None:
+            self.entries.extend([t] * k)
+        else:
+            for ctx in hand.take(k):
+                if ctx is not None:
+                    ctx.advance("wait", self.name, t)
+                self.entries.append(t if ctx is None else ctx)
+        self._heal(0, self.drop_newest)
+
+    def get(self, hand: Hand, k: int, port: str | None = None) -> None:
+        """``k`` data items moved from the queue into ``hand``: each
+        one's wait ends here, for the histogram and the trace alike."""
+        self._heal(k)
+        t = self.now()
+        wait, entries = self.wait, self.entries
+        slots = []
+        for _ in range(min(k, len(entries))):
+            entry = entries.popleft()
+            if type(entry) is TraceContext:
+                since = entry._seg_start
+                entry.advance("service", hand.thread, t)
+                slots.append(entry)
+            else:
+                since = entry
+                slots.append(None)
+            if wait is not None:
+                wait.observe(t - since)
+        if self.tracer is not None:
+            hand.hold(slots)
+
+    def arrive(self, chunks, framed: bool):
+        """Wire data is about to enter the queue from outside any thread.
+        A coalesced frame's trace side-chunk, if any, is stripped and its
+        contexts — now waiting here — rebuilt under the sender-side ids,
+        which reassembles each trace across the hop.  Returns the data
+        chunks."""
+        t = self.now()
+        sampled: dict[int, TraceContext] = {}
+        if framed and self.tracer is not None:
+            chunks, wired = split_flow_chunk(chunks)
+            for index, fields in wired or ():
+                ctx = sampled[index] = TraceContext.from_wire(fields)
+                ctx.advance("wait", self.name, t)
+                self.tracer.store.register(ctx)
+        self.entries.extend(
+            sampled.get(index, t) for index in range(len(chunks))
+        )
+        # The caller extends the queue after this returns.
+        self._heal(len(chunks))
+        return chunks
+
+    def _heal(self, in_transit: int, newest: bool = False) -> None:
+        """The lane sees transfers only; entries beyond the queue's fill
+        level (plus ``in_transit``) belong to items a drop policy or a
+        ``flush`` discarded since the last look, and are attributed
+        here: the incoming ones under DROP_NEW, else the oldest.  This
+        also bounds the lane by the queue it mirrors."""
+        entries = self.entries
+        for _ in range(len(entries) - self.fill() - in_transit):
+            entry = entries.pop() if newest else entries.popleft()
+            if type(entry) is TraceContext:
+                self.tracer._finish(
+                    entry, DROPPED, site=self.name,
+                    reason="rejected at full buffer" if newest
+                    else "evicted at full buffer",
+                )
+
+
+class ZipLane:
+    """The lanes of a ZipBuffer-style boundary: one per in-port queue,
+    joined N:1 on pull (only a FlowTracer plants these — a zip has no
+    single wait to put in a histogram)."""
+
+    __slots__ = ("name", "now", "lanes", "_tracer")
+
+    def __init__(self, component, now: Callable[[], float]):
+        self.name = component.name
+        self.now = now
+        self.lanes = {
+            port: Lane(component, now, lambda p=port: component.fill_level(p))
+            for port in component.in_names
+        }
+
+    @property
+    def tracer(self) -> "FlowTracer":
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: "FlowTracer") -> None:
+        self._tracer = tracer
+        for lane in self.lanes.values():
+            lane.tracer = tracer
+
+    def put(self, hand: Hand, k: int, port: str) -> None:
+        self.lanes[port].put(hand, k)
+
+    def get(self, hand: Hand, k: int, port: str | None = None) -> None:
+        """Each pulled tuple joined the head of every port queue: the
+        first sampled head carries on, the others finish ``joined``."""
+        t = self.now()
+        slots = []
+        for _ in range(k):
+            primary = None
+            for lane in self.lanes.values():
+                ctx = lane.entries.popleft() if lane.entries else None
+                if type(ctx) is not TraceContext:
+                    continue
+                ctx.advance("service", hand.thread, t)
+                if primary is None:
+                    primary = ctx
+                else:
+                    self.tracer._finish(
+                        ctx, JOINED, site=self.name,
+                        reason=f"joined into {primary.trace_id}",
+                    )
+            slots.append(primary)
+        hand.hold(slots)
+
+
+def plant(engine: "Engine") -> dict[str, Hand]:
+    """The engine's hands by thread name, created on the first call.
+
+    :meth:`Telemetry.attach <repro.obs.spans.Telemetry.attach>` and
+    :meth:`FlowTracer.attach` both start here, so two collectors on one
+    engine share one hand per thread (``driver.ctx.hand``) and one lane
+    per queue (``gate.lane``, see :func:`plant_lane`)."""
+    engine.setup()
+    drivers = [*engine.pump_drivers, *engine._coroutine_drivers.values()]
+    for driver in drivers:
+        if driver.ctx.hand is not None:
+            return driver.ctx.hand.peers
+    now = engine.scheduler.clock.now
+    hands: dict[str, Hand] = {}
+    for driver in drivers:
+        driver.ctx.hand = hands[driver.thread_name] = Hand(
+            driver.thread_name, now, hands
+        )
+    return hands
+
+
+def plant_lane(engine: "Engine", component) -> "Lane | ZipLane":
+    """The lane of ``component``'s gate, created on the first call."""
+    gate = engine.gate_for(component)
+    if gate.lane is None:
+        zipped = callable(getattr(component, "fill_level", None))
+        gate.lane = (ZipLane if zipped else Lane)(
+            component, engine.scheduler.clock.now
+        )
+    return gate.lane
 
 
 class FlowTracer:
@@ -377,8 +759,8 @@ class FlowTracer:
     ----------
     sample_every:
         Trace 1 in N source items (1 = every item).  Unsampled items
-        still occupy a positional slot (``None``), which is what keeps
-        sampled contexts aligned with their items.
+        still occupy a positional slot, which is what keeps sampled
+        contexts aligned with their items.
     max_traces / slow_threshold:
         Retention policy of the :class:`LineageStore`.
     registry:
@@ -401,127 +783,50 @@ class FlowTracer:
         self.registry = registry
         self._engine: "Engine | None" = None
         self._now: Callable[[], float] | None = None
-        #: One-element cells rather than plain attributes/values: the
-        #: compiled traced walkers close over them, so the per-item path
-        #: pays a list index instead of an attribute or dict lookup.
-        self._births_cell: list[int] = [0]
+        #: Source items seen so far, over every hand (1-in-N sampling).
+        self._births = 0
         self._next_id = 0
-        self._carried: dict[str, deque] = {}
-        #: thread -> [count] of unsampled births not yet materialized as
-        #: ``None`` slots.  The per-item hot path only bumps this integer;
-        #: the slow paths (sampled births, boundary/wire ops, forks) call
-        #: :meth:`_flush` first so positional order is preserved.
-        self._pending: dict[str, list] = {}
-        self._last_pop: dict[str, list] = {}
-        #: component name -> ("single", record) | ("zip", {port: record})
-        self._records: dict[str, tuple] = {}
-        #: thread -> (component name, reason) of its declared-lossy stage.
-        self._lossy: dict[str, tuple[str, str]] = {}
         self._e2e_hist = None
         self._status_counters: dict[str, Any] = {}
-
-    @property
-    def _births(self) -> int:
-        return self._births_cell[0]
-
-    @_births.setter
-    def _births(self, value: int) -> None:
-        self._births_cell[0] = value
-
-    def _last_cell(self, thread: str) -> list:
-        """The thread's fork-anchor cell (``[ctx-or-None]``)."""
-        return self._last_pop.setdefault(thread, [None])
-
-    def _pending_cell(self, thread: str) -> list:
-        """The thread's deferred-slot counter cell (``[int]``)."""
-        return self._pending.setdefault(thread, [0])
-
-    def _flush(self, thread: str) -> None:
-        """Materialize the thread's pending unsampled births as ``None``
-        slots, restoring strict positional order before a slow-path op
-        (sampled birth, boundary put, wire staging, cross-thread push)."""
-        pending = self._pending.get(thread)
-        if pending is not None and pending[0]:
-            carried = self._carried.setdefault(thread, deque())
-            carried.extend([None] * min(pending[0], MAX_POSITIONAL))
-            pending[0] = 0
 
     # ------------------------------------------------------------ attach
 
     def attach(self, engine: "Engine") -> "FlowTracer":
         if self._engine is not None:
             raise RuntimeError("flow tracer is already attached")
-        engine.setup()
+        hands = plant(engine)
         self._engine = engine
-        engine._flow_tracer = self
         self._now = engine.scheduler.clock.now
-
-        for component, gate in engine._gates.items():
-            self._install_boundary(component, gate)
-        for driver in engine.pump_drivers:
-            driver._flow = self
-            thread = driver.thread_name
-            self._carried[thread] = deque()
-            # The cycle epilogue is inlined in the driver loop: the driver
-            # checks the carried deque itself and only calls the bound
-            # drain when a live (sampled) context is actually stranded.
-            driver._flow_carried = self._carried[thread]
-            driver._flow_pending = self._pending_cell(thread)
-            driver._flow_last = self._last_cell(thread)
-            driver._flow_cycle_end = self.cycle_end_fn(thread)
-        for driver in engine._coroutine_drivers.values():
-            driver._flow = self
-            self._carried[driver.thread_name] = deque()
-        for component in engine.pipeline.components:
-            if getattr(component, "wire_sink", False) or hasattr(
-                component, "_deliver_frame"
-            ):
-                component._flow = self
-        self._map_lossy(engine)
+        lossy = self._map_lossy(engine)
+        for thread, hand in hands.items():
+            hand.tracer = self
+            hand.lossy = lossy.get(thread)
+        for component in engine._gates:
+            plant_lane(engine, component).tracer = self
         if self.registry is not None:
             self._publish(self.registry)
-        # Recompile so source/sink/coroutine walkers bind their traced
-        # variants; the untraced closures never branch on the tracer, so
-        # the cost when off stays zero.
+        # The one recompile of an attach: source, sink and wire walkers
+        # bind the hand's hooks (everything else reads the hand or the
+        # lane when it runs).  Untraced walkers never see a hook.
         engine._compile_walkers()
         return self
 
-    def _install_boundary(self, component, gate) -> None:
-        name = component.name
-        fill = getattr(component, "fill_level", None)
-        if callable(fill):
-            # ZipBuffer-style: per-port queues, N:1 join on pull.
-            ports = getattr(component, "in_names", [])
-            records = {
-                port: _BoundaryRecord(name, lambda c=component, p=port:
-                                      c.fill_level(p))
-                for port in ports
-            }
-            self._records[name] = ("zip", records)
-        else:
-            drop_newest = (
-                getattr(getattr(component, "on_full", None), "value", "")
-                == "drop-new"
-            )
-            record = _BoundaryRecord(
-                name, lambda c=component: c.fill_level, drop_newest
-            )
-            self._records[name] = ("single", record)
-        gate._flow = self
-        gate._flow_key = name
-
-    def _map_lossy(self, engine) -> None:
+    @staticmethod
+    def _map_lossy(engine) -> dict[str, tuple[str, str]]:
+        """thread -> (component name, reason) of its declared-lossy stage."""
+        lossy: dict[str, tuple[str, str]] = {}
         for thread, owned in engine._thread_components.items():
             for comp_name, component in owned.items():
                 reason = getattr(component, "loss_reason", None)
                 if reason:
-                    self._lossy[thread] = (comp_name, str(reason))
+                    lossy[thread] = (comp_name, str(reason))
                     break
                 if getattr(component, "conserving", True) is False and \
-                        comp_name not in self._records:
-                    self._lossy.setdefault(
+                        engine.gate_for(component) is None:
+                    lossy.setdefault(
                         thread, (comp_name, "declared non-conserving")
                     )
+        return lossy
 
     def _publish(self, registry) -> None:
         for status in (DELIVERED, DROPPED, LOST, JOINED, ABSORBED):
@@ -560,379 +865,6 @@ class FlowTracer:
         if status == DELIVERED and self._e2e_hist is not None:
             self._e2e_hist.observe(ctx.end_ts - ctx.birth_ts)
         self.store.complete(ctx)
-
-    # ------------------------------------------------------------ births
-
-    def birth(self, thread: str) -> None:
-        """A data item just left a source in ``thread``'s section."""
-        self._births += 1
-        if self.sample_every == 1 or self._births % self.sample_every == 0:
-            self._flush(thread)
-            carried = self._carried.setdefault(thread, deque())
-            ctx = TraceContext(self._new_id(), self._now(), "service", thread)
-            self.store.register(ctx)
-            carried.append(ctx)
-            if len(carried) > MAX_POSITIONAL:
-                stale = carried.popleft()
-                if stale is not None:
-                    self._finish(stale, ABSORBED, site=thread)
-        else:
-            # Deferred slot: just count it (see _flush).
-            self._pending_cell(thread)[0] += 1
-
-    def births(self, thread: str, k: int) -> None:
-        """A run of ``k`` data items left a source at once."""
-        for _ in range(k):
-            self.birth(thread)
-
-    # Compile-time factories: the traced walkers bind these closures once
-    # per node, so the per-item path pays bound locals instead of dict
-    # lookups (the sampled-tracing overhead budget is 5%).
-
-    def birth_fn(self, thread: str) -> Callable[[], None]:
-        """Bound per-item birth closure for ``thread``'s source walker."""
-        births, every, pending, sampled_birth = self.birth_parts(thread)
-
-        def birth() -> None:
-            n = births[0] + 1
-            births[0] = n
-            if n % every:
-                pending[0] += 1
-            else:
-                sampled_birth()
-
-        return birth
-
-    def birth_parts(
-        self, thread: str
-    ) -> tuple[list, int, list, Callable[[], None]]:
-        """Bound pieces for walkers that inline the unsampled fast path:
-        ``(births_cell, sample_every, pending_cell, sampled_birth)``.
-        The caller bumps the births cell itself and counts unsampled
-        items into the pending cell — two integer stores, no container
-        ops — and only calls ``sampled_birth`` for the 1-in-N items that
-        get a context (which first materializes the pending slots)."""
-        carried = self._carried.setdefault(thread, deque())
-        pending = self._pending_cell(thread)
-
-        def sampled_birth() -> None:
-            n = pending[0]
-            if n:
-                carried.extend([None] * min(n, MAX_POSITIONAL))
-                pending[0] = 0
-            ctx = TraceContext(self._new_id(), self._now(), "service", thread)
-            self.store.register(ctx)
-            carried.append(ctx)
-
-        return self._births_cell, self.sample_every, pending, sampled_birth
-
-    def births_fn(self, thread: str) -> Callable[[int], None]:
-        """Bound run-births closure (batch-aware sources)."""
-        birth = self.birth_fn(thread)
-
-        def births(k: int) -> None:
-            for _ in range(k):
-                birth()
-
-        return births
-
-    def deliver_fn(self, thread: str, sink_name: str) -> Callable[[], None]:
-        """Bound per-item delivery closure for a passive sink."""
-        carried, popleft, pending, cell, finish_delivered, slow_deliver = \
-            self.deliver_parts(thread, sink_name)
-
-        def deliver() -> None:
-            if carried:
-                ctx = popleft()
-                cell[0] = ctx
-                if ctx is not None:
-                    finish_delivered(ctx)
-            elif pending[0]:
-                pending[0] -= 1
-                cell[0] = None
-            else:
-                slow_deliver()
-
-        return deliver
-
-    def deliver_parts(
-        self, thread: str, sink_name: str
-    ) -> tuple[deque, Callable, list, list, Callable, Callable[[], None]]:
-        """Bound pieces for sink walkers that inline the delivery fast
-        path: ``(carried, carried.popleft, pending_cell, last_cell,
-        finish_delivered, slow_deliver)``.  The common case — consume the
-        item's positional slot — is a deque pop (materialized slots, which
-        are older) or a pending-count decrement, plus anchoring the fork
-        cell; only sampled contexts (``finish_delivered``) and underflow
-        forks (``slow_deliver``) pay a call."""
-        carried = self._carried.setdefault(thread, deque())
-        pending = self._pending_cell(thread)
-        cell = self._last_cell(thread)
-
-        def finish_delivered(ctx) -> None:
-            self._finish(ctx, DELIVERED, site=sink_name)
-
-        def slow_deliver() -> None:
-            ctx = self.pop_carried(thread)
-            if ctx is not None:
-                self._finish(ctx, DELIVERED, site=sink_name)
-
-        return (carried, carried.popleft, pending, cell, finish_delivered,
-                slow_deliver)
-
-    def deliver_many_fn(self, thread: str,
-                        sink_name: str) -> Callable[[int], None]:
-        """Bound run-delivery closure for a passive sink."""
-        deliver = self.deliver_fn(thread, sink_name)
-
-        def deliver_many(k: int) -> None:
-            for _ in range(k):
-                deliver()
-
-        return deliver_many
-
-    # ------------------------------------------------------------ carried
-
-    def pop_carried(self, thread: str) -> TraceContext | None:
-        """Take the context of the next item leaving ``thread``'s hands.
-
-        An underflow (fan-out: one pulled item became several pushed
-        ones) forks the last-popped context so every branch keeps the
-        shared history under its own id.
-        """
-        carried = self._carried.get(thread)
-        cell = self._last_cell(thread)
-        if carried:
-            ctx = carried.popleft()
-            cell[0] = ctx
-            return ctx
-        pending = self._pending.get(thread)
-        if pending is not None and pending[0]:
-            # Deferred unsampled slot (older than any future carried
-            # entry, since materialization always flushes in order).
-            pending[0] -= 1
-            cell[0] = None
-            return None
-        last = cell[0]
-        if last is not None:
-            child = last.fork(self._new_id())
-            self.store.register(child)
-            return child
-        return None
-
-    def push_carried(self, thread: str, ctx: TraceContext | None) -> None:
-        self._flush(thread)
-        carried = self._carried.get(thread)
-        if carried is None:
-            carried = self._carried.setdefault(thread, deque())
-        carried.append(ctx)
-        if len(carried) > MAX_POSITIONAL:
-            stale = carried.popleft()
-            if stale is not None:
-                self._finish(stale, ABSORBED, site=thread)
-
-    def transfer(self, src_thread: str, dst_thread: str, k: int) -> None:
-        """Move ``k`` positional entries across a coroutine boundary."""
-        for _ in range(k):
-            self.push_carried(dst_thread, self.pop_carried(src_thread))
-
-    def cycle_end_fn(self, thread: str) -> Callable[[], None]:
-        """Bound slow-path finalizer for stranded *sampled* contexts.
-
-        The pump driver inlines the per-cycle epilogue itself: it clears
-        all-``None`` leftovers with one C-level ``deque.clear`` and only
-        calls this closure when ``any(carried)`` finds a live context to
-        attribute (drop vs. absorb)."""
-        carried = self._carried.setdefault(thread, deque())
-        popleft = carried.popleft
-        pending = self._pending_cell(thread)
-        cell = self._last_cell(thread)
-
-        def cycle_end() -> None:
-            if carried:
-                lossy = self._lossy.get(thread)
-                while carried:
-                    ctx = popleft()
-                    if ctx is None:
-                        continue
-                    if lossy is not None:
-                        self._finish(
-                            ctx, DROPPED, site=lossy[0], reason=lossy[1]
-                        )
-                    else:
-                        self._finish(ctx, ABSORBED, site=thread)
-            pending[0] = 0
-            cell[0] = None
-
-        return cycle_end
-
-    def cycle_end(self, thread: str) -> None:
-        """Finalize entries still in hand when a pump cycle completes:
-        the item never reached a sink or boundary, so the section's
-        declared-lossy stage dropped it (or it was absorbed)."""
-        carried = self._carried.get(thread)
-        cell = self._last_cell(thread)
-        self._pending_cell(thread)[0] = 0
-        if not carried:
-            cell[0] = None
-            return
-        lossy = self._lossy.get(thread)
-        while carried:
-            ctx = carried.popleft()
-            if ctx is None:
-                continue
-            if lossy is not None:
-                self._finish(ctx, DROPPED, site=lossy[0], reason=lossy[1])
-            else:
-                self._finish(ctx, ABSORBED, site=thread)
-        cell[0] = None
-
-    # ------------------------------------------------------------ sinks
-
-    def deliver(self, thread: str, sink_name: str, k: int = 1) -> None:
-        """``k`` data items just landed in a passive sink."""
-        t = self._now()
-        for _ in range(k):
-            ctx = self.pop_carried(thread)
-            if ctx is not None:
-                ctx.finish(t, DELIVERED, site=sink_name)
-                counter = self._status_counters.get(DELIVERED)
-                if counter is not None:
-                    counter.inc()
-                if self._e2e_hist is not None:
-                    self._e2e_hist.observe(ctx.end_ts - ctx.birth_ts)
-                self.store.complete(ctx)
-
-    # ------------------------------------------------------------ boundaries
-
-    def boundary_put(self, key: str, port: str, thread: str, k: int) -> None:
-        """``k`` data items moved from ``thread`` into boundary ``key``."""
-        kind, records = self._records[key]
-        record = records if kind == "single" else records[port]
-        t = self._now()
-        entries = record.entries
-        for _ in range(k):
-            ctx = self.pop_carried(thread)
-            if ctx is not None:
-                ctx.advance("wait", record.name, t)
-            entries.append(ctx)
-        self._heal(record)
-
-    def boundary_get(self, key: str, port: str, thread: str, k: int) -> None:
-        """``k`` data items moved from boundary ``key`` into ``thread``."""
-        kind, records = self._records[key]
-        t = self._now()
-        if kind == "zip":
-            # One pulled tuple joined the head of every port queue.
-            for _ in range(k):
-                primary: TraceContext | None = None
-                for record in records.values():
-                    ctx = record.entries.popleft() if record.entries else None
-                    if ctx is None:
-                        continue
-                    if primary is None:
-                        primary = ctx
-                    else:
-                        ctx.advance("service", thread, t)
-                        self._finish(
-                            ctx, JOINED, site=record.name,
-                            reason=f"joined into {primary.trace_id}",
-                        )
-                if primary is not None:
-                    primary.advance("service", thread, t)
-                self.push_carried(thread, primary)
-            return
-        record = records
-        entries = record.entries
-        # Heal: anything beyond (popped k + queue fill) was evicted by a
-        # drop policy or a flush since we last looked.
-        self._heal(record, extra=k)
-        for _ in range(k):
-            ctx = entries.popleft() if entries else None
-            if ctx is not None:
-                ctx.advance("service", thread, t)
-            self.push_carried(thread, ctx)
-
-    def _heal(self, record: _BoundaryRecord, extra: int = 0) -> None:
-        entries = record.entries
-        target = record.fill() + extra
-        while len(entries) > target:
-            ctx = entries.pop() if record.drop_newest else entries.popleft()
-            if ctx is not None:
-                self._finish(
-                    ctx, DROPPED, site=record.name,
-                    reason="evicted at full buffer"
-                    if not record.drop_newest else "rejected at full buffer",
-                )
-        while len(entries) > MAX_POSITIONAL:
-            ctx = entries.popleft()
-            if ctx is not None:
-                self._finish(ctx, ABSORBED, site=record.name)
-
-    # ------------------------------------------------------------ the wire
-
-    def stage_wire(self, sender, thread: str, k: int) -> None:
-        """``k`` data items are about to enter a netpipe sender; stage
-        their sampled contexts (with run indices) on the sender so the
-        next frame carries them as a side-chunk."""
-        staged = []
-        for index in range(k):
-            ctx = self.pop_carried(thread)
-            if ctx is not None:
-                staged.append((index, ctx))
-        sender._flow_staged = staged or None
-
-    def wire_chunk(self, staged, flow_name: str) -> bytes | None:
-        """Serialize staged contexts into the trace side-chunk; each
-        context advances into its ``wire`` segment at send time."""
-        from repro.net.marshal import encode_flow_chunk
-
-        t = self._now()
-        entries = []
-        for index, ctx in staged:
-            ctx.advance("wire", flow_name, t)
-            self.store.register(ctx)
-            entries.append((index, ctx.to_wire()))
-        if not entries:
-            return None
-        return encode_flow_chunk(entries)
-
-    def wire_arrival(self, receiver, chunks: list) -> list:
-        """A coalesced frame arrived: strip the trace side-chunk (if
-        any), rebuild its contexts — now waiting in the receive queue —
-        and mirror the queued chunks into the receiver's record.
-
-        Returns the data chunks (side-chunk removed).
-        """
-        from repro.net.marshal import split_flow_chunk
-
-        chunks, entries = split_flow_chunk(chunks)
-        by_index: dict[int, TraceContext] = {}
-        if entries:
-            t = self._now()
-            for index, fields in entries:
-                ctx = TraceContext.from_wire(fields)
-                ctx.advance("wait", receiver.name, t)
-                # Same trace id as the sender-side copy: re-registering
-                # reassembles the trace across the hop.
-                self.store.register(ctx)
-                by_index[index] = ctx
-        kind, record = self._records.get(receiver.name, (None, None))
-        if kind == "single":
-            entries_deque = record.entries
-            for index in range(len(chunks)):
-                entries_deque.append(by_index.get(index))
-            # The caller extends the receive queue *after* this returns,
-            # so the heal target must already count the new chunks.
-            self._heal(record, extra=len(chunks))
-        return chunks
-
-    def wire_arrival_plain(self, receiver) -> None:
-        """An untraced per-item packet arrived: keep the record aligned."""
-        kind, record = self._records.get(receiver.name, (None, None))
-        if kind == "single":
-            record.entries.append(None)
-            self._heal(record)
 
     def finalize_inflight(self, status: str = LOST) -> int:
         """Finish every still-open trace (frames lost on the wire, items

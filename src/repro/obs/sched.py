@@ -28,6 +28,27 @@ from __future__ import annotations
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
+#: family, help and fixed labels of the per-thread counters that the
+#: scheduler reports by thread name.
+_BY_NAME = {
+    "virtual": (
+        "repro_sched_cpu_seconds_total", "CPU time attributed per thread",
+        {"mode": "virtual"},
+    ),
+    "donations": (
+        "repro_sched_donations_total",
+        "Priority-inheritance donations received", {},
+    ),
+    "constraints": (
+        "repro_sched_constraint_dispatches_total",
+        "Dispatches of explicitly constrained messages", {},
+    ),
+}
+
+#: Where an unowned thread's dispatches go: instruments in no registry.
+_UNOWNED = (Histogram("unowned"), Counter("unowned"), Counter("unowned"))
+
+
 class SchedulerProbe:
     """Publishes scheduler internals into a metrics registry."""
 
@@ -40,13 +61,27 @@ class SchedulerProbe:
         # Per-thread counter caches: one dict lookup per event instead of a
         # registry get-or-create (which canonicalizes labels) per event.
         self._dispatches: dict[str, Counter] = {}
-        self._cpu_virtual: dict[str, Counter] = {}
         self._cpu_wall: dict[str, Counter] = {}
-        self._donations: dict[str, Counter] = {}
-        self._constraints: dict[str, Counter] = {}
+        self._by_name: dict[str, dict[str, Counter]] = {
+            kind: {} for kind in _BY_NAME
+        }
+        #: thread name -> the probe whose registry observes it.  Only the
+        #: scheduler's probe (the first installed) is ever asked.
+        self._owners: dict[str, SchedulerProbe] = {}
 
-    def install(self, scheduler) -> "SchedulerProbe":
-        scheduler._obs = self
+    def install(self, scheduler, threads) -> "SchedulerProbe":
+        """Observe the named ``threads`` of ``scheduler``.
+
+        A scheduler calls one probe — the first installed on it — and
+        that probe routes each event to the probe that owns the thread,
+        so sessions sharing a scheduler each see their own threads'
+        series and nobody else's; a thread nobody claimed is not
+        observed."""
+        if scheduler._obs is None:
+            scheduler._obs = self
+        owners = scheduler._obs._owners
+        for name in threads:
+            owners[name] = self
         return self
 
     # ------------------------------------------------------------ hooks
@@ -55,82 +90,67 @@ class SchedulerProbe:
     # but steady-state is dict hits and scalar adds.
 
     def _thread_counters(self, thread) -> tuple:
-        """(probe, dispatch, wall) counter cache slotted on the thread.
-
-        The probe tag guards against a stale cache if a second probe is
-        ever installed over the same scheduler.
-        """
+        """(run-queue wait, dispatch, wall) instruments of the thread's
+        owner, cached on the thread; throwaway ones for an unowned
+        thread, so the hooks never branch on ownership."""
         name = thread.name
-        dispatches = self.registry.counter(
-            "repro_sched_dispatches_total",
-            help="Thread dispatches",
-            thread=name,
-        )
-        wall = self.registry.counter(
-            "repro_sched_cpu_seconds_total",
-            help="CPU time attributed per thread",
-            thread=name, mode="wall",
-        )
-        self._dispatches[name] = dispatches
-        self._cpu_wall[name] = wall
-        cached = (self, dispatches, wall)
+        owner = self._owners.get(name)
+        if owner is None:
+            cached = _UNOWNED
+        else:
+            dispatches = owner._dispatches[name] = owner.registry.counter(
+                "repro_sched_dispatches_total",
+                help="Thread dispatches",
+                thread=name,
+            )
+            wall = owner._cpu_wall[name] = owner.registry.counter(
+                "repro_sched_cpu_seconds_total",
+                help="CPU time attributed per thread",
+                thread=name, mode="wall",
+            )
+            cached = (owner.run_queue_wait, dispatches, wall)
         thread._obs_counters = cached
         return cached
 
     def on_dispatch(self, thread, now: float) -> None:
+        cached = thread._obs_counters or self._thread_counters(thread)
         ready_since = thread._ready_since
         if ready_since is not None:
             thread._ready_since = None
-            self.run_queue_wait.observe(now - ready_since)
-        cached = thread._obs_counters
-        if cached is None or cached[0] is not self:
-            cached = self._thread_counters(thread)
+            cached[0].observe(now - ready_since)
         cached[1].value += 1
 
     def on_wall(self, thread, seconds: float) -> None:
-        cached = thread._obs_counters
-        if cached is None or cached[0] is not self:
-            cached = self._thread_counters(thread)
+        cached = thread._obs_counters or self._thread_counters(thread)
         cached[2].value += seconds
 
-    def on_cpu(self, thread_name: str, seconds: float) -> None:
-        counter = self._cpu_virtual.get(thread_name)
+    def _bump(self, kind: str, thread_name: str, amount: float) -> None:
+        owner = self._owners.get(thread_name)
+        if owner is None:
+            return
+        cache = owner._by_name[kind]
+        counter = cache.get(thread_name)
         if counter is None:
-            counter = self.registry.counter(
-                "repro_sched_cpu_seconds_total",
-                help="CPU time attributed per thread",
-                thread=thread_name, mode="virtual",
+            family, help_text, labels = _BY_NAME[kind]
+            counter = cache[thread_name] = owner.registry.counter(
+                family, help=help_text, thread=thread_name, **labels
             )
-            self._cpu_virtual[thread_name] = counter
-        counter.value += seconds
+        counter.value += amount
+
+    def on_cpu(self, thread_name: str, seconds: float) -> None:
+        self._bump("virtual", thread_name, seconds)
 
     def on_donation(self, thread_name: str) -> None:
-        counter = self._donations.get(thread_name)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_sched_donations_total",
-                help="Priority-inheritance donations received",
-                thread=thread_name,
-            )
-            self._donations[thread_name] = counter
-        counter.value += 1
+        self._bump("donations", thread_name, 1)
 
     def on_constraint(self, thread_name: str) -> None:
-        counter = self._constraints.get(thread_name)
-        if counter is None:
-            counter = self.registry.counter(
-                "repro_sched_constraint_dispatches_total",
-                help="Dispatches of explicitly constrained messages",
-                thread=thread_name,
-            )
-            self._constraints[thread_name] = counter
-        counter.value += 1
+        self._bump("constraints", thread_name, 1)
 
     # ------------------------------------------------------------ reading
 
     def cpu_seconds(self, mode: str = "virtual") -> dict[str, float]:
         """Per-thread CPU attribution, for reports and tests."""
-        cache = self._cpu_virtual if mode == "virtual" else self._cpu_wall
+        cache = self._by_name["virtual"] if mode == "virtual" else self._cpu_wall
         return {name: counter.value for name, counter in cache.items()}
 
     def dispatch_counts(self) -> dict[str, int]:

@@ -9,10 +9,12 @@ another thread (round trip = queue wait + service there).  The middleware
 owns every one of those boundaries, so it can measure them all without the
 item carrying anything.
 
-The span context is therefore *positional*, not per-item: FIFO boundaries
-carry a parallel timestamp queue (enqueue time is popped with the item, the
-difference is the wait), and stage entry times live in the driver.  Each
-closed segment streams straight into a fixed log-bucket
+The span context is therefore *positional*, not per-item: every FIFO
+boundary has a lane (enqueue time is popped with the item, the difference
+is the wait) and every thread a hand that is its cycle clock — the same
+:class:`~repro.obs.flow.Lane` / :class:`~repro.obs.flow.Hand` plant the
+flow tracer reads, so the two collectors cannot disagree about a wait.
+Each closed segment streams straight into a fixed log-bucket
 :class:`~repro.obs.metrics.Histogram` — **no allocation travels with the
 item**, which is what lets the instrumentation stay on under production
 load.  Only the flight recorder / trace exporters materialize individual
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.obs.flow import plant, plant_lane
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.sched import SchedulerProbe
@@ -132,14 +135,13 @@ class Telemetry:
         self.recorder: FlightRecorder | None = None
         self._engine: "Engine | None" = None
         self._now: Callable[[], float] | None = None
-        self._coro_hists: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------ attach
 
     def attach(self, engine: "Engine") -> "Telemetry":
         if self._engine is not None:
             raise RuntimeError("telemetry is already attached")
-        engine.setup()
+        hands = plant(engine)
         self._engine = engine
         engine._telemetry = self
         scheduler = engine.scheduler
@@ -147,7 +149,9 @@ class Telemetry:
         # item movement, and Scheduler.now would add a frame per call.
         self._now = scheduler.clock.now
 
-        self.scheduler_probe = SchedulerProbe(self.registry).install(scheduler)
+        self.scheduler_probe = SchedulerProbe(self.registry).install(
+            scheduler, hands
+        )
         if self._recorder_capacity is not None:
             self.recorder = FlightRecorder(self._recorder_capacity)
             self.recorder.attach(scheduler)
@@ -156,17 +160,33 @@ class Telemetry:
             self._publish_component(component)
         self._publish_engine(engine)
 
+        # The three span families hang off the shared plant, which the
+        # runtime reads as it runs: nothing here is bound into a compiled
+        # walker, so attaching never recompiles them.
+        registry = self.registry
         for driver in engine.pump_drivers:
-            driver._obs_cycle = self.registry.histogram(
+            hands[driver.thread_name].stage = registry.histogram(
                 "repro_stage_latency_seconds",
                 help="Pump-cycle service time per section",
                 stage=driver.origin.name,
             )
-            driver._obs_now = self._now
-        # Recompile the flow walkers so coroutine crossings bind their
-        # timed variants (without telemetry the untimed closures never
-        # branch on it).
-        engine._compile_walkers()
+        rtt = {
+            driver.thread_name: registry.histogram(
+                "repro_coroutine_roundtrip_seconds",
+                help="ip-push/ip-pull request-to-reply latency",
+                component=component.name,
+            )
+            for component, driver in engine._coroutine_drivers.items()
+        }
+        for hand in hands.values():
+            hand.rtt = rtt
+        for component in engine._gates:
+            if not callable(getattr(component, "fill_level", None)):
+                plant_lane(engine, component).wait = registry.histogram(
+                    "repro_buffer_wait_seconds",
+                    help="Enqueue-to-dequeue wait per boundary queue",
+                    component=component.name,
+                )
         return self
 
     def _publish_component(self, component) -> None:
@@ -202,15 +222,6 @@ class Telemetry:
                 help="Buffer fill fraction (0..1)",
                 fn=lambda c=component: c.fill_fraction,
                 component=name,
-            )
-        if hasattr(component, "enable_wait_telemetry"):
-            component.enable_wait_telemetry(
-                self._now,
-                registry.histogram(
-                    "repro_buffer_wait_seconds",
-                    help="Enqueue-to-dequeue wait per boundary queue",
-                    component=name,
-                ),
             )
 
     def _publish_engine(self, engine: "Engine") -> None:
@@ -251,21 +262,6 @@ class Telemetry:
         )
 
     # ------------------------------------------------------------ runtime
-
-    def coroutine_histogram(self, component) -> Histogram | None:
-        """Round-trip histogram for a coroutine component, or None before
-        attach (bound at walker-compile time)."""
-        if self._now is None:
-            return None
-        hist = self._coro_hists.get(component.name)
-        if hist is None:
-            hist = self.registry.histogram(
-                "repro_coroutine_roundtrip_seconds",
-                help="ip-push/ip-pull request-to-reply latency",
-                component=component.name,
-            )
-            self._coro_hists[component.name] = hist
-        return hist
 
     @property
     def now(self) -> Callable[[], float]:

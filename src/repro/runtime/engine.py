@@ -47,6 +47,7 @@ from repro.runtime.section import (
     compile_push,
     compile_push_many,
     ends_in_eos,
+    plant_source,
 )
 from repro.runtime.stats import PipelineStats
 
@@ -87,22 +88,9 @@ class PumpDriver:
         self._origin_drain = self.origin.drain_cost
         self._max_items = getattr(self.origin, "max_items", None)
         self._cycle_constraint = self.data_constraint()
-        #: Stage-latency instrumentation, bound by Telemetry.attach; None
-        #: keeps the cycle path branch-predictable and allocation-free.
-        self._obs_cycle = None
-        self._obs_now = None
-        #: Flow tracer, bound by FlowTracer.attach: active-endpoint
-        #: births/deliveries plus the end-of-cycle sweep that attributes
-        #: in-section losses.  None when tracing is off.
-        self._flow = None
-        #: Bound end-of-cycle sweep: the carried deque and fork-anchor
-        #: cell are checked inline in the cycle loop; the closure
-        #: (FlowTracer.cycle_end_fn) is the slow path for stranded
-        #: sampled contexts.
-        self._flow_carried = None
-        self._flow_pending = None
-        self._flow_last = None
-        self._flow_cycle_end = None
+        #: An active source's ``generate`` (bound by compile_walkers, which
+        #: hooks it like any source's plain entry).
+        self._generate = None
 
     # -- setup -------------------------------------------------------------
 
@@ -157,6 +145,8 @@ class PumpDriver:
             if section.push_root is not None
             else None
         )
+        if section.pull_root is None:
+            self._generate = plant_source(self.ctx, self.origin.generate)
         self._max_items = getattr(self.origin, "max_items", None)
         self._cycle_constraint = self.data_constraint()
         # Batch mode is a compile-time decision: only greedy pumps whose
@@ -246,14 +236,17 @@ class PumpDriver:
         origin = self.origin
         pull = self._pull_walker
         push = self._push_walker
-        obs_cycle = self._obs_cycle
-        if obs_cycle is not None:
-            cycle_start = self._obs_now()
+        # The thread's hand (repro.obs) while a collector is attached: it
+        # is told when the cycle's items are all moved, and — an active
+        # sink's walker being this loop — what the origin consumed.
+        hand = self.ctx.hand
+        if hand is not None:
+            cycle_start = hand.now()
 
         if pull is not None:
             item = yield from pull()
         else:
-            item = origin.generate()
+            item = self._generate()
             cost = self._origin_drain()
             if cost > 0.0:
                 yield Work(cost)
@@ -267,15 +260,10 @@ class PumpDriver:
                 yield from push(EOS)
             self.finish()
         else:
-            flow = self._flow
             if pull is not None:
                 origin.stats["items_in"] += 1
             else:
                 origin.stats["items_out"] += 1
-                if flow is not None:
-                    # Active source: the item is born here, not in a
-                    # compiled source walker.
-                    flow.birth(self.thread_name)
 
             if push is not None:
                 yield from push(item)
@@ -287,14 +275,12 @@ class PumpDriver:
                 cost = self._origin_drain()
                 if cost > 0.0:
                     yield Work(cost)
-                if flow is not None:
-                    flow.deliver(self.thread_name, origin.name, 1)
+                if hand is not None:
+                    hand.deliver(origin.name, 1)
 
-            if flow is not None:
-                self._flow_epilogue()
+            if hand is not None:
+                hand.cycle_end(cycle_start, 1)
             self.items_moved += 1
-            if obs_cycle is not None:
-                obs_cycle.observe(self._obs_now() - cycle_start)
             max_items = self._max_items
             if max_items is not None and self.items_moved >= max_items:
                 # A bounded origin ends the stream: tell downstream.
@@ -324,9 +310,9 @@ class PumpDriver:
         origin = self.origin
         pull_many = self._pull_many
         push_many = self._push_many
-        obs_cycle = self._obs_cycle
-        if obs_cycle is not None:
-            cycle_start = self._obs_now()
+        hand = self.ctx.hand
+        if hand is not None:
+            cycle_start = hand.now()
 
         n = self._pump_batch_max
         if n is None:
@@ -344,7 +330,7 @@ class PumpDriver:
         else:
             # Active source: drain up to n generated items.
             run = []
-            generate = origin.generate
+            generate = self._generate
             while len(run) < n:
                 item = generate()
                 if item is NIL:
@@ -361,13 +347,10 @@ class PumpDriver:
 
         if data:
             count = len(data)
-            flow = self._flow
             if pull_many is not None:
                 origin.stats["items_in"] += count
             else:
                 origin.stats["items_out"] += count
-                if flow is not None:
-                    flow.births(self.thread_name, count)
 
             if push_many is not None:
                 yield from push_many(data)
@@ -381,11 +364,13 @@ class PumpDriver:
                 cost = self._origin_drain()
                 if cost > 0.0:
                     yield Work(cost)
-                if flow is not None:
-                    flow.deliver(self.thread_name, origin.name, count)
+                if hand is not None:
+                    hand.deliver(origin.name, count)
 
-            if flow is not None:
-                self._flow_epilogue()
+            if hand is not None:
+                # Weighted by the items inside the run, so stage-latency
+                # percentiles in stats.summary() count items, not runs.
+                hand.cycle_end(cycle_start, count)
             self.items_moved += count
             self.batches += 1
             self.batched_items += count
@@ -395,12 +380,6 @@ class PumpDriver:
                 self.flush_full += 1
             else:
                 self.flush_dry += 1
-            if obs_cycle is not None:
-                # Weighted by the items inside the run, so stage-latency
-                # percentiles in stats.summary() count items, not runs.
-                obs_cycle.observe_count(
-                    self._obs_now() - cycle_start, count
-                )
         elif not eos:
             self.nil_cycles += 1
             if self.timer is None:
@@ -421,20 +400,6 @@ class PumpDriver:
                 return CONTINUE
         self.sync_running_state()
         return CONTINUE
-
-    def _flow_epilogue(self) -> None:
-        """End-of-cycle sweep of the carried lineage: unsampled leftovers
-        are just a pending count (zeroed) or all-``None`` slots (one
-        C-level clear); only a stranded sampled context pays the drain
-        call."""
-        carried = self._flow_carried
-        if carried:
-            if any(carried):
-                self._flow_cycle_end()
-            else:
-                carried.clear()
-        self._flow_pending[0] = 0
-        self._flow_last[0] = None
 
     def _next_cycle(self) -> Message | None:
         """The greedy loop's self-addressed next ``cycle`` message, or
@@ -849,12 +814,11 @@ class Engine:
         self.network = None
         #: Attached services (feedback loops, sensors) stopped by stop().
         self._services: list[Any] = []
-        #: Observability front-end (repro.obs.Telemetry) when attached;
-        #: None keeps every hook in the runtime inert.
+        #: Observability front-end (repro.obs.Telemetry) when attached,
+        #: for the latency decoration of ``stats``.  What the runtime
+        #: reports movements to is the plant: ``ThreadCtx.hand`` per
+        #: thread, ``BufferGate.lane`` per queue, ``Scheduler._obs``.
         self._telemetry: Any = None
-        #: Causal flow tracer (repro.obs.FlowTracer) when attached; the
-        #: compiled walkers bind traced variants only while this is set.
-        self._flow_tracer: Any = None
         #: Committed live restructurings (repro.runtime.restructure
         #: Replacement records), in application order — the audit trail
         #: refinement certificates archive.

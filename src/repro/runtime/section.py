@@ -54,6 +54,11 @@ class ThreadCtx:
     def __init__(self, engine: "Engine", thread_name: str):
         self.engine = engine
         self.thread_name = thread_name
+        #: The thread's hand on the items it is moving (repro.obs.flow
+        #: Hand) while a collector is attached: the cycle clock and the
+        #: positional lineage.  None keeps every site that reports a
+        #: movement at one identity check.
+        self.hand = None
 
     # -- receiving with event transparency ---------------------------------
 
@@ -87,12 +92,12 @@ class BufferGate:
     / ``buffer-space`` messages when the state changes.
     """
 
-    #: Flow tracer and its key for this boundary (repro.obs.flow).  Set by
-    #: FlowTracer.attach; both stay None when tracing is off, so the data
-    #: path pays one identity check per successful transfer and no new
-    #: scheduler events ever (golden traces unchanged).
-    _flow = None
-    _flow_key = None
+    #: The queue's positional record (repro.obs.flow Lane) while a
+    #: collector is attached: every successful transfer is reported to it
+    #: with the mover's hand.  None when nothing is attached, so the data
+    #: path pays one identity check per transfer and no new scheduler
+    #: events ever (golden traces unchanged).
+    lane = None
 
     def __init__(self, engine: "Engine", buffer):
         self.engine = engine
@@ -110,10 +115,8 @@ class BufferGate:
         while True:
             status = self.buffer.try_push(item, port)
             if status != FULL:
-                if self._flow is not None and item is not EOS:
-                    self._flow.boundary_put(
-                        self._flow_key, port, ctx.thread_name, 1
-                    )
+                if self.lane is not None and item is not EOS:
+                    self.lane.put(ctx.hand, 1, port)
                 yield from self._wake_pullers(ctx)
                 return
             self._push_waiters.append(ctx.thread_name)
@@ -124,13 +127,11 @@ class BufferGate:
             status, item = self.buffer.try_pull(port)
             if status != EMPTY:
                 if (
-                    self._flow is not None
+                    self.lane is not None
                     and item is not EOS
                     and item is not NIL
                 ):
-                    self._flow.boundary_get(
-                        self._flow_key, port, ctx.thread_name, 1
-                    )
+                    self.lane.get(ctx.hand, 1, port)
                 yield from self._wake_pushers(ctx)
                 return item
             self._pull_waiters.append(ctx.thread_name)
@@ -155,10 +156,8 @@ class BufferGate:
                         break
                     taken += 1
             if taken:
-                if self._flow is not None:
-                    self._flow.boundary_put(
-                        self._flow_key, port, ctx.thread_name, taken
-                    )
+                if self.lane is not None:
+                    self.lane.put(ctx.hand, taken, port)
                 yield from self._wake_pullers(ctx)
                 start += taken
                 if start >= total:
@@ -192,12 +191,10 @@ class BufferGate:
                 if run or status != EMPTY:
                     status = OK
             if status != EMPTY:
-                if self._flow is not None:
+                if self.lane is not None:
                     count = _run_data_count(run)
                     if count:
-                        self._flow.boundary_get(
-                            self._flow_key, port, ctx.thread_name, count
-                        )
+                        self.lane.get(ctx.hand, count, port)
                 yield from self._wake_pushers(ctx)
                 return run
             self._pull_waiters.append(ctx.thread_name)
@@ -218,6 +215,15 @@ class BufferGate:
             waiter = self._push_waiters.popleft()
             yield Send(Message(kind="buffer-space", target=waiter,
                                sender=ctx.thread_name))
+
+    def external_put(self, chunks, framed: bool):
+        """Wire data is about to enter the buffer from outside any driver
+        context (a netpipe receiver's packet, or the chunks of a coalesced
+        frame when ``framed``).  Returns the chunks to queue: an attached
+        lane records the arrival and strips what the sending side's
+        runtime added to the frame."""
+        lane = self.lane
+        return chunks if lane is None else lane.arrive(chunks, framed)
 
     def external_wake_pullers(self) -> None:
         """Wake waiting pullers from outside any driver context (used by
@@ -381,16 +387,41 @@ def _run_entry(component, item_entry: str):
     return entry
 
 
+def plant_source(ctx: ThreadCtx, entry, count=None):
+    """``entry`` — a source's plain per-item entry, or with ``count`` its
+    ``(n) -> run`` entry — hooked so that what it hands out is born in
+    the thread's hand; ``entry`` itself while no flow tracer holds that
+    hand.  With :func:`plant_sink`, the walkers' whole compile-time seam
+    to :mod:`repro.obs`: no walker body exists in a traced variant."""
+    hand = ctx.hand
+    if hand is None or hand.tracer is None:
+        return entry
+    return hand.source(entry, count)
+
+
+def plant_sink(ctx: ThreadCtx, component, entry, count=None):
+    """``(entry, deliver)`` for sink ``component``'s plain entry (per
+    item, or with ``count`` per run).  A wire sink's entry is hooked to
+    send its items' lineage along; any other sink's walker calls
+    ``deliver(name, k)`` once ``k`` items have landed and their cost is
+    drained.  ``(entry, None)`` while no flow tracer holds the hand."""
+    hand = ctx.hand
+    if hand is None or hand.tracer is None:
+        return entry, None
+    if getattr(component, "wire_sink", False):
+        return hand.wire(entry, component, count), None
+    return entry, hand.deliver
+
+
 def _bind_source_run(ctx: ThreadCtx, component):
     """Plain ``(n) -> run`` over a gate-less boundary source's run entry
-    (None when it has none), charging ``items_out`` and the flow births
-    of the run's data items as ``n`` served pulls would."""
+    (None when it has none), charging ``items_out`` for the run's data
+    items as ``n`` served pulls would."""
     pull_run = _run_entry(component, "pull")
     if pull_run is None:
         return None
+    pull_run = plant_source(ctx, pull_run, _run_data_count)
     stats = component.stats
-    flow = ctx.engine._flow_tracer
-    births = None if flow is None else flow.births_fn(ctx.thread_name)
 
     def serve_run(n):
         run = pull_run(n)
@@ -400,8 +431,6 @@ def _bind_source_run(ctx: ThreadCtx, component):
             count -= 1
         if count:
             stats["items_out"] += count
-            if births is not None:
-                births(count)
         return run
 
     return serve_run
@@ -418,12 +447,10 @@ def _compile_crossing(ctx: ThreadCtx, component, kind: str):
     events that arrive in the meantime (the paper's mechanism for keeping
     a blocked push/pull responsive), and returns the reply payload.
 
-    Telemetry and flow tracing are wrapper stages bound only when
-    attached at compile time, so the plain closure never branches on
-    either.  The timed stage records the request-to-reply round trip
-    weighted by the data items that crossed (a crossing that carried only
-    EOS/NIL counts once), so ``wait_p*`` summaries count items, not runs;
-    the flow stage moves the items' positional contexts with them.
+    While a collector is attached the thread's hand is told when the
+    request departs and when the reply arrives, with the data items that
+    crossed: it times the round trip and moves the items' lineage to or
+    from the coroutine's hand.
     """
     engine = ctx.engine
     target = engine.thread_of(component)
@@ -431,8 +458,16 @@ def _compile_crossing(ctx: ThreadCtx, component, kind: str):
     thread = engine.scheduler.threads[sender]
     dispatch_event = ctx.dispatch_event_message
     counter = engine._switch_counter()
+    pushing = kind in ("ip-push", "ip-push-batch")
+    data_count = (
+        _run_data_count if kind.endswith("-batch") else _item_data_count
+    )
 
     def crossing(payload=None):
+        hand = ctx.hand
+        if hand is not None:
+            pushed = data_count(payload) if pushing else 0
+            start = hand.depart(target, pushed)
         message = thread._current_message
         request = Message(
             kind=kind,
@@ -453,52 +488,14 @@ def _compile_crossing(ctx: ThreadCtx, component, kind: str):
             if reply.kind == "event":
                 dispatch_event(reply)
                 continue
+            if hand is not None:
+                hand.arrive(
+                    target, start, pushed,
+                    0 if pushing else data_count(reply.payload),
+                )
             return reply.payload
 
-    inner = crossing
-    pushing = kind in ("ip-push", "ip-push-batch")
-    data_count = (
-        _run_data_count if kind.endswith("-batch") else _item_data_count
-    )
-    telemetry = engine._telemetry
-    hist = (
-        None if telemetry is None
-        else telemetry.coroutine_histogram(component)
-    )
-    if hist is not None:
-        now = telemetry.now
-
-        def crossing_timed(payload=None):
-            start = now()
-            reply = yield from crossing(payload)
-            hist.observe_count(
-                now() - start, data_count(payload if pushing else reply) or 1
-            )
-            return reply
-
-        inner = crossing_timed
-
-    flow = engine._flow_tracer
-    if flow is None:
-        return inner
-    if pushing:
-        # The contexts move before the Send: the coroutine's own walkers
-        # pop them from *its* carried deque while handling the push.
-        def crossing_flow(payload):
-            count = data_count(payload)
-            if count:
-                flow.transfer(sender, target, count)
-            return (yield from inner(payload))
-    else:
-        # The pulled items crossed from the coroutine's thread to ours.
-        def crossing_flow(payload=None):
-            reply = yield from inner(payload)
-            count = data_count(reply)
-            if count:
-                flow.transfer(target, sender, count)
-            return reply
-
-    return crossing_flow
+    return crossing
 
 
 def _under_lock(ctx: ThreadCtx, lock: SegmentLock, walker):
@@ -547,7 +544,7 @@ def compile_pull(ctx: ThreadCtx, target: FlowTarget):
 
             return gate_pull
 
-        serve = _bind_serve_pull(component, port)
+        serve = plant_source(ctx, _bind_serve_pull(component, port))
 
         def source_pull():
             item = serve()
@@ -557,38 +554,7 @@ def compile_pull(ctx: ThreadCtx, target: FlowTarget):
                 yield Work(cost)
             return item
 
-        flow = engine._flow_tracer
-        if flow is None:
-            return source_pull
-        # Traced variant (bound only while a FlowTracer is attached): a
-        # gate-less boundary pull is where items enter the world, so each
-        # data item claims a positional slot in this thread's carried
-        # lineage (a context when sampled, a deferred None otherwise).
-        # The body is source_pull's, restated rather than wrapped: a
-        # ``yield from`` wrapper would create a second generator per
-        # item, which alone blows the sampled-tracing overhead budget.
-        # The unsampled fast path is two integer cell stores — the slot
-        # is only materialized if a slow-path op needs the positions.
-        births, every, pending, sampled_birth = flow.birth_parts(
-            ctx.thread_name
-        )
-
-        def source_pull_traced():
-            item = serve()
-            cost = component._cost_accumulator
-            if cost > 0.0:
-                component._cost_accumulator = 0.0
-                yield Work(cost)
-            if item is not EOS and item is not NIL:
-                n = births[0] + 1
-                births[0] = n
-                if n % every:
-                    pending[0] += 1
-                else:
-                    sampled_birth()
-            return item
-
-        return source_pull_traced
+        return source_pull
 
     node_pull = _compile_pull_node(ctx, target)
     lock = engine.lock_for(target.component)
@@ -680,7 +646,10 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
 
             return gate_push
 
-        receive = _bind_receive_push(component, port)
+        receive, deliver = plant_sink(
+            ctx, component, _bind_receive_push(component, port)
+        )
+        name = component.name
         note_sink_eos = engine.note_sink_eos
         on_eos = getattr(component, "on_eos", None)
 
@@ -695,51 +664,10 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
             if cost > 0.0:
                 component._cost_accumulator = 0.0
                 yield Work(cost)
+            if deliver is not None:
+                deliver(name, 1)
 
-        flow = engine._flow_tracer
-        if flow is None:
-            return sink_push
-        thread = ctx.thread_name
-        if getattr(component, "wire_sink", False):
-            # Netpipe crossing: stage the item's context on the sender so
-            # the outgoing packet carries it as a side-chunk.
-            def wire_sink_push(item):
-                if item is not EOS:
-                    flow.stage_wire(component, thread, 1)
-                yield from sink_push(item)
-
-            return wire_sink_push
-
-        # Restates sink_push's body (see source_pull_traced above): one
-        # generator per delivered item, not two.  The delivery fast path
-        # — pop the item's positional slot, anchor it for forks — is
-        # inlined too; only sampled contexts and underflow forks call.
-        carried, carried_popleft, pending, last_cell, finish_delivered, \
-            slow_deliver = flow.deliver_parts(thread, component.name)
-
-        def sink_push_traced(item):
-            if item is EOS:
-                note_sink_eos(component)
-                if on_eos is not None:
-                    on_eos()
-                return
-            receive(item)
-            cost = component._cost_accumulator
-            if cost > 0.0:
-                component._cost_accumulator = 0.0
-                yield Work(cost)
-            if carried:
-                flow_ctx = carried_popleft()
-                last_cell[0] = flow_ctx
-                if flow_ctx is not None:
-                    finish_delivered(flow_ctx)
-            elif pending[0]:
-                pending[0] -= 1
-                last_cell[0] = None
-            else:
-                slow_deliver()
-
-        return sink_push_traced
+        return sink_push
 
     node_push = _compile_push_node(ctx, target)
     lock = engine.lock_for(target.component)
@@ -892,30 +820,9 @@ def _compile_pull_plain(ctx: ThreadCtx, target: FlowTarget):
         component = target.component
         if engine.gate_for(component) is not None:
             return None
-        serve = _bind_serve_pull(component, target.port.name)
-        flow = engine._flow_tracer
-        if flow is not None:
-            base_serve = serve
-            # Same inlined birth fast path as source_pull_traced: two
-            # integer cell stores per unsampled item, no extra call frame
-            # (this is the hot source path under demand-predicting
-            # producers, where the per-call cost is paid per *item*).
-            births, every, pending, sampled_birth = flow.birth_parts(
-                ctx.thread_name
-            )
-
-            def serve_traced():
-                item = base_serve()
-                if item is not EOS and item is not NIL:
-                    n = births[0] + 1
-                    births[0] = n
-                    if n % every:
-                        pending[0] += 1
-                    else:
-                        sampled_birth()
-                return item
-
-            serve = serve_traced
+        serve = plant_source(
+            ctx, _bind_serve_pull(component, target.port.name)
+        )
         return serve, [_bind_drain_fn(component)]
 
     component = target.component
@@ -1192,10 +1099,12 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
             return gate_push_many
 
         take_cost = _bind_drain_fn(component)
+        name = component.name
         push_run = _run_entry(component, "push")
         if push_run is not None:
             # Run-entry sink (a collecting sink's extend, a netpipe
             # sender's one frame per run).
+            push_run, deliver = plant_sink(ctx, component, push_run, len)
             stats = component.stats
 
             def sink_push_many(items):
@@ -1204,9 +1113,13 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
                 cost = take_cost()
                 if cost > 0.0:
                     yield Work(cost)
+                if deliver is not None:
+                    deliver(name, len(items))
 
         else:
-            receive = _bind_receive_push(component, port)
+            receive, deliver = plant_sink(
+                ctx, component, _bind_receive_push(component, port)
+            )
 
             def sink_push_many(items):
                 for item in items:
@@ -1214,27 +1127,10 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
                 cost = take_cost()
                 if cost > 0.0:
                     yield Work(cost)
+                if deliver is not None:
+                    deliver(name, len(items))
 
-        flow = engine._flow_tracer
-        if flow is None:
-            return sink_push_many
-        thread = ctx.thread_name
-        if push_run is not None and getattr(component, "wire_sink", False):
-
-            def wire_sink_push_many(items):
-                # Stage the run's contexts before the send so the frame
-                # carries them as its trace-context side-chunk.
-                flow.stage_wire(component, thread, len(items))
-                yield from sink_push_many(items)
-
-            return wire_sink_push_many
-        deliver_many = flow.deliver_many_fn(thread, component.name)
-
-        def sink_push_many_traced(items):
-            yield from sink_push_many(items)
-            deliver_many(len(items))
-
-        return sink_push_many_traced
+        return sink_push_many
 
     node_many = _compile_push_node_many(ctx, target)
     lock = engine.lock_for(target.component)

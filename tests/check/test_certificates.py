@@ -85,3 +85,48 @@ def test_batch_maxes_yield_distinct_but_certified_schedules():
         cert = certify(batch_max)
         per_seed_hashes.add(cert.concrete["runs"][0]["trace_hash"])
     assert len(per_seed_hashes) > 1
+
+
+# ---------------------------------------------------------------------------
+# the committed certificate files are what their generators write
+# ---------------------------------------------------------------------------
+
+GENERATORS = {
+    "make_refinement_certs": "CERT_refinement_retrofit.json",
+    "make_deploy_certs": "CERT_deploy_fig1_2shard.json",
+    "make_fabric_certs": "CERT_fabric_fig2.json",
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+def test_generator_reproduces_its_committed_certificate(generator, tmp_path):
+    """Each ``benchmarks/make_*_certs.py`` rewrites its committed file
+    byte for byte.  The generator runs the way its docstring says — a
+    fresh interpreter from the repository root, so auto-numbered
+    component names start from the same counters — but writes into
+    ``tmp_path``, never into the repository."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if generator == "make_refinement_certs" and arrays._numpy is None:
+        pytest.skip("the pure-vs-numpy certificate needs numpy")
+    root = Path(__file__).resolve().parents[2]
+    out = tmp_path / GENERATORS[generator]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root)]
+    ))
+    env.pop("REPRO_MEDIA_PURE", None)
+    done = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; from pathlib import Path; "
+            f"import benchmarks.{generator} as g; "
+            "g.REPORT = Path(sys.argv[1]); raise SystemExit(g.main())",
+            str(out),
+        ],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert out.read_bytes() == (root / GENERATORS[generator]).read_bytes()

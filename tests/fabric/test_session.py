@@ -308,6 +308,41 @@ class TestSharedScheduler:
         assert driver.batches and driver.batched_items == 40
         assert not plain.engine.pump_drivers[0].batches
 
+    def test_metrics_sessions_each_see_their_own_threads(self):
+        """Two with_metrics() sessions share the scheduler's one probe
+        slot: each registry gets its own threads' dispatch / CPU /
+        run-queue series, and a plain session's threads reach neither."""
+        fabric = SessionFabric()
+        build, sinks = counting_program(items=30)
+        spec = Pipeline.from_builder(build).with_metrics()
+        alice = fabric.open_session(spec, name="alice")
+        bob = fabric.open_session(spec, name="bob")
+        fabric.open_session(build, name="plain")
+        run_rounds(fabric)
+        assert [s.items for s in sinks] == [list(range(30))] * 3
+        for session in (alice, bob):
+            probe = session.engine._telemetry.scheduler_probe
+            counts = probe.dispatch_counts()
+            assert set(counts) == set(session.thread_names)
+            assert all(count > 0 for count in counts.values())
+            assert set(probe.cpu_seconds("wall")) == set(session.thread_names)
+            assert 0 < probe.run_queue_wait.count <= sum(counts.values())
+            threads = {
+                dict(metric.labels)["thread"]
+                for family in (
+                    "repro_sched_dispatches_total",
+                    "repro_sched_cpu_seconds_total",
+                )
+                for metric in probe.registry.family(family)
+            }
+            assert threads == set(session.thread_names)
+        # Same program, same weight: the two tenants ran the same schedule.
+        alice_probe = alice.engine._telemetry.scheduler_probe
+        bob_probe = bob.engine._telemetry.scheduler_probe
+        assert sorted(alice_probe.dispatch_counts().values()) == sorted(
+            bob_probe.dispatch_counts().values()
+        )
+
     def test_external_scheduler_is_used(self):
         scheduler = Scheduler(clock=VirtualClock())
         build, _ = counting_program()

@@ -294,6 +294,40 @@ class TestPipelineTracing:
         assert len(delivered) == sampled
         assert all(trace.site == sink.name for trace in delivered)
 
+    @pytest.mark.parametrize("batch_max", [1, 8, 32])
+    def test_birth_is_when_the_item_leaves_the_sources_entry(self, batch_max):
+        """One rule on both planes: the source's own cost is service time
+        in the trace.  A cycle's items are born as the source hands them
+        out, the cycle then drains their cost (10 ms each), and only then
+        does the sink see them — so every trace of a full cycle spans
+        exactly that cycle's source work, never 0.0."""
+        from repro.components.sources import Source
+        from repro.core.events import EOS
+
+        class SlowSource(Source):
+            def __init__(self):
+                super().__init__()
+                self.left = 64
+
+            def pull(self):
+                if not self.left:
+                    return EOS
+                self.left -= 1
+                self.charge(0.01)
+                return self.left
+
+        sink = CollectSink()
+        _, tracer = _run(
+            pipeline(SlowSource(), GreedyPump(), sink), batch_max=batch_max
+        )
+        delivered = tracer.delivered()
+        assert len(delivered) == len(sink.items) == 64
+        for trace in delivered:
+            assert trace.end_to_end == pytest.approx(0.01 * batch_max)
+            assert trace.decomposition() == {
+                "service": pytest.approx(0.01 * batch_max)
+            }
+
     def test_registry_metrics_published(self):
         registry = MetricsRegistry()
         _, tracer = _run(

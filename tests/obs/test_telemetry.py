@@ -140,17 +140,24 @@ class TestSpans:
         assert span.histogram.count == 1
 
     def test_drop_old_keeps_timestamp_queue_aligned(self):
-        source = IterSource(range(30))
+        buffer = Buffer(capacity=2, on_full=OnFull.DROP_OLD)
         pipe = pipeline(
-            source, GreedyPump(),
-            Buffer(capacity=2, on_full=OnFull.DROP_OLD),
-            GreedyPump(), CollectSink(),
+            IterSource(range(30)), GreedyPump(), buffer,
+            ClockedPump(10.0), CollectSink(),
         )
-        engine, telemetry = run_with_telemetry(pipe)
-        buffer = next(
-            c for c in engine.pipeline.components if isinstance(c, Buffer)
-        )
-        assert len(buffer._obs_ts) == len(buffer._items)
+        engine = Engine(pipe)
+        Telemetry().attach(engine)
+        engine.start()
+        engine.run(until=0.05)
+        # The gate's lane is the one positional record of the queue: it
+        # holds no entry for an item the drop policy evicted, so every
+        # pulled item is timed exactly once, against its own enqueue.
+        lane = engine.gate_for(buffer).lane
+        assert buffer.stats["drops"] > 0
+        assert len(lane.entries) == len(buffer._items) > 0
+        engine.run(until=1.0)
+        assert len(lane.entries) == len(buffer._items) == 0
+        assert lane.wait.count == buffer.stats["items_out"] > 0
 
 
 class TestSchedulerProbe:
@@ -237,12 +244,11 @@ class TestInertness:
         assert scheduler._obs is None
         assert scheduler._trace is None
         assert scheduler.trace_dropped == 0
-        buffer = next(
-            c for c in engine.pipeline.components if isinstance(c, Buffer)
-        )
-        assert buffer._obs_now is None and buffer._obs_ts is None
+        # Every plant — one lane per gate, one hand per thread — is empty.
+        assert [gate.lane for gate in engine._gates.values()] == [None]
         for driver in engine.pump_drivers:
-            assert driver._obs_cycle is None
+            assert driver.ctx.hand is None
+        assert engine._telemetry is None
 
     def test_trace_identical_with_and_without_probe(self):
         def run(with_probe):
