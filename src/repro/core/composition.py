@@ -202,15 +202,25 @@ class Pipeline:
 
 
 def pipeline(*components: Component) -> Pipeline:
-    """Build a linear pipeline: ``pipeline(a, b, c)`` == ``a >> b >> c``."""
-    if not components:
-        return Pipeline()
-    result: Pipeline | Component = components[0]
-    for component in components[1:]:
-        result = Pipeline.join(result, component)
-    if isinstance(result, Component):
-        return Pipeline([result])
-    return result
+    """Build a linear pipeline: ``pipeline(a, b, c)`` == ``a >> b >> c``,
+    its Typespecs derived once, not after every join (a forward fold: the
+    first mismatch and its message are the same)."""
+    merged = Pipeline()
+    try:
+        for part in components:
+            part = part if isinstance(part, Pipeline) else Pipeline([part])
+            if merged._components:
+                connect(
+                    merged.free_out_port(), part.free_in_port(),
+                    check_typespecs=False,
+                )
+            for component in part:
+                merged.add(component)
+    finally:
+        # Also when a join failed: ``>>`` would have reported a mismatch
+        # among the joins before it first.
+        merged.derive_typespecs()
+    return merged
 
 
 def _single(items: list, what: str):

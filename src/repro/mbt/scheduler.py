@@ -50,6 +50,18 @@ banked credit.  Parked threads (quiesced sessions, see
 heap entry at all: dispatch cost is independent of the number of idle
 sessions, and :meth:`unpark_thread` is a single heap push.
 
+Before-idle callbacks
+---------------------
+Middleware that gathers what threads emit during dispatch (the frame
+trains of :mod:`repro.net.mux`) must let go of it before the scheduler
+waits, or a peer only those bytes can wake never runs.
+:meth:`Scheduler.before_idle` registers a one-shot callback for that
+moment: it fires when :meth:`Scheduler.run` next finds no thread ready —
+before timers or the clock are touched; ``run`` then looks again, as a
+callback may have woken a thread — and on every way out of ``run``.
+Outside ``run`` registration is refused and the caller acts at once.
+Cost: a truthiness test per idle pass and per call, nothing per step.
+
 Checking hooks
 --------------
 Three optional hooks exist solely for the deterministic-simulation
@@ -284,6 +296,9 @@ class Scheduler:
         #: Parked (quiesced) threads; they hold no ready-heap entry, so
         #: dispatch cost is independent of the number of idle sessions.
         self._parked: set[MThread] = set()
+        #: One-shot :meth:`before_idle` callbacks of the run in progress;
+        #: None outside :meth:`run`.
+        self._before_idle: list[Callable[[], None]] | None = None
 
     # ------------------------------------------------------------ threads
 
@@ -510,26 +525,58 @@ class Scheduler:
         blocked in a receive without timeout (servers awaiting requests) do
         not keep the scheduler alive.
         """
-        while True:
-            if max_steps is not None and self.steps >= max_steps:
-                return
-            if until is not None and self.clock.now() > until + _EPS:
-                # Hard horizon: once time passed `until` (e.g. simulated
-                # work overran it), stop even if threads are still ready.
-                return
-            thread = self._pick_ready()
-            if thread is None:
-                next_t = self._next_timer_time()
-                if next_t is None:
+        nested = self._before_idle is not None
+        if not nested:
+            self._before_idle = []
+        try:
+            while True:
+                if max_steps is not None and self.steps >= max_steps:
                     return
-                if until is not None and next_t > until + _EPS:
-                    if until > self.clock.now():
-                        self.clock.advance_to(until)
+                if until is not None and self.clock.now() > until + _EPS:
+                    # Hard horizon: once time passed `until` (e.g. simulated
+                    # work overran it), stop even if threads are still ready.
                     return
-                self.clock.advance_to(next_t)
-                self._fire_due_timers()
-                continue
-            self._run_thread(thread)
+                thread = self._pick_ready()
+                if thread is None:
+                    if self._before_idle:
+                        # What they release may make a thread ready.
+                        self._fire_before_idle([])
+                        continue
+                    next_t = self._next_timer_time()
+                    if next_t is None:
+                        return
+                    if until is not None and next_t > until + _EPS:
+                        if until > self.clock.now():
+                            self.clock.advance_to(until)
+                        return
+                    self.clock.advance_to(next_t)
+                    self._fire_due_timers()
+                    continue
+                self._run_thread(thread)
+        finally:
+            if not nested:  # any exit; registering is refused from now
+                self._fire_before_idle(None)
+
+    def before_idle(self, callback: Callable[[], None]) -> bool:
+        """Ask for ``callback()`` once, before :meth:`run` next waits or
+        returns (module docstring).  False, and nothing registered, when
+        no run is in progress: the caller acts now."""
+        pending = self._before_idle
+        if pending is None:
+            return False
+        pending.append(callback)
+        return True
+
+    def _fire_before_idle(self, fresh: list | None) -> None:
+        callbacks, self._before_idle = self._before_idle, fresh
+        errors = []
+        for callback in callbacks:
+            try:
+                callback()
+            except Exception as exc:  # noqa: BLE001 - the others still fire
+                errors.append(exc)
+        if errors:
+            raise errors[0]
 
     def run_until_idle(self, max_steps: int | None = None) -> None:
         self.run(until=None, max_steps=max_steps)

@@ -49,7 +49,13 @@ class NetpipeSender(Component):
         self.add_in_port(mode=Mode.PUSH)
         self.protocol = protocol
         self.location = protocol.src
+        #: A protocol that counts items (see ``note_drained`` below) is
+        #: told how many data items each frame carries.
+        self._counted = hasattr(protocol, "note_drained")
         self.stats.update(frames_out=0, bytes_in=0)
+
+    def on_attach(self, engine) -> None:
+        _attach_scheduler(self.protocol, engine)
 
     def push(self, item: Any) -> None:
         if not isinstance(item, (bytes, bytearray, memoryview)):
@@ -95,6 +101,7 @@ class NetpipeSender(Component):
         """One coalesced frame out; a staged trailer rides as its last
         chunk (appended in place to an :class:`EncodedRun`)."""
         self.stats["frames_out"] += 1
+        items = len(chunks)
         trailer = self.trailer
         if trailer is not None:
             self.trailer = None
@@ -106,7 +113,10 @@ class NetpipeSender(Component):
             payload = encode_batch(
                 chunks if trailer is None else [*chunks, trailer]
             )
-        self.protocol.send_frame(payload)
+        if self._counted:
+            self.protocol.send_frame(payload, items)
+        else:
+            self.protocol.send_frame(payload)
 
     def on_eos(self) -> None:
         """Called by the runtime when EOS reaches this sink: forward the
@@ -249,6 +259,7 @@ class NetpipeReceiver(Component):
 
     def on_attach(self, engine) -> None:
         self._gate = engine.gate_for(self)
+        _attach_scheduler(self.protocol, engine)
 
     def _deliver(self, payload: bytes) -> None:
         self._arrive([payload], len(payload), framed=False)
@@ -288,6 +299,14 @@ class NetpipeReceiver(Component):
         self._eos_pending = True
         if self._gate is not None:
             self._gate.external_wake_pullers()
+
+
+def _attach_scheduler(protocol: Any, engine) -> None:
+    """Duck-typed like ``note_drained``: a protocol that may hold what it
+    is sent while a scheduler dispatches (a MuxStream) learns which."""
+    hook = getattr(protocol, "attach_scheduler", None)
+    if hook is not None:
+        hook(engine.scheduler)
 
 
 def make_netpipe_over(

@@ -123,6 +123,65 @@ class TestTypespecDerivation:
             pipe.end_to_end_typespec()
 
 
+class TestPipelineDerivesOnce:
+    """``pipeline(a, b, c, d)`` connects the whole chain and folds the
+    Typespecs forward once; ``>>`` re-derives after every join.  Same
+    pipeline, same first error."""
+
+    @staticmethod
+    def chain(sink_format="raw", second_format="mpeg"):
+        return (
+            IterSource([1], flow_spec=Typespec(format="mpeg"), name="src"),
+            ident("first", input_spec=Typespec(format="mpeg")),
+            ident("second", input_spec=Typespec(format=second_format),
+                  output_props={"format": "raw"}),
+            GreedyPump(name="pump"),
+            CollectSink(name="sink", input_spec=Typespec(format=sink_format)),
+        )
+
+    def test_one_derivation_for_the_whole_chain(self, monkeypatch):
+        from repro.core import composition
+
+        calls = []
+        derive = composition.derive_typespecs
+        monkeypatch.setattr(
+            composition, "derive_typespecs",
+            lambda components: calls.append(1) or derive(components),
+        )
+        pipe = pipeline(*self.chain())
+        assert len(calls) == 1
+        assert pipe.is_complete() and len(pipe) == 5
+        assert pipe.end_to_end_typespec()["format"] == "raw"
+
+    @pytest.mark.parametrize(
+        "faults", [{"sink_format": "h264"}, {"second_format": "h264"},
+                   {"sink_format": "h264", "second_format": "h264"}],
+    )
+    def test_same_first_mismatch_as_rshift(self, faults):
+        with pytest.raises(TypespecMismatch) as folded:
+            pipeline(*self.chain(**faults))
+        a, b, c, d, e = self.chain(**faults)
+        with pytest.raises(TypespecMismatch) as joined:
+            a >> b >> c >> d >> e
+        assert str(folded.value) == str(joined.value)
+        assert folded.value.conflicts == joined.value.conflicts
+
+    def test_a_mismatch_before_a_failing_join_is_still_reported_first(self):
+        parts = self.chain(second_format="h264")[:3] + (Buffer(), Buffer())
+        with pytest.raises(TypespecMismatch):
+            pipeline(*parts)
+        ok = self.chain()[:3] + (GreedyPump(), Buffer(), Buffer())
+        with pytest.raises(CompositionError, match="same polarity"):
+            pipeline(*ok)
+
+    def test_pipelines_as_parts_and_the_empty_call(self):
+        src, f, pump, sink = IterSource([1]), ident(), GreedyPump(), CollectSink()
+        pipe = pipeline(src >> f, pump >> sink)
+        assert pipe.components == [src, f, pump, sink] and pipe.is_complete()
+        assert len(pipeline()) == 0
+        assert pipeline(src).components == [src]
+
+
 class TestPipelineQueries:
     def test_component_lookup_by_name(self):
         pump = GreedyPump(name="the-pump")

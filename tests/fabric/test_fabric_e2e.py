@@ -299,3 +299,117 @@ class TestExplorer:
         result = explore(build, seeds=12, check=check)
         result.raise_if_failed()
         assert result.distinct_interleavings > 1
+
+
+class TestCreditWindow:
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_traced_session_over_a_credited_stream_completes(self, batch):
+        """A traced frame carries a trace-context trailer the receiving
+        gate strips before queueing.  The window counts the data items
+        the sender states, not the frame's chunks — else every traced
+        frame leaks a credit and the stream wedges (60 ints over a window
+        of 4: 3 delivered, 58 pending, forever)."""
+        from repro.api import Pipeline
+
+        tx_link, rx_link = SocketLink.pair(bufsize=1 << 22)
+        tx_mux, rx_mux = StreamMux(tx_link), StreamMux(rx_link)
+        txfab, rxfab = SessionFabric(), SessionFabric()
+        t_stream = tx_mux.open_stream(1, credits=4)
+        r_stream = rx_mux.open_stream(1, credits=4)
+        sink = CollectSink(name="sink")
+
+        def build_tx():
+            sender, _ = make_netpipe_over(t_stream)
+            return pipeline(
+                IterSource(range(60)), MarshalFilter(), GreedyPump(), sender
+            )
+
+        def build_rx():
+            _, receiver = make_netpipe_over(r_stream)
+            return pipeline(receiver, UnmarshalFilter(), GreedyPump(), sink)
+
+        def traced(build):
+            spec = Pipeline.of(build).with_tracing(sample_every=1)
+            return spec.with_batching(batch) if batch > 1 else spec
+
+        txfab.open_session(traced(build_tx), name="tx")
+        rxfab.open_session(traced(build_rx), name="rx")
+        assert drive(txfab, rxfab, tx_mux, rx_mux, rounds=100)
+        assert sink.items == list(range(60))
+        tx_mux.pump()  # the grants for the last items
+        assert not t_stream.pending
+        assert t_stream.credits == 4 and r_stream._to_grant == 0
+
+    @pytest.mark.parametrize("quantum", [1, 8])
+    @pytest.mark.parametrize("window", [1, 4, 8])
+    def test_liveness_and_conservation_under_exploration_and_flap(
+        self, window, quantum
+    ):
+        """Every explored interleaving of a fabric whose shared link
+        flaps mid-flow: each stream completes in order with its EOS last,
+        and at quiescence the window is whole again — what the sender
+        may still send plus what the receiver has yet to grant."""
+        from repro.check import explore
+
+        tenants, count = 4, 11
+
+        class FlappyLink:
+            """Down from its second train on: that one and all behind
+            it are held, and replay in order when a timer brings it up."""
+
+            def __init__(self, inner, scheduler):
+                self.inner, self.scheduler = inner, scheduler
+                self.trains, self.down, self.held = 0, False, []
+                self.delayed = 0
+
+            def send_frame(self, payload):
+                self.trains += 1
+                if self.trains == 2:
+                    self.down = True
+                    self.scheduler.after(0.25, self.bring_up)
+                if self.down:
+                    self.delayed += 1
+                    self.held.append(bytes(payload))
+                else:
+                    self.inner.send_frame(payload)
+
+            def bring_up(self):
+                self.down = False
+                held, self.held = self.held, []
+                for payload in held:
+                    self.inner.send_frame(payload)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        def build():
+            fabric = SessionFabric(quantum=quantum)
+            forward = InProcessLink("a", "b", "fabric")
+            reverse = InProcessLink("b", "a", "fabric-back")
+            fabric.flappy = FlappyLink(forward, fabric.scheduler)
+            fabric.left = StreamMux(fabric.flappy, inbound=reverse)
+            fabric.right = StreamMux(reverse, inbound=forward)
+            fabric.sinks = {}
+            for sid in range(tenants):
+                open_flow(
+                    fabric, fabric, fabric.left, fabric.right, sid,
+                    range(sid, sid + count), fabric.sinks, credits=window,
+                )
+            return fabric
+
+        def check(fabric):
+            assert fabric.flappy.delayed and not fabric.flappy.held
+            for sid, sink in fabric.sinks.items():
+                assert sink.items == list(range(sid, sid + count)), (
+                    f"tenant {sid} saw {sink.items}"
+                )
+                sender = fabric.left.streams[sid]
+                receiver = fabric.right.streams[sid]
+                assert sender.eos_sent and receiver.eos_received
+                assert not sender.pending
+                assert sender.credits + receiver._to_grant == window
+            assert not fabric.left._train and not fabric.right._train
+
+        result = explore(build, seeds=12, check=check)
+        result.raise_if_failed()
+        assert result.distinct_interleavings > 1

@@ -492,3 +492,133 @@ def test_trace_records_switches_when_enabled():
     switches = sched.trace_events("switch")
     assert len(switches) == 1
     assert switches[0][3] == "t"
+
+
+# ---------------------------------------------------- before-idle callbacks
+
+
+def test_before_idle_is_refused_outside_run():
+    sched = make_scheduler()
+    fired = []
+    assert sched.before_idle(lambda: fired.append(1)) is False
+    sched.run_until_idle()
+    assert fired == []  # refused means not registered: the caller acted
+
+
+def test_before_idle_fires_once_before_the_scheduler_waits():
+    """Registered during a dispatch; fires when nothing is ready, before
+    timers are consulted or the clock moves — and only once."""
+    sched = make_scheduler()
+    log = []
+
+    def code(thread, msg):
+        log.append(("step", msg.payload))
+        if msg.payload == "a":
+            assert sched.before_idle(lambda: log.append(("idle", sched.now())))
+        return CONTINUE
+
+    sched.spawn("t", code)
+    sched.post(Message(kind="go", target="t", payload="a"))
+    sched.post(Message(kind="go", target="t", payload="b"))
+    sched.after(5.0, lambda: sched.post(
+        Message(kind="go", target="t", payload="late")
+    ))
+    sched.run_until_idle()
+    assert log == [
+        ("step", "a"), ("step", "b"), ("idle", 0.0), ("step", "late"),
+    ]
+
+
+def test_before_idle_callback_may_ready_a_thread_and_register_again():
+    sched = make_scheduler()
+    log = []
+
+    def code(thread, msg):
+        log.append(msg.payload)
+        return CONTINUE
+
+    sched.spawn("t", code)
+
+    def second():
+        log.append("second")
+
+    def first():
+        log.append("first")
+        sched.post(Message(kind="go", target="t", payload="woken"))
+        assert sched.before_idle(second)
+
+    sched.after(0.0, lambda: sched.before_idle(first))
+    sched.run_until_idle()
+    # The woken thread ran before run() went on to wait (or return), and
+    # the callback registered from inside a callback had its own pass.
+    assert log == ["first", "woken", "second"]
+
+
+@pytest.mark.parametrize("exit_by", ["quiescence", "max_steps", "until", "error"])
+def test_before_idle_fires_on_every_way_out_of_run(exit_by):
+    sched = make_scheduler()
+    registered, fired = [], []
+
+    def code(thread, msg):
+        registered.append(sched.before_idle(lambda: fired.append(msg.payload)))
+        if exit_by == "error":
+            raise ValueError("boom")
+        if exit_by == "until":
+            yield Work(2.0)
+        return CONTINUE
+
+    sched.spawn("t", code)
+    sched.post(Message(kind="go", target="t", payload=1))
+    sched.post(Message(kind="go", target="t", payload=2))
+    if exit_by == "error":
+        with pytest.raises(SchedulerError):
+            sched.run()
+    else:
+        sched.run(
+            max_steps=1 if exit_by == "max_steps" else None,
+            until=1.0 if exit_by == "until" else None,
+        )
+    # Whatever a dispatch registered has fired by the time run() is back.
+    assert registered == [True] * len(fired)
+    assert fired == ([1, 2] if exit_by == "quiescence" else [1])
+    assert sched.before_idle(lambda: None) is False
+
+
+def test_before_idle_at_a_bounded_exit_cannot_register_again():
+    """Leaving by a bound, run() is over when the callbacks fire: one
+    that would hold something again is refused and must act at once."""
+    sched = make_scheduler()
+    answers = []
+
+    def code(thread, msg):
+        sched.before_idle(
+            lambda: answers.append(sched.before_idle(lambda: None))
+        )
+        return CONTINUE
+
+    sched.spawn("t", code)
+    sched.post(Message(kind="go", target="t"))
+    sched.post(Message(kind="go", target="t"))
+    sched.run(max_steps=1)
+    assert answers == [False]
+
+
+def test_before_idle_callback_that_raises_does_not_stop_the_others():
+    sched = make_scheduler()
+    fired = []
+
+    def bad():
+        fired.append("bad")
+        raise OSError("link closed")
+
+    def code(thread, msg):
+        sched.before_idle(bad)
+        sched.before_idle(lambda: fired.append("good"))
+        return CONTINUE
+
+    sched.spawn("t", code)
+    sched.post(Message(kind="go", target="t"))
+    with pytest.raises(OSError, match="link closed"):
+        sched.run()
+    assert fired == ["bad", "good"]
+    assert sched.before_idle(bad) is False  # run() is over all the same

@@ -323,3 +323,282 @@ class TestTransports:
         rx.pump()
         status, item = receiver.try_pull()
         assert bytes(item) == b"p2"
+
+
+# ------------------------------------------------------------- frame trains
+
+
+class Wire:
+    """A transport that keeps what it is asked to send."""
+
+    src, dst = "a", "b"
+
+    def __init__(self):
+        self.sent = []
+
+    def on_deliver(self, *callbacks):
+        pass
+
+    def send_frame(self, payload):
+        self.sent.append(bytes(payload))
+
+    def send_eos(self):
+        self.sent.append("eos")
+
+    def close(self):
+        self.sent.append("closed")
+
+
+class Dispatch:
+    """A scheduler the given streams are attached to, as their netpipe
+    endpoints would attach them; calling it runs the bodies from inside
+    thread dispatches, one message each."""
+
+    def __init__(self, *streams):
+        from repro.mbt import CONTINUE, Scheduler, VirtualClock
+
+        def worker(thread, msg):
+            msg.payload()
+            return CONTINUE
+
+        self.scheduler = Scheduler(clock=VirtualClock())
+        self.scheduler.spawn("worker", worker)
+        for stream in streams:
+            stream.attach_scheduler(self.scheduler)
+
+    def __call__(self, *bodies, **run):
+        from repro.mbt import Message
+
+        for body in bodies:
+            self.scheduler.post(
+                Message(kind="go", target="worker", payload=body)
+            )
+        self.scheduler.run(**run)
+
+
+header = encode_stream_header
+
+
+class TestTrains:
+    def test_one_dispatch_leaves_as_one_link_frame_one_run_per_stream(self):
+        tx, rx = mux_pair()
+        s1, s2 = tx.open_stream(1), tx.open_stream(2)
+        got1, got2 = collect(rx.open_stream(1)), collect(rx.open_stream(2))
+
+        def burst():
+            s1.send(b"a1")
+            s1.send(b"a2")
+            s2.send(b"b1")
+            s1.send(b"a3")
+            s2.send_eos()
+
+        Dispatch(s1, s2)(burst)
+        assert tx.transport.stats["frames_sent"] == 1   # the link: trains
+        assert tx.stats["frames_sent"] == 4             # the mux: records
+        rx.pump()
+        assert rx.stats["frames_received"] == 4
+        assert got1["frames"] == [encode_batch([b"a1", b"a2"])]
+        assert got1["messages"] == [b"a3"]
+        assert got2["messages"] == [b"b1"] and got2["eos"] == 1
+
+    def test_train_layout_is_todays_records_back_to_back(self):
+        wire = Wire()
+        mux = StreamMux(wire)
+        s1, s2 = mux.open_stream(1), mux.open_stream(2, credits=4)
+        frame = encode_batch([b"f1", b"f2", b"f3"])
+
+        def burst():
+            s1.send(b"a1")
+            s1.send(b"a2")
+            s2.send_frame(frame)
+            s2.send(b"b1")
+            s2.note_drained(2)
+            s1.send_eos()
+
+        Dispatch(s1, s2)(burst)
+        assert wire.sent == [encode_batch([
+            header(MUX_FRAME, 1), encode_batch([b"a1", b"a2"]),
+            header(MUX_FRAME, 2), frame,        # a send_frame stays itself
+            header(MUX_DATA, 2), b"b1",         # a run of one stays DATA
+            header(MUX_CREDIT, 2, arg=2),
+            header(MUX_EOS, 1),
+        ])]
+        assert s2.credits == 0  # 3 for the frame, 1 for the send
+        assert mux.stats["frames_sent"] == 5 and mux.stats["credits_sent"] == 1
+
+    def test_outside_a_dispatch_a_record_is_a_train_of_one(self):
+        """Attached or not: nobody dispatching, nothing held — and the
+        bytes are the frame this record always was."""
+        wire = Wire()
+        mux = StreamMux(wire)
+        attached, bare = mux.open_stream(1), mux.open_stream(2)
+        Dispatch(attached)
+        attached.send(b"x")
+        bare.send(b"y")
+        bare.send_eos()
+        assert wire.sent == [
+            encode_batch([header(MUX_DATA, 1), b"x"]),
+            encode_batch([header(MUX_DATA, 2), b"y"]),
+            encode_batch([header(MUX_EOS, 2)]),
+        ]
+
+    def test_an_unattached_stream_writes_through_inside_a_dispatch(self):
+        wire = Wire()
+        mux = StreamMux(wire)
+        stream = mux.open_stream(1)
+        seen = []
+
+        def body():
+            stream.send(b"x")
+            seen.append(len(wire.sent))
+
+        Dispatch()(body)
+        assert seen == [1]
+
+    @pytest.mark.parametrize(
+        "exit_by", ["quiescence", "max_steps", "until", "error"]
+    )
+    def test_a_train_survives_every_exit_from_run(self, exit_by):
+        from repro.errors import SchedulerError
+
+        wire = Wire()
+        mux = StreamMux(wire)
+        stream = mux.open_stream(1)
+        dispatch = Dispatch(stream)
+
+        def first():
+            stream.send(b"held")
+            assert wire.sent == []
+            if exit_by == "error":
+                raise ValueError("boom")
+            if exit_by == "until":
+                dispatch.scheduler.clock.advance_to(2.0)
+
+        def second():
+            stream.send(b"next")
+
+        run = {"max_steps": {"max_steps": 1}, "until": {"until": 1.0}}
+        if exit_by == "error":
+            with pytest.raises(SchedulerError):
+                dispatch(first, second)
+        else:
+            dispatch(first, second, **run.get(exit_by, {}))
+        if exit_by == "quiescence":  # both dispatches ran: a run of two
+            record = [header(MUX_FRAME, 1), encode_batch([b"held", b"next"])]
+        else:
+            record = [header(MUX_DATA, 1), b"held"]
+        assert wire.sent == [encode_batch(record)]
+
+    def test_link_eos_and_close_flush_what_is_held_first(self):
+        wire = Wire()
+        mux = StreamMux(wire)
+        stream = mux.open_stream(1)
+        dispatch = Dispatch(stream)
+        one = encode_batch([header(MUX_DATA, 1), b"x"])
+
+        dispatch(lambda: (stream.send(b"x"), mux.send_link_eos()))
+        assert wire.sent == [one, "eos"]
+        del wire.sent[:]
+        dispatch(lambda: (stream.send(b"x"), mux.close()))
+        assert wire.sent == [one, "closed"]
+
+    def test_byte_bound_caps_what_is_held(self, monkeypatch):
+        from repro.net import mux as mux_module
+
+        monkeypatch.setattr(mux_module, "TRAIN_BYTES", 100)
+        tx, rx = mux_pair()
+        stream = tx.open_stream(1)
+        got = collect(rx.open_stream(1))
+        held = []
+
+        def burst():
+            for i in range(12):
+                stream.send(b"%020d" % i)
+                held.append(tx._train_bytes)
+
+        Dispatch(stream)(burst)
+        assert max(held) < 100
+        assert 1 < tx.transport.stats["frames_sent"] < 12
+        rx.pump()
+        items = [
+            bytes(chunk)
+            for frame in got["frames"] for chunk in decode_batch_views(frame)
+        ]
+        assert items == [b"%020d" % i for i in range(12)]
+
+    def test_grants_ride_the_train_too(self):
+        tx, rx = mux_pair()
+        senders = [tx.open_stream(sid, credits=4) for sid in (1, 2)]
+        receivers = [rx.open_stream(sid, credits=4) for sid in (1, 2)]
+        for receiver in receivers:
+            collect(receiver)
+        for sender in senders:
+            for _ in range(4):
+                sender.send(b"x")
+        rx.pump()
+        Dispatch(*receivers)(
+            lambda: [receiver.note_drained(4) for receiver in receivers]
+        )
+        assert rx.stats["credits_sent"] == 2
+        assert rx.transport.stats["frames_sent"] == 1
+        tx.pump()
+        assert [sender.credits for sender in senders] == [4, 4]
+
+    def test_close_stream_does_not_strand_or_pin_a_held_run(self):
+        """What was sent before the close still reaches the wire, and the
+        train names the stream by id only: nothing pins the closed stream
+        and the flush that follows never touches it."""
+        import gc
+
+        tx, rx = mux_pair()
+        got = collect(rx.open_stream(1))
+        stream = tx.open_stream(1, credits=8)
+
+        def body():
+            for i in range(3):
+                stream.send(b"m%d" % i)
+            tx.close_stream(1)
+            assert tx._train and tx.streams == {}
+            holders = gc.get_referrers(stream)
+            assert not any(h is r for h in holders for r in tx._train)
+            assert tx._train not in holders
+
+        Dispatch(stream)(body)
+        assert tx._train == []
+        rx.pump()
+        assert got["frames"] == [encode_batch([b"m0", b"m1", b"m2"])]
+
+    def test_a_malformed_train_delivers_none_of_its_records(self):
+        _, rx = mux_pair()
+        got = collect(rx.open_stream(1))
+        chunks = [
+            header(MUX_DATA, 1), b"one",
+            header(MUX_EOS, 1),
+            header(MUX_DATA, 1),           # ...and its payload is missing
+        ]
+        for bad in (
+            encode_batch(chunks),
+            encode_batch(chunks[:3] + [b"not-a-header"]),
+            encode_batch(chunks[:3] + [header(7, 1)]),
+            encode_batch(chunks[:3])[:-3],
+            encode_batch([]),
+        ):
+            with pytest.raises(MarshalError):
+                rx._rx_frame(bad)
+        assert got == {"messages": [], "frames": [], "eos": 0}
+        assert rx.stats["frames_received"] == 0
+        rx._rx_frame(encode_batch(chunks[:3]))
+        assert got == {"messages": [b"one"], "frames": [], "eos": 1}
+
+    def test_a_record_whose_delivery_raises_spares_its_train_mates(self):
+        tx, rx = mux_pair()
+        s1, s2, s3 = (tx.open_stream(sid) for sid in (1, 2, 3))
+        rx.open_stream(1)                  # nobody bound: delivery raises
+        got3 = collect(rx.open_stream(3))  # 2 is unknown: counted, dropped
+        Dispatch(s1, s2, s3)(
+            lambda: (s1.send(b"x"), s2.send(b"y"), s3.send(b"z"))
+        )
+        with pytest.raises(RemoteError):
+            rx.pump()
+        assert got3["messages"] == [b"z"]
+        assert rx.stats["unknown_stream_drops"] == 1
