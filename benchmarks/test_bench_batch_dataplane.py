@@ -93,8 +93,10 @@ def test_bench_batch_dataplane_report():
         print(f"{key}: {value}")
     print(f"written to {BATCH_REPORT}")
 
-    # The tentpole target: >= 3x on fig9-a at batch_max=32.
-    assert report["fig9_a_speedup_b32"] >= 3.0
+    # The speedup series is printed, not asserted: it is a ratio over the
+    # per-item rate, so it falls whenever the per-item path gets faster
+    # (ISSUE 18: 4.4 -> 3.4).  Speed claims belong to ``python3 -m bench``.
+
     # Batching must never make the per-item path slower than ~the seed
     # (the CI job enforces the precise bound against the hotpath report).
     assert report["fig9_a_items_per_sec"]["1"] > 0

@@ -107,12 +107,19 @@ class Producer(_LinearComponent):
     """Passive component implementing ``pull``.
 
     .. note::
-       Under the default generator backend, when a Producer is used in push
-       mode its ``pull()`` may be *re-executed from the start* until enough
-       input has arrived (see :mod:`repro.runtime.bridge`).  ``pull()``
-       should therefore be deterministic and free of external side effects
-       until it completes — the natural shape for passive producers.  The
-       OS-thread backend has no such restriction.
+       Under the default generator backend ``pull()`` may be *re-executed
+       from the start* (see :mod:`repro.runtime.bridge`): always when the
+       Producer is used in push mode, and in pull mode whenever a ``get()``
+       had to wait — its port is fed across a buffer gate, a segment lock
+       or a coroutine crossing, or the directly called upstream answered
+       NIL.  A ``get()`` whose upstream is plain code of the same section
+       is an ordinary call, and ``pull()`` then runs once per output.
+       ``pull()`` should therefore be deterministic and free of external
+       side effects until it completes — the natural shape for passive
+       producers.  ``charge()`` follows the attempts: over a replayed port
+       each aborted attempt bills what it charged before the abort, so
+       charge after the last ``get()`` to be billed once per output
+       everywhere.  The OS-thread backend has no such restriction.
     """
 
     style = Style.PRODUCER

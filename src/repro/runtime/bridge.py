@@ -13,12 +13,18 @@ cannot be called directly in its assigned mode, a
 * producers used in push mode — the wrapper loop of Figure 7a:
   ``while running: x = this.pull(); next.push(x)``.
 
-Under the generator backend, a *direct-called* producer's ``get()`` cannot
-suspend the enclosing plain function call, so upstream items are prefetched
-through deterministic **replay**: ``pull()`` is re-executed from the start
-until its ``get()`` calls are all satisfiable, then its reads are committed
-(:class:`ReplayIntake`).  The OS-thread backend suspends for real and needs
-no replay.
+A *direct-called* producer's ``get()`` reads its port's
+:class:`ReplayIntake`.  Where the port's upstream is plain code of the same
+thread section — it can never suspend — the walker compiler binds it to the
+intake and ``get()`` simply calls it (direct function calls inside a
+section, paper sections 3.2 and 4).  Where upstream is a gate, a lock or a
+coroutine crossing, ``get()`` cannot suspend the enclosing plain function
+call under the generator backend, so the item is obtained through
+deterministic **replay**: ``get()`` aborts the pull, the walker fetches one
+item (possibly parking the thread) and ``pull()`` is re-executed from the
+start until its ``get()`` calls are all satisfiable.  Either way the reads
+are committed only when ``pull()`` completes.  The OS-thread backend
+suspends for real and needs no replay.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import Any
 
 from repro.core.component import Component
 from repro.core.events import EOS, is_eos
+from repro.core.items import NIL
 from repro.core.styles import (
     ActiveComponent,
     EndOfStream,
@@ -44,11 +51,12 @@ from repro.errors import RuntimeFault
 
 
 class NeedMoreInput(Exception):
-    """Raised by a replay intake when a ``get()`` cannot be satisfied yet.
+    """Raised by a replay intake when a ``get()`` cannot be satisfied yet:
+    the port has no bound fetcher, or the fetcher answered NIL.
 
     Deliberately has no ``__init__``: it is raised for every upstream fetch
-    of every direct-called producer, and the default C-level constructor
-    keeps that hot path frameless.
+    of every replayed port, and the default C-level constructor keeps that
+    hot path frameless.
     """
 
     @property
@@ -57,13 +65,16 @@ class NeedMoreInput(Exception):
 
 
 class ReplayIntake:
-    """Deterministic-replay input buffers for direct-called producers.
+    """Input buffers for direct-called producers: one reader per port.
 
-    ``intake(port)`` reads the next prefetched item; raising
-    :class:`NeedMoreInput` aborts the producer's ``pull()``, the driver
-    fetches one more upstream item, and ``pull()`` is re-run from the top.
-    Reads are only *committed* (removed from the buffers) when ``pull()``
-    completes, so the replay sees identical inputs every attempt.
+    A ``get()`` first re-reads what the port's buffer already holds.  On
+    a miss it either calls the *fetcher* bound to the port (:meth:`bind`
+    — the port's in-section upstream, which can never suspend) and
+    buffers what that returns, or raises :class:`NeedMoreInput`: the
+    ``pull()`` is aborted, the driver feeds one more upstream item and
+    re-runs it from the top.  Reads are only *committed* (removed from
+    the buffers) when ``pull()`` completes, so a re-run sees identical
+    inputs every attempt, whichever way they arrived.
     """
 
     def __init__(self, ports: list[str]):
@@ -71,23 +82,14 @@ class ReplayIntake:
         self._read: dict[str, int] = {p: 0 for p in ports}
         self.eos: set[str] = set()
         self._component: Component | None = None
+        self._readers = {p: self._make_reader(p, None) for p in ports}
 
     def begin(self) -> None:
         for port in self._read:
             self._read[port] = 0
 
     def intake(self, port: str = "in") -> Any:
-        buffer = self.buffers[port]
-        index = self._read[port]
-        if index < len(buffer):
-            self._read[port] = index + 1
-            item = buffer[index]
-            if is_eos(item):
-                raise EndOfStream(port)
-            return item
-        if port in self.eos:
-            raise EndOfStream(port)
-        raise NeedMoreInput(port)
+        return self._readers[port]()
 
     def feed(self, port: str, item: Any) -> None:
         if is_eos(item):
@@ -106,16 +108,22 @@ class ReplayIntake:
                 component.stats["items_in"] += count
             self._read[port] = 0
 
+    def bind(self, port: str, fetch) -> None:
+        """Let a miss on ``port`` call ``fetch() -> item | NIL | EOS``
+        instead of aborting the pull; ``None`` restores abort-and-replay.
+        The walker compiler decides per port, at every (re)compilation."""
+        self._readers[port] = self._make_reader(port, fetch)
+        if self._component is not None:
+            self.install(self._component)
+
     def install(self, component: Component) -> None:
         self._component = component
-        for port in self.buffers:
-            component._intakes[port] = self._make_intake(port)
-        if len(self.buffers) == 1:
+        component._intakes.update(self._readers)
+        if len(self._readers) == 1:
             # Single-input producer (the common case): shadow the generic
             # ``get()`` dispatch with the bound reader so the component's
             # ``pull()`` skips the per-call intake-table walk.
-            (only_port,) = self.buffers
-            reader = component._intakes[only_port]
+            ((only_port, reader),) = self._readers.items()
             name = component.name
 
             def fast_get(port: str = only_port) -> Any:
@@ -131,7 +139,7 @@ class ReplayIntake:
             except AttributeError:  # pragma: no cover - slotted component
                 pass
 
-    def _make_intake(self, port: str):
+    def _make_reader(self, port: str, fetch):
         """A bound single-port reader (the hot path of every direct-called
         producer's ``get()``): one frame, no per-call dict-of-ports walk."""
         buffer = self.buffers[port]
@@ -141,14 +149,24 @@ class ReplayIntake:
         def intake_port() -> Any:
             index = read[port]
             if index < len(buffer):
-                read[port] = index + 1
                 item = buffer[index]
-                if is_eos(item):
-                    raise EndOfStream(port)
-                return item
-            if port in eos:
+            elif port in eos:
                 raise EndOfStream(port)
-            raise NeedMoreInput(port)
+            elif fetch is None:
+                raise NeedMoreInput(port)
+            else:
+                item = fetch()
+                if item is NIL:
+                    # No data now: the pull cannot complete, and what it
+                    # read so far stays buffered for the next attempt.
+                    raise NeedMoreInput(port)
+                if item is EOS:
+                    eos.add(port)
+                buffer.append(item)
+            read[port] = index + 1
+            if item is EOS:
+                raise EndOfStream(port)
+            return item
 
         return intake_port
 

@@ -1080,14 +1080,15 @@ class Engine:
     ) -> None:
         owned = self._thread_components.get(thread_name, {})
         if target_name is None:
-            for component in owned.values():
-                component.handle_event(event)
-                self._sync_origin(component)
-            return
-        component = owned.get(target_name)
-        if component is not None:
+            targets = list(owned.values())
+        else:
+            targets = [owned[target_name]] if target_name in owned else []
+        for component in targets:
             component.handle_event(event)
             self._sync_origin(component)
+            gate = self._gates.get(component)
+            if gate is not None and event.kind == ev.FLUSH:
+                gate.external_wake_pushers()
 
     def _sync_origin(self, component: Component) -> None:
         """If an event just changed an activity origin's running state —

@@ -21,7 +21,9 @@ from typing import TYPE_CHECKING
 
 from repro.core.component import Component
 from repro.core.composition import derive_typespecs, reachable_components
+from repro.core.events import EOS
 from repro.core.glue import FlowNode
+from repro.core.styles import Style
 from repro.errors import CompositionError, RuntimeFault
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,6 +87,18 @@ def replace_component(
             f"{new.name!r} ({new.style}) would need a coroutine in "
             f"{stage.mode} mode; only direct-callable replacements are "
             "supported"
+        )
+
+    held = engine._replays.get(old)
+    if (
+        held is not None
+        and new.style is not Style.PRODUCER
+        and any(item is not EOS for item in held.buffers["in"])
+    ):
+        raise RuntimeFault(
+            f"{old.name!r} holds {len(held.buffers['in'])} fetched item(s) "
+            f"of an unfinished pull; only a producer can take them over, "
+            f"not {new.name!r} ({new.style})"
         )
 
     upstream_port = old.in_port.peer
@@ -176,8 +190,15 @@ def _transfer_runtime_wiring(engine: "Engine", old, new) -> None:
     engine.events.unregister(old.name)
     engine._register_events(new)
     # Fresh emit/intake structures are created lazily for `new`; drop the
-    # old ones so nothing keeps feeding a detached component.
+    # old ones so nothing keeps feeding a detached component.  What the old
+    # intake still holds (reads a NIL-interrupted pull left uncommitted, a
+    # seen EOS) was fetched for the slot: the new producer's intake gets it.
     engine._pendings.pop(old, None)
-    engine._replays.pop(old, None)
+    held = engine._replays.pop(old, None)
+    if held is not None and new.style is Style.PRODUCER:
+        intake = engine.replay_for(new)
+        for port, items in held.buffers.items():
+            intake.buffers[port].extend(items)
+        intake.eos |= held.eos
     old.on_detach()
     new.on_attach(engine)

@@ -244,6 +244,18 @@ class BufferGate:
         if wakes:
             self.engine.scheduler.post_many(wakes)
 
+    def external_wake_pushers(self) -> None:
+        """Wake every parked pusher from outside any driver context: a
+        ``flush`` emptied the buffer and no pull will announce the space.
+        Each retries its put (and parks again if it lost the race)."""
+        if self._push_waiters:
+            wakes = [
+                Message(kind="buffer-space", target=waiter, sender="flush")
+                for waiter in self._push_waiters
+            ]
+            self._push_waiters.clear()
+            self.engine.scheduler.post_many(wakes)
+
 
 # ---------------------------------------------------------------------------
 # Segment locks (shared chains below merges / above activity routers)
@@ -413,29 +425,6 @@ def plant_sink(ctx: ThreadCtx, component, entry, count=None):
     return entry, hand.deliver
 
 
-def _bind_source_run(ctx: ThreadCtx, component):
-    """Plain ``(n) -> run`` over a gate-less boundary source's run entry
-    (None when it has none), charging ``items_out`` for the run's data
-    items as ``n`` served pulls would."""
-    pull_run = _run_entry(component, "pull")
-    if pull_run is None:
-        return None
-    pull_run = plant_source(ctx, pull_run, _run_data_count)
-    stats = component.stats
-
-    def serve_run(n):
-        run = pull_run(n)
-        # _run_data_count, minus a call: a refill pays this per output item.
-        count = len(run)
-        if count and ends_in_eos(run):
-            count -= 1
-        if count:
-            stats["items_out"] += count
-        return run
-
-    return serve_run
-
-
 def _compile_crossing(ctx: ThreadCtx, component, kind: str):
     """Bound round trip to a coroutine component's thread.
 
@@ -591,11 +580,13 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
 
         return function_pull
 
-    # Producer style (possibly multi-input) under deterministic replay.
-    replay = engine.replay_for(component)
+    # Producer style (possibly multi-input).  A get() on a direct port
+    # calls upstream inside serve(); one on a replayed port aborts the
+    # pull, and it is re-run once the walker has fed that port an item.
+    replay, replayed, drains = _bind_intake(ctx, node)
     serve = _bind_serve_pull(component, node.entry_port)
     branch_pulls = {
-        port: compile_pull(ctx, child) for port, child in node.branches.items()
+        port: compile_pull(ctx, child) for port, child in replayed.items()
     }
     begin, feed, commit = replay.begin, replay.feed, replay.commit
 
@@ -605,29 +596,63 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
             try:
                 result = serve()
             except NeedMoreInput as need:
-                cost = component._cost_accumulator
-                if cost > 0.0:
-                    component._cost_accumulator = 0.0
-                    yield Work(cost)
-                upstream = yield from branch_pulls[need.port]()
-                if upstream is NIL:
-                    return NIL  # cannot complete now; prefetch is preserved
-                feed(need.port, upstream)
-                continue
+                pull_upstream = branch_pulls.get(need.port)
+                if pull_upstream is None:
+                    result = NIL  # a direct port's upstream answered NIL
+                else:
+                    cost = component._cost_accumulator
+                    if cost > 0.0:
+                        component._cost_accumulator = 0.0
+                        yield Work(cost)
+                    result = yield from pull_upstream()
+                    if result is not NIL:
+                        feed(need.port, result)
+                        continue
+                # NIL: cannot complete now; what was read stays buffered.
             except EndOfStream:
-                cost = component._cost_accumulator
-                if cost > 0.0:
-                    component._cost_accumulator = 0.0
-                    yield Work(cost)
-                return EOS
-            commit()
-            cost = component._cost_accumulator
+                result = EOS
+            else:
+                commit()
+            # Whatever ran inside the pull — the producer and the plain
+            # subtrees its direct ports called — is charged as one Work.
+            cost = 0.0
+            for take in drains:
+                cost += take()
             if cost > 0.0:
-                component._cost_accumulator = 0.0
                 yield Work(cost)
             return result
 
     return producer_pull
+
+
+def _bind_intake(ctx: ThreadCtx, node: FlowNode):
+    """Choose, per input port of producer ``node``, how a ``get()`` that
+    misses the intake's buffer is satisfied — read off the compiled graph,
+    so the last compilation decides.
+
+    A port whose upstream subtree is plain (:func:`_compile_pull_plain`:
+    no gate, lock or coroutine crossing below, so it can never suspend)
+    under an unlocked producer is *direct*: the intake calls the subtree's
+    plain per-item pull.  Any other port is *replayed*: the intake aborts
+    the pull and the walker fetches through the compiled generator hop.
+    Returns ``(intake, replayed, drains)`` — the replayed ports' children
+    and the cost takers of the producer and its direct subtrees.
+    """
+    engine = ctx.engine
+    component = node.component
+    replay = engine.replay_for(component)
+    locked = engine.lock_for(component) is not None
+    replayed = {}
+    drains = [_bind_drain_fn(component)]
+    for port, child in node.branches.items():
+        plain = None if locked else _compile_pull_plain(ctx, child)
+        if plain is None:
+            replay.bind(port, None)
+            replayed[port] = child
+        else:
+            replay.bind(port, plain[0])
+            drains.extend(plain[1])
+    return replay, replayed, drains
 
 
 def compile_push(ctx: ThreadCtx, target: FlowTarget):
@@ -848,85 +873,24 @@ def _compile_pull_plain(ctx: ThreadCtx, target: FlowTarget):
 
         return function_plain, drains + [_bind_drain_fn(component)]
 
-    # Producer style under deterministic replay.  A pull() that needs k
-    # inputs is re-run from the top after every refill, so fetching one
-    # upstream item per NeedMoreInput costs k+1 attempts per output item.
-    # The batch walker instead *predicts demand*: it remembers how many
-    # items each port consumed on the last successful pull and refills up
-    # to that count in one go, cutting the attempts to ~2.  Over-fetched
-    # items simply stay in the replay intake buffers (the same place the
-    # per-item walker parks partial reads), and the refill stops at
-    # EOS/NIL, so the item stream and the quiescent flow accounting are
-    # identical to the per-item walker at every batch size.
-    replay = engine.replay_for(component)
-    refills = {}
-    drains = [_bind_drain_fn(component)]
-    for port, child in target.branches.items():
-        sub = _compile_pull_plain(ctx, child)
-        if sub is None:
-            return None
-        fetch_run = None
-        if isinstance(child, BoundaryRef):
-            # A (gate-less) boundary source with a run entry hands over
-            # the items the refill would fetch one by one as one run.
-            fetch_run = _bind_source_run(ctx, child.component)
-        refills[port] = _bind_refill(
-            replay, port, fetch_run or _loop_run(sub[0])
-        )
-        drains.extend(sub[1])
+    # Producer style: plain when every port is direct, so one attempt
+    # answers — NeedMoreInput can only mean upstream said NIL.
+    replay, replayed, drains = _bind_intake(ctx, target)
+    if replayed:
+        return None
     serve = _bind_serve_pull(component, target.entry_port)
     begin, commit = replay.begin, replay.commit
-    read_counts = replay._read
-    demand = {port: 1 for port in refills}
-
-    if len(refills) == 1:
-        # Single-input producer (the common case): the port is fixed, and
-        # the predicted demand is refilled *before* the first serve()
-        # attempt, so a steady-state pull succeeds on attempt one instead
-        # of paying a probe run + NeedMoreInput per item.
-        ((only_port, refill),) = refills.items()
-        buffer = replay.buffers[only_port]
-        ports_at_eos = replay.eos
-        want_cell = [1]
-
-        def single_producer_plain():
-            want = want_cell[0]
-            if len(buffer) < want and only_port not in ports_at_eos:
-                refill(want)
-            while True:
-                begin()
-                try:
-                    result = serve()
-                except NeedMoreInput:
-                    if not refill(want_cell[0]):
-                        return NIL  # prefetch is preserved for the retry
-                    continue
-                except EndOfStream:
-                    return EOS
-                consumed = read_counts[only_port]
-                if consumed > want_cell[0]:
-                    want_cell[0] = consumed
-                commit()
-                return result
-
-        return single_producer_plain, drains
 
     def producer_plain():
-        while True:
-            begin()
-            try:
-                result = serve()
-            except NeedMoreInput as need:
-                if not refills[need.port](demand[need.port]):
-                    return NIL  # cannot complete now; prefetch is preserved
-                continue
-            except EndOfStream:
-                return EOS
-            for port, count in read_counts.items():
-                if count > demand[port]:
-                    demand[port] = count
-            commit()
-            return result
+        begin()
+        try:
+            result = serve()
+        except NeedMoreInput:
+            return NIL  # cannot complete now; its reads stay in the intake
+        except EndOfStream:
+            return EOS
+        commit()
+        return result
 
     return producer_plain, drains
 
@@ -947,26 +911,6 @@ def _loop_run(fn):
         return run
 
     return fetch_run
-
-
-def _bind_refill(replay, port: str, fetch_run):
-    """``refill(want) -> bool`` for one producer input: top the port's
-    intake buffer up to ``want`` items — always fetching at least one,
-    and never past EOS/NIL; False when upstream had no data now."""
-    buffer = replay.buffers[port]
-    ports_at_eos = replay.eos
-
-    def refill(want):
-        short = want - len(buffer)
-        run = fetch_run(short if short > 0 else 1)
-        if not run:
-            return False
-        buffer.extend(run)
-        if buffer[-1] is EOS:
-            ports_at_eos.add(port)  # what ReplayIntake.feed notes per item
-        return True
-
-    return refill
 
 
 def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
@@ -991,14 +935,22 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
 
             return gate_pull_many
 
-        serve_run = _bind_source_run(ctx, component)
-        if serve_run is not None:
+        pull_run = _run_entry(component, "pull")
+        if pull_run is not None:
             # Run-entry source: one call per run (a list, or a columnar
-            # batch whose EOS arrives as its own [EOS] run later).
+            # batch whose EOS arrives as its own [EOS] run later),
+            # charging ``items_out`` as that many served pulls would.
+            pull_run = plant_source(ctx, pull_run, _run_data_count)
+            stats = component.stats
             take_cost = _bind_drain_fn(component)
 
             def source_pull_many(n):
-                run = serve_run(n)
+                run = pull_run(n)
+                count = len(run)  # _run_data_count, minus a call
+                if count and ends_in_eos(run):
+                    count -= 1
+                if count:
+                    stats["items_out"] += count
                 cost = take_cost()
                 if cost > 0.0:
                     yield Work(cost)

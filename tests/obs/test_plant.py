@@ -62,14 +62,8 @@ def run_buffered(on_full, batch_max, flush_at=None, items=120):
     where items wait (or, under a drop policy, die)."""
     buffer = Buffer(capacity=8, on_full=on_full, name="queue")
     sink = CollectSink()
-    # A flush wakes nobody, so the flush scenario keeps its producer
-    # clocked (twice the consumer's rate) instead of parked on the gate.
-    producer = (
-        GreedyPump(priority=1) if flush_at is None
-        else ClockedPump(200.0, priority=1)
-    )
     pipe = pipeline(
-        IterSource(range(items)), producer, buffer,
+        IterSource(range(items)), GreedyPump(priority=1), buffer,
         GreedyPump(), MapFilter(lambda x: x, cost=0.01), sink,
     )
     built = (
@@ -109,8 +103,9 @@ class TestOneRecordPerQueue:
 
     @pytest.mark.parametrize("batch_max", [1, 32])
     def test_flush_mid_run(self, batch_max):
+        # The producer is parked on the full queue when the flush comes.
         built, buffer, sink = run_buffered(
-            OnFull.DROP_OLD, batch_max, flush_at=0.1
+            OnFull.BLOCK, batch_max, flush_at=0.035
         )
         hist = assert_one_record(built.telemetry, built.tracer, "queue")
         assert hist.count == buffer.stats["items_out"] == len(sink.items)

@@ -130,8 +130,8 @@ def test_run_route_equals_per_item_route(scenario):
 
 def test_eos_inside_a_refill_over_an_odd_stream():
     """The producer-over-source case spelled out: the defragmenter's
-    demand-predicted refill asks the source for two items and gets
-    ``[x, EOS]`` — the unpaired ``x`` is discarded on both routes."""
+    second ``get()`` meets EOS mid-pull (it calls the source per item,
+    run entry or not) — the unpaired ``x`` is discarded on both routes."""
     scenario = (
         ("generator", list(range(67))), ("collect", None), True, 32, None
     )

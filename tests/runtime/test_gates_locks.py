@@ -50,6 +50,32 @@ class TestGates:
         engine.run()
         assert sink.items == list(range(10))
 
+    @pytest.mark.parametrize("batch_max", [1, 32])
+    def test_flush_wakes_the_pusher_parked_on_a_full_buffer(self, batch_max):
+        """A flush empties the buffer without any pull announcing the
+        space: the gate must wake the parked pusher itself, or the
+        section sleeps and the stream is silently truncated."""
+        from repro import Engine, OnFull
+        from repro.check import assert_no_deadlock
+
+        buf, sink = Buffer(8, OnFull.BLOCK), CollectSink()
+        pipe = pipeline(
+            IterSource(range(120)), GreedyPump(priority=1), buf,
+            GreedyPump(), MapFilter(lambda x: x, cost=0.01), sink,
+        )
+        engine = Engine(pipe, batch_max=batch_max)
+        engine.start()
+        engine.run(until=0.035)
+        assert buf.is_full
+        engine.send_event("flush")
+        engine.run()
+        assert buf.stats["drops"] == 8
+        assert len(sink.items) == 112
+        assert sink.items == sorted(set(sink.items))
+        assert sink.items[-1] == 119
+        assert engine.completed
+        assert_no_deadlock(engine.scheduler, expect_idle=True)
+
     def test_buffer_high_watermark_tracked(self):
         buf = Buffer(capacity=8)
         pipe = pipeline(
