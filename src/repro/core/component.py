@@ -124,6 +124,10 @@ class Component:
     def __init__(self, name: str | None = None):
         self.name = name or fresh_name(type(self).__name__)
         self.ports: dict[str, Port] = {}
+        # ``ports`` partitioned by direction, in declaration order; kept by
+        # _add_port, the one place a port is declared.
+        self._in_ports: tuple[Port, ...] = ()
+        self._out_ports: tuple[Port, ...] = ()
         #: Item counters maintained by the runtime.
         self.stats: dict[str, int] = {"items_in": 0, "items_out": 0}
         self._cost_accumulator = 0.0
@@ -145,6 +149,10 @@ class Component:
         if port.name in self.ports:
             raise PortError(f"duplicate port {port.name!r} on {self.name!r}")
         self.ports[port.name] = port
+        if port.direction is Direction.IN:
+            self._in_ports += (port,)
+        else:
+            self._out_ports += (port,)
         return port
 
     def port(self, name: str) -> Port:
@@ -161,11 +169,11 @@ class Component:
     def out_port(self) -> Port:
         return self.port("out")
 
-    def in_ports(self) -> list[Port]:
-        return [p for p in self.ports.values() if p.is_input]
+    def in_ports(self) -> tuple[Port, ...]:
+        return self._in_ports
 
-    def out_ports(self) -> list[Port]:
-        return [p for p in self.ports.values() if not p.is_input]
+    def out_ports(self) -> tuple[Port, ...]:
+        return self._out_ports
 
     # ------------------------------------------------------------ polarity
 

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 from repro.core.component import Component, Port, Role
 from repro.core.polarity import Direction
 from repro.core.typespec import Typespec
-from repro.errors import CompositionError, PortError
+from repro.errors import CompositionError, PortError, TypespecMismatch
 
 __all__ = ["Pipeline", "connect", "pipeline"]
 
@@ -39,9 +39,9 @@ def connect(out_port: Port, in_port: Port, check_typespecs: bool = True) -> None
         raise PortError(f"{out_port.qualified_name()} is not an out-port")
     if in_port.direction is not Direction.IN:
         raise PortError(f"{in_port.qualified_name()} is not an in-port")
-    if out_port.connected:
+    if out_port.peer is not None:
         raise PortError(f"{out_port.qualified_name()} is already connected")
-    if in_port.connected:
+    if in_port.peer is not None:
         raise PortError(f"{in_port.qualified_name()} is already connected")
     if (
         out_port.mode is not None
@@ -77,15 +77,13 @@ class Pipeline:
     """
 
     def __init__(self, components: Iterable[Component] = ()):
-        self._components: list[Component] = []
-        for component in components:
-            self.add(component)
+        #: Members in insertion order (a dict as an ordered set).
+        self._components: dict[Component, None] = dict.fromkeys(components)
 
     # ------------------------------------------------------------ building
 
     def add(self, component: Component) -> Component:
-        if component not in self._components:
-            self._components.append(component)
+        self._components.setdefault(component)
         return component
 
     @staticmethod
@@ -95,7 +93,7 @@ class Pipeline:
         right_pipe = right if isinstance(right, Pipeline) else Pipeline([right])
         out_port = left_pipe.free_out_port()
         in_port = right_pipe.free_in_port()
-        merged = Pipeline(left_pipe._components + right_pipe._components)
+        merged = Pipeline(left_pipe._components | right_pipe._components)
         connect(out_port, in_port, check_typespecs=False)
         merged.derive_typespecs()
         return merged
@@ -134,20 +132,10 @@ class Pipeline:
         raise PortError(f"no component named {name!r} in pipeline")
 
     def free_in_ports(self) -> list[Port]:
-        return [
-            port
-            for component in self._components
-            for port in component.in_ports()
-            if not port.connected
-        ]
+        return _free_in_ports(self._components)
 
     def free_out_ports(self) -> list[Port]:
-        return [
-            port
-            for component in self._components
-            for port in component.out_ports()
-            if not port.connected
-        ]
+        return _free_out_ports(self._components)
 
     def free_in_port(self) -> Port:
         return _single(self.free_in_ports(), "free in-port")
@@ -204,23 +192,47 @@ class Pipeline:
 def pipeline(*components: Component) -> Pipeline:
     """Build a linear pipeline: ``pipeline(a, b, c)`` == ``a >> b >> c``,
     its Typespecs derived once, not after every join (a forward fold: the
-    first mismatch and its message are the same)."""
+    first mismatch and its message are the same), and each part's ports
+    scanned once: every join consumes the chain's one free out-port, so
+    the free out-ports of the chain are those of the part added last."""
     merged = Pipeline()
+    free_out: list[Port] = []
     try:
         for part in components:
-            part = part if isinstance(part, Pipeline) else Pipeline([part])
+            members = (
+                part._components if isinstance(part, Pipeline) else {part: None}
+            )
             if merged._components:
                 connect(
-                    merged.free_out_port(), part.free_in_port(),
+                    _single(free_out, "free out-port"),
+                    _single(_free_in_ports(members), "free in-port"),
                     check_typespecs=False,
                 )
-            for component in part:
-                merged.add(component)
+            free_out = _free_out_ports(members)
+            merged._components.update(members)
     finally:
         # Also when a join failed: ``>>`` would have reported a mismatch
         # among the joins before it first.
         merged.derive_typespecs()
     return merged
+
+
+def _free_in_ports(components: Iterable[Component]) -> list[Port]:
+    return [
+        port
+        for component in components
+        for port in component.in_ports()
+        if port.peer is None
+    ]
+
+
+def _free_out_ports(components: Iterable[Component]) -> list[Port]:
+    return [
+        port
+        for component in components
+        for port in component.out_ports()
+        if port.peer is None
+    ]
 
 
 def _single(items: list, what: str):
@@ -239,17 +251,17 @@ def _single(items: list, what: str):
 
 def reachable_components(start: Component) -> list[Component]:
     """All components connected (transitively) to ``start``."""
-    seen: list[Component] = []
+    seen: dict[Component, None] = {}
     stack = [start]
     while stack:
         component = stack.pop()
         if component in seen:
             continue
-        seen.append(component)
+        seen[component] = None
         for port in component.ports.values():
             if port.peer is not None:
                 stack.append(port.peer.component)
-    return seen
+    return list(seen)
 
 
 def derive_typespecs(components: Iterable[Component]) -> dict[str, Typespec]:
@@ -261,41 +273,37 @@ def derive_typespecs(components: Iterable[Component]) -> dict[str, Typespec]:
     input capability — raising :class:`TypespecMismatch` with the offending
     connection in the message — then transformed to its out-ports.
     """
-    ordered = _topological(list(components))
-    flow_at_out_port: dict[str, Typespec] = {}
-    for component in ordered:
-        incoming = Typespec.any()
-        for port in component.in_ports():
-            if port.peer is None:
-                continue
-            upstream_spec = flow_at_out_port.get(
-                port.peer.qualified_name(), Typespec.any()
-            )
-            incoming = incoming.intersect(
-                upstream_spec,
-                context=f"merging flows into {component.name!r}",
-            )
-        narrowed = incoming.intersect(
-            component.accepts(),
-            context=f"flow into {component.name!r}",
-        )
+    any_flow = Typespec.any()
+    flow_at: dict[Port, Typespec] = {}
+    for component in _topological(list(components)):
+        step = "merging flows into"
+        try:
+            incoming = any_flow
+            for port in component.in_ports():
+                if port.peer is not None:
+                    incoming = incoming.intersect(
+                        flow_at.get(port.peer, any_flow)
+                    )
+            step = "flow into"
+            narrowed = incoming.intersect(component.accepts())
+        except TypespecMismatch as mismatch:
+            # The connection is named only when the check fails.
+            raise mismatch.in_context(f"{step} {component.name!r}") from None
         outgoing = component.transform_typespec(narrowed)
         for port in component.out_ports():
-            flow_at_out_port[port.qualified_name()] = outgoing
-    return flow_at_out_port
+            flow_at[port] = outgoing
+    return {port.qualified_name(): flow for port, flow in flow_at.items()}
 
 
 def _topological(components: list[Component]) -> list[Component]:
-    indegree: dict[Component, int] = {c: 0 for c in components}
+    indegree: dict[Component, int] = dict.fromkeys(components, 0)
     for component in components:
         for port in component.in_ports():
             if port.peer is not None and port.peer.component in indegree:
                 indegree[component] += 1
-    queue = [c for c, d in indegree.items() if d == 0]
-    ordered: list[Component] = []
-    while queue:
-        component = queue.pop(0)
-        ordered.append(component)
+    # Kahn's queue and its result are one list, read while it grows.
+    ordered = [c for c, d in indegree.items() if d == 0]
+    for component in ordered:
         for port in component.out_ports():
             if port.peer is None:
                 continue
@@ -303,7 +311,7 @@ def _topological(components: list[Component]) -> list[Component]:
             if downstream in indegree:
                 indegree[downstream] -= 1
                 if indegree[downstream] == 0:
-                    queue.append(downstream)
+                    ordered.append(downstream)
     if len(ordered) != len(components):
         cyclic = [c.name for c in components if c not in ordered]
         raise CompositionError(

@@ -231,18 +231,36 @@ def _is_origin(component: Component) -> bool:
 
 def allocate(pipe: Pipeline) -> AllocationPlan:
     """Compute the thread/coroutine assignment for a composed pipeline."""
-    if not pipe.is_complete():
-        free = [
-            p.qualified_name()
-            for p in pipe.free_in_ports() + pipe.free_out_ports()
-        ]
+    # One pass sorts the components into what the checks below read.
+    free_in: list[Port] = []
+    free_out: list[Port] = []
+    origins: list[Component] = []
+    driven: list[Component] = []  # need a pump: neither origin nor boundary
+    senders: list[Component] = []  # send control events to neighbours
+    for component in pipe:
+        for port in component.in_ports():
+            if port.peer is None:
+                free_in.append(port)
+        for port in component.out_ports():
+            if port.peer is None:
+                free_out.append(port)
+        if _is_origin(component):
+            origins.append(component)
+        elif not _is_boundary(component):
+            driven.append(component)
+        if component.events_sent_downstream or component.events_sent_upstream:
+            senders.append(component)
+
+    if free_in or free_out:
+        free = [p.qualified_name() for p in free_in + free_out]
         raise AllocationError(
             f"pipeline is incomplete; unconnected ports: {', '.join(free)}"
         )
-    # Re-derive typespecs: validates acyclicity and flow compatibility.
+    # Re-derive typespecs: validates acyclicity and flow compatibility.  The
+    # graph may have been edited since it was composed, so this is never
+    # skipped, whatever composition already derived.
     pipe.derive_typespecs()
 
-    origins = [c for c in pipe.components if _is_origin(c)]
     if not origins:
         raise AllocationError(
             "pipeline has no pump or active endpoint; nothing would ever flow"
@@ -267,8 +285,13 @@ def allocate(pipe: Pipeline) -> AllocationPlan:
                         "upstream of an activity router"
                     )
 
-    _check_full_coverage(pipe, sections)
-    _check_event_operability(pipe)
+    orphans = [c.name for c in driven if c not in visits]
+    if orphans:
+        raise AllocationError(
+            "no pump drives these components (add a pump between the "
+            f"surrounding buffers/endpoints): {', '.join(sorted(orphans))}"
+        )
+    _check_event_operability(senders)
     return AllocationPlan(pipeline=pipe, sections=sections, shared_components=shared)
 
 
@@ -323,12 +346,13 @@ def _build_section(origin: Component, visits: dict[Component, int]) -> SectionPl
 
     pull_root: Union[FlowNode, BoundaryRef, None] = None
     push_root: Union[FlowNode, BoundaryRef, None] = None
-    if origin.in_ports():
-        in_port = origin.in_ports()[0]
+    in_ports, out_ports = origin.in_ports(), origin.out_ports()
+    if in_ports:
+        in_port = in_ports[0]
         origin.fix_port_mode(in_port.name, Mode.PULL)
         pull_root = explore(in_port.peer, Mode.PULL, via=in_port.name)
-    if origin.out_ports():
-        out_port = origin.out_ports()[0]
+    if out_ports:
+        out_port = out_ports[0]
         origin.fix_port_mode(out_port.name, Mode.PUSH)
         push_root = explore(out_port.peer, Mode.PUSH, via=out_port.name)
 
@@ -352,28 +376,11 @@ def _require_mode(port: Port, mode: Mode) -> None:
         )
 
 
-def _check_full_coverage(pipe: Pipeline, sections: list[SectionPlan]) -> None:
-    covered: set[Component] = set()
-    for section in sections:
-        covered.add(section.origin)
-        covered.update(stage.component for stage in section.stages)
-    orphans = [
-        c.name
-        for c in pipe.components
-        if c not in covered and not _is_boundary(c)
-    ]
-    if orphans:
-        raise AllocationError(
-            "no pump drives these components (add a pump between the "
-            f"surrounding buffers/endpoints): {', '.join(sorted(orphans))}"
-        )
-
-
-def _check_event_operability(pipe: Pipeline) -> None:
+def _check_event_operability(senders: list[Component]) -> None:
     """Section 2.3: a component that sends control events to its neighbours
     needs someone on that side able to react, or the pipeline is not
     operational."""
-    for component in pipe.components:
+    for component in senders:
         if component.events_sent_downstream:
             handled = _collect_handled(component, downstream=True)
             missing = set(component.events_sent_downstream) - handled

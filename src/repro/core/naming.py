@@ -3,16 +3,12 @@
 from __future__ import annotations
 
 import contextlib
-import itertools
+import functools
 import re
 from collections import defaultdict
 
-
-def _new_counters() -> defaultdict[str, itertools.count]:
-    return defaultdict(lambda: itertools.count(1))
-
-
-_counters = _new_counters()
+#: Names handed out so far, per slug.
+_counters: defaultdict[str, int] = defaultdict(int)
 
 
 @contextlib.contextmanager
@@ -27,7 +23,7 @@ def fresh_scope():
     every process, session and co-simulated twin."""
     global _counters
     saved = _counters
-    _counters = _new_counters()
+    _counters = defaultdict(int)
     try:
         yield
     finally:
@@ -41,9 +37,11 @@ def fresh_name(prefix: str) -> str:
     ``MpegDecoder`` yields ``mpeg-decoder-1``, ``mpeg-decoder-2``, ...
     """
     slug = camel_to_kebab(prefix)
-    return f"{slug}-{next(_counters[slug])}"
+    _counters[slug] += 1
+    return f"{slug}-{_counters[slug]}"
 
 
+@functools.lru_cache(maxsize=1024)  # an entry per class name in practice
 def camel_to_kebab(name: str) -> str:
     """``"MpegFileSource"`` -> ``"mpeg-file-source"``."""
     step = re.sub(r"(.)([A-Z][a-z]+)", r"\1-\2", name)

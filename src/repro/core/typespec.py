@@ -201,9 +201,19 @@ class Typespec(Mapping):
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def any(cls) -> "Typespec":
-        """The Typespec that admits every flow."""
-        return cls()
+    def _of(cls, props_map: dict[str, Any]) -> "Typespec":
+        """Wrap properties that are already canonical (normalized values,
+        no :data:`ANY`): what the algebra below produces from the
+        properties of existing Typespecs."""
+        spec = cls.__new__(cls)
+        spec._props = props_map
+        return spec
+
+    @staticmethod
+    def any() -> "Typespec":
+        """The Typespec that admits every flow (one shared instance:
+        Typespecs are immutable)."""
+        return _ANY_SPEC
 
     def with_props(self, **props_kw: Any) -> "Typespec":
         """Functional update: returns a new Typespec with properties set or,
@@ -215,11 +225,12 @@ class Typespec(Mapping):
                 merged.pop(key, None)
             else:
                 merged[key] = value
-        return Typespec(merged)
+        return Typespec._of(merged)
 
     def without(self, *keys: str) -> "Typespec":
-        merged = {k: v for k, v in self._props.items() if k not in keys}
-        return Typespec(merged)
+        return Typespec._of(
+            {k: v for k, v in self._props.items() if k not in keys}
+        )
 
     # -- Mapping protocol ----------------------------------------------------
 
@@ -242,7 +253,13 @@ class Typespec(Mapping):
 
         Raises :class:`TypespecMismatch` when any shared property has an
         empty intersection, reporting all conflicting properties at once.
+        An operand comes back unchanged when the other admits every flow
+        or is the same object; only a narrowing builds a new Typespec.
         """
+        if other is self or not other._props:
+            return self
+        if not self._props:
+            return other
         merged: dict[str, Any] = dict(self._props)
         conflicts: dict[str, tuple] = {}
         for key, value in other._props.items():
@@ -259,11 +276,11 @@ class Typespec(Mapping):
                 f"{key}: {left!r} vs {right!r}"
                 for key, (left, right) in sorted(conflicts.items())
             )
-            prefix = f"{context}: " if context else ""
-            raise TypespecMismatch(
-                f"{prefix}no common flow ({detail})", conflicts=conflicts
+            mismatch = TypespecMismatch(
+                f"no common flow ({detail})", conflicts=conflicts
             )
-        return Typespec(merged)
+            raise mismatch.in_context(context) if context else mismatch
+        return Typespec._of(merged)
 
     def compatible_with(self, other: "Typespec") -> bool:
         """True when the intersection is non-empty."""
@@ -308,6 +325,9 @@ class Typespec(Mapping):
             return "Typespec.any()"
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._props.items()))
         return f"Typespec({inner})"
+
+
+_ANY_SPEC = Typespec()
 
 
 class props:

@@ -38,6 +38,10 @@ class TypespecMismatch(CompositionError):
         #: property whose intersection was empty.
         self.conflicts = dict(conflicts or {})
 
+    def in_context(self, context: str) -> "TypespecMismatch":
+        """The same mismatch, its message prefixed with where it arose."""
+        return TypespecMismatch(f"{context}: {self}", self.conflicts)
+
 
 class PortError(CompositionError):
     """A port was used incorrectly (already connected, unknown name, ...)."""

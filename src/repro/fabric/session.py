@@ -95,7 +95,7 @@ class Session:
 
     @property
     def tenant(self):
-        return self.fabric.scheduler.tenants.get(self.name)
+        return self.fabric.scheduler.tenant(self.name)
 
     @property
     def stats(self) -> PipelineStats:
@@ -200,12 +200,22 @@ class SessionFabric:
         admission policy queued the request (find it in ``pending``).
         Raises :class:`SessionRejected` on a reject verdict.  Attachment
         is live: no other session is paused, resorted or even reindexed.
+
+        An open is all-or-nothing: when the builder, the Typespec check,
+        allocation or set-up raises, the admission slot, the bare name
+        scope and whatever threads were already spawned are given back
+        and the error propagates unchanged — the fabric is as it was.
         """
         if name is None:
             name = f"s{self._unnamed}"
             self._unnamed += 1
         if name in self.sessions:
             raise DeployError(f"session {name!r} already open")
+        if not namespace and self._bare_session is not None:
+            raise DeployError(
+                f"session {self._bare_session!r} already holds the "
+                "bare (un-namespaced) name scope"
+            )
 
         decision: Decision | None = None
         if self.admission is not None:
@@ -222,41 +232,34 @@ class SessionFabric:
             if decision.weight is not None:  # degraded admission
                 weight = decision.weight
 
-        app = Pipeline.of(program)
-        pipeline = build_program(app.program)
-        if namespace:
-            for component in pipeline.components:
-                component.name = f"{name}/{component.name}"
-        else:
-            if self._bare_session is not None:
-                raise DeployError(
-                    f"session {self._bare_session!r} already holds the "
-                    "bare (un-namespaced) name scope"
-                )
+        if not namespace:
             self._bare_session = name
-
-        engine = app.build(pipeline, scheduler=self.scheduler).engine
-        engine.setup()
-        # The engine's drivers are the only spawn sites, so their names
-        # enumerate the session's threads without an O(total-threads)
-        # registry diff (which would make N opens O(N^2)).
-        thread_names = tuple(sorted(
-            [d.thread_name for d in engine.pump_drivers]
-            + [d.thread_name for d in engine._coroutine_drivers.values()]
-        ))
-
-        tenant = self.scheduler.add_tenant(name, weight)
-        for thread_name in thread_names:
-            self.scheduler.assign_tenant(
-                self.scheduler.threads[thread_name], tenant
+        engine = None
+        try:
+            app = Pipeline.of(program)
+            pipeline = build_program(app.program)
+            if namespace:
+                for component in pipeline:
+                    component.name = f"{name}/{component.name}"
+            engine = app.build(pipeline, scheduler=self.scheduler).engine
+            engine.setup()
+            thread_names = tuple(sorted(
+                driver.thread_name for driver in _drivers(engine)
+            ))
+            tenant = self.scheduler.add_tenant(name, weight)
+            threads = self.scheduler.threads
+            for thread_name in thread_names:
+                self.scheduler.assign_tenant(threads[thread_name], tenant)
+            session = Session(
+                self, name, engine, thread_names, weight, decision
             )
-
-        session = Session(
-            self, name, engine, thread_names, weight, decision
-        )
-        self.sessions[name] = session
-        if start:
-            engine.start()
+            self.sessions[name] = session
+            if start:
+                engine.start()
+        except BaseException:
+            self.sessions.pop(name, None)
+            self._detach(name, engine)
+            raise
         return session
 
     def admit_pending(self) -> list[Session]:
@@ -293,11 +296,26 @@ class SessionFabric:
             session.engine.stop()
         except Exception:  # noqa: BLE001 - a crashed tenant still detaches
             pass
-        for driver in session.engine.pump_drivers:
-            if driver.timer is not None and driver.timer.running:
-                driver.timer.stop()
-        for thread_name in session.thread_names:
-            self.scheduler.remove_thread(thread_name)
+        self._detach(name, session.engine)
+
+    def _detach(self, name: str, engine: Engine | None) -> None:
+        """Give back everything session ``name`` holds — of a closing
+        session, or of an open that failed part-way (``engine`` is None
+        when not even the engine was built): timers, threads, tenant,
+        admission slot, bare name scope.  Touches nothing of any other
+        session."""
+        if engine is not None:
+            for driver in engine.pump_drivers:
+                if driver.timer is not None and driver.timer.running:
+                    driver.timer.stop()
+            threads = self.scheduler.threads
+            for driver in _drivers(engine):
+                thread = threads.get(driver.thread_name)
+                # Only a thread whose body is this driver's: a failed open
+                # may have collided with a namesake another engine spawned.
+                body = getattr(thread, "code", None)
+                if getattr(body, "__self__", None) is driver:
+                    self.scheduler.remove_thread(thread.name)
         self.scheduler.remove_tenant(name)
         if self.admission is not None:
             self.admission.release(name)
@@ -409,6 +427,13 @@ class SessionFabric:
                 "time": stats.time,
             })
         return rows
+
+
+def _drivers(engine: Engine) -> tuple:
+    """``engine``'s pump and coroutine drivers: the only spawn sites, so
+    they enumerate a session's threads without an O(total-threads)
+    registry diff (which would make N opens O(N^2))."""
+    return (*engine.pump_drivers, *engine._coroutine_drivers.values())
 
 
 class FabricIO:

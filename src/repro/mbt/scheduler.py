@@ -160,10 +160,13 @@ class Tenant:
     ``weight`` sets the tenant's share of the scheduler relative to other
     backlogged tenants; ``vtime`` is its virtual finish time, advanced by
     ``1 / weight`` per dispatch.  Threads are attached via
-    :meth:`Scheduler.assign_tenant`.
+    :meth:`Scheduler.assign_tenant`, which keeps ``threads`` (attachment
+    order) so that dropping a tenant visits its own threads only.
     """
 
-    __slots__ = ("name", "_weight", "_inv_weight", "vtime", "dispatches")
+    __slots__ = (
+        "name", "_weight", "_inv_weight", "vtime", "dispatches", "threads",
+    )
 
     def __init__(self, name: str, weight: float = 1.0):
         if weight <= 0:
@@ -173,6 +176,7 @@ class Tenant:
         self._inv_weight = 1.0 / float(weight)
         self.vtime = 0.0
         self.dispatches = 0
+        self.threads: dict[MThread, None] = {}
 
     @property
     def weight(self) -> float:
@@ -321,6 +325,8 @@ class Scheduler:
             thread.terminated = True
             thread.clear_execution_state()
             self._parked.discard(thread)
+            if thread._tenant is not None:
+                thread._tenant.threads.pop(thread, None)
 
     def blocked_threads(self) -> list[MThread]:
         return [t for t in self.threads.values() if t.is_blocked()]
@@ -346,19 +352,27 @@ class Scheduler:
         tenant = self._tenants.pop(name, None)
         if tenant is None:
             return
-        for thread in self.threads.values():
-            if thread._tenant is tenant:
-                thread._tenant = None
-                self._reindex(thread)
+        for thread in tenant.threads:
+            thread._tenant = None
+            self._reindex(thread)
+        tenant.threads.clear()
 
     @property
     def tenants(self) -> dict[str, Tenant]:
         return dict(self._tenants)
 
+    def tenant(self, name: str) -> Tenant | None:
+        """The tenant called ``name``, if any (no copy of the table)."""
+        return self._tenants.get(name)
+
     def assign_tenant(self, thread: MThread, tenant: Tenant | str | None) -> None:
         """Attach ``thread`` to a tenant (or detach with ``None``)."""
         if isinstance(tenant, str):
             tenant = self.add_tenant(tenant)
+        if thread._tenant is not None:
+            thread._tenant.threads.pop(thread, None)
+        if tenant is not None:
+            tenant.threads[thread] = None
         thread._tenant = tenant
         self._reindex(thread)
 

@@ -126,15 +126,14 @@ class PumpDriver:
             rate_listener = getattr(self.origin, "_rate_listener", "absent")
             if rate_listener != "absent":
                 self.origin._rate_listener = self._apply_rate
-        self._pull_gates = [
-            gate
-            for gate in _boundary_gates(self.engine, self.section.pull_root)
-        ]
 
     def compile_walkers(self) -> None:
         """(Re)build the section's bound flow walkers; see
         :func:`repro.runtime.section.compile_pull`."""
         section = self.section
+        self._pull_gates = list(
+            _boundary_gates(self.engine, section.pull_root)
+        )
         self._pull_walker = (
             compile_pull(self.ctx, section.pull_root)
             if section.pull_root is not None
@@ -844,11 +843,6 @@ class Engine:
             return self
         self.plan = allocate(self.pipeline)
 
-        # Buffer gates first: boundary ownership needs them.
-        for component in self.pipeline.components:
-            if component.role is Role.BUFFER:
-                self._gates[component] = BufferGate(self, component)
-
         # Pump drivers and ownership / coroutine drivers via tree walks.
         coroutine_stages = {
             stage.component: stage
@@ -868,18 +862,20 @@ class Engine:
                         priority=section.origin.priority,
                     )
 
-        # Spawn threads (pump after ownership so gates resolve).
+        # Spawn the pump threads after the coroutine threads of every
+        # section (the spawn order certificates record).
         for driver in self.pump_drivers:
             driver.setup()
 
         # Segment locks for shared clusters.
         self._build_locks()
 
-        # Event wiring.
-        for component in self.pipeline.components:
+        # One pass in pipeline order: a buffer's gate, then the component's
+        # event wiring, then its attach hook (which may read both).
+        for component in self.pipeline:
+            if component.role is Role.BUFFER:
+                self._gates[component] = BufferGate(self, component)
             self._register_events(component)
-
-        for component in self.pipeline.components:
             component.on_attach(self)
 
         # Compile the flow walkers last: gates, locks, replay intakes and

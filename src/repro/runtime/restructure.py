@@ -117,7 +117,9 @@ def replace_component(
     stage.component = new
     node.component = new
     pipeline = engine.pipeline
-    pipeline._components[pipeline._components.index(old)] = new
+    pipeline._components = dict.fromkeys(
+        new if member is old else member for member in pipeline._components
+    )
 
     _transfer_runtime_wiring(engine, old, new)
 

@@ -1,7 +1,11 @@
 """Unit tests for the component/port model."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro.core import Event, Mode, Polarity
 from repro.core.component import Component, Role
 from repro.core.styles import Consumer, FunctionComponent, Producer
@@ -37,6 +41,113 @@ class TestPorts:
 
     def test_explicit_name_wins(self):
         assert Doubler(name="decode").name == "decode"
+
+
+def stock_component_classes():
+    """Every Component subclass any ``repro`` module defines."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, todo = set(), [Component]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found and sub.__module__.startswith("repro."):
+                found.add(sub)
+                todo.append(sub)
+    return sorted(found, key=lambda c: (c.__module__, c.__name__))
+
+
+#: Constructor arguments of the stock classes that have required ones.
+STOCK_ARGS = {
+    "PullBatcher": (4,),
+    "PushBatcher": (4,),
+    "CostFilter": (0.001,),
+    "MapFilter": (abs,),
+    "PredicateFilter": (bool,),
+    "ClockedPump": (10.0,),
+    "FeedbackPump": (10.0,),
+    "CallbackSink": (print,),
+    "CallbackSource": (int,),
+    "IterSource": ([1, 2],),
+    "TickingSource": (int,),
+    "RoutingSwitch": (int,),
+}
+
+
+def make_stock(cls):
+    if cls.__name__ in ("NetpipeSender", "NetpipeReceiver"):
+        from repro.net import InProcessLink
+        from repro.net.netpipe import make_netpipe_over
+
+        return make_netpipe_over(InProcessLink())[
+            cls.__name__ == "NetpipeReceiver"
+        ]
+    return cls(*STOCK_ARGS.get(cls.__name__, ()))
+
+
+class TestPortIndex:
+    """``in_ports()`` / ``out_ports()`` read an index kept where ports are
+    declared; it must always be ``ports`` partitioned by direction."""
+
+    @staticmethod
+    def assert_partitions(component):
+        ins, outs = component.in_ports(), component.out_ports()
+        declared = list(component.ports.values())
+        assert list(ins) == [p for p in declared if p.is_input]
+        assert list(outs) == [p for p in declared if not p.is_input]
+        assert sorted(ins + outs, key=declared.index) == declared
+        assert all(p.component is component for p in declared)
+        assert [component.port(p.name) for p in declared] == declared
+
+    @pytest.mark.parametrize(
+        "cls", stock_component_classes(), ids=lambda cls: cls.__name__
+    )
+    def test_every_stock_component(self, cls):
+        component = make_stock(cls)
+        self.assert_partitions(component)
+        # Wider fan-in / fan-out where the class takes a width.
+        if cls.__name__ in ("MergeTee", "MulticastTee", "ActivityRouter",
+                            "ZipBuffer"):
+            wide = cls(5)
+            self.assert_partitions(wide)
+            assert len(wide.ports) == 6
+
+    def test_ports_declared_after_construction(self):
+        class Growing(Component):
+            def open_tap(self, index):
+                return self.add_out_port(f"tap{index}", mode=Mode.PUSH)
+
+        c = Growing()
+        assert c.in_ports() == () and c.out_ports() == ()
+        c.add_in_port("in")
+        before = c.out_ports()
+        taps = [c.open_tap(i) for i in range(3)]
+        c.add_in_port("aux")
+        self.assert_partitions(c)
+        assert list(c.out_ports()) == taps
+        assert [p.name for p in c.in_ports()] == ["in", "aux"]
+        assert before == ()  # a value read earlier is a snapshot
+
+    def test_duplicate_name_is_rejected_and_leaves_the_index_alone(self):
+        c = Doubler()
+        ins, outs = c.in_ports(), c.out_ports()
+        for add in (c.add_in_port, c.add_out_port):
+            for name in ("in", "out"):
+                with pytest.raises(PortError, match="duplicate port"):
+                    add(name)
+        assert c.in_ports() == ins and c.out_ports() == outs
+        self.assert_partitions(c)
+
+    def test_returned_value_cannot_corrupt_the_index(self):
+        c = Doubler()
+        ins = c.in_ports()
+        with pytest.raises((TypeError, AttributeError)):
+            ins.append(c.out_port)
+        with pytest.raises(TypeError):
+            ins[0] = c.out_port
+        grown = c.in_ports()
+        grown += (c.out_port,)  # rebinds the local name only
+        assert c.in_ports() == ins == (c.in_port,)
+        self.assert_partitions(c)
 
 
 class TestModePropagation:

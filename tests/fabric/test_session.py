@@ -2,10 +2,16 @@
 
 import pytest
 
-from repro import CollectSink, GreedyPump, IterSource, pipeline
+from repro import CollectSink, Engine, GreedyPump, IterSource, pipeline
 from repro.api import Pipeline
-from repro.errors import DeployError
-from repro.fabric import SessionFabric
+from repro.core.typespec import Typespec
+from repro.errors import (
+    AllocationError,
+    DeployError,
+    SchedulerError,
+    TypespecMismatch,
+)
+from repro.fabric import AdmissionController, SessionFabric
 from repro.mbt import Scheduler, VirtualClock
 
 
@@ -98,6 +104,153 @@ class TestOpenClose:
 
     def test_close_unknown_session_is_noop(self):
         SessionFabric().close_session("ghost")
+
+
+class BuilderBroke(Exception):
+    pass
+
+
+def builder_raises():
+    raise BuilderBroke("no program today")
+
+
+def typespec_mismatch():
+    class RawSink(CollectSink):
+        input_spec = Typespec(format="raw")
+
+    return pipeline(
+        IterSource([1], flow_spec=Typespec(format="mpeg")), GreedyPump(),
+        RawSink(),
+    )
+
+
+def incomplete_pipeline():
+    return pipeline(IterSource([1]), GreedyPump())
+
+
+class TestFailedOpenLeavesNothing:
+    """An open is all-or-nothing: whatever raises after admission, the
+    slot, the bare scope, the threads and the tenant are given back."""
+
+    @pytest.mark.parametrize("namespace", [True, False])
+    @pytest.mark.parametrize(
+        "bad_program, error",
+        [
+            (builder_raises, BuilderBroke),
+            (typespec_mismatch, TypespecMismatch),
+            (incomplete_pipeline, AllocationError),
+        ],
+    )
+    def test_failed_open_releases_slot_and_scope(
+        self, bad_program, error, namespace
+    ):
+        admission = AdmissionController(max_sessions=1)
+        fabric = SessionFabric(admission=admission)
+        with pytest.raises(error):
+            fabric.open_session(bad_program, name="y", namespace=namespace)
+        assert admission.admitted_sessions == 0
+        assert fabric._bare_session is None
+        assert not fabric.sessions
+        assert not fabric.scheduler.threads
+        assert not fabric.scheduler.tenants
+        fabric.close_session("y")  # nothing to close, nothing to break
+        # The one slot (and the one bare scope) is free for a valid open.
+        build, sinks = counting_program()
+        fabric.open_session(build, name="ok", namespace=namespace)
+        run_rounds(fabric)
+        assert sinks[0].items == list(range(5))
+
+    def test_failure_after_set_up_removes_the_spawned_threads(self):
+        # The weight is only looked at when the tenant is created — after
+        # the engine spawned the session's threads on the shared scheduler.
+        build, _ = counting_program()
+        admission = AdmissionController(max_sessions=1)
+        fabric = SessionFabric(admission=admission)
+        with pytest.raises(SchedulerError, match="weight"):
+            fabric.open_session(build, name="y", weight=0.0)
+        assert not fabric.scheduler.threads
+        assert not fabric.scheduler.tenants
+        assert admission.admitted_sessions == 0
+        assert fabric.open_session(build, name="y") is not None
+
+    def test_failed_open_spares_a_namesake_thread_it_collided_with(self):
+        def build():
+            return pipeline(
+                IterSource(range(3)), GreedyPump(name="p"),
+                CollectSink(name="sink"),
+            )
+
+        scheduler = Scheduler(clock=VirtualClock())
+        neighbour = Engine(build(), scheduler=scheduler).setup()
+        theirs = scheduler.threads["pump:p"]
+        fabric = SessionFabric(scheduler=scheduler)
+        with pytest.raises(SchedulerError, match="duplicate thread"):
+            fabric.open_session(build, name="bare", namespace=False)
+        assert scheduler.threads["pump:p"] is theirs
+        assert not theirs.terminated
+        assert fabric._bare_session is None
+        neighbour.start()
+        scheduler.run()
+        assert neighbour.pipeline.component("sink").items == [0, 1, 2]
+
+    def test_second_bare_open_is_refused_before_admission(self):
+        build, _ = counting_program()
+        admission = AdmissionController(max_sessions=2)
+        fabric = SessionFabric(admission=admission)
+        fabric.open_session(build, name="cert", namespace=False)
+        with pytest.raises(DeployError, match="bare"):
+            fabric.open_session(build, name="other", namespace=False)
+        assert admission.admitted_sessions == 1
+        assert fabric._bare_session == "cert"
+
+
+class NoScanDict(dict):
+    """A scheduler table that refuses to be walked or copied."""
+
+    def _refuse(self, *args):
+        raise AssertionError("walked a fleet-wide scheduler table")
+
+    values = items = keys = __iter__ = copy = _refuse
+
+
+class TestCloseTouchesNoNeighbour:
+    def test_closing_one_of_200_walks_no_fleet_table(self):
+        build, sinks = counting_program(items=3)
+        fabric = SessionFabric()
+        sessions = [
+            fabric.open_session(build, name=f"s{i}") for i in range(200)
+        ]
+        scheduler = fabric.scheduler
+        victim = sessions[117]
+        victim_threads = victim.threads
+        scheduler.threads = NoScanDict(scheduler.threads)
+        scheduler._tenants = NoScanDict(scheduler._tenants)
+        fabric.close_session(victim.name)
+        assert victim.tenant is None
+        assert all(t.terminated for t in victim_threads)
+        # Reading the survivors' tenants copies no table either.
+        from repro.obs.metrics import MetricsRegistry
+
+        fabric.collect_metrics(MetricsRegistry())
+        assert len(fabric.tenant_rows()) == 199
+        assert all(s.tenant.name == s.name for s in fabric.sessions.values())
+        scheduler.threads = dict(dict.items(scheduler.threads))
+        scheduler._tenants = dict(dict.items(scheduler._tenants))
+        run_rounds(fabric, steps=5000)
+        assert fabric.completed
+        assert [s.items for i, s in enumerate(sinks) if i != 117] == [
+            [0, 1, 2]
+        ] * 199
+        assert sinks[117].items == []
+
+    def test_tenant_forgets_a_removed_thread(self):
+        build, _ = counting_program()
+        fabric = SessionFabric()
+        session = fabric.open_session(build, name="s")
+        tenant = session.tenant
+        assert list(tenant.threads) == session.threads
+        fabric.scheduler.remove_thread(session.thread_names[0])
+        assert not tenant.threads
 
 
 class TestLiveAttachDetach:
