@@ -28,10 +28,6 @@ except Exception:  # pragma: no cover
 np = None if os.environ.get("REPRO_MEDIA_PURE") else _numpy
 
 
-def have_numpy() -> bool:
-    return np is not None
-
-
 # -- column builders ----------------------------------------------------------
 
 
@@ -65,9 +61,18 @@ def u8(values: Iterable[int]):
 
 
 def payload_region(nbytes: int):
-    """One contiguous, writable payload region of ``nbytes`` bytes."""
+    """One contiguous, writable, zero-filled payload region of ``nbytes``
+    bytes."""
     if np is not None:
         return np.zeros(nbytes, dtype=np.uint8)
+    return bytearray(nbytes)
+
+
+def scratch_region(nbytes: int):
+    """A payload region of undefined contents, for a producer that writes
+    every byte of it (``bytearray`` has no uninitialised form)."""
+    if np is not None:
+        return np.empty(nbytes, dtype=np.uint8)
     return bytearray(nbytes)
 
 
@@ -84,6 +89,8 @@ def take(column, indices: Sequence[int]):
 
 
 def tolist(column) -> list:
+    """The column as a list of Python scalars — the ONE crossing from the
+    array backend into Python a per-item loop over a run should pay."""
     if _numpy is not None and isinstance(column, _numpy.ndarray):
         return column.tolist()
     return list(column)
@@ -104,26 +111,15 @@ def region_view(region) -> memoryview:
     return view
 
 
-def as_int(value) -> int:
-    """Normalize a column element (possibly a numpy scalar) to int."""
-    return int(value)
-
-
-def as_float(value) -> float:
-    return float(value)
-
-
 __all__ = [
     "np",
-    "have_numpy",
     "i64",
     "f64",
     "u8",
     "payload_region",
+    "scratch_region",
     "take",
     "tolist",
     "col_sum",
     "region_view",
-    "as_int",
-    "as_float",
 ]

@@ -8,6 +8,8 @@ preemption experiments (audio must not be delayed by video decoding).
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from repro.components.sinks import ActiveSink
 from repro.components.sources import Source
 from repro.core.events import EOS
@@ -181,25 +183,22 @@ class AudioMixer(FunctionComponent):
             stats["bytes_in"] += items.nominal_bytes
             stats["bytes_out"] += items.nominal_bytes
             return items
-        sizes = [int(items.size[i]) for i in range(count)]
-        payloads = [items.payload_view(i) for i in range(count)]
+        sizes = arrays.tolist(items.size)
+        payloads = items.payload_views()
         if any(
-            p is None or p.nbytes != sizes[i]
-            for i, p in enumerate(payloads)
+            p is None or p.nbytes != size
+            for p, size in zip(payloads, sizes, strict=True)
         ):
             return super().convert_many(items)  # per-item exact fallback
         stats["bytes_in"] += items.nominal_bytes
-        offsets: list[int] = []
-        total = 0
-        for size in sizes:
-            offsets.append(total)
-            total += size
-        region = arrays.payload_region(total)
+        offsets = list(accumulate(sizes, initial=0))
+        region = arrays.payload_region(offsets.pop())
         mv = arrays.region_view(region)
         cost = self.cost_per_block
-        for i in range(count):
-            offset = offsets[i]
-            self._mix_into(payloads[i], mv[offset : offset + sizes[i]])
+        for payload, offset, size in zip(
+            payloads, offsets, sizes, strict=True
+        ):
+            self._mix_into(payload, mv[offset : offset + size])
             if cost:
                 self.charge(cost)
         stats["mixed"] += count

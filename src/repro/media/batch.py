@@ -35,6 +35,7 @@ format.
 from __future__ import annotations
 
 import struct
+from itertools import accumulate, starmap
 from typing import Any, Iterable, Sequence
 
 from repro.core.runs import ColumnarRun
@@ -54,6 +55,19 @@ _F_ENCODED = 0x02
 _VF_HEAD = struct.Struct("<BBBBqdqqiii")
 # wire_id, flags, seq, pts, duration, size, body_len
 _AS_HEAD = struct.Struct("<BBqddqq")
+
+#: The order ``to_frames`` / ``to_samples`` hand columns to the item
+#: constructors in (by position: a keyword call costs as much again as
+#: the column pass).  A reordered or added field fails here, at import.
+_FRAME_FIELDS = (
+    "seq", "kind", "pts", "size", "width", "height", "gop_id", "encoded",
+    "deps", "owner", "payload",
+)
+_SAMPLE_FIELDS = ("seq", "pts", "duration", "size", "payload")
+if (VideoFrame.__slots__, AudioSample.__slots__) != (
+    _FRAME_FIELDS, _SAMPLE_FIELDS
+):
+    raise TypeError("VideoFrame / AudioSample fields moved: update batch.py")
 
 
 class _ColumnarBatch(ColumnarRun):
@@ -83,6 +97,22 @@ class _ColumnarBatch(ColumnarRun):
             return None
         offset = int(self.offsets[i])
         return mv[offset : offset + int(self.size[i])]
+
+    def payload_views(self) -> "list | None":
+        """Every item's payload view in order, as a fresh list (None
+        when metadata-only)."""
+        if self.views is not None:
+            return list(self.views)
+        mv = self._region_mv
+        if mv is None:
+            return None
+        return [
+            mv[offset : offset + size]
+            for offset, size in zip(
+                arrays.tolist(self.offsets), arrays.tolist(self.size),
+                strict=True,
+            )
+        ]
 
     def _payload_take(self, indices: Sequence[int]):
         """Payload storage for a sub-batch of ``indices`` — always shares
@@ -212,7 +242,19 @@ class FrameBatch(_ColumnarBatch):
         return self.frame(index)
 
     def to_frames(self) -> list[VideoFrame]:
-        return [self.frame(i) for i in range(len(self))]
+        """Materialize every frame, each column converted once."""
+        tolist = arrays.tolist
+        n = len(self)
+        return list(starmap(VideoFrame, zip(  # in _FRAME_FIELDS order
+            tolist(self.seq), self.kind, tolist(self.pts), tolist(self.size),
+            tolist(self.width), tolist(self.height), tolist(self.gop_id),
+            map(bool, tolist(self.encoded)), self.deps,
+            self.owner or [""] * n, self.payload_views() or [None] * n,
+            strict=True,
+        )))
+
+    def __iter__(self):
+        return iter(self.to_frames())
 
     def select(self, indices: Iterable[int]) -> "FrameBatch":
         """Sub-batch of ``indices`` — columns re-indexed, payload bytes
@@ -293,7 +335,16 @@ class SampleBatch(_ColumnarBatch):
         return self.sample(index)
 
     def to_samples(self) -> list[AudioSample]:
-        return [self.sample(i) for i in range(len(self))]
+        """Materialize every block, each column converted once."""
+        tolist = arrays.tolist
+        return list(starmap(AudioSample, zip(  # in _SAMPLE_FIELDS order
+            tolist(self.seq), tolist(self.pts), tolist(self.duration),
+            tolist(self.size), self.payload_views() or [None] * len(self),
+            strict=True,
+        )))
+
+    def __iter__(self):
+        return iter(self.to_samples())
 
     def select(self, indices: Iterable[int]) -> "SampleBatch":
         indices = list(indices)
@@ -312,21 +363,30 @@ class SampleBatch(_ColumnarBatch):
 def build_payload_region(seqs: Sequence[int], sizes: Sequence[int]):
     """One contiguous region filled with each item's synthetic payload.
 
-    Returns ``(region, offsets)`` for batch construction.  The fill is a
-    C-level pattern copy per item, byte-identical to the per-item
-    :func:`~repro.media.frames.synth_payload`.
+    Returns ``(region, offsets)`` for batch construction, byte-identical
+    to the per-item :func:`~repro.media.frames.synth_payload` and written
+    once: when every size is a multiple of 8 the numpy backend repeats
+    each item's 64-bit sequence word into place; otherwise each payload
+    is copied into a region that is not zeroed first, since items lie
+    end to end and so cover it.
     """
-    total = 0
-    offsets = []
-    for size in sizes:
-        offsets.append(total)
-        total += int(size)
-    region = arrays.payload_region(total)
-    mv = arrays.region_view(region)
-    for seq, offset, size in zip(seqs, offsets, sizes):
-        size = int(size)
-        if size:
-            mv[offset : offset + size] = synth_payload(int(seq), size)
+    sizes = arrays.tolist(sizes)
+    if sizes and min(sizes) < 0:
+        raise ValueError(f"negative payload size {min(sizes)}")
+    offsets = list(accumulate(sizes, initial=0))
+    total = offsets.pop()
+    np = arrays.np
+    if np is not None and not any(size & 7 for size in sizes):
+        words = np.asarray(seqs, dtype="<i8").view("<u8")
+        counts = np.asarray(sizes, dtype=np.intp) >> 3
+        region = words.repeat(counts).view(np.uint8)
+    else:
+        region = arrays.scratch_region(total)
+        mv = arrays.region_view(region)
+        for seq, offset, size in zip(
+            arrays.tolist(seqs), offsets, sizes, strict=True
+        ):
+            mv[offset : offset + size] = synth_payload(seq, size)
     return region, arrays.i64(offsets)
 
 
@@ -334,38 +394,39 @@ def build_payload_region(seqs: Sequence[int], sizes: Sequence[int]):
 
 
 def _encode_frame_run(batch: FrameBatch) -> EncodedRun:
-    n = len(batch)
     head = _VF_HEAD.size
+    tolist = arrays.tolist
     deps = batch.deps
-    sizes = batch.size
-    payloads = [batch.payload_view(i) for i in range(n)]
-    lengths = []
-    for i in range(n):
-        body = (
-            payloads[i].nbytes
-            if payloads[i] is not None
-            else max(0, int(sizes[i]) - head - 8 * len(deps[i]))
+    sizes = tolist(batch.size)
+    payloads = batch.payload_views() or [None] * len(sizes)
+    lengths = [
+        payload.nbytes + head + 8 * len(frame_deps)
+        if payload is not None
+        else max(size, head + 8 * len(frame_deps))
+        for payload, frame_deps, size in zip(
+            payloads, deps, sizes, strict=True
         )
-        lengths.append(head + 8 * len(deps[i]) + body)
+    ]
     buffer, offsets = alloc_run_buffer(lengths)
     pack = _VF_HEAD.pack_into
-    seq, kind, pts = batch.seq, batch.kind, batch.pts
-    width, height = batch.width, batch.height
-    gop_id, encoded = batch.gop_id, batch.encoded
-    for i in range(n):
-        offset = offsets[i]
-        payload = payloads[i]
-        frame_deps = deps[i]
+    for (
+        offset, length, payload, frame_deps, kind_code,
+        seq, pts, size, width, height, gop_id, encoded,
+    ) in zip(
+        offsets, lengths, payloads, deps, map(ord, batch.kind),
+        tolist(batch.seq), tolist(batch.pts), sizes, tolist(batch.width),
+        tolist(batch.height), tolist(batch.gop_id), tolist(batch.encoded),
+        strict=True,
+    ):
         ndeps = len(frame_deps)
-        body = lengths[i] - head - 8 * ndeps
         flags = (_F_HAS_PAYLOAD if payload is not None else 0) | (
-            _F_ENCODED if encoded[i] else 0
+            _F_ENCODED if encoded else 0
         )
         pack(
             buffer, offset,
-            FRAME_WIRE_ID, flags, ord(kind[i]), ndeps,
-            int(seq[i]), float(pts[i]), int(sizes[i]), body,
-            int(width[i]), int(height[i]), int(gop_id[i]),
+            FRAME_WIRE_ID, flags, kind_code, ndeps,
+            seq, pts, size, length - head - 8 * ndeps,
+            width, height, gop_id,
         )
         offset += head
         if ndeps:
@@ -375,6 +436,11 @@ def _encode_frame_run(batch: FrameBatch) -> EncodedRun:
             buffer[offset : offset + payload.nbytes] = payload
         # else: the pad bytes are already zero in the fresh buffer.
     return EncodedRun(buffer, offsets, lengths)
+
+
+def _negative_field(what: str, **fields: int) -> MarshalError:
+    name, value = next(item for item in fields.items() if item[1] < 0)
+    return MarshalError(f"malformed {what} chunk: negative {name} {value}")
 
 
 def _parse_frame_chunk(chunk):
@@ -388,6 +454,10 @@ def _parse_frame_chunk(chunk):
         _wire, flags, kind_code, ndeps,
         seq, pts, size, body, width, height, gop_id,
     ) = _VF_HEAD.unpack_from(mv, 0)
+    if body < 0 or size < 0 or width < 0 or height < 0:
+        raise _negative_field(
+            "frame", body_len=body, size=size, width=width, height=height
+        )
     expected = head + 8 * ndeps + body
     if mv.nbytes != expected:
         raise MarshalError(
@@ -445,26 +515,23 @@ def _decode_frame_one(chunk) -> VideoFrame:
 
 
 def _encode_sample_run(batch: SampleBatch) -> EncodedRun:
-    n = len(batch)
     head = _AS_HEAD.size
-    payloads = [batch.payload_view(i) for i in range(n)]
+    tolist = arrays.tolist
+    payloads = batch.payload_views() or [None] * len(batch)
     lengths = [
-        head + (payloads[i].nbytes if payloads[i] is not None else 0)
-        for i in range(n)
+        head + (payload.nbytes if payload is not None else 0)
+        for payload in payloads
     ]
     buffer, offsets = alloc_run_buffer(lengths)
     pack = _AS_HEAD.pack_into
-    seq, pts, duration, sizes = batch.seq, batch.pts, batch.duration, batch.size
-    for i in range(n):
-        offset = offsets[i]
-        payload = payloads[i]
-        body = lengths[i] - head
+    for offset, length, payload, seq, pts, duration, size in zip(
+        offsets, lengths, payloads, tolist(batch.seq), tolist(batch.pts),
+        tolist(batch.duration), tolist(batch.size), strict=True,
+    ):
         flags = _F_HAS_PAYLOAD if payload is not None else 0
         pack(
             buffer, offset,
-            SAMPLE_WIRE_ID, flags,
-            int(seq[i]), float(pts[i]), float(duration[i]),
-            int(sizes[i]), body,
+            SAMPLE_WIRE_ID, flags, seq, pts, duration, size, length - head,
         )
         if payload is not None:
             offset += head
@@ -480,6 +547,8 @@ def _parse_sample_chunk(chunk):
             f"truncated sample chunk: {mv.nbytes} of {head} header bytes"
         )
     _wire, flags, seq, pts, duration, size, body = _AS_HEAD.unpack_from(mv, 0)
+    if body < 0 or size < 0:
+        raise _negative_field("sample", body_len=body, size=size)
     if mv.nbytes != head + body:
         raise MarshalError(
             f"malformed sample chunk: {mv.nbytes} bytes, "

@@ -18,6 +18,8 @@ The decoder models the three behaviours the paper's arguments rest on:
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from repro.core.styles import Consumer
 from repro.core.typespec import Typespec, props
 from repro.media import arrays
@@ -50,8 +52,10 @@ class MpegDecoder(Consumer):
         self.share_references = share_references
         #: Decoded reference frames still shared with downstream, by seq.
         self.reference_frames: dict[int, VideoFrame] = {}
-        #: Sequence numbers of frames decoded successfully.
+        #: Sequence numbers of frames decoded successfully, and the same
+        #: numbers as a min-heap so pruning never scans the set.
         self._decoded: set[int] = set()
+        self._decoded_heap: list[int] = []
         self.stats.update(decoded=0, skipped_undecodable=0, released=0,
                           bytes_in=0, bytes_out=0)
 
@@ -63,7 +67,7 @@ class MpegDecoder(Consumer):
                 f"{self.name!r} expects encoded VideoFrames, got {frame!r}"
             )
         self.stats["bytes_in"] += frame.size
-        if not self._decodable(frame):
+        if not self._decoded.issuperset(frame.deps):
             self.stats["skipped_undecodable"] += 1
             return
         # Only reference frames (I/P) are shared with downstream; B frames
@@ -72,7 +76,7 @@ class MpegDecoder(Consumer):
         decoded = frame.decoded_copy(owner=self.name if shares else "")
         if self.cost_per_mb:
             self.charge(self.cost_per_mb * decoded.size / 1_000_000.0)
-        self._decoded.add(frame.seq)
+        self._mark_decoded(frame.seq)
         if frame.kind in ("I", "P") and self.share_references:
             self.reference_frames[frame.seq] = decoded
         self.stats["decoded"] += 1
@@ -102,41 +106,45 @@ class MpegDecoder(Consumer):
         stats = self.stats
         stats["items_in"] += count
         stats["bytes_in"] += run.nominal_bytes
-        decoded_set = self._decoded
-        deps = run.deps
-        seq_col, widths, heights = run.seq, run.width, run.height
+        decodable = self._decoded.issuperset
         cost = self.cost_per_mb
         keep: list[int] = []
+        seqs: list[int] = []
         raw_sizes: list[int] = []
-        for i in range(count):
-            if not all(d in decoded_set for d in deps[i]):
+        for i, (seq, frame_deps, width, height) in enumerate(zip(
+            arrays.tolist(run.seq), run.deps,
+            arrays.tolist(run.width), arrays.tolist(run.height),
+            strict=True,
+        )):
+            if not decodable(frame_deps):
                 stats["skipped_undecodable"] += 1
                 continue
-            seq = int(seq_col[i])
-            raw = int(int(widths[i]) * int(heights[i]) * 1.5)  # YUV420
+            raw = int(width * height * 1.5)  # YUV420
             if cost:
                 self.charge(cost * raw / 1_000_000.0)
-            decoded_set.add(seq)
             stats["decoded"] += 1
             keep.append(i)
+            seqs.append(seq)
             raw_sizes.append(raw)
+            self._mark_decoded(seq)
             self._forget_stale(seq)
         n = len(keep)
         region = offsets = None
         if n and run.has_payload:
-            region, offsets = build_payload_region(
-                [int(seq_col[i]) for i in keep], raw_sizes
-            )
+            region, offsets = build_payload_region(seqs, raw_sizes)
+        # A run decoded whole keeps its columns; only one that lost
+        # frames is re-indexed.
+        kept = run if n == count else run.select(keep)
         out = FrameBatch(
-            seq=arrays.take(seq_col, keep),
-            kind="".join(kinds[i] for i in keep),
-            pts=arrays.take(run.pts, keep),
+            seq=kept.seq,
+            kind=kept.kind,
+            pts=kept.pts,
             size=arrays.i64(raw_sizes),
-            width=arrays.take(widths, keep),
-            height=arrays.take(heights, keep),
-            gop_id=arrays.take(run.gop_id, keep),
+            width=kept.width,
+            height=kept.height,
+            gop_id=kept.gop_id,
             encoded=arrays.u8([0] * n),
-            deps=tuple(deps[i] for i in keep),
+            deps=kept.deps,
             region=region,
             offsets=offsets,
         )
@@ -144,15 +152,20 @@ class MpegDecoder(Consumer):
         stats["bytes_out"] += out.nominal_bytes
         return out
 
-    def _decodable(self, frame: VideoFrame) -> bool:
-        return all(dep in self._decoded for dep in frame.deps)
+    def _mark_decoded(self, seq: int) -> None:
+        if seq not in self._decoded:
+            self._decoded.add(seq)
+            heappush(self._decoded_heap, seq)
 
     def _forget_stale(self, current_seq: int, horizon: int = 64) -> None:
         # Bound the decoded-set so infinite streams do not grow memory;
         # references older than the horizon can never be dependencies.
-        stale = [s for s in self._decoded if s < current_seq - horizon]
-        for seq in stale:
-            self._decoded.discard(seq)
+        # The heap holds exactly the set's members, so popping while its
+        # least is stale removes what a scan of the set would.
+        heap = self._decoded_heap
+        stale_below = current_seq - horizon
+        while heap and heap[0] < stale_below:
+            self._decoded.discard(heappop(heap))
 
     # -- shared-frame lifecycle ----------------------------------------------
 
@@ -227,10 +240,8 @@ class MpegEncoder(Consumer):
         stats["bytes_in"] += run.nominal_bytes
         cost = self.cost_per_mb
         compression = self.compression
-        sizes = run.size
         out_sizes: list[int] = []
-        for i in range(count):
-            size = int(sizes[i])
+        for size in arrays.tolist(run.size):
             if cost:
                 self.charge(cost * size / 1_000_000.0)
             out_sizes.append(max(64, int(size / compression)))

@@ -101,11 +101,10 @@ class PriorityDropFilter(Consumer):
             stats["bytes_out"] += run.nominal_bytes
             return run
         keep = [i for i, kind in enumerate(kinds) if kind not in dropped]
-        for kind in kinds:
-            if kind in dropped:
-                key = f"dropped_{kind}" if kind in ("B", "P") \
-                    else "dropped_other"
-                stats[key] = stats.get(key, 0) + 1
+        for kind in dropped:
+            key = f"dropped_{kind}" if kind in ("B", "P") \
+                else "dropped_other"
+            stats[key] = stats.get(key, 0) + kinds.count(kind)
         kept = run.select(keep)
         stats["items_out"] += len(keep)
         stats["bytes_out"] += kept.nominal_bytes

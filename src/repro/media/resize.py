@@ -73,44 +73,42 @@ class Resizer(FunctionComponent):
         count = len(items)
         stats["bytes_in"] += items.nominal_bytes
         W, H = self.width, self.height
-        widths, heights = items.width, items.height
-        sizes, seq_col = items.size, items.seq
-        resize = [
-            i for i in range(count)
-            if int(widths[i]) != W or int(heights[i]) != H
-        ]
-        if not resize:
+        target = W * H
+        resized: list[bool] = []
+        new_sizes: list[int] = []
+        for size, width, height in zip(
+            arrays.tolist(items.size), arrays.tolist(items.width),
+            arrays.tolist(items.height), strict=True,
+        ):
+            resize = width != W or height != H
+            if resize:
+                scale = target / max(1, width * height)
+                size = max(1, int(size * scale))
+            resized.append(resize)
+            new_sizes.append(size)
+        resized_count = sum(resized)
+        if not resized_count:
             stats["bytes_out"] += items.nominal_bytes
             return items
         if self.cost_per_mpixel:
-            per_frame = self.cost_per_mpixel * (W * H) / 1e6
-            for _ in resize:
+            per_frame = self.cost_per_mpixel * target / 1e6
+            for _ in range(resized_count):
                 self.charge(per_frame)
-        stats["resized"] += len(resize)
-        resize_set = set(resize)
-        target = W * H
-        new_sizes: list[int] = []
-        for i in range(count):
-            size = int(sizes[i])
-            if i in resize_set:
-                scale = target / max(1, int(widths[i]) * int(heights[i]))
-                size = max(1, int(size * scale))
-            new_sizes.append(size)
+        stats["resized"] += resized_count
         region = offsets = views = None
         if items.has_payload:
-            if len(resize) == count:
-                region, offsets = build_payload_region(
-                    arrays.tolist(seq_col), new_sizes
-                )
+            if resized_count == count:
+                region, offsets = build_payload_region(items.seq, new_sizes)
             else:
                 views = [
-                    memoryview(synth_payload(int(seq_col[i]), new_sizes[i]))
-                    if i in resize_set
-                    else items.payload_view(i)
-                    for i in range(count)
+                    memoryview(synth_payload(seq, size)) if resize else view
+                    for resize, seq, size, view in zip(
+                        resized, arrays.tolist(items.seq), new_sizes,
+                        items.payload_views(), strict=True,
+                    )
                 ]
         out = FrameBatch(
-            seq=seq_col,
+            seq=items.seq,
             kind=kinds,
             pts=items.pts,
             size=arrays.i64(new_sizes),

@@ -5,6 +5,9 @@ netpipe receive path, asserted via ``memoryview`` identity — every
 payload view a component sees aliases the single received frame buffer.
 """
 
+import hashlib
+import struct
+
 import pytest
 
 from repro.errors import MarshalError
@@ -204,3 +207,86 @@ class TestEncodedRun:
                 return i
 
         assert encode_run(Odd()) is None
+
+
+class TestForgedMediaChunks:
+    """A media chunk header is outside input: a field that can only make
+    sense non-negative is refused by name, as a ``MarshalError`` — never
+    a ``struct.error`` out of a receiver thread, never a batch whose
+    byte accounting runs backwards."""
+
+    FRAME = "<BBBBqdqqiii"  # wire, flags, kind, ndeps, seq, pts, size, body, w, h, gop
+    SAMPLE = "<BBqddqq"  # wire, flags, seq, pts, duration, size, body
+
+    def frame_chunk(self, ndeps=0, size=48, body=0, width=160, height=120,
+                    tail=b""):
+        return struct.pack(
+            self.FRAME, 0x20, 0x02, ord("P"), ndeps, 7, 0.25, size, body,
+            width, height, 0,
+        ) + tail
+
+    def sample_chunk(self, size=0, body=0, tail=b""):
+        return struct.pack(self.SAMPLE, 0x21, 0, 7, 0.25, 0.02, size, body) + tail
+
+    def test_negative_body_len_cancelling_the_deps_is_refused(self):
+        # 48 header bytes + 8 * 2 deps - 16 body == the 48 bytes present.
+        chunk = self.frame_chunk(ndeps=2, body=-16)
+        assert len(chunk) == 48
+        for decode in (decode_item, lambda c: UnmarshalFilter().convert_many([c])):
+            with pytest.raises(MarshalError, match="negative body_len -16"):
+                decode(chunk)
+
+    @pytest.mark.parametrize("field", ["size", "width", "height"])
+    def test_negative_frame_dimension_is_refused(self, field):
+        chunk = self.frame_chunk(**{field: -1})
+        with pytest.raises(MarshalError, match=f"negative {field} -1"):
+            decode_item(chunk)
+        with pytest.raises(MarshalError, match=f"negative {field} -1"):
+            UnmarshalFilter().convert_many([chunk, chunk])
+
+    @pytest.mark.parametrize("field", ["size", "body"])
+    def test_negative_sample_field_is_refused(self, field):
+        name = {"size": "size", "body": "body_len"}[field]
+        chunk = self.sample_chunk(**{field: -8})
+        with pytest.raises(MarshalError, match=f"negative {name} -8"):
+            decode_item(chunk)
+        with pytest.raises(MarshalError, match=f"negative {name} -8"):
+            UnmarshalFilter().convert_many([chunk])
+
+    def test_receiver_surfaces_a_forged_media_frame_as_marshal_error(self):
+        protocol = FakeProtocol()
+        receiver = NetpipeReceiver(protocol)
+        protocol._deliver_frame(
+            encode_batch([self.frame_chunk(ndeps=2, body=-16)] * 2)
+        )
+        _, chunks = receiver.try_pull_many(2)
+        with pytest.raises(MarshalError, match="negative body_len"):
+            UnmarshalFilter().convert_many(chunks)
+
+    def test_well_formed_chunks_still_decode(self):
+        frame = decode_item(self.frame_chunk(ndeps=1, tail=b"\x05" + b"\0" * 7))
+        assert (frame.seq, frame.kind, frame.deps, frame.size) == (7, "P", (5,), 48)
+        sample = decode_item(self.sample_chunk(size=4, body=4, tail=b"abcd"))
+        assert sample.payload is None and sample.size == 4
+
+
+def test_one_encoded_run_is_byte_for_byte_the_recorded_one():
+    """Digests recorded at the commit before the run encoders read their
+    columns once: 32 frames of the ``video-wire`` GOP, with payloads and
+    metadata-only (padded to nominal size)."""
+    def digest(payloads):
+        gop = GopStructure(
+            pattern="IBBPBBPBB", seed=12345, width=160, height=120
+        )
+        run = MarshalFilter().convert_many(
+            gop.frame_batch(0, 32, payloads=payloads)
+        )
+        return hashlib.sha256(bytes(run.frame_payload())).hexdigest(), run.nbytes
+
+    assert digest(True) == (
+        "226a3906552e011e19903032f9bc60ebb48b36742df496cf9b95c3a8ad453208",
+        9468,
+    )
+    assert digest(False)[0] == (
+        "622fc0d4cbddb71b0f8b4aad9e2fd9c8471010a94f88cda9fd9d25305dd862a6"
+    )

@@ -113,11 +113,14 @@ def outcome(fn, *args, **kwargs):
         return ("mismatch", str(mismatch), mismatch.conflicts)
 
 
-def assert_same_spec(fast: Typespec, slow: Typespec) -> None:
+def assert_same_spec(
+    fast: Typespec, slow: Typespec, *, check_repr: bool = True
+) -> None:
     assert fast == slow and slow == fast
     assert hash(fast) == hash(slow)
     assert stored(fast) == stored(slow)
-    assert repr(fast) == repr(slow)
+    if check_repr:
+        assert repr(fast) == repr(slow)
     # Canonical all the way down: normalising again changes nothing.
     for value in stored(fast).values():
         assert value is not ANY
@@ -166,7 +169,9 @@ def test_intersect_commutes_up_to_equality(a, b):
     ab, ba = outcome(a.intersect, b), outcome(b.intersect, a)
     assert ab[0] == ba[0]
     if ab[0] == "ok":
-        assert_same_spec(ab[1], ba[1])
+        # Where one side says 0 and the other 0.0 each result keeps its
+        # left operand's spelling, so repr alone may differ (ROADMAP).
+        assert_same_spec(ab[1], ba[1], check_repr=False)
     else:
         assert set(ab[2]) == set(ba[2])
         for key, (left, right) in ab[2].items():
