@@ -96,7 +96,7 @@ from repro.errors import (
     RuntimeFault,
     TypespecMismatch,
 )
-from repro.runtime import BatchPolicy, Engine, PipelineStats
+from repro.runtime import Engine, PipelineStats
 from repro import api
 from repro.deploy import Deployment, DeploymentResult, Placement
 
@@ -111,7 +111,6 @@ __all__ = [
     "ActiveSource",
     "ActivityRouter",
     "AllocationError",
-    "BatchPolicy",
     "Buffer",
     "CallbackSink",
     "CallbackSource",

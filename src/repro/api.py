@@ -96,10 +96,6 @@ class BuiltApp:
             self.tracer.finalize_inflight()
         return self
 
-    @property
-    def stats(self):
-        return self.engine.stats
-
     def prometheus(self) -> str:
         if self.telemetry is None:
             raise DeployError(

@@ -31,6 +31,7 @@ from typing import Callable, Iterable
 from repro.errors import DeadlockError
 from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler
+from repro.mbt.tracing import format_tail
 
 #: How many trailing trace events a report quotes.
 TRACE_TAIL = 30
@@ -210,10 +211,6 @@ class DeadlockReport:
         program was expected to terminate (a parked server also matches)."""
         return self.quiescent and bool(self.blocked)
 
-    @property
-    def is_deadlock(self) -> bool:
-        return self.has_cycle or self.livelock
-
     def format(self) -> str:
         lines = []
         if self.has_cycle:
@@ -236,24 +233,6 @@ class DeadlockReport:
             lines.append(self.trace_excerpt)
         return "\n".join(lines)
 
-    def __str__(self) -> str:
-        return self.format()
-
-
-def _excerpt(scheduler: Scheduler, limit: int) -> str:
-    trace = scheduler._trace
-    if not trace:
-        return ""
-    tail = trace[-limit:]
-    lines = []
-    if len(trace) > len(tail):
-        lines.append(f"... ({len(trace) - len(tail)} earlier events)")
-    for event in tail:
-        time_stamp, kind, *details = event
-        rendered = " ".join(str(d) for d in details)
-        lines.append(f"{time_stamp:10.6f}  {kind:<10} {rendered}")
-    return "\n".join(lines)
-
 
 def detect(scheduler: Scheduler, trace_tail: int = TRACE_TAIL) -> DeadlockReport:
     """Inspect a scheduler's wait state (without running anything)."""
@@ -266,7 +245,7 @@ def detect(scheduler: Scheduler, trace_tail: int = TRACE_TAIL) -> DeadlockReport
         edges=edges,
         cycles=find_cycles(edges),
         quiescent=not ready and not timers,
-        trace_excerpt=_excerpt(scheduler, trace_tail),
+        trace_excerpt=format_tail(scheduler._trace, trace_tail),
     )
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.mbt.thread import MThread
+from repro.mbt.tracing import format_tail
 
 #: Safety bound for the default drive: no explored program should need
 #: more dispatches than this to quiesce.
@@ -123,20 +124,6 @@ def trace_hash(trace: Sequence[tuple]) -> str:
         repr(tuple(normalize(part) for part in event)) for event in trace
     )
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _trace_tail(scheduler, limit: int) -> str:
-    # list() first: the trace may be a ring deque, which cannot be sliced.
-    trace = list(scheduler._trace or [])
-    tail = trace[-limit:]
-    lines = []
-    if len(trace) > len(tail):
-        lines.append(f"... ({len(trace) - len(tail)} earlier events)")
-    for event in tail:
-        time_stamp, kind, *details = event
-        rendered = " ".join(str(d) for d in details)
-        lines.append(f"{time_stamp:10.6f}  {kind:<10} {rendered}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +228,7 @@ def _run_once(
         choices=list(chooser.choices),
         error=error,
     )
-    excerpt = _trace_tail(scheduler, trace_tail) if error else ""
+    excerpt = format_tail(scheduler._trace, trace_tail) if error else ""
     return run, excerpt
 
 

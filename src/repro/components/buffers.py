@@ -91,10 +91,6 @@ class Buffer(Component):
         return len(self._items) >= self.capacity
 
     @property
-    def is_empty(self) -> bool:
-        return not self._items and not self._eos_pending
-
-    @property
     def fill_fraction(self) -> float:
         return len(self._items) / self.capacity
 
@@ -240,10 +236,6 @@ class ZipBuffer(Component):
         self._eos_seen: set[str] = set()
         self._eos_delivered = False
         self.stats.update(drops=0)
-
-    @property
-    def is_empty(self) -> bool:
-        return not all(self._queues.values())
 
     def fill_level(self, port: str) -> int:
         return len(self._queues[port])

@@ -75,10 +75,6 @@ class Pump(Component):
     def on_resume(self, event) -> None:
         self.running = True
 
-    @property
-    def items_pumped(self) -> int:
-        return self.stats.get("items_out", 0)
-
 
 class ClockedPump(Pump):
     """Pump driven by a constant-rate clock.
@@ -117,9 +113,8 @@ class GreedyPump(Pump):
     It "does not limit its rate at all and relies on buffers to block the
     thread when a buffer is full or empty".  ``max_items`` optionally stops
     the pump after a fixed number of items (useful for batch workloads and
-    tests); ``batch_max`` optionally overrides the engine's batch policy
-    for this pump alone (see :mod:`repro.runtime.batching`) — it pins the
-    batch size, so an adaptive engine policy does not apply to this pump.
+    tests); ``batch_max`` optionally overrides the engine's ``batch_max``
+    for this pump alone (docs/RUNTIME.md §11).
     """
 
     timing = "greedy"

@@ -15,7 +15,7 @@ the other end of the filter or filter chain acquires an induced polarity").
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core import events as ev
 from repro.core.items import is_nil
@@ -64,10 +64,6 @@ class Port:
     @property
     def connected(self) -> bool:
         return self.peer is not None
-
-    @property
-    def is_input(self) -> bool:
-        return self.direction is Direction.IN
 
     def qualified_name(self) -> str:
         return f"{self.component.name}.{self.name}"
@@ -305,15 +301,3 @@ class Component:
 
     def on_detach(self) -> None:
         """Called by the runtime when the pipeline shuts down."""
-
-
-def linear_chain(components: Iterable[Component]) -> list[Component]:
-    """Validate that components form a connected linear chain and return it
-    in flow order (used by tests and simple tools)."""
-    ordered = list(components)
-    for left, right in zip(ordered, ordered[1:]):
-        if left.out_port.peer is None or left.out_port.peer.component is not right:
-            raise PortError(
-                f"{left.name!r} is not connected to {right.name!r}"
-            )
-    return ordered

@@ -136,10 +136,6 @@ class EventService:
         """Relays receive every broadcast (used for cross-node delivery)."""
         self._relays.append(relay)
 
-    @property
-    def receivers(self) -> list[str]:
-        return list(self._receivers)
-
     def broadcast(self, event: Event, relay: bool = True) -> None:
         """Deliver a broadcast event to every receiver (except its source)."""
         self.history.append(event)

@@ -47,8 +47,3 @@ def camel_to_kebab(name: str) -> str:
     step = re.sub(r"(.)([A-Z][a-z]+)", r"\1-\2", name)
     step = re.sub(r"([a-z0-9])([A-Z])", r"\1-\2", step)
     return step.replace("_", "-").lower()
-
-
-def reset_counters() -> None:
-    """Forget all counters (used by tests for stable names)."""
-    _counters.clear()

@@ -63,9 +63,6 @@ class Choices:
         inner = ", ".join(sorted(map(repr, self.options)))
         return f"Choices({{{inner}}})"
 
-    def __bool__(self) -> bool:
-        return bool(self.options)
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -255,6 +252,9 @@ class Typespec(Mapping):
         empty intersection, reporting all conflicting properties at once.
         An operand comes back unchanged when the other admits every flow
         or is the same object; only a narrowing builds a new Typespec.
+        Numerically equal scalars (``0`` and ``0.0``) keep the left
+        operand's spelling: ``a.intersect(b)`` and ``b.intersect(a)`` are
+        equal and hash alike, but their ``repr`` may differ.
         """
         if other is self or not other._props:
             return self

@@ -41,23 +41,14 @@ from repro.deploy.worker import (
     done_payload,
     shard_main,
 )
-from repro.net.socketlink import InProcessLink
+from repro.net.socketlink import InProcessLink, tcp_socketpair
 
 
 def _socketpair_for(transport: str):
     if transport == "socketpair":
         return socket.socketpair()
     if transport == "tcp":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        client = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        client.connect(listener.getsockname())
-        server, _ = listener.accept()
-        listener.close()
-        for sock in (client, server):
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return client, server
+        return tcp_socketpair()
     raise DeployError(
         f"unknown transport {transport!r}; use 'socketpair' or 'tcp'"
     )

@@ -68,18 +68,10 @@ class ShardPlan:
     #: Planner diagnostics: per-segment weight and shard (info only).
     segments: list[dict[str, Any]] = field(default_factory=list)
 
-    def shard_of(self, name: str) -> int:
-        return self.assignment[name]
-
     def shard_components(self, shard: int) -> list[str]:
         return sorted(
             name for name, s in self.assignment.items() if s == shard
         )
-
-    def cuts_touching(self, shard: int) -> list[Cut]:
-        return [
-            c for c in self.cuts if shard in (c.src_shard, c.dst_shard)
-        ]
 
     def describe(self) -> str:
         lines = [f"placement: {self.shards} shard(s), "

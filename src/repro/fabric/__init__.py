@@ -28,7 +28,6 @@ from repro.fabric.admission import (
     reject_over_capacity,
 )
 from repro.fabric.session import (
-    FabricIO,
     Session,
     SessionFabric,
     SessionRejected,
@@ -45,7 +44,6 @@ __all__ = [
     "degrade_over_capacity",
     "queue_over_capacity",
     "reject_over_capacity",
-    "FabricIO",
     "Session",
     "SessionFabric",
     "SessionRejected",

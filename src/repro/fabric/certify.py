@@ -42,10 +42,6 @@ class HostedSession:
         self.scheduler = fabric.scheduler
 
     @property
-    def completed(self) -> bool:
-        return self.fabric.completed
-
-    @property
     def stats(self):
         return self.session.engine.stats
 

@@ -34,7 +34,7 @@ Key properties:
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.api import Pipeline, build_program
 from repro.errors import DeployError
@@ -371,7 +371,7 @@ class SessionFabric:
     def run_with_io(self, io: Any, **loop: Any) -> "SessionFabric":
         """Fabric-level main loop: alternate scheduler runs with pumping
         a shared I/O source (typically a :class:`repro.net.mux.StreamMux`
-        over one shared SocketLink, or a :class:`FabricIO` over several).
+        over one shared SocketLink).
         Same contract and keywords as
         :func:`repro.runtime.engine.drive_with_io`."""
         drive_with_io(self.scheduler, lambda: self.completed, io, **loop)
@@ -434,28 +434,3 @@ def _drivers(engine: Engine) -> tuple:
     they enumerate a session's threads without an O(total-threads)
     registry diff (which would make N opens O(N^2))."""
     return (*engine.pump_drivers, *engine._coroutine_drivers.values())
-
-
-class FabricIO:
-    """Pump adapter over several inbound transports (muxes or links)."""
-
-    def __init__(self, sources: list, should_stop: Callable[[], bool] | None = None):
-        self.sources = list(sources)
-        self._should_stop = should_stop
-
-    def pump(self) -> int:
-        return sum(source.pump() for source in self.sources)
-
-    def wait(self, timeout: float) -> bool:
-        for source in self.sources:
-            wait = getattr(source, "wait", None)
-            if wait is not None and wait(0.0):
-                return True
-        if timeout:
-            import time as _time
-
-            _time.sleep(min(timeout, 0.005))
-        return False
-
-    def should_stop(self) -> bool:
-        return self._should_stop() if self._should_stop else False

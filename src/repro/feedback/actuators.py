@@ -74,29 +74,3 @@ class PumpRateActuator(EventActuator):
 
     def __init__(self, pump: Component):
         super().__init__(pump, kind="set-rate", transform=float)
-
-
-class BatchSizeActuator(Actuator):
-    """Steers a :class:`repro.runtime.batching.BatchPolicy` between its
-    ``min_batch`` and ``batch_max`` bounds from a 0..1 control signal
-    (typically a smoothed buffer fill fraction: a filling buffer means the
-    consumer lags, so larger batches amortize more per-item overhead).
-
-    Unlike the event actuators this one adjusts the policy directly: the
-    batch size is read by pump drivers at the start of each cycle, so a
-    plain attribute write is race-free under the cooperative scheduler and
-    needs no control message.
-    """
-
-    def __init__(self, policy):
-        self.policy = policy
-        #: Applied batch sizes (after clamping), for tests/telemetry.
-        self.applied: list[int] = []
-
-    def apply(self, signal: float) -> None:
-        policy = self.policy
-        fraction = max(0.0, min(1.0, signal))
-        span = policy.batch_max - policy.min_batch
-        size = policy.min_batch + int(round(fraction * span))
-        policy.set_current(size)
-        self.applied.append(policy.current)

@@ -27,7 +27,6 @@ This package reproduces that substrate in Python:
 from repro.mbt.clock import Clock, RealClock, VirtualClock
 from repro.mbt.constraints import Constraint
 from repro.mbt.coroutine import (
-    CoroutineSet,
     Done,
     GeneratorSuspendable,
     OSThreadSuspendable,
@@ -50,7 +49,7 @@ from repro.mbt.syscalls import (
     Yield,
 )
 from repro.mbt.thread import MThread
-from repro.mbt.timers import PeriodicTimer, TimerService
+from repro.mbt.timers import PeriodicTimer
 from repro.mbt.tracing import format_trace, summarize, switch_counts, timeline
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "Call",
     "Clock",
     "Constraint",
-    "CoroutineSet",
     "Done",
     "Exit",
     "GeneratorSuspendable",
@@ -75,7 +73,6 @@ __all__ = [
     "Sleep",
     "Suspendable",
     "TERMINATE",
-    "TimerService",
     "VirtualClock",
     "WaitUntil",
     "Work",

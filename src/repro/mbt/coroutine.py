@@ -239,53 +239,3 @@ class OSThreadSuspendable(Suspendable):
     @property
     def finished(self) -> bool:
         return self._finished
-
-
-class CoroutineSet:
-    """Bookkeeping for the coroutines sharing one pump's thread.
-
-    Tracks membership and hand-off counts and checks the paper's invariant
-    that at most one member is active at any time.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self._members: dict[str, Suspendable] = {}
-        self._active: str | None = None
-        #: Number of coroutine switches performed in this set.
-        self.switches = 0
-
-    def add(self, name: str, suspendable: Suspendable) -> None:
-        if name in self._members:
-            raise RuntimeFault(f"duplicate coroutine {name!r} in set {self.name!r}")
-        self._members[name] = suspendable
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._members
-
-    def members(self) -> list[str]:
-        return list(self._members)
-
-    @property
-    def active(self) -> str | None:
-        return self._active
-
-    def switch_to(self, name: str, value: Any = None) -> Any:
-        """Hand control to member ``name``; returns its next request."""
-        if name not in self._members:
-            raise RuntimeFault(f"unknown coroutine {name!r} in set {self.name!r}")
-        if self._active == name:
-            raise RuntimeFault(f"coroutine {name!r} is already active")
-        self._active = name
-        self.switches += 1
-        try:
-            return self._members[name].resume(value)
-        finally:
-            self._active = None
-
-    def close(self) -> None:
-        for suspendable in self._members.values():
-            suspendable.close()

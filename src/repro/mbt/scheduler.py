@@ -328,9 +328,6 @@ class Scheduler:
             if thread._tenant is not None:
                 thread._tenant.threads.pop(thread, None)
 
-    def blocked_threads(self) -> list[MThread]:
-        return [t for t in self.threads.values() if t.is_blocked()]
-
     # ------------------------------------------------------------ tenants
 
     def add_tenant(self, name: str, weight: float = 1.0) -> Tenant:
@@ -1082,10 +1079,7 @@ class Scheduler:
                 callee = self.threads.get(request.target)
                 if callee is not None and not callee.terminated:
                     inherited = Constraint(
-                        priority=int(thread.effective_priority())
-                        if thread.effective_priority() != float("inf")
-                        else thread.priority
-                    )
+                        priority=int(thread.effective_priority()))
                     callee.donate(message.msg_id, inherited)
                     if self._obs is not None:
                         self._obs.on_donation(callee.name)

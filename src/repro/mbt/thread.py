@@ -19,9 +19,9 @@ used to be recomputed, with fresh allocations, for *every* thread on
 *every* dispatch and preemption check).  The key is now cached and
 invalidated only by the events that can change it: a mailbox change
 (delivery, receive, drain — wired through the mailbox's change listener),
-a donation granted or revoked, the start or completion of message
-processing, and a priority change.  Invalidation also notifies the owning
-scheduler so its indexed ready queue stays current; see
+a donation granted or revoked, and the start or completion of message
+processing (the static priority is fixed at spawn).  Invalidation also
+notifies the owning scheduler so its indexed ready queue stays current; see
 :class:`repro.mbt.scheduler.Scheduler`.
 """
 
@@ -163,15 +163,6 @@ class MThread:
 
     # ------------------------------------------------------------------ API
 
-    @property
-    def priority(self) -> int:
-        return self._priority
-
-    @priority.setter
-    def priority(self, value: int) -> None:
-        self._priority = value
-        self._invalidate_key()
-
     def is_ready(self) -> bool:
         """True when the thread can use the CPU right now."""
         if self.terminated:
@@ -188,11 +179,6 @@ class MThread:
 
     def is_blocked(self) -> bool:
         return self._wait is not None and not self.terminated
-
-    @property
-    def processing(self) -> Message | None:
-        """The message currently being processed, if any."""
-        return self._current_message
 
     def effective_sort_key(self) -> tuple[float, float]:
         """Scheduling key; smaller sorts first (more urgent).
@@ -285,4 +271,4 @@ class MThread:
             if self.is_ready()
             else "idle"
         )
-        return f"<MThread {self.name!r} prio={self.priority} {state}>"
+        return f"<MThread {self.name!r} prio={self._priority} {state}>"

@@ -15,44 +15,6 @@ from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler, TimerHandle
 
 
-class TimerService:
-    """Posts messages to threads at requested times."""
-
-    __slots__ = ("_scheduler",)
-
-    def __init__(self, scheduler: Scheduler):
-        self._scheduler = scheduler
-
-    def post_at(
-        self,
-        when: float,
-        target: str,
-        kind: str = "tick",
-        payload: Any = None,
-        constraint: Constraint | None = None,
-    ) -> TimerHandle:
-        message = Message(
-            kind=kind,
-            payload=payload,
-            sender="timer",
-            target=target,
-            constraint=constraint,
-        )
-        return self._scheduler.at(when, lambda: self._scheduler.post(message))
-
-    def post_after(
-        self,
-        delay: float,
-        target: str,
-        kind: str = "tick",
-        payload: Any = None,
-        constraint: Constraint | None = None,
-    ) -> TimerHandle:
-        return self.post_at(
-            self._scheduler.now() + delay, target, kind, payload, constraint
-        )
-
-
 class PeriodicTimer:
     """Drift-free periodic tick source for clocked pumps.
 

@@ -15,24 +15,53 @@ from typing import Iterable
 from repro.mbt.scheduler import Scheduler
 
 
+def format_events(
+    events: Iterable[tuple],
+    kinds: Iterable[str] | None = None,
+    limit: int | None = None,
+    header: str = "",
+) -> str:
+    """One line per ``(time, kind, *details)`` event: ``time  kind  details``.
+
+    The one rendering of a scheduler event — :func:`format_trace`, the
+    flight recorder's dump and the checker's trace tails all come here.
+    ``kinds`` keeps only those kinds, ``limit`` stops after that many
+    lines and marks the cut with ``...``, and ``header`` (say, how many
+    earlier events a ring evicted) goes first when given.
+    """
+    wanted = set(kinds) if kinds is not None else None
+    lines = [header] if header else []
+    shown = 0
+    for time_stamp, kind, *details in events:
+        if wanted is not None and kind not in wanted:
+            continue
+        rendered = " ".join(str(d) for d in details)
+        lines.append(f"{time_stamp:10.6f}  {kind:<10} {rendered}")
+        shown += 1
+        if limit is not None and shown >= limit:
+            lines.append("...")
+            break
+    return "\n".join(lines)
+
+
 def format_trace(
     scheduler: Scheduler,
     kinds: Iterable[str] | None = None,
     limit: int | None = None,
 ) -> str:
-    """One line per trace event: ``time  kind  details``."""
-    wanted = set(kinds) if kinds is not None else None
-    lines = []
-    for event in scheduler.trace:
-        time_stamp, kind, *details = event
-        if wanted is not None and kind not in wanted:
-            continue
-        rendered = " ".join(str(d) for d in details)
-        lines.append(f"{time_stamp:10.6f}  {kind:<10} {rendered}")
-        if limit is not None and len(lines) >= limit:
-            lines.append("...")
-            break
-    return "\n".join(lines)
+    """The scheduler's recorded trace, through :func:`format_events`."""
+    return format_events(scheduler.trace, kinds, limit)
+
+
+def format_tail(trace: Iterable[tuple] | None, limit: int) -> str:
+    """The last ``limit`` events of ``trace`` (a list or a ring), under a
+    line saying how many came before them."""
+    events = list(trace or ())
+    tail = events[-limit:]
+    earlier = len(events) - len(tail)
+    return format_events(
+        tail, header=f"... ({earlier} earlier events)" if earlier else ""
+    )
 
 
 def switch_counts(scheduler: Scheduler) -> dict[str, int]:

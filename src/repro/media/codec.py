@@ -226,44 +226,3 @@ class MpegEncoder(Consumer):
         self.stats["encoded"] += 1
         self.stats["bytes_out"] += size
         self.put(encoded)
-
-    def process_run(self, run) -> "FrameBatch | None":
-        """Vectorized entry: encode a whole raw columnar run at once."""
-        kinds = getattr(run, "kind", None)
-        if not isinstance(kinds, str):
-            return None
-        count = len(run)
-        if arrays.col_sum(run.encoded) != 0:
-            return None  # per-item path raises the clear type error
-        stats = self.stats
-        stats["items_in"] += count
-        stats["bytes_in"] += run.nominal_bytes
-        cost = self.cost_per_mb
-        compression = self.compression
-        out_sizes: list[int] = []
-        for size in arrays.tolist(run.size):
-            if cost:
-                self.charge(cost * size / 1_000_000.0)
-            out_sizes.append(max(64, int(size / compression)))
-        stats["encoded"] += count
-        region = offsets = None
-        if count and run.has_payload:
-            region, offsets = build_payload_region(
-                arrays.tolist(run.seq), out_sizes
-            )
-        out = FrameBatch(
-            seq=run.seq,
-            kind=kinds,
-            pts=run.pts,
-            size=arrays.i64(out_sizes),
-            width=run.width,
-            height=run.height,
-            gop_id=run.gop_id,
-            encoded=arrays.u8([1] * count),
-            deps=run.deps,
-            region=region,
-            offsets=offsets,
-        )
-        stats["items_out"] += count
-        stats["bytes_out"] += out.nominal_bytes
-        return out

@@ -78,10 +78,6 @@ class VideoDisplay(Sink):
 
     # -- metrics ----------------------------------------------------------------
 
-    @property
-    def displayed_seqs(self) -> list[int]:
-        return [f.seq for f in self.frames]
-
     def continuity(self, total_frames: int) -> float:
         """Fraction of the stream that reached the display."""
         if total_frames <= 0:

@@ -23,15 +23,6 @@ def synth_payload(seq: int, size: int) -> bytes:
     return (word * ((size + 7) // 8))[:size]
 
 
-def payload_nbytes(payload: Any) -> int:
-    """Byte length of a payload (bytes, bytearray, memoryview or None)."""
-    if payload is None:
-        return 0
-    if isinstance(payload, memoryview):
-        return payload.nbytes
-    return len(payload)
-
-
 @dataclass(slots=True)
 class VideoFrame:
     """One video frame, encoded or decoded.

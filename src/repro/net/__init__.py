@@ -24,7 +24,6 @@ it:
 
 from repro.net.links import Link
 from repro.net.marshal import (
-    Codec,
     MarshalFilter,
     UnmarshalFilter,
     decode_item,
@@ -46,7 +45,6 @@ from repro.net.remote import RemoteBinder, RemoteFactory
 from repro.net.socketlink import InProcessLink, SocketLink
 
 __all__ = [
-    "Codec",
     "DatagramProtocol",
     "InProcessLink",
     "Link",

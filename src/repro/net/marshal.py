@@ -583,13 +583,6 @@ def split_flow_chunk(chunks: list) -> tuple[list, list | None]:
     return chunks[:-1], decode_item(last[1:])
 
 
-class Codec:
-    """Object-style facade over the module-level codec functions."""
-
-    encode = staticmethod(encode_item)
-    decode = staticmethod(decode_item)
-
-
 # -- marshalling filters -------------------------------------------------------
 
 

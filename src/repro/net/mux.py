@@ -481,10 +481,6 @@ class StreamMux:
         wait = getattr(self.inbound, "wait", None)
         return wait(timeout) if wait is not None else False
 
-    def readable(self, timeout: float = 0.0) -> bool:
-        readable = getattr(self.inbound, "readable", None)
-        return readable(timeout) if readable is not None else False
-
     def close(self) -> None:
         self.flush()
         self.transport.close()

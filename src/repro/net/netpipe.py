@@ -175,10 +175,6 @@ class NetpipeReceiver(Component):
     # -- runtime boundary interface (buffer-compatible) ----------------------
 
     @property
-    def is_empty(self) -> bool:
-        return not self._queue and not self._eos_pending
-
-    @property
     def fill_level(self) -> int:
         return self._queued
 

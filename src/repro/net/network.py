@@ -90,9 +90,6 @@ class Network:
             raise RemoteError(f"duplicate receiver for flow {flow!r}")
         self._receivers[flow] = receive
 
-    def unregister_receiver(self, flow: str) -> None:
-        self._receivers.pop(flow, None)
-
     def transmit(self, src: str, dst: str, packet: Packet) -> bool:
         """Send a packet; returns False when it was dropped on the way.
 

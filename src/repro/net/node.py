@@ -14,7 +14,7 @@ from typing import Any, Type, TypeVar
 from repro.components.sinks import ActiveSink, Sink
 from repro.components.sources import ActiveSource, Source
 from repro.core.component import Component
-from repro.core.typespec import Typespec, props
+from repro.core.typespec import props
 from repro.net.network import Network
 
 C = TypeVar("C", bound=Component)
@@ -53,10 +53,6 @@ class Node:
             )
         self.components.append(component)
         return component
-
-    def typespec_of(self, component: Component) -> Typespec:
-        """Local helper for remote Typespec queries (see remote.py)."""
-        return component.accepts()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.name!r} ({len(self.components)} components)>"

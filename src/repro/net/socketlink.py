@@ -44,6 +44,24 @@ _RECV_CHUNK = 1 << 16
 _COALESCE_LIMIT = 1 << 12
 
 
+def tcp_socketpair(
+    host: str = "127.0.0.1",
+) -> tuple[socket.socket, socket.socket]:
+    """A connected (client, server) pair of TCP_NODELAY sockets over
+    loopback — ``socket.socketpair()`` for a real TCP leg."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        listener.bind((host, 0))
+        listener.listen(1)
+        client = socket.create_connection(listener.getsockname())
+        server, _ = listener.accept()
+    finally:
+        listener.close()
+    for sock in (client, server):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return client, server
+
+
 def _set_bufsize(sock: socket.socket, bufsize: int | None) -> None:
     if bufsize is None:
         return
@@ -125,18 +143,6 @@ class SocketLink:
         return tx, rx
 
     @classmethod
-    def loopback(
-        cls, src: str = "local", dst: str = "local", flow: str = "flow"
-    ) -> "SocketLink":
-        """ONE link whose sends come back to its own receive side through
-        a real socketpair — a single-process netpipe over real sockets
-        (``make_netpipe(transport=SocketLink.loopback())``).  Sharing one
-        object between sender and receiver keeps the refinement checker's
-        sender/receiver pairing (``id(protocol)``) intact."""
-        a, b = socket.socketpair()
-        return cls(sock_out=a, sock_in=b, src=src, dst=dst, flow=flow)
-
-    @classmethod
     def tcp_pair(
         cls,
         src: str = "shard-0",
@@ -144,17 +150,8 @@ class SocketLink:
         flow: str = "flow",
         host: str = "127.0.0.1",
     ) -> tuple["SocketLink", "SocketLink"]:
-        """Like :meth:`pair` but over a real localhost TCP connection."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.bind((host, 0))
-            listener.listen(1)
-            client = socket.create_connection(listener.getsockname())
-            server, _ = listener.accept()
-        finally:
-            listener.close()
-        client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        server.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        """Like :meth:`pair` but over :func:`tcp_socketpair`."""
+        client, server = tcp_socketpair(host)
         tx = cls(sock_out=client, sock_in=client, src=src, dst=dst, flow=flow)
         rx = cls(sock_out=server, sock_in=server, src=src, dst=dst, flow=flow)
         return tx, rx

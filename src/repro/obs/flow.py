@@ -250,17 +250,6 @@ class FlowTrace:
             totals[kind] = totals.get(kind, 0.0) + duration
         return totals
 
-    def by_hop(self) -> list[dict[str, Any]]:
-        """Per-hop view: kind, location name, duration, cumulative end."""
-        hops = []
-        at = self._ctx.birth_ts
-        for kind, name, duration in self._ctx.segments:
-            at += duration
-            hops.append(
-                {"kind": kind, "name": name, "duration": duration, "t": at}
-            )
-        return hops
-
     def critical_path(self) -> tuple[str, str, float] | None:
         """The single longest segment — where this item spent its time."""
         segments = self._ctx.segments
@@ -876,9 +865,6 @@ class FlowTracer:
         return closed
 
     # ------------------------------------------------------------ queries
-
-    def trace(self, trace_id: str) -> FlowTrace | None:
-        return self.store.trace(trace_id)
 
     def traces(self, status: str | None = None) -> list[FlowTrace]:
         return self.store.traces(status)

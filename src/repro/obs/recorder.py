@@ -22,6 +22,7 @@ from typing import Iterator
 
 from repro.errors import InvariantViolation
 from repro.mbt.scheduler import Scheduler
+from repro.mbt.tracing import format_events
 
 DEFAULT_CAPACITY = 4096
 
@@ -106,11 +107,10 @@ class FlightRecorder:
         events = self.events()
         if limit is not None:
             events = events[-limit:]
-        lines = [
-            f"{time_stamp:10.6f}  {kind:<10} "
-            + " ".join(str(part) for part in details)
-            for time_stamp, kind, *details in events
-        ]
-        if self.dropped:
-            lines.insert(0, f"... ({self.dropped} earlier events evicted)")
-        return "\n".join(lines) if lines else "(no events retained)"
+        if not events:
+            return "(no events retained)"
+        dropped = self.dropped
+        return format_events(
+            events,
+            header=f"... ({dropped} earlier events evicted)" if dropped else "",
+        )

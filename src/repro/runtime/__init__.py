@@ -13,12 +13,10 @@ computes its :class:`~repro.core.glue.AllocationPlan`, and realizes it on a
 * event delivery with synchronized-object semantics (section 3.2).
 """
 
-from repro.runtime.batching import BatchPolicy
 from repro.runtime.engine import Engine
 from repro.runtime.stats import PipelineStats
 
 __all__ = [
-    "BatchPolicy",
     "Engine",
     "PipelineStats",
 ]

@@ -36,7 +36,6 @@ from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler
 from repro.mbt.syscalls import CONTINUE, Reply, Send, Work
 from repro.mbt.timers import PeriodicTimer
-from repro.runtime.batching import BatchPolicy
 from repro.runtime.bridge import PendingEmits, ReplayIntake, build_suspendable
 from repro.runtime.section import (
     BufferGate,
@@ -152,9 +151,8 @@ class PumpDriver:
         # effective batch limit exceeds 1 get the batched cycle and the
         # batch walkers.  At the default batch_max=1 nothing here runs,
         # so the per-item scheduler traces are reproduced bit-for-bit.
-        policy = self.engine.batch_policy
         self._pump_batch_max = getattr(self.origin, "batch_max", None)
-        limit = self._pump_batch_max or policy.batch_max
+        limit = self._pump_batch_max or self.engine.batch_max
         if limit > 1 and self.timing == "greedy":
             self._pull_many = (
                 compile_pull_many(self.ctx, section.pull_root)
@@ -315,9 +313,7 @@ class PumpDriver:
 
         n = self._pump_batch_max
         if n is None:
-            n = self.engine.batch_policy.current
-        if n < 1:
-            n = 1
+            n = self.engine.batch_max
         max_items = self._max_items
         if max_items is not None:
             headroom = max_items - self.items_moved
@@ -493,14 +489,6 @@ class CoroutineDriver:
         if self.susp is None:
             self.susp = build_suspendable(self.component, self.engine.backend)
         return self.susp
-
-    def continuation(self, port: str) -> FlowTarget:
-        try:
-            return self.node.branches[port]
-        except KeyError:
-            raise RuntimeFault(
-                f"{self.component.name!r} used unknown port {port!r}"
-            ) from None
 
     # -- resume helpers ------------------------------------------------------
 
@@ -755,11 +743,13 @@ class Engine:
         calls, the paper-faithful programming model).
     clock:
         Scheduler clock; defaults to a virtual (discrete-event) clock.
-    batch_policy / batch_max:
-        The batched data plane's transmission policy (see
-        :mod:`repro.runtime.batching`).  ``batch_max`` is shorthand for
-        ``BatchPolicy(batch_max=...)``; the default of 1 keeps the
-        per-item data plane (and its golden traces) exactly as-is.
+    batch_max:
+        The batched data plane's transmission policy: how many items a
+        greedy pump may move per scheduler message (docs/RUNTIME.md §11).
+        It lives on the engine — batch size is a property of the
+        transmission, not of any component; ``GreedyPump(batch_max=)``
+        overrides it for one pump.  The default of 1 compiles exactly the
+        per-item walkers (and reproduces their golden traces).
     """
 
     def __init__(
@@ -771,16 +761,15 @@ class Engine:
         trace: bool = False,
         on_thread_error: str = "raise",
         trace_limit: int | None = None,
-        batch_policy: BatchPolicy | None = None,
         batch_max: int | None = None,
     ):
         if not isinstance(pipe, Pipeline):
             raise RuntimeFault("Engine requires a composed Pipeline")
-        if batch_policy is not None and batch_max is not None:
-            raise RuntimeFault("pass batch_policy or batch_max, not both")
-        if batch_policy is None:
-            batch_policy = BatchPolicy(batch_max=batch_max or 1)
-        self.batch_policy = batch_policy
+        if batch_max is None:
+            batch_max = 1
+        if batch_max < 1:
+            raise RuntimeFault("batch_max must be at least 1")
+        self.batch_max = int(batch_max)
         self.pipeline = pipe
         self.backend = backend
         self.scheduler = scheduler or Scheduler(

@@ -49,15 +49,6 @@ class PipelineStats:
     def total_cycles(self) -> int:
         return sum(self.cycles.values())
 
-    def bytes_in(self, component_name: str) -> int:
-        """Payload bytes a component accepted (nominal frame sizes for
-        media components, wire lengths for marshal/netpipe)."""
-        return self.components.get(component_name, {}).get("bytes_in", 0)
-
-    def bytes_out(self, component_name: str) -> int:
-        """Payload bytes a component emitted."""
-        return self.components.get(component_name, {}).get("bytes_out", 0)
-
     def drops(self, component_name: str) -> int:
         """Items a component *declared* dropping: the sum of its counters
         named ``drops`` or ``dropped*`` (``drops``, ``dropped_B``, ...).
@@ -73,9 +64,6 @@ class PipelineStats:
             if isinstance(value, int)
             and (key == "drops" or key.startswith("dropped"))
         )
-
-    def total_drops(self) -> int:
-        return sum(self.drops(name) for name in self.components)
 
     def retained_in(self, component_name: str) -> int:
         return self.retained.get(component_name, 0)

@@ -20,9 +20,9 @@ from repro.mbt.syscalls import CONTINUE, Call, Receive, Yield
 from repro.runtime.engine import Engine
 
 
-def crossed_calls_scheduler() -> Scheduler:
+def crossed_calls_scheduler(trace_limit=None) -> Scheduler:
     """Two threads that Call each other: a certain receive cycle."""
-    scheduler = Scheduler(trace=True)
+    scheduler = Scheduler(trace=True, trace_limit=trace_limit)
 
     def caller(peer):
         def code(thread, message):
@@ -66,6 +66,19 @@ def test_cycle_report_names_threads_and_match_predicates():
         assert ("ask", peer) in info.queued
     # The embedded trace excerpt shows the final blocks.
     assert "block" in report.trace_excerpt
+
+
+def test_report_quotes_the_tail_of_a_ring_bounded_trace():
+    """A flight-recorder style ring (a deque, which cannot be sliced)
+    gives the excerpt the full trace gives — at the parent of ISSUE 21
+    ``detect`` raised TypeError on it."""
+    full, ring = crossed_calls_scheduler(), crossed_calls_scheduler(4)
+    full.run()
+    ring.run()
+    assert ring.trace_dropped == len(full.trace) - 4
+    excerpt = detect(ring, trace_tail=3).trace_excerpt.splitlines()
+    assert excerpt[0] == "... (1 earlier events)"
+    assert excerpt[1:] == detect(full, trace_tail=3).trace_excerpt.splitlines()[1:]
 
 
 def test_assert_no_deadlock_raises_on_cycle():

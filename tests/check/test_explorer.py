@@ -3,7 +3,14 @@
 import pytest
 
 from repro import Buffer, CollectSink, GreedyPump, IterSource, MapFilter, pipeline
-from repro.check import ReplayChooser, SeededChooser, explore, replay, trace_hash
+from repro.check import (
+    ReplayChooser,
+    SeededChooser,
+    explore,
+    minimize_failure,
+    replay,
+    trace_hash,
+)
 from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler
 from repro.mbt.syscalls import CONTINUE
@@ -130,6 +137,25 @@ def test_failing_seed_is_found_minimized_and_replayable():
     assert len(result.minimized_choices) <= len(first.choices)
     with pytest.raises(AssertionError):
         result.raise_if_failed()
+
+
+def test_minimize_failure_shrinks_a_recorded_failure():
+    """The public ddmin entry: a recording whose tail does not matter
+    comes back shorter and still fails; a passing one comes back as is."""
+    racy = RacySchedulers()
+    found = explore(
+        racy.build, seeds=30, check=racy.check,
+        minimize=False, stop_on_failure=True,
+    )
+    recorded = found.failures[0].choices + [1, 0, 1, 0]
+    minimized, repro = minimize_failure(
+        racy.build, recorded, check=racy.check
+    )
+    assert len(minimized) < len(recorded)
+    run, _ = replay(racy.build, minimized, check=racy.check)
+    assert run.failed
+    assert "AssertionError" in repro
+    assert minimize_failure(racy.build, [], check=racy.check) == ([], "")
 
 
 def test_stop_on_failure_stops_early():

@@ -33,6 +33,8 @@ from repro.check import (
     replay_certificate,
 )
 from repro.check.refine import (
+    WitnessRun,
+    compare_streams,
     first_divergence,
     lossy_channels,
     subsequence_gap,
@@ -77,6 +79,56 @@ def test_subsequence_gap():
     assert subsequence_gap([4], [1, 2, 3]) == 0
 
 
+def _lossy_witnesses(*streams):
+    return [
+        WitnessRun(seed=None, trace_hash="", events=0,
+                   streams={"sink#0": list(stream)},
+                   lossy={"sink#0": "lossy link"})
+        for stream in streams
+    ]
+
+
+LOSSY = {"sink#0": ("subsequence", "lossy link")}
+
+
+def test_lossy_union_of_two_witnesses_decides_the_verdict():
+    """Two witness runs of a lossy channel each lost *different* items;
+    a concrete run that delivers some of both embeds in neither, only in
+    their order-consistent union — ``_sorted_union`` is the verdict."""
+    witnesses = _lossy_witnesses([0, 1, 3, 4], [0, 2, 3, 5])
+    concrete = [0, 1, 2, 3]
+    for witness in witnesses:
+        assert subsequence_gap(concrete, witness.streams["sink#0"]) is not None
+    assert compare_streams(
+        {"sink#0": concrete}, witnesses, LOSSY, Projection()
+    ) is None
+
+
+def test_lossy_union_rejects_a_reordered_pair():
+    """The mutant twin: the same four items with one pair swapped.  A
+    lossy link may drop, never reorder — this must NOT refine."""
+    witnesses = _lossy_witnesses([0, 1, 3, 4], [0, 2, 3, 5])
+    divergence = compare_streams(
+        {"sink#0": [0, 2, 1, 3]}, witnesses, LOSSY, Projection()
+    )
+    assert divergence is not None
+    assert (divergence.channel, divergence.mode) == ("sink#0", "subsequence")
+    assert divergence.index == 2  # the 1 that arrived after the 2
+    assert "lossy link" in divergence.message()
+
+
+def test_lossy_union_needs_sorted_orderable_witnesses():
+    """Witness streams that are not sorted under the projection (or not
+    orderable at all) have no order-consistent union: only per-witness
+    embedding applies, so a mix of two witnesses is rejected."""
+    for streams in (([2, 1], [3]), (["a", 1], [2])):
+        witnesses = _lossy_witnesses(*streams)
+        mixed = [streams[0][-1], streams[1][0]]
+        assert compare_streams(
+            {"sink#0": mixed}, witnesses, LOSSY, Projection()
+        ) is not None
+
+
 def test_projection_resolution():
     projection = Projection(
         default=len, channels={"collect-sink": sum}, ignore=frozenset({"x"})
@@ -117,6 +169,19 @@ def test_figure2_batched_refines_per_item_original(batch_max):
     assert all(r["trace_hash"] for r in cert.concrete["runs"])
     assert cert.channels == {"collect-sink#0": {"mode": "exact"}}
     cert.raise_if_failed()  # no-op on success
+
+
+def test_from_lang_certifies_a_recompiled_transmission_policy():
+    """The one-call certification ``PipelineUnderTest.from_lang``'s
+    docstring shows, run as written."""
+    batched = PipelineUnderTest.from_lang(FIG2_SRC, batch_max=32)
+    assert batched.build().batch_max == 32
+    cert = check_refinement(
+        PipelineUnderTest.from_lang(FIG2_SRC), batched, seeds=5
+    )
+    assert cert.ok, cert.summary()
+    assert cert.verdict == "refines"
+    assert cert.channels == {"collect-sink#0": {"mode": "exact"}}
 
 
 # ---------------------------------------------------------------------------

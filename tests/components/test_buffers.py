@@ -40,7 +40,7 @@ class TestBufferBasics:
         buf.try_push("y")
         assert buf.fill_level == 2
         assert buf.fill_fraction == pytest.approx(0.5)
-        assert not buf.is_full and not buf.is_empty
+        assert not buf.is_full
 
     def test_typespec_props_reflect_policies(self):
         buf = Buffer(on_full=OnFull.DROP_NEW, on_empty=OnEmpty.NIL)
@@ -111,7 +111,7 @@ class TestEosThroughBuffer:
         buf.try_push(1)
         buf.try_push(2)
         buf.handle_event(Event(kind="flush"))
-        assert buf.is_empty
+        assert buf.fill_level == 0
         assert buf.stats["drops"] == 2
 
 

@@ -156,6 +156,30 @@ def test_deploy_metrics_and_flow_sample_reach_every_shard(capsys):
     assert 'repro_flow_traces_total{shard="1",status="delivered"} 24' in out
 
 
+def test_deploy_place_assigns_components_explicitly(capsys):
+    """``--place`` pins the two pumps; their segments follow them."""
+    code = main([
+        "deploy", SEAM, "--shards", "2", "--describe",
+        "--place", "greedy-pump-1:0, greedy-pump-2:1",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "shard 0: buffer-1, counting-source-1, greedy-pump-1" in out
+    assert "shard 1: collect-sink-1, greedy-pump-2" in out
+    assert "greedy-pump-1 --buffer-1--> greedy-pump-2  (shard 0 -> 1)" in out
+
+
+@pytest.mark.parametrize("entry", ["greedy-pump-1", ":1"])
+def test_deploy_place_rejects_an_entry_that_is_not_name_colon_shard(
+    entry, capsys
+):
+    code = main(["deploy", SEAM, "--shards", "2", "--describe",
+                 "--place", f"greedy-pump-2:1,{entry}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: --place entry {entry!r} is not name:shard\n"
+
+
 @pytest.mark.parametrize("command, flag", [
     ("deploy", ["--until", "1"]),
     ("deploy", ["--max-steps", "10"]),

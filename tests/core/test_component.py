@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.core import Event, Mode, Polarity
 from repro.core.component import Component, Role
+from repro.core.polarity import Direction
 from repro.core.styles import Consumer, FunctionComponent, Producer
 from repro.core.typespec import Typespec
 from repro.errors import PolarityError, PortError
@@ -21,8 +22,8 @@ class Doubler(FunctionComponent):
 class TestPorts:
     def test_linear_component_has_in_and_out(self):
         c = Doubler()
-        assert c.in_port.is_input
-        assert not c.out_port.is_input
+        assert c.in_port.direction is Direction.IN
+        assert c.out_port.direction is Direction.OUT
         assert c.in_port.qualified_name().endswith(".in")
 
     def test_duplicate_port_rejected(self):
@@ -92,8 +93,10 @@ class TestPortIndex:
     def assert_partitions(component):
         ins, outs = component.in_ports(), component.out_ports()
         declared = list(component.ports.values())
-        assert list(ins) == [p for p in declared if p.is_input]
-        assert list(outs) == [p for p in declared if not p.is_input]
+        assert list(ins) == [
+            p for p in declared if p.direction is Direction.IN]
+        assert list(outs) == [
+            p for p in declared if p.direction is Direction.OUT]
         assert sorted(ins + outs, key=declared.index) == declared
         assert all(p.component is component for p in declared)
         assert [component.port(p.name) for p in declared] == declared

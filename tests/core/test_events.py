@@ -73,7 +73,8 @@ class TestEventService:
         service.register("a", lambda e: None)
         service.unregister("a")
         service.unregister("a")
-        assert service.receivers == []
+        with pytest.raises(RuntimeFault):
+            service.send_to("a", Event(kind="ping"))
 
     def test_relays_see_broadcasts(self):
         service = EventService()

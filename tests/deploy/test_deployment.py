@@ -13,6 +13,29 @@ from repro.runtime.engine import Engine
 SRC = "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> collect"
 
 
+def netpipe_seam():
+    """Two sections joined only by an existing *simulated* netpipe pair
+    (no buffer anywhere): the one place this program can be cut."""
+    from repro import CollectSink, CountingSource, GreedyPump, pipeline
+    from repro.core.composition import Pipeline as Graph
+    from repro.mbt import Scheduler, VirtualClock
+    from repro.net import Network, make_netpipe
+    from repro.net.marshal import MarshalFilter, UnmarshalFilter
+
+    network = Network(Scheduler(clock=VirtualClock()), seed=1)
+    network.add_link("a", "b", bandwidth_bps=10_000_000, delay=0.001)
+    sender, receiver = make_netpipe(
+        network, "seam", "a", "b", protocol="stream"
+    )
+    upstream = pipeline(
+        CountingSource(limit=50), GreedyPump(), MarshalFilter(), sender
+    )
+    downstream = pipeline(
+        receiver, UnmarshalFilter(), GreedyPump(), CollectSink()
+    )
+    return Graph([*upstream.components, *downstream.components])
+
+
 class TestSingleShard:
     def test_shards1_matches_plain_engine_bit_for_bit(self):
         """The deployment path with shards=1 IS a plain engine run: the
@@ -50,6 +73,19 @@ class TestShardedExecution:
         ).run(timeout=60)
         assert result.completed
         assert result.sinks["collect-sink-1"] == list(range(24))
+
+    def test_existing_netpipe_pair_is_the_seam(self):
+        """docs/DEPLOY.md's "cuts at existing netpipe pairs": the plan is
+        one ``[netpipe]`` cut and each shard re-homes its half of the
+        pair onto the real socket (``worker._rehome_netpipe``)."""
+        deployment = Deployment(netpipe_seam, Placement.auto(2))
+        (cut,) = deployment.plan().cuts
+        assert cut.kind == "netpipe"
+        assert (cut.upstream, cut.downstream) == (
+            "netpipe-send-seam", "netpipe-recv-seam")
+        result = deployment.run(timeout=60)
+        assert result.completed
+        assert result.sinks["collect-sink-1"] == list(range(50))
 
     def test_disconnected_chains_shard_without_wires(self):
         result = Deployment(

@@ -43,7 +43,7 @@ class TestAutoPlanner:
         assert cut.upstream == "p1" and cut.downstream == "p2"
         assert {cut.src_shard, cut.dst_shard} == {0, 1}
         # The seam buffer travels with its upstream segment.
-        assert plan.shard_of("seam") == plan.shard_of("p1")
+        assert plan.assignment["seam"] == plan.assignment["p1"]
 
     def test_more_shards_than_segments_fails(self):
         with pytest.raises(DeployError):
@@ -81,7 +81,7 @@ class TestAutoPlanner:
         )
         # Upstream segment is heaviest -> it alone on one shard either
         # way; both segments must still be placed on distinct shards.
-        assert heavy_up.shard_of("p1") != heavy_up.shard_of("p2")
+        assert heavy_up.assignment["p1"] != heavy_up.assignment["p2"]
 
     def test_drop_policy_buffer_is_not_a_seam(self):
         from repro.components import OnFull
@@ -105,8 +105,8 @@ class TestExplicitPlacement:
             Placement.explicit({"src": 0, "p2": 1}),
         )
         assert plan.shards == 2
-        assert plan.shard_of("p1") == 0
-        assert plan.shard_of("sink") == 1
+        assert plan.assignment["p1"] == 0
+        assert plan.assignment["sink"] == 1
 
     def test_conflicting_votes_within_segment_fail(self):
         with pytest.raises(DeployError):

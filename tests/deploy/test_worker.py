@@ -105,6 +105,43 @@ class TestLinkOwnership:
             b.close()
 
 
+class TestControlPipe:
+    def test_stop_mid_run_ends_the_shard_with_a_done_report(self):
+        """The consumer shard of a wire nobody writes to sits in
+        ``ShardIO.wait``; a ``("stop",)`` on its control pipe must end
+        the run within one wait, and the shard still reports ``done``."""
+        import time
+
+        a, b = socket.socketpair()  # ``a`` never sends: shard 1 starves
+        parent, child = multiprocessing.Pipe()
+        thread = threading.Thread(
+            target=shard_main, args=(shard_spec(1), child, {0: b}),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            assert parent.poll(30)
+            assert parent.recv() == ("ready", 1)
+            parent.send(("go",))
+            assert not parent.poll(0.2)  # running, nothing to report
+            asked = time.perf_counter()
+            parent.send(("stop",))
+            assert parent.poll(5)
+            took = time.perf_counter() - asked
+            kind, payload = parent.recv()
+            assert kind == "done"
+            assert payload["completed"] is False
+            assert payload["sinks"] == {"collect-sink-1": []}
+            assert took < 1.0, took  # one idle wait is 0.05 s
+            parent.send(("exit",))
+        finally:
+            thread.join(30)
+            parent.close()
+            a.close()
+        assert not thread.is_alive()
+        assert b.fileno() == -1  # the shard closed its link on the way out
+
+
 def _unpicklable_tail():
     """``counting -> buffer -> (x -> closure) -> collect``: the sink's
     items are born in the last shard and cannot be pickled."""

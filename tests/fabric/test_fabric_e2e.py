@@ -2,10 +2,12 @@
 
 The deployment shape under test: a producer fabric and a consumer fabric
 in (nominally) different processes, every session's netpipe riding its
-own :class:`MuxStream` of ONE shared :class:`SocketLink`.  The driver
-loop alternates bounded scheduler runs with link pumps, exactly like
-``run_with_io`` — note ``max_steps`` is cumulative, hence the
-``scheduler.steps + K`` increments.
+own :class:`MuxStream` of ONE shared :class:`SocketLink`.  With both
+fabrics in one thread the ``drive`` loop alternates bounded scheduler
+runs with link pumps, exactly like ``run_with_io`` — note ``max_steps``
+is cumulative, hence the ``scheduler.steps + K`` increments; where the
+producers need no grant, the consumer side runs the real
+``SessionFabric.run_with_io`` (``test_fifty_sessions_one_socketpair``).
 """
 
 import pytest
@@ -64,7 +66,13 @@ class TestSharedLink:
                 txfab, rxfab, tx_mux, rx_mux, sid,
                 range(sid, sid + 5), sinks,
             )
-        assert drive(txfab, rxfab, tx_mux, rx_mux)
+        # Five items and the EOS fit each stream's window of 8, so the
+        # producers never wait for a grant: they can finish first, and
+        # the consumer side is docs/FABRIC.md's main loop as shipped.
+        txfab.run_to_completion()
+        assert txfab.completed
+        rxfab.run_with_io(rx_mux)
+        assert rxfab.completed
         for sid in range(50):
             assert sinks[sid].items == list(range(sid, sid + 5))
         assert rx_mux.stats["unknown_stream_drops"] == 0

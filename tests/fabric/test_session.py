@@ -297,12 +297,15 @@ class TestParking:
         build, sinks = counting_program(items=20)
         fabric = SessionFabric()
         sleeper = fabric.open_session(build, name="sleeper")
-        fabric.park("sleeper")
+        sleeper.park()  # the handle's own park / unpark / close
+        assert sleeper.parked
         run_rounds(fabric)
         assert sinks[0].items == []
         sleeper.unpark()
         run_rounds(fabric)
         assert sinks[0].items == list(range(20))
+        sleeper.close()
+        assert sleeper.closed and "sleeper" not in fabric.sessions
 
     def test_park_unpark_idempotent(self):
         build, _ = counting_program()
@@ -450,8 +453,8 @@ class TestSharedScheduler:
         batched = fabric.open_session(spec, name="batched")
         plain = fabric.open_session(build, name="plain")
         assert batched.engine.scheduler is fabric.scheduler
-        assert batched.engine.batch_policy.batch_max == 8
-        assert plain.engine.batch_policy.batch_max == 1
+        assert batched.engine.batch_max == 8
+        assert plain.engine.batch_max == 1
         # Only the session whose spec asked for telemetry carries it.
         assert batched.engine._telemetry is not None
         assert plain.engine._telemetry is None

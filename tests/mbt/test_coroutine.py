@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import RuntimeFault
 from repro.mbt import (
-    CoroutineSet,
     Done,
     GeneratorSuspendable,
     OSThreadSuspendable,
@@ -59,14 +58,20 @@ def test_generator_backend_throw_reaches_body():
 
 
 def test_generator_backend_close_is_idempotent():
+    unwound = []
+
     def body():
-        yield "req"
+        try:
+            yield "req"
+        finally:
+            unwound.append("body")
 
     susp = GeneratorSuspendable(body())
     susp.resume()
     susp.close()
+    assert unwound == ["body"]  # close unwinds the suspended body
     susp.close()
-    assert susp.finished
+    assert susp.finished and unwound == ["body"]
 
 
 # ------------------------------------------------------------ OS thread
@@ -177,35 +182,3 @@ def test_backends_are_interchangeable():
             trace.append(request)
             request = susp.resume(next(inputs))
         assert trace == ["pull", "pull", ("push", 42)]
-
-
-# ------------------------------------------------------------ CoroutineSet
-
-
-def test_coroutine_set_membership_and_switching():
-    def body(tag):
-        def gen():
-            value = yield f"{tag}-req"
-            return value
-
-        return gen
-
-    cset = CoroutineSet("pump-section")
-    cset.add("a", GeneratorSuspendable(body("a")()))
-    cset.add("b", GeneratorSuspendable(body("b")()))
-    assert len(cset) == 2
-    assert "a" in cset and "b" in cset
-
-    assert cset.switch_to("a") == "a-req"
-    assert cset.switch_to("b") == "b-req"
-    assert cset.switches == 2
-    assert cset.active is None  # nobody active between switches
-
-
-def test_coroutine_set_rejects_duplicates_and_unknown():
-    cset = CoroutineSet("s")
-    cset.add("a", GeneratorSuspendable(iter(())))
-    with pytest.raises(RuntimeFault):
-        cset.add("a", GeneratorSuspendable(iter(())))
-    with pytest.raises(RuntimeFault):
-        cset.switch_to("missing")

@@ -1,51 +1,6 @@
-"""Additional coroutine tests: set lifecycle, OS-thread stress, misuse."""
+"""Additional coroutine tests: OS-thread stress."""
 
-import pytest
-
-from repro.errors import RuntimeFault
-from repro.mbt import (
-    CoroutineSet,
-    Done,
-    GeneratorSuspendable,
-    OSThreadSuspendable,
-)
-
-
-class TestCoroutineSetLifecycle:
-    def test_close_unwinds_all_members(self):
-        unwound = []
-
-        def gen_body(tag):
-            try:
-                yield f"{tag}-req"
-            finally:
-                unwound.append(tag)
-
-        cset = CoroutineSet("s")
-        for tag in ("a", "b", "c"):
-            cset.add(tag, GeneratorSuspendable(gen_body(tag)))
-            cset.switch_to(tag)
-        cset.close()
-        assert sorted(unwound) == ["a", "b", "c"]
-
-    def test_members_listing(self):
-        cset = CoroutineSet("s")
-        cset.add("x", GeneratorSuspendable(iter(())))
-        assert cset.members() == ["x"]
-
-    def test_switch_to_active_member_rejected(self):
-        """Re-entering the currently active coroutine is a bug by
-        definition (the set is synchronous)."""
-
-        def nested():
-            # try to switch to ourselves from inside
-            cset.switch_to("self")
-            yield  # pragma: no cover
-
-        cset = CoroutineSet("s")
-        cset.add("self", GeneratorSuspendable(nested()))
-        with pytest.raises(RuntimeFault):
-            cset.switch_to("self")
+from repro.mbt import Done, OSThreadSuspendable
 
 
 class TestOsThreadStress:

@@ -484,6 +484,18 @@ def test_reservation_admission_control():
     assert sum(sched.reservations.values()) == pytest.approx(1.0)
 
 
+def test_released_reservation_frees_its_fraction():
+    """§3.1: a pump that goes away gives its share back."""
+    sched = make_scheduler()
+    sched.reserve("pump1", 0.7)
+    with pytest.raises(SchedulerError):
+        sched.reserve("pump2", 0.6)
+    sched.release_reservation("pump1")
+    sched.release_reservation("never-reserved")  # a no-op, not an error
+    sched.reserve("pump2", 0.6)
+    assert sched.reservations == {"pump2": 0.6}
+
+
 def test_trace_records_switches_when_enabled():
     sched = Scheduler(clock=VirtualClock(), trace=True)
     sched.spawn("t", lambda th, m: CONTINUE)

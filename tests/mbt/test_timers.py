@@ -8,7 +8,6 @@ from repro.mbt import (
     Message,
     PeriodicTimer,
     Scheduler,
-    TimerService,
     VirtualClock,
 )
 
@@ -35,25 +34,27 @@ def make():
 
 def test_post_at_delivers_at_requested_time():
     sched, log = make()
-    service = TimerService(sched)
-    service.post_at(2.0, "sink", kind="tick", payload="a")
-    service.post_at(1.0, "sink", kind="tick", payload="b")
+    for when, payload in ((2.0, "a"), (1.0, "b")):
+        sched.at(when, lambda p=payload: sched.post(
+            Message(kind="tick", payload=p, target="sink")))
     sched.run_until_idle()
     assert log == [(1.0, "tick", "b"), (2.0, "tick", "a")]
 
 
 def test_post_after_is_relative_to_now():
     sched, log = make()
-    service = TimerService(sched)
-    service.post_after(0.25, "sink", payload=1)
+    sched.after(0.25, lambda: sched.post(
+        Message(kind="tick", payload=1, target="sink")))
     sched.run_until_idle()
     assert log == [(0.25, "tick", 1)]
 
 
 def test_post_with_constraint_attaches_it():
     sched, _ = make()
-    service = TimerService(sched)
-    service.post_at(1.0, "sink", constraint=Constraint(priority=7))
+    PeriodicTimer(
+        sched, "sink", period=1.0, start_at=1.0,
+        constraint=Constraint(priority=7),
+    ).start()
     # Look at delivery through the mailbox before running.
     sched.clock.advance_to(1.0)
     sched._fire_due_timers()
@@ -90,6 +91,7 @@ def test_periodic_timer_rate_change_applies_to_next_tick():
     timer.start()
     sched.run(until=0.6)  # ticks at 0.0, 0.5
     timer.period = 0.25
+    assert timer.period == 0.25
     sched.run(until=1.6)
     times = [t for t, _, _ in log]
     assert times[0] == pytest.approx(0.0)

@@ -90,6 +90,14 @@ class TestCustomCodec:
         assert decoded == VideoFrame(seq=3, kind="P", pts=0.1, size=5000,
                                      deps=(0,))
 
+    def test_audio_sample_codec_registered(self):
+        from repro.media.frames import AudioSample, synth_payload
+
+        for payload in (None, synth_payload(7, 64)):
+            sample = AudioSample(seq=7, pts=0.35, duration=0.05, size=64,
+                                 payload=payload)
+            assert decode_item(encode_item(sample)) == sample
+
     def test_video_frame_wire_size_tracks_nominal_size(self):
         from repro.media.frames import VideoFrame
 

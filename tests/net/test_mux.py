@@ -273,6 +273,31 @@ class TestTransports:
         left.streams[1].send(b"hello")     # synchronous delivery
         assert state["messages"] == [b"hello"]
 
+    def test_a_stream_and_its_mux_answer_the_io_source_interface(self):
+        """What ``drive_with_io`` and a netpipe's feedback sensor ask of
+        a transport, asked of a mux, one of its streams and both links:
+        ``wait`` / ``pump`` / ``close`` and ``receiver_loss_sample``."""
+        tx, rx = mux_pair()
+        stream = tx.open_stream(1)
+        state = collect(rx.open_stream(1))
+        assert rx.wait(0.0) is False  # nothing on the wire yet
+        stream.send(b"hello")
+        assert rx.wait(5.0) is True
+        assert rx.streams[1].pump() == 1  # a stream pumps the shared link
+        assert state["messages"] == [b"hello"]
+        for transport in (stream, tx.transport, InProcessLink("a", "b", "f")):
+            assert transport.receiver_loss_sample() == 0.0
+        stream.close()
+        assert 1 not in tx.streams
+        tx.close()
+        rx.close()
+
+        # The in-process twin: no wait(), and close() has nothing to free.
+        link = InProcessLink("a", "b", "fabric")
+        twin = StreamMux(link)
+        assert twin.wait(0.0) is False
+        twin.close()
+
     def test_thousand_streams_one_socketpair(self):
         """The fabric acceptance shape: >= 1000 concurrent streams on ONE
         shared SocketLink, each with its own in-order delivery and EOS."""

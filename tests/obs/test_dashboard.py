@@ -131,6 +131,47 @@ class TestDashboardLoop:
         assert "y" in capsys.readouterr().out
 
 
+    def test_curses_loop_draws_clips_and_quits(self, monkeypatch):
+        """The full-screen loop against a scripted screen (no terminal in
+        CI): frames are clipped to the window, ``q`` quits, and a
+        finished pipeline keeps refreshing until it does."""
+        import sys
+        import types
+
+        drawn, naps = [], []
+
+        class Screen:
+            keys = iter([-1, -1, -1, ord("q")])
+
+            def nodelay(self, flag): pass
+            def erase(self): drawn.append([])
+            def refresh(self): pass
+            def getmaxyx(self): return 3, 8  # 2 usable rows, 7 columns
+            def getch(self): return next(self.keys, -1)
+
+            def addnstr(self, y, x, line, width):
+                drawn[-1].append((y, x, line[:width]))
+
+        fake = types.SimpleNamespace(
+            curs_set=lambda visibility: None,
+            napms=naps.append,
+            wrapper=lambda loop: loop(Screen()),
+        )
+        monkeypatch.setitem(sys.modules, "curses", fake)
+        steps = iter([True, False])
+        dashboard = Dashboard(
+            lambda: "0123456789\nsecond\nthird\n",
+            advance=lambda: next(steps), interval=0.25,
+        )
+        assert dashboard.run_curses() == 4
+        assert drawn == [[(0, 0, "0123456"), (1, 0, "second")]] * 4
+        # After the third frame the pipeline had finished, so the loop
+        # slept one interval instead of stepping; the fourth saw the q.
+        assert naps == [250]
+        # A frame budget ends the loop without a key.
+        assert Dashboard(lambda: "x\n").run_curses(frames=2) == 2
+
+
 class TestMetricsServer:
     def test_serves_metrics_flow_and_slo(self):
         _, telemetry, tracer, slo = _traced_run()

@@ -170,7 +170,8 @@ def test_intersect_commutes_up_to_equality(a, b):
     assert ab[0] == ba[0]
     if ab[0] == "ok":
         # Where one side says 0 and the other 0.0 each result keeps its
-        # left operand's spelling, so repr alone may differ (ROADMAP).
+        # left operand's spelling, so repr alone may differ — declared in
+        # Typespec.intersect's docstring.
         assert_same_spec(ab[1], ba[1], check_repr=False)
     else:
         assert set(ab[2]) == set(ba[2])

@@ -26,12 +26,11 @@ from repro.components.buffers import EMPTY, FULL, OK
 from repro.core.events import EOS
 from repro.core.styles import FunctionComponent
 from repro.errors import RuntimeFault
-from repro.runtime.batching import BatchPolicy, attach_adaptive_batching
 
 BATCH_SIZES = [1, 2, 7, 8, 32]
 
 
-def run_linear(batch_max, items=40, capacity=8, batch_policy=None):
+def run_linear(batch_max, items=40, capacity=8):
     src = IterSource(list(range(items)))
     sink = CollectSink()
     pipe = pipeline(
@@ -42,10 +41,7 @@ def run_linear(batch_max, items=40, capacity=8, batch_policy=None):
         GreedyPump(),
         sink,
     )
-    if batch_policy is not None:
-        engine = Engine(pipe, batch_policy=batch_policy)
-    else:
-        engine = Engine(pipe, batch_max=batch_max)
+    engine = Engine(pipe, batch_max=batch_max)
     engine.start()
     engine.run()
     return sink.items, engine
@@ -53,33 +49,17 @@ def run_linear(batch_max, items=40, capacity=8, batch_policy=None):
 
 class TestBatchPolicy:
     def test_defaults_disable_batching(self):
-        policy = BatchPolicy()
-        assert policy.batch_max == 1
-        assert policy.current == 1
+        _, engine = run_linear(None)
+        assert engine.batch_max == 1
+        assert engine.stats.batching == {}
 
     def test_validation(self):
-        with pytest.raises(RuntimeFault):
-            BatchPolicy(batch_max=0)
-        with pytest.raises(RuntimeFault):
-            BatchPolicy(batch_max=4, min_batch=8)
-        with pytest.raises(RuntimeFault):
-            BatchPolicy(batch_max=4, min_batch=0)
-
-    def test_clamp_and_set_current(self):
-        policy = BatchPolicy(batch_max=32, min_batch=2)
-        assert policy.current == 32
-        assert policy.set_current(1) == 2
-        assert policy.set_current(100) == 32
-        assert policy.set_current(9) == 9
-
-    def test_adaptive_starts_at_min(self):
-        policy = BatchPolicy(batch_max=32, min_batch=4, adaptive=True)
-        assert policy.current == 4
-
-    def test_engine_rejects_both_policy_and_max(self):
         pipe = pipeline(IterSource([1]), GreedyPump(), CollectSink())
-        with pytest.raises(RuntimeFault):
-            Engine(pipe, batch_policy=BatchPolicy(2), batch_max=2)
+        for batch_max in (0, -1):
+            with pytest.raises(RuntimeFault, match="at least 1"):
+                Engine(pipe, batch_max=batch_max)
+            with pytest.raises(ValueError, match="at least 1"):
+                GreedyPump(batch_max=batch_max)
 
 
 class TestEquivalence:
@@ -184,33 +164,6 @@ class TestBufferBatchOps:
         assert status == OK
         assert run == [1, 2, EOS]
         assert buffer.try_pull_many(8) == (EMPTY, [])
-
-
-class TestAdaptiveBatching:
-    def test_loop_steers_current_between_bounds(self):
-        src = IterSource(list(range(300)))
-        buffer = Buffer(capacity=16)
-        sink = CollectSink()
-        pipe = pipeline(
-            src, GreedyPump(), buffer, GreedyPump(), sink
-        )
-        policy = BatchPolicy(batch_max=32, min_batch=1, adaptive=True)
-        engine = Engine(pipe, batch_policy=policy)
-        loop = attach_adaptive_batching(engine, buffer, period=0.001)
-        engine.start()
-        engine.run(until=5.0)
-        engine.stop()
-        engine.run()
-        assert sink.items == list(range(300))
-        applied = loop.actuator.applied
-        assert applied, "the loop never actuated"
-        assert all(1 <= size <= 32 for size in applied)
-
-    def test_requires_batching_enabled(self):
-        pipe = pipeline(IterSource([1]), GreedyPump(), CollectSink())
-        engine = Engine(pipe)
-        with pytest.raises(RuntimeFault):
-            attach_adaptive_batching(engine, Buffer(capacity=4))
 
 
 class TestBatchStats:

@@ -57,6 +57,18 @@ class TestEngineApi:
         assert engine.attach_network(None) is engine
 
 
+    def test_clocked_pump_without_a_period_is_refused_at_setup(self):
+        from repro import Pump
+
+        class Metronome(Pump):
+            timing = "clocked"  # but inherits Pump.period(): None
+
+        pump = Metronome()
+        engine = Engine(IterSource([1]) >> pump >> CollectSink())
+        with pytest.raises(RuntimeFault, match="clocked but has no period"):
+            engine.setup()
+
+
 class TestAllocationPlanApi:
     def test_section_for_origin_and_stage(self):
         stage = MapFilter(lambda x: x)

@@ -187,3 +187,65 @@ class TestEventScopes:
         engine.run(until=0.5)
         assert set(flags) == {g1.name, g2.name}
         engine.stop()
+
+
+class TestStockHandlers:
+    """The control events the stock components declare, delivered by the
+    engine's event service on a running pipeline (each handler here was
+    reached by no test before ISSUE 21)."""
+
+    def test_gate_open_lets_later_items_through(self):
+        gate, sink = Gate(open_=False), CollectSink()
+        pipe = pipeline(
+            CountingSource(limit=10), ClockedPump(rate_hz=10), gate, sink
+        )
+        engine = Engine(pipe)
+        engine.start()
+        engine.run(until=0.45)
+        assert sink.items == [] and gate.stats["dropped"] == 5
+        engine.send_event("gate-open")
+        engine.run()
+        assert gate.open is True
+        assert sink.items == [5, 6, 7, 8, 9]
+
+    def test_pause_and_resume_freeze_an_active_sink(self):
+        from repro.components.sinks import ActiveCollectSink
+
+        sink = ActiveCollectSink(rate_hz=10)
+        engine = Engine(pipeline(CountingSource(), sink))
+        engine.start()
+        engine.run(until=0.45)
+        taken = len(sink.items)
+        assert taken >= 4 and sink.running
+        engine.send_event("pause")
+        engine.run(until=1.45)
+        assert not sink.running
+        assert len(sink.items) == taken  # a whole second, not one item
+        engine.send_event("resume")
+        engine.run(until=1.95)
+        assert sink.running
+        assert len(sink.items) >= taken + 4
+        assert sink.items == list(range(len(sink.items)))
+
+    def test_set_gain_reaches_the_mixer_between_blocks(self):
+        import struct
+
+        from repro.media import AudioMixer, AudioSample
+
+        blocks = [
+            AudioSample(seq=i, pts=i * 0.1, duration=0.1, size=4,
+                        payload=struct.pack("<2h", 1000, -1000))
+            for i in range(4)
+        ]
+        mixer, sink = AudioMixer(), CollectSink()
+        pipe = pipeline(IterSource(blocks), ClockedPump(rate_hz=10), mixer, sink)
+        engine = Engine(pipe)
+        engine.start()
+        engine.run(until=0.15)
+        engine.send_event("set-gain", payload=(1, 2))
+        engine.run()
+        assert (mixer.gain_num, mixer.gain_den) == (1, 2)
+        heard = [struct.unpack("<2h", bytes(s.payload)) for s in sink.items]
+        assert heard == [(1000, -1000)] * 2 + [(500, -500)] * 2
+        with pytest.raises(ValueError, match="gain_den"):
+            mixer.on_set_gain(Event(kind="set-gain", payload=(1, 0)))

@@ -17,6 +17,7 @@ from repro import (
 )
 from repro.check import certify_restructure, explore
 from repro.components.sources import CountingSource
+from repro.core.events import Event
 from repro.core.typespec import Typespec
 from repro.runtime.restructure import Replacement, replace_component
 
@@ -71,7 +72,8 @@ class TestReplaceFunctionStage:
         replace_component(engine, old, MapFilter(lambda x: x))
         assert old.in_port.peer is None
         assert old.out_port.peer is None
-        assert old.name not in engine.events.receivers
+        with pytest.raises(RuntimeFault):
+            engine.events.send_to(old.name, Event(kind="ping", source="t"))
 
 
 class TestRejections:

@@ -101,7 +101,7 @@ class TestRun:
         built = Pipeline.from_source(SRC).run()
         sink = built.engine.pipeline.component("collect-sink-1")
         assert sink.items == list(range(24))
-        assert built.stats.items_in("collect-sink-1") == 24
+        assert built.engine.stats.items_in("collect-sink-1") == 24
 
     def test_prometheus_requires_metrics(self):
         built = Pipeline.from_source(SRC).run()
@@ -206,7 +206,7 @@ class TestDeploymentBridge:
     def test_simulated_twin_is_realised_from_the_same_spec(self):
         twin = Pipeline.from_source(SRC).with_batching(8).with_trace() \
             .deployment(shards=2).simulate()
-        assert twin.batch_policy.batch_max == 8
+        assert twin.batch_max == 8
         assert twin.scheduler._trace is not None
 
 
