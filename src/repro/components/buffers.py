@@ -47,10 +47,52 @@ FULL = "full"
 EMPTY = "empty"
 
 
-class Buffer(Component):
-    """A bounded FIFO buffer with configurable overflow/underflow policy."""
+class Boundary(Component):
+    """A passive boundary between pipeline sections — what a
+    :class:`~repro.runtime.section.BufferGate` mediates (docs/RUNTIME.md,
+    "Seams and their contracts").  A boundary only reports ``OK`` /
+    ``FULL`` / ``EMPTY`` through ``try_push`` / ``try_pull``; blocking is
+    the gate's.  The batched operations default to the per-item loop.
+    """
 
     role = Role.BUFFER
+    #: True for a boundary joining several in-port queues (``in_names``)
+    #: N:1 on pull: its gate keeps one positional record per queue.
+    joins = False
+
+    @property
+    def fill_level(self) -> int:
+        """Items currently retained."""
+        raise NotImplementedError
+
+    def try_push_many(self, items: list, port: str = "in") -> int:
+        """Accept a prefix of ``items`` (no EOS among them); returns how
+        many were taken."""
+        taken = 0
+        for item in items:
+            if self.try_push(item, port) == FULL:
+                break
+            taken += 1
+        return taken
+
+    def try_pull_many(self, n: int, port: str = "out") -> tuple[str, list]:
+        """``(OK, run)`` of up to ``n`` items, EOS at most once and last,
+        ``[]`` for nil-now; ``(EMPTY, [])`` when a pull would block."""
+        run: list = []
+        while len(run) < n:
+            status, value = self.try_pull(port)
+            if status == EMPTY:
+                return (OK, run) if run else (EMPTY, run)
+            if value is NIL:
+                break
+            run.append(value)
+            if is_eos(value):
+                break
+        return OK, run
+
+
+class Buffer(Boundary):
+    """A bounded FIFO buffer with configurable overflow/underflow policy."""
 
     def __init__(
         self,
@@ -159,12 +201,7 @@ class Buffer(Component):
             if len(self._items) > self.stats["high_watermark"]:
                 self.stats["high_watermark"] = len(self._items)
             return n
-        taken = 0
-        for item in items:
-            if self.try_push(item, port) == FULL:
-                break
-            taken += 1
-        return taken
+        return super().try_push_many(items, port)
 
     def try_pull_many(self, n: int, port: str = "out") -> tuple[str, list]:
         """Return ``(OK, run)`` of up to ``n`` items, with EOS at most once
@@ -199,7 +236,7 @@ class Buffer(Component):
         self.stats["drops"] += self.clear()
 
 
-class ZipBuffer(Component):
+class ZipBuffer(Boundary):
     """A combining merge with temporary storage (section 2.1: "Merge tees
     can combine items from different sources into one item").
 
@@ -211,8 +248,8 @@ class ZipBuffer(Component):
     components.
     """
 
-    role = Role.BUFFER
     conserving = False  # N:1 combine
+    joins = True
 
     def __init__(
         self,
@@ -237,7 +274,12 @@ class ZipBuffer(Component):
         self._eos_delivered = False
         self.stats.update(drops=0)
 
-    def fill_level(self, port: str) -> int:
+    @property
+    def fill_level(self) -> int:
+        return sum(map(len, self._queues.values()))
+
+    def port_fill(self, port: str) -> int:
+        """Items queued at one in-port."""
         return len(self._queues[port])
 
     def try_push(self, item: Any, port: str = "in0") -> str:
@@ -266,24 +308,3 @@ class ZipBuffer(Component):
         if self.on_empty is OnEmpty.NIL:
             return OK, NIL
         return EMPTY, None
-
-    def try_push_many(self, items: list, port: str = "in0") -> int:
-        taken = 0
-        for item in items:
-            if self.try_push(item, port) == FULL:
-                break
-            taken += 1
-        return taken
-
-    def try_pull_many(self, n: int, port: str = "out") -> tuple[str, list]:
-        run: list = []
-        while len(run) < n:
-            status, value = self.try_pull(port)
-            if status == EMPTY:
-                return (OK, run) if run else (EMPTY, run)
-            if value is NIL:
-                break
-            run.append(value)
-            if is_eos(value):
-                break
-        return OK, run

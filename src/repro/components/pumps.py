@@ -19,11 +19,12 @@ The paper identifies two classes of pumps, both provided here:
 
 from __future__ import annotations
 
-from repro.core.component import Component, Role
+from repro.core.component import Role
 from repro.core.polarity import Mode
+from repro.core.styles import ActivityOrigin
 
 
-class Pump(Component):
+class Pump(ActivityOrigin):
     """Base class of all pumps.
 
     Parameters
@@ -38,11 +39,6 @@ class Pump(Component):
     """
 
     role = Role.PUMP
-    is_activity_origin = True
-    #: "clocked" pumps tick on a timer; "greedy" pumps cycle continuously.
-    timing = "greedy"
-
-    events_handled = frozenset({"start", "stop", "pause", "resume"})
 
     def __init__(
         self,
@@ -50,30 +46,10 @@ class Pump(Component):
         priority: int = 0,
         reservation: float | None = None,
     ):
-        super().__init__(name)
+        super().__init__(name, priority)
         self.add_in_port(mode=Mode.PULL)
         self.add_out_port(mode=Mode.PUSH)
-        self.priority = priority
         self.reservation = reservation
-        self.running = False
-
-    # The runtime reads these hooks; see repro.runtime.engine.PumpDriver.
-
-    def period(self) -> float | None:
-        """Seconds between ticks for clocked pumps; None for greedy ones."""
-        return None
-
-    def on_start(self, event) -> None:
-        self.running = True
-
-    def on_stop(self, event) -> None:
-        self.running = False
-
-    def on_pause(self, event) -> None:
-        self.running = False
-
-    def on_resume(self, event) -> None:
-        self.running = True
 
 
 class ClockedPump(Pump):
@@ -82,8 +58,6 @@ class ClockedPump(Pump):
     ``ClockedPump(30)`` moves one item through its section every 1/30 s —
     the paper's ``clocked_pump pump(30); // 30 Hz``.
     """
-
-    timing = "clocked"
 
     def __init__(
         self,
@@ -103,9 +77,6 @@ class ClockedPump(Pump):
         #: parameters as the pipeline runs", section 3.1).
         self.deadline_slack = deadline_slack
 
-    def period(self) -> float | None:
-        return 1.0 / self.rate_hz
-
 
 class GreedyPump(Pump):
     """Pump that cycles as fast as the pipeline allows.
@@ -116,8 +87,6 @@ class GreedyPump(Pump):
     tests); ``batch_max`` optionally overrides the engine's ``batch_max``
     for this pump alone (docs/RUNTIME.md §11).
     """
-
-    timing = "greedy"
 
     def __init__(
         self,
@@ -144,7 +113,6 @@ class FeedbackPump(Pump):
     pipeline.
     """
 
-    timing = "clocked"
     events_handled = Pump.events_handled | frozenset({"set-rate"})
 
     def __init__(
@@ -162,14 +130,8 @@ class FeedbackPump(Pump):
         self.rate_hz = float(initial_rate_hz)
         self.min_rate_hz = float(min_rate_hz)
         self.max_rate_hz = float(max_rate_hz)
-        #: Callback installed by the runtime to apply rate changes to the
-        #: live timer.
-        self._rate_listener = None
         #: History of (time-agnostic) applied rates, for tests/telemetry.
         self.rate_changes: list[float] = []
-
-    def period(self) -> float | None:
-        return 1.0 / self.rate_hz
 
     def set_rate(self, rate_hz: float) -> None:
         clamped = min(max(rate_hz, self.min_rate_hz), self.max_rate_hz)

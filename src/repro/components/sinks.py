@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 from repro.core.component import Component, Role
 from repro.core.polarity import Mode
-from repro.core.styles import Style
+from repro.core.styles import ActivityOrigin, Style
 from repro.core.typespec import Typespec
 
 
@@ -21,7 +21,6 @@ class Sink(Component):
 
     role = Role.SINK
     style = Style.CONSUMER
-    is_activity_origin = False
 
     #: Typespec capability of this sink ("[Sinks] likewise support certain
     #: data formats and ranges of QoS parameters").
@@ -92,7 +91,7 @@ class NullSink(Sink):
         pass
 
 
-class ActiveSink(Component):
+class ActiveSink(ActivityOrigin):
     """Base class for active (self-timed) sinks.
 
     An active sink is an activity origin: its thread pulls one item per
@@ -102,9 +101,6 @@ class ActiveSink(Component):
 
     role = Role.SINK
     style = Style.ACTIVE
-    is_activity_origin = True
-    timing = "clocked"
-    events_handled = frozenset({"start", "stop", "pause", "resume"})
 
     input_spec: Typespec = Typespec.any()
 
@@ -116,35 +112,17 @@ class ActiveSink(Component):
         max_items: int | None = None,
         input_spec: Typespec | None = None,
     ):
-        super().__init__(name)
+        super().__init__(name, priority)
         self.add_in_port(mode=Mode.PULL)
         if rate_hz is not None and rate_hz <= 0:
             raise ValueError("sink rate must be positive")
         self.rate_hz = rate_hz
-        self.timing = "clocked" if rate_hz is not None else "greedy"
-        self.priority = priority
         self.max_items = max_items
-        self.running = False
         if input_spec is not None:
             self.input_spec = input_spec
 
-    def period(self) -> float | None:
-        return None if self.rate_hz is None else 1.0 / self.rate_hz
-
     def consume(self, item: Any) -> None:
         raise NotImplementedError
-
-    def on_start(self, event) -> None:
-        self.running = True
-
-    def on_stop(self, event) -> None:
-        self.running = False
-
-    def on_pause(self, event) -> None:
-        self.running = False
-
-    def on_resume(self, event) -> None:
-        self.running = True
 
 
 class ActiveCollectSink(ActiveSink):

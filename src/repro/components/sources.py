@@ -14,7 +14,7 @@ from repro.core.component import Component, Role
 from repro.core.events import EOS
 from repro.core.items import NIL
 from repro.core.polarity import Mode
-from repro.core.styles import Style
+from repro.core.styles import ActivityOrigin, Style
 from repro.core.typespec import Typespec
 
 
@@ -23,7 +23,6 @@ class Source(Component):
 
     role = Role.SOURCE
     style = Style.PRODUCER
-    is_activity_origin = False
 
     #: Typespec of the flow this source produces; subclasses or callers set
     #: concrete properties ("Sources typically supply one or more possible
@@ -134,7 +133,7 @@ class CountingSource(Source):
         return run
 
 
-class ActiveSource(Component):
+class ActiveSource(ActivityOrigin):
     """Base class for active (self-timed) sources.
 
     An active source is an activity origin: it owns the thread that pushes
@@ -148,9 +147,6 @@ class ActiveSource(Component):
 
     role = Role.SOURCE
     style = Style.ACTIVE
-    is_activity_origin = True
-    timing = "clocked"
-    events_handled = frozenset({"start", "stop", "pause", "resume"})
 
     def __init__(
         self,
@@ -159,33 +155,15 @@ class ActiveSource(Component):
         priority: int = 0,
         max_items: int | None = None,
     ):
-        super().__init__(name)
+        super().__init__(name, priority)
         self.add_out_port(mode=Mode.PUSH)
         if rate_hz is not None and rate_hz <= 0:
             raise ValueError("source rate must be positive")
         self.rate_hz = rate_hz
-        self.timing = "clocked" if rate_hz is not None else "greedy"
-        self.priority = priority
         self.max_items = max_items
-        self.running = False
-
-    def period(self) -> float | None:
-        return None if self.rate_hz is None else 1.0 / self.rate_hz
 
     def generate(self) -> Any:
         raise NotImplementedError
-
-    def on_start(self, event) -> None:
-        self.running = True
-
-    def on_stop(self, event) -> None:
-        self.running = False
-
-    def on_pause(self, event) -> None:
-        self.running = False
-
-    def on_resume(self, event) -> None:
-        self.running = True
 
 
 class TickingSource(ActiveSource):

@@ -90,6 +90,9 @@ class Component:
     role: Role = Role.TRANSFORM
     #: Activity style (set by the style base classes; None for pumps etc.).
     style = None
+    #: True for the components that own a thread (pumps, active endpoints:
+    #: :class:`~repro.core.styles.ActivityOrigin`).
+    is_activity_origin = False
 
     #: Typespec capability of the component's input(s).
     input_spec: Typespec = Typespec.any()

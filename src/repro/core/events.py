@@ -136,16 +136,16 @@ class EventService:
         """Relays receive every broadcast (used for cross-node delivery)."""
         self._relays.append(relay)
 
-    def broadcast(self, event: Event, relay: bool = True) -> None:
-        """Deliver a broadcast event to every receiver (except its source)."""
+    def broadcast(self, event: Event) -> None:
+        """Deliver a broadcast event to every receiver (except its source)
+        and every relay."""
         self.history.append(event)
         for name, deliver in list(self._receivers.items()):
             if name == event.source:
                 continue
             deliver(event)
-        if relay:
-            for forward in self._relays:
-                forward(event)
+        for forward in self._relays:
+            forward(event)
 
     def send_to(self, name: str, event: Event) -> None:
         """Deliver an event to one named receiver."""

@@ -219,14 +219,12 @@ def _is_boundary(component: Component) -> bool:
     if component.role is Role.BUFFER:
         return True
     if component.role in (Role.SOURCE, Role.SINK):
-        return not getattr(component, "is_activity_origin", False)
+        return not component.is_activity_origin
     return False
 
 
 def _is_origin(component: Component) -> bool:
-    if component.role is Role.PUMP:
-        return True
-    return bool(getattr(component, "is_activity_origin", False))
+    return component.role is Role.PUMP or component.is_activity_origin
 
 
 def allocate(pipe: Pipeline) -> AllocationPlan:

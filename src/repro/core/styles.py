@@ -67,6 +67,65 @@ class PushOp:
     port: str = "out"
 
 
+# -- activity origins ----------------------------------------------------------
+
+
+class ActivityOrigin(Component):
+    """A component that owns a thread: a pump or an active endpoint.
+
+    Everything :class:`~repro.runtime.engine.PumpDriver` reads off the
+    component whose section it runs is declared here with a default
+    (docs/RUNTIME.md, "Seams and their contracts"); subclasses set what
+    their constructor offers and add their ports.
+    """
+
+    is_activity_origin = True
+    events_handled = frozenset({"start", "stop", "pause", "resume"})
+
+    #: Ticks per second; None cycles as fast as the pipeline allows.
+    rate_hz: float | None = None
+    #: CPU fraction reserved with the scheduler at setup.
+    reservation: float | None = None
+    #: When set, every tick carries a deadline of tick-time + slack.
+    deadline_slack: float | None = None
+    #: Stop after this many items.
+    max_items: int | None = None
+    #: Overrides the engine's ``batch_max`` for this origin alone.
+    batch_max: int | None = None
+    #: Set by the runtime on a clocked origin: applies a new rate to the
+    #: live timer.
+    _rate_listener = None
+
+    def __init__(self, name: str | None = None, priority: int = 0):
+        super().__init__(name)
+        #: Static priority of the origin's thread, and the constraint
+        #: priority of the data messages it originates.
+        self.priority = priority
+        self.running = False
+
+    @property
+    def timing(self) -> str:
+        """``"clocked"`` origins tick on a timer; ``"greedy"`` ones cycle
+        continuously."""
+        return "greedy" if self.rate_hz is None else "clocked"
+
+    def period(self) -> float | None:
+        """Seconds between ticks; None for a greedy origin."""
+        return None if self.rate_hz is None else 1.0 / self.rate_hz
+
+    def on_start(self, event) -> None:
+        self.running = True
+
+    def on_stop(self, event) -> None:
+        self.running = False
+
+    def on_pause(self, event) -> None:
+        self.running = False
+
+    def on_resume(self, event) -> None:
+        self.running = True
+
+
 # -- the four styles -----------------------------------------------------------
 
 

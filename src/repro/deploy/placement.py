@@ -278,7 +278,7 @@ def plan_placement(pipeline: Pipeline, placement: Placement) -> ShardPlan:
         cuts.append(Cut(
             kind="netpipe",
             index=len(cuts),
-            via=getattr(sender.protocol, "flow", sender.name),
+            via=sender.protocol.flow,
             upstream=sender.name,
             upstream_port="in",
             downstream=receiver.name,
@@ -404,7 +404,7 @@ def _validate(plan: ShardPlan, pipeline: Pipeline, seam_buffers: set[str]):
         if not names:
             raise DeployError(f"shard {shard} is empty")
         has_origin = any(
-            getattr(pipeline.component(name), "is_activity_origin", False)
+            pipeline.component(name).is_activity_origin
             for name in names
             if name not in cut_vias
         )

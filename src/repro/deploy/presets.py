@@ -50,7 +50,11 @@ def fig9a_chains(chains: int = 2, items: int = 256):
     return functools.partial(_build_fig9a_chains, chains, items)
 
 
-def _build_fig1_stages(frames: int, fps: float) -> Pipeline:
+#: Figure 1 plays at this frame rate.
+FIG1_FPS = 30.0
+
+
+def _build_fig1_stages(frames: int) -> Pipeline:
     from repro.components.buffers import Buffer
     from repro.components.pumps import ClockedPump, GreedyPump
     from repro.media import (
@@ -64,28 +68,26 @@ def _build_fig1_stages(frames: int, fps: float) -> Pipeline:
 
     return compose(
         MpegFileSource(frames=frames),
-        ClockedPump(fps),
+        ClockedPump(FIG1_FPS),
         PriorityDropFilter(),
         Buffer(16, name="net-buffer"),
         GreedyPump(),
         MpegDecoder(share_references=False),
         Buffer(16, name="display-buffer"),
-        ClockedPump(fps),
+        ClockedPump(FIG1_FPS),
         VideoDisplay(input_spec=Typespec()),
     )
 
 
-def fig1_stages(frames: int = 90, fps: float = 30.0):
+def fig1_stages(frames: int = 90):
     """A picklable builder for the Figure 1 pipeline with named seams."""
-    return functools.partial(_build_fig1_stages, frames, fps)
+    return functools.partial(_build_fig1_stages, frames)
 
 
-def fig1_drive(frames: int = 90, fps: float = 30.0, slack: float = 3.0):
-    """The standard drive for :func:`fig1_stages` engines: run to just
-    past the clocked playout horizon, stop, and drain."""
-    until = frames / fps + slack
-
-    return functools.partial(_drive_until, until)
+def fig1_drive(frames: int = 90):
+    """The standard drive for :func:`fig1_stages` engines: run to three
+    seconds past the clocked playout horizon, stop, and drain."""
+    return functools.partial(_drive_until, frames / FIG1_FPS + 3.0)
 
 
 def _drive_until(until: float, engine) -> None:

@@ -131,13 +131,7 @@ def _rehome_netpipe(pipeline, cut, link, build_send, build_recv) -> None:
         sender.protocol = link
         sender.location = link.src
     if build_recv:
-        receiver = pipeline.component(cut.downstream)
-        receiver.protocol = link
-        receiver.location = link.dst
-        link.on_deliver(
-            receiver._deliver, receiver._deliver_eos,
-            receiver._deliver_frame,
-        )
+        pipeline.component(cut.downstream).bind(link)
 
 
 def extract_shard(

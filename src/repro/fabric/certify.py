@@ -62,15 +62,14 @@ class HostedSession:
 def fabric_hosted(
     program: Any,
     tenants: int = 3,
-    background: Any = None,
     quantum: int = 8,
 ) -> Callable[[], HostedSession]:
     """A zero-arg builder: ``program`` multiplexed among busy tenants.
 
-    ``program`` and ``background`` are anything ``open_session`` takes
-    (microlanguage source, builder callable, composed pipeline);
-    ``background`` defaults to ``program`` itself, so the foreign load
-    exercises the same code paths.  ``tenants`` background sessions open
+    ``program`` is anything ``open_session`` takes (microlanguage
+    source, builder callable, composed pipeline); the background tenants
+    run ``program`` too, so the foreign load exercises the same code
+    paths.  ``tenants`` background sessions open
     *around* the certified one (half before, half after — it must not
     matter).  The fabric's dispatch ``quantum`` is part of the certified
     configuration: bursts may only reorder *between* tenants, never
@@ -78,19 +77,16 @@ def fabric_hosted(
     """
     from repro.fabric.session import SessionFabric
 
-    if background is None:
-        background = program
-
     def build() -> HostedSession:
         fabric = SessionFabric(quantum=quantum)
         before = tenants // 2
         for index in range(before):
-            fabric.open_session(background, name=f"bg{index}")
+            fabric.open_session(program, name=f"bg{index}")
         session = fabric.open_session(
             program, name="cert", namespace=False
         )
         for index in range(before, tenants):
-            fabric.open_session(background, name=f"bg{index}")
+            fabric.open_session(program, name=f"bg{index}")
         return HostedSession(fabric, session)
 
     return build

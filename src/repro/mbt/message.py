@@ -71,10 +71,10 @@ class Message:
         self.needs_reply = needs_reply
         self.msg_id = _next_message_id()
 
-    def make_reply(self, payload: Any = None, kind: str | None = None) -> "Message":
+    def make_reply(self, payload: Any = None) -> "Message":
         """Build the reply to this message, preserving its constraint."""
         return Message(
-            kind=kind if kind is not None else self.kind + "-reply",
+            kind=self.kind + "-reply",
             payload=payload,
             sender=self.target,
             target=self.sender,

@@ -320,6 +320,9 @@ class Scheduler:
         return self.add_thread(MThread(name=name, code=code, priority=priority))
 
     def remove_thread(self, name: str) -> None:
+        """Forget thread ``name`` and give back the CPU reservation made
+        in its name."""
+        self._reservations.pop(name, None)
         thread = self.threads.pop(name, None)
         if thread is not None:
             thread.terminated = True

@@ -31,7 +31,6 @@ class PeriodicTimer:
         "_payload",
         "_constraint",
         "_constraint_fn",
-        "_start_at",
         "_next_time",
         "_handle",
         "_running",
@@ -46,7 +45,6 @@ class PeriodicTimer:
         kind: str = "tick",
         payload: Any = None,
         constraint: Constraint | None = None,
-        start_at: float | None = None,
         constraint_fn=None,
     ):
         """``constraint_fn(fire_time) -> Constraint`` computes a fresh
@@ -61,7 +59,6 @@ class PeriodicTimer:
         self._payload = payload
         self._constraint = constraint
         self._constraint_fn = constraint_fn
-        self._start_at = start_at
         self._next_time: float | None = None
         self._handle: TimerHandle | None = None
         self._running = False
@@ -87,12 +84,7 @@ class PeriodicTimer:
         if self._running:
             return
         self._running = True
-        first = (
-            self._start_at
-            if self._start_at is not None
-            else self._scheduler.now()
-        )
-        self._next_time = max(first, self._scheduler.now())
+        self._next_time = self._scheduler.now()
         self._schedule()
 
     def stop(self) -> None:

@@ -73,11 +73,7 @@ def switch_counts(scheduler: Scheduler) -> dict[str, int]:
     return dict(counts)
 
 
-def timeline(
-    scheduler: Scheduler,
-    width: int = 64,
-    until: float | None = None,
-) -> str:
+def timeline(scheduler: Scheduler, width: int = 64) -> str:
     """A text Gantt chart: one row per thread, one column per time slot.
 
     ``#`` marks slots in which the thread held the CPU, ``.`` marks slots
@@ -90,9 +86,7 @@ def timeline(
     ]
     if not switches:
         return "(no activity recorded)"
-    end = until if until is not None else max(
-        scheduler.now(), switches[-1][0]
-    )
+    end = max(scheduler.now(), switches[-1][0])
     start = switches[0][0]
     span = max(end - start, 1e-9)
     slot = span / width

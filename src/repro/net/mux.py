@@ -1,13 +1,13 @@
 """Stream multiplexing: thousands of logical netpipes over ONE link.
 
 A multi-tenant fabric (:mod:`repro.fabric`) cannot afford one socket per
-session.  :class:`StreamMux` multiplexes any transport speaking the
-protocol interface (:class:`~repro.net.socketlink.SocketLink`,
+session.  :class:`StreamMux` multiplexes any
+:class:`~repro.net.protocols.Transport`
+(:class:`~repro.net.socketlink.SocketLink`,
 :class:`~repro.net.socketlink.InProcessLink`, a simulated protocol) into
-per-tenant :class:`MuxStream` endpoints that *themselves* speak the
-protocol interface — so ``make_netpipe_over(mux.open_stream(sid))`` just
-works and the whole marshalling / coalesced-frame / zero-copy substrate
-transfers unchanged.
+per-tenant :class:`MuxStream` endpoints that *themselves* are transports
+— so ``make_netpipe_over(mux.open_stream(sid))`` just works and the whole
+marshalling / coalesced-frame / zero-copy substrate transfers unchanged.
 
 Wire format — records and trains
 --------------------------------
@@ -45,13 +45,15 @@ its chunk count); when the window is exhausted, further sends queue
 *locally* in the stream — ``pending`` — instead of entering the shared
 link, so one slow tenant backpressures only itself.  The receiving end
 returns credits as its
-consumer actually drains (``note_drained``, wired automatically by
-:class:`~repro.net.netpipe.NetpipeReceiver`), batched to half the window
+consumer actually drains (``note_drained``, which a
+:class:`~repro.net.netpipe.NetpipeReceiver` calls on a transport that
+declares ``counts_drained``), batched to half the window
 to amortize the reverse-direction frames.  A stream with ``credits=None``
 (the default) is uncontrolled.
 
 Link-level EOS (the peer closed the whole transport) fans out as EOS to
-every open stream.  Frames for unknown stream ids — a tenant crashed and
+every open stream that has a receiver bound; a send-only end is only
+marked ended.  Frames for unknown stream ids — a tenant crashed and
 its session was closed while frames were in flight — are counted and
 dropped, never poisoning the remaining tenants.
 """
@@ -60,21 +62,23 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import MarshalError, RemoteError
 from repro.net.marshal import (
     STREAM_CHUNK_MAGIC,
-    decode_batch,
     decode_batch_views,
     encode_batch,
 )
+from repro.net.protocols import DATA_KIND, EOS_KIND, FRAME_KIND, Transport
 
 #: Stream-frame kinds (second byte of the header chunk).
 MUX_DATA = 0
 MUX_FRAME = 1
 MUX_EOS = 2
 MUX_CREDIT = 3
+#: The contract kind of each record kind a stream's receiver is handed.
+_KINDS = (DATA_KIND, FRAME_KIND, EOS_KIND)
 
 _HEADER = struct.Struct("!BBIi")
 
@@ -110,66 +114,41 @@ def _frame_cost(payload) -> int:
     return count if count > 0 else 1
 
 
-class MuxStream:
-    """One logical stream of a :class:`StreamMux`.
-
-    Speaks the netpipe protocol interface on both sides: ``send`` /
-    ``send_frame`` / ``send_eos`` for the producer end,
-    ``on_deliver(deliver, deliver_eos, deliver_frame)`` for the consumer
-    end.  One process normally uses only one side of a given stream.
+class MuxStream(Transport):
+    """One logical stream of a :class:`StreamMux`: a transport in its own
+    right, sender and receiver side.  One process normally uses only one
+    side of a given stream.
     """
 
     __slots__ = (
         "mux",
         "stream_id",
-        "flow",
-        "src",
-        "dst",
         "credits",
         "window",
         "pending",
         "eos_sent",
-        "eos_received",
-        "stats",
         "_grant_batch",
         "_to_grant",
-        "_deliver",
-        "_deliver_eos",
-        "_deliver_frame",
         "_scheduler",
     )
 
+    counts_drained = True
+
     def __init__(
-        self,
-        mux: "StreamMux",
-        stream_id: int,
-        credits: int | None = None,
-        flow: str | None = None,
+        self, mux: "StreamMux", stream_id: int, credits: int | None = None
     ):
+        super().__init__(f"stream-{stream_id}", mux.src, mux.dst)
         self.mux = mux
         self.stream_id = stream_id
-        self.flow = flow if flow is not None else f"stream-{stream_id}"
-        self.src = mux.src
-        self.dst = mux.dst
         #: Remaining send window in items; None = flow control off.
         self.credits = credits
         self.window = credits
         #: Locally queued (kind, payload) sends awaiting credit.
         self.pending: deque = deque()
         self.eos_sent = False
-        self.eos_received = False
-        self.stats = {
-            "sent": 0,
-            "delivered": 0,
-            "retransmits": 0,
-            "stalled": 0,
-            "credits_granted": 0,
-        }
+        self.stats.update(stalled=0, credits_granted=0)
         self._grant_batch = 1 if credits is None else max(1, credits // 2)
         self._to_grant = 0
-        self._deliver: Callable[[bytes], None] | None = None
-        self._deliver_eos: Callable[[], None] | None = None
-        self._deliver_frame: Callable[[bytes], None] | None = None
         self._scheduler: Any = None
 
     def attach_scheduler(self, scheduler: Any) -> None:
@@ -239,21 +218,9 @@ class MuxStream:
 
     # -- consumer side ------------------------------------------------------
 
-    def on_deliver(
-        self,
-        deliver: Callable[[bytes], None],
-        deliver_eos: Callable[[], None],
-        deliver_frame: Callable[[bytes], None] | None = None,
-    ) -> None:
-        self._deliver = deliver
-        self._deliver_eos = deliver_eos
-        self._deliver_frame = deliver_frame
-
     def note_drained(self, items: int) -> None:
         """The consumer actually removed ``items`` from its queue; return
-        the credits to the sender, batched to amortize control frames.
-        Wired automatically by :class:`~repro.net.netpipe.NetpipeReceiver`.
-        """
+        the credits to the sender, batched to amortize control frames."""
         if self.window is None:
             return
         self._to_grant += items
@@ -262,33 +229,6 @@ class MuxStream:
             self.stats["credits_granted"] += granted
             self.mux.stats["credits_sent"] += 1
             self.mux._put(self, MUX_CREDIT, arg=granted)
-
-    def _emit(self, kind: int, payload) -> None:
-        self.stats["delivered"] += 1
-        if kind == MUX_EOS:
-            self.eos_received = True
-            if self._deliver_eos is not None:
-                self._deliver_eos()
-            return
-        if kind == MUX_FRAME:
-            if self._deliver_frame is not None:
-                self._deliver_frame(payload)
-                return
-            if self._deliver is None:
-                raise RemoteError(
-                    f"stream {self.flow!r} has no receiver bound"
-                )
-            for chunk in decode_batch(payload):
-                self._deliver(chunk)
-            return
-        if self._deliver is None:
-            raise RemoteError(f"stream {self.flow!r} has no receiver bound")
-        self._deliver(payload)
-
-    # -- protocol-interface odds and ends -----------------------------------
-
-    def receiver_loss_sample(self) -> float:
-        return 0.0
 
     def pump(self, max_messages: int | None = None) -> int:
         """Pump the *shared* transport (routing may deliver to any
@@ -320,17 +260,11 @@ class StreamMux:
         of InProcessLinks).
     """
 
-    def __init__(
-        self,
-        transport: Any,
-        inbound: Any | None = None,
-        src: str | None = None,
-        dst: str | None = None,
-    ):
+    def __init__(self, transport: Transport, inbound: Transport | None = None):
         self.transport = transport
         self.inbound = inbound if inbound is not None else transport
-        self.src = src if src is not None else getattr(transport, "src", "local")
-        self.dst = dst if dst is not None else getattr(transport, "dst", "remote")
+        self.src = transport.src
+        self.dst = transport.dst
         self._streams: dict[int, MuxStream] = {}
         #: The train being gathered — ``(kind, stream_id, arg, chunks)``
         #: records in emission order, a DATA record's chunks growing
@@ -351,10 +285,7 @@ class StreamMux:
     # -- stream lifecycle ----------------------------------------------------
 
     def open_stream(
-        self,
-        stream_id: int,
-        credits: int | None = None,
-        flow: str | None = None,
+        self, stream_id: int, credits: int | None = None
     ) -> MuxStream:
         """Register (or fetch) the stream called ``stream_id``.
 
@@ -365,7 +296,7 @@ class StreamMux:
         """
         stream = self._streams.get(stream_id)
         if stream is None:
-            stream = MuxStream(self, stream_id, credits=credits, flow=flow)
+            stream = MuxStream(self, stream_id, credits=credits)
             self._streams[stream_id] = stream
         return stream
 
@@ -454,7 +385,7 @@ class StreamMux:
                     stats["credits_received"] += 1
                     stream._on_credit(arg)
                 else:
-                    stream._emit(kind, body)
+                    stream._receive(_KINDS[kind], body)
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 if failed is None:
                     failed = exc
@@ -469,8 +400,13 @@ class StreamMux:
 
     def _rx_link_eos(self) -> None:
         for stream in list(self._streams.values()):
-            if not stream.eos_received:
-                stream._emit(MUX_EOS, None)
+            if stream.eos_received:
+                continue
+            if stream._deliver_eos is None:
+                # A send-only end has nobody to tell: it is marked ended.
+                stream.eos_received = True
+            else:
+                stream._receive(EOS_KIND)
 
     # -- io loop -------------------------------------------------------------
 
@@ -478,8 +414,7 @@ class StreamMux:
         return self.inbound.pump(max_messages)
 
     def wait(self, timeout: float) -> bool:
-        wait = getattr(self.inbound, "wait", None)
-        return wait(timeout) if wait is not None else False
+        return self.inbound.wait(timeout)
 
     def close(self) -> None:
         self.flush()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.components.buffers import EMPTY, OK, OnEmpty
+from repro.components.buffers import EMPTY, OK, Boundary, OnEmpty
 from repro.core.component import Component, Role
 from repro.core.events import EOS
 from repro.core.items import NIL
@@ -26,7 +26,7 @@ from repro.core.typespec import Typespec, props
 from repro.errors import MarshalError, RemoteError
 from repro.net.marshal import EncodedRun, decode_frame_run, encode_batch
 from repro.net.network import Network
-from repro.net.protocols import DatagramProtocol, Protocol, StreamProtocol
+from repro.net.protocols import DatagramProtocol, StreamProtocol, Transport
 
 
 class NetpipeSender(Component):
@@ -34,7 +34,6 @@ class NetpipeSender(Component):
 
     role = Role.SINK
     style = Style.CONSUMER
-    is_activity_origin = False
     input_spec = Typespec({props.FORMAT: "bytes"})
 
     #: The items pushed here are not delivered: they continue on a wire.
@@ -44,18 +43,15 @@ class NetpipeSender(Component):
     wire_sink = True
     trailer: bytes | None = None
 
-    def __init__(self, protocol: Protocol, name: str | None = None):
+    def __init__(self, protocol: Transport, name: str | None = None):
         super().__init__(name)
         self.add_in_port(mode=Mode.PUSH)
         self.protocol = protocol
         self.location = protocol.src
-        #: A protocol that counts items (see ``note_drained`` below) is
-        #: told how many data items each frame carries.
-        self._counted = hasattr(protocol, "note_drained")
         self.stats.update(frames_out=0, bytes_in=0)
 
     def on_attach(self, engine) -> None:
-        _attach_scheduler(self.protocol, engine)
+        self.protocol.attach_scheduler(engine.scheduler)
 
     def push(self, item: Any) -> None:
         if not isinstance(item, (bytes, bytearray, memoryview)):
@@ -113,10 +109,7 @@ class NetpipeSender(Component):
             payload = encode_batch(
                 chunks if trailer is None else [*chunks, trailer]
             )
-        if self._counted:
-            self.protocol.send_frame(payload, items)
-        else:
-            self.protocol.send_frame(payload)
+        self.protocol.send_frame(payload, items)
 
     def on_eos(self) -> None:
         """Called by the runtime when EOS reaches this sink: forward the
@@ -124,7 +117,7 @@ class NetpipeSender(Component):
         self.protocol.send_eos()
 
 
-class NetpipeReceiver(Component):
+class NetpipeReceiver(Boundary):
     """Passive boundary fed by packet arrivals.
 
     Downstream pumps pull from it exactly as from a buffer; an empty
@@ -132,19 +125,15 @@ class NetpipeReceiver(Component):
     the network delivers.
     """
 
-    role = Role.BUFFER  # boundary semantics: pulled through a gate
-
     def __init__(
         self,
-        protocol: Protocol,
+        protocol: Transport,
         name: str | None = None,
         on_empty: OnEmpty = OnEmpty.BLOCK,
         flow_spec: Typespec | None = None,
     ):
         super().__init__(name)
         self.add_out_port(mode=Mode.PULL)
-        self.protocol = protocol
-        self.location = protocol.dst
         self.on_empty = on_empty
         self.flow_spec = flow_spec or Typespec({props.FORMAT: "bytes"})
         #: Received wire data, oldest first: bytes for a per-item message,
@@ -156,11 +145,20 @@ class NetpipeReceiver(Component):
         self._eos_pending = False
         self._gate = None
         self.stats.update(frames_in=0, bytes_in=0, bytes_out=0)
-        #: Flow-control pacing: protocols with a ``note_drained`` method
-        #: (a :class:`repro.net.mux.MuxStream` with credits) learn how
+        self.bind(protocol)
+
+    def bind(self, protocol: Transport) -> None:
+        """Receive from ``protocol`` (again, when a shard re-homes a
+        simulated pair onto its real link)."""
+        self.protocol = protocol
+        self.location = protocol.dst
+        #: Flow-control pacing: a transport that ``counts_drained`` (a
+        #: :class:`repro.net.mux.MuxStream` with credits) learns how
         #: many items the consumer actually pulled, so credit returns
         #: track real drain rate rather than arrival rate.
-        self._drained_hook = getattr(protocol, "note_drained", None)
+        self._drained_hook = (
+            protocol.note_drained if protocol.counts_drained else None
+        )
         protocol.on_deliver(
             self._deliver, self._deliver_eos, self._deliver_frame
         )
@@ -255,7 +253,7 @@ class NetpipeReceiver(Component):
 
     def on_attach(self, engine) -> None:
         self._gate = engine.gate_for(self)
-        _attach_scheduler(self.protocol, engine)
+        self.protocol.attach_scheduler(engine.scheduler)
 
     def _deliver(self, payload: bytes) -> None:
         self._arrive([payload], len(payload), framed=False)
@@ -297,34 +295,26 @@ class NetpipeReceiver(Component):
             self._gate.external_wake_pullers()
 
 
-def _attach_scheduler(protocol: Any, engine) -> None:
-    """Duck-typed like ``note_drained``: a protocol that may hold what it
-    is sent while a scheduler dispatches (a MuxStream) learns which."""
-    hook = getattr(protocol, "attach_scheduler", None)
-    if hook is not None:
-        hook(engine.scheduler)
-
-
 def make_netpipe_over(
-    transport: Any,
+    transport: Transport,
     on_empty: OnEmpty = OnEmpty.BLOCK,
     flow_spec: Typespec | None = None,
-    flow: str | None = None,
 ) -> tuple[NetpipeSender, NetpipeReceiver]:
-    """Build a netpipe pair over a ready transport object.
+    """Build a netpipe pair over a ready transport object, named after
+    the transport's ``flow``.
 
-    ``transport`` is anything speaking the protocol interface — a
+    ``transport`` is any :class:`~repro.net.protocols.Transport` — a
     simulated :class:`~repro.net.protocols.Protocol`, a real-socket
-    :class:`~repro.net.socketlink.SocketLink`, or an in-process
-    :class:`~repro.net.socketlink.InProcessLink`.  The netpipe components
+    :class:`~repro.net.socketlink.SocketLink`, an in-process
+    :class:`~repro.net.socketlink.InProcessLink` or a
+    :class:`~repro.net.mux.MuxStream`.  The netpipe components
     themselves are transport-agnostic; this is the factory the sharded
     deployment layer (:mod:`repro.deploy`) uses to bridge cut edges.
     """
-    flow = flow or getattr(transport, "flow", "flow")
-    sender = NetpipeSender(transport, name=f"netpipe-send-{flow}")
+    sender = NetpipeSender(transport, name=f"netpipe-send-{transport.flow}")
     receiver = NetpipeReceiver(
         transport,
-        name=f"netpipe-recv-{flow}",
+        name=f"netpipe-recv-{transport.flow}",
         on_empty=on_empty,
         flow_spec=flow_spec,
     )
@@ -332,39 +322,27 @@ def make_netpipe_over(
 
 
 def make_netpipe(
-    network: Network | None,
+    network: Network,
     flow: str,
     src_node: str,
     dst_node: str,
     protocol: str = "datagram",
     on_empty: OnEmpty = OnEmpty.BLOCK,
     flow_spec: Typespec | None = None,
-    transport: Any | None = None,
     **protocol_kwargs: Any,
 ) -> tuple[NetpipeSender, NetpipeReceiver]:
-    """Build a netpipe pair over an existing link.
-
-    ``protocol`` selects the simulated transport: ``"datagram"`` (best
-    effort) or ``"stream"`` (reliable, in order).  Passing a ready
-    ``transport`` object instead (e.g. a
-    :class:`~repro.net.socketlink.SocketLink`) makes ``network`` and the
-    ``protocol`` name irrelevant — the pair is built over it as-is.
+    """Build a netpipe pair over an existing link of the simulated
+    network.  ``protocol`` selects the transport: ``"datagram"`` (best
+    effort) or ``"stream"`` (reliable, in order).
     """
-    if transport is None:
-        if network is None:
-            raise RemoteError(
-                "make_netpipe needs a Network (or an explicit transport=)"
-            )
-        if protocol == "datagram":
-            transport = DatagramProtocol(
-                network, flow, src_node, dst_node, **protocol_kwargs
-            )
-        elif protocol == "stream":
-            transport = StreamProtocol(
-                network, flow, src_node, dst_node, **protocol_kwargs
-            )
-        else:
-            raise RemoteError(f"unknown transport protocol {protocol!r}")
-    return make_netpipe_over(
-        transport, on_empty=on_empty, flow_spec=flow_spec, flow=flow
-    )
+    if protocol == "datagram":
+        transport = DatagramProtocol(
+            network, flow, src_node, dst_node, **protocol_kwargs
+        )
+    elif protocol == "stream":
+        transport = StreamProtocol(
+            network, flow, src_node, dst_node, **protocol_kwargs
+        )
+    else:
+        raise RemoteError(f"unknown transport protocol {protocol!r}")
+    return make_netpipe_over(transport, on_empty=on_empty, flow_spec=flow_spec)

@@ -16,16 +16,20 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import RemoteError
+from repro.errors import MarshalError, RemoteError
+from repro.net.marshal import decode_batch
 from repro.net.network import Network
 from repro.net.packets import Packet
 
 DeliverFn = Callable[[bytes], None]
-#: Payload marker for end-of-stream control packets.
+# The contract's three message kinds — also what ``Packet.kind`` carries.
+#: A single ``send`` payload.
+DATA_KIND = "data"
+#: End of stream.
 EOS_KIND = "eos"
-#: Payload marker for coalesced batch frames (see marshal.encode_batch):
-#: one message carrying several encoded items, unfragmented back to items
-#: on the receiving side.
+#: A coalesced batch frame (see marshal.encode_batch): one message
+#: carrying several encoded items, unfragmented back to items on the
+#: receiving side.
 FRAME_KIND = "frame"
 
 
@@ -33,8 +37,125 @@ FRAME_KIND = "frame"
 DEFAULT_MTU = 1400
 
 
-class Protocol:
-    """Base: a one-directional byte transport between two nodes.
+class Transport:
+    """The contract a netpipe pair speaks to whatever carries its bytes
+    (docs/RUNTIME.md, "Seams and their contracts").
+
+    The four transport families — the simulated :class:`Protocol` s,
+    :class:`~repro.net.socketlink.SocketLink`,
+    :class:`~repro.net.socketlink.InProcessLink` and
+    :class:`~repro.net.mux.MuxStream` — inherit it, so everything the
+    netpipe endpoints, a :class:`~repro.net.mux.StreamMux`, the planner
+    and the shard worker ask of a transport is an attribute declared
+    here, with a default.  A sender calls ``send`` / ``send_frame`` /
+    ``send_eos``; the receiving side binds three callbacks with
+    :meth:`on_deliver`, and the transport hands every arrived message to
+    :meth:`_receive` under one of the contract's three kinds.  How a kind
+    is spelt on a wire (``Packet.kind``, a header byte, a mux record
+    kind) is the transport's own business.
+    """
+
+    __slots__ = ("flow", "src", "dst", "stats", "eos_received",
+                 "_deliver", "_deliver_eos", "_deliver_frame")
+
+    #: True for a transport that charges sends per data item: the
+    #: receiving netpipe then reports what its consumer drained through
+    #: ``note_drained(items)`` (read once, when the receiver is built).
+    counts_drained = False
+
+    def __init__(self, flow: str, src: str, dst: str):
+        self.flow = flow
+        #: Node names stamped onto the netpipe components' ``location``.
+        self.src = src
+        self.dst = dst
+        #: ``delivered`` counts messages a bound receiver took, EOS
+        #: included.
+        self.stats = {"sent": 0, "delivered": 0, "retransmits": 0}
+        self.eos_received = False
+        self._deliver: DeliverFn | None = None
+        self._deliver_eos: Callable[[], None] | None = None
+        self._deliver_frame: DeliverFn | None = None
+
+    # -- sender side -------------------------------------------------------
+
+    def send(self, payload) -> None:
+        raise NotImplementedError
+
+    def send_frame(self, payload, items: int | None = None) -> None:
+        """Send a coalesced batch frame (marshal.encode_batch payload).
+        ``items``: the data items in it, stated by the sender that built
+        it (its chunk count may include side chunks)."""
+        raise NotImplementedError
+
+    def send_eos(self) -> None:
+        raise NotImplementedError
+
+    # -- receiver side ------------------------------------------------------
+
+    def on_deliver(
+        self,
+        deliver: DeliverFn,
+        deliver_eos: Callable[[], None],
+        deliver_frame: DeliverFn | None = None,
+    ) -> None:
+        self._deliver = deliver
+        self._deliver_eos = deliver_eos
+        self._deliver_frame = deliver_frame
+
+    def _receive(self, kind: str, payload=None) -> None:
+        """Hand one arrived message to the bound receiver: a frame is
+        unframed chunk by chunk when the receiver has no frame path, and
+        a message nothing is bound for raises ``RemoteError`` whatever
+        its kind."""
+        if kind == EOS_KIND:
+            deliver = self._deliver_eos
+        elif kind == DATA_KIND or kind == FRAME_KIND:
+            deliver = self._deliver
+        else:
+            raise MarshalError(
+                f"flow {self.flow!r}: unknown message kind {kind!r}"
+            )
+        if deliver is None:
+            raise RemoteError(f"flow {self.flow!r} has no receiver bound")
+        self.stats["delivered"] += 1
+        if kind == DATA_KIND:
+            deliver(payload)
+        elif kind == EOS_KIND:
+            self.eos_received = True
+            deliver()
+        elif self._deliver_frame is not None:
+            self._deliver_frame(payload)
+        else:
+            for chunk in decode_batch(payload):
+                deliver(chunk)
+
+    def receiver_loss_sample(self) -> float:
+        """Wire loss fraction since the previous sample; a transport that
+        never loses reports 0."""
+        return 0.0
+
+    # -- io loop and lifecycle ----------------------------------------------
+
+    def attach_scheduler(self, scheduler: Any) -> None:
+        """The scheduler whose threads use this transport (handed over by
+        the netpipe endpoints in ``on_attach``); most ignore it."""
+
+    def pump(self, max_messages: int | None = None) -> int:
+        """Deliver what is waiting; returns the messages delivered.  A
+        transport that delivers synchronously never has any."""
+        return 0
+
+    def wait(self, timeout: float) -> bool:
+        """Block up to ``timeout`` seconds for inbound bytes."""
+        return False
+
+    def close(self) -> None:
+        pass
+
+
+class Protocol(Transport):
+    """Base of the simulated transports: a one-directional byte flow
+    between two nodes of a :class:`~repro.net.network.Network`.
 
     Messages larger than the MTU are fragmented into multiple packets; the
     receiving side reassembles.  Under the datagram protocol the loss of
@@ -46,15 +167,9 @@ class Protocol:
 
     def __init__(self, network: Network, flow: str, src: str, dst: str,
                  mtu: int = DEFAULT_MTU):
+        super().__init__(flow, src, dst)
         self.network = network
-        self.flow = flow
-        self.src = src
-        self.dst = dst
         self.mtu = int(mtu)
-        self._deliver: DeliverFn | None = None
-        self._deliver_eos: Callable[[], None] | None = None
-        self._deliver_frame: DeliverFn | None = None
-        self.stats = {"sent": 0, "delivered": 0, "retransmits": 0}
         # Receiver-side loss estimation window (packet-sequence gaps).
         self._rx_highest = -1
         self._rx_window_expected = 0
@@ -62,7 +177,7 @@ class Protocol:
         self._next_msg_seq = 0
         network.register_receiver(flow, self._on_packet)
 
-    def _fragments(self, payload: bytes, kind: str = "data"):
+    def _fragments(self, payload: bytes, kind: str = DATA_KIND):
         """Split a message into MTU-sized fragment packets (unsequenced;
         the caller assigns packet seq numbers)."""
         msg_seq = self._next_msg_seq
@@ -104,57 +219,8 @@ class Protocol:
             return 0.0
         return max(0.0, 1.0 - received / expected)
 
-    def on_deliver(
-        self,
-        deliver: DeliverFn,
-        deliver_eos: Callable[[], None],
-        deliver_frame: DeliverFn | None = None,
-    ) -> None:
-        self._deliver = deliver
-        self._deliver_eos = deliver_eos
-        self._deliver_frame = deliver_frame
-
-    # -- sender side -------------------------------------------------------
-
-    def send(self, payload: bytes) -> None:
-        raise NotImplementedError
-
-    def send_frame(self, payload: bytes) -> None:
-        """Send a coalesced batch frame (marshal.encode_batch payload)."""
-        raise NotImplementedError
-
-    def send_eos(self) -> None:
-        raise NotImplementedError
-
-    # -- receiver side ------------------------------------------------------
-
-    def _on_packet(self, packet: Packet) -> None:
-        raise NotImplementedError
-
-    def _emit_message(self, message: bytes, kind: str) -> None:
-        """Deliver a fully reassembled message to the bound receiver,
-        unfragmenting batch frames when the receiver has no frame path."""
-        self.stats["delivered"] += 1
-        if kind == FRAME_KIND:
-            if self._deliver_frame is not None:
-                self._deliver_frame(message)
-                return
-            from repro.net.marshal import decode_batch
-
-            for chunk in decode_batch(message):
-                self._deliver(chunk)
-            return
-        self._deliver(message)
-
-    def _hand_over(self, packet: Packet) -> None:
-        if packet.kind == EOS_KIND:
-            if self._deliver_eos is None:
-                raise RemoteError(f"flow {self.flow!r} has no receiver bound")
-            self._deliver_eos()
-            return
-        if self._deliver is None:
-            raise RemoteError(f"flow {self.flow!r} has no receiver bound")
-        self._emit_message(packet.payload, packet.kind)
+    def send_frame(self, payload: bytes, items: int | None = None) -> None:
+        self.send(payload, FRAME_KIND)
 
 
 class DatagramProtocol(Protocol):
@@ -171,15 +237,12 @@ class DatagramProtocol(Protocol):
         self._frag_counts: dict[int, int] = {}
         self._delivered_msgs: set[int] = set()
 
-    def send(self, payload: bytes, kind: str = "data") -> None:
+    def send(self, payload: bytes, kind: str = DATA_KIND) -> None:
         for packet in self._fragments(payload, kind):
             packet.seq = self._next_seq
             self._next_seq += 1
             self.stats["sent"] += 1
             self.network.transmit(self.src, self.dst, packet)
-
-    def send_frame(self, payload: bytes) -> None:
-        self.send(payload, FRAME_KIND)
 
     def send_eos(self) -> None:
         # Best-effort EOS: send a few copies so a lossy link still ends the
@@ -196,12 +259,12 @@ class DatagramProtocol(Protocol):
             if self._eos_pending:
                 return  # duplicate EOS copy
             self._eos_pending = True
-            self._hand_over(packet)
+            self._receive(EOS_KIND)
             return
         self._observe_rx(packet.seq)
         message = self._reassemble(packet)
         if message is not None:
-            self._emit_message(message, packet.kind)
+            self._receive(packet.kind, message)
 
     def _reassemble(self, packet: Packet) -> bytes | None:
         msg = packet.msg_seq
@@ -261,14 +324,11 @@ class StreamProtocol(Protocol):
 
     # -- sender -------------------------------------------------------------
 
-    def send(self, payload: bytes, kind: str = "data") -> None:
+    def send(self, payload: bytes, kind: str = DATA_KIND) -> None:
         for packet in self._fragments(payload, kind):
             packet.seq = self._next_seq
             self._next_seq += 1
             self._transmit_tracked(packet, retries=0)
-
-    def send_frame(self, payload: bytes) -> None:
-        self.send(payload, FRAME_KIND)
 
     def send_eos(self) -> None:
         packet = Packet(
@@ -319,11 +379,8 @@ class StreamProtocol(Protocol):
         self._send_ack()
 
     def _deliver_in_order(self, packet: Packet) -> None:
-        if packet.kind == EOS_KIND:
-            self._hand_over(packet)
-            return
-        if packet.frag_count == 1:
-            self._emit_message(packet.payload, packet.kind)
+        if packet.kind == EOS_KIND or packet.frag_count == 1:
+            self._receive(packet.kind, packet.payload)
             return
         # Fragments of one message arrive consecutively (in-order stream).
         if self._partial_msg != packet.msg_seq:
@@ -334,7 +391,7 @@ class StreamProtocol(Protocol):
             message = b"".join(self._partial)
             self._partial = []
             self._partial_msg = None
-            self._emit_message(message, packet.kind)
+            self._receive(packet.kind, message)
 
     def _send_ack(self) -> None:
         ack = Packet(

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from typing import Any, Type, TypeVar
 
-from repro.components.buffers import OnEmpty
 from repro.core.component import Component
 from repro.core.composition import Pipeline, connect, derive_typespecs
 from repro.core.typespec import Choices, Interval, Typespec, props
-from repro.errors import RemoteError, TypespecMismatch
+from repro.errors import RemoteError
 from repro.net.marshal import (
     MarshalFilter,
     UnmarshalFilter,
@@ -139,8 +138,6 @@ class RemoteBinder:
         dst_node: str,
         flow: str,
         protocol: str = "datagram",
-        on_empty: OnEmpty = OnEmpty.BLOCK,
-        marshal_cost_per_kb: float = 0.0,
         **protocol_kwargs: Any,
     ) -> Pipeline:
         """Connect a producer-side pipeline on ``src_node`` to a consumer-
@@ -166,13 +163,10 @@ class RemoteBinder:
         )
         # The netpipe is the only component allowed to change the location.
         moved = carried.with_props(**{props.LOCATION: dst_node})
-        try:
-            moved.intersect(
-                remote_accepts,
-                context=f"binding flow {flow!r} {src_node}->{dst_node}",
-            )
-        except TypespecMismatch:
-            raise
+        moved.intersect(
+            remote_accepts,
+            context=f"binding flow {flow!r} {src_node}->{dst_node}",
+        )
 
         # -- assemble the segment ---------------------------------------------
         sender, receiver = make_netpipe(
@@ -181,7 +175,6 @@ class RemoteBinder:
             src_node,
             dst_node,
             protocol=protocol,
-            on_empty=on_empty,
             flow_spec=Typespec(
                 {
                     props.FORMAT: "bytes",
@@ -192,13 +185,9 @@ class RemoteBinder:
             ),
             **protocol_kwargs,
         )
-        marshal = MarshalFilter(
-            name=f"marshal-{flow}", cost_per_kb=marshal_cost_per_kb
-        )
+        marshal = MarshalFilter(name=f"marshal-{flow}")
         marshal.location = src_node
-        unmarshal = UnmarshalFilter(
-            name=f"unmarshal-{flow}", cost_per_kb=marshal_cost_per_kb
-        )
+        unmarshal = UnmarshalFilter(name=f"unmarshal-{flow}")
         unmarshal.location = dst_node
 
         left = producer >> marshal >> sender

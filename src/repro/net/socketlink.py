@@ -3,13 +3,12 @@
 The simulated :class:`~repro.net.protocols.Protocol` family carries
 netpipe flows inside one discrete-event scheduler.  A sharded deployment
 (:mod:`repro.deploy`) needs the same flows carried **between OS
-processes**, so :class:`SocketLink` implements the protocol interface the
-netpipe pair already speaks — ``send`` / ``send_frame`` / ``send_eos`` on
-the producer side, ``on_deliver`` callbacks on the consumer side — over a
-real ``socket.socketpair()`` or TCP stream.  Because only the transport
-changes, ``marshal.encode_batch`` / ``EncodedRun`` zero-copy framing,
-flow-trace TLV side-chunks and QoS property stamping all transfer
-unchanged.
+processes**, so :class:`SocketLink` implements the
+:class:`~repro.net.protocols.Transport` contract the netpipe pair already
+speaks over a real ``socket.socketpair()`` or TCP stream.  Because only
+the transport changes, ``marshal.encode_batch`` / ``EncodedRun`` zero-copy
+framing, flow-trace TLV side-chunks and QoS property stamping all
+transfer unchanged.
 
 Wire format: a 5-byte header per message — one kind byte (data / frame /
 eos) and a ``!I`` payload length — followed by the payload.  TCP/socketpair
@@ -29,14 +28,15 @@ from __future__ import annotations
 import select
 import socket
 import struct
-from typing import Any, Callable
 
 from repro.errors import MarshalError, RemoteError
+from repro.net.protocols import DATA_KIND, EOS_KIND, FRAME_KIND, Transport
 
-#: Message kinds on the wire (one byte).
+#: Message kinds on the wire (one byte), and the contract kind of each.
 _DATA = 0
 _FRAME = 1
 _EOS = 2
+_KINDS = {_DATA: DATA_KIND, _FRAME: FRAME_KIND, _EOS: EOS_KIND}
 
 _HEADER = struct.Struct("!BI")
 _RECV_CHUNK = 1 << 16
@@ -72,7 +72,7 @@ def _set_bufsize(sock: socket.socket, bufsize: int | None) -> None:
             pass
 
 
-class SocketLink:
+class SocketLink(Transport):
     """Netpipe transport over a real stream socket.
 
     Parameters
@@ -83,8 +83,6 @@ class SocketLink:
         Socket used for receives; ``None`` for a send-only end.  May be
         the same object as ``sock_out`` (full duplex, the deployment
         case: each shard wraps its own end of a socketpair).
-    src / dst:
-        Node names stamped onto the netpipe components' ``location``.
     """
 
     def __init__(
@@ -95,36 +93,19 @@ class SocketLink:
         dst: str = "remote",
         flow: str = "flow",
     ):
+        super().__init__(flow, src, dst)
         self._sock_out = sock_out
         self._sock_in = sock_in
-        self.src = src
-        self.dst = dst
-        self.flow = flow
-        self.stats = {
-            "sent": 0,
-            "delivered": 0,
-            "retransmits": 0,
-            "bytes_sent": 0,
-            "bytes_received": 0,
-            "frames_sent": 0,
-        }
+        self.stats.update(bytes_sent=0, bytes_received=0, frames_sent=0)
         self.eos_sent = False
-        self.eos_received = False
         self.peer_closed = False
         self._buf = bytearray()
-        self._deliver: Callable[[bytes], None] | None = None
-        self._deliver_eos: Callable[[], None] | None = None
-        self._deliver_frame: Callable[[bytes], None] | None = None
 
     # -- construction helpers ----------------------------------------------
 
     @classmethod
     def pair(
-        cls,
-        src: str = "shard-0",
-        dst: str = "shard-1",
-        flow: str = "flow",
-        bufsize: int | None = None,
+        cls, bufsize: int | None = None
     ) -> tuple["SocketLink", "SocketLink"]:
         """A connected (sender-end, receiver-end) link pair over a
         ``socket.socketpair()`` — one object per process end.
@@ -138,9 +119,7 @@ class SocketLink:
         a, b = socket.socketpair()
         _set_bufsize(a, bufsize)
         _set_bufsize(b, bufsize)
-        tx = cls(sock_out=a, sock_in=a, src=src, dst=dst, flow=flow)
-        rx = cls(sock_out=b, sock_in=b, src=src, dst=dst, flow=flow)
-        return tx, rx
+        return cls(a, a, "shard-0", "shard-1"), cls(b, b, "shard-0", "shard-1")
 
     @classmethod
     def tcp_pair(
@@ -182,7 +161,7 @@ class SocketLink:
         self._sendall(_DATA, payload)
         self.stats["sent"] += 1
 
-    def send_frame(self, payload) -> None:
+    def send_frame(self, payload, items: int | None = None) -> None:
         self._sendall(_FRAME, payload)
         self.stats["sent"] += 1
         self.stats["frames_sent"] += 1
@@ -194,20 +173,6 @@ class SocketLink:
         self._sendall(_EOS, b"")
 
     # -- receiver side ------------------------------------------------------
-
-    def on_deliver(
-        self,
-        deliver: Callable[[bytes], None],
-        deliver_eos: Callable[[], None],
-        deliver_frame: Callable[[bytes], None] | None = None,
-    ) -> None:
-        self._deliver = deliver
-        self._deliver_eos = deliver_eos
-        self._deliver_frame = deliver_frame
-
-    def receiver_loss_sample(self) -> float:
-        """Stream sockets are reliable and in order: wire loss is 0."""
-        return 0.0
 
     def fileno(self) -> int:
         if self._sock_in is None:
@@ -285,38 +250,11 @@ class SocketLink:
                 break
             payload = bytes(buf[_HEADER.size:end])
             del buf[:end]
-            self._emit(kind, payload)
+            self.stats["bytes_received"] += length
+            # An unknown header byte is refused as an unknown kind.
+            self._receive(_KINDS.get(kind, kind), payload)
             count += 1
         return count
-
-    def _emit(self, kind: int, payload: bytes) -> None:
-        if kind == _EOS:
-            if self._deliver_eos is None:
-                raise RemoteError(
-                    f"link {self.flow!r} has no receiver bound"
-                )
-            self.eos_received = True
-            self.stats["delivered"] += 1
-            self._deliver_eos()
-            return
-        if self._deliver is None:
-            raise RemoteError(f"link {self.flow!r} has no receiver bound")
-        self.stats["delivered"] += 1
-        self.stats["bytes_received"] += len(payload)
-        if kind == _FRAME:
-            if self._deliver_frame is not None:
-                self._deliver_frame(payload)
-                return
-            from repro.net.marshal import decode_batch
-
-            for chunk in decode_batch(payload):
-                self._deliver(chunk)
-            return
-        if kind != _DATA:
-            raise MarshalError(
-                f"link {self.flow!r}: unknown wire kind {kind}"
-            )
-        self._deliver(payload)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -336,8 +274,8 @@ class SocketLink:
         )
 
 
-class InProcessLink:
-    """Synchronous in-memory transport with the protocol interface.
+class InProcessLink(Transport):
+    """Synchronous in-memory transport.
 
     ``Deployment.simulate()`` realizes every planner cut with one of
     these so the whole sharded structure runs inside a single engine:
@@ -348,7 +286,7 @@ class InProcessLink:
     ``lossy_channels`` pair the two netpipe halves across the cut.
 
     ``loss_rate`` > 0 turns it into a seeded lossy datagram wire (each
-    plain data message may be dropped), for exercising wire-loss
+    data or frame message may be dropped), for exercising wire-loss
     attribution without a network simulator.
     """
 
@@ -362,73 +300,26 @@ class InProcessLink:
     ):
         import random
 
-        self.src = src
-        self.dst = dst
-        self.flow = flow
+        super().__init__(flow, src, dst)
         self.loss_rate = loss_rate
         self._rng = random.Random(seed)
-        self.stats = {"sent": 0, "delivered": 0, "retransmits": 0,
-                      "lost": 0}
+        self.stats["lost"] = 0
         self.eos_sent = False
-        self.eos_received = False
-        self._deliver: Callable[[bytes], None] | None = None
-        self._deliver_eos: Callable[[], None] | None = None
-        self._deliver_frame: Callable[[bytes], None] | None = None
 
-    def on_deliver(
-        self,
-        deliver: Callable[[bytes], None],
-        deliver_eos: Callable[[], None],
-        deliver_frame: Callable[[bytes], None] | None = None,
-    ) -> None:
-        self._deliver = deliver
-        self._deliver_eos = deliver_eos
-        self._deliver_frame = deliver_frame
-
-    def _lost(self) -> bool:
-        return self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
+    def _carry(self, kind: str, payload) -> None:
+        self.stats["sent"] += 1
+        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+            self.stats["lost"] += 1
+        else:
+            self._receive(kind, bytes(payload))
 
     def send(self, payload) -> None:
-        self.stats["sent"] += 1
-        if self._lost():
-            self.stats["lost"] += 1
-            return
-        if self._deliver is None:
-            raise RemoteError(f"link {self.flow!r} has no receiver bound")
-        self.stats["delivered"] += 1
-        self._deliver(bytes(payload))
+        self._carry(DATA_KIND, payload)
 
-    def send_frame(self, payload) -> None:
-        self.stats["sent"] += 1
-        if self._lost():
-            self.stats["lost"] += 1
-            return
-        self.stats["delivered"] += 1
-        payload = bytes(payload)
-        if self._deliver_frame is not None:
-            self._deliver_frame(payload)
-            return
-        from repro.net.marshal import decode_batch
-
-        if self._deliver is None:
-            raise RemoteError(f"link {self.flow!r} has no receiver bound")
-        for chunk in decode_batch(payload):
-            self._deliver(chunk)
+    def send_frame(self, payload, items: int | None = None) -> None:
+        self._carry(FRAME_KIND, payload)
 
     def send_eos(self) -> None:
-        if self.eos_sent:
-            return
-        self.eos_sent = True
-        self.eos_received = True
-        if self._deliver_eos is None:
-            raise RemoteError(f"link {self.flow!r} has no receiver bound")
-        self._deliver_eos()
-
-    def receiver_loss_sample(self) -> float:
-        return 0.0
-
-    def pump(self, max_messages: int | None = None) -> int:
-        return 0  # delivery is synchronous; nothing is ever queued
-
-    def close(self) -> None:
-        pass
+        if not self.eos_sent:
+            self.eos_sent = True
+            self._receive(EOS_KIND)

@@ -55,7 +55,7 @@ from repro.obs.metrics import (
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.sched import SchedulerProbe
 from repro.obs.slo import Objective, SloEngine
-from repro.obs.spans import Span, Telemetry
+from repro.obs.spans import Telemetry
 
 __all__ = [
     "Counter",
@@ -73,7 +73,6 @@ __all__ = [
     "Objective",
     "SchedulerProbe",
     "SloEngine",
-    "Span",
     "Telemetry",
     "TraceContext",
     "chrome_trace",

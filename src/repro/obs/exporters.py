@@ -35,6 +35,8 @@ from typing import Any, Iterable
 from repro.obs.metrics import MetricsRegistry
 
 _SECONDS_TO_US = 1e6
+#: The one process id every slice carries (a trace is one scheduler).
+_PID = 1
 
 
 def _trace_of(source) -> tuple[list[tuple], float | None]:
@@ -73,7 +75,7 @@ def _flow_traces_of(flows) -> list:
     return [trace for trace in flows if trace.status != "in-flight"]
 
 
-def _flow_events(flows, tids: _TidMap, pid: int) -> list[dict[str, Any]]:
+def _flow_events(flows, tids: _TidMap) -> list[dict[str, Any]]:
     """Per-segment slices plus cross-track flow arrows for each trace.
 
     Every segment becomes an "X" slice on the track of the place that
@@ -95,7 +97,7 @@ def _flow_events(flows, tids: _TidMap, pid: int) -> list[dict[str, Any]]:
             events.append({
                 "ph": "X", "ts": time_stamp,
                 "dur": max(0.0, duration) * _SECONDS_TO_US,
-                "pid": pid, "tid": tid,
+                "pid": _PID, "tid": tid,
                 "name": f"flow:{kind}", "cat": "flow",
                 "args": {
                     "trace": trace.trace_id, "at": name,
@@ -108,7 +110,7 @@ def _flow_events(flows, tids: _TidMap, pid: int) -> list[dict[str, Any]]:
                         "s" if index == 0
                         else ("f" if index == last else "t")
                     ),
-                    "ts": time_stamp, "pid": pid, "tid": tid,
+                    "ts": time_stamp, "pid": _PID, "tid": tid,
                     "name": "flow", "cat": "flow", "id": trace.trace_id,
                 }
                 if index == last:
@@ -119,7 +121,7 @@ def _flow_events(flows, tids: _TidMap, pid: int) -> list[dict[str, Any]]:
 
 
 def chrome_trace(
-    source, end: float | None = None, pid: int = 1, flows=None
+    source, end: float | None = None, flows=None
 ) -> dict[str, Any]:
     """Build a Chrome trace-event document from a scheduler trace.
 
@@ -139,7 +141,7 @@ def chrome_trace(
 
     def instant(time_stamp: float, thread: str, name: str) -> None:
         events.append({
-            "ph": "i", "ts": time_stamp * _SECONDS_TO_US, "pid": pid,
+            "ph": "i", "ts": time_stamp * _SECONDS_TO_US, "pid": _PID,
             "tid": tids.tid(thread), "name": name, "s": "t",
         })
 
@@ -152,7 +154,7 @@ def chrome_trace(
         events.append({
             "ph": "X", "ts": t_from * _SECONDS_TO_US,
             "dur": max(0.0, (t_to - t_from)) * _SECONDS_TO_US,
-            "pid": pid, "tid": tids.tid(thread),
+            "pid": _PID, "tid": tids.tid(thread),
             "name": "run", "cat": "sched",
         })
 
@@ -172,11 +174,11 @@ def chrome_trace(
             instant(time_stamp, event[2], "terminate")
 
     if flows is not None:
-        events.extend(_flow_events(flows, tids, pid))
+        events.extend(_flow_events(flows, tids))
 
     metadata = [
         {
-            "ph": "M", "ts": 0, "pid": pid, "tid": tid,
+            "ph": "M", "ts": 0, "pid": _PID, "tid": tid,
             "name": "thread_name", "args": {"name": thread},
         }
         for thread, tid in tids.items()
@@ -188,11 +190,9 @@ def chrome_trace(
     }
 
 
-def export_chrome_trace(
-    source, path: str | Path, end: float | None = None, flows=None
-) -> dict[str, Any]:
+def export_chrome_trace(source, path: str | Path, flows=None) -> dict[str, Any]:
     """Write a Chrome trace-event JSON file; returns the document."""
-    document = chrome_trace(source, end=end, flows=flows)
+    document = chrome_trace(source, flows=flows)
     Path(path).write_text(json.dumps(document))
     return document
 

@@ -669,7 +669,7 @@ class ZipLane:
         self.name = component.name
         self.now = now
         self.lanes = {
-            port: Lane(component, now, lambda p=port: component.fill_level(p))
+            port: Lane(component, now, lambda p=port: component.port_fill(p))
             for port in component.in_names
         }
 
@@ -734,8 +734,7 @@ def plant_lane(engine: "Engine", component) -> "Lane | ZipLane":
     """The lane of ``component``'s gate, created on the first call."""
     gate = engine.gate_for(component)
     if gate.lane is None:
-        zipped = callable(getattr(component, "fill_level", None))
-        gate.lane = (ZipLane if zipped else Lane)(
+        gate.lane = (ZipLane if component.joins else Lane)(
             component, engine.scheduler.clock.now
         )
     return gate.lane
@@ -855,12 +854,13 @@ class FlowTracer:
             self._e2e_hist.observe(ctx.end_ts - ctx.birth_ts)
         self.store.complete(ctx)
 
-    def finalize_inflight(self, status: str = LOST) -> int:
-        """Finish every still-open trace (frames lost on the wire, items
-        parked in queues at shutdown).  Returns how many were closed."""
+    def finalize_inflight(self) -> int:
+        """Finish every still-open trace as lost (frames lost on the wire,
+        items parked in queues at shutdown).  Returns how many were
+        closed."""
         closed = 0
         for trace in self.store.inflight():
-            self._finish(trace._ctx, status)
+            self._finish(trace._ctx, LOST)
             closed += 1
         return closed
 

@@ -48,60 +48,15 @@ Usage::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from repro.obs.flow import plant, plant_lane
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.sched import SchedulerProbe
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import Engine
-
-
-class Span:
-    """An explicit span for application code: measures one named region.
-
-    For the rare case where component code wants a custom span (a decode
-    phase, an I/O call), reusable and allocation-free after construction::
-
-        span = telemetry.span("decode")
-        with span:
-            ...
-
-    Durations stream into ``repro_span_seconds{span=}``.
-    """
-
-    __slots__ = ("name", "_now", "_hist", "_t0")
-
-    def __init__(self, name: str, now: Callable[[], float], hist: Histogram):
-        self.name = name
-        self._now = now
-        self._hist = hist
-        self._t0: float | None = None
-
-    def begin(self) -> "Span":
-        self._t0 = self._now()
-        return self
-
-    def end(self) -> float:
-        t0 = self._t0
-        if t0 is None:
-            raise RuntimeError(f"span {self.name!r} was not begun")
-        self._t0 = None
-        elapsed = self._now() - t0
-        self._hist.observe(elapsed)
-        return elapsed
-
-    def __enter__(self) -> "Span":
-        return self.begin()
-
-    def __exit__(self, *exc_info) -> None:
-        self.end()
-
-    @property
-    def histogram(self) -> Histogram:
-        return self._hist
 
 
 class Telemetry:
@@ -134,7 +89,6 @@ class Telemetry:
         self.scheduler_probe: SchedulerProbe | None = None
         self.recorder: FlightRecorder | None = None
         self._engine: "Engine | None" = None
-        self._now: Callable[[], float] | None = None
 
     # ------------------------------------------------------------ attach
 
@@ -145,10 +99,6 @@ class Telemetry:
         self._engine = engine
         engine._telemetry = self
         scheduler = engine.scheduler
-        # Bind the clock method itself: span timestamps are taken on every
-        # item movement, and Scheduler.now would add a frame per call.
-        self._now = scheduler.clock.now
-
         self.scheduler_probe = SchedulerProbe(self.registry).install(
             scheduler, hands
         )
@@ -181,7 +131,7 @@ class Telemetry:
         for hand in hands.values():
             hand.rtt = rtt
         for component in engine._gates:
-            if not callable(getattr(component, "fill_level", None)):
+            if not component.joins:  # a join has no single wait
                 plant_lane(engine, component).wait = registry.histogram(
                     "repro_buffer_wait_seconds",
                     help="Enqueue-to-dequeue wait per boundary queue",
@@ -260,23 +210,6 @@ class Telemetry:
                 e.stats_counters["coroutine_switches"],
             )[1],
         )
-
-    # ------------------------------------------------------------ runtime
-
-    @property
-    def now(self) -> Callable[[], float]:
-        if self._now is None:
-            raise RuntimeError("telemetry is not attached")
-        return self._now
-
-    def span(self, name: str, **labels: Any) -> Span:
-        """A reusable explicit span recording into
-        ``repro_span_seconds{span=<name>}``."""
-        hist = self.registry.histogram(
-            "repro_span_seconds", help="Explicit application spans",
-            span=name, **labels,
-        )
-        return Span(name, self.now, hist)
 
     # ------------------------------------------------------------ reading
 

@@ -85,7 +85,7 @@ class PumpDriver:
         self.flush_dry = 0
         self.flush_eos = 0
         self._origin_drain = self.origin.drain_cost
-        self._max_items = getattr(self.origin, "max_items", None)
+        self._max_items = self.origin.max_items
         self._cycle_constraint = self.data_constraint()
         #: An active source's ``generate`` (bound by compile_walkers, which
         #: hooks it like any source's plain entry).
@@ -98,7 +98,7 @@ class PumpDriver:
         scheduler.spawn(
             self.thread_name, self.code, priority=self.origin.priority
         )
-        if getattr(self.origin, "reservation", None):
+        if self.origin.reservation:
             scheduler.reserve(self.thread_name, self.origin.reservation)
         if self.timing == "clocked":
             period = self.origin.period()
@@ -106,7 +106,7 @@ class PumpDriver:
                 raise RuntimeFault(
                     f"{self.origin.name!r} is clocked but has no period"
                 )
-            slack = getattr(self.origin, "deadline_slack", None)
+            slack = self.origin.deadline_slack
             constraint_fn = None
             if slack is not None:
                 def constraint_fn(fire_time, _slack=slack):
@@ -122,9 +122,7 @@ class PumpDriver:
                 constraint=self.data_constraint(),
                 constraint_fn=constraint_fn,
             )
-            rate_listener = getattr(self.origin, "_rate_listener", "absent")
-            if rate_listener != "absent":
-                self.origin._rate_listener = self._apply_rate
+            self.origin._rate_listener = self._apply_rate
 
     def compile_walkers(self) -> None:
         """(Re)build the section's bound flow walkers; see
@@ -145,13 +143,13 @@ class PumpDriver:
         )
         if section.pull_root is None:
             self._generate = plant_source(self.ctx, self.origin.generate)
-        self._max_items = getattr(self.origin, "max_items", None)
+        self._max_items = self.origin.max_items
         self._cycle_constraint = self.data_constraint()
         # Batch mode is a compile-time decision: only greedy pumps whose
         # effective batch limit exceeds 1 get the batched cycle and the
         # batch walkers.  At the default batch_max=1 nothing here runs,
         # so the per-item scheduler traces are reproduced bit-for-bit.
-        self._pump_batch_max = getattr(self.origin, "batch_max", None)
+        self._pump_batch_max = self.origin.batch_max
         limit = self._pump_batch_max or self.engine.batch_max
         if limit > 1 and self.timing == "greedy":
             self._pull_many = (
@@ -172,7 +170,7 @@ class PumpDriver:
 
     @property
     def timing(self) -> str:
-        return getattr(self.origin, "timing", "greedy")
+        return self.origin.timing
 
     def data_constraint(self) -> Constraint | None:
         if self.origin.priority:
@@ -1145,11 +1143,12 @@ class Engine:
     @property
     def stats(self) -> PipelineStats:
         self._flush_switches()
-        retained = {}
-        for component in self.pipeline.components:
-            level = getattr(component, "fill_level", None)
-            if isinstance(level, int) and level > 0:
-                retained[component.name] = level
+        retained = {
+            component.name: level
+            for component in self.pipeline.components
+            if component.role is Role.BUFFER
+            and (level := component.fill_level) > 0
+        }
         batching = {}
         for driver in self.pump_drivers:
             if driver.batches:

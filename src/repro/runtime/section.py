@@ -36,7 +36,7 @@ from repro.core.events import EOS
 from repro.core.glue import BoundaryRef, FlowNode
 from repro.core.items import NIL
 from repro.core.styles import EndOfStream, Style
-from repro.components.buffers import EMPTY, FULL, OK
+from repro.components.buffers import EMPTY, FULL
 from repro.errors import RuntimeFault
 from repro.mbt.message import Message
 from repro.mbt.syscalls import Receive, Send, Work
@@ -106,10 +106,10 @@ class BufferGate:
         self._pull_waiters: deque[str] = deque()
         #: Greedy pumps waiting for data (poked on every successful put).
         self.idle_pumps: set[str] = set()
-        # Batched entry points, resolved once: buffers without the _many
-        # protocol fall back to a per-item loop inside put_many/get_many.
-        self._try_push_many = getattr(buffer, "try_push_many", None)
-        self._try_pull_many = getattr(buffer, "try_pull_many", None)
+        # Batched entry points, resolved once (a Boundary's default is
+        # the per-item loop).
+        self._try_push_many = buffer.try_push_many
+        self._try_pull_many = buffer.try_pull_many
 
     def put(self, ctx: ThreadCtx, item: Any, port: str = "in"):
         while True:
@@ -141,20 +141,11 @@ class BufferGate:
         """Deliver a run of data items; one puller wake per successful
         sub-run instead of one per item.  ``items`` must not contain EOS
         (EOS travels through the per-item path)."""
-        buffer = self.buffer
         push_many = self._try_push_many
         total = len(items)
         start = 0
         while True:
-            rest = items[start:] if start else items
-            if push_many is not None:
-                taken = push_many(rest, port)
-            else:
-                taken = 0
-                for item in rest:
-                    if buffer.try_push(item, port) == FULL:
-                        break
-                    taken += 1
+            taken = push_many(items[start:] if start else items, port)
             if taken:
                 if self.lane is not None:
                     self.lane.put(ctx.hand, taken, port)
@@ -171,25 +162,9 @@ class BufferGate:
 
         Returns a list: data items, optionally ending in EOS.  An empty
         list means "no data now" under a NIL policy (the per-item NIL)."""
-        buffer = self.buffer
         pull_many = self._try_pull_many
         while True:
-            if pull_many is not None:
-                status, run = pull_many(n, port)
-            else:
-                run = []
-                status = EMPTY
-                while len(run) < n:
-                    status, value = buffer.try_pull(port)
-                    if status == EMPTY:
-                        break
-                    if value is NIL:
-                        break
-                    run.append(value)
-                    if value is EOS:
-                        break
-                if run or status != EMPTY:
-                    status = OK
+            status, run = pull_many(n, port)
             if status != EMPTY:
                 if self.lane is not None:
                     count = _run_data_count(run)

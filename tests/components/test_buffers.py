@@ -154,12 +154,11 @@ class TestZipBuffer:
         with pytest.raises(ValueError):
             ZipBuffer(capacity=0)
 
-    def test_zip_buffer_in_pipeline(self):
-        from repro import (
-            CollectSink, GreedyPump, IterSource, Pipeline, api,
-        )
+    @staticmethod
+    def zipped(left, right):
+        from repro import CollectSink, GreedyPump, IterSource, Pipeline
 
-        a, b = IterSource([1, 2, 3]), IterSource(["x", "y", "z"])
+        a, b = IterSource(left), IterSource(right)
         pa, pb = GreedyPump(), GreedyPump()
         zb = ZipBuffer(2)
         p3, sink = GreedyPump(), CollectSink()
@@ -170,5 +169,27 @@ class TestZipBuffer:
         pipe.connect(pb.out_port, zb.port("in1"))
         pipe.connect(zb.out_port, p3.in_port)
         pipe.connect(p3.out_port, sink.in_port)
+        return pipe, zb, sink
+
+    def test_zip_buffer_in_pipeline(self):
+        from repro import api
+
+        pipe, _, sink = self.zipped([1, 2, 3], ["x", "y", "z"])
         api.Pipeline.from_pipeline(pipe).run()
         assert sink.items == [(1, "x"), (2, "y"), (3, "z")]
+
+    def test_fill_level_is_the_total_and_the_engine_reports_it(self):
+        """``fill_level`` is an int on every boundary; a zip's is what all
+        its port queues hold, and ``stats.retained`` lists it."""
+        from repro import Engine
+        from repro.obs.flow import ZipLane, plant_lane
+
+        pipe, zb, _ = self.zipped([], [])
+        zb.try_push("a1", "in0")
+        zb.try_push("a2", "in0")
+        assert zb.fill_level == 2
+        assert (zb.port_fill("in0"), zb.port_fill("in1")) == (2, 0)
+        engine = Engine(pipe).setup()
+        assert engine.stats.retained[zb.name] == 2
+        assert zb.joins
+        assert isinstance(plant_lane(engine, zb), ZipLane)

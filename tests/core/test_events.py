@@ -83,13 +83,6 @@ class TestEventService:
         service.broadcast(Event(kind="start"))
         assert len(relayed) == 1
 
-    def test_relay_suppression(self):
-        service = EventService()
-        relayed = []
-        service.add_relay(relayed.append)
-        service.broadcast(Event(kind="start"), relay=False)
-        assert relayed == []
-
     def test_history_records_everything(self):
         service = EventService()
         service.register("a", lambda e: None)

@@ -86,7 +86,7 @@ class TestSpecPickling:
             assert pipe.components
 
     def test_preset_drive_is_picklable(self):
-        drive = roundtrip(fig1_drive(frames=12, fps=30.0))
+        drive = roundtrip(fig1_drive(frames=12))
         assert callable(drive)
 
     def test_started_pipeline_does_not_pickle(self):

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro import CollectSink, Engine, GreedyPump, IterSource, pipeline
+from repro import (
+    Buffer,
+    CollectSink,
+    Engine,
+    GreedyPump,
+    IterSource,
+    pipeline,
+)
 from repro.api import Pipeline
 from repro.core.typespec import Typespec
 from repro.errors import (
@@ -102,6 +109,23 @@ class TestOpenClose:
         assert "alice" not in fabric.scheduler.tenants
         assert not set(names) & set(fabric.scheduler.threads)
 
+    def test_close_gives_the_cpu_reservation_back(self):
+        def build():
+            return pipeline(
+                IterSource(range(5)), GreedyPump(reservation=0.6),
+                CollectSink(),
+            )
+
+        fabric = SessionFabric()
+        fabric.open_session(build, name="a")
+        assert fabric.scheduler.reservations == {"pump:a/greedy-pump-1": 0.6}
+        run_rounds(fabric)
+        fabric.close_session("a")
+        assert fabric.scheduler.reservations == {}
+        # ... so the same share can be had again, under any name.
+        fabric.open_session(build, name="b")
+        assert list(fabric.scheduler.reservations.values()) == [0.6]
+
     def test_close_unknown_session_is_noop(self):
         SessionFabric().close_session("ghost")
 
@@ -172,6 +196,21 @@ class TestFailedOpenLeavesNothing:
         assert not fabric.scheduler.tenants
         assert admission.admitted_sessions == 0
         assert fabric.open_session(build, name="y") is not None
+
+    def test_open_failing_after_a_reserve_leaves_nothing_committed(self):
+        # The first pump's share is granted, the second's refused: the
+        # open fails with one reservation already made.
+        def overcommitted():
+            return pipeline(
+                IterSource(range(5)), GreedyPump(reservation=0.6), Buffer(),
+                GreedyPump(reservation=0.6), CollectSink(),
+            )
+
+        fabric = SessionFabric()
+        with pytest.raises(SchedulerError, match="already committed"):
+            fabric.open_session(overcommitted, name="y")
+        assert fabric.scheduler.reservations == {}
+        assert not fabric.scheduler.threads
 
     def test_failed_open_spares_a_namesake_thread_it_collided_with(self):
         def build():

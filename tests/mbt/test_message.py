@@ -26,12 +26,6 @@ def test_make_reply_preserves_constraint():
     assert request.make_reply().constraint is c
 
 
-def test_make_reply_custom_kind():
-    request = Message(kind="query", sender="a", target="b")
-    reply = request.make_reply(kind="typespec")
-    assert reply.kind == "typespec"
-
-
 def test_is_reply_to_rejects_other_messages():
     request = Message(kind="pull", sender="a", target="b")
     other = Message(kind="pull", sender="a", target="b")

@@ -496,6 +496,16 @@ def test_released_reservation_frees_its_fraction():
     assert sched.reservations == {"pump2": 0.6}
 
 
+def test_removed_thread_gives_its_reservation_back():
+    """A reservation is named after its thread and goes with it."""
+    sched = make_scheduler()
+    sched.spawn("pump1", lambda thread, message: CONTINUE)
+    sched.reserve("pump1", 0.6)
+    sched.remove_thread("pump1")
+    assert sched.reservations == {}
+    sched.reserve("pump2", 0.6)
+
+
 def test_trace_records_switches_when_enabled():
     sched = Scheduler(clock=VirtualClock(), trace=True)
     sched.spawn("t", lambda th, m: CONTINUE)

@@ -52,11 +52,9 @@ def test_post_after_is_relative_to_now():
 def test_post_with_constraint_attaches_it():
     sched, _ = make()
     PeriodicTimer(
-        sched, "sink", period=1.0, start_at=1.0,
-        constraint=Constraint(priority=7),
+        sched, "sink", period=1.0, constraint=Constraint(priority=7),
     ).start()
     # Look at delivery through the mailbox before running.
-    sched.clock.advance_to(1.0)
     sched._fire_due_timers()
     queued = sched.threads["sink"].mailbox.peek()
     assert queued.constraint.priority == 7

@@ -23,26 +23,20 @@ from repro.net.marshal import (
     encode_run,
 )
 from repro.net.netpipe import NetpipeReceiver, NetpipeSender
+from repro.net.protocols import Transport
 
 
-class FakeProtocol:
+class FakeProtocol(Transport):
     """Protocol stand-in recording sends and exposing delivery hooks."""
 
-    src, dst = "a", "b"
-
     def __init__(self):
+        super().__init__("fake", "a", "b")
         self.sent = []
-        self._deliver = self._deliver_eos = self._deliver_frame = None
-
-    def on_deliver(self, deliver, deliver_eos, deliver_frame=None):
-        self._deliver = deliver
-        self._deliver_eos = deliver_eos
-        self._deliver_frame = deliver_frame
 
     def send(self, payload):
         self.sent.append(("item", payload))
 
-    def send_frame(self, payload):
+    def send_frame(self, payload, items=None):
         self.sent.append(("frame", payload))
 
     def send_eos(self):

@@ -20,6 +20,7 @@ from repro.net.mux import (
     decode_stream_header,
     encode_stream_header,
 )
+from repro.net.protocols import Transport
 
 
 def mux_pair():
@@ -87,17 +88,6 @@ class TestRouting:
         tx.streams[9].send_frame(frame)
         rx.pump()
         assert state["frames"] == [frame]
-
-    def test_frame_without_deliver_frame_falls_back_to_items(self):
-        tx, rx = mux_pair()
-        tx.open_stream(9)
-        messages = []
-        rx.open_stream(9).on_deliver(
-            lambda data: messages.append(bytes(data)), lambda: None
-        )
-        tx.streams[9].send_frame(encode_batch([b"one", b"two"]))
-        rx.pump()
-        assert messages == [b"one", b"two"]
 
     def test_per_stream_eos_leaves_link_and_siblings_open(self):
         tx, rx = mux_pair()
@@ -353,18 +343,14 @@ class TestTransports:
 # ------------------------------------------------------------- frame trains
 
 
-class Wire:
+class Wire(Transport):
     """A transport that keeps what it is asked to send."""
 
-    src, dst = "a", "b"
-
     def __init__(self):
+        super().__init__("wire", "a", "b")
         self.sent = []
 
-    def on_deliver(self, *callbacks):
-        pass
-
-    def send_frame(self, payload):
+    def send_frame(self, payload, items=None):
         self.sent.append(bytes(payload))
 
     def send_eos(self):

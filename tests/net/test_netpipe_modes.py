@@ -130,8 +130,9 @@ class TestNilReceiverPipeline:
         connect(pump2.out_port, sink.in_port)
         pipe = RemoteBinder(network).bind(
             src >> GreedyPump(), consumer, "a", "b", flow="slow",
-            protocol="stream", on_empty=OnEmpty.NIL,
+            protocol="stream",
         )
+        pipe.component("netpipe-recv-slow").on_empty = OnEmpty.NIL
         engine = Engine(pipe, scheduler=scheduler).attach_network(network)
         engine.start()
         engine.run(until=3.0)

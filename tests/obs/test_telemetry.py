@@ -131,14 +131,6 @@ class TestSpans:
         assert wait.count == 8
         assert wait.max > 0.0
 
-    def test_explicit_span(self):
-        engine = Engine(buffered_pipeline())
-        telemetry = Telemetry().attach(engine)
-        span = telemetry.span("decode")
-        with span:
-            pass
-        assert span.histogram.count == 1
-
     def test_drop_old_keeps_timestamp_queue_aligned(self):
         buffer = Buffer(capacity=2, on_full=OnFull.DROP_OLD)
         pipe = pipeline(

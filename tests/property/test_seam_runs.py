@@ -30,6 +30,7 @@ from repro.net.marshal import (
     encode_item,
 )
 from repro.net.netpipe import NetpipeReceiver
+from repro.net.protocols import DATA_KIND, EOS_KIND, FRAME_KIND, Transport
 
 
 class Level(enum.IntEnum):
@@ -226,12 +227,11 @@ def test_forged_count_or_length_allocates_nothing_of_that_size(forged, field):
 # -- (c) the receiver's run-granular queue against a flat list of chunks -------
 
 
-class StubProtocol:
-    src, dst = "a", "b"
+class StubProtocol(Transport):
+    """The contract alone: what arrives is handed to ``_receive``."""
 
-    def on_deliver(self, deliver, deliver_eos, deliver_frame=None):
-        self.deliver, self.deliver_eos = deliver, deliver_eos
-        self.deliver_frame = deliver_frame
+    def __init__(self):
+        super().__init__("stub", "a", "b")
 
 
 arrivals = st.one_of(
@@ -261,10 +261,10 @@ def test_receiver_queue_pulls_like_a_flat_chunk_list(script, final_n):
 
     for kind, arg in script:
         if kind == "item":
-            protocol.deliver(arg)
+            protocol._receive(DATA_KIND, arg)
             model.append(arg)
         elif kind == "frame":
-            protocol.deliver_frame(encode_batch(arg))
+            protocol._receive(FRAME_KIND, encode_batch(arg))
             model.extend(arg)
         elif kind == "pull":
             check_pull(arg)
@@ -275,7 +275,7 @@ def test_receiver_queue_pulls_like_a_flat_chunk_list(script, final_n):
         assert receiver.fill_level == len(model)
         assert receiver.stats["items_out"] == pulled
     # EOS comes last, once, and only in a run with room for it.
-    protocol.deliver_eos()
+    protocol._receive(EOS_KIND)
     seen = []
     while True:
         status, run = receiver.try_pull_many(final_n)
@@ -293,7 +293,7 @@ def test_a_frame_pulled_whole_stays_one_run_over_the_received_bytes():
     protocol = StubProtocol()
     receiver = NetpipeReceiver(protocol)
     wire = frame_bytes(MarshalFilter().convert_many(list(range(100, 132))))
-    protocol.deliver_frame(wire)
+    protocol._receive(FRAME_KIND, wire)
     assert receiver.fill_level == 32
     _, run = receiver.try_pull_many(32)
     assert isinstance(run, EncodedRun) and len(run) == 32

@@ -519,11 +519,27 @@ def unpassed_parameters(found: list[Function]) -> list[str]:
             if not passed:
                 unpassed.append(name)
         if unpassed:
+            by_reason: dict[str, list[str]] = defaultdict(list)
+            for name in unpassed:
+                by_reason[kept_because(function.name, name)].append(name)
             out.append(
                 f"* `{function.name}` "
                 f"({function.path.removeprefix('repro/')}:{function.def_line})"
-                f": {', '.join(f'`{name}`' for name in unpassed)}")
+                ": " + "; ".join(
+                    ", ".join(f"`{name}`" for name in names) + f" — {reason}"
+                    for reason, names in by_reason.items()))
     return out
+
+
+def kept_because(function: str, parameter: str) -> str:
+    """Why a parameter the appendix lists is still there (first match in
+    ``reach_verdicts.KEPT_PARAMETERS``), or ``UNDECIDED``."""
+    from reach_verdicts import KEPT_PARAMETERS
+
+    for pattern, name, reason in KEPT_PARAMETERS:
+        if fnmatch.fnmatchcase(function, pattern) and name == parameter:
+            return reason
+    return "UNDECIDED"
 
 
 HEADER = """\
@@ -588,10 +604,11 @@ by nothing at all.
 """
 
 DELETED_HEADER = """
-## Deleted in ISSUE 21
+## Deleted in ISSUEs 21 and 22
 
-Measured at the parent commit (70f6951), where these rows stood.  A test
-is listed only when the deleted name was its sole subject.
+Measured at the parent commit of each issue (70f6951; 23dc996 for the
+ISSUE 22 block at the end), where these rows stood.  A test is listed
+only when the deleted name was its sole subject.
 
 | function | lines | reached at the parent by | verdict | tests deleted with it |
 |---|---:|---|---|---|"""
@@ -600,12 +617,14 @@ PARAMS_HEADER = """
 ## Appendix: parameters no D1–D4 call site passes
 
 Static (AST over call sites, keyword and positional) — ROADMAP aim 2's
-"knobs nothing reads".  Reported, not acted on: this list is the input
-to the next diet.  It errs towards silence: call sites are matched by
-bare callee name, a `*args` / `**kwargs` site counts as passing
-everything, private functions and the constructors the pipeline language
-registers (a description string can pass any of their parameters) are
-skipped.
+"knobs nothing reads".  ISSUE 22 acted on the list: a parameter with one
+value in use became that constant, and what is still listed carries the
+reason it is kept (`KEPT_PARAMETERS` in `tools/reach_verdicts.py`; an
+entry without one reads UNDECIDED and fails the tool).  It errs towards
+silence: call sites are matched by bare callee name, a `*args` /
+`**kwargs` site counts as passing everything, private functions and the
+constructors the pipeline language registers (a description string can
+pass any of their parameters) are skipped.
 """
 
 
@@ -626,6 +645,8 @@ def main(argv: list[str] | None = None) -> int:
     text = render(found)
     undecided = [name for name, (_, verdict) in table_rows(text).items()
                  if verdict == "UNDECIDED"]
+    undecided += [line for line in text.split(PARAMS_HEADER, 1)[1].splitlines()
+                  if "UNDECIDED" in line]
     for name in undecided:
         print(f"no verdict for {name}", file=sys.stderr)
     if not args.check:

@@ -28,7 +28,8 @@ VERDICTS = {
     "exception": "a documented extension with no real driver: kept for now, "
                  "names the workload or PR it is owed; the list may only "
                  "shrink.",
-    "deleted": "gone in ISSUE 21 (listed under \"Deleted\" below the rows).",
+    "deleted": "gone in ISSUE 21 or 22 (listed under \"Deleted\" below the "
+               "rows).",
 }
 
 OPEN_10K = ("owed ROADMAP 1(a) `fabric-open-10k` (open / park / unpark / "
@@ -46,8 +47,6 @@ RECORDER = ("owed ROADMAP 3(b)/(d): the recorder ring as a view, errors "
             "carrying its tail")
 CROSSING = ("owed ROADMAP 3(a): an instrumented run with a coroutine "
             "crossing (`fig9a-obs` has none)")
-SPANS = ("owed ROADMAP 3(b): hand-placed spans beside the planted record — "
-         "a view of it, or gone")
 
 RULES = [
     # ----------------------------------------------------------------- pile
@@ -87,22 +86,11 @@ RULES = [
      "`tests/runtime/test_events_runtime.py::TestStockHandlers`"),
     ("repro.components.filters:Gate.on_gate_open", "tested here",
      "`tests/runtime/test_events_runtime.py::TestStockHandlers`"),
-    ("repro.components.sinks:ActiveSink.on_pause", "tested here",
-     "`tests/runtime/test_events_runtime.py::TestStockHandlers`"),
-    ("repro.components.sinks:ActiveSink.on_resume", "tested here",
-     "`tests/runtime/test_events_runtime.py::TestStockHandlers`"),
-    ("repro.components.pumps:Pump.period", "tested here",
-     "the hook's default, behind \"clocked but has no period\"; "
-     "`tests/runtime/test_engine_edges.py`"),
-    ("repro.net.mux:MuxStream.receiver_loss_sample", "tested here",
+    ("repro.net.mux:MuxStream.pump", "tested here",
      "`tests/net/test_mux.py::TestTransports::test_a_stream_and_its_mux_"
      "answer_the_io_source_interface`"),
-    ("repro.net.mux:MuxStream.pump", "tested here", "same test"),
     ("repro.net.mux:MuxStream.close", "tested here", "same test"),
     ("repro.net.mux:StreamMux.wait", "tested here", "same test"),
-    ("repro.net.socketlink:*.receiver_loss_sample", "tested here",
-     "same test"),
-    ("repro.net.socketlink:InProcessLink.close", "tested here", "same test"),
     ("repro.obs.dashboard:Dashboard.run_curses", "tested here",
      "`tests/obs/test_dashboard.py::TestDashboardLoop::test_curses_loop_"
      "draws_clips_and_quits` (a scripted screen; CI has no terminal)"),
@@ -147,6 +135,8 @@ RULES = [
     ("repro.mbt.mailbox:Mailbox.put_many", "exception", SUBSTRATE),
     ("repro.mbt.mailbox:Mailbox.clear", "exception", SUBSTRATE),
     ("repro.components.buffers:ZipBuffer.*", "exception", ZIP),
+    ("repro.components.buffers:Boundary.try_pull_many", "exception",
+     ZIP + "; the per-item default only a zip still uses"),
     ("repro.obs.flow:ZipLane.*", "exception", ZIP + "; its lane"),
     ("repro.obs.flow:TraceContext.fork", "exception", ZIP + "; lineage of "
      "a joined item"),
@@ -165,9 +155,6 @@ RULES = [
     ("repro.obs.sched:SchedulerProbe.on_cpu", "exception",
      "owed ROADMAP 3(a): an instrumented run whose stages charge virtual "
      "CPU (`fig9a-obs` charges none)"),
-    ("repro.obs.spans:Span.*", "exception", SPANS),
-    ("repro.obs.spans:Telemetry.span", "exception", SPANS),
-    ("repro.obs.spans:Telemetry.now", "exception", SPANS),
     ("repro.obs.dashboard:MetricsServer.*", "exception",
      "owed a D4 client: `run --serve-metrics` is started and stopped, "
      "nothing fetches `/metrics` or `/flow`"),
@@ -403,9 +390,22 @@ RULES = [
     ("repro.net.socketlink:InProcessLink.send_frame", "verification",
      "the checker's wire: the deterministic in-process link under "
      "schedule exploration, frame leg"),
-    ("repro.net.socketlink:InProcessLink.pump", "verification",
-     "the checker's wire: nothing to pump, the io-source interface's "
-     "no-op"),
+    ("repro.net.protocols:Transport.receiver_loss_sample", "verification",
+     "declared default of the transport contract (docs/RUNTIME.md \"Seams "
+     "and their contracts\"): a wire that never loses; `tests/net/"
+     "test_transport_contract.py::TestDeclaredDefaults`"),
+    ("repro.net.protocols:Transport.pump", "verification",
+     "declared default of the transport contract: a synchronous wire has "
+     "nothing to pump; same test"),
+    ("repro.net.protocols:Transport.wait", "verification",
+     "declared default of the transport contract: nothing to wait for; "
+     "same test"),
+    ("repro.net.protocols:Transport.close", "verification",
+     "declared default of the transport contract: nothing to free; same "
+     "test"),
+    ("repro.components.buffers:Boundary.try_push_many", "verification",
+     "declared default of the boundary contract: the per-item loop "
+     "`Buffer.try_push_many` falls back to on overflow"),
     ("repro.net.socketlink:SocketLink.wait", "verification",
      "io-source interface on a bare link (the shard and fabric loops wait "
      "on the mux or on `select`)"),
@@ -414,9 +414,6 @@ RULES = [
      "wraps (`tcp_socketpair`) are D4-reached"),
     ("repro.net.network:Network.nodes", "verification",
      "reference accessor: the topology a test built"),
-    ("repro.net.protocols:DatagramProtocol.send_frame", "verification",
-     "error path: a coalesced frame over the lossy protocol (the drivers "
-     "batch over the stream protocol)"),
     ("repro.obs.flow:FlowTrace.site", "verification",
      "reference accessor: where a sampled item was dropped"),
     ("repro.obs.flow:FlowTrace.reason", "verification",
@@ -532,6 +529,27 @@ DELETED: list[tuple[str, int, str, str]] = [
     ("repro.net.marshal:Codec (a facade of two staticmethods: no "
      "function-lines, so the recorder never saw it — the export guard "
      "did)", 0, "nothing, not even a test", "none"),
+    # ISSUE 22 (measured at its parent, 23dc996): explicit spans, and the
+    # copies the three seam contracts made unnecessary.
+    ("repro.obs.spans:Span (6 methods), Telemetry.span, Telemetry.now", 50,
+     "obs/test_telemetry.py", "`TestSpans::test_explicit_span`"),
+    ("repro.components.buffers:ZipBuffer.try_push_many / try_pull_many "
+     "(now the `Boundary` defaults)", 19, "runtime/test_batching.py",
+     "none"),
+    ("repro.net.protocols:Protocol._emit_message / _hand_over, "
+     "repro.net.socketlink:SocketLink._emit, repro.net.mux:MuxStream._emit "
+     "(now `Transport._receive`) and three `on_deliver` copies", 98,
+     "D1-D4", "`tests/net/test_mux.py::TestRouting::test_frame_without_"
+     "deliver_frame_falls_back_to_items` (a cell of `tests/net/"
+     "test_transport_contract.py`)"),
+    ("repro.net.socketlink / repro.net.mux: `receiver_loss_sample`, `pump`, "
+     "`close` no-ops of SocketLink, InProcessLink and MuxStream (now the "
+     "`Transport` defaults)", 11, "net/test_mux.py, net/test_socketlink.py",
+     "none"),
+    ("repro.components.pumps:Pump / sources:ActiveSource / sinks:ActiveSink "
+     "`on_start` / `on_stop` / `on_pause` / `on_resume` / `period` (now "
+     "`ActivityOrigin`)", 42, "D1-D4", "none"),
+    ("repro.net.netpipe:_attach_scheduler", 6, "D1-D4", "none"),
     # One formatter (`repro.mbt.tracing:format_events`) instead of four:
     ("repro.check.deadlock:_excerpt", 13,
      "check/test_deadlock.py, check/test_explore_figures.py, "
@@ -540,4 +558,36 @@ DELETED: list[tuple[str, int, str, str]] = [
     ("repro.check.explorer:_trace_tail", 12,
      "check/test_explorer.py, check/test_refinement.py, +3 more",
      "none (now `mbt.tracing.format_tail`)"),
+]
+
+#: Why a parameter docs/REACH.md's appendix lists is still there:
+#: ``(function pattern, parameter, reason)``, first match.  An entry no
+#: line here explains reads UNDECIDED and fails ``tools/reach.py``.
+ONE_SIGNATURE = ("one entry signature for single- and multi-port "
+                 "components: the runtime always passes the port, tees and "
+                 "the zip buffer read it")
+INJECTION = "injection seam: a test substitutes a fake through it"
+KEPT_PARAMETERS = [
+    ("*", "port", ONE_SIGNATURE),
+    ("repro.__main__:main", "argv",
+     INJECTION + " (`tests/core/test_cli.py` runs the CLI in-process)"),
+    ("repro.feedback.sensors:MetricSensor.__init__", "now",
+     INJECTION + " (a scripted clock)"),
+    ("repro.obs.dashboard:render_top", "now", INJECTION),
+    ("repro.obs.dashboard:render_top", "width", INJECTION),
+    ("repro.obs.dashboard:render_top", "fabric", INJECTION),
+    ("repro.obs.dashboard:Dashboard.run_plain", "out",
+     INJECTION + " (a StringIO for stdout)"),
+    ("repro.obs.exporters:chrome_trace", "end",
+     "closes the last running slice of a bare event list, which has no "
+     "clock to ask (a scheduler source knows its own time): the exporter "
+     "tests' input"),
+    ("repro.api:Pipeline.deploy", "placement",
+     "the hand-placed deploy in one call; " + HAND_PLACED),
+    ("repro.deploy.placement:Placement.auto", "costs",
+     "cost-weighted planning, which `plan_shards` reads; " + HAND_PLACED),
+    ("repro.obs.slo:Objective.__init__", "budget",
+     "the error-budget policy of `with_slo`: product surface (ROADMAP "
+     "item 6 leaves `obs/slo.py` to a reviewer)"),
+    ("repro.obs.slo:Objective.__init__", "burn_alert", "as `budget`"),
 ]
