@@ -191,11 +191,15 @@ class Producer(_LinearComponent):
         """Obtain the next upstream item (valid only while running)."""
         intake = self._intakes.get(port)
         if intake is None:
-            raise RuntimeFault(
-                f"{self.name!r}: get() on port {port!r} outside a running "
-                "pipeline"
-            )
+            raise intake_fault(self, port)
         return intake()
+
+
+def intake_fault(component: Component, port: str) -> RuntimeFault:
+    """What a ``get()`` that finds no reader for ``port`` raises."""
+    ports = ", ".join(map(repr, component._intakes))
+    reason = f"it reads {ports}" if ports else "outside a running pipeline"
+    return RuntimeFault(f"{component.name!r}: get() on port {port!r}: {reason}")
 
 
 class FunctionComponent(_LinearComponent):

@@ -306,6 +306,7 @@ def done_payload(
             "nil_cycles": stats.nil_cycles,
             "batching": stats.batching,
             "retained": stats.retained,
+            "held": stats.held,
             "context_switches": stats.context_switches,
             "coroutine_switches": stats.coroutine_switches,
             "messages_delivered": stats.messages_delivered,

@@ -39,14 +39,11 @@ class Mailbox:
         #: cached sort key and ready-queue membership.
         self._listener: Callable[[], None] | None = None
 
-    @staticmethod
-    def _urgency(message: Message) -> tuple[float, float]:
-        if message.constraint is None:
-            return (0.0, math.inf)
-        return message.constraint.sort_key()
-
     def put(self, message: Message) -> None:
-        prio, deadline = self._urgency(message)
+        constraint = message.constraint
+        prio, deadline = (
+            (0.0, math.inf) if constraint is None else constraint.sort_key()
+        )
         heapq.heappush(self._heap, (prio, deadline, next(self._seq), message))
         if self._listener is not None:
             self._listener()
@@ -60,9 +57,11 @@ class Mailbox:
         """
         heap = self._heap
         seq = self._seq
-        urgency = self._urgency
         for message in messages:
-            prio, deadline = urgency(message)
+            constraint = message.constraint
+            prio, deadline = (
+                (0.0, math.inf) if constraint is None else constraint.sort_key()
+            )
             heapq.heappush(heap, (prio, deadline, next(seq), message))
         if messages and self._listener is not None:
             self._listener()
@@ -109,9 +108,6 @@ class Mailbox:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
     def _ordered_entries(self) -> list[tuple[float, float, int, Message]]:
         """Heap entries in delivery order (shared by ``__iter__``/``clear``)."""

@@ -101,10 +101,10 @@ when unused:
 from __future__ import annotations
 
 import heapq
-import inspect
 import itertools
 from collections import deque
 from time import perf_counter as _perf_counter
+from types import GeneratorType
 from typing import Any, Callable, Iterable
 
 from repro.errors import InjectedFault, SchedulerError
@@ -131,9 +131,6 @@ from repro.mbt.thread import MThread, WaitState
 _INF = float("inf")
 
 _EPS = 1e-12
-
-#: Pre-bound for the dispatch hot path (module attribute lookups add up).
-_isgenerator = inspect.isgenerator
 
 #: Default bound on the dead-letter queue; beyond it the oldest letters are
 #: dropped (and counted), so week-long runs cannot grow memory unboundedly.
@@ -980,7 +977,7 @@ class Scheduler:
             except Exception as exc:
                 self._crash(thread, exc)
                 return
-            if _isgenerator(result):
+            if type(result) is GeneratorType:
                 thread._gen = result
                 self._drive(thread, first=True)
             else:

@@ -175,7 +175,7 @@ class MThread:
             return True
         if self._gen is not None:
             return True
-        return bool(self.mailbox)
+        return bool(self.mailbox._heap)
 
     def is_blocked(self) -> bool:
         return self._wait is not None and not self.terminated
@@ -226,10 +226,10 @@ class MThread:
     # ------------------------------------------------------ scheduler hooks
 
     def _invalidate_key(self) -> None:
-        """Drop the cached sort key and reindex in the ready queue."""
+        """Drop the cached sort key; reindex, unless dispatched (deferred)."""
         self._key_cache = None
         scheduler = self._scheduler
-        if scheduler is not None:
+        if scheduler is not None and scheduler._current is not self:
             scheduler._reindex(self)
 
     def _readiness_changed(self) -> None:

@@ -13,23 +13,18 @@ cannot be called directly in its assigned mode, a
 * producers used in push mode — the wrapper loop of Figure 7a:
   ``while running: x = this.pull(); next.push(x)``.
 
-A *direct-called* producer's ``get()`` reads its port's
-:class:`ReplayIntake`.  Where the port's upstream is plain code of the same
-thread section — it can never suspend — the walker compiler binds it to the
-intake and ``get()`` simply calls it (direct function calls inside a
-section, paper sections 3.2 and 4).  Where upstream is a gate, a lock or a
-coroutine crossing, ``get()`` cannot suspend the enclosing plain function
-call under the generator backend, so the item is obtained through
-deterministic **replay**: ``get()`` aborts the pull, the walker fetches one
-item (possibly parking the thread) and ``pull()`` is re-executed from the
-start until its ``get()`` calls are all satisfiable.  Either way the reads
-are committed only when ``pull()`` completes.  The OS-thread backend
-suspends for real and needs no replay.
+A *direct-called* producer's ``get()`` is its port's :class:`ReplayIntake`
+reader: a plain call into upstream where that is code of the same thread
+section (paper sections 3.2 and 4), deterministic **replay** where a gate,
+a lock or a coroutine crossing lies between — a plain function call cannot
+suspend under the generator backend.  The OS-thread backend suspends for
+real and needs no replay.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 from typing import Any
 
 from repro.core.component import Component
@@ -41,6 +36,7 @@ from repro.core.styles import (
     PullOp,
     PushOp,
     Style,
+    intake_fault,
 )
 from repro.mbt.coroutine import (
     GeneratorSuspendable,
@@ -71,104 +67,114 @@ class ReplayIntake:
     a miss it either calls the *fetcher* bound to the port (:meth:`bind`
     — the port's in-section upstream, which can never suspend) and
     buffers what that returns, or raises :class:`NeedMoreInput`: the
-    ``pull()`` is aborted, the driver feeds one more upstream item and
-    re-runs it from the top.  Reads are only *committed* (removed from
-    the buffers) when ``pull()`` completes, so a re-run sees identical
-    inputs every attempt, whichever way they arrived.
+    ``pull()`` is aborted, the driver feeds one more upstream item
+    (possibly parking the thread) and re-runs it from the top.  Reads are
+    only *committed* (removed from the buffers) when ``pull()`` completes,
+    so a re-run sees identical inputs, whichever way they arrived.  Each
+    port is one closure family built once (:meth:`_port_glue`): its read
+    cursor is a cell of that family, zero whenever no attempt runs, shared
+    by every walker compiled over the producer however often it re-binds.
     """
 
     def __init__(self, ports: list[str]):
         self.buffers: dict[str, deque] = {p: deque() for p in ports}
-        self._read: dict[str, int] = {p: 0 for p in ports}
         self.eos: set[str] = set()
-        self._component: Component | None = None
-        self._readers = {p: self._make_reader(p, None) for p in ports}
+        self._glue = {p: self._port_glue(p) for p in ports}
+        if len(ports) == 1:  # the port's own closures shadow the loops
+            (glue,) = self._glue.values()
+            self.begin, self.commit = glue.begin, glue.commit
 
     def begin(self) -> None:
-        for port in self._read:
-            self._read[port] = 0
+        for glue in self._glue.values():
+            glue.begin()
+
+    def commit(self) -> None:
+        for glue in self._glue.values():
+            glue.commit()
 
     def intake(self, port: str = "in") -> Any:
-        return self._readers[port]()
+        return self._glue[port].get()
 
     def feed(self, port: str, item: Any) -> None:
         if is_eos(item):
             self.eos.add(port)
         self.buffers[port].append(item)
 
-    def commit(self) -> None:
-        component = self._component
-        for port, count in self._read.items():
-            if not count:
-                continue
-            buffer = self.buffers[port]
-            for _ in range(count):
-                buffer.popleft()
-            if component is not None:
-                component.stats["items_in"] += count
-            self._read[port] = 0
+    def held(self) -> int:
+        """Data items (never EOS) fetched and not committed."""
+        return sum(i is not EOS for b in self.buffers.values() for i in b)
 
-    def bind(self, port: str, fetch) -> None:
+    def bind(self, port: str, fetch, served: dict | None = None) -> None:
         """Let a miss on ``port`` call ``fetch() -> item | NIL | EOS``
         instead of aborting the pull; ``None`` restores abort-and-replay.
-        The walker compiler decides per port, at every (re)compilation."""
-        self._readers[port] = self._make_reader(port, fetch)
-        if self._component is not None:
-            self.install(self._component)
+        ``served``: upstream's stats when ``fetch`` is its raw entry, for
+        ``get()`` to count ``items_out`` in.  Decided per (re)compilation."""
+        self._glue[port].bind(fetch, served)
 
     def install(self, component: Component) -> None:
-        self._component = component
-        component._intakes.update(self._readers)
-        if len(self._readers) == 1:
-            # Single-input producer (the common case): shadow the generic
-            # ``get()`` dispatch with the bound reader so the component's
-            # ``pull()`` skips the per-call intake-table walk.
-            ((only_port, reader),) = self._readers.items()
-            name = component.name
+        for glue in self._glue.values():
+            glue.install(component, len(self._glue) == 1)
 
-            def fast_get(port: str = only_port) -> Any:
-                if port != only_port:
-                    raise RuntimeFault(
-                        f"{name!r}: get() on port {port!r} outside a "
-                        "running pipeline"
-                    )
-                return reader()
+    def _port_glue(self, port: str):
+        """One port's closure family: ``get()`` and the cursor it shares."""
+        buffer, eos = self.buffers[port], self.eos
+        index = 0  # how much of ``buffer`` the running attempt has read
+        fetch = served = owner = None
+        stats = {"items_in": 0}  # the producer's, once installed
 
-            try:
-                component.get = fast_get
-            except AttributeError:  # pragma: no cover - slotted component
-                pass
-
-    def _make_reader(self, port: str, fetch):
-        """A bound single-port reader (the hot path of every direct-called
-        producer's ``get()``): one frame, no per-call dict-of-ports walk."""
-        buffer = self.buffers[port]
-        read = self._read
-        eos = self.eos
-
-        def intake_port() -> Any:
-            index = read[port]
+        def get(asked: str = port) -> Any:
+            nonlocal index
+            if asked != port:
+                raise intake_fault(owner, asked)
             if index < len(buffer):
                 item = buffer[index]
             elif port in eos:
                 raise EndOfStream(port)
-            elif fetch is None:
-                raise NeedMoreInput(port)
             else:
-                item = fetch()
+                item = NIL if fetch is None else fetch()
                 if item is NIL:
-                    # No data now: the pull cannot complete, and what it
-                    # read so far stays buffered for the next attempt.
+                    # A replayed port, or no data now: the pull is aborted,
+                    # what it read stays buffered for the next attempt.
                     raise NeedMoreInput(port)
+                buffer.append(item)
                 if item is EOS:
                     eos.add(port)
-                buffer.append(item)
-            read[port] = index + 1
+                elif served is not None:
+                    served["items_out"] += 1
+            index += 1
             if item is EOS:
                 raise EndOfStream(port)
             return item
 
-        return intake_port
+        def begin() -> None:
+            nonlocal index
+            index = 0
+
+        def commit() -> None:
+            nonlocal index
+            if index:
+                if index == len(buffer):
+                    buffer.clear()
+                else:
+                    for _ in range(index):
+                        buffer.popleft()
+                stats["items_in"] += index
+                index = 0
+
+        def bind(new_fetch, new_served) -> None:
+            nonlocal fetch, served
+            fetch, served = new_fetch, new_served
+
+        def install(component: Component, only_port: bool) -> None:
+            nonlocal owner, stats
+            owner, stats = component, component.stats
+            component._intakes[port] = get
+            if only_port:  # the common case: ``get()`` *is* this reader
+                component.get = get
+
+        return SimpleNamespace(
+            get=get, begin=begin, commit=commit, bind=bind, install=install
+        )
 
 
 class PendingEmits:
@@ -235,18 +241,11 @@ def build_suspendable(component: Component, backend: str) -> Suspendable:
 def _build_active(component: ActiveComponent, backend: str) -> Suspendable:
     has_gen = component.has_generator_body()
     has_blocking = component.has_blocking_body()
-    if backend == "thread" and has_blocking:
-        def body(channel, comp=component):
-            api = BlockingApi(channel)
-            comp.run_blocking(api)
-
-        return OSThreadSuspendable(body, name=component.name)
-    if has_gen:
+    if has_gen and not (backend == "thread" and has_blocking):
         return GeneratorSuspendable(component.run())
     if has_blocking:
-        def body(channel, comp=component):
-            api = BlockingApi(channel)
-            comp.run_blocking(api)
+        def body(channel):
+            component.run_blocking(BlockingApi(channel))
 
         return OSThreadSuspendable(body, name=component.name)
     raise RuntimeFault(

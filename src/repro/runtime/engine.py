@@ -930,9 +930,8 @@ class Engine:
             owner_thread = self._coroutine_drivers[component].thread_name
         else:
             self._own(component, owner_thread)
-            if component.style is Style.CONSUMER or component.role is Role.TEE:
-                if component.style is Style.CONSUMER:
-                    self.pending_for(component)
+            if component.style is Style.CONSUMER:
+                self.pending_for(component)
             if component.style is Style.PRODUCER:
                 self.replay_for(component)
         for child in target.branches.values():
@@ -1166,6 +1165,9 @@ class Engine:
             },
             batching=batching,
             retained=retained,
+            held={
+                c.name: n for c, r in self._replays.items() if (n := r.held())
+            },
             context_switches=self.scheduler.context_switches,
             coroutine_switches=self.stats_counters["coroutine_switches"],
             messages_delivered=self.scheduler.messages_delivered,

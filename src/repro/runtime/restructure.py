@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.component import Component
 from repro.core.composition import derive_typespecs, reachable_components
-from repro.core.events import EOS
 from repro.core.glue import FlowNode
 from repro.core.styles import Style
 from repro.errors import CompositionError, RuntimeFault
@@ -89,14 +88,10 @@ def replace_component(
             "supported"
         )
 
-    held = engine._replays.get(old)
-    if (
-        held is not None
-        and new.style is not Style.PRODUCER
-        and any(item is not EOS for item in held.buffers["in"])
-    ):
+    intake = engine._replays.get(old)
+    if intake is not None and new.style is not Style.PRODUCER and intake.held():
         raise RuntimeFault(
-            f"{old.name!r} holds {len(held.buffers['in'])} fetched item(s) "
+            f"{old.name!r} holds {intake.held()} fetched item(s) "
             f"of an unfinished pull; only a producer can take them over, "
             f"not {new.name!r} ({new.style})"
         )

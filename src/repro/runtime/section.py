@@ -284,6 +284,12 @@ class SegmentLock:
 # is then just the user code plus the unavoidable suspension points.
 
 
+def _stock_pull(component):
+    """``component.pull`` if the stock ``serve_pull`` dispatches to it."""
+    if type(component).serve_pull is Component.serve_pull:
+        return getattr(component, "pull", None)
+
+
 def _bind_serve_pull(component, port: str):
     """Zero-arg per-item pull entry for ``component``.
 
@@ -291,18 +297,17 @@ def _bind_serve_pull(component, port: str):
     per-call getattr dispatch and stats bookkeeping are folded into a bound
     closure; overriding components (activity routers) keep their own entry.
     """
-    if type(component).serve_pull is Component.serve_pull:
-        pull_impl = getattr(component, "pull", None)
-        if pull_impl is not None:
-            stats = component.stats
+    pull_impl = _stock_pull(component)
+    if pull_impl is not None:
+        stats = component.stats
 
-            def serve():
-                item = pull_impl()
-                if item is not EOS and item is not NIL:
-                    stats["items_out"] += 1
-                return item
+        def serve():
+            item = pull_impl()
+            if item is not EOS and item is not NIL:
+                stats["items_out"] += 1
+            return item
 
-            return serve
+        return serve
     if port == "out":  # the signature default: the bound method suffices
         return component.serve_pull
     return partial(component.serve_pull, port)
@@ -606,12 +611,13 @@ def _bind_intake(ctx: ThreadCtx, node: FlowNode):
     so the last compilation decides.
 
     A port whose upstream subtree is plain (:func:`_compile_pull_plain`:
-    no gate, lock or coroutine crossing below, so it can never suspend)
-    under an unlocked producer is *direct*: the intake calls the subtree's
-    plain per-item pull.  Any other port is *replayed*: the intake aborts
-    the pull and the walker fetches through the compiled generator hop.
-    Returns ``(intake, replayed, drains)`` — the replayed ports' children
-    and the cost takers of the producer and its direct subtrees.
+    it can never suspend) under an unlocked producer is *direct*: the
+    intake calls the subtree's plain per-item pull — of a stock boundary
+    source its own planted entry, ``get()`` doing the serve frame's count.
+    Any other port is *replayed*: the intake aborts the pull and the walker
+    fetches through the compiled generator hop.  Returns ``(intake,
+    replayed, drains)`` — the replayed ports' children and the cost takers
+    of the producer and its direct subtrees.
     """
     engine = ctx.engine
     component = node.component
@@ -624,9 +630,15 @@ def _bind_intake(ctx: ThreadCtx, node: FlowNode):
         if plain is None:
             replay.bind(port, None)
             replayed[port] = child
-        else:
+            continue
+        drains.extend(plain[1])
+        entry = None
+        if isinstance(child, BoundaryRef):
+            entry = _stock_pull(child.component)
+        if entry is None:
             replay.bind(port, plain[0])
-            drains.extend(plain[1])
+        else:
+            replay.bind(port, plant_source(ctx, entry), child.component.stats)
     return replay, replayed, drains
 
 
@@ -854,15 +866,18 @@ def _compile_pull_plain(ctx: ThreadCtx, target: FlowTarget):
     if replayed:
         return None
     serve = _bind_serve_pull(component, target.entry_port)
-    begin, commit = replay.begin, replay.commit
+    rewind, commit = replay.begin, replay.commit
 
     def producer_plain():
-        begin()
+        # No begin(): commit and both aborts leave the cursor rewound, and
+        # anything else raised ends the one thread that runs this walker.
         try:
             result = serve()
         except NeedMoreInput:
+            rewind()
             return NIL  # cannot complete now; its reads stay in the intake
         except EndOfStream:
+            rewind()
             return EOS
         commit()
         return result

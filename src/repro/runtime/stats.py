@@ -31,6 +31,9 @@ class PipelineStats:
     #: netpipe receive queues) at snapshot — the flow-invariant checker
     #: needs these to account for in-flight items.
     retained: dict[str, int] = field(default_factory=dict)
+    #: Data items (never EOS) a producer's intake fetched and has not
+    #: committed; not in ``retained``: ``items_in`` is counted at commit.
+    held: dict[str, int] = field(default_factory=dict)
     #: Virtual (or real) time at snapshot.
     time: float = 0.0
     #: User-level threads created for the pipeline.
@@ -101,4 +104,7 @@ class PipelineStats:
                 f"dry={counters['flush_dry']} "
                 f"eos={counters['flush_eos']}"
             )
+        if self.held:
+            pretty = " ".join(f"{k}={v}" for k, v in sorted(self.held.items()))
+            lines.append(f"  held in intakes: {pretty}")
         return "\n".join(lines)

@@ -11,6 +11,7 @@ batch tiers.  On the direct route alone, nothing is fetched before a
 gives (an output, a NIL, the final EOS).
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
@@ -25,8 +26,10 @@ from repro.core.component import Component, Role
 from repro.core.composition import Pipeline
 from repro.core.events import EOS
 from repro.core.items import NIL
-from repro.core.styles import Producer, Style
+from repro.core.styles import EndOfStream, Producer, Style
+from repro.errors import RuntimeFault
 from repro.mbt.message import Message
+from repro.runtime.bridge import NeedMoreInput, ReplayIntake
 
 
 class CountedSource(IterSource):
@@ -204,3 +207,205 @@ def test_direct_route_equals_replayed_route(scenario):
     assert producer.executions == (
         len(sink.items) + sum(s.nils for s in sources) + 1
     )
+
+
+# ---------------------------------------------------------------------------
+# The port closure against its specification
+# ---------------------------------------------------------------------------
+#
+# ``ReplayIntake`` as it stood before a port became one closure family,
+# written out as a model: one ``read`` cursor per port reset by ``begin``
+# before every attempt, a fetcher that is upstream's counting ``serve``.
+# The real intake is driven the way the two compiled walkers drive it —
+# ``producer_pull`` begins every attempt, ``producer_plain`` never does and
+# rewinds on the two abort paths instead; upstream's raw entry is bound
+# together with its stats — through hypothesis schedules of attempts, feeds
+# and mid-stream re-binds; after every step both must have returned the
+# same values, raised the same exception, hold the same buffers and have
+# counted the same ``items_in`` / ``items_out``.
+
+PORTS = ("in0", "in1")
+
+
+class Upstream:
+    """A scripted source: hands out its answers, then EOS for ever."""
+
+    def __init__(self, answers):
+        self.answers = list(answers)
+        self.stats = {"items_out": 0}
+
+    def pull(self):
+        return self.answers.pop(0) if self.answers else EOS
+
+    def serve(self):  # Component.serve_pull: the counting entry
+        item = self.pull()
+        if item is not EOS and item is not NIL:
+            self.stats["items_out"] += 1
+        return item
+
+
+class ModelIntake:
+    """The reference semantics (the parent commit's ``ReplayIntake``)."""
+
+    def __init__(self):
+        self.buffers = {p: [] for p in PORTS}
+        self.read = dict.fromkeys(PORTS, 0)
+        self.fetch = dict.fromkeys(PORTS)
+        self.eos, self.items_in = set(), 0
+
+    def get(self, port):
+        if port not in self.buffers:
+            raise RuntimeFault(port)
+        index, buffer = self.read[port], self.buffers[port]
+        if index < len(buffer):
+            item = buffer[index]
+        elif port in self.eos:
+            raise EndOfStream(port)
+        elif self.fetch[port] is None:
+            raise NeedMoreInput(port)
+        else:
+            item = self.fetch[port]()
+            if item is NIL:
+                raise NeedMoreInput(port)
+            if item is EOS:
+                self.eos.add(port)
+            buffer.append(item)
+        self.read[port] = index + 1
+        if item is EOS:
+            raise EndOfStream(port)
+        return item
+
+    def attempt(self, gets):
+        self.read = dict.fromkeys(PORTS, 0)  # begin()
+        values = [self.get(port) for port in gets]
+        for port, count in self.read.items():  # commit()
+            del self.buffers[port][:count]
+            self.items_in += count
+        return values
+
+    def feed(self, port, item):
+        if item is EOS:
+            self.eos.add(port)
+        self.buffers[port].append(item)
+
+
+class Walker:
+    """The real intake, installed on a two-input producer and driven by a
+    compiled walker's protocol: ``"pull"`` begins every attempt,
+    ``"plain"`` rewinds on the two aborts — and ``"mutant"`` is its twin
+    that forgets the rewind after a NIL / replay abort."""
+
+    def __init__(self, protocol):
+        self.producer = Scripted(2, [[0]], [])
+        self.intake = ReplayIntake(list(PORTS))
+        self.intake.install(self.producer)
+        self.begins = protocol == "pull"
+        self.rewinds = protocol == "plain"
+
+    def attempt(self, gets):
+        if self.begins:
+            self.intake.begin()
+        try:
+            values = [self.producer.get(port) for port in gets]
+        except NeedMoreInput:
+            if self.rewinds:
+                self.intake.begin()
+            raise
+        except EndOfStream:
+            self.intake.begin()
+            raise
+        self.intake.commit()
+        return values
+
+
+def outcome(fn, *args):
+    try:
+        return ("returned", fn(*args))
+    except (NeedMoreInput, EndOfStream) as exc:
+        return (type(exc).__name__, exc.args[0])
+    except RuntimeFault:
+        return ("RuntimeFault", None)
+
+
+answers = st.lists(
+    st.one_of(st.integers(0, 9), st.integers(0, 9), st.just(NIL), st.just(EOS)),
+    max_size=12,
+)
+steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("attempt"),
+            st.lists(st.sampled_from(PORTS + PORTS + ("in7",)), max_size=4),
+        ),
+        st.tuples(
+            st.just("feed"), st.sampled_from(PORTS),
+            st.one_of(st.integers(10, 19), st.just(EOS)),
+        ),
+        # direct over the raw entry, direct over a counting entry, replayed
+        st.tuples(
+            st.just("bind"), st.sampled_from(PORTS),
+            st.sampled_from(["raw", "served", None]),
+        ),
+    ),
+    max_size=24,
+)
+
+
+def check_against_the_model(schedule, protocol):
+    port_answers, script = schedule
+    walker, model = Walker(protocol), ModelIntake()
+    real_up = {p: Upstream(a) for p, a in zip(PORTS, port_answers)}
+    model_up = {p: Upstream(a) for p, a in zip(PORTS, port_answers)}
+    for step in script:
+        if step[0] == "attempt":
+            result = outcome(walker.attempt, step[1])
+            assert result == outcome(model.attempt, step[1])
+            if result[0] == "RuntimeFault" and not walker.begins:
+                return  # it crashed the one thread that runs a plain walker
+        elif step[0] == "feed":
+            walker.intake.feed(*step[1:])
+            model.feed(*step[1:])
+        else:
+            _, port, route = step
+            model.fetch[port] = model_up[port].serve if route else None
+            if route == "raw":
+                walker.intake.bind(
+                    port, real_up[port].pull, real_up[port].stats
+                )
+            else:
+                walker.intake.bind(port, route and real_up[port].serve)
+        assert {
+            p: list(b) for p, b in walker.intake.buffers.items()
+        } == model.buffers
+        assert walker.intake.eos == model.eos
+        assert walker.intake.held() == sum(
+            item is not EOS for b in model.buffers.values() for item in b
+        )
+        assert walker.producer.stats["items_in"] == model.items_in
+        assert [u.stats for u in real_up.values()] == [
+            u.stats for u in model_up.values()
+        ]
+
+
+schedules = st.tuples(st.tuples(answers, answers), steps)
+
+
+@pytest.mark.parametrize("protocol", ["pull", "plain"])
+@given(schedule=schedules)
+@settings(max_examples=300, deadline=None)
+def test_port_closure_equals_the_reference_intake(protocol, schedule):
+    check_against_the_model(schedule, protocol)
+
+
+def test_a_walker_that_forgets_to_rewind_is_rejected():
+    """The mutant twin: after an attempt read one fragment and met NIL,
+    the next attempt starts past it — the fragment is never re-read, a
+    fresh one is fetched in its place and committed for it."""
+    mutant = given(schedules)(
+        settings(max_examples=300, deadline=None, derandomize=True,
+                 database=None, report_multiple_bugs=False)(
+            lambda schedule: check_against_the_model(schedule, "mutant")
+        )
+    )
+    with pytest.raises(AssertionError):
+        mutant()

@@ -98,6 +98,42 @@ class TestReplayIntake:
         assert p.stats["items_in"] == 2
 
 
+class TestWrongPort:
+    """A ``get()`` on a port the component does not have says so; only a
+    component no intake is installed on is "outside a running pipeline"."""
+
+    def test_single_port_closure_names_the_ports_it_reads(self):
+        p = Pairer(name="pairer")
+        ReplayIntake(["in"]).install(p)
+        with pytest.raises(RuntimeFault) as exc:
+            p.get("in1")
+        assert str(exc.value) == "'pairer': get() on port 'in1': it reads 'in'"
+
+    def test_two_input_producer_names_the_ports_it_reads(self):
+        class Zip(Producer):
+            def pull(self):
+                return (self.get("in"), self.get("side"))
+
+        z = Zip(name="zip")
+        z.add_in_port("side")
+        replay = ReplayIntake(["in", "side"])
+        replay.install(z)
+        replay.feed("in", 1)
+        replay.feed("side", 2)
+        assert z.pull() == (1, 2)
+        with pytest.raises(RuntimeFault) as exc:
+            z.get("in1")
+        assert str(exc.value) == (
+            "'zip': get() on port 'in1': it reads 'in', 'side'"
+        )
+
+    def test_unbound_component_is_outside_a_running_pipeline(self):
+        with pytest.raises(RuntimeFault, match="outside a running pipeline"):
+            Pairer().get()
+        with pytest.raises(RuntimeFault, match="outside a running pipeline"):
+            Pairer().get("in1")
+
+
 class TestPendingEmits:
     def test_collects_puts_per_port(self):
         d = Doubler()

@@ -202,3 +202,104 @@ def test_the_route_is_chosen_per_port(batch_max, aborts):
     assert set(aborts) == {"in1"} and len(aborts) == 27  # 26 items + EOS
     assert plain.stats["items_out"] == 27  # fetched once each, none early
     assert zipper.stats["items_in"] == 52
+
+
+# -- what an intake holds is in no output of the system: stats.held --------
+
+
+@pytest.mark.parametrize("batch_max", [1, 32])
+def test_an_unpaired_trailing_fragment_is_reported_as_held(batch_max):
+    defrag, sink = PullDefragmenter(), CollectSink()
+    source = IterSource(range(5))
+    engine = Engine(
+        pipeline(source, defrag, GreedyPump(), sink), batch_max=batch_max
+    )
+    engine.run_to_completion()
+    stats = engine.stats
+    assert sink.items == [(0, 1), (2, 3)]
+    assert (source.stats["items_out"], defrag.stats["items_in"]) == (5, 4)
+    assert stats.held == {defrag.name: 1}  # the 4, beside the EOS
+    assert stats.retained == {}  # items_in counts at commit: not retained
+    assert f"held in intakes: {defrag.name}=1" in stats.summary()
+
+
+def test_an_even_stream_leaves_nothing_held():
+    engine = Engine(
+        pipeline(
+            IterSource(range(6)), PullDefragmenter(), GreedyPump(),
+            CollectSink(),
+        )
+    )
+    engine.run_to_completion()
+    assert engine.stats.held == {}
+    assert "held" not in engine.stats.summary()
+
+
+def test_held_items_follow_a_replaced_producer_and_reach_the_shard_report():
+    from repro.core.items import NIL
+    from repro.deploy.worker import done_payload
+    from repro.runtime.restructure import replace_component
+
+    old, new = PullDefragmenter(), PullDefragmenter()
+    pipe = pipeline(IterSource([0, NIL, 1]), old, GreedyPump(), CollectSink())
+    built = Pipeline.from_pipeline(pipe).build()
+    built.engine.run_to_completion()  # the pull read the 0, then met NIL
+    assert built.engine.stats.held == {old.name: 1}
+    replace_component(built.engine, old, new)
+    assert built.engine.stats.held == {new.name: 1}
+    assert done_payload(0, built, 0.0, {})["stats"]["held"] == {new.name: 1}
+
+
+# -- re-binding, and the source's entry bound raw ---------------------------
+
+
+def test_recompiling_both_sections_of_a_shared_producer_keeps_its_reads(aborts):
+    """Two sections compile the locked producer and bind its port twice;
+    a recompilation mid-stream binds it twice more.  The one cursor and
+    what the intake holds survive: nothing is lost or read twice, and
+    the port still aborts and is fed (3 executions per output)."""
+    defrag, router = CountingDefragmenter(), ActivityRouter()
+    left, right = CollectSink(), CollectSink()
+    graph = Graph()
+    source, pump_l, pump_r = IterSource(range(40)), GreedyPump(), GreedyPump()
+    for component in (source, defrag, router, pump_l, pump_r, left, right):
+        graph.add(component)
+    graph.connect(source.out_port, defrag.in_port)
+    graph.connect(defrag.out_port, router.in_port)
+    graph.connect(router.port("out0"), pump_l.in_port)
+    graph.connect(router.port("out1"), pump_r.in_port)
+    graph.connect(pump_l.out_port, left.in_port)
+    graph.connect(pump_r.out_port, right.in_port)
+    engine = Engine(graph)
+    engine.start()
+    engine.run(max_steps=15)
+    assert 0 < len(left.items + right.items) < 20
+    for driver in engine.pump_drivers:
+        driver.compile_walkers()
+    engine.run()
+    assert sorted(left.items + right.items) == [
+        (i, i + 1) for i in range(0, 40, 2)
+    ]
+    assert defrag.executions >= 3 * 20 and len(aborts) >= 2 * 20
+    assert source.stats["items_out"] == defrag.stats["items_in"] == 40
+
+
+@pytest.mark.parametrize("batch_max", [1, 32])
+def test_a_raw_bound_source_entry_still_gives_birth_and_counts(batch_max):
+    """With nothing between source and producer ``get()`` calls the
+    source's own planted entry: every item is still born there, on the
+    pump's thread, and the source's ``items_out`` is counted by the port."""
+    source, sink = IterSource(range(400)), CollectSink()
+    pipe = pipeline(
+        source, PullDefragmenter(), GreedyPump(), PushDefragmenter(), sink
+    )
+    built = (
+        Pipeline.from_pipeline(pipe).with_batching(batch_max)
+        .with_tracing(sample_every=1).build()
+    )
+    built.engine.run_to_completion()
+    traces = built.tracer.traces()
+    assert len(traces) == source.stats["items_out"] == 400
+    assert len(built.tracer.traces(DELIVERED)) == len(sink.items) == 100
+    pump_thread = built.engine.thread_of(sink)
+    assert {t.segments[0][:2] for t in traces} == {("service", pump_thread)}

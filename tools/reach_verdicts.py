@@ -431,6 +431,17 @@ RULES = [
      "reference accessor: per-thread CPU the fairness tests compare"),
     ("repro.obs.sched:SchedulerProbe.dispatch_counts", "verification",
      "reference accessor: per-thread dispatches the fairness tests compare"),
+    ("repro.core.styles:intake_fault", "verification",
+     "error path: a `get()` on a port the component does not read (or on "
+     "an unbound component), one message for `Producer.get` and the port "
+     "closure"),
+    ("repro.runtime.bridge:ReplayIntake.begin", "paper",
+     "§2.1: components with several in-ports — the rewind of a "
+     "multi-input producer, port by port (a single-input producer's is "
+     "its port's own closure, which D1-D4 run)"),
+    ("repro.runtime.bridge:ReplayIntake.commit", "paper",
+     "§2.1: components with several in-ports — the commit of a "
+     "multi-input producer, port by port"),
     ("repro.runtime.bridge:PendingEmits.__len__", "verification",
      "reference accessor: emits still queued"),
     ("repro.runtime.bridge:ReplayIntake.intake", "verification",
