@@ -245,7 +245,7 @@ def detect(scheduler: Scheduler, trace_tail: int = TRACE_TAIL) -> DeadlockReport
         edges=edges,
         cycles=find_cycles(edges),
         quiescent=not ready and not timers,
-        trace_excerpt=format_tail(scheduler._trace, trace_tail),
+        trace_excerpt=format_tail(scheduler, trace_tail),
     )
 
 

@@ -210,8 +210,8 @@ def _run_once(
 ) -> tuple[SeedRun, str]:
     program = build()
     scheduler = _scheduler_of(program)
-    if scheduler._trace is None:
-        scheduler._trace = []
+    # The whole schedule is hashed, whatever trace the build asked for.
+    scheduler.enable_trace()
     scheduler.choice_hook = chooser
     error = None
     try:
@@ -220,7 +220,7 @@ def _run_once(
             check(program)
     except Exception as exc:  # noqa: BLE001 - any failure is a finding
         error = f"{type(exc).__name__}: {exc}"
-    trace = scheduler._trace
+    trace = scheduler.trace
     run = SeedRun(
         seed=seed,
         trace_hash=trace_hash(trace),
@@ -228,7 +228,7 @@ def _run_once(
         choices=list(chooser.choices),
         error=error,
     )
-    excerpt = format_tail(scheduler._trace, trace_tail) if error else ""
+    excerpt = format_tail(scheduler, trace_tail) if error else ""
     return run, excerpt
 
 

@@ -82,20 +82,22 @@ the relevant path and therefore free when unused:
 
 Observability hooks
 -------------------
-Two further optional facilities serve :mod:`repro.obs` and cost nothing
-when unused:
+The scheduler keeps one record of what it did, and :mod:`repro.obs`
+reads views of it; both cost nothing when unused:
 
-* :attr:`Scheduler._obs` — a probe object (normally
-  :class:`repro.obs.sched.SchedulerProbe`) whose ``on_dispatch`` /
-  ``on_cpu`` / ``on_wall`` / ``on_donation`` / ``on_constraint`` methods
-  are invoked from the dispatch path, each behind an ``is not None``
-  test.  With no probe installed the trace stream and timing are
-  bit-for-bit what they were before the hooks existed (the golden trace
-  tests pin this).
-* Bounded tracing — ``trace_limit`` (or :meth:`enable_trace` with a
-  limit) keeps the trace in a ring (``deque(maxlen=...)``) instead of an
-  unbounded list, counting evictions in :attr:`trace_dropped`.  This is
-  the substrate of :class:`repro.obs.recorder.FlightRecorder`.
+* Per-thread metering — ``MThread.meter``, a slot planted on the thread
+  it describes (normally a :class:`repro.obs.sched.ThreadMeter`, by
+  :meth:`repro.obs.sched.SchedulerProbe.install`), whose ``on_dispatch``
+  / ``on_wall`` / ``on_cpu`` / ``on_donation`` / ``on_constraint``
+  methods the dispatch path calls behind one ``is not None`` test on the
+  thread.  An unmetered thread is bit-for-bit the unhooked scheduler (the
+  golden trace tests pin this), and a removed thread takes its meter
+  with it.
+* The trace — a ``deque`` appended by :meth:`_record` alone: unbounded,
+  or a ring of the newest ``trace_limit`` events whose evictions
+  :attr:`trace_dropped` counts.  The ring is the flight recorder;
+  :func:`repro.mbt.tracing.dump_on` attaches its tail to an escaping
+  exception.
 """
 
 from __future__ import annotations
@@ -234,15 +236,13 @@ class Scheduler:
         self._thread_seq = itertools.count()
         self._run_seq = itertools.count(1)
         self._last_running: MThread | None = None
-        #: Event trace: None (off), a list (unbounded), or a ring
-        #: (``deque(maxlen=trace_limit)``) keeping only the newest events.
-        self._trace: Any = None
+        #: Event trace: None (off) or a deque — unbounded, or a ring
+        #: (``maxlen=trace_limit``) keeping only the newest events.
+        self._trace: deque | None = None
         if trace or trace_limit is not None:
-            self._trace = [] if trace_limit is None else deque(maxlen=trace_limit)
+            self._trace = deque(maxlen=trace_limit)
         #: Events evicted from a bounded trace ring.
         self.trace_dropped = 0
-        #: Observability probe (see module docstring); None = uninstrumented.
-        self._obs: Any = None
         self._reservations: dict[str, float] = {}
 
         #: Indexed ready queue: heap of [prio, vtime, deadline, last_ran,
@@ -327,6 +327,8 @@ class Scheduler:
             self._parked.discard(thread)
             if thread._tenant is not None:
                 thread._tenant.threads.pop(thread, None)
+            if self._last_running is thread:  # pin no removed thread
+                self._last_running = None
 
     # ------------------------------------------------------------ tenants
 
@@ -473,17 +475,10 @@ class Scheduler:
             letters.append(message)
             return
         self.messages_delivered += 1
-        trace = self._trace
-        if trace is not None:
-            # _record inlined: "deliver" is one of the three per-message
-            # event kinds, and the call overhead shows up in the
-            # flight-recorder benchmarks.
-            if type(trace) is deque and len(trace) == trace.maxlen:
-                self.trace_dropped += 1
-            trace.append((
-                self._clock_now(), "deliver",
-                message.kind, message.sender, message.target,
-            ))
+        if self._trace is not None:
+            self._record(
+                "deliver", message.kind, message.sender, message.target
+            )
         wait = target._wait
         if (
             wait is not None
@@ -620,8 +615,9 @@ class Scheduler:
                 self._compact_ready_heap()
         if thread.terminated or not thread.is_ready():
             return
-        if self._obs is not None and thread._ready_since is None:
-            thread._ready_since = self._clock_now()
+        meter = thread.meter
+        if meter is not None and meter.ready_since is None:
+            meter.ready_since = self._clock_now()
         key = thread.effective_sort_key()
         tenant = thread._tenant
         if tenant is None:
@@ -689,8 +685,9 @@ class Scheduler:
                 if stale > 64 and 3 * stale > 2 * len(heap):
                     self._compact_ready_heap()
             return
-        if self._obs is not None and thread._ready_since is None:
-            thread._ready_since = self._clock_now()
+        meter = thread.meter
+        if meter is not None and meter.ready_since is None:
+            meter.ready_since = self._clock_now()
         key = thread.effective_sort_key()
         tenant = thread._tenant
         if tenant is None:
@@ -939,9 +936,9 @@ class Scheduler:
             tenant.vtime += tenant._inv_weight
             tenant.dispatches += 1
 
-        obs = self._obs
-        if obs is not None:
-            obs.on_dispatch(thread, self._clock_now())
+        meter = thread.meter
+        if meter is not None:
+            meter.on_dispatch(self._clock_now())
             wall_start = _perf_counter()
 
         # The thread's heap entry stays live (usually at heap[0]) for the
@@ -962,16 +959,10 @@ class Scheduler:
                 return
             thread._current_message = message
             thread._key_cache = None
-            if obs is not None and message.constraint is not None:
-                obs.on_constraint(thread.name)
-            trace = self._trace
-            if trace is not None:
-                # _record inlined (per-message hot path).
-                if type(trace) is deque and len(trace) == trace.maxlen:
-                    self.trace_dropped += 1
-                trace.append((
-                    self._clock_now(), "dispatch", thread.name, message.kind,
-                ))
+            if meter is not None and message.constraint is not None:
+                meter.on_constraint()
+            if self._trace is not None:
+                self._record("dispatch", thread.name, message.kind)
             try:
                 result = thread.code(thread, message)
             except Exception as exc:
@@ -985,8 +976,8 @@ class Scheduler:
         finally:
             self._current = None
             self._reindex_after_dispatch(thread)
-            if obs is not None:
-                obs.on_wall(thread, _perf_counter() - wall_start)
+            if meter is not None:
+                meter.on_wall(_perf_counter() - wall_start)
 
     def _drive(self, thread: MThread, first: bool = False) -> None:
         """Advance the thread's generator until it blocks or completes."""
@@ -1081,8 +1072,8 @@ class Scheduler:
                     inherited = Constraint(
                         priority=int(thread.effective_priority()))
                     callee.donate(message.msg_id, inherited)
-                    if self._obs is not None:
-                        self._obs.on_donation(callee.name)
+                    if callee.meter is not None:
+                        callee.meter.on_donation()
                 self._deliver(message)
                 request_id = message.msg_id
                 self._block_receive(
@@ -1186,20 +1177,21 @@ class Scheduler:
 
     def _do_work(self, thread: MThread) -> bool:
         """Consume the thread's pending CPU work; False when preempted."""
+        meter = thread.meter
         while thread._pending_work > _EPS:
             now = self.clock.now()
             target = now + thread._pending_work
             next_t = self._next_timer_time()
             if next_t is None or next_t >= target - _EPS:
                 self.clock.advance_to(target)
-                if self._obs is not None:
-                    self._obs.on_cpu(thread.name, target - now)
+                if meter is not None:
+                    meter.on_cpu(target - now)
                 thread._pending_work = 0.0
                 return True
             self.clock.advance_to(next_t)
             thread._pending_work -= next_t - now
-            if self._obs is not None:
-                self._obs.on_cpu(thread.name, next_t - now)
+            if meter is not None:
+                meter.on_cpu(next_t - now)
             self._fire_due_timers()
             if self._exists_more_urgent_ready(thread):
                 if self._trace is not None:
@@ -1222,12 +1214,8 @@ class Scheduler:
         thread._resume_value = None
         thread._resume_exc = None
         thread._key_cache = None
-        trace = self._trace
-        if trace is not None:
-            # _record inlined (per-message hot path).
-            if type(trace) is deque and len(trace) == trace.maxlen:
-                self.trace_dropped += 1
-            trace.append((self._clock_now(), "done", thread.name))
+        if self._trace is not None:
+            self._record("done", thread.name)
         if result is TERMINATE:
             thread.terminated = True
             thread.clear_execution_state()
@@ -1270,25 +1258,26 @@ class Scheduler:
 
     # ------------------------------------------------------------ tracing
 
-    def enable_trace(self, limit: int | None = None) -> None:
-        """Start tracing (unbounded list, or a ring of ``limit`` events).
-
-        A no-op when tracing is already on — an existing unbounded trace
-        subsumes any ring, and an existing ring keeps its capacity.
-        """
-        if self._trace is None:
-            self._trace = [] if limit is None else deque(maxlen=limit)
+    def enable_trace(self) -> None:
+        """Keep every event from now on: start the trace, or widen a ring
+        to the full record (what it already evicted stays counted in
+        :attr:`trace_dropped`).  A no-op on a full trace."""
+        trace = self._trace
+        if trace is None:
+            self._trace = deque()
+        elif trace.maxlen is not None:
+            self._trace = deque(trace)
 
     def _record(self, *event: Any) -> None:
+        """The trace's one writer; callers test ``_trace is not None``."""
         trace = self._trace
-        if trace is not None:
-            if type(trace) is deque and len(trace) == trace.maxlen:
-                self.trace_dropped += 1
-            trace.append((self._clock_now(), *event))
+        if len(trace) == trace.maxlen:
+            self.trace_dropped += 1
+        trace.append((self._clock_now(), *event))
 
     @property
-    def trace(self):
-        """The event trace: a list, or a ``deque`` when ring-bounded."""
+    def trace(self) -> deque:
+        """The event trace, oldest first (a ring keeps the newest)."""
         if self._trace is None:
             raise SchedulerError("tracing was not enabled")
         return self._trace

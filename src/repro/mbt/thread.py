@@ -101,8 +101,7 @@ class MThread:
         "_key_cache",
         "_scheduler",
         "_heap_entry",
-        "_ready_since",
-        "_obs_counters",
+        "meter",
         "_tenant",
         "parked",
     )
@@ -145,13 +144,9 @@ class MThread:
         self._scheduler: Any = None
         #: The thread's live entry in the scheduler's ready heap, if any.
         self._heap_entry: list | None = None
-        #: Virtual time this thread entered the ready queue; maintained
-        #: only when a scheduler observability probe is installed.
-        self._ready_since: float | None = None
-        #: (run-queue-wait histogram, dispatch counter, wall counter) of the
-        #: SchedulerProbe that owns this thread, cached by the installed
-        #: probe so the per-dispatch hooks skip the name lookups.
-        self._obs_counters: tuple | None = None
+        #: This thread's scheduler instruments (a repro.obs.sched.ThreadMeter
+        #: planted by SchedulerProbe.install); None = unmetered.
+        self.meter: Any = None
         #: Fair-share tenant (repro.mbt.scheduler.Tenant) this thread is
         #: charged to; None (the default) keeps the classic sort order.
         self._tenant: Any = None

@@ -3,15 +3,18 @@
 Thread transparency hides threads from the *programmer*; when something
 behaves unexpectedly, the middleware owes them visibility back.  With
 ``Engine(pipe, trace=True)`` the scheduler records every switch, dispatch,
-block and preemption; the helpers here turn that record into something a
-human can read.
+block and preemption (``trace_limit=N`` keeps the newest N: the flight
+recorder); the helpers here turn that record into something a human can
+read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
+from repro.errors import InvariantViolation, SchedulerError
 from repro.mbt.scheduler import Scheduler
 
 
@@ -53,15 +56,64 @@ def format_trace(
     return format_events(scheduler.trace, kinds, limit)
 
 
-def format_tail(trace: Iterable[tuple] | None, limit: int) -> str:
-    """The last ``limit`` events of ``trace`` (a list or a ring), under a
-    line saying how many came before them."""
-    events = list(trace or ())
-    tail = events[-limit:]
-    earlier = len(events) - len(tail)
+def _retained(scheduler: Scheduler) -> list[tuple]:
+    """The trace's events, oldest first; none when tracing is off."""
+    try:
+        return list(scheduler.trace)
+    except SchedulerError:
+        return []
+
+
+def format_tail(scheduler: Scheduler, limit: int | None = None) -> str:
+    """The last ``limit`` retained events (all of them when None), under
+    a line saying how many came before them — retained, and evicted from
+    a ring when there were any.  The one tail renderer: deadlock reports,
+    exploration failures and :func:`dump_on` quote it."""
+    events = _retained(scheduler)
+    tail = events if limit is None else events[-limit:]
+    counts = []
+    if len(events) > len(tail):
+        counts.append(f"{len(events) - len(tail)} earlier events")
+    if scheduler.trace_dropped:
+        counts.append(f"{scheduler.trace_dropped} evicted from the ring")
     return format_events(
-        tail, header=f"... ({earlier} earlier events)" if earlier else ""
+        tail, header=f"... ({', '.join(counts)})" if counts else ""
     )
+
+
+@contextmanager
+def dump_on(
+    scheduler: Scheduler,
+    *exc_types: type[BaseException],
+    limit: int | None = None,
+) -> Iterator[None]:
+    """The flight recorder's dump: attach the trace's tail to matching
+    exceptions as they escape.
+
+    The flight recorder is the scheduler's trace ring, started by the
+    run spec (``Pipeline.with_trace(limit)``, ``--trace-limit``); wrap
+    the run (or the check) and any escaping
+    :class:`~repro.errors.InvariantViolation` — which covers
+    :class:`~repro.errors.RefinementViolation` — carries the last
+    retained events as an exception note::
+
+        with dump_on(engine.scheduler):
+            engine.run()
+
+    ``exc_types`` overrides which exceptions get the dump; ``limit`` caps
+    how many retained events are attached (default: all).  The exception
+    always propagates.
+    """
+    try:
+        yield
+    except (exc_types or (InvariantViolation,)) as exc:
+        retained = len(_retained(scheduler))
+        shown = retained if limit is None else min(limit, retained)
+        exc.add_note(
+            f"flight recorder (last {shown} of {retained} retained events):\n"
+            + (format_tail(scheduler, limit) or "(no events retained)")
+        )
+        raise
 
 
 def switch_counts(scheduler: Scheduler) -> dict[str, int]:

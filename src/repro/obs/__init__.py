@@ -3,10 +3,10 @@
 End-to-end telemetry for the infopipe runtime, built around three ideas:
 
 * **Inert when off** — components carry no instrumentation and the
-  runtime's one plant (a hand per thread, a lane per boundary queue, the
-  scheduler probe) is ``None`` until a collector attaches; an engine
-  without one runs the identical instruction stream (pinned by the
-  golden scheduler traces).
+  runtime's one plant (a hand per thread, a lane per queue, a meter
+  per scheduler thread) is ``None`` until a collector attaches; an
+  engine without one runs the identical instruction stream (pinned by
+  the golden scheduler traces).
 * **No per-item allocation** — the record is positional (one lane entry
   per queued item, read by histograms and flow traces alike) and every
   measurement streams into fixed log-bucket histograms.
@@ -19,7 +19,7 @@ Typical use::
     from repro.obs import Telemetry
 
     engine = Engine(pipe)
-    telemetry = Telemetry(recorder_capacity=4096).attach(engine)
+    telemetry = Telemetry().attach(engine)
     engine.start(); engine.run()
     print(telemetry.prometheus())
 
@@ -52,16 +52,13 @@ from repro.obs.metrics import (
     dump_registry,
     merge_dump,
 )
-from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.sched import SchedulerProbe
 from repro.obs.slo import Objective, SloEngine
 from repro.obs.spans import Telemetry
 
 __all__ = [
     "Counter",
-    "DEFAULT_CAPACITY",
     "Dashboard",
-    "FlightRecorder",
     "FlowTrace",
     "FlowTracer",
     "Gauge",

@@ -32,10 +32,9 @@ from typing import Any, Callable
 #: Families worth a dedicated line in the metrics pane, in display order.
 _TOP_FAMILIES = (
     "repro_sched_dispatches_total",
-    "repro_sched_preemptions_total",
     "repro_buffer_fill_fraction",
     "repro_buffer_wait_seconds",
-    "repro_stage_cycle_seconds",
+    "repro_stage_latency_seconds",
     "repro_flow_end_to_end_seconds",
 )
 

@@ -32,6 +32,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.mbt.scheduler import Scheduler
 from repro.obs.metrics import MetricsRegistry
 
 _SECONDS_TO_US = 1e6
@@ -41,10 +42,8 @@ _PID = 1
 
 def _trace_of(source) -> tuple[list[tuple], float | None]:
     """Accept a Scheduler or an iterable of trace tuples."""
-    trace = getattr(source, "trace", None)
-    if trace is not None and not callable(trace):
-        now = getattr(source, "now", None)
-        return list(trace), (now() if callable(now) else None)
+    if isinstance(source, Scheduler):
+        return list(source.trace), source.now()
     return list(source), None
 
 

@@ -2,10 +2,11 @@
 
 The scheduler is where thread transparency becomes thread *opacity*: the
 programmer cannot see which pump starved or who inherited whose priority,
-so the middleware must measure it.  A :class:`SchedulerProbe` hangs off
-``Scheduler._obs`` (``None`` by default — every hook is a single
-``is not None`` test, so an uninstrumented scheduler pays one pointer
-compare per dispatch) and publishes into the metrics registry:
+so the middleware must measure it.  :meth:`SchedulerProbe.install` plants
+a :class:`ThreadMeter` on each thread it observes (``MThread.meter``,
+``None`` by default — every hook is a single ``is not None`` test on the
+thread, so an unmetered thread pays one pointer compare per dispatch),
+and each meter publishes into its owner's metrics registry:
 
 ``repro_sched_run_queue_wait_seconds`` (histogram)
     Virtual time between a thread entering the ready queue and being
@@ -21,32 +22,90 @@ compare per dispatch) and publishes into the metrics registry:
     thread while a more urgent constraint was active).
 ``repro_sched_constraint_dispatches_total{thread=}`` (counter)
     Dispatches whose message carried an explicit timing constraint.
+
+Sessions sharing a fabric's scheduler each plant their own threads, so
+each registry sees its own threads' series and nobody else's; a removed
+thread takes its meter with it.
 """
 
 from __future__ import annotations
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
+_CPU = "repro_sched_cpu_seconds_total"
+_CPU_HELP = "CPU time attributed per thread"
 
-#: family, help and fixed labels of the per-thread counters that the
-#: scheduler reports by thread name.
-_BY_NAME = {
-    "virtual": (
-        "repro_sched_cpu_seconds_total", "CPU time attributed per thread",
-        {"mode": "virtual"},
-    ),
-    "donations": (
-        "repro_sched_donations_total",
-        "Priority-inheritance donations received", {},
-    ),
-    "constraints": (
-        "repro_sched_constraint_dispatches_total",
-        "Dispatches of explicitly constrained messages", {},
-    ),
-}
 
-#: Where an unowned thread's dispatches go: instruments in no registry.
-_UNOWNED = (Histogram("unowned"), Counter("unowned"), Counter("unowned"))
+class ThreadMeter:
+    """One thread's scheduler instruments in its owner's registry.
+
+    A series is created the first time its event happens, so a run
+    exposes exactly the series it exercised.
+    """
+
+    __slots__ = (
+        "registry", "thread", "run_queue_wait", "ready_since",
+        "dispatches", "wall", "virtual", "donations", "constraints",
+    )
+
+    def __init__(self, registry: MetricsRegistry, thread: str,
+                 run_queue_wait: Histogram):
+        self.registry = registry
+        self.thread = thread
+        self.run_queue_wait = run_queue_wait
+        #: Virtual time the thread entered the ready queue (the scheduler
+        #: stamps it); None while it is not waiting.
+        self.ready_since: float | None = None
+        self.dispatches: Counter | None = None
+        self.wall: Counter | None = None
+        self.virtual: Counter | None = None
+        self.donations: Counter | None = None
+        self.constraints: Counter | None = None
+
+    def _counter(self, family: str, help_text: str, **labels) -> Counter:
+        return self.registry.counter(
+            family, help=help_text, thread=self.thread, **labels
+        )
+
+    # ------------------------------------------------------------ hooks
+    # Called from the scheduler hot path behind a `meter is not None`
+    # test; steady state is attribute hits and scalar adds.
+
+    def on_dispatch(self, now: float) -> None:
+        if self.dispatches is None:
+            self.dispatches = self._counter(
+                "repro_sched_dispatches_total", "Thread dispatches"
+            )
+            self.wall = self._counter(_CPU, _CPU_HELP, mode="wall")
+        ready_since = self.ready_since
+        if ready_since is not None:
+            self.ready_since = None
+            self.run_queue_wait.observe(now - ready_since)
+        self.dispatches.value += 1
+
+    def on_wall(self, seconds: float) -> None:
+        self.wall.value += seconds
+
+    def on_cpu(self, seconds: float) -> None:
+        if self.virtual is None:
+            self.virtual = self._counter(_CPU, _CPU_HELP, mode="virtual")
+        self.virtual.value += seconds
+
+    def on_donation(self) -> None:
+        if self.donations is None:
+            self.donations = self._counter(
+                "repro_sched_donations_total",
+                "Priority-inheritance donations received",
+            )
+        self.donations.value += 1
+
+    def on_constraint(self) -> None:
+        if self.constraints is None:
+            self.constraints = self._counter(
+                "repro_sched_constraint_dispatches_total",
+                "Dispatches of explicitly constrained messages",
+            )
+        self.constraints.value += 1
 
 
 class SchedulerProbe:
@@ -58,103 +117,29 @@ class SchedulerProbe:
             "repro_sched_run_queue_wait_seconds",
             help="Virtual seconds from ready to dispatched",
         )
-        # Per-thread counter caches: one dict lookup per event instead of a
-        # registry get-or-create (which canonicalizes labels) per event.
-        self._dispatches: dict[str, Counter] = {}
-        self._cpu_wall: dict[str, Counter] = {}
-        self._by_name: dict[str, dict[str, Counter]] = {
-            kind: {} for kind in _BY_NAME
-        }
-        #: thread name -> the probe whose registry observes it.  Only the
-        #: scheduler's probe (the first installed) is ever asked.
-        self._owners: dict[str, SchedulerProbe] = {}
+        self._meters: dict[str, ThreadMeter] = {}
 
     def install(self, scheduler, threads) -> "SchedulerProbe":
-        """Observe the named ``threads`` of ``scheduler``.
-
-        A scheduler calls one probe — the first installed on it — and
-        that probe routes each event to the probe that owns the thread,
-        so sessions sharing a scheduler each see their own threads'
-        series and nobody else's; a thread nobody claimed is not
-        observed."""
-        if scheduler._obs is None:
-            scheduler._obs = self
-        owners = scheduler._obs._owners
+        """Plant a meter on each of ``scheduler``'s threads named in
+        ``threads`` (spawned already); other threads stay unmetered."""
         for name in threads:
-            owners[name] = self
+            meter = ThreadMeter(self.registry, name, self.run_queue_wait)
+            scheduler.threads[name].meter = self._meters[name] = meter
         return self
-
-    # ------------------------------------------------------------ hooks
-    # Called from the scheduler hot path, always behind an `_obs is not
-    # None` guard; everything here may allocate (first sight of a thread)
-    # but steady-state is dict hits and scalar adds.
-
-    def _thread_counters(self, thread) -> tuple:
-        """(run-queue wait, dispatch, wall) instruments of the thread's
-        owner, cached on the thread; throwaway ones for an unowned
-        thread, so the hooks never branch on ownership."""
-        name = thread.name
-        owner = self._owners.get(name)
-        if owner is None:
-            cached = _UNOWNED
-        else:
-            dispatches = owner._dispatches[name] = owner.registry.counter(
-                "repro_sched_dispatches_total",
-                help="Thread dispatches",
-                thread=name,
-            )
-            wall = owner._cpu_wall[name] = owner.registry.counter(
-                "repro_sched_cpu_seconds_total",
-                help="CPU time attributed per thread",
-                thread=name, mode="wall",
-            )
-            cached = (owner.run_queue_wait, dispatches, wall)
-        thread._obs_counters = cached
-        return cached
-
-    def on_dispatch(self, thread, now: float) -> None:
-        cached = thread._obs_counters or self._thread_counters(thread)
-        ready_since = thread._ready_since
-        if ready_since is not None:
-            thread._ready_since = None
-            cached[0].observe(now - ready_since)
-        cached[1].value += 1
-
-    def on_wall(self, thread, seconds: float) -> None:
-        cached = thread._obs_counters or self._thread_counters(thread)
-        cached[2].value += seconds
-
-    def _bump(self, kind: str, thread_name: str, amount: float) -> None:
-        owner = self._owners.get(thread_name)
-        if owner is None:
-            return
-        cache = owner._by_name[kind]
-        counter = cache.get(thread_name)
-        if counter is None:
-            family, help_text, labels = _BY_NAME[kind]
-            counter = cache[thread_name] = owner.registry.counter(
-                family, help=help_text, thread=thread_name, **labels
-            )
-        counter.value += amount
-
-    def on_cpu(self, thread_name: str, seconds: float) -> None:
-        self._bump("virtual", thread_name, seconds)
-
-    def on_donation(self, thread_name: str) -> None:
-        self._bump("donations", thread_name, 1)
-
-    def on_constraint(self, thread_name: str) -> None:
-        self._bump("constraints", thread_name, 1)
 
     # ------------------------------------------------------------ reading
 
     def cpu_seconds(self, mode: str = "virtual") -> dict[str, float]:
         """Per-thread CPU attribution, for reports and tests."""
-        cache = self._by_name["virtual"] if mode == "virtual" else self._cpu_wall
-        return {name: counter.value for name, counter in cache.items()}
+        series = (
+            (name, meter.virtual if mode == "virtual" else meter.wall)
+            for name, meter in self._meters.items()
+        )
+        return {name: c.value for name, c in series if c is not None}
 
     def dispatch_counts(self) -> dict[str, int]:
         return {
-            name: int(counter.value)
-            for name, counter in self._dispatches.items()
+            name: int(meter.dispatches.value)
+            for name, meter in self._meters.items()
+            if meter.dispatches is not None
         }

@@ -17,8 +17,8 @@ flow tracer reads, so the two collectors cannot disagree about a wait.
 Each closed segment streams straight into a fixed log-bucket
 :class:`~repro.obs.metrics.Histogram` — **no allocation travels with the
 item**, which is what lets the instrumentation stay on under production
-load.  Only the flight recorder / trace exporters materialize individual
-events.
+load.  Only the scheduler trace (and its ring, the flight recorder) and
+the trace exporters materialize individual events.
 
 Metric families published by :class:`Telemetry`:
 
@@ -41,7 +41,7 @@ Scheduler metrics come from :class:`~repro.obs.sched.SchedulerProbe`.
 Usage::
 
     engine = Engine(pipe)
-    telemetry = Telemetry(recorder_capacity=4096).attach(engine)
+    telemetry = Telemetry().attach(engine)
     engine.start(); engine.run()
     print(telemetry.prometheus())
 """
@@ -52,7 +52,6 @@ from typing import TYPE_CHECKING
 
 from repro.obs.flow import plant, plant_lane
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import FlightRecorder
 from repro.obs.sched import SchedulerProbe
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,21 +72,11 @@ class Telemetry:
     ----------
     registry:
         Metrics registry to publish into (default: a fresh one).
-    recorder_capacity:
-        When set, attach a :class:`FlightRecorder` ring of that many events
-        (kept even when full tracing is off).
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        recorder_capacity: int | None = None,
-    ):
+    def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._recorder_capacity = recorder_capacity
-
         self.scheduler_probe: SchedulerProbe | None = None
-        self.recorder: FlightRecorder | None = None
         self._engine: "Engine | None" = None
 
     # ------------------------------------------------------------ attach
@@ -98,14 +87,9 @@ class Telemetry:
         hands = plant(engine)
         self._engine = engine
         engine._telemetry = self
-        scheduler = engine.scheduler
         self.scheduler_probe = SchedulerProbe(self.registry).install(
-            scheduler, hands
+            engine.scheduler, hands
         )
-        if self._recorder_capacity is not None:
-            self.recorder = FlightRecorder(self._recorder_capacity)
-            self.recorder.attach(scheduler)
-
         for component in engine.pipeline.components:
             self._publish_component(component)
         self._publish_engine(engine)

@@ -803,7 +803,7 @@ class Engine:
         #: Observability front-end (repro.obs.Telemetry) when attached,
         #: for the latency decoration of ``stats``.  What the runtime
         #: reports movements to is the plant: ``ThreadCtx.hand`` per
-        #: thread, ``BufferGate.lane`` per queue, ``Scheduler._obs``.
+        #: thread, ``BufferGate.lane`` per queue, ``MThread.meter``.
         self._telemetry: Any = None
         #: Committed live restructurings (repro.runtime.restructure
         #: Replacement records), in application order — the audit trail
@@ -844,7 +844,7 @@ class Engine:
             self._own(section.origin, driver.thread_name)
             for root in (section.pull_root, section.push_root):
                 if root is not None:
-                    self._assign_owners(
+                    self._own_tree(
                         root, driver.thread_name, coroutine_stages,
                         priority=section.origin.priority,
                     )
@@ -908,7 +908,7 @@ class Engine:
             component.name
         ] = component
 
-    def _assign_owners(
+    def _own_tree(
         self,
         target: FlowTarget,
         owner_thread: str,
@@ -935,7 +935,7 @@ class Engine:
             if component.style is Style.PRODUCER:
                 self.replay_for(component)
         for child in target.branches.values():
-            self._assign_owners(child, owner_thread, coroutine_stages, priority)
+            self._own_tree(child, owner_thread, coroutine_stages, priority)
 
     def _build_locks(self) -> None:
         assert self.plan is not None

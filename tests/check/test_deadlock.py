@@ -77,7 +77,11 @@ def test_report_quotes_the_tail_of_a_ring_bounded_trace():
     ring.run()
     assert ring.trace_dropped == len(full.trace) - 4
     excerpt = detect(ring, trace_tail=3).trace_excerpt.splitlines()
-    assert excerpt[0] == "... (1 earlier events)"
+    # The header counts the retained events before the tail and the
+    # ring's evictions: together, what the full trace had before it.
+    assert excerpt[0] == (
+        f"... (1 earlier events, {ring.trace_dropped} evicted from the ring)"
+    )
     assert excerpt[1:] == detect(full, trace_tail=3).trace_excerpt.splitlines()[1:]
 
 

@@ -79,9 +79,9 @@ def test_explore_produces_distinct_passing_interleavings():
 def test_empty_replay_matches_default_schedule():
     """Choice 0 is bit-for-bit the unhooked scheduler's pick."""
     engine = build_two_pump_engine()
-    engine.scheduler._trace = []
+    engine.scheduler.enable_trace()
     engine.run_to_completion(max_steps=200_000)
-    default_hash = trace_hash(engine.scheduler._trace)
+    default_hash = trace_hash(engine.scheduler.trace)
 
     run, _ = replay(build_two_pump_engine, [], check=expect_all_items)
     assert not run.failed
@@ -94,9 +94,9 @@ def test_trace_hash_normalizes_autonumbered_names():
     hashes = set()
     for _ in range(2):
         engine = build_two_pump_engine()
-        engine.scheduler._trace = []
+        engine.scheduler.enable_trace()
         engine.run_to_completion(max_steps=200_000)
-        hashes.add(trace_hash(engine.scheduler._trace))
+        hashes.add(trace_hash(engine.scheduler.trace))
     assert len(hashes) == 1
 
 
@@ -177,11 +177,38 @@ def test_explorer_leaves_golden_schedule_reachable():
     result = explore(build_two_pump_engine, seeds=10, check=expect_all_items)
     assert result.ok
     default_engine = build_two_pump_engine()
-    default_engine.scheduler._trace = []
+    default_engine.scheduler.enable_trace()
     default_engine.run_to_completion(max_steps=200_000)
-    default_hash = trace_hash(default_engine.scheduler._trace)
+    default_hash = trace_hash(default_engine.scheduler.trace)
     # The default interleaving is one of the explored ones whenever a seed
     # happens to always pick index 0 — not guaranteed, but the hash set
     # must at least contain >1 members and only legal schedules, all of
     # which passed expect_all_items above.
     assert default_hash  # sanity: hashing the default run works
+
+
+def build_buffered_chain(trace_limit=None):
+    """Two pumps around a buffer, 20 items, on the trace a build asked
+    for (unbounded, or a ring of ``trace_limit`` events)."""
+    return Engine(
+        pipeline(
+            IterSource(range(20)), GreedyPump(), Buffer(capacity=4),
+            GreedyPump(), CollectSink(),
+        ),
+        trace=True, trace_limit=trace_limit,
+    )
+
+
+def test_explorer_hashes_the_schedule_not_a_ring():
+    """A build that asked for a ring is hashed over its whole schedule:
+    the same per-seed hashes and event counts as with the full trace (at
+    the parent a ring of 8 read 8 events per run and half the
+    interleavings)."""
+    full = explore(build_buffered_chain, seeds=12)
+    ring = explore(lambda: build_buffered_chain(trace_limit=8), seeds=12)
+    assert full.ok and ring.ok
+    assert [(run.trace_hash, run.events) for run in ring.runs] == [
+        (run.trace_hash, run.events) for run in full.runs
+    ]
+    assert min(run.events for run in full.runs) > 100
+    assert ring.distinct_interleavings == full.distinct_interleavings > 1

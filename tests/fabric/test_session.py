@@ -1,5 +1,8 @@
 """SessionFabric lifecycle: open/close, namespacing, parking, stats."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import (
@@ -33,6 +36,11 @@ def counting_program(items=5):
         return pipeline(IterSource(range(items)), GreedyPump(), sink)
 
     return build, sinks
+
+
+def plain_program():
+    """A builder that keeps no reference to what it builds."""
+    return pipeline(IterSource(range(9)), GreedyPump(), CollectSink())
 
 
 def run_rounds(fabric, rounds=50, steps=500):
@@ -531,12 +539,62 @@ class TestSharedScheduler:
                 for metric in probe.registry.family(family)
             }
             assert threads == set(session.thread_names)
+            # Every dispatch of the tenant's threads, and nobody else's.
+            assert sum(counts.values()) == session.tenant.dispatches
         # Same program, same weight: the two tenants ran the same schedule.
         alice_probe = alice.engine._telemetry.scheduler_probe
         bob_probe = bob.engine._telemetry.scheduler_probe
         assert sorted(alice_probe.dispatch_counts().values()) == sorted(
             bob_probe.dispatch_counts().values()
         )
+
+    def test_closed_sessions_free_their_registries(self):
+        """A closed session's meters leave with its threads: at the parent
+        the first probe routed every later session's threads by name and
+        never forgot one, so all 50 registries stayed reachable."""
+        fabric = SessionFabric()
+        metered = Pipeline.from_builder(plain_program).with_metrics()
+        registries = []
+        for index in range(50):
+            session = fabric.open_session(metered, name=f"m{index}")
+            run_rounds(fabric)
+            registries.append(
+                weakref.ref(session.engine._telemetry.registry)
+            )
+            session.close()
+        del session
+        gc.collect()
+        assert [ref() for ref in registries] == [None] * 50
+
+    def test_closed_sessions_series_ignore_an_unmetered_namesake(self):
+        """At the parent an unmetered session reopened under a closed
+        one's name counted its dispatches into the dead series (9 -> 18)."""
+        fabric = SessionFabric()
+        metered = Pipeline.from_builder(plain_program).with_metrics()
+        closed = fabric.open_session(metered, name="a")
+        run_rounds(fabric)
+        registry = closed.engine._telemetry.registry
+        closed.close()
+
+        def reading():
+            wait = registry.get("repro_sched_run_queue_wait_seconds")
+            return (
+                {
+                    dict(counter.labels)["thread"]: counter.value
+                    for counter in registry.family(
+                        "repro_sched_dispatches_total"
+                    )
+                },
+                wait.count, wait.sum,
+            )
+
+        before = reading()
+        assert sum(before[0].values()) > 0 and before[1] > 0
+        namesake = fabric.open_session(plain_program, name="a")
+        assert set(namesake.thread_names) == set(before[0])
+        run_rounds(fabric)
+        assert namesake.completed and namesake.tenant.dispatches > 0
+        assert reading() == before
 
     def test_external_scheduler_is_used(self):
         scheduler = Scheduler(clock=VirtualClock())

@@ -4,8 +4,17 @@ import io
 import json
 import urllib.request
 
-from repro import CollectSink, Engine, GreedyPump, IterSource, pipeline
+from repro import (
+    Buffer,
+    CollectSink,
+    Engine,
+    GreedyPump,
+    IterSource,
+    MapFilter,
+    pipeline,
+)
 from repro.__main__ import main
+from repro.api import Pipeline
 from repro.obs import (
     FlowTracer,
     MetricsRegistry,
@@ -15,7 +24,7 @@ from repro.obs import (
     Telemetry,
     render_top,
 )
-from repro.obs.dashboard import Dashboard
+from repro.obs.dashboard import _TOP_FAMILIES, Dashboard
 
 
 def _traced_run():
@@ -99,6 +108,22 @@ class TestRenderTop:
             registry=telemetry.registry, tracer=tracer, slo=slo, width=40
         )
         assert all(len(line) <= 40 for line in text.splitlines())
+
+
+    def test_top_families_are_published_and_lead_the_pane(self):
+        """Every family the metrics pane puts first is one Telemetry and
+        FlowTracer register, so stage latency shows on a seven-stage run
+        (at the parent two names nothing publishes stood there, and the
+        24 lines filled with per-component byte gauges first)."""
+        built = Pipeline.from_pipeline(pipeline(
+            IterSource(range(64)), MapFilter(lambda x: x), GreedyPump(),
+            Buffer(capacity=8), GreedyPump(), MapFilter(lambda x: x),
+            CollectSink(),
+        )).with_metrics().with_tracing(4).run()
+        registry = built.telemetry.registry
+        assert [f for f in _TOP_FAMILIES if f not in registry.families()] == []
+        frame = render_top(registry=registry, tracer=built.tracer)
+        assert "  repro_stage_latency_seconds{stage=" in frame
 
 
 class TestDashboardLoop:

@@ -16,13 +16,14 @@ from repro import (
     ZipBuffer,
     pipeline,
 )
+from repro import api
 from repro.check import declare_lossy
 from repro.components.sinks import Sink
 from repro.errors import InvariantViolation
 from repro.mbt import Scheduler, VirtualClock
+from repro.mbt.tracing import dump_on, format_tail
 from repro.net import Network, Node, RemoteBinder
 from repro.obs import (
-    FlightRecorder,
     FlowTracer,
     LineageStore,
     MetricsRegistry,
@@ -402,45 +403,60 @@ class TestNetpipeCrossing:
 
 
 # ---------------------------------------------------------------------------
-# the flight recorder attaches itself to violations (satellite)
+# the flight recorder (the trace ring) attaches itself to violations
 # ---------------------------------------------------------------------------
+
+
+def _ring_run(items, limit):
+    """A finished run whose scheduler kept a ring of ``limit`` events."""
+    return api.Pipeline.from_pipeline(
+        pipeline(IterSource(range(items)), GreedyPump(), CollectSink())
+    ).with_trace(limit).run().engine.scheduler
 
 
 class TestFlightRecorderDumpOn:
     def test_attaches_ring_to_invariant_violations(self):
-        engine = Engine(
-            pipeline(IterSource(range(5)), GreedyPump(), CollectSink())
-        )
-        engine.setup()
-        recorder = FlightRecorder(capacity=64).attach(engine.scheduler)
-        engine.start()
-        engine.run()
+        scheduler = _ring_run(items=5, limit=8)
+        assert len(scheduler.trace) == 8 and scheduler.trace_dropped > 0
         with pytest.raises(InvariantViolation) as excinfo:
-            with recorder.dump_on(limit=5):
+            with dump_on(scheduler, limit=5):
                 raise InvariantViolation("conservation broke")
-        notes = getattr(excinfo.value, "__notes__", [])
-        assert notes, "dump_on attached no note"
-        assert "flight recorder" in notes[0]
-        # The note carries real scheduler events, newest last, capped at 5.
-        body = notes[0].splitlines()
-        assert len(body) <= 7  # header + <=5 events (+ evicted marker)
+        # Exactly the header plus the one tail renderer's text: the five
+        # newest events under a line counting the 3 earlier retained ones
+        # and the ring's evictions.
+        tail = format_tail(scheduler, 5)
+        assert excinfo.value.__notes__ == [
+            "flight recorder (last 5 of 8 retained events):\n" + tail
+        ]
+        assert tail.splitlines()[0] == (
+            f"... (3 earlier events, {scheduler.trace_dropped} evicted "
+            "from the ring)"
+        )
+        assert len(tail.splitlines()) == 6
 
     def test_unmatched_exceptions_pass_through_unannotated(self):
-        recorder = FlightRecorder(capacity=8)
+        scheduler = _ring_run(items=5, limit=8)
         with pytest.raises(ValueError) as excinfo:
-            with recorder.dump_on():
+            with dump_on(scheduler):
                 raise ValueError("not an invariant problem")
         assert not getattr(excinfo.value, "__notes__", [])
 
     def test_custom_exception_types(self):
-        engine = Engine(
-            pipeline(IterSource(range(2)), GreedyPump(), CollectSink())
-        )
-        engine.setup()
-        recorder = FlightRecorder(capacity=16).attach(engine.scheduler)
-        engine.start()
-        engine.run()
+        scheduler = _ring_run(items=2, limit=16)
         with pytest.raises(RuntimeError) as excinfo:
-            with recorder.dump_on(RuntimeError):
+            with dump_on(scheduler, RuntimeError):
                 raise RuntimeError("anything the caller selects")
-        assert getattr(excinfo.value, "__notes__", [])
+        assert excinfo.value.__notes__ == [
+            f"flight recorder (last {len(scheduler.trace)} of "
+            f"{len(scheduler.trace)} retained events):\n"
+            + format_tail(scheduler)
+        ]
+
+    def test_tracing_off_attaches_no_events_retained(self):
+        with pytest.raises(InvariantViolation) as excinfo:
+            with dump_on(Scheduler(), limit=5):
+                raise InvariantViolation("nothing was recorded")
+        assert excinfo.value.__notes__ == [
+            "flight recorder (last 0 of 0 retained events):\n"
+            "(no events retained)"
+        ]

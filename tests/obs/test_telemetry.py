@@ -1,4 +1,6 @@
-"""Telemetry wiring: spans, scheduler probe, flight recorder, inertness."""
+"""Telemetry wiring: spans, scheduler probe, the trace ring, inertness."""
+
+import random
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro import (
     pipeline,
 )
 from repro.components.buffers import OnFull
+from repro.errors import SchedulerError
 from repro.feedback import (
     FeedbackLoop,
     MetricSensor,
@@ -22,8 +25,11 @@ from repro.feedback import (
     PumpRateActuator,
     RateSensor,
 )
+from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler
-from repro.obs import FlightRecorder, FlowTracer, MetricsRegistry, Telemetry
+from repro.mbt.syscalls import CONTINUE, Send, Work
+from repro.mbt.tracing import format_tail
+from repro.obs import FlowTracer, MetricsRegistry, Telemetry
 
 
 class Stage(ActiveComponent):
@@ -186,7 +192,6 @@ class TestSchedulerProbe:
         from repro.obs.sched import SchedulerProbe
 
         registry, sched = MetricsRegistry(), Scheduler()
-        SchedulerProbe(registry).install(sched, ["server", "client"])
 
         def server(thread, msg):
             yield Reply(msg, payload="ok")
@@ -198,6 +203,7 @@ class TestSchedulerProbe:
 
         sched.spawn("server", server, priority=1)
         sched.spawn("client", client, priority=9)
+        SchedulerProbe(registry).install(sched, ["server", "client"])
         sched.post(Message(kind="go", target="client"))
         sched.run()
         family = "repro_sched_donations_total"
@@ -222,33 +228,29 @@ class TestStatsDecoration:
 
 
 class TestFlightRecorder:
+    """The flight recorder is the scheduler's trace ring, started by the
+    run spec's trace limit."""
+
     def test_keeps_last_events_and_counts_dropped(self):
-        engine = Engine(buffered_pipeline(items=30))
-        recorder = FlightRecorder(capacity=16).attach(engine.scheduler)
+        engine = Engine(buffered_pipeline(items=30), trace_limit=16)
         engine.start()
         engine.run()
-        assert len(recorder) == 16
-        assert recorder.dropped > 0
+        ring = engine.scheduler.trace
+        assert len(ring) == 16
+        assert engine.scheduler.trace_dropped > 0
         # The retained events are the newest ones, in order.
-        times = [event[0] for event in recorder.events()]
+        times = [event[0] for event in ring]
         assert times == sorted(times)
-        assert "evicted" in recorder.format()
+        assert "evicted from the ring" in format_tail(engine.scheduler)
 
     def test_full_trace_subsumes_recorder(self):
-        engine = Engine(buffered_pipeline(items=10), trace=True)
-        FlightRecorder(capacity=4).attach(engine.scheduler)
+        engine = Engine(buffered_pipeline(items=10), trace_limit=4)
+        engine.scheduler.enable_trace()
         engine.start()
         engine.run()
-        # attach() was a no-op: the unbounded trace kept everything.
+        # enable_trace() widened the ring: the full trace kept everything.
         assert len(engine.scheduler.trace) > 4
         assert engine.scheduler.trace_dropped == 0
-
-    def test_recorder_via_telemetry(self):
-        _engine, telemetry = run_with_telemetry(
-            buffered_pipeline(items=30), recorder_capacity=8
-        )
-        assert telemetry.recorder is not None
-        assert len(telemetry.recorder) == 8
 
 
 class TestInertness:
@@ -261,8 +263,9 @@ class TestInertness:
         engine.start()
         engine.run()
         scheduler = engine.scheduler
-        assert scheduler._obs is None
-        assert scheduler._trace is None
+        assert {t.meter for t in scheduler.threads.values()} == {None}
+        with pytest.raises(SchedulerError):
+            scheduler.trace  # tracing is off
         assert scheduler.trace_dropped == 0
         # Every plant — one lane per gate, one hand per thread — is empty.
         assert [gate.lane for gate in engine._gates.values()] == [None]
@@ -405,6 +408,33 @@ class TestRateSensorBinding:
         assert sensor.sample() == 4
 
 
+def _ring_program(trace_limit=None):
+    """A seeded two-thread program — ticks at random instants make a
+    pinger do random work and message a ponger — on a trace of the
+    given shape."""
+    rng = random.Random(7)
+    scheduler = Scheduler(trace=True, trace_limit=trace_limit)
+
+    def ping(thread, message):
+        yield Work(rng.random() * 1e-3)
+        yield Send(Message(kind="pong", target="pong"))
+        return CONTINUE
+
+    scheduler.spawn("ping", ping, priority=2)
+    scheduler.spawn("pong", lambda thread, message: CONTINUE)
+    for index in range(20):
+        scheduler.after(
+            index * 1e-3 * rng.random(),
+            lambda: scheduler.post(Message(kind="tick", target="ping")),
+        )
+    scheduler.run()
+    return scheduler
+
+
+#: The program's full trace, which every ring below is a tail of.
+FULL = list(_ring_program().trace)
+
+
 class TestSchedulerTraceRing:
     def test_trace_limit_bounds_memory(self):
         scheduler = Scheduler(trace=True, trace_limit=8)
@@ -414,22 +444,30 @@ class TestSchedulerTraceRing:
 
         scheduler.spawn("a", code)
         for _ in range(30):
-            from repro.mbt.message import Message
-
             scheduler.post(Message(kind="tick", sender="x", target="a"))
         scheduler.run()
         assert len(scheduler.trace) == 8
         assert scheduler.trace_dropped > 0
 
     def test_default_trace_unbounded(self):
-        scheduler = Scheduler(trace=True)
-        assert scheduler.trace == []
-        scheduler._record("x")
-        assert isinstance(scheduler._trace, list)
+        scheduler = _ring_program()
+        assert scheduler.trace.maxlen is None
+        assert scheduler.trace_dropped == 0 and len(FULL) > 60
+
+    @pytest.mark.parametrize("limit", [1, 7, len(FULL), len(FULL) + 5])
+    def test_ring_is_the_tail_of_the_full_trace(self, limit):
+        scheduler = _ring_program(trace_limit=limit)
+        assert list(scheduler.trace) == FULL[-limit:]
+        assert scheduler.trace_dropped == max(0, len(FULL) - limit)
 
     def test_enable_trace_is_idempotent(self):
         scheduler = Scheduler()
-        scheduler.enable_trace(limit=4)
-        ring = scheduler._trace
-        scheduler.enable_trace(limit=99)
-        assert scheduler._trace is ring
+        scheduler.enable_trace()
+        full = scheduler.trace
+        scheduler.enable_trace()
+        assert scheduler.trace is full and full.maxlen is None
+        # A ring widens to the full record and keeps what it holds.
+        ring = _ring_program(trace_limit=3)
+        kept = list(ring.trace)
+        ring.enable_trace()
+        assert ring.trace.maxlen is None and list(ring.trace) == kept

@@ -604,10 +604,11 @@ by nothing at all.
 """
 
 DELETED_HEADER = """
-## Deleted in ISSUEs 21 and 22
+## Deleted in ISSUEs 21, 22 and 25
 
 Measured at the parent commit of each issue (70f6951; 23dc996 for the
-ISSUE 22 block at the end), where these rows stood.  A test is listed
+ISSUE 22 block, 63561ee for the ISSUE 25 block at the end), where these
+rows stood.  A test is listed
 only when the deleted name was its sole subject.
 
 | function | lines | reached at the parent by | verdict | tests deleted with it |

@@ -28,8 +28,8 @@ VERDICTS = {
     "exception": "a documented extension with no real driver: kept for now, "
                  "names the workload or PR it is owed; the list may only "
                  "shrink.",
-    "deleted": "gone in ISSUE 21 or 22 (listed under \"Deleted\" below the "
-               "rows).",
+    "deleted": "gone in ISSUE 21, 22 or 25 (listed under \"Deleted\" below "
+               "the rows).",
 }
 
 OPEN_10K = ("owed ROADMAP 1(a) `fabric-open-10k` (open / park / unpark / "
@@ -43,8 +43,6 @@ ZIP = ("owed a joining workload (two flows zipped at a buffer) — or the "
        "next diet")
 SUBSTRATE = ("owed a substrate caller (`Scheduler.post_many` delivers per "
              "message, nothing drains a mailbox) — or the next diet")
-RECORDER = ("owed ROADMAP 3(b)/(d): the recorder ring as a view, errors "
-            "carrying its tail")
 CROSSING = ("owed ROADMAP 3(a): an instrumented run with a coroutine "
             "crossing (`fig9a-obs` has none)")
 
@@ -94,7 +92,7 @@ RULES = [
     ("repro.obs.dashboard:Dashboard.run_curses", "tested here",
      "`tests/obs/test_dashboard.py::TestDashboardLoop::test_curses_loop_"
      "draws_clips_and_quits` (a scripted screen; CI has no terminal)"),
-    ("repro.obs.sched:SchedulerProbe.on_donation", "tested here",
+    ("repro.obs.sched:ThreadMeter.on_donation", "tested here",
      "`tests/obs/test_telemetry.py::TestSchedulerProbe::test_priority_"
      "donations_are_counted_for_the_callee`"),
 
@@ -142,9 +140,6 @@ RULES = [
      "a joined item"),
     ("repro.obs.flow:FlowTrace.parent", "exception", ZIP + "; lineage of a "
      "joined item"),
-    ("repro.obs.recorder:FlightRecorder.*", "exception", RECORDER),
-    ("repro.mbt.scheduler:Scheduler.enable_trace", "exception",
-     RECORDER + "; the ring's switch"),
     ("repro.components.sources:IterSource.pull_many", "exception",
      "owed ROADMAP 1(b) `fabric-mux-batched`: the tenants' source at "
      "`batch_max=32` (the `fig9a` chains pull it through a producer, an "
@@ -152,7 +147,7 @@ RULES = [
     ("repro.obs.flow:Hand.depart", "exception", CROSSING),
     ("repro.obs.flow:Hand.arrive", "exception", CROSSING),
     ("repro.runtime.section:_item_data_count", "exception", CROSSING),
-    ("repro.obs.sched:SchedulerProbe.on_cpu", "exception",
+    ("repro.obs.sched:ThreadMeter.on_cpu", "exception",
      "owed ROADMAP 3(a): an instrumented run whose stages charge virtual "
      "CPU (`fig9a-obs` charges none)"),
     ("repro.obs.dashboard:MetricsServer.*", "exception",
@@ -315,6 +310,12 @@ RULES = [
     ("repro.mbt.tracing:format_*", "verification",
      "the checker's output: the one trace formatter deadlock reports and "
      "exploration failures quote"),
+    ("repro.mbt.tracing:_retained", "verification",
+     "the checker's output: what `format_tail` quotes"),
+    ("repro.mbt.tracing:dump_on", "verification",
+     "error path: the flight recorder's dump (the trace ring's tail) "
+     "attached to an escaping violation; owed ROADMAP 3(d), errors "
+     "carrying their own tail"),
     ("repro.mbt.scheduler:Scheduler.trace_events", "verification",
      "trace inspection: the switch / block events the scheduler tests "
      "assert on"),
@@ -569,6 +570,16 @@ DELETED: list[tuple[str, int, str, str]] = [
     ("repro.check.explorer:_trace_tail", 12,
      "check/test_explorer.py, check/test_refinement.py, +3 more",
      "none (now `mbt.tracing.format_tail`)"),
+    # ISSUE 25 (measured at its parent, 63561ee): the flight recorder is
+    # the trace ring, scheduler metrics are planted on the thread.
+    ("repro.obs.recorder:FlightRecorder (8 methods; the module was 116 "
+     "lines), `DEFAULT_CAPACITY`, `Telemetry(recorder_capacity=)` / "
+     "`Telemetry.recorder`", 75, "obs/test_flow.py, obs/test_telemetry.py",
+     "`TestFlightRecorder::test_recorder_via_telemetry` (the ring and "
+     "`dump_on` tests now start the ring with the trace limit)"),
+    ("repro.obs.sched:SchedulerProbe._thread_counters / _bump (the "
+     "name-routing table; the five hooks moved to `ThreadMeter`, planted "
+     "on the thread)", 34, "D1-D4", "none"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
