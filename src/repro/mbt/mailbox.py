@@ -110,7 +110,8 @@ class Mailbox:
         return len(self._heap)
 
     def _ordered_entries(self) -> list[tuple[float, float, int, Message]]:
-        """Heap entries in delivery order (shared by ``__iter__``/``clear``)."""
+        """Heap entries in delivery order (shared by ``__iter__`` and
+        ``snapshot``)."""
         return sorted(self._heap)
 
     def __iter__(self) -> Iterator[Message]:
@@ -128,11 +129,3 @@ class Mailbox:
             (entry[3].kind, entry[3].sender)
             for entry in self._ordered_entries()
         ]
-
-    def clear(self) -> list[Message]:
-        """Drop and return all queued messages (delivery order)."""
-        drained = [entry[3] for entry in self._ordered_entries()]
-        self._heap.clear()
-        if drained and self._listener is not None:
-            self._listener()
-        return drained

@@ -49,6 +49,13 @@ banked credit.  Parked threads (quiesced sessions, see
 :meth:`park_thread`) are excluded from ``is_ready`` and therefore hold no
 heap entry at all: dispatch cost is independent of the number of idle
 sessions, and :meth:`unpark_thread` is a single heap push.
+With ``fair_quantum`` > 1 a tenant holds the CPU for a burst of
+dispatches, and a greedy pump's self-posted next ``cycle`` is a
+:class:`~repro.mbt.syscalls.Repost`: when the burst predicate
+(:meth:`_holds_burst`) says the thread is picked next anyway and it has
+nothing queued, the scheduler books the dispatch — step, fair charge,
+meter, trace — and resumes the generator in place.  A step stays the
+fairness unit; only the message, mailbox round trip and heap visit go.
 
 Before-idle callbacks
 ---------------------
@@ -121,6 +128,7 @@ from repro.mbt.syscalls import (
     Exit,
     Receive,
     Reply,
+    Repost,
     Send,
     Sleep,
     Syscall,
@@ -300,6 +308,9 @@ class Scheduler:
         #: One-shot :meth:`before_idle` callbacks of the run in progress;
         #: None outside :meth:`run`.
         self._before_idle: list[Callable[[], None]] | None = None
+        #: ``(until, max_steps)`` of the run in progress: a taken Repost
+        #: is a step, so it must be one that run would still make.
+        self._limits: tuple[float | None, int | None] = (None, None)
 
     # ------------------------------------------------------------ threads
 
@@ -534,6 +545,7 @@ class Scheduler:
         nested = self._before_idle is not None
         if not nested:
             self._before_idle = []
+        outer, self._limits = self._limits, (until, max_steps)
         try:
             while True:
                 if max_steps is not None and self.steps >= max_steps:
@@ -560,6 +572,7 @@ class Scheduler:
                     continue
                 self._run_thread(thread)
         finally:
+            self._limits = outer
             if not nested:  # any exit; registering is refused from now
                 self._fire_before_idle(None)
 
@@ -595,52 +608,57 @@ class Scheduler:
         Tombstones any previous entry (discarded lazily at the heap top)
         and, when the thread is ready and not currently dispatched, pushes
         a fresh entry keyed exactly like the reference linear scan:
-        ``(*effective_sort_key(), last_ran, index)``.
+        ``(*effective_sort_key(), last_ran, index)``, with the tenant's
+        virtual time after the priority.  An entry still at ``heap[0]`` —
+        the dispatched thread of a saturated fabric going straight back
+        with a later virtual time — is swapped in one
+        :func:`heapq.heapreplace` sift instead of the tombstone + push +
+        lazy-pop triple, which halves the heap traffic per dispatch at
+        thousand-tenant scale.
         """
         if thread is self._current:
             # Deferred: _run_thread refreshes the entry once the dispatch
             # settles (see _reindex_after_dispatch), so mid-dispatch key
-            # churn — the self-repost of every pump cycle — costs nothing.
+            # churn — a declined Repost's self-message — costs nothing.
             return
-        entry = thread._heap_entry
-        if entry is not None:
-            entry[6] = None
+        heap = self._ready_heap
+        old = thread._heap_entry
+        if old is not None:
+            old[6] = None
             thread._heap_entry = None
+        if not thread.terminated and thread.is_ready():
+            meter = thread.meter
+            if meter is not None and meter.ready_since is None:
+                meter.ready_since = self._clock_now()
+            key = thread.effective_sort_key()
+            tenant = thread._tenant
+            if tenant is None:
+                vtime = 0.0
+            else:
+                vtime = tenant.vtime
+                floor = self._fair_clock
+                if vtime < floor:
+                    # Waking from idle: no banked credit.
+                    vtime = tenant.vtime = floor
+            entry = [
+                key[0], vtime, key[1], thread._last_ran, thread._index,
+                next(self._ready_seq), thread,
+            ]
+            thread._heap_entry = entry
+            if key[1] != _INF and self._burst_thread is not None:
+                self._deadline_push = True
+            if old is not None and heap[0] is old:
+                heapq.heapreplace(heap, entry)
+                return
+            heapq.heappush(heap, entry)
+        if old is not None:
             stale = self._ready_stale + 1
             self._ready_stale = stale
             # Lazy invalidation only pops tombstones that surface at the
             # heap top; mid-heap ones from key churn on rarely-picked
             # threads would otherwise accumulate without bound.
-            if stale > 64 and 3 * stale > 2 * len(self._ready_heap):
+            if stale > 64 and 3 * stale > 2 * len(heap):
                 self._compact_ready_heap()
-        if thread.terminated or not thread.is_ready():
-            return
-        meter = thread.meter
-        if meter is not None and meter.ready_since is None:
-            meter.ready_since = self._clock_now()
-        key = thread.effective_sort_key()
-        tenant = thread._tenant
-        if tenant is None:
-            vtime = 0.0
-        else:
-            vtime = tenant.vtime
-            floor = self._fair_clock
-            if vtime < floor:
-                # Waking from idle: no banked credit.
-                vtime = tenant.vtime = floor
-        entry = [
-            key[0],
-            vtime,
-            key[1],
-            thread._last_ran,
-            thread._index,
-            next(self._ready_seq),
-            thread,
-        ]
-        thread._heap_entry = entry
-        heapq.heappush(self._ready_heap, entry)
-        if key[1] != _INF and self._burst_thread is not None:
-            self._deadline_push = True
 
     def _reindex_after_dispatch(self, thread: MThread) -> None:
         """Refresh the dispatched thread's heap entry (hot path).
@@ -650,74 +668,10 @@ class Scheduler:
         CPU straight back, so a quantum of Q touches the heap once per Q
         dispatches instead of once per dispatch.
         """
-        if (
-            thread is self._burst_thread
-            and self._burst_left > 0
-            and not self._deadline_push
-            and self.choice_hook is None
-            and not thread.terminated
-            and thread.is_ready()
-        ):
-            return
-        if thread is self._burst_thread:
-            self._burst_thread = None
-            self._burst_left = 0
-        self._refresh_entry(thread)
-
-    def _refresh_entry(self, thread: MThread) -> None:
-        """Re-key the dispatched thread's heap entry.
-
-        The thread came off the heap top and — in the steady state of a
-        saturated fabric — goes straight back with a later virtual time.
-        When its pre-dispatch entry is still sitting at ``heap[0]`` the
-        swap is a single :func:`heapq.heapreplace` sift instead of the
-        generic tombstone + push + lazy-pop triple, which halves the
-        heap traffic per dispatch at thousand-tenant scale.
-        """
-        heap = self._ready_heap
-        entry = thread._heap_entry
-        if thread.terminated or not thread.is_ready():
-            if entry is not None:
-                entry[6] = None
-                thread._heap_entry = None
-                stale = self._ready_stale + 1
-                self._ready_stale = stale
-                if stale > 64 and 3 * stale > 2 * len(heap):
-                    self._compact_ready_heap()
-            return
-        meter = thread.meter
-        if meter is not None and meter.ready_since is None:
-            meter.ready_since = self._clock_now()
-        key = thread.effective_sort_key()
-        tenant = thread._tenant
-        if tenant is None:
-            vtime = 0.0
-        else:
-            vtime = tenant.vtime
-            floor = self._fair_clock
-            if vtime < floor:
-                # Waking from idle: no banked credit.
-                vtime = tenant.vtime = floor
-        new_entry = [
-            key[0],
-            vtime,
-            key[1],
-            thread._last_ran,
-            thread._index,
-            next(self._ready_seq),
-            thread,
-        ]
-        thread._heap_entry = new_entry
-        if entry is not None:
-            if heap and heap[0] is entry:
-                entry[6] = None
-                heapq.heapreplace(heap, new_entry)
-                return
-            # Displaced mid-heap (hooked pick, or a more urgent arrival
-            # sifted past it): fall back to tombstone + push.
-            entry[6] = None
-            self._ready_stale += 1
-        heapq.heappush(heap, new_entry)
+        if thread is not self._burst_thread:
+            self._reindex(thread)
+        elif not self._holds_burst(thread):
+            self._finish_burst()
 
     def _compact_ready_heap(self) -> None:
         """Rebuild the ready heap without tombstones.
@@ -730,36 +684,39 @@ class Scheduler:
         self._ready_heap = heap
         self._ready_stale = 0
 
+    def _holds_burst(self, thread: MThread) -> bool:
+        """The burst predicate: ``thread`` takes its next dispatch with no
+        heap visit — it holds the burst with quantum left, no deadline
+        entry or choice hook asks for a fair re-evaluation, it is ready
+        (mid-dispatch: live and unparked), and no rival that displaced
+        its stale entry at the top is more urgent ignoring virtual time.
+        Quantum-bounded vtime unfairness is the point of a burst, but
+        priority and deadline urgency rotate at once."""
+        if (
+            thread is not self._burst_thread
+            or self._burst_left <= 0
+            or self._deadline_push
+            or self.choice_hook is not None
+            or not thread.is_ready()
+        ):
+            return False
+        top = self._peek_live()
+        if top is None or top[6] is thread:
+            return True
+        key = thread.effective_sort_key()
+        return not (
+            top[0] < key[0] or (top[0] == key[0] and top[2] < key[1])
+        )
+
     def _pick_ready(self) -> MThread | None:
-        if self.choice_hook is not None:
-            if self._burst_thread is not None:
-                self._finish_burst()
-            return self._pick_ready_hooked()
         burst = self._burst_thread
         if burst is not None:
-            if (
-                self._burst_left > 0
-                and not self._deadline_push
-                and not burst.terminated
-                and burst.is_ready()
-            ):
-                top = self._peek_live()
-                if top is None or top[6] is burst:
-                    self._burst_left -= 1
-                    return burst
-                # Someone displaced the burst thread's (stale) entry at
-                # the top.  Keep bursting unless the rival is strictly
-                # more urgent ignoring virtual time — quantum-bounded
-                # vtime unfairness is the whole point, but priority and
-                # deadline urgency rotate immediately.
-                key = burst.effective_sort_key()
-                if not (
-                    top[0] < key[0]
-                    or (top[0] == key[0] and top[2] < key[1])
-                ):
-                    self._burst_left -= 1
-                    return burst
+            if self._holds_burst(burst):
+                self._burst_left -= 1
+                return burst
             self._finish_burst()
+        if self.choice_hook is not None:
+            return self._pick_ready_hooked()
         heap = self._ready_heap
         while heap:
             thread = heap[0][6]
@@ -791,7 +748,7 @@ class Scheduler:
         self._burst_thread = None
         self._burst_left = 0
         if thread is not None:
-            self._refresh_entry(thread)
+            self._reindex(thread)
 
     def _ready_candidates(self) -> list[MThread]:
         """The equally most urgent ready threads, default dispatch order.
@@ -924,21 +881,9 @@ class Scheduler:
                     thread.name,
                 )
             self._last_running = thread
-        self.steps += 1
-        thread._last_ran = next(self._run_seq)
-
-        tenant = thread._tenant
-        if tenant is not None:
-            # Start-time fair queueing: the fair clock follows the virtual
-            # start of the thread in service; the tenant is then charged
-            # one quantum scaled by its weight.
-            self._fair_clock = tenant.vtime
-            tenant.vtime += tenant._inv_weight
-            tenant.dispatches += 1
-
+        self._account(thread)
         meter = thread.meter
         if meter is not None:
-            meter.on_dispatch(self._clock_now())
             wall_start = _perf_counter()
 
         # The thread's heap entry stays live (usually at heap[0]) for the
@@ -979,6 +924,21 @@ class Scheduler:
             if meter is not None:
                 meter.on_wall(_perf_counter() - wall_start)
 
+    def _account(self, thread: MThread) -> None:
+        """A dispatch's bookkeeping, for a message or a taken Repost."""
+        self.steps += 1
+        thread._last_ran = next(self._run_seq)
+        tenant = thread._tenant
+        if tenant is not None:
+            # Start-time fair queueing: the fair clock follows the virtual
+            # start of the thread in service; the tenant is then charged
+            # one quantum scaled by its weight.
+            self._fair_clock = tenant.vtime
+            tenant.vtime += tenant._inv_weight
+            tenant.dispatches += 1
+        if thread.meter is not None:
+            thread.meter.on_dispatch(self._clock_now())
+
     def _drive(self, thread: MThread, first: bool = False) -> None:
         """Advance the thread's generator until it blocks or completes."""
         gen = thread._gen
@@ -1012,18 +972,37 @@ class Scheduler:
                 if not message.sender:
                     message.sender = thread.name
                 self._deliver(message)
-                if message.target == thread.name and thread._tenant is not None:
-                    # A tenanted thread re-posting to itself (the greedy
-                    # pump loop): with many backlogged tenants some peer
-                    # is ALWAYS more urgent, and preempting here would
-                    # strand the continuation's trailing bookkeeping in a
-                    # second, do-nothing dispatch — doubling the fabric's
-                    # per-item dispatch cost.  The tenant was charged at
-                    # dispatch start; finishing the generator now steals
-                    # nothing.  Untenanted threads keep the preemption
-                    # point, bit-for-bit.
-                    continue
                 if self._preempt_if_needed(thread):
+                    return
+                continue
+
+            if request_type is Repost:
+                # Only a burst thread can take one: the rest decline in
+                # one test, with no call.
+                if (
+                    thread is self._burst_thread
+                    and self._takes_repost(thread, request)
+                ):
+                    # Taken: what run() would do next — pick the burst
+                    # thread again and dispatch its self-message.
+                    self._burst_left -= 1
+                    self._account(thread)
+                    meter = thread.meter
+                    if meter is not None and request.constraint is not None:
+                        meter.on_constraint()
+                    if self._trace is not None:
+                        self._record("dispatch", thread.name, request.kind)
+                    value = True
+                    continue
+                name = thread.name
+                self._deliver(Message(
+                    kind=request.kind, sender=name, target=name,
+                    constraint=request.constraint,
+                ))
+                # Declined: Send's delivery.  A tenanted thread has no
+                # preemption point: a peer is always more urgent, and the
+                # code function's return would cost a do-nothing dispatch.
+                if thread._tenant is None and self._preempt_if_needed(thread):
                     return
                 continue
 
@@ -1123,6 +1102,22 @@ class Scheduler:
             return
 
     # ------------------------------------------------------------ helpers
+
+    def _takes_repost(self, thread: MThread, request: Repost) -> bool:
+        """Whether run() would dispatch ``request``'s self-message next
+        with nothing in between: the burst holds, nothing is queued ahead
+        of it (a control event would run first), no delivery interceptor
+        must see it, it keeps the running message's constraint, and
+        run's step and time limits allow one more step."""
+        until, max_steps = self._limits
+        return (
+            not thread.mailbox._heap
+            and self.delivery_interceptor is None
+            and thread._current_message.constraint is request.constraint
+            and (max_steps is None or self.steps < max_steps)
+            and (until is None or self._clock_now() <= until + _EPS)
+            and self._holds_burst(thread)
+        )
 
     @staticmethod
     def _call_constraint(thread: MThread, request: Call) -> Constraint | None:

@@ -34,7 +34,7 @@ from repro.mbt.constraints import Constraint
 from repro.mbt.coroutine import Done, Suspendable
 from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler
-from repro.mbt.syscalls import CONTINUE, Reply, Send, Work
+from repro.mbt.syscalls import CONTINUE, Reply, Repost, Work
 from repro.mbt.timers import PeriodicTimer
 from repro.runtime.bridge import PendingEmits, ReplayIntake, build_suspendable
 from repro.runtime.section import (
@@ -86,7 +86,8 @@ class PumpDriver:
         self.flush_eos = 0
         self._origin_drain = self.origin.drain_cost
         self._max_items = self.origin.max_items
-        self._cycle_constraint = self.data_constraint()
+        #: The greedy loop's request for its next cycle (compile_walkers).
+        self._repost: Repost | None = None
         #: An active source's ``generate`` (bound by compile_walkers, which
         #: hooks it like any source's plain entry).
         self._generate = None
@@ -144,7 +145,7 @@ class PumpDriver:
         if section.pull_root is None:
             self._generate = plant_source(self.ctx, self.origin.generate)
         self._max_items = self.origin.max_items
-        self._cycle_constraint = self.data_constraint()
+        self._repost = Repost("cycle", self.data_constraint())
         # Batch mode is a compile-time decision: only greedy pumps whose
         # effective batch limit exceeds 1 get the batched cycle and the
         # batch walkers.  At the default batch_max=1 nothing here runs,
@@ -225,195 +226,184 @@ class PumpDriver:
     # -- one cycle -----------------------------------------------------------
 
     def _run_cycle(self, repost: bool):
-        """One pump cycle plus the post-cycle trailer (self-repost for the
-        greedy loop, running-state resync) in a single generator."""
-        self.cycles += 1
+        """Pump cycles plus the post-cycle trailer (:meth:`_loops`) in a
+        single generator: while the scheduler takes the greedy loop's
+        :class:`Repost`, the next cycle runs here, with no message."""
         origin = self.origin
-        pull = self._pull_walker
-        push = self._push_walker
-        # The thread's hand (repro.obs) while a collector is attached: it
-        # is told when the cycle's items are all moved, and — an active
-        # sink's walker being this loop — what the origin consumed.
-        hand = self.ctx.hand
-        if hand is not None:
-            cycle_start = hand.now()
+        while True:
+            self.cycles += 1
+            pull = self._pull_walker
+            push = self._push_walker
+            # The thread's hand (repro.obs) while a collector is attached: it
+            # is told when the cycle's items are all moved, and — an active
+            # sink's walker being this loop — what the origin consumed.
+            hand = self.ctx.hand
+            if hand is not None:
+                cycle_start = hand.now()
 
-        if pull is not None:
-            item = yield from pull()
-        else:
-            item = self._generate()
-            cost = self._origin_drain()
-            if cost > 0.0:
-                yield Work(cost)
-
-        if item is NIL:
-            self.nil_cycles += 1
-            if self.timer is None:
-                self._enter_waiting()
-        elif item is EOS:
-            if push is not None:
-                yield from push(EOS)
-            self.finish()
-        else:
             if pull is not None:
-                origin.stats["items_in"] += 1
+                item = yield from pull()
             else:
-                origin.stats["items_out"] += 1
-
-            if push is not None:
-                yield from push(item)
-                if pull is not None:
-                    origin.stats["items_out"] += 1
-            else:
-                # Active sink: consume in place.
-                origin.consume(item)
+                item = self._generate()
                 cost = self._origin_drain()
                 if cost > 0.0:
                     yield Work(cost)
-                if hand is not None:
-                    hand.deliver(origin.name, 1)
 
-            if hand is not None:
-                hand.cycle_end(cycle_start, 1)
-            self.items_moved += 1
-            max_items = self._max_items
-            if max_items is not None and self.items_moved >= max_items:
-                # A bounded origin ends the stream: tell downstream.
+            if item is NIL:
+                self.nil_cycles += 1
+                if self.timer is None:
+                    self._enter_waiting()
+            elif item is EOS:
                 if push is not None:
                     yield from push(EOS)
                 self.finish()
+            else:
+                if pull is not None:
+                    origin.stats["items_in"] += 1
+                else:
+                    origin.stats["items_out"] += 1
 
-        if repost:
-            message = self._next_cycle()
-            if message is not None:
-                yield Send(message)
+                if push is not None:
+                    yield from push(item)
+                    if pull is not None:
+                        origin.stats["items_out"] += 1
+                else:
+                    # Active sink: consume in place.
+                    origin.consume(item)
+                    cost = self._origin_drain()
+                    if cost > 0.0:
+                        yield Work(cost)
+                    if hand is not None:
+                        hand.deliver(origin.name, 1)
+
+                if hand is not None:
+                    hand.cycle_end(cycle_start, 1)
+                self.items_moved += 1
+                max_items = self._max_items
+                if max_items is not None and self.items_moved >= max_items:
+                    # A bounded origin ends the stream: tell downstream.
+                    if push is not None:
+                        yield from push(EOS)
+                    self.finish()
+
+            if not self._loops(repost) or not (yield self._repost):
                 return CONTINUE
-        self.sync_running_state()
-        return CONTINUE
 
     def _run_cycle_batch(self, repost: bool):
-        """One batched pump cycle: drain up to the policy's batch size per
-        scheduler message (tentpole of the batched data plane).
+        """Batched pump cycles: drain up to the policy's batch size per
+        scheduler dispatch (tentpole of the batched data plane).
 
         The run conventions mirror the per-item cycle exactly — an empty
         run is a nil cycle, a trailing EOS ends the stream through the
         per-item push walker (so fan-out and sink bookkeeping stay exact),
-        and stats count individual items.  The post-cycle trailer is
-        identical to :meth:`_run_cycle`.
+        and stats count individual items.  The post-cycle trailer and the
+        Repost loop are :meth:`_run_cycle`'s.
         """
-        self.cycles += 1
         origin = self.origin
-        pull_many = self._pull_many
-        push_many = self._push_many
-        hand = self.ctx.hand
-        if hand is not None:
-            cycle_start = hand.now()
+        while True:
+            self.cycles += 1
+            pull_many = self._pull_many
+            push_many = self._push_many
+            hand = self.ctx.hand
+            if hand is not None:
+                cycle_start = hand.now()
 
-        n = self._pump_batch_max
-        if n is None:
-            n = self.engine.batch_max
-        max_items = self._max_items
-        if max_items is not None:
-            headroom = max_items - self.items_moved
-            if headroom < n:
-                n = headroom if headroom > 0 else 1
+            n = self._pump_batch_max
+            if n is None:
+                n = self.engine.batch_max
+            max_items = self._max_items
+            if max_items is not None:
+                headroom = max_items - self.items_moved
+                if headroom < n:
+                    n = headroom if headroom > 0 else 1
 
-        if pull_many is not None:
-            run = yield from pull_many(n)
-        else:
-            # Active source: drain up to n generated items.
-            run = []
-            generate = self._generate
-            while len(run) < n:
-                item = generate()
-                if item is NIL:
-                    break
-                run.append(item)
-                if item is EOS:
-                    break
-            cost = self._origin_drain()
-            if cost > 0.0:
-                yield Work(cost)
-
-        eos = ends_in_eos(run)
-        data = run[:-1] if eos else run
-
-        if data:
-            count = len(data)
             if pull_many is not None:
-                origin.stats["items_in"] += count
+                run = yield from pull_many(n)
             else:
-                origin.stats["items_out"] += count
-
-            if push_many is not None:
-                yield from push_many(data)
-                if pull_many is not None:
-                    origin.stats["items_out"] += count
-            else:
-                # Active sink: consume in place.
-                consume = origin.consume
-                for item in data:
-                    consume(item)
+                # Active source: drain up to n generated items.
+                run = []
+                generate = self._generate
+                while len(run) < n:
+                    item = generate()
+                    if item is NIL:
+                        break
+                    run.append(item)
+                    if item is EOS:
+                        break
                 cost = self._origin_drain()
                 if cost > 0.0:
                     yield Work(cost)
+
+            eos = ends_in_eos(run)
+            data = run[:-1] if eos else run
+
+            if data:
+                count = len(data)
+                if pull_many is not None:
+                    origin.stats["items_in"] += count
+                else:
+                    origin.stats["items_out"] += count
+
+                if push_many is not None:
+                    yield from push_many(data)
+                    if pull_many is not None:
+                        origin.stats["items_out"] += count
+                else:
+                    # Active sink: consume in place.
+                    consume = origin.consume
+                    for item in data:
+                        consume(item)
+                    cost = self._origin_drain()
+                    if cost > 0.0:
+                        yield Work(cost)
+                    if hand is not None:
+                        hand.deliver(origin.name, count)
+
                 if hand is not None:
-                    hand.deliver(origin.name, count)
+                    # Weighted by the items inside the run, so stage-latency
+                    # percentiles in stats.summary() count items, not runs.
+                    hand.cycle_end(cycle_start, count)
+                self.items_moved += count
+                self.batches += 1
+                self.batched_items += count
+                if eos:
+                    self.flush_eos += 1
+                elif count >= n:
+                    self.flush_full += 1
+                else:
+                    self.flush_dry += 1
+            elif not eos:
+                self.nil_cycles += 1
+                if self.timer is None:
+                    self._enter_waiting()
 
-            if hand is not None:
-                # Weighted by the items inside the run, so stage-latency
-                # percentiles in stats.summary() count items, not runs.
-                hand.cycle_end(cycle_start, count)
-            self.items_moved += count
-            self.batches += 1
-            self.batched_items += count
-            if eos:
-                self.flush_eos += 1
-            elif count >= n:
-                self.flush_full += 1
-            else:
-                self.flush_dry += 1
-        elif not eos:
-            self.nil_cycles += 1
-            if self.timer is None:
-                self._enter_waiting()
+            if eos or (
+                max_items is not None and self.items_moved >= max_items
+            ):
+                push = self._push_walker
+                if push is not None:
+                    yield from push(EOS)
+                self.finish()
 
-        if eos or (
-            max_items is not None and self.items_moved >= max_items
-        ):
-            push = self._push_walker
-            if push is not None:
-                yield from push(EOS)
-            self.finish()
-
-        if repost:
-            message = self._next_cycle()
-            if message is not None:
-                yield Send(message)
+            if not self._loops(repost) or not (yield self._repost):
                 return CONTINUE
-        self.sync_running_state()
-        return CONTINUE
 
-    def _next_cycle(self) -> Message | None:
-        """The greedy loop's self-addressed next ``cycle`` message, or
-        None (loop marked inactive) when it must not repost.  While it
-        reposts the loop is provably still active (running, not finished,
-        not waiting, timerless), so the caller skips the running-state
-        resync, which would be a no-op."""
-        if (
-            self.origin.running
-            and not self.finished
-            and not self.waiting_for_data
-        ):
-            name = self.thread_name
-            return Message(
-                kind="cycle",
-                sender=name,
-                target=name,
-                constraint=self._cycle_constraint,
-            )
-        self._loop_active = False
-        return None
+    def _loops(self, repost: bool) -> bool:
+        """The post-cycle trailer: True when the greedy loop goes on — it
+        is still running, not finished, not waiting for data and (having
+        no timer) needs no resync — so the caller yields its Repost.
+        Otherwise the loop is marked inactive and the running state
+        resynced."""
+        if repost:
+            if (
+                self.origin.running
+                and not self.finished
+                and not self.waiting_for_data
+            ):
+                return True
+            self._loop_active = False
+        self.sync_running_state()
+        return False
 
     def _enter_waiting(self) -> None:
         """Greedy pump found no data under a nil policy: sleep until any

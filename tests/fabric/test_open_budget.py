@@ -10,6 +10,7 @@ with the error class and message it always had — including when the bad
 edge was added behind composition's back.
 """
 
+import gc
 import sys
 
 import pytest
@@ -55,12 +56,21 @@ def count_calls(fn) -> int:
         if event == "call":
             calls += 1
 
+    # The collector runs finalizers (``__del__``, weakref callbacks) of
+    # whatever garbage earlier tests left, and a collection that fires
+    # inside the window counts their calls against the open: the budget
+    # then depends on which tests ran first.  Collect before, not during.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(previous)
+        if enabled:
+            gc.enable()
     # The profiler also sees the call of ``fn`` itself.
     return calls - 1
 

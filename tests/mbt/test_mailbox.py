@@ -84,15 +84,6 @@ def test_iteration_in_delivery_order_nondestructive():
     assert len(box) == 3
 
 
-def test_clear_returns_delivery_order():
-    box = Mailbox()
-    box.put(msg("b", priority=0))
-    box.put(msg("a", priority=5))
-    drained = box.clear()
-    assert [m.kind for m in drained] == ["a", "b"]
-    assert not box
-
-
 def test_equal_urgency_arrival_order_survives_selective_receive():
     """Regression for the single-pass selective receive: removing a middle
     message must not perturb the arrival order of the constraint-equal

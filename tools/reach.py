@@ -604,12 +604,12 @@ by nothing at all.
 """
 
 DELETED_HEADER = """
-## Deleted in ISSUEs 21, 22 and 25
+## Deleted
 
-Measured at the parent commit of each issue (70f6951; 23dc996 for the
-ISSUE 22 block, 63561ee for the ISSUE 25 block at the end), where these
-rows stood.  A test is listed
-only when the deleted name was its sole subject.
+Measured at the parent commit of the change that cut each block
+(70f6951; then 23dc996, 63561ee and 30d89ed for the later blocks, in
+order), where these rows stood.  A test is listed only when the deleted
+name was its sole subject.
 
 | function | lines | reached at the parent by | verdict | tests deleted with it |
 |---|---:|---|---|---|"""

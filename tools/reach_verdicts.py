@@ -28,8 +28,7 @@ VERDICTS = {
     "exception": "a documented extension with no real driver: kept for now, "
                  "names the workload or PR it is owed; the list may only "
                  "shrink.",
-    "deleted": "gone in ISSUE 21, 22 or 25 (listed under \"Deleted\" below "
-               "the rows).",
+    "deleted": "gone (listed under \"Deleted\" below the rows).",
 }
 
 OPEN_10K = ("owed ROADMAP 1(a) `fabric-open-10k` (open / park / unpark / "
@@ -41,8 +40,6 @@ HAND_PLACED = ("owed a hand-placed deploy run in D4 (`repro deploy --place`, "
                "tested in ISSUE 21) or a placement workload")
 ZIP = ("owed a joining workload (two flows zipped at a buffer) — or the "
        "next diet")
-SUBSTRATE = ("owed a substrate caller (`Scheduler.post_many` delivers per "
-             "message, nothing drains a mailbox) — or the next diet")
 CROSSING = ("owed ROADMAP 3(a): an instrumented run with a coroutine "
             "crossing (`fig9a-obs` has none)")
 
@@ -112,7 +109,6 @@ RULES = [
     ("repro.mbt.scheduler:Scheduler.parked_threads", "exception", OPEN_10K),
     ("repro.fabric.session:Session.set_weight", "exception", FAIRNESS),
     ("repro.mbt.scheduler:Tenant.weight*", "exception", FAIRNESS),
-    ("repro.mbt.scheduler:Scheduler._finish_burst", "exception", FAIRNESS),
     ("repro.fabric.session:SessionFabric.collect_metrics", "exception",
      "owed a `repro top` / `--metrics` run over a fabric in D4"),
     ("repro.fabric.session:SessionFabric.tenant_rows", "exception",
@@ -130,8 +126,10 @@ RULES = [
     ("repro.deploy.placement:Placement.explicit", "exception", HAND_PLACED),
     ("repro.deploy.placement:_resolve_explicit", "exception", HAND_PLACED),
     ("repro.deploy.placement:_segment_rep", "exception", HAND_PLACED),
-    ("repro.mbt.mailbox:Mailbox.put_many", "exception", SUBSTRATE),
-    ("repro.mbt.mailbox:Mailbox.clear", "exception", SUBSTRATE),
+    ("repro.mbt.mailbox:Mailbox.put_many", "exception",
+     "`bench/trace.py` names it as an `mbt.mailbox` probe target, so "
+     "deleting it orphans a probe (`harness.missing_probes`); owed a "
+     "substrate caller (`Scheduler.post_many` delivers per message)"),
     ("repro.components.buffers:ZipBuffer.*", "exception", ZIP),
     ("repro.components.buffers:Boundary.try_pull_many", "exception",
      ZIP + "; the per-item default only a zip still uses"),
@@ -322,6 +320,10 @@ RULES = [
     ("repro.mbt.scheduler:Scheduler._*_linear", "verification",
      "linear-scan oracle the ready queue is checked against (settled: stays "
      "in `mbt/scheduler.py`)"),
+    ("repro.mbt.scheduler:Scheduler._compact_ready_heap", "verification",
+     "error path: the bound on ready-heap tombstones under key churn on "
+     "rarely-picked threads, which `tests/mbt/test_batch_substrate.py` "
+     "drives past it; the drivers' fabrics leave too few tombstones"),
     ("repro.mbt.scheduler:Scheduler.inject_crash", "verification",
      "fault injection"),
     ("repro.mbt.scheduler:Scheduler._crash", "verification",
@@ -580,6 +582,9 @@ DELETED: list[tuple[str, int, str, str]] = [
     ("repro.obs.sched:SchedulerProbe._thread_counters / _bump (the "
      "name-routing table; the five hooks moved to `ThreadMeter`, planted "
      "on the thread)", 34, "D1-D4", "none"),
+    # ROADMAP 6(iii): nothing drains a mailbox.
+    ("repro.mbt.mailbox:Mailbox.clear", 7, "mbt/test_mailbox.py",
+     "`test_clear_returns_delivery_order`"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
