@@ -24,9 +24,9 @@ live entry per ready thread.  Whenever an event changes a thread's key or readin
 (message delivery, receive, donation, message start/finish, wait set or
 cleared, priority change) the thread notifies the scheduler via
 :meth:`_reindex`, which tombstones the old entry (lazily discarded at the
-heap top) and pushes a fresh one.  ``_pick_ready`` and
-``_exists_more_urgent_ready`` are then heap peeks — O(1) amortised, O(log
-n) worst case — and, because the entry key embeds the same
+heap top) and pushes a fresh one.  The pick, the burst, preemption,
+``Yield`` and Repost tests all peek at :meth:`_live_top` — O(1)
+amortised, O(log n) worst case — and, because the entry key embeds the same
 ``(sort key, last_ran, index)`` tuple the linear scan used, the pick order
 is *bit-for-bit identical* to the reference linear scan
 (:meth:`_pick_ready_linear`, kept for the property-based equivalence
@@ -50,12 +50,14 @@ banked credit.  Parked threads (quiesced sessions, see
 heap entry at all: dispatch cost is independent of the number of idle
 sessions, and :meth:`unpark_thread` is a single heap push.
 With ``fair_quantum`` > 1 a tenant holds the CPU for a burst of
-dispatches, and a greedy pump's self-posted next ``cycle`` is a
-:class:`~repro.mbt.syscalls.Repost`: when the burst predicate
-(:meth:`_holds_burst`) says the thread is picked next anyway and it has
-nothing queued, the scheduler books the dispatch — step, fair charge,
-meter, trace — and resumes the generator in place.  A step stays the
-fairness unit; only the message, mailbox round trip and heap visit go.
+dispatches.  A greedy pump's self-posted next ``cycle`` is a
+:class:`~repro.mbt.syscalls.Repost`: when ``run()`` would dispatch it
+next anyway — the thread holds its burst (:meth:`_holds_burst`) or,
+untenanted, no ready rival runs first — and nothing is queued, the
+scheduler books the dispatch (step, fair charge, meter, and the trace's
+``deliver`` / ``done`` / ``dispatch``) and resumes the generator in
+place.  A step stays the fairness unit and the trace a view of the
+schedule; only the message, mailbox round trip and heap visit go.
 
 Before-idle callbacks
 ---------------------
@@ -446,17 +448,38 @@ class Scheduler:
         """Inject a message from outside the scheduler (tests, devices)."""
         self._deliver(message)
 
-    def post_many(self, messages: Iterable[Message]) -> None:
-        """Inject a run of messages.
-
-        Delivery order, interception, and tracing are identical to calling
-        :meth:`post` once per message — this exists so batch producers
-        (e.g. a buffer gate waking a run of consumers) make one scheduler
-        call per run instead of one per message.
-        """
-        deliver = self._deliver
-        for message in messages:
-            deliver(message)
+    def post_many(self, messages: list[Message]) -> None:
+        """Inject a run of messages, exactly as :meth:`post` one by one
+        (order, interception, trace, ``messages_delivered``).  A run of
+        consecutive messages to one live target that is not blocked and
+        no interceptor must see enters its mailbox as one
+        :meth:`Mailbox.put_many`: the owner is re-keyed once per run (an
+        engine's event fan-out, a gate's wakes), not once per message.
+        Plain loops, not ``itertools.groupby``: an engine's ``stop()``
+        runs this cold, where every extra object touched is measurable
+        (``teardown_s``)."""
+        start, end = 0, len(messages)
+        while start < end:
+            name = messages[start].target
+            stop = start + 1
+            while stop < end and messages[stop].target == name:
+                stop += 1
+            run, start = messages[start:stop], stop
+            target = self.threads.get(name)
+            if (
+                self.delivery_interceptor is not None
+                or target is None
+                or target.terminated
+                or target._wait is not None
+            ):
+                for message in run:
+                    self._deliver(message)
+                continue
+            self.messages_delivered += len(run)
+            if self._trace is not None:
+                for message in run:
+                    self._record("deliver", message.kind, message.sender, name)
+            target.mailbox.put_many(run)
 
     def _deliver(self, message: Message) -> None:
         interceptor = self.delivery_interceptor
@@ -700,7 +723,7 @@ class Scheduler:
             or not thread.is_ready()
         ):
             return False
-        top = self._peek_live()
+        top = self._live_top()
         if top is None or top[6] is thread:
             return True
         key = thread.effective_sort_key()
@@ -717,29 +740,34 @@ class Scheduler:
             self._finish_burst()
         if self.choice_hook is not None:
             return self._pick_ready_hooked()
-        heap = self._ready_heap
-        while heap:
-            thread = heap[0][6]
-            if thread is None:
-                heapq.heappop(heap)
-                self._ready_stale -= 1
-                continue
-            if self.fair_quantum > 1 and thread._tenant is not None:
-                self._burst_thread = thread
-                self._burst_left = self.fair_quantum - 1
-                self._deadline_push = False
-            return thread
-        return None
+        top = self._live_top()
+        if top is None:
+            return None
+        thread = top[6]
+        if self.fair_quantum > 1 and thread._tenant is not None:
+            self._burst_thread = thread
+            self._burst_left = self.fair_quantum - 1
+            self._deadline_push = False
+        return thread
 
-    def _peek_live(self) -> list | None:
+    def _live_top(self, thread: MThread | None = None) -> list | None:
+        """The ready heap's live top entry that is not ``thread``'s.
+
+        Tombstones surfacing at the top are discarded, and so is
+        ``thread``'s own entry: the dispatched thread's pre-dispatch
+        entry is no rival, and the post-dispatch refresh re-inserts it.
+        """
         heap = self._ready_heap
         while heap:
             entry = heap[0]
-            if entry[6] is None:
-                heapq.heappop(heap)
+            occupant = entry[6]
+            if occupant is None:
                 self._ready_stale -= 1
-                continue
-            return entry
+            elif occupant is thread:
+                thread._heap_entry = None
+            else:
+                return entry
+            heapq.heappop(heap)
         return None
 
     def _finish_burst(self) -> None:
@@ -762,13 +790,7 @@ class Scheduler:
         for thread in self.threads.values():
             if not thread.is_ready():
                 continue
-            sort_key = thread.effective_sort_key()
-            tenant = thread._tenant
-            key = (
-                sort_key[0],
-                tenant.vtime if tenant is not None else 0.0,
-                sort_key[1],
-            )
+            key = self._fair_key(thread)
             if best is None or key < best:
                 best, candidates = key, [thread]
             elif key == best:
@@ -785,47 +807,23 @@ class Scheduler:
         return self.choice_hook(candidates)
 
     def _exists_more_urgent_ready(self, current: MThread) -> bool:
-        heap = self._ready_heap
-        while heap:
-            entry = heap[0]
-            if entry[6] is None:
-                heapq.heappop(heap)
-                self._ready_stale -= 1
-                continue
-            if entry[6] is current:
-                # The dispatched thread's own pre-charge entry is not a
-                # rival; evict it (the post-dispatch refresh re-inserts).
-                heapq.heappop(heap)
-                current._heap_entry = None
-                continue
-            key = current.effective_sort_key()
-            tenant = current._tenant
-            vtime = tenant.vtime if tenant is not None else 0.0
-            return entry[0] < key[0] or (
-                entry[0] == key[0]
-                and (
-                    entry[1] < vtime
-                    or (entry[1] == vtime and entry[2] < key[1])
-                )
-            )
-        return False
+        """The preemption test: a ready rival is strictly more urgent by
+        ``(priority, vtime, deadline)``."""
+        top = self._live_top(current)
+        if top is None:
+            return False
+        return (top[0], top[1], top[2]) < self._fair_key(current)
 
-    def _other_ready(self, current: MThread) -> bool:
-        heap = self._ready_heap
-        while heap:
-            occupant = heap[0][6]
-            if occupant is None:
-                heapq.heappop(heap)
-                self._ready_stale -= 1
-                continue
-            if occupant is current:
-                # The dispatched thread's own live entry; see
-                # _exists_more_urgent_ready.
-                heapq.heappop(heap)
-                current._heap_entry = None
-                continue
-            return True
-        return False
+    def _fair_key(self, thread: MThread) -> tuple[float, float, float]:
+        """``thread``'s ``(priority, vtime, deadline)``: its heap key
+        before the ``(last_ran, index)`` tie-break."""
+        sort_key = thread.effective_sort_key()
+        tenant = thread._tenant
+        return (
+            sort_key[0],
+            tenant.vtime if tenant is not None else 0.0,
+            sort_key[1],
+        )
 
     # -- reference implementations (equivalence oracle for tests) ----------
 
@@ -838,34 +836,17 @@ class Scheduler:
         for thread in self.threads.values():
             if not thread.is_ready():
                 continue
-            sort_key = thread.effective_sort_key()
-            tenant = thread._tenant
-            key = (
-                sort_key[0],
-                tenant.vtime if tenant is not None else 0.0,
-                sort_key[1],
-                thread._last_ran,
-                thread._index,
-            )
+            key = (*self._fair_key(thread), thread._last_ran, thread._index)
             if best_key is None or key < best_key:
                 best, best_key = thread, key
         return best
 
-    def _fair_key_linear(self, thread: MThread) -> tuple[float, float, float]:
-        sort_key = thread.effective_sort_key()
-        tenant = thread._tenant
-        return (
-            sort_key[0],
-            tenant.vtime if tenant is not None else 0.0,
-            sort_key[1],
-        )
-
     def _exists_more_urgent_ready_linear(self, current: MThread) -> bool:
-        current_key = self._fair_key_linear(current)
+        current_key = self._fair_key(current)
         for thread in self.threads.values():
             if thread is current or not thread.is_ready():
                 continue
-            if self._fair_key_linear(thread) < current_key:
+            if self._fair_key(thread) < current_key:
                 return True
         return False
 
@@ -977,24 +958,27 @@ class Scheduler:
                 continue
 
             if request_type is Repost:
-                # Only a burst thread can take one: the rest decline in
-                # one test, with no call.
-                if (
-                    thread is self._burst_thread
-                    and self._takes_repost(thread, request)
-                ):
-                    # Taken: what run() would do next — pick the burst
-                    # thread again and dispatch its self-message.
-                    self._burst_left -= 1
-                    self._account(thread)
+                name = thread.name
+                if self._takes_repost(thread, request):
+                    # Taken: what run() would do next — finish the message,
+                    # pick the thread again and dispatch its self-message —
+                    # booked and traced as that message would be.
+                    if self._trace is not None:
+                        self._record("deliver", request.kind, name, name)
+                        self._record("done", name)
                     meter = thread.meter
+                    if thread._tenant is not None:
+                        self._burst_left -= 1
+                    elif meter is not None:
+                        # The post-dispatch re-key's stamp: a zero wait.
+                        meter.ready_since = self._clock_now()
+                    self._account(thread)
                     if meter is not None and request.constraint is not None:
                         meter.on_constraint()
                     if self._trace is not None:
-                        self._record("dispatch", thread.name, request.kind)
+                        self._record("dispatch", name, request.kind)
                     value = True
                     continue
-                name = thread.name
                 self._deliver(Message(
                     kind=request.kind, sender=name, target=name,
                     constraint=request.constraint,
@@ -1077,7 +1061,7 @@ class Scheduler:
 
             if request_type is Yield:
                 thread._resume_value = None
-                if self._other_ready(thread):
+                if self._live_top(thread) is not None:
                     return
                 value = None
                 continue
@@ -1105,19 +1089,31 @@ class Scheduler:
 
     def _takes_repost(self, thread: MThread, request: Repost) -> bool:
         """Whether run() would dispatch ``request``'s self-message next
-        with nothing in between: the burst holds, nothing is queued ahead
-        of it (a control event would run first), no delivery interceptor
-        must see it, it keeps the running message's constraint, and
-        run's step and time limits allow one more step."""
+        with nothing in between: nothing is queued ahead of it (a control
+        event would run first), no interceptor or choice hook must see
+        it, it keeps the running message's constraint, run's step and
+        time limits allow one more step, and the thread is picked next:
+        its burst holds, or, untenanted, the live heap top is strictly
+        less urgent by ``(priority, vtime, deadline)`` — on a tie the
+        rival, having run longer ago, is picked."""
         until, max_steps = self._limits
-        return (
-            not thread.mailbox._heap
-            and self.delivery_interceptor is None
-            and thread._current_message.constraint is request.constraint
-            and (max_steps is None or self.steps < max_steps)
-            and (until is None or self._clock_now() <= until + _EPS)
-            and self._holds_burst(thread)
-        )
+        if (
+            thread.mailbox._heap
+            or thread.parked
+            or self.delivery_interceptor is not None
+            or self.choice_hook is not None
+            or thread._current_message.constraint is not request.constraint
+            or (max_steps is not None and self.steps >= max_steps)
+            or (until is not None and self._clock_now() > until + _EPS)
+        ):
+            return False
+        if thread._tenant is not None:
+            return self._holds_burst(thread)
+        rival = self._live_top(thread)
+        if rival is None:
+            return True
+        prio, deadline = thread.effective_sort_key()
+        return (prio, 0.0, deadline) < (rival[0], rival[1], rival[2])
 
     @staticmethod
     def _call_constraint(thread: MThread, request: Call) -> Constraint | None:

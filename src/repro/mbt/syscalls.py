@@ -59,16 +59,17 @@ class Repost(Syscall):
     Yielded where a code function would end with ``Send`` of a
     ``Message(kind, constraint=constraint)`` to its own thread.  When
     that message would be the very next thing the thread dispatches —
-    the scheduler keeps handing it the CPU within a fair-quantum burst
-    and nothing could be dispatched in between — the scheduler counts a
-    dispatch and resumes the thread with ``True``: the code function
-    runs its next message's work in place.  Otherwise the message is
-    built and delivered as ``Send`` delivers it, the thread resumes with
-    a false value, and its code function should return.  The schedule
-    is the same either way — every step, fair-share charge and dispatch
-    in the same order; a taken Repost only skips the message, so
-    ``messages_delivered`` and the trace's ``deliver`` / ``done`` events
-    for it are what differ.
+    it holds a fair-quantum burst, or, untenanted, no ready rival would
+    run first, and nothing could be dispatched in between — the
+    scheduler counts a dispatch and resumes the thread with ``True``:
+    the code function runs its next message's work in place.  Otherwise
+    the message is built and delivered as ``Send`` delivers it, the
+    thread resumes with a false value, and its code function should
+    return.  The schedule is the same either way — every step, fair-share
+    charge and dispatch in the same order, and the trace's ``deliver``,
+    ``done`` and ``dispatch`` events at the same instants; a taken
+    Repost only skips the message, so ``messages_delivered`` is what
+    differs.
     """
 
     kind: str

@@ -86,8 +86,13 @@ class PumpDriver:
         self.flush_eos = 0
         self._origin_drain = self.origin.drain_cost
         self._max_items = self.origin.max_items
-        #: The greedy loop's request for its next cycle (compile_walkers).
-        self._repost: Repost | None = None
+        #: The greedy loop's request for its next cycle.  The loop's first
+        #: ``cycle`` and the ticks carry its very constraint: a Repost is
+        #: taken only under the running message's own (by identity).
+        priority = self.origin.priority
+        self._repost = Repost(
+            "cycle", Constraint(priority=priority) if priority else None
+        )
         #: An active source's ``generate`` (bound by compile_walkers, which
         #: hooks it like any source's plain entry).
         self._generate = None
@@ -120,7 +125,7 @@ class PumpDriver:
                 self.thread_name,
                 period=period,
                 kind="tick",
-                constraint=self.data_constraint(),
+                constraint=self._repost.constraint,
                 constraint_fn=constraint_fn,
             )
             self.origin._rate_listener = self._apply_rate
@@ -145,7 +150,6 @@ class PumpDriver:
         if section.pull_root is None:
             self._generate = plant_source(self.ctx, self.origin.generate)
         self._max_items = self.origin.max_items
-        self._repost = Repost("cycle", self.data_constraint())
         # Batch mode is a compile-time decision: only greedy pumps whose
         # effective batch limit exceeds 1 get the batched cycle and the
         # batch walkers.  At the default batch_max=1 nothing here runs,
@@ -172,11 +176,6 @@ class PumpDriver:
     @property
     def timing(self) -> str:
         return self.origin.timing
-
-    def data_constraint(self) -> Constraint | None:
-        if self.origin.priority:
-            return Constraint(priority=self.origin.priority)
-        return None
 
     def _apply_rate(self, rate_hz: float) -> None:
         if self.timer is not None:
@@ -219,7 +218,7 @@ class PumpDriver:
                     kind="cycle",
                     sender=self.thread_name,
                     target=self.thread_name,
-                    constraint=self.data_constraint(),
+                    constraint=self._repost.constraint,
                 )
             )
 
@@ -767,6 +766,9 @@ class Engine:
             trace_limit=trace_limit,
         )
         self.events = EventService()
+        #: The event messages of the broadcast send_event is fanning out,
+        #: posted as one run when it ends; None outside one.
+        self._fanout: list[Message] | None = None
         self.plan: AllocationPlan | None = None
 
         self._gates: dict[Component, BufferGate] = {}
@@ -970,6 +972,8 @@ class Engine:
                 self.scheduler.after(
                     delay, lambda: self.scheduler.post(message)
                 )
+            elif self._fanout is not None:
+                self._fanout.append(message)
             else:
                 self.scheduler.post(message)
 
@@ -1080,9 +1084,15 @@ class Engine:
 
     def send_event(self, kind: str, payload: Any = None) -> None:
         """Broadcast a control event to every component (like the paper's
-        ``send_event(START)``)."""
+        ``send_event(START)``).  Its messages reach the scheduler as one
+        run, as :meth:`Scheduler.post_many` delivers it."""
         self.setup()
-        self.events.broadcast(Event(kind=kind, payload=payload, source=""))
+        self._fanout = fanout = []
+        try:
+            self.events.broadcast(Event(kind=kind, payload=payload, source=""))
+        finally:
+            self._fanout = None
+            self.scheduler.post_many(fanout)
 
     def start(self) -> "Engine":
         self.setup()

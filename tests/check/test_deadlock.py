@@ -182,6 +182,18 @@ def test_run_watched_flags_livelock():
     assert "livelock" in str(excinfo.value)
 
 
+def test_run_watched_sees_progress_in_a_continued_greedy_loop():
+    """A greedy pump on the virtual clock continues in place (a taken
+    Repost delivers no message), but a window's ``max_steps`` edge makes
+    it decline and post its ``cycle``: every window shows progress."""
+    sink = CollectSink()
+    engine = Engine(pipeline(IterSource(range(20_000)), GreedyPump(), sink))
+    engine.start()
+    run_watched(engine.scheduler, window=1_000)
+    assert engine.completed and len(sink.items) == 20_000
+    assert engine.scheduler.messages_delivered < engine.scheduler.steps / 100
+
+
 def test_run_watched_returns_report_on_clean_completion():
     pipe = pipeline(
         IterSource(range(6)), GreedyPump(), Buffer(capacity=4),

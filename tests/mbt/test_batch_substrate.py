@@ -3,17 +3,24 @@
 * ``Mailbox.put_many`` — bulk enqueue, one listener fire, identical
   delivery order to per-message puts.
 * ``Scheduler.post_many`` — bulk injection, identical semantics to
-  sequential posts.
+  sequential posts: a run of consecutive messages to one target that is
+  not blocked and no interceptor must see enters its mailbox as one
+  ``put_many``; an engine's event fan-out is one such call.
 * Ready-heap compaction — lazy invalidation only pops tombstones at the
   heap top, so repeated reindexing of rarely-picked threads used to grow
   the heap without bound; the scheduler now compacts once tombstones
   outnumber live entries 2:1.
 """
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import CollectSink, Engine, GreedyPump, IterSource, pipeline
 from repro.mbt import Scheduler, VirtualClock
 from repro.mbt.mailbox import Mailbox
 from repro.mbt.message import Message
 from repro.mbt.constraints import Constraint
+from repro.mbt.syscalls import CONTINUE, Receive
 
 
 def make_message(target="t", kind="data", priority=0):
@@ -75,6 +82,107 @@ class TestPostMany:
         sched = Scheduler(clock=VirtualClock())
         sched.post_many([make_message("ghost", "m")])
         assert len(sched.dead_letters) == 1
+
+    def test_an_engines_event_fan_out_is_one_run(self, monkeypatch):
+        """start() and stop() hand the scheduler each broadcast as one
+        post_many call, whose run to the pump's thread is one put_many."""
+        engine = Engine(pipeline(
+            IterSource(range(10)), GreedyPump(), CollectSink(),
+        ))
+        engine.setup()
+        calls = []
+        monkeypatch.setattr(Scheduler, "post", lambda self, m: calls.append(
+            ("post", m.kind)))
+        put_many = Mailbox.put_many
+        monkeypatch.setattr(Mailbox, "put_many", lambda self, run: (
+            calls.append(("put_many", len(run))), put_many(self, run)))
+        engine.start()
+        engine.stop()
+        assert calls == [("put_many", 3), ("put_many", 3)]
+        assert engine.scheduler.messages_delivered == 6
+
+
+TARGETS = ("plain", "tenanted", "waiter", "ghost")
+KINDS = ("data", "ping", "drop", "late")
+
+
+def substrate(tenanted, intercepted):
+    """A traced scheduler with a plain worker, a worker charged to a
+    tenant when ``tenanted``, a thread blocked in a receive that matches
+    ``ping`` and, when ``intercepted``, an interceptor that drops
+    ``drop`` and delays ``late``."""
+    sched = Scheduler(clock=VirtualClock(), trace=True, fair_quantum=4)
+    got = []
+
+    def worker(thread, message):
+        got.append((thread.name, message.kind, message.sender))
+
+    def waiter(thread, message):
+        reply = yield Receive(match=lambda m: m.kind == "ping")
+        got.append((thread.name, message.kind, reply.sender))
+        return CONTINUE
+
+    sched.spawn("plain", worker)
+    sched.spawn("tenanted", worker)
+    sched.spawn("waiter", waiter)
+    if tenanted:
+        sched.assign_tenant(sched.threads["tenanted"], "t")
+    sched.post(make_message("waiter", "go"))
+    sched.run()
+    assert sched.threads["waiter"].is_blocked()
+    if intercepted:
+        sched.delivery_interceptor = lambda m: (
+            "drop" if m.kind == "drop" else 0.5 if m.kind == "late" else None
+        )
+    return sched, got
+
+
+def delivered_state(sched):
+    """What delivery left: the trace, the counters and, per thread, its
+    queued messages in delivery order and whether it was woken."""
+    return (
+        list(sched.trace), sched.messages_delivered, sched.messages_dropped,
+        [(m.kind, m.sender) for m in sched.dead_letters],
+        {
+            name: ([(m.kind, m.sender) for m in thread.mailbox],
+                   thread.is_blocked(), thread.is_ready())
+            for name, thread in sched.threads.items()
+        },
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    posts=st.lists(
+        st.tuples(st.sampled_from(TARGETS), st.sampled_from(KINDS),
+                  st.sampled_from([0, 3])),
+        max_size=14,
+    ),
+    tenanted=st.booleans(),
+    intercepted=st.booleans(),
+)
+def test_post_many_is_post_per_message(posts, tenanted, intercepted):
+    """Batched ``post_many`` equals ``post`` one message at a time — mixed
+    targets, a receive that a ``ping`` wakes, an armed interceptor and a
+    tenanted target included — at delivery and after the run."""
+
+    def messages():
+        return [
+            Message(kind=kind, sender=f"s{i}", target=target,
+                    constraint=Constraint(priority=p) if p else None)
+            for i, (target, kind, p) in enumerate(posts)
+        ]
+
+    one, got_one = substrate(tenanted, intercepted)
+    for message in messages():
+        one.post(message)
+    many, got_many = substrate(tenanted, intercepted)
+    many.post_many(messages())
+    assert delivered_state(many) == delivered_state(one)
+    one.run()
+    many.run()
+    assert delivered_state(many) == delivered_state(one)
+    assert got_many == got_one
 
 
 class TestReadyHeapCompaction:

@@ -1,19 +1,22 @@
 """A pump's next cycle is not a message: ``Repost`` refines the message.
 
-Inside a tenant's fair-quantum burst a greedy pump yields
-:class:`~repro.mbt.syscalls.Repost` instead of posting itself a ``cycle``
-message, and the scheduler runs the next cycle in the same generator when
-``run()`` would have dispatched that message next anyway.  The claim is a
-refinement in Philipps & Rumpe's sense, here an exact one: every step,
-fair-share charge, dispatch and wire byte is what the message-per-cycle
-schedule gives, and only ``messages_delivered`` falls.
+A greedy pump yields :class:`~repro.mbt.syscalls.Repost` instead of
+posting itself a ``cycle`` message, and the scheduler runs the next cycle
+in the same generator when ``run()`` would have dispatched that message
+next anyway: inside a tenant's fair-quantum burst, or, on an untenanted
+engine, when no ready rival would run first.  The claim is a refinement
+in Philipps & Rumpe's sense, here an exact one: every step, fair-share
+charge, dispatch, trace event and wire byte is what the
+message-per-cycle schedule gives, and only ``messages_delivered`` falls.
 
 The oracle is the message-per-cycle schedule itself: a test-only patch
 that makes the scheduler decline every Repost, so each one is delivered
 as a ``cycle`` message exactly as a ``Send`` would deliver it.  Each run
 below is made twice, once with the real scheduler and once against that
-oracle, and everything observable must match.  Its mutant twin is a
-continuation that ignores a control event queued during the cycle.
+oracle, and everything observable must match.  Its mutant twins are a
+continuation that ignores a control event queued during the cycle, one
+that forgets the constraint, and one that continues past an equally
+urgent rival.
 """
 
 import pytest
@@ -21,9 +24,12 @@ import pytest
 from repro import (
     Buffer,
     CollectSink,
+    Engine,
     GreedyPump,
     IterSource,
     MapFilter,
+    PullDefragmenter,
+    PushDefragmenter,
     pipeline,
 )
 from repro.api import Pipeline
@@ -32,13 +38,16 @@ from repro.components.buffers import OnEmpty
 from repro.components.frag import ActiveDefragmenter
 from repro.core.events import EventScope
 from repro.fabric import SessionFabric
-from repro.mbt import Scheduler, VirtualClock
+from repro.mbt import Constraint, Message, Scheduler, VirtualClock
 from repro.mbt.scheduler import _EPS
+from repro.mbt.syscalls import CONTINUE, Yield
+from repro.mbt.timers import PeriodicTimer
 from repro.mbt.tracing import format_tail
 from repro.net import SocketLink
 from repro.net.marshal import MarshalFilter, UnmarshalFilter
 from repro.net.mux import StreamMux
 from repro.net.netpipe import make_netpipe_over
+from repro.obs.exporters import prometheus_text
 
 
 def decline_every_repost(monkeypatch):
@@ -72,6 +81,23 @@ def forgets_the_constraint(self, thread, request):
         and (max_steps is None or self.steps < max_steps)
         and (until is None or self._clock_now() <= until + _EPS)
         and self._holds_burst(thread)
+    )
+
+
+def takes_on_ties(self, thread, request):
+    """Mutant twin of ``Scheduler._takes_repost``: an untenanted thread
+    continues unless a rival is strictly *more* urgent, so an equally
+    urgent rival — the one run() picks, having run longer ago — waits."""
+    until, max_steps = self._limits
+    return (
+        thread._tenant is None
+        and not thread.mailbox._heap
+        and self.delivery_interceptor is None
+        and self.choice_hook is None
+        and thread._current_message.constraint is request.constraint
+        and (max_steps is None or self.steps < max_steps)
+        and (until is None or self._clock_now() <= until + _EPS)
+        and not self._exists_more_urgent_ready(thread)
     )
 
 
@@ -390,9 +416,10 @@ def test_metered_fabric_with_a_trace_ring_takes_the_continuation(
 
 
 def test_format_tail_shows_one_dispatch_per_cycle(monkeypatch):
-    """A continued cycle is recorded as the dispatch of its ``cycle``:
-    the tail's dispatch lines are the message-per-cycle schedule's, one
-    per cycle of a greedy pump; only its ``deliver`` / ``done`` lines go."""
+    """A continued cycle is recorded as the message it replaces — its
+    ``deliver``, the previous cycle's ``done`` and its ``dispatch``, all
+    at the same instant — so the tail is the message-per-cycle
+    schedule's line for line, with one dispatch per greedy-pump cycle."""
 
     def run():
         traced = Scheduler(clock=VirtualClock(), fair_quantum=8, trace=True)
@@ -411,9 +438,11 @@ def test_format_tail_shows_one_dispatch_per_cycle(monkeypatch):
         assert len(cycles) == driver.cycles > 0
     with monkeypatch.context() as patch:
         decline_every_repost(patch)
-        _, oracle_tail = run()
-    assert dispatches == [line for line in oracle_tail if " dispatch " in line]
-    assert len(tail) < len(oracle_tail)
+        oracle_rx, oracle_tail = run()
+    assert tail == oracle_tail
+    assert rx.scheduler.messages_delivered < (
+        oracle_rx.scheduler.messages_delivered
+    )
 
 
 def test_a_fault_plan_declines_so_its_interceptor_sees_every_cycle(
@@ -445,3 +474,304 @@ def test_a_fault_plan_declines_so_its_interceptor_sees_every_cycle(
         decline_every_repost(patch)
         oracle = run()
     assert (seen, intercepted, delivered) == oracle
+
+
+# ---------------------------------------------------------------------------
+# Untenanted engines: the next cycle goes on when no ready rival runs first
+# ---------------------------------------------------------------------------
+
+
+def fig9a(log, scheduler, items=200):
+    """The ``fig9a-*`` benchmark's shape: two defragmenters around one
+    greedy pump."""
+    return pipeline(
+        IterSource(range(items), name="src"), PullDefragmenter(name="pull"),
+        GreedyPump(name="pump"), PushDefragmenter(name="push"),
+        CollectSink(name="sink"),
+    )
+
+
+def tapped(log, scheduler, items=40, cost=0.0):
+    """One greedy pump whose section logs each item as it passes and
+    charges ``cost`` virtual CPU seconds for it."""
+    return pipeline(
+        IterSource(range(items), name="src"), GreedyPump(name="pump"),
+        MapFilter(lambda x: log.append(("in", x)) or x, name="tap",
+                  cost=cost),
+        CollectSink(name="sink"),
+    )
+
+
+def charged(log, scheduler):
+    return tapped(log, scheduler, cost=1e-3)
+
+
+def two_pumps(log, scheduler):
+    """Two equal-priority greedy pumps sharing a buffer; the log shows
+    how their cycles interleave.  The producer moves runs of four, so it
+    fills the buffer and blocks, and the consumer drains it alone."""
+    return pipeline(
+        IterSource(range(30), name="src"), GreedyPump(name="p1", batch_max=4),
+        MapFilter(lambda x: log.append(("in", x)) or x, name="tap"),
+        Buffer(4, name="buf"), GreedyPump(name="p2"),
+        MapFilter(lambda x: log.append(("out", x)) or x, name="tap2"),
+        CollectSink(name="sink"),
+    )
+
+
+def deadline_jobs(log, scheduler):
+    """Every fifth item, the pump's section posts the ``edf`` thread a
+    job whose deadline makes it more urgent than the pump: an EDF entry
+    pushed into the ready heap mid-cycle."""
+
+    def tap(item):
+        if item % 5 == 2:
+            scheduler.post(Message(
+                kind="job", payload=item, sender="tap", target="edf",
+                constraint=Constraint(deadline=scheduler.now() + 1.0),
+            ))
+        return item
+
+    return pipeline(
+        IterSource(range(40), name="src"), GreedyPump(name="pump"),
+        MapFilter(tap, name="tap"), CollectSink(name="sink"),
+    )
+
+
+def edf_thread(scheduler, log):
+    def code(thread, message):
+        log.append(("edf", message.payload))
+        return CONTINUE
+
+    scheduler.spawn("edf", code)
+
+
+def alarm_thread(scheduler, log):
+    """A priority-5 thread a periodic timer wakes ten times, preempting
+    the pump mid-``Work``."""
+
+    def code(thread, message):
+        log.append(("alarm", scheduler.now()))
+        if sum(1 for entry in log if entry[0] == "alarm") == 10:
+            timer.stop()
+        return CONTINUE
+
+    scheduler.spawn("alarm", code, priority=5)
+    timer = PeriodicTimer(scheduler, "alarm", period=0.0037)
+    timer.start()
+
+
+def yielding_thread(scheduler, log):
+    """An equal-priority thread that yields the CPU after each step."""
+
+    def code(thread, message):
+        for step in range(12):
+            log.append(("yield", step))
+            yield Yield()
+        return CONTINUE
+
+    scheduler.spawn("yielder", code)
+    scheduler.post(Message(kind="go", sender="test", target="yielder"))
+
+
+def in_rounds(engine):
+    """Cumulative ``max_steps`` rounds of 7; returns the trajectory."""
+    trajectory = []
+    while not engine.completed:
+        engine.run(max_steps=engine.scheduler.steps + 7)
+        trajectory.append(engine.scheduler.steps)
+    return trajectory
+
+
+def to_horizons(engine):
+    """Rounds of an ``until`` horizon 0.37 ms apart (each item costs
+    0.1 ms); returns the trajectory."""
+    trajectory = []
+    while not engine.completed:
+        engine.run(until=0.00037 * (len(trajectory) + 1))
+        trajectory.append((engine.scheduler.steps, engine.now()))
+    return trajectory
+
+
+def run_engine(build, rivals=None, drive=None, batch=None, hook=None):
+    """One metered untenanted engine on a fully traced scheduler.
+
+    ``build(log, scheduler)`` returns the pipeline; ``rivals(scheduler,
+    log)`` spawns raw threads beside its own; ``drive(engine)`` runs the
+    started engine (default: to the end) and returns a trajectory;
+    ``hook`` is a choice hook.  Returns everything the Repost must not
+    change, and the messages delivered."""
+    scheduler = Scheduler(clock=VirtualClock(), trace=True)
+    scheduler.choice_hook = hook
+    log = []
+    spec = Pipeline.from_builder(lambda: build(log, scheduler)).with_metrics()
+    if batch is not None:
+        spec = spec.with_batching(batch)
+    built = spec.build(scheduler=scheduler)
+    engine = built.engine
+    engine.setup()
+    if rivals is not None:
+        rivals(scheduler, log)
+    engine.start()
+    trajectory = (drive or Engine.run)(engine)
+    engine.stop()
+    engine.run()
+    (waits,) = built.telemetry.registry.family(
+        "repro_sched_run_queue_wait_seconds"
+    )
+    seen = {
+        "trace": list(scheduler.trace),
+        "steps": scheduler.steps,
+        "switches": scheduler.context_switches,
+        "now": scheduler.now(),
+        "sink": list(engine.pipeline.component("sink").items),
+        "log": log,
+        "cycles": engine.stats.cycles,
+        "run_queue_wait": (waits.count, waits.sum),
+        "trajectory": trajectory if drive is not None else None,
+    }
+    return seen, scheduler.messages_delivered
+
+
+def against_the_oracle(monkeypatch, **run):
+    """The run, and its message-per-cycle oracle's."""
+    real = run_engine(**run)
+    with monkeypatch.context() as patch:
+        decline_every_repost(patch)
+        oracle = run_engine(**run)
+    return real, oracle
+
+
+UNTENANTED = {
+    "fig9a-item": dict(build=fig9a),
+    "fig9a-batch32": dict(build=fig9a, batch=32),
+    "two-pumps": dict(build=two_pumps),
+    "work-preempted": dict(build=charged, rivals=alarm_thread),
+    "edf-mid-cycle": dict(build=deadline_jobs, rivals=edf_thread),
+    "yield": dict(build=tapped, rivals=yielding_thread),
+    "max-steps-rounds": dict(build=fig9a, drive=in_rounds),
+    "until-horizon": dict(
+        build=lambda log, scheduler: tapped(log, scheduler, cost=1e-4),
+        drive=to_horizons,
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(UNTENANTED))
+def test_untenanted_repost_refines_the_message_per_cycle_schedule(
+    monkeypatch, scenario
+):
+    """Same trace event for event, steps, sinks, logs and run-queue
+    waits as the oracle's, with fewer messages."""
+    (seen, delivered), (oracle, oracle_delivered) = against_the_oracle(
+        monkeypatch, **UNTENANTED[scenario]
+    )
+    assert seen == oracle
+    assert seen["sink"]
+    assert seen["run_queue_wait"][0] > 0
+    assert delivered < oracle_delivered
+
+
+def test_each_rival_runs_where_its_messages_put_it(monkeypatch):
+    """The scenarios' rivals really interleave with the pump: the alarm
+    preempts a charged cycle, the EDF job runs right behind the item
+    that posted it, and the yielder and the pump alternate."""
+    (alarm, _), _ = against_the_oracle(
+        monkeypatch, build=charged, rivals=alarm_thread
+    )
+    kinds = [entry[0] for entry in alarm["log"]]
+    assert kinds.count("alarm") == 10 and kinds[-1] == "in"
+    assert "preempt" in {event[1] for event in alarm["trace"]}
+    (edf, _), _ = against_the_oracle(
+        monkeypatch, build=deadline_jobs, rivals=edf_thread
+    )
+    assert [e[1] for e in edf["log"]] == [i for i in range(40) if i % 5 == 2]
+    (yields, _), _ = against_the_oracle(
+        monkeypatch, build=tapped, rivals=yielding_thread
+    )
+    assert [entry[0] for entry in yields["log"][:6]] == ["yield", "in"] * 3
+
+
+def test_two_equal_priority_pumps_take_turns_as_their_messages_order_them(
+    monkeypatch
+):
+    """A tie goes to the rival that ran longer ago: the consumer the
+    producer's first run woke takes one item, then the producer's next
+    run fills the buffer and blocks, and only while it is blocked do the
+    consumer's cycles continue in place."""
+    (seen, _), (oracle, _) = against_the_oracle(monkeypatch, build=two_pumps)
+    assert seen == oracle
+    assert seen["log"][:13] == [
+        ("in", 0), ("in", 1), ("in", 2), ("in", 3), ("out", 0),
+        ("in", 4), ("in", 5), ("in", 6), ("in", 7),
+        ("out", 1), ("out", 2), ("out", 3), ("out", 4),
+    ]
+
+
+def test_mutant_that_takes_on_a_tie_fails_the_two_pump_ordering(
+    monkeypatch
+):
+    with monkeypatch.context() as patch:
+        decline_every_repost(patch)
+        oracle, _ = run_engine(build=two_pumps)
+    monkeypatch.setattr(Scheduler, "_takes_repost", takes_on_ties)
+    mutant, _ = run_engine(build=two_pumps)
+    assert mutant["sink"] == oracle["sink"]
+    assert mutant["log"] != oracle["log"]
+    assert mutant["trace"] != oracle["trace"]
+
+
+def test_a_choice_hook_run_declines_every_repost(monkeypatch):
+    """The explorer perturbs ties through ``choice_hook``; with one set,
+    every cycle is a message, so the hook sees each pick it would."""
+    (seen, delivered), (oracle, oracle_delivered) = against_the_oracle(
+        monkeypatch, build=two_pumps, hook=lambda candidates: candidates[-1]
+    )
+    assert seen == oracle
+    assert delivered == oracle_delivered
+
+
+def test_a_metered_engine_exposes_the_oracles_metrics(monkeypatch):
+    """The obs plane is the oracle's too: a continued cycle records the
+    zero run-queue wait the re-key after a dispatch would have, so the
+    Prometheus exposition differs only in wall-clock seconds and in the
+    messages delivered."""
+
+    def exposition():
+        spec = (
+            Pipeline.from_builder(lambda: fig9a(None, None, items=600))
+            .with_metrics()
+            .with_tracing(sample_every=64)
+        )
+        built = spec.build().run()
+        built.engine.stop()
+        built.engine.run()
+        lines = prometheus_text(built.telemetry.registry).splitlines()
+        (messages,) = [line for line in lines if line.startswith(
+            "repro_pipeline_messages_delivered_total ")]
+        rest = [line for line in lines
+                if 'mode="wall"' not in line and line != messages]
+        return rest, float(messages.split()[-1])
+
+    real, delivered = exposition()
+    with monkeypatch.context() as patch:
+        decline_every_repost(patch)
+        oracle, oracle_delivered = exposition()
+    assert real == oracle
+    (waits,) = [line for line in real if line.startswith(
+        "repro_sched_run_queue_wait_seconds_count ")]
+    assert float(waits.split()[-1]) > 300
+    assert delivered < oracle_delivered
+
+
+@pytest.mark.parametrize("priority", [0, 3])
+def test_a_prioritised_pump_takes_its_first_repost(priority):
+    """The loop's first ``cycle`` carries the very constraint its Repost
+    does, so a prioritised pump continues from its first cycle on: four
+    messages (three start events and the loop start) either way."""
+    engine = Engine(pipeline(
+        IterSource(range(1000)), GreedyPump(priority=priority),
+        CollectSink(),
+    ))
+    engine.run_to_completion()
+    assert engine.scheduler.messages_delivered == 4

@@ -126,10 +126,6 @@ RULES = [
     ("repro.deploy.placement:Placement.explicit", "exception", HAND_PLACED),
     ("repro.deploy.placement:_resolve_explicit", "exception", HAND_PLACED),
     ("repro.deploy.placement:_segment_rep", "exception", HAND_PLACED),
-    ("repro.mbt.mailbox:Mailbox.put_many", "exception",
-     "`bench/trace.py` names it as an `mbt.mailbox` probe target, so "
-     "deleting it orphans a probe (`harness.missing_probes`); owed a "
-     "substrate caller (`Scheduler.post_many` delivers per message)"),
     ("repro.components.buffers:ZipBuffer.*", "exception", ZIP),
     ("repro.components.buffers:Boundary.try_pull_many", "exception",
      ZIP + "; the per-item default only a zip still uses"),
@@ -241,8 +237,6 @@ RULES = [
      "§4: priority inheritance on synchronous calls"),
     ("repro.mbt.scheduler:Scheduler._call_constraint", "paper",
      "§4: priority inheritance on synchronous calls"),
-    ("repro.mbt.scheduler:Scheduler._other_ready", "paper",
-     "§4: preemption check behind synchronous calls"),
     ("repro.mbt.scheduler:Scheduler._block_until", "paper",
      "§4: the real-clock arm of blocking"),
     ("repro.mbt.clock:RealClock.*", "paper",
@@ -585,6 +579,18 @@ DELETED: list[tuple[str, int, str, str]] = [
     # ROADMAP 6(iii): nothing drains a mailbox.
     ("repro.mbt.mailbox:Mailbox.clear", 7, "mbt/test_mailbox.py",
      "`test_clear_returns_delivery_order`"),
+    # ISSUE 27 (measured at its parent, 8d6c636): every heap-top reader is
+    # a peek at `Scheduler._live_top`, and the oracles read `_fair_key`.
+    ("repro.mbt.scheduler:Scheduler._peek_live (and the heap walk "
+     "`_exists_more_urgent_ready` kept beside its comparison)", 10, "D1-D4",
+     "none"),
+    ("repro.mbt.scheduler:Scheduler._other_ready (now `_live_top(thread) "
+     "is not None`)", 16, "check/test_deadlock.py, mbt/test_scheduler.py",
+     "none"),
+    ("repro.mbt.scheduler:Scheduler._fair_key_linear (now `_fair_key`)", 8,
+     "mbt/test_scheduler_invariants.py", "none"),
+    ("repro.runtime.engine:PumpDriver.data_constraint (the driver builds "
+     "its constraint once, with its Repost)", 4, "D1-D4", "none"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
