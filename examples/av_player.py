@@ -13,10 +13,9 @@ desynchronize A/V by three seconds per minute.  A feedback loop measures
 the playhead skew (video position vs audio position) and trims the video
 pump's rate.
 
-Pass ``--payloads`` to move real payload bytes (decoded video frames and
-PCM audio blocks — see ``docs/MEDIA.md``) instead of metadata-only items;
-an :class:`~repro.media.AudioMixer` then applies a gain stage to the
-actual samples on the audio path.
+Pass ``--payloads`` to move real video payload bytes (decoded frames —
+see ``docs/MEDIA.md``) instead of metadata-only items; the audio blocks
+stay metadata-only.
 """
 
 import sys
@@ -31,7 +30,6 @@ from repro.feedback import (
 )
 from repro.media import (
     AudioDevice,
-    AudioMixer,
     AudioSource,
     MpegDecoder,
     MpegFileSource,
@@ -58,15 +56,9 @@ def build(with_sync: bool, payloads: bool = False):
 
     # Audio path: its own clock, the sync master.
     audio_source = AudioSource(blocks=int(SECONDS * AUDIO_HZ) + 100,
-                               block_duration=1.0 / AUDIO_HZ,
-                               payloads=payloads)
+                               block_duration=1.0 / AUDIO_HZ)
     audio_device = AudioDevice(rate_hz=AUDIO_HZ, priority=8)
-    if payloads:
-        # A real gain stage over the PCM samples (-6 dB ~= 1/2).
-        audio = pipeline(audio_source, AudioMixer(gain_num=1, gain_den=2),
-                         audio_device)
-    else:
-        audio = pipeline(audio_source, audio_device)
+    audio = pipeline(audio_source, audio_device)
 
     engine = Engine(Pipeline(video.components + audio.components))
 
@@ -98,16 +90,14 @@ def build(with_sync: bool, payloads: bool = False):
 
 def main() -> None:
     payloads = "--payloads" in sys.argv[1:]
-    mode = " (real payloads, mixed audio)" if payloads else ""
+    mode = " (real video payloads)" if payloads else ""
     print(f"playing {SECONDS}s of A/V{mode}; video crystal drifts at "
           f"28.5 Hz instead of {FPS:.0f} Hz\n")
     for label, with_sync in (("free-running", False),
                              ("feedback-synced", True)):
         skew, display, audio, loop = build(with_sync, payloads=payloads)
-        extra = (f", {audio.stats['bytes_in'] / 1e6:.1f} MB audio"
-                 if payloads else "")
         print(f"{label:16}: video={display.stats['displayed']} frames, "
-              f"audio={len(audio.consumed)} blocks{extra}, "
+              f"audio={len(audio.consumed)} blocks, "
               f"final A/V skew={skew * 1000:+.0f} ms")
         if loop is not None:
             print("  rate corrections (t, skew, commanded rate):")

@@ -61,7 +61,6 @@ from repro.components import (
     SequenceStamp,
     Sink,
     Source,
-    ZipBuffer,
 )
 from repro.core import (
     ANY,
@@ -164,7 +163,6 @@ __all__ = [
     "Source",
     "Typespec",
     "TypespecMismatch",
-    "ZipBuffer",
     "Deployment",
     "DeploymentResult",
     "Placement",

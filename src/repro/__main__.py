@@ -5,8 +5,8 @@
     python -m repro describe "counting(limit=5) >> greedy_pump >> collect"
     python -m repro run pipeline.ipc --until 10
     python -m repro run pipeline.ipc --metrics --trace-out trace.json
-    python -m repro run pipeline.ipc --until 5 --serve-metrics 0 --serve-for 2
     python -m repro deploy pipeline.ipc --shards 4 --describe
+    python -m repro deploy pipeline.ipc --describe --place pump-1:0,pump-2:1
     python -m repro deploy pipeline.ipc --shards 2 --transport tcp
     python -m repro deploy pipeline.ipc --shards 2 --metrics --flow-sample 4
     python -m repro top pipeline.ipc --until 5
@@ -25,10 +25,9 @@ with ``--metrics`` it attaches the observability layer and prints the
 Prometheus exposition, with ``--flow-sample N`` it attaches the causal
 flow tracer (1-in-N items), with ``--trace-out``/``--events-out``/
 ``--flow-out`` it exports a Chrome trace-event JSON (flow arrows
-included when tracing is on) / JSONL event log / JSONL flow-trace log,
-and with ``--serve-metrics PORT`` it serves the Prometheus exposition
-plus JSON flow/SLO snapshots over HTTP after the run.  ``deploy`` plans a
-multi-core placement (cutting only at Buffer/netpipe seams), runs one OS
+included when tracing is on) / JSONL event log / JSONL flow-trace log.
+``deploy`` plans a multi-core placement (cutting only at Buffer/netpipe
+seams, or as ``--place`` assigns components to shards), runs one OS
 process per shard bridged over sockets — each shard realising the same
 spec, so ``--metrics`` and ``--flow-sample`` reach every shard — and
 prints the gathered statistics; ``--describe`` prints the plan without
@@ -91,9 +90,6 @@ def _app(args: argparse.Namespace) -> Pipeline:
         flow_sample = 1
     if flow_sample is not None:
         app = app.with_tracing(flow_sample)
-    if flag("serve_metrics") is not None:
-        # The live surfaces show metrics, flows and SLO burn together.
-        app = app.with_slo(args.slo_latency)
     return app
 
 
@@ -124,29 +120,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.metrics:
         print()
         print(built.prometheus(), end="")
-    if args.serve_metrics is not None:
-        from repro.obs.dashboard import MetricsServer
-
-        server = MetricsServer(
-            registry=built.telemetry.registry,
-            tracer=tracer,
-            slo=built.slo,
-            port=args.serve_metrics,
-        ).start()
-        print(f"serving metrics at {server.url} "
-              f"(/metrics, /flow, /slo)")
-        try:
-            import time
-
-            if args.serve_for is not None:
-                time.sleep(args.serve_for)
-            else:
-                while True:
-                    time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
     return 0
 
 
@@ -216,7 +189,9 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 def cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import Dashboard, render_top
 
-    built = _app(args).with_slo(args.slo_latency).build()
+    # The dashboard shows metrics and flows together.
+    app = _app(args).with_metrics()
+    built = (app if app.flow_sample else app.with_tracing()).build()
     engine = built.engine.start()
     horizon = args.until
     interval = args.interval
@@ -236,7 +211,6 @@ def cmd_top(args: argparse.Namespace) -> int:
         return render_top(
             registry=built.telemetry.registry,
             tracer=built.tracer,
-            slo=built.slo,
             engine=engine,
         )
 
@@ -287,10 +261,6 @@ FLAGS: dict[str, dict] = {
     "--flow-sample": dict(
         type=int, metavar="N", help="attach causal flow tracing, sampling "
                                     "1-in-N source items"),
-    "--slo-latency": dict(
-        type=float, default=0.1, metavar="SECONDS",
-        help="p99 end-to-end latency objective of the built-in SLOs the "
-             "live surfaces show (default 0.1)"),
     "--trace-out": dict(
         metavar="FILE", help="write a Chrome trace-event JSON file (with "
                              "flow arrows when tracing is on)"),
@@ -298,12 +268,6 @@ FLAGS: dict[str, dict] = {
         metavar="FILE", help="write the scheduler event log as JSONL"),
     "--flow-out": dict(
         metavar="FILE", help="write finished flow traces as JSONL"),
-    "--serve-metrics": dict(
-        type=int, metavar="PORT", help="after the run, serve /metrics, "
-        "/flow and /slo over HTTP (0 = pick a free port)"),
-    "--serve-for": dict(
-        type=float, metavar="SECONDS", help="stop the metrics server after "
-        "this long (default: serve until interrupted)"),
     "--shards": dict(
         type=int, metavar="N", help="number of shard processes (placement "
         "cuts only at Buffer/netpipe seams)"),
@@ -343,9 +307,8 @@ COMMANDS: dict[str, tuple] = {
     "run": (
         cmd_run, "execute a description",
         SPEC_FLAGS + HORIZON_FLAGS + (
-            "--trace-limit", "--metrics", "--flow-sample", "--slo-latency",
-            "--trace-out", "--events-out", "--flow-out", "--serve-metrics",
-            "--serve-for",
+            "--trace-limit", "--metrics", "--flow-sample", "--trace-out",
+            "--events-out", "--flow-out",
         ),
     ),
     "deploy": (
@@ -358,8 +321,7 @@ COMMANDS: dict[str, tuple] = {
     "top": (
         cmd_top, "run a description behind a live dashboard",
         SPEC_FLAGS + HORIZON_FLAGS + (
-            "--flow-sample", "--slo-latency", "--interval", "--frames",
-            "--plain",
+            "--flow-sample", "--interval", "--frames", "--plain",
         ),
     ),
     "timeline": (

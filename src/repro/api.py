@@ -73,7 +73,6 @@ class BuiltApp:
     engine: Any
     telemetry: Any = None
     tracer: Any = None
-    slo: Any = None
 
     def run(
         self, until: float | None = None, max_steps: int | None = None
@@ -121,7 +120,6 @@ class Pipeline:
     trace_limit: int | None = None
     metrics: bool = False
     flow_sample: int | None = None
-    slo_latency: float | None = None
     engine_kwargs: dict[str, Any] = field(default_factory=dict)
 
     # ----------------------------------------------------------- sources
@@ -184,10 +182,6 @@ class Pipeline:
         """Attach causal flow tracing, sampling 1-in-N source items."""
         return self._replace(flow_sample=sample_every)
 
-    def with_slo(self, latency: float = 0.1) -> "Pipeline":
-        """Attach the built-in burn-rate SLOs (implies metrics+tracing)."""
-        return self._replace(slo_latency=latency)
-
     def with_engine_options(self, **kwargs: Any) -> "Pipeline":
         """Extra keyword arguments forwarded to every Engine built."""
         merged = {**self.engine_kwargs, **kwargs}
@@ -215,37 +209,19 @@ class Pipeline:
             **self.engine_kwargs,
         }
         engine = Engine(pipeline, scheduler=scheduler, **options)
-        telemetry = tracer = slo = None
-        want_slo = self.slo_latency is not None
-        if self.metrics or want_slo:
+        telemetry = tracer = None
+        if self.metrics:
             from repro.obs import Telemetry
 
             telemetry = Telemetry().attach(engine)
-        registry = telemetry.registry if telemetry is not None else None
-        if self.flow_sample is not None or want_slo:
+        if self.flow_sample is not None:
             from repro.obs.flow import FlowTracer
 
+            registry = telemetry.registry if telemetry is not None else None
             tracer = FlowTracer(
                 sample_every=self.flow_sample or 1, registry=registry
             ).attach(engine)
-        if want_slo:
-            from repro.obs.slo import Objective, SloEngine
-
-            slo = SloEngine(
-                [
-                    Objective(
-                        "e2e-latency", "latency_p99",
-                        target=self.slo_latency,
-                    ),
-                    Objective(
-                        "delivery", "delivered_fraction", target=0.99
-                    ),
-                ],
-                registry=registry,
-            ).attach(tracer)
-        return BuiltApp(
-            engine=engine, telemetry=telemetry, tracer=tracer, slo=slo
-        )
+        return BuiltApp(engine=engine, telemetry=telemetry, tracer=tracer)
 
     def builder(self) -> Callable[[], Any]:
         """A zero-arg callable building a fresh, un-run Engine — the

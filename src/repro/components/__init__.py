@@ -22,7 +22,7 @@ from repro.components.batch import (
     PushBatcher,
     PushUnbatcher,
 )
-from repro.components.buffers import Buffer, OnEmpty, OnFull, ZipBuffer
+from repro.components.buffers import Buffer, OnEmpty, OnFull
 from repro.components.filters import (
     CostFilter,
     Gate,
@@ -97,5 +97,4 @@ __all__ = [
     "SequenceStamp",
     "Sink",
     "Source",
-    "ZipBuffer",
 ]

@@ -52,13 +52,11 @@ class Boundary(Component):
     :class:`~repro.runtime.section.BufferGate` mediates (docs/RUNTIME.md,
     "Seams and their contracts").  A boundary only reports ``OK`` /
     ``FULL`` / ``EMPTY`` through ``try_push`` / ``try_pull``; blocking is
-    the gate's.  The batched operations default to the per-item loop.
+    the gate's.  A batched push defaults to the per-item loop; a batched
+    pull is each boundary's own.
     """
 
     role = Role.BUFFER
-    #: True for a boundary joining several in-port queues (``in_names``)
-    #: N:1 on pull: its gate keeps one positional record per queue.
-    joins = False
 
     @property
     def fill_level(self) -> int:
@@ -74,21 +72,6 @@ class Boundary(Component):
                 break
             taken += 1
         return taken
-
-    def try_pull_many(self, n: int, port: str = "out") -> tuple[str, list]:
-        """``(OK, run)`` of up to ``n`` items, EOS at most once and last,
-        ``[]`` for nil-now; ``(EMPTY, [])`` when a pull would block."""
-        run: list = []
-        while len(run) < n:
-            status, value = self.try_pull(port)
-            if status == EMPTY:
-                return (OK, run) if run else (EMPTY, run)
-            if value is NIL:
-                break
-            run.append(value)
-            if is_eos(value):
-                break
-        return OK, run
 
 
 class Buffer(Boundary):
@@ -234,77 +217,3 @@ class Buffer(Boundary):
 
     def on_flush(self, event) -> None:
         self.stats["drops"] += self.clear()
-
-
-class ZipBuffer(Boundary):
-    """A combining merge with temporary storage (section 2.1: "Merge tees
-    can combine items from different sources into one item").
-
-    Items pushed at each in-port queue up; a pull succeeds once every input
-    has at least one item queued, returning the tuple of heads.  Both ends
-    are passive, so — like a plain buffer — it separates pipeline sections,
-    giving each upstream flow its own pump while avoiding the unpredictable
-    implicit buffering the paper warns about for non-buffering multi-port
-    components.
-    """
-
-    conserving = False  # N:1 combine
-    joins = True
-
-    def __init__(
-        self,
-        n_inputs: int = 2,
-        capacity: int = 16,
-        on_empty: OnEmpty = OnEmpty.BLOCK,
-        name: str | None = None,
-    ):
-        if n_inputs < 2:
-            raise ValueError("ZipBuffer needs at least two inputs")
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        super().__init__(name)
-        self.in_names = [f"in{i}" for i in range(n_inputs)]
-        for in_name in self.in_names:
-            self.add_in_port(in_name, mode=Mode.PUSH)
-        self.add_out_port(mode=Mode.PULL)
-        self.capacity = int(capacity)
-        self.on_empty = on_empty
-        self._queues: dict[str, deque] = {n: deque() for n in self.in_names}
-        self._eos_seen: set[str] = set()
-        self._eos_delivered = False
-        self.stats.update(drops=0)
-
-    @property
-    def fill_level(self) -> int:
-        return sum(map(len, self._queues.values()))
-
-    def port_fill(self, port: str) -> int:
-        """Items queued at one in-port."""
-        return len(self._queues[port])
-
-    def try_push(self, item: Any, port: str = "in0") -> str:
-        queue = self._queues[port]
-        if is_eos(item):
-            self._eos_seen.add(port)
-            return OK
-        if len(queue) >= self.capacity:
-            return FULL
-        queue.append(item)
-        self.stats["items_in"] += 1
-        return OK
-
-    def try_pull(self, port: str = "out") -> tuple[str, Any]:
-        if all(self._queues.values()):
-            combined = tuple(q.popleft() for q in self._queues.values())
-            self.stats["items_out"] += 1
-            return OK, combined
-        # End of stream once any exhausted input can never contribute again.
-        starved = {
-            n for n, q in self._queues.items() if not q and n in self._eos_seen
-        }
-        if starved and not self._eos_delivered:
-            self._eos_delivered = True
-            return OK, EOS
-        if self.on_empty is OnEmpty.NIL:
-            return OK, NIL
-        return EMPTY, None

@@ -377,57 +377,6 @@ class SessionFabric:
         drive_with_io(self.scheduler, lambda: self.completed, io, **loop)
         return self
 
-    # ------------------------------------------------------------ obs
-
-    def collect_metrics(self, registry) -> None:
-        """Publish tenant-labeled gauges into a metrics registry.
-
-        One series per session per family — under a registry cardinality
-        cap (:mod:`repro.obs.metrics`), the million-session fabric's tail
-        lands in the overflow bucket instead of exhausting memory.
-        """
-        for name, session in self.sessions.items():
-            tenant = session.tenant
-            registry.gauge(
-                "repro_fabric_session_weight", tenant=name
-            ).set(session.weight)
-            registry.gauge(
-                "repro_fabric_session_threads", tenant=name
-            ).set(len(session.thread_names))
-            registry.gauge(
-                "repro_fabric_session_parked", tenant=name
-            ).set(1.0 if session.parked else 0.0)
-            if tenant is not None:
-                registry.gauge(
-                    "repro_fabric_tenant_vtime", tenant=name
-                ).set(tenant.vtime)
-                registry.gauge(
-                    "repro_fabric_tenant_dispatches", tenant=name
-                ).set(tenant.dispatches)
-
-    def tenant_rows(self) -> list[dict]:
-        """Per-tenant summary rows for the ``repro top`` tenant view."""
-        rows = []
-        for name, session in sorted(self.sessions.items()):
-            tenant = session.tenant
-            stats = session.engine.stats
-            moved = sum(
-                d.items_moved for d in session.engine.pump_drivers
-            )
-            rows.append({
-                "tenant": name,
-                "state": "parked" if session.parked else (
-                    "done" if session.completed else "live"
-                ),
-                "weight": session.weight,
-                "threads": len(session.thread_names),
-                "items": moved,
-                "dispatches": tenant.dispatches if tenant else 0,
-                "vtime": tenant.vtime if tenant else 0.0,
-                "time": stats.time,
-            })
-        return rows
-
 
 def _drivers(engine: Engine) -> tuple:
     """``engine``'s pump and coroutine drivers: the only spawn sites, so

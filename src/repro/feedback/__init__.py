@@ -28,7 +28,6 @@ from repro.feedback.sensors import (
     MetricSensor,
     RateSensor,
     Sensor,
-    SloBurnSensor,
 )
 
 __all__ = [
@@ -46,6 +45,5 @@ __all__ = [
     "PumpRateActuator",
     "RateSensor",
     "Sensor",
-    "SloBurnSensor",
     "StepController",
 ]

@@ -6,7 +6,6 @@ from typing import Callable
 
 from repro.components.buffers import Buffer
 from repro.core.component import Component
-from repro.errors import FeedbackError
 
 
 class Sensor:
@@ -114,57 +113,6 @@ class CallbackSensor(Sensor):
 
     def sample(self) -> float:
         return float(self._fn())
-
-
-class SloBurnSensor(Sensor):
-    """Reads an SLO burn rate from an :class:`repro.obs.slo.SloEngine`
-    (duck-typed: anything with ``objectives`` and ``burn_rates()``).
-
-    The natural control signal for adaptation: a burn rate of 1.0 means
-    the error budget is being spent exactly as provisioned, so a
-    controller holding the sensor at ``setpoint=1.0`` sheds load (raise
-    drop level, slow the pump) precisely when the SLO is threatened and
-    backs off when budget accrues::
-
-        slo = SloEngine([Objective("e2e", "latency_p99", 0.05)],
-                        registry=registry).attach(tracer)
-        burn = SloBurnSensor(slo, "e2e")
-        FeedbackLoop(sensor=burn, controller=..., actuator=...)
-
-    ``window`` selects which sliding window to read (default: the
-    objective's shortest — the most reactive one); ``key`` selects the
-    stream/tenant series for keyed objectives.
-    """
-
-    def __init__(
-        self,
-        slo_engine,
-        objective: str,
-        key: str = "",
-        window: float | None = None,
-        default: float = 0.0,
-    ):
-        names = [o.name for o in slo_engine.objectives]
-        if objective not in names:
-            raise FeedbackError(
-                f"unknown SLO objective {objective!r}; have {names}"
-            )
-        self.slo_engine = slo_engine
-        self.objective = objective
-        self.key = key
-        if window is None:
-            spec = next(
-                o for o in slo_engine.objectives if o.name == objective
-            )
-            window = spec.windows[0]
-        self.window = float(window)
-        self.default = float(default)
-
-    def sample(self) -> float:
-        rates = self.slo_engine.burn_rates()
-        return rates.get(
-            (self.objective, self.key, self.window), self.default
-        )
 
 
 class MetricSensor(Sensor):

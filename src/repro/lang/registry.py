@@ -69,7 +69,6 @@ def default_registry() -> Registry:
 
     # buffers
     registry.register("buffer", comp.Buffer)
-    registry.register("zip_buffer", comp.ZipBuffer)
 
     # transforms
     registry.register("decoder", media.MpegDecoder)

@@ -15,16 +15,16 @@ devices are substituted by behaviour-preserving models:
 * :mod:`repro.media.display` — a display sink collecting jitter/lateness/
   continuity statistics and emitting window-resize events;
 * :mod:`repro.media.resize` — the resizer that reacts to them;
-* :mod:`repro.media.audio` — a clock-driven active audio device and a
-  vectorized int16 gain mixer;
+* :mod:`repro.media.audio` — an audio block source and a clock-driven
+  active audio device;
 * :mod:`repro.media.batch` / :mod:`repro.media.arrays` — columnar
-  :class:`FrameBatch`/:class:`SampleBatch` runs with one contiguous
-  payload region (numpy-backed via the ``repro[media]`` extra, stdlib
-  ``array`` otherwise) — the zero-copy media plane (docs/MEDIA.md).
+  :class:`FrameBatch` runs with one contiguous payload region
+  (numpy-backed via the ``repro[media]`` extra, stdlib ``array``
+  otherwise) — the zero-copy media plane (docs/MEDIA.md).
 """
 
-from repro.media.audio import AudioDevice, AudioMixer, AudioSource
-from repro.media.batch import FrameBatch, SampleBatch
+from repro.media.audio import AudioDevice, AudioSource
+from repro.media.batch import FrameBatch
 from repro.media.codec import MpegDecoder, MpegEncoder
 from repro.media.display import VideoDisplay
 from repro.media.dropper import PriorityDropFilter
@@ -40,7 +40,6 @@ from repro.media.source import CameraSource, MidiSource, MpegFileSource
 
 __all__ = [
     "AudioDevice",
-    "AudioMixer",
     "AudioSample",
     "AudioSource",
     "CameraSource",
@@ -53,7 +52,6 @@ __all__ = [
     "MpegFileSource",
     "PriorityDropFilter",
     "Resizer",
-    "SampleBatch",
     "VideoDisplay",
     "VideoFrame",
     "synth_payload",

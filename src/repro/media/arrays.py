@@ -60,14 +60,6 @@ def u8(values: Iterable[int]):
     return array("B", values)
 
 
-def payload_region(nbytes: int):
-    """One contiguous, writable, zero-filled payload region of ``nbytes``
-    bytes."""
-    if np is not None:
-        return np.zeros(nbytes, dtype=np.uint8)
-    return bytearray(nbytes)
-
-
 def scratch_region(nbytes: int):
     """A payload region of undefined contents, for a producer that writes
     every byte of it (``bytearray`` has no uninitialised form)."""
@@ -116,7 +108,6 @@ __all__ = [
     "i64",
     "f64",
     "u8",
-    "payload_region",
     "scratch_region",
     "take",
     "tolist",

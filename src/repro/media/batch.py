@@ -1,4 +1,4 @@
-"""Columnar media batches: FrameBatch and SampleBatch.
+"""Columnar media batches: the FrameBatch.
 
 The §2.2 argument — media pipelines pass frames *by reference* because
 copying payloads dominates — applied to the batched data plane: a run of
@@ -10,9 +10,9 @@ of per-item dataclasses.  numpy backs the columns when installed (the
 
 A batch satisfies the :class:`~repro.core.runs.ColumnarRun` contract, so
 it flows through every batch walker unchanged: vectorized components
-(codec, dropper, resizer, mixer, marshal) transform whole columns, while
+(codec, dropper, resizer, marshal) transform whole columns, while
 non-vectorized components transparently materialize per-item
-``VideoFrame``/``AudioSample`` objects on demand.
+``VideoFrame`` objects on demand.
 
 Payload storage is one of:
 
@@ -23,7 +23,7 @@ Payload storage is one of:
   :meth:`FrameBatch.from_frames`) — zero-copy on the receive path;
 * nothing (metadata-only flows, exactly as before payloads existed).
 
-Wire format: each batch type registers a *run codec* with
+Wire format: the batch registers a *run codec* with
 :mod:`repro.net.marshal` — encoding writes fixed headers + payload bytes
 straight into one preallocated frame buffer, decoding hands back payload
 ``memoryview`` slices into the received buffer (zero payload copies).
@@ -36,52 +36,76 @@ from __future__ import annotations
 
 import struct
 from itertools import accumulate, starmap
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.runs import ColumnarRun
 from repro.errors import MarshalError
 from repro.media import arrays
-from repro.media.frames import AudioSample, VideoFrame, synth_payload
+from repro.media.frames import VideoFrame, synth_payload
 from repro.net.marshal import EncodedRun, alloc_run_buffer, register_run_codec
 
 #: Raw chunk wire ids (first byte; disjoint from the TLV tag space).
 FRAME_WIRE_ID = 0x20
-SAMPLE_WIRE_ID = 0x21
 
 _F_HAS_PAYLOAD = 0x01
 _F_ENCODED = 0x02
 
 # wire_id, flags, kind, ndeps, seq, pts, size, body_len, width, height, gop_id
 _VF_HEAD = struct.Struct("<BBBBqdqqiii")
-# wire_id, flags, seq, pts, duration, size, body_len
-_AS_HEAD = struct.Struct("<BBqddqq")
 
-#: The order ``to_frames`` / ``to_samples`` hand columns to the item
-#: constructors in (by position: a keyword call costs as much again as
-#: the column pass).  A reordered or added field fails here, at import.
+#: The order ``to_frames`` hands columns to the ``VideoFrame``
+#: constructor in (by position: a keyword call costs as much again as the
+#: column pass).  A reordered or added field fails here, at import.
 _FRAME_FIELDS = (
     "seq", "kind", "pts", "size", "width", "height", "gop_id", "encoded",
     "deps", "owner", "payload",
 )
-_SAMPLE_FIELDS = ("seq", "pts", "duration", "size", "payload")
-if (VideoFrame.__slots__, AudioSample.__slots__) != (
-    _FRAME_FIELDS, _SAMPLE_FIELDS
-):
-    raise TypeError("VideoFrame / AudioSample fields moved: update batch.py")
+if VideoFrame.__slots__ != _FRAME_FIELDS:
+    raise TypeError("VideoFrame fields moved: update batch.py")
 
 
-class _ColumnarBatch(ColumnarRun):
-    """Shared payload-region/views plumbing for the two batch types."""
+class FrameBatch(ColumnarRun):
+    """A columnar run of video frames."""
 
-    __slots__ = ("size", "region", "offsets", "views", "_region_mv")
+    __slots__ = (
+        "seq", "kind", "pts", "size", "width", "height", "gop_id", "encoded",
+        "deps", "owner", "region", "offsets", "views", "_region_mv",
+    )
 
-    def _init_payload(self, region, offsets, views) -> None:
+    def __init__(
+        self,
+        seq,
+        kind: str,
+        pts,
+        size,
+        width,
+        height,
+        gop_id,
+        encoded,
+        deps: tuple,
+        owner: tuple | None = None,
+        region=None,
+        offsets=None,
+        views=None,
+    ):
+        self.seq = seq
+        self.kind = kind
+        self.pts = pts
+        self.size = size
+        self.width = width
+        self.height = height
+        self.gop_id = gop_id
+        self.encoded = encoded
+        self.deps = deps
+        self.owner = owner
         self.region = region
         self.offsets = offsets
         self.views = views
         self._region_mv = (
             arrays.region_view(region) if region is not None else None
         )
+
+    # -- payload storage -----------------------------------------------------
 
     @property
     def has_payload(self) -> bool:
@@ -138,43 +162,6 @@ class _ColumnarBatch(ColumnarRun):
         """Sum of the nominal ``size`` column (defined even without
         payloads — what the bytes accounting counts)."""
         return arrays.col_sum(self.size)
-
-
-class FrameBatch(_ColumnarBatch):
-    """A columnar run of video frames."""
-
-    __slots__ = (
-        "seq", "kind", "pts", "width", "height", "gop_id", "encoded",
-        "deps", "owner",
-    )
-
-    def __init__(
-        self,
-        seq,
-        kind: str,
-        pts,
-        size,
-        width,
-        height,
-        gop_id,
-        encoded,
-        deps: tuple,
-        owner: tuple | None = None,
-        region=None,
-        offsets=None,
-        views=None,
-    ):
-        self.seq = seq
-        self.kind = kind
-        self.pts = pts
-        self.size = size
-        self.width = width
-        self.height = height
-        self.gop_id = gop_id
-        self.encoded = encoded
-        self.deps = deps
-        self.owner = owner
-        self._init_payload(region, offsets, views)
 
     # -- construction --------------------------------------------------------
 
@@ -276,84 +263,6 @@ class FrameBatch(_ColumnarBatch):
                 if self.owner is not None
                 else None
             ),
-            region=region,
-            offsets=offsets,
-            views=views,
-        )
-
-
-class SampleBatch(_ColumnarBatch):
-    """A columnar run of audio sample blocks."""
-
-    __slots__ = ("seq", "pts", "duration")
-
-    def __init__(self, seq, pts, duration, size,
-                 region=None, offsets=None, views=None):
-        self.seq = seq
-        self.pts = pts
-        self.duration = duration
-        self.size = size
-        self._init_payload(region, offsets, views)
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[AudioSample]) -> "SampleBatch":
-        samples = list(samples)
-        views: list | None = [
-            memoryview(s.payload) if s.payload is not None else None
-            for s in samples
-        ]
-        if not any(v is not None for v in views):
-            views = None
-        return cls(
-            seq=arrays.i64([s.seq for s in samples]),
-            pts=arrays.f64([s.pts for s in samples]),
-            duration=arrays.f64([s.duration for s in samples]),
-            size=arrays.i64([s.size for s in samples]),
-            views=views,
-        )
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-    def sample(self, i: int) -> AudioSample:
-        return AudioSample(
-            seq=int(self.seq[i]),
-            pts=float(self.pts[i]),
-            duration=float(self.duration[i]),
-            size=int(self.size[i]),
-            payload=self.payload_view(i),
-        )
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.select(range(len(self))[index])
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(index)
-        return self.sample(index)
-
-    def to_samples(self) -> list[AudioSample]:
-        """Materialize every block, each column converted once."""
-        tolist = arrays.tolist
-        return list(starmap(AudioSample, zip(  # in _SAMPLE_FIELDS order
-            tolist(self.seq), tolist(self.pts), tolist(self.duration),
-            tolist(self.size), self.payload_views() or [None] * len(self),
-            strict=True,
-        )))
-
-    def __iter__(self):
-        return iter(self.to_samples())
-
-    def select(self, indices: Iterable[int]) -> "SampleBatch":
-        indices = list(indices)
-        region, offsets, views = self._payload_take(indices)
-        return SampleBatch(
-            seq=arrays.take(self.seq, indices),
-            pts=arrays.take(self.pts, indices),
-            duration=arrays.take(self.duration, indices),
-            size=arrays.take(self.size, indices),
             region=region,
             offsets=offsets,
             views=views,
@@ -514,89 +423,13 @@ def _decode_frame_one(chunk) -> VideoFrame:
     )
 
 
-def _encode_sample_run(batch: SampleBatch) -> EncodedRun:
-    head = _AS_HEAD.size
-    tolist = arrays.tolist
-    payloads = batch.payload_views() or [None] * len(batch)
-    lengths = [
-        head + (payload.nbytes if payload is not None else 0)
-        for payload in payloads
-    ]
-    buffer, offsets = alloc_run_buffer(lengths)
-    pack = _AS_HEAD.pack_into
-    for offset, length, payload, seq, pts, duration, size in zip(
-        offsets, lengths, payloads, tolist(batch.seq), tolist(batch.pts),
-        tolist(batch.duration), tolist(batch.size), strict=True,
-    ):
-        flags = _F_HAS_PAYLOAD if payload is not None else 0
-        pack(
-            buffer, offset,
-            SAMPLE_WIRE_ID, flags, seq, pts, duration, size, length - head,
-        )
-        if payload is not None:
-            offset += head
-            buffer[offset : offset + payload.nbytes] = payload
-    return EncodedRun(buffer, offsets, lengths)
-
-
-def _parse_sample_chunk(chunk):
-    mv = chunk if isinstance(chunk, memoryview) else memoryview(chunk)
-    head = _AS_HEAD.size
-    if mv.nbytes < head:
-        raise MarshalError(
-            f"truncated sample chunk: {mv.nbytes} of {head} header bytes"
-        )
-    _wire, flags, seq, pts, duration, size, body = _AS_HEAD.unpack_from(mv, 0)
-    if body < 0 or size < 0:
-        raise _negative_field("sample", body_len=body, size=size)
-    if mv.nbytes != head + body:
-        raise MarshalError(
-            f"malformed sample chunk: {mv.nbytes} bytes, "
-            f"expected {head + body}"
-        )
-    payload = mv[head : head + body] if flags & _F_HAS_PAYLOAD else None
-    return seq, pts, duration, size, payload
-
-
-def _decode_sample_run(chunks: list) -> SampleBatch:
-    seqs, ptss, durations, sizes, views = [], [], [], [], []
-    any_payload = False
-    for chunk in chunks:
-        seq, pts, duration, size, payload = _parse_sample_chunk(chunk)
-        seqs.append(seq)
-        ptss.append(pts)
-        durations.append(duration)
-        sizes.append(size)
-        views.append(payload)
-        any_payload = any_payload or payload is not None
-    return SampleBatch(
-        seq=arrays.i64(seqs),
-        pts=arrays.f64(ptss),
-        duration=arrays.f64(durations),
-        size=arrays.i64(sizes),
-        views=views if any_payload else None,
-    )
-
-
-def _decode_sample_one(chunk) -> AudioSample:
-    seq, pts, duration, size, payload = _parse_sample_chunk(chunk)
-    return AudioSample(seq=seq, pts=pts, duration=duration, size=size,
-                       payload=payload)
-
-
 register_run_codec(
     FrameBatch, FRAME_WIRE_ID,
     _encode_frame_run, _decode_frame_run, _decode_frame_one,
 )
-register_run_codec(
-    SampleBatch, SAMPLE_WIRE_ID,
-    _encode_sample_run, _decode_sample_run, _decode_sample_one,
-)
 
 __all__ = [
     "FrameBatch",
-    "SampleBatch",
     "build_payload_region",
     "FRAME_WIRE_ID",
-    "SAMPLE_WIRE_ID",
 ]

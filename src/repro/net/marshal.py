@@ -69,7 +69,7 @@ RUN_WIRE_BASE = 0x20
 #: out of the run-codec id space: a coalesced frame may carry one such
 #: chunk after its data chunks, holding the TLV-encoded flow contexts of
 #: the sampled items in the frame (the per-run context column for the
-#: 0x20/0x21 run codecs).  Flow-aware receivers strip it before the data
+#: 0x20 run codec).  Flow-aware receivers strip it before the data
 #: chunks reach the unmarshaller.
 FLOW_CHUNK_MAGIC = 0x7F
 

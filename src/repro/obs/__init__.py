@@ -26,7 +26,7 @@ Typical use::
 or from the CLI: ``python -m repro run --metrics --trace-out trace.json``.
 """
 
-from repro.obs.dashboard import Dashboard, MetricsServer, render_top
+from repro.obs.dashboard import Dashboard, render_top
 from repro.obs.exporters import (
     chrome_trace,
     export_chrome_trace,
@@ -53,7 +53,6 @@ from repro.obs.metrics import (
     merge_dump,
 )
 from repro.obs.sched import SchedulerProbe
-from repro.obs.slo import Objective, SloEngine
 from repro.obs.spans import Telemetry
 
 __all__ = [
@@ -66,10 +65,7 @@ __all__ = [
     "LineageStore",
     "MetricError",
     "MetricsRegistry",
-    "MetricsServer",
-    "Objective",
     "SchedulerProbe",
-    "SloEngine",
     "Telemetry",
     "TraceContext",
     "chrome_trace",

@@ -1,29 +1,18 @@
-"""Live observability surfaces: ``repro top`` and the metrics endpoint.
+"""Live observability surface: ``repro top``.
 
-Two ways to watch a pipeline without instrumenting the caller:
-
-* :func:`render_top` / :class:`Dashboard` — a top(1)-style text view of
-  the registry's key metrics, the flow tracer's lineage summary and the
-  SLO engine's burn rates.  ``render_top`` is a pure function (state in,
-  string out) so tests golden it directly; :class:`Dashboard` drives it
-  on a refresh loop, through ``curses`` when a real terminal is
-  available and plain text (one frame per refresh) everywhere else —
-  pipes, CI, dumb terminals.
-* :class:`MetricsServer` — a stdlib-only HTTP endpoint
-  (``ThreadingHTTPServer``) serving the Prometheus text exposition at
-  ``/metrics`` plus JSON snapshots of the flow tracer (``/flow``) and
-  the SLO engine (``/slo``).  Bind port 0 to let the OS pick (tests do).
-
-Both are read-only consumers of the same objects the runtime already
-maintains — no new bookkeeping on any hot path.
+:func:`render_top` / :class:`Dashboard` — a top(1)-style text view of the
+registry's key metrics and the flow tracer's lineage summary, a
+read-only consumer of the objects the runtime already maintains (no new
+bookkeeping on any hot path).  ``render_top`` is a pure function (state
+in, string out) so tests golden it directly; :class:`Dashboard` drives it
+on a refresh loop, through ``curses`` when a real terminal is available
+and plain text (one frame per refresh) everywhere else — pipes, CI, dumb
+terminals.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import Callable
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -111,54 +100,10 @@ def _flow_lines(tracer) -> list[str]:
     return lines
 
 
-def _slo_lines(slo) -> list[str]:
-    snap = slo.snapshot()
-    lines = []
-    for series in snap["series"]:
-        burns = " ".join(
-            f"{window}s={rate:.2f}"
-            for window, rate in series["burn_rates"].items()
-        )
-        marker = "  ALERT" if series["alerting"] else ""
-        key = f" key={series['key']}" if series["key"] else ""
-        lines.append(
-            f"  {series['objective']:<20}{key} burn {burns}{marker}"
-        )
-    if not lines:
-        lines.append("  (no completed traces yet)")
-    alerts = snap["alerts"]
-    if alerts:
-        lines.append(f"  {len(alerts)} objective(s) ALERTING")
-    return lines
-
-
-def _tenant_lines(fabric, limit: int = 12) -> list[str]:
-    """Per-tenant rows, busiest first; a huge fleet folds into a tail."""
-    rows = fabric.tenant_rows()
-    rows.sort(key=lambda row: (-row["dispatches"], row["tenant"]))
-    live = sum(1 for row in rows if row["state"] == "live")
-    parked = sum(1 for row in rows if row["state"] == "parked")
-    lines = [
-        f"  sessions={len(rows)} live={live} parked={parked} "
-        f"done={len(rows) - live - parked}"
-    ]
-    for row in rows[:limit]:
-        lines.append(
-            f"  {row['tenant']:<20} {row['state']:<7} w={row['weight']:<4g} "
-            f"items={row['items']:<8} disp={row['dispatches']:<8} "
-            f"vt={row['vtime']:.1f}"
-        )
-    if len(rows) > limit:
-        lines.append(f"  … and {len(rows) - limit} more")
-    return lines
-
-
 def render_top(
     registry=None,
     tracer=None,
-    slo=None,
     engine=None,
-    fabric=None,
     now: float | None = None,
     width: int = 80,
 ) -> str:
@@ -170,32 +115,24 @@ def render_top(
     """
     if now is None and engine is not None:
         now = engine.scheduler.now()
-    if now is None and fabric is not None:
-        now = fabric.scheduler.now()
     bar = "─" * min(width, 80)
     title = "repro top"
     if now is not None:
         title += f" — virtual t={now:.3f}s"
     lines = [title, bar]
     if engine is not None:
-        drivers = getattr(engine, "pump_drivers", [])
+        drivers = engine.pump_drivers
         running = sum(1 for driver in drivers if not driver.finished)
         lines.append(
             f"  pumps={len(drivers)} running={running} "
             f"steps={engine.scheduler.steps}"
         )
-    if fabric is not None:
-        lines.append("TENANTS")
-        lines.extend(_tenant_lines(fabric))
     if registry is not None:
         lines.append("METRICS")
         lines.extend(_metric_lines(registry) or ["  (registry empty)"])
     if tracer is not None:
         lines.append("FLOW")
         lines.extend(_flow_lines(tracer))
-    if slo is not None:
-        lines.append("SLO")
-        lines.extend(_slo_lines(slo))
     lines.append(bar)
     return "\n".join(line[:width] for line in lines) + "\n"
 
@@ -290,123 +227,3 @@ class Dashboard:
             except Exception:
                 pass  # no terminfo, broken terminal: fall through
         return self.run_plain(frames=frames)
-
-
-# ---------------------------------------------------------------------------
-# the metrics endpoint
-# ---------------------------------------------------------------------------
-
-
-class MetricsServer:
-    """Serves ``/metrics`` (Prometheus text), ``/flow`` and ``/slo``
-    (JSON snapshots) from a background thread.
-
-    ::
-
-        server = MetricsServer(registry, tracer=tracer, slo=slo).start()
-        print(server.url)          # http://127.0.0.1:<port>/
-        ...
-        server.stop()
-    """
-
-    def __init__(
-        self,
-        registry=None,
-        tracer=None,
-        slo=None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.registry = registry
-        self.tracer = tracer
-        self.slo = slo
-        self.host = host
-        self.port = port
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-
-    # -- payloads ------------------------------------------------------------
-
-    def metrics_text(self) -> str:
-        if self.registry is None:
-            return ""
-        from repro.obs.exporters import prometheus_text
-
-        return prometheus_text(self.registry)
-
-    def snapshot(self) -> dict[str, Any]:
-        """The combined JSON document served at ``/``."""
-        document: dict[str, Any] = {"endpoints": ["/metrics"]}
-        if self.tracer is not None:
-            document["endpoints"].append("/flow")
-            document["flow"] = self.tracer.snapshot()
-        if self.slo is not None:
-            document["endpoints"].append("/slo")
-            document["slo"] = self.slo.snapshot()
-        return document
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> "MetricsServer":
-        if self._httpd is not None:
-            raise RuntimeError("metrics server already started")
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):  # quiet
-                pass
-
-            def _send(self, body: bytes, content_type: str) -> None:
-                self.send_response(200)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):
-                path = self.path.split("?", 1)[0].rstrip("/") or "/"
-                if path == "/metrics":
-                    self._send(
-                        server.metrics_text().encode(),
-                        "text/plain; version=0.0.4; charset=utf-8",
-                    )
-                elif path == "/flow" and server.tracer is not None:
-                    self._send(
-                        json.dumps(server.tracer.snapshot()).encode(),
-                        "application/json",
-                    )
-                elif path == "/slo" and server.slo is not None:
-                    self._send(
-                        json.dumps(server.slo.snapshot()).encode(),
-                        "application/json",
-                    )
-                elif path == "/":
-                    self._send(
-                        json.dumps(server.snapshot()).encode(),
-                        "application/json",
-                    )
-                else:
-                    self.send_error(404)
-
-        self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-metrics-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/"
-
-    def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None

@@ -24,8 +24,8 @@ collectors (:class:`~repro.obs.spans.Telemetry` for histograms, the
   peer thread's hand; the end of a pump cycle sweeps what is left (an
   item that reached neither sink nor boundary was dropped by the
   section's declared-lossy stage, or absorbed).
-* Every buffer-like boundary (``Buffer``, ``ZipBuffer``, netpipe
-  receiver) has a :class:`Lane`, held by its ``BufferGate``: one entry
+* Every buffer-like boundary (``Buffer``, netpipe receiver) has a
+  :class:`Lane`, held by its ``BufferGate``: one entry
   per queued item — its enqueue timestamp, or its sampled context, whose
   open ``wait`` segment began at that same instant.  A gate put moves
   slots from the hand into the lane, a gate get moves them back and
@@ -45,9 +45,8 @@ collectors (:class:`~repro.obs.spans.Telemetry` for histograms, the
   gate's lane strips it and rebuilds the contexts (now carrying a closed
   ``wire`` segment) under the same ids, so one trace reassembles
   end-to-end across simulated-network hops.
-* Fan-out forks (an underflowing take duplicates the last-taken context
-  with a child id); fan-in at a :class:`ZipBuffer` joins (the secondary
-  contexts finish as ``joined`` into the primary).
+* Fan-out forks: an underflowing take (a tee's branches) duplicates the
+  last-taken context with a child id, so every branch keeps its lineage.
 
 Segments tile the trace exactly: every ``advance`` closes the open
 segment at time *t* and opens the next at the same *t*, so::
@@ -61,7 +60,7 @@ measured end-to-end latency.
 
 Sampling is 1-in-N at birth (``sample_every``) plus tail-based
 retention: the bounded :class:`LineageStore` evicts fast delivered
-traces first and keeps slow, dropped, lost and joined ones.
+traces first and keeps slow, dropped and lost ones.
 
 Usage::
 
@@ -93,7 +92,6 @@ MAX_POSITIONAL = 4096
 DELIVERED = "delivered"
 DROPPED = "dropped"
 LOST = "lost"
-JOINED = "joined"
 ABSORBED = "absorbed"
 
 
@@ -286,7 +284,7 @@ class LineageStore:
 
     Completed traces that finished fast and cleanly (``delivered`` under
     ``slow_threshold``) are the first evicted when the store exceeds
-    ``max_traces``; slow, dropped, lost and joined traces — the ones an
+    ``max_traces``; slow, dropped and lost traces — the ones an
     operator actually asks about — are kept until only they remain.
     In-flight traces are never evicted (their population is bounded by
     the pipeline's in-flight item count).
@@ -305,12 +303,6 @@ class LineageStore:
         self._kept: deque[str] = deque()
         self.evicted = 0
         self.completed = 0
-        self._callbacks: list[Callable[[FlowTrace], None]] = []
-
-    def on_complete(self, callback: Callable[[FlowTrace], None]) -> None:
-        """Run ``callback(FlowTrace)`` whenever a trace finishes (the SLO
-        engine subscribes here)."""
-        self._callbacks.append(callback)
 
     def register(self, ctx: TraceContext) -> None:
         """Add (or replace, after a wire hop) a context."""
@@ -325,10 +317,6 @@ class LineageStore:
             and ctx.end_ts - ctx.birth_ts > self.slow_threshold
         )
         (self._kept if interesting else self._boring).append(ctx.trace_id)
-        if self._callbacks:
-            trace = FlowTrace(ctx)
-            for callback in self._callbacks:
-                callback(trace)
         while len(self._traces) > self.max_traces:
             victims = self._boring or self._kept
             if not victims:
@@ -587,7 +575,7 @@ class Lane:
         self.wait = None
         self.tracer: "FlowTracer | None" = None
 
-    def put(self, hand: Hand, k: int, port: str | None = None) -> None:
+    def put(self, hand: Hand, k: int) -> None:
         """``k`` data items moved from ``hand`` into the queue."""
         t = self.now()
         if self.tracer is None:
@@ -599,7 +587,7 @@ class Lane:
                 self.entries.append(t if ctx is None else ctx)
         self._heal(0, self.drop_newest)
 
-    def get(self, hand: Hand, k: int, port: str | None = None) -> None:
+    def get(self, hand: Hand, k: int) -> None:
         """``k`` data items moved from the queue into ``hand``: each
         one's wait ends here, for the histogram and the trace alike."""
         self._heal(k)
@@ -658,57 +646,6 @@ class Lane:
                 )
 
 
-class ZipLane:
-    """The lanes of a ZipBuffer-style boundary: one per in-port queue,
-    joined N:1 on pull (only a FlowTracer plants these — a zip has no
-    single wait to put in a histogram)."""
-
-    __slots__ = ("name", "now", "lanes", "_tracer")
-
-    def __init__(self, component, now: Callable[[], float]):
-        self.name = component.name
-        self.now = now
-        self.lanes = {
-            port: Lane(component, now, lambda p=port: component.port_fill(p))
-            for port in component.in_names
-        }
-
-    @property
-    def tracer(self) -> "FlowTracer":
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: "FlowTracer") -> None:
-        self._tracer = tracer
-        for lane in self.lanes.values():
-            lane.tracer = tracer
-
-    def put(self, hand: Hand, k: int, port: str) -> None:
-        self.lanes[port].put(hand, k)
-
-    def get(self, hand: Hand, k: int, port: str | None = None) -> None:
-        """Each pulled tuple joined the head of every port queue: the
-        first sampled head carries on, the others finish ``joined``."""
-        t = self.now()
-        slots = []
-        for _ in range(k):
-            primary = None
-            for lane in self.lanes.values():
-                ctx = lane.entries.popleft() if lane.entries else None
-                if type(ctx) is not TraceContext:
-                    continue
-                ctx.advance("service", hand.thread, t)
-                if primary is None:
-                    primary = ctx
-                else:
-                    self.tracer._finish(
-                        ctx, JOINED, site=self.name,
-                        reason=f"joined into {primary.trace_id}",
-                    )
-            slots.append(primary)
-        hand.hold(slots)
-
-
 def plant(engine: "Engine") -> dict[str, Hand]:
     """The engine's hands by thread name, created on the first call.
 
@@ -730,13 +667,11 @@ def plant(engine: "Engine") -> dict[str, Hand]:
     return hands
 
 
-def plant_lane(engine: "Engine", component) -> "Lane | ZipLane":
+def plant_lane(engine: "Engine", component) -> Lane:
     """The lane of ``component``'s gate, created on the first call."""
     gate = engine.gate_for(component)
     if gate.lane is None:
-        gate.lane = (ZipLane if component.joins else Lane)(
-            component, engine.scheduler.clock.now
-        )
+        gate.lane = Lane(component, engine.scheduler.clock.now)
     return gate.lane
 
 
@@ -817,7 +752,7 @@ class FlowTracer:
         return lossy
 
     def _publish(self, registry) -> None:
-        for status in (DELIVERED, DROPPED, LOST, JOINED, ABSORBED):
+        for status in (DELIVERED, DROPPED, LOST, ABSORBED):
             self._status_counters[status] = registry.counter(
                 "repro_flow_traces_total",
                 help="Finished flow traces by terminal status",
@@ -876,7 +811,7 @@ class FlowTracer:
         return self.store.traces(DROPPED) + self.store.traces(LOST)
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-ready summary (served by ``run --serve-metrics``)."""
+        """JSON-ready summary (the ``repro top`` FLOW pane)."""
         traces = self.store.traces()
         by_status: dict[str, int] = {}
         for trace in traces:

@@ -354,7 +354,7 @@ class MetricsRegistry:
 
 # ---------------------------------------------------------------------------
 # Cross-process aggregation (repro.deploy): dump in a shard child, merge in
-# the parent with an extra ``shard`` label, serve from one MetricsServer.
+# the parent with an extra ``shard`` label.
 # ---------------------------------------------------------------------------
 
 

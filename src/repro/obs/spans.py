@@ -115,12 +115,11 @@ class Telemetry:
         for hand in hands.values():
             hand.rtt = rtt
         for component in engine._gates:
-            if not component.joins:  # a join has no single wait
-                plant_lane(engine, component).wait = registry.histogram(
-                    "repro_buffer_wait_seconds",
-                    help="Enqueue-to-dequeue wait per boundary queue",
-                    component=component.name,
-                )
+            plant_lane(engine, component).wait = registry.histogram(
+                "repro_buffer_wait_seconds",
+                help="Enqueue-to-dequeue wait per boundary queue",
+                component=component.name,
+            )
         return self
 
     def _publish_component(self, component) -> None:

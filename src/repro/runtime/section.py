@@ -106,8 +106,8 @@ class BufferGate:
         self._pull_waiters: deque[str] = deque()
         #: Greedy pumps waiting for data (poked on every successful put).
         self.idle_pumps: set[str] = set()
-        # Batched entry points, resolved once (a Boundary's default is
-        # the per-item loop).
+        # Batched entry points, resolved once (a Boundary's batched push
+        # defaults to the per-item loop).
         self._try_push_many = buffer.try_push_many
         self._try_pull_many = buffer.try_pull_many
 
@@ -116,7 +116,7 @@ class BufferGate:
             status = self.buffer.try_push(item, port)
             if status != FULL:
                 if self.lane is not None and item is not EOS:
-                    self.lane.put(ctx.hand, 1, port)
+                    self.lane.put(ctx.hand, 1)
                 yield from self._wake_pullers(ctx)
                 return
             self._push_waiters.append(ctx.thread_name)
@@ -131,7 +131,7 @@ class BufferGate:
                     and item is not EOS
                     and item is not NIL
                 ):
-                    self.lane.get(ctx.hand, 1, port)
+                    self.lane.get(ctx.hand, 1)
                 yield from self._wake_pushers(ctx)
                 return item
             self._pull_waiters.append(ctx.thread_name)
@@ -148,7 +148,7 @@ class BufferGate:
             taken = push_many(items[start:] if start else items, port)
             if taken:
                 if self.lane is not None:
-                    self.lane.put(ctx.hand, taken, port)
+                    self.lane.put(ctx.hand, taken)
                 yield from self._wake_pullers(ctx)
                 start += taken
                 if start >= total:
@@ -169,7 +169,7 @@ class BufferGate:
                 if self.lane is not None:
                     count = _run_data_count(run)
                     if count:
-                        self.lane.get(ctx.hand, count, port)
+                        self.lane.get(ctx.hand, count)
                 yield from self._wake_pushers(ctx)
                 return run
             self._pull_waiters.append(ctx.thread_name)

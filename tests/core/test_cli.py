@@ -184,7 +184,7 @@ def test_deploy_place_rejects_an_entry_that_is_not_name_colon_shard(
     ("deploy", ["--until", "1"]),
     ("deploy", ["--max-steps", "10"]),
     ("deploy", ["--trace-limit", "10"]),
-    ("deploy", ["--slo-latency", "0.5"]),
+    ("deploy", ["--frames", "2"]),
     ("run", ["--shards", "2"]),
     ("top", ["--metrics"]),
     ("top", ["--trace-limit", "10"]),

@@ -108,8 +108,7 @@ class TestPortIndex:
         component = make_stock(cls)
         self.assert_partitions(component)
         # Wider fan-in / fan-out where the class takes a width.
-        if cls.__name__ in ("MergeTee", "MulticastTee", "ActivityRouter",
-                            "ZipBuffer"):
+        if cls.__name__ in ("MergeTee", "MulticastTee", "ActivityRouter"):
             wide = cls(5)
             self.assert_partitions(wide)
             assert len(wide.ports) == 6

@@ -74,6 +74,11 @@ class TestRegistry:
         with pytest.raises(LangError, match="unknown component"):
             Registry().resolve("ghost")
 
+    def test_the_retired_zip_buffer_is_an_unknown_component(self):
+        with pytest.raises(LangError, match="unknown component type "
+                                            "'zip_buffer'"):
+            default_registry().resolve("zip_buffer")
+
     def test_child_scope_shadows_parent(self):
         parent = default_registry()
         child = parent.child()

@@ -54,7 +54,6 @@ class TestSpecPickling:
             .with_trace(limit=64)
             .with_metrics()
             .with_tracing(4)
-            .with_slo(0.5)
             .with_engine_options(on_thread_error="raise")
         )
         assert roundtrip(spec) == spec

@@ -276,10 +276,7 @@ class TestCloseTouchesNoNeighbour:
         assert victim.tenant is None
         assert all(t.terminated for t in victim_threads)
         # Reading the survivors' tenants copies no table either.
-        from repro.obs.metrics import MetricsRegistry
-
-        fabric.collect_metrics(MetricsRegistry())
-        assert len(fabric.tenant_rows()) == 199
+        assert len(fabric.sessions) == 199
         assert all(s.tenant.name == s.name for s in fabric.sessions.values())
         scheduler.threads = dict(dict.items(scheduler.threads))
         scheduler._tenants = dict(dict.items(scheduler._tenants))
@@ -451,45 +448,6 @@ class TestStatsAndObs:
             )
             sink_stats = stats.components[f"{session.name}/sink"]
             assert sink_stats["items_in"] == 7
-
-    def test_collect_metrics_labels_by_tenant(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        build, _ = counting_program()
-        fabric = SessionFabric()
-        fabric.open_session(build, name="alice", weight=2.0)
-        fabric.open_session(build, name="bob")
-        fabric.park("bob")
-        registry = MetricsRegistry()
-        fabric.collect_metrics(registry)
-        weight = registry.get(
-            "repro_fabric_session_weight", tenant="alice"
-        )
-        assert weight.value == 2.0
-        parked = registry.get(
-            "repro_fabric_session_parked", tenant="bob"
-        )
-        assert parked.value == 1.0
-        assert registry.get(
-            "repro_fabric_tenant_vtime", tenant="alice"
-        ) is not None
-
-    def test_tenant_rows_for_top(self):
-        build, _ = counting_program(items=3)
-        fabric = SessionFabric()
-        fabric.open_session(build, name="alice")
-        fabric.open_session(build, name="bob")
-        fabric.park("bob")
-        run_rounds(fabric)
-        rows = {row["tenant"]: row for row in fabric.tenant_rows()}
-        assert rows["alice"]["state"] == "done"
-        assert rows["bob"]["state"] == "parked"
-        assert rows["alice"]["items"] > 0
-        assert rows["alice"]["dispatches"] > 0
-        assert set(rows["alice"]) >= {
-            "tenant", "state", "weight", "threads", "items",
-            "dispatches", "vtime", "time",
-        }
 
 
 class TestSharedScheduler:

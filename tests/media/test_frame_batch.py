@@ -11,21 +11,14 @@ import pytest
 from repro import CollectSink, Engine, FunctionComponent, GreedyPump, pipeline
 from repro.errors import MarshalError
 from repro.media import (
-    AudioSample,
-    AudioSource,
     FrameBatch,
     GopStructure,
     MpegFileSource,
-    SampleBatch,
     VideoFrame,
     synth_payload,
 )
 from repro.media import arrays
-from repro.media.batch import (
-    _decode_frame_run,
-    _decode_sample_run,
-    build_payload_region,
-)
+from repro.media.batch import _decode_frame_run, build_payload_region
 from repro.net.marshal import decode_batch_views, encode_run
 
 
@@ -159,40 +152,6 @@ class TestFrameWire:
             _decode_frame_run([chunk + b"xx"])
 
 
-class TestSampleBatch:
-    def samples(self, count=5):
-        return [
-            AudioSample(
-                seq=i, pts=i * 0.02, duration=0.02, size=64,
-                payload=synth_payload(i, 64),
-            )
-            for i in range(count)
-        ]
-
-    def test_roundtrip(self, backend):
-        batch = SampleBatch.from_samples(self.samples())
-        for got, want in zip(batch.to_samples(), self.samples()):
-            assert (got.seq, got.pts, got.duration, got.size) == (
-                want.seq, want.pts, want.duration, want.size
-            )
-            assert bytes(got.payload) == want.payload
-
-    def test_wire_roundtrip(self, backend):
-        batch = SampleBatch.from_samples(self.samples())
-        run = encode_run(batch)
-        decoded = _decode_sample_run(decode_batch_views(bytes(run.frame_payload())))
-        assert [s.seq for s in decoded.to_samples()] == [0, 1, 2, 3, 4]
-        assert bytes(decoded.payload_view(3)) == synth_payload(3, 64)
-
-    def test_truncated_sample_chunk(self, backend):
-        batch = SampleBatch.from_samples(self.samples(1))
-        chunk = bytes(encode_run(batch).chunk(0))
-        with pytest.raises(MarshalError, match="truncated sample chunk"):
-            _decode_sample_run([chunk[:5]])
-        with pytest.raises(MarshalError, match="malformed sample chunk"):
-            _decode_sample_run([chunk[:-1]])
-
-
 class TestCrossBackend:
     def test_numpy_batch_readable_under_pure_helpers(self, monkeypatch):
         if arrays._numpy is None:
@@ -225,29 +184,22 @@ class RunSink(CollectSink):
 
 
 class TestColumnarRunsStayColumnar:
-    @pytest.mark.parametrize(
-        "source, batch_type, materialize",
-        [
-            (lambda: MpegFileSource("t.mpg", frames=40), FrameBatch, "frame"),
-            (lambda: AudioSource(blocks=40), SampleBatch, "sample"),
-        ],
-        ids=["frames", "samples"],
-    )
     def test_function_hop_and_batched_cycle_materialize_nothing(
-        self, backend, monkeypatch, source, batch_type, materialize
+        self, backend, monkeypatch
     ):
         # Asking a run whether it ends in EOS must not index a columnar
-        # batch: that builds a throw-away VideoFrame/AudioSample per run.
+        # batch: that builds a throw-away VideoFrame per run.
         calls = []
-        original = getattr(batch_type, materialize)
+        original = FrameBatch.frame
         monkeypatch.setattr(
-            batch_type, materialize,
+            FrameBatch, "frame",
             lambda self, i: calls.append(i) or original(self, i),
         )
         sink = RunSink()
-        pipe = pipeline(source(), Passthrough(), GreedyPump(), sink)
+        source = MpegFileSource("t.mpg", frames=40)
+        pipe = pipeline(source, Passthrough(), GreedyPump(), sink)
         Engine(pipe, batch_max=8).run_to_completion()
         assert [len(run) for run in sink.runs] == [8] * 5
-        assert all(isinstance(run, batch_type) for run in sink.runs)
+        assert all(isinstance(run, FrameBatch) for run in sink.runs)
         assert sink.stats["items_in"] == 40
         assert calls == []

@@ -210,7 +210,9 @@ class TestForgedMediaChunks:
     byte accounting runs backwards."""
 
     FRAME = "<BBBBqdqqiii"  # wire, flags, kind, ndeps, seq, pts, size, body, w, h, gop
-    SAMPLE = "<BBqddqq"  # wire, flags, seq, pts, duration, size, body
+    #: The retired audio run codec's header (wire id 0x21): wire, flags,
+    #: seq, pts, duration, size, body.
+    SAMPLE = "<BBqddqq"
 
     def frame_chunk(self, ndeps=0, size=48, body=0, width=160, height=120,
                     tail=b""):
@@ -238,14 +240,26 @@ class TestForgedMediaChunks:
         with pytest.raises(MarshalError, match=f"negative {field} -1"):
             UnmarshalFilter().convert_many([chunk, chunk])
 
-    @pytest.mark.parametrize("field", ["size", "body"])
-    def test_negative_sample_field_is_refused(self, field):
-        name = {"size": "size", "body": "body_len"}[field]
-        chunk = self.sample_chunk(**{field: -8})
-        with pytest.raises(MarshalError, match=f"negative {name} -8"):
+    @pytest.mark.parametrize(
+        "payload", [b"", b"\x01\x02\x03\x04"], ids=["empty", "payload"]
+    )
+    def test_a_retired_sample_chunk_is_refused_not_decoded(self, payload):
+        """Bytes of the deleted 0x21 audio run codec, well formed as they
+        were written, end in ``MarshalError`` on every decode route —
+        never in an item."""
+        chunk = self.sample_chunk(
+            size=len(payload), body=len(payload), tail=payload
+        )
+        with pytest.raises(MarshalError, match="unknown wire tag 33"):
             decode_item(chunk)
-        with pytest.raises(MarshalError, match=f"negative {name} -8"):
-            UnmarshalFilter().convert_many([chunk])
+        with pytest.raises(MarshalError, match="unknown wire tag 33"):
+            UnmarshalFilter().convert_many([chunk, chunk])
+        protocol = FakeProtocol()
+        receiver = NetpipeReceiver(protocol)
+        protocol._deliver_frame(encode_batch([chunk] * 3))
+        _, chunks = receiver.try_pull_many(3)
+        with pytest.raises(MarshalError, match="unknown wire tag 33"):
+            UnmarshalFilter().convert_many(chunks)
 
     def test_receiver_surfaces_a_forged_media_frame_as_marshal_error(self):
         protocol = FakeProtocol()
@@ -260,8 +274,6 @@ class TestForgedMediaChunks:
     def test_well_formed_chunks_still_decode(self):
         frame = decode_item(self.frame_chunk(ndeps=1, tail=b"\x05" + b"\0" * 7))
         assert (frame.seq, frame.kind, frame.deps, frame.size) == (7, "P", (5,), 48)
-        sample = decode_item(self.sample_chunk(size=4, body=4, tail=b"abcd"))
-        assert sample.payload is None and sample.size == 4
 
 
 def test_one_encoded_run_is_byte_for_byte_the_recorded_one():

@@ -1,9 +1,13 @@
-"""Dashboard rendering, the refresh loop, and the metrics endpoint."""
+"""Dashboard rendering and the refresh loop."""
 
 import io
 import json
-import urllib.request
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro import (
     Buffer,
     CollectSink,
@@ -17,10 +21,6 @@ from repro.__main__ import main
 from repro.api import Pipeline
 from repro.obs import (
     FlowTracer,
-    MetricsRegistry,
-    MetricsServer,
-    Objective,
-    SloEngine,
     Telemetry,
     render_top,
 )
@@ -35,77 +35,33 @@ def _traced_run():
     tracer = FlowTracer(
         sample_every=1, registry=telemetry.registry
     ).attach(engine)
-    slo = SloEngine(
-        [Objective("lat", "latency_p99", target=0.05, windows=(1.0,))],
-        now=engine.scheduler.now,
-        registry=telemetry.registry,
-    ).attach(tracer)
     engine.start()
     engine.run()
     tracer.finalize_inflight()
-    return engine, telemetry, tracer, slo
+    return engine, telemetry, tracer
 
 
 class TestRenderTop:
     def test_sections_present(self):
-        engine, telemetry, tracer, slo = _traced_run()
+        engine, telemetry, tracer = _traced_run()
         text = render_top(
-            registry=telemetry.registry, tracer=tracer, slo=slo,
-            engine=engine,
+            registry=telemetry.registry, tracer=tracer, engine=engine,
         )
         assert text.startswith("repro top")
-        for section in ("METRICS", "FLOW", "SLO"):
+        for section in ("METRICS", "FLOW"):
             assert section in text
         assert "births=30" in text
         assert "delivered=30" in text
-        assert "lat" in text
 
     def test_pure_function_no_state_needed(self):
         # Renders something sensible even with nothing attached.
         text = render_top(now=1.25)
         assert "t=1.250s" in text
 
-    def test_tenant_pane_lists_sessions_busiest_first(self):
-        from repro.fabric import SessionFabric
-
-        def build():
-            return pipeline(
-                IterSource(range(12)), GreedyPump(), CollectSink()
-            )
-
-        fabric = SessionFabric()
-        fabric.open_session(build, name="alice", weight=4.0)
-        fabric.open_session(build, name="bob")
-        fabric.open_session(build, name="carol")
-        fabric.park("carol")
-        fabric.run_to_completion(max_steps=100_000)
-        text = render_top(fabric=fabric)
-        assert "TENANTS" in text
-        assert "sessions=3 live=0 parked=1 done=2" in text
-        lines = text.splitlines()
-        alice = next(i for i, l in enumerate(lines) if "alice" in l)
-        carol = next(i for i, l in enumerate(lines) if "carol" in l)
-        assert alice < carol  # busiest first; parked carol never dispatched
-        assert "w=4" in lines[alice]
-
-    def test_tenant_pane_folds_a_large_fleet(self):
-        from repro.fabric import SessionFabric
-
-        def build():
-            return pipeline(
-                IterSource(range(2)), GreedyPump(), CollectSink()
-            )
-
-        fabric = SessionFabric()
-        for index in range(40):
-            fabric.open_session(build, name=f"s{index}")
-        text = render_top(fabric=fabric)
-        assert "… and 28 more" in text  # 12-row pane over 40 sessions
-
     def test_width_is_enforced(self):
-        engine, telemetry, tracer, slo = _traced_run()
+        engine, telemetry, tracer = _traced_run()
         text = render_top(
-            registry=telemetry.registry, tracer=tracer, slo=slo, width=40
+            registry=telemetry.registry, tracer=tracer, width=40
         )
         assert all(len(line) <= 40 for line in text.splitlines())
 
@@ -197,47 +153,6 @@ class TestDashboardLoop:
         assert Dashboard(lambda: "x\n").run_curses(frames=2) == 2
 
 
-class TestMetricsServer:
-    def test_serves_metrics_flow_and_slo(self):
-        _, telemetry, tracer, slo = _traced_run()
-        server = MetricsServer(
-            registry=telemetry.registry, tracer=tracer, slo=slo
-        ).start()
-        try:
-            assert server.port != 0  # OS assigned a real port
-            body = urllib.request.urlopen(
-                server.url + "metrics", timeout=5
-            ).read().decode()
-            assert "repro_flow_traces_total" in body
-            assert "repro_slo_burn_rate" in body
-            flow = json.loads(
-                urllib.request.urlopen(server.url + "flow", timeout=5).read()
-            )
-            assert flow["births"] == 30
-            assert flow["by_status"]["delivered"] == 30
-            slo_doc = json.loads(
-                urllib.request.urlopen(server.url + "slo", timeout=5).read()
-            )
-            assert slo_doc["objectives"][0]["name"] == "lat"
-            index = json.loads(
-                urllib.request.urlopen(server.url, timeout=5).read()
-            )
-            assert set(index["endpoints"]) == {"/metrics", "/flow", "/slo"}
-        finally:
-            server.stop()
-
-    def test_unknown_path_is_404(self):
-        server = MetricsServer(registry=MetricsRegistry()).start()
-        try:
-            try:
-                urllib.request.urlopen(server.url + "nope", timeout=5)
-                raise AssertionError("expected HTTP 404")
-            except urllib.error.HTTPError as exc:
-                assert exc.code == 404
-        finally:
-            server.stop()
-
-
 class TestCli:
     DESC = "counting(limit=25) >> greedy_pump >> collect"
 
@@ -248,15 +163,7 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("repro top") == 2
-        assert "FLOW" in out and "SLO" in out
-
-    def test_run_serve_metrics_smoke(self, capsys):
-        code = main([
-            "run", self.DESC, "--serve-metrics", "0", "--serve-for", "0",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serving metrics at http://127.0.0.1:" in out
+        assert "METRICS" in out and "FLOW" in out
 
     def test_run_flow_out_writes_trace_log(self, tmp_path, capsys):
         path = tmp_path / "flows.jsonl"
@@ -267,3 +174,19 @@ class TestCli:
         first = json.loads(lines[0])
         assert first["status"] == "delivered"
         assert first["segments"]
+
+
+def test_importing_repro_obs_loads_no_http_server():
+    """Nothing in ``repro.obs`` serves over HTTP, so a fresh interpreter
+    that imports it must not have paid for ``http.server`` (or the
+    ``socketserver`` beneath it)."""
+    code = (
+        "import sys, repro.obs; "
+        "print(sorted({'http.server', 'socketserver'} & set(sys.modules)))"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"

@@ -13,7 +13,6 @@ from repro import (
     Pipeline,
     PredicateFilter,
     PushFragmenter,
-    ZipBuffer,
     pipeline,
 )
 from repro import api
@@ -29,7 +28,7 @@ from repro.obs import (
     MetricsRegistry,
     TraceContext,
 )
-from repro.obs.flow import DELIVERED, DROPPED, JOINED
+from repro.obs.flow import DELIVERED, DROPPED
 
 
 def _tiles_exactly(trace) -> bool:
@@ -107,13 +106,6 @@ class TestLineageStore:
         for i in range(4):
             store.complete(self._finished(f"fast{i}", duration=0.01))
         assert store.trace("slow") is not None
-
-    def test_on_complete_callback_fires(self):
-        store = LineageStore()
-        seen = []
-        store.on_complete(lambda trace: seen.append(trace.trace_id))
-        store.complete(self._finished("t1"))
-        assert seen == ["t1"]
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +220,6 @@ class TestPipelineTracing:
         assert len(children) == 8
         parents = {t.trace_id for t in delivered if t.parent is None}
         assert {t.parent for t in children} <= parents
-
-    def test_zip_fanin_joins_secondary_traces(self):
-        left = IterSource(range(10))
-        right = IterSource(range(10, 20))
-        zipper = ZipBuffer(n_inputs=2, capacity=32)
-        sink = CollectSink()
-        pump_l, pump_r, pump_out = GreedyPump(), GreedyPump(), GreedyPump()
-        pipe = Pipeline(
-            [left, pump_l, right, pump_r, zipper, pump_out, sink]
-        )
-        pipe.connect(left.out_port, pump_l.in_port)
-        pipe.connect(pump_l.out_port, zipper.port("in0"))
-        pipe.connect(right.out_port, pump_r.in_port)
-        pipe.connect(pump_r.out_port, zipper.port("in1"))
-        pipe.connect(zipper.out_port, pump_out.in_port)
-        pipe.connect(pump_out.out_port, sink.in_port)
-        _, tracer = _run(pipe)
-        joined = tracer.traces(JOINED)
-        delivered = tracer.delivered()
-        assert joined
-        assert delivered
-        # Every join names the primary trace it merged into.
-        for trace in joined:
-            assert trace.site == zipper.name
-            assert trace.reason.startswith("joined into ")
 
     def test_batched_plane_traces_every_item(self):
         sink = CollectSink()

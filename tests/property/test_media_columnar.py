@@ -5,10 +5,8 @@ resizer -> display), columnar batches at ``batch_max`` 8 and 32 must
 deliver the exact per-item (``batch_max=1``) frame stream — sequence
 numbers, kinds, sizes, dimensions AND payload bytes — and the flow
 conservation invariants must hold.  Same for the netpipe variant (the
-zero-copy wire path) and for the audio mixer under both array backends.
+zero-copy wire path).
 """
-
-import struct
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +15,6 @@ from repro.check import assert_flow, explore
 from repro.core.typespec import Typespec
 from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
-    AudioMixer,
-    AudioSample,
     MpegDecoder,
     MpegFileSource,
     PriorityDropFilter,
@@ -26,7 +22,6 @@ from repro.media import (
     VideoDisplay,
     arrays,
 )
-from repro.media.batch import SampleBatch
 from repro.net import Network, Node, RemoteBinder
 
 BATCH_SIZES = (1, 8, 32)
@@ -146,93 +141,3 @@ def test_columnar_flow_invariants_under_exploration():
     result = explore(build, seeds=12, check=check)
     assert result.ok, result.summary()
 
-
-# -- audio mixer --------------------------------------------------------------
-
-
-int16s = st.lists(
-    st.integers(min_value=-32768, max_value=32767), min_size=0, max_size=64
-)
-
-
-@given(
-    samples=int16s,
-    gain=st.tuples(
-        st.integers(min_value=-4, max_value=8),
-        st.integers(min_value=1, max_value=5),
-    ),
-    tail=st.booleans(),
-)
-@settings(max_examples=50, deadline=None)
-def test_mixer_backends_and_paths_agree(samples, gain, tail):
-    payload = struct.pack(f"<{len(samples)}h", *samples)
-    if tail:
-        payload += b"\x7f"  # odd trailing byte passes through verbatim
-    size = len(payload)
-
-    def mix_per_item(np_backend):
-        arrays.np = np_backend
-        mixer = AudioMixer(gain_num=gain[0], gain_den=gain[1])
-        sample = AudioSample(
-            seq=0, pts=0.0, duration=0.02, size=size, payload=payload
-        )
-        return bytes(mixer.convert(sample).payload)
-
-    def mix_batch(np_backend):
-        arrays.np = np_backend
-        mixer = AudioMixer(gain_num=gain[0], gain_den=gain[1])
-        batch = SampleBatch.from_samples([
-            AudioSample(
-                seq=0, pts=0.0, duration=0.02, size=size, payload=payload
-            )
-        ])
-        out = mixer.convert_many(batch)
-        view = out.payload_view(0)
-        return b"" if view is None else bytes(view)
-
-    expected = b"".join(
-        struct.pack(
-            "<h", max(-32768, min(32767, (s * gain[0]) // gain[1]))
-        )
-        for s in samples
-    )
-    if tail:
-        expected += b"\x7f"
-
-    saved = arrays.np
-    try:
-        results = [mix_per_item(None), mix_batch(None)]
-        if arrays._numpy is not None:
-            results += [
-                mix_per_item(arrays._numpy), mix_batch(arrays._numpy)
-            ]
-    finally:
-        arrays.np = saved
-    assert all(r == expected for r in results), results
-
-
-def _audio_stream(batch):
-    from repro.core.events import EOS
-    from repro.media import AudioSource
-
-    source = AudioSource(blocks=10, payloads=True)
-    out = []
-    if batch:
-        while True:
-            run = source.pull_many(4)
-            if isinstance(run, list) and run and run[-1] is EOS:
-                break
-            out.extend(run.to_samples())
-    else:
-        while True:
-            item = source.pull()
-            if item is EOS:
-                break
-            out.append(item)
-    return [
-        (s.seq, s.pts, s.duration, s.size, bytes(s.payload)) for s in out
-    ]
-
-
-def test_audio_source_batch_matches_per_item():
-    assert _audio_stream(batch=False) == _audio_stream(batch=True)

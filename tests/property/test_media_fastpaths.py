@@ -4,8 +4,8 @@
   sequence words for 8-aligned sizes on numpy, else a per-item copy into
   a region that is not zeroed first) — the reference is per-item
   ``synth_payload`` joined end to end.
-* ``to_frames`` / ``to_samples`` and the batch iterators convert each
-  column once — the reference is ``frame(i)`` / ``sample(i)``.
+* ``to_frames`` and the batch iterator convert each column once — the
+  reference is ``frame(i)``.
 * ``MpegDecoder`` prunes its decoded set through a min-heap — the
   reference keeps the scan of the whole set on every frame.
 """
@@ -16,11 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.media import (
-    AudioSample,
     FrameBatch,
     GopStructure,
     MpegDecoder,
-    SampleBatch,
     VideoFrame,
     arrays,
     synth_payload,
@@ -205,44 +203,6 @@ def test_payload_views_is_the_callers_own_list():
     views = batch.payload_views()
     views.clear()
     assert len(batch.payload_views()) == len(batch)
-
-
-@pytest.mark.parametrize("name", BACKENDS)
-@pytest.mark.parametrize("kind", ["region", "views", "metadata-only"])
-def test_samples_materialized_a_run_at_a_time_equal_sample_i(name, kind):
-    with backend(name):
-        seqs = list(range(-3, 6))
-        block_sizes = [16, 7, 0, 8, 24, 1, 32, 8, 9]
-        region, offsets = build_payload_region(seqs, block_sizes)
-        whole = SampleBatch(
-            seq=arrays.i64(seqs),
-            pts=arrays.f64([seq * 0.02 for seq in seqs]),
-            duration=arrays.f64([0.02] * len(seqs)),
-            size=arrays.i64(block_sizes),
-            region=region if kind == "region" else None,
-            offsets=offsets if kind == "region" else None,
-        )
-        if kind == "views":
-            samples = [whole.sample(i) for i in range(len(whole))]
-            for i, (seq, size) in enumerate(zip(seqs, block_sizes)):
-                samples[i].payload = (
-                    synth_payload(seq, size) if i % 3 else None
-                )
-            whole = SampleBatch.from_samples(samples)
-        for batch in (whole, whole.select([8, 0, 4]), whole[1:5]):
-            want = [batch.sample(i) for i in range(len(batch))]
-            for got in (list(batch), batch.to_samples()):
-                assert len(got) == len(want)
-                for g, w in zip(got, want):
-                    assert isinstance(g, AudioSample)
-                    assert [
-                        (type(getattr(g, f)), getattr(g, f))
-                        for f in ("seq", "pts", "duration", "size")
-                    ] == [
-                        (type(getattr(w, f)), getattr(w, f))
-                        for f in ("seq", "pts", "duration", "size")
-                    ]
-                    assert same_payload(g.payload, w.payload)
 
 
 # -- (c) heap pruning against the scan it replaced --------------------------------

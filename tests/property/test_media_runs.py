@@ -1,8 +1,8 @@
-"""Hostile bytes on the media run codecs (wire ids 0x20 / 0x21).
+"""Hostile bytes on the media run codec (wire id 0x20; the retired 0x21).
 
 A netpipe frame of media chunks is outside input.  Whatever arrives —
-arbitrary bytes, a valid ``_encode_frame_run`` / ``_encode_sample_run``
-frame with one byte flipped, a truncation, a forged count, length prefix
+arbitrary bytes, a valid ``_encode_frame_run`` frame with one byte
+flipped, a truncation, a forged count, length prefix
 or header field — the run route (``decode_frame_run`` ->
 ``UnmarshalFilter.convert_many``) ends in a ``MarshalError`` or in a
 batch equal, item for item, to what the per-chunk oracle
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import MarshalError
-from repro.media import AudioSample, FrameBatch, SampleBatch, VideoFrame
+from repro.media import FrameBatch, VideoFrame
 from repro.net.marshal import (
     UnmarshalFilter,
     decode_batch_views,
@@ -59,27 +59,11 @@ def frame_batches(draw):
     return FrameBatch.from_frames(frames)
 
 
-@st.composite
-def sample_batches(draw):
-    with_payloads = draw(st.booleans())
-    samples = []
-    for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        payload = draw(payloads) if with_payloads else None
-        samples.append(AudioSample(
-            seq=draw(int64s), pts=draw(floats), duration=draw(floats),
-            size=len(payload) if with_payloads else draw(
-                st.integers(min_value=0, max_value=200)
-            ),
-            payload=payload,
-        ))
-    return SampleBatch.from_samples(samples)
-
-
 def wire(batch) -> bytes:
     return bytes(encode_run(batch).frame_payload())
 
 
-valid_frames = st.one_of(frame_batches(), sample_batches()).map(wire)
+valid_frames = frame_batches().map(wire)
 
 
 def plain(item):
@@ -90,12 +74,6 @@ def plain(item):
             "frame", item.seq, item.kind, struct.pack("<d", item.pts),
             item.size, item.width, item.height, item.gop_id, item.encoded,
             tuple(item.deps), item.owner,
-            None if item.payload is None else bytes(item.payload),
-        )
-    if isinstance(item, AudioSample):
-        return (
-            "sample", item.seq, struct.pack("<d", item.pts),
-            struct.pack("<d", item.duration), item.size,
             None if item.payload is None else bytes(item.payload),
         )
     return ("other", repr(item))
@@ -118,9 +96,8 @@ def outcome(route, data):
         return MarshalError
     for item in items:
         # What decodes is fit to account and to size a region from.
-        if isinstance(item, (VideoFrame, AudioSample)):
-            assert item.size >= 0
         if isinstance(item, VideoFrame):
+            assert item.size >= 0
             assert item.width >= 0 and item.height >= 0
     return [plain(item) for item in items]
 
@@ -132,7 +109,7 @@ def assert_routes_agree(data):
 # -- valid frames round-trip, and both routes see the same batch ---------------
 
 
-@given(st.one_of(frame_batches(), sample_batches()))
+@given(frame_batches())
 def test_valid_runs_decode_to_the_batch_that_was_encoded(batch):
     data = wire(batch)
     want = [plain(item) for item in batch]
@@ -168,19 +145,15 @@ def test_one_mutated_byte_or_a_truncation(frame, data):
 
 #: Offsets of the length-like fields inside a chunk: the frame header's
 #: ``ndeps`` (B), ``size`` and ``body_len`` (q), ``width`` / ``height``
-#: (i); the sample header's ``size`` and ``body_len``.
+#: (i).
 FRAME_FIELDS = {"ndeps": (3, "<B"), "size": (20, "<q"), "body_len": (28, "<q"),
                 "width": (36, "<i"), "height": (40, "<i")}
-SAMPLE_FIELDS = {"size": (26, "<q"), "body_len": (34, "<q")}
 
 
 def forge(frame: bytes, chunk_index: int, field, value) -> bytes:
     """``frame`` with one header field of one chunk overwritten."""
     chunks = decode_batch_views(frame)
-    fields = FRAME_FIELDS if chunks[0][0] == 0x20 else SAMPLE_FIELDS
-    if field not in fields:
-        return frame
-    offset, code = fields[field]
+    offset, code = FRAME_FIELDS[field]
     chunk = bytearray(chunks[chunk_index % len(chunks)])
     size = struct.calcsize(code)
     limit = 1 << (8 * size)

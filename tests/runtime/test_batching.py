@@ -17,8 +17,6 @@ from repro import (
     GreedyPump,
     IterSource,
     MapFilter,
-    Pipeline,
-    ZipBuffer,
     pipeline,
 )
 from repro.check import assert_flow, explore
@@ -77,34 +75,6 @@ class TestEquivalence:
             items, engine = run_linear(batch_max, items=30, capacity=3)
             assert items == baseline
             assert_flow(engine)
-
-    def test_zip_buffer_batched(self):
-        def build(batch_max):
-            left = IterSource([1, 2, 3, 4])
-            right = IterSource(["x", "y", "z", "w"])
-            zipped = ZipBuffer(2, capacity=4)
-            sink = CollectSink()
-            pump_l, pump_r, pump_out = GreedyPump(), GreedyPump(), GreedyPump()
-            pipe = Pipeline(
-                [left, pump_l, right, pump_r, zipped, pump_out, sink]
-            )
-            pipe.connect(left.out_port, pump_l.in_port)
-            pipe.connect(pump_l.out_port, zipped.port("in0"))
-            pipe.connect(right.out_port, pump_r.in_port)
-            pipe.connect(pump_r.out_port, zipped.port("in1"))
-            pipe.connect(zipped.out_port, pump_out.in_port)
-            pipe.connect(pump_out.out_port, sink.in_port)
-            engine = Engine(pipe, batch_max=batch_max)
-            engine.start()
-            engine.run()
-            return sink.items
-
-        # ZipBuffer zips heads across ports; the tuple order must match
-        # the per-item run exactly.
-        baseline = build(1)
-        assert baseline == [(1, "x"), (2, "y"), (3, "z"), (4, "w")]
-        for batch_max in (2, 8):
-            assert build(batch_max) == baseline
 
     def test_stats_count_individual_items(self):
         _, per_item = run_linear(1)

@@ -9,8 +9,6 @@ processing is done.  Note, however, that control events can be delivered,
 while threads are blocked in a push or pull."
 """
 
-import pytest
-
 from repro import (
     Buffer,
     ClockedPump,
@@ -226,26 +224,3 @@ class TestStockHandlers:
         assert sink.running
         assert len(sink.items) >= taken + 4
         assert sink.items == list(range(len(sink.items)))
-
-    def test_set_gain_reaches_the_mixer_between_blocks(self):
-        import struct
-
-        from repro.media import AudioMixer, AudioSample
-
-        blocks = [
-            AudioSample(seq=i, pts=i * 0.1, duration=0.1, size=4,
-                        payload=struct.pack("<2h", 1000, -1000))
-            for i in range(4)
-        ]
-        mixer, sink = AudioMixer(), CollectSink()
-        pipe = pipeline(IterSource(blocks), ClockedPump(rate_hz=10), mixer, sink)
-        engine = Engine(pipe)
-        engine.start()
-        engine.run(until=0.15)
-        engine.send_event("set-gain", payload=(1, 2))
-        engine.run()
-        assert (mixer.gain_num, mixer.gain_den) == (1, 2)
-        heard = [struct.unpack("<2h", bytes(s.payload)) for s in sink.items]
-        assert heard == [(1000, -1000)] * 2 + [(500, -500)] * 2
-        with pytest.raises(ValueError, match="gain_den"):
-            mixer.on_set_gain(Event(kind="set-gain", payload=(1, 0)))

@@ -10,7 +10,6 @@ from repro.errors import DeployError
 from repro.lang import builder as lang_builder
 from repro.lang.parser import LangError
 from repro.lang.registry import default_registry
-from repro.obs import prometheus_text
 
 SRC = "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> collect"
 
@@ -119,12 +118,6 @@ class TestRun:
         assert built.tracer is not None
         assert "repro_" in built.prometheus()
 
-    def test_slo_implies_metrics_and_tracing(self):
-        built = Pipeline.from_source(SRC).with_slo(latency=10.0).run()
-        assert built.telemetry is not None
-        assert built.tracer is not None
-        assert built.slo is not None
-
     def test_until_drain_ignores_steps_already_executed(self, long_lived):
         Pipeline.from_pipeline(
             pipeline(CountingSource(), ClockedPump(10), SlowEcho(),
@@ -188,14 +181,6 @@ class TestDeploymentBridge:
         )
         assert delivered == 24
 
-    def test_slo_alone_deploys_with_telemetry(self):
-        result = Pipeline.from_source(SRC).with_slo(10.0).deploy(
-            shards=2, timeout=60
-        )
-        text = prometheus_text(result.merged_metrics())
-        assert "repro_flow_traces_total" in text
-        assert "repro_slo_" in text
-
     def test_trace_option_reaches_the_single_shard_engine(self):
         result = Pipeline.from_source(SRC).with_trace().deploy(shards=1)
         assert result.engine.scheduler._trace
@@ -241,5 +226,5 @@ class TestOneRealisationSite:
         options into an Engine with telemetry attached; a second site is
         a second opinion about what an option means."""
         sites = library_constructions()
-        for name in ("Engine", "Telemetry", "FlowTracer", "SloEngine"):
+        for name in ("Engine", "Telemetry", "FlowTracer"):
             assert sites[name] == {"api.py"}, (name, sites[name])

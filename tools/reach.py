@@ -197,9 +197,9 @@ def jobs(scratch: Path) -> list[tuple[str, list[str]]]:
         ["run", CLI_SRC, "--metrics", "--trace-out", artefact["trace.json"],
          "--events-out", artefact["events.jsonl"],
          "--flow-out", artefact["flows.jsonl"]],
-        ["run", CLI_SRC, "--until", "5", "--serve-metrics", "0",
-         "--serve-for", "0.2"],
         ["deploy", CLI_SRC, "--shards", "4", "--describe"],
+        ["deploy", CLI_SRC, "--shards", "2", "--describe", "--place",
+         "greedy-pump-1:0,greedy-pump-2:0,greedy-pump-3:1,greedy-pump-4:1"],
         ["deploy", CLI_SRC, "--shards", "2", "--transport", "tcp"],
         ["deploy", CLI_SRC, "--shards", "2", "--metrics",
          "--flow-sample", "4"],
@@ -607,9 +607,9 @@ DELETED_HEADER = """
 ## Deleted
 
 Measured at the parent commit of the change that cut each block
-(70f6951; then 23dc996, 63561ee and 30d89ed for the later blocks, in
-order), where these rows stood.  A test is listed only when the deleted
-name was its sole subject.
+(70f6951; then 23dc996, 63561ee, 30d89ed, 8d6c636 and ce3664e for the
+later blocks, in order), where these rows stood.  A test is listed only
+when the deleted name was its sole subject.
 
 | function | lines | reached at the parent by | verdict | tests deleted with it |
 |---|---:|---|---|---|"""

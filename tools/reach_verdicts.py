@@ -34,20 +34,15 @@ VERDICTS = {
 OPEN_10K = ("owed ROADMAP 1(a) `fabric-open-10k` (open / park / unpark / "
             "close churn at a steady fleet)")
 FAIRNESS = "owed ROADMAP 1(c): tenant fairness as a step-counted metric"
-AUDIO = ("owed a payload-carrying audio leg on `video-wire` (`examples/"
-         "av_player.py --payloads` is its only caller) — or the next diet")
-HAND_PLACED = ("owed a hand-placed deploy run in D4 (`repro deploy --place`, "
-               "tested in ISSUE 21) or a placement workload")
-ZIP = ("owed a joining workload (two flows zipped at a buffer) — or the "
-       "next diet")
+HAND_PLACED = ("owed a placement workload: D4's hand-placed run (`repro "
+               "deploy --place`) builds its `Placement` and calls "
+               "`Pipeline.deployment`, and nothing places by cost")
 CROSSING = ("owed ROADMAP 3(a): an instrumented run with a coroutine "
             "crossing (`fig9a-obs` has none)")
 
 RULES = [
     # ----------------------------------------------------------------- pile
     # (ii): contracts nothing had ever run; each now has a tier-1 test.
-    ("repro.__main__:_parse_place", "tested here",
-     "`tests/core/test_cli.py::test_deploy_place_*`"),
     ("repro.check.explorer:minimize_failure", "tested here",
      "`tests/check/test_explorer.py::test_minimize_failure_shrinks_a_"
      "recorded_failure`"),
@@ -77,8 +72,6 @@ RULES = [
     ("repro.media.frames:_sample_*_fields", "tested here",
      "the `asample` codec; `tests/net/test_marshal.py::TestCustomCodecs::"
      "test_audio_sample_codec_registered`"),
-    ("repro.media.audio:AudioMixer.on_set_gain", "tested here",
-     "`tests/runtime/test_events_runtime.py::TestStockHandlers`"),
     ("repro.components.filters:Gate.on_gate_open", "tested here",
      "`tests/runtime/test_events_runtime.py::TestStockHandlers`"),
     ("repro.net.mux:MuxStream.pump", "tested here",
@@ -109,31 +102,6 @@ RULES = [
     ("repro.mbt.scheduler:Scheduler.parked_threads", "exception", OPEN_10K),
     ("repro.fabric.session:Session.set_weight", "exception", FAIRNESS),
     ("repro.mbt.scheduler:Tenant.weight*", "exception", FAIRNESS),
-    ("repro.fabric.session:SessionFabric.collect_metrics", "exception",
-     "owed a `repro top` / `--metrics` run over a fabric in D4"),
-    ("repro.fabric.session:SessionFabric.tenant_rows", "exception",
-     "owed a `repro top` run over a fabric in D4"),
-    ("repro.obs.dashboard:_tenant_lines", "exception",
-     "owed a `repro top` run over a fabric in D4"),
-    ("repro.media.batch:SampleBatch.*", "exception", AUDIO),
-    ("repro.media.batch:_*_sample_*", "exception", AUDIO),
-    ("repro.media.audio:AudioSource.pull_many", "exception", AUDIO),
-    ("repro.media.audio:AudioMixer.*", "exception", AUDIO),
-    ("repro.feedback.sensors:SloBurnSensor.*", "exception",
-     "owed ROADMAP 3: an SLO-driven feedback loop in a measured run"),
-    ("repro.obs.slo:SloEngine.burn_rates", "exception",
-     "owed ROADMAP 3: read only by `SloBurnSensor`"),
-    ("repro.deploy.placement:Placement.explicit", "exception", HAND_PLACED),
-    ("repro.deploy.placement:_resolve_explicit", "exception", HAND_PLACED),
-    ("repro.deploy.placement:_segment_rep", "exception", HAND_PLACED),
-    ("repro.components.buffers:ZipBuffer.*", "exception", ZIP),
-    ("repro.components.buffers:Boundary.try_pull_many", "exception",
-     ZIP + "; the per-item default only a zip still uses"),
-    ("repro.obs.flow:ZipLane.*", "exception", ZIP + "; its lane"),
-    ("repro.obs.flow:TraceContext.fork", "exception", ZIP + "; lineage of "
-     "a joined item"),
-    ("repro.obs.flow:FlowTrace.parent", "exception", ZIP + "; lineage of a "
-     "joined item"),
     ("repro.components.sources:IterSource.pull_many", "exception",
      "owed ROADMAP 1(b) `fabric-mux-batched`: the tenants' source at "
      "`batch_max=32` (the `fig9a` chains pull it through a producer, an "
@@ -144,9 +112,6 @@ RULES = [
     ("repro.obs.sched:ThreadMeter.on_cpu", "exception",
      "owed ROADMAP 3(a): an instrumented run whose stages charge virtual "
      "CPU (`fig9a-obs` charges none)"),
-    ("repro.obs.dashboard:MetricsServer.*", "exception",
-     "owed a D4 client: `run --serve-metrics` is started and stopped, "
-     "nothing fetches `/metrics` or `/flow`"),
 
     # --------------------------------------------------------------- paper
     ("repro.components.batch:Pu??Batcher.*", "paper",
@@ -163,6 +128,12 @@ RULES = [
      "§2.2: the routing switch"),
     ("repro.components.tees:ActivityRouter.*", "paper",
      "§2.2: the activity router"),
+    ("repro.obs.flow:TraceContext.fork", "paper",
+     "§2.1 tees: a fan-out branch keeps its lineage (`Hand.take` forks the "
+     "last context when a push underflows); `tests/obs/test_flow.py::"
+     "TestPipelineTracing::test_fanout_forks_child_traces`"),
+    ("repro.obs.flow:FlowTrace.parent", "paper",
+     "§2.1 tees: the trace a fan-out branch forked from; same test"),
     ("repro.components.filters:SequenceStamp.*", "paper",
      "§2.1: loss measurement for the feedback toolkit"),
     ("repro.components.sinks:ActiveCollectSink.*", "paper",
@@ -363,14 +334,14 @@ RULES = [
      "without touching the default one"),
     ("repro.media.batch:FrameBatch.*", "verification",
      "reference accessor the columnar fast paths are compared against"),
-    ("repro.media.batch:_ColumnarBatch.*", "verification",
-     "reference accessor the columnar fast paths are compared against"),
     ("repro.media.batch:_decode_frame_one", "verification",
      "per-chunk decode oracle of the run codec"),
+    ("repro.deploy.placement:_segment_rep", "verification",
+     "error path: names the already-placed partner of a component placed "
+     "across a non-seam edge (a hand placement that runs never enters it); "
+     "`tests/deploy/test_placement.py`"),
     ("repro.media.batch:_negative_field", "verification",
      "input validation: a forged negative field in a run is refused"),
-    ("repro.media.arrays:payload_region", "verification",
-     "reference construction the one-pass region fill is compared against"),
     ("repro.media.arrays:take", "verification",
      "reference construction the columnar `select` is compared against"),
     ("repro.net.marshal:decode_batch", "verification",
@@ -591,14 +562,92 @@ DELETED: list[tuple[str, int, str, str]] = [
      "mbt/test_scheduler_invariants.py", "none"),
     ("repro.runtime.engine:PumpDriver.data_constraint (the driver builds "
      "its constraint once, with its Repost)", 4, "D1-D4", "none"),
+    # ROADMAP 6 (measured at its parent, ce3664e): the features no figure,
+    # certificate, workload or CLI command runs.  (i) the audio columnar
+    # half:
+    ("repro.media.batch:SampleBatch (8 methods)", 64,
+     "media/test_frame_batch.py, property/test_media_columnar.py, "
+     "property/test_media_fastpaths.py, +1 more",
+     "`TestSampleBatch` (3 tests x 2 backends), `test_samples_materialized_"
+     "a_run_at_a_time_equal_sample_i` (3 kinds)"),
+    ("repro.media.batch:_encode_sample_run / _parse_sample_chunk / "
+     "_decode_sample_run / _decode_sample_one (the 0x21 run codec, with "
+     "`SAMPLE_WIRE_ID` and `_AS_HEAD`; 0x21 bytes are now an unknown wire "
+     "tag)", 62, "media/test_frame_batch.py, net/test_media_wire.py, "
+     "property/test_media_runs.py",
+     "`TestForgedMediaChunks::test_negative_sample_field_is_refused` (2; "
+     "`test_a_retired_sample_chunk_is_refused_not_decoded` pins the "
+     "refusal)"),
+    ("repro.media.audio:AudioSource.pull_many", 27,
+     "media/test_frame_batch.py, property/test_media_columnar.py",
+     "`test_audio_source_batch_matches_per_item`"),
+    ("repro.media.audio:AudioSource(payloads=) (a parameter: no "
+     "function-lines; nothing reads audio payload bytes without the mixer)",
+     0, "D1 (`examples/av_player.py --payloads`)", "none"),
+    ("repro.media.audio:AudioMixer (5 methods, with its `set-gain` "
+     "handler)", 108, "core/test_component.py, property/test_media_"
+     "columnar.py, runtime/test_events_runtime.py",
+     "`test_mixer_backends_and_paths_agree`, `TestStockHandlers::test_set_"
+     "gain_reaches_the_mixer_between_blocks`, `TestPortIndex::test_every_"
+     "stock_component[AudioMixer]`"),
+    ("repro.media.batch:_ColumnarBatch._init_payload (inlined: the class "
+     "folded into `FrameBatch`, its one subclass)", 7, "D1-D4", "none"),
+    ("repro.media.arrays:payload_region (the mixer's zero-filled output "
+     "region; nothing else allocated one)", 6,
+     "property/test_media_columnar.py", "none"),
+    # (ii) the zip join:
+    ("repro.components.buffers:ZipBuffer (5 methods; with `Boundary.joins` "
+     "and the `zip_buffer` registry name)", 53,
+     "components/test_buffers.py, core/test_component.py, obs/test_flow.py, "
+     "+1 more",
+     "`TestZipBuffer` (8 tests), `TestEquivalence::test_zip_buffer_"
+     "batched`, `TestPortIndex::test_every_stock_component[ZipBuffer]`"),
+    ("repro.obs.flow:ZipLane (5 methods; with the `joined` status and the "
+     "`port` argument of `Lane.put` / `get`)", 38,
+     "components/test_buffers.py, obs/test_flow.py",
+     "`TestPipelineTracing::test_zip_fanin_joins_secondary_traces`"),
+    ("repro.components.buffers:Boundary.try_pull_many (the per-item "
+     "default; `Buffer` and `NetpipeReceiver` have their own)", 14,
+     "runtime/test_batching.py", "none"),
+    # (iv) the SLO engine and the HTTP server:
+    ("repro.obs.slo:Objective, _Series, SloEngine (12 methods; the module "
+     "was 350 lines)", 221, "D4 (`top`, `run --serve-metrics`), "
+     "obs/test_slo.py",
+     "`tests/obs/test_slo.py` (15 tests)"),
+    ("repro.feedback.sensors:SloBurnSensor (2 methods)", 28,
+     "obs/test_slo.py", "with `tests/obs/test_slo.py`"),
+    ("repro.api:Pipeline.with_slo (with `slo_latency` and `BuiltApp.slo`)",
+     3, "D4 (`top`, `run --serve-metrics`)",
+     "`TestRun::test_slo_implies_metrics_and_tracing`, `TestDeployment"
+     "Bridge::test_slo_alone_deploys_with_telemetry`"),
+    ("repro.obs.flow:LineageStore.on_complete (the SLO engine's feed)", 4,
+     "D4 (`top`)", "`TestLineageStore::test_on_complete_callback_fires`"),
+    ("repro.obs.dashboard:MetricsServer (6 methods; with `run "
+     "--serve-metrics` / `--serve-for` and the `http.server` import)", 92,
+     "D4 (`run --serve-metrics`), obs/test_dashboard.py",
+     "`TestMetricsServer` (2 tests), `TestCli::test_run_serve_metrics_"
+     "smoke`"),
+    ("repro.obs.dashboard:_slo_lines (the SLO pane; with `--slo-latency`)",
+     19, "D4 (`top`)", "none"),
+    # (v) the fabric TENANTS pane:
+    ("repro.fabric.session:SessionFabric.collect_metrics", 25,
+     "fabric/test_session.py",
+     "`TestStatsAndObs::test_collect_metrics_labels_by_tenant`"),
+    ("repro.fabric.session:SessionFabric.tenant_rows", 22,
+     "fabric/test_session.py, obs/test_dashboard.py",
+     "`TestStatsAndObs::test_tenant_rows_for_top`"),
+    ("repro.obs.dashboard:_tenant_lines (with `render_top(fabric=)`)", 19,
+     "obs/test_dashboard.py",
+     "`TestRenderTop::test_tenant_pane_lists_sessions_busiest_first`, "
+     "`::test_tenant_pane_folds_a_large_fleet`"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
 #: ``(function pattern, parameter, reason)``, first match.  An entry no
 #: line here explains reads UNDECIDED and fails ``tools/reach.py``.
 ONE_SIGNATURE = ("one entry signature for single- and multi-port "
-                 "components: the runtime always passes the port, tees and "
-                 "the zip buffer read it")
+                 "components: the runtime always passes the port, tees read "
+                 "it")
 INJECTION = "injection seam: a test substitutes a fake through it"
 KEPT_PARAMETERS = [
     ("*", "port", ONE_SIGNATURE),
@@ -608,7 +657,6 @@ KEPT_PARAMETERS = [
      INJECTION + " (a scripted clock)"),
     ("repro.obs.dashboard:render_top", "now", INJECTION),
     ("repro.obs.dashboard:render_top", "width", INJECTION),
-    ("repro.obs.dashboard:render_top", "fabric", INJECTION),
     ("repro.obs.dashboard:Dashboard.run_plain", "out",
      INJECTION + " (a StringIO for stdout)"),
     ("repro.obs.exporters:chrome_trace", "end",
@@ -619,8 +667,4 @@ KEPT_PARAMETERS = [
      "the hand-placed deploy in one call; " + HAND_PLACED),
     ("repro.deploy.placement:Placement.auto", "costs",
      "cost-weighted planning, which `plan_shards` reads; " + HAND_PLACED),
-    ("repro.obs.slo:Objective.__init__", "budget",
-     "the error-budget policy of `with_slo`: product surface (ROADMAP "
-     "item 6 leaves `obs/slo.py` to a reviewer)"),
-    ("repro.obs.slo:Objective.__init__", "burn_alert", "as `budget`"),
 ]
