@@ -34,10 +34,6 @@ prints the gathered statistics; ``--describe`` prints the plan without
 running.  ``top`` runs the pipeline behind a live top(1)-style
 dashboard; ``timeline`` prints the text Gantt chart of which thread held
 the CPU; ``components`` lists the factory names usable in descriptions.
-
-Every execution command accepts ``--config file.toml`` as an escape
-hatch: flat keys (or a ``[command]`` table) provide defaults for any
-long option of that command, with explicit command-line flags winning.
 """
 
 from __future__ import annotations
@@ -247,9 +243,6 @@ FLAGS: dict[str, dict] = {
     "--batch-max": dict(
         type=int, help="batched data plane: move up to N items per pump "
                        "cycle (default 1 = per-item)"),
-    "--config": dict(
-        metavar="FILE.toml", help="TOML file supplying defaults for any "
-        "long option (explicit flags win); flat keys or a [command] table"),
     "--until": dict(
         type=float, help="virtual-time horizon (default: run to EOS)"),
     "--max-steps": dict(type=int),
@@ -294,7 +287,7 @@ FLAGS: dict[str, dict] = {
 }
 
 #: What every pipeline-executing command reads: the run spec's flags.
-SPEC_FLAGS = ("pipeline", "--backend", "--batch-max", "--config")
+SPEC_FLAGS = ("pipeline", "--backend", "--batch-max")
 #: How far an in-process run goes.
 HORIZON_FLAGS = ("--until", "--max-steps")
 
@@ -334,53 +327,19 @@ COMMANDS: dict[str, tuple] = {
 }
 
 
-def _apply_config(args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> None:
-    """Fold ``--config file.toml`` values into unset options.
-
-    Flat keys apply to every command; a table named after the command
-    (``[run]``, ``[deploy]``, ...) applies to that command only and wins
-    over flat keys.  Explicit command-line flags always win: a config
-    value is used only when the parsed value still equals the parser's
-    default."""
-    config_path = getattr(args, "config", None)
-    if not config_path:
-        return
-    import tomllib
-
-    with open(config_path, "rb") as handle:
-        document = tomllib.load(handle)
-    layered: dict[str, object] = {
-        key: value for key, value in document.items()
-        if not isinstance(value, dict)
-    }
-    layered.update(document.get(args.command, {}))
-    for key, value in layered.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise InfopipeError(
-                f"config key {key!r} is not an option of "
-                f"{args.command!r}"
-            )
-        if getattr(args, dest) == parser.get_default(dest):
-            setattr(args, dest, value)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run and inspect Infopipe pipeline descriptions.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
     for name, (handler, summary, flags) in COMMANDS.items():
-        subparsers[name] = sub = commands.add_parser(name, help=summary)
+        sub = commands.add_parser(name, help=summary)
         for flag in flags:
             sub.add_argument(flag, **FLAGS[flag])
         sub.set_defaults(handler=handler)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, subparsers[args.command])
         return args.handler(args)
     except InfopipeError as exc:
         print(f"error: {exc}", file=sys.stderr)

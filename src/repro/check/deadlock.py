@@ -48,7 +48,7 @@ def receive_from(
     ``yield Receive(match=receive_from("worker"))`` blocks exactly like a
     hand-written predicate, but the deadlock detector can draw the edge
     ``this thread -> worker`` because the predicate carries a
-    ``waiting_on`` attribute (picked up by ``Scheduler._block_receive``).
+    ``waiting_on`` attribute (read by :func:`blocked_waits`).
     """
     wanted = frozenset(kinds) if kinds is not None else None
 

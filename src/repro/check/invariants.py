@@ -59,7 +59,7 @@ def is_lossy(component) -> bool:
 
 def loss_reason(component) -> str:
     """The declared reason a component may lose items."""
-    return str(getattr(component, "loss_reason", "declared lossy"))
+    return str(component.loss_reason or "declared lossy")
 
 
 @dataclass
@@ -174,7 +174,7 @@ def check_conservation(engine) -> FlowReport:
         if not _two_sided(component):
             report.skipped[component.name] = "endpoint (source/sink)"
             continue
-        if getattr(component, "conserving", None) is False:
+        if component.conserving is False:
             report.skipped[component.name] = "non-1:1 arity"
             continue
         if is_lossy(component):

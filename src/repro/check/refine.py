@@ -249,7 +249,7 @@ def lossy_channels(program, taps: SinkTaps) -> dict[str, str]:
                     if drops:
                         reasons.append(
                             f"{name}: "
-                            f"{getattr(component, 'loss_reason', None) or 'counted declared drops'}"
+                            f"{component.loss_reason or 'counted declared drops'}"
                             f" ({drops} dropped)"
                         )
             protocol = getattr(component, "protocol", None)

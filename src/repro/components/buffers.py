@@ -57,6 +57,11 @@ class Boundary(Component):
     """
 
     role = Role.BUFFER
+    #: What a push at a full boundary and a pull at an empty one do, and
+    #: how many items it holds (None: no bound of its own).
+    on_full: OnFull = OnFull.BLOCK
+    on_empty: OnEmpty = OnEmpty.BLOCK
+    capacity: int | None = None
 
     @property
     def fill_level(self) -> int:

@@ -119,6 +119,23 @@ class Component:
     #: a different arity (batchers, fragmenters, multicast tees) set this
     #: to False to opt out of the count check.
     conserving: bool | None = None
+    #: Why the component may lose items (named in lossy-channel and
+    #: refinement reports); None for one that never does.
+    loss_reason: str | None = None
+
+    #: The per-item entries the stock :meth:`serve_pull` /
+    #: :meth:`receive_push` dispatch to; None where the style has none.
+    pull = None
+    push = None
+    #: Called with no argument when EOS reaches this component as a sink.
+    on_eos = None
+    #: A consumer-style component's entry for a whole columnar run: it
+    #: returns the run of emissions, or None to take the per-item path.
+    process_run = None
+    #: True for a sink whose items continue on a wire (a netpipe sender).
+    wire_sink = False
+    #: The node the component is placed on; "" while unplaced.
+    location = ""
 
     def __init__(self, name: str | None = None):
         self.name = name or fresh_name(type(self).__name__)
@@ -267,7 +284,7 @@ class Component:
         Multi-input components (tees) override this; linear consumers get
         the default dispatch to :meth:`push`.
         """
-        push = getattr(self, "push", None)
+        push = self.push
         if push is None:
             raise PortError(f"{self.name!r} cannot receive a push")
         self.stats["items_in"] += 1
@@ -279,7 +296,7 @@ class Component:
         Multi-output components (activity routers) override this; linear
         producers get the default dispatch to :meth:`pull`.
         """
-        pull = getattr(self, "pull", None)
+        pull = self.pull
         if pull is None:
             raise PortError(f"{self.name!r} cannot serve a pull")
         item = pull()

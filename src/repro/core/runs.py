@@ -28,17 +28,12 @@ importing :mod:`repro.media`.
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class ColumnarRun:
-    """Marker base class for columnar run representations."""
+    """Base class of the columnar run representations: a run is columnar
+    exactly when ``isinstance(run, ColumnarRun)``."""
 
     __slots__ = ()
-
-    #: Class-level marker probed by the walkers (cheaper than isinstance
-    #: against a base class that media types may not want to inherit).
-    columnar = True
 
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -49,8 +44,3 @@ class ColumnarRun:
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]
-
-
-def is_columnar(run: Any) -> bool:
-    """True when ``run`` is a columnar run (never true for lists)."""
-    return getattr(run, "columnar", False) is True

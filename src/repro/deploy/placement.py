@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.components.buffers import Buffer, OnEmpty, OnFull
+from repro.components.buffers import Buffer, OnFull
 from repro.core.component import Component, Role
 from repro.core.composition import Pipeline
 from repro.errors import DeployError
 from repro.net.netpipe import NetpipeReceiver, NetpipeSender
+from repro.runtime.stats import PipelineStats
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def _is_seam_buffer(component: Component) -> bool:
     unbounded wire would change the delivered stream)."""
     if not isinstance(component, Buffer):
         return False
-    if getattr(component, "on_full", None) is not OnFull.BLOCK:
+    if component.on_full is not OnFull.BLOCK:
         return False
     ins = component.in_ports()
     outs = component.out_ports()
@@ -201,7 +202,7 @@ def _component_weights(pipeline: Pipeline, costs: Any) -> dict[str, float]:
     if costs is None:
         return weights
     per_component: Mapping[str, Any]
-    if hasattr(costs, "components"):  # PipelineStats (or a snapshot dict)
+    if isinstance(costs, PipelineStats):
         per_component = {
             name: stats.get("items_in", 0) + stats.get("items_out", 0)
             for name, stats in costs.components.items()
@@ -265,10 +266,8 @@ def plan_placement(pipeline: Pipeline, placement: Placement) -> ShardPlan:
             downstream_port=downstream.name,
             src_shard=src,
             dst_shard=dst,
-            on_empty=component.on_empty.value
-            if hasattr(component.on_empty, "value")
-            else str(component.on_empty),
-            capacity=getattr(component, "capacity", None),
+            on_empty=component.on_empty.value,
+            capacity=component.capacity,
         ))
     for sender, receiver in pairs:
         src = assignment[sender.name]

@@ -49,7 +49,7 @@ class HostedSession:
     def _setup_done(self) -> bool:
         # Sessions open set-up and started; sink taps installed after
         # build() must recompile this session's flow walkers to be seen.
-        return getattr(self.session.engine, "_setup_done", False)
+        return self.session.engine._setup_done
 
     def _compile_walkers(self) -> None:
         self.session.engine._compile_walkers()

@@ -313,8 +313,7 @@ class SessionFabric:
                 thread = threads.get(driver.thread_name)
                 # Only a thread whose body is this driver's: a failed open
                 # may have collided with a namesake another engine spawned.
-                body = getattr(thread, "code", None)
-                if getattr(body, "__self__", None) is driver:
+                if thread is not None and thread.code == driver.code:
                     self.scheduler.remove_thread(thread.name)
         self.scheduler.remove_tenant(name)
         if self.admission is not None:

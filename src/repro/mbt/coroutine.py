@@ -139,9 +139,10 @@ class OSThreadSuspendable(Suspendable):
     single condition variable.
     """
 
-    def __init__(self, func: Callable[[SwitchChannel], Any], name: str | None = None):
+    def __init__(self, func: Callable[[SwitchChannel], Any],
+                 name: str = "coroutine"):
         self._func = func
-        self._name = name or getattr(func, "__name__", "coroutine")
+        self._name = name
         self._cond = threading.Condition()
         self._to_body: Any = _NOTHING      # value or exception for the body
         self._to_body_exc: BaseException | None = None

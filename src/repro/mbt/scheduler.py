@@ -995,12 +995,7 @@ class Scheduler:
                 if message is not None:
                     value = message
                     continue
-                self._block_receive(
-                    thread,
-                    request.match,
-                    request.timeout,
-                    waiting_on=getattr(request.match, "waiting_on", None),
-                )
+                self._block_receive(thread, request.match, request.timeout)
                 return
 
             if request_type is Reply:

@@ -54,8 +54,8 @@ class WaitState:
     ``waiting_on`` and ``reason`` are diagnostic metadata for the
     deadlock detector (:mod:`repro.check.deadlock`): the name of the
     thread this wait depends on, when the blocker knows it (synchronous
-    ``Call`` replies, match predicates carrying a ``waiting_on``
-    attribute), and a human-readable cause.  They never influence
+    ``Call`` replies; the detector also reads a match predicate's own
+    ``waiting_on``), and a human-readable cause.  They never influence
     scheduling.
     """
 

@@ -97,8 +97,7 @@ class MpegDecoder(Consumer):
         """
         if self.share_references:
             return None
-        kinds = getattr(run, "kind", None)
-        if not isinstance(kinds, str):
+        if not isinstance(run, FrameBatch):
             return None
         count = len(run)
         if arrays.col_sum(run.encoded) != count:

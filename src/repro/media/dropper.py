@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.core.styles import Consumer
 from repro.core.typespec import Typespec, props
+from repro.media.batch import FrameBatch
 from repro.media.frames import VideoFrame
 
 _DROPPED_KINDS = {0: set(), 1: {"B"}, 2: {"B", "P"}}
@@ -83,9 +84,9 @@ class PriorityDropFilter(Consumer):
         """Vectorized entry for columnar runs: one kind-column scan, a
         zero-copy :meth:`~repro.media.batch.FrameBatch.select` of the
         kept frames, and the same stats the per-item path counts."""
-        kinds = getattr(run, "kind", None)
-        if not isinstance(kinds, str):
+        if not isinstance(run, FrameBatch):
             return None
+        kinds = run.kind
         stats = self.stats
         count = len(run)
         stats["items_in"] += count

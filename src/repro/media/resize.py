@@ -66,9 +66,9 @@ class Resizer(FunctionComponent):
         per-item-exact size arithmetic and regenerated payloads that
         :meth:`~repro.media.frames.VideoFrame.resized` produces.
         """
-        kinds = getattr(items, "kind", None)
-        if not isinstance(kinds, str):
+        if not isinstance(items, FrameBatch):
             return super().convert_many(items)
+        kinds = items.kind
         stats = self.stats
         count = len(items)
         stats["bytes_in"] += items.nominal_bytes

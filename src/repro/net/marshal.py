@@ -40,7 +40,7 @@ import struct
 from functools import lru_cache
 from typing import Any, Callable
 
-from repro.core.runs import ColumnarRun, is_columnar
+from repro.core.runs import ColumnarRun
 from repro.core.styles import FunctionComponent
 from repro.core.typespec import Typespec, props
 from repro.errors import MarshalError
@@ -605,7 +605,7 @@ class MarshalFilter(FunctionComponent):
 
     def convert_many(self, items: list) -> Any:
         run = None
-        if is_columnar(items):
+        if isinstance(items, ColumnarRun):
             run = encode_run(items)
             if run is None:
                 items = list(items)

@@ -416,6 +416,10 @@ class StreamMux:
     def wait(self, timeout: float) -> bool:
         return self.inbound.wait(timeout)
 
+    def should_stop(self) -> bool:
+        """A shared link never ends its loop before its sessions do."""
+        return False
+
     def close(self) -> None:
         self.flush()
         self.transport.close()

@@ -110,7 +110,7 @@ class RemoteFactory:
     def query_typespec(self, querying_node: str, component: Component) -> Typespec:
         """Remote Typespec query with property marshalling: the spec crosses
         the control channel in wire format both ways."""
-        remote_node = getattr(component, "location", "")
+        remote_node = component.location
         self.setup_cost += self.network.rtt(querying_node, remote_node)
         wire = marshal_typespec(component.accepts())
         return unmarshal_typespec(wire)

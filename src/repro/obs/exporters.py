@@ -67,9 +67,9 @@ class _TidMap:
 def _flow_traces_of(flows) -> list:
     """Accept a FlowTracer, a LineageStore, or an iterable of FlowTrace;
     return the finished traces."""
-    if hasattr(flows, "store") or hasattr(flows, "traces"):
-        from repro.obs.flow import iter_finished
+    from repro.obs.flow import FlowTracer, LineageStore, iter_finished
 
+    if isinstance(flows, (FlowTracer, LineageStore)):
         return list(iter_finished(flows))
     return [trace for trace in flows if trace.status != "in-flight"]
 

@@ -76,6 +76,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from repro.components.buffers import OnFull
 from repro.core.events import EOS
 from repro.core.items import NIL
 from repro.net.marshal import encode_flow_chunk, split_flow_chunk
@@ -566,10 +567,7 @@ class Lane:
         self.name = component.name
         self.now = now
         self.fill = fill or (lambda: component.fill_level)
-        self.drop_newest = (
-            getattr(getattr(component, "on_full", None), "value", "")
-            == "drop-new"
-        )
+        self.drop_newest = component.on_full is OnFull.DROP_NEW
         # Items queued before the plant are timed from now.
         self.entries: deque = deque([now()] * self.fill())
         self.wait = None
@@ -740,11 +738,11 @@ class FlowTracer:
         lossy: dict[str, tuple[str, str]] = {}
         for thread, owned in engine._thread_components.items():
             for comp_name, component in owned.items():
-                reason = getattr(component, "loss_reason", None)
+                reason = component.loss_reason
                 if reason:
                     lossy[thread] = (comp_name, str(reason))
                     break
-                if getattr(component, "conserving", True) is False and \
+                if component.conserving is False and \
                         engine.gate_for(component) is None:
                     lossy.setdefault(
                         thread, (comp_name, "declared non-conserving")

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.components.buffers import Buffer
 from repro.obs.flow import plant, plant_lane
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sched import SchedulerProbe
@@ -149,7 +150,7 @@ class Telemetry:
             ),
             component=name,
         )
-        if hasattr(component, "fill_fraction"):
+        if isinstance(component, Buffer):
             registry.gauge(
                 "repro_buffer_fill_fraction",
                 help="Buffer fill fraction (0..1)",

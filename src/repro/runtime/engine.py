@@ -28,7 +28,7 @@ from repro.core.glue import (
 from repro.core.items import NIL
 from repro.core.polarity import Mode
 from repro.core.styles import EndOfStream, PullOp, PushOp, Style
-from repro.errors import RuntimeFault
+from repro.errors import PortError, RuntimeFault
 from repro.mbt.clock import Clock, VirtualClock
 from repro.mbt.constraints import Constraint
 from repro.mbt.coroutine import Done, Suspendable
@@ -416,7 +416,6 @@ class PumpDriver:
         self.origin.running = False
         if self.timer is not None:
             self.timer.stop()
-        self.engine.note_section_finished(self)
 
 
 class CoroutineDriver:
@@ -688,8 +687,8 @@ def drive_with_io(
     ``io`` is anything with ``pump() -> int`` (drain ready inbound
     messages into the pipeline, returning how many arrived),
     ``wait(timeout) -> bool`` (block until inbound bytes or timeout)
-    and optionally ``should_stop() -> bool`` (external shutdown, e.g.
-    a control message from the deployment parent).  The loop
+    and ``should_stop() -> bool`` (external shutdown, e.g. a control
+    message from the deployment parent; a shared link never asks).  The loop
     alternates scheduler runs with I/O pumping: the scheduler runs
     until quiescent, arrivals wake the boundary gates
     (``external_wake_pullers``), and an engine completes when
@@ -704,7 +703,6 @@ def drive_with_io(
     while real bytes are in flight only skews timestamps, never the
     data flow.
     """
-    should_stop = getattr(io, "should_stop", None)
     while True:
         scheduler.run(
             until=scheduler.clock.now() + horizon, max_steps=max_steps
@@ -713,7 +711,7 @@ def drive_with_io(
             return
         if io.pump():
             continue
-        if should_stop is not None and should_stop():
+        if io.should_stop():
             return
         io.wait(idle_timeout)
 
@@ -786,7 +784,6 @@ class Engine:
         #: recompiled, so the hot path pays one list-cell increment instead
         #: of a dict update per coroutine crossing.
         self._switch_counters: list[list[int]] = []
-        self._sink_eos: set[str] = set()
         self._setup_done = False
         #: Simulated network used for cross-node control-event latency.
         self.network = None
@@ -803,8 +800,9 @@ class Engine:
         self.restructure_log: list[Any] = []
 
     def add_service(self, service: Any) -> None:
-        """Register an auxiliary service whose ``stop()`` is called when the
-        pipeline stops (feedback loops register themselves here)."""
+        """Register an auxiliary service: anything with a ``stop()``,
+        which :meth:`stop` calls (feedback loops register themselves
+        here)."""
         self._services.append(service)
 
     def attach_network(self, network) -> "Engine":
@@ -986,10 +984,9 @@ class Engine:
             return 0.0
         try:
             source = self.pipeline.component(event.source)
-        except Exception:
+        except PortError:  # a sender outside the pipeline
             return 0.0
-        src_loc = getattr(source, "location", "")
-        dst_loc = getattr(receiver, "location", "")
+        src_loc, dst_loc = source.location, receiver.location
         if not src_loc or not dst_loc or src_loc == dst_loc:
             return 0.0
         return self.network.control_latency(src_loc, dst_loc)
@@ -1074,12 +1071,6 @@ class Engine:
         if driver is not None:
             driver.sync_running_state()
 
-    def note_sink_eos(self, component: Component) -> None:
-        self._sink_eos.add(component.name)
-
-    def note_section_finished(self, driver: PumpDriver) -> None:
-        pass  # hook for subclasses/telemetry
-
     # ------------------------------------------------------------ control
 
     def send_event(self, kind: str, payload: Any = None) -> None:
@@ -1101,9 +1092,7 @@ class Engine:
 
     def stop(self) -> "Engine":
         for service in self._services:
-            stop = getattr(service, "stop", None)
-            if stop is not None:
-                stop()
+            service.stop()
         self.send_event(ev.STOP)
         return self
 

@@ -35,6 +35,7 @@ from repro.core.component import Component
 from repro.core.events import EOS
 from repro.core.glue import BoundaryRef, FlowNode
 from repro.core.items import NIL
+from repro.core.runs import ColumnarRun
 from repro.core.styles import EndOfStream, Style
 from repro.components.buffers import EMPTY, FULL
 from repro.errors import RuntimeFault
@@ -249,14 +250,12 @@ class SegmentLock:
         self.name = name
         self.holder: str | None = None
         self._waiters: deque[str] = deque()
-        self.contentions = 0
 
     def held_by(self, ctx: ThreadCtx) -> bool:
         return self.holder == ctx.thread_name
 
     def acquire(self, ctx: ThreadCtx):
         while self.holder is not None and self.holder != ctx.thread_name:
-            self.contentions += 1
             self._waiters.append(ctx.thread_name)
             yield from ctx.receive_data({"segment-free"})
         self.holder = ctx.thread_name
@@ -287,7 +286,7 @@ class SegmentLock:
 def _stock_pull(component):
     """``component.pull`` if the stock ``serve_pull`` dispatches to it."""
     if type(component).serve_pull is Component.serve_pull:
-        return getattr(component, "pull", None)
+        return component.pull
 
 
 def _bind_serve_pull(component, port: str):
@@ -317,7 +316,7 @@ def _bind_receive_push(component, port: str):
     """One-arg per-item push entry for ``component`` (see
     :func:`_bind_serve_pull`); tees keep their overridden entry."""
     if type(component).receive_push is Component.receive_push:
-        push_impl = getattr(component, "push", None)
+        push_impl = component.push
         if push_impl is not None:
             stats = component.stats
 
@@ -337,7 +336,7 @@ def ends_in_eos(run) -> bool:
     materialize a per-item object just to compare it with EOS)."""
     return (
         len(run) > 0
-        and not getattr(run, "columnar", False)
+        and not isinstance(run, ColumnarRun)
         and run[-1] is EOS
     )
 
@@ -400,7 +399,7 @@ def plant_sink(ctx: ThreadCtx, component, entry, count=None):
     hand = ctx.hand
     if hand is None or hand.tracer is None:
         return entry, None
-    if getattr(component, "wire_sink", False):
+    if component.wire_sink:
         return hand.wire(entry, component, count), None
     return entry, hand.deliver
 
@@ -662,12 +661,10 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
             ctx, component, _bind_receive_push(component, port)
         )
         name = component.name
-        note_sink_eos = engine.note_sink_eos
-        on_eos = getattr(component, "on_eos", None)
+        on_eos = component.on_eos
 
         def sink_push(item):
             if item is EOS:
-                note_sink_eos(component)
                 if on_eos is not None:
                     on_eos()
                 return
@@ -780,19 +777,6 @@ def _bind_drain_fn(component):
         return cost
 
     return take
-
-
-def _convert_many_fn(component):
-    """The component's vectorized convert, or a per-item fallback.
-
-    ``convert_many`` must stay 1:1 in-order (FunctionComponent's default
-    guarantees it); stats are charged by the caller per item.
-    """
-    convert_many = getattr(component, "convert_many", None)
-    if convert_many is not None:
-        return convert_many
-    convert = component.convert
-    return lambda items: [convert(item) for item in items]
 
 
 def _subtree_batch_source(engine, target) -> bool:
@@ -974,7 +958,7 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
             return _compile_crossing(ctx, component, "ip-pull-batch")
         if component.style is Style.FUNCTION:
             inner_many = compile_pull_many(ctx, target.branches["in"])
-            convert_many = _convert_many_fn(component)
+            convert_many = component.convert_many
             stats = component.stats
             take_cost = _bind_drain_fn(component)
 
@@ -1091,7 +1075,7 @@ def _compile_push_node_many(ctx: ThreadCtx, node: FlowNode):
 
     if component.style is Style.FUNCTION:
         out_many = compile_push_many(ctx, node.branches["out"])
-        convert_many = _convert_many_fn(component)
+        convert_many = component.convert_many
         stats = component.stats
         take_cost = _bind_drain_fn(component)
 
@@ -1115,10 +1099,10 @@ def _compile_push_node_many(ctx: ThreadCtx, node: FlowNode):
         receive = _bind_receive_push(component, node.entry_port)
         queue = engine.pending_for(component).queue
         take_cost = _bind_drain_fn(component)
-        process_run = getattr(component, "process_run", None)
+        process_run = component.process_run
 
         def consumer_push_many(items):
-            if process_run is not None and getattr(items, "columnar", False):
+            if process_run is not None and isinstance(items, ColumnarRun):
                 # Vectorized consumer entry: the component transforms the
                 # whole columnar run (updating its own stats, including
                 # items_in/items_out and declared drops, exactly as the

@@ -180,6 +180,15 @@ def test_deploy_place_rejects_an_entry_that_is_not_name_colon_shard(
     assert err == f"error: --place entry {entry!r} is not name:shard\n"
 
 
+def test_a_config_file_is_not_an_option(capsys):
+    """A flag is the one way to set an option: there is no file of
+    defaults beside it."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", SEAM, "--config", "x.toml"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("deploy", ["--until", "1"]),
     ("deploy", ["--max-steps", "10"]),

@@ -109,6 +109,28 @@ class TestMarshalNetworkMarshal:
 
 
 class TestRemoteEvents:
+    def test_an_event_from_outside_the_pipeline_pays_no_latency(self):
+        """A sender no component is named after has no node: its event
+        is posted at once, however slow the attached network."""
+        scheduler, network, alpha, _ = build_world(delay=0.04)
+        gate = alpha.place(Gate(name="outside-gate"))
+        pipe = alpha.place(IterSource(range(3))) >> GreedyPump() >> gate
+        engine = Engine(pipe >> CollectSink(), scheduler=scheduler)
+        engine.attach_network(network).setup()
+        received_at = []
+        original = gate.on_gate_close
+
+        def spying_close(event):
+            received_at.append(scheduler.now())
+            original(event)
+
+        gate.on_gate_close = spying_close
+        engine.events.send_to(
+            "outside-gate", Event(kind="gate-close", source="operator")
+        )
+        engine.run(max_steps=1_000)
+        assert received_at == [0.0]
+
     def test_remote_event_delivery_pays_control_latency(self):
         """Control events between nodes arrive after the link latency."""
         scheduler, network, alpha, beta = build_world(delay=0.04)

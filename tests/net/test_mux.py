@@ -286,6 +286,7 @@ class TestTransports:
         link = InProcessLink("a", "b", "fabric")
         twin = StreamMux(link)
         assert twin.wait(0.0) is False
+        assert twin.should_stop() is False  # a shared link ends no loop
         twin.close()
 
     def test_thousand_streams_one_socketpair(self):

@@ -581,6 +581,10 @@ first attempt:
   traced** (`tests/deploy/test_spawn_safety.py`, the generator replays of
   `tests/check/test_certificates.py`); what they run is reached under
   fork by D2 / D3 anyway.
+* **state that is written and never read is invisible**: its writer is
+  entered, so it reads as reached. Only the source shows a field nobody
+  reads — `Engine._sink_eos` (written on every sink EOS) and
+  `SegmentLock.contentions` were two, found by reading and deleted.
 * pytest runs use `--hypothesis-seed=0` so the set of functions a
   property test enters does not vary from run to run; D2 uses the
   workloads' `--smoke` sizes (same graph, fewer items).
@@ -607,8 +611,8 @@ DELETED_HEADER = """
 ## Deleted
 
 Measured at the parent commit of the change that cut each block
-(70f6951; then 23dc996, 63561ee, 30d89ed, 8d6c636 and ce3664e for the
-later blocks, in order), where these rows stood.  A test is listed only
+(70f6951; then 23dc996, 63561ee, 30d89ed, 8d6c636, ce3664e and 146f5e2
+for the later blocks, in order), where these rows stood.  A test is listed only
 when the deleted name was its sole subject.
 
 | function | lines | reached at the parent by | verdict | tests deleted with it |

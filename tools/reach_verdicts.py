@@ -79,6 +79,9 @@ RULES = [
      "answer_the_io_source_interface`"),
     ("repro.net.mux:MuxStream.close", "tested here", "same test"),
     ("repro.net.mux:StreamMux.wait", "tested here", "same test"),
+    ("repro.net.mux:StreamMux.should_stop", "tested here",
+     "`tests/net/test_mux.py` (the io-loop test: a shared link never ends "
+     "`drive_with_io` early)"),
     ("repro.obs.dashboard:Dashboard.run_curses", "tested here",
      "`tests/obs/test_dashboard.py::TestDashboardLoop::test_curses_loop_"
      "draws_clips_and_quits` (a scripted screen; CI has no terminal)"),
@@ -640,6 +643,21 @@ DELETED: list[tuple[str, int, str, str]] = [
      "obs/test_dashboard.py",
      "`TestRenderTop::test_tenant_pane_lists_sessions_busiest_first`, "
      "`::test_tenant_pane_folds_a_large_fleet`"),
+    # The component, run and boundary contracts (measured at their parent,
+    # 146f5e2): a fallback no class reached, a marker `isinstance` states,
+    # state nothing read, a hook nothing overrode, and a second way to set
+    # every CLI option.
+    ("repro.runtime.section:_convert_many_fn (its per-item fallback: the "
+     "one FUNCTION-style class, `FunctionComponent`, defines "
+     "`convert_many`)", 11, "D1-D4", "none"),
+    ("repro.core.runs:is_columnar (with the `ColumnarRun.columnar` marker; "
+     "now `isinstance(run, ColumnarRun)`)", 3, "D1-D4", "none"),
+    ("repro.runtime.engine:Engine.note_sink_eos (with `Engine._sink_eos`, "
+     "written on every sink EOS and read by nothing)", 2, "D1-D4", "none"),
+    ("repro.runtime.engine:Engine.note_section_finished (a `pass` hook no "
+     "class overrode)", 2, "D1-D4", "none"),
+    ("repro.__main__:_apply_config (`--config FILE.toml`)", 30,
+     "D4 (its early return)", "none"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
