@@ -3,32 +3,9 @@
 Every module regenerates one of the paper's figures or section-4 claims:
 the ``test_bench_*`` name states which.  Benchmarks print the series the
 paper reports (who wins, by what factor) in addition to timing one
-representative configuration with pytest-benchmark.
-
-Perf-report mode
-----------------
-:func:`measure_sched_hotpath` times the scheduler hot path on the three
-workloads the paper's section 4 argues about (Figure-9 config *a*, the
-MIDI mixer, switch-vs-call cost) and :func:`write_sched_hotpath_report`
-writes them to ``BENCH_sched_hotpath.json`` at the repository root, so the
-benchmark trajectory of the repo is recorded run over run.  Run it via
-
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_sched_hotpath.py -s
-
-or standalone::
-
-    PYTHONPATH=src:. python -c \
-        "from benchmarks.conftest import write_sched_hotpath_report as w; w()"
+representative configuration with pytest-benchmark.  Speed claims belong
+to ``python3 -m bench`` (see ``bench/README.md``).
 """
-
-from __future__ import annotations
-
-import json
-import time
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-HOTPATH_REPORT = REPO_ROOT / "BENCH_sched_hotpath.json"
 
 
 def make_fig9_pipeline(key: str, items: int = 64):
@@ -83,92 +60,3 @@ def run_engine(pipe):
     engine.start()
     engine.run()
     return engine
-
-
-# ---------------------------------------------------------------------------
-# Scheduler hot-path perf report (BENCH_sched_hotpath.json)
-# ---------------------------------------------------------------------------
-
-
-def _best_of(fn, repeats):
-    """Best wall-clock time of ``repeats`` runs of ``fn()`` (seconds)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def _best_run_seconds(make_engine, repeats):
-    """Best wall-clock time of ``engine.run()`` over ``repeats`` freshly
-    built engines.  Graph construction and plan realization happen outside
-    the timed region: they are one-time costs, and the hot-path report
-    measures dispatch throughput."""
-    best = float("inf")
-    for _ in range(repeats):
-        engine = make_engine()
-        started = time.perf_counter()
-        engine.run()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def measure_fig9a_items_per_sec(items: int = 256, repeats: int = 15) -> float:
-    """Items/sec through Figure 9's config *a* (one coroutine, mid pump)."""
-    from repro import Engine
-
-    def make():
-        pipe, _sink = make_fig9_pipeline("a", items)
-        return Engine(pipe).start()
-
-    return items / _best_run_seconds(make, repeats)
-
-
-def measure_midi_items_per_sec(events: int = 400, repeats: int = 8) -> float:
-    """Items/sec of the section-4 MIDI mixer under automatic (minimal)
-    allocation — many small items, the paper's stress case."""
-    from benchmarks.test_bench_sec4_midi_mixer import CHANNELS, build
-    from repro import Engine
-
-    def make():
-        pipe, _sink = build(False, events)
-        return Engine(pipe).start()
-
-    return (events * CHANNELS) / _best_run_seconds(make, repeats)
-
-
-def measure_switch_vs_call_ratio() -> float:
-    """Generator-coroutine switch cost over direct function-call cost."""
-    from benchmarks.test_bench_sec4_switch_cost import (
-        _direct_call_cost,
-        _generator_switch_cost,
-    )
-
-    return _generator_switch_cost() / _direct_call_cost()
-
-
-def measure_sched_hotpath(
-    midi_events: int = 400, fig9_items: int = 256
-) -> dict:
-    return {
-        "fig9_a_items_per_sec": round(
-            measure_fig9a_items_per_sec(fig9_items), 1
-        ),
-        "midi_items_per_sec": round(
-            measure_midi_items_per_sec(midi_events), 1
-        ),
-        "switch_vs_call_ratio": round(measure_switch_vs_call_ratio(), 2),
-        "config": {
-            "fig9_items": fig9_items,
-            "midi_events_per_channel": midi_events,
-            "clock": "virtual",
-        },
-    }
-
-
-def write_sched_hotpath_report(path: Path | str | None = None) -> dict:
-    report = measure_sched_hotpath()
-    target = Path(path) if path is not None else HOTPATH_REPORT
-    target.write_text(json.dumps(report, indent=2) + "\n")
-    return report

@@ -10,12 +10,12 @@ for each claim (see docs/CHECKING.md §refinement):
   local, single-address-space variant;
 * the pure-python media array backend vs the numpy column backend.
 
-Run from the repository root (same convention as the BENCH reports)::
+Run from the repository root (same convention as the other generators)::
 
     PYTHONPATH=src:. python benchmarks/make_refinement_certs.py
 
 Pinned seeds make the output stable; the file is committed next to the
-``BENCH_*.json`` reports it certifies.
+other ``CERT_*.json`` certificates.
 """
 
 import json

@@ -20,7 +20,7 @@ Two runs over the same undersized link:
 
 Pass ``--payloads`` to stream real payload bytes (see ``docs/MEDIA.md``)
 instead of metadata-only frames; the payload-weighted variant of this
-pipeline is also the ``benchmarks/test_bench_media_plane.py`` benchmark.
+pipeline is also the ``video-wire`` workload of ``python3 -m bench``.
 """
 
 import sys

@@ -24,7 +24,7 @@ deterministic-simulation toolkit:
   components, drop-counting filters, or lossy network links);
 * the outcome is a machine-readable :class:`RefinementCertificate`
   (seeds, trace hashes, channel modes, projection spec, verdict) that CI
-  archives next to the ``BENCH_*.json`` reports;
+  archives next to the ``CERT_*.json`` certificates;
 * on failure the violating schedule is shrunk with the explorer's ddmin
   machinery into a **replayable counterexample**: seed, minimized choice
   list, and the first divergent sink index.
@@ -454,7 +454,7 @@ def _mode_for(
 class RefinementCertificate:
     """Machine-readable outcome of one refinement check.
 
-    Archive it next to the ``BENCH_*.json`` reports: the seeds, choice
+    Archive it next to the ``CERT_*.json`` certificates: the seeds, choice
     lists and trace hashes make the entire check reproducible, and a
     failed certificate *is* its own minimized, replayable repro.
     """

@@ -393,9 +393,9 @@ class Scheduler:
     def park_thread(self, thread: MThread) -> None:
         """Quiesce ``thread``: not ready, holds no ready-heap entry.
 
-        Parked threads cost the dispatcher nothing — the microbench in
-        ``benchmarks`` asserts dispatch cost is independent of how many
-        threads are parked.  Messages delivered meanwhile queue in the
+        Parked threads cost the dispatcher nothing —
+        ``tests/fabric/test_fairness.py`` counts the same scheduler steps
+        however many threads are parked.  Messages delivered meanwhile queue in the
         mailbox and run on :meth:`unpark_thread`.
         """
         if thread.parked:

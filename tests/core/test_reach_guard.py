@@ -29,10 +29,11 @@ PACKAGE = ROOT / "src" / "repro"
 #: fan-out is `Mailbox.put_many`'s production caller; deleting the audio
 #: columnar half, the zip join, the SLO engine, the metrics server and the
 #: fabric TENANTS pane retired 36 more, `TraceContext.fork` /
-#: `FlowTrace.parent` are fan-out lineage, and D4's `deploy --place`
-#: retired three).
+#: `FlowTrace.parent` are fan-out lineage, D4's `deploy --place`
+#: retired three, and the Figure-9 configurations run at `batch_max` 8
+#: and 32 retired `IterSource.pull_many`'s).
 #: Lower it when a row is retired; never raise it.
-EXCEPTION_ROWS = 31
+EXCEPTION_ROWS = 30
 
 KEPT = ("verification", "paper", "tested here", "exception")
 

@@ -88,15 +88,22 @@ class TestShardedExecution:
         assert result.sinks["collect-sink-1"] == list(range(50))
 
     def test_disconnected_chains_shard_without_wires(self):
-        result = Deployment(
-            fig9a_chains(4, 64), Placement.auto(4)
-        ).run(timeout=60)
-        assert result.completed
-        assert result.plan.cuts == ()
-        # 64 items halved twice by the two 2:1 defragmenters.
-        assert all(
-            len(result.sinks[f"sink-{i}"]) == 16 for i in range(4)
-        )
+        """At 1, 2 and 4 shards the chains need no cut, and every sink
+        gets what the 1-shard run gave it."""
+        reference = None
+        for shards in (1, 2, 4):
+            result = Deployment(
+                fig9a_chains(4, 64), Placement.auto(shards)
+            ).run(timeout=60)
+            assert result.completed
+            assert result.plan.cuts == ()
+            # 64 items halved twice by the two 2:1 defragmenters.
+            assert all(
+                len(result.sinks[f"sink-{i}"]) == 16 for i in range(4)
+            )
+            if reference is None:
+                reference = result.sinks
+            assert result.sinks == reference, f"{shards} shards diverged"
 
     def test_clocked_media_pipeline_across_processes(self):
         result = Deployment(

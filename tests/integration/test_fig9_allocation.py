@@ -2,9 +2,9 @@
 passive sink, with automatically detected thread/coroutine needs.
 
 Allocation counts are asserted in tests/core/test_glue.py; here every
-configuration also *runs*, produces identical results, and the runtime
-creates exactly the predicted number of user-level threads — the
-thread-transparency claim made concrete.
+configuration also *runs*, produces identical results at ``batch_max``
+1, 8 and 32, and the runtime creates exactly the predicted number of
+user-level threads — the thread-transparency claim made concrete.
 """
 
 import pytest
@@ -66,21 +66,32 @@ def build(key):
     return pipeline(*chain), sink, expected
 
 
-@pytest.mark.parametrize("key", sorted(CONFIGS))
-def test_configuration_runs_with_predicted_threads(key):
-    pipe, sink, expected = build(key)
-    plan = allocate(pipe)
-    assert plan.sections[0].coroutine_count == expected
-
-    engine = Engine(pipe)
+def run(key, batch_max=1):
+    """Run configuration ``key``; returns (threads created, sink items)."""
+    pipe, sink, _ = build(key)
+    engine = Engine(pipe, batch_max=batch_max)
     engine.setup()
-    # The runtime created exactly the planned number of user-level threads.
-    assert len(engine.scheduler.threads) == expected
+    threads = len(engine.scheduler.threads)
     engine.start()
     engine.run()
+    return threads, sink.items
 
-    halvings = defrag_stages(key)
-    assert len(sink.items) == 8 // (2 ** halvings)
+
+@pytest.mark.parametrize("key,batch_max", [
+    pytest.param(key, bm, id=key if bm == 1 else f"{key}-b{bm}")
+    for bm in (1, 8, 32)
+    for key in sorted(CONFIGS)
+])
+def test_configuration_runs_with_predicted_threads(key, batch_max):
+    """Every configuration runs with the planned number of user-level
+    threads, and batching moves the same stream as the per-item run."""
+    pipe, _, expected = build(key)
+    assert allocate(pipe).sections[0].coroutine_count == expected
+
+    threads, items = run(key, batch_max)
+    assert threads == expected
+    assert len(items) == 8 // (2 ** defrag_stages(key))
+    assert items == run(key)[1]
 
 
 def test_total_expected_coroutines_across_all_configs():

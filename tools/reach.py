@@ -129,13 +129,6 @@ def run_recorded(label: str, argv: list[str]) -> None:
 
 PYTEST = ["pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
 PAPER_BENCHMARKS = ("fig*", "sec4_*", "ablation_*")
-LEGACY_BENCHMARKS = {  # report -> (module of its writer, extra arguments)
-    "batch_dataplane": ("test_bench_batch_dataplane", ""),
-    "media_plane": ("test_bench_media_plane", ""),
-    "multicore": ("test_bench_multicore", ""),
-    "multitenant": ("test_bench_multitenant", ", full_scale=False"),
-    "sched_hotpath": ("conftest", ""),
-}
 WORKLOADS = ("fig9a-item", "fig9a-batch32", "fig9a-obs", "video-wire",
              "fabric-mux", "deploy-seam-2shard")
 CERT_GENERATORS = ("make_deploy_certs", "make_fabric_certs",
@@ -153,8 +146,7 @@ DRIVER_NOTES = {
           "(writing to a scratch path)",
     "D4": "every `python -m repro` subcommand, with the flags its module "
           "docstring shows",
-    "D5": "everything else: the rest of `tests/` and the report writers of "
-          "the five legacy `benchmarks/test_bench_*` modules",
+    "D5": "everything else: the rest of `tests/`",
 }
 
 
@@ -209,15 +201,6 @@ def jobs(scratch: Path) -> list[tuple[str, list[str]]]:
     ):
         out.append((f"D4 repro {tail[0]}", ["-m", "repro"] + tail))
     out.append(("D5", PYTEST + ["tests", "--ignore=tests/integration"]))
-    for report, (module, extra) in LEGACY_BENCHMARKS.items():
-        out.append((
-            f"D5 benchmarks/test_bench_{report}.py",
-            ["-c",
-             "import sys; from pathlib import Path; "
-             f"from benchmarks.{module} import write_{report}_report as w; "
-             f"w(Path(sys.argv[1]){extra})",
-             str(scratch / f"BENCH_{report}.json")],
-        ))
     return out
 
 
@@ -588,10 +571,7 @@ first attempt:
 * pytest runs use `--hypothesis-seed=0` so the set of functions a
   property test enters does not vary from run to run; D2 uses the
   workloads' `--smoke` sizes (same graph, fewer items).
-* the five legacy benchmark modules gate on wall-clock ratios and rewrite
-  committed `BENCH_*.json` files, so D5 calls their `write_*_report`
-  functions with a scratch path instead of running their tests; a
-  figure benchmark that compares wall-clock costs can fail under the
+* a figure benchmark that compares wall-clock costs can fail under the
   profiler — that is printed, not fatal (whether tests pass is tier-1's
   question), while a driver that does not run at all stops the tool.
 

@@ -105,10 +105,6 @@ RULES = [
     ("repro.mbt.scheduler:Scheduler.parked_threads", "exception", OPEN_10K),
     ("repro.fabric.session:Session.set_weight", "exception", FAIRNESS),
     ("repro.mbt.scheduler:Tenant.weight*", "exception", FAIRNESS),
-    ("repro.components.sources:IterSource.pull_many", "exception",
-     "owed ROADMAP 1(b) `fabric-mux-batched`: the tenants' source at "
-     "`batch_max=32` (the `fig9a` chains pull it through a producer, an "
-     "item at a time)"),
     ("repro.obs.flow:Hand.depart", "exception", CROSSING),
     ("repro.obs.flow:Hand.arrive", "exception", CROSSING),
     ("repro.runtime.section:_item_data_count", "exception", CROSSING),
@@ -261,8 +257,8 @@ RULES = [
     ("repro.runtime.restructure:Replacement.__str__", "paper",
      "§2.2: dynamic reconfiguration, the record of a replacement"),
     ("repro.deploy.presets:*fig9a_chains", "paper",
-     "Fig. 9(a) as N disconnected chains: the multi-core preset of the "
-     "legacy `BENCH_multicore.json` report"),
+     "Fig. 9(a) as N disconnected chains: the multi-core preset the "
+     "deploy tests shard at 1, 2 and 4 processes"),
 
     # -------------------------------------------------------- verification
     # The checker package is verification as a whole; everything else is
@@ -428,8 +424,8 @@ RULES = [
     ("repro.fabric.session:Session.tenant", "verification",
      "reference accessor: the tenant a session's threads are charged to"),
     ("repro.fabric.session:Session.threads", "verification",
-     "reference accessor: a session's threads, for the isolation tests "
-     "and the legacy `BENCH_multitenant.json` report"),
+     "reference accessor: a session's threads, for the isolation and "
+     "parked-fleet tests"),
     ("repro.fabric.session:SessionFabric.completed", "verification",
      "reference accessor: sessions that ran to completion"),
     ("repro.mbt.scheduler:Scheduler.tenant", "verification",
