@@ -99,9 +99,9 @@ reads views of it; both cost nothing when unused:
   :meth:`repro.obs.sched.SchedulerProbe.install`), whose ``on_dispatch``
   / ``on_wall`` / ``on_cpu`` / ``on_donation`` / ``on_constraint``
   methods the dispatch path calls behind one ``is not None`` test on the
-  thread.  An unmetered thread is bit-for-bit the unhooked scheduler (the
-  golden trace tests pin this), and a removed thread takes its meter
-  with it.
+  thread (``on_dispatch`` when the meter's ``countdown`` runs out).  An
+  unmetered thread is bit-for-bit the unhooked scheduler (golden traces
+  pin this); a removed thread takes its meter and errors' tracebacks.
 * The trace — a ``deque`` appended by :meth:`_record` alone: unbounded,
   or a ring of the newest ``trace_limit`` events whose evictions
   :attr:`trace_dropped` counts.  The ring is the flight recorder;
@@ -231,7 +231,9 @@ class Scheduler:
         self.dead_letters: deque[Message] = deque(maxlen=dead_letter_limit)
         #: Dead letters evicted because the queue was full.
         self.dead_letters_dropped = 0
-        self.errors: list[tuple[str, BaseException]] = []
+        #: Crashed threads' ``(name, exc)``, bounded like the dead letters.
+        self.errors: deque[tuple[str, Any]] = deque(maxlen=DEAD_LETTER_LIMIT)
+        self.errors_dropped = 0  # evicted past the bound
         self.on_thread_error = on_thread_error
 
         #: Number of times the CPU moved from one thread to another.
@@ -335,6 +337,10 @@ class Scheduler:
         self._reservations.pop(name, None)
         thread = self.threads.pop(name, None)
         if thread is not None:
+            # Its errors drop their tracebacks, whose frames hold its graph.
+            for index, (who, exc) in enumerate(self.errors):
+                if who == name and isinstance(exc, BaseException):
+                    self.errors[index] = (who, repr(exc))
             thread.terminated = True
             thread.clear_execution_state()
             self._parked.discard(thread)
@@ -651,8 +657,9 @@ class Scheduler:
             thread._heap_entry = None
         if not thread.terminated and thread.is_ready():
             meter = thread.meter
-            if meter is not None and meter.ready_since is None:
-                meter.ready_since = self._clock_now()
+            if meter is not None and meter.countdown == 1:  # sampled next
+                if meter.ready_since is None:
+                    meter.ready_since = self._clock_now()
             key = thread.effective_sort_key()
             tenant = thread._tenant
             if tenant is None:
@@ -918,7 +925,10 @@ class Scheduler:
             tenant.vtime += tenant._inv_weight
             tenant.dispatches += 1
         if thread.meter is not None:
-            thread.meter.on_dispatch(self._clock_now())
+            meter = thread.meter
+            meter.countdown -= 1
+            if not meter.countdown:
+                meter.on_dispatch(self._clock_now())
 
     def _drive(self, thread: MThread, first: bool = False) -> None:
         """Advance the thread's generator until it blocks or completes."""
@@ -969,8 +979,8 @@ class Scheduler:
                     meter = thread.meter
                     if thread._tenant is not None:
                         self._burst_left -= 1
-                    elif meter is not None:
-                        # The post-dispatch re-key's stamp: a zero wait.
+                    elif meter is not None and meter.countdown == 1:
+                        # The re-key's stamp, if sampled next: a zero wait.
                         meter.ready_since = self._clock_now()
                     self._account(thread)
                     if meter is not None and request.constraint is not None:
@@ -1236,6 +1246,8 @@ class Scheduler:
         thread.crashed = exc
         thread.terminated = True
         thread.clear_execution_state()
+        if len(self.errors) == self.errors.maxlen:
+            self.errors_dropped += 1
         self.errors.append((thread.name, exc))
         if self._trace is not None:
             self._record("crash", thread.name, repr(exc))

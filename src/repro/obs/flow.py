@@ -18,12 +18,14 @@ collectors (:class:`~repro.obs.spans.Telemetry` for histograms, the
 
 * Every pump/coroutine thread has a :class:`Hand`: one slot (a context,
   or nothing for an unsampled item) per data item the thread holds
-  mid-cycle, plus the thread's cycle clock.  A source's plain entry is
-  hooked so what it hands out is *born* in the hand; a sink's walker
-  reports the items *delivered*; a coroutine crossing moves slots to the
-  peer thread's hand; the end of a pump cycle sweeps what is left (an
-  item that reached neither sink nor boundary was dropped by the
-  section's declared-lossy stage, or absorbed).
+  mid-cycle, plus the thread's cycle clock.  What a source hands out is
+  *born* in the hand where the intake already counts it: an unsampled
+  birth is two inline integer adds, and only the countdown's 1-in-N
+  calls :meth:`Hand.born`.  A sink's walker reports the items
+  *delivered* (while the hand carries a context); a coroutine crossing
+  moves slots to the peer thread's hand; the end of a pump cycle sweeps
+  what is left (an item that reached neither sink nor boundary was
+  dropped by the section's declared-lossy stage, or absorbed).
 * Every buffer-like boundary (``Buffer``, netpipe receiver) has a
   :class:`Lane`, held by its ``BufferGate``: one entry
   per queued item — its enqueue timestamp, or its sampled context, whose
@@ -37,6 +39,9 @@ collectors (:class:`~repro.obs.spans.Telemetry` for histograms, the
   a ``flush`` discarded is finalized as *dropped at that buffer*.
 * Runs move as runs: one clock read and one lane/hand call per run, and
   unsampled items cost an integer (``Hand.pending``), not an allocation.
+* Clocks are sampled too: a dispatch's run-queue wait and the service
+  time of the pump cycle it runs are read on every ``sample_every``-th
+  dispatch of the thread (``ThreadMeter.countdown``); others make no call.
 * A netpipe crossing serializes the run's sampled contexts into a
   trace-context side-chunk (first byte
   :data:`~repro.net.marshal.FLOW_CHUNK_MAGIC`) that the sender appends to
@@ -363,12 +368,14 @@ class Hand:
     by peer thread) are set by :class:`~repro.obs.spans.Telemetry`;
     ``tracer`` is the :class:`FlowTracer` holding the hand, and while it
     is None no slot is ever kept.  ``peers`` maps every thread of the
-    engine to its hand.
+    engine to its hand.  ``stride`` is the tracer's ``sample_every``: the
+    thread's meter samples every ``stride``-th dispatch and sets ``timed``
+    so the pump cycle it runs is timed too.
     """
 
     __slots__ = (
         "thread", "now", "peers", "rtt", "stage", "tracer", "lossy",
-        "carried", "pending", "last",
+        "carried", "pending", "last", "stride", "timed",
     )
 
     def __init__(self, thread: str, now: Callable[[], float],
@@ -384,6 +391,8 @@ class Hand:
         self.carried: deque = deque()
         self.pending = 0
         self.last: TraceContext | None = None
+        self.stride = 1
+        self.timed = False
 
     # -- slots in and out ----------------------------------------------------
 
@@ -429,59 +438,32 @@ class Hand:
 
     # -- the movements (one emitter each) -------------------------------------
 
-    def source(self, entry: Callable, count: Callable | None = None):
-        """Hook a source's plain entry: every data item it hands out is
-        born in this hand *as it leaves the entry*, so the source's own
-        cost is service time in the trace.  ``entry`` is the zero-arg
-        per-item entry, or with ``count`` (the data items in a run) the
-        ``(n) -> run`` entry."""
+    def born(self, k: int) -> None:
+        """The newest ``k`` of ``pending`` were just born here (as they
+        left the source, whose cost is service time in the trace) and ran
+        the tracer's countdown out: each sampled one gets its context."""
         tracer = self.tracer
-        every = tracer.sample_every
-
-        def sample() -> None:
+        left = tracer.countdown + k
+        self.pending -= k
+        for _ in range(k):
+            left -= 1
+            if left:
+                self.pending += 1
+                continue
+            left = tracer.sample_every
+            tracer._sampled += 1
             ctx = TraceContext(
                 tracer._new_id(), self.now(), "service", self.thread
             )
             tracer.store.register(ctx)
             self.hold([ctx])
-
-        if count is None:
-            def source_item():
-                item = entry()
-                if item is not EOS and item is not NIL:
-                    n = tracer._births = tracer._births + 1
-                    if n % every:
-                        self.pending += 1
-                    else:
-                        sample()
-                return item
-
-            return source_item
-
-        def source_run(limit):
-            run = entry(limit)
-            k = count(run)
-            n = tracer._births
-            tracer._births = n + k
-            if (n + k) // every == n // every:  # nobody in the run sampled
-                self.pending += k
-            else:
-                for i in range(n + 1, n + k + 1):
-                    if i % every:
-                        self.pending += 1
-                    else:
-                        sample()
-            return run
-
-        return source_run
+        tracer.countdown = left
 
     def deliver(self, site: str, k: int) -> None:
         """``k`` data items just landed in sink ``site``."""
-        tracer = self.tracer
-        if tracer is not None:
-            for ctx in self.take(k):
-                if ctx is not None:
-                    tracer._finish(ctx, DELIVERED, site=site)
+        for ctx in self.take(k):
+            if ctx is not None:  # only ever held by a tracer's hand
+                self.tracer._finish(ctx, DELIVERED, site=site)
 
     def wire(self, entry: Callable, sender, count: Callable | None = None):
         """Hook a wire sink's plain entry (one item per call, or with
@@ -523,15 +505,24 @@ class Hand:
             self.hold(self.peers[peer].take(pulled))
         rtt = self.rtt.get(peer)
         if rtt is not None:
-            rtt.observe_count(self.now() - start, pushed or pulled or 1)
+            rtt.observe(self.now() - start, pushed or pulled or 1)
 
-    def cycle_end(self, start: float, count: int) -> None:
-        """The pump cycle begun at ``start`` moved ``count`` items: record
+    def sample_cycle(self) -> float:
+        """The clock a timed cycle starts from (its dispatch's flag spent)."""
+        self.timed = False
+        return self.now()
+
+    def cycle_end(self, start: float | None, count: int,
+                  sink: str | None = None) -> None:
+        """The cycle begun at ``start`` (None: unsampled) moved ``count``
+        items, into the pump itself when it is the active ``sink``: record
         its service time, then sweep the hand — a context still here
         reached neither a sink nor a boundary, so the section's
         declared-lossy stage dropped it (or it was absorbed)."""
-        if self.stage is not None:
-            self.stage.observe_count(self.now() - start, count)
+        if sink is not None:
+            self.deliver(sink, count)
+        if start is not None and self.stage is not None:
+            self.stage.observe(self.now() - start, count)
         if self.carried:
             lossy = self.lossy
             for ctx in self.carried:
@@ -704,8 +695,9 @@ class FlowTracer:
         self.registry = registry
         self._engine: "Engine | None" = None
         self._now: Callable[[], float] | None = None
-        #: Source items seen so far, over every hand (1-in-N sampling).
-        self._births = 0
+        #: Source items, over every hand, until the next sampled birth.
+        self.countdown = sample_every
+        self._sampled = 0
         self._next_id = 0
         self._e2e_hist = None
         self._status_counters: dict[str, Any] = {}
@@ -722,13 +714,14 @@ class FlowTracer:
         for thread, hand in hands.items():
             hand.tracer = self
             hand.lossy = lossy.get(thread)
+            hand.stride = self.sample_every
         for component in engine._gates:
             plant_lane(engine, component).tracer = self
         if self.registry is not None:
             self._publish(self.registry)
         # The one recompile of an attach: source, sink and wire walkers
-        # bind the hand's hooks (everything else reads the hand or the
-        # lane when it runs).  Untraced walkers never see a hook.
+        # bind the hand (everything else reads the hand or the lane when
+        # it runs).  Untraced walkers never see one.
         engine._compile_walkers()
         return self
 
@@ -819,7 +812,7 @@ class FlowTracer:
             delivered, key=lambda t: t.end_to_end, reverse=True
         )[:10]
         return {
-            "births": self._births,
+            "births": (self._sampled + 1) * self.sample_every - self.countdown,
             "sample_every": self.sample_every,
             "completed": self.store.completed,
             "evicted": self.store.evicted,

@@ -47,47 +47,18 @@ _BOUNDS = tuple(2.0 ** (_EXP_LO + i) for i in range(_N_BOUNDS))
 _frexp = math.frexp
 
 
-class Counter:
-    """A monotonically increasing count (int or float increments)."""
+class _Scalar:
+    """One sample: stored, or a callback read only when somebody reads
+    the metric — how the runtime publishes state it already tracks (fill
+    fractions, stats dicts, a meter's dispatches) at no hot-path cost."""
 
-    kind = "counter"
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: tuple = ()):
-        self.name = name
-        self.labels = labels
-        self.value: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise MetricError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def samples(self) -> Iterable[tuple[str, tuple, float]]:
-        yield self.name, self.labels, self.value
-
-
-class Gauge:
-    """A point-in-time value: set directly or backed by a callback.
-
-    Callback gauges (``set_function``) are how the runtime publishes state
-    it already tracks elsewhere — buffer fill fractions, scheduler counters,
-    component stats dicts — without double bookkeeping on the hot path: the
-    callable is only evaluated when somebody reads the gauge.
-    """
-
-    kind = "gauge"
     __slots__ = ("name", "labels", "_value", "_fn")
 
     def __init__(self, name: str, labels: tuple = ()):
         self.name = name
         self.labels = labels
-        self._value: float = 0.0
+        self._value = self._zero
         self._fn: Callable[[], float] | None = None
-
-    def set(self, value: float) -> None:
-        self._fn = None
-        self._value = value
 
     def set_function(self, fn: Callable[[], float]) -> None:
         self._fn = fn
@@ -99,6 +70,32 @@ class Gauge:
 
     def samples(self) -> Iterable[tuple[str, tuple, float]]:
         yield self.name, self.labels, self.value
+
+
+class Counter(_Scalar):
+    """A monotonically increasing count (int or float increments), or the
+    view of one the runtime keeps exactly itself (``set_function``)."""
+
+    kind = "counter"
+    __slots__ = ()
+    _zero = 0
+
+    def inc(self, amount: float = 1) -> None:
+        if amount < 0:
+            raise MetricError(f"counter {self.name!r} cannot decrease")
+        self._value += amount
+
+
+class Gauge(_Scalar):
+    """A point-in-time value: set directly or backed by a callback."""
+
+    kind = "gauge"
+    __slots__ = ()
+    _zero = 0.0
+
+    def set(self, value: float) -> None:
+        self._fn = None
+        self._value = value
 
 
 class Histogram:
@@ -122,7 +119,16 @@ class Histogram:
         self.min = math.inf
         self.max = 0.0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, n: int = 1) -> None:
+        """Record ``value``, with multiplicity ``n`` in one bucket update.
+
+        The batch walkers weight a run-level measurement by the items
+        inside the run, so percentile decorations count items rather than
+        runs at batch_max > 1 — at the same hot-path cost as a single
+        observation.  ``observe_count`` is the same method.
+        """
+        if n <= 0:
+            return
         if value <= _BOUNDS[0]:
             index = 0
         elif value > _BOUNDS[-1]:
@@ -135,33 +141,6 @@ class Histogram:
             index = exponent - _EXP_LO
             if mantissa == 0.5:
                 index -= 1
-        self.counts[index] += 1
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def observe_count(self, value: float, n: int) -> None:
-        """Record ``value`` with multiplicity ``n`` in one bucket update.
-
-        The batch walkers use this to weight a run-level measurement by
-        the items inside the run, so percentile decorations count items
-        rather than runs at batch_max > 1 — at the same hot-path cost as
-        a single :meth:`observe`.
-        """
-        if n <= 0:
-            return
-        if value <= _BOUNDS[0]:
-            index = 0
-        elif value > _BOUNDS[-1]:
-            index = _N_BOUNDS
-        else:
-            mantissa, exponent = _frexp(value)
-            index = exponent - _EXP_LO
-            if mantissa == 0.5:
-                index -= 1
         self.counts[index] += n
         self.count += n
         self.sum += value * n
@@ -169,6 +148,8 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
+
+    observe_count = observe
 
     @property
     def mean(self) -> float:
@@ -297,20 +278,18 @@ class MetricsRegistry:
             self._family_counts[name] = self._family_counts.get(name, 0) + 1
         return metric
 
-    def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
-        return self._get_or_create(Counter, name, help, labels)
+    def counter(self, name: str, help: str = "", fn=None, **labels) -> Counter:
+        return self._scalar(Counter, name, help, fn, labels)
 
-    def gauge(
-        self,
-        name: str,
-        help: str = "",
-        fn: Callable[[], float] | None = None,
-        **labels: Any,
-    ) -> Gauge:
-        gauge = self._get_or_create(Gauge, name, help, labels)
+    def gauge(self, name: str, help: str = "", fn=None, **labels) -> Gauge:
+        return self._scalar(Gauge, name, help, fn, labels)
+
+    def _scalar(self, cls, name: str, help: str, fn, labels: dict):
+        """Get or create; a callback ``fn`` makes the metric its view."""
+        metric = self._get_or_create(cls, name, help, labels)
         if fn is not None:
-            gauge.set_function(fn)
-        return gauge
+            metric.set_function(fn)
+        return metric
 
     def histogram(self, name: str, help: str = "", **labels: Any) -> Histogram:
         return self._get_or_create(Histogram, name, help, labels)

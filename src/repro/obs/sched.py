@@ -10,9 +10,10 @@ and each meter publishes into its owner's metrics registry:
 
 ``repro_sched_run_queue_wait_seconds`` (histogram)
     Virtual time between a thread entering the ready queue and being
-    dispatched — the queueing component of every latency in the system.
+    dispatched — the queueing component of every latency in the system —
+    read on every ``stride``-th dispatch of a thread (see ThreadMeter).
 ``repro_sched_dispatches_total{thread=}`` (counter)
-    Dispatches per thread.
+    Dispatches per thread: exact, read off the meter's countdown.
 ``repro_sched_cpu_seconds_total{thread=,mode=}`` (counter)
     Per-thread CPU attribution: ``mode="virtual"`` sums simulated ``Work``
     time on the virtual clock; ``mode="wall"`` sums real ``perf_counter``
@@ -40,31 +41,40 @@ class ThreadMeter:
     """One thread's scheduler instruments in its owner's registry.
 
     A series is created the first time its event happens, so a run
-    exposes exactly the series it exercised.
+    exposes exactly the series it exercised.  The scheduler counts
+    ``countdown`` down per dispatch and calls :meth:`on_dispatch`, which
+    reads the clock, only when it runs out: every ``hand.stride``-th one.
+    ``dispatches`` is a view: ``counted`` up to that one, ``span -
+    countdown`` since.
     """
 
     __slots__ = (
-        "registry", "thread", "run_queue_wait", "ready_since",
-        "dispatches", "wall", "virtual", "donations", "constraints",
+        "registry", "thread", "run_queue_wait", "ready_since", "hand",
+        "countdown", "span", "counted", "dispatches", "wall", "virtual",
+        "donations", "constraints",
     )
 
     def __init__(self, registry: MetricsRegistry, thread: str,
-                 run_queue_wait: Histogram):
+                 run_queue_wait: Histogram, hand=None):
         self.registry = registry
         self.thread = thread
         self.run_queue_wait = run_queue_wait
         #: Virtual time the thread entered the ready queue (the scheduler
         #: stamps it); None while it is not waiting.
         self.ready_since: float | None = None
+        self.hand = hand  # whose ``stride`` is the meter's (None: 1)
+        self.countdown = self.span = 1
+        self.counted = 0
         self.dispatches: Counter | None = None
         self.wall: Counter | None = None
         self.virtual: Counter | None = None
         self.donations: Counter | None = None
         self.constraints: Counter | None = None
 
-    def _counter(self, family: str, help_text: str, **labels) -> Counter:
+    def _counter(self, family: str, help_text: str, fn=None,
+                 **labels) -> Counter:
         return self.registry.counter(
-            family, help=help_text, thread=self.thread, **labels
+            family, help_text, fn, thread=self.thread, **labels
         )
 
     # ------------------------------------------------------------ hooks
@@ -72,24 +82,30 @@ class ThreadMeter:
     # test; steady state is attribute hits and scalar adds.
 
     def on_dispatch(self, now: float) -> None:
+        """A sampled dispatch: restart the countdown, record the wait."""
+        self.counted += self.span
+        hand = self.hand
+        self.span = self.countdown = 1 if hand is None else hand.stride
+        if hand is not None:
+            hand.timed = True  # the cycle this dispatch runs is timed too
         if self.dispatches is None:
             self.dispatches = self._counter(
-                "repro_sched_dispatches_total", "Thread dispatches"
+                "repro_sched_dispatches_total", "Thread dispatches",
+                lambda: self.counted + self.span - self.countdown,
             )
             self.wall = self._counter(_CPU, _CPU_HELP, mode="wall")
         ready_since = self.ready_since
         if ready_since is not None:
             self.ready_since = None
             self.run_queue_wait.observe(now - ready_since)
-        self.dispatches.value += 1
 
     def on_wall(self, seconds: float) -> None:
-        self.wall.value += seconds
+        self.wall._value += seconds
 
     def on_cpu(self, seconds: float) -> None:
         if self.virtual is None:
             self.virtual = self._counter(_CPU, _CPU_HELP, mode="virtual")
-        self.virtual.value += seconds
+        self.virtual._value += seconds
 
     def on_donation(self) -> None:
         if self.donations is None:
@@ -97,7 +113,7 @@ class ThreadMeter:
                 "repro_sched_donations_total",
                 "Priority-inheritance donations received",
             )
-        self.donations.value += 1
+        self.donations._value += 1
 
     def on_constraint(self) -> None:
         if self.constraints is None:
@@ -105,7 +121,7 @@ class ThreadMeter:
                 "repro_sched_constraint_dispatches_total",
                 "Dispatches of explicitly constrained messages",
             )
-        self.constraints.value += 1
+        self.constraints._value += 1
 
 
 class SchedulerProbe:
@@ -121,9 +137,11 @@ class SchedulerProbe:
 
     def install(self, scheduler, threads) -> "SchedulerProbe":
         """Plant a meter on each of ``scheduler``'s threads named in
-        ``threads`` (spawned already); other threads stay unmetered."""
+        ``threads`` (spawned already; a mapping gives each one's Hand,
+        whose stride the meter samples on); other threads stay unmetered."""
         for name in threads:
-            meter = ThreadMeter(self.registry, name, self.run_queue_wait)
+            hand = threads[name] if isinstance(threads, dict) else None
+            meter = ThreadMeter(self.registry, name, self.run_queue_wait, hand)
             scheduler.threads[name].meter = self._meters[name] = meter
         return self
 

@@ -104,12 +104,13 @@ class ReplayIntake:
         """Data items (never EOS) fetched and not committed."""
         return sum(i is not EOS for b in self.buffers.values() for i in b)
 
-    def bind(self, port: str, fetch, served: dict | None = None) -> None:
+    def bind(self, port: str, fetch, served=None, hand=None) -> None:
         """Let a miss on ``port`` call ``fetch() -> item | NIL | EOS``
         instead of aborting the pull; ``None`` restores abort-and-replay.
         ``served``: upstream's stats when ``fetch`` is its raw entry, for
-        ``get()`` to count ``items_out`` in.  Decided per (re)compilation."""
-        self._glue[port].bind(fetch, served)
+        ``get()`` to count ``items_out`` in (and births into a traced
+        ``hand``, as ``section.serving`` does).  Decided per compilation."""
+        self._glue[port].bind(fetch, served, hand)
 
     def install(self, component: Component) -> None:
         for glue in self._glue.values():
@@ -119,7 +120,7 @@ class ReplayIntake:
         """One port's closure family: ``get()`` and the cursor it shares."""
         buffer, eos = self.buffers[port], self.eos
         index = 0  # how much of ``buffer`` the running attempt has read
-        fetch = served = owner = None
+        fetch = served = hand = tracer = owner = None
         stats = {"items_in": 0}  # the producer's, once installed
 
         def get(asked: str = port) -> Any:
@@ -141,6 +142,11 @@ class ReplayIntake:
                     eos.add(port)
                 elif served is not None:
                     served["items_out"] += 1
+                    if tracer is not None:
+                        tracer.countdown -= 1
+                        hand.pending += 1
+                        if not tracer.countdown:
+                            hand.born(1)
             index += 1
             if item is EOS:
                 raise EndOfStream(port)
@@ -161,9 +167,10 @@ class ReplayIntake:
                 stats["items_in"] += index
                 index = 0
 
-        def bind(new_fetch, new_served) -> None:
-            nonlocal fetch, served
-            fetch, served = new_fetch, new_served
+        def bind(new_fetch, new_served, new_hand) -> None:
+            nonlocal fetch, served, hand, tracer
+            fetch, served, hand = new_fetch, new_served, new_hand
+            tracer = None if hand is None else hand.tracer
 
         def install(component: Component, only_port: bool) -> None:
             nonlocal owner, stats

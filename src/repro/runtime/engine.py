@@ -46,7 +46,8 @@ from repro.runtime.section import (
     compile_push,
     compile_push_many,
     ends_in_eos,
-    plant_source,
+    serving,
+    traced_hand,
 )
 from repro.runtime.stats import PipelineStats
 
@@ -94,7 +95,7 @@ class PumpDriver:
             "cycle", Constraint(priority=priority) if priority else None
         )
         #: An active source's ``generate`` (bound by compile_walkers, which
-        #: hooks it like any source's plain entry).
+        #: counts its births like any source's plain entry's).
         self._generate = None
 
     # -- setup -------------------------------------------------------------
@@ -148,7 +149,9 @@ class PumpDriver:
             else None
         )
         if section.pull_root is None:
-            self._generate = plant_source(self.ctx, self.origin.generate)
+            self._generate = serving(
+                self.origin.generate, None, traced_hand(self.ctx)
+            )
         self._max_items = self.origin.max_items
         # Batch mode is a compile-time decision: only greedy pumps whose
         # effective batch limit exceeds 1 get the batched cycle and the
@@ -233,12 +236,13 @@ class PumpDriver:
             self.cycles += 1
             pull = self._pull_walker
             push = self._push_walker
-            # The thread's hand (repro.obs) while a collector is attached: it
-            # is told when the cycle's items are all moved, and — an active
-            # sink's walker being this loop — what the origin consumed.
+            # The thread's hand (repro.obs) while a collector is attached:
+            # it times the cycle of a sampled dispatch and is told when a
+            # timed cycle's, or a carried context's, items are all moved —
+            # an active sink's walker being this loop.
             hand = self.ctx.hand
             if hand is not None:
-                cycle_start = hand.now()
+                cycle_start = hand.sample_cycle() if hand.timed else None
 
             if pull is not None:
                 item = yield from pull()
@@ -272,11 +276,14 @@ class PumpDriver:
                     cost = self._origin_drain()
                     if cost > 0.0:
                         yield Work(cost)
-                    if hand is not None:
-                        hand.deliver(origin.name, 1)
 
                 if hand is not None:
-                    hand.cycle_end(cycle_start, 1)
+                    if cycle_start is not None or hand.carried:
+                        hand.cycle_end(
+                            cycle_start, 1, None if push else origin.name
+                        )
+                    else:  # what cycle_end's sweep would leave
+                        hand.pending, hand.last = 0, None
                 self.items_moved += 1
                 max_items = self._max_items
                 if max_items is not None and self.items_moved >= max_items:
@@ -305,7 +312,7 @@ class PumpDriver:
             push_many = self._push_many
             hand = self.ctx.hand
             if hand is not None:
-                cycle_start = hand.now()
+                cycle_start = hand.sample_cycle() if hand.timed else None
 
             n = self._pump_batch_max
             if n is None:
@@ -355,13 +362,15 @@ class PumpDriver:
                     cost = self._origin_drain()
                     if cost > 0.0:
                         yield Work(cost)
-                    if hand is not None:
-                        hand.deliver(origin.name, count)
 
                 if hand is not None:
                     # Weighted by the items inside the run, so stage-latency
                     # percentiles in stats.summary() count items, not runs.
-                    hand.cycle_end(cycle_start, count)
+                    if cycle_start is not None or hand.carried:
+                        hand.cycle_end(cycle_start, count,
+                                       None if push_many else origin.name)
+                    else:  # what cycle_end's sweep would leave
+                        hand.pending, hand.last = 0, None
                 self.items_moved += count
                 self.batches += 1
                 self.batched_items += count

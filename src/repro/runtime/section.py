@@ -289,8 +289,9 @@ def _stock_pull(component):
         return component.pull
 
 
-def _bind_serve_pull(component, port: str):
-    """Zero-arg per-item pull entry for ``component``.
+def _bind_serve_pull(component, port: str, hand=None):
+    """Zero-arg per-item pull entry for ``component``, serving into the
+    traced ``hand`` of a boundary source (see :func:`serving`).
 
     When the component keeps the stock :meth:`Component.serve_pull`, its
     per-call getattr dispatch and stats bookkeeping are folded into a bound
@@ -298,18 +299,33 @@ def _bind_serve_pull(component, port: str):
     """
     pull_impl = _stock_pull(component)
     if pull_impl is not None:
-        stats = component.stats
+        return serving(pull_impl, component.stats, hand)
+    entry = component.serve_pull  # "out" is the signature default
+    return serving(entry if port == "out" else partial(entry, port), None,
+                   hand)
 
-        def serve():
-            item = pull_impl()
-            if item is not EOS and item is not NIL:
+
+def serving(entry, stats: dict | None, hand):
+    """Zero-arg per-item ``entry`` whose data items are counted in
+    ``stats`` (None: ``entry`` counts its own) and born in ``hand``: an
+    unsampled birth is two integer adds, the tracer's 1-in-N a call."""
+    if stats is None and hand is None:
+        return entry
+    tracer = None if hand is None else hand.tracer
+
+    def serve():
+        item = entry()
+        if item is not EOS and item is not NIL:
+            if stats is not None:
                 stats["items_out"] += 1
-            return item
+            if tracer is not None:
+                tracer.countdown -= 1
+                hand.pending += 1
+                if not tracer.countdown:
+                    hand.born(1)
+        return item
 
-        return serve
-    if port == "out":  # the signature default: the bound method suffices
-        return component.serve_pull
-    return partial(component.serve_pull, port)
+    return serve
 
 
 def _bind_receive_push(component, port: str):
@@ -378,30 +394,24 @@ def _run_entry(component, item_entry: str):
     return entry
 
 
-def plant_source(ctx: ThreadCtx, entry, count=None):
-    """``entry`` — a source's plain per-item entry, or with ``count`` its
-    ``(n) -> run`` entry — hooked so that what it hands out is born in
-    the thread's hand; ``entry`` itself while no flow tracer holds that
-    hand.  With :func:`plant_sink`, the walkers' whole compile-time seam
-    to :mod:`repro.obs`: no walker body exists in a traced variant."""
+def traced_hand(ctx: ThreadCtx):
+    """The thread's hand while a flow tracer holds it, else None: with
+    :func:`plant_sink`, the walkers' compile-time seam to :mod:`repro.obs`
+    (no walker body exists in a traced variant)."""
     hand = ctx.hand
-    if hand is None or hand.tracer is None:
-        return entry
-    return hand.source(entry, count)
+    return None if hand is None or hand.tracer is None else hand
 
 
 def plant_sink(ctx: ThreadCtx, component, entry, count=None):
-    """``(entry, deliver)`` for sink ``component``'s plain entry (per
-    item, or with ``count`` per run).  A wire sink's entry is hooked to
-    send its items' lineage along; any other sink's walker calls
-    ``deliver(name, k)`` once ``k`` items have landed and their cost is
-    drained.  ``(entry, None)`` while no flow tracer holds the hand."""
-    hand = ctx.hand
-    if hand is None or hand.tracer is None:
-        return entry, None
-    if component.wire_sink:
+    """``(entry, hand)`` for sink ``component``'s plain entry (per item,
+    or with ``count`` per run).  A wire sink's entry is hooked to send
+    its items' lineage along; any other sink's walker tells the traced
+    ``hand`` once ``k`` items have landed and their cost is drained —
+    a call only while the hand carries a context."""
+    hand = traced_hand(ctx)
+    if hand is not None and component.wire_sink:
         return hand.wire(entry, component, count), None
-    return entry, hand.deliver
+    return entry, hand
 
 
 def _compile_crossing(ctx: ThreadCtx, component, kind: str):
@@ -505,14 +515,9 @@ def compile_pull(ctx: ThreadCtx, target: FlowTarget):
         gate = engine.gate_for(component)
         port = target.port.name
         if gate is not None:
-            gate_get = gate.get
+            return partial(gate.get, ctx, port)
 
-            def gate_pull():
-                return gate_get(ctx, port)
-
-            return gate_pull
-
-        serve = plant_source(ctx, _bind_serve_pull(component, port))
+        serve = _bind_serve_pull(component, port, traced_hand(ctx))
 
         def source_pull():
             item = serve()
@@ -637,7 +642,9 @@ def _bind_intake(ctx: ThreadCtx, node: FlowNode):
         if entry is None:
             replay.bind(port, plain[0])
         else:
-            replay.bind(port, plant_source(ctx, entry), child.component.stats)
+            replay.bind(
+                port, entry, child.component.stats, traced_hand(ctx)
+            )
     return replay, replayed, drains
 
 
@@ -650,14 +657,9 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
         gate = engine.gate_for(component)
         port = target.port.name
         if gate is not None:
-            gate_put = gate.put
+            return partial(gate.put, ctx, port=port)
 
-            def gate_push(item):
-                return gate_put(ctx, item, port)
-
-            return gate_push
-
-        receive, deliver = plant_sink(
+        receive, hand = plant_sink(
             ctx, component, _bind_receive_push(component, port)
         )
         name = component.name
@@ -673,8 +675,11 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
             if cost > 0.0:
                 component._cost_accumulator = 0.0
                 yield Work(cost)
-            if deliver is not None:
-                deliver(name, 1)
+            if hand is not None:
+                if hand.carried or hand.last is not None or not hand.pending:
+                    hand.deliver(name, 1)
+                else:  # take()'s context-free fast path
+                    hand.pending -= 1
 
         return sink_push
 
@@ -816,8 +821,8 @@ def _compile_pull_plain(ctx: ThreadCtx, target: FlowTarget):
         component = target.component
         if engine.gate_for(component) is not None:
             return None
-        serve = plant_source(
-            ctx, _bind_serve_pull(component, target.port.name)
+        serve = _bind_serve_pull(
+            component, target.port.name, traced_hand(ctx)
         )
         return serve, [_bind_drain_fn(component)]
 
@@ -901,22 +906,17 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
         component = target.component
         gate = engine.gate_for(component)
         if gate is not None:
-            get_many = gate.get_many
-            port = target.port.name
-
-            def gate_pull_many(n):
-                return get_many(ctx, n, port)
-
-            return gate_pull_many
+            return partial(gate.get_many, ctx, port=target.port.name)
 
         pull_run = _run_entry(component, "pull")
         if pull_run is not None:
             # Run-entry source: one call per run (a list, or a columnar
             # batch whose EOS arrives as its own [EOS] run later),
-            # charging ``items_out`` as that many served pulls would.
-            pull_run = plant_source(ctx, pull_run, _run_data_count)
+            # charging ``items_out`` and births as that many pulls would.
             stats = component.stats
             take_cost = _bind_drain_fn(component)
+            hand = traced_hand(ctx)
+            tracer = None if hand is None else hand.tracer
 
             def source_pull_many(n):
                 run = pull_run(n)
@@ -925,6 +925,11 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
                     count -= 1
                 if count:
                     stats["items_out"] += count
+                    if tracer is not None:
+                        tracer.countdown -= count
+                        hand.pending += count
+                        if tracer.countdown <= 0:
+                            hand.born(count)
                 cost = take_cost()
                 if cost > 0.0:
                     yield Work(cost)
@@ -1017,12 +1022,7 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
         gate = engine.gate_for(component)
         port = target.port.name
         if gate is not None:
-            put_many = gate.put_many
-
-            def gate_push_many(items):
-                return put_many(ctx, items, port)
-
-            return gate_push_many
+            return partial(gate.put_many, ctx, port=port)
 
         take_cost = _bind_drain_fn(component)
         name = component.name
@@ -1030,31 +1030,33 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
         if push_run is not None:
             # Run-entry sink (a collecting sink's extend, a netpipe
             # sender's one frame per run).
-            push_run, deliver = plant_sink(ctx, component, push_run, len)
+            push_run, hand = plant_sink(ctx, component, push_run, len)
             stats = component.stats
 
-            def sink_push_many(items):
+            def land(items):
                 stats["items_in"] += len(items)
                 push_run(items)
-                cost = take_cost()
-                if cost > 0.0:
-                    yield Work(cost)
-                if deliver is not None:
-                    deliver(name, len(items))
 
         else:
-            receive, deliver = plant_sink(
+            receive, hand = plant_sink(
                 ctx, component, _bind_receive_push(component, port)
             )
 
-            def sink_push_many(items):
+            def land(items):
                 for item in items:
                     receive(item)
-                cost = take_cost()
-                if cost > 0.0:
-                    yield Work(cost)
-                if deliver is not None:
-                    deliver(name, len(items))
+
+        def sink_push_many(items):
+            land(items)
+            cost = take_cost()
+            if cost > 0.0:
+                yield Work(cost)
+            if hand is not None:
+                k = len(items)
+                if hand.carried or hand.last is not None or hand.pending < k:
+                    hand.deliver(name, k)
+                else:  # take()'s context-free fast path
+                    hand.pending -= k
 
         return sink_push_many
 

@@ -760,7 +760,14 @@ def test_a_metered_engine_exposes_the_oracles_metrics(monkeypatch):
     assert real == oracle
     (waits,) = [line for line in real if line.startswith(
         "repro_sched_run_queue_wait_seconds_count ")]
-    assert float(waits.split()[-1]) > 300
+    # The wait is read on every 64th dispatch of a thread (the tracer's
+    # stride), its first included: exactly those dispatches, each waited.
+    dispatches = [int(float(line.split()[-1])) for line in real
+                  if line.startswith("repro_sched_dispatches_total{")]
+    assert sum(dispatches) > 300
+    assert float(waits.split()[-1]) == sum(
+        1 + (count - 1) // 64 for count in dispatches
+    )
     assert delivered < oracle_delivered
 
 
