@@ -21,9 +21,20 @@ other ``CERT_*.json`` certificates.
 import json
 from pathlib import Path
 
+from repro import Buffer, ClockedPump, Engine, GreedyPump, connect, pipeline
 from repro.api import Pipeline
-from repro.check import Projection, check_refinement
-from repro.media import arrays
+from repro.check import PipelineUnderTest, Projection, check_refinement
+from repro.core.composition import Pipeline as CorePipeline
+from repro.core.typespec import Typespec
+from repro.mbt import Scheduler, VirtualClock
+from repro.media import (
+    MpegDecoder,
+    MpegFileSource,
+    PriorityDropFilter,
+    VideoDisplay,
+    arrays,
+)
+from repro.net import Network, Node, RemoteBinder
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT = REPO_ROOT / "CERT_refinement_retrofit.json"
@@ -63,10 +74,67 @@ def batch_certs():
         )
 
 
-def netpipe_cert():
-    from tests.check.test_refinement import Figure1Variant
-    from repro.check import PipelineUnderTest
+class Figure1Variant:
+    """The Figure-1 media pipeline, buildable local (one address space,
+    buffer hand-off) or split over a simulated lossy link (netpipe)."""
 
+    FRAMES = 90
+    FPS = 30.0
+
+    def __init__(self, netpipe: bool):
+        self.netpipe = netpipe
+
+    def _producer_stages(self):
+        return MpegFileSource(frames=self.FRAMES), ClockedPump(self.FPS), \
+            PriorityDropFilter()
+
+    def _consumer_stages(self):
+        return GreedyPump(), MpegDecoder(share_references=False), \
+            Buffer(capacity=16), ClockedPump(self.FPS), \
+            VideoDisplay(input_spec=Typespec())
+
+    def __call__(self):
+        if not self.netpipe:
+            producer = self._producer_stages()
+            consumer = self._consumer_stages()
+            return Engine(pipeline(*producer, Buffer(capacity=16), *consumer))
+        scheduler = Scheduler(clock=VirtualClock())
+        network = Network(scheduler, seed=5)
+        network.add_link(
+            "producer", "consumer",
+            bandwidth_bps=2_000_000, delay=0.02, jitter=0.002,
+            loss_rate=0.01, queue_packets=16,
+        )
+        producer_node = Node("producer", network)
+        consumer_node = Node("consumer", network)
+        source, pump1, dropper = self._producer_stages()
+        producer_node.place(source)
+        producer_side = source >> pump1 >> dropper
+        feeder, decoder, jitter_buffer, pump2, display = \
+            self._consumer_stages()
+        consumer_node.place(display)
+        consumer_side = CorePipeline(
+            [feeder, decoder, jitter_buffer, pump2, display]
+        )
+        connect(feeder.out_port, decoder.in_port)
+        connect(decoder.out_port, jitter_buffer.in_port)
+        connect(jitter_buffer.out_port, pump2.in_port)
+        connect(pump2.out_port, display.in_port)
+        pipe = RemoteBinder(network).bind(
+            producer_side, consumer_side, "producer", "consumer",
+            flow="video", protocol="datagram",
+        )
+        return Engine(pipe, scheduler=scheduler).attach_network(network)
+
+    @classmethod
+    def drive(cls, engine):
+        engine.start()
+        engine.run(until=cls.FRAMES / cls.FPS + 3.0)
+        engine.stop()
+        engine.run(max_steps=100_000)
+
+
+def netpipe_cert():
     yield (
         "fig1-local-vs-netpipe",
         check_refinement(

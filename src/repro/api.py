@@ -26,7 +26,7 @@ name lives at :class:`repro.core.composition.Pipeline`.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.composition import Pipeline as CorePipeline
@@ -120,7 +120,6 @@ class Pipeline:
     trace_limit: int | None = None
     metrics: bool = False
     flow_sample: int | None = None
-    engine_kwargs: dict[str, Any] = field(default_factory=dict)
 
     # ----------------------------------------------------------- sources
 
@@ -131,15 +130,13 @@ class Pipeline:
         return program if isinstance(program, cls) else cls(program=program)
 
     @classmethod
-    def from_source(cls, source: str, registry: Any = None) -> "Pipeline":
-        """From a microlanguage description (fails fast on syntax)."""
+    def from_source(cls, source: str) -> "Pipeline":
+        """From a microlanguage description (fails fast on syntax).  A
+        description over a custom registry is a builder:
+        ``from_builder(lambda: build(source, registry).pipeline)``."""
         from repro.lang.parser import parse
 
         parse(source)
-        if registry is not None:
-            from repro.lang.builder import build
-
-            return cls(program=lambda: build(source, registry).pipeline)
         return cls(program=source)
 
     @classmethod
@@ -182,11 +179,6 @@ class Pipeline:
         """Attach causal flow tracing, sampling 1-in-N source items."""
         return self._replace(flow_sample=sample_every)
 
-    def with_engine_options(self, **kwargs: Any) -> "Pipeline":
-        """Extra keyword arguments forwarded to every Engine built."""
-        merged = {**self.engine_kwargs, **kwargs}
-        return self._replace(engine_kwargs=merged)
-
     # ------------------------------------------------------- realization
 
     def build(
@@ -201,14 +193,11 @@ class Pipeline:
         """
         if pipeline is None:
             pipeline = build_program(self.program)
-        options = {
-            "backend": self.backend,
-            "batch_max": self.batch_max,
-            "trace": self.trace,
-            "trace_limit": self.trace_limit,
-            **self.engine_kwargs,
-        }
-        engine = Engine(pipeline, scheduler=scheduler, **options)
+        engine = Engine(
+            pipeline, scheduler=scheduler, backend=self.backend,
+            batch_max=self.batch_max, trace=self.trace,
+            trace_limit=self.trace_limit,
+        )
         telemetry = tracer = None
         if self.metrics:
             from repro.obs import Telemetry

@@ -27,10 +27,17 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence, Union
 
+from repro.fabric.session import SessionFabric
+from repro.mbt.scheduler import Scheduler
 from repro.mbt.thread import MThread
 from repro.mbt.tracing import format_tail
+from repro.runtime.engine import Engine
+
+#: What a ``build()`` returns: the explorer runs an engine, a fabric of
+#: sessions on one scheduler, or a bare scheduler.
+Program = Union[Engine, SessionFabric, Scheduler]
 
 #: Safety bound for the default drive: no explored program should need
 #: more dispatches than this to quiesce.
@@ -188,34 +195,39 @@ class ExplorationResult:
             raise AssertionError(self.summary())
 
 
-def _default_drive(program: Any) -> None:
-    run_to_completion = getattr(program, "run_to_completion", None)
-    if run_to_completion is not None:
-        run_to_completion(max_steps=DEFAULT_MAX_STEPS)
-        return
-    program.run(max_steps=DEFAULT_MAX_STEPS)
-
-
-def _scheduler_of(program: Any):
-    return getattr(program, "scheduler", program)
-
-
-def _run_once(
-    build: Callable[[], Any],
+def run_once(
+    build: Callable[[], Program],
     chooser,
-    drive,
-    check,
-    seed: int | None,
-    trace_tail: int,
+    *,
+    drive: Callable[[Program], None] | None = None,
+    check: Callable[[Program], None] | None = None,
+    seed: int | None = None,
+    trace_tail: int = 40,
 ) -> tuple[SeedRun, str]:
+    """Run ``build()``'s program once under an explicit tie-break chooser.
+
+    The single-run primitive behind :func:`explore` / :func:`replay`,
+    public so higher-level drivers (the refinement checker) can run their
+    own seed loops while sharing the choice recording, trace hashing and
+    failure formatting.  ``chooser`` is any ``choice_hook`` callable with
+    a ``choices`` list attribute (:class:`SeededChooser`,
+    :class:`ReplayChooser`, or a custom hook).
+    """
     program = build()
-    scheduler = _scheduler_of(program)
+    scheduler = (
+        program if isinstance(program, Scheduler) else program.scheduler
+    )
     # The whole schedule is hashed, whatever trace the build asked for.
     scheduler.enable_trace()
     scheduler.choice_hook = chooser
     error = None
     try:
-        (drive or _default_drive)(program)
+        if drive is not None:
+            drive(program)
+        elif program is scheduler:
+            scheduler.run(max_steps=DEFAULT_MAX_STEPS)
+        else:
+            program.run_to_completion(max_steps=DEFAULT_MAX_STEPS)
         if check is not None:
             check(program)
     except Exception as exc:  # noqa: BLE001 - any failure is a finding
@@ -233,12 +245,12 @@ def _run_once(
 
 
 def explore(
-    build: Callable[[], Any],
+    build: Callable[[], Program],
     *,
     seeds: int = 50,
     base_seed: int = 0,
-    drive: Callable[[Any], None] | None = None,
-    check: Callable[[Any], None] | None = None,
+    drive: Callable[[Program], None] | None = None,
+    check: Callable[[Program], None] | None = None,
     stop_on_failure: bool = False,
     minimize: bool = True,
     minimize_budget: int = 64,
@@ -250,13 +262,15 @@ def explore(
     ----------
     build:
         Zero-arg callable returning a fresh, fully wired but not yet run
-        program — an :class:`~repro.runtime.engine.Engine` or anything
-        with a ``.scheduler`` (a bare :class:`Scheduler` also works).
-        It is called once per seed; programs must not share state.
+        :data:`Program` — an :class:`~repro.runtime.engine.Engine`, a
+        :class:`~repro.fabric.session.SessionFabric` or a bare
+        :class:`Scheduler`.  It is called once per seed; programs must
+        not share state.
     drive:
-        Runs the program (default: ``run_to_completion`` / ``run`` with a
-        step bound).  Exceptions — scheduler errors, deadlocks, assertion
-        failures — count as failures of that seed.
+        Runs the program (default: ``run_to_completion``, or a bare
+        scheduler's ``run``, with a step bound).  Exceptions — scheduler
+        errors, deadlocks, assertion failures — count as failures of that
+        seed.
     check:
         Called with the program after a successful drive; raise (e.g.
         :class:`~repro.check.invariants.InvariantViolation`) to fail the
@@ -272,8 +286,9 @@ def explore(
     result = ExplorationResult()
     for offset in range(seeds):
         seed = base_seed + offset
-        run, excerpt = _run_once(
-            build, SeededChooser(seed), drive, check, seed, trace_tail
+        run, excerpt = run_once(
+            build, SeededChooser(seed), drive=drive, check=check, seed=seed,
+            trace_tail=trace_tail,
         )
         result.runs.append(run)
         if run.failed:
@@ -285,8 +300,9 @@ def explore(
 
     if result.failures and minimize:
         first = result.failures[0]
-        minimized, repro = _minimize(
-            build, drive, check, first.choices, minimize_budget, trace_tail
+        minimized, repro = minimize_failure(
+            build, first.choices, drive=drive, check=check,
+            budget=minimize_budget, trace_tail=trace_tail,
         )
         result.minimized_choices = minimized
         if repro:
@@ -295,11 +311,11 @@ def explore(
 
 
 def replay(
-    build: Callable[[], Any],
+    build: Callable[[], Program],
     choices: Sequence[int],
     *,
-    drive: Callable[[Any], None] | None = None,
-    check: Callable[[Any], None] | None = None,
+    drive: Callable[[Program], None] | None = None,
+    check: Callable[[Program], None] | None = None,
     trace_tail: int = 40,
 ) -> tuple[SeedRun, str]:
     """Deterministically replay a recorded/minimized choice sequence.
@@ -307,65 +323,31 @@ def replay(
     Returns the run outcome and (when it failed) a trace excerpt — the
     entry point for debugging a repro out of a CI failure message.
     """
-    return _run_once(
-        build, ReplayChooser(choices), drive, check, None, trace_tail
+    return run_once(
+        build, ReplayChooser(choices), drive=drive, check=check,
+        trace_tail=trace_tail,
     )
 
 
-def run_once(
-    build: Callable[[], Any],
-    chooser,
-    *,
-    drive: Callable[[Any], None] | None = None,
-    check: Callable[[Any], None] | None = None,
-    seed: int | None = None,
-    trace_tail: int = 40,
-) -> tuple[SeedRun, str]:
-    """Run ``build()``'s program once under an explicit tie-break chooser.
-
-    The single-run primitive behind :func:`explore` / :func:`replay`,
-    public so higher-level drivers (the refinement checker) can run their
-    own seed loops while sharing the choice recording, trace hashing and
-    failure formatting.  ``chooser`` is any ``choice_hook`` callable with
-    a ``choices`` list attribute (:class:`SeededChooser`,
-    :class:`ReplayChooser`, or a custom hook).
-    """
-    return _run_once(build, chooser, drive, check, seed, trace_tail)
-
-
 def minimize_failure(
-    build: Callable[[], Any],
+    build: Callable[[], Program],
     choices: Sequence[int],
     *,
-    drive: Callable[[Any], None] | None = None,
-    check: Callable[[Any], None] | None = None,
+    drive: Callable[[Program], None] | None = None,
+    check: Callable[[Program], None] | None = None,
     budget: int = 64,
     trace_tail: int = 40,
 ) -> tuple[list[int], str]:
     """Shrink a failing choice sequence to a minimized deterministic repro.
 
-    Public wrapper over the ddmin machinery :func:`explore` uses: binary-
-    search the shortest failing prefix, zero residual non-default choices,
-    drop trailing defaults.  Returns the minimized sequence and the
-    formatted error + trace excerpt of the minimized failing replay (empty
-    if the given sequence did not reproduce a failure).
-    """
-    return _minimize(build, drive, check, list(choices), budget, trace_tail)
-
-
-def _minimize(
-    build,
-    drive,
-    check,
-    choices: list[int],
-    budget: int,
-    trace_tail: int,
-) -> tuple[list[int], str]:
-    """Shrink a failing choice sequence: truncate the tail, zero entries.
-
-    Prefix truncation relies on the replay default (choice 0 = unhooked
-    scheduler behaviour) for everything past the prefix.  Failure under
-    *any* error counts — standard delta-debugging practice.
+    The ddmin machinery :func:`explore` uses: binary-search the shortest
+    failing prefix, zero residual non-default choices, drop trailing
+    defaults.  Prefix truncation relies on the replay default (choice 0 =
+    unhooked scheduler behaviour) for everything past the prefix, and a
+    failure under *any* error counts — standard delta-debugging practice.
+    Returns the minimized sequence and the formatted error + trace
+    excerpt of the minimized failing replay (empty if the given sequence
+    did not reproduce a failure).
     """
     attempts = 0
     best = list(choices)
@@ -374,8 +356,9 @@ def _minimize(
     def fails(candidate: list[int]) -> tuple[bool, str]:
         nonlocal attempts
         attempts += 1
-        run, excerpt = _run_once(
-            build, ReplayChooser(candidate), drive, check, None, trace_tail
+        run, excerpt = run_once(
+            build, ReplayChooser(candidate), drive=drive, check=check,
+            trace_tail=trace_tail,
         )
         return run.failed, (f"{run.error}\n{excerpt}" if run.failed else "")
 

@@ -35,7 +35,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.components.filters import MapFilter
+from repro.components.sinks import ActiveSink
 from repro.errors import InvariantViolation
+from repro.net.netpipe import NetpipeReceiver, NetpipeSender, netpipe_pairs
+from repro.runtime.engine import Engine
+from repro.runtime.section import _run_entry
 from repro.runtime.stats import PipelineStats
 
 
@@ -54,7 +58,7 @@ def declare_lossy(component, reason: str = "declared lossy"):
 
 
 def is_lossy(component) -> bool:
-    return bool(getattr(component, "declares_drops", False))
+    return component.declares_drops
 
 
 def loss_reason(component) -> str:
@@ -148,7 +152,7 @@ def _conservation_issues(
         )
 
 
-def check_conservation(engine) -> FlowReport:
+def check_conservation(engine: Engine) -> FlowReport:
     """Check per-component item conservation over a (usually finished) run.
 
     Mid-run snapshots are also legal: an item currently riding a walker
@@ -158,18 +162,12 @@ def check_conservation(engine) -> FlowReport:
     """
     stats = engine.stats
     report = FlowReport()
-    senders: dict[Any, Any] = {}
-    receivers: dict[Any, Any] = {}
+    components = engine.pipeline.components
 
-    for component in engine.pipeline.components:
-        protocol = getattr(component, "protocol", None)
-        if protocol is not None:
+    for component in components:
+        if isinstance(component, (NetpipeSender, NetpipeReceiver)):
             # Netpipe halves: the sender is a sink, the receiver a source;
             # neither is two-sided, but the *pair* bridges one pipe.
-            if component.in_ports():
-                senders[protocol] = component
-            else:
-                receivers[protocol] = component
             continue
         if not _two_sided(component):
             report.skipped[component.name] = "endpoint (source/sink)"
@@ -185,10 +183,7 @@ def check_conservation(engine) -> FlowReport:
     # Bridge accounting: payloads taken in by the receiver can't exceed
     # payloads the sender pushed into the protocol (loss is the network's
     # prerogative, duplication is nobody's).
-    for protocol, sender in senders.items():
-        receiver = receivers.get(protocol)
-        if receiver is None:
-            continue
+    for sender, receiver in netpipe_pairs(components):
         sent = stats.items_in(sender.name)
         arrived = stats.items_in(receiver.name)
         report.checked.append(f"{sender.name} ~ {receiver.name}")
@@ -236,7 +231,7 @@ def check_network(network) -> FlowReport:
     return report
 
 
-def check_flow(engine, network=None) -> FlowReport:
+def check_flow(engine: Engine, network=None) -> FlowReport:
     """Umbrella: conservation over the engine plus link accounting."""
     report = check_conservation(engine)
     net = network if network is not None else engine.network
@@ -247,7 +242,7 @@ def check_flow(engine, network=None) -> FlowReport:
     return report
 
 
-def assert_flow(engine, network=None) -> FlowReport:
+def assert_flow(engine: Engine, network=None) -> FlowReport:
     """:func:`check_flow`, raising :class:`InvariantViolation` on failure.
 
     The natural ``check=`` hook for :func:`repro.check.explorer.explore`::
@@ -346,7 +341,7 @@ def _is_sink(component) -> bool:
         and not component.out_ports()
         # Netpipe senders terminate a sub-pipeline but are transport, not
         # observation points; the stream continues on the receiver side.
-        and getattr(component, "protocol", None) is None
+        and not isinstance(component, NetpipeSender)
     )
 
 
@@ -355,9 +350,10 @@ class SinkTaps:
 
     Generalizes :func:`record_tap` from "splice an identity filter where
     you want to look" to "observe *every* sink of a wired pipeline": each
-    sink's ``push`` (passive) or ``consume`` (active) entry is wrapped in
-    place — no rewiring, no extra components, so the schedule and the
-    trace are exactly those of the untapped program.
+    sink's ``push`` (passive) or ``consume`` (:class:`ActiveSink`) entry,
+    and the run entry the batch walker takes, is wrapped in place — no
+    rewiring, no extra components, so the schedule, the trace and the
+    route a run takes are exactly those of the untapped program.
     """
 
     def __init__(self):
@@ -370,19 +366,18 @@ class SinkTaps:
         return list(self.streams)
 
 
-def install_sink_taps(program) -> SinkTaps:
-    """Wrap every sink of ``program`` (an Engine, or anything with a
-    ``.pipeline``) so its consumed items are recorded per channel.
+def install_sink_taps(engine: Engine) -> SinkTaps:
+    """Wrap every sink of ``engine`` so its consumed items are recorded
+    per channel.
 
-    Must be installed before the engine compiles its flow walkers (i.e.
-    right after ``build()`` in an explorer-style harness); if the engine
-    is already set up, the walkers are recompiled so the bound entries
-    see the taps.
+    Best installed before the engine compiles its flow walkers (right
+    after ``build()`` in an explorer-style harness); an engine already
+    set up — a fabric session opens set up and started — has its
+    walkers recompiled so the bound entries see the taps.
     """
     taps = SinkTaps()
-    pipeline = getattr(program, "pipeline", program)
     per_stem: Counter = Counter()
-    for component in pipeline.components:
+    for component in engine.pipeline.components:
         if not _is_sink(component):
             continue
         channel = channel_name(component.name, per_stem)
@@ -390,40 +385,41 @@ def install_sink_taps(program) -> SinkTaps:
         taps.streams[channel] = records
         taps.sinks[channel] = component
         _wrap_sink_entry(component, records)
-    if getattr(program, "_setup_done", False):
+    if engine._setup_done:
         # Compiled walkers bound the un-tapped entries; rebuild them.
-        program._compile_walkers()
+        engine._compile_walkers()
     return taps
 
 
 def _wrap_sink_entry(component, records: list) -> None:
-    push = getattr(component, "push", None)
-    if callable(push):
-        def tapped_push(item, _push=push, _records=records):
-            _records.append(item)
-            _push(item)
+    if isinstance(component, ActiveSink):
+        consume = component.consume
 
-        component.push = tapped_push
-        push_many = getattr(component, "push_many", None)
-        if callable(push_many):
-            # Tap the run entry too, so a batched run is observed on the
-            # route production takes rather than forced onto the loop.
-            def tapped_push_many(items, _push_many=push_many,
-                                 _records=records):
-                _records.extend(items)
-                _push_many(items)
-
-            component.push_many = tapped_push_many
-        return
-    consume = getattr(component, "consume", None)
-    if callable(consume):
         def tapped_consume(item, _consume=consume, _records=records):
             _records.append(item)
             _consume(item)
 
         component.consume = tapped_consume
         return
-    raise InvariantViolation(
-        f"sink {component.name!r} exposes neither push nor consume; "
-        "cannot tap it"
-    )
+    push = component.push
+    if push is None:
+        raise InvariantViolation(
+            f"sink {component.name!r} has no push entry; cannot tap it"
+        )
+    # The run entry the batch walker takes, asked before the tap: an
+    # instance-tapped push alone would send every run down the per-item
+    # loop, and a push_many tapped where the runtime loops push would
+    # bypass a subclass's own push.
+    push_many = _run_entry(component, "push")
+
+    def tapped_push(item, _push=push, _records=records):
+        _records.append(item)
+        _push(item)
+
+    component.push = tapped_push
+    if push_many is not None:
+        def tapped_push_many(items, _push_many=push_many, _records=records):
+            _records.extend(items)
+            _push_many(items)
+
+        component.push_many = tapped_push_many

@@ -32,6 +32,7 @@ deterministic-simulation toolkit:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -44,8 +45,8 @@ from repro.check.explorer import (
     ReplayChooser,
     SeededChooser,
     SeedRun,
-    _minimize,
-    _run_once,
+    minimize_failure,
+    run_once,
 )
 from repro.check.invariants import (
     SinkTaps,
@@ -54,6 +55,8 @@ from repro.check.invariants import (
     loss_reason,
 )
 from repro.errors import RefinementViolation
+from repro.net.netpipe import NetpipeReceiver, netpipe_pairs
+from repro.runtime.engine import Engine
 
 CERTIFICATE_FORMAT = "repro-refinement-certificate/1"
 
@@ -71,56 +74,27 @@ MAX_STORED_CHOICES = 4096
 class PipelineUnderTest:
     """One side of a refinement check: how to build and drive it.
 
-    ``build`` returns a fresh, fully wired but un-run program (an
-    :class:`~repro.runtime.engine.Engine`, or anything with ``.pipeline``
-    and ``.scheduler``) — called once per explored schedule.  ``drive``
-    runs it (default: ``run_to_completion`` with a step bound, like the
-    explorer).
+    ``build`` returns a fresh, fully wired but un-run
+    :class:`~repro.runtime.engine.Engine` — called once per explored
+    schedule; its sinks are the observed channels.  ``drive`` runs it
+    (default: ``run_to_completion`` with a step bound, like the
+    explorer).  The run spec states every engine option:
+    ``Pipeline.from_source(SRC).with_batching(32).builder()`` is a build.
     """
 
-    build: Callable[[], Any]
-    drive: Callable[[Any], None] | None = None
+    build: Callable[[], Engine]
+    drive: Callable[[Engine], None] | None = None
     name: str = ""
 
     @classmethod
-    def of(cls, target, default_name: str = "") -> "PipelineUnderTest":
-        """Coerce a builder callable, a microlanguage source string, or a
-        ready :class:`PipelineUnderTest` into a :class:`PipelineUnderTest`."""
-        if isinstance(target, PipelineUnderTest):
+    def of(cls, target, default_name: str) -> "PipelineUnderTest":
+        """``target`` when it is a :class:`PipelineUnderTest`, else the
+        side whose build it is; ``default_name`` names an unnamed side."""
+        if not isinstance(target, PipelineUnderTest):
+            target = cls(build=target)
+        if target.name:
             return target
-        if isinstance(target, str):
-            return cls.from_lang(target, name=default_name)
-        name = default_name or getattr(target, "__name__", "") or "pipeline"
-        return cls(build=target, name=name)
-
-    @classmethod
-    def from_lang(
-        cls,
-        source: str,
-        registry=None,
-        name: str = "",
-        drive: Callable[[Any], None] | None = None,
-        **engine_kwargs: Any,
-    ) -> "PipelineUnderTest":
-        """Build the pipeline from a microlanguage description.
-
-        ``engine_kwargs`` reach the Engine, so the one-call certification
-        of a re-compiled transmission policy is::
-
-            check_refinement(
-                PipelineUnderTest.from_lang(SRC),
-                PipelineUnderTest.from_lang(SRC, batch_max=32),
-            )
-        """
-        from repro.api import Pipeline
-
-        engine_kwargs.setdefault("trace", True)
-        app = Pipeline.from_source(source, registry)
-        return cls(
-            build=app.with_engine_options(**engine_kwargs).builder(),
-            drive=drive,
-            name=name or "lang-pipeline",
-        )
+        return dataclasses.replace(target, name=default_name)
 
 
 @dataclass
@@ -213,22 +187,20 @@ class WitnessRun:
     error: str | None = None
 
 
-def lossy_channels(program, taps: SinkTaps) -> dict[str, str]:
+def lossy_channels(program: Engine, taps: SinkTaps) -> dict[str, str]:
     """Channels whose streams may legally lose items, with the reasons.
 
     A channel is lossy when its upstream path (walked through ports, and
-    across netpipe bridges via the shared protocol object) contains a
+    across :func:`~repro.net.netpipe.netpipe_pairs` bridges) contains a
     component marked with :func:`~repro.check.invariants.declare_lossy`,
     a component that counted declared drops this run, or a network hop
     that actually lost payloads.  Reasons are joined per channel so a
     refinement failure message names every sanctioned loss on the path.
     """
     stats = program.stats
-    components = getattr(program, "pipeline", program).components
     senders = {
-        id(c.protocol): c
-        for c in components
-        if getattr(c, "protocol", None) is not None and c.in_ports()
+        id(receiver): sender
+        for sender, receiver in netpipe_pairs(program.pipeline.components)
     }
     out: dict[str, str] = {}
     for channel, sink in taps.sinks.items():
@@ -252,10 +224,9 @@ def lossy_channels(program, taps: SinkTaps) -> dict[str, str]:
                             f"{component.loss_reason or 'counted declared drops'}"
                             f" ({drops} dropped)"
                         )
-            protocol = getattr(component, "protocol", None)
-            if protocol is not None and not component.in_ports():
-                # Netpipe receiver: hop the bridge to the sender side.
-                sender = senders.get(id(protocol))
+            if isinstance(component, NetpipeReceiver):
+                # Hop the bridge to the sender side.
+                sender = senders.get(id(component))
                 if sender is not None:
                     sent = stats.items_in(sender.name)
                     arrived = stats.items_in(name)
@@ -614,7 +585,7 @@ def check_refinement(
     Parameters
     ----------
     abstract, concrete:
-        Builder callables, microlanguage source strings, or
+        Zero-arg Engine builders (``Pipeline....builder()``) or
         :class:`PipelineUnderTest` instances.  ``abstract`` is the
         original pipeline (the specification); ``concrete`` the
         transformed one under certification.
@@ -764,9 +735,9 @@ def check_refinement(
     minimized = list(first_failure.choices)
     repro = f"{first_failure.error}\n{failure_excerpt}"
     if minimize and first_failure.trace_hash:
-        minimized, shrunk_repro = _minimize(
-            b_build, b.drive, b_check, first_failure.choices,
-            minimize_budget, trace_tail,
+        minimized, shrunk_repro = minimize_failure(
+            b_build, first_failure.choices, drive=b.drive, check=b_check,
+            budget=minimize_budget, trace_tail=trace_tail,
         )
         if shrunk_repro:
             repro = shrunk_repro
@@ -805,16 +776,19 @@ def _choosers(count: int, base_seed: int):
 
 
 def _run_guarded(build, chooser, drive, check, seed, trace_tail):
-    """:func:`explorer._run_once`, but a failing ``build()`` is a failed
-    run (with an empty trace) instead of a crashed check."""
+    """:func:`~repro.check.explorer.run_once`, but a failing ``build()``
+    is a failed run (with an empty trace) instead of a crashed check."""
     try:
-        return _run_once(build, chooser, drive, check, seed, trace_tail)
+        return run_once(
+            build, chooser, drive=drive, check=check, seed=seed,
+            trace_tail=trace_tail,
+        )
     except Exception as exc:  # noqa: BLE001 - build failures are findings
         run = SeedRun(
             seed=seed,
             trace_hash="",
             events=0,
-            choices=list(getattr(chooser, "choices", []) or []),
+            choices=list(chooser.choices),
             error=f"{type(exc).__name__}: {exc}",
         )
         return run, ""
@@ -826,11 +800,11 @@ def _run_guarded(build, chooser, drive, check, seed, trace_tail):
 
 
 def certify_restructure(
-    build: Callable[[], Any],
-    transform: Callable[[Any], Any],
+    build: Callable[[], Engine],
+    transform: Callable[[Engine], Any],
     *,
     name: str = "restructured",
-    drive: Callable[[Any], None] | None = None,
+    drive: Callable[[Engine], None] | None = None,
     **kwargs: Any,
 ) -> RefinementCertificate:
     """Certify that a restructuring transformation refines the original.
@@ -845,7 +819,7 @@ def certify_restructure(
     def b_build():
         engine = build()
         transform(engine)
-        log[:] = [str(r) for r in getattr(engine, "restructure_log", [])]
+        log[:] = [str(r) for r in engine.restructure_log]
         return engine
 
     certificate = check_refinement(
@@ -875,7 +849,7 @@ def replay_certificate(
     report: dict = {"matched": 0, "mismatched": [], "replayed": 0}
 
     def replay_one(chooser, expected_hash):
-        run, _ = _run_once(b.build, chooser, b.drive, None, None, 0)
+        run, _ = run_once(b.build, chooser, drive=b.drive, trace_tail=0)
         report["replayed"] += 1
         if expected_hash is None or run.trace_hash == expected_hash:
             report["matched"] += 1

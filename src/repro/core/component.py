@@ -122,6 +122,9 @@ class Component:
     #: Why the component may lose items (named in lossy-channel and
     #: refinement reports); None for one that never does.
     loss_reason: str | None = None
+    #: True for a component that may lose items without counting them
+    #: (:func:`repro.check.declare_lossy`): checked for duplication only.
+    declares_drops = False
 
     #: The per-item entries the stock :meth:`serve_pull` /
     #: :meth:`receive_push` dispatch to; None where the style has none.

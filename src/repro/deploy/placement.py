@@ -25,13 +25,13 @@ coroutine hand-offs or non-seam buffers must land in the same shard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.components.buffers import Buffer, OnFull
 from repro.core.component import Component, Role
 from repro.core.composition import Pipeline
 from repro.errors import DeployError
-from repro.net.netpipe import NetpipeReceiver, NetpipeSender
+from repro.net.netpipe import netpipe_pairs
 from repro.runtime.stats import PipelineStats
 
 
@@ -134,23 +134,6 @@ def _is_seam_buffer(component: Component) -> bool:
     return ins[0].peer is not None and outs[0].peer is not None
 
 
-def _netpipe_pairs(
-    components: Iterable[Component],
-) -> list[tuple[NetpipeSender, NetpipeReceiver]]:
-    senders = {
-        id(c.protocol): c
-        for c in components
-        if isinstance(c, NetpipeSender)
-    }
-    pairs = []
-    for c in components:
-        if isinstance(c, NetpipeReceiver):
-            sender = senders.get(id(c.protocol))
-            if sender is not None:
-                pairs.append((sender, c))
-    return pairs
-
-
 class _UnionFind:
     def __init__(self, items):
         self.parent = {item: item for item in items}
@@ -228,7 +211,7 @@ def plan_placement(pipeline: Pipeline, placement: Placement) -> ShardPlan:
     seam_buffers = {
         c.name for c in components if _is_seam_buffer(c)
     }
-    pairs = _netpipe_pairs(components)
+    pairs = netpipe_pairs(components)
     segments, segment_of = _segments(pipeline, seam_buffers)
 
     if placement.assignment is not None:

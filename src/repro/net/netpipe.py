@@ -63,8 +63,7 @@ class NetpipeSender(Component):
         if self.trailer is None:
             self.protocol.send(item)
         else:
-            # Promote the single packet to a frame so the trailer travels
-            # with its item.
+            # A one-item frame carries the trailer with its item.
             self._send_frame([item])
 
     def push_many(self, items: list) -> None:
@@ -136,10 +135,9 @@ class NetpipeReceiver(Boundary):
         self.add_out_port(mode=Mode.PULL)
         self.on_empty = on_empty
         self.flow_spec = flow_spec or Typespec({props.FORMAT: "bytes"})
-        #: Received wire data, oldest first: bytes for a per-item message,
-        #: ONE EncodedRun for a coalesced frame of equal-length chunks,
-        #: zero-copy memoryview slices into the frame buffer for any
-        #: other frame.  ``_queued`` counts items, not entries.
+        #: Received wire data, oldest first: bytes per message, ONE
+        #: EncodedRun per frame of equal-length chunks, memoryview slices
+        #: of the frame for any other.  ``_queued`` counts items.
         self._queue: deque = deque()
         self._queued = 0
         self._eos_pending = False
@@ -153,9 +151,8 @@ class NetpipeReceiver(Boundary):
         self.protocol = protocol
         self.location = protocol.dst
         #: Flow-control pacing: a transport that ``counts_drained`` (a
-        #: :class:`repro.net.mux.MuxStream` with credits) learns how
-        #: many items the consumer actually pulled, so credit returns
-        #: track real drain rate rather than arrival rate.
+        #: credited :class:`repro.net.mux.MuxStream`) learns the items the
+        #: consumer pulled, so credits track drain rate, not arrivals.
         self._drained_hook = (
             protocol.note_drained if protocol.counts_drained else None
         )
@@ -346,3 +343,11 @@ def make_netpipe(
     else:
         raise RemoteError(f"unknown transport protocol {protocol!r}")
     return make_netpipe_over(transport, on_empty=on_empty, flow_spec=flow_spec)
+
+
+def netpipe_pairs(components) -> list[tuple[NetpipeSender, NetpipeReceiver]]:
+    """The netpipe halves among ``components`` that share one transport."""
+    senders = {id(c.protocol): c for c in components
+               if isinstance(c, NetpipeSender)}
+    return [(senders[id(c.protocol)], c) for c in components
+            if isinstance(c, NetpipeReceiver) and id(c.protocol) in senders]

@@ -125,7 +125,7 @@ class Histogram:
         The batch walkers weight a run-level measurement by the items
         inside the run, so percentile decorations count items rather than
         runs at batch_max > 1 — at the same hot-path cost as a single
-        observation.  ``observe_count`` is the same method.
+        observation.
         """
         if n <= 0:
             return
@@ -148,8 +148,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    observe_count = observe
 
     @property
     def mean(self) -> float:

@@ -11,17 +11,15 @@ import time
 
 import pytest
 
+from benchmarks.make_refinement_certs import Figure1Variant
 from repro import (
     ActiveComponent,
     Buffer,
-    ClockedPump,
     CollectSink,
     Engine,
     GreedyPump,
     IterSource,
-    Pipeline,
     api,
-    connect,
     pipeline,
 )
 from repro.check import (
@@ -41,20 +39,8 @@ from repro.check.refine import (
 )
 from repro.check.invariants import install_sink_taps
 from repro.components.buffers import OK
-from repro.core.typespec import Typespec
-from repro.mbt import Scheduler, VirtualClock
-from repro.media import (
-    MpegDecoder,
-    MpegFileSource,
-    PriorityDropFilter,
-    VideoDisplay,
-)
-from repro.net import Network, Node, RemoteBinder
 
 SEEDS = 25
-
-FRAMES = 90
-FPS = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +157,6 @@ def test_figure2_batched_refines_per_item_original(batch_max):
     cert.raise_if_failed()  # no-op on success
 
 
-def test_from_lang_certifies_a_recompiled_transmission_policy():
-    """The one-call certification ``PipelineUnderTest.from_lang``'s
-    docstring shows, run as written."""
-    batched = PipelineUnderTest.from_lang(FIG2_SRC, batch_max=32)
-    assert batched.build().batch_max == 32
-    cert = check_refinement(
-        PipelineUnderTest.from_lang(FIG2_SRC), batched, seeds=5
-    )
-    assert cert.ok, cert.summary()
-    assert cert.verdict == "refines"
-    assert cert.channels == {"collect-sink#0": {"mode": "exact"}}
-
-
 # ---------------------------------------------------------------------------
 # Figure-5 shape: coroutine hand-off, batched engine
 # ---------------------------------------------------------------------------
@@ -196,7 +169,6 @@ class Figure5Builder:
     def __init__(self, n=16, **engine_kwargs):
         self.n = n
         self.engine_kwargs = engine_kwargs
-        self.__name__ = f"figure5({engine_kwargs or 'per-item'})"
 
     def __call__(self):
         class Stage(ActiveComponent):
@@ -229,70 +201,6 @@ def test_figure5_batched_refines_per_item_original(batch_max):
 # ---------------------------------------------------------------------------
 # Figure-1 shape: local vs netpipe over a lossy link
 # ---------------------------------------------------------------------------
-
-
-class Figure1Variant:
-    """The Figure-1 media pipeline, buildable local (one address space,
-    buffer hand-off) or split over a simulated lossy link (netpipe)."""
-
-    def __init__(self, netpipe: bool, **engine_kwargs):
-        self.netpipe = netpipe
-        self.engine_kwargs = engine_kwargs
-        self.__name__ = "figure1-netpipe" if netpipe else "figure1-local"
-
-    def _producer_stages(self):
-        return MpegFileSource(frames=FRAMES), ClockedPump(FPS), \
-            PriorityDropFilter()
-
-    def _consumer_stages(self):
-        return GreedyPump(), MpegDecoder(share_references=False), \
-            Buffer(capacity=16), ClockedPump(FPS), \
-            VideoDisplay(input_spec=Typespec())
-
-    def __call__(self):
-        if not self.netpipe:
-            producer = self._producer_stages()
-            consumer = self._consumer_stages()
-            return Engine(
-                pipeline(*producer, Buffer(capacity=16), *consumer),
-                **self.engine_kwargs,
-            )
-        scheduler = Scheduler(clock=VirtualClock())
-        network = Network(scheduler, seed=5)
-        network.add_link(
-            "producer", "consumer",
-            bandwidth_bps=2_000_000, delay=0.02, jitter=0.002,
-            loss_rate=0.01, queue_packets=16,
-        )
-        producer_node = Node("producer", network)
-        consumer_node = Node("consumer", network)
-        source, pump1, dropper = self._producer_stages()
-        producer_node.place(source)
-        producer_side = source >> pump1 >> dropper
-        feeder, decoder, jitter_buffer, pump2, display = \
-            self._consumer_stages()
-        consumer_node.place(display)
-        consumer_side = Pipeline(
-            [feeder, decoder, jitter_buffer, pump2, display]
-        )
-        connect(feeder.out_port, decoder.in_port)
-        connect(decoder.out_port, jitter_buffer.in_port)
-        connect(jitter_buffer.out_port, pump2.in_port)
-        connect(pump2.out_port, display.in_port)
-        pipe = RemoteBinder(network).bind(
-            producer_side, consumer_side, "producer", "consumer",
-            flow="video", protocol="datagram",
-        )
-        return Engine(
-            pipe, scheduler=scheduler, **self.engine_kwargs
-        ).attach_network(network)
-
-    @staticmethod
-    def drive(engine):
-        engine.start()
-        engine.run(until=FRAMES / FPS + 3.0)
-        engine.stop()
-        engine.run(max_steps=100_000)
 
 
 def test_figure1_netpipe_refines_local():

@@ -59,6 +59,7 @@ COMPONENT_SEAMS = {
     "loss_reason": (None, lambda value: isinstance(value, str) and value),
     "location": ("", lambda value: isinstance(value, str)),
     "conserving": (None, lambda value: isinstance(value, bool)),
+    "declares_drops": (False, lambda value: value is True),
 }
 BOUNDARY_SEAMS = {
     "on_full": (OnFull.BLOCK, lambda value: isinstance(value, OnFull)),

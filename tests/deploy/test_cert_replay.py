@@ -1,11 +1,12 @@
-"""Replay the committed deployment certificate.
+"""Read the committed deployment certificate.
 
 ``CERT_deploy_fig1_2shard.json`` (regenerated by
 ``benchmarks/make_deploy_certs.py``) is the repo's standing claim that
-the 2-shard cuts refine their single-core programs.  This test keeps the
-artifact honest: the document must parse, every certificate must carry
-the ``refines`` verdict, and re-running the pinned-seed fig2 check must
-reproduce the committed verdict and channel modes.
+the 2-shard cuts refine their single-core programs.  These tests keep
+the artifact honest: the document must parse and every certificate must
+carry the ``refines`` verdict.  That the pinned-seed checks still
+reproduce it, byte for byte, is
+``tests/check/test_certificates.py::test_generator_reproduces_its_committed_certificate``.
 """
 
 import json
@@ -14,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.check.refine import RefinementCertificate
-from repro.deploy import Deployment, Placement
 
 CERT_PATH = (
     Path(__file__).resolve().parent.parent.parent
@@ -50,30 +50,6 @@ def test_fig1_channel_is_seq_projected_subsequence(document):
     assert channel["mode"] == "subsequence"
 
 
-def test_replay_reproduces_the_fig2_certificates(document):
-    """Same program, same pinned seeds => same verdict and channel modes."""
-    seeds = document["seeds_per_certificate"]
-    src = document["fig2_source"]
-
-    replay = Deployment(src, Placement.auto(2)).certify(seeds=seeds)
-    committed = document["certificates"]["fig2-2shard"]
-    assert replay.verdict == committed["verdict"] == "refines"
-    assert {
-        name: channel["mode"] for name, channel in replay.channels.items()
-    } == {
-        name: channel["mode"]
-        for name, channel in committed["channels"].items()
-    }
-
-    lossy = Deployment(src, Placement.auto(2)).certify(
-        seeds=seeds,
-        loss_rate=document["lossy_wire"]["loss_rate"],
-        loss_seed=document["lossy_wire"]["loss_seed"],
-    )
-    committed_lossy = document["certificates"]["fig2-2shard-lossy-wire"]
-    assert lossy.verdict == committed_lossy["verdict"] == "refines"
-    assert (
-        lossy.channels["collect-sink#0"]["mode"]
-        == committed_lossy["channels"]["collect-sink#0"]["mode"]
-        == "subsequence"
-    )
+def test_lossy_wire_channel_is_subsequence(document):
+    cert = document["certificates"]["fig2-2shard-lossy-wire"]
+    assert cert["channels"]["collect-sink#0"]["mode"] == "subsequence"

@@ -54,7 +54,6 @@ class TestSpecPickling:
             .with_trace(limit=64)
             .with_metrics()
             .with_tracing(4)
-            .with_engine_options(on_thread_error="raise")
         )
         assert roundtrip(spec) == spec
         by_callable = Pipeline.from_builder(module_level_builder) \

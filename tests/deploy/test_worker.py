@@ -90,16 +90,11 @@ class TestLinkOwnership:
     def test_error_path_closes_links_too(self):
         a, b = socket.socketpair()
         try:
-            # Engine() rejects the option after the links were built.
-            spec = shard_spec(
-                0,
-                Pipeline.from_source(SRC).with_engine_options(
-                    no_such_option=True
-                ),
-            )
+            # Engine() rejects the batch size after the links were built.
+            spec = shard_spec(0, Pipeline.from_source(SRC).with_batching(0))
             (message,) = run_shard(spec, a)
             assert message[0] == "error" and message[1] == 0
-            assert "no_such_option" in message[2]
+            assert "batch_max must be at least 1" in message[2]
             assert a.fileno() == -1
         finally:
             b.close()

@@ -1,12 +1,13 @@
-"""Replay the committed fabric transparency certificate.
+"""Read the committed fabric transparency certificate.
 
 ``CERT_fabric_fig2.json`` (regenerated by
 ``benchmarks/make_fabric_certs.py``) is the repo's standing claim that a
 program opened as one session of a busy multi-tenant fabric behaves
-observably identically to the same program on a dedicated engine.  This
-test keeps the artifact honest: the document must parse, both
-certificates must carry the ``refines`` verdict, and re-running the
-pinned-seed check must reproduce the committed verdicts.
+observably identically to the same program on a dedicated engine.  These
+tests keep the artifact honest: the document must parse and both
+certificates must carry the ``refines`` verdict.  That the pinned-seed
+checks still reproduce it, byte for byte, is
+``tests/check/test_certificates.py::test_generator_reproduces_its_committed_certificate``.
 """
 
 import json
@@ -14,8 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Pipeline
-from repro.check import check_refinement
+from repro import Engine
 from repro.check.refine import RefinementCertificate
 from repro.fabric.certify import fabric_hosted
 
@@ -45,37 +45,15 @@ def test_every_committed_certificate_refines(document):
         assert cert.counterexample is None
 
 
-def test_replay_reproduces_the_hosted_certificate(document):
-    """Same program, same pinned seeds => same verdict and channel modes."""
-    seeds = document["seeds_per_certificate"]
-    tenants = document["background_tenants"]
-    src = document["fig2_source"]
-
-    replay = check_refinement(
-        Pipeline.from_source(src).with_trace().builder(),
-        fabric_hosted(src, tenants=tenants),
-        seeds=seeds,
-    )
-    committed = document["certificates"]["fig2-fabric-hosted"]
-    assert replay.verdict == committed["verdict"] == "refines"
-    assert {
-        name: channel["mode"] for name, channel in replay.channels.items()
-    } == {
-        name: channel["mode"]
-        for name, channel in committed["channels"].items()
-    }
-
-
-def test_quantum_one_variant_refines_on_replay(document):
-    """Strict per-dispatch fairness (no bursting) is certified too."""
-    seeds = document["seeds_per_certificate"]
-    tenants = document["background_tenants"]
-    src = document["fig2_source"]
-
-    replay = check_refinement(
-        Pipeline.from_source(src).with_trace().builder(),
-        fabric_hosted(src, tenants=tenants, quantum=1),
-        seeds=seeds,
-    )
-    committed = document["certificates"]["fig2-fabric-hosted-q1"]
-    assert replay.verdict == committed["verdict"] == "refines"
+def test_the_hosted_side_is_the_certified_sessions_own_engine(document):
+    """``fabric_hosted``'s build is the session's Engine on the fabric's
+    shared scheduler, opened started; its drive runs every tenant."""
+    side = fabric_hosted(document["fig2_source"], tenants=2)
+    engine = side.build()
+    assert isinstance(engine, Engine)
+    assert set(engine.scheduler.tenants) == {"bg0", "cert", "bg1"}
+    sink = engine.pipeline.sinks()[0]
+    assert "/" not in sink.name  # un-namespaced: the twin's channel names
+    side.drive(engine)
+    assert engine.completed
+    assert sink.items == list(range(24))

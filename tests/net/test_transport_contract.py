@@ -234,13 +234,16 @@ class TestLinkEosOnAMux:
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 SEAM_NAMES = {"protocol", "transport", "inbound", "link", "origin"}
-#: What the guards read: the library, minus ``repro.check`` (it inspects
-#: arbitrary programs) and the CLI's argparse namespace.
-LIBRARY = sorted(
-    path for path in SRC.rglob("*.py")
+#: What the guards read: every module of the library, the checker and the
+#: CLI included.
+LIBRARY = sorted(SRC.rglob("*.py"))
+#: The runtime: the library minus ``repro.check``, which reads user
+#: predicates and items, and the CLI.
+RUNTIME = [
+    path for path in LIBRARY
     if path.relative_to(SRC).parts[0] != "check"
     and path.name != "__main__.py"
-)
+]
 #: The probes that stay, by ``module:function``: how many, and why.  Each
 #: reads something from outside the library, which declares nothing.
 ALLOWED = {
@@ -259,6 +262,19 @@ ALLOWED = {
         1, "a user's builder may return any object carrying its Pipeline"),
     "deploy/worker.py:done_payload": (
         1, "a sink of the user's own class reports its items list"),
+    "__main__.py:_app.flag": (
+        1, "each subcommand's argparse namespace holds only the flags it "
+           "defines"),
+    "check/deadlock.py:describe_match": (
+        4, "a receive's match predicate is any callable: its name, code, "
+           "closure and defaults describe it"),
+    "check/deadlock.py:blocked_waits": (
+        1, "the `waiting_on` a match predicate may carry "
+           "(`receive_from` sets it)"),
+    "check/refine.py:Projection.by_attr.get": (
+        1, "the attribute the user projects each sink item to"),
+    "check/refine.py:_describe_fn": (
+        1, "the name of the user's projection callable, if it has one"),
 }
 
 
@@ -276,15 +292,18 @@ def probes(source: str) -> list[ast.Call]:
 
 
 def seam_probes(source: str) -> list[str]:
-    """The probes whose subject is named like a transport or an origin
-    (``protocol``, ``self.protocol``, ``sender.protocol`` ...)."""
+    """The probes whose subject or probed name is a transport or an
+    origin (``protocol``, ``sender.protocol``, ``x, "protocol"`` ...)."""
     found = []
     for call in probes(source):
         subject = call.args[0] if call.args else None
         name = (subject.id if isinstance(subject, ast.Name)
                 else subject.attr if isinstance(subject, ast.Attribute)
                 else None)
-        if name in SEAM_NAMES:
+        probed = call.args[1] if len(call.args) > 1 else None
+        if name in SEAM_NAMES or (
+            isinstance(probed, ast.Constant) and probed.value in SEAM_NAMES
+        ):
             found.append(ast.unparse(call))
     return found
 
@@ -316,12 +335,11 @@ def unallowed(sites: Counter) -> dict[str, int]:
     }
 
 
-def library_probe_count() -> int:
-    """ISSUE 22's command: ``grep -rn "getattr(\\|hasattr(" src/repro
-    --include=*.py | grep -v "^src/repro/check\\|__main__" | wc -l``."""
+def probe_count(paths) -> int:
+    """``grep -rn "getattr(\\|hasattr(" PATHS | wc -l``."""
     return sum(
         "getattr(" in line or "hasattr(" in line
-        for path in LIBRARY
+        for path in paths
         for line in path.read_text().splitlines()
     )
 
@@ -352,11 +370,15 @@ class TestNothingProbesASeam:
         assert definitions[0].startswith("protocols.py:")
 
     def test_the_probe_count_only_falls(self):
-        assert library_probe_count() <= 7
+        assert probe_count(RUNTIME) <= 7
+        assert probe_count(
+            path for path in LIBRARY if path.parent.name == "check"
+        ) <= 7
+        assert probe_count(LIBRARY) == 15
 
     def test_the_guard_bites(self):
-        """Broken on purpose: probes the seam contracts replaced,
-        verbatim."""
+        """Broken on purpose: probes the seam contracts and the checker's
+        contract replaced, verbatim."""
         broken = (
             "class NetpipeSender:\n"
             "    def __init__(self, protocol):\n"
@@ -392,3 +414,22 @@ class TestNothingProbesASeam:
         # than the two the list grants it.
         assert set(unallowed(sites)) == set(sites)
         assert sites["runtime/section.py:_run_entry"] == 3
+        # The checker is library too: its old probes of the program and of
+        # a netpipe half are refused, the second as a seam probe as well.
+        explorer = (
+            "def _scheduler_of(program):\n"
+            "    return getattr(program, 'scheduler', program)\n"
+        )
+        invariants = (
+            "def _is_sink(component):\n"
+            "    return getattr(component, 'protocol', None) is None\n"
+        )
+        checker = probe_sites("check/explorer.py", explorer) \
+            + probe_sites("check/invariants.py", invariants)
+        assert set(unallowed(checker)) == set(checker) == {
+            "check/explorer.py:_scheduler_of", "check/invariants.py:_is_sink",
+        }
+        assert seam_probes(explorer) == []
+        assert seam_probes(invariants) == [
+            "getattr(component, 'protocol', None)"
+        ]

@@ -131,9 +131,9 @@ class TestHistogram:
 
     def test_observe_count_weights_by_items(self):
         hist = Histogram("h")
-        hist.observe_count(0.004, 5)
-        hist.observe_count(0.012, 3)
-        hist.observe_count(0.5, 0)  # no-op
+        hist.observe(0.004, 5)
+        hist.observe(0.012, 3)
+        hist.observe(0.5, 0)  # no-op
         assert hist.count == 8
         assert hist.sum == pytest.approx(0.004 * 5 + 0.012 * 3)
         assert hist.min == pytest.approx(0.004)

@@ -210,6 +210,29 @@ class TestSinkTaps:
         assert taps.streams["sink#0"] == sink.items == list(range(100))
         assert per_item == []  # certified on the route production runs
 
+    def test_taps_keep_the_per_item_loop_of_a_push_override(self):
+        """The rule loops a subclass that overrides only ``push``, tapped
+        or not: the tap may not hand its runs to the inherited
+        ``push_many``, which would skip the override."""
+
+        def run(tapped):
+            sink = PushOverride()
+            engine = Engine(
+                pipeline(CountingSource(100), GreedyPump(), sink),
+                batch_max=8,
+            )
+            taps = install_sink_taps(engine) if tapped else None
+            engine.run_to_completion()
+            return sink, taps
+
+        plain, _ = run(tapped=False)
+        sink, taps = run(tapped=True)
+        (stream,) = taps.streams.values()
+        assert stream == plain.items
+        assert sink.items == plain.items == list(range(100))
+        # push ran once per item, as it does untapped.
+        assert sink.seen == plain.seen == list(range(100))
+
 
 class TestStockRunEntries:
     def test_iter_source_stops_where_the_walker_would(self):

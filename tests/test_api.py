@@ -27,17 +27,6 @@ class TestConstruction:
         with pytest.raises(dataclasses_error()):
             base.batch_max = 8
 
-    def test_engine_options_merge(self):
-        app = (
-            Pipeline.from_source(SRC)
-            .with_engine_options(on_thread_error="raise")
-            .with_engine_options(trace=False)
-        )
-        assert app.engine_kwargs == {
-            "on_thread_error": "raise",
-            "trace": False,
-        }
-
 
 def dataclasses_error():
     import dataclasses

@@ -46,9 +46,6 @@ RULES = [
     ("repro.check.explorer:minimize_failure", "tested here",
      "`tests/check/test_explorer.py::test_minimize_failure_shrinks_a_"
      "recorded_failure`"),
-    ("repro.check.refine:PipelineUnderTest.from_lang", "tested here",
-     "`tests/check/test_refinement.py::test_from_lang_certifies_a_"
-     "recompiled_transmission_policy`"),
     ("repro.check.refine:_sorted_union", "tested here",
      "`tests/check/test_refinement.py::test_lossy_union_*` (with its "
      "reordered mutant twin)"),
@@ -266,9 +263,6 @@ RULES = [
     ("repro.check.*", "verification", "the checker; the tests are its driver"),
     ("repro.api:Pipeline.certify", "verification",
      "the checker's entry on the run spec"),
-    ("repro.api:Pipeline.with_engine_options", "verification",
-     "the checker: `PipelineUnderTest.from_lang(SRC, **engine_kwargs)` "
-     "states its engine kwargs through it"),
     ("repro.mbt.tracing:format_*", "verification",
      "the checker's output: the one trace formatter deadlock reports and "
      "exploration failures quote"),
@@ -428,6 +422,9 @@ RULES = [
      "parked-fleet tests"),
     ("repro.fabric.session:SessionFabric.completed", "verification",
      "reference accessor: sessions that ran to completion"),
+    ("repro.fabric.session:SessionFabric.run_to_completion", "verification",
+     "the explorer's default drive of a `SessionFabric` program "
+     "(`tests/fabric/test_fabric_e2e.py` explores fabrics)"),
     ("repro.mbt.scheduler:Scheduler.tenant", "verification",
      "reference accessor: a tenant's account by name"),
 ]
@@ -654,6 +651,33 @@ DELETED: list[tuple[str, int, str, str]] = [
      "class overrode)", 2, "D1-D4", "none"),
     ("repro.__main__:_apply_config (`--config FILE.toml`)", 30,
      "D4 (its early return)", "none"),
+    # The checker's contract (measured at its parent, 66269f1): it builds
+    # and runs an Engine, a SessionFabric or a Scheduler, and reads what
+    # they declare.
+    ("repro.fabric.certify:HostedSession (5 members: a fake Engine "
+     "forwarding the session's; `fabric_hosted` now builds the session's "
+     "own Engine)", 18, "D3", "none"),
+    ("repro.check.explorer:_run_once / _minimize (their bodies are now "
+     "`run_once` / `minimize_failure`, which wrapped them), _default_drive, "
+     "_scheduler_of (now `isinstance`)", 96, "D3", "none"),
+    ("repro.check.refine:PipelineUnderTest.from_lang (and the string "
+     "form of `PipelineUnderTest.of`)", 28, "check/test_refinement.py",
+     "`tests/check/test_refinement.py::test_from_lang_certifies_a_"
+     "recompiled_transmission_policy`"),
+    ("repro.api:Pipeline.with_engine_options (with the `engine_kwargs` "
+     "field; every option is a named `with_*` step)", 4,
+     "check/test_refinement.py, deploy/test_spawn_safety.py, "
+     "deploy/test_worker.py, +1 more",
+     "`tests/test_api.py::TestConstruction::test_engine_options_merge`"),
+    ("repro.obs.metrics:Histogram.observe_count (an alias of `observe`: "
+     "no function-lines)", 0, "obs/test_metrics.py",
+     "none (`test_observe_count_weights_by_items` calls `observe`)"),
+    ("repro.deploy.placement:_netpipe_pairs (now `repro.net.netpipe:"
+     "netpipe_pairs`, which conservation and the lossy-path walk share)",
+     15, "D1-D4", "none"),
+    ("repro.api:Pipeline.from_source(registry=) (a parameter: no "
+     "function-lines; `from_lang` was its one caller)", 0,
+     "check/test_refinement.py", "none"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
@@ -665,6 +689,10 @@ ONE_SIGNATURE = ("one entry signature for single- and multi-port "
 INJECTION = "injection seam: a test substitutes a fake through it"
 KEPT_PARAMETERS = [
     ("*", "port", ONE_SIGNATURE),
+    ("repro.runtime.engine:Engine.__init__", "on_thread_error",
+     "the crash policy the failure-injection and fault-plan tests set to "
+     "`\"collect\"`; owed ROADMAP 2(a), a crashed tenant reported on its "
+     "session"),
     ("repro.__main__:main", "argv",
      INJECTION + " (`tests/core/test_cli.py` runs the CLI in-process)"),
     ("repro.feedback.sensors:MetricSensor.__init__", "now",
