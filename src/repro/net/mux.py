@@ -29,13 +29,16 @@ link stays open for the other tenants), or CREDIT (flow control,
 records is delivered.
 
 *When* a record's bytes leave is the middleware's choice.  One emitted
-while the stream's scheduler dispatches is held, and the train leaves as
-ONE ``transport.send_frame`` before that scheduler next waits or returns
+while the stream's scheduler dispatches, or inside the mux's own
+:meth:`StreamMux.pump` (a CREDIT releasing ``pending``, a callback's
+send), is held: the train leaves as ONE ``transport.send_frame`` before
+that scheduler next waits or returns
 (:meth:`repro.mbt.Scheduler.before_idle`; the netpipe endpoints hand
-their scheduler over in ``on_attach``) or at :data:`TRAIN_BYTES`; in it,
-one stream's consecutive ``send`` payloads travel as ONE FRAME record
-(``encode_batch`` of them), a run for the receiving netpipe.  Emitted at
-any other time, a record is a train of one, written through at once.
+their scheduler over in ``on_attach``), before that pump returns or
+raises, or at :data:`TRAIN_BYTES`.  In it, one stream's consecutive
+``send`` payloads travel as ONE FRAME record (``encode_batch`` of them),
+a run for the receiving netpipe.  Emitted at any other time, a record is
+a train of one, written through at once.
 
 Per-stream flow control
 -----------------------
@@ -44,12 +47,12 @@ charged per data item (a frame costs the count its sender states, else
 its chunk count); when the window is exhausted, further sends queue
 *locally* in the stream — ``pending`` — instead of entering the shared
 link, so one slow tenant backpressures only itself.  The receiving end
-returns credits as its
-consumer actually drains (``note_drained``, which a
-:class:`~repro.net.netpipe.NetpipeReceiver` calls on a transport that
-declares ``counts_drained``), batched to half the window
-to amortize the reverse-direction frames.  A stream with ``credits=None``
-(the default) is uncontrolled.
+returns credits as its consumer actually drains (``note_drained``, which
+a :class:`~repro.net.netpipe.NetpipeReceiver` calls on a transport that
+declares ``counts_drained``), batched to half the window; a train holds
+ONE CREDIT record per stream, the sum of its grants, and a grant of no
+credit or less is malformed.  ``credits=None`` (the default) is
+uncontrolled.
 
 Link-level EOS (the peer closed the whole transport) fans out as EOS to
 every open stream that has a receiver bound; a send-only end is only
@@ -120,17 +123,8 @@ class MuxStream(Transport):
     side of a given stream.
     """
 
-    __slots__ = (
-        "mux",
-        "stream_id",
-        "credits",
-        "window",
-        "pending",
-        "eos_sent",
-        "_grant_batch",
-        "_to_grant",
-        "_scheduler",
-    )
+    __slots__ = ("mux", "stream_id", "credits", "window", "pending",
+                 "eos_sent", "_grant_batch", "_to_grant", "_scheduler")
 
     counts_drained = True
 
@@ -181,9 +175,7 @@ class MuxStream(Transport):
 
     def _submit(self, kind: int, payload, cost: int) -> None:
         if self.eos_sent:
-            raise RemoteError(
-                f"stream {self.flow!r}: send after send_eos"
-            )
+            raise RemoteError(f"stream {self.flow!r}: send after send_eos")
         credits = self.credits
         if self.pending or (credits is not None and credits <= 0):
             # Window exhausted (or draining in order behind earlier
@@ -197,21 +189,13 @@ class MuxStream(Transport):
         self.mux._put(self, kind, payload)
 
     def _on_credit(self, granted: int) -> None:
-        if self.credits is not None:
-            self.credits += granted
-        self._flush_pending()
-
-    def _flush_pending(self) -> None:
+        if self.credits is None:  # uncontrolled: nothing ever queues
+            return
+        self.credits += granted
         pending = self.pending
-        while pending:
-            kind, payload, cost = pending[0]
-            if kind != MUX_EOS and (
-                self.credits is not None and self.credits <= 0
-            ):
-                return
-            pending.popleft()
-            if self.credits is not None:
-                self.credits -= cost
+        while pending and (self.credits > 0 or pending[0][0] == MUX_EOS):
+            kind, payload, cost = pending.popleft()
+            self.credits -= cost
             if kind != MUX_EOS:
                 self.stats["sent"] += 1
             self.mux._put(self, kind, payload)
@@ -224,10 +208,10 @@ class MuxStream(Transport):
         if self.window is None:
             return
         self._to_grant += items
-        if self._to_grant >= self._grant_batch or self.eos_received:
+        # After EOS whatever is owed goes at once — but never a zero grant.
+        if self._to_grant >= (1 if self.eos_received else self._grant_batch):
             granted, self._to_grant = self._to_grant, 0
             self.stats["credits_granted"] += granted
-            self.mux.stats["credits_sent"] += 1
             self.mux._put(self, MUX_CREDIT, arg=granted)
 
     def pump(self, max_messages: int | None = None) -> int:
@@ -266,18 +250,18 @@ class StreamMux:
         self.src = transport.src
         self.dst = transport.dst
         self._streams: dict[int, MuxStream] = {}
-        #: The train being gathered — ``(kind, stream_id, arg, chunks)``
+        #: The train being gathered — ``[kind, stream_id, arg, chunks]``
         #: records in emission order, a DATA record's chunks growing
         #: while its stream keeps sending — and about its wire size.
-        self._train: list[tuple] = []
+        self._train: list[list] = []
         self._train_bytes = 0
-        self.stats = {
-            "frames_sent": 0,
-            "frames_received": 0,
-            "credits_sent": 0,
-            "credits_received": 0,
-            "unknown_stream_drops": 0,
-        }
+        #: Stream id -> its CREDIT record in the train being gathered.
+        self._grants: dict[int, list] = {}
+        self._pumping = False
+        self.stats = dict.fromkeys(
+            ("frames_sent", "frames_received", "credits_sent",
+             "credits_received", "unknown_stream_drops"), 0,
+        )
         self.inbound.on_deliver(
             self._rx_plain, self._rx_link_eos, self._rx_frame
         )
@@ -311,19 +295,29 @@ class StreamMux:
     # -- outbound ------------------------------------------------------------
 
     def _put(self, stream: MuxStream, kind: int, body=None, arg=0) -> None:
-        """One record joins the train.  A train begun while the stream's
-        scheduler dispatches is held — that scheduler calls :meth:`flush`
-        before it waits — and one begun any other time leaves at once."""
+        """One record joins the train.  A train begun inside :meth:`pump`
+        leaves as that pump returns; one begun while the stream's scheduler
+        dispatches is held until that scheduler calls :meth:`flush` before
+        it waits; one begun any other time leaves at once."""
+        train, sid = self._train, stream.stream_id
+        if kind == MUX_CREDIT:
+            grant = self._grants.get(sid)
+            if grant is not None:  # one grant record per stream a train
+                grant[2] += arg
+                return
+            self.stats["credits_sent"] += 1
         chunks = [] if body is None else [bytes(body)]  # held: owned
-        train = self._train
         last = train[-1] if train else None
         if (kind == MUX_DATA and last is not None
-                and last[0] == MUX_DATA and last[1] == stream.stream_id):
+                and last[0] == MUX_DATA and last[1] == sid):
             last[3].extend(chunks)
         else:
-            train.append((kind, stream.stream_id, arg, chunks))
+            train.append(record := [kind, sid, arg, chunks])
+            if kind == MUX_CREDIT:
+                self._grants[sid] = record
         self._train_bytes += 18 if body is None else 18 + len(body)
-        held = last is not None  # a train already begun is registered
+        # A train already begun is registered, and a pump flushes its own.
+        held = last is not None or self._pumping
         if not held and stream._scheduler is not None:
             held = stream._scheduler.before_idle(self.flush)
         if not held or self._train_bytes >= TRAIN_BYTES:
@@ -334,7 +328,7 @@ class StreamMux:
         train = self._train
         if not train:
             return
-        self._train, self._train_bytes = [], 0
+        self._train, self._train_bytes, self._grants = [], 0, {}
         out = []
         for kind, stream_id, arg, chunks in train:
             if len(chunks) > 1:  # one stream's consecutive sends: a run
@@ -345,8 +339,7 @@ class StreamMux:
         self.transport.send_frame(encode_batch(out))
 
     def send_link_eos(self) -> None:
-        """Close the whole shared link (fans out as EOS to every peer
-        stream)."""
+        """Close the whole shared link: EOS to every peer stream."""
         self.flush()
         self.transport.send_eos()
 
@@ -365,9 +358,9 @@ class StreamMux:
             if kind in (MUX_DATA, MUX_FRAME):
                 body = next(chunks, None)
                 if body is None:
-                    raise MarshalError(
-                        f"stream {stream_id} record has no payload chunk"
-                    )
+                    raise MarshalError(f"stream {stream_id}: no payload chunk")
+            elif kind == MUX_CREDIT and arg <= 0:
+                raise MarshalError(f"stream {stream_id} grant {arg} <= 0")
             elif kind not in (MUX_EOS, MUX_CREDIT):
                 raise MarshalError(f"unknown stream record kind {kind}")
             records.append((kind, stream_id, arg, body))
@@ -400,18 +393,23 @@ class StreamMux:
 
     def _rx_link_eos(self) -> None:
         for stream in list(self._streams.values()):
-            if stream.eos_received:
-                continue
-            if stream._deliver_eos is None:
-                # A send-only end has nobody to tell: it is marked ended.
+            if stream._deliver_eos is None:  # send-only: just marked ended
                 stream.eos_received = True
-            else:
+            elif not stream.eos_received:
                 stream._receive(EOS_KIND)
 
     # -- io loop -------------------------------------------------------------
 
     def pump(self, max_messages: int | None = None) -> int:
-        return self.inbound.pump(max_messages)
+        """Deliver what the link holds; what that makes this mux emit (a
+        credit releasing ``pending``, a callback's send) leaves as one
+        train when the pump returns or raises."""
+        pumping, self._pumping = self._pumping, True
+        try:
+            return self.inbound.pump(max_messages)
+        finally:
+            self._pumping = pumping
+            self.flush()
 
     def wait(self, timeout: float) -> bool:
         return self.inbound.wait(timeout)

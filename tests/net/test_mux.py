@@ -29,12 +29,21 @@ def mux_pair():
     return StreamMux(a), StreamMux(b)
 
 
-def collect(stream):
+def collect(stream, runs=False):
+    """What ``stream`` delivers; with ``runs`` a frame's items join
+    ``messages`` in arrival order instead of landing in ``frames``."""
     state = {"messages": [], "frames": [], "eos": 0}
+
+    def frame(payload):
+        if runs:
+            state["messages"] += map(bytes, decode_batch_views(payload))
+        else:
+            state["frames"].append(bytes(payload))
+
     stream.on_deliver(
         lambda data: state["messages"].append(bytes(data)),
         lambda: state.__setitem__("eos", state["eos"] + 1),
-        lambda frame: state["frames"].append(bytes(frame)),
+        frame,
     )
     return state
 
@@ -180,7 +189,8 @@ class TestFlowControl:
 
     def test_note_drained_returns_credits_and_flushes(self):
         tx, rx, sender, receiver = self.pair_with_credits(3)
-        state = collect(receiver)
+        # What one pump releases leaves as one MUX_FRAME run.
+        state = collect(receiver, runs=True)
         for i in range(8):
             sender.send(b"m%d" % i)
         rx.pump()
@@ -205,6 +215,21 @@ class TestFlowControl:
         assert rx.stats["credits_sent"] == 1
         tx.pump()
         assert sender.credits == 8 - 1 + 4
+
+    def test_no_zero_grant_after_eos(self):
+        """After EOS whatever is owed is granted at once, and nothing owed
+        sends nothing: a zero grant is malformed on the wire."""
+        tx, rx, sender, receiver = self.pair_with_credits(4)
+        collect(receiver)
+        sender.send(b"x")
+        sender.send_eos()
+        rx.pump()
+        receiver.note_drained(0)
+        assert rx.stats["credits_sent"] == 0
+        receiver.note_drained(1)  # below the batch of 2, but after EOS
+        assert rx.stats["credits_sent"] == 1
+        tx.pump()
+        assert sender.credits == 4
 
     def test_frame_cost_is_chunk_count(self):
         tx, rx, sender, receiver = self.pair_with_credits(5)

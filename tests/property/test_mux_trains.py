@@ -1,21 +1,25 @@
 """Frame trains on the multiplexed link against the write-through route.
 
 A :class:`~repro.net.mux.StreamMux` holds what its streams emit while
-their scheduler dispatches and sends it as one link frame, the
-consecutive sends of one stream as one ``MUX_FRAME`` record.  That is a
-transmission policy: it may not change any stream's delivered item
-sequence or where its EOS falls, every record's bytes must stay readable
-by the per-chunk oracle ``decode_batch_views``, and hostile bytes on the
-shared link end in ``MarshalError`` or a counted drop — all or nothing
-per train, with no allocation sized by a forged field.
+their scheduler dispatches, and what it emits inside its own ``pump()``,
+and sends it as one link frame: the consecutive sends of one stream as
+one ``MUX_FRAME`` record, the grants for one stream as one ``CREDIT``
+record.  That is a transmission policy: it may not change any stream's
+delivered item sequence, where its EOS falls or its credit window, every
+record's bytes must stay readable by the per-chunk oracle
+``decode_batch_views``, and hostile bytes on the shared link end in
+``MarshalError`` or a counted drop — all or nothing per train, with no
+allocation sized by a forged field.  The train properties each have a
+mutant twin that must fail them.
 """
 
 import struct
 import tracemalloc
+from collections import deque
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import MarshalError
 from repro.mbt import Scheduler, VirtualClock
@@ -31,6 +35,7 @@ from repro.net.mux import (
     decode_stream_header,
     encode_stream_header,
 )
+from repro.net.protocols import FRAME_KIND
 
 STREAMS = 4
 
@@ -47,6 +52,16 @@ ops = st.one_of(
 )
 windows = st.sampled_from([None, 1, 2, 4, 8])
 bounds = st.sampled_from([1, 60, 200, mux_module.TRAIN_BYTES])
+
+
+def encode_records(records) -> bytes:
+    """``records_of`` backwards: one train of ``(kind, sid, arg, body)``."""
+    chunks = []
+    for kind, sid, arg, body in records:
+        chunks.append(encode_stream_header(kind, sid, arg))
+        if body is not None:
+            chunks.append(body)
+    return encode_batch(chunks)
 
 
 def records_of(train: bytes) -> list[tuple]:
@@ -73,13 +88,36 @@ class Tap(InProcessLink):
         super().send_frame(payload)
 
 
-class Run:
-    """One tx mux and one rx mux over synchronous links, ``STREAMS``
-    streams with the given window, consumers that drain when told to."""
+class Queued(InProcessLink):
+    """A link that keeps the trains it carries until its receiving end
+    pumps, as a socket does."""
 
-    def __init__(self, window, scheduler=None):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.queue: deque = deque()
+
+    def send_frame(self, payload, items=None):
+        self.queue.append(bytes(payload))
+
+    def pump(self, max_messages=None):
+        count = len(self.queue)
+        while self.queue:
+            self._receive(FRAME_KIND, self.queue.popleft())
+        return count
+
+
+class Run:
+    """One tx mux and one rx mux over synchronous links (the reverse one
+    ``reverse`` if given), ``STREAMS`` streams with the given window,
+    consumers that drain when told to.  The senders are attached to
+    ``scheduler``, the receivers to ``rx_scheduler``."""
+
+    def __init__(self, window, scheduler=None, reverse=None,
+                 rx_scheduler=None):
         self.forward = Tap("a", "b", "fwd")
-        reverse = InProcessLink("b", "a", "back")
+        if reverse is None:
+            reverse = InProcessLink("b", "a", "back")
+        self.reverse = reverse
         self.tx = StreamMux(self.forward, inbound=reverse)
         self.rx = StreamMux(reverse, inbound=self.forward)
         self.delivered = {sid: [] for sid in range(STREAMS)}
@@ -89,7 +127,10 @@ class Run:
             sender = self.tx.open_stream(sid, credits=window)
             if scheduler is not None:
                 sender.attach_scheduler(scheduler)
-            self.rx.open_stream(sid, credits=window).on_deliver(
+            receiver = self.rx.open_stream(sid, credits=window)
+            if rx_scheduler is not None:
+                receiver.attach_scheduler(rx_scheduler)
+            receiver.on_deliver(
                 lambda chunk, sid=sid: self.arrive(sid, [chunk]),
                 lambda sid=sid: self.delivered[sid].append("EOS"),
                 lambda frame, sid=sid: self.arrive(
@@ -138,13 +179,18 @@ def write_through(script, window) -> Run:
     return run
 
 
-def in_trains(script, window) -> Run:
-    """The same script with every stream attached to a scheduler: each
-    stretch between two ``idle`` ops runs inside one ``Scheduler.run``
-    (from a timer, so the stretch is one dispatch boundary to the next),
-    the stretch after the last ``idle`` outside any run."""
+def in_trains(script, window, side="tx") -> Run:
+    """The same script with every stream of one ``side`` attached to a
+    scheduler: each stretch between two ``idle`` ops runs inside one
+    ``Scheduler.run`` (from a timer, so the stretch is one dispatch
+    boundary to the next), the stretch after the last ``idle`` outside
+    any run."""
     scheduler = Scheduler(clock=VirtualClock())
-    run = Run(window, scheduler)
+    if side == "tx":
+        run = Run(window, scheduler)
+    else:
+        run = Run(window, reverse=Tap("b", "a", "back"),
+                  rx_scheduler=scheduler)
     stretch: list = []
     when = 0.0
     for op in script:
@@ -201,6 +247,101 @@ def test_the_window_is_whole_again_at_quiescence(script, window):
         assert sender.credits + receiver._to_grant == window
 
 
+def check_pump_releases(script, window):
+    """Grants reach the sender only when it pumps: every release one
+    pump makes leaves as exactly one link frame, and each stream still
+    receives the write-through sequence with its EOS where it was."""
+    want = write_through(script, window)
+    run = Run(window, reverse=Queued("b", "a", "back"))
+
+    def queued():
+        return sum(len(s.pending) for s in run.tx.streams.values())
+
+    def drain_and_pump():
+        run.drain()
+        before, trains = queued(), len(run.forward.trains)
+        run.tx.pump()
+        released = before - queued()
+        assert len(run.forward.trains) - trains == (1 if released else 0)
+
+    for op in script:
+        if op[0] == "drain":
+            drain_and_pump()
+        else:
+            run.apply(op)
+    for _ in range(1000):
+        if not queued():
+            break
+        drain_and_pump()
+    assert run.delivered == want.delivered
+
+
+def check_one_grant_per_stream(script, window):
+    """Receivers whose drains run inside a scheduler: a train holds at
+    most one CREDIT record per stream, the grants the stream made while
+    it was held summed in it, and at quiescence the window is whole."""
+    got = in_trains(script, window, side="rx")
+    assert got.delivered == write_through(script, window).delivered
+    got.drain()
+    carried = dict.fromkeys(range(STREAMS), 0)
+    for train in got.reverse.trains:
+        grants = [(sid, arg) for kind, sid, arg, _ in records_of(train)
+                  if kind == MUX_CREDIT]
+        assert len({sid for sid, _ in grants}) == len(grants)
+        for sid, arg in grants:
+            carried[sid] += arg
+    for sid, sender in got.tx.streams.items():
+        receiver = got.rx.streams[sid]
+        assert carried[sid] == receiver.stats["credits_granted"]
+        assert sender.credits + receiver._to_grant == window
+
+
+@given(st.lists(ops, max_size=40), windows)
+def test_a_pump_releases_as_one_frame(script, window):
+    check_pump_releases(script, window)
+
+
+@given(st.lists(ops, min_size=10, max_size=40), st.sampled_from([1, 2, 4, 8]))
+@example(  # stream 0 drained twice in one stretch: two grants, one record
+    [("send", 0, b"a"), ("drain", None, None), ("send", 0, b"b"),
+     ("drain", None, None), ("idle", None, None)], 2,
+)
+def test_a_train_carries_one_summed_grant_per_stream(script, window):
+    check_one_grant_per_stream(script, window)
+
+
+def fails(prop, monkeypatch, patch):
+    """The property test ``prop`` under the mutant ``patch``: its search
+    must find a counterexample."""
+    monkeypatch.setattr(StreamMux, *patch)
+    mutant = settings(max_examples=300, deadline=None, derandomize=True,
+                      database=None, report_multiple_bugs=False)(prop)
+    with pytest.raises(AssertionError):
+        mutant()
+
+
+def test_a_write_through_release_fails_the_one_frame_pump(monkeypatch):
+    """The mutant twin: the pump holds nothing, so each release is a
+    train of one, as it was before pumps gathered trains."""
+    fails(test_a_pump_releases_as_one_frame, monkeypatch,
+          ("pump", lambda self, limit=None: self.inbound.pump(limit)))
+
+
+def test_a_merge_keeping_the_last_grant_fails(monkeypatch):
+    """The mutant twin: a second grant for a stream overwrites the
+    train's record instead of adding to it."""
+    put = StreamMux._put
+
+    def keeps_the_last(self, stream, kind, body=None, arg=0):
+        grant = self._grants.get(stream.stream_id)
+        if kind != MUX_CREDIT or grant is None:
+            return put(self, stream, kind, body, arg)
+        grant[2] = arg
+
+    fails(test_a_train_carries_one_summed_grant_per_stream, monkeypatch,
+          ("_put", keeps_the_last))
+
+
 # -- (ii) hostile bytes on the shared link ---------------------------------------
 
 
@@ -245,12 +386,9 @@ valid_records = st.one_of(
 
 
 def build_train(records) -> bytes:
-    chunks = []
-    for kind, sid, body in records:
-        chunks.append(encode_stream_header(kind, sid, arg=3))
-        if body is not None:
-            chunks.append(body)
-    return encode_batch(chunks)
+    return encode_records(
+        (kind, sid, 3, body) for kind, sid, body in records
+    )
 
 
 valid_trains = st.lists(valid_records, min_size=1, max_size=6).map(build_train)
@@ -277,13 +415,25 @@ def test_a_mutated_train_is_all_or_nothing(train, data):
     index = data.draw(st.integers(min_value=0, max_value=len(train) - 1))
     value = data.draw(st.integers(min_value=0, max_value=255))
     cut = data.draw(st.integers(min_value=0, max_value=len(train)))
+    # A grant of no credit or less, anywhere in the train, for any id.
+    records = records_of(train)
+    records.insert(
+        data.draw(st.integers(min_value=0, max_value=len(records))),
+        (MUX_CREDIT, data.draw(st.integers(0, STREAMS + 1)),
+         data.draw(st.integers(min_value=-(2**31), max_value=0)), None),
+    )
+    no_grant = encode_records(records)
     for bad in (
         train[:index] + bytes([value]) + train[index + 1:],
         train[:cut],
         train + bytes([value]),
+        no_grant,
     ):
         mux, seen = receiving_mux()
-        if outcome(mux, bad) == "error":
+        result = outcome(mux, bad)
+        if bad is no_grant:
+            assert result == "error"
+        if result == "error":
             # Parsed whole before anything is delivered: no record of a
             # malformed train reached a stream or a counter.
             assert seen == []
@@ -295,7 +445,7 @@ def test_a_mutated_train_is_all_or_nothing(train, data):
 @pytest.mark.parametrize("forged", [2**32 - 1, 2**31, 2**24 + 1])
 @pytest.mark.parametrize(
     "field", ["train count", "header length", "payload length",
-              "run count", "stream id", "credit"],
+              "run count", "stream id", "credit", "negative credit"],
 )
 def test_a_forged_field_allocates_nothing_of_that_size(forged, field):
     run = encode_batch([b"%09d" % i for i in range(8)])
@@ -308,9 +458,11 @@ def test_a_forged_field_allocates_nothing_of_that_size(forged, field):
     offset = {
         "train count": 0, "header length": 4, "payload length": 18,
         "run count": 22, "stream id": 4 + 4 + 2, "credit": credit + 6,
+        "negative credit": credit + 6,
     }[field]
-    struct.pack_into("!I", train, offset, forged & 0x7FFFFFFF
-                     if field == "credit" else forged)
+    value = {"credit": forged & 0x7FFFFFFF,
+             "negative credit": forged | 1 << 31}.get(field, forged)
+    struct.pack_into("!I", train, offset, value)
     mux, seen = receiving_mux()
     tracemalloc.start()
     try:
@@ -320,7 +472,11 @@ def test_a_forged_field_allocates_nothing_of_that_size(forged, field):
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert accounted(mux, seen)
-    if field in ("train count", "header length", "payload length"):
+    if field in ("train count", "header length", "payload length",
+                 "negative credit"):
         assert result == "error" and seen == []
-    if field == "credit":
-        assert mux.streams[0].credits == 4 + (forged & 0x7FFFFFFF)
+    if field.endswith("credit"):
+        (grant,) = struct.unpack("!i", struct.pack("!I", value))
+        # A grant of no credit or less is refused whole, never applied.
+        assert (result == "error") == (grant <= 0)
+        assert mux.streams[0].credits == 4 + max(grant, 0)
