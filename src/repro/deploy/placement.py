@@ -32,7 +32,6 @@ from repro.core.component import Component, Role
 from repro.core.composition import Pipeline
 from repro.errors import DeployError
 from repro.net.netpipe import netpipe_pairs
-from repro.runtime.stats import PipelineStats
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class ShardPlan:
     shards: int
     assignment: dict[str, int]
     cuts: tuple[Cut, ...]
-    #: Planner diagnostics: per-segment weight and shard (info only).
+    #: Planner diagnostics: per-segment members and shard (info only).
     segments: list[dict[str, Any]] = field(default_factory=list)
 
     def shard_components(self, shard: int) -> list[str]:
@@ -92,16 +91,12 @@ class Placement:
     shards: int
     #: Explicit component → shard map; None selects the automatic planner.
     assignment: Mapping[str, int] | None = None
-    #: Cost hints for the planner: a ``{component name: weight}`` mapping
-    #: or a :class:`~repro.runtime.stats.PipelineStats` snapshot (items
-    #: moved become the weights).  None weighs every component equally.
-    costs: Any = None
 
     @classmethod
-    def auto(cls, shards: int, costs: Any = None) -> "Placement":
+    def auto(cls, shards: int) -> "Placement":
         if shards < 1:
             raise DeployError("a placement needs at least one shard")
-        return cls(shards=shards, costs=costs)
+        return cls(shards=shards)
 
     @classmethod
     def explicit(
@@ -180,24 +175,6 @@ def _segments(pipeline: Pipeline, seams: set[str]):
     return ordered, index
 
 
-def _component_weights(pipeline: Pipeline, costs: Any) -> dict[str, float]:
-    weights = {c.name: 1.0 for c in pipeline.components}
-    if costs is None:
-        return weights
-    per_component: Mapping[str, Any]
-    if isinstance(costs, PipelineStats):
-        per_component = {
-            name: stats.get("items_in", 0) + stats.get("items_out", 0)
-            for name, stats in costs.components.items()
-        }
-    else:
-        per_component = costs
-    for name, weight in per_component.items():
-        if name in weights:
-            weights[name] = 1.0 + float(weight)
-    return weights
-
-
 # ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------
@@ -219,9 +196,7 @@ def plan_placement(pipeline: Pipeline, placement: Placement) -> ShardPlan:
             placement, components, segments, segment_of
         )
     else:
-        shard_of_segment = _plan_auto(
-            placement, pipeline, segments, segment_of
-        )
+        shard_of_segment = _plan_auto(placement, segments)
 
     assignment = {
         name: shard_of_segment[segment_of[name]]
@@ -322,27 +297,25 @@ def _segment_rep(segments, segment, placement):
     return segments[segment][0]
 
 
-def _plan_auto(placement, pipeline, segments, segment_of):
+def _plan_auto(placement, segments):
     if placement.shards > len(segments):
         raise DeployError(
             f"automatic placement cannot split this pipeline into "
             f"{placement.shards} shards: only {len(segments)} "
             "cut-separated segment(s) exist (add Buffer seams)"
         )
-    weights = _component_weights(pipeline, placement.costs)
-    segment_weight = [
-        sum(weights[name] for name in segment) for segment in segments
-    ]
-    # Longest-processing-time greedy: heaviest segment to the least
-    # loaded shard; deterministic tie-breaks (weight desc, then first
-    # member name).  Every inter-segment edge is a legal cut, so any
-    # assignment is feasible — balance is the goal, seeded so that
-    # shard 0 gets the first segment (sources tend to live there).
+    segment_weight = [len(segment) for segment in segments]
+    # Longest-processing-time greedy, a segment weighing its component
+    # count: heaviest segment to the least loaded shard; deterministic
+    # tie-breaks (weight desc, then first member name).  Every
+    # inter-segment edge is a legal cut, so any assignment is feasible —
+    # balance is the goal, seeded so that shard 0 gets the first segment
+    # (sources tend to live there).
     order = sorted(
         range(len(segments)),
         key=lambda i: (-segment_weight[i], segments[i][0]),
     )
-    load = [0.0] * placement.shards
+    load = [0] * placement.shards
     used: set[int] = set()
     shard_of_segment: dict[int, int] = {}
     for i in order:

@@ -10,41 +10,10 @@ Front door::
     fabric.run_to_completion()
     print(a.stats.summary())
 
-See :mod:`repro.fabric.session` for the mechanism and
-:mod:`repro.fabric.admission` for overload policies; docs/FABRIC.md for
+See :mod:`repro.fabric.session` for the mechanism and docs/FABRIC.md for
 the narrative.
 """
 
-from repro.fabric.admission import (
-    ACCEPT,
-    DEGRADE,
-    QUEUE,
-    REJECT,
-    AdmissionController,
-    Decision,
-    SessionRequest,
-    degrade_over_capacity,
-    queue_over_capacity,
-    reject_over_capacity,
-)
-from repro.fabric.session import (
-    Session,
-    SessionFabric,
-    SessionRejected,
-)
+from repro.fabric.session import Session, SessionFabric
 
-__all__ = [
-    "ACCEPT",
-    "DEGRADE",
-    "QUEUE",
-    "REJECT",
-    "AdmissionController",
-    "Decision",
-    "SessionRequest",
-    "degrade_over_capacity",
-    "queue_over_capacity",
-    "reject_over_capacity",
-    "Session",
-    "SessionFabric",
-    "SessionRejected",
-]
+__all__ = ["Session", "SessionFabric"]

@@ -23,13 +23,7 @@ Key properties:
 * **parking** — an idle session's threads leave the ready structure
   entirely (:meth:`park`), so dispatch cost is independent of how many
   of the million sessions are idle; :meth:`unpark` is O(threads) heap
-  pushes;
-* **admission** — an optional
-  :class:`~repro.fabric.admission.AdmissionController` prices each open
-  against bandwidth/session budgets; its externally-supplied policy may
-  reject (raises :class:`SessionRejected`), queue (the request parks in
-  ``fabric.pending`` until :meth:`admit_pending`) or degrade (admit at a
-  reduced fair-share weight).
+  pushes.
 """
 
 from __future__ import annotations
@@ -38,28 +32,10 @@ from typing import Any
 
 from repro.api import Pipeline, build_program
 from repro.errors import DeployError
-from repro.fabric.admission import (
-    QUEUE,
-    REJECT,
-    AdmissionController,
-    Decision,
-    SessionRequest,
-)
 from repro.mbt.clock import VirtualClock
 from repro.mbt.scheduler import Scheduler
 from repro.runtime.engine import Engine, drive_with_io
 from repro.runtime.stats import PipelineStats
-
-
-class SessionRejected(DeployError):
-    """Admission control refused the session."""
-
-    def __init__(self, request: SessionRequest, decision: Decision):
-        super().__init__(
-            f"session {request.name!r} rejected: {decision.reason}"
-        )
-        self.request = request
-        self.decision = decision
 
 
 class Session:
@@ -72,7 +48,6 @@ class Session:
         engine: Engine,
         thread_names: tuple[str, ...],
         weight: float,
-        decision: Decision | None = None,
     ):
         self.fabric = fabric
         self.name = name
@@ -81,8 +56,6 @@ class Session:
         #: Names of the scheduler threads this session owns.
         self.thread_names = thread_names
         self.weight = weight
-        #: The admission verdict (None when the fabric has no controller).
-        self.decision = decision
         self.parked = False
         self.closed = False
 
@@ -108,9 +81,11 @@ class Session:
         return self.engine.completed
 
     def set_weight(self, weight: float) -> None:
-        """Live-tune the session's fair share."""
-        self.weight = weight
+        """Live-tune the session's fair share.  A weight the scheduler
+        refuses raises :class:`~repro.errors.SchedulerError` and changes
+        nothing."""
         self.fabric.scheduler.add_tenant(self.name, weight)
+        self.weight = weight
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -142,9 +117,6 @@ class SessionFabric:
     scheduler:
         A ready-made shared scheduler (default: a fresh one over a
         virtual clock, with ``quantum`` as its ``fair_quantum``).
-    admission:
-        Optional :class:`AdmissionController`; without one every open is
-        accepted.
     quantum:
         Dispatch quantum for the fabric's tenants (the scheduler's
         ``fair_quantum``): how many consecutive dispatches one session
@@ -160,7 +132,6 @@ class SessionFabric:
     def __init__(
         self,
         scheduler: Scheduler | None = None,
-        admission: AdmissionController | None = None,
         quantum: int = 8,
     ):
         if scheduler is None:
@@ -168,10 +139,7 @@ class SessionFabric:
                 clock=VirtualClock(), fair_quantum=quantum
             )
         self.scheduler = scheduler
-        self.admission = admission
         self.sessions: dict[str, Session] = {}
-        #: Requests the admission policy queued: (request, program, kwargs).
-        self.pending: list[tuple[SessionRequest, Any, dict]] = []
         self._unnamed = 0
         self._bare_session: str | None = None
 
@@ -183,10 +151,8 @@ class SessionFabric:
         name: str | None = None,
         weight: float = 1.0,
         namespace: bool = True,
-        request: SessionRequest | None = None,
-        start: bool = True,
-    ) -> Session | None:
-        """Build, admit, attach and start one tenant's pipeline.
+    ) -> Session:
+        """Build, attach and start one tenant's pipeline.
 
         ``program`` is a :class:`repro.api.Pipeline` run spec — whose
         execution options (backend, batching, telemetry) the session
@@ -196,43 +162,26 @@ class SessionFabric:
         scope, so a thousand sessions of the same program get identical
         pre-prefix names.
 
-        Returns the live :class:`Session` — or ``None`` when the
-        admission policy queued the request (find it in ``pending``).
-        Raises :class:`SessionRejected` on a reject verdict.  Attachment
-        is live: no other session is paused, resorted or even reindexed.
+        Returns the live :class:`Session`.  Attachment is live: no other
+        session is paused, resorted or even reindexed.
 
         An open is all-or-nothing: when the builder, the Typespec check,
-        allocation or set-up raises, the admission slot, the bare name
-        scope and whatever threads were already spawned are given back
-        and the error propagates unchanged — the fabric is as it was.
+        allocation, set-up or the tenant's weight raises, the bare name
+        scope, whatever threads were already spawned, their reservations
+        and the tenant are given back and the error propagates unchanged
+        — the fabric is as it was.
         """
         if name is None:
             name = f"s{self._unnamed}"
             self._unnamed += 1
         if name in self.sessions:
             raise DeployError(f"session {name!r} already open")
-        if not namespace and self._bare_session is not None:
-            raise DeployError(
-                f"session {self._bare_session!r} already holds the "
-                "bare (un-namespaced) name scope"
-            )
-
-        decision: Decision | None = None
-        if self.admission is not None:
-            if request is None:
-                request = SessionRequest(name=name, weight=weight)
-            decision = self.admission.admit(request)
-            if decision.action == REJECT:
-                raise SessionRejected(request, decision)
-            if decision.action == QUEUE:
-                self.pending.append((request, program, dict(
-                    weight=weight, namespace=namespace, start=start,
-                )))
-                return None
-            if decision.weight is not None:  # degraded admission
-                weight = decision.weight
-
         if not namespace:
+            if self._bare_session is not None:
+                raise DeployError(
+                    f"session {self._bare_session!r} already holds the "
+                    "bare (un-namespaced) name scope"
+                )
             self._bare_session = name
         engine = None
         try:
@@ -250,37 +199,14 @@ class SessionFabric:
             threads = self.scheduler.threads
             for thread_name in thread_names:
                 self.scheduler.assign_tenant(threads[thread_name], tenant)
-            session = Session(
-                self, name, engine, thread_names, weight, decision
-            )
+            session = Session(self, name, engine, thread_names, weight)
             self.sessions[name] = session
-            if start:
-                engine.start()
+            engine.start()
         except BaseException:
             self.sessions.pop(name, None)
             self._detach(name, engine)
             raise
         return session
-
-    def admit_pending(self) -> list[Session]:
-        """Retry every queued request (capacity may have freed up).
-
-        Requests the policy queues again stay queued; rejects are dropped
-        (their ``SessionRejected`` is swallowed — the caller already got
-        a ``None`` at open time and can inspect the controller's stats).
-        """
-        retry, self.pending = self.pending, []
-        opened = []
-        for request, program, kwargs in retry:
-            try:
-                session = self.open_session(
-                    program, name=request.name, request=request, **kwargs
-                )
-            except SessionRejected:
-                continue
-            if session is not None:
-                opened.append(session)
-        return opened
 
     # ------------------------------------------------------------ close
 
@@ -292,6 +218,7 @@ class SessionFabric:
         if session is None:
             return
         session.closed = True
+        session.parked = False
         try:
             session.engine.stop()
         except Exception:  # noqa: BLE001 - a crashed tenant still detaches
@@ -301,9 +228,9 @@ class SessionFabric:
     def _detach(self, name: str, engine: Engine | None) -> None:
         """Give back everything session ``name`` holds — of a closing
         session, or of an open that failed part-way (``engine`` is None
-        when not even the engine was built): timers, threads, tenant,
-        admission slot, bare name scope.  Touches nothing of any other
-        session."""
+        when not even the engine was built): timers, threads and their
+        reservations, tenant, bare name scope.  Touches nothing of any
+        other session."""
         if engine is not None:
             for driver in engine.pump_drivers:
                 if driver.timer is not None and driver.timer.running:
@@ -316,8 +243,6 @@ class SessionFabric:
                 if thread is not None and thread.code == driver.code:
                     self.scheduler.remove_thread(thread.name)
         self.scheduler.remove_tenant(name)
-        if self.admission is not None:
-            self.admission.release(name)
         if self._bare_session == name:
             self._bare_session = None
 
@@ -327,7 +252,7 @@ class SessionFabric:
         """Quiesce an idle session: stop its timers and remove every one
         of its threads from the ready structure.  Parked sessions are
         free at dispatch time, whatever their number."""
-        session = self.sessions[name]
+        session = self._open(name)
         if session.parked:
             return
         for driver in session.engine.pump_drivers:
@@ -340,7 +265,7 @@ class SessionFabric:
     def unpark(self, name: str) -> None:
         """O(threads) wake: one heap push per thread, then restart timers
         and greedy loops."""
-        session = self.sessions[name]
+        session = self._open(name)
         if not session.parked:
             return
         for thread in session.threads:
@@ -348,6 +273,12 @@ class SessionFabric:
         session.parked = False
         for driver in session.engine.pump_drivers:
             driver.sync_running_state()
+
+    def _open(self, name: str) -> Session:
+        session = self.sessions.get(name)
+        if session is None:
+            raise DeployError(f"session {name!r} is not open")
+        return session
 
     # ------------------------------------------------------------ running
 

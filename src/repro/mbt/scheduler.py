@@ -160,7 +160,10 @@ class TimerHandle:
         self.cancelled = False
 
     def cancel(self) -> None:
+        """A cancelled handle waits in the heap until its time comes; it
+        lets go of its callback, which may hold a closed session's graph."""
         self.cancelled = True
+        self.callback = None
 
 
 class Tenant:
@@ -348,6 +351,8 @@ class Scheduler:
                 thread._tenant.threads.pop(thread, None)
             if self._last_running is thread:  # pin no removed thread
                 self._last_running = None
+            if self._burst_thread is thread:
+                self._burst_thread, self._burst_left = None, 0
 
     # ------------------------------------------------------------ tenants
 

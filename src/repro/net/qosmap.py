@@ -15,28 +15,18 @@ from repro.net.packets import HEADER_BYTES
 
 
 def bandwidth_demand(
-    spec: Typespec,
-    avg_item_bytes: float | None = None,
-    item_rate: float | None = None,
+    spec: Typespec, avg_item_bytes: float | None = None
 ) -> float | None:
     """Estimate the bandwidth (bits/s) a flow needs, or None if unknown.
 
     Uses the flow's frame rate (upper bound of a range) and either an
     explicit average item size or the flow's frame dimensions (assuming a
-    compressed size of ~0.1 bit per pixel, a rough MPEG-like figure).
-
-    When the typespec carries no usable frame rate but the caller knows
-    the average item size, the estimate falls back to ``avg_item_bytes``
-    at ``item_rate`` items/s (default 1.0 — a conservative floor) rather
-    than returning None, so admission control over non-media flows (the
-    multi-tenant fabric's common case) still gets a number to budget
-    with.  Only a flow with neither a rate nor an item size is unknown.
+    compressed size of ~0.1 bit per pixel, a rough MPEG-like figure).  A
+    flow without a usable frame rate is unknown.
     """
     rate = _upper(spec[props.FRAME_RATE])
     if rate is None:
-        if avg_item_bytes is None:
-            return None
-        rate = item_rate if item_rate is not None else 1.0
+        return None
     if avg_item_bytes is None:
         width = _upper(spec[props.FRAME_WIDTH])
         height = _upper(spec[props.FRAME_HEIGHT])

@@ -31,9 +31,10 @@ PACKAGE = ROOT / "src" / "repro"
 #: fabric TENANTS pane retired 36 more, `TraceContext.fork` /
 #: `FlowTrace.parent` are fan-out lineage, D4's `deploy --place`
 #: retired three, and the Figure-9 configurations run at `batch_max` 8
-#: and 32 retired `IterSource.pull_many`'s).
+#: and 32 retired `IterSource.pull_many`'s; deleting fabric admission
+#: control retired 14, and the QoS mapping's three are §2.1 again).
 #: Lower it when a row is retired; never raise it.
-EXCEPTION_ROWS = 30
+EXCEPTION_ROWS = 13
 
 KEPT = ("verification", "paper", "tested here", "exception")
 
@@ -145,7 +146,7 @@ class TestEveryExportAnswersToADriver:
             assert unanswered(
                 again, library_uses, driver_uses, rows + [row]
             ) == orphans
-        one_more = rows + [("repro.fabric.admission:surge_pricing",
+        one_more = rows + [("repro.fabric.session:surge_pricing",
                             "exception")]
         assert exception_rows(one_more) == exception_rows(rows) + 1
         assert exception_rows(rows) == EXCEPTION_ROWS, (

@@ -75,12 +75,9 @@ class TestAutoPlanner:
 
     def test_weights_steer_the_split(self):
         pipe = two_segment_pipeline()
-        heavy_up = plan_placement(
-            pipe,
-            Placement.auto(2, costs={"p1": 100.0, "src": 100.0}),
-        )
-        # Upstream segment is heaviest -> it alone on one shard either
-        # way; both segments must still be placed on distinct shards.
+        heavy_up = plan_placement(pipe, Placement.auto(2))
+        # Upstream segment is heaviest (three components to two) -> it
+        # alone on one shard; both segments land on distinct shards.
         assert heavy_up.assignment["p1"] != heavy_up.assignment["p2"]
 
     def test_drop_policy_buffer_is_not_a_seam(self):

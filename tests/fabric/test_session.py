@@ -21,7 +21,7 @@ from repro.errors import (
     SchedulerError,
     TypespecMismatch,
 )
-from repro.fabric import AdmissionController, SessionFabric
+from repro.fabric import SessionFabric
 from repro.mbt import Scheduler, VirtualClock
 
 
@@ -161,8 +161,9 @@ def incomplete_pipeline():
 
 
 class TestFailedOpenLeavesNothing:
-    """An open is all-or-nothing: whatever raises after admission, the
-    slot, the bare scope, the threads and the tenant are given back."""
+    """An open is all-or-nothing: whatever raises after the name checks,
+    the bare scope, the threads, their reservations and the tenant are
+    given back."""
 
     @pytest.mark.parametrize("namespace", [True, False])
     @pytest.mark.parametrize(
@@ -176,17 +177,15 @@ class TestFailedOpenLeavesNothing:
     def test_failed_open_releases_slot_and_scope(
         self, bad_program, error, namespace
     ):
-        admission = AdmissionController(max_sessions=1)
-        fabric = SessionFabric(admission=admission)
+        fabric = SessionFabric()
         with pytest.raises(error):
             fabric.open_session(bad_program, name="y", namespace=namespace)
-        assert admission.admitted_sessions == 0
         assert fabric._bare_session is None
         assert not fabric.sessions
         assert not fabric.scheduler.threads
         assert not fabric.scheduler.tenants
         fabric.close_session("y")  # nothing to close, nothing to break
-        # The one slot (and the one bare scope) is free for a valid open.
+        # The one bare scope is free for a valid open.
         build, sinks = counting_program()
         fabric.open_session(build, name="ok", namespace=namespace)
         run_rounds(fabric)
@@ -196,13 +195,11 @@ class TestFailedOpenLeavesNothing:
         # The weight is only looked at when the tenant is created — after
         # the engine spawned the session's threads on the shared scheduler.
         build, _ = counting_program()
-        admission = AdmissionController(max_sessions=1)
-        fabric = SessionFabric(admission=admission)
+        fabric = SessionFabric()
         with pytest.raises(SchedulerError, match="weight"):
             fabric.open_session(build, name="y", weight=0.0)
         assert not fabric.scheduler.threads
         assert not fabric.scheduler.tenants
-        assert admission.admitted_sessions == 0
         assert fabric.open_session(build, name="y") is not None
 
     def test_open_failing_after_a_reserve_leaves_nothing_committed(self):
@@ -240,15 +237,15 @@ class TestFailedOpenLeavesNothing:
         scheduler.run()
         assert neighbour.pipeline.component("sink").items == [0, 1, 2]
 
-    def test_second_bare_open_is_refused_before_admission(self):
+    def test_second_bare_open_is_refused(self):
         build, _ = counting_program()
-        admission = AdmissionController(max_sessions=2)
-        fabric = SessionFabric(admission=admission)
+        fabric = SessionFabric()
         fabric.open_session(build, name="cert", namespace=False)
         with pytest.raises(DeployError, match="bare"):
             fabric.open_session(build, name="other", namespace=False)
-        assert admission.admitted_sessions == 1
         assert fabric._bare_session == "cert"
+        assert list(fabric.sessions) == ["cert"]
+        assert set(fabric.scheduler.tenants) == {"cert"}
 
 
 class NoScanDict(dict):
@@ -362,6 +359,22 @@ class TestParking:
         fabric.unpark("s")
         assert not session.parked
 
+    def test_a_closed_session_is_neither_parked_nor_parkable(self):
+        build, _ = counting_program()
+        fabric = SessionFabric()
+        session = fabric.open_session(build, name="b")
+        fabric.park("b")
+        fabric.close_session("b")
+        assert session.closed and not session.parked
+        for verb in (fabric.park, fabric.unpark):
+            with pytest.raises(DeployError, match="'b' is not open"):
+                verb("b")
+            with pytest.raises(DeployError, match="'ghost' is not open"):
+                verb("ghost")
+        for verb in (session.park, session.unpark):
+            with pytest.raises(DeployError, match="'b' is not open"):
+                verb()
+
     def test_closing_one_parked_session_touches_only_its_own_threads(self):
         class NoScanSet(set):
             """The scheduler's parked set, refusing to be walked."""
@@ -416,6 +429,15 @@ class TestWeights:
         session.set_weight(8.0)
         assert session.tenant.weight == 8.0
         assert session.weight == 8.0
+
+    def test_a_refused_weight_changes_nothing(self):
+        build, _ = counting_program()
+        fabric = SessionFabric()
+        session = fabric.open_session(build, name="s", weight=2.0)
+        with pytest.raises(SchedulerError, match="weight"):
+            session.set_weight(-1)
+        assert session.weight == 2.0
+        assert session.tenant.weight == 2.0
 
     def test_weighted_vtime_accrual(self):
         build, _ = counting_program(items=200)

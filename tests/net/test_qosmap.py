@@ -19,35 +19,20 @@ class TestBandwidthDemand:
         demand = bandwidth_demand(spec, avg_item_bytes=1000)
         assert demand == pytest.approx(30 * (1000 + HEADER_BYTES) * 8)
 
-    def test_no_rate_falls_back_to_item_size(self):
-        # No usable frame rate, but a known item size: conservative
-        # 1 item/s floor instead of None (the fabric's admission path).
-        demand = bandwidth_demand(Typespec(), avg_item_bytes=1000)
-        assert demand == pytest.approx((1000 + HEADER_BYTES) * 8)
-
-    def test_no_rate_with_explicit_item_rate(self):
-        demand = bandwidth_demand(
-            Typespec(), avg_item_bytes=1000, item_rate=250.0
-        )
-        assert demand == pytest.approx(250 * (1000 + HEADER_BYTES) * 8)
-
-    def test_frame_rate_beats_item_rate_fallback(self):
-        # A usable frame rate wins; item_rate is only the fallback.
-        spec = Typespec({props.FRAME_RATE: 30})
-        demand = bandwidth_demand(spec, avg_item_bytes=1000, item_rate=99.0)
-        assert demand == pytest.approx(30 * (1000 + HEADER_BYTES) * 8)
+    def test_no_rate_is_unknown_even_with_an_item_size(self):
+        # Without a usable frame rate an item size prices nothing.
+        assert bandwidth_demand(Typespec(), avg_item_bytes=1000) is None
 
     def test_unknown_rate_and_size_returns_none(self):
         assert bandwidth_demand(Typespec()) is None
 
     def test_any_rate_is_unusable(self):
         # props.FRAME_RATE present but ANY still counts as "no usable
-        # rate" and takes the item-size fallback.
+        # rate": the demand is unknown.
         from repro.core.typespec import ANY
 
         spec = Typespec({props.FRAME_RATE: ANY})
-        demand = bandwidth_demand(spec, avg_item_bytes=500)
-        assert demand == pytest.approx((500 + HEADER_BYTES) * 8)
+        assert bandwidth_demand(spec, avg_item_bytes=500) is None
 
     def test_dimensions_imply_size(self):
         spec = Typespec({

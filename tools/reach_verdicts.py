@@ -34,9 +34,6 @@ VERDICTS = {
 OPEN_10K = ("owed ROADMAP 1(a) `fabric-open-10k` (open / park / unpark / "
             "close churn at a steady fleet)")
 FAIRNESS = "owed ROADMAP 1(c): tenant fairness as a step-counted metric"
-HAND_PLACED = ("owed a placement workload: D4's hand-placed run (`repro "
-               "deploy --place`) builds its `Placement` and calls "
-               "`Pipeline.deployment`, and nothing places by cost")
 CROSSING = ("owed ROADMAP 3(a): an instrumented run with a coroutine "
             "crossing (`fig9a-obs` has none)")
 
@@ -88,12 +85,6 @@ RULES = [
 
     # ---------------------------------------------------------------- pile
     # (iii): documented extensions with no real driver — the debt list.
-    ("repro.fabric.admission:*", "exception", OPEN_10K),
-    ("repro.net.qosmap:*", "exception", OPEN_10K + "; admission's demand "
-     "estimate"),
-    ("repro.fabric.session:SessionRejected.__init__", "exception", OPEN_10K),
-    ("repro.fabric.session:SessionFabric.admit_pending", "exception",
-     OPEN_10K),
     ("repro.fabric.session:SessionFabric.park", "exception", OPEN_10K),
     ("repro.fabric.session:SessionFabric.unpark", "exception", OPEN_10K),
     ("repro.fabric.session:Session.unpark", "exception", OPEN_10K),
@@ -110,6 +101,14 @@ RULES = [
      "CPU (`fig9a-obs` charges none)"),
 
     # --------------------------------------------------------------- paper
+    ("repro.net.qosmap:bandwidth_demand", "paper",
+     "§2.1: \"These components also encapsulate the QoS mapping of netpipe "
+     "properties and information flow properties\" (a flow's rate and frame "
+     "size as a bandwidth demand)"),
+    ("repro.net.qosmap:link_admits", "paper",
+     "§2.1: the QoS mapping (can a link carry that demand)"),
+    ("repro.net.qosmap:_upper", "paper",
+     "§2.1: the QoS mapping (a rate or size range's upper bound)"),
     ("repro.components.batch:Pu??Batcher.*", "paper",
      "§3.3: batching as components (the pre-batch-plane formulation the "
      "defragmenter rules are stated on)"),
@@ -420,6 +419,9 @@ RULES = [
     ("repro.fabric.session:Session.threads", "verification",
      "reference accessor: a session's threads, for the isolation and "
      "parked-fleet tests"),
+    ("repro.fabric.session:SessionFabric._open", "verification",
+     "input validation: `park` / `unpark` name an open session, or raise "
+     "`DeployError` naming it"),
     ("repro.fabric.session:SessionFabric.completed", "verification",
      "reference accessor: sessions that ran to completion"),
     ("repro.fabric.session:SessionFabric.run_to_completion", "verification",
@@ -678,6 +680,32 @@ DELETED: list[tuple[str, int, str, str]] = [
     ("repro.api:Pipeline.from_source(registry=) (a parameter: no "
      "function-lines; `from_lang` was its one caller)", 0,
      "check/test_refinement.py", "none"),
+    # The front-door policies nothing selects (measured at their parent,
+    # 6887ba6): fabric admission control and cost-weighted placement.
+    ("repro.fabric.admission:SessionRequest, Decision, AdmissionController, "
+     "reject_over_capacity, queue_over_capacity, degrade_over_capacity, "
+     "_over_budget (12 functions; the module was 202 lines, with "
+     "`SessionFabric(admission=)`, `SessionFabric.pending` and "
+     "`Session.decision`)", 101,
+     "fabric/test_admission.py, fabric/test_session.py",
+     "`tests/fabric/test_admission.py` (11 tests; `TestFailedOpenLeaves"
+     "Nothing` keeps every assertion but the slot's)"),
+    ("repro.fabric.session:SessionRejected.__init__", 6,
+     "fabric/test_admission.py", "with `tests/fabric/test_admission.py`"),
+    ("repro.fabric.session:SessionFabric.admit_pending (with "
+     "`open_session(request=, start=)`)", 19, "fabric/test_admission.py",
+     "with `tests/fabric/test_admission.py`"),
+    ("repro.net.qosmap:bandwidth_demand(item_rate=) (a parameter and the "
+     "no-rate fallback that priced admission's non-media flows)", 0,
+     "fabric/test_admission.py, net/test_qosmap.py",
+     "`TestBandwidthDemand::test_no_rate_with_explicit_item_rate`, "
+     "`::test_frame_rate_beats_item_rate_fallback` "
+     "(`test_no_rate_falls_back_to_item_size` is now "
+     "`test_no_rate_is_unknown_even_with_an_item_size`)"),
+    ("repro.deploy.placement:_component_weights (with `Placement.costs` "
+     "and `Placement.auto(costs=)`; a segment weighs its component count, "
+     "which every caller got)", 16, "D1-D4", "none "
+     "(`test_weights_steer_the_split` drops its `costs=`)"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
@@ -705,8 +733,12 @@ KEPT_PARAMETERS = [
      "closes the last running slice of a bare event list, which has no "
      "clock to ask (a scheduler source knows its own time): the exporter "
      "tests' input"),
+    ("repro.fabric.session:SessionFabric.open_session", "weight",
+     "the session's fair share, which `TestWeights` and "
+     "`tests/fabric/test_fairness.py` set (`admit_pending`'s `**kwargs` "
+     "counted as passing it); " + FAIRNESS),
     ("repro.api:Pipeline.deploy", "placement",
-     "the hand-placed deploy in one call; " + HAND_PLACED),
-    ("repro.deploy.placement:Placement.auto", "costs",
-     "cost-weighted planning, which `plan_shards` reads; " + HAND_PLACED),
+     "the hand-placed deploy in one call: D4's hand-placed run (`repro "
+     "deploy --place`) passes its `Placement` to `Pipeline.deployment`, "
+     "which this forwards to; owed a placement workload"),
 ]
