@@ -4,11 +4,12 @@ The paper's thread-transparency claim — push/pull/control interfaces hide
 all threading and synchronization — only holds if it holds under *every*
 schedule the priority semantics allow, not just the default one.  The
 scheduler's dispatch order is fully determined except at one point: when
-several ready threads share the most urgent ``(priority, deadline)`` key,
-the tie is broken by fairness bookkeeping (``last_ran``, creation index).
-:func:`explore` re-runs a program N times, each time perturbing exactly
-those tie-breaks with a seeded RNG injected through
-:attr:`repro.mbt.scheduler.Scheduler.choice_hook`.  Every produced
+several ready-heap entries share the top's ``(priority, vtime,
+deadline)`` key, the tie is broken by fairness bookkeeping
+(``last_ran``, creation index).  :func:`explore` re-runs a program N
+times, each time perturbing exactly those tie-breaks with a seeded RNG
+injected through :attr:`repro.mbt.scheduler.Scheduler.choice_hook`;
+bursts and Reposts run as in production.  Every produced
 schedule is therefore *legal* — constraints and priorities are never
 violated — so any user-visible invariant (flow conservation, FIFO order,
 absence of deadlock) must survive all of them.

@@ -28,7 +28,8 @@ def fabric_hosted(
     sessions running it too.  The build is the certified session's own
     Engine, opened un-namespaced (the twin's channel names) and started,
     so the drive runs the shared scheduler: exploration perturbs every
-    tenant.  The dispatch ``quantum`` is part of what is certified."""
+    tenant.  The dispatch ``quantum`` is part of what is certified: its
+    bursts and Reposts run under the explorer as they ship."""
 
     def build() -> Engine:
         fabric = SessionFabric(quantum=quantum)

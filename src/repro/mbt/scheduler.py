@@ -77,12 +77,12 @@ Three optional hooks exist solely for the deterministic-simulation
 toolkit in :mod:`repro.check`; each is a single ``is not None`` test on
 the relevant path and therefore free when unused:
 
-* :attr:`Scheduler.choice_hook` — called by ``_pick_ready`` (and the
-  linear oracle) with the list of *equally most urgent* ready threads
-  whenever there is more than one; it returns the thread to dispatch.
-  Because only ties are delegated, every schedule the hook can produce
-  is one the priority/constraint semantics already allow — the schedule
-  explorer perturbs exactly this choice.
+* :attr:`Scheduler.choice_hook` — called by ``_pick_ready`` with the
+  ready threads tied at the heap top whenever there is more than one; it
+  returns the thread to dispatch.  Bursts and Reposts follow production
+  policy under the hook (a taken Repost has one candidate), so every
+  schedule it can produce is one the shipped scheduler allows — the
+  schedule explorer perturbs exactly this choice.
 * :attr:`Scheduler.delivery_interceptor` — called by ``_deliver`` with
   each message before it is enqueued; may drop or delay it (fault
   injection at mailbox granularity, see :mod:`repro.check.faults`).
@@ -275,8 +275,8 @@ class Scheduler:
         self._current: MThread | None = None
 
         #: Tie-break hook for schedule exploration (see module docstring):
-        #: ``hook(candidates) -> MThread`` with ``candidates`` the equally
-        #: most urgent ready threads in the default dispatch order, so
+        #: ``hook(candidates) -> MThread`` with ``candidates`` the threads
+        #: tied at the heap top in the default dispatch order, so
         #: ``candidates[0]`` is what the unhooked scheduler would pick.
         self.choice_hook: Callable[[list[MThread]], MThread] | None = None
         #: Fault-injection hook: ``interceptor(message)`` returning None
@@ -307,7 +307,8 @@ class Scheduler:
         #: Set when a deadline-constrained entry enters the ready heap;
         #: aborts any burst so EDF urgency is never deferred behind a
         #: quantum (priority urgency needs no flag: a more-urgent
-        #: priority always surfaces at the heap top).
+        #: priority surfaces at the heap top, or sits below the burst
+        #: thread's own stale entry, which is then more urgent too).
         self._deadline_push = False
         #: Parked (quiesced) threads; they hold no ready-heap entry, so
         #: dispatch cost is independent of the number of idle sessions.
@@ -722,40 +723,44 @@ class Scheduler:
     def _holds_burst(self, thread: MThread) -> bool:
         """The burst predicate: ``thread`` takes its next dispatch with no
         heap visit — it holds the burst with quantum left, no deadline
-        entry or choice hook asks for a fair re-evaluation, it is ready
-        (mid-dispatch: live and unparked), and no rival that displaced
-        its stale entry at the top is more urgent ignoring virtual time.
+        entry asks for a fair re-evaluation, it is ready (mid-dispatch:
+        live and unparked), and the live top — a rival, or its own stale
+        entry, which may carry a more urgent key than the one it now
+        runs under — is not more urgent ignoring virtual time.
         Quantum-bounded vtime unfairness is the point of a burst, but
         priority and deadline urgency rotate at once."""
         if (
             thread is not self._burst_thread
             or self._burst_left <= 0
             or self._deadline_push
-            or self.choice_hook is not None
             or not thread.is_ready()
         ):
             return False
         top = self._live_top()
-        if top is None or top[6] is thread:
-            return True
-        key = thread.effective_sort_key()
-        return not (
-            top[0] < key[0] or (top[0] == key[0] and top[2] < key[1])
-        )
+        return top is None or not (top[0], top[2]) < thread.effective_sort_key()
 
     def _pick_ready(self) -> MThread | None:
+        """The one pick: the held burst, else the live heap top.  A
+        ``choice_hook`` is asked only at a real tie — two or more live
+        entries sharing the top's ``(priority, vtime, deadline)``, in
+        ``(last_ran, index)`` order, so the top comes first."""
         burst = self._burst_thread
         if burst is not None:
             if self._holds_burst(burst):
                 self._burst_left -= 1
                 return burst
             self._finish_burst()
-        if self.choice_hook is not None:
-            return self._pick_ready_hooked()
         top = self._live_top()
         if top is None:
             return None
         thread = top[6]
+        if self.choice_hook is not None:
+            ties = sorted(
+                entry for entry in self._ready_heap
+                if entry[6] is not None and entry[:3] == top[:3]
+            )
+            if len(ties) > 1:
+                thread = self.choice_hook([entry[6] for entry in ties])
         if self.fair_quantum > 1 and thread._tenant is not None:
             self._burst_thread = thread
             self._burst_left = self.fair_quantum - 1
@@ -790,34 +795,6 @@ class Scheduler:
         if thread is not None:
             self._reindex(thread)
 
-    def _ready_candidates(self) -> list[MThread]:
-        """The equally most urgent ready threads, default dispatch order.
-
-        ``candidates[0]`` is exactly the thread the heap (or linear) pick
-        would return; any other candidate shares its ``(priority, vtime,
-        deadline)`` key, so dispatching it instead is a legal schedule.
-        """
-        best: tuple[float, float, float] | None = None
-        candidates: list[MThread] = []
-        for thread in self.threads.values():
-            if not thread.is_ready():
-                continue
-            key = self._fair_key(thread)
-            if best is None or key < best:
-                best, candidates = key, [thread]
-            elif key == best:
-                candidates.append(thread)
-        candidates.sort(key=lambda t: (t._last_ran, t._index))
-        return candidates
-
-    def _pick_ready_hooked(self) -> MThread | None:
-        candidates = self._ready_candidates()
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        return self.choice_hook(candidates)
-
     def _exists_more_urgent_ready(self, current: MThread) -> bool:
         """The preemption test: a ready rival is strictly more urgent by
         ``(priority, vtime, deadline)``."""
@@ -841,8 +818,6 @@ class Scheduler:
 
     def _pick_ready_linear(self) -> MThread | None:
         """The original O(n) scan; must pick exactly what the heap picks."""
-        if self.choice_hook is not None:
-            return self._pick_ready_hooked()
         best: MThread | None = None
         best_key: tuple | None = None
         for thread in self.threads.values():
@@ -1100,18 +1075,17 @@ class Scheduler:
     def _takes_repost(self, thread: MThread, request: Repost) -> bool:
         """Whether run() would dispatch ``request``'s self-message next
         with nothing in between: nothing is queued ahead of it (a control
-        event would run first), no interceptor or choice hook must see
-        it, it keeps the running message's constraint, run's step and
-        time limits allow one more step, and the thread is picked next:
-        its burst holds, or, untenanted, the live heap top is strictly
-        less urgent by ``(priority, vtime, deadline)`` — on a tie the
-        rival, having run longer ago, is picked."""
+        event would run first), no interceptor must see it, it keeps the
+        running message's constraint, run's step and time limits allow
+        one more step, and the thread is picked next: its burst holds,
+        or, untenanted, the live heap top is strictly less urgent by
+        ``(priority, vtime, deadline)`` — on a tie the rival, having run
+        longer ago, is picked."""
         until, max_steps = self._limits
         if (
             thread.mailbox._heap
             or thread.parked
             or self.delivery_interceptor is not None
-            or self.choice_hook is not None
             or thread._current_message.constraint is not request.constraint
             or (max_steps is not None and self.steps >= max_steps)
             or (until is not None and self._clock_now() > until + _EPS)

@@ -45,6 +45,26 @@ def test_every_committed_certificate_refines(document):
         assert cert.counterexample is None
 
 
+def test_the_quantum_is_part_of_what_is_certified(document):
+    """The explorer runs bursts and Reposts as production does, so the
+    quantum-8 and quantum-1 certificates hold different schedules: no
+    run trace hash in common, and fewer ties per run at quantum 8,
+    where a burst is no choice point."""
+    certificates = document["certificates"]
+    q8, q1 = (
+        certificates[name]["concrete"]["runs"]
+        for name in ("fig2-fabric-hosted", "fig2-fabric-hosted-q1")
+    )
+    assert not {run["trace_hash"] for run in q8} & {
+        run["trace_hash"] for run in q1
+    }
+
+    def choices_per_run(runs):
+        return sum(run["n_choices"] for run in runs) / len(runs)
+
+    assert choices_per_run(q8) < choices_per_run(q1)
+
+
 def test_the_hosted_side_is_the_certified_sessions_own_engine(document):
     """``fabric_hosted``'s build is the session's Engine on the fabric's
     shared scheduler, opened started; its drive runs every tenant."""

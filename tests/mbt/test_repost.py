@@ -93,7 +93,6 @@ def takes_on_ties(self, thread, request):
         thread._tenant is None
         and not thread.mailbox._heap
         and self.delivery_interceptor is None
-        and self.choice_hook is None
         and thread._current_message.constraint is request.constraint
         and (max_steps is None or self.steps < max_steps)
         and (until is None or self._clock_now() <= until + _EPS)
@@ -326,8 +325,10 @@ def woken_and_metered(tenants=3):
     faster than a CPU-charging producer fills it, so it waits and its
     buffer's gate wakes it with an unconstrained ``cycle``; its section
     crosses into a coroutine, whose requests inherit the constraint of
-    the message the pump is running."""
-    fabric = SessionFabric(quantum=8)
+    the message the pump is running.  The quantum is 2: at 8 each
+    producer's first burst fills its buffer before the consumer's first
+    cycle, and the two then alternate, so no consumer ever waits."""
+    fabric = SessionFabric(quantum=2)
     sessions = []
     for sid in range(tenants):
         def build():
@@ -721,14 +722,16 @@ def test_mutant_that_takes_on_a_tie_fails_the_two_pump_ordering(
     assert mutant["trace"] != oracle["trace"]
 
 
-def test_a_choice_hook_run_declines_every_repost(monkeypatch):
-    """The explorer perturbs ties through ``choice_hook``; with one set,
-    every cycle is a message, so the hook sees each pick it would."""
+def test_a_choice_hook_run_takes_reposts(monkeypatch):
+    """The explorer perturbs ties through ``choice_hook``, and a taken
+    Repost is no tie (its thread is the one candidate), so a hooked run
+    takes Reposts like an unhooked one: the schedule the hook steers is
+    the oracle's under the same hook, with fewer messages."""
     (seen, delivered), (oracle, oracle_delivered) = against_the_oracle(
         monkeypatch, build=two_pumps, hook=lambda candidates: candidates[-1]
     )
     assert seen == oracle
-    assert delivered == oracle_delivered
+    assert delivered < oracle_delivered
 
 
 def test_a_metered_engine_exposes_the_oracles_metrics(monkeypatch):
