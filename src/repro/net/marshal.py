@@ -150,8 +150,9 @@ def decode_item(data) -> Any:
         return codec[1](data)
     try:
         item, offset = _decode(data, 0)
-    except struct.error as exc:
-        raise MarshalError(f"truncated data: {exc}") from None
+    except (struct.error, UnicodeDecodeError, TypeError) as exc:
+        # short bytes, a string that is not UTF-8, or an unhashable key
+        raise MarshalError(f"truncated or malformed data: {exc}") from None
     if offset != len(data):
         raise MarshalError(
             f"trailing garbage: consumed {offset} of {len(data)} bytes"
@@ -362,12 +363,7 @@ class EncodedRun(ColumnarRun):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self.chunk(i) for i in range(len(self))[index]]
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(index)
-        return self.chunk(index)
+        return self.chunk(range(len(self))[index])
 
     @property
     def nbytes(self) -> int:
@@ -569,18 +565,27 @@ def split_flow_chunk(chunks: list) -> tuple[list, list | None]:
 
     The trace-context side-chunk, when present, is always the last chunk
     of a frame.  Returns the entries decoded by :func:`encode_flow_chunk`
-    or ``None`` when the frame carries no flow chunk.
+    or ``None`` when the frame carries no flow chunk.  Anything but what
+    it writes — a list of ``(index, dict)`` pairs, the indices ascending
+    ints within the data chunks — raises :class:`MarshalError`.
     """
-    if not chunks:
-        return chunks, None
-    last = chunks[-1]
+    last = chunks[-1] if chunks else b""
     if (
         not isinstance(last, (bytes, bytearray, memoryview))
         or not len(last)
         or last[0] != FLOW_CHUNK_MAGIC
     ):
         return chunks, None
-    return chunks[:-1], decode_item(last[1:])
+    data, entries, previous = chunks[:-1], decode_item(last[1:]), -1
+    if type(entries) is not list:
+        raise MarshalError(f"forged flow side-chunk: {entries!r:.80}")
+    for entry in entries:
+        if (type(entry) is not tuple or len(entry) != 2
+                or type(entry[0]) is not int or type(entry[1]) is not dict
+                or not previous < entry[0] < len(data)):
+            raise MarshalError(f"forged flow side-chunk: {entry!r:.80}")
+        previous = entry[0]
+    return data, entries
 
 
 # -- marshalling filters -------------------------------------------------------

@@ -79,6 +79,23 @@ class TestRegistry:
                                             "'zip_buffer'"):
             default_registry().resolve("zip_buffer")
 
+    def test_a_deferred_factory_loads_once_on_first_resolve(self):
+        loads = []
+        registry = Registry()
+        registry.defer("late", lambda: loads.append("late") or CollectSink)
+        assert registry.knows("late") and registry.names() == {"late"}
+        assert loads == []
+        assert registry.child().resolve("late") is CollectSink
+        assert registry.resolve("late") is CollectSink
+        assert loads == ["late"]
+
+    def test_a_registered_name_shadows_a_deferred_one(self):
+        registry = Registry()
+        registry.defer("late", lambda: pytest.fail("loaded"))
+        registry.register("late", CollectSink)
+        assert registry.resolve("late") is CollectSink
+        assert registry.names() == {"late"}
+
     def test_child_scope_shadows_parent(self):
         parent = default_registry()
         child = parent.child()
