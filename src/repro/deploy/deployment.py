@@ -15,9 +15,10 @@ Execution modes:
 * ``shards == 1`` — ``repro.api.Pipeline.build()`` run in-process,
   bit-for-bit the scheduler trace of ``repro.api.Pipeline.run`` (the
   golden traces pin this).
-* ``shards > 1`` — one OS process per shard; cut edges are bridged with
-  PR 4's coalesced netpipe frames over ``socket.socketpair()`` (or TCP)
-  via :class:`~repro.net.socketlink.SocketLink`.
+* ``shards > 1`` — one OS process per shard and one
+  ``socket.socketpair()`` (or TCP pair) per shard pair that a cut joins;
+  each cut edge is a credited stream of the pair's
+  :class:`~repro.net.mux.StreamMux`, carrying coalesced netpipe frames.
 * :meth:`simulate` — the sharded topology co-simulated inside ONE engine
   over in-process links: deterministic, seedable, and what
   :meth:`certify` explores.
@@ -25,6 +26,7 @@ Execution modes:
 
 from __future__ import annotations
 
+import signal
 import socket
 import time
 from dataclasses import dataclass
@@ -42,6 +44,24 @@ from repro.deploy.worker import (
     shard_main,
 )
 from repro.net.socketlink import InProcessLink, tcp_socketpair
+
+
+def _stop_shards(processes: list, conns) -> str:
+    """Close the control pipes and reap every shard, terminating one
+    still alive after 10 s; returns which shards a signal had ended
+    first ("shard 1 was killed by SIGKILL"), or ""."""
+    for conn in conns:
+        conn.close()
+    deadline, killed = time.monotonic() + 10.0, []
+    for shard, process in enumerate(processes):
+        process.join(max(0.0, deadline - time.monotonic()))
+        if (process.exitcode or 0) < 0:
+            name = signal.Signals(-process.exitcode).name
+            killed.append(f"shard {shard} was killed by {name}")
+        if process.is_alive():
+            process.terminate()
+            process.join(1.0)
+    return ", ".join(killed)
 
 
 def _socketpair_for(transport: str):
@@ -226,7 +246,10 @@ class Deployment:
 
         ctx = mp.get_context(self.start_method)
         pairs = {
-            cut.index: _socketpair_for(self.transport) for cut in plan.cuts
+            pair: _socketpair_for(self.transport)
+            for pair in {
+                tuple(sorted((c.src_shard, c.dst_shard))) for c in plan.cuts
+            }
         }
         processes: list = []
         conns: dict[Any, int] = {}
@@ -234,17 +257,15 @@ class Deployment:
             for shard in range(plan.shards):
                 spec = ShardSpec(
                     shard=shard,
-                    shards=plan.shards,
                     app=self.app,
                     assignment=dict(plan.assignment),
                     cuts=plan.cuts,
                 )
-                socks = {}
-                for cut in plan.cuts:
-                    if cut.src_shard == shard:
-                        socks[cut.index] = pairs[cut.index][0]
-                    elif cut.dst_shard == shard:
-                        socks[cut.index] = pairs[cut.index][1]
+                socks = {  # peer shard -> this shard's end of their pair
+                    high if low == shard else low: ends[low != shard]
+                    for (low, high), ends in pairs.items()
+                    if shard in (low, high)
+                }
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=shard_main,
@@ -280,15 +301,15 @@ class Deployment:
                 },
                 transport=self.transport,
             )
+        except DeployError as failure:
+            # A killed shard is the cause; what its peers reported (an
+            # EOF, a broken link) are the consequences.
+            killed = _stop_shards(processes, conns)
+            if killed:
+                raise DeployError(f"{killed}; {failure}") from failure
+            raise
         finally:
-            for conn in conns:
-                conn.close()
-            deadline = time.monotonic() + 10.0
-            for process in processes:
-                process.join(max(0.0, deadline - time.monotonic()))
-                if process.is_alive():
-                    process.terminate()
-                    process.join(1.0)
+            _stop_shards(processes, conns)
 
     @staticmethod
     def _await_all(conns, kind: str, timeout: float | None):

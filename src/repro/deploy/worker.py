@@ -4,9 +4,10 @@ Each shard is one OS process running one :class:`~repro.runtime.engine
 .Engine`.  The worker rebuilds the *whole* pipeline from the run spec's
 program (a microlanguage source string or a picklable builder callable —
 nothing live crosses the process boundary), applies the plan's cuts,
-keeps only its own shard's connected subgraph, bridges the cut edges
-with :class:`~repro.net.socketlink.SocketLink` transports whose socket
-ends the parent passed in, and realises the spec over that subgraph
+keeps only its own shard's connected subgraph, bridges each cut edge with
+a credited stream (:data:`SEAM_WINDOW`) of the one
+:class:`~repro.net.mux.StreamMux` it keeps per peer shard, over the
+socket end the parent passed in, and realises the spec over that subgraph
 (:meth:`repro.api.Pipeline.build`) — so every execution option stated on
 the spec means in a shard what it means in-process.
 
@@ -16,9 +17,10 @@ Lifecycle (the cross-process start/EOS/shutdown barrier):
 2. parent broadcasts ``("go",)`` once every shard is ready — children
    time their run span from here, so spawn/import/build cost never
    pollutes throughput numbers;
-3. the engine runs via :meth:`Engine.run_with_io`, pumping inbound
-   sockets between scheduler runs; EOS crosses the wire as a framed
-   message and completes downstream pump drivers;
+3. the engine runs via :meth:`Engine.run_with_io`, pumping the muxes
+   between scheduler runs; a pump whose stream's window is spent parks
+   until the peer's grant arrives, and EOS crosses as a stream record
+   that completes downstream pump drivers;
 4. child reports ``("done", payload)`` with stats, a metrics dump and
    its collected sink items, then waits for ``("exit",)``.
 """
@@ -26,6 +28,7 @@ Lifecycle (the cross-process start/EOS/shutdown barrier):
 from __future__ import annotations
 
 import pickle
+import select
 import time
 import traceback
 from dataclasses import dataclass
@@ -40,6 +43,7 @@ from repro.core.typespec import Typespec, props
 from repro.errors import DeployError
 from repro.deploy.placement import Cut
 from repro.net.marshal import MarshalFilter, UnmarshalFilter
+from repro.net.mux import StreamMux
 from repro.net.netpipe import NetpipeReceiver, NetpipeSender
 from repro.net.socketlink import SocketLink
 
@@ -49,7 +53,6 @@ class ShardSpec:
     """Everything a shard process needs, in picklable form."""
 
     shard: int
-    shards: int
     #: The run spec: the program (source string or picklable builder
     #: callable) and every execution option, exactly as stated once.
     app: api.Pipeline
@@ -175,86 +178,69 @@ def extract_shard(
     return shard_pipe
 
 
+#: A seam's credit window, in items: what a cut's sender may have sent
+#: that its receiver's consumer has not drained.  A grant leaves when the
+#: receiving scheduler idles, so a small window runs stop-and-wait:
+#: ``python3 -m bench --workload deploy-seam-2shard --seconds 6`` (2-vCPU
+#: container, medians of 3) read 1 024 -> 756k items/s, 2 048 -> 867k,
+#: 4 096 -> 1 390k, 8 192 -> 1 453k; docs/DEPLOY.md has the table.
+SEAM_WINDOW = 8192
+
+
 def build_shard_pipeline(
     spec: ShardSpec, sockets: dict[int, Any]
-) -> tuple[Pipeline, dict[int, SocketLink]]:
-    """Build this shard's pipeline and every socket transport it uses,
-    inbound and outbound, keyed by cut index.  The caller owns the links
+) -> tuple[Pipeline, dict[int, StreamMux]]:
+    """Build this shard's pipeline and one mux per peer shard, over the
+    socket ``sockets`` holds for that peer; each cut of this shard is
+    stream ``cut.index`` of its pair's mux.  The caller owns the muxes
     and closes them."""
     pipeline = build_program(spec.app.program)
-    links: dict[int, SocketLink] = {}
+    muxes = {
+        peer: StreamMux(SocketLink(
+            sock_out=sock, sock_in=sock, src=f"shard-{spec.shard}",
+            dst=f"shard-{peer}", flow=f"shards-{spec.shard}-{peer}",
+        ))
+        for peer, sock in sockets.items()
+    }
 
     def transport_for(cut: Cut):
         build_send = cut.src_shard == spec.shard
         build_recv = cut.dst_shard == spec.shard
         if not (build_send or build_recv):
             return None, False, False
-        sock = sockets[cut.index]
-        link = SocketLink(
-            sock_out=sock, sock_in=sock,
-            src=f"shard-{cut.src_shard}", dst=f"shard-{cut.dst_shard}",
-            flow=cut.via,
-        )
-        links[cut.index] = link
-        return link, build_send, build_recv
+        mux = muxes[cut.dst_shard if build_send else cut.src_shard]
+        stream = mux.open_stream(cut.index, credits=SEAM_WINDOW)
+        # The netpipe halves stamp these as their locations.
+        stream.src = f"shard-{cut.src_shard}"
+        stream.dst = f"shard-{cut.dst_shard}"
+        return stream, build_send, build_recv
 
     bridges = apply_cuts(pipeline, spec.cuts, transport_for)
     shard_pipe = extract_shard(
         pipeline, spec.assignment, spec.cuts, spec.shard, bridges
     )
-    return shard_pipe, links
-
-
-#: Receive-ahead bound, in items: a wire receiver already holding this many
-#: is not handed more; the rest waits in the link's read buffer and the
-#: kernel's socket buffer, where it blocks the producer's ``sendall``.
-#: It stands in for the capacity of the buffer a cut removes, and is
-#: deliberately not that capacity: every refill costs a ``select`` and a
-#: scheduler re-entry, so a bound as small as ``buffer(64)`` spends the
-#: seam's gain on them.  Picked by measurement, ``python3 -m bench
-#: --workload deploy-seam-2shard --seconds 15``, medians of three runs
-#: (seeds 40-42), items/s by bound: 64 -> 672k, 128 -> 754k, 256 -> 816k,
-#: 512 -> 864k, 1024 -> 881k, 4096 -> 895k, unbounded -> 904k, with
-#: ``peak_rss_mb`` 78.2-78.6 on every row.  1024 is the knee.
-RECEIVE_AHEAD_ITEMS = 1024
+    return shard_pipe, muxes
 
 
 class ShardIO:
-    """The engine's I/O pump: the shard's wire receivers (each fed by its
-    own inbound link) plus the control pipe."""
+    """The engine's I/O source: the shard's muxes, one per peer shard,
+    plus the control pipe."""
 
-    def __init__(self, receivers: list[NetpipeReceiver], conn):
-        self.receivers = receivers
+    def __init__(self, muxes: list[StreamMux], conn):
+        self.muxes = muxes
         self.conn = conn
         self.stop_requested = False
 
     def pump(self) -> int:
-        """Top every receiver up to the receive-ahead bound, one message
-        (a frame is one message) at a time; a frame that overshoots the
-        bound is still delivered whole."""
-        delivered = 0
-        for receiver in self.receivers:
-            pump = receiver.protocol.pump
-            while receiver.fill_level < RECEIVE_AHEAD_ITEMS and pump(1):
-                delivered += 1
-        return delivered
+        return sum(mux.pump() for mux in self.muxes)
 
     def wait(self, timeout: float) -> bool:
-        import select as _select
-
-        # A receiver at its bound is waiting for the engine, not for the
-        # wire: its readable socket must not turn this wait into a spin.
-        readables = [
-            r.protocol for r in self.receivers
-            if r.fill_level < RECEIVE_AHEAD_ITEMS
-            and not r.protocol.peer_closed
-        ]
-        ready, _, _ = _select.select(
-            [*readables, self.conn], [], [], timeout
+        ready, _, _ = select.select(
+            [*(mux.inbound for mux in self.muxes), self.conn], [], [],
+            timeout,
         )
-        for item in ready:
-            if item is self.conn:
-                self._drain_control()
+        if self.conn in ready:
+            self._drain_control()
         return any(item is not self.conn for item in ready)
 
     def _drain_control(self) -> None:
@@ -264,8 +250,7 @@ class ShardIO:
                 self.stop_requested = True
 
     def should_stop(self) -> bool:
-        if self.conn.poll():
-            self._drain_control()
+        self._drain_control()
         return self.stop_requested
 
 
@@ -329,21 +314,15 @@ def done_payload(
 
 
 def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
-    """Process entry point for one shard (top level: spawn-picklable)."""
-    links: dict[int, SocketLink] = {}
+    """Process entry point for one shard (top level: spawn-picklable);
+    ``sockets`` holds this shard's end of the link to each peer shard."""
+    muxes: dict[int, StreamMux] = {}
     try:
-        shard_pipe, links = build_shard_pipeline(spec, sockets)
+        shard_pipe, muxes = build_shard_pipeline(spec, sockets)
         built = spec.app.build(shard_pipe)
         engine = built.engine
         engine.setup()
-        io = ShardIO(
-            [
-                c for c in shard_pipe.components
-                if isinstance(c, NetpipeReceiver)
-                and isinstance(c.protocol, SocketLink)
-            ],
-            conn,
-        )
+        io = ShardIO(list(muxes.values()), conn)
         conn.send(("ready", spec.shard))
         message = conn.recv()
         if not message or message[0] != "go":
@@ -354,7 +333,7 @@ def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
         payload = done_payload(
             spec.shard, built, time.perf_counter() - started,
             {
-                cut.index: dict(links[cut.index].stats)
+                cut.index: dict(muxes[cut.src_shard].streams[cut.index].stats)
                 for cut in spec.cuts if cut.dst_shard == spec.shard
             },
         )
@@ -372,6 +351,6 @@ def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
-        for link in links.values():
-            link.close()
+        for mux in muxes.values():  # its trains left as the engine idled
+            mux.transport.close()
         conn.close()

@@ -58,6 +58,9 @@ _T_TUPLE = 7
 _T_LIST = 8
 _T_DICT = 9
 _T_CUSTOM = 10
+#: How many values deep one item may nest (itself the first), on the wire
+#: and off it: deeper is a ``MarshalError``, never a ``RecursionError``.
+MAX_NESTING = 100
 
 _custom_encoders: dict[type, tuple[str, Callable[[Any], dict]]] = {}
 _custom_decoders: dict[str, Callable[[dict], Any]] = {}
@@ -127,7 +130,10 @@ def register_run_codec(
 def encode_item(item: Any) -> bytes:
     """Encode an item to wire bytes."""
     out = bytearray()
-    _encode(item, out)
+    try:
+        _encode(item, out, 0)
+    except struct.error as exc:  # an int outside int64, say
+        raise MarshalError(f"cannot marshal {item!r:.40}: {exc}") from None
     return bytes(out)
 
 
@@ -149,7 +155,7 @@ def decode_item(data) -> Any:
             raise MarshalError(f"unknown wire tag {data[0]}")
         return codec[1](data)
     try:
-        item, offset = _decode(data, 0)
+        item, offset = _decode(data, 0, 0)
     except (struct.error, UnicodeDecodeError, TypeError) as exc:
         # short bytes, a string that is not UTF-8, or an unhashable key
         raise MarshalError(f"truncated or malformed data: {exc}") from None
@@ -160,7 +166,9 @@ def decode_item(data) -> Any:
     return item
 
 
-def _encode(value: Any, out: bytearray) -> None:
+def _encode(value: Any, out: bytearray, depth: int) -> None:
+    if depth >= MAX_NESTING:
+        raise MarshalError(f"nested deeper than {MAX_NESTING}")
     if value is None:
         out.append(_T_NONE)
     elif value is True:
@@ -182,36 +190,33 @@ def _encode(value: Any, out: bytearray) -> None:
         out.append(_T_BYTES)
         out += struct.pack("!I", len(value))
         out += value
-    elif isinstance(value, tuple):
-        out.append(_T_TUPLE)
+    elif isinstance(value, (tuple, list)):
+        out.append(_T_TUPLE if isinstance(value, tuple) else _T_LIST)
         out += struct.pack("!I", len(value))
         for element in value:
-            _encode(element, out)
-    elif isinstance(value, list):
-        out.append(_T_LIST)
-        out += struct.pack("!I", len(value))
-        for element in value:
-            _encode(element, out)
+            _encode(element, out, depth + 1)
     elif isinstance(value, dict):
         out.append(_T_DICT)
         out += struct.pack("!I", len(value))
         for key, element in value.items():
-            _encode(key, out)
-            _encode(element, out)
+            _encode(key, out, depth + 1)
+            _encode(element, out, depth + 1)
     elif type(value) in _custom_encoders:
         tag, to_fields = _custom_encoders[type(value)]
         out.append(_T_CUSTOM)
         raw_tag = tag.encode("ascii")
         out += struct.pack("!H", len(raw_tag))
         out += raw_tag
-        _encode(to_fields(value), out)
+        _encode(to_fields(value), out, depth + 1)
     else:
         raise MarshalError(
             f"cannot marshal {type(value).__name__}; register_codec() it"
         )
 
 
-def _decode(data, offset: int) -> tuple[Any, int]:
+def _decode(data, offset: int, depth: int) -> tuple[Any, int]:
+    if depth >= MAX_NESTING:
+        raise MarshalError(f"nested deeper than {MAX_NESTING}")
     try:
         tag = data[offset]
     except IndexError:
@@ -252,7 +257,7 @@ def _decode(data, offset: int) -> tuple[Any, int]:
         offset += 4
         elements = []
         for _ in range(length):
-            element, offset = _decode(data, offset)
+            element, offset = _decode(data, offset, depth + 1)
             elements.append(element)
         return (tuple(elements) if tag == _T_TUPLE else elements), offset
     if tag == _T_DICT:
@@ -260,8 +265,8 @@ def _decode(data, offset: int) -> tuple[Any, int]:
         offset += 4
         result = {}
         for _ in range(length):
-            key, offset = _decode(data, offset)
-            value, offset = _decode(data, offset)
+            key, offset = _decode(data, offset, depth + 1)
+            value, offset = _decode(data, offset, depth + 1)
             result[key] = value
         return result, offset
     if tag == _T_CUSTOM:
@@ -271,7 +276,7 @@ def _decode(data, offset: int) -> tuple[Any, int]:
             raise MarshalError("truncated codec tag")
         type_tag = str(data[offset : offset + tag_len], "ascii")
         offset += tag_len
-        fields, offset = _decode(data, offset)
+        fields, offset = _decode(data, offset, depth + 1)
         decoder = _custom_decoders.get(type_tag)
         if decoder is None:
             raise MarshalError(f"no codec registered for tag {type_tag!r}")
@@ -547,6 +552,10 @@ def decode_frame_run(data) -> "EncodedRun | list[memoryview]":
 # -- trace-context side-chunks (repro.obs.flow) --------------------------------
 
 
+#: The keys of a :meth:`~repro.obs.flow.TraceContext.to_wire` dict.
+CONTEXT_FIELDS = frozenset(("id", "p", "b", "s", "ok", "on", "ot"))
+
+
 def encode_flow_chunk(entries: list) -> bytes:
     """Encode flow-trace entries into a side-chunk.
 
@@ -566,8 +575,9 @@ def split_flow_chunk(chunks: list) -> tuple[list, list | None]:
     The trace-context side-chunk, when present, is always the last chunk
     of a frame.  Returns the entries decoded by :func:`encode_flow_chunk`
     or ``None`` when the frame carries no flow chunk.  Anything but what
-    it writes — a list of ``(index, dict)`` pairs, the indices ascending
-    ints within the data chunks — raises :class:`MarshalError`.
+    it writes — a list of ``(index, fields)`` pairs, the indices ascending
+    ints within the data chunks, the fields a dict of exactly
+    :data:`CONTEXT_FIELDS` — raises :class:`MarshalError`.
     """
     last = chunks[-1] if chunks else b""
     if (
@@ -582,6 +592,7 @@ def split_flow_chunk(chunks: list) -> tuple[list, list | None]:
     for entry in entries:
         if (type(entry) is not tuple or len(entry) != 2
                 or type(entry[0]) is not int or type(entry[1]) is not dict
+                or entry[1].keys() != CONTEXT_FIELDS
                 or not previous < entry[0] < len(data)):
             raise MarshalError(f"forged flow side-chunk: {entry!r:.80}")
         previous = entry[0]

@@ -1,73 +1,68 @@
 """Stream multiplexing: thousands of logical netpipes over ONE link.
 
-A multi-tenant fabric (:mod:`repro.fabric`) cannot afford one socket per
-session.  :class:`StreamMux` multiplexes any
-:class:`~repro.net.protocols.Transport`
-(:class:`~repro.net.socketlink.SocketLink`,
-:class:`~repro.net.socketlink.InProcessLink`, a simulated protocol) into
-per-tenant :class:`MuxStream` endpoints that *themselves* are transports
-— so ``make_netpipe_over(mux.open_stream(sid))`` just works and the whole
-marshalling / coalesced-frame / zero-copy substrate transfers unchanged.
+:class:`StreamMux` multiplexes any :class:`~repro.net.protocols.Transport`
+(a socket link, an in-process link, a simulated protocol) into
+:class:`MuxStream` endpoints that *themselves* are transports, so
+``make_netpipe_over(mux.open_stream(sid))`` just works: a session fabric's
+tenants (:mod:`repro.fabric`) and a deployment's cuts between two shards
+(:mod:`repro.deploy`) each ride one stream of one shared link.
 
 Wire format — records and trains
 --------------------------------
 Every message on a multiplexed link is a coalesced frame
 (:func:`~repro.net.marshal.encode_batch`): a **train** of **records**
-back to back.  A record is a stream-ID header chunk — extending the
-side-chunk pattern that flow tracing introduced (trace-context chunks
-ride *last*; stream headers ride *first* so routing needs no scan) —
-then the payload chunk its kind calls for::
+back to back.  A record is a stream-ID header chunk (stream headers ride
+*first*, trace-context chunks *last*), then the payload chunk its kind
+calls for::
 
     header:  STREAM_CHUNK_MAGIC (0x7E) | kind u8 | stream_id u32 | arg i32
     payload: one chunk after a DATA / FRAME header, none after EOS / CREDIT
 
-``kind`` is DATA (a single ``protocol.send`` payload), FRAME (a
-coalesced frame payload, delivered to the stream's ``deliver_frame``
-for per-stream reassembly), EOS (per-stream end of stream; the shared
-link stays open for the other tenants), or CREDIT (flow control,
-``arg`` = items granted).  A train is parsed whole before any of its
-records is delivered.
+``kind`` is DATA (one ``send`` payload), FRAME (a coalesced frame, for
+the stream's ``deliver_frame``), EOS (per-stream end of stream; the link
+stays open for the others) or CREDIT (``arg`` = items granted).  A train
+is parsed whole before any of its records is delivered.
 
-*When* a record's bytes leave is the middleware's choice.  One emitted
-while the stream's scheduler dispatches, or inside the mux's own
-:meth:`StreamMux.pump` (a CREDIT releasing ``pending``, a callback's
-send), is held: the train leaves as ONE ``transport.send_frame`` before
-that scheduler next waits or returns
+A record emitted while the stream's scheduler dispatches, or inside
+:meth:`StreamMux.pump`, is held: the train leaves as ONE
+``transport.send_frame`` before that scheduler next waits or returns
 (:meth:`repro.mbt.Scheduler.before_idle`; the netpipe endpoints hand
 their scheduler over in ``on_attach``), before that pump returns or
-raises, or at :data:`TRAIN_BYTES`.  In it, one stream's consecutive
-``send`` payloads travel as ONE FRAME record (``encode_batch`` of them),
-a run for the receiving netpipe.  Emitted at any other time, a record is
-a train of one, written through at once.
+raises, or at :data:`TRAIN_BYTES`.  In it one stream's consecutive
+``send`` payloads travel as ONE FRAME record.  Emitted at any other time,
+a record is a train of one, written through at once.
 
 Per-stream flow control
 -----------------------
-With ``credits=N`` a stream starts with a window of N items.  Sends are
-charged per data item (a frame costs the count its sender states, else
-its chunk count); when the window is exhausted, further sends queue
-*locally* in the stream — ``pending`` — instead of entering the shared
-link, so one slow tenant backpressures only itself.  The receiving end
-returns credits as its consumer actually drains (``note_drained``, which
-a :class:`~repro.net.netpipe.NetpipeReceiver` calls on a transport that
-declares ``counts_drained``), batched to half the window; a train holds
-ONE CREDIT record per stream, the sum of its grants, and a grant of no
-credit or less is malformed.  ``credits=None`` (the default) is
-uncontrolled.
+With ``credits=N`` a stream starts with a window of N items, charged per
+data item (a frame costs the count its sender states, else its chunk
+count).  A pump sending here waits while the window is spent, exactly as
+at a full BLOCK buffer (:meth:`MuxStream.windowed`), and the grant that
+reopens the window wakes it: one slow tenant backpressures only its own
+pump, and a stream never holds a send.  A frame larger than what is left
+still goes, overdrawing the window once, so no frame can deadlock; a
+direct ``send`` on a spent window raises.  The receiving end grants
+credits as its consumer drains (``note_drained``, called by a
+:class:`~repro.net.netpipe.NetpipeReceiver` on a transport that declares
+``counts_drained``), batched to half the window; a train holds ONE
+CREDIT record per stream, and a grant of no credit or less is malformed.
+``credits=None`` (the default) is uncontrolled.
 
-Link-level EOS (the peer closed the whole transport) fans out as EOS to
-every open stream that has a receiver bound; a send-only end is only
-marked ended.  Frames for unknown stream ids — a tenant crashed and
-its session was closed while frames were in flight — are counted and
-dropped, never poisoning the remaining tenants.
+Link-level EOS fans out as EOS to every open stream with a receiver
+bound (a send-only end is only marked ended).  Records for unknown
+stream ids — a tenant's session closed while they were in flight — are
+counted and dropped, never poisoning the other tenants.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
 from typing import Any
 
+from repro.core.events import EOS
 from repro.errors import MarshalError, RemoteError
+from repro.mbt.message import Message
+from repro.mbt.syscalls import Receive
 from repro.net.marshal import (
     STREAM_CHUNK_MAGIC,
     decode_batch_views,
@@ -123,7 +118,7 @@ class MuxStream(Transport):
     side of a given stream.
     """
 
-    __slots__ = ("mux", "stream_id", "credits", "window", "pending",
+    __slots__ = ("mux", "stream_id", "credits", "window", "waiters",
                  "eos_sent", "_grant_batch", "_to_grant", "_scheduler")
 
     counts_drained = True
@@ -137,10 +132,10 @@ class MuxStream(Transport):
         #: Remaining send window in items; None = flow control off.
         self.credits = credits
         self.window = credits
-        #: Locally queued (kind, payload) sends awaiting credit.
-        self.pending: deque = deque()
+        #: Threads of the pumps parked on this stream's spent window.
+        self.waiters: list[str] = []
         self.eos_sent = False
-        self.stats.update(stalled=0, credits_granted=0)
+        self.stats.update(stalled=0, credits_granted=0, bytes_received=0)
         self._grant_batch = 1 if credits is None else max(1, credits // 2)
         self._to_grant = 0
         self._scheduler: Any = None
@@ -164,41 +159,60 @@ class MuxStream(Transport):
         )
 
     def send_eos(self) -> None:
-        if self.eos_sent:
-            return
-        self.eos_sent = True
-        if self.pending:
-            # EOS must not overtake queued data.
-            self.pending.append((MUX_EOS, None, 0))
-            return
-        self.mux._put(self, MUX_EOS)
+        if not self.eos_sent:
+            self.eos_sent = True
+            self.mux._put(self, MUX_EOS)
 
     def _submit(self, kind: int, payload, cost: int) -> None:
         if self.eos_sent:
             raise RemoteError(f"stream {self.flow!r}: send after send_eos")
         credits = self.credits
-        if self.pending or (credits is not None and credits <= 0):
-            # Window exhausted (or draining in order behind earlier
-            # stalled sends): queue locally, off the shared link.
-            self.pending.append((kind, bytes(payload), cost))
-            self.stats["stalled"] += 1
-            return
         if credits is not None:
+            if credits <= 0:
+                raise RemoteError(
+                    f"stream {self.flow!r}: send on a spent window "
+                    f"({credits} credits); a pump sending here parks"
+                )
             self.credits = credits - cost
         self.stats["sent"] += 1
         self.mux._put(self, kind, payload)
 
+    def windowed(self, ctx: Any, walker):
+        """``walker``, parked while the window is spent on a credit wait
+        naming this stream's consumer (:mod:`repro.check.deadlock`),
+        dispatching control events meanwhile, until a grant reopens the
+        window (:meth:`_on_credit`).  EOS costs no credit: it never waits."""
+        if self.window is None:
+            return walker
+        waiters, thread = self.waiters, ctx.thread_name
+        dispatch, stats = ctx.dispatch_event_message, self.stats
+
+        def match(message: Message) -> bool:
+            return message.kind == "credit" or message.kind == "event"
+
+        match.waiting_on = f"consumer of {self.flow} at {self.dst}"
+        match.__qualname__ = f"credit wait on {self.flow}"
+
+        def parked(arg):
+            while self.credits <= 0 and arg is not EOS:
+                waiters.append(thread)
+                stats["stalled"] += 1
+                while (message := (yield Receive(match))).kind == "event":
+                    dispatch(message)
+            return (yield from walker(arg))
+
+        return parked
+
     def _on_credit(self, granted: int) -> None:
-        if self.credits is None:  # uncontrolled: nothing ever queues
+        """A grant arrived: what the parked pumps wait for, as one post."""
+        if self.credits is None:
             return
         self.credits += granted
-        pending = self.pending
-        while pending and (self.credits > 0 or pending[0][0] == MUX_EOS):
-            kind, payload, cost = pending.popleft()
-            self.credits -= cost
-            if kind != MUX_EOS:
-                self.stats["sent"] += 1
-            self.mux._put(self, kind, payload)
+        if self.waiters and self.credits > 0:
+            wakes = [Message(kind="credit", target=thread, sender=self.flow)
+                     for thread in self.waiters]
+            self.waiters.clear()
+            self._scheduler.post_many(wakes)
 
     # -- consumer side ------------------------------------------------------
 
@@ -222,33 +236,17 @@ class MuxStream(Transport):
     def close(self) -> None:
         self.mux.close_stream(self.stream_id)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<MuxStream {self.flow!r} id={self.stream_id} "
-            f"credits={self.credits} pending={len(self.pending)}>"
-        )
-
 
 class StreamMux:
-    """Multiplexes many :class:`MuxStream` endpoints over one transport.
-
-    Parameters
-    ----------
-    transport:
-        The shared link used for outbound frames (SocketLink end,
-        InProcessLink, simulated protocol...).
-    inbound:
-        The link inbound frames arrive on; defaults to ``transport``
-        (duplex links such as a socketpair end).  Pass the reverse-
-        direction link when the transport is unidirectional (e.g. a pair
-        of InProcessLinks).
-    """
+    """Multiplexes many :class:`MuxStream` endpoints over one transport:
+    ``transport`` carries the outbound trains, ``inbound`` (default: the
+    same duplex link, a socketpair end) the arriving ones — pass the
+    reverse link of a unidirectional pair (two InProcessLinks)."""
 
     def __init__(self, transport: Transport, inbound: Transport | None = None):
         self.transport = transport
         self.inbound = inbound if inbound is not None else transport
-        self.src = transport.src
-        self.dst = transport.dst
+        self.src, self.dst = transport.src, transport.dst
         self._streams: dict[int, MuxStream] = {}
         #: The train being gathered — ``[kind, stream_id, arg, chunks]``
         #: records in emission order, a DATA record's chunks growing
@@ -271,13 +269,9 @@ class StreamMux:
     def open_stream(
         self, stream_id: int, credits: int | None = None
     ) -> MuxStream:
-        """Register (or fetch) the stream called ``stream_id``.
-
-        Both link ends must open a given id to converse on it; ``credits``
-        arms per-stream flow control (see the module docstring) and must
-        match on the sending end (the receiving end's value sizes the
-        grant batching).
-        """
+        """Register (or fetch) the stream called ``stream_id``; both link
+        ends open it, with the same ``credits`` window (module docstring):
+        the sender's is spent and parks, the receiver's sizes its grants."""
         stream = self._streams.get(stream_id)
         if stream is None:
             stream = MuxStream(self, stream_id, credits=credits)
@@ -285,8 +279,11 @@ class StreamMux:
         return stream
 
     def close_stream(self, stream_id: int) -> None:
-        """Forget a stream; late frames for it are counted and dropped."""
-        self._streams.pop(stream_id, None)
+        """Forget a stream, and the pumps parked on it; late frames for it
+        are counted and dropped."""
+        stream = self._streams.pop(stream_id, None)
+        if stream is not None:
+            stream.waiters.clear()
 
     @property
     def streams(self) -> dict[int, MuxStream]:
@@ -378,6 +375,7 @@ class StreamMux:
                     stats["credits_received"] += 1
                     stream._on_credit(arg)
                 else:
+                    stream.stats["bytes_received"] += len(body or b"")
                     stream._receive(_KINDS[kind], body)
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 if failed is None:
@@ -402,8 +400,8 @@ class StreamMux:
 
     def pump(self, max_messages: int | None = None) -> int:
         """Deliver what the link holds; what that makes this mux emit (a
-        credit releasing ``pending``, a callback's send) leaves as one
-        train when the pump returns or raises."""
+        delivery callback's grant or send) leaves as one train when the
+        pump returns or raises."""
         pumping, self._pumping = self._pumping, True
         try:
             return self.inbound.pump(max_messages)
@@ -423,10 +421,3 @@ class StreamMux:
         self.transport.close()
         if self.inbound is not self.transport:
             self.inbound.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<StreamMux {self.src}->{self.dst} streams={len(self._streams)} "
-            f"sent={self.stats['frames_sent']} "
-            f"received={self.stats['frames_received']}>"
-        )

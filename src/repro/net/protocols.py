@@ -90,6 +90,11 @@ class Transport:
     def send_eos(self) -> None:
         raise NotImplementedError
 
+    def windowed(self, ctx: Any, walker):
+        """The sink walker of a pump (thread ``ctx``) sending here, made to
+        wait where a send window says; ``walker`` itself without one."""
+        return walker
+
     # -- receiver side ------------------------------------------------------
 
     def on_deliver(

@@ -13,9 +13,8 @@ transfer unchanged.
 Wire format: a 5-byte header per message — one kind byte (data / frame /
 eos) and a ``!I`` payload length — followed by the payload.  TCP/socketpair
 byte streams preserve order and never drop, so there is no
-sequence/retransmit machinery; OS socket buffers provide natural
-backpressure (a fast producer blocks in ``sendall`` until the consumer
-drains).
+sequence/retransmit machinery; flow control is the credit window of the
+:class:`~repro.net.mux.StreamMux` a deployment runs over each link.
 
 :class:`InProcessLink` is the co-simulation twin used by
 ``Deployment.simulate()``: the same interface with synchronous in-memory
@@ -179,8 +178,9 @@ class SocketLink(Transport):
             raise RemoteError(f"link {self.flow!r} has no inbound socket")
         return self._sock_in.fileno()
 
-    def readable(self, timeout: float = 0.0) -> bool:
-        """True when at least one byte (or peer close) is waiting."""
+    def wait(self, timeout: float) -> bool:
+        """Block up to ``timeout`` seconds for inbound bytes (or the
+        peer's close); False at once after that close."""
         if self._sock_in is None or self.peer_closed:
             return False
         ready, _, _ = select.select([self._sock_in], [], [], timeout)
@@ -188,17 +188,10 @@ class SocketLink(Transport):
 
     def pump(self, max_messages: int | None = None) -> int:
         """Deliver what the socket holds *right now* into the bound
-        receiver callbacks; returns the number of delivered messages.
-
-        Non-blocking: returns 0 immediately when nothing is waiting.  The
-        shard worker loop alternates ``engine.run()`` with ``pump()``
-        (see :meth:`repro.runtime.engine.Engine.run_with_io`).
-
-        The socket is read only when the bytes already buffered hold no
-        complete message, so with ``max_messages`` set whatever was not
-        asked for stays in the kernel's socket buffer, where it
-        backpressures the sender, rather than piling up here.
-        """
+        receiver callbacks; returns the number of delivered messages, 0
+        at once when nothing is waiting.  The socket is read only when the
+        bytes already buffered hold no complete message, so with
+        ``max_messages`` set what was not asked for stays in the kernel."""
         if self._sock_in is None:
             return 0
         delivered = 0
@@ -222,7 +215,7 @@ class SocketLink(Transport):
     def _recv_more(self) -> bool:
         """One non-blocking read into the buffer; False when nothing is
         waiting or the peer closed."""
-        if not self.readable(0.0):
+        if not self.wait(0.0):
             return False
         try:
             chunk = self._sock_in.recv(_RECV_CHUNK)
@@ -233,10 +226,6 @@ class SocketLink(Transport):
             return False
         self._buf += chunk
         return True
-
-    def wait(self, timeout: float) -> bool:
-        """Block up to ``timeout`` seconds for inbound bytes."""
-        return self.readable(timeout)
 
     def _dispatch(self, limit: int | None) -> int:
         buf = self._buf

@@ -543,7 +543,6 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
     if engine.is_coroutine(component):
         return _compile_crossing(ctx, component, "ip-pull")
 
-
     if component.style is Style.FUNCTION:
         inner = compile_pull(ctx, node.branches["in"])
         convert = component.convert
@@ -681,6 +680,8 @@ def compile_push(ctx: ThreadCtx, target: FlowTarget):
                 else:  # take()'s context-free fast path
                     hand.pending -= 1
 
+        if component.wire_sink:  # a credited wire parks its pump
+            return component.protocol.windowed(ctx, sink_push)
         return sink_push
 
     node_push = _compile_push_node(ctx, target)
@@ -1028,8 +1029,7 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
         name = component.name
         push_run = _run_entry(component, "push")
         if push_run is not None:
-            # Run-entry sink (a collecting sink's extend, a netpipe
-            # sender's one frame per run).
+            # Run-entry sink (a collector's extend, a netpipe's frame).
             push_run, hand = plant_sink(ctx, component, push_run, len)
             stats = component.stats
 
@@ -1058,6 +1058,8 @@ def compile_push_many(ctx: ThreadCtx, target: FlowTarget):
                 else:  # take()'s context-free fast path
                     hand.pending -= k
 
+        if component.wire_sink:
+            return component.protocol.windowed(ctx, sink_push_many)
         return sink_push_many
 
     node_many = _compile_push_node_many(ctx, target)

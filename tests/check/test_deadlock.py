@@ -204,3 +204,48 @@ def test_run_watched_returns_report_on_clean_completion():
     report = run_watched(engine.scheduler, window=10_000)
     assert not report.has_cycle
     assert engine.completed
+
+
+def test_a_pump_parked_on_credit_names_the_stream_it_waits_for():
+    """One fabric, two sessions joined by a credited stream; the receiving
+    session is parked, so the sending pump spends its window and parks.
+    The report says which stream's consumer it waits for — not an
+    anonymous receive."""
+    from repro.fabric import SessionFabric
+    from repro.net import InProcessLink
+    from repro.net.marshal import MarshalFilter, UnmarshalFilter
+    from repro.net.mux import StreamMux
+    from repro.net.netpipe import make_netpipe_over
+
+    forward = InProcessLink("shard-a", "shard-b", "fwd")
+    reverse = InProcessLink("shard-b", "shard-a", "back")
+    left = StreamMux(forward, inbound=reverse)
+    right = StreamMux(reverse, inbound=forward)
+    t_stream = left.open_stream(7, credits=4)
+    r_stream = right.open_stream(7, credits=4)
+    sink = CollectSink()
+
+    def build_tx():
+        sender, _ = make_netpipe_over(t_stream)
+        return pipeline(
+            IterSource(range(40)), MarshalFilter(), GreedyPump(), sender
+        )
+
+    def build_rx():
+        _, receiver = make_netpipe_over(r_stream)
+        return pipeline(receiver, UnmarshalFilter(), GreedyPump(), sink)
+
+    fabric = SessionFabric()
+    fabric.open_session(build_tx, name="tx")
+    fabric.open_session(build_rx, name="rx")
+    fabric.park("rx")
+    fabric.run()
+    assert sink.items == []
+    report = detect(fabric.scheduler)
+    (wait,) = [w for w in report.blocked if w.thread.startswith("pump:tx/")]
+    assert wait.waiting_on == "consumer of stream-7 at shard-b"
+    assert wait.match == "credit wait on stream-7"
+    assert "consumer of stream-7" in report.format()
+    fabric.unpark("rx")
+    fabric.run()
+    assert sink.items == list(range(40))

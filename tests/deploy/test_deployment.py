@@ -64,8 +64,11 @@ class TestShardedExecution:
         result = Deployment(SRC, Placement.auto(2)).run(timeout=60)
         assert result.completed
         assert result.sinks["collect-sink-1"] == list(range(24))
+        # Counted on the cut's stream: a train carries the sender's run
+        # of items as one record, and the EOS as another.
         wire = result.wire_stats[0]
-        assert wire["delivered"] >= 24
+        assert wire["delivered"] >= 2
+        assert wire["bytes_received"] > 0
 
     def test_two_shards_tcp(self):
         result = Deployment(

@@ -35,7 +35,6 @@ class TestSpecPickling:
         plan = plan_placement(build_program(SRC), Placement.auto(2))
         spec = ShardSpec(
             shard=0,
-            shards=2,
             app=Pipeline.from_source(SRC).with_metrics(),
             assignment=dict(plan.assignment),
             cuts=plan.cuts,

@@ -1,5 +1,5 @@
 """Shard worker internals: link ownership, the done message, and the
-bounded receive-ahead that stands in for a cut buffer's capacity."""
+seam's credit window that stands in for a cut buffer's capacity."""
 
 import multiprocessing
 import pickle
@@ -10,10 +10,10 @@ from repro import CollectSink, GreedyPump, IterSource, pipeline
 from repro.api import Pipeline
 from repro.components.filters import MapFilter
 from repro.components.pumps import ClockedPump
+from repro.core.events import EOS
 from repro.deploy import Deployment, Placement, plan_placement
 from repro.deploy import worker
 from repro.deploy.worker import (
-    ShardIO,
     ShardSpec,
     _done_message,
     build_program,
@@ -21,8 +21,9 @@ from repro.deploy.worker import (
     shard_main,
 )
 from repro.net import SocketLink
-from repro.net.marshal import MarshalFilter, UnmarshalFilter, encode_batch
-from repro.net.netpipe import NetpipeReceiver
+from repro.net.marshal import MarshalFilter, UnmarshalFilter
+from repro.net.mux import StreamMux
+from repro.net.netpipe import NetpipeReceiver, NetpipeSender
 from repro.runtime.engine import Engine
 
 SRC = "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> collect"
@@ -31,68 +32,84 @@ SRC = "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> collect"
 def shard_spec(shard: int, app=Pipeline.from_source(SRC)) -> ShardSpec:
     plan = plan_placement(build_program(SRC), Placement.auto(2))
     return ShardSpec(
-        shard=shard, shards=2, app=app,
+        shard=shard, app=app,
         assignment=dict(plan.assignment), cuts=plan.cuts,
     )
 
 
-def run_shard(spec: ShardSpec, sock) -> list:
-    """Play the deployment parent for one in-thread ``shard_main``;
-    returns the messages the shard sent."""
-    parent, child = multiprocessing.Pipe()
-    thread = threading.Thread(
-        target=shard_main, args=(spec, child, {0: sock}), daemon=True
-    )
-    thread.start()
-    messages = []
+def run_shards(*specs_and_sockets) -> list[list]:
+    """Play the deployment parent for in-thread ``shard_main`` s, each
+    given its end of the one link to its peer; returns the messages each
+    shard sent."""
+    pipes, threads = [], []
+    for spec, sock in specs_and_sockets:
+        parent, child = multiprocessing.Pipe()
+        thread = threading.Thread(
+            target=shard_main, args=(spec, child, {1 - spec.shard: sock}),
+            daemon=True,
+        )
+        thread.start()
+        pipes.append(parent)
+        threads.append(thread)
+    messages = [[] for _ in pipes]
     try:
-        assert parent.poll(30)
-        messages.append(parent.recv())
-        if messages[-1][0] == "ready":
-            parent.send(("go",))
+        for parent, sent in zip(pipes, messages):
             assert parent.poll(30)
-            messages.append(parent.recv())
-            parent.send(("exit",))
+            sent.append(parent.recv())
+        if all(sent[-1][0] == "ready" for sent in messages):
+            for parent in pipes:
+                parent.send(("go",))
+            for parent, sent in zip(pipes, messages):
+                assert parent.poll(30)
+                sent.append(parent.recv())
+            for parent in pipes:
+                parent.send(("exit",))
     finally:
-        thread.join(30)
-        parent.close()
-    assert not thread.is_alive()
+        for thread, parent in zip(threads, pipes):
+            thread.join(30)
+            parent.close()
+    assert not any(thread.is_alive() for thread in threads)
     return messages
 
 
 class TestLinkOwnership:
     def test_build_hands_back_links_in_both_directions(self):
+        """One mux per peer shard, over that pair's socket; the cut is
+        its credited stream on both sides."""
         a, b = socket.socketpair()
         try:
             for shard, sock in ((0, a), (1, b)):
-                _, links = build_shard_pipeline(shard_spec(shard), {0: sock})
-                assert list(links) == [0]
-                assert isinstance(links[0], SocketLink)
+                peer = 1 - shard
+                _, muxes = build_shard_pipeline(
+                    shard_spec(shard), {peer: sock}
+                )
+                assert list(muxes) == [peer]
+                assert isinstance(muxes[peer], StreamMux)
+                assert isinstance(muxes[peer].transport, SocketLink)
+                (stream,) = muxes[peer].streams.values()
+                assert stream.stream_id == 0
+                assert stream.window == worker.SEAM_WINDOW
         finally:
             a.close()
             b.close()
 
     def test_both_shards_close_their_links_after_done_and_exit(self):
         a, b = socket.socketpair()
-        # The producer's 24 items fit the socket buffer, so the shards
-        # can run one after the other.
-        sent = run_shard(shard_spec(0), a)
+        sent, received = run_shards((shard_spec(0), a), (shard_spec(1), b))
         assert [m[0] for m in sent] == ["ready", "done"]
-        assert a.fileno() == -1
-        received = run_shard(shard_spec(1), b)
         assert [m[0] for m in received] == ["ready", "done"]
-        assert b.fileno() == -1
+        assert a.fileno() == -1 and b.fileno() == -1
         payload = received[1][1]
         assert payload["completed"]
         assert payload["sinks"]["collect-sink-1"] == list(range(24))
-        assert payload["wire"][0]["delivered"] >= 1
+        assert payload["wire"][0]["delivered"] >= 2  # data, then EOS
 
     def test_error_path_closes_links_too(self):
         a, b = socket.socketpair()
         try:
             # Engine() rejects the batch size after the links were built.
             spec = shard_spec(0, Pipeline.from_source(SRC).with_batching(0))
-            (message,) = run_shard(spec, a)
+            ((message,),) = run_shards((spec, a))
             assert message[0] == "error" and message[1] == 0
             assert "batch_max must be at least 1" in message[2]
             assert a.fileno() == -1
@@ -190,7 +207,7 @@ class TestDoneMessage:
         assert all(isinstance(i, str) and "lambda" in i for i in items)
 
 
-# -- bounded receive-ahead -----------------------------------------------------
+# -- the seam's window bounds what the receiver holds --------------------------
 
 
 class SlowSink(CollectSink):
@@ -206,114 +223,122 @@ class SlowSink(CollectSink):
         super().push(item)
 
 
-def consumer_engine(rx, pump, **engine_kwargs):
-    receiver = NetpipeReceiver(rx, name="recv")
+def consumer_engine(rx_mux, pump, **engine_kwargs):
+    stream = rx_mux.open_stream(0, credits=worker.SEAM_WINDOW)
+    receiver = NetpipeReceiver(stream, name="recv")
     sink = SlowSink(receiver, name="sink")
     pipe = pipeline(receiver, UnmarshalFilter(name="unmarshal"), pump, sink)
     return Engine(pipe, **engine_kwargs), receiver, sink
 
 
-def producer(tx, frames):
-    """Send ``frames`` (lists of ints) as fast as the socket takes them."""
-    marshal = MarshalFilter()
-
-    def run():
-        for items in frames:
-            tx.send_frame(marshal.convert_many(items).frame_payload())
-        tx.send_eos()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    return thread
+def producer_engine(tx_mux, items, batch):
+    """A producer shard's engine: a greedy pump sending ``items`` in
+    frames of ``batch`` over stream 0 of ``tx_mux``."""
+    stream = tx_mux.open_stream(0, credits=worker.SEAM_WINDOW)
+    pipe = pipeline(
+        IterSource(items), MarshalFilter(), GreedyPump(name="send-pump"),
+        NetpipeSender(stream, name="send"),
+    )
+    return Engine(pipe, batch_max=batch), stream
 
 
-def run_to_completion(engine, receiver):
+def run_with_io(engine, mux):
     parent, child = multiprocessing.Pipe()
     try:
         engine.start()
-        engine.run_with_io(ShardIO([receiver], child), idle_timeout=0.01)
+        engine.run_with_io(worker.ShardIO([mux], child), idle_timeout=0.01)
     finally:
         parent.close()
         child.close()
     assert engine.completed
 
 
+def run_seam(items, batch, pump, **consumer_kwargs):
+    """A producer engine in a thread and a consumer engine here, joined
+    by one socketpair and a mux on each end: what a two-shard seam runs."""
+    tx_link, rx_link = SocketLink.pair()
+    tx_mux, rx_mux = StreamMux(tx_link), StreamMux(rx_link)
+    producer, tx_stream = producer_engine(tx_mux, items, batch)
+    engine, receiver, sink = consumer_engine(rx_mux, pump, **consumer_kwargs)
+    thread = threading.Thread(
+        target=run_with_io, args=(producer, tx_mux), daemon=True
+    )
+    thread.start()
+    run_with_io(engine, rx_mux)
+    thread.join(30)
+    assert not thread.is_alive()
+    tx_link.close()
+    rx_link.close()
+    return sink, tx_stream, rx_mux.streams[0]
+
+
 class TestBoundedReceiveAhead:
     FRAME = 32
 
-    def frames(self, count):
-        return [
-            list(range(i * self.FRAME, (i + 1) * self.FRAME))
-            for i in range(count)
-        ]
-
     def test_fast_producer_never_runs_past_the_bound(self, monkeypatch):
-        monkeypatch.setattr(worker, "RECEIVE_AHEAD_ITEMS", 4 * self.FRAME)
-        tx, rx = SocketLink.pair()
-        # 2 000 frames are ~0.8 MB of wire bytes: more than the socket
-        # buffers hold, so the producer blocks until the consumer drains.
-        frames = self.frames(2000)
-        engine, receiver, sink = consumer_engine(rx, GreedyPump(name="pump"))
-        thread = producer(tx, frames)
-        run_to_completion(engine, receiver)
-        thread.join(30)
-        assert not thread.is_alive()
-        assert sink.items == [x for frame in frames for x in frame]
-        assert 0 < sink.max_fill <= 4 * self.FRAME
-        # What was not let in stayed in the kernel, not in the link.
-        assert rx.stats["delivered"] == len(frames) + 1
-        tx.close()
-        rx.close()
+        monkeypatch.setattr(worker, "SEAM_WINDOW", 4 * self.FRAME)
+        items = list(range(2000 * self.FRAME))
+        sink, sender, receiver = run_seam(
+            items, self.FRAME, GreedyPump(name="pump")
+        )
+        assert sink.items == items
+        # The receiver holds at most the window and one frame's overdraw;
+        # the producer's pump parked instead of running ahead.
+        assert 0 < sink.max_fill < 5 * self.FRAME
+        assert sender.stats["stalled"] > 0 and not sender.waiters
+        # One record per frame and the EOS: nothing was held back whole.
+        assert receiver.stats["delivered"] == 2000 + 1
 
     def test_frame_larger_than_the_bound_is_still_delivered(
         self, monkeypatch
     ):
-        monkeypatch.setattr(worker, "RECEIVE_AHEAD_ITEMS", 16)
-        tx, rx = SocketLink.pair()
-        frames = [list(range(500)), list(range(500, 503)), [503, 504]]
-        engine, receiver, sink = consumer_engine(
-            rx, GreedyPump(name="pump"), batch_max=8
+        monkeypatch.setattr(worker, "SEAM_WINDOW", 16)
+        sink, sender, _ = run_seam(
+            list(range(505)), 500, GreedyPump(name="pump"), batch_max=8
         )
-        thread = producer(tx, frames)
-        run_to_completion(engine, receiver)
-        thread.join(30)
         assert sink.items == list(range(505))
         assert sink.max_fill >= 500 - 8
-        tx.close()
-        rx.close()
+        assert sender.credits > 0
 
     def test_clocked_consumer_completes_on_the_horizon_path(
         self, monkeypatch
     ):
-        monkeypatch.setattr(worker, "RECEIVE_AHEAD_ITEMS", self.FRAME)
-        tx, rx = SocketLink.pair()
-        frames = self.frames(6)
-        # 30 items per virtual second: every run_with_io turn ends at
-        # its horizon with the receiver still at its bound.
-        engine, receiver, sink = consumer_engine(
-            rx, ClockedPump(rate_hz=30, name="pump")
+        monkeypatch.setattr(worker, "SEAM_WINDOW", self.FRAME)
+        # 30 items per virtual second: every run_with_io turn of the
+        # consumer ends at its horizon with the window spent.
+        sink, _, _ = run_seam(
+            list(range(6 * self.FRAME)), self.FRAME,
+            ClockedPump(rate_hz=30, name="pump"),
         )
-        thread = producer(tx, frames)
-        run_to_completion(engine, receiver)
-        thread.join(30)
         assert sink.items == list(range(6 * self.FRAME))
         assert sink.max_fill <= 2 * self.FRAME
-        tx.close()
-        rx.close()
 
-    def test_full_receiver_is_left_out_of_the_wait(self, monkeypatch):
-        monkeypatch.setattr(worker, "RECEIVE_AHEAD_ITEMS", 2)
-        tx, rx = SocketLink.pair()
-        receiver = NetpipeReceiver(rx, name="recv")
+    def test_a_spent_window_parks_until_the_grant(
+        self, monkeypatch
+    ):
+        """The producer's pump parks on credit (the stream holds no
+        send); the grant is what the producer's ``ShardIO`` waits for,
+        and pumping it in wakes the pump, which sends on."""
+        monkeypatch.setattr(worker, "SEAM_WINDOW", 2)
+        tx_link, rx_link = SocketLink.pair()
+        tx_mux, rx_mux = StreamMux(tx_link), StreamMux(rx_link)
+        producer, sender = producer_engine(tx_mux, [1, 2, 3], 2)
+        receiver = NetpipeReceiver(rx_mux.open_stream(0, credits=2))
         parent, child = multiprocessing.Pipe()
-        io = ShardIO([receiver], child)
-        tx.send_frame(encode_batch([b"a", b"bb", b"ccc"]))
-        tx.send_frame(encode_batch([b"d"]))
-        assert io.pump() == 1  # the second frame waits: the bound is met
-        assert receiver.fill_level == 3
-        assert io.wait(0.01) is False  # readable socket, but no room
-        assert receiver.try_pull_many(3)[1] == [b"a", b"bb", b"ccc"]
-        assert io.pump() == 1
-        assert receiver.try_pull()[1] == b"d"
-        for end in (tx, rx, parent, child):
+        io = worker.ShardIO([tx_mux], child)
+        producer.start()
+        producer.run()
+        (parked,) = sender.waiters
+        assert parked.endswith("send-pump")
+        assert sender.stats["sent"] == 1 and sender.credits == 0
+        assert io.pump() == 0 and io.wait(0.01) is False  # no grant yet
+        rx_mux.pump()
+        assert len(receiver.try_pull_many(2)[1]) == 2  # grants 2
+        assert io.wait(5.0) is True
+        assert io.pump() == 1 and not sender.waiters
+        producer.run()
+        assert producer.completed and sender.stats["sent"] == 2
+        rx_mux.pump()
+        assert receiver.try_pull_many(2)[1][1:] == [EOS]
+        for end in (tx_link, rx_link, parent, child):
             end.close()

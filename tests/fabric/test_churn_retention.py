@@ -10,10 +10,14 @@ closed or failed session is gone and the collector has run:
   also while a stopped timer's cancelled handle still waits in the
   scheduler's timer heap;
 * the shared scheduler's thread table, tenants, parked set and
-  reservations hold nothing of it.
+  reservations hold nothing of it;
+* a session closed while its pump is parked on a credited stream's spent
+  window leaves nothing in that stream's waiter record once the stream
+  is closed.
 
 docs/RUNTIME.md §13 ("Retention") tabulates the containers this checks.
-Its mutant twin is a ``_detach`` that forgets ``remove_tenant``.
+The mutant twins are a ``_detach`` that forgets ``remove_tenant`` and a
+``close_stream`` that keeps its waiters.
 """
 
 import gc
@@ -160,3 +164,59 @@ def test_a_detach_that_keeps_the_tenant_fails(monkeypatch):
         given(st.lists(ops, min_size=1, max_size=30))(check_churn))
     with pytest.raises(AssertionError):
         mutant()
+
+
+def credited_tx(stream):
+    from repro.net.marshal import MarshalFilter
+    from repro.net.netpipe import make_netpipe_over
+
+    sender, _ = make_netpipe_over(stream)
+    return pipeline(
+        IterSource(range(100)), MarshalFilter(), GreedyPump(), sender
+    )
+
+
+def close_while_parked_on_credit():
+    """A session whose pump is parked on a credited stream's spent window
+    (its receiver never drains), closed, and its stream closed; returns
+    the fabric, the stream and a weakref to the session's engine."""
+    from repro.net import InProcessLink
+    from repro.net.mux import StreamMux
+
+    forward = InProcessLink("a", "b", "fwd")
+    reverse = InProcessLink("b", "a", "back")
+    tx = StreamMux(forward, inbound=reverse)
+    rx = StreamMux(reverse, inbound=forward)
+    stream = tx.open_stream(1, credits=8)
+    rx.open_stream(1, credits=8).on_deliver(
+        lambda data: None, lambda: None, lambda frame: None
+    )
+    fabric = SessionFabric()
+    session = fabric.open_session(lambda: credited_tx(stream), name="tx")
+    engine = weakref.ref(session.engine)
+    del session
+    fabric.run()
+    assert [t.split("/")[0] for t in stream.waiters] == ["pump:tx"]
+    fabric.close_session("tx")
+    tx.close_stream(1)
+    gc.collect()
+    return fabric, stream, engine
+
+
+def test_a_session_closed_while_parked_on_credit_leaves_nothing_behind():
+    fabric, stream, engine = close_while_parked_on_credit()
+    assert stream.waiters == []
+    assert holds_nothing_of(fabric.scheduler, {"tx"}) == []
+    assert engine() is None
+
+
+def test_a_close_stream_that_keeps_its_waiters_fails(monkeypatch):
+    """The mutant twin: ``close_stream`` forgets the parked pumps."""
+    from repro.net.mux import StreamMux
+
+    monkeypatch.setattr(
+        StreamMux, "close_stream",
+        lambda self, stream_id: self._streams.pop(stream_id, None),
+    )
+    with pytest.raises(AssertionError):
+        test_a_session_closed_while_parked_on_credit_leaves_nothing_behind()

@@ -122,9 +122,11 @@ class TestSharedLink:
         assert rxfab.completed  # the four live consumers finished
         for sid in range(1, 5):
             assert sinks[sid].items == list(range(20))
-        # Tenant 0's producer is stuck in ITS OWN stream's pending queue,
-        # not in the shared link.
-        assert len(tx_mux.streams[0].pending) > 0
+        # Tenant 0's pump is parked on ITS OWN stream's spent window: the
+        # stream holds no send, and only the window crossed the link.
+        (parked,) = tx_mux.streams[0].waiters
+        assert parked.startswith("pump:tx0/")
+        assert tx_mux.streams[0].stats["sent"] == 4
         assert sinks[0].items == []
         # Wake the slow consumer: the stalled tenant drains too.
         rxfab.unpark("rx0")
@@ -151,18 +153,18 @@ class TestFaults:
             open_flow(
                 txfab, rxfab, tx_mux, rx_mux, sid, range(10), sinks,
             )
-        # Produce everything into the socket, then kill consumer 2
-        # before a single frame is pumped: all of its traffic is now
-        # in-flight frames for a dead stream.
-        for _ in range(50):
-            txfab.run(max_steps=txfab.scheduler.steps + 2000)
-            if txfab.completed:
-                break
+        # Produce a window's worth into the socket (the pumps then park
+        # on credit), then kill consumer 2 before a single frame is
+        # pumped: all of its traffic is now in-flight frames for a dead
+        # stream.
+        txfab.run(max_steps=txfab.scheduler.steps + 2000)
+        assert all(s.waiters for s in tx_mux.streams.values())
         rxfab.close_session("rx2")
         rx_mux.close_stream(2)
         for _ in range(200):
             rx_mux.pump()
             tx_mux.pump()
+            txfab.run(max_steps=txfab.scheduler.steps + 2000)
             rxfab.run(max_steps=rxfab.scheduler.steps + 2000)
             if rxfab.completed:
                 break
@@ -345,7 +347,7 @@ class TestCreditWindow:
         assert drive(txfab, rxfab, tx_mux, rx_mux, rounds=100)
         assert sink.items == list(range(60))
         tx_mux.pump()  # the grants for the last items
-        assert not t_stream.pending
+        assert not t_stream.waiters
         assert t_stream.credits == 4 and r_stream._to_grant == 0
 
     @pytest.mark.parametrize("quantum", [1, 8])
@@ -414,7 +416,7 @@ class TestCreditWindow:
                 sender = fabric.left.streams[sid]
                 receiver = fabric.right.streams[sid]
                 assert sender.eos_sent and receiver.eos_received
-                assert not sender.pending
+                assert not sender.waiters
                 assert sender.credits + receiver._to_grant == window
             assert not fabric.left._train and not fabric.right._train
 

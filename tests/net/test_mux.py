@@ -175,34 +175,35 @@ class TestFlowControl:
         receiver = rx.open_stream(1, credits=credits)
         return tx, rx, sender, receiver
 
-    def test_window_exhaustion_queues_locally(self):
+    def test_a_send_on_a_spent_window_raises_and_holds_nothing(self):
+        """A stream never queues a send: a pump parks before it sends on
+        a spent window (tests/property/test_credit_backpressure.py), and
+        a direct send there is refused."""
         tx, rx, sender, receiver = self.pair_with_credits(3)
         state = collect(receiver)
-        for i in range(8):
+        for i in range(3):
             sender.send(b"m%d" % i)
         assert sender.credits == 0
-        assert len(sender.pending) == 5
-        assert sender.stats["stalled"] == 5
+        with pytest.raises(RemoteError, match="spent window"):
+            sender.send(b"m3")
+        assert sender.stats["sent"] == 3 and sender.stats["stalled"] == 0
         rx.pump()
         # Only the window's worth crossed the shared link.
         assert state["messages"] == [b"m0", b"m1", b"m2"]
 
     def test_note_drained_returns_credits_and_flushes(self):
         tx, rx, sender, receiver = self.pair_with_credits(3)
-        # What one pump releases leaves as one MUX_FRAME run.
         state = collect(receiver, runs=True)
-        for i in range(8):
+        for i in range(3):
             sender.send(b"m%d" % i)
         rx.pump()
         receiver.note_drained(3)      # >= grant batch (3 // 2 = 1)
         tx.pump()                     # sender sees the credit frame
-        rx.pump()                     # flushed messages arrive
-        assert len(state["messages"]) >= 6
-        while sender.pending:
-            receiver.note_drained(2)
-            tx.pump()
-            rx.pump()
-        assert state["messages"] == [b"m%d" % i for i in range(8)]
+        assert sender.credits == 3
+        for i in range(3, 6):
+            sender.send(b"m%d" % i)
+        rx.pump()
+        assert state["messages"] == [b"m%d" % i for i in range(6)]
 
     def test_grants_are_batched(self):
         tx, rx, sender, receiver = self.pair_with_credits(8)
@@ -240,25 +241,18 @@ class TestFlowControl:
         # Second frame overdraws the window once (3 > 2): allowed, so a
         # frame bigger than the remaining window can never deadlock.
         assert sender.credits == -1
-        sender.send(b"g")
-        assert sender.pending  # now the window really is shut
+        with pytest.raises(RemoteError):  # now the window really is shut
+            sender.send(b"g")
 
-    def test_eos_waits_behind_pending_data(self):
+    def test_eos_costs_no_credit(self):
+        """EOS goes on a spent window: it follows the data already sent,
+        and a parked pump's EOS never waits (``MuxStream.windowed``)."""
         tx, rx, sender, receiver = self.pair_with_credits(1)
         state = collect(receiver)
         sender.send(b"first")
-        sender.send(b"second")   # stalls
-        sender.send_eos()        # must not overtake "second"
+        sender.send_eos()
         rx.pump()
         assert state["messages"] == [b"first"]
-        assert state["eos"] == 0
-        receiver.note_drained(1)
-        tx.pump()
-        rx.pump()
-        receiver.note_drained(1)
-        tx.pump()
-        rx.pump()
-        assert state["messages"] == [b"first", b"second"]
         assert state["eos"] == 1
 
     def test_uncontrolled_stream_never_stalls(self):
@@ -350,7 +344,7 @@ class TestTransports:
         s_rx = rx.open_stream(1, credits=2)
         sender, _ = make_netpipe_over(s_tx)
         _, receiver = make_netpipe_over(s_rx, on_empty=OnEmpty.NIL)
-        for i in range(5):
+        for i in range(2):
             sender.protocol.send(b"p%d" % i)
         rx.pump()
         # Window of 2 crossed; drain them through the netpipe receiver.
@@ -359,8 +353,11 @@ class TestTransports:
             status, item = receiver.try_pull()
             out.append(bytes(item))
         assert out == [b"p0", b"p1"]
-        # Credits went back (2 drains >= batch of 1); flush the rest.
+        # Credits went back (2 drains >= batch of 1): the window reopens.
+        assert s_tx.credits == 0
         tx.pump()
+        assert s_tx.credits == 2
+        sender.protocol.send(b"p2")
         rx.pump()
         status, item = receiver.try_pull()
         assert bytes(item) == b"p2"

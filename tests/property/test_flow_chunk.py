@@ -2,13 +2,15 @@
 
 ``split_flow_chunk`` accepts exactly what ``encode_flow_chunk`` writes: a
 list of ``(index, fields)`` pairs, the indices ascending ints within the
-frame's data chunks and the fields a dict.  Any other body — a scalar, a
-short or long tuple, a bool or out-of-range index, a repeated index, a
-non-dict, bytes that are not TLV at all (a string that is not UTF-8, an
-unhashable dict key) — is refused before a queue's lane rebuilds a
-single context from it.  The oracle below states the accepted shape
-independently of the implementation.  Whether a well-shaped dict holds
-a context's fields is ``TraceContext.from_wire``'s to check, not this.
+frame's data chunks and the fields a dict with exactly a context's keys
+(``TraceContext.to_wire``).  Any other body — a scalar, a short or long
+tuple, a bool or out-of-range index, a repeated index, a non-dict, a
+dict missing a context's field, bytes that are not TLV at all (a string
+that is not UTF-8, an unhashable dict key) — is refused before a
+queue's lane rebuilds a single context from it, so ``from_wire`` never
+meets a ``KeyError``.  The oracle below states the accepted shape
+independently of the implementation; the mutant twin is a split that
+checks no field names.
 """
 
 import pytest
@@ -39,10 +41,13 @@ values = st.recursive(
     ),
     max_leaves=8,
 )
+#: A context's fields with one of them missing.
+short_fields = st.sampled_from(sorted(FIELDS)).map(
+    lambda gone: {k: v for k, v in FIELDS.items() if k != gone})
 #: Near misses of an entry: the right shape with one part wrong, or not.
 entries = st.one_of(
     st.tuples(st.integers(min_value=-2, max_value=8),
-              st.one_of(st.just(FIELDS), values)),
+              st.one_of(st.just(FIELDS), short_fields, values)),
     st.tuples(st.booleans(), st.just(FIELDS)),
     st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(tuple),
     st.lists(st.integers(min_value=0, max_value=3), max_size=2),
@@ -61,7 +66,8 @@ def well_formed(body, n: int) -> bool:
     indices = []
     for entry in body:
         if not (type(entry) is tuple and len(entry) == 2
-                and type(entry[0]) is int and type(entry[1]) is dict):
+                and type(entry[0]) is int and type(entry[1]) is dict
+                and sorted(entry[1]) == sorted(FIELDS)):
             return False
         indices.append(entry[0])
     return indices == sorted(set(indices)) and all(
@@ -90,6 +96,7 @@ def test_what_the_sender_writes_is_split_back(data, fields, rng):
 @example([encode_item(1), encode_item(2)], [(0, {}), (0, {})])
 @example([encode_item(1)], [(True, {})])
 @example([encode_item(1)], [])
+@example([encode_item(1)], [(0, {"id": "t-1"})])
 def test_anything_else_is_a_marshal_error(data, body):
     frame = data + [side_chunk(body)]
     if well_formed(body, len(data)):
@@ -130,3 +137,27 @@ def test_a_lane_refuses_a_forged_chunk_before_it_rebuilds_a_context(
         with pytest.raises(MarshalError):
             lane.arrive(frame, framed=True)
         assert len(lane.tracer.store) == 0 and not lane.entries
+
+
+def test_a_split_that_checks_no_field_names_fails(monkeypatch):
+    """The mutant twin: a split that takes any dict as a context's
+    fields fails the property, and hands ``from_wire`` a dict it meets
+    with a ``KeyError``."""
+    from repro.net import marshal
+
+    monkeypatch.setattr(marshal, "CONTEXT_FIELDS", _AnyKeys())
+    with pytest.raises(pytest.fail.Exception):
+        test_anything_else_is_a_marshal_error()
+    frame = [encode_item(1), side_chunk([(0, {"id": "t-1"})])]
+    with pytest.raises(KeyError):
+        traced_lane().arrive(frame, framed=True)
+
+
+class _AnyKeys:
+    """Compares equal to every dict's keys."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False

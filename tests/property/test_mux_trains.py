@@ -107,21 +107,29 @@ class Queued(InProcessLink):
 
 
 class Run:
-    """One tx mux and one rx mux over synchronous links (the reverse one
-    ``reverse`` if given), ``STREAMS`` streams with the given window,
-    consumers that drain when told to.  The senders are attached to
-    ``scheduler``, the receivers to ``rx_scheduler``."""
+    """One tx mux and one rx mux over synchronous links (the forward one
+    ``forward`` and the reverse one ``reverse`` if given), ``STREAMS``
+    streams with the given window, consumers that drain when told to
+    (``eager``: as their data arrives).  The senders are attached to
+    ``scheduler``, the receivers to ``rx_scheduler``.
+
+    Each stream's sends come from a pump, which parks rather than send
+    on a spent window: the script's sends for a stream wait in
+    ``parked`` — the pump's own program order, never inside the mux —
+    and go as its window reopens."""
 
     def __init__(self, window, scheduler=None, reverse=None,
-                 rx_scheduler=None):
-        self.forward = Tap("a", "b", "fwd")
+                 rx_scheduler=None, forward=None, eager=False):
+        self.forward = Tap("a", "b", "fwd") if forward is None else forward
         if reverse is None:
             reverse = InProcessLink("b", "a", "back")
         self.reverse = reverse
+        self.eager = eager
         self.tx = StreamMux(self.forward, inbound=reverse)
         self.rx = StreamMux(reverse, inbound=self.forward)
         self.delivered = {sid: [] for sid in range(STREAMS)}
         self.undrained = dict.fromkeys(range(STREAMS), 0)
+        self.parked = {sid: deque() for sid in range(STREAMS)}
         self.closed: set[int] = set()
         for sid in range(STREAMS):
             sender = self.tx.open_stream(sid, credits=window)
@@ -140,7 +148,10 @@ class Run:
 
     def arrive(self, sid, chunks):
         self.delivered[sid] += [bytes(chunk) for chunk in chunks]
-        self.undrained[sid] += len(chunks)
+        if self.eager:
+            self.rx.streams[sid].note_drained(len(chunks))
+        else:
+            self.undrained[sid] += len(chunks)
 
     def drain(self):
         for sid, count in self.undrained.items():
@@ -153,22 +164,34 @@ class Run:
         if kind == "drain":
             self.drain()
         elif kind != "idle" and sid not in self.closed:
-            stream = self.tx.streams[sid]
-            if kind == "send":
-                stream.send(arg)
-            elif kind == "frame":
-                stream.send_frame(encode_batch(arg))
-            else:
-                stream.send_eos()
+            self.parked[sid].append((kind, arg))
+            if kind == "eos":
                 self.closed.add(sid)
+        self.release()
+
+    def release(self):
+        """Every pump sends what it has while its window is open; EOS
+        costs no credit."""
+        for sid, ops in self.parked.items():
+            stream = self.tx.streams[sid]
+            while ops and (ops[0][0] == "eos" or stream.credits is None
+                           or stream.credits > 0):
+                kind, arg = ops.popleft()
+                if kind == "send":
+                    stream.send(arg)
+                elif kind == "frame":
+                    stream.send_frame(encode_batch(arg))
+                else:
+                    stream.send_eos()
 
     def settle(self):
-        """Drain until nothing is pending anywhere."""
+        """Drain until no pump is parked."""
         for _ in range(1000):
-            if not any(s.pending for s in self.tx.streams.values()):
+            if not any(self.parked.values()):
                 return
             self.drain()
-        raise AssertionError("a stream never drained its pending sends")
+            self.release()
+        raise AssertionError("a pump never got its window back")
 
 
 def write_through(script, window) -> Run:
@@ -248,31 +271,30 @@ def test_the_window_is_whole_again_at_quiescence(script, window):
 
 
 def check_pump_releases(script, window):
-    """Grants reach the sender only when it pumps: every release one
-    pump makes leaves as exactly one link frame, and each stream still
-    receives the write-through sequence with its EOS where it was."""
+    """Data reaches the receivers only when their mux pumps, and they
+    drain it as it arrives: every pump that made grants sends them as
+    exactly one link frame, and each stream still receives the
+    write-through sequence with its EOS where it was."""
     want = write_through(script, window)
-    run = Run(window, reverse=Queued("b", "a", "back"))
+    run = Run(window, forward=Queued("a", "b", "fwd"),
+              reverse=Tap("b", "a", "back"), eager=True)
 
-    def queued():
-        return sum(len(s.pending) for s in run.tx.streams.values())
-
-    def drain_and_pump():
-        run.drain()
-        before, trains = queued(), len(run.forward.trains)
-        run.tx.pump()
-        released = before - queued()
-        assert len(run.forward.trains) - trains == (1 if released else 0)
+    def pump():
+        granted, trains = run.rx.stats["credits_sent"], len(run.reverse.trains)
+        run.rx.pump()
+        granted = run.rx.stats["credits_sent"] - granted
+        assert len(run.reverse.trains) - trains == (1 if granted else 0)
+        run.release()
 
     for op in script:
-        if op[0] == "drain":
-            drain_and_pump()
+        if op[0] in ("drain", "idle"):
+            pump()
         else:
             run.apply(op)
     for _ in range(1000):
-        if not queued():
+        if not any(run.parked.values()) and not run.forward.queue:
             break
-        drain_and_pump()
+        pump()
     assert run.delivered == want.delivered
 
 
@@ -321,8 +343,8 @@ def fails(prop, monkeypatch, patch):
 
 
 def test_a_write_through_release_fails_the_one_frame_pump(monkeypatch):
-    """The mutant twin: the pump holds nothing, so each release is a
-    train of one, as it was before pumps gathered trains."""
+    """The mutant twin: the pump holds nothing, so each grant its
+    deliveries make is a train of one, as before pumps gathered trains."""
     fails(test_a_pump_releases_as_one_frame, monkeypatch,
           ("pump", lambda self, limit=None: self.inbound.pump(limit)))
 

@@ -49,8 +49,6 @@ RULES = [
     ("repro.deploy.worker:_rehome_netpipe", "tested here",
      "`tests/deploy/test_deployment.py::TestShardedExecution::"
      "test_existing_netpipe_pair_is_the_seam`"),
-    ("repro.deploy.worker:ShardIO._drain_control", "tested here",
-     "`tests/deploy/test_worker.py::TestControlPipe`"),
     ("repro.fabric.session:SessionFabric.run_with_io", "tested here",
      "`tests/fabric/test_fabric_e2e.py::TestSharedLink::"
      "test_fifty_sessions_one_socketpair`"),
@@ -338,9 +336,6 @@ RULES = [
      "reference construction the columnar `select` is compared against"),
     ("repro.net.marshal:decode_batch", "verification",
      "list-returning oracle of `decode_batch_views`"),
-    ("repro.net.mux:MuxStream.send_frame", "verification",
-     "oracle: the frame-per-write send the frame trains are compared "
-     "against (`tests/property/test_mux_trains.py`)"),
     ("repro.net.mux:_frame_cost", "verification",
      "oracle: item count of a frame whose sender did not state it"),
     ("repro.net.mux:StreamMux.send_link_eos", "verification",
@@ -366,9 +361,14 @@ RULES = [
     ("repro.components.buffers:Boundary.try_push_many", "verification",
      "declared default of the boundary contract: the per-item loop "
      "`Buffer.try_push_many` falls back to on overflow"),
-    ("repro.net.socketlink:SocketLink.wait", "verification",
-     "io-source interface on a bare link (the shard and fabric loops wait "
-     "on the mux or on `select`)"),
+    ("repro.net.socketlink:SocketLink.send", "verification",
+     "the transport contract's per-message send on a bare link, which the "
+     "conformance suite drives (`tests/net/test_transport_contract.py`); "
+     "since a deploy seam is a mux stream, every link the drivers run "
+     "carries mux trains (`send_frame`)"),
+    ("repro.net.socketlink:SocketLink.send_eos", "verification",
+     "same: a bare link's EOS; under a mux each stream's EOS is a record, "
+     "and a link-wide EOS is `StreamMux.send_link_eos`'s"),
     ("repro.net.socketlink:SocketLink.tcp_pair", "verification",
      "the TCP twin of `pair` the transport tests drive; the sockets it "
      "wraps (`tcp_socketpair`) are D4-reached"),
