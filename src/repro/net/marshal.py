@@ -128,9 +128,12 @@ def register_run_codec(
 
 
 def encode_item(item: Any) -> bytes:
-    """Encode an item to wire bytes."""
-    out = bytearray()
+    """Encode an item to wire bytes (an exact int or float: one pack)."""
+    scalar = _SCALAR_ITEM.get(type(item))
     try:
+        if scalar is not None:
+            return scalar[1].pack(scalar[0], item)
+        out = bytearray()
         _encode(item, out, 0)
     except struct.error as exc:  # an int outside int64, say
         raise MarshalError(f"cannot marshal {item!r:.40}: {exc}") from None
@@ -139,6 +142,8 @@ def encode_item(item: Any) -> bytes:
 
 def decode_item(data) -> Any:
     """Decode wire bytes (or a memoryview of them) back to an item."""
+    if len(data) == _SCALAR_LEN and data[0] in _SCALAR_CHUNK:
+        return _SCALAR_CHUNK[data[0]].unpack(data)[1]
     if len(data) and data[0] >= RUN_WIRE_BASE:
         if data[0] == FLOW_CHUNK_MAGIC:
             raise MarshalError(
@@ -414,9 +419,12 @@ def encode_run(run: Any) -> EncodedRun | None:
 #: Wire length of an int or float TLV chunk: the tag byte and 8 body bytes.
 _SCALAR_LEN = 9
 #: Exact item type -> (tag, struct code).  ``bool`` and ``int`` subclasses
-#: are other types and keep the per-item route.
+#: are other types and take the TLV walk, per item and per run.
 _SCALAR_WIRE = {int: (_T_INT, "q"), float: (_T_FLOAT, "d")}
 _SCALAR_CODE = {tag: code for tag, code in _SCALAR_WIRE.values()}
+#: One scalar chunk: tag -> ONE ``!B`` + code Struct; type -> (tag, it).
+_SCALAR_CHUNK = {t: struct.Struct("!B" + c) for t, c in _SCALAR_WIRE.values()}
+_SCALAR_ITEM = {k: (t, _SCALAR_CHUNK[t]) for k, (t, _) in _SCALAR_WIRE.items()}
 #: Longest run the run-granular routes take: keeps every cached Struct
 #: small.  Longer runs (batch_max is tens to hundreds) go per item.
 _RUN_MAX = 4096

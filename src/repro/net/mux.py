@@ -37,13 +37,13 @@ Per-stream flow control
 With ``credits=N`` a stream starts with a window of N items, charged per
 data item (a frame costs the count its sender states, else its chunk
 count).  A pump sending here waits while the window is spent, exactly as
-at a full BLOCK buffer (:meth:`MuxStream.windowed`), and the grant that
-reopens the window wakes it: one slow tenant backpressures only its own
-pump, and a stream never holds a send.  A frame larger than what is left
-still goes, overdrawing the window once, so no frame can deadlock; a
-direct ``send`` on a spent window raises.  The receiving end grants
-credits as its consumer drains (``note_drained``, called by a
-:class:`~repro.net.netpipe.NetpipeReceiver` on a transport that declares
+at a full BLOCK buffer, and the grant that reopens it wakes the pump
+(:meth:`MuxStream.windowed`); under an open window a send is a call.  So
+one slow tenant backpressures only its own pump, and a stream never
+holds a send.  A frame larger than what is left still goes, overdrawing
+the window once, so no frame can deadlock; a direct ``send`` on a spent
+window raises.  The receiving end grants credits as its consumer drains
+(``note_drained``, called by a receiving netpipe on a transport that
 ``counts_drained``), batched to half the window; a train holds ONE
 CREDIT record per stream, and a grant of no credit or less is malformed.
 ``credits=None`` (the default) is uncontrolled.
@@ -100,16 +100,13 @@ def decode_stream_header(chunk) -> tuple[int, int, int]:
             f"not a stream-ID header chunk ({len(chunk)} bytes, "
             f"first byte {chunk[0] if len(chunk) else None!r})"
         )
-    _, kind, stream_id, arg = _HEADER.unpack_from(chunk)
-    return kind, stream_id, arg
+    return _HEADER.unpack_from(chunk)[1:]  # kind, stream_id, arg
 
 
 def _frame_cost(payload) -> int:
     """Items in a coalesced frame = its chunk count (header word)."""
-    if len(payload) < 4:
-        return 1
-    (count,) = struct.unpack_from("!I", payload, 0)
-    return count if count > 0 else 1
+    count = struct.unpack_from("!I", payload)[0] if len(payload) >= 4 else 1
+    return count or 1
 
 
 class MuxStream(Transport):
@@ -148,40 +145,40 @@ class MuxStream(Transport):
     # -- producer side ------------------------------------------------------
 
     def send(self, payload) -> None:
-        self._submit(MUX_DATA, payload, 1)
+        credits = self.credits
+        if self.eos_sent or credits is not None and credits <= 0:
+            self._refuse()
+        self.credits = None if credits is None else credits - 1
+        self.stats["sent"] += 1
+        self.mux._put(self, MUX_DATA, payload)
 
     def send_frame(self, payload, items: int | None = None) -> None:
         """``items``: the data items in the frame, stated by the sender
         that built it (its chunk count may include side chunks)."""
-        self._submit(
-            MUX_FRAME, payload,
-            _frame_cost(payload) if items is None else items,
-        )
+        credits = self.credits
+        if self.eos_sent or credits is not None and credits <= 0:
+            self._refuse()
+        if credits is not None:
+            self.credits = credits - (
+                _frame_cost(payload) if items is None else items)
+        self.stats["sent"] += 1
+        self.mux._put(self, MUX_FRAME, payload)
 
     def send_eos(self) -> None:
         if not self.eos_sent:
             self.eos_sent = True
             self.mux._put(self, MUX_EOS)
 
-    def _submit(self, kind: int, payload, cost: int) -> None:
-        if self.eos_sent:
-            raise RemoteError(f"stream {self.flow!r}: send after send_eos")
-        credits = self.credits
-        if credits is not None:
-            if credits <= 0:
-                raise RemoteError(
-                    f"stream {self.flow!r}: send on a spent window "
-                    f"({credits} credits); a pump sending here parks"
-                )
-            self.credits = credits - cost
-        self.stats["sent"] += 1
-        self.mux._put(self, kind, payload)
+    def _refuse(self) -> None:
+        raise RemoteError(f"stream {self.flow!r}: " + (
+            "send after send_eos" if self.eos_sent else f"send on a spent "
+            f"window ({self.credits} credits); a pump sending here parks"))
 
     def windowed(self, ctx: Any, walker):
-        """``walker``, parked while the window is spent on a credit wait
-        naming this stream's consumer (:mod:`repro.check.deadlock`),
-        dispatching control events meanwhile, until a grant reopens the
-        window (:meth:`_on_credit`).  EOS costs no credit: it never waits."""
+        """``walker``'s own generator while credits remain or for EOS (it
+        costs no credit); on a spent window, first a credit wait naming this
+        stream's consumer (:mod:`repro.check.deadlock`), dispatching control
+        events, until a grant reopens the window (:meth:`_on_credit`)."""
         if self.window is None:
             return walker
         waiters, thread = self.waiters, ctx.thread_name
@@ -194,7 +191,10 @@ class MuxStream(Transport):
         match.__qualname__ = f"credit wait on {self.flow}"
 
         def parked(arg):
-            while self.credits <= 0 and arg is not EOS:
+            return walker(arg) if self.credits > 0 or arg is EOS else wait(arg)
+
+        def wait(arg):
+            while self.credits <= 0:
                 waiters.append(thread)
                 stats["stalled"] += 1
                 while (message := (yield Receive(match))).kind == "event":
@@ -228,10 +228,10 @@ class MuxStream(Transport):
             self.stats["credits_granted"] += granted
             self.mux._put(self, MUX_CREDIT, arg=granted)
 
-    def pump(self, max_messages: int | None = None) -> int:
+    def pump(self) -> int:
         """Pump the *shared* transport (routing may deliver to any
         stream); provided so a stream can stand alone as an io source."""
-        return self.mux.pump(max_messages)
+        return self.mux.pump()
 
     def close(self) -> None:
         self.mux.close_stream(self.stream_id)
@@ -297,24 +297,24 @@ class StreamMux:
         dispatches is held until that scheduler calls :meth:`flush` before
         it waits; one begun any other time leaves at once."""
         train, sid = self._train, stream.stream_id
+        if (kind == MUX_DATA and train and train[-1][1] == sid
+                and train[-1][0] == MUX_DATA):  # the same stream sends on
+            train[-1][3].append(bytes(body))
+            self._train_bytes += 18 + len(body)
+            if self._train_bytes >= TRAIN_BYTES:
+                self.flush()
+            return
+        record = [kind, sid, arg, [] if body is None else [bytes(body)]]
         if kind == MUX_CREDIT:
-            grant = self._grants.get(sid)
-            if grant is not None:  # one grant record per stream a train
+            grant = self._grants.setdefault(sid, record)
+            if grant is not record:  # one grant record per stream a train
                 grant[2] += arg
                 return
             self.stats["credits_sent"] += 1
-        chunks = [] if body is None else [bytes(body)]  # held: owned
-        last = train[-1] if train else None
-        if (kind == MUX_DATA and last is not None
-                and last[0] == MUX_DATA and last[1] == sid):
-            last[3].extend(chunks)
-        else:
-            train.append(record := [kind, sid, arg, chunks])
-            if kind == MUX_CREDIT:
-                self._grants[sid] = record
+        train.append(record)  # held, so its chunks are owned bytes
         self._train_bytes += 18 if body is None else 18 + len(body)
         # A train already begun is registered, and a pump flushes its own.
-        held = last is not None or self._pumping
+        held = len(train) > 1 or self._pumping
         if not held and stream._scheduler is not None:
             held = stream._scheduler.before_idle(self.flush)
         if not held or self._train_bytes >= TRAIN_BYTES:
@@ -398,13 +398,13 @@ class StreamMux:
 
     # -- io loop -------------------------------------------------------------
 
-    def pump(self, max_messages: int | None = None) -> int:
+    def pump(self) -> int:
         """Deliver what the link holds; what that makes this mux emit (a
         delivery callback's grant or send) leaves as one train when the
         pump returns or raises."""
         pumping, self._pumping = self._pumping, True
         try:
-            return self.inbound.pump(max_messages)
+            return self.inbound.pump()
         finally:
             self._pumping = pumping
             self.flush()

@@ -145,7 +145,7 @@ class Transport:
         """The scheduler whose threads use this transport (handed over by
         the netpipe endpoints in ``on_attach``); most ignore it."""
 
-    def pump(self, max_messages: int | None = None) -> int:
+    def pump(self) -> int:
         """Deliver what is waiting; returns the messages delivered.  A
         transport that delivers synchronously never has any."""
         return 0

@@ -186,28 +186,32 @@ class SocketLink(Transport):
         ready, _, _ = select.select([self._sock_in], [], [], timeout)
         return bool(ready)
 
-    def pump(self, max_messages: int | None = None) -> int:
+    def pump(self) -> int:
         """Deliver what the socket holds *right now* into the bound
         receiver callbacks; returns the number of delivered messages, 0
-        at once when nothing is waiting.  The socket is read only when the
-        bytes already buffered hold no complete message, so with
-        ``max_messages`` set what was not asked for stays in the kernel."""
+        at once when nothing is waiting."""
         if self._sock_in is None:
             return 0
-        delivered = 0
+        delivered, buf = 0, self._buf  # _recv_more grows it in place
         while True:
-            delivered += self._dispatch(
-                None if max_messages is None else max_messages - delivered
-            )
-            if max_messages is not None and delivered >= max_messages:
-                break
+            while len(buf) >= _HEADER.size:
+                kind, length = _HEADER.unpack_from(buf)
+                end = _HEADER.size + length
+                if len(buf) < end:
+                    break
+                payload = bytes(buf[_HEADER.size:end])
+                del buf[:end]
+                self.stats["bytes_received"] += length
+                # An unknown header byte is refused as an unknown kind.
+                self._receive(_KINDS.get(kind, kind), payload)
+                delivered += 1
             if not self._recv_more():
-                if self.peer_closed and self._buf:
+                if self.peer_closed and buf:
                     # Every complete message was dispatched above, so the
                     # leftover bytes can only be a truncated one.
                     raise MarshalError(
                         f"link {self.flow!r}: peer closed mid-message "
-                        f"({len(self._buf)} stray bytes)"
+                        f"({len(buf)} stray bytes)"
                     )
                 break
         return delivered
@@ -227,24 +231,6 @@ class SocketLink(Transport):
         self._buf += chunk
         return True
 
-    def _dispatch(self, limit: int | None) -> int:
-        buf = self._buf
-        count = 0
-        while limit is None or count < limit:
-            if len(buf) < _HEADER.size:
-                break
-            kind, length = _HEADER.unpack_from(buf)
-            end = _HEADER.size + length
-            if len(buf) < end:
-                break
-            payload = bytes(buf[_HEADER.size:end])
-            del buf[:end]
-            self.stats["bytes_received"] += length
-            # An unknown header byte is refused as an unknown kind.
-            self._receive(_KINDS.get(kind, kind), payload)
-            count += 1
-        return count
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -255,12 +241,6 @@ class SocketLink(Transport):
                 sock.close()
             except OSError:  # pragma: no cover - best effort
                 pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SocketLink {self.flow!r} {self.src}->{self.dst} "
-            f"sent={self.stats['sent']} delivered={self.stats['delivered']}>"
-        )
 
 
 class InProcessLink(Transport):

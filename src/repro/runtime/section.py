@@ -15,14 +15,11 @@ mid-chain, and each stays responsive to control events:
   syscalls, making stage costs preemptible.
 
 Chains are walked by **compiled walkers**: :func:`compile_pull` /
-:func:`compile_push` (and their ``*_many`` batch forms) run at
-plan-realization time (see ``Engine._compile_walkers``), resolve every
+:func:`compile_push` (and their ``*_many`` batch forms) resolve every
 isinstance check, gate/lock/replay lookup and style dispatch *once per
-node*, and return bound generator closures, so steady-state item movement
-does one dict-free call per hop.  The walkers are the flow semantics; any
-recompilation trigger (today:
-:func:`repro.runtime.restructure.replace_component`) re-runs the
-compilation pass.
+node* when a plan is realised (``Engine._compile_walkers``, and again on
+:func:`repro.runtime.restructure.replace_component`), and return bound
+generator closures: the walkers are the flow semantics.
 """
 
 from __future__ import annotations
@@ -118,7 +115,8 @@ class BufferGate:
             if status != FULL:
                 if self.lane is not None and item is not EOS:
                     self.lane.put(ctx.hand, 1)
-                yield from self._wake_pullers(ctx)
+                if self._pull_waiters or self.idle_pumps:
+                    yield from self._wake_pullers(ctx)
                 return
             self._push_waiters.append(ctx.thread_name)
             yield from ctx.receive_data({"buffer-space"})
@@ -133,7 +131,8 @@ class BufferGate:
                     and item is not NIL
                 ):
                     self.lane.get(ctx.hand, 1)
-                yield from self._wake_pushers(ctx)
+                if self._push_waiters:
+                    yield from self._wake_pushers(ctx)
                 return item
             self._pull_waiters.append(ctx.thread_name)
             yield from ctx.receive_data({"buffer-item"})
@@ -150,7 +149,8 @@ class BufferGate:
             if taken:
                 if self.lane is not None:
                     self.lane.put(ctx.hand, taken)
-                yield from self._wake_pullers(ctx)
+                if self._pull_waiters or self.idle_pumps:
+                    yield from self._wake_pullers(ctx)
                 start += taken
                 if start >= total:
                     return
@@ -171,7 +171,8 @@ class BufferGate:
                     count = _run_data_count(run)
                     if count:
                         self.lane.get(ctx.hand, count)
-                yield from self._wake_pushers(ctx)
+                if self._push_waiters:
+                    yield from self._wake_pushers(ctx)
                 return run
             self._pull_waiters.append(ctx.thread_name)
             yield from ctx.receive_data({"buffer-item"})
@@ -181,16 +182,15 @@ class BufferGate:
             waiter = self._pull_waiters.popleft()
             yield Send(Message(kind="buffer-item", target=waiter,
                                sender=ctx.thread_name))
-        for pump_thread in list(self.idle_pumps):
-            self.idle_pumps.discard(pump_thread)
+        idle, self.idle_pumps = self.idle_pumps, set()
+        for pump_thread in idle:
             yield Send(Message(kind="cycle", target=pump_thread,
                                sender=ctx.thread_name))
 
     def _wake_pushers(self, ctx: ThreadCtx):
-        if self._push_waiters:
-            waiter = self._push_waiters.popleft()
-            yield Send(Message(kind="buffer-space", target=waiter,
-                               sender=ctx.thread_name))
+        waiter = self._push_waiters.popleft()
+        yield Send(Message(kind="buffer-space", target=waiter,
+                           sender=ctx.thread_name))
 
     def external_put(self, chunks, framed: bool):
         """Wire data is about to enter the buffer from outside any driver
@@ -212,8 +212,8 @@ class BufferGate:
             wakes.append(
                 Message(kind="buffer-item", target=waiter, sender="network")
             )
-        for pump_thread in list(self.idle_pumps):
-            self.idle_pumps.discard(pump_thread)
+        idle, self.idle_pumps = self.idle_pumps, set()
+        for pump_thread in idle:
             wakes.append(
                 Message(kind="cycle", target=pump_thread, sender="network")
             )
@@ -279,8 +279,8 @@ class SegmentLock:
 #
 # One bound generator closure per (thread, flow node), with the gate, lock,
 # replay intake, pending-emit queue, coroutine target thread and per-port
-# child walkers all resolved at compile time.  The run-time body of a hop
-# is then just the user code plus the unavoidable suspension points.
+# child walkers all resolved at compile time.  A hop's run-time body is the
+# user code, entering a generator only where it can wait, Work or Send.
 
 
 def _stock_pull(component):
@@ -544,12 +544,23 @@ def _compile_pull_node(ctx: ThreadCtx, node: FlowNode):
         return _compile_crossing(ctx, component, "ip-pull")
 
     if component.style is Style.FUNCTION:
-        inner = compile_pull(ctx, node.branches["in"])
+        child = node.branches["in"]
+        source = child.component if isinstance(child, BoundaryRef) else None
+        if source is not None and engine.gate_for(source) is None:
+            serve = _bind_serve_pull(source, child.port.name, traced_hand(ctx))
+        else:
+            inner, source = compile_pull(ctx, child), None
         convert = component.convert
         stats = component.stats
 
         def function_pull():
-            item = yield from inner()
+            if source is None:
+                item = yield from inner()
+            else:
+                item = serve()
+                if (cost := source._cost_accumulator) > 0.0:
+                    source._cost_accumulator = 0.0
+                    yield Work(cost)
             if item is EOS or item is NIL:
                 return item
             stats["items_in"] += 1

@@ -1,0 +1,104 @@
+"""A lost credit grant ends in a named stall, not a silent hang.
+
+Two fabrics are joined by a credited mux pair.  The link that carries the
+grants back drops the first train holding a CREDIT record, so the sender
+spends its window and never sees it refilled.  Its fabric's ``run()``
+must still return — within a bounded number of steps, the pump parked on
+its credit wait — and the deadlock detector must name what the pump
+waits for: the consumer of that stream, at the peer.
+
+Its mutant twin: a credit wait that declares no ``waiting_on`` leaves
+the stall anonymous, and the naming assertion fails.
+"""
+
+import pytest
+
+from repro import CollectSink, GreedyPump, IterSource, pipeline
+from repro.check.deadlock import blocked_waits
+from repro.fabric import SessionFabric
+from repro.mbt.syscalls import Receive
+from repro.net import InProcessLink, mux
+from repro.net.marshal import (
+    MarshalFilter,
+    UnmarshalFilter,
+    decode_batch_views,
+)
+from repro.net.mux import MUX_CREDIT, StreamMux, decode_stream_header
+from repro.net.netpipe import make_netpipe_over
+
+WINDOW = 8
+ITEMS = 40
+#: Far more steps than the window's worth of items can take.
+MAX_STEPS = 5_000
+
+
+class DropsFirstGrant(InProcessLink):
+    """A reverse link that loses the first train carrying a grant."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.dropped = 0
+
+    def send_frame(self, payload, items=None):
+        kinds = set()
+        for chunk in decode_batch_views(payload):
+            if len(chunk) and chunk[0] == mux.STREAM_CHUNK_MAGIC:
+                kinds.add(decode_stream_header(chunk)[0])
+        if MUX_CREDIT in kinds and not self.dropped:
+            self.dropped += 1
+            return
+        super().send_frame(payload, items)
+
+
+def check_lost_grant() -> None:
+    forward = InProcessLink("shard-a", "shard-b", "fwd")
+    reverse = DropsFirstGrant("shard-b", "shard-a", "back")
+    tx = StreamMux(forward, inbound=reverse)
+    rx = StreamMux(reverse, inbound=forward)
+    t_stream = tx.open_stream(3, credits=WINDOW)
+    r_stream = rx.open_stream(3, credits=WINDOW)
+    sink = CollectSink()
+
+    def build_tx():
+        sender, _ = make_netpipe_over(t_stream)
+        return pipeline(
+            IterSource(range(ITEMS)), MarshalFilter(), GreedyPump(), sender
+        )
+
+    def build_rx():
+        _, receiver = make_netpipe_over(r_stream)
+        return pipeline(receiver, UnmarshalFilter(), GreedyPump(), sink)
+
+    tx_fabric, rx_fabric = SessionFabric(), SessionFabric()
+    tx_fabric.open_session(build_tx, name="tx")
+    rx_fabric.open_session(build_rx, name="rx")
+    for _ in range(3):
+        tx_fabric.run(max_steps=tx_fabric.scheduler.steps + MAX_STEPS)
+        rx_fabric.run(max_steps=rx_fabric.scheduler.steps + MAX_STEPS)
+    tx_fabric.run(max_steps=tx_fabric.scheduler.steps + MAX_STEPS)
+
+    # The grant was lost: the window's items arrived and nothing more.
+    assert reverse.dropped == 1
+    assert sink.items == list(range(WINDOW))
+    assert tx_fabric.scheduler.steps < MAX_STEPS  # quiescent, not spinning
+    # The sending pump is parked on its credit wait, and the report names
+    # the consumer it waits for.
+    assert len(t_stream.waiters) == 1
+    (wait,) = [
+        info for info in blocked_waits(tx_fabric.scheduler)
+        if info.thread == t_stream.waiters[0]
+    ]
+    assert wait.waiting_on == "consumer of stream-3 at shard-b", wait
+
+
+def test_a_lost_grant_is_a_named_stall():
+    check_lost_grant()
+
+
+def test_an_anonymous_credit_wait_fails(monkeypatch):
+    """Mutant twin: the credit wait's predicate declares nothing."""
+    monkeypatch.setattr(
+        mux, "Receive", lambda match: Receive(match=lambda m: match(m))
+    )
+    with pytest.raises(AssertionError, match="waiting_on=None"):
+        check_lost_grant()

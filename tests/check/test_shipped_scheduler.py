@@ -10,11 +10,13 @@ bursts and Reposts follow production policy under it.  So:
   choices, of the forced-decline oracle of ``tests/mbt/test_repost.py``,
   which delivers every Repost as its ``cycle`` message;
 * no dispatch of an explored burst passes a ready thread that is
-  strictly more urgent by ``(priority, deadline)``.
+  strictly more urgent by ``(priority, deadline)``;
+* every thread takes the messages ``post_many`` posts to it in posting
+  order, as ``post`` one by one would have queued them.
 
-Each of the last two has a mutant twin that explored runs catch with a
-shrunk, replayable choice list: a Repost taken on a tie, and a burst
-that ignores a more urgent rival.
+Each of the last three has a mutant twin that explored runs catch with a
+shrunk, replayable choice list: a Repost taken on a tie, a burst that
+ignores a more urgent rival, and a ``post_many`` that reorders a group.
 """
 
 import pytest
@@ -34,6 +36,7 @@ from repro.check.explorer import (
 from repro.fabric import SessionFabric
 from repro.fabric.certify import fabric_hosted
 from repro.mbt import Scheduler
+from repro.mbt.mailbox import Mailbox
 from tests.mbt.test_repost import decline_every_repost, takes_on_ties
 
 FIG2 = (
@@ -225,4 +228,73 @@ def test_a_burst_that_ignores_a_more_urgent_rival_fails(monkeypatch):
     assert result.failures
     assert "past" in result.repro
     run, _ = replay(burst_fabric, result.minimized_choices)
+    assert run.failed
+
+
+# ---------------------------------------------------------------------------
+# post_many: a group enters its target's mailbox in order
+# ---------------------------------------------------------------------------
+
+
+def posted_in_order(patch, build):
+    """``(build, check)``: ``build`` as given, with a record of every
+    ``post_many`` run (per target, in posting order) and of every message
+    a thread takes; ``check`` raises when a thread took two messages of
+    those runs in the other order."""
+    posted: dict[str, list[int]] = {}
+    taken: dict[str, list[int]] = {}
+    post_many, get = Scheduler.post_many, Mailbox.get
+
+    def recording_post_many(self, messages):
+        for message in messages:
+            posted.setdefault(message.target, []).append(message.msg_id)
+        post_many(self, messages)
+
+    def recording_get(self, match=None):
+        message = get(self, match)
+        if message is not None:
+            taken.setdefault(message.target, []).append(message.msg_id)
+        return message
+
+    def recorded_build():
+        posted.clear()
+        taken.clear()
+        return build()
+
+    def check(engine):
+        for target, ids in posted.items():
+            rank = {msg_id: index for index, msg_id in enumerate(ids)}
+            got = [rank[msg_id] for msg_id in taken.get(target, ())
+                   if msg_id in rank]
+            assert got == sorted(got), (
+                f"{target} took a posted run out of order"
+            )
+
+    patch.setattr(Scheduler, "post_many", recording_post_many)
+    patch.setattr(Mailbox, "get", recording_get)
+    return recorded_build, check
+
+
+@pytest.mark.parametrize("name", ["fig2-engine", "fig9d-engine"])
+def test_an_explored_post_many_keeps_each_group_in_order(name, monkeypatch):
+    build, drive = PROGRAMS[name][0]()
+    build, check = posted_in_order(monkeypatch, build)
+    result = explore(build, seeds=SEEDS, drive=drive, check=check)
+    result.raise_if_failed()
+
+
+def test_a_post_many_that_reorders_a_group_fails(monkeypatch):
+    """Mutant twin: a run of messages to one target enters its mailbox
+    last first (the engine's START fan-out to a thread that owns two
+    components is such a run)."""
+    put_many = Mailbox.put_many
+    monkeypatch.setattr(
+        Mailbox, "put_many", lambda self, run: put_many(self, run[::-1])
+    )
+    build, drive = PROGRAMS["fig2-engine"][0]()
+    build, check = posted_in_order(monkeypatch, build)
+    result = explore(build, seeds=SEEDS, drive=drive, check=check)
+    assert result.failures
+    assert "out of order" in result.repro
+    run, _ = replay(build, result.minimized_choices, drive=drive, check=check)
     assert run.failed

@@ -75,57 +75,20 @@ class TestSocketLinkPair:
         assert state["eos"] == 1
 
     def test_truncated_message_on_peer_close_raises(self):
+        """The complete message ahead of a truncated one is delivered,
+        and the truncated one raises."""
         a, b = SocketLink.pair()
-        collect(b)
+        state = collect(b)
         # Write a header promising more bytes than we send, then close.
         a._sendall(0, b"full-message")
         a._sock_out.sendall(b"\x00\x00\x00\x00\x10part")
         a.close()
-        with pytest.raises(MarshalError):
+        with pytest.raises(MarshalError, match="peer closed mid-message"):
             while True:
                 b.pump()
                 if b.peer_closed and not b._buf:
                     break
-
-    def test_truncated_message_raises_from_a_bounded_pump_too(self):
-        a, b = SocketLink.pair()
-        state = collect(b)
-        a._sendall(0, b"full-message")
-        a._sock_out.sendall(b"\x00\x00\x00\x00\x10part")
-        a.close()
-        assert b.pump(1) == 1
         assert state["messages"] == [b"full-message"]
-        with pytest.raises(MarshalError):
-            b.pump(1)
-
-    def test_bounded_pump_leaves_the_rest_in_the_kernel(self):
-        """``pump(n)`` reads the socket only when its buffer holds no
-        complete message, so a sender far ahead of the consumer ends up
-        blocked in ``sendall`` instead of buffered here."""
-        from repro.net.socketlink import _RECV_CHUNK
-
-        a, b = SocketLink.pair()
-        state = collect(b)
-        messages = [bytes([i % 251]) * 1000 for i in range(2000)]  # 2 MB
-        done = threading.Event()
-
-        def producer():
-            for message in messages:
-                a.send(message)
-            done.set()
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        assert b.wait(5.0)
-        assert b.pump(1) == 1
-        assert len(b._buf) <= _RECV_CHUNK
-        assert not done.wait(0.2)  # backpressured, not absorbed
-        while len(state["messages"]) < len(messages):
-            if not b.pump(7):
-                b.wait(1.0)
-            assert len(b._buf) <= _RECV_CHUNK + 1005
-        thread.join(5)
-        assert done.is_set() and state["messages"] == messages
 
     def test_clean_close_after_eos_is_not_an_error(self):
         a, b = SocketLink.pair()

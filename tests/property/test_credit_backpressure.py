@@ -105,15 +105,15 @@ def test_a_stream_that_queues_past_the_window_fails(monkeypatch):
     """Mutant twin: the stream takes every send and queues the ones the
     window has no room for, off the link, instead of parking the pump."""
     queued: list = []
-    submit = MuxStream._submit
+    send = MuxStream.send
 
-    def queues(self, kind, payload, cost):
+    def queues(self, payload):
         if self.credits is not None and self.credits <= 0:
             queued.append(bytes(payload))
             return
-        submit(self, kind, payload, cost)
+        send(self, payload)
 
     monkeypatch.setattr(MuxStream, "windowed", lambda s, ctx, walker: walker)
-    monkeypatch.setattr(MuxStream, "_submit", queues)
+    monkeypatch.setattr(MuxStream, "send", queues)
     with pytest.raises(AssertionError):
         check_backpressure(1)

@@ -706,6 +706,22 @@ DELETED: list[tuple[str, int, str, str]] = [
      "and `Placement.auto(costs=)`; a segment weighs its component count, "
      "which every caller got)", 16, "D1-D4", "none "
      "(`test_weights_steer_the_split` drops its `costs=`)"),
+    # The credited wire path, one call per hop that cannot wait (measured
+    # at its parent, 3658612).
+    ("repro.net.socketlink:SocketLink.pump(max_messages=) (a parameter "
+     "and its bound: the socket was read only when no complete message "
+     "was buffered; with `Transport.pump` / `MuxStream.pump` / "
+     "`StreamMux.pump`'s, and `_dispatch`'s `limit`, `_dispatch` folded "
+     "into `pump`)", 14, "net/test_socketlink.py, "
+     "property/test_socketlink_framing.py",
+     "`TestSocketLink::test_bounded_pump_leaves_the_rest_in_the_kernel`, "
+     "`::test_truncated_message_raises_from_a_bounded_pump_too` (the "
+     "unbounded truncation test now also checks the message ahead of it)"),
+    ("repro.net.socketlink:SocketLink.__repr__", 5, "nothing", "none"),
+    ("repro.net.mux:MuxStream._submit (folded into `send` / "
+     "`send_frame`; their refusal is `_refuse`)", 13, "D1-D4",
+     "none (`test_a_stream_that_queues_past_the_window_fails` patches "
+     "`send`)"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
