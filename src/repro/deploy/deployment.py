@@ -19,9 +19,9 @@ Execution modes:
   ``socket.socketpair()`` (or TCP pair) per shard pair that a cut joins;
   each cut edge is a credited stream of the pair's
   :class:`~repro.net.mux.StreamMux`, carrying coalesced netpipe frames.
-* :meth:`simulate` — the sharded topology co-simulated inside ONE engine
-  over in-process links: deterministic, seedable, and what
-  :meth:`certify` explores.
+* :meth:`simulate` — every shard built as its process builds it, all in
+  ONE engine, each shard pair joined by a mux pair over in-process
+  links: deterministic, and what :meth:`certify` explores.
 """
 
 from __future__ import annotations
@@ -38,11 +38,12 @@ from repro.errors import DeployError
 from repro.deploy.placement import Placement, ShardPlan, plan_placement
 from repro.deploy.worker import (
     ShardSpec,
-    apply_cuts,
     build_program,
+    build_shard_pipeline,
     done_payload,
     shard_main,
 )
+from repro.net.mux import StreamMux
 from repro.net.socketlink import InProcessLink, tcp_socketpair
 
 
@@ -62,6 +63,11 @@ def _stop_shards(processes: list, conns) -> str:
             process.terminate()
             process.join(1.0)
     return ", ".join(killed)
+
+
+def _pairs(plan: ShardPlan) -> set[tuple[int, int]]:
+    """The ``(low, high)`` shard pairs that a cut joins."""
+    return {tuple(sorted((c.src_shard, c.dst_shard))) for c in plan.cuts}
 
 
 def _socketpair_for(transport: str):
@@ -166,8 +172,8 @@ class Deployment:
         A :class:`repro.api.Pipeline` run spec, or a bare program (source
         string, picklable zero-arg callable returning a composed
         :class:`Pipeline`, or a live Pipeline) run with default options.
-        A live Pipeline is accepted for single-shard and :meth:`simulate`
-        use, but cannot be shipped to worker processes.
+        A live Pipeline is accepted for single-shard use only: a shard,
+        simulated or not, rebuilds the program.
     placement:
         A :class:`Placement`; default ``Placement.auto(shards)``.
     shards:
@@ -212,6 +218,12 @@ class Deployment:
     def describe(self) -> str:
         return self.plan().describe()
 
+    def _spec(self, plan: ShardPlan, shard: int) -> ShardSpec:
+        return ShardSpec(
+            shard=shard, app=self.app, assignment=dict(plan.assignment),
+            cuts=plan.cuts,
+        )
+
     # ------------------------------------------------------------ running
 
     def run(self, timeout: float | None = None) -> DeploymentResult:
@@ -246,21 +258,13 @@ class Deployment:
 
         ctx = mp.get_context(self.start_method)
         pairs = {
-            pair: _socketpair_for(self.transport)
-            for pair in {
-                tuple(sorted((c.src_shard, c.dst_shard))) for c in plan.cuts
-            }
+            pair: _socketpair_for(self.transport) for pair in _pairs(plan)
         }
         processes: list = []
         conns: dict[Any, int] = {}
         try:
             for shard in range(plan.shards):
-                spec = ShardSpec(
-                    shard=shard,
-                    app=self.app,
-                    assignment=dict(plan.assignment),
-                    cuts=plan.cuts,
-                )
+                spec = self._spec(plan, shard)
                 socks = {  # peer shard -> this shard's end of their pair
                     high if low == shard else low: ends[low != shard]
                     for (low, high), ends in pairs.items()
@@ -353,60 +357,49 @@ class Deployment:
 
     # ------------------------------------------------------- co-simulation
 
-    def simulate(self, loss_rate: float = 0.0, seed: int = 0):
-        """The sharded topology inside ONE engine, over in-process links.
+    def simulate(self):
+        """The sharded topology inside ONE engine.
 
-        Every buffer cut is bridged exactly as a real deployment bridges
-        it (marshal → wire-send | wire-recv → unmarshal), but the wire is
-        an :class:`InProcessLink` delivering synchronously — so the whole
-        multi-shard dataflow runs under one deterministic, seedable
-        scheduler.  This is the *concrete* side of :meth:`certify`.
+        Every shard is built as its process builds it
+        (:func:`~repro.deploy.worker.build_shard_pipeline`), and each shard
+        pair is joined by two :class:`StreamMux` es over a pair of
+        :class:`InProcessLink` s, so each cut is the credited stream a
+        deployment ships, trains and grants included.  The links deliver
+        synchronously, so the whole multi-shard dataflow runs under one
+        deterministic scheduler: the *concrete* side of :meth:`certify`.
         """
-        pipeline = build_program(self.app.program)
-        plan = plan_placement(pipeline, self.placement)
-        for cut in plan.cuts:
-            if cut.kind == "netpipe":
-                raise DeployError(
-                    "simulate() cannot rehome simulated netpipes; cut "
-                    "only at Buffer seams for co-simulation"
-                )
+        return self._simulate(self.plan())
 
-        def transport_for(cut):
-            link = InProcessLink(
-                src=f"shard-{cut.src_shard}",
-                dst=f"shard-{cut.dst_shard}",
-                flow=cut.via,
-                loss_rate=loss_rate,
-                seed=seed + cut.index,
-            )
-            return link, True, True
-
-        bridges = apply_cuts(pipeline, plan.cuts, transport_for)
-        replaced = {c.via for c in plan.cuts if c.kind == "buffer"}
-        components = [
-            c for c in pipeline.components if c.name not in replaced
-        ] + bridges
-        twin = Pipeline(components)
-        twin.derive_typespecs()
-        return self.app.build(twin).engine
+    def _simulate(self, plan: ShardPlan):
+        self.app.__getstate__()  # a shard rebuilds the program
+        muxes: dict[int, dict[int, StreamMux]] = {
+            shard: {} for shard in range(plan.shards)
+        }
+        for low, high in _pairs(plan):
+            forward = InProcessLink(
+                f"shard-{low}", f"shard-{high}", f"shards-{low}-{high}")
+            back = InProcessLink(
+                f"shard-{high}", f"shard-{low}", f"shards-{high}-{low}")
+            muxes[low][high] = StreamMux(forward, inbound=back)
+            muxes[high][low] = StreamMux(back, inbound=forward)
+        union = Pipeline([
+            component
+            for shard in range(plan.shards)
+            for component in build_shard_pipeline(
+                self._spec(plan, shard), muxes[shard]
+            ).components
+        ])
+        union.derive_typespecs()
+        return self.app.build(union).engine
 
     # ------------------------------------------------------- certification
 
-    def certify(
-        self,
-        *,
-        seeds: int = 25,
-        loss_rate: float = 0.0,
-        loss_seed: int = 0,
-        drive=None,
-        **check_kwargs: Any,
-    ):
+    def certify(self, *, seeds: int = 25, drive=None, **check_kwargs: Any):
         """Certify the sharded topology refines the single-core program.
 
         Runs :func:`repro.check.refine.check_refinement` with the plain
         single-engine build as the abstract side and :meth:`simulate` as
-        the concrete side.  With ``loss_rate > 0`` the in-process wires
-        drop items and auto-detection declares those channels lossy.
+        the concrete side.
         """
         from repro.check.refine import PipelineUnderTest, check_refinement
 
@@ -417,10 +410,7 @@ class Deployment:
             name="single-core",
         )
         concrete = PipelineUnderTest(
-            build=lambda: self.simulate(
-                loss_rate=loss_rate, seed=loss_seed
-            ),
-            drive=drive,
+            build=lambda: self._simulate(plan), drive=drive,
             name=f"{plan.shards}-shard",
         )
         return check_refinement(

@@ -10,6 +10,8 @@ a credited stream (:data:`SEAM_WINDOW`) of the one
 socket end the parent passed in, and realises the spec over that subgraph
 (:meth:`repro.api.Pipeline.build`) — so every execution option stated on
 the spec means in a shard what it means in-process.
+``Deployment.simulate()`` runs the same build (:func:`build_shard_pipeline`)
+for every shard over in-process muxes.
 
 Lifecycle (the cross-process start/EOS/shutdown barrier):
 
@@ -75,22 +77,19 @@ def _disconnect(port) -> None:
 def apply_cuts(
     pipeline: Pipeline,
     cuts: tuple[Cut, ...],
+    shard: int,
     transport_for,
 ) -> list[Component]:
-    """Realize every cut in place; returns the new bridge components.
-
-    ``transport_for(cut)`` returns ``(link, build_send, build_recv)``:
-    the transport object for this cut and which bridge halves to build
-    in this process (a shard only builds its own side; the co-simulated
-    twin builds both over one in-process link).
-    """
+    """Realize every cut in place; returns the new bridge components:
+    ``shard``'s own halves of its cuts, over ``transport_for(cut)``."""
     bridges: list[Component] = []
     # The wire flow is plain bytes; the receiver must advertise the
     # item-level spec it carries (same scheme as repro.net.remote), or the
     # unmarshaller's downstream would see an untyped 'item' flow.
     flow_specs = derive_typespecs(pipeline.components)
     for cut in cuts:
-        link, build_send, build_recv = transport_for(cut)
+        build_send, build_recv = cut.src_shard == shard, cut.dst_shard == shard
+        link = transport_for(cut) if build_send or build_recv else None
         if cut.kind == "netpipe":
             _rehome_netpipe(pipeline, cut, link, build_send, build_recv)
             continue
@@ -188,38 +187,27 @@ SEAM_WINDOW = 8192
 
 
 def build_shard_pipeline(
-    spec: ShardSpec, sockets: dict[int, Any]
-) -> tuple[Pipeline, dict[int, StreamMux]]:
-    """Build this shard's pipeline and one mux per peer shard, over the
-    socket ``sockets`` holds for that peer; each cut of this shard is
-    stream ``cut.index`` of its pair's mux.  The caller owns the muxes
-    and closes them."""
+    spec: ShardSpec, muxes: dict[int, StreamMux]
+) -> Pipeline:
+    """Build this shard's pipeline; each of its cuts is stream
+    ``cut.index`` of the mux ``muxes`` holds for the peer shard.  A shard
+    process wraps its sockets in those muxes; ``Deployment.simulate()``
+    passes in-process ones."""
     pipeline = build_program(spec.app.program)
-    muxes = {
-        peer: StreamMux(SocketLink(
-            sock_out=sock, sock_in=sock, src=f"shard-{spec.shard}",
-            dst=f"shard-{peer}", flow=f"shards-{spec.shard}-{peer}",
-        ))
-        for peer, sock in sockets.items()
-    }
 
     def transport_for(cut: Cut):
-        build_send = cut.src_shard == spec.shard
-        build_recv = cut.dst_shard == spec.shard
-        if not (build_send or build_recv):
-            return None, False, False
-        mux = muxes[cut.dst_shard if build_send else cut.src_shard]
+        sending = cut.src_shard == spec.shard
+        mux = muxes[cut.dst_shard if sending else cut.src_shard]
         stream = mux.open_stream(cut.index, credits=SEAM_WINDOW)
         # The netpipe halves stamp these as their locations.
         stream.src = f"shard-{cut.src_shard}"
         stream.dst = f"shard-{cut.dst_shard}"
-        return stream, build_send, build_recv
+        return stream
 
-    bridges = apply_cuts(pipeline, spec.cuts, transport_for)
-    shard_pipe = extract_shard(
+    bridges = apply_cuts(pipeline, spec.cuts, spec.shard, transport_for)
+    return extract_shard(
         pipeline, spec.assignment, spec.cuts, spec.shard, bridges
     )
-    return shard_pipe, muxes
 
 
 class ShardIO:
@@ -318,7 +306,12 @@ def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
     ``sockets`` holds this shard's end of the link to each peer shard."""
     muxes: dict[int, StreamMux] = {}
     try:
-        shard_pipe, muxes = build_shard_pipeline(spec, sockets)
+        for peer, sock in sockets.items():
+            muxes[peer] = StreamMux(SocketLink(
+                sock_out=sock, sock_in=sock, src=f"shard-{spec.shard}",
+                dst=f"shard-{peer}", flow=f"shards-{spec.shard}-{peer}",
+            ))
+        shard_pipe = build_shard_pipeline(spec, muxes)
         built = spec.app.build(shard_pipe)
         engine = built.engine
         engine.setup()

@@ -228,6 +228,12 @@ class MuxStream(Transport):
             self.stats["credits_granted"] += granted
             self.mux._put(self, MUX_CREDIT, arg=granted)
 
+    def wire_key(self, sending: bool):
+        """The link this stream's mux writes (``sending``) or reads, and
+        the stream id: the two ends of a stream are two objects."""
+        mux = self.mux
+        return mux.transport if sending else mux.inbound, self.stream_id
+
     def pump(self) -> int:
         """Pump the *shared* transport (routing may deliver to any
         stream); provided so a stream can stand alone as an io source."""

@@ -304,9 +304,8 @@ def make_netpipe_over(
     simulated :class:`~repro.net.protocols.Protocol`, a real-socket
     :class:`~repro.net.socketlink.SocketLink`, an in-process
     :class:`~repro.net.socketlink.InProcessLink` or a
-    :class:`~repro.net.mux.MuxStream`.  The netpipe components
-    themselves are transport-agnostic; this is the factory the sharded
-    deployment layer (:mod:`repro.deploy`) uses to bridge cut edges.
+    :class:`~repro.net.mux.MuxStream`; the netpipe components themselves
+    are transport-agnostic.
     """
     sender = NetpipeSender(transport, name=f"netpipe-send-{transport.flow}")
     receiver = NetpipeReceiver(
@@ -346,8 +345,9 @@ def make_netpipe(
 
 
 def netpipe_pairs(components) -> list[tuple[NetpipeSender, NetpipeReceiver]]:
-    """The netpipe halves among ``components`` that share one transport."""
-    senders = {id(c.protocol): c for c in components
+    """The netpipe halves among ``components`` that share a ``wire_key``."""
+    senders = {c.protocol.wire_key(True): c for c in components
                if isinstance(c, NetpipeSender)}
-    return [(senders[id(c.protocol)], c) for c in components
-            if isinstance(c, NetpipeReceiver) and id(c.protocol) in senders]
+    return [(senders[key], c) for c in components
+            if isinstance(c, NetpipeReceiver)
+            and (key := c.protocol.wire_key(False)) in senders]

@@ -95,6 +95,12 @@ class Transport:
         wait where a send window says; ``walker`` itself without one."""
         return walker
 
+    def wire_key(self, sending: bool):
+        """What the sending end (``sending``) and the receiving end of one
+        wire both answer, so the two netpipe halves pair up: the
+        transport itself, when one object is both ends."""
+        return self
+
     # -- receiver side ------------------------------------------------------
 
     def on_deliver(

@@ -16,10 +16,12 @@ byte streams preserve order and never drop, so there is no
 sequence/retransmit machinery; flow control is the credit window of the
 :class:`~repro.net.mux.StreamMux` a deployment runs over each link.
 
-:class:`InProcessLink` is the co-simulation twin used by
-``Deployment.simulate()``: the same interface with synchronous in-memory
-delivery, so a sharded cut can run inside ONE engine/scheduler where the
-refinement checker can explore schedules deterministically.
+:class:`InProcessLink` is the same contract with synchronous in-memory
+delivery: ``Deployment.simulate()`` runs a shard pair's two muxes over
+two of them (one each way) in place of the socket, so every shard of a
+deployment runs inside ONE engine/scheduler, on the wire protocol it
+ships, where the refinement checker can explore schedules
+deterministically.
 """
 
 from __future__ import annotations
@@ -244,49 +246,28 @@ class SocketLink(Transport):
 
 
 class InProcessLink(Transport):
-    """Synchronous in-memory transport.
-
-    ``Deployment.simulate()`` realizes every planner cut with one of
-    these so the whole sharded structure runs inside a single engine:
-    sends deliver immediately into the receiver callbacks (a zero-delay
-    reliable wire), keeping runs deterministic and schedule exploration
+    """Synchronous, reliable in-memory transport: a send is delivered
+    into the receiver callbacks at once (a zero-delay wire that never
+    drops), keeping runs deterministic and schedule exploration
     (:func:`repro.check.check_refinement`) applicable.  Sender and
-    receiver share the one object, which is also what lets
-    ``lossy_channels`` pair the two netpipe halves across the cut.
-
-    ``loss_rate`` > 0 turns it into a seeded lossy datagram wire (each
-    data or frame message may be dropped), for exercising wire-loss
-    attribution without a network simulator.
+    receiver share the one object.  ``Deployment.simulate()`` joins each
+    shard pair with a :class:`~repro.net.mux.StreamMux` pair over two of
+    these, one per direction.
     """
 
     def __init__(
-        self,
-        src: str = "shard-0",
-        dst: str = "shard-1",
-        flow: str = "flow",
-        loss_rate: float = 0.0,
-        seed: int = 0,
+        self, src: str = "shard-0", dst: str = "shard-1", flow: str = "flow"
     ):
-        import random
-
         super().__init__(flow, src, dst)
-        self.loss_rate = loss_rate
-        self._rng = random.Random(seed)
-        self.stats["lost"] = 0
         self.eos_sent = False
 
-    def _carry(self, kind: str, payload) -> None:
-        self.stats["sent"] += 1
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.stats["lost"] += 1
-        else:
-            self._receive(kind, bytes(payload))
-
     def send(self, payload) -> None:
-        self._carry(DATA_KIND, payload)
+        self.stats["sent"] += 1
+        self._receive(DATA_KIND, bytes(payload))
 
     def send_frame(self, payload, items: int | None = None) -> None:
-        self._carry(FRAME_KIND, payload)
+        self.stats["sent"] += 1
+        self._receive(FRAME_KIND, bytes(payload))
 
     def send_eos(self) -> None:
         if not self.eos_sent:

@@ -5,7 +5,9 @@ grants back drops the first train holding a CREDIT record, so the sender
 spends its window and never sees it refilled.  Its fabric's ``run()``
 must still return — within a bounded number of steps, the pump parked on
 its credit wait — and the deadlock detector must name what the pump
-waits for: the consumer of that stream, at the peer.
+waits for: the consumer of that stream, at the peer.  The same holds for
+a simulated two-shard deployment whose in-process links lose every grant
+on the seam's stream.
 
 Its mutant twin: a credit wait that declares no ``waiting_on`` leaves
 the stall anonymous, and the naming assertion fails.
@@ -15,6 +17,9 @@ import pytest
 
 from repro import CollectSink, GreedyPump, IterSource, pipeline
 from repro.check.deadlock import blocked_waits
+from repro.deploy import Deployment, Placement
+from repro.deploy import deployment as deploy_module
+from repro.deploy.worker import SEAM_WINDOW
 from repro.fabric import SessionFabric
 from repro.mbt.syscalls import Receive
 from repro.net import InProcessLink, mux
@@ -32,6 +37,14 @@ ITEMS = 40
 MAX_STEPS = 5_000
 
 
+def carries_a_grant(train) -> bool:
+    return any(
+        len(chunk) and chunk[0] == mux.STREAM_CHUNK_MAGIC
+        and decode_stream_header(chunk)[0] == MUX_CREDIT
+        for chunk in decode_batch_views(train)
+    )
+
+
 class DropsFirstGrant(InProcessLink):
     """A reverse link that loses the first train carrying a grant."""
 
@@ -40,12 +53,20 @@ class DropsFirstGrant(InProcessLink):
         self.dropped = 0
 
     def send_frame(self, payload, items=None):
-        kinds = set()
-        for chunk in decode_batch_views(payload):
-            if len(chunk) and chunk[0] == mux.STREAM_CHUNK_MAGIC:
-                kinds.add(decode_stream_header(chunk)[0])
-        if MUX_CREDIT in kinds and not self.dropped:
+        if carries_a_grant(payload) and not self.dropped:
             self.dropped += 1
+            return
+        super().send_frame(payload, items)
+
+
+class DropsEveryGrant(InProcessLink):
+    """A link that loses every train carrying a grant."""
+
+    dropped = 0
+
+    def send_frame(self, payload, items=None):
+        if carries_a_grant(payload):
+            DropsEveryGrant.dropped += 1
             return
         super().send_frame(payload, items)
 
@@ -91,14 +112,58 @@ def check_lost_grant() -> None:
     assert wait.waiting_on == "consumer of stream-3 at shard-b", wait
 
 
+SEAM_ITEMS = 20_000
+SEAM_SRC = (
+    f"counting(limit={SEAM_ITEMS}) >> greedy_pump >> buffer(64) >> "
+    "greedy_pump >> collect"
+)
+
+
+def check_lost_grant_under_simulate(monkeypatch) -> None:
+    monkeypatch.setattr(deploy_module, "InProcessLink", DropsEveryGrant)
+    monkeypatch.setattr(DropsEveryGrant, "dropped", 0)
+    engine = Deployment(SEAM_SRC, Placement.auto(2)).simulate()
+    engine.start()
+    engine.run(max_steps=MAX_STEPS * 20)
+
+    # A window's worth of items crossed, and no grant came back.
+    assert not engine.completed
+    assert DropsEveryGrant.dropped >= 1
+    items = engine.pipeline.component("collect-sink-1").items
+    assert SEAM_WINDOW <= len(items) < SEAM_ITEMS
+    assert items == list(range(len(items)))
+    assert engine.scheduler.steps < MAX_STEPS * 20  # quiescent
+    sender = engine.pipeline.component("buffer-1-wire-send")
+    (parked,) = sender.protocol.waiters
+    assert parked.endswith("greedy-pump-1")  # the upstream pump
+    (wait,) = [
+        info for info in blocked_waits(engine.scheduler)
+        if info.thread == parked
+    ]
+    assert wait.waiting_on == "consumer of stream-0 at shard-1", wait
+
+
 def test_a_lost_grant_is_a_named_stall():
     check_lost_grant()
 
 
-def test_an_anonymous_credit_wait_fails(monkeypatch):
+def test_a_lost_grant_under_simulate_is_a_named_stall(monkeypatch):
+    check_lost_grant_under_simulate(monkeypatch)
+
+
+def anonymous_credit_waits(monkeypatch):
     """Mutant twin: the credit wait's predicate declares nothing."""
     monkeypatch.setattr(
         mux, "Receive", lambda match: Receive(match=lambda m: match(m))
     )
-    with pytest.raises(AssertionError, match="waiting_on=None"):
+    return pytest.raises(AssertionError, match="waiting_on=None")
+
+
+def test_an_anonymous_credit_wait_fails(monkeypatch):
+    with anonymous_credit_waits(monkeypatch):
         check_lost_grant()
+
+
+def test_an_anonymous_credit_wait_fails_under_simulate(monkeypatch):
+    with anonymous_credit_waits(monkeypatch):
+        check_lost_grant_under_simulate(monkeypatch)

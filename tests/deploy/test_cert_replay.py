@@ -33,7 +33,6 @@ def test_document_shape(document):
     assert set(document["certificates"]) == {
         "fig1-2shard",
         "fig2-2shard",
-        "fig2-2shard-lossy-wire",
     }
 
 
@@ -48,8 +47,3 @@ def test_fig1_channel_is_seq_projected_subsequence(document):
     cert = document["certificates"]["fig1-2shard"]
     (channel,) = cert["channels"].values()
     assert channel["mode"] == "subsequence"
-
-
-def test_lossy_wire_channel_is_subsequence(document):
-    cert = document["certificates"]["fig2-2shard-lossy-wire"]
-    assert cert["channels"]["collect-sink#0"]["mode"] == "subsequence"

@@ -6,27 +6,29 @@ import pytest
 
 from repro.api import Pipeline
 from repro.check.explorer import trace_hash
+from repro.check.invariants import check_conservation
 from repro.deploy import Deployment, DeployError, Placement
 from repro.deploy.presets import fig1_stages, fig9a_chains
+from repro.deploy.worker import SEAM_WINDOW
+from repro.net.mux import MuxStream
+from repro.net.netpipe import NetpipeReceiver, NetpipeSender
+from repro.net.protocols import Transport
 from repro.runtime.engine import Engine
 
 SRC = "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> collect"
 
 
 def netpipe_seam():
-    """Two sections joined only by an existing *simulated* netpipe pair
-    (no buffer anywhere): the one place this program can be cut."""
+    """Two sections joined only by an existing netpipe pair (no buffer
+    anywhere): the one place this program can be cut.  Its wire is an
+    in-process link, so the uncut program runs in one engine too."""
     from repro import CollectSink, CountingSource, GreedyPump, pipeline
     from repro.core.composition import Pipeline as Graph
-    from repro.mbt import Scheduler, VirtualClock
-    from repro.net import Network, make_netpipe
+    from repro.net import InProcessLink
     from repro.net.marshal import MarshalFilter, UnmarshalFilter
+    from repro.net.netpipe import make_netpipe_over
 
-    network = Network(Scheduler(clock=VirtualClock()), seed=1)
-    network.add_link("a", "b", bandwidth_bps=10_000_000, delay=0.001)
-    sender, receiver = make_netpipe(
-        network, "seam", "a", "b", protocol="stream"
-    )
+    sender, receiver = make_netpipe_over(InProcessLink("a", "b", "seam"))
     upstream = pipeline(
         CountingSource(limit=50), GreedyPump(), MarshalFilter(), sender
     )
@@ -141,27 +143,63 @@ class TestShardedExecution:
         assert 'shard="1"' in text
 
 
+def run_simulated(deployment):
+    engine = deployment.simulate()
+    engine.start()
+    engine.run()
+    return engine
+
+
 class TestCoSimulationAndCertification:
     def test_simulate_runs_the_cut_topology_in_one_engine(self):
-        engine = Deployment(SRC, Placement.auto(2)).simulate()
-        engine.start()
-        engine.run()
+        engine = run_simulated(Deployment(SRC, Placement.auto(2)))
         sink = engine.pipeline.component("collect-sink-1")
         assert sink.items == list(range(24))
         names = {c.name for c in engine.pipeline.components}
         assert "buffer-1-wire-send" in names
         assert "buffer-1-wire-recv" in names
         assert "buffer-1" not in names
+        # Each half rides its own shard's end of the credited stream a
+        # shard process opens.
+        send, recv = [
+            c for c in engine.pipeline.components
+            if isinstance(c, (NetpipeSender, NetpipeReceiver))
+        ]
+        assert send.protocol is not recv.protocol
+        for half in (send, recv):
+            assert isinstance(half.protocol, MuxStream)
+            assert half.protocol.window == SEAM_WINDOW
+
+    def test_a_netpipe_seam_simulates_and_refines(self):
+        deployment = Deployment(netpipe_seam, Placement.auto(2))
+        (cut,) = deployment.plan().cuts
+        assert cut.kind == "netpipe"
+        engine = run_simulated(deployment)
+        assert engine.completed
+        assert engine.pipeline.component("collect-sink-1").items == list(
+            range(50))
+        assert deployment.certify(seeds=6).verdict == "refines"
 
     def test_two_shard_plan_refines_single_core(self):
         cert = Deployment(SRC, Placement.auto(2)).certify(seeds=8)
         assert cert.verdict == "refines"
 
-    def test_lossy_wire_still_refines_when_declared(self):
-        cert = Deployment(SRC, Placement.auto(2)).certify(
-            seeds=6, loss_rate=0.5, loss_seed=3
-        )
-        assert cert.verdict == "refines"
-        assert any(
-            c.get("mode") == "subsequence" for c in cert.channels.values()
-        ), cert.channels
+
+def check_simulated_conservation():
+    engine = run_simulated(Deployment(SRC, Placement.auto(2)))
+    report = check_conservation(engine)
+    assert report.ok, report.issues
+    assert "buffer-1-wire-send ~ buffer-1-wire-recv" in report.checked
+
+
+class TestTheSeamPairsAcrossItsStream:
+    def test_conservation_checks_the_simulated_seam(self):
+        check_simulated_conservation()
+
+    def test_pairing_by_identity_loses_the_seam(self, monkeypatch):
+        """Mutant twin: each half's stream answers itself (pairing by
+        identity), so the seam's two halves never pair and conservation
+        silently skips the seam."""
+        monkeypatch.setattr(MuxStream, "wire_key", Transport.wire_key)
+        with pytest.raises(AssertionError, match="buffer-1-wire-send"):
+            check_simulated_conservation()

@@ -1,11 +1,14 @@
-"""A shard killed mid-run: the parent names it, and leaks nothing.
+"""A shard killed before ready, mid-run or after done: the parent names
+it when it matters, and leaks nothing.
 
 Each shard pair shares one link, and each shard one control pipe, so a
 shard that dies by ``SIGKILL`` is seen on exactly those: the parent reads
 EOF on the dead shard's pipe, its peer reads EOF (or a broken link) on
-their pair's socket.  ``Deployment.run`` must raise a ``DeployError``
-that names the killed shard within its timeout, with no shard process
-left alive and the parent's descriptors back at their baseline.
+their pair's socket.  Killed before it reported ``done``, ``Deployment
+.run`` must raise a ``DeployError`` that names the killed shard within
+its timeout; killed after, every shard had reported and ``run`` returns
+the complete result.  Either way no shard process is left alive and the
+parent's descriptors are back at their baseline.
 """
 
 import functools
@@ -14,6 +17,8 @@ import multiprocessing
 import os
 import signal
 import time
+
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -79,6 +84,79 @@ def test_a_killed_shard_is_named_and_nothing_leaks(side):
     )
     assert multiprocessing.active_children() == []
     del failure
+    gc.collect()
+    assert open_fds() == baseline
+
+
+def plain_seam():
+    """``seam`` without the killer."""
+    return pipeline(
+        IterSource(range(ITEMS), name="src"), GreedyPump(name="pump-a"),
+        Buffer(64, name="seam"), GreedyPump(name="pump-b"),
+        CollectSink(name="sink"),
+    )
+
+
+def dies_in_a_shard():
+    """:func:`plain_seam`, but built in a shard process, the builder kills
+    that process before the shard can report ready."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return plain_seam()
+
+
+def test_a_shard_killed_before_ready_is_named_and_nothing_leaks():
+    deployment = Deployment(dies_in_a_shard, Placement.auto(2))
+    gc.collect()
+    baseline = open_fds()
+    started = time.monotonic()
+    with pytest.raises(DeployError) as failure:
+        deployment.run(timeout=30)
+    assert time.monotonic() - started < 30
+    message = str(failure.value)
+    assert message.startswith("shard 0 was killed by SIGKILL")
+    assert "shard 1 was killed by SIGKILL" in message
+    assert multiprocessing.active_children() == []
+    del failure
+    gc.collect()
+    assert open_fds() == baseline
+
+
+def test_a_shard_killed_after_done_still_returns_the_result(monkeypatch):
+    """Each shard dies right after its ``done`` left: both had reported,
+    so the run is complete."""
+    real = Connection.send_bytes
+
+    def send_then_die(self, *args):
+        real(self, *args)
+        if multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    from repro.deploy import deployment as module
+
+    reaped = []
+    real_stop = module._stop_shards
+
+    def stop_shards(processes, conns):
+        reaped.append(real_stop(processes, conns))
+        return reaped[-1]
+
+    monkeypatch.setattr(Connection, "send_bytes", send_then_die)
+    monkeypatch.setattr(module, "_stop_shards", stop_shards)
+    deployment = Deployment(
+        Pipeline.of(plain_seam).with_batching(32), Placement.auto(2),
+        start_method="fork",
+    )
+    gc.collect()
+    baseline = open_fds()
+    result = deployment.run(timeout=30)
+    assert result.completed
+    assert result.sinks["sink"] == list(range(ITEMS))
+    # Both shards were killed, after their reports.
+    assert reaped == [
+        "shard 0 was killed by SIGKILL, shard 1 was killed by SIGKILL"]
+    assert multiprocessing.active_children() == []
+    del result
     gc.collect()
     assert open_fds() == baseline
 

@@ -74,21 +74,26 @@ def run_shards(*specs_and_sockets) -> list[list]:
 
 class TestLinkOwnership:
     def test_build_hands_back_links_in_both_directions(self):
-        """One mux per peer shard, over that pair's socket; the cut is
-        its credited stream on both sides."""
-        a, b = socket.socketpair()
+        """The build takes one mux per peer shard, whatever its link; the
+        cut is that mux's credited stream on both sides, each half of
+        the bridge on its own shard's end."""
+        a, b = SocketLink.pair()
         try:
-            for shard, sock in ((0, a), (1, b)):
+            for shard, link in ((0, a), (1, b)):
                 peer = 1 - shard
-                _, muxes = build_shard_pipeline(
-                    shard_spec(shard), {peer: sock}
+                mux = StreamMux(link)
+                shard_pipe = build_shard_pipeline(
+                    shard_spec(shard), {peer: mux}
                 )
-                assert list(muxes) == [peer]
-                assert isinstance(muxes[peer], StreamMux)
-                assert isinstance(muxes[peer].transport, SocketLink)
-                (stream,) = muxes[peer].streams.values()
+                (stream,) = mux.streams.values()
                 assert stream.stream_id == 0
                 assert stream.window == worker.SEAM_WINDOW
+                (half,) = [
+                    c for c in shard_pipe.components
+                    if isinstance(c, (NetpipeSender, NetpipeReceiver))
+                ]
+                assert half.protocol is stream
+                assert isinstance(half, NetpipeSender) is (shard == 0)
         finally:
             a.close()
             b.close()

@@ -151,29 +151,6 @@ class TestInProcessLink:
         assert state["eos"] == 1
         assert link.pump() == 0
 
-    def test_seeded_loss_is_deterministic(self):
-        def run(seed):
-            link = InProcessLink("a", "b", "flow", loss_rate=0.3, seed=seed)
-            state = collect(link)
-            for i in range(100):
-                link.send(bytes([i]))
-            return [m[0] for m in state["messages"]], link.stats["lost"]
-
-        first, lost_first = run(7)
-        again, lost_again = run(7)
-        other, _ = run(8)
-        assert first == again
-        assert lost_first == lost_again > 0
-        assert first != other
-
-    def test_eos_is_never_lost(self):
-        link = InProcessLink("a", "b", "flow", loss_rate=1.0, seed=1)
-        state = collect(link)
-        link.send(b"dropped")
-        link.send_eos()
-        assert state["messages"] == []
-        assert state["eos"] == 1
-
 
 class TestPartialWrites:
     """Short/partial-write behaviour around the coalescing threshold.

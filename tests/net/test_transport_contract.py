@@ -33,6 +33,10 @@ class Rig:
     """A sending end, a receiving end and ``settle()``, which delivers
     whatever the wire still holds."""
 
+    #: Whether the two ends name one wire (``wire_key``): a socket
+    #: pair's ends are two links, one per process.
+    paired = True
+
     def __init__(self, tx, rx, settle=lambda: None, close=lambda: None):
         self.tx, self.rx, self.settle, self.close = tx, rx, settle, close
         self.data, self.frames, self.eos = [], [], []
@@ -62,7 +66,9 @@ def socket_link():
         tx.close()
         rx.close()
 
-    return Rig(tx, rx, rx.pump, close)
+    rig = Rig(tx, rx, rx.pump, close)
+    rig.paired = False
+    return rig
 
 
 def in_process():
@@ -193,6 +199,19 @@ class TestDeclaredDefaults:
             assert end.stats["retransmits"] == 0
         rig.tx.close()
         rig.rx.close()
+
+    def test_the_two_ends_of_one_wire_answer_one_key(self, rig):
+        """What ``netpipe_pairs`` pairs the halves of a bridge by: the
+        transport itself, or, for a mux stream, whose two ends are two
+        objects, the link the sending end's mux writes and the receiving
+        end's mux reads, with the stream id."""
+        assert (rig.tx.wire_key(True) == rig.rx.wire_key(False)) is \
+            rig.paired
+        if isinstance(rig.tx, MuxStream):
+            assert rig.tx.wire_key(True) == (rig.tx_mux.transport, 1)
+        else:
+            assert rig.tx.wire_key(True) is rig.tx
+            assert rig.rx.wire_key(False) is rig.rx
 
     def test_the_base_alone_is_a_complete_receiver(self):
         bare = Rig(None, Transport("bare", "a", "b")).bind()

@@ -342,9 +342,14 @@ RULES = [
      "error path: the shared link closes under live streams"),
     ("repro.net.mux:StreamMux._rx_link_eos", "verification",
      "error path: a link-level EOS fans out to every open stream"),
-    ("repro.net.socketlink:InProcessLink.send_frame", "verification",
-     "the checker's wire: the deterministic in-process link under "
-     "schedule exploration, frame leg"),
+    ("repro.net.socketlink:InProcessLink.send", "verification",
+     "the transport contract's per-message send on a bare in-process "
+     "link, which the conformance suite drives; since "
+     "`Deployment.simulate()` joins its shards with a mux pair, every "
+     "in-process link the drivers run carries mux trains (`send_frame`)"),
+    ("repro.net.socketlink:InProcessLink.send_eos", "verification",
+     "same: a bare in-process link's EOS; under a mux each stream's EOS "
+     "is a record"),
     ("repro.net.protocols:Transport.receiver_loss_sample", "verification",
      "declared default of the transport contract (docs/RUNTIME.md \"Seams "
      "and their contracts\"): a wire that never loses; `tests/net/"
@@ -414,6 +419,10 @@ RULES = [
     ("repro.deploy.deployment:DeploymentResult.items_delivered",
      "verification",
      "reference accessor: a sink's count, found in whichever shard ran it"),
+    ("repro.deploy.deployment:Deployment.simulate", "verification",
+     "reference accessor: the co-simulated twin as one engine, for a test "
+     "to drive and inspect; `certify` runs the same `_simulate(plan)`, "
+     "planned once per certificate (D3 reaches that)"),
     ("repro.fabric.session:Session.tenant", "verification",
      "reference accessor: the tenant a session's threads are charged to"),
     ("repro.fabric.session:Session.threads", "verification",
