@@ -26,7 +26,6 @@ from repro.api import Pipeline
 from repro.check import PipelineUnderTest, Projection, check_refinement
 from repro.core.composition import Pipeline as CorePipeline
 from repro.core.typespec import Typespec
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     MpegDecoder,
     MpegFileSource,
@@ -98,8 +97,7 @@ class Figure1Variant:
             producer = self._producer_stages()
             consumer = self._consumer_stages()
             return Engine(pipeline(*producer, Buffer(capacity=16), *consumer))
-        scheduler = Scheduler(clock=VirtualClock())
-        network = Network(scheduler, seed=5)
+        network = Network(seed=5)
         network.add_link(
             "producer", "consumer",
             bandwidth_bps=2_000_000, delay=0.02, jitter=0.002,
@@ -124,7 +122,7 @@ class Figure1Variant:
             producer_side, consumer_side, "producer", "consumer",
             flow="video", protocol="datagram",
         )
-        return Engine(pipe, scheduler=scheduler).attach_network(network)
+        return Engine(pipe)
 
     @classmethod
     def drive(cls, engine):
@@ -187,10 +185,16 @@ def backend_cert():
         arrays.np = numpy_backend
 
 
+def certify_all():
+    yield from batch_certs()
+    yield from netpipe_cert()
+    yield from backend_cert()
+
+
 def main() -> int:
     certificates = {}
     failed = []
-    for name, cert in (*batch_certs(), *netpipe_cert(), *backend_cert()):
+    for name, cert in certify_all():
         certificates[name] = cert.to_dict()
         status = cert.verdict
         print(f"{name}: {status}")

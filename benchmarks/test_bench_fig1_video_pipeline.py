@@ -18,7 +18,6 @@ from repro.feedback import (
     FeedbackLoop,
     StepController,
 )
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     MpegDecoder,
     MpegFileSource,
@@ -32,8 +31,7 @@ FPS = 30.0
 
 
 def run_streaming(with_feedback: bool, bandwidth_bps: float, seed: int = 5):
-    scheduler = Scheduler(clock=VirtualClock())
-    network = Network(scheduler, seed=seed)
+    network = Network(seed=seed)
     network.add_link(
         "producer", "consumer",
         bandwidth_bps=bandwidth_bps, delay=0.02, jitter=0.002,
@@ -61,7 +59,7 @@ def run_streaming(with_feedback: bool, bandwidth_bps: float, seed: int = 5):
         producer_side, consumer_side, "producer", "consumer",
         flow="video", protocol="datagram",
     )
-    engine = Engine(pipe, scheduler=scheduler).attach_network(network)
+    engine = Engine(pipe)
     if with_feedback:
         receiver = next(c for c in pipe.components
                         if c.name.startswith("netpipe-recv"))

@@ -8,15 +8,13 @@ stream netpipe converts the same loss into latency (retransmission).
 import pytest
 
 from repro import CollectSink, Engine, GreedyPump, IterSource, Pipeline, connect
-from repro.mbt import Scheduler, VirtualClock
 from repro.net import Network, Node, RemoteBinder
 
 ITEMS = 60
 
 
 def run_transfer(protocol: str, loss_rate: float, seed: int = 11):
-    scheduler = Scheduler(clock=VirtualClock())
-    network = Network(scheduler, seed=seed)
+    network = Network(seed=seed)
     network.add_link(
         "alpha", "beta",
         bandwidth_bps=5_000_000, delay=0.01, loss_rate=loss_rate,
@@ -33,7 +31,7 @@ def run_transfer(protocol: str, loss_rate: float, seed: int = 11):
         src >> ClockedPumpFactory(), consumer, "alpha", "beta",
         flow=f"bench-{protocol}-{loss_rate}-{seed}", protocol=protocol,
     )
-    engine = Engine(pipe, scheduler=scheduler).attach_network(network)
+    engine = Engine(pipe)
     engine.start()
     engine.run(until=30.0)
     engine.stop()

@@ -33,7 +33,6 @@ from repro.feedback import (
     FeedbackLoop,
     StepController,
 )
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     MpegDecoder,
     MpegFileSource,
@@ -48,8 +47,7 @@ BANDWIDTH = 600_000  # bits/s; the stream nominally needs ~1 Mbit/s
 
 
 def run(with_feedback: bool, seed: int = 5, payloads: bool = False):
-    scheduler = Scheduler(clock=VirtualClock())
-    network = Network(scheduler, seed=seed)
+    network = Network(seed=seed)
     network.add_link(
         "producer", "consumer",
         bandwidth_bps=BANDWIDTH, delay=0.02, jitter=0.002,
@@ -80,7 +78,7 @@ def run(with_feedback: bool, seed: int = 5, payloads: bool = False):
         producer_side, consumer_side, "producer", "consumer",
         flow="video", protocol="datagram",
     )
-    engine = Engine(pipe, scheduler=scheduler).attach_network(network)
+    engine = Engine(pipe)
 
     loop = None
     if with_feedback:

@@ -17,8 +17,8 @@ checkable invariants over :class:`~repro.runtime.stats.PipelineStats`:
   declared channels: drop counters, an explicit :func:`declare_lossy`
   marking, or a lossy network link.  Anything else is a bug.
 * **bridge accounting** — a netpipe pair is one logical pipe split over
-  the network: the receiver can never have taken in more protocol
-  payloads than the sender sent (no duplication across the wire).
+  the network: what the sender pushed is what the receiver took in plus
+  what the wire counted lost (``stats["lost"]``), at quiescence.
 * **FIFO** — helpers (:func:`assert_fifo`, :func:`record_tap`) to assert
   per-pipe ordering on observed items.
 
@@ -71,7 +71,7 @@ class FlowIssue:
     """One violated invariant, with the arithmetic that shows it."""
 
     component: str
-    kind: str  # "duplication" | "loss" | "link" | "fifo"
+    kind: str  # "duplication" | "loss" | "not delivered" | "link" | "fifo"
     detail: str
 
     def __str__(self) -> str:
@@ -180,20 +180,22 @@ def check_conservation(engine: Engine) -> FlowReport:
         report.checked.append(component.name)
         report.issues.extend(_conservation_issues(component, stats))
 
-    # Bridge accounting: payloads taken in by the receiver can't exceed
-    # payloads the sender pushed into the protocol (loss is the network's
-    # prerogative, duplication is nobody's).
+    # Bridge accounting: loss is the network's prerogative, counted where
+    # it happens; duplication is nobody's, and a payload neither delivered
+    # nor lost (a frame in flight, a wire that never ran) is not delivered.
     for sender, receiver in netpipe_pairs(components):
         sent = stats.items_in(sender.name)
         arrived = stats.items_in(receiver.name)
+        lost = sender.protocol.stats["lost"]
         report.checked.append(f"{sender.name} ~ {receiver.name}")
-        if arrived > sent:
+        if arrived + lost != sent:
             report.issues.append(
                 FlowIssue(
                     f"{sender.name} ~ {receiver.name}",
-                    "duplication",
-                    f"receiver took in {arrived} payloads but sender only "
-                    f"pushed {sent}",
+                    "duplication" if arrived + lost > sent
+                    else "not delivered",
+                    f"sender pushed {sent} payloads, receiver took in "
+                    f"{arrived}, the wire lost {lost}",
                 )
             )
         # Receiver-side conservation: everything delivered is either
@@ -231,25 +233,25 @@ def check_network(network) -> FlowReport:
     return report
 
 
-def check_flow(engine: Engine, network=None) -> FlowReport:
-    """Umbrella: conservation over the engine plus link accounting."""
+def check_flow(engine: Engine) -> FlowReport:
+    """Umbrella: conservation over the engine plus the link accounting of
+    the network its netpipes bound."""
     report = check_conservation(engine)
-    net = network if network is not None else engine.network
-    if net is not None:
-        link_report = check_network(net)
+    if engine.network is not None:
+        link_report = check_network(engine.network)
         report.issues.extend(link_report.issues)
         report.checked.extend(link_report.checked)
     return report
 
 
-def assert_flow(engine: Engine, network=None) -> FlowReport:
+def assert_flow(engine: Engine) -> FlowReport:
     """:func:`check_flow`, raising :class:`InvariantViolation` on failure.
 
     The natural ``check=`` hook for :func:`repro.check.explorer.explore`::
 
         explore(build, check=assert_flow).raise_if_failed()
     """
-    report = check_flow(engine, network)
+    report = check_flow(engine)
     report.raise_if_failed()
     return report
 

@@ -50,6 +50,7 @@ from repro.check.explorer import (
 )
 from repro.check.invariants import (
     SinkTaps,
+    check_conservation,
     install_sink_taps,
     is_lossy,
     loss_reason,
@@ -194,7 +195,8 @@ def lossy_channels(program: Engine, taps: SinkTaps) -> dict[str, str]:
     across :func:`~repro.net.netpipe.netpipe_pairs` bridges) contains a
     component marked with :func:`~repro.check.invariants.declare_lossy`,
     a component that counted declared drops this run, or a network hop
-    that actually lost payloads.  Reasons are joined per channel so a
+    whose wire counted payloads lost (what it neither delivered nor lost
+    is :func:`_assert_delivered`'s).  Reasons are joined per channel so a
     refinement failure message names every sanctioned loss on the path.
     """
     stats = program.stats
@@ -228,12 +230,11 @@ def lossy_channels(program: Engine, taps: SinkTaps) -> dict[str, str]:
                 # Hop the bridge to the sender side.
                 sender = senders.get(id(component))
                 if sender is not None:
-                    sent = stats.items_in(sender.name)
-                    arrived = stats.items_in(name)
-                    if arrived < sent:
+                    lost = sender.protocol.stats["lost"]
+                    if lost:
                         reasons.append(
                             f"{sender.name} ~ {name}: network lost "
-                            f"{sent - arrived} payload(s)"
+                            f"{lost} payload(s)"
                         )
                     stack.append(sender)
                 continue
@@ -243,6 +244,14 @@ def lossy_channels(program: Engine, taps: SinkTaps) -> dict[str, str]:
         if reasons:
             out[channel] = "; ".join(sorted(set(reasons)))
     return out
+
+
+def _assert_delivered(program: Engine) -> None:
+    """A payload a wire neither delivered nor counted lost (a frame in
+    flight, a wire that never ran) fails the run, at its hop."""
+    for issue in check_conservation(program).issues:
+        if issue.kind == "not delivered":
+            raise RefinementViolation(str(issue))
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +402,21 @@ def _channel_modes(
     or stem) and everything else as exact.
     """
     if lossy_param is None:
-        return {
-            channel: ("subsequence", reason)
-            for channel, reason in auto_lossy.items()
-        }
-    if isinstance(lossy_param, Mapping):
-        declared = dict(lossy_param)
+        declared = auto_lossy
+    elif isinstance(lossy_param, Mapping):
+        declared = lossy_param
     else:
-        declared = {channel: "declared lossy" for channel in lossy_param}
-    modes: dict[str, tuple[str, str]] = {}
-    for channel, reason in declared.items():
-        modes[channel] = ("subsequence", reason)
-    return modes
+        declared = dict.fromkeys(lossy_param, "declared lossy")
+    return {
+        channel: ("subsequence", reason)
+        for channel, reason in declared.items()
+    }
 
 
 def _mode_for(
     channel: str, modes: Mapping[str, tuple[str, str]]
 ) -> tuple[str, str]:
-    direct = modes.get(channel)
-    if direct is not None:
-        return direct
-    return modes.get(_stem(channel), ("exact", ""))
+    return modes.get(channel) or modes.get(_stem(channel), ("exact", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +629,7 @@ def check_refinement(
     a_records: list[dict] = []
     for chooser, seed in _choosers(witness_seeds, base_seed):
         run, excerpt = _run_guarded(
-            a_build, chooser, a.drive, None, seed, trace_tail
+            a_build, chooser, a.drive, _assert_delivered, seed, trace_tail
         )
         a_records.append(_run_record(run))
         if run.failed:
@@ -672,6 +675,7 @@ def check_refinement(
         return program
 
     def b_check(program):
+        _assert_delivered(program)
         _program, taps = current[0]
         combined = dict(auto_lossy)
         combined.update(lossy_channels(program, taps))

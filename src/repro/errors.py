@@ -113,6 +113,10 @@ class RemoteError(RuntimeFault):
     """A remote factory or binding operation failed."""
 
 
+class NetworkBindingError(RemoteError):
+    """A simulated network met a scheduler that is not its clock."""
+
+
 class FeedbackError(RuntimeFault):
     """A feedback loop was mis-configured (unknown sensor/actuator, ...)."""
 

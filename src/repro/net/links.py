@@ -88,7 +88,3 @@ class Link:
         self.stats.delivered += 1
         self.stats.bytes_delivered += packet.size
         return arrival
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.src, self.dst)

@@ -51,7 +51,7 @@ class NetpipeSender(Component):
         self.stats.update(frames_out=0, bytes_in=0)
 
     def on_attach(self, engine) -> None:
-        self.protocol.attach_scheduler(engine.scheduler)
+        engine.attach_network(self.protocol.attach_scheduler(engine.scheduler))
 
     def push(self, item: Any) -> None:
         if not isinstance(item, (bytes, bytearray, memoryview)):
@@ -250,7 +250,7 @@ class NetpipeReceiver(Boundary):
 
     def on_attach(self, engine) -> None:
         self._gate = engine.gate_for(self)
-        self.protocol.attach_scheduler(engine.scheduler)
+        engine.attach_network(self.protocol.attach_scheduler(engine.scheduler))
 
     def _deliver(self, payload: bytes) -> None:
         self._arrive([payload], len(payload), framed=False)

@@ -1,8 +1,9 @@
 """The discrete-event network simulator.
 
-One :class:`Network` lives on the same scheduler (and virtual clock) as the
-pipelines it connects, so transmission, queueing and propagation delays
-interleave naturally with pipeline execution.
+One :class:`Network` runs on the scheduler (and virtual clock) of the
+engine whose netpipes ride it (they bind it as they attach), so
+transmission, queueing and propagation delays interleave naturally with
+pipeline execution; an engine-less driver passes ``Network(scheduler)``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.errors import RemoteError
+from repro.errors import NetworkBindingError, RemoteError
 from repro.mbt.scheduler import Scheduler
 from repro.net.links import Link
 from repro.net.packets import Packet
@@ -19,7 +20,7 @@ from repro.net.packets import Packet
 class Network:
     """A set of named nodes connected by directed links."""
 
-    def __init__(self, scheduler: Scheduler, seed: int = 0):
+    def __init__(self, scheduler: Scheduler | None = None, seed: int = 0):
         self.scheduler = scheduler
         self.rng = random.Random(seed)
         self._links: dict[tuple[str, str], Link] = {}
@@ -28,6 +29,19 @@ class Network:
         self._receivers: dict[str, Callable[[Packet], None]] = {}
         #: Saved loss rates of links currently forced down (fault injection).
         self._downed: dict[tuple[str, str], float] = {}
+
+    def bind(self, scheduler: Scheduler, rival: "Network | None" = None):
+        """Run on ``scheduler`` (again: a no-op), as the network of an
+        engine whose network is ``rival``, and answer self; another
+        scheduler, or another network, raises naming both."""
+        if rival is not None and rival is not self:
+            raise NetworkBindingError(
+                f"the engine runs {rival!r}; {self!r} is a second network")
+        if self.scheduler is not None and self.scheduler is not scheduler:
+            raise NetworkBindingError(f"{self!r} runs on {self.scheduler!r}"
+                                      f", not on the engine's {scheduler!r}")
+        self.scheduler = scheduler
+        return self
 
     # ------------------------------------------------------------ topology
 
@@ -52,27 +66,11 @@ class Network:
     ) -> Link:
         """Create a link (and, by default, its reverse twin for acks)."""
         self._nodes.update((src, dst))
-        link = Link(
-            src=src,
-            dst=dst,
-            bandwidth_bps=bandwidth_bps,
-            delay=delay,
-            jitter=jitter,
-            loss_rate=loss_rate,
-            queue_packets=queue_packets,
-        )
-        self._links[link.key] = link
+        qos = dict(bandwidth_bps=bandwidth_bps, delay=delay, jitter=jitter,
+                   loss_rate=loss_rate, queue_packets=queue_packets)
+        link = self._links[(src, dst)] = Link(src=src, dst=dst, **qos)
         if symmetric and (dst, src) not in self._links:
-            self.add_link(
-                dst,
-                src,
-                bandwidth_bps=bandwidth_bps,
-                delay=delay,
-                jitter=jitter,
-                loss_rate=loss_rate,
-                queue_packets=queue_packets,
-                symmetric=False,
-            )
+            self._links[(dst, src)] = Link(src=dst, dst=src, **qos)
         return link
 
     def link(self, src: str, dst: str) -> Link:
@@ -97,9 +95,9 @@ class Network:
         invoking the flow's registered receive callback.
         """
         link = self.link(src, dst)
-        now = self.scheduler.now()
-        packet.sent_at = now
-        arrival = link.admit(now, packet, self.rng)
+        if self.scheduler is None:
+            raise NetworkBindingError(f"{self!r} runs on no scheduler")
+        arrival = link.admit(self.scheduler.now(), packet, self.rng)
         if arrival is None:
             return False
         receive = self._receivers.get(packet.flow)

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
-_packet_ids = itertools.count(1)
+from dataclasses import dataclass
 
 #: Bytes of header overhead accounted per packet on the wire.
 HEADER_BYTES = 28  # IP (20) + UDP (8), close enough for a simulator
@@ -26,8 +23,6 @@ class Packet:
     msg_seq: int = 0
     frag_idx: int = 0
     frag_count: int = 1
-    sent_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     @property
     def size(self) -> int:

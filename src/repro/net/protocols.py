@@ -69,8 +69,8 @@ class Transport:
         self.src = src
         self.dst = dst
         #: ``delivered`` counts messages a bound receiver took, EOS
-        #: included.
-        self.stats = {"sent": 0, "delivered": 0, "retransmits": 0}
+        #: included; ``lost``, the data items of payloads the wire dropped.
+        self.stats = {"sent": 0, "delivered": 0, "retransmits": 0, "lost": 0}
         self.eos_received = False
         self._deliver: DeliverFn | None = None
         self._deliver_eos: Callable[[], None] | None = None
@@ -147,9 +147,10 @@ class Transport:
 
     # -- io loop and lifecycle ----------------------------------------------
 
-    def attach_scheduler(self, scheduler: Any) -> None:
+    def attach_scheduler(self, scheduler: Any) -> Any:
         """The scheduler whose threads use this transport (handed over by
-        the netpipe endpoints in ``on_attach``); most ignore it."""
+        the netpipe endpoints in ``on_attach``); most ignore it.  Returns
+        the simulated network now running on it, for the engine, or None."""
 
     def pump(self) -> int:
         """Deliver what is waiting; returns the messages delivered.  A
@@ -222,16 +223,16 @@ class Protocol(Transport):
         frame-sequence gaps would also count the producer-side filter's own
         intentional drops and destabilize the loop.
         """
-        expected = self._rx_window_expected
-        received = self._rx_window_received
-        self._rx_window_expected = 0
-        self._rx_window_received = 0
-        if expected <= 0:
-            return 0.0
-        return max(0.0, 1.0 - received / expected)
+        expected, received = self._rx_window_expected, self._rx_window_received
+        self._rx_window_expected = self._rx_window_received = 0
+        return max(0.0, 1.0 - received / expected) if expected > 0 else 0.0
+
+    def attach_scheduler(self, scheduler: Any) -> Network:
+        """Run the network on ``scheduler`` (see :meth:`Network.bind`)."""
+        return self.network.bind(scheduler)
 
     def send_frame(self, payload: bytes, items: int | None = None) -> None:
-        self.send(payload, FRAME_KIND)
+        self.send(payload, FRAME_KIND, items)
 
 
 class DatagramProtocol(Protocol):
@@ -245,15 +246,18 @@ class DatagramProtocol(Protocol):
         # msg_seq -> {frag_idx: payload}; incomplete messages linger until
         # evicted by the horizon below.
         self._reassembly: dict[int, dict[int, bytes]] = {}
-        self._frag_counts: dict[int, int] = {}
         self._delivered_msgs: set[int] = set()
 
-    def send(self, payload: bytes, kind: str = DATA_KIND) -> None:
+    def send(self, payload: bytes, kind: str = DATA_KIND, items=1) -> None:
+        lost = False  # a message is lost with any of its fragments
         for packet in self._fragments(payload, kind):
             packet.seq = self._next_seq
             self._next_seq += 1
             self.stats["sent"] += 1
-            self.network.transmit(self.src, self.dst, packet)
+            lost |= not self.network.transmit(self.src, self.dst, packet)
+        if lost:  # ``items`` None: a frame whose sender did not say
+            self.stats["lost"] += (len(decode_batch(payload)) if items is None
+                                   else items)
 
     def send_eos(self) -> None:
         # Best-effort EOS: send a few copies so a lossy link still ends the
@@ -287,11 +291,9 @@ class DatagramProtocol(Protocol):
             return packet.payload
         frags = self._reassembly.setdefault(msg, {})
         frags[packet.frag_idx] = packet.payload
-        self._frag_counts[msg] = packet.frag_count
         if len(frags) < packet.frag_count:
             return None
         del self._reassembly[msg]
-        del self._frag_counts[msg]
         self._delivered_msgs.add(msg)
         self._evict_stale(msg)
         return b"".join(frags[i] for i in range(packet.frag_count))
@@ -300,7 +302,6 @@ class DatagramProtocol(Protocol):
         stale = [m for m in self._reassembly if m < completed_msg - horizon]
         for msg in stale:
             del self._reassembly[msg]
-            self._frag_counts.pop(msg, None)
         self._delivered_msgs = {
             m for m in self._delivered_msgs if m >= completed_msg - horizon
         }
@@ -335,7 +336,7 @@ class StreamProtocol(Protocol):
 
     # -- sender -------------------------------------------------------------
 
-    def send(self, payload: bytes, kind: str = DATA_KIND) -> None:
+    def send(self, payload: bytes, kind: str = DATA_KIND, items=1) -> None:
         for packet in self._fragments(payload, kind):
             packet.seq = self._next_seq
             self._next_seq += 1

@@ -147,8 +147,8 @@ class RemoteBinder:
         check (with the location update a netpipe makes), and assembly of
         the marshal/netpipe/unmarshal segment.  Returns one Pipeline
         containing both sides; run it with a single Engine (one scheduler
-        simulates the whole distributed system) after
-        ``engine.attach_network(network)``.
+        simulates the whole distributed system): its netpipes bind the
+        network to that engine's scheduler as they attach.
         """
         producer = _as_pipeline(producer_side)
         consumer = _as_pipeline(consumer_side)

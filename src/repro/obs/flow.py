@@ -69,7 +69,7 @@ traces first and keeps slow, dropped and lost ones.
 
 Usage::
 
-    engine = Engine(pipe, batch_max=32).attach_network(network)
+    engine = Engine(pipe, batch_max=32)  # its netpipes bind the network
     tracer = FlowTracer(sample_every=1).attach(engine)
     engine.start(); engine.run(until=3.0); engine.stop(); engine.run()
     for trace in tracer.delivered():

@@ -625,10 +625,8 @@ class CoroutineDriver:
         EOS when the body finishes (setting ``finished``)."""
         if not self.started:
             request = self._start()
-        elif self._at_push:
+        else:
             self._at_push = False
-            request = self._resume(None)
-        else:  # pragma: no cover - defensive
             request = self._resume(None)
 
         pull_walkers = self._pull_walkers
@@ -794,7 +792,7 @@ class Engine:
         #: of a dict update per coroutine crossing.
         self._switch_counters: list[list[int]] = []
         self._setup_done = False
-        #: Simulated network used for cross-node control-event latency.
+        #: The network its netpipes bound, for cross-node event latency.
         self.network = None
         #: Attached services (feedback loops, sensors) stopped by stop().
         self._services: list[Any] = []
@@ -815,11 +813,12 @@ class Engine:
         self._services.append(service)
 
     def attach_network(self, network) -> "Engine":
-        """Tell the engine which simulated network connects its nodes, so
-        control events between components on different nodes incur the
-        network's control latency ("control events are delivered to remote
-        components through the platform", section 2.4)."""
-        self.network = network
+        """Run ``network`` (None: none) on this scheduler as the one the
+        engine's nodes share, whose control latency delays events between
+        them ("control events are delivered to remote components through
+        the platform", section 2.4); its netpipes call this as they attach."""
+        if network is not None:
+            self.network = network.bind(self.scheduler, self.network)
         return self
 
     # ------------------------------------------------------------ setup

@@ -11,6 +11,7 @@ import pytest
 
 from repro.api import Pipeline
 from repro.check import (
+    PipelineUnderTest,
     Projection,
     RefinementCertificate,
     check_refinement,
@@ -148,3 +149,101 @@ def test_wire_loss_attribution_stays_certified():
     assert channel["mode"] == "subsequence"
     assert "netpipe-send-video ~ netpipe-recv-video: network lost" in \
         channel["reason"]
+
+
+# ---------------------------------------------------------------------------
+# a certified run proves it ran
+# ---------------------------------------------------------------------------
+
+
+def certified_sides(generator, monkeypatch):
+    """``{name: (abstract, concrete)}``: the sides each certificate of a
+    ``benchmarks/make_*_certs.py`` generator compares, captured where the
+    generator hands them to the checker (``Deployment.certify`` included)
+    instead of checked."""
+    import importlib
+
+    from repro.check import refine
+
+    module = importlib.import_module(f"benchmarks.{generator}")
+
+    def capture(abstract, concrete, **_kwargs):
+        return (PipelineUnderTest.of(abstract, "abstract"),
+                PipelineUnderTest.of(concrete, "concrete"))
+
+    monkeypatch.setattr(refine, "check_refinement", capture)
+    monkeypatch.setattr(module, "check_refinement", capture, raising=False)
+    # The pure-vs-numpy sides flip the array backend as they build.
+    monkeypatch.setattr(arrays, "np", arrays.np)
+    return dict(module.certify_all())
+
+
+def delivered_channels(side, record) -> set:
+    """Replay one recorded run (its seed, or its choice list) and name
+    the channels it delivered at least one item on."""
+    from repro.check.explorer import ReplayChooser
+    from repro.check.invariants import install_sink_taps
+
+    taps = []
+
+    def build():
+        program = side.build()
+        taps.append(install_sink_taps(program))
+        return program
+
+    chooser = (SeededChooser(record["seed"]) if record["seed"] is not None
+               else ReplayChooser(record.get("choices") or []))
+    run, _ = run_once(build, chooser, drive=side.drive, trace_tail=0)
+    assert not run.failed, run.error
+    return {channel for channel, items in taps[-1].streams.items() if items}
+
+
+def assert_every_run_delivered(cert: dict, abstract, concrete) -> None:
+    """Each concrete run delivered on every channel some abstract witness
+    delivered on: a certified schedule that moved nothing certifies
+    nothing, whatever its streams embed into."""
+    expected = set()
+    for record in cert["abstract"]["witnesses"]:
+        expected |= delivered_channels(abstract, record)
+    assert expected, "no witness delivered anything"
+    for record in cert["concrete"]["runs"]:
+        silent = expected - delivered_channels(concrete, record)
+        assert not silent, (
+            f"concrete run (seed {record['seed']}) delivered nothing on "
+            f"{sorted(silent)}"
+        )
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+def test_every_certified_concrete_run_delivered(generator, monkeypatch):
+    import json
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    document = json.loads((root / GENERATORS[generator]).read_text())
+    sides = certified_sides(generator, monkeypatch)
+    assert sides and set(sides) <= set(document["certificates"])
+    for name, (abstract, concrete) in sides.items():
+        assert_every_run_delivered(
+            document["certificates"][name], abstract, concrete)
+
+
+def test_a_wire_that_never_ran_fails_the_guard(monkeypatch):
+    """The network on a scheduler of its own, under the old inferred
+    attribution (both mutants of ``test_refinement.py``): the checker
+    certifies the empty stream, and the guard refuses the certificate."""
+    from tests.check.test_refinement import (
+        foreign_wire_program,
+        ignore_the_engines_scheduler,
+        infer_wire_loss,
+        uncut_program,
+    )
+
+    ignore_the_engines_scheduler(monkeypatch)
+    infer_wire_loss(monkeypatch)
+    cert = check_refinement(uncut_program, foreign_wire_program, seeds=3)
+    assert cert.verdict == "refines"
+    abstract, concrete = (PipelineUnderTest.of(side, "side")
+                          for side in (uncut_program, foreign_wire_program))
+    with pytest.raises(AssertionError, match="delivered nothing"):
+        assert_every_run_delivered(cert.to_dict(), abstract, concrete)

@@ -41,7 +41,6 @@ from repro.check import (
 )
 from repro.components.buffers import OK
 from repro.core.typespec import Typespec
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     MpegDecoder,
     MpegFileSource,
@@ -68,8 +67,7 @@ class Figure1Rig:
     here, congestion control is tested elsewhere."""
 
     def build(self):
-        scheduler = Scheduler(clock=VirtualClock())
-        network = Network(scheduler, seed=5)
+        network = Network(seed=5)
         network.add_link(
             "producer", "consumer",
             bandwidth_bps=2_000_000, delay=0.02, jitter=0.002,
@@ -106,7 +104,7 @@ class Figure1Rig:
             producer_side, consumer_side, "producer", "consumer",
             flow="video", protocol="datagram",
         )
-        return Engine(pipe, scheduler=scheduler).attach_network(network)
+        return Engine(pipe)
 
     @staticmethod
     def drive(engine):

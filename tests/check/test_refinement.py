@@ -387,3 +387,165 @@ def test_abstract_failure_is_reported_not_blamed_on_concrete():
     assert cert.verdict == "abstract-failed"
     assert not cert.ok
     assert "abstract build exploded" in cert.counterexample["error"]
+
+
+# ---------------------------------------------------------------------------
+# A wire runs on its engine's clock, and its loss is counted, never
+# inferred: a wire that never ran cannot certify
+# ---------------------------------------------------------------------------
+
+
+def wire_graph(network=None, delay=0.01):
+    """``CountingSource(50)`` across a datagram netpipe.  The network is
+    ``Network(seed=1)`` unless given: the program states no scheduler,
+    the engine its netpipes attach to binds it."""
+    from repro import CountingSource
+    from repro.net import Network, RemoteBinder
+
+    network = Network(seed=1) if network is None else network
+    network.add_link("a", "b", delay=delay)
+    producer = CountingSource(limit=50) >> GreedyPump()
+    consumer = GreedyPump() >> CollectSink()
+    return RemoteBinder(network).bind(
+        producer, consumer, "a", "b", flow="seam"
+    )
+
+
+def wire_program():
+    return Engine(wire_graph())
+
+
+def foreign_wire_program():
+    """The same program, its network born on a scheduler of its own."""
+    from repro.mbt import Scheduler, VirtualClock
+    from repro.net import Network
+
+    return Engine(wire_graph(Network(Scheduler(clock=VirtualClock()))))
+
+
+def uncut_program():
+    from repro import CountingSource
+
+    return Engine(
+        pipeline(CountingSource(limit=50), GreedyPump(), CollectSink())
+    )
+
+
+def sink_of(engine):
+    (sink,) = [c for c in engine.pipeline.components
+               if isinstance(c, CollectSink)]
+    return sink
+
+
+def ignore_the_engines_scheduler(monkeypatch):
+    """Mutant: a simulated transport ignores the scheduler its netpipes
+    hand it, as the transport base does, so nothing binds the network."""
+    from repro.net.protocols import Protocol, Transport
+
+    monkeypatch.setattr(Protocol, "attach_scheduler",
+                        Transport.attach_scheduler)
+
+
+def infer_wire_loss(monkeypatch):
+    """Mutant: a bridge's loss inferred as ``sent - arrived`` (for the
+    one-sink programs here: charged to every channel), and no bridge
+    balance check — under which a wire that never ran reads as lossy."""
+    from repro.check import refine
+    from repro.net.netpipe import netpipe_pairs
+
+    counted = refine.lossy_channels
+
+    def inferred(program, taps):
+        out = counted(program, taps)
+        stats = program.stats
+        for sender, receiver in netpipe_pairs(program.pipeline.components):
+            gap = stats.items_in(sender.name) - stats.items_in(receiver.name)
+            for channel in taps.sinks if gap > 0 else ():
+                out.setdefault(channel, f"{sender.name} ~ {receiver.name}: "
+                                        f"network lost {gap} payload(s)")
+        return out
+
+    monkeypatch.setattr(refine, "lossy_channels", inferred)
+    monkeypatch.setattr(refine, "_assert_delivered", lambda program: None)
+
+
+def refuses_a_foreign_network_at_setup():
+    from repro.errors import NetworkBindingError
+
+    with pytest.raises(NetworkBindingError, match="not on the engine.s"):
+        foreign_wire_program().setup()
+
+
+def test_a_network_on_a_foreign_scheduler_is_refused_at_setup():
+    refuses_a_foreign_network_at_setup()
+
+
+def test_an_ignored_scheduler_runs_to_an_empty_sink(monkeypatch):
+    """Mutant twin: with the scheduler ignored, setup passes and the run
+    returns with nothing delivered and no error."""
+    ignore_the_engines_scheduler(monkeypatch)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        refuses_a_foreign_network_at_setup()
+    engine = foreign_wire_program()
+    engine.start()
+    engine.run()
+    assert sink_of(engine).items == []
+
+
+def test_the_program_on_its_engines_clock_delivers_and_refines():
+    engine = wire_program()
+    engine.start()
+    engine.run()
+    assert engine.network.scheduler is engine.scheduler
+    assert sink_of(engine).items == list(range(50))
+    cert = check_refinement(uncut_program, wire_program, seeds=3)
+    assert cert.verdict == "refines", cert.summary()
+    assert cert.channels == {"collect-sink#0": {"mode": "exact"}}
+
+
+def test_a_deployment_of_the_netpipe_program_certifies():
+    from repro.deploy import Deployment, Placement
+
+    deployment = Deployment(wire_graph, Placement.auto(2))
+    (cut,) = deployment.plan().cuts
+    assert cut.kind == "netpipe"
+    engine = deployment.simulate()
+    engine.start()
+    engine.run()
+    assert sink_of(engine).items == list(range(50))
+    assert deployment.certify(seeds=3).verdict == "refines"
+
+
+def stopped_in_flight(engine):
+    """Stop the run while every frame is still on the 50 ms link."""
+    engine.start()
+    engine.run(until=0.01)
+
+
+def in_flight_is_violated():
+    concrete = PipelineUnderTest(
+        build=lambda: Engine(wire_graph(delay=0.05)),
+        drive=stopped_in_flight, name="in-flight",
+    )
+    cert = check_refinement(
+        PipelineUnderTest(build=uncut_program, drive=stopped_in_flight),
+        concrete, seeds=3,
+    )
+    assert cert.verdict == "violated", cert.summary()
+    error = cert.counterexample["error"]
+    assert ("netpipe-send-seam ~ netpipe-recv-seam: not delivered — sender "
+            "pushed 50 payloads, receiver took in 0, the wire lost 0") in error
+    report = replay_certificate(cert, concrete, runs="counterexample")
+    assert report["ok"], report
+
+
+def test_a_wire_stopped_in_flight_is_violated_not_lossy():
+    in_flight_is_violated()
+
+
+def test_inferred_loss_certifies_the_wire_stopped_in_flight(monkeypatch):
+    """Mutant twin: ``sent - arrived`` reads the 50 frames in flight as
+    lost, so the empty stream embeds and the program certifies."""
+    infer_wire_loss(monkeypatch)
+    with pytest.raises(AssertionError, match="refines"):
+        in_flight_is_violated()

@@ -29,7 +29,6 @@ from repro.feedback import (
     FeedbackLoop,
     StepController,
 )
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     MpegDecoder,
     MpegFileSource,
@@ -50,8 +49,7 @@ def build_figure1(with_feedback, bandwidth_bps=600_000, seed=5,
            -> decoder -> buffer -> pump -> display,
     with a consumer-side sensor feeding back to the producer-side filter.
     """
-    scheduler = Scheduler(clock=VirtualClock())
-    network = Network(scheduler, seed=seed)
+    network = Network(seed=seed)
     network.add_link(
         "producer", "consumer",
         bandwidth_bps=bandwidth_bps, delay=0.02, jitter=0.002,
@@ -80,7 +78,7 @@ def build_figure1(with_feedback, bandwidth_bps=600_000, seed=5,
         producer_side, consumer_side, "producer", "consumer",
         flow="video", protocol="datagram",
     )
-    engine = Engine(pipe, scheduler=scheduler).attach_network(network)
+    engine = Engine(pipe)
 
     loop = None
     if with_feedback:

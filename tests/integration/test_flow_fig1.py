@@ -23,7 +23,6 @@ from repro import (
     Pipeline,
     connect,
 )
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import MpegDecoder, MpegFileSource
 from repro.net import Network, Node, RemoteBinder
 from repro.obs import FlowTracer
@@ -35,10 +34,7 @@ FRAMES = 120
 def run_flow_fig1(batch_max=32, protocol="stream", frames=FRAMES, trace=False):
     """Fig-1 topology with a greedy producer and a lossless link, so
     every frame is delivered and every trace reassembles."""
-    scheduler = Scheduler(clock=VirtualClock())
-    if trace:
-        scheduler.enable_trace()
-    network = Network(scheduler, seed=5)
+    network = Network(seed=5)
     network.add_link(
         "producer", "consumer",
         bandwidth_bps=4_000_000, delay=0.02, jitter=0.0,
@@ -65,9 +61,7 @@ def run_flow_fig1(batch_max=32, protocol="stream", frames=FRAMES, trace=False):
         producer_side, consumer_side, "producer", "consumer",
         flow="video", protocol=protocol,
     )
-    engine = Engine(
-        pipe, scheduler=scheduler, batch_max=batch_max
-    ).attach_network(network)
+    engine = Engine(pipe, trace=trace, batch_max=batch_max)
     tracer = FlowTracer(sample_every=1).attach(engine)
     engine.start()
     engine.run(until=60.0)

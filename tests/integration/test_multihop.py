@@ -20,7 +20,6 @@ from repro import (
     connect,
 )
 from repro.core.typespec import Typespec, props
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import MpegDecoder, MpegFileSource, VideoDisplay
 from repro.net import Network, Node, RemoteBinder
 
@@ -29,8 +28,7 @@ FPS = 30.0
 
 
 def build_three_node_pipeline():
-    scheduler = Scheduler(clock=VirtualClock())
-    network = Network(scheduler, seed=21)
+    network = Network(seed=21)
     network.add_link("origin", "relay", bandwidth_bps=8_000_000, delay=0.01)
     network.add_link("relay", "viewer", bandwidth_bps=8_000_000, delay=0.02)
     origin = Node("origin", network)
@@ -67,7 +65,7 @@ def build_three_node_pipeline():
     # decoder's), crossing relay -> viewer.
     full = binder.bind(leg1, viewer_chain, "relay", "viewer",
                        flow="hop2", protocol="stream")
-    engine = Engine(full, scheduler=scheduler).attach_network(network)
+    engine = Engine(full)
     return engine, full, display, network
 
 

@@ -32,7 +32,6 @@ from repro import (
     connect,
 )
 from repro.core.typespec import Typespec
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     MpegDecoder,
     MpegFileSource,
@@ -112,8 +111,7 @@ def check_golden(name: str, trace) -> None:
 
 def run_fig1(frames: int = 40, fps: float = 30.0, seed: int = 5):
     """A reduced, seeded Figure-1 run (producer -> network -> consumer)."""
-    scheduler = Scheduler(clock=VirtualClock(), trace=True)
-    network = Network(scheduler, seed=seed)
+    network = Network(seed=seed)
     network.add_link(
         "producer", "consumer",
         bandwidth_bps=600_000, delay=0.02, jitter=0.002,
@@ -142,7 +140,7 @@ def run_fig1(frames: int = 40, fps: float = 30.0, seed: int = 5):
         producer_side, consumer_side, "producer", "consumer",
         flow="video", protocol="datagram",
     )
-    engine = Engine(pipe, scheduler=scheduler).attach_network(network)
+    engine = Engine(pipe, trace=True)
     engine.start()
     engine.run(until=frames / fps + 2.0)
     engine.stop()

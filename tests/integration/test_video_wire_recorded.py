@@ -19,7 +19,6 @@ import pytest
 from repro import Engine, GreedyPump, connect
 from repro.core.composition import Pipeline as Graph
 from repro.core.typespec import Typespec
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     GopStructure,
     MpegDecoder,
@@ -80,8 +79,7 @@ def digest(value) -> str:
 
 
 def build(batch_max=32):
-    scheduler = Scheduler(clock=VirtualClock())
-    network = Network(scheduler, seed=SEED)
+    network = Network(seed=SEED)
     network.add_link(
         "p", "c", bandwidth_bps=1_000_000_000, delay=0.001,
         queue_packets=FRAMES + 8,
@@ -109,8 +107,7 @@ def build(batch_max=32):
         producer_side, consumer_side, "p", "c",
         flow="video", protocol="stream", mtu=65536,
     )
-    engine = Engine(graph, scheduler=scheduler, batch_max=batch_max)
-    return engine.attach_network(network), display
+    return Engine(graph, batch_max=batch_max), display
 
 
 def run(batch_max=32):

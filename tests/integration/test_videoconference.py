@@ -10,7 +10,6 @@ import pytest
 
 from repro import Buffer, ClockedPump, Engine, GreedyPump, Pipeline, connect
 from repro.core.typespec import Typespec
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import CameraSource, MpegDecoder, VideoDisplay
 from repro.net import Network, Node, RemoteBinder
 
@@ -19,8 +18,7 @@ FPS = 20.0
 
 
 def build_conference():
-    scheduler = Scheduler(clock=VirtualClock())
-    network = Network(scheduler, seed=9)
+    network = Network(seed=9)
     network.add_link("alice", "bob", bandwidth_bps=4_000_000, delay=0.03,
                      jitter=0.002, queue_packets=64)
     alice, bob = Node("alice", network), Node("bob", network)
@@ -55,7 +53,7 @@ def build_conference():
     combined = Pipeline(
         legs["alice-to-bob"].components + legs["bob-to-alice"].components
     )
-    engine = Engine(combined, scheduler=scheduler).attach_network(network)
+    engine = Engine(combined)
     return engine, legs
 
 

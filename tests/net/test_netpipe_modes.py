@@ -119,7 +119,8 @@ class TestProtocolEdgeCases:
 
 class TestNilReceiverPipeline:
     def test_clocked_consumer_skips_when_no_packets(self):
-        scheduler, network = make_world(delay=0.5)  # high latency
+        network = Network(seed=3)  # the engine binds it
+        network.add_link("a", "b", bandwidth_bps=10_000_000, delay=0.5)
         alpha, beta = Node("a", network), Node("b", network)
         src = alpha.place(IterSource(range(3)))
         sink = beta.place(CollectSink())
@@ -133,7 +134,7 @@ class TestNilReceiverPipeline:
             protocol="stream",
         )
         pipe.component("netpipe-recv-slow").on_empty = OnEmpty.NIL
-        engine = Engine(pipe, scheduler=scheduler).attach_network(network)
+        engine = Engine(pipe)
         engine.start()
         engine.run(until=3.0)
         engine.stop()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RemoteError
+from repro.errors import NetworkBindingError, RemoteError
 from repro.mbt import Scheduler, VirtualClock
 from repro.net import Link, Network, Packet
 
@@ -106,6 +106,24 @@ class TestDelivery:
         net.add_link("a", "b")
         with pytest.raises(RemoteError):
             net.transmit("a", "b", Packet(flow="nobody", seq=0, payload=b""))
+
+    def test_an_unbound_network_refuses_to_transmit(self):
+        net = Network(seed=0)
+        net.add_link("a", "b")
+        net.register_receiver("f", lambda p: None)
+        with pytest.raises(NetworkBindingError, match="runs on no scheduler"):
+            net.transmit("a", "b", Packet(flow="f", seq=0, payload=b""))
+        assert net.link("a", "b").stats.sent == 0
+
+    def test_binding_is_once_per_scheduler(self):
+        sched, net = make_net()
+        net.bind(sched)  # its own again: a no-op
+        assert net.scheduler is sched
+        with pytest.raises(NetworkBindingError) as raised:
+            net.bind(Scheduler())
+        # The error names both schedulers.
+        assert str(raised.value).count("Scheduler object at") == 2
+        assert isinstance(raised.value, RemoteError)
 
     def test_duplicate_receiver_rejected(self):
         _, net = make_net()

@@ -36,6 +36,8 @@ class TestDatagram:
             proto.send(b"%d" % i)
         sched.run_until_idle()
         assert 40 < len(received) < 90
+        # Counted as it happens, at the link, not inferred at the end.
+        assert proto.stats["lost"] == 100 - len(received)
 
     def test_eos_delivered(self):
         sched, _, proto, received, eos = make(DatagramProtocol)
@@ -65,6 +67,21 @@ class TestDatagram:
         for message in received:
             assert len(message) == 1000
             assert len(set(message)) == 1  # no inter-message mixing
+        # A message that lost several fragments is one lost payload.
+        assert proto.stats["lost"] == 50 - len(received)
+
+    def test_a_lost_frame_counts_the_items_it_carried(self):
+        from repro.net.marshal import encode_batch
+
+        sched, _, proto, received, _ = make(DatagramProtocol, loss_rate=1.0)
+        # Three data items and a side chunk: the sender states 3.
+        proto.send_frame(encode_batch([b"a", b"b", b"c", b"side"]), items=3)
+        # A frame whose sender states nothing counts its chunks.
+        proto.send_frame(encode_batch([b"d", b"e"]))
+        proto.send(b"f")
+        sched.run_until_idle()
+        assert received == []
+        assert proto.stats["lost"] == 3 + 2 + 1
 
     def test_large_message_beats_small_message_odds(self):
         """Bigger messages lose more often — the I-frame effect."""
@@ -114,6 +131,7 @@ class TestStream:
         sched2.run_until_idle()
         t_lossy = sched2.now()
         assert len(r1) == len(r2) == 30
+        assert p2.stats["retransmits"] > 0 and p2.stats["lost"] == 0
         assert t_lossy > t_clean
 
     def test_stream_eos_reliable(self):

@@ -13,7 +13,6 @@ from repro import (
 )
 from repro.core.typespec import Choices, Interval, Typespec, props
 from repro.errors import RemoteError
-from repro.mbt import Scheduler, VirtualClock
 from repro.net import (
     NetpipeReceiver,
     NetpipeSender,
@@ -26,28 +25,27 @@ from repro.net.remote import marshal_typespec, unmarshal_typespec
 
 
 def make_world(seed=0, **link_kw):
-    sched = Scheduler(clock=VirtualClock())
-    net = Network(sched, seed=seed)
+    net = Network(seed=seed)
     defaults = dict(bandwidth_bps=10_000_000, delay=0.01)
     defaults.update(link_kw)
     net.add_link("alpha", "beta", **defaults)
-    return sched, net, Node("alpha", net), Node("beta", net)
+    return net, Node("alpha", net), Node("beta", net)
 
 
 class TestNode:
     def test_source_flow_spec_gets_location(self):
-        _, _, alpha, _ = make_world()
+        _, alpha, _ = make_world()
         src = alpha.place(IterSource([1]))
         assert src.flow_spec[props.LOCATION] == "alpha"
         assert src.location == "alpha"
 
     def test_sink_input_spec_gets_location(self):
-        _, _, _, beta = make_world()
+        _, _, beta = make_world()
         sink = beta.place(CollectSink())
         assert sink.input_spec[props.LOCATION] == "beta"
 
     def test_create_instantiates_and_places(self):
-        _, _, alpha, _ = make_world()
+        _, alpha, _ = make_world()
         src = alpha.create(IterSource, [1, 2])
         assert src.location == "alpha"
         assert src in alpha.components
@@ -71,7 +69,7 @@ class TestTypespecMarshalling:
 
 class TestRemoteFactory:
     def test_create_remote_registered_type(self):
-        _, net, alpha, beta = make_world()
+        net, alpha, beta = make_world()
         factory = RemoteFactory(net)
         factory.add_node(alpha)
         factory.add_node(beta)
@@ -81,21 +79,21 @@ class TestRemoteFactory:
         assert factory.setup_cost > 0
 
     def test_unregistered_type_rejected(self):
-        _, net, alpha, _ = make_world()
+        net, alpha, _ = make_world()
         factory = RemoteFactory(net)
         factory.add_node(alpha)
         with pytest.raises(RemoteError):
             factory.create_remote("alpha", "mystery")
 
     def test_unknown_node_rejected(self):
-        _, net, _, _ = make_world()
+        net, _, _ = make_world()
         factory = RemoteFactory(net)
         factory.register("collect-sink", CollectSink)
         with pytest.raises(RemoteError):
             factory.create_remote("gamma", "collect-sink")
 
     def test_remote_typespec_query_marshals_properties(self):
-        _, net, alpha, beta = make_world()
+        net, alpha, beta = make_world()
         factory = RemoteFactory(net)
         factory.add_node(alpha)
         factory.add_node(beta)
@@ -107,7 +105,7 @@ class TestRemoteFactory:
 
 class TestBinder:
     def build(self, protocol="datagram", **link_kw):
-        sched, net, alpha, beta = make_world(**link_kw)
+        net, alpha, beta = make_world(**link_kw)
         src = alpha.place(IterSource(list(range(10))))
         producer = src >> GreedyPump()
         sink = beta.place(CollectSink())
@@ -117,10 +115,10 @@ class TestBinder:
         pipe = RemoteBinder(net).bind(
             producer, consumer, "alpha", "beta", flow="t", protocol=protocol
         )
-        return sched, net, pipe, sink
+        return net, pipe, sink
 
     def test_binding_inserts_marshal_netpipe_unmarshal(self):
-        _, _, pipe, _ = self.build()
+        _, pipe, _ = self.build()
         names = [c.name for c in pipe.components]
         assert any(n.startswith("marshal-") for n in names)
         assert any(n.startswith("netpipe-send-") for n in names)
@@ -128,33 +126,33 @@ class TestBinder:
         assert any(n.startswith("unmarshal-") for n in names)
 
     def test_end_to_end_delivery_stream(self):
-        sched, net, pipe, sink = self.build(protocol="stream")
-        engine = Engine(pipe, scheduler=sched).attach_network(net)
+        _, pipe, sink = self.build(protocol="stream")
+        engine = Engine(pipe)
         engine.start()
         engine.run()
         assert sink.items == list(range(10))
 
     def test_end_to_end_delivery_datagram(self):
-        sched, net, pipe, sink = self.build(protocol="datagram")
-        engine = Engine(pipe, scheduler=sched).attach_network(net)
+        _, pipe, sink = self.build(protocol="datagram")
+        engine = Engine(pipe)
         engine.start()
         engine.run()
         assert sink.items == list(range(10))
 
     def test_location_updated_by_netpipe_only(self):
-        _, _, pipe, sink = self.build()
+        _, pipe, sink = self.build()
         spec = pipe.typespec_at(sink.in_port)
         assert spec[props.LOCATION] == "beta"
 
     def test_missing_netpipe_is_a_type_error(self):
-        _, _, alpha, beta = make_world()
+        _, alpha, beta = make_world()
         src = alpha.place(IterSource([1]))
         sink = beta.place(CollectSink())
         with pytest.raises(TypespecMismatch):
             src >> GreedyPump() >> sink
 
     def test_incompatible_remote_spec_rejected_at_bind(self):
-        sched, net, alpha, beta = make_world()
+        net, alpha, beta = make_world()
         src = alpha.place(
             IterSource([1], flow_spec=Typespec(item_type="audio"))
         )
@@ -169,7 +167,7 @@ class TestBinder:
             )
 
     def test_netpipe_stamps_link_qos(self):
-        _, _, pipe, sink = self.build()
+        _, pipe, sink = self.build()
         spec = pipe.typespec_at(sink.in_port)
         assert props.BANDWIDTH in spec
         assert props.LOSS_RATE in spec
@@ -180,8 +178,7 @@ class TestNetpipeComponents:
         from repro.errors import MarshalError
         from repro.net.protocols import DatagramProtocol
 
-        sched = Scheduler(clock=VirtualClock())
-        net = Network(sched)
+        net = Network()
         net.add_link("a", "b")
         proto = DatagramProtocol(net, "f", "a", "b")
         sender = NetpipeSender(proto)
@@ -191,8 +188,7 @@ class TestNetpipeComponents:
     def test_receiver_rejects_pushes(self):
         from repro.net.protocols import DatagramProtocol
 
-        sched = Scheduler(clock=VirtualClock())
-        net = Network(sched)
+        net = Network()
         net.add_link("a", "b")
         proto = DatagramProtocol(net, "f2", "a", "b")
         receiver = NetpipeReceiver(proto)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import MarshalError, RemoteError
+from repro.errors import MarshalError, NetworkBindingError, RemoteError
 from repro.mbt import Scheduler, VirtualClock
 from repro.net import (
     DatagramProtocol,
@@ -26,7 +26,7 @@ from repro.net import (
 )
 from repro.net.marshal import encode_batch
 from repro.net.mux import MuxStream, StreamMux
-from repro.net.protocols import Transport
+from repro.net.protocols import Protocol, Transport
 
 
 class Rig:
@@ -56,7 +56,9 @@ def simulated(protocol_cls):
     network = Network(scheduler, seed=0)
     network.add_link("a", "b", bandwidth_bps=10_000_000, delay=0.01)
     protocol = protocol_cls(network, "flow", "a", "b")
-    return Rig(protocol, protocol, scheduler.run_until_idle)
+    rig = Rig(protocol, protocol, scheduler.run_until_idle)
+    rig.scheduler = scheduler
+    return rig
 
 
 def socket_link():
@@ -195,10 +197,30 @@ class TestDeclaredDefaults:
             assert end.receiver_loss_sample() == 0.0
             assert end.pump() == 0
             assert end.wait(0.0) is False
-            assert end.attach_scheduler(Scheduler()) is None
             assert end.stats["retransmits"] == 0
         rig.tx.close()
         rig.rx.close()
+
+    def test_only_a_simulated_end_binds_a_scheduler(self, rig):
+        """A simulated end runs its network on the scheduler it is handed
+        (the netpipes hand it their engine's) and answers that network,
+        for the engine to bind; a scheduler not its network's is the
+        named error.  Every other end ignores the scheduler."""
+        for end in (rig.tx, rig.rx):
+            if not isinstance(end, Protocol):
+                assert end.attach_scheduler(Scheduler()) is None
+                continue
+            assert end.attach_scheduler(rig.scheduler) is end.network
+            with pytest.raises(NetworkBindingError, match="not on the engine"):
+                end.attach_scheduler(Scheduler())
+            assert end.network.scheduler is rig.scheduler
+
+    def test_a_clean_wire_counts_nothing_lost(self, rig):
+        rig.bind()
+        for kind in ("data", "frame", "eos"):
+            send(rig, kind)
+        for end in (rig.tx, rig.rx):
+            assert end.stats["lost"] == 0
 
     def test_the_two_ends_of_one_wire_answer_one_key(self, rig):
         """What ``netpipe_pairs`` pairs the halves of a bridge by: the

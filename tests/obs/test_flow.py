@@ -19,7 +19,7 @@ from repro import api
 from repro.check import declare_lossy
 from repro.components.sinks import Sink
 from repro.errors import InvariantViolation
-from repro.mbt import Scheduler, VirtualClock
+from repro.mbt import Scheduler
 from repro.mbt.tracing import dump_on, format_tail
 from repro.net import Network, Node, RemoteBinder
 from repro.obs import (
@@ -316,8 +316,7 @@ class TestPipelineTracing:
 
 
 def _run_netpipe(batch_max, protocol="stream", items=60, sample_every=1):
-    scheduler = Scheduler(clock=VirtualClock())
-    network = Network(scheduler, seed=3)
+    network = Network(seed=3)
     network.add_link(
         "a", "b", bandwidth_bps=2_000_000, delay=0.01, jitter=0.0,
         loss_rate=0.0, queue_packets=256,
@@ -332,9 +331,7 @@ def _run_netpipe(batch_max, protocol="stream", items=60, sample_every=1):
     pipe = RemoteBinder(network).bind(
         producer, consumer, "a", "b", flow="data", protocol=protocol
     )
-    engine = Engine(
-        pipe, scheduler=scheduler, batch_max=batch_max
-    ).attach_network(network)
+    engine = Engine(pipe, batch_max=batch_max)
     tracer = FlowTracer(sample_every=sample_every).attach(engine)
     engine.start()
     engine.run(until=60.0)

@@ -24,7 +24,6 @@ from repro import (
     pipeline,
 )
 from repro.api import Pipeline
-from repro.mbt import Scheduler, VirtualClock
 from repro.net import Network, Node, RemoteBinder
 from repro.obs import FlowTracer, Telemetry
 from repro.obs.flow import DROPPED
@@ -115,8 +114,7 @@ class TestOneRecordPerQueue:
 
     @pytest.mark.parametrize("batch_max", [1, 32])
     def test_netpipe_receiver(self, batch_max):
-        scheduler = Scheduler(clock=VirtualClock())
-        network = Network(scheduler, seed=3)
+        network = Network(seed=3)
         network.add_link(
             "a", "b", bandwidth_bps=2_000_000, delay=0.01, jitter=0.0,
             loss_rate=0.0, queue_packets=256,
@@ -130,9 +128,7 @@ class TestOneRecordPerQueue:
             source >> GreedyPump(), ClockedPump(200.0) >> sink,
             "a", "b", flow="data", protocol="stream",
         )
-        engine = Engine(
-            pipe, scheduler=scheduler, batch_max=batch_max
-        ).attach_network(network)
+        engine = Engine(pipe, batch_max=batch_max)
         telemetry = Telemetry().attach(engine)
         tracer = FlowTracer(
             sample_every=1, registry=telemetry.registry

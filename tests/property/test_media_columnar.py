@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro import Engine, GreedyPump, Pipeline, connect, pipeline
 from repro.check import assert_flow, explore
 from repro.core.typespec import Typespec
-from repro.mbt import Scheduler, VirtualClock
 from repro.media import (
     MpegDecoder,
     MpegFileSource,
@@ -77,8 +76,7 @@ def test_columnar_batches_deliver_per_item_stream(
 
 
 def run_netpipe(batch_max, frames=60, level=1):
-    scheduler = Scheduler(clock=VirtualClock())
-    network = Network(scheduler, seed=5)
+    network = Network(seed=5)
     network.add_link("p", "c", bandwidth_bps=1_000_000_000, delay=0.001)
     producer, consumer = Node("p", network), Node("c", network)
     source = producer.place(
@@ -97,9 +95,7 @@ def run_netpipe(batch_max, frames=60, level=1):
         producer_side, consumer_side, "p", "c",
         flow="video", protocol="stream",
     )
-    engine = Engine(
-        pipe, scheduler=scheduler, batch_max=batch_max
-    ).attach_network(network)
+    engine = Engine(pipe, batch_max=batch_max)
     engine.start()
     engine.run(until=120.0)
     engine.stop()

@@ -176,11 +176,9 @@ class TestBatchStats:
 class TestNetpipeFrames:
     def build_distributed(self, batch_max, protocol="stream", items=20):
         from repro import Pipeline as P, connect
-        from repro.mbt import Scheduler, VirtualClock
         from repro.net import Network, Node, RemoteBinder
 
-        sched = Scheduler(clock=VirtualClock())
-        net = Network(sched, seed=0)
+        net = Network(seed=0)
         net.add_link("alpha", "beta", bandwidth_bps=10_000_000, delay=0.01)
         alpha, beta = Node("alpha", net), Node("beta", net)
         src = alpha.place(IterSource(list(range(items))))
@@ -192,9 +190,7 @@ class TestNetpipeFrames:
         pipe = RemoteBinder(net).bind(
             producer, consumer, "alpha", "beta", flow="t", protocol=protocol
         )
-        engine = Engine(
-            pipe, scheduler=sched, batch_max=batch_max
-        ).attach_network(net)
+        engine = Engine(pipe, batch_max=batch_max)
         engine.start()
         engine.run()
         return engine, pipe, sink

@@ -53,8 +53,32 @@ class TestEngineApi:
         assert stopped == [True]
 
     def test_attach_network_returns_self(self):
+        from repro.net import Network
+
         engine = Engine(IterSource([1]) >> GreedyPump() >> CollectSink())
-        assert engine.attach_network(None) is engine
+        network = Network(seed=0)
+        assert engine.attach_network(network) is engine
+        assert network.scheduler is engine.scheduler
+        assert engine.attach_network(network) is engine  # again: a no-op
+
+    def test_a_second_network_is_refused_naming_both(self):
+        """Two wires on two networks in one engine: the second netpipe
+        pair to attach finds the engine running the first network."""
+        from repro.errors import NetworkBindingError
+        from repro.net import Network, RemoteBinder
+
+        networks, legs = [Network(seed=0), Network(seed=1)], []
+        for index, network in enumerate(networks):
+            network.add_link("a", "b")
+            legs += RemoteBinder(network).bind(
+                IterSource([1]) >> GreedyPump(),
+                GreedyPump() >> CollectSink(), "a", "b", flow=f"f{index}",
+            ).components
+        engine = Engine(Pipeline(legs))
+        with pytest.raises(NetworkBindingError, match="second network") as e:
+            engine.setup()
+        assert all(repr(network) in str(e.value) for network in networks)
+        assert engine.network is networks[0]
 
 
     def test_clocked_pump_without_a_period_is_refused_at_setup(self):

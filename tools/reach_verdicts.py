@@ -354,6 +354,10 @@ RULES = [
      "declared default of the transport contract (docs/RUNTIME.md \"Seams "
      "and their contracts\"): a wire that never loses; `tests/net/"
      "test_transport_contract.py::TestDeclaredDefaults`"),
+    ("repro.net.protocols:Transport.attach_scheduler", "verification",
+     "declared default of the transport contract: a wire with no simulated "
+     "network to run on the engine's scheduler (every driver's netpipe "
+     "rides a `Protocol` or a `MuxStream`, which override it); same test"),
     ("repro.net.protocols:Transport.pump", "verification",
      "declared default of the transport contract: a synchronous wire has "
      "nothing to pump; same test"),
@@ -727,6 +731,8 @@ DELETED: list[tuple[str, int, str, str]] = [
      "`::test_truncated_message_raises_from_a_bounded_pump_too` (the "
      "unbounded truncation test now also checks the message ahead of it)"),
     ("repro.net.socketlink:SocketLink.__repr__", 5, "nothing", "none"),
+    ("repro.net.links:Link.key (the network files a link under its "
+     "`(src, dst)` as it builds it)", 3, "D1-D4", "none"),
     ("repro.net.mux:MuxStream._submit (folded into `send` / "
      "`send_frame`; their refusal is `_refuse`)", 13, "D1-D4",
      "none (`test_a_stream_that_queues_past_the_window_fails` patches "
