@@ -178,14 +178,10 @@ def _as_projection(projection) -> Projection:
 
 @dataclass
 class WitnessRun:
-    """One explored schedule of the abstract pipeline."""
+    """One abstract witness run: its sink streams and lossy channels."""
 
-    seed: int | None
-    trace_hash: str
-    events: int
     streams: dict[str, list]
     lossy: dict[str, str]
-    error: str | None = None
 
 
 def lossy_channels(program: Engine, taps: SinkTaps) -> dict[str, str]:
@@ -652,9 +648,6 @@ def check_refinement(
         program, taps = current[0]
         witnesses.append(
             WitnessRun(
-                seed=run.seed,
-                trace_hash=run.trace_hash,
-                events=run.events,
                 streams={k: list(v) for k, v in taps.streams.items()},
                 lossy=lossy_channels(program, taps),
             )

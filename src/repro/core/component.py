@@ -154,7 +154,8 @@ class Component:
         # per-out-port emit callables and per-in-port intake callables.
         self._emitters: dict[str, Callable[[Any], None]] = {}
         self._intakes: dict[str, Callable[[], Any]] = {}
-        self._event_sender: Callable[[ev.Event], None] | None = None
+        #: The engine's event service, once filed in its event table.
+        self._events: ev.EventService | None = None
 
     # ------------------------------------------------------------ ports
 
@@ -256,14 +257,15 @@ class Component:
         target: str | None = None,
     ) -> None:
         """Send a control event; requires the pipeline to be running."""
-        if self._event_sender is None:
+        if self._events is None:
             raise PortError(
                 f"{self.name!r} is not attached to a running pipeline; "
                 "cannot send events"
             )
-        self._event_sender(
+        self._events.send(
             ev.Event(kind=kind, payload=payload, source=self.name,
-                     scope=scope, target=target)
+                     scope=scope, target=target),
+            self,
         )
 
     # ------------------------------------------------------------ CPU model

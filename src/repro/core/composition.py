@@ -22,6 +22,8 @@ Every connection performs the paper's dynamic checks:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.core.component import Component, Port, Role
@@ -155,7 +157,7 @@ class Pipeline:
 
     # ------------------------------------------------------------ typespec
 
-    def derive_typespecs(self) -> dict[str, Typespec]:
+    def derive_typespecs(self) -> "FlowSpecs":
         """(Re-)derive the flow Typespec on every connection.
 
         Returns a mapping from ``"component.port"`` (out-port side) to the
@@ -166,13 +168,11 @@ class Pipeline:
     def typespec_at(self, port: Port) -> Typespec:
         """The derived flow Typespec on the connection at ``port``."""
         specs = self.derive_typespecs()
-        if port.direction is Direction.OUT:
-            key_port = port
-        else:
+        if port.direction is Direction.IN:
             if port.peer is None:
                 raise PortError(f"{port.qualified_name()} is not connected")
-            key_port = port.peer
-        return specs[key_port.qualified_name()]
+            port = port.peer
+        return specs[port.qualified_name()]
 
     def end_to_end_typespec(self) -> Typespec:
         """Typespec of the flow arriving at the (single) sink."""
@@ -264,7 +264,28 @@ def reachable_components(start: Component) -> list[Component]:
     return list(seen)
 
 
-def derive_typespecs(components: Iterable[Component]) -> dict[str, Typespec]:
+class FlowSpecs(Mapping):
+    """A derivation's flow Typespec per connection, keyed ``"component.port"``
+    (out-port side) and built on first read: most derivations only check."""
+
+    def __init__(self, flow_at: dict[Port, Typespec]):
+        self._flow_at = flow_at
+
+    @cached_property
+    def _keyed(self) -> dict[str, Typespec]:
+        return {port.qualified_name(): f for port, f in self._flow_at.items()}
+
+    def __getitem__(self, key: str) -> Typespec:
+        return self._keyed[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keyed)
+
+    def __len__(self) -> int:
+        return len(self._keyed)
+
+
+def derive_typespecs(components: Iterable[Component]) -> FlowSpecs:
     """Fold Typespec transformations forward through the component graph.
 
     Walks components in topological order (data-flow edges only; feedback
@@ -292,7 +313,7 @@ def derive_typespecs(components: Iterable[Component]) -> dict[str, Typespec]:
         outgoing = component.transform_typespec(narrowed)
         for port in component.out_ports():
             flow_at[port] = outgoing
-    return {port.qualified_name(): flow for port, flow in flow_at.items()}
+    return FlowSpecs(flow_at)
 
 
 def _topological(components: list[Component]) -> list[Component]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from repro.errors import RuntimeFault
 from repro.mbt.constraints import Constraint
@@ -109,48 +109,53 @@ def is_eos(item: Any) -> bool:
 
 
 class EventService:
-    """Distributes control events to registered receivers.
+    """Routes control events by receiver name.
 
-    Receivers are registered per component name with a delivery function;
-    the runtime registers one that posts a prioritized message to the
-    component's owning thread, while unit tests may register synchronous
-    callbacks.  Remote pipelines bridge broadcasts across nodes by
-    registering a relay receiver (see :mod:`repro.net.remote`).
+    ``receivers`` is the table of who can receive — the runtime's engine
+    table of component name → owner thread, in pipeline order — and
+    ``deliver(event, names)`` hands one event to the named receivers (the
+    runtime posts a prioritized message to each owner thread).  Relays
+    bridge broadcasts across nodes (:mod:`repro.net.remote`).
     """
 
-    def __init__(self):
-        self._receivers: dict[str, Callable[[Event], None]] = {}
+    def __init__(self, receivers: Mapping[str, Any],
+                 deliver: Callable[[Event, list[str]], None]):
+        self._receivers = receivers
+        self._deliver = deliver
         self._relays: list[Callable[[Event], None]] = []
-        #: Every event that passed through, for inspection by tests.
-        self.history: list[Event] = []
-
-    def register(self, name: str, deliver: Callable[[Event], None]) -> None:
-        if name in self._receivers:
-            raise RuntimeFault(f"duplicate event receiver {name!r}")
-        self._receivers[name] = deliver
-
-    def unregister(self, name: str) -> None:
-        self._receivers.pop(name, None)
 
     def add_relay(self, relay: Callable[[Event], None]) -> None:
         """Relays receive every broadcast (used for cross-node delivery)."""
         self._relays.append(relay)
 
+    def send(self, event: Event, sender: Any) -> None:
+        """Route ``event`` from component ``sender`` by its scope."""
+        scope, name = event.scope, event.target
+        if scope is EventScope.BROADCAST:
+            self.broadcast(event)
+            return
+        if scope is not EventScope.DIRECT:
+            ports = (
+                sender.in_ports() if scope is EventScope.UPSTREAM
+                else sender.out_ports()
+            )
+            if not ports or ports[0].peer is None:
+                raise RuntimeFault(
+                    f"{sender.name!r} has no {scope.value} neighbour"
+                )
+            name = ports[0].peer.component.name
+        self.send_to(name, event)
+
     def broadcast(self, event: Event) -> None:
         """Deliver a broadcast event to every receiver (except its source)
         and every relay."""
-        self.history.append(event)
-        for name, deliver in list(self._receivers.items()):
-            if name == event.source:
-                continue
-            deliver(event)
+        source = event.source
+        self._deliver(event, [n for n in self._receivers if n != source])
         for forward in self._relays:
             forward(event)
 
     def send_to(self, name: str, event: Event) -> None:
         """Deliver an event to one named receiver."""
-        deliver = self._receivers.get(name)
-        if deliver is None:
+        if name not in self._receivers:
             raise RuntimeFault(f"no event receiver named {name!r}")
-        self.history.append(event)
-        deliver(event)
+        self._deliver(event, [name])

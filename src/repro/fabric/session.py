@@ -211,19 +211,20 @@ class SessionFabric:
     # ------------------------------------------------------------ close
 
     def close_session(self, name: str) -> None:
-        """Detach a session: stop its pipeline, drop its threads and its
-        tenant.  Live: nothing else is paused.  A crashed session closes
-        the same way — its threads just die dirtier first."""
+        """Detach a session: stop its services, drop its timers, threads
+        and tenant.  Nothing is posted and no handler runs: a STOP would
+        reach only the threads being deleted (to have it handled, call
+        ``session.engine.stop()`` and run first).  Live: no other session
+        is touched.  An error stopping a service propagates, detached."""
         session = self.sessions.pop(name, None)
         if session is None:
             return
         session.closed = True
         session.parked = False
         try:
-            session.engine.stop()
-        except Exception:  # noqa: BLE001 - a crashed tenant still detaches
-            pass
-        self._detach(name, session.engine)
+            session.engine.stop_services()
+        finally:
+            self._detach(name, session.engine)
 
     def _detach(self, name: str, engine: Engine | None) -> None:
         """Give back everything session ``name`` holds — of a closing

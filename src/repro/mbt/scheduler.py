@@ -16,13 +16,12 @@ real time.
 
 The ready queue
 ---------------
-Dispatch used to scan every thread and recompute its sort key on every
-pick and every preemption check — O(n) with fresh allocations each time.
-The scheduler now maintains an **indexed ready queue**: a binary heap of
-``[prio, vtime, deadline, last_ran, index, seq, thread]`` entries, one
-live entry per ready thread.  Whenever an event changes a thread's key or readiness
-(message delivery, receive, donation, message start/finish, wait set or
-cleared, priority change) the thread notifies the scheduler via
+Rather than scan every thread per pick, the scheduler keeps an **indexed
+ready queue**: a binary heap of ``[prio, vtime, deadline, last_ran,
+index, seq, thread]`` entries, one live entry per ready thread.  Whenever
+an event changes a thread's key or readiness (message delivery, receive,
+donation, message start/finish, wait set or cleared, priority change)
+the thread notifies the scheduler via
 :meth:`_reindex`, which tombstones the old entry (lazily discarded at the
 heap top) and pushes a fresh one.  The pick, the burst, preemption,
 ``Yield`` and Repost tests all peek at :meth:`_live_top` — O(1)
@@ -320,6 +319,11 @@ class Scheduler:
         #: is a step, so it must be one that run would still make.
         self._limits: tuple[float | None, int | None] = (None, None)
 
+    def __repr__(self) -> str:
+        names = ", ".join(itertools.islice(self.threads, 3))
+        return (f"<Scheduler {type(self.clock).__name__} t={self.now():g} "
+                f"threads={len(self.threads)} ({names})>")
+
     # ------------------------------------------------------------ threads
 
     def add_thread(self, thread: MThread) -> MThread:
@@ -467,9 +471,9 @@ class Scheduler:
         no interceptor must see enters its mailbox as one
         :meth:`Mailbox.put_many`: the owner is re-keyed once per run (an
         engine's event fan-out, a gate's wakes), not once per message.
-        Plain loops, not ``itertools.groupby``: an engine's ``stop()``
-        runs this cold, where every extra object touched is measurable
-        (``teardown_s``)."""
+        Plain loops, not ``itertools.groupby``: every open's START and an
+        engine's ``stop()`` run this cold (``setup_s``, ``teardown_s``);
+        a closing session posts nothing, its threads being deleted."""
         start, end = 0, len(messages)
         while start < end:
             name = messages[start].target
@@ -790,8 +794,7 @@ class Scheduler:
     def _finish_burst(self) -> None:
         """End the active burst and perform its deferred heap refresh."""
         thread = self._burst_thread
-        self._burst_thread = None
-        self._burst_left = 0
+        self._burst_thread, self._burst_left = None, 0
         if thread is not None:
             self._reindex(thread)
 
@@ -806,13 +809,9 @@ class Scheduler:
     def _fair_key(self, thread: MThread) -> tuple[float, float, float]:
         """``thread``'s ``(priority, vtime, deadline)``: its heap key
         before the ``(last_ran, index)`` tie-break."""
-        sort_key = thread.effective_sort_key()
+        priority, deadline = thread.effective_sort_key()
         tenant = thread._tenant
-        return (
-            sort_key[0],
-            tenant.vtime if tenant is not None else 0.0,
-            sort_key[1],
-        )
+        return priority, 0.0 if tenant is None else tenant.vtime, deadline
 
     # -- reference implementations (equivalence oracle for tests) ----------
 

@@ -22,6 +22,7 @@ class Network:
 
     def __init__(self, scheduler: Scheduler | None = None, seed: int = 0):
         self.scheduler = scheduler
+        self.seed = seed
         self.rng = random.Random(seed)
         self._links: dict[tuple[str, str], Link] = {}
         self._nodes: set[str] = set()
@@ -42,6 +43,9 @@ class Network:
                                       f", not on the engine's {scheduler!r}")
         self.scheduler = scheduler
         return self
+
+    def __repr__(self) -> str:
+        return f"<Network seed={self.seed} nodes={sorted(self._nodes)}>"
 
     # ------------------------------------------------------------ topology
 

@@ -200,10 +200,7 @@ class PumpDriver:
             if self.origin.running and not self.finished:
                 return self._cycle(repost=False)
         elif kind == "event":
-            event, target_name = message.payload
-            self.engine.dispatch_event_local(
-                self.thread_name, event, target_name
-            )
+            self.ctx.dispatch_event_message(message)
         self.sync_running_state()
         return CONTINUE
 
@@ -518,10 +515,7 @@ class CoroutineDriver:
         ``None`` return is accepted as CONTINUE by the scheduler)."""
         kind = message.kind
         if kind == "event":
-            event, target_name = message.payload
-            self.engine.dispatch_event_local(
-                self.thread_name, event, target_name
-            )
+            self.ctx.dispatch_event_message(message)
             return CONTINUE
         if kind in ("ip-push", "ip-push-batch") and self.mode is Mode.PUSH:
             return self._handle_push(message)
@@ -770,17 +764,16 @@ class Engine:
             on_thread_error=on_thread_error,
             trace_limit=trace_limit,
         )
-        self.events = EventService()
-        #: The event messages of the broadcast send_event is fanning out,
-        #: posted as one run when it ends; None outside one.
-        self._fanout: list[Message] | None = None
+        #: The event table: component name -> owner thread, in pipeline
+        #: order once set up (the order a broadcast reaches them).
+        self._owner: dict[str, str] = {}
+        self.events = EventService(self._owner, self._post_events)
         self.plan: AllocationPlan | None = None
 
         self._gates: dict[Component, BufferGate] = {}
         self._locks: dict[Component, SegmentLock] = {}
         self._replays: dict[Component, ReplayIntake] = {}
         self._pendings: dict[Component, PendingEmits] = {}
-        self._owner: dict[str, str] = {}
         self._thread_components: dict[str, dict[str, Component]] = {}
         self._coroutine_drivers: dict[Component, CoroutineDriver] = {}
         self.pump_drivers: list[PumpDriver] = []
@@ -794,7 +787,7 @@ class Engine:
         self._setup_done = False
         #: The network its netpipes bound, for cross-node event latency.
         self.network = None
-        #: Attached services (feedback loops, sensors) stopped by stop().
+        #: Attached services (feedback loops, sensors): stop_services().
         self._services: list[Any] = []
         #: Observability front-end (repro.obs.Telemetry) when attached,
         #: for the latency decoration of ``stats``.  What the runtime
@@ -808,8 +801,8 @@ class Engine:
 
     def add_service(self, service: Any) -> None:
         """Register an auxiliary service: anything with a ``stop()``,
-        which :meth:`stop` calls (feedback loops register themselves
-        here)."""
+        which :meth:`stop_services` calls (feedback loops register
+        themselves here)."""
         self._services.append(service)
 
     def attach_network(self, network) -> "Engine":
@@ -856,11 +849,16 @@ class Engine:
         self._build_locks()
 
         # One pass in pipeline order: a buffer's gate, then the component's
-        # event wiring, then its attach hook (which may read both).
+        # row of the event table (re-filed in this order), then its attach
+        # hook (which may read both).
+        walked = dict(self._owner)
+        self._owner.clear()
         for component in self.pipeline:
             if component.role is Role.BUFFER:
                 self._gates[component] = BufferGate(self, component)
-            self._register_events(component)
+            owner = walked.get(component.name)
+            if owner is not None:
+                self._file_receiver(component, owner)
             component.on_attach(self)
 
         # Compile the flow walkers last: gates, locks, replay intakes and
@@ -960,65 +958,48 @@ class Engine:
             for member in cluster:
                 self._locks[member] = lock
 
-    def _register_events(self, component: Component) -> None:
-        owner = self._owner.get(component.name)
-        if owner is None:
-            return
-
-        def deliver(event: Event, name=component.name, thread=owner):
-            message = Message(
-                kind="event",
-                payload=(event, name),
-                sender="event-service",
-                target=thread,
-                constraint=ev.EVENT_CONSTRAINT,
+    def _file_receiver(self, component: Component, owner: str) -> None:
+        """Enter ``component`` in the event table under its owner thread;
+        a second component under a taken name is refused."""
+        if component.name in self._owner:
+            raise RuntimeFault(
+                f"duplicate event receiver {component.name!r}"
             )
-            delay = self._event_delay(event, component)
-            if delay > 0.0:
-                self.scheduler.after(
-                    delay, lambda: self.scheduler.post(message)
-                )
-            elif self._fanout is not None:
-                self._fanout.append(message)
-            else:
-                self.scheduler.post(message)
+        self._owner[component.name] = owner
+        component._events = self.events
 
-        self.events.register(component.name, deliver)
-        component._event_sender = self._make_event_sender(component)
+    def _post_events(self, event: Event, names: list[str]) -> None:
+        """The event service's delivery: a prioritized message to each
+        receiver's owner thread, as the event table names it, posted as
+        one run (:meth:`Scheduler.post_many`) — a message crossing nodes
+        after the control latency instead."""
+        run = []
+        for name in names:
+            thread = self._owner[name]
+            message = Message(kind="event", payload=(event, name),
+                              sender="event-service", target=thread,
+                              constraint=ev.EVENT_CONSTRAINT)
+            if self.network is not None and event.source:
+                receiver = self._thread_components[thread][name]
+                delay = self._event_delay(event.source, receiver)
+                if delay > 0.0:
+                    self.scheduler.after(
+                        delay, lambda m=message: self.scheduler.post(m)
+                    )
+                    continue
+            run.append(message)
+        self.scheduler.post_many(run)
 
-    def _event_delay(self, event: Event, receiver: Component) -> float:
+    def _event_delay(self, source_name: str, receiver: Component) -> float:
         """Cross-node control latency for an event (0 locally)."""
-        if self.network is None or not event.source:
-            return 0.0
         try:
-            source = self.pipeline.component(event.source)
+            source = self.pipeline.component(source_name)
         except PortError:  # a sender outside the pipeline
             return 0.0
         src_loc, dst_loc = source.location, receiver.location
         if not src_loc or not dst_loc or src_loc == dst_loc:
             return 0.0
         return self.network.control_latency(src_loc, dst_loc)
-
-    def _make_event_sender(self, component: Component):
-        def sender(event: Event):
-            if event.scope is ev.EventScope.BROADCAST:
-                self.events.broadcast(event)
-                return
-            if event.scope is ev.EventScope.DIRECT:
-                self.events.send_to(event.target, event)
-                return
-            ports = (
-                component.in_ports()
-                if event.scope is ev.EventScope.UPSTREAM
-                else component.out_ports()
-            )
-            if not ports or ports[0].peer is None:
-                raise RuntimeFault(
-                    f"{component.name!r} has no {event.scope.value} neighbour"
-                )
-            self.events.send_to(ports[0].peer.component.name, event)
-
-        return sender
 
     # ------------------------------------------------------------ accessors
 
@@ -1048,59 +1029,36 @@ class Engine:
         return component in self._coroutine_drivers
 
     def thread_of(self, component: Component) -> str:
-        driver = self._coroutine_drivers.get(component)
-        if driver is not None:
-            return driver.thread_name
         owner = self._owner.get(component.name)
         if owner is None:
             raise RuntimeFault(f"{component.name!r} has no owning thread")
         return owner
 
-    def dispatch_event_local(
-        self, thread_name: str, event: Event, target_name: str | None
-    ) -> None:
-        owned = self._thread_components.get(thread_name, {})
-        if target_name is None:
-            targets = list(owned.values())
-        else:
-            targets = [owned[target_name]] if target_name in owned else []
-        for component in targets:
-            component.handle_event(event)
-            self._sync_origin(component)
-            gate = self._gates.get(component)
-            if gate is not None and event.kind == ev.FLUSH:
-                gate.external_wake_pushers()
-
-    def _sync_origin(self, component: Component) -> None:
-        """If an event just changed an activity origin's running state —
-        possibly while its thread is blocked mid-cycle — resync its timer
-        immediately, so a stopped pump's clock stops ticking."""
-        driver = self._drivers_by_origin.get(component.name)
-        if driver is not None:
-            driver.sync_running_state()
-
     # ------------------------------------------------------------ control
 
     def send_event(self, kind: str, payload: Any = None) -> None:
         """Broadcast a control event to every component (like the paper's
-        ``send_event(START)``).  Its messages reach the scheduler as one
-        run, as :meth:`Scheduler.post_many` delivers it."""
+        ``send_event(START)``)."""
         self.setup()
-        self._fanout = fanout = []
-        try:
-            self.events.broadcast(Event(kind=kind, payload=payload, source=""))
-        finally:
-            self._fanout = None
-            self.scheduler.post_many(fanout)
+        self.events.broadcast(Event(kind=kind, payload=payload, source=""))
 
     def start(self) -> "Engine":
         self.setup()
         self.send_event(ev.START)
         return self
 
-    def stop(self) -> "Engine":
+    def stop_services(self) -> "Engine":
+        """Stop the attached services, and send no event: what a session
+        being closed needs, whose threads go next (no STOP handler would
+        ever run)."""
         for service in self._services:
             service.stop()
+        return self
+
+    def stop(self) -> "Engine":
+        """Stop the services, then broadcast STOP: for an engine that will
+        run again (its handlers run on the next dispatch)."""
+        self.stop_services()
         self.send_event(ev.STOP)
         return self
 

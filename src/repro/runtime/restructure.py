@@ -60,7 +60,8 @@ def replace_component(
 
     * ``old`` is a direct-called stage of some section (not a coroutine,
       boundary, origin, or shared segment member);
-    * ``new`` is unconnected and linear (one ``in``, one ``out`` port);
+    * ``new`` is unconnected and linear (one ``in``, one ``out`` port),
+      and not named like another component (the event table's key);
     * ``new``'s style is directly callable in the stage's mode;
     * the flow Typespecs still check out with ``new`` in place.
 
@@ -81,6 +82,10 @@ def replace_component(
         )
     if any(p.connected for p in new.ports.values()):
         raise CompositionError(f"{new.name!r} is already connected")
+    if new.name != old.name and new.name in engine._owner:
+        raise CompositionError(
+            f"replacement {new.name!r} is named like another component"
+        )
     if new.style is None or needs_coroutine(new.style, stage.mode):
         raise CompositionError(
             f"{new.name!r} ({new.style}) would need a coroutine in "
@@ -177,15 +182,13 @@ def _rewire(old, new, upstream_port, downstream_port, mode) -> None:
 
 
 def _transfer_runtime_wiring(engine: "Engine", old, new) -> None:
-    # Ownership and event registration follow the slot, not the object.
+    # Ownership and the event table's row follow the slot, not the object.
     owner = engine._owner.pop(old.name, None)
     if owner is not None:
-        engine._owner[new.name] = owner
-        owned = engine._thread_components.get(owner, {})
+        engine._file_receiver(new, owner)
+        owned = engine._thread_components[owner]
         owned.pop(old.name, None)
         owned[new.name] = new
-    engine.events.unregister(old.name)
-    engine._register_events(new)
     # Fresh emit/intake structures are created lazily for `new`; drop the
     # old ones so nothing keeps feeding a detached component.  What the old
     # intake still holds (reads a NIL-interrupted pull left uncommitted, a

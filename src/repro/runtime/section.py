@@ -29,7 +29,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Union
 
 from repro.core.component import Component
-from repro.core.events import EOS
+from repro.core.events import EOS, FLUSH
 from repro.core.glue import BoundaryRef, FlowNode
 from repro.core.items import NIL
 from repro.core.runs import ColumnarRun
@@ -73,8 +73,21 @@ class ThreadCtx:
             return message
 
     def dispatch_event_message(self, message: Message) -> None:
-        event, target_name = message.payload
-        self.engine.dispatch_event_local(self.thread_name, event, target_name)
+        event, name = message.payload
+        engine = self.engine
+        component = engine._thread_components[self.thread_name].get(name)
+        if component is None:
+            return
+        component.handle_event(event)
+        # An event that just changed an origin's running state — possibly
+        # while its thread is blocked mid-cycle — resyncs its timer now,
+        # so a stopped pump's clock stops ticking.
+        driver = engine._drivers_by_origin.get(name)
+        if driver is not None:
+            driver.sync_running_state()
+        gate = engine._gates.get(component)
+        if gate is not None and event.kind == FLUSH:
+            gate.external_wake_pushers()
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,7 @@ def test_subsequence_gap():
 
 def _lossy_witnesses(*streams):
     return [
-        WitnessRun(seed=None, trace_hash="", events=0,
-                   streams={"sink#0": list(stream)},
+        WitnessRun(streams={"sink#0": list(stream)},
                    lossy={"sink#0": "lossy link"})
         for stream in streams
     ]
@@ -478,6 +477,24 @@ def refuses_a_foreign_network_at_setup():
 
 def test_a_network_on_a_foreign_scheduler_is_refused_at_setup():
     refuses_a_foreign_network_at_setup()
+
+
+def test_the_binding_error_names_two_different_schedulers():
+    """The foreign scheduler runs no thread; the engine's runs the pumps
+    set-up spawned: the error tells the two apart by name."""
+    from repro.errors import NetworkBindingError
+    from repro.mbt import Scheduler, VirtualClock
+    from repro.net import Network
+
+    network = Network(Scheduler(clock=VirtualClock()), seed=3)
+    engine = Engine(wire_graph(network))
+    with pytest.raises(NetworkBindingError) as raised:
+        engine.setup()
+    foreign, own = repr(network.scheduler), repr(engine.scheduler)
+    assert foreign != own
+    assert foreign in str(raised.value) and own in str(raised.value)
+    assert "threads=0 ()" in foreign and "pump:" in own
+    assert str(raised.value).startswith(f"{network!r} runs on {foreign}")
 
 
 def test_an_ignored_scheduler_runs_to_an_empty_sink(monkeypatch):

@@ -10,6 +10,7 @@ from repro import (
     GreedyPump,
     IterSource,
     MapFilter,
+    MulticastTee,
     Pipeline,
     TypespecMismatch,
     connect,
@@ -18,6 +19,7 @@ from repro import (
 from repro.core.polarity import Mode
 from repro.core.typespec import Interval, Typespec
 from repro.errors import PortError
+from repro.runtime.engine import Engine
 
 
 def ident(name=None, **kw):
@@ -228,3 +230,48 @@ class TestConnectValidation:
         connect(a.out_port, b.in_port, check_typespecs=False)
         with pytest.raises(CompositionError, match="cycle"):
             connect(b.out_port, a.in_port)
+
+
+class TestFlowSpecs:
+    """A derivation checks the whole graph every time; the
+    ``"component.port"`` map it returns is built only when read."""
+
+    @staticmethod
+    def tee_pipeline():
+        src = IterSource([1], flow_spec=Typespec(a=1), name="src")
+        pump, tee = GreedyPump(name="pump"), MulticastTee(2, name="tee")
+        sinks = [CollectSink(name=f"sink{i}") for i in range(2)]
+        pipe = src >> pump >> tee
+        pipe.connect(tee.port("out0"), sinks[0].in_port)
+        pipe.connect(tee.port("out1"), sinks[1].in_port)
+        return pipe
+
+    def test_the_map_once_read_names_every_connection(self):
+        pipe = self.tee_pipeline()
+        specs = pipe.derive_typespecs()
+        connected = {
+            port.qualified_name()
+            for component in pipe
+            for port in component.out_ports()
+            if port.peer is not None
+        }
+        assert connected == {"src.out", "pump.out", "tee.out0", "tee.out1"}
+        assert set(specs) == connected and len(specs) == 4
+        for name in connected:
+            assert specs[name]["a"] == 1
+        assert specs.get("sink0.in") is None
+
+    def test_a_derivation_nobody_reads_keys_nothing(self, monkeypatch):
+        from repro.core.component import Port
+
+        keyed = []
+        qualified_name = Port.qualified_name
+        monkeypatch.setattr(
+            Port, "qualified_name",
+            lambda port: keyed.append(port) or qualified_name(port),
+        )
+        pipe = self.tee_pipeline()
+        Engine(pipe).setup()  # composes, then allocate re-derives
+        assert keyed == []
+        assert pipe.derive_typespecs()["tee.out0"]["a"] == 1
+        assert len(keyed) == 4  # one key per connection, on first read

@@ -10,7 +10,9 @@ from repro.core.events import (
     EventService,
     is_eos,
 )
+from repro import CollectSink, GreedyPump, IterSource, MapFilter
 from repro.errors import RuntimeFault
+from repro.runtime.engine import Engine
 
 
 class TestEvent:
@@ -31,61 +33,67 @@ class TestEos:
         assert not is_eos("eos")
 
 
+def table_service(*names):
+    """An event service over a table of ``names``, each receiver's
+    deliveries recorded in ``seen``."""
+    seen = {name: [] for name in names}
+    service = EventService(
+        dict.fromkeys(names, "thread"),
+        lambda event, names: [seen[name].append(event) for name in names],
+    )
+    return service, seen
+
+
 class TestEventService:
     def test_broadcast_reaches_all_receivers(self):
-        service = EventService()
-        seen = {"a": [], "b": []}
-        service.register("a", seen["a"].append)
-        service.register("b", seen["b"].append)
+        service, seen = table_service("a", "b")
         event = Event(kind="start")
         service.broadcast(event)
         assert seen["a"] == [event]
         assert seen["b"] == [event]
 
     def test_broadcast_skips_source(self):
-        service = EventService()
-        seen = {"a": [], "b": []}
-        service.register("a", seen["a"].append)
-        service.register("b", seen["b"].append)
+        service, seen = table_service("a", "b")
         service.broadcast(Event(kind="ping", source="a"))
         assert seen["a"] == []
         assert len(seen["b"]) == 1
 
     def test_send_to_single_receiver(self):
-        service = EventService()
-        seen = []
-        service.register("only", seen.append)
+        service, seen = table_service("only")
         service.send_to("only", Event(kind="poke"))
-        assert len(seen) == 1
+        assert len(seen["only"]) == 1
 
     def test_send_to_unknown_raises(self):
-        with pytest.raises(RuntimeFault):
-            EventService().send_to("ghost", Event(kind="poke"))
+        service, seen = table_service("a")
+        with pytest.raises(RuntimeFault, match="no event receiver"):
+            service.send_to("ghost", Event(kind="poke"))
+        assert seen == {"a": []}
 
     def test_duplicate_registration_rejected(self):
-        service = EventService()
-        service.register("a", lambda e: None)
-        with pytest.raises(RuntimeFault):
-            service.register("a", lambda e: None)
-
-    def test_unregister_is_idempotent(self):
-        service = EventService()
-        service.register("a", lambda e: None)
-        service.unregister("a")
-        service.unregister("a")
-        with pytest.raises(RuntimeFault):
-            service.send_to("a", Event(kind="ping"))
+        """Two components under one name cannot share the engine's event
+        table: the second is refused at set-up, naming it."""
+        source = IterSource([1], name="twin")
+        twin = MapFilter(lambda x: x, name="twin")
+        engine = Engine(source >> GreedyPump() >> twin >> CollectSink())
+        with pytest.raises(RuntimeFault, match="duplicate event receiver 'twin'"):
+            engine.setup()
 
     def test_relays_see_broadcasts(self):
-        service = EventService()
+        service, _ = table_service()
         relayed = []
         service.add_relay(relayed.append)
         service.broadcast(Event(kind="start"))
         assert len(relayed) == 1
 
-    def test_history_records_everything(self):
-        service = EventService()
-        service.register("a", lambda e: None)
-        service.broadcast(Event(kind="one"))
-        service.send_to("a", Event(kind="two"))
-        assert [e.kind for e in service.history] == ["one", "two"]
+    def test_the_table_routes_in_its_own_order(self):
+        """A broadcast reaches the receivers in the table's order, and a
+        name the table drops is no longer a receiver."""
+        order = []
+        table = dict.fromkeys(["c", "a", "b"], "thread")
+        service = EventService(table, lambda event, names: order.extend(names))
+        service.broadcast(Event(kind="start"))
+        del table["a"]
+        service.broadcast(Event(kind="stop"))
+        assert order == ["c", "a", "b", "c", "b"]
+        with pytest.raises(RuntimeFault):
+            service.send_to("a", Event(kind="ping"))

@@ -1,9 +1,11 @@
-"""An open has a budget, and no check went missing.
+"""An open has a budget, a close is a detach, and no check went missing.
 
-Two halves of one contract.  Set-up is the middleware's own cost, so one
-``open_session`` of the ``fabric-mux`` programs may spend at most a fixed
-number of Python-level calls — the same number for the 2nd session of a
-fabric and for the 200th (no O(fleet) term).  And however cheap it gets,
+Set-up is the middleware's own cost, so one ``open_session`` of the
+``fabric-mux`` programs may spend at most a fixed number of Python-level
+calls — the same number for the 2nd session of a fabric and for the
+200th (no O(fleet) term) — and a live session keeps a fixed number of
+objects.  A close costs what detaching its threads costs: it posts
+nothing into the threads it deletes.  And however cheap it gets,
 every derivation still runs on every open: each program the platform
 rejects is still rejected, from the fabric and from a dedicated engine,
 with the error class and message it always had — including when the bad
@@ -44,8 +46,18 @@ from repro.net.mux import StreamMux
 from repro.net.netpipe import make_netpipe_over
 
 #: Python-level ``call`` events one open may spend (667 / 669 before the
-#: port index; the count is deterministic).
-CALL_BUDGET = 400
+#: port index, 337 / 346 before the engine's event table; the count is
+#: deterministic).
+CALL_BUDGET = 340
+
+#: Python-level ``call`` events one close may spend (39 while a close
+#: broadcast STOP into the threads it was about to delete).
+CLOSE_CALL_BUDGET = 12
+
+#: GC-tracked objects one live session of each ``fabric-mux`` program
+#: keeps alive (158 / 143 while every owned component held a delivery
+#: and a sender closure for the event service).
+OBJECTS_PER_SESSION = {"tx": 125, "rx": 110}
 
 
 def count_calls(fn) -> int:
@@ -75,51 +87,165 @@ def count_calls(fn) -> int:
     return calls - 1
 
 
-class TestOpenBudget:
-    def test_fabric_mux_opens_stay_in_budget_and_flat(self):
+def objects_kept(fn) -> int:
+    """GC-tracked objects that ``fn`` leaves alive, after a collection."""
+    gc.collect()
+    before = len(gc.get_objects())
+    fn()
+    gc.collect()
+    return len(gc.get_objects()) - before
+
+
+class MuxFabrics:
+    """The ``fabric-mux`` programs: a tx and an rx fabric, one session of
+    each per stream of one multiplexed socketpair."""
+
+    def __init__(self):
         tx_link, rx_link = SocketLink.pair(bufsize=1 << 20)
-        tx_mux, rx_mux = StreamMux(tx_link), StreamMux(rx_link)
-        tx_fabric, rx_fabric = SessionFabric(), SessionFabric()
+        self.muxes = {"tx": StreamMux(tx_link), "rx": StreamMux(rx_link)}
+        self.fabrics = {"tx": SessionFabric(), "rx": SessionFabric()}
+
+    def opener(self, side: str, sid: int):
+        """A zero-argument open of session ``side + sid``."""
+        stream = self.muxes[side].open_stream(sid, credits=8)
+
+        def build_tx():
+            sender, _ = make_netpipe_over(stream)
+            return pipeline(
+                IterSource(range(5)), MarshalFilter(), GreedyPump(), sender
+            )
+
+        def build_rx():
+            _, receiver = make_netpipe_over(stream)
+            return pipeline(
+                receiver, UnmarshalFilter(), GreedyPump(),
+                CollectSink(name="sink"),
+            )
+
+        build = build_tx if side == "tx" else build_rx
+        fabric = self.fabrics[side]
+        return lambda: fabric.open_session(build, name=f"{side}{sid}")
+
+    def close(self) -> None:
+        for mux in self.muxes.values():
+            mux.close()
+
+
+@pytest.fixture
+def mux_fabrics():
+    rig = MuxFabrics()
+    yield rig
+    rig.close()
+
+
+class TestOpenBudget:
+    def test_fabric_mux_opens_stay_in_budget_and_flat(self, mux_fabrics):
         counts: dict[tuple[str, int], int] = {}
-        try:
-            for sid in range(200):
-                tx_stream = tx_mux.open_stream(sid, credits=8)
-                rx_stream = rx_mux.open_stream(sid, credits=8)
-
-                def build_tx(stream=tx_stream):
-                    sender, _ = make_netpipe_over(stream)
-                    return pipeline(
-                        IterSource(range(5)), MarshalFilter(), GreedyPump(),
-                        sender,
-                    )
-
-                def build_rx(stream=rx_stream):
-                    _, receiver = make_netpipe_over(stream)
-                    return pipeline(
-                        receiver, UnmarshalFilter(), GreedyPump(),
-                        CollectSink(name="sink"),
-                    )
-
-                def open_tx():
-                    tx_fabric.open_session(build_tx, name=f"tx{sid}")
-
-                def open_rx():
-                    rx_fabric.open_session(build_rx, name=f"rx{sid}")
-
+        for sid in range(200):
+            for side in ("tx", "rx"):
+                open_one = mux_fabrics.opener(side, sid)
                 if sid in (1, 199):
-                    counts["tx", sid] = count_calls(open_tx)
-                    counts["rx", sid] = count_calls(open_rx)
+                    counts[side, sid] = count_calls(open_one)
                 else:
-                    open_tx()
-                    open_rx()
-        finally:
-            tx_mux.close()
-            rx_mux.close()
-        assert len(tx_fabric.sessions) == len(rx_fabric.sessions) == 200
+                    open_one()
+        assert all(
+            len(fabric.sessions) == 200
+            for fabric in mux_fabrics.fabrics.values()
+        )
         assert counts["tx", 1] <= CALL_BUDGET, counts
         assert counts["rx", 1] <= CALL_BUDGET, counts
         assert counts["tx", 199] == counts["tx", 1], counts
         assert counts["rx", 199] == counts["rx", 1], counts
+
+    def test_a_live_session_keeps_a_fixed_number_of_objects(
+        self, mux_fabrics
+    ):
+        kept: dict[int, dict[str, int]] = {1: {}, 49: {}}
+        for sid in range(50):
+            for side in ("tx", "rx"):
+                open_one = mux_fabrics.opener(side, sid)
+                if sid in kept:
+                    kept[sid][side] = objects_kept(open_one)
+                else:
+                    open_one()
+        assert kept[1] == kept[49] == OBJECTS_PER_SESSION, kept
+
+
+# ---------------------------------------------------------------------------
+# Closing is a detach
+# ---------------------------------------------------------------------------
+
+
+def close_and_count(fabric: SessionFabric, name: str) -> dict[str, int]:
+    """Close session ``name`` and count what the close did to the
+    scheduler every session shares."""
+    scheduler = fabric.scheduler
+    own = fabric.sessions[name].threads
+    every = list(scheduler.threads.values())
+    mail = sum(len(thread.mailbox) for thread in every)
+    delivered = scheduler.messages_delivered
+    letters = len(scheduler.dead_letters)
+    timers = len(scheduler._timer_heap)
+    stale = scheduler._ready_stale
+    seq = next(scheduler._ready_seq)
+    calls = count_calls(lambda: fabric.close_session(name))
+    assert all(thread.terminated for thread in own)
+    return {
+        "calls": calls,
+        "threads": len(own),
+        "delivered": scheduler.messages_delivered - delivered,
+        "dead letters": len(scheduler.dead_letters) - letters,
+        "mailbox growth": sum(len(t.mailbox) for t in every) - mail,
+        "timers": len(scheduler._timer_heap) - timers,
+        # Every push draws one sequence number.
+        "heap pushes": next(scheduler._ready_seq) - seq - 1,
+        "tombstones": scheduler._ready_stale - stale,
+    }
+
+
+def assert_close_is_a_detach(
+    rig: MuxFabrics, call_budget: int = CLOSE_CALL_BUDGET
+) -> None:
+    """Three sessions a side, run part-way; the middle one of each side
+    closes posting nothing, pushing nothing and at most one tombstone per
+    thread it removes, within ``call_budget`` calls."""
+    for sid in range(3):
+        for side in ("tx", "rx"):
+            rig.opener(side, sid)()
+    for _ in range(2):
+        rig.fabrics["tx"].run(max_steps=rig.fabrics["tx"].scheduler.steps + 4)
+        rig.muxes["tx"].pump()
+        rig.muxes["rx"].pump()
+        rig.fabrics["rx"].run(max_steps=rig.fabrics["rx"].scheduler.steps + 4)
+    for side in ("tx", "rx"):
+        counts = close_and_count(rig.fabrics[side], f"{side}1")
+        assert counts["calls"] <= call_budget, counts
+        assert counts["tombstones"] <= counts["threads"], counts
+        nothing = ("delivered", "dead letters", "mailbox growth", "timers",
+                   "heap pushes")
+        assert {key: counts[key] for key in nothing} == dict.fromkeys(
+            nothing, 0
+        ), counts
+
+
+class TestCloseIsADetach:
+    def test_a_close_posts_nothing_and_pushes_nothing(self, mux_fabrics):
+        assert_close_is_a_detach(mux_fabrics)
+
+    def test_a_close_through_engine_stop_fails_it(
+        self, mux_fabrics, monkeypatch
+    ):
+        """Mutant twin: a close that broadcasts STOP before it detaches
+        (39 calls) — caught by what it posts even under any call budget."""
+
+        def close_through_stop(fabric, name):
+            session = fabric.sessions.pop(name)
+            session.engine.stop()
+            fabric._detach(name, session.engine)
+
+        monkeypatch.setattr(SessionFabric, "close_session", close_through_stop)
+        with pytest.raises(AssertionError, match="'delivered': 4, "):
+            assert_close_is_a_detach(mux_fabrics, call_budget=10**6)
 
 
 # ---------------------------------------------------------------------------

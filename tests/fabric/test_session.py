@@ -137,6 +137,39 @@ class TestOpenClose:
     def test_close_unknown_session_is_noop(self):
         SessionFabric().close_session("ghost")
 
+    def test_a_service_that_fails_to_stop_still_detaches(self):
+        """An error stopping a service propagates — after the session is
+        fully detached, not instead of it."""
+
+        class Stuck:
+            def stop(self):
+                raise RuntimeError("service would not stop")
+
+        def build():
+            return pipeline(
+                IterSource(range(5)), GreedyPump(reservation=0.5),
+                CollectSink(),
+            )
+
+        fabric = SessionFabric()
+        session = fabric.open_session(build, name="a")
+        neighbour = fabric.open_session(build, name="b")
+        session.engine.add_service(Stuck())
+        threads = session.threads
+        with pytest.raises(RuntimeError, match="would not stop"):
+            fabric.close_session("a")
+        assert session.closed and "a" not in fabric.sessions
+        assert all(thread.terminated for thread in threads)
+        assert not set(session.thread_names) & set(fabric.scheduler.threads)
+        assert fabric.scheduler.tenant("a") is None
+        assert fabric.scheduler.reservations == {
+            "pump:b/greedy-pump-1": 0.5
+        }
+        # The neighbour runs on, and the name opens again.
+        run_rounds(fabric)
+        assert neighbour.completed
+        fabric.open_session(build, name="a")
+
 
 class BuilderBroke(Exception):
     pass

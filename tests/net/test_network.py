@@ -119,11 +119,21 @@ class TestDelivery:
         sched, net = make_net()
         net.bind(sched)  # its own again: a no-op
         assert net.scheduler is sched
+        other = Scheduler()
+        other.spawn("pump:elsewhere", lambda thread, message: None)
         with pytest.raises(NetworkBindingError) as raised:
-            net.bind(Scheduler())
-        # The error names both schedulers.
-        assert str(raised.value).count("Scheduler object at") == 2
+            net.bind(other)
+        # The error names both schedulers, each by what a reader matches:
+        # its clock and time, and the threads it runs.
+        assert repr(sched) != repr(other)
+        assert repr(sched) in str(raised.value)
+        assert "VirtualClock t=0 threads=1 (pump:elsewhere)" in str(raised.value)
         assert isinstance(raised.value, RemoteError)
+
+    def test_a_network_names_its_seed_and_nodes(self):
+        _, net = make_net(seed=7)
+        net.add_link("b", "a")
+        assert repr(net) == "<Network seed=7 nodes=['a', 'b']>"
 
     def test_duplicate_receiver_rejected(self):
         _, net = make_net()

@@ -138,6 +138,28 @@ class TestRejections:
         with pytest.raises(CompositionError, match="already connected"):
             replace_component(engine, old, connected)
 
+    def test_replacement_named_like_another_component_rejected(self):
+        """The event table is keyed by name: a replacement that would
+        take another component's row is refused before anything moves."""
+        old = MapFilter(lambda x: ("old", x))
+        engine, sink = paused_player(old)
+        (pump,) = [d.origin for d in engine.pump_drivers]
+        upstream, downstream = old.in_port.peer, old.out_port.peer
+        namesake = MapFilter(lambda x: ("new", x), name=sink.name)
+        with pytest.raises(CompositionError, match="named like another"):
+            replace_component(engine, old, namesake)
+        assert (old.in_port.peer, old.out_port.peer) == (upstream, downstream)
+        assert not namesake.in_port.connected
+        assert engine.restructure_log == [] and old in engine.pipeline
+        assert engine.thread_of(sink) == engine.thread_of(old) == \
+            f"pump:{pump.name}"
+        before = len(sink.items)
+        engine.send_event("resume")
+        engine.run(until=2.0)
+        assert sink.items[before:] and all(
+            tag == "old" for tag, _ in sink.items
+        )
+
     def test_rejected_swap_leaves_no_log_entry(self):
         source = CountingSource(flow_spec=Typespec(item_type="number"))
         old = MapFilter(lambda x: x)

@@ -383,6 +383,19 @@ RULES = [
      "wraps (`tcp_socketpair`) are D4-reached"),
     ("repro.net.network:Network.nodes", "verification",
      "reference accessor: the topology a test built"),
+    ("repro.net.network:Network.__repr__", "verification",
+     "error message: `NetworkBindingError` names a network by its seed and "
+     "nodes; `tests/net/test_network.py`"),
+    ("repro.mbt.scheduler:Scheduler.__repr__", "verification",
+     "error message: `NetworkBindingError` names both schedulers by clock, "
+     "time and threads; `tests/check/test_refinement.py::test_the_binding_"
+     "error_names_two_different_schedulers`"),
+    ("repro.core.composition:FlowSpecs.__iter__", "verification",
+     "reference accessor: the derived map as a whole (`set(specs)`), which "
+     "the drivers only index; `tests/core/test_composition.py::"
+     "TestFlowSpecs`"),
+    ("repro.core.composition:FlowSpecs.__len__", "verification",
+     "reference accessor: the number of derived connections; same test"),
     ("repro.obs.flow:FlowTrace.site", "verification",
      "reference accessor: where a sampled item was dropped"),
     ("repro.obs.flow:FlowTrace.reason", "verification",
