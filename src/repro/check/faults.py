@@ -10,7 +10,7 @@ inert when unused:
 
 * thread crashes ride :meth:`repro.mbt.scheduler.Scheduler.inject_crash`
   via a timer, raising :class:`~repro.errors.InjectedFault` into the
-  victim at a virtual time;
+  victim at a virtual time (like any crash, it raises out of the run);
 * message faults ride
   :attr:`~repro.mbt.scheduler.Scheduler.delivery_interceptor` — each
   matching message is independently dropped or delayed (delaying a
@@ -111,8 +111,8 @@ class FaultPlan:
                 thread = scheduler.threads.get(victim)
                 if thread is None or thread.terminated:
                     return
-                # Record first: under on_thread_error="raise" the injected
-                # crash propagates out of inject_crash.
+                # Record first: the injected crash raises out of
+                # inject_crash, and out of the run (docs/CHECKING.md).
                 self.crashes_fired.append(victim)
                 scheduler.inject_crash(victim)
 

@@ -114,19 +114,15 @@ class EventService:
     ``receivers`` is the table of who can receive — the runtime's engine
     table of component name → owner thread, in pipeline order — and
     ``deliver(event, names)`` hands one event to the named receivers (the
-    runtime posts a prioritized message to each owner thread).  Relays
-    bridge broadcasts across nodes (:mod:`repro.net.remote`).
+    runtime posts a prioritized message to each owner thread).  A
+    broadcast crosses nodes as per-receiver messages, each delayed by the
+    network's control latency (``Engine._event_delay``).
     """
 
     def __init__(self, receivers: Mapping[str, Any],
                  deliver: Callable[[Event, list[str]], None]):
         self._receivers = receivers
         self._deliver = deliver
-        self._relays: list[Callable[[Event], None]] = []
-
-    def add_relay(self, relay: Callable[[Event], None]) -> None:
-        """Relays receive every broadcast (used for cross-node delivery)."""
-        self._relays.append(relay)
 
     def send(self, event: Event, sender: Any) -> None:
         """Route ``event`` from component ``sender`` by its scope."""
@@ -147,12 +143,9 @@ class EventService:
         self.send_to(name, event)
 
     def broadcast(self, event: Event) -> None:
-        """Deliver a broadcast event to every receiver (except its source)
-        and every relay."""
+        """Deliver a broadcast event to every receiver except its source."""
         source = event.source
         self._deliver(event, [n for n in self._receivers if n != source])
-        for forward in self._relays:
-            forward(event)
 
     def send_to(self, name: str, event: Event) -> None:
         """Deliver an event to one named receiver."""

@@ -14,6 +14,6 @@ See :mod:`repro.fabric.session` for the mechanism and docs/FABRIC.md for
 the narrative.
 """
 
-from repro.fabric.session import Session, SessionFabric
+from repro.fabric.session import Session, SessionFabric, SessionState
 
-__all__ = ["Session", "SessionFabric"]
+__all__ = ["Session", "SessionFabric", "SessionState"]

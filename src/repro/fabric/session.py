@@ -21,21 +21,40 @@ Key properties:
   ``namespace=False`` keeps bare names (at most one such session — used
   by refinement certificates whose projections match on channel names);
 * **parking** — an idle session's threads leave the ready structure
-  entirely (:meth:`park`), so dispatch cost is independent of how many
-  of the million sessions are idle; :meth:`unpark` is O(threads) heap
-  pushes.
+  (:meth:`park`), so idle sessions cost dispatch nothing;
+* **crash containment** — a crash of a session's thread moves that
+  session to CRASHED (:data:`LIFECYCLE`); every other tenant runs on.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Any
 
 from repro.api import Pipeline, build_program
-from repro.errors import DeployError
-from repro.mbt.clock import VirtualClock
+from repro.errors import DeployError, SchedulerError
 from repro.mbt.scheduler import Scheduler
 from repro.runtime.engine import Engine, drive_with_io
 from repro.runtime.stats import PipelineStats
+
+
+class SessionState(str, Enum):  # str: the table's key hashes in C
+    LIVE = "live"
+    PARKED = "parked"
+    CRASHED = "crashed"
+    CLOSED = "closed"
+
+
+_S = SessionState
+#: The session protocol, ``(state, verb) -> next state``, which park,
+#: unpark, close and a crash all take; an edge it lacks is a DeployError.
+LIFECYCLE: dict[tuple[SessionState, str], SessionState] = {
+    (_S.LIVE, "park"): _S.PARKED, (_S.LIVE, "unpark"): _S.LIVE,
+    (_S.LIVE, "crash"): _S.CRASHED, (_S.LIVE, "close"): _S.CLOSED,
+    (_S.PARKED, "park"): _S.PARKED, (_S.PARKED, "unpark"): _S.LIVE,
+    (_S.PARKED, "crash"): _S.CRASHED, (_S.PARKED, "close"): _S.CLOSED,
+    (_S.CRASHED, "crash"): _S.CRASHED, (_S.CRASHED, "close"): _S.CLOSED,
+}
 
 
 class Session:
@@ -56,8 +75,8 @@ class Session:
         #: Names of the scheduler threads this session owns.
         self.thread_names = thread_names
         self.weight = weight
-        self.parked = False
-        self.closed = False
+        self.state = SessionState.LIVE
+        self.error: BaseException | None = None  # what crashed it
 
     # -- convenience ---------------------------------------------------------
 
@@ -98,13 +117,18 @@ class Session:
     def close(self) -> None:
         self.fabric.close_session(self.name)
 
+    def _move(self, verb: str) -> bool:
+        """Take ``verb``'s :data:`LIFECYCLE` edge; True if state changed."""
+        state = LIFECYCLE.get((self.state, verb))
+        if state is None:
+            raise DeployError(f"session {self.name!r} is "
+                              f"{self.state.value}: no {verb!r}")
+        changed, self.state = state is not self.state, state
+        return changed
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = (
-            "closed" if self.closed else
-            "parked" if self.parked else "live"
-        )
         return (
-            f"<Session {self.name!r} {state} "
+            f"<Session {self.name!r} {self.state.value} "
             f"threads={len(self.thread_names)} weight={self.weight}>"
         )
 
@@ -134,11 +158,7 @@ class SessionFabric:
         scheduler: Scheduler | None = None,
         quantum: int = 8,
     ):
-        if scheduler is None:
-            scheduler = Scheduler(
-                clock=VirtualClock(), fair_quantum=quantum
-            )
-        self.scheduler = scheduler
+        self.scheduler = scheduler or Scheduler(fair_quantum=quantum)
         self.sessions: dict[str, Session] = {}
         self._unnamed = 0
         self._bare_session: str | None = None
@@ -193,7 +213,7 @@ class SessionFabric:
             engine = app.build(pipeline, scheduler=self.scheduler).engine
             engine.setup()
             thread_names = tuple(sorted(
-                driver.thread_name for driver in _drivers(engine)
+                driver.thread_name for driver in engine.drivers
             ))
             tenant = self.scheduler.add_tenant(name, weight)
             threads = self.scheduler.threads
@@ -219,8 +239,7 @@ class SessionFabric:
         session = self.sessions.pop(name, None)
         if session is None:
             return
-        session.closed = True
-        session.parked = False
+        session._move("close")
         try:
             session.engine.stop_services()
         finally:
@@ -237,7 +256,7 @@ class SessionFabric:
                 if driver.timer is not None and driver.timer.running:
                     driver.timer.stop()
             threads = self.scheduler.threads
-            for driver in _drivers(engine):
+            for driver in engine.drivers:
                 thread = threads.get(driver.thread_name)
                 # Only a thread whose body is this driver's: a failed open
                 # may have collided with a namesake another engine spawned.
@@ -254,24 +273,24 @@ class SessionFabric:
         of its threads from the ready structure.  Parked sessions are
         free at dispatch time, whatever their number."""
         session = self._open(name)
-        if session.parked:
-            return
+        if session._move("park"):
+            self._quiesce(session)
+
+    def _quiesce(self, session: Session) -> None:
         for driver in session.engine.pump_drivers:
             if driver.timer is not None and driver.timer.running:
                 driver.timer.stop()
         for thread in session.threads:
             self.scheduler.park_thread(thread)
-        session.parked = True
 
     def unpark(self, name: str) -> None:
         """O(threads) wake: one heap push per thread, then restart timers
         and greedy loops."""
         session = self._open(name)
-        if not session.parked:
+        if not session._move("unpark"):
             return
         for thread in session.threads:
             self.scheduler.unpark_thread(thread)
-        session.parked = False
         for driver in session.engine.pump_drivers:
             driver.sync_running_state()
 
@@ -285,19 +304,19 @@ class SessionFabric:
 
     @property
     def completed(self) -> bool:
-        live = [s for s in self.sessions.values() if not s.parked]
+        live = [s for s in self.sessions.values() if s.state is _S.LIVE]
         return bool(live) and all(s.completed for s in live)
 
     def run(
         self, until: float | None = None, max_steps: int | None = None
     ) -> "SessionFabric":
-        self.scheduler.run(until=until, max_steps=max_steps)
-        return self
+        return self._contained(
+            self.scheduler.run, until=until, max_steps=max_steps
+        )
 
     def run_to_completion(self, max_steps: int | None = None) -> "SessionFabric":
-        """Run until every un-parked session's pipeline completed."""
-        self.scheduler.run(max_steps=max_steps)
-        return self
+        """Run until every live session's pipeline completed."""
+        return self._contained(self.scheduler.run, max_steps=max_steps)
 
     def run_with_io(self, io: Any, **loop: Any) -> "SessionFabric":
         """Fabric-level main loop: alternate scheduler runs with pumping
@@ -305,12 +324,34 @@ class SessionFabric:
         over one shared SocketLink).
         Same contract and keywords as
         :func:`repro.runtime.engine.drive_with_io`."""
-        drive_with_io(self.scheduler, lambda: self.completed, io, **loop)
-        return self
+        return self._contained(
+            drive_with_io, self.scheduler, lambda: self.completed, io, **loop
+        )
 
+    def _contained(self, run: Any, *args: Any, **kw: Any) -> "SessionFabric":
+        """``run(*args, **kw)`` to its end: a crash of a session's thread
+        moves it to CRASHED (parked as :meth:`park` does, the error kept)
+        and runs on, as the bounds are absolute; other errors propagate."""
+        while True:
+            try:
+                run(*args, **kw)
+                return self
+            except SchedulerError as error:
+                if not self._contain(error.__cause__):
+                    raise
 
-def _drivers(engine: Engine) -> tuple:
-    """``engine``'s pump and coroutine drivers: the only spawn sites, so
-    they enumerate a session's threads without an O(total-threads)
-    registry diff (which would make N opens O(N^2))."""
-    return (*engine.pump_drivers, *engine._coroutine_drivers.values())
+    def _contain(self, cause: Any) -> bool:
+        """Crash the session whose thread crashed of ``cause`` (found in
+        O(1) through the thread's tenant); False if none did.  Not inline
+        in _contained: the kept error's frames would pin its locals."""
+        errors = self.scheduler.errors
+        thread = self.scheduler.threads.get(errors[-1][0]) if errors else None
+        if thread is None or thread.crashed is not cause or not thread.tenant:
+            return False
+        session = self.sessions.get(thread.tenant.name)
+        if session is None or thread.name not in session.thread_names:
+            return False
+        if session._move("crash"):
+            session.error = cause
+            self._quiesce(session)
+        return True

@@ -44,10 +44,7 @@ threads drift later in the queue and every backlogged tenant receives CPU
 in proportion to its weight.  Priorities still dominate (vtime only
 orders threads of equal effective priority), and a tenant waking from
 idle is clamped to the scheduler's fair clock so it cannot burst on
-banked credit.  Parked threads (quiesced sessions, see
-:meth:`park_thread`) are excluded from ``is_ready`` and therefore hold no
-heap entry at all: dispatch cost is independent of the number of idle
-sessions, and :meth:`unpark_thread` is a single heap push.
+banked credit.  Parked threads hold no heap entry (:meth:`park_thread`).
 With ``fair_quantum`` > 1 a tenant holds the CPU for a burst of
 dispatches.  A greedy pump's self-posted next ``cycle`` is a
 :class:`~repro.mbt.syscalls.Repost`: when ``run()`` would dispatch it
@@ -60,15 +57,11 @@ schedule; only the message, mailbox round trip and heap visit go.
 
 Before-idle callbacks
 ---------------------
-Middleware that gathers what threads emit during dispatch (the frame
-trains of :mod:`repro.net.mux`) must let go of it before the scheduler
-waits, or a peer only those bytes can wake never runs.
-:meth:`Scheduler.before_idle` registers a one-shot callback for that
-moment: it fires when :meth:`Scheduler.run` next finds no thread ready —
-before timers or the clock are touched; ``run`` then looks again, as a
-callback may have woken a thread — and on every way out of ``run``.
-Outside ``run`` registration is refused and the caller acts at once.
-Cost: a truthiness test per idle pass and per call, nothing per step.
+:meth:`Scheduler.before_idle` registers a one-shot callback that fires
+when :meth:`Scheduler.run` next finds no thread ready, before timers or
+the clock are touched, and on every way out of ``run`` — so middleware
+holding what threads emit (the frame trains of :mod:`repro.net.mux`)
+lets go of it before the scheduler waits (docs/RUNTIME.md §1).
 
 Checking hooks
 --------------
@@ -115,7 +108,7 @@ import itertools
 from collections import deque
 from time import perf_counter as _perf_counter
 from types import GeneratorType
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NoReturn
 
 from repro.errors import InjectedFault, SchedulerError
 from repro.mbt.clock import Clock, VirtualClock
@@ -214,13 +207,10 @@ class Scheduler:
         self,
         clock: Clock | None = None,
         trace: bool = False,
-        on_thread_error: str = "raise",
         dead_letter_limit: int | None = DEAD_LETTER_LIMIT,
         trace_limit: int | None = None,
         fair_quantum: int = 1,
     ):
-        if on_thread_error not in ("raise", "collect"):
-            raise ValueError("on_thread_error must be 'raise' or 'collect'")
         if fair_quantum < 1:
             raise ValueError("fair_quantum must be >= 1")
         self.clock = clock if clock is not None else VirtualClock()
@@ -236,7 +226,6 @@ class Scheduler:
         #: Crashed threads' ``(name, exc)``, bounded like the dead letters.
         self.errors: deque[tuple[str, Any]] = deque(maxlen=DEAD_LETTER_LIMIT)
         self.errors_dropped = 0  # evicted past the bound
-        self.on_thread_error = on_thread_error
 
         #: Number of times the CPU moved from one thread to another.
         self.context_switches = 0
@@ -264,11 +253,8 @@ class Scheduler:
         #: slot None.
         self._ready_heap: list[list] = []
         self._ready_seq = itertools.count()
-        #: Tombstoned entries still sitting in the heap.  Lazy invalidation
-        #: only discards tombstones that reach the top, so key churn on
-        #: threads that rarely get picked (priority flapping under a
-        #: feedback controller) can grow the heap without bound; once
-        #: tombstones outnumber live entries 2:1 the heap is compacted.
+        #: Tombstoned entries still in the heap; past 2:1 against live
+        #: entries the heap is compacted (see _reindex).
         self._ready_stale = 0
         #: The thread currently being dispatched (kept out of the heap).
         self._current: MThread | None = None
@@ -291,13 +277,9 @@ class Scheduler:
         #: thread; waking tenants are clamped to it (strict start-time
         #: fair queueing), so idleness does not bank credit.
         self._fair_clock = 0.0
-        #: Dispatch quantum for tenanted threads: how many consecutive
-        #: dispatches a tenant may burst before the fair order is
-        #: re-evaluated.  1 (the default) is strict per-dispatch fairness;
-        #: larger values amortize ready-queue maintenance over the burst
-        #: (the fabric's multi-tenant hot path) at the cost of quantum-
-        #: bounded short-term unfairness.  Virtual-time *charging* stays
-        #: per-dispatch, so long-run weighted shares are unaffected.
+        #: Dispatches a tenant may burst before the fair order is
+        #: re-evaluated (1: strict per-dispatch fairness); vtime charging
+        #: stays per-dispatch (see SessionFabric's ``quantum``).
         self.fair_quantum = int(fair_quantum)
         #: Active burst: the tenanted thread currently holding the CPU
         #: between fair re-evaluations, and how many dispatches remain.
@@ -879,7 +861,6 @@ class Scheduler:
                 result = thread.code(thread, message)
             except Exception as exc:
                 self._crash(thread, exc)
-                return
             if type(result) is GeneratorType:
                 thread._gen = result
                 self._drive(thread, first=True)
@@ -932,7 +913,6 @@ class Scheduler:
                 return
             except Exception as error:
                 self._crash(thread, error)
-                return
             value = None
 
             request_type = type(request)
@@ -1054,20 +1034,9 @@ class Scheduler:
                 self._finish_message(thread, TERMINATE)
                 return
 
-            if not isinstance(request, Syscall):
-                self._crash(
-                    thread,
-                    SchedulerError(
-                        f"thread {thread.name!r} yielded non-syscall {request!r}"
-                    ),
-                )
-                return
-
-            self._crash(
-                thread,
-                SchedulerError(f"unhandled syscall {request!r}"),
-            )
-            return
+            what = ("unhandled syscall" if isinstance(request, Syscall)
+                    else f"thread {thread.name!r} yielded non-syscall")
+            self._crash(thread, SchedulerError(f"{what} {request!r}"))
 
     # ------------------------------------------------------------ helpers
 
@@ -1205,22 +1174,19 @@ class Scheduler:
             )
 
     def inject_crash(self, name: str, exc: BaseException | None = None) -> bool:
-        """Crash a live thread as if its code function had raised.
-
-        Fault-injection entry for :mod:`repro.check.faults`: the thread
-        dies through the normal ``_crash`` path (state cleared, error
-        collected or raised per ``on_thread_error``).  Returns False when
-        no live thread by that name exists.
-        """
+        """Crash a live thread through ``_crash``, as if its code function
+        had raised (:mod:`repro.check.faults`).  False, and nothing done,
+        when no live thread by that name exists."""
         thread = self.threads.get(name)
         if thread is None or thread.terminated:
             return False
         if exc is None:
             exc = InjectedFault(f"injected crash of thread {name!r}")
         self._crash(thread, exc)
-        return True
 
-    def _crash(self, thread: MThread, exc: BaseException) -> None:
+    def _crash(self, thread: MThread, exc: BaseException) -> NoReturn:
+        """The one crash path: record it on the thread and in :attr:`errors`
+        and raise out of :meth:`run`, whose next call goes on."""
         thread.crashed = exc
         thread.terminated = True
         thread.clear_execution_state()
@@ -1229,8 +1195,7 @@ class Scheduler:
         self.errors.append((thread.name, exc))
         if self._trace is not None:
             self._record("crash", thread.name, repr(exc))
-        if self.on_thread_error == "raise":
-            raise SchedulerError(f"thread {thread.name!r} crashed") from exc
+        raise SchedulerError(f"thread {thread.name!r} crashed") from exc
 
     # ------------------------------------------------------------ tracing
 

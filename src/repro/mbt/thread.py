@@ -175,6 +175,11 @@ class MThread:
     def is_blocked(self) -> bool:
         return self._wait is not None and not self.terminated
 
+    @property
+    def tenant(self) -> Any:
+        """The fair-share tenant this thread is charged to, or None."""
+        return self._tenant
+
     def effective_sort_key(self) -> tuple[float, float]:
         """Scheduling key; smaller sorts first (more urgent).
 

@@ -643,7 +643,7 @@ def plant(engine: "Engine") -> dict[str, Hand]:
     engine share one hand per thread (``driver.ctx.hand``) and one lane
     per queue (``gate.lane``, see :func:`plant_lane`)."""
     engine.setup()
-    drivers = [*engine.pump_drivers, *engine._coroutine_drivers.values()]
+    drivers = engine.drivers
     for driver in drivers:
         if driver.ctx.hand is not None:
             return driver.ctx.hand.peers

@@ -29,7 +29,6 @@ from repro.core.items import NIL
 from repro.core.polarity import Mode
 from repro.core.styles import EndOfStream, PullOp, PushOp, Style
 from repro.errors import PortError, RuntimeFault
-from repro.mbt.clock import Clock, VirtualClock
 from repro.mbt.constraints import Constraint
 from repro.mbt.coroutine import Done, Suspendable
 from repro.mbt.message import Message
@@ -450,8 +449,6 @@ class CoroutineDriver:
         self.susp: Suspendable | None = None
         self.started = False
         self.finished = False
-        #: Pull-mode state: the last request the body is suspended at.
-        self._at_push = False
         self._drain = component.drain_cost
         #: Compiled per-port continuation walkers (push mode uses push
         #: walkers, pull mode uses pull walkers); bound by
@@ -620,7 +617,6 @@ class CoroutineDriver:
         if not self.started:
             request = self._start()
         else:
-            self._at_push = False
             request = self._resume(None)
 
         pull_walkers = self._pull_walkers
@@ -632,7 +628,6 @@ class CoroutineDriver:
                 self.finished = True
                 return EOS
             if isinstance(request, PushOp):
-                self._at_push = True
                 if self.component.style is Style.ACTIVE:
                     self.component.stats["items_out"] += 1
                 return request.item
@@ -727,8 +722,9 @@ class Engine:
         ``"generator"`` (default; deterministic generator coroutines) or
         ``"thread"`` (OS-thread coroutine bodies with genuinely blocking
         calls, the paper-faithful programming model).
-    clock:
-        Scheduler clock; defaults to a virtual (discrete-event) clock.
+    scheduler:
+        The scheduler to run on (default: a fresh one over a virtual
+        clock); the one way to give an engine another clock.
     batch_max:
         The batched data plane's transmission policy: how many items a
         greedy pump may move per scheduler message (docs/RUNTIME.md §11).
@@ -742,10 +738,8 @@ class Engine:
         self,
         pipe: Pipeline,
         backend: str = "generator",
-        clock: Clock | None = None,
         scheduler: Scheduler | None = None,
         trace: bool = False,
-        on_thread_error: str = "raise",
         trace_limit: int | None = None,
         batch_max: int | None = None,
     ):
@@ -759,10 +753,7 @@ class Engine:
         self.pipeline = pipe
         self.backend = backend
         self.scheduler = scheduler or Scheduler(
-            clock=clock or VirtualClock(),
-            trace=trace,
-            on_thread_error=on_thread_error,
-            trace_limit=trace_limit,
+            trace=trace, trace_limit=trace_limit
         )
         #: The event table: component name -> owner thread, in pipeline
         #: order once set up (the order a broadcast reaches them).
@@ -1089,6 +1080,11 @@ class Engine:
             d.finished for d in self.pump_drivers
         )
 
+    @property
+    def drivers(self) -> tuple:
+        """Every thread's driver (the only spawn sites), pumps first."""
+        return (*self.pump_drivers, *self._coroutine_drivers.values())
+
     def now(self) -> float:
         return self.scheduler.now()
 
@@ -1131,7 +1127,7 @@ class Engine:
                 d.origin.name: d.nil_cycles for d in self.pump_drivers
             },
             time=self.scheduler.now(),
-            threads=len(self.pump_drivers) + len(self._coroutine_drivers),
+            threads=len(self.drivers),
             dead_letters=len(self.scheduler.dead_letters),
             dead_letters_dropped=self.scheduler.dead_letters_dropped,
         )

@@ -41,6 +41,7 @@ from repro.check import (
 )
 from repro.components.buffers import OK
 from repro.core.typespec import Typespec
+from repro.errors import SchedulerError
 from repro.media import (
     MpegDecoder,
     MpegFileSource,
@@ -132,7 +133,6 @@ def test_figure1_survives_schedule_exploration():
 def test_figure1_crash_one_pump_loses_frames_not_accounting():
     rig = Figure1Rig()
     engine = rig.build()
-    engine.scheduler.on_thread_error = "collect"
     engine.setup()
     # Crash the consumer-side feeder pump mid-stream: frames keep leaving
     # the producer, nothing past the netpipe moves anymore.
@@ -142,7 +142,12 @@ def test_figure1_crash_one_pump_loses_frames_not_accounting():
     )
     plan = FaultPlan(crashes=(CrashThread(at=1.0, thread=feeder),))
     plan.arm(engine.scheduler)
-    Figure1Rig.drive(engine)
+    engine.start()  # Figure1Rig.drive, with the crash caught and run on
+    with pytest.raises(SchedulerError):
+        engine.run(until=FRAMES / FPS + 3.0)
+    engine.run(until=FRAMES / FPS + 3.0)
+    engine.stop()
+    engine.run(max_steps=100_000)
 
     assert plan.crashes_fired == [feeder]
     names = [name for name, _ in engine.scheduler.errors]
@@ -204,9 +209,10 @@ def test_figure2_survives_schedule_exploration():
 def test_figure2_crash_one_pump_keeps_accounting():
     rig = Figure2Rig(n=50, cost=0.001)
     engine = rig.build()
-    engine.scheduler.on_thread_error = "collect"
     plan = crash_one_pump(engine, at=0.005, which=1)
-    engine.run_to_completion(max_steps=500_000)
+    with pytest.raises(SchedulerError):
+        engine.run_to_completion(max_steps=500_000)
+    engine.run(max_steps=500_000)  # the crash raised; the run goes on
 
     assert len(plan.crashes_fired) == 1
     assert 0 < len(rig.sink.items) < 50
@@ -277,9 +283,10 @@ def test_figure5_survives_schedule_exploration():
 def test_figure5_crash_pump_hangs_coroutines_without_cycle():
     rig = Figure5Rig(n=20, cost=0.001)
     engine = rig.build()
-    engine.scheduler.on_thread_error = "collect"
     plan = crash_one_pump(engine, at=0.005)
-    engine.run_to_completion(max_steps=500_000)
+    with pytest.raises(SchedulerError):
+        engine.run_to_completion(max_steps=500_000)
+    engine.run(max_steps=500_000)  # the crash raised; the run goes on
 
     assert len(plan.crashes_fired) == 1
     sunk = [item for tag, item in rig.trace if tag == "sink"]

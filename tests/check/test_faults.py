@@ -44,13 +44,15 @@ def test_crash_one_pump_raises_injected_fault():
 
 
 def test_crash_collect_mode_keeps_other_sections_running():
-    engine, sink = two_pump_engine(cost=0.001, on_thread_error="collect")
+    engine, sink = two_pump_engine(cost=0.001)
     engine.setup()
     consumer = engine.pump_drivers[1].thread_name
     FaultPlan(crashes=(CrashThread(at=0.005, thread=consumer),)).arm(
         engine.scheduler
     )
-    engine.run_to_completion(max_steps=500_000)
+    with pytest.raises(SchedulerError):
+        engine.run_to_completion(max_steps=500_000)
+    engine.run(max_steps=500_000)  # errors collected, the run goes on
     # The consumer died mid-stream: some items made it, the rest did not;
     # the producer kept draining the source into the buffer regardless.
     errors = engine.scheduler.errors

@@ -78,13 +78,6 @@ class TestEventService:
         with pytest.raises(RuntimeFault, match="duplicate event receiver 'twin'"):
             engine.setup()
 
-    def test_relays_see_broadcasts(self):
-        service, _ = table_service()
-        relayed = []
-        service.add_relay(relayed.append)
-        service.broadcast(Event(kind="start"))
-        assert len(relayed) == 1
-
     def test_the_table_routes_in_its_own_order(self):
         """A broadcast reaches the receivers in the table's order, and a
         name the table drops is no longer a receiver."""

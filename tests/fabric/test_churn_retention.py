@@ -2,8 +2,10 @@
 
 Hypothesis interleaves the fabric's lifecycle verbs over three kinds of
 session — a greedy pump, a clocked pump holding a CPU reservation, and a
-greedy pump whose filter crashes mid-stream — and over opens that fail
-part-way (a clocked open the reservations cannot cover).  After every
+greedy pump whose filter crashes mid-stream, which the fabric contains
+to its session (a crashed session only closes: parking or unparking it
+is refused) — and over opens that fail part-way (a clocked open the
+reservations cannot cover).  After every
 closed or failed session is gone and the collector has run:
 
 * its ``Engine`` is unreachable (a weakref taken at open is dead) —
@@ -34,8 +36,8 @@ from repro import (
     MapFilter,
     pipeline,
 )
-from repro.errors import SchedulerError
-from repro.fabric import SessionFabric
+from repro.errors import DeployError, SchedulerError
+from repro.fabric import SessionFabric, SessionState
 from repro.mbt import Scheduler
 
 #: Four clocked sessions fit the CPU; a fifth open fails part-way.
@@ -90,13 +92,14 @@ def churn(script):
             engines[name] = weakref.ref(session.engine)
             del session
         elif verb == "run":
-            try:
-                fabric.run(max_steps=scheduler.steps + arg)
-            except SchedulerError:
-                pass  # a crashed tenant; its neighbours run on
+            fabric.run(max_steps=scheduler.steps + arg)
         elif live:
             name = live[arg % len(live)]
-            if verb == "park":
+            crashed = fabric.sessions[name].state is SessionState.CRASHED
+            if crashed and verb != "close":
+                with pytest.raises(DeployError, match="is crashed"):
+                    getattr(fabric, verb)(name)
+            elif verb == "park":
                 fabric.park(name)
             elif verb == "unpark":
                 fabric.unpark(name)
@@ -138,6 +141,9 @@ def check_churn(script):
     [("open", "clocked"), ("run", 5), ("close", 0)])
 @example(  # the run stopped mid-burst: the scheduler's burst pin
     [("open", "greedy"), ("run", 1), ("close", 0)])
+@example(  # a neighbour's kept crash error must not pin the closed session
+    [("open", "clocked"), ("open", "crash"), ("open", "crash"), ("run", 19),
+     ("close", 2)])
 def test_a_closed_session_leaves_nothing_behind(script):
     check_churn(script)
 

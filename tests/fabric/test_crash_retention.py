@@ -15,8 +15,8 @@ import pytest
 
 from repro import CollectSink, GreedyPump, IterSource, MapFilter, pipeline
 from repro.errors import SchedulerError
-from repro.fabric import SessionFabric
-from repro.mbt import Scheduler, VirtualClock
+from repro.fabric import SessionFabric, SessionState
+from repro.mbt import Scheduler
 from repro.mbt.scheduler import DEAD_LETTER_LIMIT
 
 TENANTS = 100
@@ -32,21 +32,16 @@ def _crashing_builder(refs: list):
     return build
 
 
-@pytest.mark.parametrize("on_thread_error", ["collect", "raise"])
-def test_closed_crashed_tenants_are_released(on_thread_error):
-    scheduler = Scheduler(clock=VirtualClock(),
-                          on_thread_error=on_thread_error)
-    fabric = SessionFabric(scheduler=scheduler)
+def test_closed_crashed_tenants_are_released():
+    fabric = SessionFabric()
+    scheduler = fabric.scheduler
     refs: list = []
     build = _crashing_builder(refs)
     for index in range(TENANTS):
         fabric.open_session(build, name=f"t{index}")
-    for _ in range(TENANTS + 1):
-        try:
-            fabric.run()
-            break
-        except SchedulerError:
-            continue
+    fabric.run()  # one run: the fabric contains each tenant's crash
+    assert {s.state for s in fabric.sessions.values()} == {
+        SessionState.CRASHED}
     assert len(scheduler.errors) == TENANTS
     for index in range(TENANTS):
         fabric.close_session(f"t{index}")
@@ -59,11 +54,12 @@ def test_closed_crashed_tenants_are_released(on_thread_error):
 
 
 def test_errors_are_bounded_like_dead_letters():
-    scheduler = Scheduler(on_thread_error="collect")
+    scheduler = Scheduler()
     names = [f"t{index}" for index in range(DEAD_LETTER_LIMIT + 5)]
     for name in names:
         scheduler.spawn(name, lambda thread, message: None)
-        assert scheduler.inject_crash(name)
+        with pytest.raises(SchedulerError):
+            scheduler.inject_crash(name)
     assert len(scheduler.errors) == DEAD_LETTER_LIMIT
     assert scheduler.errors_dropped == 5
     assert [name for name, _ in scheduler.errors] == names[5:]

@@ -13,8 +13,7 @@ producers need no grant, the consumer side runs the real
 import pytest
 
 from repro import CollectSink, GreedyPump, IterSource, pipeline
-from repro.fabric import SessionFabric
-from repro.mbt import Scheduler, VirtualClock
+from repro.fabric import SessionFabric, SessionState
 from repro.net import InProcessLink, SocketLink
 from repro.net.marshal import MarshalFilter, UnmarshalFilter
 from repro.net.mux import StreamMux
@@ -175,13 +174,12 @@ class TestFaults:
 
     def test_producer_thread_crash_leaves_others_running(self):
         """A tenant's pump dying mid-flow (injected fault) must not stall
-        the fabric: its session closes dirty, the rest complete."""
+        the fabric: the fabric contains the crash to its session, which
+        closes dirty, and the rest complete."""
         tx_link, rx_link = SocketLink.pair(bufsize=1 << 22)
         tx_mux, rx_mux = StreamMux(tx_link), StreamMux(rx_link)
-        scheduler = Scheduler(
-            clock=VirtualClock(), on_thread_error="collect"
-        )
-        txfab = SessionFabric(scheduler=scheduler)
+        txfab = SessionFabric()
+        scheduler = txfab.scheduler
         rxfab = SessionFabric()
         sinks = {}
         for sid in range(4):
@@ -193,7 +191,10 @@ class TestFaults:
         pump_thread = next(
             name for name in victim.thread_names if name.startswith("pump:")
         )
-        assert scheduler.inject_crash(pump_thread)
+        scheduler.at(scheduler.now(), lambda: scheduler.inject_crash(
+            pump_thread))  # fires inside txfab.run, which contains it
+        txfab.run(max_steps=scheduler.steps + 50)
+        assert victim.state is SessionState.CRASHED
         txfab.close_session("tx1")  # a crashed tenant detaches like any
         rxfab.close_session("rx1")
         rx_mux.close_stream(1)

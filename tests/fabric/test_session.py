@@ -21,7 +21,7 @@ from repro.errors import (
     SchedulerError,
     TypespecMismatch,
 )
-from repro.fabric import SessionFabric
+from repro.fabric import SessionFabric, SessionState
 from repro.mbt import Scheduler, VirtualClock
 
 
@@ -112,7 +112,7 @@ class TestOpenClose:
         alice = fabric.open_session(build, name="alice")
         names = alice.thread_names
         fabric.close_session("alice")
-        assert alice.closed
+        assert alice.state is SessionState.CLOSED
         assert "alice" not in fabric.sessions
         assert "alice" not in fabric.scheduler.tenants
         assert not set(names) & set(fabric.scheduler.threads)
@@ -158,7 +158,8 @@ class TestOpenClose:
         threads = session.threads
         with pytest.raises(RuntimeError, match="would not stop"):
             fabric.close_session("a")
-        assert session.closed and "a" not in fabric.sessions
+        assert session.state is SessionState.CLOSED
+        assert "a" not in fabric.sessions
         assert all(thread.terminated for thread in threads)
         assert not set(session.thread_names) & set(fabric.scheduler.threads)
         assert fabric.scheduler.tenant("a") is None
@@ -372,14 +373,15 @@ class TestParking:
         fabric = SessionFabric()
         sleeper = fabric.open_session(build, name="sleeper")
         sleeper.park()  # the handle's own park / unpark / close
-        assert sleeper.parked
+        assert sleeper.state is SessionState.PARKED
         run_rounds(fabric)
         assert sinks[0].items == []
         sleeper.unpark()
         run_rounds(fabric)
         assert sinks[0].items == list(range(20))
         sleeper.close()
-        assert sleeper.closed and "sleeper" not in fabric.sessions
+        assert sleeper.state is SessionState.CLOSED
+        assert "sleeper" not in fabric.sessions
 
     def test_park_unpark_idempotent(self):
         build, _ = counting_program()
@@ -387,10 +389,10 @@ class TestParking:
         session = fabric.open_session(build, name="s")
         fabric.park("s")
         fabric.park("s")
-        assert session.parked
+        assert session.state is SessionState.PARKED
         fabric.unpark("s")
         fabric.unpark("s")
-        assert not session.parked
+        assert session.state is SessionState.LIVE
 
     def test_a_closed_session_is_neither_parked_nor_parkable(self):
         build, _ = counting_program()
@@ -398,7 +400,7 @@ class TestParking:
         session = fabric.open_session(build, name="b")
         fabric.park("b")
         fabric.close_session("b")
-        assert session.closed and not session.parked
+        assert session.state is SessionState.CLOSED
         for verb in (fabric.park, fabric.unpark):
             with pytest.raises(DeployError, match="'b' is not open"):
                 verb("b")
@@ -430,7 +432,8 @@ class TestParking:
         fabric.close_session(victim.name)
         parked = set(set.__iter__(scheduler._parked))
         assert parked == set(kept_threads)
-        assert all(s.parked and t.parked for s in others for t in s.threads)
+        assert all(s.state is SessionState.PARKED for s in others)
+        assert all(t.parked for s in others for t in s.threads)
         assert all(t.terminated for t in victim_threads)
         # The survivors still wake and finish.
         scheduler._parked = parked

@@ -280,8 +280,8 @@ def test_exception_in_code_function_raises_scheduler_error():
     assert isinstance(sched.threads["t"].crashed, ValueError)
 
 
-def test_collect_mode_records_errors_without_raising():
-    sched = make_scheduler(on_thread_error="collect")
+def test_a_crash_raises_and_the_next_run_goes_on():
+    sched = make_scheduler()
 
     def bad(thread, msg):
         raise ValueError("boom")
@@ -291,6 +291,8 @@ def test_collect_mode_records_errors_without_raising():
     sched.spawn("ok", lambda th, m: ok.append(m.payload) or CONTINUE)
     sched.post(Message(kind="go", target="bad"))
     sched.post(Message(kind="go", payload="fine", target="ok"))
+    with pytest.raises(SchedulerError):
+        sched.run_until_idle()
     sched.run_until_idle()
     assert ok == ["fine"]
     assert len(sched.errors) == 1 and sched.errors[0][0] == "bad"

@@ -21,7 +21,7 @@ import pytest
 
 from repro import GreedyPump, IterSource, pipeline
 from repro.api import Pipeline
-from repro.errors import RemoteError, SchedulerError
+from repro.errors import RemoteError
 from repro.fabric import SessionFabric
 from repro.net import InProcessLink
 from repro.net.marshal import MarshalFilter, decode_batch_views
@@ -91,14 +91,18 @@ def test_a_spent_window_parks_the_pump(batch):
 
 
 def test_a_sink_that_sends_on_a_spent_window_fails(monkeypatch):
-    """Mutant twin: the sink walker is not planted with the wait."""
+    """Mutant twin: the sink walker is not planted with the wait, so its
+    send on the spent window crashes the pump — which the fabric
+    contains to the session — and no pump is parked on credit."""
     monkeypatch.setattr(
         MuxStream, "windowed", lambda self, ctx, walker: walker
     )
-    with pytest.raises(SchedulerError) as crash:
+    with pytest.raises(AssertionError):
         check_backpressure(1)
-    assert isinstance(crash.value.__cause__, RemoteError)
-    assert "spent window" in str(crash.value.__cause__)
+    _, _, scheduler, _ = undrained(4 * WINDOW, 1)
+    error = scheduler.errors[-1][1]
+    assert isinstance(error, RemoteError)
+    assert "spent window" in str(error)
 
 
 def test_a_stream_that_queues_past_the_window_fails(monkeypatch):

@@ -1,5 +1,7 @@
 """Failure injection: errors raised inside components must surface loudly
-(or be collected, when asked) — never silently corrupt the flow."""
+— a crash raises out of ``run()``, recorded in ``scheduler.errors``, and
+the next ``run()`` goes on with the other threads — never silently
+corrupt the flow."""
 
 import pytest
 
@@ -51,8 +53,10 @@ class TestDirectStageFailures:
             IterSource(range(10)), GreedyPump(), FailingConvert(3),
             Buffer(capacity=4), GreedyPump(), sink,
         )
-        engine = Engine(pipe, on_thread_error="collect")
+        engine = Engine(pipe)
         engine.start()
+        with pytest.raises(SchedulerError):
+            engine.run(max_steps=100_000)
         engine.run(max_steps=100_000)
         # The first section crashed after two good items; the second
         # section still drained what made it into the buffer.
@@ -86,8 +90,10 @@ class TestCoroutineFailures:
         pipe = pipeline(
             IterSource(range(5)), GreedyPump(), Exploding(), CollectSink()
         )
-        engine = Engine(pipe, on_thread_error="collect")
+        engine = Engine(pipe)
         engine.start()
+        with pytest.raises(SchedulerError):
+            engine.run(max_steps=100_000)
         engine.run(max_steps=100_000)
         names = [name for name, _ in engine.scheduler.errors]
         assert any(name.startswith("coro:") for name in names)
@@ -179,7 +185,9 @@ class TestPartialProgressIsVisible:
         pipe = pipeline(
             IterSource(range(10)), GreedyPump(), FailingConvert(4), sink
         )
-        engine = Engine(pipe, on_thread_error="collect")
+        engine = Engine(pipe)
         engine.start()
+        with pytest.raises(SchedulerError):
+            engine.run(max_steps=100_000)
         engine.run(max_steps=100_000)
         assert sink.items == [0, 1, 2]

@@ -168,8 +168,6 @@ RULES = [
      "§2.3: the Interval arm of the property algebra"),
     ("repro.core.items:_Nil.__bool__", "paper",
      "§3.1: the nil item of a non-blocking buffer is falsy"),
-    ("repro.core.events:EventService.add_relay", "paper",
-     "§2.4: control events relayed across nodes"),
     ("repro.core.glue:AllocationPlan.*", "paper",
      "Fig. 9: the allocation plan's report (threads, section of a "
      "component)"),
@@ -455,6 +453,17 @@ RULES = [
      "(`tests/fabric/test_fabric_e2e.py` explores fabrics)"),
     ("repro.mbt.scheduler:Scheduler.tenant", "verification",
      "reference accessor: a tenant's account by name"),
+    ("repro.mbt.thread:MThread.tenant", "verification",
+     "error path: the fabric finds a crashed thread's session through "
+     "its tenant (`tests/fabric/test_lifecycle.py`)"),
+    ("repro.fabric.session:SessionFabric._contain", "verification",
+     "error path: moves the session a crashed thread belongs to to "
+     "CRASHED, or declines a crash the fabric must not contain "
+     "(`tests/fabric/test_lifecycle.py`)"),
+    ("repro.fabric.session:SessionFabric._quiesce", "verification",
+     "error path: parks a crashed session's threads "
+     "(`tests/fabric/test_lifecycle.py`); also the body of `park`, whose "
+     "own row names what it is owed"),
 ]
 
 #: (function, function-lines, what reached it at the parent, tests deleted
@@ -750,6 +759,12 @@ DELETED: list[tuple[str, int, str, str]] = [
      "`send_frame`; their refusal is `_refuse`)", 13, "D1-D4",
      "none (`test_a_stream_that_queues_past_the_window_fails` patches "
      "`send`)"),
+    ("repro.core.events:EventService.add_relay (a broadcast crosses "
+     "nodes as per-receiver messages delayed by `Engine._event_delay`)",
+     3, "core/test_events.py", "`TestEventService::test_relays_see_"
+     "broadcasts`"),
+    ("repro.fabric.session:_drivers (now `Engine.drivers`, which "
+     "`repro.obs.flow.plant` reads too)", 5, "D1-D4", "none"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
@@ -761,10 +776,6 @@ ONE_SIGNATURE = ("one entry signature for single- and multi-port "
 INJECTION = "injection seam: a test substitutes a fake through it"
 KEPT_PARAMETERS = [
     ("*", "port", ONE_SIGNATURE),
-    ("repro.runtime.engine:Engine.__init__", "on_thread_error",
-     "the crash policy the failure-injection and fault-plan tests set to "
-     "`\"collect\"`; owed ROADMAP 2(a), a crashed tenant reported on its "
-     "session"),
     ("repro.__main__:main", "argv",
      INJECTION + " (`tests/core/test_cli.py` runs the CLI in-process)"),
     ("repro.feedback.sensors:MetricSensor.__init__", "now",
