@@ -32,16 +32,29 @@ def _crashing_builder(refs: list):
     return build
 
 
-def test_closed_crashed_tenants_are_released():
+@pytest.mark.parametrize("contained_by", ["collect", "raise"])
+def test_closed_crashed_tenants_are_released(contained_by):
+    """``collect``: one ``fabric.run()`` contains every tenant's crash.
+    ``raise``: the bare ``scheduler.run()`` raises each crash, the caller
+    catches it and runs on; the sessions stay LIVE until closed."""
     fabric = SessionFabric()
     scheduler = fabric.scheduler
     refs: list = []
     build = _crashing_builder(refs)
     for index in range(TENANTS):
         fabric.open_session(build, name=f"t{index}")
-    fabric.run()  # one run: the fabric contains each tenant's crash
-    assert {s.state for s in fabric.sessions.values()} == {
-        SessionState.CRASHED}
+    if contained_by == "collect":
+        fabric.run()
+        states = {SessionState.CRASHED}
+    else:
+        for _ in range(TENANTS + 1):
+            try:
+                scheduler.run()
+                break
+            except SchedulerError:
+                continue
+        states = {SessionState.LIVE}
+    assert {s.state for s in fabric.sessions.values()} == states
     assert len(scheduler.errors) == TENANTS
     for index in range(TENANTS):
         fabric.close_session(f"t{index}")
