@@ -23,7 +23,8 @@ Key properties:
 * **parking** — an idle session's threads leave the ready structure
   (:meth:`park`), so idle sessions cost dispatch nothing;
 * **crash containment** — a crash of a session's thread moves that
-  session to CRASHED (:data:`LIFECYCLE`); every other tenant runs on.
+  session to CRASHED (:data:`LIFECYCLE`); every other tenant runs on and
+  the run returns normally, so a caller reads ``state`` and ``error``.
 """
 
 from __future__ import annotations
@@ -304,8 +305,12 @@ class SessionFabric:
 
     @property
     def completed(self) -> bool:
-        live = [s for s in self.sessions.values() if s.state is _S.LIVE]
-        return bool(live) and all(s.completed for s in live)
+        """Every LIVE session completed, and some session is not parked:
+        a CRASHED one has ended, so a loop waiting on this (``run_with_io``)
+        returns once the last tenant that could run has crashed."""
+        ended = [s for s in self.sessions.values() if s.state is not _S.PARKED]
+        return bool(ended) and all(
+            s.state is _S.CRASHED or s.completed for s in ended)
 
     def run(
         self, until: float | None = None, max_steps: int | None = None
@@ -345,6 +350,7 @@ class SessionFabric:
         O(1) through the thread's tenant); False if none did.  Not inline
         in _contained: the kept error's frames would pin its locals."""
         errors = self.scheduler.errors
+        # _crash appends the thread's entry right before it raises.
         thread = self.scheduler.threads.get(errors[-1][0]) if errors else None
         if thread is None or thread.crashed is not cause or not thread.tenant:
             return False

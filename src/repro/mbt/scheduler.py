@@ -44,7 +44,10 @@ threads drift later in the queue and every backlogged tenant receives CPU
 in proportion to its weight.  Priorities still dominate (vtime only
 orders threads of equal effective priority), and a tenant waking from
 idle is clamped to the scheduler's fair clock so it cannot burst on
-banked credit.  Parked threads hold no heap entry (:meth:`park_thread`).
+banked credit.  Parked threads (quiesced sessions, see
+:meth:`park_thread`) are excluded from ``is_ready`` and therefore hold no
+heap entry at all: dispatch cost is independent of the number of idle
+sessions, and :meth:`unpark_thread` is a single heap push.
 With ``fair_quantum`` > 1 a tenant holds the CPU for a burst of
 dispatches.  A greedy pump's self-posted next ``cycle`` is a
 :class:`~repro.mbt.syscalls.Repost`: when ``run()`` would dispatch it
@@ -57,11 +60,15 @@ schedule; only the message, mailbox round trip and heap visit go.
 
 Before-idle callbacks
 ---------------------
-:meth:`Scheduler.before_idle` registers a one-shot callback that fires
-when :meth:`Scheduler.run` next finds no thread ready, before timers or
-the clock are touched, and on every way out of ``run`` — so middleware
-holding what threads emit (the frame trains of :mod:`repro.net.mux`)
-lets go of it before the scheduler waits (docs/RUNTIME.md §1).
+Middleware that gathers what threads emit during dispatch (the frame
+trains of :mod:`repro.net.mux`) must let go of it before the scheduler
+waits, or a peer only those bytes can wake never runs.
+:meth:`Scheduler.before_idle` registers a one-shot callback for that
+moment: it fires when :meth:`Scheduler.run` next finds no thread ready —
+before timers or the clock are touched; ``run`` then looks again, as a
+callback may have woken a thread — and on every way out of ``run``.
+Outside ``run`` registration is refused and the caller acts at once.
+Cost: a truthiness test per idle pass and per call, nothing per step.
 
 Checking hooks
 --------------
@@ -253,8 +260,11 @@ class Scheduler:
         #: slot None.
         self._ready_heap: list[list] = []
         self._ready_seq = itertools.count()
-        #: Tombstoned entries still in the heap; past 2:1 against live
-        #: entries the heap is compacted (see _reindex).
+        #: Tombstoned entries still sitting in the heap.  Lazy invalidation
+        #: only discards tombstones that reach the top, so key churn on
+        #: threads that rarely get picked (priority flapping under a
+        #: feedback controller) can grow the heap without bound; once
+        #: tombstones outnumber live entries 2:1 the heap is compacted.
         self._ready_stale = 0
         #: The thread currently being dispatched (kept out of the heap).
         self._current: MThread | None = None
@@ -277,9 +287,13 @@ class Scheduler:
         #: thread; waking tenants are clamped to it (strict start-time
         #: fair queueing), so idleness does not bank credit.
         self._fair_clock = 0.0
-        #: Dispatches a tenant may burst before the fair order is
-        #: re-evaluated (1: strict per-dispatch fairness); vtime charging
-        #: stays per-dispatch (see SessionFabric's ``quantum``).
+        #: Dispatch quantum for tenanted threads: how many consecutive
+        #: dispatches a tenant may burst before the fair order is
+        #: re-evaluated.  1 (the default) is strict per-dispatch fairness;
+        #: larger values amortize ready-queue maintenance over the burst
+        #: (the fabric's multi-tenant hot path) at the cost of quantum-
+        #: bounded short-term unfairness.  Virtual-time *charging* stays
+        #: per-dispatch, so long-run weighted shares are unaffected.
         self.fair_quantum = int(fair_quantum)
         #: Active burst: the tenanted thread currently holding the CPU
         #: between fair re-evaluations, and how many dispatches remain.
@@ -964,7 +978,8 @@ class Scheduler:
                 if message is not None:
                     value = message
                     continue
-                self._block_receive(thread, request.match, request.timeout)
+                self._block(thread, WaitState("receive", request.match),
+                            request.timeout)
                 return
 
             if request_type is Reply:
@@ -1003,24 +1018,24 @@ class Scheduler:
                         callee.meter.on_donation()
                 self._deliver(message)
                 request_id = message.msg_id
-                self._block_receive(
-                    thread,
-                    lambda m, _rid=request_id: m.reply_to == _rid,
-                    request.timeout,
+                self._block(thread, WaitState(
+                    "receive", lambda m, _rid=request_id: m.reply_to == _rid,
                     waiting_on=request.target,
                     reason=f"reply to {request.kind!r} call",
-                )
+                ), request.timeout)
                 return
 
             if request_type is Sleep:
-                self._block_until(thread, self.clock.now() + request.duration)
+                self._block(thread, WaitState("time"), request.duration,
+                            woken=None)
                 return
 
             if request_type is WaitUntil:
                 if request.when <= self.clock.now() + _EPS:
                     value = None
                     continue
-                self._block_until(thread, request.when)
+                self._block(thread, WaitState("time"), when=request.when,
+                            woken=None)
                 return
 
             if request_type is Yield:
@@ -1071,52 +1086,31 @@ class Scheduler:
     def _call_constraint(thread: MThread, request: Call) -> Constraint | None:
         if request.constraint is not None:
             return request.constraint
+        # Messages sent on behalf of a constrained message inherit its
+        # constraint (paper: "Messages between coroutines inherit the
+        # constraint from the message received by the sending component").
         current = thread._current_message
-        if current is not None and current.constraint is not None:
-            # Messages sent on behalf of a constrained message inherit its
-            # constraint (paper: "Messages between coroutines inherit the
-            # constraint from the message received by the sending component").
-            return current.constraint
-        return None
+        return None if current is None else current.constraint
 
-    def _block_receive(
-        self,
-        thread,
-        match,
-        timeout,
-        waiting_on: str | None = None,
-        reason: str | None = None,
-    ) -> None:
-        wait = WaitState(
-            kind="receive", match=match, waiting_on=waiting_on, reason=reason
-        )
+    def _block(self, thread: MThread, wait: WaitState,
+               timeout: float | None = None, when: float | None = None,
+               woken: Any = TIMED_OUT) -> None:
+        """Block ``thread`` in ``wait``; when ``timeout`` has passed or
+        ``when`` is reached with the wait still on, it resumes ``woken``."""
         if timeout is not None:
-            def on_timeout(t=thread, w=wait):
+            when = self.clock.now() + timeout
+        if when is not None:
+            def wake(t=thread, w=wait):
                 if t._wait is w:
                     t._wait = None
-                    t._resume_value = TIMED_OUT
+                    t._resume_value = woken
                     t._readiness_changed()
 
-            wait.timer = self.after(timeout, on_timeout)
+            wait.timer = self.at(when, wake)
         thread._wait = wait
         thread._readiness_changed()
         if self._trace is not None:
-            self._record("block", thread.name, "receive")
-
-    def _block_until(self, thread: MThread, when: float) -> None:
-        wait = WaitState(kind="time")
-
-        def on_wake(t=thread, w=wait):
-            if t._wait is w:
-                t._wait = None
-                t._resume_value = None
-                t._readiness_changed()
-
-        wait.timer = self.at(when, on_wake)
-        thread._wait = wait
-        thread._readiness_changed()
-        if self._trace is not None:
-            self._record("block", thread.name, "time")
+            self._record("block", thread.name, wait.kind)
 
     def _do_work(self, thread: MThread) -> bool:
         """Consume the thread's pending CPU work; False when preempted."""
@@ -1165,18 +1159,16 @@ class Scheduler:
             if self._trace is not None:
                 self._record("terminate", thread.name)
         elif result is not CONTINUE and result is not None:
-            self._crash(
-                thread,
-                SchedulerError(
-                    f"thread {thread.name!r} returned {result!r}; expected "
-                    "CONTINUE or TERMINATE"
-                ),
-            )
+            self._crash(thread, SchedulerError(
+                f"thread {thread.name!r} returned {result!r}; expected "
+                "CONTINUE or TERMINATE"))
 
     def inject_crash(self, name: str, exc: BaseException | None = None) -> bool:
-        """Crash a live thread through ``_crash``, as if its code function
-        had raised (:mod:`repro.check.faults`).  False, and nothing done,
-        when no live thread by that name exists."""
+        """Crash a live thread as if its code function had raised (the
+        fault-injection entry of :mod:`repro.check.faults`): through the one
+        ``_crash`` path, so it raises :class:`SchedulerError` from ``exc``.
+        The only value returned is False, with nothing done, when no live
+        thread by that name exists."""
         thread = self.threads.get(name)
         if thread is None or thread.terminated:
             return False

@@ -36,7 +36,12 @@ def _crashing_builder(refs: list):
 def test_closed_crashed_tenants_are_released(contained_by):
     """``collect``: one ``fabric.run()`` contains every tenant's crash.
     ``raise``: the bare ``scheduler.run()`` raises each crash, the caller
-    catches it and runs on; the sessions stay LIVE until closed."""
+    catches it and runs on; the sessions stay LIVE until closed.
+
+    The two labels are historical: they once named the scheduler's crash
+    policy, which is gone, and are kept so the case IDs stay stable.  What
+    they now select is who handles the crash — the fabric, or a caller of
+    the bare scheduler."""
     fabric = SessionFabric()
     scheduler = fabric.scheduler
     refs: list = []

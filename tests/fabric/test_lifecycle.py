@@ -61,20 +61,21 @@ class CountedIO:
             raise TimeoutError(f"still waiting after {self.limit} waits")
 
 
-def three_tenants():
-    """Tenants a, b and c on one fabric; b's filter divides by zero."""
+def three_tenants(names="abc", crashing="b"):
+    """Tenants ``names`` (a, b and c) on one fabric; the filters of those
+    in ``crashing`` (b) divide by zero."""
     fabric, sinks = SessionFabric(), {}
 
     def program(name):
         def build():
             sinks[name] = CollectSink()
-            convert = (lambda item: item / 0) if name == "b" else (
+            convert = (lambda item: item / 0) if name in crashing else (
                 lambda item: item)
             return pipeline(IterSource(range(ITEMS)), GreedyPump(),
                             MapFilter(convert), sinks[name])
         return build
 
-    for name in "abc":
+    for name in names:
         fabric.open_session(program(name), name=name)
     return fabric, sinks
 
@@ -117,6 +118,28 @@ class TestCrashContainment:
         monkeypatch.setattr(SessionFabric, "_contained", swallow)
         with pytest.raises(TimeoutError):
             check_crash_is_contained()
+
+    @pytest.mark.parametrize("names", ["b", "bc"])
+    def test_a_run_returns_when_every_tenant_crashed(self, names):
+        fabric, _ = three_tenants(names, crashing=names)
+        fabric.run_with_io(CountedIO())
+        assert fabric.completed
+        assert {s.state for s in fabric.sessions.values()} == {
+            SessionState.CRASHED}
+
+    def test_a_fabric_that_waits_for_a_live_session_fails_it(self,
+                                                             monkeypatch):
+        """The mutant twin: completion that needs a LIVE session never
+        comes once the only tenant crashed, so the loop hangs."""
+
+        def live_only(self):
+            live = [s for s in self.sessions.values()
+                    if s.state is SessionState.LIVE]
+            return bool(live) and all(s.completed for s in live)
+
+        monkeypatch.setattr(SessionFabric, "completed", property(live_only))
+        with pytest.raises(TimeoutError):
+            self.test_a_run_returns_when_every_tenant_crashed("b")
 
     def test_every_run_verb_contains_a_crash(self):
         for verb in ("run", "run_to_completion"):
@@ -269,10 +292,12 @@ class FabricLifecycle(RuleBasedStateMachine):
 
     @invariant()
     def completed_is_every_live_session_completed(self):
-        live = [s for s in self.fabric.sessions.values()
-                if s.state is SessionState.LIVE]
+        """... and some session is not parked: a crashed one has ended."""
+        sessions = self.fabric.sessions.values()
+        live = [s for s in sessions if s.state is SessionState.LIVE]
         assert self.fabric.completed == (
-            bool(live) and all(s.engine.completed for s in live))
+            any(s.state is not SessionState.PARKED for s in sessions)
+            and all(s.engine.completed for s in live))
 
     @invariant()
     def sinks_are_prefixes_of_their_reference(self):

@@ -199,8 +199,6 @@ RULES = [
      "§4: priority inheritance on synchronous calls"),
     ("repro.mbt.scheduler:Scheduler._call_constraint", "paper",
      "§4: priority inheritance on synchronous calls"),
-    ("repro.mbt.scheduler:Scheduler._block_until", "paper",
-     "§4: the real-clock arm of blocking"),
     ("repro.mbt.clock:RealClock.*", "paper",
      "§4: the platform's real clock beside the virtual one"),
     ("repro.mbt.clock:*Clock.is_virtual", "paper",
@@ -765,6 +763,9 @@ DELETED: list[tuple[str, int, str, str]] = [
      "broadcasts`"),
     ("repro.fabric.session:_drivers (now `Engine.drivers`, which "
      "`repro.obs.flow.plant` reads too)", 5, "D1-D4", "none"),
+    ("repro.mbt.scheduler:Scheduler._block_until (a sleep blocks "
+     "through `Scheduler._block`, as a receive does)", 14,
+     "mbt/test_clock.py, mbt/test_scheduler.py", "none"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
