@@ -29,6 +29,7 @@ from __future__ import annotations
 import signal
 import socket
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Any
 
@@ -39,6 +40,7 @@ from repro.deploy.placement import Placement, ShardPlan, plan_placement
 from repro.deploy.worker import (
     ShardSpec,
     build_program,
+    build_shard,
     build_shard_pipeline,
     done_payload,
     shard_main,
@@ -68,6 +70,12 @@ def _stop_shards(processes: list, conns) -> str:
 def _pairs(plan: ShardPlan) -> set[tuple[int, int]]:
     """The ``(low, high)`` shard pairs that a cut joins."""
     return {tuple(sorted((c.src_shard, c.dst_shard))) for c in plan.cuts}
+
+
+def _close_pairs(pairs) -> None:
+    for sock_a, sock_b in pairs.values():
+        sock_a.close()
+        sock_b.close()
 
 
 def _socketpair_for(transport: str):
@@ -263,28 +271,44 @@ class Deployment:
         processes: list = []
         conns: dict[Any, int] = {}
         try:
-            for shard in range(plan.shards):
-                spec = self._spec(plan, shard)
-                socks = {  # peer shard -> this shard's end of their pair
+            socks = [  # peer shard -> a shard's end of their pair
+                {
                     high if low == shard else low: ends[low != shard]
                     for (low, high), ends in pairs.items()
                     if shard in (low, high)
                 }
+                for shard in range(plan.shards)
+            ]
+            specs = [self._spec(plan, shard) for shard in range(plan.shards)]
+            # Under fork every shard is built here before any is forked
+            # (after a fork, a page the parent writes is copied too); a
+            # build that raises fails as the shard's error report would.
+            built: list = [None] * plan.shards
+            if ctx.get_start_method() == "fork":
+                for spec in specs:
+                    try:
+                        built[spec.shard] = build_shard(
+                            spec, socks[spec.shard])
+                    except Exception as error:
+                        raise DeployError(
+                            f"shard {spec.shard} failed:\n"
+                            f"{traceback.format_exc()}") from error
+            for spec in specs:
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=shard_main,
-                    args=(spec, child_conn, socks),
-                    name=f"repro-shard-{shard}",
+                    args=(spec, child_conn, socks[spec.shard],
+                          built[spec.shard]),
+                    name=f"repro-shard-{spec.shard}",
                 )
                 process.start()
+                built[spec.shard] = None  # the shard runs it now
                 child_conn.close()
                 processes.append(process)
-                conns[parent_conn] = shard
+                conns[parent_conn] = spec.shard
             # The children hold their own descriptors now (inherited on
             # fork, dup'd through pickling on spawn).
-            for sock_a, sock_b in pairs.values():
-                sock_a.close()
-                sock_b.close()
+            _close_pairs(pairs)
 
             self._await_all(conns, "ready", timeout)
             wall_start = time.perf_counter()
@@ -314,6 +338,7 @@ class Deployment:
             raise
         finally:
             _stop_shards(processes, conns)
+            _close_pairs(pairs)
 
     @staticmethod
     def _await_all(conns, kind: str, timeout: float | None):

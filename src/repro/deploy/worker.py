@@ -1,21 +1,23 @@
 """Shard workers: build, cut, bridge and run one shard's engine.
 
 Each shard is one OS process running one :class:`~repro.runtime.engine
-.Engine`.  The worker rebuilds the *whole* pipeline from the run spec's
-program (a microlanguage source string or a picklable builder callable —
-nothing live crosses the process boundary), applies the plan's cuts,
-keeps only its own shard's connected subgraph, bridges each cut edge with
-a credited stream (:data:`SEAM_WINDOW`) of the one
-:class:`~repro.net.mux.StreamMux` it keeps per peer shard, over the
-socket end the parent passed in, and realises the spec over that subgraph
-(:meth:`repro.api.Pipeline.build`) — so every execution option stated on
-the spec means in a shard what it means in-process.
-``Deployment.simulate()`` runs the same build (:func:`build_shard_pipeline`)
+.Engine`.  Its build (:func:`build_shard`) rebuilds the *whole* pipeline
+from the run spec's program, applies the plan's cuts, keeps only the
+shard's connected subgraph, bridges each cut edge with a credited stream
+(:data:`SEAM_WINDOW`) of the :class:`~repro.net.mux.StreamMux` it keeps
+per peer shard, over the shard's socket end, and realises the spec over
+that subgraph (:meth:`repro.api.Pipeline.build`), so every execution
+option means in a shard what it means in-process.  Under ``fork`` the
+deploying process builds every shard before it forks any (a builder
+callable runs there) and each shard runs the engine it inherits; under
+``spawn`` / ``forkserver`` each shard process builds itself, from a
+program that crossed as a source string or a picklable builder.
+``Deployment.simulate()`` runs the same :func:`build_shard_pipeline`
 for every shard over in-process muxes.
 
 Lifecycle (the cross-process start/EOS/shutdown barrier):
 
-1. child builds its shard and reports ``("ready", shard)``;
+1. a shard whose engine is set up reports ``("ready", shard)``;
 2. parent broadcasts ``("go",)`` once every shard is ready — children
    time their run span from here, so spawn/import/build cost never
    pollutes throughput numbers;
@@ -301,20 +303,29 @@ def done_payload(
     return payload
 
 
-def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
-    """Process entry point for one shard (top level: spawn-picklable);
-    ``sockets`` holds this shard's end of the link to each peer shard."""
-    muxes: dict[int, StreamMux] = {}
+def build_shard(spec: ShardSpec, sockets: dict[int, Any]):
+    """``(muxes, built)``: shard ``spec.shard`` built over ``sockets`` (its
+    end of the link to each peer shard, one mux each), its engine set up."""
+    muxes = {
+        peer: StreamMux(SocketLink(
+            sock_out=sock, sock_in=sock, src=f"shard-{spec.shard}",
+            dst=f"shard-{peer}", flow=f"shards-{spec.shard}-{peer}",
+        ))
+        for peer, sock in sockets.items()
+    }
+    built = spec.app.build(build_shard_pipeline(spec, muxes))
+    built.engine.setup()
+    return muxes, built
+
+
+def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any],
+               shard: tuple | None) -> None:
+    """Process entry point for one shard (top level: spawn-picklable):
+    ``shard`` is the :func:`build_shard` it inherited under fork; without
+    one (None), it builds itself over ``sockets``."""
     try:
-        for peer, sock in sockets.items():
-            muxes[peer] = StreamMux(SocketLink(
-                sock_out=sock, sock_in=sock, src=f"shard-{spec.shard}",
-                dst=f"shard-{peer}", flow=f"shards-{spec.shard}-{peer}",
-            ))
-        shard_pipe = build_shard_pipeline(spec, muxes)
-        built = spec.app.build(shard_pipe)
+        muxes, built = shard or build_shard(spec, sockets)
         engine = built.engine
-        engine.setup()
         io = ShardIO(list(muxes.values()), conn)
         conn.send(("ready", spec.shard))
         message = conn.recv()
@@ -344,6 +355,6 @@ def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any]) -> None:
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
-        for mux in muxes.values():  # its trains left as the engine idled
-            mux.transport.close()
+        for sock in sockets.values():  # the trains left as the engine idled
+            sock.close()
         conn.close()

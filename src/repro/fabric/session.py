@@ -109,14 +109,22 @@ class Session:
 
     # -- lifecycle -----------------------------------------------------------
 
+    # A handle reaches the fabric only while the fabric holds it under its
+    # name.  A stale one (closed, its name perhaps open again) is CLOSED,
+    # whose row holds no edge: park and unpark raise, close does nothing.
     def park(self) -> None:
+        if self.fabric.sessions.get(self.name) is not self:
+            self._move("park")
         self.fabric.park(self.name)
 
     def unpark(self) -> None:
+        if self.fabric.sessions.get(self.name) is not self:
+            self._move("unpark")
         self.fabric.unpark(self.name)
 
     def close(self) -> None:
-        self.fabric.close_session(self.name)
+        if self.fabric.sessions.get(self.name) is self:
+            self.fabric.close_session(self.name)
 
     def _move(self, verb: str) -> bool:
         """Take ``verb``'s :data:`LIFECYCLE` edge; True if state changed."""

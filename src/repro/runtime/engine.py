@@ -776,6 +776,7 @@ class Engine:
         #: of a dict update per coroutine crossing.
         self._switch_counters: list[list[int]] = []
         self._setup_done = False
+        self._started = False  # START broadcast, and no STOP since
         #: The network its netpipes bound, for cross-node event latency.
         self.network = None
         #: Attached services (feedback loops, sensors): stop_services().
@@ -1036,6 +1037,7 @@ class Engine:
     def start(self) -> "Engine":
         self.setup()
         self.send_event(ev.START)
+        self._started = True
         return self
 
     def stop_services(self) -> "Engine":
@@ -1051,6 +1053,7 @@ class Engine:
         run again (its handlers run on the next dispatch)."""
         self.stop_services()
         self.send_event(ev.STOP)
+        self._started = False
         return self
 
     def run(self, until: float | None = None, max_steps: int | None = None) -> "Engine":
@@ -1059,9 +1062,11 @@ class Engine:
         return self
 
     def run_to_completion(self, max_steps: int | None = None) -> "Engine":
-        """Start the pipeline and run until it goes quiescent (finite flows
-        end by EOS; infinite flows need ``run(until=...)`` + ``stop()``)."""
-        self.start()
+        """Start the pipeline unless started since its last ``stop()``, and
+        run until it goes quiescent (finite flows end by EOS; infinite
+        flows need ``run(until=...)`` + ``stop()``)."""
+        if not self._started:
+            self.start()
         self.scheduler.run(max_steps=max_steps)
         return self
 

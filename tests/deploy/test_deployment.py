@@ -1,5 +1,7 @@
 """Deployment end-to-end: equivalence, golden identity, certification."""
 
+import functools
+import multiprocessing
 import os
 
 import pytest
@@ -203,3 +205,65 @@ class TestTheSeamPairsAcrossItsStream:
         monkeypatch.setattr(MuxStream, "wire_key", Transport.wire_key)
         with pytest.raises(AssertionError, match="buffer-1-wire-send"):
             check_simulated_conservation()
+
+
+def recording_builder(log: str):
+    """:data:`SRC`, after appending the building process's pid to ``log``."""
+    from repro.deploy.worker import build_program
+
+    with open(log, "a") as out:
+        out.write(f"{os.getpid()}\n")
+    return build_program(SRC)
+
+
+class FailsOnItsSecondBuild:
+    """Builds :data:`SRC` for the plan, then raises: shard 0's build."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self):
+        from repro.deploy.worker import build_program
+
+        self.calls += 1
+        if self.calls == 2:
+            raise ValueError("no shard for you")
+        return build_program(SRC)
+
+
+class TestWhereAShardIsBuilt:
+    """Under fork the deploying process builds the plan's program, then
+    every shard before it forks any, and no shard process builds; under
+    spawn each shard process builds itself."""
+
+    def build_pids(self, tmp_path, start_method):
+        log = tmp_path / "builds"
+        result = Deployment(
+            functools.partial(recording_builder, str(log)),
+            Placement.auto(2), start_method=start_method,
+        ).run(timeout=120)
+        assert result.completed
+        assert result.sinks["collect-sink-1"] == list(range(24))
+        return [int(pid) for pid in log.read_text().split()]
+
+    def test_under_fork_the_deploying_process_builds_every_shard(
+            self, tmp_path):
+        assert self.build_pids(tmp_path, "fork") == [os.getpid()] * 3
+
+    def test_under_spawn_each_shard_builds_itself(self, tmp_path):
+        plan, *shards = self.build_pids(tmp_path, "spawn")
+        assert plan == os.getpid()
+        assert len(set(shards)) == 2 and plan not in shards
+
+    def test_a_build_that_raises_fails_before_any_fork(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start",
+            lambda process: started.append(process))
+        with pytest.raises(DeployError) as failure:
+            Deployment(FailsOnItsSecondBuild(), Placement.auto(2),
+                       start_method="fork").run(timeout=30)
+        message = str(failure.value)
+        assert message.startswith("shard 0 failed:\nTraceback")
+        assert "ValueError: no shard for you" in message
+        assert started == []

@@ -7,8 +7,10 @@ EOF on the dead shard's pipe, its peer reads EOF (or a broken link) on
 their pair's socket.  Killed before it reported ``done``, ``Deployment
 .run`` must raise a ``DeployError`` that names the killed shard within
 its timeout; killed after, every shard had reported and ``run`` returns
-the complete result.  Either way no shard process is left alive and the
-parent's descriptors are back at their baseline.
+the complete result.  Killed before ``ready`` is a forked shard dying on
+its ``ready`` send, or a spawned one dying in its builder (under fork the
+deploying process runs the builder).  Either way no shard process is
+left alive and the parent's descriptors are back at their baseline.
 """
 
 import functools
@@ -18,6 +20,7 @@ import os
 import signal
 import time
 
+from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection
 
 import pytest
@@ -98,15 +101,15 @@ def plain_seam():
 
 
 def dies_in_a_shard():
-    """:func:`plain_seam`, but built in a shard process, the builder kills
-    that process before the shard can report ready."""
+    """:func:`plain_seam`, but run in a shard process, the builder kills
+    that process before the shard can report ready.  Only a spawned shard
+    runs its builder: under fork the deploying process builds them all."""
     if multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
     return plain_seam()
 
 
-def test_a_shard_killed_before_ready_is_named_and_nothing_leaks():
-    deployment = Deployment(dies_in_a_shard, Placement.auto(2))
+def assert_both_killed_before_ready(deployment):
     gc.collect()
     baseline = open_fds()
     started = time.monotonic()
@@ -120,6 +123,31 @@ def test_a_shard_killed_before_ready_is_named_and_nothing_leaks():
     del failure
     gc.collect()
     assert open_fds() == baseline
+
+
+def test_a_shard_killed_before_ready_is_named_and_nothing_leaks(monkeypatch):
+    """Each forked shard kills itself as it sends ``ready``: it runs the
+    engine its parent built, so its ``ready`` send is the first thing it
+    does."""
+    real = Connection.send
+
+    def die_then_send(self, message):
+        if multiprocessing.parent_process() is not None \
+                and message[0] == "ready":
+            os.kill(os.getpid(), signal.SIGKILL)
+        real(self, message)
+
+    monkeypatch.setattr(Connection, "send", die_then_send)
+    assert_both_killed_before_ready(
+        Deployment(plain_seam, Placement.auto(2), start_method="fork"))
+
+
+def test_a_spawned_shard_killed_in_its_builder_is_named_and_nothing_leaks():
+    # Spawning starts multiprocessing's resource tracker once per process,
+    # and its pipe stays open: start it before the baseline is taken.
+    resource_tracker.ensure_running()
+    assert_both_killed_before_ready(
+        Deployment(dies_in_a_shard, Placement.auto(2), start_method="spawn"))
 
 
 def test_a_shard_killed_after_done_still_returns_the_result(monkeypatch):

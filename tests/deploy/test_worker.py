@@ -45,7 +45,8 @@ def run_shards(*specs_and_sockets) -> list[list]:
     for spec, sock in specs_and_sockets:
         parent, child = multiprocessing.Pipe()
         thread = threading.Thread(
-            target=shard_main, args=(spec, child, {1 - spec.shard: sock}),
+            target=shard_main,
+            args=(spec, child, {1 - spec.shard: sock}, None),
             daemon=True,
         )
         thread.start()
@@ -132,7 +133,7 @@ class TestControlPipe:
         a, b = socket.socketpair()  # ``a`` never sends: shard 1 starves
         parent, child = multiprocessing.Pipe()
         thread = threading.Thread(
-            target=shard_main, args=(shard_spec(1), child, {0: b}),
+            target=shard_main, args=(shard_spec(1), child, {0: b}, None),
             daemon=True,
         )
         thread.start()

@@ -36,7 +36,7 @@ from repro import (
 )
 from repro.errors import DeployError, SchedulerError
 from repro.fabric import SessionFabric, SessionState
-from repro.fabric.session import LIFECYCLE
+from repro.fabric.session import LIFECYCLE, Session
 
 ITEMS = 5
 
@@ -187,6 +187,46 @@ class TestLifecycleTable:
         assert SessionState.CLOSED not in states
         for state in states:
             assert LIFECYCLE[state, "close"] is SessionState.CLOSED
+
+
+def check_a_stale_handle_leaves_its_namesake_alone():
+    fabric = SessionFabric()
+
+    def program():
+        return pipeline(IterSource(range(ITEMS)), GreedyPump(),
+                        CollectSink())
+
+    stale = fabric.open_session(program, name="a")
+    stale.close()
+    fresh = fabric.open_session(program, name="a")
+    stale.close()
+    assert fabric.sessions.get("a") is fresh
+    for verb in (stale.park, stale.unpark):
+        with pytest.raises(DeployError, match="'a' is closed: no"):
+            verb()
+    assert stale.state is SessionState.CLOSED
+    assert fresh.state is SessionState.LIVE
+    assert not any(thread.parked for thread in fresh.threads)
+    fabric.run()
+    assert fresh.completed
+
+
+class TestStaleHandles:
+    """A closed session's handle acts on nothing, even once its name is
+    open again; its mutant twin routes a handle's verbs by name."""
+
+    def test_a_stale_handle_leaves_its_namesake_alone(self):
+        check_a_stale_handle_leaves_its_namesake_alone()
+
+    def test_a_handle_routed_by_name_closes_its_namesake(self, monkeypatch):
+        for verb, act in (("park", SessionFabric.park),
+                          ("unpark", SessionFabric.unpark),
+                          ("close", SessionFabric.close_session)):
+            monkeypatch.setattr(
+                Session, verb,
+                lambda self, act=act: act(self.fabric, self.name))
+        with pytest.raises(AssertionError):
+            check_a_stale_handle_leaves_its_namesake_alone()
 
 
 # ---------------------------------------------------------------------------

@@ -406,8 +406,9 @@ class TestParking:
                 verb("b")
             with pytest.raises(DeployError, match="'ghost' is not open"):
                 verb("ghost")
+        # The stale handle takes its verb from the CLOSED row: no edge.
         for verb in (session.park, session.unpark):
-            with pytest.raises(DeployError, match="'b' is not open"):
+            with pytest.raises(DeployError, match="'b' is closed: no"):
                 verb()
 
     def test_closing_one_parked_session_touches_only_its_own_threads(self):

@@ -7,6 +7,7 @@ import pytest
 
 from repro import (
     ActiveComponent,
+    Buffer,
     CollectSink,
     Consumer,
     Engine,
@@ -77,6 +78,42 @@ class TestDirectStageFailures:
         engine.start()
         with pytest.raises(SchedulerError):
             engine.run()
+
+
+class TestGoingOnAfterACrash:
+    """``run_to_completion`` starts an engine only if it was not started
+    since its last ``stop()``: going on after a crash broadcasts no START
+    into the crashed section (4 dead letters when every call did)."""
+
+    def crashing_engine(self):
+        return Engine(pipeline(
+            IterSource(range(10)), GreedyPump(), FailingConvert(3),
+            Buffer(4), GreedyPump(), CollectSink(),
+        ))
+
+    @pytest.mark.parametrize("verb", ["run", "run_to_completion"])
+    def test_going_on_posts_no_dead_letter(self, verb):
+        engine = self.crashing_engine()
+        with pytest.raises(SchedulerError):
+            engine.run_to_completion()
+        {"run": engine.run, "run_to_completion": engine.run_to_completion}[
+            verb]()
+        assert list(engine.scheduler.dead_letters) == []
+        assert engine.pipeline.components[-1].items == [0, 1]
+
+    def test_only_a_stopped_engine_is_started_again(self, monkeypatch):
+        engine = self.crashing_engine()
+        starts = []
+        start = engine.start
+        monkeypatch.setattr(
+            engine, "start", lambda: starts.append(1) or start())
+        with pytest.raises(SchedulerError):
+            engine.run_to_completion()
+        engine.run_to_completion()
+        assert len(starts) == 1
+        engine.stop()
+        engine.run_to_completion()
+        assert len(starts) == 2
 
 
 class TestCoroutineFailures:
