@@ -284,7 +284,8 @@ class Deployment:
             # (after a fork, a page the parent writes is copied too); a
             # build that raises fails as the shard's error report would.
             built: list = [None] * plan.shards
-            if ctx.get_start_method() == "fork":
+            fork = ctx.get_start_method() == "fork"
+            if fork:
                 for spec in specs:
                     try:
                         built[spec.shard] = build_shard(
@@ -295,10 +296,16 @@ class Deployment:
                             f"{traceback.format_exc()}") from error
             for spec in specs:
                 parent_conn, child_conn = ctx.Pipe()
+                # A forked shard inherits every end the parent holds and
+                # closes the foreign ones, or a dead peer never reads EOF.
+                own = socks[spec.shard].values()
+                foreign = [*conns, parent_conn, *(
+                    end for ends in pairs.values() for end in ends
+                    if end not in own)] if fork else []
                 process = ctx.Process(
                     target=shard_main,
                     args=(spec, child_conn, socks[spec.shard],
-                          built[spec.shard]),
+                          built[spec.shard], foreign),
                     name=f"repro-shard-{spec.shard}",
                 )
                 process.start()

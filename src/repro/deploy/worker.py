@@ -319,11 +319,14 @@ def build_shard(spec: ShardSpec, sockets: dict[int, Any]):
 
 
 def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any],
-               shard: tuple | None) -> None:
+               shard: tuple | None, foreign: list) -> None:
     """Process entry point for one shard (top level: spawn-picklable):
     ``shard`` is the :func:`build_shard` it inherited under fork; without
-    one (None), it builds itself over ``sockets``."""
+    one (None), it builds itself over ``sockets``.  A forked shard first
+    closes ``foreign``, the inherited ends that are not its own."""
     try:
+        for end in foreign:
+            end.close()
         muxes, built = shard or build_shard(spec, sockets)
         engine = built.engine
         io = ShardIO(list(muxes.values()), conn)

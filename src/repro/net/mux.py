@@ -62,13 +62,13 @@ from typing import Any
 from repro.core.events import EOS
 from repro.errors import MarshalError, RemoteError
 from repro.mbt.message import Message
-from repro.mbt.syscalls import Receive
 from repro.net.marshal import (
     STREAM_CHUNK_MAGIC,
     decode_batch_views,
     encode_batch,
 )
 from repro.net.protocols import DATA_KIND, EOS_KIND, FRAME_KIND, Transport
+from repro.runtime.section import awaiting
 
 #: Stream-frame kinds (second byte of the header chunk).
 MUX_DATA = 0
@@ -176,29 +176,28 @@ class MuxStream(Transport):
 
     def windowed(self, ctx: Any, walker):
         """``walker``'s own generator while credits remain or for EOS (it
-        costs no credit); on a spent window, first a credit wait naming this
-        stream's consumer (:mod:`repro.check.deadlock`), dispatching control
-        events, until a grant reopens the window (:meth:`_on_credit`)."""
+        costs no credit); on a spent window, first the thread's
+        :meth:`~repro.runtime.section.ThreadCtx.wait` for a credit, naming
+        this stream's consumer, until a grant reopens the window
+        (:meth:`_on_credit`)."""
         if self.window is None:
             return walker
         waiters, thread = self.waiters, ctx.thread_name
-        dispatch, stats = ctx.dispatch_event_message, self.stats
-
-        def match(message: Message) -> bool:
-            return message.kind == "credit" or message.kind == "event"
-
-        match.waiting_on = f"consumer of {self.flow} at {self.dst}"
-        match.__qualname__ = f"credit wait on {self.flow}"
+        wait_for, stats, receive = ctx.wait, self.stats, None
 
         def parked(arg):
             return walker(arg) if self.credits > 0 or arg is EOS else wait(arg)
 
         def wait(arg):
+            nonlocal receive
             while self.credits <= 0:
+                if receive is None:  # built at the first park
+                    receive = awaiting(
+                        "credit", f"consumer of {self.flow} at {self.dst}",
+                        f"credit wait on {self.flow}")
                 waiters.append(thread)
                 stats["stalled"] += 1
-                while (message := (yield Receive(match))).kind == "event":
-                    dispatch(message)
+                yield from wait_for(receive)
             return (yield from walker(arg))
 
         return parked
@@ -262,6 +261,8 @@ class StreamMux:
         #: Stream id -> its CREDIT record in the train being gathered.
         self._grants: dict[int, list] = {}
         self._pumping = False
+        #: Why a train with data could not leave: the next pump raises it.
+        self._lost: OSError | None = None
         self.stats = dict.fromkeys(
             ("frames_sent", "frames_received", "credits_sent",
              "credits_received", "unknown_stream_drops"), 0,
@@ -339,7 +340,13 @@ class StreamMux:
             out.append(encode_stream_header(kind, stream_id, arg))
             out += chunks
         self.stats["frames_sent"] += len(train)
-        self.transport.send_frame(encode_batch(out))
+        try:
+            self.transport.send_frame(encode_batch(out))
+        except (BrokenPipeError, ConnectionResetError) as lost:
+            # The peer is gone: a grant it can no longer draw on is moot;
+            # lost data fails the io loop's pump, not a thread that sent.
+            if any(record[0] != MUX_CREDIT for record in train):
+                self._lost = lost
 
     def send_link_eos(self) -> None:
         """Close the whole shared link: EOS to every peer stream."""
@@ -407,13 +414,16 @@ class StreamMux:
     def pump(self) -> int:
         """Deliver what the link holds; what that makes this mux emit (a
         delivery callback's grant or send) leaves as one train when the
-        pump returns or raises."""
+        pump returns or raises.  Raises once a train with data was lost
+        to a broken link."""
         pumping, self._pumping = self._pumping, True
         try:
             return self.inbound.pump()
         finally:
             self._pumping = pumping
             self.flush()
+            if self._lost is not None:
+                raise self._lost
 
     def wait(self, timeout: float) -> bool:
         return self.inbound.wait(timeout)

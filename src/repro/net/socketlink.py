@@ -227,6 +227,8 @@ class SocketLink(Transport):
             chunk = self._sock_in.recv(_RECV_CHUNK)
         except (BlockingIOError, InterruptedError):
             return False
+        except ConnectionResetError:  # it closed with our bytes unread
+            chunk = b""
         if not chunk:
             self.peer_closed = True
             return False

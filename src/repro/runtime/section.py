@@ -2,17 +2,14 @@
 
 All driver code here is written as generators over
 :mod:`repro.mbt.syscalls`, composed with ``yield from`` into the code
-functions of pump and coroutine threads.  Three kinds of suspension occur
-mid-chain, and each stays responsive to control events:
-
-* **buffer gates** — a push on a full BLOCK buffer, or a pull on an empty
-  BLOCK buffer, parks the thread until a wake message arrives;
-* **coroutine boundaries** — push/pull to a component running in another
-  thread becomes an asynchronous ``ip-push``/``ip-pull`` message plus a
-  wait for the reply ("the thread blocks waiting for either a control
-  message or the data reply message", section 4);
-* **simulated CPU work** — ``component.charge()`` is drained into ``Work``
-  syscalls, making stage costs preemptible.
+functions of pump and coroutine threads.  Mid-chain a thread suspends to
+yield ``Work`` (``component.charge()``: stage costs are preemptible), to
+``Send`` a wake or a coroutine request, or to block in one place,
+:meth:`ThreadCtx.wait` ("the thread blocks waiting for either a control
+message or the data reply message", section 4), on a :func:`labelled`
+``Receive`` its site builds once: ``gate put`` / ``gate get on <buffer>``
+(a full / empty BLOCK buffer), ``lock wait on <lock>``, ``crossing to
+<thread>`` (a coroutine) or ``credit wait on <stream>`` (a spent window).
 
 Chains are walked by **compiled walkers**: :func:`compile_pull` /
 :func:`compile_push` (and their ``*_many`` batch forms) resolve every
@@ -25,7 +22,7 @@ generator closures: the walkers are the flow semantics.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Union
 
 from repro.core.component import Component
@@ -60,17 +57,13 @@ class ThreadCtx:
 
     # -- receiving with event transparency ---------------------------------
 
-    def receive_data(self, kinds: set[str]):
-        """Wait for a message of one of ``kinds``, dispatching control
-        events that arrive in the meantime."""
-        while True:
-            message = yield Receive(
-                match=lambda m: m.kind in kinds or m.kind == "event"
-            )
-            if message.kind == "event":
-                self.dispatch_event_message(message)
-                continue
-            return message
+    def wait(self, receive: Receive):
+        """The first message ``receive`` matches that is not a control
+        event (its match accepts those too); each event that arrives
+        meanwhile is dispatched, so a blocked thread stays responsive."""
+        while (message := (yield receive)).kind == "event":
+            self.dispatch_event_message(message)
+        return message
 
     def dispatch_event_message(self, message: Message) -> None:
         event, name = message.payload
@@ -88,6 +81,18 @@ class ThreadCtx:
         gate = engine._gates.get(component)
         if gate is not None and event.kind == FLUSH:
             gate.external_wake_pushers()
+
+
+def labelled(match, waiting_on: str, label: str) -> Receive:
+    """``Receive(match)``, named as :mod:`repro.check.deadlock` reports it."""
+    match.waiting_on, match.__qualname__ = waiting_on, label
+    return Receive(match)
+
+
+def awaiting(kind: str, waiting_on: str, label: str) -> Receive:
+    """A :func:`labelled` wait for a ``kind`` message or a control event."""
+    return labelled(lambda m: m.kind == kind or m.kind == "event",
+                    waiting_on, label)
 
 
 # ---------------------------------------------------------------------------
@@ -122,73 +127,65 @@ class BufferGate:
         self._try_push_many = buffer.try_push_many
         self._try_pull_many = buffer.try_pull_many
 
+    @cached_property
+    def _waits(self) -> tuple[Receive, Receive]:  # a pusher's, a puller's
+        name = self.buffer.name
+        return (awaiting("buffer-space", f"space in {name}",
+                         f"gate put on {name}"),
+                awaiting("buffer-item", f"an item in {name}",
+                         f"gate get on {name}"))
+
     def put(self, ctx: ThreadCtx, item: Any, port: str = "in"):
-        while True:
-            status = self.buffer.try_push(item, port)
-            if status != FULL:
-                if self.lane is not None and item is not EOS:
-                    self.lane.put(ctx.hand, 1)
-                if self._pull_waiters or self.idle_pumps:
-                    yield from self._wake_pullers(ctx)
-                return
+        while self.buffer.try_push(item, port) == FULL:
             self._push_waiters.append(ctx.thread_name)
-            yield from ctx.receive_data({"buffer-space"})
+            yield from ctx.wait(self._waits[0])
+        if self.lane is not None and item is not EOS:
+            self.lane.put(ctx.hand, 1)
+        if self._pull_waiters or self.idle_pumps:
+            yield from self._wake_pullers(ctx)
 
     def get(self, ctx: ThreadCtx, port: str = "out"):
-        while True:
-            status, item = self.buffer.try_pull(port)
-            if status != EMPTY:
-                if (
-                    self.lane is not None
-                    and item is not EOS
-                    and item is not NIL
-                ):
-                    self.lane.get(ctx.hand, 1)
-                if self._push_waiters:
-                    yield from self._wake_pushers(ctx)
-                return item
+        while (pulled := self.buffer.try_pull(port))[0] == EMPTY:
             self._pull_waiters.append(ctx.thread_name)
-            yield from ctx.receive_data({"buffer-item"})
+            yield from ctx.wait(self._waits[1])
+        item = pulled[1]
+        if self.lane is not None and item is not EOS and item is not NIL:
+            self.lane.get(ctx.hand, 1)
+        if self._push_waiters:
+            yield from self._wake_pushers(ctx)
+        return item
 
     def put_many(self, ctx: ThreadCtx, items: list, port: str = "in"):
         """Deliver a run of data items; one puller wake per successful
         sub-run instead of one per item.  ``items`` must not contain EOS
         (EOS travels through the per-item path)."""
-        push_many = self._try_push_many
-        total = len(items)
-        start = 0
-        while True:
+        push_many, total, start = self._try_push_many, len(items), 0
+        while start < total:
             taken = push_many(items[start:] if start else items, port)
-            if taken:
-                if self.lane is not None:
-                    self.lane.put(ctx.hand, taken)
-                if self._pull_waiters or self.idle_pumps:
-                    yield from self._wake_pullers(ctx)
-                start += taken
-                if start >= total:
-                    return
+            if not taken:
+                self._push_waiters.append(ctx.thread_name)
+                yield from ctx.wait(self._waits[0])
                 continue
-            self._push_waiters.append(ctx.thread_name)
-            yield from ctx.receive_data({"buffer-space"})
+            if self.lane is not None:
+                self.lane.put(ctx.hand, taken)
+            if self._pull_waiters or self.idle_pumps:
+                yield from self._wake_pullers(ctx)
+            start += taken
 
     def get_many(self, ctx: ThreadCtx, n: int, port: str = "out"):
         """Obtain a run of up to ``n`` items; one pusher wake per run.
 
         Returns a list: data items, optionally ending in EOS.  An empty
         list means "no data now" under a NIL policy (the per-item NIL)."""
-        pull_many = self._try_pull_many
-        while True:
-            status, run = pull_many(n, port)
-            if status != EMPTY:
-                if self.lane is not None:
-                    count = _run_data_count(run)
-                    if count:
-                        self.lane.get(ctx.hand, count)
-                if self._push_waiters:
-                    yield from self._wake_pushers(ctx)
-                return run
+        while (pulled := self._try_pull_many(n, port))[0] == EMPTY:
             self._pull_waiters.append(ctx.thread_name)
-            yield from ctx.receive_data({"buffer-item"})
+            yield from ctx.wait(self._waits[1])
+        run = pulled[1]
+        if self.lane is not None and (count := _run_data_count(run)):
+            self.lane.get(ctx.hand, count)
+        if self._push_waiters:
+            yield from self._wake_pushers(ctx)
+        return run
 
     def _wake_pullers(self, ctx: ThreadCtx):
         if self._pull_waiters:
@@ -264,13 +261,18 @@ class SegmentLock:
         self.holder: str | None = None
         self._waiters: deque[str] = deque()
 
+    @cached_property
+    def _receive(self) -> Receive:  # built at the first contention
+        return awaiting("segment-free", f"holder of {self.name}",
+                        f"lock wait on {self.name}")
+
     def held_by(self, ctx: ThreadCtx) -> bool:
         return self.holder == ctx.thread_name
 
     def acquire(self, ctx: ThreadCtx):
         while self.holder is not None and self.holder != ctx.thread_name:
             self._waiters.append(ctx.thread_name)
-            yield from ctx.receive_data({"segment-free"})
+            yield from ctx.wait(self._receive)
         self.holder = ctx.thread_name
 
     def release(self, ctx: ThreadCtx):
@@ -434,9 +436,9 @@ def _compile_crossing(ctx: ThreadCtx, component, kind: str):
     ``ip-pull-batch`` / ``ip-push-batch`` (one run per crossing).  The
     walker sends its argument as the request payload — nothing for a
     per-item pull, the item or pure-data run for a push, the run limit
-    for a batch pull — waits for the reply while dispatching control
-    events that arrive in the meantime (the paper's mechanism for keeping
-    a blocked push/pull responsive), and returns the reply payload.
+    for a batch pull — waits for the reply in :meth:`ThreadCtx.wait`,
+    its match naming the coroutine's thread, and returns the reply
+    payload.
 
     While a collector is attached the thread's hand is told when the
     request departs and when the reply arrives, with the data items that
@@ -447,14 +449,18 @@ def _compile_crossing(ctx: ThreadCtx, component, kind: str):
     target = engine.thread_of(component)
     sender = ctx.thread_name
     thread = engine.scheduler.threads[sender]
-    dispatch_event = ctx.dispatch_event_message
+    wait = ctx.wait
     counter = engine._switch_counter()
     pushing = kind in ("ip-push", "ip-push-batch")
     data_count = (
         _run_data_count if kind.endswith("-batch") else _item_data_count
     )
+    rid = None  # the request in flight: a stale reply never matches
+    receive = labelled(lambda m: m.reply_to == rid or m.kind == "event",
+                       target, f"crossing to {target}")
 
     def crossing(payload=None):
+        nonlocal rid
         hand = ctx.hand
         if hand is not None:
             pushed = data_count(payload) if pushing else 0
@@ -468,23 +474,16 @@ def _compile_crossing(ctx: ThreadCtx, component, kind: str):
             constraint=message.constraint if message is not None else None,
             needs_reply=True,
         )
+        rid = request.msg_id
         counter[0] += 1
         yield Send(request)
-        rid = request.msg_id
-        while True:
-            reply = yield Receive(
-                match=lambda m, _rid=rid: m.reply_to == _rid
-                or m.kind == "event"
+        reply = yield from wait(receive)
+        if hand is not None:
+            hand.arrive(
+                target, start, pushed,
+                0 if pushing else data_count(reply.payload),
             )
-            if reply.kind == "event":
-                dispatch_event(reply)
-                continue
-            if hand is not None:
-                hand.arrive(
-                    target, start, pushed,
-                    0 if pushing else data_count(reply.payload),
-                )
-            return reply.payload
+        return reply.payload
 
     return crossing
 

@@ -4,7 +4,15 @@ blocking match predicates, not by hanging or timing out)."""
 
 import pytest
 
-from repro import Buffer, CollectSink, GreedyPump, IterSource, pipeline
+from repro import (
+    ActiveDefragmenter,
+    Buffer,
+    CollectSink,
+    GreedyPump,
+    IterSource,
+    MergeTee,
+    pipeline,
+)
 from repro.check import (
     assert_no_deadlock,
     describe_match,
@@ -12,12 +20,16 @@ from repro.check import (
     find_cycles,
     receive_from,
     run_watched,
+    waitfor_graph,
 )
+from repro.core.composition import Pipeline as CorePipeline
+from repro.core.events import Event
 from repro.errors import DeadlockError
 from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler
 from repro.mbt.syscalls import CONTINUE, Call, Receive, Yield
 from repro.runtime.engine import Engine
+from repro.runtime.section import ThreadCtx, _compile_crossing
 
 
 def crossed_calls_scheduler(trace_limit=None) -> Scheduler:
@@ -244,8 +256,136 @@ def test_a_pump_parked_on_credit_names_the_stream_it_waits_for():
     report = detect(fabric.scheduler)
     (wait,) = [w for w in report.blocked if w.thread.startswith("pump:tx/")]
     assert wait.waiting_on == "consumer of stream-7 at shard-b"
-    assert wait.match == "credit wait on stream-7"
+    assert wait.match == "credit wait on stream-7 [kind='credit']"
     assert "consumer of stream-7" in report.format()
     fabric.unpark("rx")
     fabric.run()
     assert sink.items == list(range(40))
+
+
+# -- every wait kind is named ----------------------------------------------
+#
+# A blocked thread waits in one of five places, each one
+# ``ThreadCtx.wait`` on a labelled Receive: a gate put, a gate get, a
+# segment lock, a coroutine crossing and a credited wire's spent window
+# (the credit case is the test above).  The report names each.
+
+
+def stalled(pipe, *pumps):
+    """Run ``pipe`` with only ``pumps`` started, to quiescence; returns
+    the engine and the report's blocked waits by thread."""
+    engine = Engine(pipe)
+    engine.setup()
+    for pump in pumps:
+        engine.events.send_to(pump, Event(kind="start", source="test"))
+    engine.run(max_steps=1_000)
+    report = detect(engine.scheduler)
+    assert report.is_hung
+    return engine, {info.thread: info for info in report.blocked}
+
+
+def gate_rig(started):
+    return stalled(pipeline(
+        IterSource(range(8)), GreedyPump(name="p1"), Buffer(2, name="buf"),
+        GreedyPump(name="p2"), CollectSink(),
+    ), started)
+
+
+def test_a_gate_put_names_the_buffer_it_waits_for_space_in():
+    _, waits = gate_rig("p1")
+    wait = waits["pump:p1"]
+    assert wait.waiting_on == "space in buf"
+    assert wait.match == "gate put on buf [kind='buffer-space']"
+
+
+def test_a_gate_get_names_the_buffer_it_waits_for_an_item_in():
+    _, waits = gate_rig("p2")
+    wait = waits["pump:p2"]
+    assert wait.waiting_on == "an item in buf"
+    assert wait.match == "gate get on buf [kind='buffer-item']"
+
+
+def test_a_lock_wait_names_the_lock():
+    """Two pumps share the chain below a merge; one holds the segment
+    lock, parked on the full buffer at its end, and the other waits for
+    the lock.  Once the consumer starts, both streams drain."""
+    a, b = IterSource(range(20)), IterSource(range(20))
+    pa, pb = GreedyPump(name="pa"), GreedyPump(name="pb")
+    merge, buf = MergeTee(2, name="merge"), Buffer(2, name="tail")
+    pump, sink = GreedyPump(name="p3"), CollectSink()
+    pipe = CorePipeline([a, pa, b, pb, merge, buf, pump, sink])
+    pipe.connect(a.out_port, pa.in_port)
+    pipe.connect(pa.out_port, merge.port("in0"))
+    pipe.connect(b.out_port, pb.in_port)
+    pipe.connect(pb.out_port, merge.port("in1"))
+    pipe.connect(merge.out_port, buf.in_port)
+    pipe.connect(buf.out_port, pump.in_port)
+    pipe.connect(pump.out_port, sink.in_port)
+    engine, waits = stalled(pipe, "pa", "pb")
+    assert engine.lock_for(merge).name == "segment:merge"
+    assert {(w.waiting_on, w.match) for w in waits.values()} == {
+        ("space in tail", "gate put on tail [kind='buffer-space']"),
+        ("holder of segment:merge",
+         "lock wait on segment:merge [kind='segment-free']"),
+    }
+    engine.events.send_to("p3", Event(kind="start", source="test"))
+    engine.run()
+    assert sorted(sink.items) == sorted([*range(20), *range(20)])
+
+
+def test_a_crossing_names_the_coroutine_thread_it_waits_on():
+    """The pump pulls across into the defragmenter's coroutine, which is
+    parked on the empty buffer: the pump's wait is a real wait-for edge,
+    and its match shows which request it waits to have answered."""
+    engine, waits = stalled(pipeline(
+        IterSource(range(8)), GreedyPump(name="p1"), Buffer(2, name="buf"),
+        ActiveDefragmenter(name="defrag"), GreedyPump(name="p2"),
+        CollectSink(),
+    ), "p2")
+    request = engine.scheduler.threads["coro:defrag"]._current_message
+    wait = waits["pump:p2"]
+    assert wait.waiting_on == "coro:defrag"
+    assert wait.match == f"crossing to coro:defrag [rid={request.msg_id}]"
+    assert waits["coro:defrag"].waiting_on == "an item in buf"
+    assert waitfor_graph(engine.scheduler) == {
+        "pump:p2": {"coro:defrag"}, "coro:defrag": {"an item in buf"},
+    }
+
+
+class CrossingEngine:
+    """What a compiled crossing asks of its engine; a component is named
+    by the thread that runs it."""
+
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
+
+    def thread_of(self, component):
+        return component
+
+    def _switch_counter(self):
+        return [0]
+
+
+def test_two_coroutines_crossing_into_each_other_are_a_cycle():
+    scheduler = Scheduler()
+    engine = CrossingEngine(scheduler)
+
+    def crosser(name, peer):
+        def code(thread, message):
+            crossing = _compile_crossing(
+                ThreadCtx(engine, name), peer, "ip-pull")
+            yield from crossing()
+            return CONTINUE
+
+        scheduler.spawn(name, code)
+        scheduler.post(Message(kind="go", sender="main", target=name))
+
+    crosser("coro:a", "coro:b")
+    crosser("coro:b", "coro:a")
+    scheduler.run()
+    report = detect(scheduler)
+    assert find_cycles(report.edges) == [["coro:a", "coro:b"]]
+    assert "wait-for cycle: coro:a -> coro:b -> coro:a" in report.format()
+    for info in report.blocked:
+        assert info.match.startswith(f"crossing to {info.waiting_on} [rid=")
+        assert [kind for kind, _ in info.queued] == ["ip-pull"]

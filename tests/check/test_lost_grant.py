@@ -11,12 +11,18 @@ on the seam's stream.
 
 Its mutant twin: a credit wait that declares no ``waiting_on`` leaves
 the stall anonymous, and the naming assertion fails.
+
+A parked pump still answers control events: a STOP sent while it waits
+on the spent window is handled by its component.  The mutant twin is a
+:meth:`~repro.runtime.section.ThreadCtx.wait` that does not dispatch
+events (it fails ``tests/runtime/test_events_runtime.py`` too).
 """
 
 import pytest
 
 from repro import CollectSink, GreedyPump, IterSource, pipeline
 from repro.check.deadlock import blocked_waits
+from repro.core.events import STOP, Event
 from repro.deploy import Deployment, Placement
 from repro.deploy import deployment as deploy_module
 from repro.deploy.worker import SEAM_WINDOW
@@ -30,6 +36,9 @@ from repro.net.marshal import (
 )
 from repro.net.mux import MUX_CREDIT, StreamMux, decode_stream_header
 from repro.net.netpipe import make_netpipe_over
+from repro.runtime import section
+from repro.runtime.section import ThreadCtx
+from tests.runtime.test_events_runtime import deaf_wait
 
 WINDOW = 8
 ITEMS = 40
@@ -71,19 +80,20 @@ class DropsEveryGrant(InProcessLink):
         super().send_frame(payload, items)
 
 
-def check_lost_grant() -> None:
+def check_lost_grant(stop: bool = False) -> None:
     forward = InProcessLink("shard-a", "shard-b", "fwd")
     reverse = DropsFirstGrant("shard-b", "shard-a", "back")
     tx = StreamMux(forward, inbound=reverse)
     rx = StreamMux(reverse, inbound=forward)
     t_stream = tx.open_stream(3, credits=WINDOW)
     r_stream = rx.open_stream(3, credits=WINDOW)
-    sink = CollectSink()
+    sink, pump = CollectSink(), []
 
     def build_tx():
         sender, _ = make_netpipe_over(t_stream)
+        pump.append(GreedyPump())
         return pipeline(
-            IterSource(range(ITEMS)), MarshalFilter(), GreedyPump(), sender
+            IterSource(range(ITEMS)), MarshalFilter(), pump[0], sender
         )
 
     def build_rx():
@@ -91,7 +101,7 @@ def check_lost_grant() -> None:
         return pipeline(receiver, UnmarshalFilter(), GreedyPump(), sink)
 
     tx_fabric, rx_fabric = SessionFabric(), SessionFabric()
-    tx_fabric.open_session(build_tx, name="tx")
+    tx_session = tx_fabric.open_session(build_tx, name="tx")
     rx_fabric.open_session(build_rx, name="rx")
     for _ in range(3):
         tx_fabric.run(max_steps=tx_fabric.scheduler.steps + MAX_STEPS)
@@ -110,6 +120,15 @@ def check_lost_grant() -> None:
         if info.thread == t_stream.waiters[0]
     ]
     assert wait.waiting_on == "consumer of stream-3 at shard-b", wait
+    if not stop:
+        return
+    # A STOP to the parked pump reaches its component, and the pump
+    # stays parked on the window.
+    tx_session.engine.events.send_to(
+        pump[0].name, Event(kind=STOP, source="test"))
+    tx_fabric.run(max_steps=tx_fabric.scheduler.steps + MAX_STEPS)
+    assert pump[0].running is False
+    assert t_stream.waiters == [wait.thread]
 
 
 SEAM_ITEMS = 20_000
@@ -151,10 +170,22 @@ def test_a_lost_grant_under_simulate_is_a_named_stall(monkeypatch):
     check_lost_grant_under_simulate(monkeypatch)
 
 
+def test_a_pump_parked_on_a_spent_window_handles_a_stop():
+    check_lost_grant(stop=True)
+
+
+def test_a_wait_that_does_not_dispatch_events_fails(monkeypatch):
+    """Mutant twin: the STOP reaches the parked pump's thread, which
+    drops it."""
+    monkeypatch.setattr(ThreadCtx, "wait", deaf_wait)
+    with pytest.raises(AssertionError):
+        check_lost_grant(stop=True)
+
+
 def anonymous_credit_waits(monkeypatch):
-    """Mutant twin: the credit wait's predicate declares nothing."""
+    """Mutant twin: the labelled waits' predicates declare nothing."""
     monkeypatch.setattr(
-        mux, "Receive", lambda match: Receive(match=lambda m: match(m))
+        section, "Receive", lambda match: Receive(match=lambda m: match(m))
     )
     return pytest.raises(AssertionError, match="waiting_on=None")
 

@@ -22,6 +22,7 @@ import time
 
 from multiprocessing import resource_tracker
 from multiprocessing.connection import Connection
+from pathlib import Path
 
 import pytest
 
@@ -38,23 +39,26 @@ KILL_AFTER = 5_000
 
 class KillAfter:
     """An item function that sends its own process ``SIGKILL`` when the
-    ``after``-th item passes."""
+    ``after``-th item passes, first writing the instant
+    (``time.monotonic()``, one clock for every process) to ``noted``."""
 
-    def __init__(self, after):
+    def __init__(self, after, noted):
         self.after = after
+        self.noted = noted
         self.seen = 0
 
     def __call__(self, item):
         self.seen += 1
         if self.seen == self.after:
+            Path(self.noted).write_text(repr(time.monotonic()))
             os.kill(os.getpid(), signal.SIGKILL)
         return item
 
 
-def seam(side):
+def seam(side, noted):
     """``source >> pump >> buffer >> pump >> sink`` with the killer on
     ``side`` ("upstream" or "downstream") of the buffer the planner cuts."""
-    kill = MapFilter(KillAfter(KILL_AFTER), name="kill")
+    kill = MapFilter(KillAfter(KILL_AFTER, noted), name="kill")
     return pipeline(
         IterSource(range(ITEMS), name="src"),
         *([kill] if side == "upstream" else []),
@@ -70,18 +74,25 @@ def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
+def named_within(noted) -> float:
+    """Seconds from the kill noted in ``noted`` until now."""
+    return time.monotonic() - float(Path(noted).read_text())
+
+
 @pytest.mark.parametrize("side", ["upstream", "downstream"])
-def test_a_killed_shard_is_named_and_nothing_leaks(side):
-    app = Pipeline.of(functools.partial(seam, side)).with_batching(32)
-    deployment = Deployment(app, Placement.auto(2))
+def test_a_killed_shard_is_named_and_nothing_leaks(side, tmp_path):
+    noted = tmp_path / "killed"
+    app = Pipeline.of(functools.partial(seam, side, str(noted)))
+    deployment = Deployment(app.with_batching(32), Placement.auto(2))
     (cut,) = deployment.plan().cuts
     shard = cut.src_shard if side == "upstream" else cut.dst_shard
     gc.collect()
     baseline = open_fds()
-    started = time.monotonic()
     with pytest.raises(DeployError) as failure:
         deployment.run(timeout=30)
-    assert time.monotonic() - started < 30
+    # Its peer reads EOF on their link at once: it holds no other end of
+    # it (test_shard_descriptors.py), so no 10 s join deadline is met.
+    assert named_within(noted) < 2
     assert str(failure.value).startswith(
         f"shard {shard} was killed by SIGKILL"
     )
@@ -189,7 +200,9 @@ def test_a_shard_killed_after_done_still_returns_the_result(monkeypatch):
     assert open_fds() == baseline
 
 
-def test_the_mutant_that_forgets_the_signal_names_no_one(monkeypatch):
+def test_the_mutant_that_forgets_the_signal_names_no_one(
+    monkeypatch, tmp_path
+):
     """The mutant twin: with the exit codes unread, the parent reports
     only what it saw first, which need not be the killed shard."""
     from repro.deploy import deployment as module
@@ -201,7 +214,9 @@ def test_the_mutant_that_forgets_the_signal_names_no_one(monkeypatch):
         return ""
 
     monkeypatch.setattr(module, "_stop_shards", forgetful)
-    app = Pipeline.of(functools.partial(seam, "upstream")).with_batching(32)
+    noted = tmp_path / "killed"
+    app = Pipeline.of(functools.partial(seam, "upstream", str(noted)))
     with pytest.raises(DeployError) as failure:
-        Deployment(app, Placement.auto(2)).run(timeout=30)
+        Deployment(app.with_batching(32), Placement.auto(2)).run(timeout=30)
+    assert named_within(noted) < 2
     assert "killed by SIGKILL" not in str(failure.value)

@@ -46,7 +46,7 @@ def run_shards(*specs_and_sockets) -> list[list]:
         parent, child = multiprocessing.Pipe()
         thread = threading.Thread(
             target=shard_main,
-            args=(spec, child, {1 - spec.shard: sock}, None),
+            args=(spec, child, {1 - spec.shard: sock}, None, []),
             daemon=True,
         )
         thread.start()
@@ -133,7 +133,7 @@ class TestControlPipe:
         a, b = socket.socketpair()  # ``a`` never sends: shard 1 starves
         parent, child = multiprocessing.Pipe()
         thread = threading.Thread(
-            target=shard_main, args=(shard_spec(1), child, {0: b}, None),
+            target=shard_main, args=(shard_spec(1), child, {0: b}, None, []),
             daemon=True,
         )
         thread.start()

@@ -232,6 +232,23 @@ class TestFlowControl:
         tx.pump()
         assert sender.credits == 4
 
+    def test_a_vanished_peer_takes_only_grants_along(self):
+        """Once the sender's process is gone, the grants its stream's
+        draining still owes are moot and are dropped; data it would never
+        receive fails the next pump (the io loop), not the sender."""
+        tx, rx, sender, receiver = self.pair_with_credits(4)
+        state = collect(receiver)
+        sender.send(b"x")
+        tx.transport.close()  # its end, as the sender's process exits
+        rx.pump()
+        assert state["messages"] == [b"x"]
+        receiver.note_drained(2)  # a grant into the closed link
+        assert rx.stats["credits_sent"] == 1
+        rx.pump()
+        rx.open_stream(2).send(b"y")
+        with pytest.raises(BrokenPipeError):
+            rx.pump()
+
     def test_frame_cost_is_chunk_count(self):
         tx, rx, sender, receiver = self.pair_with_credits(5)
         collect(receiver)

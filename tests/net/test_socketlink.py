@@ -101,6 +101,20 @@ class TestSocketLinkPair:
         assert state["eos"] == 1
         assert b.peer_closed
 
+    def test_a_reset_after_what_the_peer_sent_is_a_close(self):
+        """A peer that closes with bytes of ours unread resets the link;
+        what it sent before is still read, then the reset is its close
+        (a truncated message still raises, as above)."""
+        a, b = SocketLink.pair()
+        state = collect(b)
+        b.send(b"unread by a")
+        a.send(b"payload")
+        a.send_eos()
+        a.close()
+        b.pump()
+        assert state["messages"] == [b"payload"] and state["eos"] == 1
+        assert b.peer_closed
+
     def test_wait_times_out_then_sees_data(self):
         a, b = SocketLink.pair()
         collect(b)

@@ -35,7 +35,7 @@ from repro.net import InProcessLink, marshal
 from repro.net.marshal import MAX_NESTING, decode_item, encode_item
 from repro.net.mux import MuxStream, StreamMux
 from repro.runtime.engine import Engine
-from repro.runtime.section import BufferGate
+from repro.runtime.section import BufferGate, ThreadCtx
 from tests.integration import test_flow_fig1
 
 # -- marshal ---------------------------------------------------------------
@@ -123,9 +123,10 @@ def test_a_scalar_test_keyed_on_isinstance_fails(monkeypatch):
 
 
 class Ctx:
-    """The two things a credit wait asks of its thread."""
+    """What a credit wait asks of its thread: its name and its wait."""
 
     thread_name = "pump:tx"
+    wait = ThreadCtx.wait
 
     def __init__(self):
         self.events = []
@@ -245,7 +246,7 @@ def get_without_pusher_wake(self, ctx, port="out"):
         if status != EMPTY:
             return item
         self._pull_waiters.append(ctx.thread_name)
-        yield from ctx.receive_data({"buffer-item"})
+        yield from ctx.wait(self._waits[1])
 
 
 def test_a_get_that_skips_a_waiting_pusher_fails(monkeypatch):

@@ -9,6 +9,8 @@ processing is done.  Note, however, that control events can be delivered,
 while threads are blocked in a push or pull."
 """
 
+import pytest
+
 from repro import (
     Buffer,
     ClockedPump,
@@ -24,6 +26,15 @@ from repro import (
     MapFilter,
     pipeline,
 )
+from repro.runtime.section import ThreadCtx
+
+
+def deaf_wait(self, receive):
+    """Mutant twin of :meth:`ThreadCtx.wait`: a control event that
+    arrives while the thread is blocked is received and dropped."""
+    while (message := (yield receive)).kind == "event":
+        pass
+    return message
 
 
 class TestDeliveryWhileBlocked:
@@ -57,6 +68,15 @@ class TestDeliveryWhileBlocked:
         engine.events.send_to(gate.name, Event(kind="gate-close", source="t"))
         engine.run(max_steps=100)
         assert gate.open is False
+
+    def test_a_wait_that_does_not_dispatch_events_fails(self, monkeypatch):
+        monkeypatch.setattr(ThreadCtx, "wait", deaf_wait)
+        for blocked_in in (
+            self.test_event_reaches_component_while_pump_blocked_in_pull,
+            self.test_event_reaches_component_while_pump_blocked_in_push,
+        ):
+            with pytest.raises(AssertionError):
+                blocked_in()
 
 
 class TestSynchronizedObjects:
