@@ -4,8 +4,8 @@ The claim: cutting a program at its ``Buffer`` seams and bridging the
 cuts with netpipe wire frames is a *refinement*, not a rewrite.  This
 script certifies the claim for the two headline deployments with the
 mechanized checker (docs/CHECKING.md §refinement); the concrete side is
-``Deployment.simulate()``, every shard built as its process builds it,
-each cut a credited stream of an in-process mux pair:
+``Deployment.simulate()``, one build split into every shard as a deploy
+splits it, each cut a credited stream of an in-process mux pair:
 
 * the paper's Figure 1 video pipeline split across 2 shards at the
   ``net-buffer`` seam (drop filter and decoder on different cores),

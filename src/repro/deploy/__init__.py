@@ -26,7 +26,7 @@ from repro.deploy.placement import (
     ShardPlan,
     plan_placement,
 )
-from repro.deploy.worker import ShardSpec, apply_cuts, build_program
+from repro.deploy.worker import ShardSpec, build_program, split
 from repro.errors import DeployError
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "Placement",
     "ShardPlan",
     "ShardSpec",
-    "apply_cuts",
     "build_program",
     "plan_placement",
+    "split",
 ]

@@ -12,16 +12,17 @@ pipeline, checkable with :meth:`certify`.
 
 Execution modes:
 
-* ``shards == 1`` — ``repro.api.Pipeline.build()`` run in-process,
-  bit-for-bit the scheduler trace of ``repro.api.Pipeline.run`` (the
-  golden traces pin this).
-* ``shards > 1`` — one OS process per shard and one
-  ``socket.socketpair()`` (or TCP pair) per shard pair that a cut joins;
-  each cut edge is a credited stream of the pair's
-  :class:`~repro.net.mux.StreamMux`, carrying coalesced netpipe frames.
-* :meth:`simulate` — every shard built as its process builds it, all in
-  ONE engine, each shard pair joined by a mux pair over in-process
-  links: deterministic, and what :meth:`certify` explores.
+* ``shards == 1`` — ``repro.api.Pipeline.build()`` over the one build,
+  run in-process, bit-for-bit the scheduler trace of
+  ``repro.api.Pipeline.run`` (the golden traces pin this).
+* ``shards > 1`` — one OS process per shard, each running its slice of
+  one build, and one ``socket.socketpair()`` (or TCP pair) per shard
+  pair that a cut joins; each cut edge is a credited stream of the
+  pair's :class:`~repro.net.mux.StreamMux`, carrying coalesced frames.
+* :meth:`simulate` — every shard split out of one build as a deploy
+  splits it, all in ONE engine, each shard pair joined by a mux pair
+  over in-process links: deterministic, and what :meth:`certify`
+  explores.
 """
 
 from __future__ import annotations
@@ -35,15 +36,16 @@ from typing import Any
 
 from repro import api
 from repro.core.composition import Pipeline
-from repro.errors import DeployError
+from repro.errors import DeployError, InfopipeError
 from repro.deploy.placement import Placement, ShardPlan, plan_placement
 from repro.deploy.worker import (
     ShardSpec,
     build_program,
-    build_shard,
-    build_shard_pipeline,
     done_payload,
+    realise,
     shard_main,
+    split,
+    split_shards,
 )
 from repro.net.mux import StreamMux
 from repro.net.socketlink import InProcessLink, tcp_socketpair
@@ -180,8 +182,8 @@ class Deployment:
         A :class:`repro.api.Pipeline` run spec, or a bare program (source
         string, picklable zero-arg callable returning a composed
         :class:`Pipeline`, or a live Pipeline) run with default options.
-        A live Pipeline is accepted for single-shard use only: a shard,
-        simulated or not, rebuilds the program.
+        A live Pipeline is accepted for single-shard use only: a shard
+        process builds the program, and a split cuts up its build.
     placement:
         A :class:`Placement`; default ``Placement.auto(shards)``.
     shards:
@@ -217,38 +219,40 @@ class Deployment:
 
     # ------------------------------------------------------------ planning
 
-    def plan(self) -> ShardPlan:
-        """Plan the placement against a freshly built pipeline."""
-        return plan_placement(
-            build_program(self.app.program), self.placement
-        )
+    def _build(self) -> Pipeline:
+        """One build of the program; a builder's own error is a DeployError."""
+        try:
+            return build_program(self.app.program)
+        except InfopipeError:
+            raise
+        except Exception as error:
+            raise DeployError(
+                f"the program's build failed: {error!r}") from error
+
+    def plan(self, pipeline: Pipeline | None = None) -> ShardPlan:
+        """Plan the placement on ``pipeline`` (default: a fresh build)."""
+        if pipeline is None:
+            pipeline = self._build()
+        return plan_placement(pipeline, self.placement)
 
     def describe(self) -> str:
         return self.plan().describe()
 
-    def _spec(self, plan: ShardPlan, shard: int) -> ShardSpec:
-        return ShardSpec(
-            shard=shard, app=self.app, assignment=dict(plan.assignment),
-            cuts=plan.cuts,
-        )
-
     # ------------------------------------------------------------ running
 
     def run(self, timeout: float | None = None) -> DeploymentResult:
-        """Execute the deployment and wait for every shard to finish."""
-        plan = self.plan()
-        if plan.shards == 1:
-            return self._run_local(plan)
-        # Spawn pickles the spec and a live Pipeline is refused there;
-        # fork would not ask, so ask for it.
-        self.app.__getstate__()
-        return self._run_sharded(plan, timeout)
-
-    def _run_local(self, plan: ShardPlan) -> DeploymentResult:
+        """Build once, plan on that build, and run it to its end."""
+        if self.placement.shards > 1:
+            # Spawn pickles the spec and a live Pipeline is refused there;
+            # fork would not ask, so ask for it.
+            self.app.__getstate__()
+            return self._run_sharded(timeout)
         # The single-shard path is a plain in-process run — same
         # scheduler, same instruction stream, bit-for-bit the golden
         # traces.
-        built = self.app.build()
+        pipeline = self._build()
+        plan = self.plan(pipeline)
+        built = self.app.build(pipeline)
         started = time.perf_counter()
         built.run()
         wall = time.perf_counter() - started
@@ -259,60 +263,58 @@ class Deployment:
             engine=built.engine,
         )
 
-    def _run_sharded(
-        self, plan: ShardPlan, timeout: float | None
-    ) -> DeploymentResult:
+    def _run_sharded(self, timeout: float | None) -> DeploymentResult:
         import multiprocessing as mp
 
         ctx = mp.get_context(self.start_method)
+        pipeline = self._build()
+        plan = self.plan(pipeline)
         pairs = {
             pair: _socketpair_for(self.transport) for pair in _pairs(plan)
         }
         processes: list = []
         conns: dict[Any, int] = {}
         try:
-            socks = [  # peer shard -> a shard's end of their pair
-                {
-                    high if low == shard else low: ends[low != shard]
-                    for (low, high), ends in pairs.items()
-                    if shard in (low, high)
-                }
-                for shard in range(plan.shards)
-            ]
-            specs = [self._spec(plan, shard) for shard in range(plan.shards)]
-            # Under fork every shard is built here before any is forked
-            # (after a fork, a page the parent writes is copied too); a
-            # build that raises fails as the shard's error report would.
-            built: list = [None] * plan.shards
+            # shard -> {peer shard: its end of their pair}
+            socks = {shard: {} for shard in range(plan.shards)}
+            for (low, high), (low_end, high_end) in pairs.items():
+                socks[low][high], socks[high][low] = low_end, high_end
+            # Under fork every shard is split out and set up here, before
+            # any is forked (after a fork, a page the parent writes is
+            # copied too); a failure reads as that shard's error report
+            # would, and a failed split as shard 0's.
+            built: dict[int, tuple] = {}
             fork = ctx.get_start_method() == "fork"
             if fork:
-                for spec in specs:
-                    try:
-                        built[spec.shard] = build_shard(
-                            spec, socks[spec.shard])
-                    except Exception as error:
-                        raise DeployError(
-                            f"shard {spec.shard} failed:\n"
-                            f"{traceback.format_exc()}") from error
-            for spec in specs:
+                shard = 0
+                try:
+                    for shard, (muxes, pipe) in split_shards(
+                            pipeline, plan, socks).items():
+                        built[shard] = muxes, realise(self.app, pipe)
+                except Exception as error:
+                    raise DeployError(
+                        f"shard {shard} failed:\n"
+                        f"{traceback.format_exc()}") from error
+                del muxes, pipe
+            del pipeline  # each shard's engine leaves with its fork
+            for shard in range(plan.shards):
                 parent_conn, child_conn = ctx.Pipe()
                 # A forked shard inherits every end the parent holds and
                 # closes the foreign ones, or a dead peer never reads EOF.
-                own = socks[spec.shard].values()
+                own = socks[shard].values()
                 foreign = [*conns, parent_conn, *(
                     end for ends in pairs.values() for end in ends
                     if end not in own)] if fork else []
                 process = ctx.Process(
                     target=shard_main,
-                    args=(spec, child_conn, socks[spec.shard],
-                          built[spec.shard], foreign),
-                    name=f"repro-shard-{spec.shard}",
+                    args=(ShardSpec(shard, self.app, plan), child_conn,
+                          socks[shard], built.pop(shard, None), foreign),
+                    name=f"repro-shard-{shard}",
                 )
                 process.start()
-                built[spec.shard] = None  # the shard runs it now
                 child_conn.close()
                 processes.append(process)
-                conns[parent_conn] = spec.shard
+                conns[parent_conn] = shard
             # The children hold their own descriptors now (inherited on
             # fork, dup'd through pickling on spawn).
             _close_pairs(pairs)
@@ -392,21 +394,17 @@ class Deployment:
     def simulate(self):
         """The sharded topology inside ONE engine.
 
-        Every shard is built as its process builds it
-        (:func:`~repro.deploy.worker.build_shard_pipeline`), and each shard
-        pair is joined by two :class:`StreamMux` es over a pair of
-        :class:`InProcessLink` s, so each cut is the credited stream a
-        deployment ships, trains and grants included.  The links deliver
-        synchronously, so the whole multi-shard dataflow runs under one
-        deterministic scheduler: the *concrete* side of :meth:`certify`.
-        """
-        return self._simulate(self.plan())
-
-    def _simulate(self, plan: ShardPlan):
-        self.app.__getstate__()  # a shard rebuilds the program
+        One build is split into every shard as a deploy splits it
+        (:func:`~repro.deploy.worker.split`), each shard pair joined by two
+        :class:`StreamMux` es over :class:`InProcessLink` s: each cut is
+        the credited stream a deployment ships, trains and grants included,
+        and the whole dataflow runs under one deterministic scheduler, the
+        *concrete* side of :meth:`certify`."""
+        self.app.__getstate__()  # a live Pipeline: the split would consume it
+        pipeline = self._build()
+        plan = self.plan(pipeline)
         muxes: dict[int, dict[int, StreamMux]] = {
-            shard: {} for shard in range(plan.shards)
-        }
+            shard: {} for shard in range(plan.shards)}
         for low, high in _pairs(plan):
             forward = InProcessLink(
                 f"shard-{low}", f"shard-{high}", f"shards-{low}-{high}")
@@ -416,10 +414,8 @@ class Deployment:
             muxes[high][low] = StreamMux(back, inbound=forward)
         union = Pipeline([
             component
-            for shard in range(plan.shards)
-            for component in build_shard_pipeline(
-                self._spec(plan, shard), muxes[shard]
-            ).components
+            for shard_pipe in split(pipeline, plan, muxes).values()
+            for component in shard_pipe.components
         ])
         union.derive_typespecs()
         return self.app.build(union).engine
@@ -435,15 +431,14 @@ class Deployment:
         """
         from repro.check.refine import PipelineUnderTest, check_refinement
 
-        plan = self.plan()
         abstract = PipelineUnderTest(
             build=self.app.builder(),
             drive=drive,
             name="single-core",
         )
         concrete = PipelineUnderTest(
-            build=lambda: self._simulate(plan), drive=drive,
-            name=f"{plan.shards}-shard",
+            build=self.simulate, drive=drive,
+            name=f"{self.placement.shards}-shard",
         )
         return check_refinement(
             abstract, concrete, seeds=seeds, **check_kwargs

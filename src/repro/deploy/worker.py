@@ -1,19 +1,14 @@
-"""Shard workers: build, cut, bridge and run one shard's engine.
+"""Shard workers: split one build, bridge and run each shard's engine.
 
 Each shard is one OS process running one :class:`~repro.runtime.engine
-.Engine`.  Its build (:func:`build_shard`) rebuilds the *whole* pipeline
-from the run spec's program, applies the plan's cuts, keeps only the
-shard's connected subgraph, bridges each cut edge with a credited stream
-(:data:`SEAM_WINDOW`) of the :class:`~repro.net.mux.StreamMux` it keeps
-per peer shard, over the shard's socket end, and realises the spec over
-that subgraph (:meth:`repro.api.Pipeline.build`), so every execution
-option means in a shard what it means in-process.  Under ``fork`` the
-deploying process builds every shard before it forks any (a builder
-callable runs there) and each shard runs the engine it inherits; under
-``spawn`` / ``forkserver`` each shard process builds itself, from a
-program that crossed as a source string or a picklable builder.
-``Deployment.simulate()`` runs the same :func:`build_shard_pipeline`
-for every shard over in-process muxes.
+.Engine`.  :func:`split` cuts one build of the program into every
+shard's connected subgraph, each cut edge a credited stream
+(:data:`SEAM_WINDOW`) of the :class:`~repro.net.mux.StreamMux` a shard
+keeps per peer, and the run spec realises each (:func:`realise`), so an
+execution option means in a shard what it means in-process.  Under
+``fork`` the deploying process splits the build it planned and sets up
+every shard before it forks any; under ``spawn`` / ``forkserver`` each
+shard process builds once and keeps its own slice.
 
 Lifecycle (the cross-process start/EOS/shutdown barrier):
 
@@ -31,6 +26,7 @@ Lifecycle (the cross-process start/EOS/shutdown barrier):
 
 from __future__ import annotations
 
+import copy
 import pickle
 import select
 import time
@@ -45,10 +41,12 @@ from repro.core.component import Component
 from repro.core.composition import Pipeline, connect, derive_typespecs
 from repro.core.typespec import Typespec, props
 from repro.errors import DeployError
-from repro.deploy.placement import Cut
+from repro.deploy.placement import Cut, ShardPlan
 from repro.net.marshal import MarshalFilter, UnmarshalFilter
 from repro.net.mux import StreamMux
 from repro.net.netpipe import NetpipeReceiver, NetpipeSender
+from repro.net.network import Network
+from repro.net.protocols import Protocol
 from repro.net.socketlink import SocketLink
 
 
@@ -60,8 +58,7 @@ class ShardSpec:
     #: The run spec: the program (source string or picklable builder
     #: callable) and every execution option, exactly as stated once.
     app: api.Pipeline
-    assignment: dict[str, int]
-    cuts: tuple[Cut, ...] = ()
+    plan: ShardPlan
 
 
 # ---------------------------------------------------------------------------
@@ -76,24 +73,48 @@ def _disconnect(port) -> None:
         peer.peer = None
 
 
-def apply_cuts(
-    pipeline: Pipeline,
-    cuts: tuple[Cut, ...],
-    shard: int,
-    transport_for,
-) -> list[Component]:
-    """Realize every cut in place; returns the new bridge components:
-    ``shard``'s own halves of its cuts, over ``transport_for(cut)``."""
+#: A seam's credit window, in items: what a cut's sender may have sent
+#: that its receiver's consumer has not drained.  A grant leaves when the
+#: receiving scheduler idles, so a small window runs stop-and-wait:
+#: ``python3 -m bench --workload deploy-seam-2shard --seconds 6`` (2-vCPU
+#: container, medians of 3) read 1 024 -> 756k items/s, 2 048 -> 867k,
+#: 4 096 -> 1 390k, 8 192 -> 1 453k; docs/DEPLOY.md has the table.
+SEAM_WINDOW = 8192
+
+
+def _stream(muxes, cut: Cut, shard: int, peer: int):
+    """Stream ``cut.index`` of ``shard``'s mux toward ``peer``, if any."""
+    if shard not in muxes:
+        return None
+    stream = muxes[shard][peer].open_stream(cut.index, credits=SEAM_WINDOW)
+    # The netpipe halves stamp these as their locations.
+    stream.src = f"shard-{cut.src_shard}"
+    stream.dst = f"shard-{cut.dst_shard}"
+    return stream
+
+
+def apply_cuts(pipeline: Pipeline, cuts: tuple[Cut, ...],
+               muxes) -> list[Component]:
+    """Realize every cut in place; returns the new bridge components.  A
+    cut's half is built for a shard in ``muxes`` (``{shard: {peer:
+    StreamMux}}``), over stream ``cut.index`` of its mux toward the peer;
+    a half whose shard is absent is not built."""
     bridges: list[Component] = []
     # The wire flow is plain bytes; the receiver must advertise the
     # item-level spec it carries (same scheme as repro.net.remote), or the
     # unmarshaller's downstream would see an untyped 'item' flow.
     flow_specs = derive_typespecs(pipeline.components)
     for cut in cuts:
-        build_send, build_recv = cut.src_shard == shard, cut.dst_shard == shard
-        link = transport_for(cut) if build_send or build_recv else None
+        send = _stream(muxes, cut, cut.src_shard, cut.dst_shard)
+        recv = _stream(muxes, cut, cut.dst_shard, cut.src_shard)
         if cut.kind == "netpipe":
-            _rehome_netpipe(pipeline, cut, link, build_send, build_recv)
+            # Swap the pair's simulated protocol for the real link.
+            if send is not None:
+                sender = pipeline.component(cut.upstream)
+                sender.protocol = send
+                sender.location = send.src
+            if recv is not None:
+                pipeline.component(cut.downstream).bind(recv)
             continue
         buffer = pipeline.component(cut.via)
         upstream_out = buffer.in_port.peer
@@ -103,15 +124,15 @@ def apply_cuts(
         )
         _disconnect(buffer.in_port)
         _disconnect(buffer.out_port)
-        if build_send:
+        if send is not None:
             marshal = MarshalFilter(name=f"{cut.via}-wire-marshal")
-            sender = NetpipeSender(link, name=f"{cut.via}-wire-send")
+            sender = NetpipeSender(send, name=f"{cut.via}-wire-send")
             connect(upstream_out, marshal.in_port, check_typespecs=False)
             connect(marshal.out_port, sender.in_port, check_typespecs=False)
             bridges += [marshal, sender]
-        if build_recv:
+        if recv is not None:
             receiver = NetpipeReceiver(
-                link,
+                recv,
                 name=f"{cut.via}-wire-recv",
                 on_empty=OnEmpty(cut.on_empty),
                 flow_spec=Typespec(
@@ -127,38 +148,21 @@ def apply_cuts(
     return bridges
 
 
-def _rehome_netpipe(pipeline, cut, link, build_send, build_recv) -> None:
-    """Swap an existing netpipe pair's simulated protocol for the real
-    link; only the halves present in this process are touched."""
-    if build_send:
-        sender = pipeline.component(cut.upstream)
-        sender.protocol = link
-        sender.location = link.src
-    if build_recv:
-        pipeline.component(cut.downstream).bind(link)
-
-
-def extract_shard(
-    pipeline: Pipeline,
-    plan_assignment: dict[str, int],
-    cuts: tuple[Cut, ...],
-    shard: int,
-    bridges: list[Component],
-) -> Pipeline:
+def extract_shard(pipeline: Pipeline, plan: ShardPlan, shard: int,
+                  bridges: list[Component]) -> Pipeline:
     """The shard's connected subgraph after cuts, as a fresh Pipeline."""
-    replaced = {c.via for c in cuts if c.kind == "buffer"}
-    seed = [
+    replaced = {c.via for c in plan.cuts if c.kind == "buffer"}
+    stack = [
         c for c in pipeline.components
-        if plan_assignment.get(c.name) == shard and c.name not in replaced
+        if plan.assignment.get(c.name) == shard and c.name not in replaced
     ]
     members: dict[int, Component] = {}
-    stack = list(seed)
     while stack:
         component = stack.pop()
         if id(component) in members:
             continue
         members[id(component)] = component
-        other = plan_assignment.get(component.name)
+        other = plan.assignment.get(component.name)
         if other is not None and other != shard \
                 and component.name not in replaced:
             raise DeployError(
@@ -179,37 +183,48 @@ def extract_shard(
     return shard_pipe
 
 
-#: A seam's credit window, in items: what a cut's sender may have sent
-#: that its receiver's consumer has not drained.  A grant leaves when the
-#: receiving scheduler idles, so a small window runs stop-and-wait:
-#: ``python3 -m bench --workload deploy-seam-2shard --seconds 6`` (2-vCPU
-#: container, medians of 3) read 1 024 -> 756k items/s, 2 048 -> 867k,
-#: 4 096 -> 1 390k, 8 192 -> 1 453k; docs/DEPLOY.md has the table.
-SEAM_WINDOW = 8192
+def split(pipeline: Pipeline, plan: ShardPlan, muxes) -> dict[int, Pipeline]:
+    """One pipeline per shard in ``muxes``, in shard order, cut out of
+    ``pipeline`` (consumed), the build ``plan`` was made on; a deploy
+    passes every shard's muxes, a spawned shard only its own."""
+    bridges = apply_cuts(pipeline, plan.cuts, muxes)
+    return {
+        shard: extract_shard(pipeline, plan, shard, bridges)
+        for shard in sorted(muxes)
+    }
 
 
-def build_shard_pipeline(
-    spec: ShardSpec, muxes: dict[int, StreamMux]
-) -> Pipeline:
-    """Build this shard's pipeline; each of its cuts is stream
-    ``cut.index`` of the mux ``muxes`` holds for the peer shard.  A shard
-    process wraps its sockets in those muxes; ``Deployment.simulate()``
-    passes in-process ones."""
-    pipeline = build_program(spec.app.program)
+def split_shards(pipeline: Pipeline, plan: ShardPlan, sockets) -> dict:
+    """``{shard: (muxes, pipe)}`` for each shard in ``sockets`` (``{shard:
+    {peer: its end of their socket pair}}``): its ends, one mux per peer,
+    and its :func:`split` pipeline over them."""
+    muxes = {
+        shard: {peer: StreamMux(SocketLink(
+            sock_out=sock, sock_in=sock, src=f"shard-{shard}",
+            dst=f"shard-{peer}", flow=f"shards-{shard}-{peer}",
+        )) for peer, sock in ends.items()}
+        for shard, ends in sockets.items()
+    }
+    return {
+        shard: (muxes[shard], pipe)
+        for shard, pipe in split(pipeline, plan, muxes).items()
+    }
 
-    def transport_for(cut: Cut):
-        sending = cut.src_shard == spec.shard
-        mux = muxes[cut.dst_shard if sending else cut.src_shard]
-        stream = mux.open_stream(cut.index, credits=SEAM_WINDOW)
-        # The netpipe halves stamp these as their locations.
-        stream.src = f"shard-{cut.src_shard}"
-        stream.dst = f"shard-{cut.dst_shard}"
-        return stream
 
-    bridges = apply_cuts(pipeline, spec.cuts, spec.shard, transport_for)
-    return extract_shard(
-        pipeline, spec.assignment, spec.cuts, spec.shard, bridges
-    )
+def realise(app: api.Pipeline, pipeline: Pipeline) -> api.BuiltApp:
+    """``app`` realised over a shard's pipeline, its engine set up; its
+    simulated netpipes ride a copy of their network, the shard's own as
+    in its own process (one network binds one engine's scheduler)."""
+    copies: dict[int, Network] = {}
+    for component in pipeline.components:
+        if isinstance(component, (NetpipeSender, NetpipeReceiver)) \
+                and isinstance(component.protocol, Protocol):
+            network = component.protocol.network
+            component.protocol.network = copies.setdefault(
+                id(network), copy.copy(network))
+    built = app.build(pipeline)
+    built.engine.setup()
+    return built
 
 
 class ShardIO:
@@ -303,31 +318,20 @@ def done_payload(
     return payload
 
 
-def build_shard(spec: ShardSpec, sockets: dict[int, Any]):
-    """``(muxes, built)``: shard ``spec.shard`` built over ``sockets`` (its
-    end of the link to each peer shard, one mux each), its engine set up."""
-    muxes = {
-        peer: StreamMux(SocketLink(
-            sock_out=sock, sock_in=sock, src=f"shard-{spec.shard}",
-            dst=f"shard-{peer}", flow=f"shards-{spec.shard}-{peer}",
-        ))
-        for peer, sock in sockets.items()
-    }
-    built = spec.app.build(build_shard_pipeline(spec, muxes))
-    built.engine.setup()
-    return muxes, built
-
-
 def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any],
                shard: tuple | None, foreign: list) -> None:
     """Process entry point for one shard (top level: spawn-picklable):
-    ``shard`` is the :func:`build_shard` it inherited under fork; without
-    one (None), it builds itself over ``sockets``.  A forked shard first
-    closes ``foreign``, the inherited ends that are not its own."""
+    ``shard`` is the ``(muxes, built)`` it inherited under fork; without
+    one, it builds and keeps its own slice, over ``sockets``.  A forked
+    shard first closes ``foreign``, the inherited ends not its own."""
     try:
         for end in foreign:
             end.close()
-        muxes, built = shard or build_shard(spec, sockets)
+        if shard is None:
+            ((muxes, pipe),) = split_shards(build_program(
+                spec.app.program), spec.plan, {spec.shard: sockets}).values()
+            shard = muxes, realise(spec.app, pipe)
+        muxes, built = shard
         engine = built.engine
         io = ShardIO(list(muxes.values()), conn)
         conn.send(("ready", spec.shard))
@@ -341,7 +345,7 @@ def shard_main(spec: ShardSpec, conn, sockets: dict[int, Any],
             spec.shard, built, time.perf_counter() - started,
             {
                 cut.index: dict(muxes[cut.src_shard].streams[cut.index].stats)
-                for cut in spec.cuts if cut.dst_shard == spec.shard
+                for cut in spec.plan.cuts if cut.dst_shard == spec.shard
             },
         )
         # The parent's ``conn.recv()`` unpickles exactly these bytes.

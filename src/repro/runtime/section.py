@@ -266,9 +266,6 @@ class SegmentLock:
         return awaiting("segment-free", f"holder of {self.name}",
                         f"lock wait on {self.name}")
 
-    def held_by(self, ctx: ThreadCtx) -> bool:
-        return self.holder == ctx.thread_name
-
     def acquire(self, ctx: ThreadCtx):
         while self.holder is not None and self.holder != ctx.thread_name:
             self._waiters.append(ctx.thread_name)
@@ -492,11 +489,10 @@ def _under_lock(ctx: ThreadCtx, lock: SegmentLock, walker):
     """Run ``walker`` holding ``lock`` (reentrant per thread).
 
     Uncontended acquire/release never suspend: the lock is taken and
-    dropped inline, falling back to the generator protocol only under
-    actual contention (a holder to wait for, a waiter to wake).  Exactly
-    the steps lock.acquire/release would perform.
+    dropped inline, as lock.acquire/release would, and a walk yields only
+    to wait for a holder or to wake a waiter.  A walk closed while it
+    holds the lock may not yield, so it posts its waiter's wake.
     """
-    acquire, release = lock.acquire, lock.release
     thread_name = ctx.thread_name
 
     def locked(*args):
@@ -506,14 +502,18 @@ def _under_lock(ctx: ThreadCtx, lock: SegmentLock, walker):
         if holder is None:
             lock.holder = thread_name
         else:
-            yield from acquire(ctx)
+            yield from lock.acquire(ctx)
         try:
             return (yield from walker(*args))
+        except GeneratorExit:
+            if lock._waiters:  # release's one step: the lock dropped
+                ctx.engine.scheduler.post(next(lock.release(ctx)).message)
+            raise
         finally:
-            if lock._waiters:
-                yield from release(ctx)
-            else:
+            if not lock._waiters:
                 lock.holder = None
+            elif lock.holder == thread_name:  # not released on a close
+                yield from lock.release(ctx)
 
     return locked
 

@@ -169,6 +169,16 @@ def test_deploy_place_assigns_components_explicitly(capsys):
     assert "greedy-pump-1 --buffer-1--> greedy-pump-2  (shard 0 -> 1)" in out
 
 
+@pytest.mark.parametrize("shards", ["1", "2"])
+def test_deploy_of_a_source_that_does_not_parse_prints_the_error(
+    shards, capsys
+):
+    code = main(["deploy", "counting >> >> collect", "--shards", shards])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: line 1: expected 'name', got '>>'\n"
+
+
 @pytest.mark.parametrize("entry", ["greedy-pump-1", ":1"])
 def test_deploy_place_rejects_an_entry_that_is_not_name_colon_shard(
     entry, capsys

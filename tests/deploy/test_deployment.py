@@ -12,6 +12,7 @@ from repro.check.invariants import check_conservation
 from repro.deploy import Deployment, DeployError, Placement
 from repro.deploy.presets import fig1_stages, fig9a_chains
 from repro.deploy.worker import SEAM_WINDOW
+from repro.lang.parser import LangError
 from repro.net.mux import MuxStream
 from repro.net.netpipe import NetpipeReceiver, NetpipeSender
 from repro.net.protocols import Transport
@@ -38,6 +39,39 @@ def netpipe_seam():
         receiver, UnmarshalFilter(), GreedyPump(), CollectSink()
     )
     return Graph([*upstream.components, *downstream.components])
+
+
+def chains_on_one_network():
+    """Three chains, each through its own netpipe pair over ONE simulated
+    network.  Placed two chains and one, no pair is cut, and each shard
+    process runs its own copy of the network."""
+    from repro import CollectSink, CountingSource, GreedyPump, pipeline
+    from repro.core.composition import Pipeline as Graph
+    from repro.net import Network
+    from repro.net.marshal import MarshalFilter, UnmarshalFilter
+    from repro.net.netpipe import make_netpipe
+
+    network = Network(seed=3)
+    network.add_link("a", "b")
+    parts = []
+    for tag in "xyz":
+        sender, receiver = make_netpipe(
+            network, tag, "a", "b", protocol="stream")
+        parts += pipeline(
+            CountingSource(limit=20, name=f"count-{tag}"), GreedyPump(),
+            MarshalFilter(), sender,
+        ).components
+        parts += pipeline(
+            receiver, UnmarshalFilter(), GreedyPump(),
+            CollectSink(name=f"sink-{tag}"),
+        ).components
+    return Graph(parts)
+
+
+TWO_CHAINS_AND_ONE = Placement.explicit({
+    "count-x": 0, "netpipe-recv-x": 0, "count-y": 0, "netpipe-recv-y": 0,
+    "count-z": 1, "netpipe-recv-z": 1,
+})
 
 
 class TestSingleShard:
@@ -84,7 +118,7 @@ class TestShardedExecution:
     def test_existing_netpipe_pair_is_the_seam(self):
         """docs/DEPLOY.md's "cuts at existing netpipe pairs": the plan is
         one ``[netpipe]`` cut and each shard re-homes its half of the
-        pair onto the real socket (``worker._rehome_netpipe``)."""
+        pair onto the real socket (``worker.apply_cuts``)."""
         deployment = Deployment(netpipe_seam, Placement.auto(2))
         (cut,) = deployment.plan().cuts
         assert cut.kind == "netpipe"
@@ -125,6 +159,20 @@ class TestShardedExecution:
         ).run(timeout=120)
         assert result.completed
         assert result.sinks["collect-sink-1"] == list(range(24))
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_shards_that_share_a_network_each_run_their_own(
+            self, start_method):
+        """Under fork one build is split into both shards and each is set
+        up in the deploying process: each shard's engine binds a copy of
+        the network of its own, one copy for both of shard 0's pairs."""
+        deployment = Deployment(chains_on_one_network, TWO_CHAINS_AND_ONE,
+                                start_method=start_method)
+        assert deployment.plan().cuts == ()
+        result = deployment.run(timeout=60)
+        assert result.completed
+        assert result.sinks == {f"sink-{tag}": list(range(20))
+                                for tag in "xyz"}
 
     def test_live_pipeline_cannot_be_sharded(self):
         from repro.deploy.worker import build_program
@@ -182,6 +230,14 @@ class TestCoSimulationAndCertification:
             range(50))
         assert deployment.certify(seeds=6).verdict == "refines"
 
+    def test_shards_that_share_a_network_simulate_on_it(self):
+        engine = run_simulated(
+            Deployment(chains_on_one_network, TWO_CHAINS_AND_ONE))
+        assert engine.completed
+        for tag in "xyz":
+            assert engine.pipeline.component(f"sink-{tag}").items == list(
+                range(20))
+
     def test_two_shard_plan_refines_single_core(self):
         cert = Deployment(SRC, Placement.auto(2)).certify(seeds=8)
         assert cert.verdict == "refines"
@@ -207,63 +263,91 @@ class TestTheSeamPairsAcrossItsStream:
             check_simulated_conservation()
 
 
-def recording_builder(log: str):
-    """:data:`SRC`, after appending the building process's pid to ``log``."""
+def recording_builder(log: str, src: str = SRC):
+    """``src``, after appending the building process's pid to ``log``."""
     from repro.deploy.worker import build_program
 
     with open(log, "a") as out:
         out.write(f"{os.getpid()}\n")
-    return build_program(SRC)
+    return build_program(src)
 
 
-class FailsOnItsSecondBuild:
-    """Builds :data:`SRC` for the plan, then raises: shard 0's build."""
+def failing_builder():
+    raise ValueError("no program for you")
 
-    def __init__(self):
-        self.calls = 0
 
-    def __call__(self):
-        from repro.deploy.worker import build_program
-
-        self.calls += 1
-        if self.calls == 2:
-            raise ValueError("no shard for you")
-        return build_program(SRC)
+THREE_SHARD_CHAIN = (
+    "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> "
+    "buffer(4) >> greedy_pump >> collect"
+)
 
 
 class TestWhereAShardIsBuilt:
-    """Under fork the deploying process builds the plan's program, then
-    every shard before it forks any, and no shard process builds; under
-    spawn each shard process builds itself."""
+    """A deploy builds its program once, plans on that build and splits
+    it: under fork the deploying process sets up every shard from that
+    one build before it forks any, and no shard process builds; under
+    spawn each shard process builds once more, for its own slice."""
 
-    def build_pids(self, tmp_path, start_method):
+    def build_pids(self, tmp_path, start_method, src=SRC, shards=2):
         log = tmp_path / "builds"
-        result = Deployment(
-            functools.partial(recording_builder, str(log)),
-            Placement.auto(2), start_method=start_method,
-        ).run(timeout=120)
-        assert result.completed
+        result = Pipeline.from_builder(
+            functools.partial(recording_builder, str(log), src)
+        ).deploy(shards=shards, start_method=start_method, timeout=120)
+        assert result.completed and result.shards == shards
         assert result.sinks["collect-sink-1"] == list(range(24))
         return [int(pid) for pid in log.read_text().split()]
 
     def test_under_fork_the_deploying_process_builds_every_shard(
             self, tmp_path):
-        assert self.build_pids(tmp_path, "fork") == [os.getpid()] * 3
+        assert self.build_pids(tmp_path, "fork") == [os.getpid()]
+
+    def test_under_fork_a_three_shard_chain_builds_once(self, tmp_path):
+        assert self.build_pids(
+            tmp_path, "fork", THREE_SHARD_CHAIN, shards=3
+        ) == [os.getpid()]
 
     def test_under_spawn_each_shard_builds_itself(self, tmp_path):
         plan, *shards = self.build_pids(tmp_path, "spawn")
         assert plan == os.getpid()
         assert len(set(shards)) == 2 and plan not in shards
 
-    def test_a_build_that_raises_fails_before_any_fork(self, monkeypatch):
+    def test_a_one_shard_deploy_builds_once(self, tmp_path):
+        assert self.build_pids(tmp_path, None, shards=1) == [os.getpid()]
+
+    def test_each_simulation_builds_once(self, tmp_path):
+        log = tmp_path / "builds"
+        deployment = Deployment(
+            functools.partial(recording_builder, str(log)),
+            Placement.auto(2),
+        )
+        for runs in (1, 2):
+            engine = run_simulated(deployment)
+            assert engine.pipeline.component("collect-sink-1").items == \
+                list(range(24))
+            assert log.read_text().split() == [str(os.getpid())] * runs
+
+    def fails_before_any_fork(self, monkeypatch, program) -> str:
         started = []
         monkeypatch.setattr(
             multiprocessing.process.BaseProcess, "start",
             lambda process: started.append(process))
         with pytest.raises(DeployError) as failure:
-            Deployment(FailsOnItsSecondBuild(), Placement.auto(2),
+            Deployment(program, Placement.auto(2),
                        start_method="fork").run(timeout=30)
-        message = str(failure.value)
-        assert message.startswith("shard 0 failed:\nTraceback")
-        assert "ValueError: no shard for you" in message
         assert started == []
+        return str(failure.value)
+
+    def test_a_build_that_raises_fails_before_any_fork(self, monkeypatch):
+        message = self.fails_before_any_fork(monkeypatch, failing_builder)
+        assert message == \
+            "the program's build failed: ValueError('no program for you')"
+
+    def test_a_source_that_does_not_parse_raises_its_own_error(self):
+        with pytest.raises(LangError, match="expected 'name'"):
+            Deployment("counting >> >> collect", Placement.auto(2)).run()
+
+    def test_a_realisation_that_raises_names_its_shard(self, monkeypatch):
+        message = self.fails_before_any_fork(
+            monkeypatch, Pipeline.from_source(SRC).with_batching(0))
+        assert message.startswith("shard 0 failed:\nTraceback")
+        assert "batch_max must be at least 1" in message

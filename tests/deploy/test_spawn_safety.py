@@ -34,14 +34,11 @@ class TestSpecPickling:
     def test_shard_spec_with_lang_source_roundtrips(self):
         plan = plan_placement(build_program(SRC), Placement.auto(2))
         spec = ShardSpec(
-            shard=0,
-            app=Pipeline.from_source(SRC).with_metrics(),
-            assignment=dict(plan.assignment),
-            cuts=plan.cuts,
+            shard=0, app=Pipeline.from_source(SRC).with_metrics(), plan=plan,
         )
         clone = roundtrip(spec)
-        assert clone.assignment == spec.assignment
-        assert clone.cuts == plan.cuts
+        assert clone.plan.assignment == plan.assignment
+        assert clone.plan.cuts == plan.cuts
         assert clone.app == spec.app
         assert build_program(clone.app.program) is not None
 

@@ -17,8 +17,8 @@ from repro.deploy.worker import (
     ShardSpec,
     _done_message,
     build_program,
-    build_shard_pipeline,
     shard_main,
+    split,
 )
 from repro.net import SocketLink
 from repro.net.marshal import MarshalFilter, UnmarshalFilter
@@ -31,10 +31,7 @@ SRC = "counting(limit=24) >> greedy_pump >> buffer(4) >> greedy_pump >> collect"
 
 def shard_spec(shard: int, app=Pipeline.from_source(SRC)) -> ShardSpec:
     plan = plan_placement(build_program(SRC), Placement.auto(2))
-    return ShardSpec(
-        shard=shard, app=app,
-        assignment=dict(plan.assignment), cuts=plan.cuts,
-    )
+    return ShardSpec(shard=shard, app=app, plan=plan)
 
 
 def run_shards(*specs_and_sockets) -> list[list]:
@@ -75,7 +72,7 @@ def run_shards(*specs_and_sockets) -> list[list]:
 
 class TestLinkOwnership:
     def test_build_hands_back_links_in_both_directions(self):
-        """The build takes one mux per peer shard, whatever its link; the
+        """The split takes one mux per peer shard, whatever its link; the
         cut is that mux's credited stream on both sides, each half of
         the bridge on its own shard's end."""
         a, b = SocketLink.pair()
@@ -83,9 +80,11 @@ class TestLinkOwnership:
             for shard, link in ((0, a), (1, b)):
                 peer = 1 - shard
                 mux = StreamMux(link)
-                shard_pipe = build_shard_pipeline(
-                    shard_spec(shard), {peer: mux}
-                )
+                pipeline = build_program(SRC)
+                plan = plan_placement(pipeline, Placement.auto(2))
+                (shard_pipe,) = split(
+                    pipeline, plan, {shard: {peer: mux}}
+                ).values()
                 (stream,) = mux.streams.values()
                 assert stream.stream_id == 0
                 assert stream.window == worker.SEAM_WINDOW

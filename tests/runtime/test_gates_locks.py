@@ -1,5 +1,8 @@
 """Buffer gates, netpipe-style external wakes, and segment locks."""
 
+import gc
+import sys
+
 import pytest
 
 from repro import (
@@ -105,9 +108,58 @@ class TestSegmentLock:
 
         ctx = ThreadCtx(FakeEngine(), "t1")
         list(lock.acquire(ctx))
-        assert lock.held_by(ctx)
+        assert lock.holder == "t1"
         list(lock.release(ctx))
         assert lock.holder is None
+
+    @staticmethod
+    def stalled_merge():
+        """Two pumps through a merge into a full ``Buffer(2)`` whose
+        consumer never starts: one pump holds the segment lock, parked on
+        the buffer, and the other waits for the lock."""
+        from repro import Engine, Event
+
+        a, b = IterSource(range(20)), IterSource(range(20))
+        pa, pb = GreedyPump(name="pa"), GreedyPump(name="pb")
+        merge, buf = MergeTee(2, name="merge"), Buffer(2, name="tail")
+        pump, sink = GreedyPump(name="p3"), CollectSink()
+        pipe = Pipeline([a, pa, b, pb, merge, buf, pump, sink])
+        pipe.connect(a.out_port, pa.in_port)
+        pipe.connect(pa.out_port, merge.port("in0"))
+        pipe.connect(b.out_port, pb.in_port)
+        pipe.connect(pb.out_port, merge.port("in1"))
+        pipe.connect(merge.out_port, buf.in_port)
+        pipe.connect(buf.out_port, pump.in_port)
+        pipe.connect(pump.out_port, sink.in_port)
+        engine = Engine(pipe)
+        engine.setup()
+        for name in ("pa", "pb"):
+            engine.events.send_to(name, Event(kind="start", source="t"))
+        engine.run(max_steps=1_000)
+        lock = engine.lock_for(merge)
+        assert lock.holder is not None and len(lock._waiters) == 1
+        return engine, lock
+
+    def test_closing_the_holder_frees_the_lock_and_wakes_its_waiter(
+            self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        engine, lock = self.stalled_merge()
+        holder, waiter = lock.holder, lock._waiters[0]
+        engine.scheduler.threads[holder].clear_execution_state()
+        assert lock.holder is None and not lock._waiters
+        engine.run(max_steps=1_000)
+        assert lock.holder == waiter  # woken: it took the lock, and parked
+        del engine, lock
+        gc.collect()
+        assert unraisable == []
+
+    def test_collecting_a_stalled_holder_raises_nothing(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        self.stalled_merge()
+        gc.collect()
+        assert unraisable == []
 
 
 class TestSharedSegments:
