@@ -8,11 +8,11 @@ module inspects the scheduler's wait state after (or during) a run and
 turns that silence into a report:
 
 * every blocked thread, with the *reason* it blocks — the thread it waits
-  on when known (synchronous ``Call`` replies record it; raw receives may
-  declare it via :func:`receive_from` or a ``waiting_on`` attribute on
-  the match predicate), a human description of its match predicate
-  (closure/default bindings included), and a snapshot of messages queued
-  but unmatched in its mailbox (the lost-wakeup shape);
+  on when its receive's match predicate declares it (a ``waiting_on``
+  attribute: the runtime's labelled waits set it, and so does
+  :func:`receive_from`), a human description of that predicate (its
+  label or name, with closure/default bindings), and a snapshot of
+  messages queued but unmatched in its mailbox (the lost-wakeup shape);
 * the wait-for graph over those edges and every cycle in it — a cycle is
   a certain deadlock;
 * the "all blocked, timers empty" condition — a hang *if* the program
@@ -69,10 +69,10 @@ def receive_from(
 def describe_match(match) -> str:
     """Human-readable description of a receive match predicate.
 
-    Shows the callable's qualified name plus its closure and
-    default-argument bindings, so a report line reads e.g.
-    ``Scheduler._drive.<locals>.<lambda> [_rid=17]`` — enough to see
-    *which* reply a blocked caller is waiting for.
+    Shows the callable's qualified name (a labelled wait's label) plus
+    its closure and default-argument bindings, so a report line reads
+    e.g. ``crossing to decoder [rid=17]`` — enough to see *which* reply
+    a blocked crossing is waiting for.
     """
     if match is None:
         return "any message"
@@ -102,18 +102,14 @@ class WaitInfo:
     """One blocked thread and everything we know about why."""
 
     thread: str
-    kind: str  # "receive" | "time"
     waiting_on: str | None
-    reason: str | None
     match: str
     queued: list[tuple[str, str]]  # unmatched mailbox (kind, sender)
 
     def format(self) -> str:
-        parts = [f"{self.thread}: blocked in {self.kind}"]
+        parts = [f"{self.thread}: blocked in receive"]
         if self.waiting_on:
             parts.append(f"waiting on {self.waiting_on!r}")
-        if self.reason:
-            parts.append(f"({self.reason})")
         parts.append(f"match: {self.match}")
         if self.queued:
             queued = ", ".join(f"{kind}<-{sender}" for kind, sender in self.queued)
@@ -128,20 +124,11 @@ def blocked_waits(scheduler: Scheduler) -> list[WaitInfo]:
         wait = thread._wait
         if wait is None or thread.terminated:
             continue
-        waiting_on = wait.waiting_on
-        if waiting_on is None and wait.match is not None:
-            waiting_on = getattr(wait.match, "waiting_on", None)
         infos.append(
             WaitInfo(
                 thread=thread.name,
-                kind=wait.kind,
-                waiting_on=waiting_on,
-                reason=wait.reason,
-                match=(
-                    describe_match(wait.match)
-                    if wait.kind == "receive"
-                    else "timer wake-up"
-                ),
+                waiting_on=getattr(wait.match, "waiting_on", None),
+                match=describe_match(wait.match),
                 queued=thread.mailbox.snapshot(),
             )
         )

@@ -7,7 +7,8 @@ called when the thread is created, but each time a message is received; after
 processing a message it returns, and the thread terminates only when the
 return code says so.  Threads therefore behave like extended finite state
 machines.  Scheduling combines static thread priorities with per-message
-*constraints* and priority inheritance.
+*constraints*, which messages inherit from the message their sender is
+processing (the runtime's coroutine crossing does this).
 
 This package reproduces that substrate in Python:
 
@@ -18,7 +19,10 @@ This package reproduces that substrate in Python:
   yield *syscalls* (:mod:`repro.mbt.syscalls`) to suspend.
 * :mod:`repro.mbt.scheduler` -- a deterministic discrete-event scheduler with
   a virtual clock (a real-time clock is available for demos), priority
-  scheduling, preemption at yield points, and priority inheritance.
+  scheduling, preemption at yield points and during simulated work, and
+  timers that post messages.  Its syscalls are exactly the ones the
+  middleware yields: ``Send``, ``Receive``, ``Reply``, ``Repost``,
+  ``Work`` and the explicit preemption point ``Yield``.
 * :mod:`repro.mbt.coroutine` -- suspendable control flows used by the glue
   layer to run "active" pipeline components; a generator backend (default)
   and an OS-thread backend (paper-faithful blocking calls) share one API.
@@ -38,13 +42,9 @@ from repro.mbt.scheduler import Scheduler
 from repro.mbt.syscalls import (
     CONTINUE,
     TERMINATE,
-    Call,
-    Exit,
     Receive,
     Reply,
     Send,
-    Sleep,
-    WaitUntil,
     Work,
     Yield,
 )
@@ -54,11 +54,9 @@ from repro.mbt.tracing import format_trace, summarize, switch_counts, timeline
 
 __all__ = [
     "CONTINUE",
-    "Call",
     "Clock",
     "Constraint",
     "Done",
-    "Exit",
     "GeneratorSuspendable",
     "MThread",
     "Mailbox",
@@ -70,11 +68,9 @@ __all__ = [
     "Reply",
     "Scheduler",
     "Send",
-    "Sleep",
     "Suspendable",
     "TERMINATE",
     "VirtualClock",
-    "WaitUntil",
     "Work",
     "Yield",
     "format_trace",

@@ -9,7 +9,10 @@ first message in its incoming queue."
 
 A :class:`Constraint` carries a priority (larger is more urgent) and an
 optional deadline in scheduler time.  Deadlines break priority ties: an
-earlier deadline wins.
+earlier deadline wins.  Constraints are compared through :meth:`sort_key`
+only.  One is inherited along messages: a coroutine crossing's request
+carries the constraint of the message its sender is processing
+(:mod:`repro.runtime.section`), and the reply carries the request's.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ class Constraint:
     priority: int = 0
     deadline: float | None = None
     #: Cached sort key — computed once at construction; ``sort_key()`` runs
-    #: on every mailbox put and effective-priority check, and constraints
-    #: are immutable.
+    #: on every mailbox put and thread re-key, and constraints are
+    #: immutable.
     _key: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -46,32 +49,3 @@ class Constraint:
     def sort_key(self) -> tuple[float, float]:
         """Key such that smaller sorts first for more-urgent constraints."""
         return self._key
-
-    def is_more_urgent_than(self, other: "Constraint") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    @staticmethod
-    def most_urgent(*constraints: "Constraint | None") -> "Constraint | None":
-        """Return the most urgent of the given constraints (``None`` skipped)."""
-        best: Constraint | None = None
-        for c in constraints:
-            if c is None:
-                continue
-            if best is None or c.is_more_urgent_than(best):
-                best = c
-        return best
-
-    def inherit(self, other: "Constraint | None") -> "Constraint":
-        """Combine with an inherited constraint, keeping the more urgent one.
-
-        This implements the package's priority-inheritance scheme: a thread
-        processing a message on behalf of a more urgent caller temporarily
-        acquires the caller's constraint.
-        """
-        if other is None or self.is_more_urgent_than(other):
-            return self
-        return other
-
-
-#: Constraint used when none was specified.
-DEFAULT_CONSTRAINT = Constraint(priority=0)

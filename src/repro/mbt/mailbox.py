@@ -13,7 +13,7 @@ prefix is then restored (it is popped in sorted order, so when the whole
 heap was drained it is already heap-shaped and is adopted wholesale).
 This replaces the old ``sorted()`` + ``remove()`` + ``heapify()`` pattern,
 which paid O(n log n) + O(n) + O(n) on *every* selective receive — e.g.
-on every synchronous ``Call`` reply.
+on every coroutine crossing's reply.
 """
 
 from __future__ import annotations

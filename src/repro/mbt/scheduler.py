@@ -2,8 +2,11 @@
 
 One :class:`Scheduler` owns a set of :class:`~repro.mbt.thread.MThread`
 objects, a clock and a timer wheel.  It repeatedly picks the ready thread
-with the most urgent effective constraint and runs it until it blocks
-(receive/sleep), completes its current message, or is preempted.
+with the most urgent effective constraint and runs it until it blocks in
+a receive, completes its current message, or is preempted.  The syscalls
+it performs are the ones the middleware yields
+(:mod:`repro.mbt.syscalls`); waiting for time is a timer that posts a
+message (:meth:`Scheduler.at` / :meth:`Scheduler.after`).
 
 Preemption happens at yield points (every syscall) and *during* simulated
 CPU work (:class:`~repro.mbt.syscalls.Work`), so a high-priority audio pump
@@ -20,7 +23,7 @@ Rather than scan every thread per pick, the scheduler keeps an **indexed
 ready queue**: a binary heap of ``[prio, vtime, deadline, last_ran,
 index, seq, thread]`` entries, one live entry per ready thread.  Whenever
 an event changes a thread's key or readiness (message delivery, receive,
-donation, message start/finish, wait set or cleared, priority change)
+message start/finish, wait set or cleared, tenant or parking change)
 the thread notifies the scheduler via
 :meth:`_reindex`, which tombstones the old entry (lazily discarded at the
 heap top) and pushes a fresh one.  The pick, the burst, preemption,
@@ -96,9 +99,9 @@ reads views of it; both cost nothing when unused:
 * Per-thread metering — ``MThread.meter``, a slot planted on the thread
   it describes (normally a :class:`repro.obs.sched.ThreadMeter`, by
   :meth:`repro.obs.sched.SchedulerProbe.install`), whose ``on_dispatch``
-  / ``on_wall`` / ``on_cpu`` / ``on_donation`` / ``on_constraint``
-  methods the dispatch path calls behind one ``is not None`` test on the
-  thread (``on_dispatch`` when the meter's ``countdown`` runs out).  An
+  / ``on_wall`` / ``on_cpu`` / ``on_constraint`` methods the dispatch
+  path calls behind one ``is not None`` test on the thread
+  (``on_dispatch`` when the meter's ``countdown`` runs out).  An
   unmetered thread is bit-for-bit the unhooked scheduler (golden traces
   pin this); a removed thread takes its meter and errors' tracebacks.
 * The trace — a ``deque`` appended by :meth:`_record` alone: unbounded,
@@ -119,21 +122,15 @@ from typing import Any, Callable, Iterable, NoReturn
 
 from repro.errors import InjectedFault, SchedulerError
 from repro.mbt.clock import Clock, VirtualClock
-from repro.mbt.constraints import Constraint
 from repro.mbt.message import Message
 from repro.mbt.syscalls import (
     CONTINUE,
     TERMINATE,
-    TIMED_OUT,
-    Call,
-    Exit,
     Receive,
     Reply,
     Repost,
     Send,
-    Sleep,
     Syscall,
-    WaitUntil,
     Work,
     Yield,
 )
@@ -526,13 +523,7 @@ class Scheduler:
                 "deliver", message.kind, message.sender, message.target
             )
         wait = target._wait
-        if (
-            wait is not None
-            and wait.kind == "receive"
-            and (wait.match is None or wait.match(message))
-        ):
-            if wait.timer is not None:
-                wait.timer.cancel()
+        if wait is not None and (wait.match is None or wait.match(message)):
             target._wait = None
             target._resume_value = message
             target._readiness_changed()
@@ -574,8 +565,8 @@ class Scheduler:
         """Run until quiescent, until virtual time ``until``, or ``max_steps``.
 
         Quiescent means: no thread is ready and no timer is pending.  Threads
-        blocked in a receive without timeout (servers awaiting requests) do
-        not keep the scheduler alive.
+        blocked in a receive (servers awaiting requests) do not keep the
+        scheduler alive.
         """
         nested = self._before_idle is not None
         if not nested:
@@ -978,14 +969,14 @@ class Scheduler:
                 if message is not None:
                     value = message
                     continue
-                self._block(thread, WaitState("receive", request.match),
-                            request.timeout)
+                thread._wait = WaitState(request.match)
+                thread._readiness_changed()
+                if self._trace is not None:
+                    self._record("block", thread.name, "receive")
                 return
 
             if request_type is Reply:
-                reply = request.to.make_reply(request.payload)
-                thread.revoke_donation(request.to.msg_id)
-                self._deliver(reply)
+                self._deliver(request.to.make_reply(request.payload))
                 if self._preempt_if_needed(thread):
                     return
                 continue
@@ -1000,54 +991,12 @@ class Scheduler:
                 value = None
                 continue
 
-            if request_type is Call:
-                message = Message(
-                    kind=request.kind,
-                    payload=request.payload,
-                    sender=thread.name,
-                    target=request.target,
-                    constraint=self._call_constraint(thread, request),
-                    needs_reply=True,
-                )
-                callee = self.threads.get(request.target)
-                if callee is not None and not callee.terminated:
-                    inherited = Constraint(
-                        priority=int(thread.effective_priority()))
-                    callee.donate(message.msg_id, inherited)
-                    if callee.meter is not None:
-                        callee.meter.on_donation()
-                self._deliver(message)
-                request_id = message.msg_id
-                self._block(thread, WaitState(
-                    "receive", lambda m, _rid=request_id: m.reply_to == _rid,
-                    waiting_on=request.target,
-                    reason=f"reply to {request.kind!r} call",
-                ), request.timeout)
-                return
-
-            if request_type is Sleep:
-                self._block(thread, WaitState("time"), request.duration,
-                            woken=None)
-                return
-
-            if request_type is WaitUntil:
-                if request.when <= self.clock.now() + _EPS:
-                    value = None
-                    continue
-                self._block(thread, WaitState("time"), when=request.when,
-                            woken=None)
-                return
-
             if request_type is Yield:
                 thread._resume_value = None
                 if self._live_top(thread) is not None:
                     return
                 value = None
                 continue
-
-            if request_type is Exit:
-                self._finish_message(thread, TERMINATE)
-                return
 
             what = ("unhandled syscall" if isinstance(request, Syscall)
                     else f"thread {thread.name!r} yielded non-syscall")
@@ -1081,36 +1030,6 @@ class Scheduler:
             return True
         prio, deadline = thread.effective_sort_key()
         return (prio, 0.0, deadline) < (rival[0], rival[1], rival[2])
-
-    @staticmethod
-    def _call_constraint(thread: MThread, request: Call) -> Constraint | None:
-        if request.constraint is not None:
-            return request.constraint
-        # Messages sent on behalf of a constrained message inherit its
-        # constraint (paper: "Messages between coroutines inherit the
-        # constraint from the message received by the sending component").
-        current = thread._current_message
-        return None if current is None else current.constraint
-
-    def _block(self, thread: MThread, wait: WaitState,
-               timeout: float | None = None, when: float | None = None,
-               woken: Any = TIMED_OUT) -> None:
-        """Block ``thread`` in ``wait``; when ``timeout`` has passed or
-        ``when`` is reached with the wait still on, it resumes ``woken``."""
-        if timeout is not None:
-            when = self.clock.now() + timeout
-        if when is not None:
-            def wake(t=thread, w=wait):
-                if t._wait is w:
-                    t._wait = None
-                    t._resume_value = woken
-                    t._readiness_changed()
-
-            wait.timer = self.at(when, wake)
-        thread._wait = wait
-        thread._readiness_changed()
-        if self._trace is not None:
-            self._record("block", thread.name, wait.kind)
 
     def _do_work(self, thread: MThread) -> bool:
         """Consume the thread's pending CPU work; False when preempted."""

@@ -1,12 +1,21 @@
 """Syscalls yielded by thread code functions.
 
-A code function that needs to suspend — to wait for another message, to
-sleep, or to model CPU consumption — is written as a generator and *yields*
-one of the request objects below to the scheduler.  The scheduler performs
-the request and resumes the generator with the result (``gen.send(result)``).
-This is the Python rendering of the paper's suspendable code functions:
-"code functions resemble event handlers, but may be suspended waiting for
-other messages or may be preempted".
+A code function that needs to suspend — to wait for another message or to
+model CPU consumption — is written as a generator and *yields* one of the
+request objects below to the scheduler.  The scheduler performs the request
+and resumes the generator with the result (``gen.send(result)``).  This is
+the Python rendering of the paper's suspendable code functions: "code
+functions resemble event handlers, but may be suspended waiting for other
+messages or may be preempted".
+
+These are exactly the requests the middleware yields: ``Send`` and
+``Reply`` (a coroutine crossing's request and its answer), ``Receive``
+(every blocked push, pull, lock, crossing and credit wait, through
+``ThreadCtx.wait``), ``Repost`` (a pump's next cycle) and ``Work``
+(simulated CPU cost).  ``Yield`` is the one explicit preemption point.
+Waiting for time is a timer that posts a message
+(:meth:`~repro.mbt.scheduler.Scheduler.at`,
+:class:`~repro.mbt.timers.PeriodicTimer`).
 
 Code functions finish a message by returning :data:`CONTINUE` (thread stays
 alive, awaiting its next message) or :data:`TERMINATE` (thread exits) —
@@ -15,7 +24,7 @@ mirroring "the thread is only terminated when indicated by the return code".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.mbt.constraints import Constraint
@@ -34,9 +43,6 @@ class _ReturnCode:
 CONTINUE = _ReturnCode("CONTINUE")
 #: Return code: terminate the thread.
 TERMINATE = _ReturnCode("TERMINATE")
-
-#: Sentinel resumed into a ``Receive`` whose timeout expired.
-TIMED_OUT = _ReturnCode("TIMED_OUT")
 
 
 class Syscall:
@@ -78,7 +84,8 @@ class Repost(Syscall):
 
 @dataclass(slots=True)
 class Reply(Syscall):
-    """Reply to a synchronous request message."""
+    """Answer a request message (``needs_reply``); the reply is addressed
+    to its sender and carries the request's constraint."""
 
     to: Message
     payload: Any = None
@@ -90,55 +97,22 @@ class Receive(Syscall):
 
     Without a predicate, the most urgent queued message is delivered.  With
     one, the first queued message satisfying it is delivered; other messages
-    stay queued.  ``timeout`` (in scheduler seconds) resumes the thread with
-    :data:`TIMED_OUT` if nothing matched in time.
+    stay queued.
     """
 
     match: Callable[[Message], bool] | None = None
-    timeout: float | None = None
-
-
-@dataclass(slots=True)
-class Call(Syscall):
-    """Synchronous send: post a message and wait for its reply.
-
-    While waiting, the caller's effective scheduling constraint is donated
-    to the callee (priority inheritance), so a low-priority thread serving a
-    high-priority caller cannot be starved by mid-priority threads.
-    """
-
-    target: str
-    kind: str
-    payload: Any = None
-    constraint: Constraint | None = None
-    timeout: float | None = None
-
-
-@dataclass(slots=True)
-class Sleep(Syscall):
-    """Suspend for ``duration`` scheduler seconds."""
-
-    duration: float
-
-
-@dataclass(slots=True)
-class WaitUntil(Syscall):
-    """Suspend until the absolute scheduler time ``when``."""
-
-    when: float
 
 
 @dataclass(slots=True)
 class Work(Syscall):
     """Consume ``duration`` seconds of CPU.
 
-    Unlike :class:`Sleep`, working occupies the (single, simulated) CPU: no
-    lower-priority thread runs meanwhile, and a higher-priority thread that
-    becomes ready mid-work *preempts* the worker, which finishes the
-    remainder later.  This models the paper's preemptible data-processing
-    functions ("running data processing functions such as video decoders
-    non-preemptively can introduce unacceptable delay in more time-critical
-    components").
+    Working occupies the (single, simulated) CPU: no lower-priority thread
+    runs meanwhile, and a higher-priority thread that becomes ready mid-work
+    *preempts* the worker, which finishes the remainder later.  This models
+    the paper's preemptible data-processing functions ("running data
+    processing functions such as video decoders non-preemptively can
+    introduce unacceptable delay in more time-critical components").
     """
 
     duration: float
@@ -148,9 +122,3 @@ class Work(Syscall):
 class Yield(Syscall):
     """Voluntary preemption point; resumes once no more-urgent thread is ready."""
 
-
-@dataclass(slots=True)
-class Exit(Syscall):
-    """Terminate the thread immediately."""
-
-    code: Any = field(default_factory=lambda: TERMINATE)

@@ -18,10 +18,10 @@ Scheduling key caching
 used to be recomputed, with fresh allocations, for *every* thread on
 *every* dispatch and preemption check).  The key is now cached and
 invalidated only by the events that can change it: a mailbox change
-(delivery, receive, drain — wired through the mailbox's change listener),
-a donation granted or revoked, and the start or completion of message
-processing (the static priority is fixed at spawn).  Invalidation also
-notifies the owning scheduler so its indexed ready queue stays current; see
+(delivery, receive, drain — wired through the mailbox's change listener)
+and the start or completion of message processing (the static priority
+is fixed at spawn).  Invalidation also notifies the owning scheduler so
+its indexed ready queue stays current; see
 :class:`repro.mbt.scheduler.Scheduler`.
 """
 
@@ -35,35 +35,21 @@ from repro.mbt.constraints import Constraint
 from repro.mbt.mailbox import Mailbox
 from repro.mbt.message import Message
 
-#: Sort key of the least urgent possible thread.
-_IDLE_KEY = (math.inf, math.inf)
-
-_INF = float("inf")
-
 CodeFunction = Callable[["MThread", Message], Any]
 
 
 @dataclass(slots=True)
 class WaitState:
-    """Why a thread is blocked.
+    """Why a thread is blocked: a ``Receive`` waiting for the first message
+    ``match`` accepts (any message when ``match`` is None).
 
-    ``kind`` is ``"receive"`` (waiting for a matching message) or ``"time"``
-    (sleeping).  ``timer`` holds a cancellable timer handle used for receive
-    timeouts and sleep wake-ups.
-
-    ``waiting_on`` and ``reason`` are diagnostic metadata for the
-    deadlock detector (:mod:`repro.check.deadlock`): the name of the
-    thread this wait depends on, when the blocker knows it (synchronous
-    ``Call`` replies; the detector also reads a match predicate's own
-    ``waiting_on``), and a human-readable cause.  They never influence
-    scheduling.
+    The deadlock detector (:mod:`repro.check.deadlock`) reads what the
+    predicate declares of itself: the ``waiting_on`` and name that
+    :func:`repro.runtime.section.labelled` and
+    :func:`repro.check.deadlock.receive_from` give it.
     """
 
-    kind: str
     match: Callable[[Message], bool] | None = None
-    timer: Any = None
-    waiting_on: str | None = None
-    reason: str | None = None
 
 
 class MThread:
@@ -95,7 +81,6 @@ class MThread:
         "_resume_exc",
         "_pending_work",
         "_wait",
-        "_donations",
         "_last_ran",
         "_index",
         "_key_cache",
@@ -131,9 +116,6 @@ class MThread:
         self._resume_exc: BaseException | None = None
         self._pending_work: float = 0.0
         self._wait: WaitState | None = None
-        #: Priority donations from synchronous callers, keyed by request
-        #: msg id.
-        self._donations: dict[int, Constraint] = {}
         #: Scheduler bookkeeping for fair tie-breaking.
         self._last_ran = 0
         self._index = 0
@@ -187,8 +169,7 @@ class MThread:
         the constraint of the message currently being processed or, when the
         thread is merely waiting for the CPU, from the constraint of the
         first message in its incoming queue; absent any constraint the
-        static thread priority applies.  Donations from synchronous callers
-        (priority inheritance) are folded in.
+        static thread priority applies.
 
         The result is cached; see the module docstring for the
         invalidation events.
@@ -200,28 +181,17 @@ class MThread:
         return key
 
     def _compute_sort_key(self) -> tuple[float, float]:
-        best: Constraint | None = None
+        constraint: Constraint | None = None
         message = self._current_message
         if message is not None:
-            best = message.constraint
+            constraint = message.constraint
         elif self._gen is None:
             head = self.mailbox.peek()
             if head is not None:
-                best = head.constraint
-        donations = self._donations
-        if donations:
-            for constraint in donations.values():
-                if constraint is not None and (
-                    best is None or constraint.is_more_urgent_than(best)
-                ):
-                    best = constraint
-        if best is None:
+                constraint = head.constraint
+        if constraint is None:
             return (-float(self._priority), math.inf)
-        return best.sort_key()
-
-    def effective_priority(self) -> float:
-        """Convenience view of the priority component of the sort key."""
-        return -self.effective_sort_key()[0]
+        return constraint.sort_key()
 
     # ------------------------------------------------------ scheduler hooks
 
@@ -238,14 +208,6 @@ class MThread:
         if scheduler is not None:
             scheduler._reindex(self)
 
-    def donate(self, msg_id: int, constraint: Constraint) -> None:
-        self._donations[msg_id] = constraint
-        self._invalidate_key()
-
-    def revoke_donation(self, msg_id: int) -> None:
-        if self._donations.pop(msg_id, None) is not None:
-            self._invalidate_key()
-
     def clear_execution_state(self) -> None:
         if self._gen is not None:
             try:
@@ -258,7 +220,6 @@ class MThread:
         self._resume_exc = None
         self._pending_work = 0.0
         self._wait = None
-        self._donations.clear()
         self._invalidate_key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,8 +1,8 @@
-"""Scheduler instrumentation: run-queue wait, CPU attribution, inheritance.
+"""Scheduler instrumentation: run-queue wait, CPU attribution, constraints.
 
 The scheduler is where thread transparency becomes thread *opacity*: the
-programmer cannot see which pump starved or who inherited whose priority,
-so the middleware must measure it.  :meth:`SchedulerProbe.install` plants
+programmer cannot see which pump starved or which thread ran under whose
+constraint, so the middleware must measure it.  :meth:`SchedulerProbe.install` plants
 a :class:`ThreadMeter` on each thread it observes (``MThread.meter``,
 ``None`` by default — every hook is a single ``is not None`` test on the
 thread, so an unmetered thread pays one pointer compare per dispatch),
@@ -18,9 +18,6 @@ and each meter publishes into its owner's metrics registry:
     Per-thread CPU attribution: ``mode="virtual"`` sums simulated ``Work``
     time on the virtual clock; ``mode="wall"`` sums real ``perf_counter``
     time spent inside the dispatch — where the interpreter actually went.
-``repro_sched_donations_total{thread=}`` (counter)
-    Priority-inheritance donations received (synchronous calls into the
-    thread while a more urgent constraint was active).
 ``repro_sched_constraint_dispatches_total{thread=}`` (counter)
     Dispatches whose message carried an explicit timing constraint.
 
@@ -51,7 +48,7 @@ class ThreadMeter:
     __slots__ = (
         "registry", "thread", "run_queue_wait", "ready_since", "hand",
         "countdown", "span", "counted", "dispatches", "wall", "virtual",
-        "donations", "constraints",
+        "constraints",
     )
 
     def __init__(self, registry: MetricsRegistry, thread: str,
@@ -68,7 +65,6 @@ class ThreadMeter:
         self.dispatches: Counter | None = None
         self.wall: Counter | None = None
         self.virtual: Counter | None = None
-        self.donations: Counter | None = None
         self.constraints: Counter | None = None
 
     def _counter(self, family: str, help_text: str, fn=None,
@@ -106,14 +102,6 @@ class ThreadMeter:
         if self.virtual is None:
             self.virtual = self._counter(_CPU, _CPU_HELP, mode="virtual")
         self.virtual._value += seconds
-
-    def on_donation(self) -> None:
-        if self.donations is None:
-            self.donations = self._counter(
-                "repro_sched_donations_total",
-                "Priority-inheritance donations received",
-            )
-        self.donations._value += 1
 
     def on_constraint(self) -> None:
         if self.constraints is None:

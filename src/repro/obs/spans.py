@@ -63,7 +63,7 @@ class Telemetry:
     """Wires the observability layer through a pipeline engine.
 
     Attaching installs the :class:`SchedulerProbe` (run-queue wait, CPU
-    attribution, inheritance counters) and the three span families
+    attribution, constrained-dispatch counters) and the three span families
     (buffer waits, stage latency, coroutine round trips); it is *inert
     when absent*: an engine without telemetry runs the exact same
     instruction stream it did before this module existed (golden scheduler

@@ -27,32 +27,34 @@ from repro.core.events import Event
 from repro.errors import DeadlockError
 from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler
-from repro.mbt.syscalls import CONTINUE, Call, Receive, Yield
+from repro.mbt.syscalls import CONTINUE, Receive, Send, Yield
 from repro.runtime.engine import Engine
 from repro.runtime.section import ThreadCtx, _compile_crossing
 
 
-def crossed_calls_scheduler(trace_limit=None) -> Scheduler:
-    """Two threads that Call each other: a certain receive cycle."""
+def crossed_asks_scheduler(trace_limit=None) -> Scheduler:
+    """Two threads that each ask the other and wait for its answer before
+    serving a question: a certain receive cycle."""
     scheduler = Scheduler(trace=True, trace_limit=trace_limit)
 
-    def caller(peer):
+    def asker(peer):
         def code(thread, message):
             if message.kind == "go":
-                yield Call(target=peer, kind="ask")
+                yield Send(Message(kind="ask", target=peer))
+                yield Receive(receive_from(peer, kinds=["answer"]))
             return CONTINUE
 
         return code
 
-    scheduler.spawn("alice", caller("bob"))
-    scheduler.spawn("bob", caller("alice"))
+    scheduler.spawn("alice", asker("bob"))
+    scheduler.spawn("bob", asker("alice"))
     for name in ("alice", "bob"):
         scheduler.post(Message(kind="go", sender="main", target=name))
     return scheduler
 
 
 def test_two_thread_call_cycle_is_detected_not_hung():
-    scheduler = crossed_calls_scheduler()
+    scheduler = crossed_asks_scheduler()
     scheduler.run()  # returns at quiescence — no hang, no timeout
     report = detect(scheduler)
     assert report.has_cycle
@@ -61,7 +63,7 @@ def test_two_thread_call_cycle_is_detected_not_hung():
 
 
 def test_cycle_report_names_threads_and_match_predicates():
-    scheduler = crossed_calls_scheduler()
+    scheduler = crossed_asks_scheduler()
     scheduler.run()
     report = detect(scheduler)
     text = report.format()
@@ -71,10 +73,10 @@ def test_cycle_report_names_threads_and_match_predicates():
     for name, peer in (("alice", "bob"), ("bob", "alice")):
         info = by_thread[name]
         assert info.waiting_on == peer
-        assert "reply to 'ask' call" in (info.reason or "")
-        # The match predicate is described with its reply-id binding.
-        assert "_rid=" in info.match
-        # The unmatched crossing request is visible in the mailbox snapshot.
+        # The match predicate is described by its label and bindings.
+        assert info.match.startswith(
+            f"receive_from({peer!r}, kinds=['answer']) [sender={peer!r}")
+        # The peer's unanswered question is visible in the mailbox snapshot.
         assert ("ask", peer) in info.queued
     # The embedded trace excerpt shows the final blocks.
     assert "block" in report.trace_excerpt
@@ -84,7 +86,7 @@ def test_report_quotes_the_tail_of_a_ring_bounded_trace():
     """A flight-recorder style ring (a deque, which cannot be sliced)
     gives the excerpt the full trace gives — at the parent of ISSUE 21
     ``detect`` raised TypeError on it."""
-    full, ring = crossed_calls_scheduler(), crossed_calls_scheduler(4)
+    full, ring = crossed_asks_scheduler(), crossed_asks_scheduler(4)
     full.run()
     ring.run()
     assert ring.trace_dropped == len(full.trace) - 4
@@ -98,7 +100,7 @@ def test_report_quotes_the_tail_of_a_ring_bounded_trace():
 
 
 def test_assert_no_deadlock_raises_on_cycle():
-    scheduler = crossed_calls_scheduler()
+    scheduler = crossed_asks_scheduler()
     scheduler.run()
     with pytest.raises(DeadlockError) as excinfo:
         assert_no_deadlock(scheduler)

@@ -86,6 +86,9 @@ def test_a_killed_shard_is_named_and_nothing_leaks(side, tmp_path):
     deployment = Deployment(app.with_batching(32), Placement.auto(2))
     (cut,) = deployment.plan().cuts
     shard = cut.src_shard if side == "upstream" else cut.dst_shard
+    # Under the default start method, which may be spawn: a first spawn
+    # starts the resource tracker, whose pipe stays open.
+    resource_tracker.ensure_running()
     gc.collect()
     baseline = open_fds()
     with pytest.raises(DeployError) as failure:

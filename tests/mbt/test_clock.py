@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.mbt import RealClock, Scheduler, VirtualClock
-from repro.mbt.syscalls import CONTINUE, Sleep
+from repro.mbt.syscalls import CONTINUE
 from repro.mbt.message import Message
 
 
@@ -55,16 +55,17 @@ class TestRealClock:
         clock.advance_to(clock.now() - 10)  # returns immediately
 
     def test_scheduler_runs_on_real_clock(self):
+        """A timer 30 ms out posts its message 30 ms of wall time later."""
         scheduler = Scheduler(clock=RealClock())
         stamps = []
 
         def code(thread, msg):
             stamps.append(time.monotonic())
-            yield Sleep(0.03)
-            stamps.append(time.monotonic())
             return CONTINUE
 
         scheduler.spawn("t", code)
         scheduler.post(Message(kind="go", target="t"))
+        scheduler.after(
+            0.03, lambda: scheduler.post(Message(kind="tick", target="t")))
         scheduler.run_until_idle()
         assert stamps[1] - stamps[0] >= 0.025

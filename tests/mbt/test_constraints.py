@@ -1,52 +1,32 @@
 """Unit tests for scheduling constraints."""
 
 from repro.mbt import Constraint
-from repro.mbt.constraints import DEFAULT_CONSTRAINT
 
 
 def test_higher_priority_is_more_urgent():
-    assert Constraint(priority=5).is_more_urgent_than(Constraint(priority=1))
-    assert not Constraint(priority=1).is_more_urgent_than(Constraint(priority=5))
+    assert Constraint(priority=5).sort_key() < Constraint(priority=1).sort_key()
+    assert not (
+        Constraint(priority=1).sort_key() < Constraint(priority=5).sort_key()
+    )
 
 
 def test_earlier_deadline_breaks_priority_ties():
     early = Constraint(priority=3, deadline=1.0)
     late = Constraint(priority=3, deadline=2.0)
-    assert early.is_more_urgent_than(late)
-    assert not late.is_more_urgent_than(early)
+    assert early.sort_key() < late.sort_key()
+    assert not late.sort_key() < early.sort_key()
 
 
 def test_deadline_beats_no_deadline_at_equal_priority():
     with_deadline = Constraint(priority=0, deadline=10.0)
     without = Constraint(priority=0)
-    assert with_deadline.is_more_urgent_than(without)
+    assert with_deadline.sort_key() < without.sort_key()
 
 
 def test_priority_dominates_deadline():
     urgent = Constraint(priority=10)
     tight = Constraint(priority=1, deadline=0.001)
-    assert urgent.is_more_urgent_than(tight)
-
-
-def test_most_urgent_skips_none():
-    a = Constraint(priority=1)
-    b = Constraint(priority=7)
-    assert Constraint.most_urgent(None, a, None, b) is b
-    assert Constraint.most_urgent(None, None) is None
-    assert Constraint.most_urgent() is None
-
-
-def test_inherit_keeps_more_urgent():
-    low = Constraint(priority=1)
-    high = Constraint(priority=9)
-    assert low.inherit(high) is high
-    assert high.inherit(low) is high
-    assert high.inherit(None) is high
-
-
-def test_default_constraint_priority_zero():
-    assert DEFAULT_CONSTRAINT.priority == 0
-    assert DEFAULT_CONSTRAINT.deadline is None
+    assert urgent.sort_key() < tight.sort_key()
 
 
 def test_constraint_is_hashable_and_frozen():

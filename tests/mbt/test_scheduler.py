@@ -6,20 +6,15 @@ from repro.errors import SchedulerError
 from repro.mbt import (
     CONTINUE,
     TERMINATE,
-    Call,
     Constraint,
     Message,
     Receive,
-    Reply,
     Scheduler,
     Send,
-    Sleep,
     VirtualClock,
-    WaitUntil,
     Work,
     Yield,
 )
-from repro.mbt.syscalls import TIMED_OUT
 
 
 def make_scheduler(**kwargs):
@@ -185,74 +180,6 @@ def test_selective_receive_leaves_other_messages_queued():
     assert ("plain", "noise", 1) in log
 
 
-def test_receive_timeout_resumes_with_sentinel():
-    sched = make_scheduler()
-    outcome = []
-
-    def code(thread, msg):
-        result = yield Receive(match=lambda m: m.kind == "never", timeout=0.5)
-        outcome.append(result)
-        return CONTINUE
-
-    sched.spawn("t", code)
-    sched.post(Message(kind="go", target="t"))
-    sched.run_until_idle()
-    assert outcome == [TIMED_OUT]
-    assert sched.now() == pytest.approx(0.5)
-
-
-def test_call_and_reply_round_trip():
-    sched = make_scheduler()
-    result = []
-
-    def server(thread, msg):
-        yield Reply(msg, payload=msg.payload * 2)
-        return CONTINUE
-
-    def client(thread, msg):
-        reply = yield Call("server", "double", payload=21)
-        result.append(reply.payload)
-        return CONTINUE
-
-    sched.spawn("server", server)
-    sched.spawn("client", client)
-    sched.post(Message(kind="go", target="client"))
-    sched.run_until_idle()
-    assert result == [42]
-
-
-def test_sleep_advances_virtual_time():
-    sched = make_scheduler()
-    times = []
-
-    def code(thread, msg):
-        times.append(sched.now())
-        yield Sleep(2.5)
-        times.append(sched.now())
-        return CONTINUE
-
-    sched.spawn("t", code)
-    sched.post(Message(kind="go", target="t"))
-    sched.run_until_idle()
-    assert times[0] == pytest.approx(0.0)
-    assert times[1] == pytest.approx(2.5)
-
-
-def test_wait_until_in_the_past_continues_immediately():
-    sched = make_scheduler()
-    done = []
-
-    def code(thread, msg):
-        yield WaitUntil(-1.0)
-        done.append(sched.now())
-        return CONTINUE
-
-    sched.spawn("t", code)
-    sched.post(Message(kind="go", target="t"))
-    sched.run_until_idle()
-    assert done == [0.0]
-
-
 def test_work_consumes_virtual_cpu_time():
     sched = make_scheduler()
 
@@ -374,40 +301,6 @@ def test_work_not_preempted_by_lower_priority_thread():
         ("worker-done", pytest.approx(1.0)),
         ("bg", pytest.approx(1.0)),
     ]
-
-
-def test_priority_inheritance_prevents_inversion():
-    """High-priority client calls a low-priority server; a mid-priority
-    CPU hog must not run in between (classic priority inversion)."""
-    sched = make_scheduler()
-    order = []
-
-    def server(thread, msg):
-        order.append("server")
-        yield Work(0.1)
-        yield Reply(msg, payload="ok")
-        return CONTINUE
-
-    def client(thread, msg):
-        order.append("client-call")
-        yield Call("server", "req")
-        order.append("client-reply")
-        return CONTINUE
-
-    def hog(thread, msg):
-        order.append("hog")
-        yield Work(0.5)
-        return CONTINUE
-
-    sched.spawn("server", server, priority=1)
-    sched.spawn("client", client, priority=10)
-    sched.spawn("hog", hog, priority=5)
-    sched.post(Message(kind="go", target="client"))
-    sched.post(Message(kind="go", target="hog"))
-    sched.run_until_idle()
-    # Without inheritance the hog (prio 5) would run before the server
-    # (prio 1) finishes the high-priority client's request.
-    assert order.index("client-reply") < order.index("hog")
 
 
 def test_yield_lets_equal_priority_threads_interleave():

@@ -1,5 +1,5 @@
-"""Edge-case tests for the scheduler: timeouts, donations, dead letters,
-horizons, and tracing."""
+"""Edge-case tests for the scheduler: dead letters, horizons, tracing and
+deadline ordering."""
 
 import pytest
 
@@ -7,96 +7,20 @@ from repro.errors import SchedulerError
 from repro.mbt import (
     CONTINUE,
     TERMINATE,
-    Call,
     Constraint,
-    Exit,
     Message,
-    Receive,
-    Reply,
     Scheduler,
     Send,
     VirtualClock,
     Work,
 )
-from repro.mbt.syscalls import TIMED_OUT
 
 
 def make():
     return Scheduler(clock=VirtualClock())
 
 
-class TestReceiveTimeouts:
-    def test_timeout_timer_cancelled_when_message_arrives(self):
-        sched = make()
-        got = []
-
-        def code(thread, msg):
-            answer = yield Receive(match=lambda m: m.kind == "ans",
-                                   timeout=10.0)
-            got.append(answer)
-            return CONTINUE
-
-        sched.spawn("t", code)
-        sched.post(Message(kind="go", target="t"))
-        sched.after(0.1, lambda: sched.post(Message(kind="ans", target="t")))
-        sched.run_until_idle()
-        assert got[0].kind == "ans"
-        # The timeout timer must not have kept the clock running to 10s.
-        assert sched.now() == pytest.approx(0.1)
-
-    def test_call_with_timeout(self):
-        sched = make()
-        outcomes = []
-
-        def silent_server(thread, msg):
-            return CONTINUE  # never replies
-
-        def client(thread, msg):
-            result = yield Call("server", "ask", timeout=0.5)
-            outcomes.append(result)
-            return CONTINUE
-
-        sched.spawn("server", silent_server)
-        sched.spawn("client", client)
-        sched.post(Message(kind="go", target="client"))
-        sched.run_until_idle()
-        assert outcomes == [TIMED_OUT]
-
-
-class TestDonations:
-    def test_donation_removed_after_reply(self):
-        sched = make()
-
-        def server(thread, msg):
-            yield Reply(msg, "done")
-            return CONTINUE
-
-        def client(thread, msg):
-            yield Call("server", "req")
-            return CONTINUE
-
-        server_thread = sched.spawn("server", server, priority=1)
-        sched.spawn("client", client, priority=9)
-        sched.post(Message(kind="go", target="client"))
-        sched.run_until_idle()
-        assert server_thread._donations == {}
-        # back at its static priority
-        assert server_thread.effective_priority() == 1
-
-
 class TestTermination:
-    def test_exit_syscall_terminates_thread(self):
-        sched = make()
-
-        def code(thread, msg):
-            yield Exit()
-            raise AssertionError("unreachable")  # pragma: no cover
-
-        sched.spawn("t", code)
-        sched.post(Message(kind="go", target="t"))
-        sched.run_until_idle()
-        assert sched.threads["t"].terminated
-
     def test_messages_to_terminated_thread_dead_letter(self):
         sched = make()
         sched.spawn("t", lambda th, m: TERMINATE)

@@ -4,8 +4,8 @@ The scheduler keeps a lazily-invalidated heap of ready threads; the
 original O(n) linear scan survives as ``_pick_ready_linear`` /
 ``_exists_more_urgent_ready_linear`` precisely so this test can hold the
 two implementations against each other: under randomized workloads mixing
-constrained messages, synchronous calls (priority donations), timed
-receives and preemptible simulated work, every dispatch decision and every
+static priorities, constrained messages, selective receives, timer posts
+and preemptible simulated work, every dispatch decision and every
 preemption check must agree with the reference scan.
 """
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mbt import Constraint, Message, Scheduler, VirtualClock
-from repro.mbt.syscalls import CONTINUE, Call, Receive, Reply, Send, Work
+from repro.mbt.syscalls import CONTINUE, Receive, Send, Work
 
 N_WORKERS = 3
 
@@ -33,55 +33,46 @@ class CheckedScheduler(Scheduler):
         self.pick_checks += 1
         super()._run_thread(thread)
 
-    def _preempt_if_needed(self, thread):
-        fast = self._exists_more_urgent_ready(thread)
-        slow = self._exists_more_urgent_ready_linear(thread)
+    def _exists_more_urgent_ready(self, current):
+        # Asked at every syscall's preemption point and whenever a timer
+        # fires mid-Work.
+        fast = super()._exists_more_urgent_ready(current)
+        slow = self._exists_more_urgent_ready_linear(current)
         assert fast == slow, (
             "indexed ready queue and linear scan disagree on preemption"
         )
         self.preempt_checks += 1
-        return super()._preempt_if_needed(thread)
+        return fast
 
 
 def _constraint(priority):
     return None if priority is None else Constraint(priority=priority)
 
 
-def _worker(index):
+def worker(thread, message):
     """A code function whose behaviour is scripted by the message payload."""
-
-    def code(thread, message):
-        if message.kind == "rpc":
-            yield Reply(message, "ok")
-            return CONTINUE
-        for action in message.payload or ():
-            op = action[0]
-            if op == "work":
-                yield Work(action[1])
-            elif op == "send":
-                target = f"w{action[1]}"
-                yield Send(
-                    Message(
-                        kind="job",
-                        target=target,
-                        payload=[],
-                        constraint=_constraint(action[2]),
-                    )
+    for action in message.payload or ():
+        op = action[0]
+        if op == "work":
+            yield Work(action[1])
+        elif op == "send":
+            yield Send(
+                Message(
+                    kind="job",
+                    target=f"w{action[1]}",
+                    payload=[],
+                    constraint=_constraint(action[2]),
                 )
-            elif op == "recv":
-                # Nothing ever matches: exercises the timed-wakeup path.
-                yield Receive(
-                    match=lambda m: m.kind == "never-sent",
-                    timeout=action[1],
-                )
-            elif op == "call":
-                target = action[1]
-                if target != index:  # calling yourself would deadlock
-                    yield Call(target=f"w{target}", kind="rpc")
-        return CONTINUE
+            )
+        elif op == "recv":
+            # Selective: jobs stay queued until a timer's wake arrives (or
+            # never does, and the thread stays blocked).
+            yield Receive(match=lambda m: m.kind == "wake")
+    return CONTINUE
 
-    return code
 
+_worker_index = st.integers(min_value=0, max_value=N_WORKERS - 1)
+_priority = st.one_of(st.none(), st.integers(min_value=0, max_value=9))
 
 _actions = st.lists(
     st.one_of(
@@ -89,31 +80,26 @@ _actions = st.lists(
             st.just("work"),
             st.floats(min_value=0.001, max_value=0.05, allow_nan=False),
         ),
-        st.tuples(
-            st.just("send"),
-            st.integers(min_value=0, max_value=N_WORKERS - 1),
-            st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
-        ),
-        st.tuples(
-            st.just("recv"),
-            st.floats(min_value=0.001, max_value=0.05, allow_nan=False),
-        ),
-        st.tuples(
-            st.just("call"),
-            st.integers(min_value=0, max_value=N_WORKERS - 1),
-        ),
+        st.tuples(st.just("send"), _worker_index, _priority),
+        st.tuples(st.just("recv")),
     ),
     max_size=4,
 )
 
 _jobs = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=N_WORKERS - 1),  # target worker
-        st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
-        _actions,
-    ),
+    st.tuples(_worker_index, _priority, _actions),
     min_size=1,
     max_size=8,
+)
+
+#: ``(delay, target, priority)``: a timer that posts a ``wake`` message.
+_timers = st.lists(
+    st.tuples(
+        st.floats(min_value=0.001, max_value=0.2, allow_nan=False),
+        _worker_index,
+        _priority,
+    ),
+    max_size=6,
 )
 
 _priorities = st.tuples(
@@ -122,11 +108,13 @@ _priorities = st.tuples(
 
 
 @settings(max_examples=60, deadline=None)
-@given(priorities=_priorities, jobs=_jobs)
-def test_heap_matches_linear_scan_under_random_workloads(priorities, jobs):
+@given(priorities=_priorities, jobs=_jobs, timers=_timers)
+def test_heap_matches_linear_scan_under_random_workloads(
+    priorities, jobs, timers
+):
     sched = CheckedScheduler(clock=VirtualClock())
     for i in range(N_WORKERS):
-        sched.spawn(f"w{i}", _worker(i), priority=priorities[i])
+        sched.spawn(f"w{i}", worker, priority=priorities[i])
     for target, priority, actions in jobs:
         sched.post(
             Message(
@@ -136,29 +124,12 @@ def test_heap_matches_linear_scan_under_random_workloads(priorities, jobs):
                 constraint=_constraint(priority),
             )
         )
-    # Mutually-blocked Calls can leave threads parked forever; the step
-    # bound keeps pathological examples finite, the invariant assertions
-    # inside CheckedScheduler are the actual test.
-    sched.run_until_idle(max_steps=2000)
-    assert sched.pick_checks > 0
-
-
-@settings(max_examples=30, deadline=None)
-@given(jobs=_jobs)
-def test_donations_and_timeouts_keep_index_consistent(jobs):
-    """Same invariant with all workers at equal priority, where ordering
-    is decided purely by constraints, donations and arrival order."""
-    sched = CheckedScheduler(clock=VirtualClock())
-    for i in range(N_WORKERS):
-        sched.spawn(f"w{i}", _worker(i), priority=0)
-    for target, priority, actions in jobs:
-        sched.post(
-            Message(
-                kind="job",
-                target=f"w{target}",
-                payload=[("call", (target + 1) % N_WORKERS), *actions],
-                constraint=_constraint(priority),
-            )
-        )
+    for delay, target, priority in timers:
+        wake = Message(kind="wake", target=f"w{target}",
+                       constraint=_constraint(priority))
+        sched.after(delay, lambda wake=wake: sched.post(wake))
+    # A receive no wake answers leaves its thread blocked for good; the
+    # step bound keeps pathological examples finite, the invariant
+    # assertions inside CheckedScheduler are the actual test.
     sched.run_until_idle(max_steps=2000)
     assert sched.pick_checks > 0

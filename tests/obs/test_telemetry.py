@@ -185,34 +185,6 @@ class TestSchedulerProbe:
         assert sum(virtual.values()) == pytest.approx(0.05)
 
 
-    def test_priority_donations_are_counted_for_the_callee(self):
-        """A synchronous call lends the caller's priority to the callee;
-        the probe counts it on the callee's series, nobody else's."""
-        from repro.mbt import CONTINUE, Call, Message, Reply
-        from repro.obs.sched import SchedulerProbe
-
-        registry, sched = MetricsRegistry(), Scheduler()
-
-        def server(thread, msg):
-            yield Reply(msg, payload="ok")
-            return CONTINUE
-
-        def client(thread, msg):
-            yield Call("server", "req")
-            return CONTINUE
-
-        sched.spawn("server", server, priority=1)
-        sched.spawn("client", client, priority=9)
-        SchedulerProbe(registry).install(sched, ["server", "client"])
-        sched.post(Message(kind="go", target="client"))
-        sched.run()
-        family = "repro_sched_donations_total"
-        assert registry.get(family, thread="server").value == 1
-        assert [c.labels for c in registry.family(family)] == [
-            (("thread", "server"),)
-        ]
-
-
 class TestStatsDecoration:
     def test_summary_includes_latency_aggregates(self):
         engine, _telemetry = run_with_telemetry(buffered_pipeline())

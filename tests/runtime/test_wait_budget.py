@@ -15,15 +15,18 @@ argument not seen before.  The counts are deterministic.
   EOS, 201 crossings.  Per crossing a ``Message`` and a ``Send`` for the
   request, the crossing's generator and the wait's.  Before, each also
   built a ``Receive`` and a match lambda and had no wait frame: 21 405
-  calls then, 21 606 now (+1 a crossing: the wait's two frames less the
-  ``Receive``'s ``__init__``), and 5 objects a crossing then, 4 now.
+  calls then, 21 606 with one wait (+1 a crossing: the wait's two frames
+  less the ``Receive``'s ``__init__``), and 5 objects a crossing then, 4
+  now.  21 204 since the scheduler blocks a receive inline and a
+  ``Reply`` revokes no priority donation (-2 a crossing).
 * **Gate parks** — a producer pump that runs ahead parks on a full
   ``Buffer(1)`` once per item but the first, 399 parks.  Per park the
   wait's generator; the gate's two labelled waits are built once, at its
   first park.  Before, each park built a ``receive_data`` generator, a
   ``Receive`` and a match lambda (and a set and a cell, which no Python
-  call makes): 28 509 calls then, 28 118 now (-1 a park, +8 once for the
-  two waits), and 3 objects a park then, 1 now.
+  call makes): 28 509 calls then, 28 118 with one wait (-1 a park, +8
+  once for the two waits), and 3 objects a park then, 1 now.  27 719
+  since the scheduler blocks a receive inline (-1 a park).
 """
 
 import dis
@@ -44,8 +47,8 @@ from repro import (
 
 ITEMS = 400
 #: Every Python-level call event of each run, at the achieved count.
-CROSSING_RUN_CALLS = 21_606
-GATE_RUN_CALLS = 28_118
+CROSSING_RUN_CALLS = 21_204
+GATE_RUN_CALLS = 27_719
 
 _CO_GENERATOR = 0x20
 _BUILT = {"Message", "Send", "Receive"}

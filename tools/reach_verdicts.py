@@ -46,9 +46,6 @@ RULES = [
     ("repro.check.refine:_sorted_union", "tested here",
      "`tests/check/test_refinement.py::test_lossy_union_*` (with its "
      "reordered mutant twin)"),
-    ("repro.deploy.worker:_rehome_netpipe", "tested here",
-     "`tests/deploy/test_deployment.py::TestShardedExecution::"
-     "test_existing_netpipe_pair_is_the_seam`"),
     ("repro.fabric.session:SessionFabric.run_with_io", "tested here",
      "`tests/fabric/test_fabric_e2e.py::TestSharedLink::"
      "test_fifty_sessions_one_socketpair`"),
@@ -77,9 +74,6 @@ RULES = [
     ("repro.obs.dashboard:Dashboard.run_curses", "tested here",
      "`tests/obs/test_dashboard.py::TestDashboardLoop::test_curses_loop_"
      "draws_clips_and_quits` (a scripted screen; CI has no terminal)"),
-    ("repro.obs.sched:ThreadMeter.on_donation", "tested here",
-     "`tests/obs/test_telemetry.py::TestSchedulerProbe::test_priority_"
-     "donations_are_counted_for_the_callee`"),
 
     # ---------------------------------------------------------------- pile
     # (iii): documented extensions with no real driver — the debt list.
@@ -187,18 +181,6 @@ RULES = [
     ("repro.net.node:Node.create", "paper", "§2.4: remote creation"),
     ("repro.mbt.scheduler:Scheduler.reservations", "paper",
      "§3.1: reservations"),
-    ("repro.mbt.constraints:Constraint.inherit", "paper",
-     "§3.1 / §4: constraint inheritance"),
-    ("repro.mbt.constraints:Constraint.most_urgent", "paper",
-     "§3.1 / §4: constraint inheritance"),
-    ("repro.mbt.constraints:Constraint.is_more_urgent_than", "paper",
-     "§4: a donated constraint replaces a less urgent one"),
-    ("repro.mbt.thread:MThread.donate", "paper",
-     "§4: priority inheritance on synchronous calls"),
-    ("repro.mbt.thread:MThread.effective_priority", "paper",
-     "§4: priority inheritance on synchronous calls"),
-    ("repro.mbt.scheduler:Scheduler._call_constraint", "paper",
-     "§4: priority inheritance on synchronous calls"),
     ("repro.mbt.clock:RealClock.*", "paper",
      "§4: the platform's real clock beside the virtual one"),
     ("repro.mbt.clock:*Clock.is_virtual", "paper",
@@ -432,10 +414,6 @@ RULES = [
     ("repro.deploy.deployment:DeploymentResult.items_delivered",
      "verification",
      "reference accessor: a sink's count, found in whichever shard ran it"),
-    ("repro.deploy.deployment:Deployment.simulate", "verification",
-     "reference accessor: the co-simulated twin as one engine, for a test "
-     "to drive and inspect; `certify` runs the same `_simulate(plan)`, "
-     "planned once per certificate (D3 reaches that)"),
     ("repro.fabric.session:Session.tenant", "verification",
      "reference accessor: the tenant a session's threads are charged to"),
     ("repro.fabric.session:Session.threads", "verification",
@@ -766,6 +744,55 @@ DELETED: list[tuple[str, int, str, str]] = [
     ("repro.mbt.scheduler:Scheduler._block_until (a sleep blocks "
      "through `Scheduler._block`, as a receive does)", 14,
      "mbt/test_clock.py, mbt/test_scheduler.py", "none"),
+    # One build split into every shard's pipeline (measured at its
+    # parent, 92056dd).
+    ("repro.deploy.worker:_rehome_netpipe (inlined into the split, which "
+     "re-homes a netpipe cut's halves in place)", 9,
+     "check/test_refinement.py, deploy/test_deployment.py",
+     "none (`test_existing_netpipe_pair_is_the_seam` still drives the "
+     "netpipe seam)"),
+    ("repro.runtime.section:SegmentLock.held_by (read by no library "
+     "code)", 2, "runtime/test_gates_locks.py", "none"),
+    # The syscalls only the thread package's own tests yielded (measured
+    # at its parent, 9ad5420): constraint inheritance is the crossing's.
+    ("repro.mbt.syscalls:Call, Sleep, WaitUntil, Exit, `Receive(timeout=)` "
+     "and `TIMED_OUT` (dataclasses and a sentinel: no function-lines; "
+     "their branches sat in `Scheduler._drive`, which every driver "
+     "reaches)", 0, "mbt/test_scheduler.py, mbt/test_scheduler_edges.py, "
+     "mbt/test_scheduler_invariants.py, +3 more",
+     "`test_call_and_reply_round_trip`, `test_receive_timeout_resumes_"
+     "with_sentinel`, `test_sleep_advances_virtual_time`, `test_wait_until_"
+     "in_the_past_continues_immediately`, `TestReceiveTimeouts::test_call_"
+     "with_timeout`, `::test_timeout_timer_cancelled_when_message_arrives`, "
+     "`TestTermination::test_exit_syscall_terminates_thread`, `test_"
+     "donations_and_timeouts_keep_index_consistent` (the deadlock cycle, "
+     "the real-clock test and the heap/linear property are restated with "
+     "`Send` / `Receive` and timer posts)"),
+    ("repro.mbt.scheduler:Scheduler._call_constraint (with `_drive`'s "
+     "`Call` branch)", 9, "check/test_deadlock.py, mbt/test_scheduler.py, "
+     "mbt/test_scheduler_edges.py, +2 more", "with `Call`"),
+    ("repro.mbt.scheduler:Scheduler._block (inlined into `_drive`'s "
+     "`Receive` branch, its one caller once no wait has a wake timer)", 19,
+     "D1-D4", "none"),
+    ("repro.mbt.thread:MThread.donate / revoke_donation (with `_donations`, "
+     "the donation fold in `_compute_sort_key` and `Reply`'s revoke)", 6,
+     "`revoke_donation` by D1-D4 (every `Reply`); `donate` by "
+     "check/test_deadlock.py, mbt/test_scheduler.py, +3 more",
+     "`test_priority_inheritance_prevents_inversion`, `TestDonations::"
+     "test_donation_removed_after_reply`"),
+    ("repro.mbt.thread:MThread.effective_priority", 3,
+     "check/test_deadlock.py, mbt/test_scheduler.py, +3 more", "with "
+     "`donate`"),
+    ("repro.mbt.constraints:Constraint.is_more_urgent_than / most_urgent / "
+     "inherit (with `DEFAULT_CONSTRAINT`)", 22,
+     "mbt/test_constraints.py, mbt/test_scheduler_invariants.py",
+     "`test_most_urgent_skips_none`, `test_inherit_keeps_more_urgent`, "
+     "`test_default_constraint_priority_zero` (the four ordering tests "
+     "compare `sort_key()`)"),
+    ("repro.obs.sched:ThreadMeter.on_donation (with "
+     "`repro_sched_donations_total`)", 7, "obs/test_telemetry.py",
+     "`TestSchedulerProbe::test_priority_donations_are_counted_for_the_"
+     "callee`"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
