@@ -32,6 +32,7 @@ from typing import Any, Callable
 from repro.core.composition import Pipeline as CorePipeline
 from repro.core.naming import fresh_scope
 from repro.errors import DeployError
+from repro.mbt.scheduler import Scheduler
 from repro.runtime.engine import Engine
 
 
@@ -190,13 +191,17 @@ class Pipeline:
         workers (``pipeline`` is the shard's cut sub-graph), co-simulated
         twins and fabric sessions (``scheduler`` is the shared one) — so
         an option stated on the spec means the same thing in all of them.
+        The trace is the scheduler's, so it is built here only into a
+        scheduler the spec owns.
         """
         if pipeline is None:
             pipeline = build_program(self.program)
+        if scheduler is None:
+            scheduler = Scheduler(trace=self.trace,
+                                  trace_limit=self.trace_limit)
         engine = Engine(
             pipeline, scheduler=scheduler, backend=self.backend,
-            batch_max=self.batch_max, trace=self.trace,
-            trace_limit=self.trace_limit,
+            batch_max=self.batch_max,
         )
         telemetry = tracer = None
         if self.metrics:

@@ -185,11 +185,12 @@ class SessionFabric:
 
         ``program`` is a :class:`repro.api.Pipeline` run spec — whose
         execution options (backend, batching, telemetry) the session
-        honours — or a bare program run with the defaults: a composed
-        Pipeline, a microlanguage source string, or a zero-arg builder
-        callable.  Strings and callables build under a private naming
-        scope, so a thousand sessions of the same program get identical
-        pre-prefix names.
+        honours, and whose trace it refuses with a ``DeployError`` (the
+        trace is the shared scheduler's) — or a bare program run with
+        the defaults: a composed Pipeline, a microlanguage source string,
+        or a zero-arg builder callable.  Strings and callables build
+        under a private naming scope, so a thousand sessions of the same
+        program get identical pre-prefix names.
 
         Returns the live :class:`Session`.  Attachment is live: no other
         session is paused, resorted or even reindexed.
@@ -215,6 +216,12 @@ class SessionFabric:
         engine = None
         try:
             app = Pipeline.of(program)
+            if app.trace:
+                raise DeployError(
+                    f"session {name!r} asks for a trace, but its threads "
+                    "run on the fabric's scheduler: trace the fabric, "
+                    "SessionFabric(scheduler=Scheduler(trace=True))"
+                )
             pipeline = build_program(app.program)
             if namespace:
                 for component in pipeline:

@@ -134,13 +134,13 @@ from repro.mbt.syscalls import (
     Work,
     Yield,
 )
-from repro.mbt.thread import MThread, WaitState
+from repro.mbt.thread import MThread
 
 _INF = float("inf")
 
 _EPS = 1e-12
 
-#: Default bound on the dead-letter queue; beyond it the oldest letters are
+#: The bound on the dead letters and the errors: beyond it the oldest are
 #: dropped (and counted), so week-long runs cannot grow memory unboundedly.
 DEAD_LETTER_LIMIT = 1000
 
@@ -211,7 +211,6 @@ class Scheduler:
         self,
         clock: Clock | None = None,
         trace: bool = False,
-        dead_letter_limit: int | None = DEAD_LETTER_LIMIT,
         trace_limit: int | None = None,
         fair_quantum: int = 1,
     ):
@@ -222,9 +221,8 @@ class Scheduler:
         # and the attribute chain is measurable there.
         self._clock_now = self.clock.now
         self.threads: dict[str, MThread] = {}
-        #: Undeliverable messages, newest last; bounded by
-        #: ``dead_letter_limit`` (None = unbounded).
-        self.dead_letters: deque[Message] = deque(maxlen=dead_letter_limit)
+        #: Undeliverable messages, newest last (``DEAD_LETTER_LIMIT``).
+        self.dead_letters: deque[Message] = deque(maxlen=DEAD_LETTER_LIMIT)
         #: Dead letters evicted because the queue was full.
         self.dead_letters_dropped = 0
         #: Crashed threads' ``(name, exc)``, bounded like the dead letters.
@@ -512,10 +510,9 @@ class Scheduler:
     def _deliver_now(self, message: Message) -> None:
         target = self.threads.get(message.target)
         if target is None or target.terminated:
-            letters = self.dead_letters
-            if letters.maxlen is not None and len(letters) == letters.maxlen:
+            if len(self.dead_letters) == DEAD_LETTER_LIMIT:
                 self.dead_letters_dropped += 1
-            letters.append(message)
+            self.dead_letters.append(message)
             return
         self.messages_delivered += 1
         if self._trace is not None:
@@ -969,7 +966,7 @@ class Scheduler:
                 if message is not None:
                     value = message
                     continue
-                thread._wait = WaitState(request.match)
+                thread._wait = request
                 thread._readiness_changed()
                 if self._trace is not None:
                     self._record("block", thread.name, "receive")

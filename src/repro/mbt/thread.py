@@ -28,28 +28,14 @@ its indexed ready queue stays current; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.mbt.constraints import Constraint
 from repro.mbt.mailbox import Mailbox
 from repro.mbt.message import Message
+from repro.mbt.syscalls import Receive
 
 CodeFunction = Callable[["MThread", Message], Any]
-
-
-@dataclass(slots=True)
-class WaitState:
-    """Why a thread is blocked: a ``Receive`` waiting for the first message
-    ``match`` accepts (any message when ``match`` is None).
-
-    The deadlock detector (:mod:`repro.check.deadlock`) reads what the
-    predicate declares of itself: the ``waiting_on`` and name that
-    :func:`repro.runtime.section.labelled` and
-    :func:`repro.check.deadlock.receive_from` give it.
-    """
-
-    match: Callable[[Message], bool] | None = None
 
 
 class MThread:
@@ -91,20 +77,13 @@ class MThread:
         "parked",
     )
 
-    def __init__(
-        self,
-        name: str,
-        code: CodeFunction,
-        priority: int = 0,
-        mailbox: Mailbox | None = None,
-        local: dict | None = None,
-    ):
+    def __init__(self, name: str, code: CodeFunction, priority: int = 0):
         self.name = name
         self.code = code
         self._priority = priority
-        self.mailbox = mailbox if mailbox is not None else Mailbox()
+        self.mailbox = Mailbox()
         #: Per-thread user state (the "extended" part of the FSM).
-        self.local = local if local is not None else {}
+        self.local: dict = {}
 
         self.terminated = False
         self.crashed: BaseException | None = None
@@ -115,7 +94,10 @@ class MThread:
         self._resume_value: Any = None
         self._resume_exc: BaseException | None = None
         self._pending_work: float = 0.0
-        self._wait: WaitState | None = None
+        #: The ``Receive`` the thread yielded and is blocked in: a delivery
+        #: tests its ``match``, and :mod:`repro.check.deadlock` reads what
+        #: the match declares of itself (its ``waiting_on`` and name).
+        self._wait: Receive | None = None
         #: Scheduler bookkeeping for fair tie-breaking.
         self._last_ran = 0
         self._index = 0

@@ -2,10 +2,10 @@
 
 Thread transparency hides threads from the *programmer*; when something
 behaves unexpectedly, the middleware owes them visibility back.  With
-``Engine(pipe, trace=True)`` the scheduler records every switch, dispatch,
-block and preemption (``trace_limit=N`` keeps the newest N: the flight
-recorder); the helpers here turn that record into something a human can
-read.
+``Engine(pipe, scheduler=Scheduler(trace=True))`` (or a run spec's
+``with_trace()``) the scheduler records every switch, dispatch, block and
+preemption (``trace_limit=N`` keeps the newest N: the flight recorder);
+the helpers here turn that record into something a human can read.
 """
 
 from __future__ import annotations

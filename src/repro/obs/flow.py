@@ -640,17 +640,17 @@ def plant(engine: "Engine") -> dict[str, Hand]:
 
     :meth:`Telemetry.attach <repro.obs.spans.Telemetry.attach>` and
     :meth:`FlowTracer.attach` both start here, so two collectors on one
-    engine share one hand per thread (``driver.ctx.hand``) and one lane
+    engine share one hand per thread (``driver.hand``) and one lane
     per queue (``gate.lane``, see :func:`plant_lane`)."""
     engine.setup()
     drivers = engine.drivers
     for driver in drivers:
-        if driver.ctx.hand is not None:
-            return driver.ctx.hand.peers
+        if driver.hand is not None:
+            return driver.hand.peers
     now = engine.scheduler.clock.now
     hands: dict[str, Hand] = {}
     for driver in drivers:
-        driver.ctx.hand = hands[driver.thread_name] = Hand(
+        driver.hand = hands[driver.thread_name] = Hand(
             driver.thread_name, now, hands
         )
     return hands

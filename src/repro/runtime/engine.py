@@ -53,15 +53,13 @@ from repro.runtime.stats import PipelineStats
 FlowTarget = Union[FlowNode, BoundaryRef]
 
 
-class PumpDriver:
+class PumpDriver(ThreadCtx):
     """Runs one section: the pump's (or active endpoint's) thread."""
 
     def __init__(self, engine: "Engine", section: SectionPlan):
-        self.engine = engine
+        super().__init__(engine, f"pump:{section.origin.name}")
         self.section = section
         self.origin = section.origin
-        self.thread_name = f"pump:{self.origin.name}"
-        self.ctx = ThreadCtx(engine, self.thread_name)
         self.timer: PeriodicTimer | None = None
         self.finished = False
         self.cycles = 0
@@ -138,18 +136,18 @@ class PumpDriver:
             _boundary_gates(self.engine, section.pull_root)
         )
         self._pull_walker = (
-            compile_pull(self.ctx, section.pull_root)
+            compile_pull(self, section.pull_root)
             if section.pull_root is not None
             else None
         )
         self._push_walker = (
-            compile_push(self.ctx, section.push_root)
+            compile_push(self, section.push_root)
             if section.push_root is not None
             else None
         )
         if section.pull_root is None:
             self._generate = serving(
-                self.origin.generate, None, traced_hand(self.ctx)
+                self.origin.generate, None, traced_hand(self)
             )
         self._max_items = self.origin.max_items
         # Batch mode is a compile-time decision: only greedy pumps whose
@@ -160,12 +158,12 @@ class PumpDriver:
         limit = self._pump_batch_max or self.engine.batch_max
         if limit > 1 and self.timing == "greedy":
             self._pull_many = (
-                compile_pull_many(self.ctx, section.pull_root)
+                compile_pull_many(self, section.pull_root)
                 if section.pull_root is not None
                 else None
             )
             self._push_many = (
-                compile_push_many(self.ctx, section.push_root)
+                compile_push_many(self, section.push_root)
                 if section.push_root is not None
                 else None
             )
@@ -199,7 +197,7 @@ class PumpDriver:
             if self.origin.running and not self.finished:
                 return self._cycle(repost=False)
         elif kind == "event":
-            self.ctx.dispatch_event_message(message)
+            self.dispatch_event_message(message)
         self.sync_running_state()
         return CONTINUE
 
@@ -236,7 +234,7 @@ class PumpDriver:
             # it times the cycle of a sampled dispatch and is told when a
             # timed cycle's, or a carried context's, items are all moved —
             # an active sink's walker being this loop.
-            hand = self.ctx.hand
+            hand = self.hand
             if hand is not None:
                 cycle_start = hand.sample_cycle() if hand.timed else None
 
@@ -306,7 +304,7 @@ class PumpDriver:
             self.cycles += 1
             pull_many = self._pull_many
             push_many = self._push_many
-            hand = self.ctx.hand
+            hand = self.hand
             if hand is not None:
                 cycle_start = hand.sample_cycle() if hand.timed else None
 
@@ -423,7 +421,7 @@ class PumpDriver:
             self.timer.stop()
 
 
-class CoroutineDriver:
+class CoroutineDriver(ThreadCtx):
     """Runs one coroutine component on its own user-level thread.
 
     Push/pull to the component arrive as ``ip-push``/``ip-pull`` request
@@ -440,12 +438,10 @@ class CoroutineDriver:
         mode: Mode,
         node: FlowNode,
     ):
-        self.engine = engine
+        super().__init__(engine, f"coro:{component.name}")
         self.component = component
         self.mode = mode
         self.node = node
-        self.thread_name = f"coro:{component.name}"
-        self.ctx = ThreadCtx(engine, self.thread_name)
         self.susp: Suspendable | None = None
         self.started = False
         self.finished = False
@@ -463,13 +459,13 @@ class CoroutineDriver:
         branches = self.node.branches
         if self.mode is Mode.PUSH:
             self._push_walkers = {
-                port: compile_push(self.ctx, child)
+                port: compile_push(self, child)
                 for port, child in branches.items()
             }
             self._pull_walkers = {}
         else:
             self._pull_walkers = {
-                port: compile_pull(self.ctx, child)
+                port: compile_pull(self, child)
                 for port, child in branches.items()
             }
             self._push_walkers = {}
@@ -512,7 +508,7 @@ class CoroutineDriver:
         ``None`` return is accepted as CONTINUE by the scheduler)."""
         kind = message.kind
         if kind == "event":
-            self.ctx.dispatch_event_message(message)
+            self.dispatch_event_message(message)
             return CONTINUE
         if kind in ("ip-push", "ip-push-batch") and self.mode is Mode.PUSH:
             return self._handle_push(message)
@@ -724,7 +720,8 @@ class Engine:
         calls, the paper-faithful programming model).
     scheduler:
         The scheduler to run on (default: a fresh one over a virtual
-        clock); the one way to give an engine another clock.
+        clock); the one way to give an engine another clock or a trace
+        (``Scheduler(trace=True)``, ``trace_limit=N``).
     batch_max:
         The batched data plane's transmission policy: how many items a
         greedy pump may move per scheduler message (docs/RUNTIME.md §11).
@@ -739,8 +736,6 @@ class Engine:
         pipe: Pipeline,
         backend: str = "generator",
         scheduler: Scheduler | None = None,
-        trace: bool = False,
-        trace_limit: int | None = None,
         batch_max: int | None = None,
     ):
         if not isinstance(pipe, Pipeline):
@@ -752,9 +747,7 @@ class Engine:
         self.batch_max = int(batch_max)
         self.pipeline = pipe
         self.backend = backend
-        self.scheduler = scheduler or Scheduler(
-            trace=trace, trace_limit=trace_limit
-        )
+        self.scheduler = scheduler or Scheduler()
         #: The event table: component name -> owner thread, in pipeline
         #: order once set up (the order a broadcast reaches them).
         self._owner: dict[str, str] = {}
@@ -783,8 +776,8 @@ class Engine:
         self._services: list[Any] = []
         #: Observability front-end (repro.obs.Telemetry) when attached,
         #: for the latency decoration of ``stats``.  What the runtime
-        #: reports movements to is the plant: ``ThreadCtx.hand`` per
-        #: thread, ``BufferGate.lane`` per queue, ``MThread.meter``.
+        #: reports movements to is the plant: ``hand`` per driver,
+        #: ``BufferGate.lane`` per queue, ``MThread.meter``.
         self._telemetry: Any = None
         #: Committed live restructurings (repro.runtime.restructure
         #: Replacement records), in application order — the audit trail
@@ -1030,14 +1023,14 @@ class Engine:
 
     def send_event(self, kind: str, payload: Any = None) -> None:
         """Broadcast a control event to every component (like the paper's
-        ``send_event(START)``)."""
+        ``send_event(START)``); a START or STOP moves :attr:`_started`."""
         self.setup()
         self.events.broadcast(Event(kind=kind, payload=payload, source=""))
+        if kind == ev.START or kind == ev.STOP:
+            self._started = kind == ev.START
 
     def start(self) -> "Engine":
-        self.setup()
         self.send_event(ev.START)
-        self._started = True
         return self
 
     def stop_services(self) -> "Engine":
@@ -1053,7 +1046,6 @@ class Engine:
         run again (its handlers run on the next dispatch)."""
         self.stop_services()
         self.send_event(ev.STOP)
-        self._started = False
         return self
 
     def run(self, until: float | None = None, max_steps: int | None = None) -> "Engine":
@@ -1062,9 +1054,10 @@ class Engine:
         return self
 
     def run_to_completion(self, max_steps: int | None = None) -> "Engine":
-        """Start the pipeline unless started since its last ``stop()``, and
-        run until it goes quiescent (finite flows end by EOS; infinite
-        flows need ``run(until=...)`` + ``stop()``)."""
+        """Start the pipeline unless a START was broadcast since the last
+        STOP (by ``start()`` or ``send_event``), and run until it goes
+        quiescent (finite flows end by EOS; infinite flows need
+        ``run(until=...)`` + ``stop()``)."""
         if not self._started:
             self.start()
         self.scheduler.run(max_steps=max_steps)

@@ -44,7 +44,9 @@ FlowTarget = Union[FlowNode, BoundaryRef]
 
 
 class ThreadCtx:
-    """Per-thread execution context used by all driver generators."""
+    """One runtime thread's context: the base of the pump and coroutine
+    drivers (:mod:`repro.runtime.engine`), so a driver *is* its thread's
+    context and the walkers compile against it."""
 
     def __init__(self, engine: "Engine", thread_name: str):
         self.engine = engine
@@ -128,17 +130,19 @@ class BufferGate:
         self._try_pull_many = buffer.try_pull_many
 
     @cached_property
-    def _waits(self) -> tuple[Receive, Receive]:  # a pusher's, a puller's
-        name = self.buffer.name
-        return (awaiting("buffer-space", f"space in {name}",
-                         f"gate put on {name}"),
-                awaiting("buffer-item", f"an item in {name}",
-                         f"gate get on {name}"))
+    def _space_wait(self) -> Receive:  # built at its direction's first park
+        return awaiting("buffer-space", f"space in {self.buffer.name}",
+                        f"gate put on {self.buffer.name}")
+
+    @cached_property
+    def _item_wait(self) -> Receive:
+        return awaiting("buffer-item", f"an item in {self.buffer.name}",
+                        f"gate get on {self.buffer.name}")
 
     def put(self, ctx: ThreadCtx, item: Any, port: str = "in"):
         while self.buffer.try_push(item, port) == FULL:
             self._push_waiters.append(ctx.thread_name)
-            yield from ctx.wait(self._waits[0])
+            yield from ctx.wait(self._space_wait)
         if self.lane is not None and item is not EOS:
             self.lane.put(ctx.hand, 1)
         if self._pull_waiters or self.idle_pumps:
@@ -147,7 +151,7 @@ class BufferGate:
     def get(self, ctx: ThreadCtx, port: str = "out"):
         while (pulled := self.buffer.try_pull(port))[0] == EMPTY:
             self._pull_waiters.append(ctx.thread_name)
-            yield from ctx.wait(self._waits[1])
+            yield from ctx.wait(self._item_wait)
         item = pulled[1]
         if self.lane is not None and item is not EOS and item is not NIL:
             self.lane.get(ctx.hand, 1)
@@ -164,7 +168,7 @@ class BufferGate:
             taken = push_many(items[start:] if start else items, port)
             if not taken:
                 self._push_waiters.append(ctx.thread_name)
-                yield from ctx.wait(self._waits[0])
+                yield from ctx.wait(self._space_wait)
                 continue
             if self.lane is not None:
                 self.lane.put(ctx.hand, taken)
@@ -179,7 +183,7 @@ class BufferGate:
         list means "no data now" under a NIL policy (the per-item NIL)."""
         while (pulled := self._try_pull_many(n, port))[0] == EMPTY:
             self._pull_waiters.append(ctx.thread_name)
-            yield from ctx.wait(self._waits[1])
+            yield from ctx.wait(self._item_wait)
         run = pulled[1]
         if self.lane is not None and (count := _run_data_count(run)):
             self.lane.get(ctx.hand, count)

@@ -195,7 +195,7 @@ def build_buffered_chain(trace_limit=None):
             IterSource(range(20)), GreedyPump(), Buffer(capacity=4),
             GreedyPump(), CollectSink(),
         ),
-        trace=True, trace_limit=trace_limit,
+        scheduler=Scheduler(trace=True, trace_limit=trace_limit),
     )
 
 

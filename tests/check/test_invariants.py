@@ -25,6 +25,7 @@ from repro.components.buffers import OnFull
 from repro.components.filters import PredicateFilter
 from repro.core.styles import Consumer
 from repro.errors import InvariantViolation
+from repro.mbt.scheduler import Scheduler
 from repro.runtime.engine import Engine
 
 
@@ -231,7 +232,7 @@ def test_install_sink_taps_records_streams_without_changing_the_run():
             pipeline(
                 IterSource(range(12)), GreedyPump(), CollectSink(),
             ),
-            trace=True,
+            scheduler=Scheduler(trace=True),
         )
 
     untapped = build()
@@ -278,7 +279,6 @@ def test_sink_taps_after_setup_recompile_walkers():
 
 def test_check_network_link_accounting():
     from repro.mbt.clock import VirtualClock
-    from repro.mbt.scheduler import Scheduler
     from repro.net.network import Network
     from repro.net.packets import Packet
 

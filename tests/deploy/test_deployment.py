@@ -13,6 +13,7 @@ from repro.deploy import Deployment, DeployError, Placement
 from repro.deploy.presets import fig1_stages, fig9a_chains
 from repro.deploy.worker import SEAM_WINDOW
 from repro.lang.parser import LangError
+from repro.mbt.scheduler import Scheduler
 from repro.net.mux import MuxStream
 from repro.net.netpipe import NetpipeReceiver, NetpipeSender
 from repro.net.protocols import Transport
@@ -80,7 +81,7 @@ class TestSingleShard:
         scheduler traces hash identically."""
         from repro.deploy.worker import build_program
 
-        plain = Engine(build_program(SRC), trace=True)
+        plain = Engine(build_program(SRC), scheduler=Scheduler(trace=True))
         plain.start()
         plain.run()
         deployed = Deployment(

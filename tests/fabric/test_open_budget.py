@@ -58,8 +58,10 @@ CLOSE_CALL_BUDGET = 12
 #: keeps alive (158 / 143 while every owned component held a delivery
 #: and a sender closure for the event service; 125 / 110 while each
 #: event service kept a list of broadcast relays; 124 / 109 while a
-#: credited sink walker built its credit wait's match when compiled).
-OBJECTS_PER_SESSION = {"tx": 123, "rx": 109}
+#: credited sink walker built its credit wait's match when compiled;
+#: 123 / 109 while each driver kept its thread's context as a second
+#: object).
+OBJECTS_PER_SESSION = {"tx": 122, "rx": 108}
 
 
 def count_calls(fn) -> int:

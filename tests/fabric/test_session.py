@@ -528,6 +528,25 @@ class TestSharedScheduler:
         assert driver.batches and driver.batched_items == 40
         assert not plain.engine.pump_drivers[0].batches
 
+    @pytest.mark.parametrize("limit", [None, 16])
+    def test_a_spec_that_asks_for_a_trace_is_refused(self, limit):
+        """The trace is the shared scheduler's, so a session cannot keep
+        one of its own: the open fails whole and names the fabric's way."""
+        build, sinks = counting_program()
+        fabric = SessionFabric()
+        spec = Pipeline.from_builder(build).with_trace(limit)
+        with pytest.raises(
+            DeployError, match=r"session 't'.*Scheduler\(trace=True\)"
+        ):
+            fabric.open_session(spec, name="t")
+        assert not fabric.sessions and not fabric.scheduler.threads
+        assert not sinks  # refused before the program was built
+        traced = SessionFabric(scheduler=Scheduler(trace=True))
+        traced.open_session(build, name="t")
+        run_rounds(traced)
+        assert sinks[0].items == list(range(5))
+        assert traced.scheduler.trace
+
     def test_metrics_sessions_each_see_their_own_threads(self):
         """Two with_metrics() sessions share the scheduler's one probe
         slot: each registry gets its own threads' dispatch / CPU /

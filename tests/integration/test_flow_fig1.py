@@ -23,6 +23,7 @@ from repro import (
     Pipeline,
     connect,
 )
+from repro.mbt.scheduler import Scheduler
 from repro.media import MpegDecoder, MpegFileSource
 from repro.net import Network, Node, RemoteBinder
 from repro.obs import FlowTracer
@@ -61,7 +62,8 @@ def run_flow_fig1(batch_max=32, protocol="stream", frames=FRAMES, trace=False):
         producer_side, consumer_side, "producer", "consumer",
         flow="video", protocol=protocol,
     )
-    engine = Engine(pipe, trace=trace, batch_max=batch_max)
+    engine = Engine(pipe, scheduler=Scheduler(trace=trace),
+                    batch_max=batch_max)
     tracer = FlowTracer(sample_every=1).attach(engine)
     engine.start()
     engine.run(until=60.0)

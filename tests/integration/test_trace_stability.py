@@ -32,6 +32,7 @@ from repro import (
     connect,
 )
 from repro.core.typespec import Typespec
+from repro.mbt.scheduler import Scheduler
 from repro.media import (
     MpegDecoder,
     MpegFileSource,
@@ -140,7 +141,7 @@ def run_fig1(frames: int = 40, fps: float = 30.0, seed: int = 5):
         producer_side, consumer_side, "producer", "consumer",
         flow="video", protocol="datagram",
     )
-    engine = Engine(pipe, trace=True)
+    engine = Engine(pipe, scheduler=Scheduler(trace=True))
     engine.start()
     engine.run(until=frames / fps + 2.0)
     engine.stop()
@@ -162,7 +163,7 @@ def run_fig5():
         IterSource(range(3)), GreedyPump(), Stage(), Stage(),
         CallbackSink(lambda item: None),
     )
-    engine = Engine(pipe, trace=True)
+    engine = Engine(pipe, scheduler=Scheduler(trace=True))
     engine.start()
     engine.run()
     return engine
@@ -173,7 +174,7 @@ def run_midi(per_component: bool, events: int):
     from benchmarks.test_bench_sec4_midi_mixer import build
 
     pipe, _sink = build(per_component, events)
-    engine = Engine(pipe, trace=True)
+    engine = Engine(pipe, scheduler=Scheduler(trace=True))
     engine.start()
     engine.run()
     return engine

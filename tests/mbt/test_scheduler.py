@@ -15,6 +15,7 @@ from repro.mbt import (
     Work,
     Yield,
 )
+from repro.mbt.scheduler import DEAD_LETTER_LIMIT
 
 
 def make_scheduler(**kwargs):
@@ -87,21 +88,14 @@ def test_message_to_unknown_thread_goes_to_dead_letters():
 
 
 def test_dead_letter_queue_is_bounded_and_counts_drops():
-    sched = make_scheduler(dead_letter_limit=3)
-    for i in range(5):
+    sched = make_scheduler()
+    for i in range(DEAD_LETTER_LIMIT + 2):
         sched.post(Message(kind=f"d{i}", target="ghost"))
     # Oldest letters are evicted; every eviction is counted.
-    assert len(sched.dead_letters) == 3
-    assert [m.kind for m in sched.dead_letters] == ["d2", "d3", "d4"]
+    assert len(sched.dead_letters) == DEAD_LETTER_LIMIT
+    assert [m.kind for m in list(sched.dead_letters)[:2]] == ["d2", "d3"]
+    assert sched.dead_letters[-1].kind == f"d{DEAD_LETTER_LIMIT + 1}"
     assert sched.dead_letters_dropped == 2
-
-
-def test_dead_letter_queue_unbounded_when_limit_none():
-    sched = make_scheduler(dead_letter_limit=None)
-    for i in range(5):
-        sched.post(Message(kind=f"d{i}", target="ghost"))
-    assert len(sched.dead_letters) == 5
-    assert sched.dead_letters_dropped == 0
 
 
 def test_duplicate_thread_name_rejected():

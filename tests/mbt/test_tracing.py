@@ -5,6 +5,7 @@ import pytest
 from repro import ClockedPump, CollectSink, CostFilter, Engine, pipeline
 from repro.components.sources import CountingSource
 from repro.errors import SchedulerError
+from repro.mbt.scheduler import Scheduler
 from repro.mbt.tracing import format_trace, summarize, switch_counts, timeline
 
 
@@ -14,7 +15,7 @@ def traced_engine():
         CountingSource(limit=10), ClockedPump(10), CostFilter(0.01),
         CollectSink(),
     )
-    engine = Engine(pipe, trace=True)
+    engine = Engine(pipe, scheduler=Scheduler(trace=True))
     engine.start()
     engine.run()
     return engine

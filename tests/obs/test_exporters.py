@@ -8,6 +8,7 @@ import pytest
 from tests.integration.test_trace_stability import run_fig1
 
 from repro import CollectSink, Engine, GreedyPump, IterSource, pipeline
+from repro.mbt.scheduler import Scheduler
 from repro.media import MpegFileSource, arrays
 from repro.obs import (
     FlowTracer,
@@ -210,7 +211,7 @@ def _traced_engine(source=None, batch_max=None, registry=None):
             source or IterSource(range(20)), GreedyPump(), CollectSink()
         ),
         batch_max=batch_max,
-        trace=True,
+        scheduler=Scheduler(trace=True),
     )
     if registry is not None:
         Telemetry(registry=registry).attach(engine)
@@ -230,7 +231,7 @@ class TestFlowArrows:
                 IterSource(range(20)), GreedyPump(), Buffer(capacity=32),
                 ClockedPump(50.0), CollectSink(),
             ),
-            trace=True,
+            scheduler=Scheduler(trace=True),
         )
         tracer = FlowTracer(sample_every=1).attach(engine)
         engine.start()

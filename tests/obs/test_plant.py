@@ -193,12 +193,12 @@ class TestOnePlant:
             GreedyPump(), CollectSink(),
         ))
         telemetry = Telemetry().attach(engine)
-        hands = [driver.ctx.hand for driver in engine.pump_drivers]
+        hands = [driver.hand for driver in engine.pump_drivers]
         (lane,) = [gate.lane for gate in engine._gates.values()]
         assert None not in hands and lane.wait is not None
         assert lane.tracer is None and hands[0].tracer is None
         tracer = FlowTracer(registry=telemetry.registry).attach(engine)
-        assert [d.ctx.hand for d in engine.pump_drivers] == hands
+        assert [d.hand for d in engine.pump_drivers] == hands
         assert [gate.lane for gate in engine._gates.values()] == [lane]
         assert lane.tracer is tracer and hands[0].tracer is tracer
 

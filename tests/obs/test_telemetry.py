@@ -98,7 +98,7 @@ class TestSpans:
         seen = []
         engine = Engine(
             coroutine_pipeline(10, pull_side, seen.append),
-            batch_max=batch_max, trace=True,
+            batch_max=batch_max, scheduler=Scheduler(trace=True),
         )
         if observed == "telemetry":
             telemetry = Telemetry().attach(engine)
@@ -204,7 +204,8 @@ class TestFlightRecorder:
     run spec's trace limit."""
 
     def test_keeps_last_events_and_counts_dropped(self):
-        engine = Engine(buffered_pipeline(items=30), trace_limit=16)
+        engine = Engine(buffered_pipeline(items=30),
+                        scheduler=Scheduler(trace_limit=16))
         engine.start()
         engine.run()
         ring = engine.scheduler.trace
@@ -216,7 +217,8 @@ class TestFlightRecorder:
         assert "evicted from the ring" in format_tail(engine.scheduler)
 
     def test_full_trace_subsumes_recorder(self):
-        engine = Engine(buffered_pipeline(items=10), trace_limit=4)
+        engine = Engine(buffered_pipeline(items=10),
+                        scheduler=Scheduler(trace_limit=4))
         engine.scheduler.enable_trace()
         engine.start()
         engine.run()
@@ -242,12 +244,13 @@ class TestInertness:
         # Every plant — one lane per gate, one hand per thread — is empty.
         assert [gate.lane for gate in engine._gates.values()] == [None]
         for driver in engine.pump_drivers:
-            assert driver.ctx.hand is None
+            assert driver.hand is None
         assert engine._telemetry is None
 
     def test_trace_identical_with_and_without_probe(self):
         def run(with_probe):
-            engine = Engine(coroutine_pipeline(items=12), trace=True)
+            engine = Engine(coroutine_pipeline(items=12),
+                            scheduler=Scheduler(trace=True))
             if with_probe:
                 Telemetry().attach(engine)
             engine.start()

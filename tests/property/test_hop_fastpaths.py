@@ -246,7 +246,7 @@ def get_without_pusher_wake(self, ctx, port="out"):
         if status != EMPTY:
             return item
         self._pull_waiters.append(ctx.thread_name)
-        yield from ctx.wait(self._waits[1])
+        yield from ctx.wait(self._item_wait)
 
 
 def test_a_get_that_skips_a_waiting_pusher_fails(monkeypatch):

@@ -22,6 +22,7 @@ from repro import (
 )
 from repro.check import trace_hash
 from repro.core.items import NIL
+from repro.mbt.scheduler import Scheduler
 
 
 class PerItemIter(IterSource):
@@ -103,7 +104,8 @@ def observe(scenario, classes):
         stages.append(PullDefragmenter(name="defrag"))
     stages += [GreedyPump(name="pump", max_items=max_items), sink]
 
-    engine = Engine(pipeline(*stages), batch_max=batch_max, trace=True)
+    engine = Engine(pipeline(*stages), batch_max=batch_max,
+                    scheduler=Scheduler(trace=True))
     engine.run_to_completion(max_steps=100_000)
     stats = engine.stats
     if source_kind == "counting":

@@ -11,6 +11,7 @@ import pytest
 from repro import ClockedPump, CollectSink, CostFilter, Engine, pipeline
 from repro.components.sources import CountingSource
 from repro.core.composition import Pipeline
+from repro.mbt.scheduler import Scheduler
 
 
 def build_pair(slack_a, slack_b, cost=0.004):
@@ -58,7 +59,7 @@ def test_tight_deadline_pump_processed_first_under_contention():
     pipe, (sink_a, sink_b) = build_pair(slack_a=0.002, slack_b=0.050,
                                         cost=0.012)
     # 2 pipelines x 50 Hz x 12 ms/item = 120% CPU: permanent contention.
-    engine = Engine(pipe, trace=True)
+    engine = Engine(pipe, scheduler=Scheduler(trace=True))
     engine.start()
     engine.run(until=2.0)
     engine.stop()

@@ -1,5 +1,7 @@
 """Unit tests for the engine: lifecycle, pumping, EOS, stats."""
 
+from collections import Counter
+
 import pytest
 
 from repro import (
@@ -20,6 +22,7 @@ from repro import (
     api,
 )
 from repro.components.sources import CountingSource
+from repro.core.events import Event
 
 
 class TestLifecycle:
@@ -33,6 +36,51 @@ class TestLifecycle:
         engine.start()
         engine.run()
         assert sink.items == [1, 2]
+
+    @staticmethod
+    def counting_starts(engine) -> Counter:
+        """START deliveries per component, counted as the scheduler
+        delivers them."""
+        starts = Counter()
+
+        def count(message):
+            if message.kind == "event" and message.payload[0].kind == "start":
+                starts[message.payload[1]] += 1
+
+        engine.scheduler.delivery_interceptor = count
+        return starts
+
+    @pytest.mark.parametrize("verb", ["start", "send_event"])
+    def test_run_to_completion_broadcasts_start_once(self, verb):
+        """A START sent the paper's way, ``send_event("start")``, starts
+        the engine as ``start()`` does: ``run_to_completion`` sends none
+        of its own."""
+        sink = CollectSink()
+        engine = Engine(IterSource(range(5)) >> GreedyPump() >> Buffer(2)
+                        >> GreedyPump() >> sink)
+        starts = self.counting_starts(engine)
+        if verb == "start":
+            engine.start()
+        else:
+            engine.send_event("start")
+        engine.run_to_completion()
+        assert sink.items == list(range(5))
+        names = [component.name for component in engine.pipeline]
+        assert starts == Counter(names)
+
+    def test_a_stop_broadcast_is_started_again_and_one_start_is_not(self):
+        """STOP through ``send_event`` moves the engine back to stopped;
+        a START sent to one component does not start it."""
+        engine = Engine(IterSource(range(5)) >> GreedyPump() >> CollectSink())
+        starts = self.counting_starts(engine)
+        engine.send_event("stop")
+        engine.run_to_completion()
+        assert sum(starts.values()) == len(engine.pipeline.components)
+        engine.send_event("stop")
+        engine.events.send_to(engine.pipeline.components[0].name,
+                              Event(kind="start"))
+        engine.run_to_completion()
+        assert sum(starts.values()) == 2 * len(engine.pipeline.components) + 1
 
     def test_stop_event_halts_clocked_pump(self):
         sink = CollectSink()

@@ -18,15 +18,21 @@ argument not seen before.  The counts are deterministic.
   calls then, 21 606 with one wait (+1 a crossing: the wait's two frames
   less the ``Receive``'s ``__init__``), and 5 objects a crossing then, 4
   now.  21 204 since the scheduler blocks a receive inline and a
-  ``Reply`` revokes no priority donation (-2 a crossing).
+  ``Reply`` revokes no priority donation (-2 a crossing), and 21 003
+  since a blocked thread holds the very ``Receive`` it yielded instead
+  of a ``WaitState`` built around it (-1 a crossing).
 * **Gate parks** — a producer pump that runs ahead parks on a full
   ``Buffer(1)`` once per item but the first, 399 parks.  Per park the
-  wait's generator; the gate's two labelled waits are built once, at its
-  first park.  Before, each park built a ``receive_data`` generator, a
-  ``Receive`` and a match lambda (and a set and a cell, which no Python
-  call makes): 28 509 calls then, 28 118 with one wait (-1 a park, +8
-  once for the two waits), and 3 objects a park then, 1 now.  27 719
-  since the scheduler blocks a receive inline (-1 a park).
+  wait's generator; the gate's labelled wait for space is built once, at
+  its first park, and its wait for an item never (no puller parks).
+  Before, each park built a ``receive_data`` generator, a ``Receive`` and
+  a match lambda (and a set and a cell, which no Python call makes):
+  28 509 calls then, 28 118 with one wait (-1 a park, +8 once for the
+  gate's two waits), and 3 objects a park then, 1 now.  27 719 since the
+  scheduler blocks a receive inline (-1 a park), and 27 317 since the
+  blocked thread holds the ``Receive`` it yielded (-1 a park) and the gate
+  builds only the parking direction's wait (-3 once: one ``awaiting``,
+  ``labelled`` and ``Receive`` less).
 """
 
 import dis
@@ -47,8 +53,8 @@ from repro import (
 
 ITEMS = 400
 #: Every Python-level call event of each run, at the achieved count.
-CROSSING_RUN_CALLS = 21_204
-GATE_RUN_CALLS = 27_719
+CROSSING_RUN_CALLS = 21_003
+GATE_RUN_CALLS = 27_317
 
 _CO_GENERATOR = 0x20
 _BUILT = {"Message", "Send", "Receive"}
@@ -131,5 +137,5 @@ def test_a_gate_park_stays_in_budget():
     parks = ITEMS - 1
     assert built["wait"] == parks
     assert built["Send"] == parks  # the wake of each parked pusher
-    assert built["Receive"] == built["match"] == 2  # at the first park
+    assert built["Receive"] == built["match"] == 1  # at the first park
     assert calls == GATE_RUN_CALLS

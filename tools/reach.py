@@ -592,8 +592,8 @@ DELETED_HEADER = """
 
 Measured at the parent commit of the change that cut each block
 (70f6951; then 23dc996, 63561ee, 30d89ed, 8d6c636, ce3664e, 146f5e2,
-66269f1, 6887ba6, 92056dd and 9ad5420 for the later blocks, in order),
-where these rows stood.  A test is listed only when the deleted name was its sole subject.
+66269f1, 6887ba6, 92056dd, 9ad5420 and 89df355 for the later blocks, in
+order), where these rows stood.  A test is listed only when the deleted name was its sole subject.
 
 | function | lines | reached at the parent by | verdict | tests deleted with it |
 |---|---:|---|---|---|"""

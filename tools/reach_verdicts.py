@@ -793,6 +793,14 @@ DELETED: list[tuple[str, int, str, str]] = [
      "`repro_sched_donations_total`)", 7, "obs/test_telemetry.py",
      "`TestSchedulerProbe::test_priority_donations_are_counted_for_the_"
      "callee`"),
+    # A runtime thread as one object, holding the Receive it blocks in
+    # (measured at its parent, 89df355).
+    ("repro.mbt.thread:WaitState (a dataclass: no function-lines; a "
+     "blocked thread's `_wait` is the `Receive` it yielded)", 0, "D1-D4",
+     "none"),
+    ("repro.runtime.section:BufferGate._waits (split into `_space_wait` / "
+     "`_item_wait`, each built at its own direction's first park)", 7,
+     "D1-D4", "none"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
