@@ -65,16 +65,12 @@ class PredicateFilter(Consumer):
         self,
         predicate: Callable[[Any], bool],
         name: str | None = None,
-        cost: float = 0.0,
     ):
         super().__init__(name)
         self._predicate = predicate
-        self._cost = float(cost)
         self.stats["dropped"] = 0
 
     def push(self, item: Any) -> None:
-        if self._cost:
-            self.charge(self._cost)
         if self._predicate(item):
             self.put(item)
         else:

@@ -5,7 +5,7 @@ Front door::
     from repro.fabric import SessionFabric
 
     fabric = SessionFabric()
-    a = fabric.open_session(build_video, name="alice", weight=4.0)
+    a = fabric.open_session(build_video, name="alice")
     b = fabric.open_session(build_video, name="bob")
     fabric.run_to_completion()
     print(a.stats.summary())

@@ -1,7 +1,7 @@
 """Certify fabric-hosted programs against their dedicated-engine twins.
 
 Opening a program as one session among many — same scheduler,
-weighted-fair dispatch, foreign tenants around it — must not change what
+fair dispatch, foreign tenants around it — must not change what
 its sinks observe.  :func:`fabric_hosted` is that configuration as a
 refinement-checker side::
 

@@ -8,8 +8,8 @@ event services and stats stay fully isolated — but all engines share ONE
 :class:`~repro.mbt.scheduler.Scheduler`.  Thread transparency does the
 heavy lifting: a session's pumps and coroutines are just more user-level
 threads, so multiplexing N sessions is the same mechanism as running one,
-and the scheduler's weighted-fair tenants (one per session) keep a hog
-from starving its neighbours.
+and the scheduler's fair tenants (one per session, one charge per
+dispatch) keep a hog from starving its neighbours.
 
 Key properties:
 
@@ -67,7 +67,6 @@ class Session:
         name: str,
         engine: Engine,
         thread_names: tuple[str, ...],
-        weight: float,
     ):
         self.fabric = fabric
         self.name = name
@@ -75,7 +74,6 @@ class Session:
         self.pipeline = engine.pipeline
         #: Names of the scheduler threads this session owns.
         self.thread_names = thread_names
-        self.weight = weight
         self.state = SessionState.LIVE
         self.error: BaseException | None = None  # what crashed it
 
@@ -99,13 +97,6 @@ class Session:
     @property
     def completed(self) -> bool:
         return self.engine.completed
-
-    def set_weight(self, weight: float) -> None:
-        """Live-tune the session's fair share.  A weight the scheduler
-        refuses raises :class:`~repro.errors.SchedulerError` and changes
-        nothing."""
-        self.fabric.scheduler.add_tenant(self.name, weight)
-        self.weight = weight
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -138,7 +129,7 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Session {self.name!r} {self.state.value} "
-            f"threads={len(self.thread_names)} weight={self.weight}>"
+            f"threads={len(self.thread_names)}>"
         )
 
 
@@ -153,7 +144,7 @@ class SessionFabric:
     quantum:
         Dispatch quantum for the fabric's tenants (the scheduler's
         ``fair_quantum``): how many consecutive dispatches one session
-        may burst before the weighted-fair order is re-evaluated.
+        may burst before the fair order is re-evaluated.
         Bursting amortizes ready-queue maintenance and keeps a session's
         working set cache-hot, which is what makes thousand-session
         aggregate throughput comparable to a dedicated engine; fairness
@@ -178,7 +169,6 @@ class SessionFabric:
         self,
         program: Any,
         name: str | None = None,
-        weight: float = 1.0,
         namespace: bool = True,
     ) -> Session:
         """Build, attach and start one tenant's pipeline.
@@ -196,10 +186,10 @@ class SessionFabric:
         session is paused, resorted or even reindexed.
 
         An open is all-or-nothing: when the builder, the Typespec check,
-        allocation, set-up or the tenant's weight raises, the bare name
-        scope, whatever threads were already spawned, their reservations
-        and the tenant are given back and the error propagates unchanged
-        — the fabric is as it was.
+        allocation or set-up raises, the bare name scope, whatever
+        threads were already spawned, their reservations and the tenant
+        are given back and the error propagates unchanged — the fabric
+        is as it was.
         """
         if name is None:
             name = f"s{self._unnamed}"
@@ -231,11 +221,11 @@ class SessionFabric:
             thread_names = tuple(sorted(
                 driver.thread_name for driver in engine.drivers
             ))
-            tenant = self.scheduler.add_tenant(name, weight)
+            tenant = self.scheduler.add_tenant(name)
             threads = self.scheduler.threads
             for thread_name in thread_names:
                 self.scheduler.assign_tenant(threads[thread_name], tenant)
-            session = Session(self, name, engine, thread_names, weight)
+            session = Session(self, name, engine, thread_names)
             self.sessions[name] = session
             engine.start()
         except BaseException:

@@ -25,19 +25,18 @@ class Actuator:
 
 
 class EventActuator(Actuator):
-    """Sends an event carrying the (transformed) signal to one component."""
+    """Sends an event carrying the (transformed) signal to one component;
+    a payload equal to the last one sent is not sent again."""
 
     def __init__(
         self,
         target: Component,
         kind: str,
         transform: Callable[[float], Any] | None = None,
-        only_on_change: bool = True,
     ):
         self.target = target
         self.kind = kind
         self.transform = transform or (lambda s: s)
-        self.only_on_change = only_on_change
         self._last_payload: Any = object()
         self._events: EventService | None = None
         #: Actuations actually sent (after change suppression).
@@ -47,7 +46,7 @@ class EventActuator(Actuator):
         if self._events is None:
             raise RuntimeError("actuator not bound to an event service")
         payload = self.transform(signal)
-        if self.only_on_change and payload == self._last_payload:
+        if payload == self._last_payload:
             return
         self._last_payload = payload
         self.applied.append(payload)

@@ -36,10 +36,11 @@ class EwmaSmoother(Controller):
 class StepController(Controller):
     """Hysteresis step controller over a discrete level (0..max_level).
 
-    Raises the level while the measurement exceeds ``high``; lowers it once
-    the measurement falls below ``low``.  The gap between the thresholds
-    prevents oscillation.  This drives the Figure-1 dropping filter: level
-    up when loss is observed, level down when the path is clean.
+    Starts at level 0, raises it while the measurement exceeds ``high``
+    and lowers it once the measurement falls below ``low``.  The gap
+    between the thresholds prevents oscillation.  This drives the
+    Figure-1 dropping filter: level up when loss is observed, level down
+    when the path is clean.
     """
 
     def __init__(
@@ -47,14 +48,13 @@ class StepController(Controller):
         high: float,
         low: float,
         max_level: int = 3,
-        initial_level: int = 0,
     ):
         if low > high:
             raise ValueError("low threshold must not exceed high threshold")
         self.high = high
         self.low = low
         self.max_level = max_level
-        self.level = initial_level
+        self.level = 0
 
     def update(self, measurement: float, dt: float) -> float:
         if measurement > self.high and self.level < self.max_level:

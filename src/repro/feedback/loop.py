@@ -29,7 +29,6 @@ class FeedbackLoop:
         controller: Controller,
         actuator: Actuator,
         period: float = 0.5,
-        name: str = "feedback-loop",
     ):
         if period <= 0:
             raise FeedbackError("feedback period must be positive")
@@ -37,7 +36,6 @@ class FeedbackLoop:
         self.controller = controller
         self.actuator = actuator
         self.period = period
-        self.name = name
         self.running = False
         #: (time, measurement, output) per sample, for analysis.
         self.history: list[tuple[float, float, float]] = []

@@ -133,7 +133,7 @@ class MetricSensor(Sensor):
     ``stat`` selects what to read: ``"value"`` (counters/gauges),
     ``"rate"`` (value delta per second since the previous sample), or a
     histogram aggregate (``"p50"``, ``"p95"``, ``"p99"``, ``"mean"``).
-    A metric that does not exist yet samples as ``default`` — registries
+    A metric that does not exist yet samples as 0.0 — registries
     create histograms lazily, often after the loop starts sampling.
     """
 
@@ -145,7 +145,6 @@ class MetricSensor(Sensor):
         name: str,
         stat: str = "value",
         labels: dict | None = None,
-        default: float = 0.0,
         now: Callable[[], float] | None = None,
     ):
         if stat not in self._HIST_STATS and stat not in ("value", "rate"):
@@ -154,7 +153,6 @@ class MetricSensor(Sensor):
         self.name = name
         self.stat = stat
         self.labels = dict(labels or {})
-        self.default = float(default)
         self._now = now
         self._last_value: float | None = None
         self._last_time: float | None = None
@@ -169,7 +167,7 @@ class MetricSensor(Sensor):
     def sample(self) -> float:
         metric = self._metric()
         if metric is None:
-            return self.default
+            return 0.0
         if self.stat in self._HIST_STATS:
             return float(getattr(metric, self.stat))
         value = float(metric.value)

@@ -27,10 +27,10 @@ class Clock:
 
 
 class VirtualClock(Clock):
-    """Discrete-event simulated time, starting at ``start`` seconds."""
+    """Discrete-event simulated time, starting at 0 seconds."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

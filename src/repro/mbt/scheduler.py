@@ -34,17 +34,17 @@ is *bit-for-bit identical* to the reference linear scan
 (:meth:`_pick_ready_linear`, kept for the property-based equivalence
 tests).
 
-Weighted-fair multi-tenancy
----------------------------
+Fair multi-tenancy
+------------------
 The ``vtime`` key component implements start-time fair queueing across
 **tenants** (sessions multiplexed onto one scheduler by
 :mod:`repro.fabric`).  Threads with no tenant carry ``vtime == 0.0``, so
 the key degenerates to the original ``(prio, deadline, last_ran, index)``
 order and single-session schedules stay bit-for-bit identical (pinned by
 the golden traces).  A tenanted thread is keyed by its tenant's virtual
-time; each dispatch charges the tenant ``1 / weight``, so a hot tenant's
-threads drift later in the queue and every backlogged tenant receives CPU
-in proportion to its weight.  Priorities still dominate (vtime only
+time; each dispatch charges the tenant one unit, so a hot tenant's
+threads drift later in the queue and every backlogged tenant receives an
+equal share of the dispatches.  Priorities still dominate (vtime only
 orders threads of equal effective priority), and a tenant waking from
 idle is clamped to the scheduler's fair clock so it cannot burst on
 banked credit.  Parked threads (quiesced sessions, see
@@ -165,41 +165,24 @@ class TimerHandle:
 class Tenant:
     """Fair-share accounting unit for a group of threads (one session).
 
-    ``weight`` sets the tenant's share of the scheduler relative to other
-    backlogged tenants; ``vtime`` is its virtual finish time, advanced by
-    ``1 / weight`` per dispatch.  Threads are attached via
-    :meth:`Scheduler.assign_tenant`, which keeps ``threads`` (attachment
-    order) so that dropping a tenant visits its own threads only.
+    ``vtime`` is its virtual finish time, advanced by one per dispatch, so
+    backlogged tenants share the scheduler equally.  Threads are attached
+    via :meth:`Scheduler.assign_tenant`, which keeps ``threads``
+    (attachment order) so that dropping a tenant visits its own threads
+    only.
     """
 
-    __slots__ = (
-        "name", "_weight", "_inv_weight", "vtime", "dispatches", "threads",
-    )
+    __slots__ = ("name", "vtime", "dispatches", "threads")
 
-    def __init__(self, name: str, weight: float = 1.0):
-        if weight <= 0:
-            raise SchedulerError(f"tenant weight must be positive, got {weight}")
+    def __init__(self, name: str):
         self.name = name
-        self._weight = float(weight)
-        self._inv_weight = 1.0 / float(weight)
         self.vtime = 0.0
         self.dispatches = 0
         self.threads: dict[MThread, None] = {}
 
-    @property
-    def weight(self) -> float:
-        return self._weight
-
-    @weight.setter
-    def weight(self, value: float) -> None:
-        if value <= 0:
-            raise SchedulerError(f"tenant weight must be positive, got {value}")
-        self._weight = float(value)
-        self._inv_weight = 1.0 / float(value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Tenant {self.name!r} weight={self._weight} "
+            f"<Tenant {self.name!r} "
             f"vtime={self.vtime:.3f} dispatches={self.dispatches}>"
         )
 
@@ -275,7 +258,7 @@ class Scheduler:
         #: Messages discarded by the delivery interceptor.
         self.messages_dropped = 0
 
-        #: Weighted-fair tenants by name (see :class:`Tenant`); empty when
+        #: Fair-share tenants by name (see :class:`Tenant`); empty when
         #: no fabric is multiplexing sessions onto this scheduler.
         self._tenants: dict[str, Tenant] = {}
         #: Virtual start time of the most recently dispatched tenanted
@@ -288,7 +271,7 @@ class Scheduler:
         #: larger values amortize ready-queue maintenance over the burst
         #: (the fabric's multi-tenant hot path) at the cost of quantum-
         #: bounded short-term unfairness.  Virtual-time *charging* stays
-        #: per-dispatch, so long-run weighted shares are unaffected.
+        #: per-dispatch, so long-run shares are unaffected.
         self.fair_quantum = int(fair_quantum)
         #: Active burst: the tenanted thread currently holding the CPU
         #: between fair re-evaluations, and how many dispatches remain.
@@ -352,18 +335,12 @@ class Scheduler:
 
     # ------------------------------------------------------------ tenants
 
-    def add_tenant(self, name: str, weight: float = 1.0) -> Tenant:
-        """Get or create the fair-share :class:`Tenant` called ``name``.
-
-        An existing tenant keeps its virtual time but adopts the new
-        ``weight`` (weights are live-tunable).
-        """
+    def add_tenant(self, name: str) -> Tenant:
+        """Get or create the fair-share :class:`Tenant` called ``name``;
+        an existing tenant keeps its virtual time."""
         tenant = self._tenants.get(name)
         if tenant is None:
-            tenant = Tenant(name, weight)
-            self._tenants[name] = tenant
-        elif tenant.weight != weight:
-            tenant.weight = weight
+            tenant = self._tenants[name] = Tenant(name)
         return tenant
 
     def remove_tenant(self, name: str) -> None:
@@ -619,9 +596,6 @@ class Scheduler:
                 errors.append(exc)
         if errors:
             raise errors[0]
-
-    def run_until_idle(self, max_steps: int | None = None) -> None:
-        self.run(until=None, max_steps=max_steps)
 
     # ------------------------------------------------------------ ready queue
 
@@ -882,9 +856,9 @@ class Scheduler:
         if tenant is not None:
             # Start-time fair queueing: the fair clock follows the virtual
             # start of the thread in service; the tenant is then charged
-            # one quantum scaled by its weight.
+            # one unit.
             self._fair_clock = tenant.vtime
-            tenant.vtime += tenant._inv_weight
+            tenant.vtime += 1.0
             tenant.dispatches += 1
         if thread.meter is not None:
             meter = thread.meter

@@ -8,8 +8,6 @@ to messages by the platform").
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.mbt.constraints import Constraint
 from repro.mbt.message import Message
 from repro.mbt.scheduler import Scheduler, TimerHandle
@@ -28,7 +26,6 @@ class PeriodicTimer:
         "_target",
         "_period",
         "_kind",
-        "_payload",
         "_constraint",
         "_constraint_fn",
         "_next_time",
@@ -43,7 +40,6 @@ class PeriodicTimer:
         target: str,
         period: float,
         kind: str = "tick",
-        payload: Any = None,
         constraint: Constraint | None = None,
         constraint_fn=None,
     ):
@@ -56,7 +52,6 @@ class PeriodicTimer:
         self._target = target
         self._period = float(period)
         self._kind = kind
-        self._payload = payload
         self._constraint = constraint
         self._constraint_fn = constraint_fn
         self._next_time: float | None = None
@@ -107,7 +102,6 @@ class PeriodicTimer:
         self._scheduler.post(
             Message(
                 kind=self._kind,
-                payload=self._payload,
                 sender="timer",
                 target=self._target,
                 constraint=constraint,

@@ -24,7 +24,6 @@ class GopStructure:
         self,
         pattern: str = "IBBPBBPBB",
         fps: float = 30.0,
-        sizes: dict[str, int] | None = None,
         size_variation: float = 0.25,
         width: int = 640,
         height: int = 480,
@@ -38,7 +37,6 @@ class GopStructure:
             raise ValueError("fps must be positive")
         self.pattern = pattern
         self.fps = float(fps)
-        self.sizes = dict(sizes or DEFAULT_SIZES)
         self.size_variation = size_variation
         self.width = width
         self.height = height
@@ -55,7 +53,7 @@ class GopStructure:
         tracking to be meaningful (as a file source does).
         """
         kind = self.kind_of(seq)
-        nominal = self.sizes[kind]
+        nominal = DEFAULT_SIZES[kind]
         scale = (self.width * self.height) / (640 * 480)
         jittered = nominal * scale * (
             1.0 + self.size_variation * (2.0 * self._rng.random() - 1.0)
@@ -100,7 +98,7 @@ class GopStructure:
 
         pattern = self.pattern
         plen = len(pattern)
-        sizes_by_kind = self.sizes
+        sizes_by_kind = DEFAULT_SIZES
         scale = (self.width * self.height) / (640 * 480)
         variation = self.size_variation
         rng = self._rng.random
@@ -146,7 +144,7 @@ class GopStructure:
 
     def average_frame_size(self) -> float:
         scale = (self.width * self.height) / (640 * 480)
-        total = sum(self.sizes[k] * scale for k in self.pattern)
+        total = sum(DEFAULT_SIZES[k] * scale for k in self.pattern)
         return total / len(self.pattern)
 
     def bitrate(self) -> float:

@@ -615,16 +615,13 @@ class MarshalFilter(FunctionComponent):
 
     output_props = {props.FORMAT: "bytes"}
 
-    def __init__(self, name: str | None = None, cost_per_kb: float = 0.0):
+    def __init__(self, name: str | None = None):
         super().__init__(name)
-        self._cost_per_kb = cost_per_kb
         self.stats.update(bytes_out=0)
 
     def convert(self, item: Any) -> bytes:
         data = encode_item(item)
         self.stats["bytes_out"] += len(data)
-        if self._cost_per_kb:
-            self.charge(self._cost_per_kb * len(data) / 1024.0)
         return data
 
     def convert_many(self, items: list) -> Any:
@@ -641,8 +638,6 @@ class MarshalFilter(FunctionComponent):
             out = [encode_item(item) for item in items]
             total = sum(map(len, out))
         self.stats["bytes_out"] += total
-        if self._cost_per_kb:
-            self.charge(self._cost_per_kb * total / 1024.0)
         return out
 
     def transform_typespec(self, spec: Typespec) -> Typespec:
@@ -656,15 +651,12 @@ class UnmarshalFilter(FunctionComponent):
 
     input_spec = Typespec({props.FORMAT: "bytes"})
 
-    def __init__(self, name: str | None = None, cost_per_kb: float = 0.0):
+    def __init__(self, name: str | None = None):
         super().__init__(name)
-        self._cost_per_kb = cost_per_kb
         self.stats.update(bytes_in=0)
 
     def convert(self, data) -> Any:
         self.stats["bytes_in"] += len(data)
-        if self._cost_per_kb:
-            self.charge(self._cost_per_kb * len(data) / 1024.0)
         return decode_item(data)
 
     def convert_many(self, chunks: list) -> Any:
@@ -674,8 +666,6 @@ class UnmarshalFilter(FunctionComponent):
             lengths = list(map(len, chunks))
         total = sum(lengths)
         self.stats["bytes_in"] += total
-        if self._cost_per_kb:
-            self.charge(self._cost_per_kb * total / 1024.0)
         run = self._decode_run(chunks)
         if run is None:
             run = _decode_scalar_run(chunks, lengths)

@@ -126,9 +126,9 @@ def _any_other(nodes: dict, name: str) -> str:
 class RemoteBinder:
     """Splices netpipes into pipelines that span nodes."""
 
-    def __init__(self, network: Network, factory: RemoteFactory | None = None):
+    def __init__(self, network: Network):
         self.network = network
-        self.factory = factory or RemoteFactory(network)
+        self.factory = RemoteFactory(network)
 
     def bind(
         self,

@@ -64,8 +64,8 @@ service vs. wire time, per hop) account for every nanosecond of the
 measured end-to-end latency.
 
 Sampling is 1-in-N at birth (``sample_every``) plus tail-based
-retention: the bounded :class:`LineageStore` evicts fast delivered
-traces first and keeps slow, dropped and lost ones.
+retention: the bounded :class:`LineageStore` evicts delivered traces
+first and keeps dropped and lost ones.
 
 Usage::
 
@@ -285,24 +285,21 @@ class FlowTrace:
         )
 
 
+#: How many traces a :class:`LineageStore` holds before it evicts.
+MAX_TRACES = 512
+
+
 class LineageStore:
     """Bounded trace retention with tail-based eviction.
 
-    Completed traces that finished fast and cleanly (``delivered`` under
-    ``slow_threshold``) are the first evicted when the store exceeds
-    ``max_traces``; slow, dropped and lost traces — the ones an
-    operator actually asks about — are kept until only they remain.
-    In-flight traces are never evicted (their population is bounded by
-    the pipeline's in-flight item count).
+    Delivered traces are the first evicted when the store exceeds
+    :data:`MAX_TRACES`; dropped and lost traces — the ones an operator
+    actually asks about — are kept until only they remain.  In-flight
+    traces are never evicted (their population is bounded by the
+    pipeline's in-flight item count).
     """
 
-    def __init__(
-        self,
-        max_traces: int = 512,
-        slow_threshold: float | None = None,
-    ):
-        self.max_traces = max_traces
-        self.slow_threshold = slow_threshold
+    def __init__(self):
         self._traces: dict[str, TraceContext] = {}
         #: Completed ids in completion order, split by interest.
         self._boring: deque[str] = deque()
@@ -317,13 +314,9 @@ class LineageStore:
     def complete(self, ctx: TraceContext) -> None:
         self._traces[ctx.trace_id] = ctx
         self.completed += 1
-        interesting = ctx.status != DELIVERED or (
-            self.slow_threshold is not None
-            and ctx.end_ts is not None
-            and ctx.end_ts - ctx.birth_ts > self.slow_threshold
-        )
+        interesting = ctx.status != DELIVERED
         (self._kept if interesting else self._boring).append(ctx.trace_id)
-        while len(self._traces) > self.max_traces:
+        while len(self._traces) > MAX_TRACES:
             victims = self._boring or self._kept
             if not victims:
                 break  # only in-flight traces remain
@@ -550,17 +543,16 @@ class Lane:
     """
 
     __slots__ = (
-        "name", "now", "fill", "drop_newest", "entries", "wait", "tracer",
+        "name", "now", "queue", "drop_newest", "entries", "wait", "tracer",
     )
 
-    def __init__(self, component, now: Callable[[], float],
-                 fill: Callable[[], int] | None = None):
+    def __init__(self, component, now: Callable[[], float]):
         self.name = component.name
         self.now = now
-        self.fill = fill or (lambda: component.fill_level)
+        self.queue = component
         self.drop_newest = component.on_full is OnFull.DROP_NEW
         # Items queued before the plant are timed from now.
-        self.entries: deque = deque([now()] * self.fill())
+        self.entries: deque = deque([now()] * component.fill_level)
         self.wait = None
         self.tracer: "FlowTracer | None" = None
 
@@ -625,7 +617,7 @@ class Lane:
         here: the incoming ones under DROP_NEW, else the oldest.  This
         also bounds the lane by the queue it mirrors."""
         entries = self.entries
-        for _ in range(len(entries) - self.fill() - in_transit):
+        for _ in range(len(entries) - self.queue.fill_level - in_transit):
             entry = entries.pop() if newest else entries.popleft()
             if type(entry) is TraceContext:
                 self.tracer._finish(
@@ -673,8 +665,6 @@ class FlowTracer:
         Trace 1 in N source items (1 = every item).  Unsampled items
         still occupy a positional slot, which is what keeps sampled
         contexts aligned with their items.
-    max_traces / slow_threshold:
-        Retention policy of the :class:`LineageStore`.
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` to publish
         trace counters into (``repro_flow_traces_total{status=}``,
@@ -684,14 +674,12 @@ class FlowTracer:
     def __init__(
         self,
         sample_every: int = 1,
-        max_traces: int = 512,
-        slow_threshold: float | None = None,
         registry=None,
     ):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.sample_every = sample_every
-        self.store = LineageStore(max_traces, slow_threshold)
+        self.store = LineageStore()
         self.registry = registry
         self._engine: "Engine | None" = None
         self._now: Callable[[], float] | None = None

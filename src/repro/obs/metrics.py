@@ -225,19 +225,18 @@ DEFAULT_SERIES_LIMIT = 1024
 class MetricsRegistry:
     """Owns metric families; get-or-create by (family name, labels).
 
-    ``max_series_per_family`` bounds label cardinality: once a family
+    :data:`DEFAULT_SERIES_LIMIT` bounds label cardinality: once a family
     holds that many distinct label sets, any NEW label set is routed to
     the family's single ``overflow="true"`` bucket instead of minting a
     fresh series (aggregate signal survives, memory stays bounded), and
     the drop is counted (:meth:`dropped_series`).  Existing series keep
-    working — the cap only gates creation.  ``None`` removes the bound.
+    working — the cap only gates creation.
     """
 
-    def __init__(self, max_series_per_family: int | None = DEFAULT_SERIES_LIMIT):
+    def __init__(self):
         self._metrics: dict[tuple[str, tuple], Any] = {}
         self._families: dict[str, str] = {}
         self._help: dict[str, str] = {}
-        self.max_series_per_family = max_series_per_family
         self._family_counts: dict[str, int] = {}
         self._dropped: dict[str, int] = {}
 
@@ -258,11 +257,7 @@ class MetricsRegistry:
         key = (name, _canonical_labels(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            limit = self.max_series_per_family
-            if (
-                limit is not None
-                and self._family_counts.get(name, 0) >= limit
-            ):
+            if self._family_counts.get(name, 0) >= DEFAULT_SERIES_LIMIT:
                 # Cardinality cap hit: collapse into the overflow bucket.
                 self._dropped[name] = self._dropped.get(name, 0) + 1
                 key = (name, OVERFLOW_LABELS)

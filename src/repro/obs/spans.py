@@ -67,16 +67,12 @@ class Telemetry:
     (buffer waits, stage latency, coroutine round trips); it is *inert
     when absent*: an engine without telemetry runs the exact same
     instruction stream it did before this module existed (golden scheduler
-    traces pin that bit-for-bit).
-
-    Parameters
-    ----------
-    registry:
-        Metrics registry to publish into (default: a fresh one).
+    traces pin that bit-for-bit).  It publishes into its own fresh
+    :class:`MetricsRegistry`, ``registry``.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self):
+        self.registry = MetricsRegistry()
         self.scheduler_probe: SchedulerProbe | None = None
         self._engine: "Engine | None" = None
 

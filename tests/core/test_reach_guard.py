@@ -13,6 +13,12 @@ A use inside the defining module counts (``export_chrome_trace`` calling
 ``chrome_trace``): such a name is run by whatever runs its caller, and
 if nothing does, the caller has the row.
 
+The table's appendix lists every optional parameter that no call site
+passes; each needs a reason to stay (``KEPT_PARAMETERS``), so the static
+census runs here too, over every function the table has no row for, and
+a new option that no driver sets fails tier-1 rather than only the slow
+``tools/reach.py --check``.
+
 Two blind spots of the table have their own guards here.  A row may name
 a function that is gone (the table is re-measured only by the slow
 ``tools/reach.py --check``), so every row must still resolve.  And the
@@ -27,6 +33,8 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
 
@@ -40,9 +48,11 @@ PACKAGE = ROOT / "src" / "repro"
 #: `FlowTrace.parent` are fan-out lineage, D4's `deploy --place`
 #: retired three, and the Figure-9 configurations run at `batch_max` 8
 #: and 32 retired `IterSource.pull_many`'s; deleting fabric admission
-#: control retired 14, and the QoS mapping's three are §2.1 again).
+#: control retired 14, the QoS mapping's three are §2.1 again, and
+#: deleting the tenant weights retired `Session.set_weight` and
+#: `Tenant.weight`'s getter and setter).
 #: Lower it when a row is retired; never raise it.
-EXCEPTION_ROWS = 13
+EXCEPTION_ROWS = 10
 
 KEPT = ("verification", "paper", "tested here", "exception")
 
@@ -183,11 +193,67 @@ class TestEveryRowNamesALiveFunction:
         assert [name for name, _ in reach_rows() if not resolves(name)] == []
 
     def test_the_guard_bites(self):
-        assert resolves("repro.mbt.scheduler:Tenant.weight.setter")
+        assert resolves("repro.mbt.timers:PeriodicTimer.period.setter")
         assert resolves("repro.mbt.scheduler:Scheduler.reservations")
         assert not resolves("repro.mbt.scheduler:Scheduler._never_defined")
-        assert not resolves("repro.mbt.scheduler:Tenant.weight.nowhere")
+        assert not resolves("repro.mbt.timers:PeriodicTimer.period.nowhere")
         assert not resolves("repro.deploy.gone:anything")
+
+
+class TestEveryUnpassedParameterIsDecided:
+    """The appendix's census, statically: an optional parameter no call
+    site passes is deleted or carries a ``KEPT_PARAMETERS`` reason."""
+
+    @pytest.fixture(autouse=True)
+    def verdicts(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "tools"))
+
+    def test_no_unpassed_parameter_is_undecided(self):
+        rows = dict(reach_rows())
+        found = [f for f in reach.functions() if f.name not in rows]
+        assert [line for line in reach.unpassed_parameters(found)
+                if "UNDECIDED" in line] == []
+
+    def test_a_super_init_passes_only_to_its_own_bases(self):
+        """Broken on purpose: five positional arguments to ``Base`` reach
+        no parameter of ``Unrelated`` (the census used to credit every
+        ``super().__init__`` to every constructor)."""
+        source = (
+            "class Unrelated:\n"
+            "    def __init__(self, a=1, b=2, c=3, d=4):\n        pass\n"
+            "class Base:\n"
+            "    def __init__(self, a, b, c, d, e=5):\n        pass\n"
+            "class Middle(Base):\n    pass\n"
+            "class Child(Middle):\n"
+            "    def __init__(self):\n"
+            "        super().__init__(1, 2, 3, 4, 5)\n"
+        )
+        tree = ast.parse(source)
+        found = {
+            cls.name: reach.Function(
+                "repro/twin.py", f"{cls.name}.__init__", node,
+                source.splitlines())
+            for cls in tree.body for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        }
+        sites = reach._call_sites([tree])
+        census = reach.unpassed_parameters(
+            list(found.values()), sites=sites, registered=set())
+        assert [line.split(" (")[0] for line in census] == [
+            "* `repro.twin:Unrelated.__init__`"]
+        assert "`a`, `b`, `c`, `d` — UNDECIDED" in census[0]
+
+    def test_a_registered_class_is_skipped(self):
+        """``GreedyPump`` is registered through ``default_registry``'s
+        dict loop, so a description string can pass any of its
+        parameters: even with no call site at all, it is not listed."""
+        assert "GreedyPump" in reach.registered_classes()
+        assert "MpegDecoder" in reach.registered_classes()  # deferred
+        pump = [f for f in reach.functions()
+                if f.name == "repro.components.pumps:GreedyPump.__init__"]
+        assert len(pump) == 1 and pump[0].params.defaults
+        assert reach.unpassed_parameters(pump, sites={}) == []
+        assert reach.unpassed_parameters(pump, sites={}, registered=set())
 
 
 SYSCALLS = PACKAGE / "mbt" / "syscalls.py"

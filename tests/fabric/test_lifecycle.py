@@ -16,6 +16,8 @@ ends its session, not the shared run.
   that leaves the session's threads unparked.
 """
 
+import inspect
+
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -211,9 +213,67 @@ def check_a_stale_handle_leaves_its_namesake_alone():
     assert fresh.completed
 
 
+def handle_verbs() -> list[str]:
+    """Every public method of :class:`Session`, read off the class, so a
+    verb added later is covered too."""
+    return sorted(name for name, member in vars(Session).items()
+                  if inspect.isfunction(member) and not name.startswith("_"))
+
+
+def closed_handle(reopen: bool):
+    """A fabric, and the handle of its session 'a', closed — then 'a'
+    opened again if ``reopen``."""
+    fabric = SessionFabric()
+
+    def program():
+        return pipeline(IterSource(range(ITEMS)), GreedyPump(),
+                        CollectSink())
+
+    stale = fabric.open_session(program, name="a")
+    stale.close()
+    if reopen:
+        fabric.open_session(program, name="a")
+    return fabric, stale
+
+
+def what_the_fabric_holds(fabric):
+    """The namesake's state and threads, and every tenant's account,
+    before and after the fabric runs to the end."""
+    def now():
+        session = fabric.sessions.get("a")
+        return (
+            session and (session.state, [t.parked for t in session.threads]),
+            {name: (tenant.vtime, tenant.dispatches)
+             for name, tenant in fabric.scheduler.tenants.items()},
+        )
+
+    before = now()
+    fabric.run()
+    return before, now()
+
+
 class TestStaleHandles:
     """A closed session's handle acts on nothing, even once its name is
     open again; its mutant twin routes a handle's verbs by name."""
+
+    @pytest.mark.parametrize("reopen", [True, False],
+                             ids=["namesake", "no-namesake"])
+    @pytest.mark.parametrize("verb", handle_verbs())
+    def test_no_verb_of_a_stale_handle_changes_anything(self, verb, reopen):
+        fabric, stale = closed_handle(reopen)
+        method = getattr(stale, verb)
+        # Any value will do for a verb's arguments: a stale handle must
+        # refuse the call or ignore it.
+        arguments = [2.0 for parameter
+                     in inspect.signature(method).parameters.values()
+                     if parameter.default is parameter.empty]
+        try:
+            method(*arguments)
+        except DeployError:
+            pass
+        untouched, _ = closed_handle(reopen)
+        assert what_the_fabric_holds(fabric) == what_the_fabric_holds(
+            untouched)
 
     def test_a_stale_handle_leaves_its_namesake_alone(self):
         check_a_stale_handle_leaves_its_namesake_alone()

@@ -225,17 +225,6 @@ class TestFailedOpenLeavesNothing:
         run_rounds(fabric)
         assert sinks[0].items == list(range(5))
 
-    def test_failure_after_set_up_removes_the_spawned_threads(self):
-        # The weight is only looked at when the tenant is created — after
-        # the engine spawned the session's threads on the shared scheduler.
-        build, _ = counting_program()
-        fabric = SessionFabric()
-        with pytest.raises(SchedulerError, match="weight"):
-            fabric.open_session(build, name="y", weight=0.0)
-        assert not fabric.scheduler.threads
-        assert not fabric.scheduler.tenants
-        assert fabric.open_session(build, name="y") is not None
-
     def test_open_failing_after_a_reserve_leaves_nothing_committed(self):
         # The first pump's share is granted, the second's refused: the
         # open fails with one reservation already made.
@@ -250,6 +239,7 @@ class TestFailedOpenLeavesNothing:
             fabric.open_session(overcommitted, name="y")
         assert fabric.scheduler.reservations == {}
         assert not fabric.scheduler.threads
+        assert not fabric.scheduler.tenants
 
     def test_failed_open_spares_a_namesake_thread_it_collided_with(self):
         def build():
@@ -448,48 +438,29 @@ class TestParking:
 
 
 class TestWeights:
+    """Every tenant weighs the same: one unit of virtual time a dispatch."""
+
     def test_sessions_become_weighted_tenants(self):
         build, _ = counting_program()
         fabric = SessionFabric()
-        heavy = fabric.open_session(build, name="heavy", weight=4.0)
-        light = fabric.open_session(build, name="light")
-        assert heavy.tenant.weight == 4.0
-        assert light.tenant.weight == 1.0
-        for session in (heavy, light):
+        alice = fabric.open_session(build, name="alice")
+        bob = fabric.open_session(build, name="bob")
+        assert alice.tenant is not bob.tenant
+        for session in (alice, bob):
+            assert fabric.scheduler.tenants[session.name] is session.tenant
             for thread in session.threads:
                 assert thread._tenant is session.tenant
-
-    def test_set_weight_live(self):
-        build, _ = counting_program()
-        fabric = SessionFabric()
-        session = fabric.open_session(build, name="s", weight=1.0)
-        session.set_weight(8.0)
-        assert session.tenant.weight == 8.0
-        assert session.weight == 8.0
-
-    def test_a_refused_weight_changes_nothing(self):
-        build, _ = counting_program()
-        fabric = SessionFabric()
-        session = fabric.open_session(build, name="s", weight=2.0)
-        with pytest.raises(SchedulerError, match="weight"):
-            session.set_weight(-1)
-        assert session.weight == 2.0
-        assert session.tenant.weight == 2.0
 
     def test_weighted_vtime_accrual(self):
         build, _ = counting_program(items=200)
         fabric = SessionFabric()
-        heavy = fabric.open_session(build, name="heavy", weight=4.0)
-        light = fabric.open_session(build, name="light", weight=1.0)
+        alice = fabric.open_session(build, name="alice")
+        bob = fabric.open_session(build, name="bob")
         run_rounds(fabric)
-        # Both ran to completion; the heavy tenant paid 1/4 per dispatch.
-        assert heavy.tenant.dispatches > 0
-        assert heavy.tenant.vtime == pytest.approx(
-            heavy.tenant.dispatches / 4.0
-        )
-        assert light.tenant.vtime == pytest.approx(
-            float(light.tenant.dispatches)
-        )
+        # Both ran to completion, each paying one unit per dispatch.
+        for session in (alice, bob):
+            assert session.tenant.dispatches > 0
+            assert session.tenant.vtime == float(session.tenant.dispatches)
 
 
 class TestStatsAndObs:
@@ -577,7 +548,7 @@ class TestSharedScheduler:
             assert threads == set(session.thread_names)
             # Every dispatch of the tenant's threads, and nobody else's.
             assert sum(counts.values()) == session.tenant.dispatches
-        # Same program, same weight: the two tenants ran the same schedule.
+        # Same program: the two tenants ran the same schedule.
         alice_probe = alice.engine._telemetry.scheduler_probe
         bob_probe = bob.engine._telemetry.scheduler_probe
         assert sorted(alice_probe.dispatch_counts().values()) == sorted(

@@ -12,7 +12,6 @@ from repro.mbt.message import Message
 class TestVirtualClock:
     def test_starts_at_origin(self):
         assert VirtualClock().now() == 0.0
-        assert VirtualClock(start=5.0).now() == 5.0
 
     def test_advance(self):
         clock = VirtualClock()
@@ -67,5 +66,5 @@ class TestRealClock:
         scheduler.post(Message(kind="go", target="t"))
         scheduler.after(
             0.03, lambda: scheduler.post(Message(kind="tick", target="t")))
-        scheduler.run_until_idle()
+        scheduler.run()
         assert stamps[1] - stamps[0] >= 0.025

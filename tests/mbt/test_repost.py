@@ -108,7 +108,7 @@ def takes_on_ties(self, thread, request):
 def mux_fabrics(tenants, quantum, items=23, credits=4, cost=0.0,
                 scheduler=None, spec=None):
     """``tenants`` flows, each a tx session and an rx session on their own
-    fabric, over one socketpair.  Tx weights are mixed (1, 2, 3, ...).
+    fabric, over one socketpair.
     ``cost`` charges virtual CPU per item on the tx side (so an ``until``
     horizon means something); ``spec`` wraps each builder into a run
     spec; ``scheduler`` is the rx fabric's."""
@@ -137,7 +137,7 @@ def mux_fabrics(tenants, quantum, items=23, credits=4, cost=0.0,
                 receiver, UnmarshalFilter(), GreedyPump(), sinks[sid]
             )
 
-        tx.open_session(wrap(build_tx), name=f"tx{sid}", weight=1 + sid % 3)
+        tx.open_session(wrap(build_tx), name=f"tx{sid}")
         rx.open_session(wrap(build_rx), name=f"rx{sid}")
     return tx, rx, tx_mux, rx_mux, sinks
 
@@ -286,7 +286,7 @@ def marked_streams(tenants=6, items=30):
                 sinks[-1],
             )
 
-        fabric.open_session(build, name=f"t{sid}", weight=1 + sid % 2)
+        fabric.open_session(build, name=f"t{sid}")
     fabric.run_to_completion()
     return [sink.items for sink in sinks], fabric.scheduler
 

@@ -36,7 +36,7 @@ def test_plain_code_function_runs_per_message():
     sched.spawn("t", code)
     for i in range(3):
         sched.post(Message(kind="data", payload=i, target="t"))
-    sched.run_until_idle()
+    sched.run()
     assert seen == [0, 1, 2]
 
 
@@ -44,7 +44,7 @@ def test_code_function_not_called_at_creation():
     sched = make_scheduler()
     called = []
     sched.spawn("t", lambda th, m: called.append(1) or CONTINUE)
-    sched.run_until_idle()
+    sched.run()
     assert called == []
 
 
@@ -60,7 +60,7 @@ def test_terminate_return_code_stops_thread():
     sched.post(Message(kind="d", payload="a", target="t"))
     sched.post(Message(kind="d", payload="stop", target="t"))
     sched.post(Message(kind="d", payload="after", target="t"))
-    sched.run_until_idle()
+    sched.run()
     assert seen == ["a", "stop"]
     assert sched.threads["t"].terminated
 
@@ -75,14 +75,14 @@ def test_thread_local_state_persists_between_messages():
     sched.spawn("t", code)
     for _ in range(5):
         sched.post(Message(kind="d", target="t"))
-    sched.run_until_idle()
+    sched.run()
     assert sched.threads["t"].local["count"] == 5
 
 
 def test_message_to_unknown_thread_goes_to_dead_letters():
     sched = make_scheduler()
     sched.post(Message(kind="d", target="ghost"))
-    sched.run_until_idle()
+    sched.run()
     assert len(sched.dead_letters) == 1
     assert sched.dead_letters[0].target == "ghost"
 
@@ -110,7 +110,7 @@ def test_invalid_return_code_crashes_thread():
     sched.spawn("t", lambda th, m: 42)
     sched.post(Message(kind="d", target="t"))
     with pytest.raises(SchedulerError):
-        sched.run_until_idle()
+        sched.run()
 
 
 # ---------------------------------------------------- generators & syscalls
@@ -131,7 +131,7 @@ def test_generator_code_function_send_and_receive():
     sched.spawn("producer", producer)
     sched.spawn("consumer", consumer)
     sched.post(Message(kind="go", target="producer"))
-    sched.run_until_idle()
+    sched.run()
     assert log == [("got", "x")]
 
 
@@ -149,7 +149,7 @@ def test_receive_suspends_until_second_message():
     sched.post(Message(kind="d", payload=2, target="t"))
     sched.post(Message(kind="d", payload=3, target="t"))
     sched.post(Message(kind="d", payload=4, target="t"))
-    sched.run_until_idle()
+    sched.run()
     assert log == [(1, 2), (3, 4)]
 
 
@@ -169,7 +169,7 @@ def test_selective_receive_leaves_other_messages_queued():
     sched.post(Message(kind="start", target="t"))
     sched.post(Message(kind="noise", payload=1, target="t"))
     sched.post(Message(kind="special", payload="hit", target="t"))
-    sched.run_until_idle()
+    sched.run()
     assert log[0] == "hit"
     assert ("plain", "noise", 1) in log
 
@@ -184,7 +184,7 @@ def test_work_consumes_virtual_cpu_time():
 
     sched.spawn("t", code)
     sched.post(Message(kind="go", target="t"))
-    sched.run_until_idle()
+    sched.run()
     assert sched.now() == pytest.approx(0.3)
 
 
@@ -197,7 +197,7 @@ def test_exception_in_code_function_raises_scheduler_error():
     sched.spawn("t", code)
     sched.post(Message(kind="go", target="t"))
     with pytest.raises(SchedulerError):
-        sched.run_until_idle()
+        sched.run()
     assert isinstance(sched.threads["t"].crashed, ValueError)
 
 
@@ -213,8 +213,8 @@ def test_a_crash_raises_and_the_next_run_goes_on():
     sched.post(Message(kind="go", target="bad"))
     sched.post(Message(kind="go", payload="fine", target="ok"))
     with pytest.raises(SchedulerError):
-        sched.run_until_idle()
-    sched.run_until_idle()
+        sched.run()
+    sched.run()
     assert ok == ["fine"]
     assert len(sched.errors) == 1 and sched.errors[0][0] == "bad"
 
@@ -229,7 +229,7 @@ def test_higher_static_priority_runs_first():
     sched.spawn("high", lambda th, m: order.append("high") or CONTINUE, priority=9)
     sched.post(Message(kind="go", target="low"))
     sched.post(Message(kind="go", target="high"))
-    sched.run_until_idle()
+    sched.run()
     assert order == ["high", "low"]
 
 
@@ -242,7 +242,7 @@ def test_message_constraint_overrides_static_priority():
     sched.post(
         Message(kind="go", target="b", constraint=Constraint(priority=50))
     )
-    sched.run_until_idle()
+    sched.run()
     assert order == ["b", "a"]
 
 
@@ -268,7 +268,7 @@ def test_work_is_preempted_by_higher_priority_timer_wakeup():
         0.3,
         lambda: sched.post(Message(kind="tick", target="audio")),
     )
-    sched.run_until_idle()
+    sched.run()
     assert order[0] == ("video-start", pytest.approx(0.0))
     assert order[1] == ("audio", pytest.approx(0.3))
     assert order[2][0] == "video-end"
@@ -290,7 +290,7 @@ def test_work_not_preempted_by_lower_priority_thread():
     )
     sched.post(Message(kind="go", target="worker"))
     sched.after(0.2, lambda: sched.post(Message(kind="go", target="bg")))
-    sched.run_until_idle()
+    sched.run()
     assert order == [
         ("worker-done", pytest.approx(1.0)),
         ("bg", pytest.approx(1.0)),
@@ -314,7 +314,7 @@ def test_yield_lets_equal_priority_threads_interleave():
     sched.spawn("b", chatty("b"))
     sched.post(Message(kind="go", target="a"))
     sched.post(Message(kind="go", target="b"))
-    sched.run_until_idle()
+    sched.run()
     # Both made progress in interleaved fashion rather than a running fully
     # before b started.
     assert order[0][0] == "a"
@@ -327,7 +327,7 @@ def test_context_switches_are_counted():
     sched.spawn("b", lambda th, m: CONTINUE)
     sched.post(Message(kind="go", target="a"))
     sched.post(Message(kind="go", target="b"))
-    sched.run_until_idle()
+    sched.run()
     assert sched.context_switches == 2
 
 
@@ -357,7 +357,7 @@ def test_timer_cancellation():
     fired = []
     handle = sched.after(1.0, lambda: fired.append(1))
     handle.cancel()
-    sched.run_until_idle()
+    sched.run()
     assert fired == []
 
 
@@ -399,7 +399,7 @@ def test_trace_records_switches_when_enabled():
     sched = Scheduler(clock=VirtualClock(), trace=True)
     sched.spawn("t", lambda th, m: CONTINUE)
     sched.post(Message(kind="go", target="t"))
-    sched.run_until_idle()
+    sched.run()
     switches = sched.trace_events("switch")
     assert len(switches) == 1
     assert switches[0][3] == "t"
@@ -412,7 +412,7 @@ def test_before_idle_is_refused_outside_run():
     sched = make_scheduler()
     fired = []
     assert sched.before_idle(lambda: fired.append(1)) is False
-    sched.run_until_idle()
+    sched.run()
     assert fired == []  # refused means not registered: the caller acted
 
 
@@ -434,7 +434,7 @@ def test_before_idle_fires_once_before_the_scheduler_waits():
     sched.after(5.0, lambda: sched.post(
         Message(kind="go", target="t", payload="late")
     ))
-    sched.run_until_idle()
+    sched.run()
     assert log == [
         ("step", "a"), ("step", "b"), ("idle", 0.0), ("step", "late"),
     ]
@@ -459,7 +459,7 @@ def test_before_idle_callback_may_ready_a_thread_and_register_again():
         assert sched.before_idle(second)
 
     sched.after(0.0, lambda: sched.before_idle(first))
-    sched.run_until_idle()
+    sched.run()
     # The woken thread ran before run() went on to wait (or return), and
     # the callback registered from inside a callback had its own pass.
     assert log == ["first", "woken", "second"]

@@ -25,7 +25,7 @@ class TestTermination:
         sched = make()
         sched.spawn("t", lambda th, m: TERMINATE)
         sched.post(Message(kind="first", target="t"))
-        sched.run_until_idle()
+        sched.run()
         sched.post(Message(kind="late", target="t"))
         assert [m.kind for m in sched.dead_letters] == ["late"]
 
@@ -83,7 +83,7 @@ class TestTracing:
         sched = Scheduler(clock=VirtualClock(), trace=True)
         sched.spawn("a", lambda th, m: CONTINUE)
         sched.post(Message(kind="go", target="a"))
-        sched.run_until_idle()
+        sched.run()
         kinds = {event[1] for event in sched.trace}
         assert {"deliver", "switch", "dispatch", "done"} <= kinds
         assert all(e[1] == "switch" for e in sched.trace_events("switch"))
@@ -99,5 +99,5 @@ class TestConstraintEdge:
                            constraint=Constraint(priority=1, deadline=5.0)))
         sched.post(Message(kind="go", target="b",
                            constraint=Constraint(priority=1, deadline=1.0)))
-        sched.run_until_idle()
+        sched.run()
         assert order == ["b", "a"]

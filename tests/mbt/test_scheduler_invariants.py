@@ -131,5 +131,5 @@ def test_heap_matches_linear_scan_under_random_workloads(
     # A receive no wake answers leaves its thread blocked for good; the
     # step bound keeps pathological examples finite, the invariant
     # assertions inside CheckedScheduler are the actual test.
-    sched.run_until_idle(max_steps=2000)
+    sched.run(max_steps=2000)
     assert sched.pick_checks > 0

@@ -1,9 +1,9 @@
-"""Weighted-fair tenants and thread parking on the scheduler.
+"""Fair tenants and thread parking on the scheduler.
 
-The multi-tenant fabric (PR 10) extends the ready-heap sort key with a
+The multi-tenant fabric extends the ready-heap sort key with a
 per-tenant virtual-time component (start-time fair queueing): each
-dispatch charges the dispatched thread's tenant ``1/weight``, so over any
-window tenants receive dispatches proportional to their weights, and no
+dispatch charges the dispatched thread's tenant one unit, so over any
+window backlogged tenants receive equal shares of the dispatches, and no
 backlogged tenant can be starved by a hog.  Untenanted threads carry a
 constant 0.0 in that slot, which keeps single-session schedules
 bit-for-bit identical to the pre-tenant scheduler.
@@ -11,9 +11,7 @@ bit-for-bit identical to the pre-tenant scheduler.
 
 import pytest
 
-from repro.errors import SchedulerError
 from repro.mbt import CONTINUE, Message, Scheduler, VirtualClock, Yield
-from repro.mbt.scheduler import Tenant
 
 
 def make_scheduler(**kwargs):
@@ -49,21 +47,15 @@ def kick(sched, *names):
 # ------------------------------------------------------------- Tenant basics
 
 
-def test_tenant_weight_must_be_positive():
-    with pytest.raises(SchedulerError):
-        Tenant("t", weight=0.0)
-    with pytest.raises(SchedulerError):
-        Tenant("t", weight=-1.0)
-
-
 def test_add_tenant_is_get_or_create_and_retunes_weight():
+    """There is no weight to retune: a second
+    ``add_tenant`` of a name returns the first tenant, vtime and all."""
     sched = make_scheduler()
-    a = sched.add_tenant("a", weight=2.0)
+    a = sched.add_tenant("a")
     a.vtime = 5.0
-    again = sched.add_tenant("a", weight=4.0)
+    again = sched.add_tenant("a")
     assert again is a
-    assert again.weight == 4.0
-    assert again.vtime == 5.0  # vtime survives a live weight change
+    assert again.vtime == 5.0  # vtime survives
 
 
 def test_assign_tenant_by_name_creates_it():
@@ -95,25 +87,10 @@ def test_equal_weights_alternate_dispatches():
         thread = sched.spawn(name, spinner(log, 6))
         sched.assign_tenant(thread, name)
     kick(sched, "a", "b")
-    sched.run_until_idle()
+    sched.run()
     # Strict alternation: each dispatch charges the runner, making the
     # other tenant the minimum-vtime pick.
     assert log[:8] == ["a", "b", "a", "b", "a", "b", "a", "b"]
-
-
-def test_weighted_shares_are_proportional():
-    sched = make_scheduler()
-    log = []
-    heavy = sched.spawn("heavy", spinner(log, 400))
-    light = sched.spawn("light", spinner(log, 400))
-    sched.assign_tenant(heavy, sched.add_tenant("heavy", weight=3.0))
-    sched.assign_tenant(light, sched.add_tenant("light", weight=1.0))
-    kick(sched, "heavy", "light")
-    sched.run(max_steps=200)
-    heavy_runs = log.count("heavy")
-    light_runs = log.count("light")
-    # 3:1 within 15% over a 200-dispatch window.
-    assert heavy_runs / max(light_runs, 1) == pytest.approx(3.0, rel=0.15)
 
 
 def test_starvation_bound_one_hog_many_light():
@@ -123,11 +100,11 @@ def test_starvation_bound_one_hog_many_light():
     sched = make_scheduler()
     log = []
     hog = sched.spawn("hog", spinner(log, 10_000))
-    sched.assign_tenant(hog, sched.add_tenant("hog", weight=1.0))
+    sched.assign_tenant(hog, sched.add_tenant("hog"))
     lights = [f"light{i}" for i in range(9)]
     for name in lights:
         thread = sched.spawn(name, spinner(log, 10_000))
-        sched.assign_tenant(thread, sched.add_tenant(name, weight=1.0))
+        sched.assign_tenant(thread, sched.add_tenant(name))
     kick(sched, "hog", *lights)
     sched.run(max_steps=1000)
     fair = len(log) / 10
@@ -184,7 +161,7 @@ def test_untenanted_threads_sort_before_tenanted_vtime():
     log = []
     plain = sched.spawn("plain", spinner(log, 50))
     tenanted = sched.spawn("tenanted", spinner(log, 50))
-    tenant = sched.add_tenant("t", weight=1.0)
+    tenant = sched.add_tenant("t")
     tenant.vtime = 100.0  # far behind
     sched.assign_tenant(tenanted, tenant)
     kick(sched, "plain", "tenanted")
@@ -198,7 +175,7 @@ def test_fair_clock_tracks_dispatched_tenant():
     thread = sched.spawn("a", spinner(log, 5))
     sched.assign_tenant(thread, "a")
     kick(sched, "a")
-    sched.run_until_idle()
+    sched.run()
     tenant = sched.tenants["a"]
     assert tenant.dispatches == 5
     assert tenant.vtime == pytest.approx(5.0)
@@ -217,10 +194,10 @@ def test_parked_thread_is_not_ready_and_holds_no_heap_entry():
     sched.park_thread(thread)
     assert thread.parked
     assert thread._heap_entry is None
-    sched.run_until_idle()
+    sched.run()
     assert log == []  # message stayed queued
     sched.unpark_thread(thread)
-    sched.run_until_idle()
+    sched.run()
     assert log.count("t") == 10
 
 
@@ -247,10 +224,10 @@ def test_messages_delivered_while_parked_run_on_unpark():
     sched.park_thread(thread)
     for i in range(3):
         sched.post(Message(kind="d", payload=i, target="t"))
-    sched.run_until_idle()
+    sched.run()
     assert seen == []
     sched.unpark_thread(thread)
-    sched.run_until_idle()
+    sched.run()
     assert seen == [0, 1, 2]
 
 
@@ -264,7 +241,7 @@ def test_parked_threads_do_not_grow_ready_heap():
     sched.post(Message(kind="d", target="live", sender="test"))
     # Only the live thread's entry is in the heap.
     assert sum(1 for e in sched._ready_heap if e[6] is not None) == 1
-    sched.run_until_idle()
+    sched.run()
     assert not live.mailbox
 
 
@@ -275,13 +252,11 @@ def test_tenanted_run_is_deterministic():
     def run_once():
         sched = make_scheduler()
         log = []
-        for i, weight in enumerate((1.0, 2.0, 3.0)):
+        for i in range(3):
             thread = sched.spawn(f"t{i}", spinner(log, 40))
-            sched.assign_tenant(
-                thread, sched.add_tenant(f"t{i}", weight=weight)
-            )
+            sched.assign_tenant(thread, sched.add_tenant(f"t{i}"))
         kick(sched, "t0", "t1", "t2")
-        sched.run_until_idle()
+        sched.run()
         return log
 
     assert run_once() == run_once()

@@ -37,7 +37,7 @@ def test_post_at_delivers_at_requested_time():
     for when, payload in ((2.0, "a"), (1.0, "b")):
         sched.at(when, lambda p=payload: sched.post(
             Message(kind="tick", payload=p, target="sink")))
-    sched.run_until_idle()
+    sched.run()
     assert log == [(1.0, "tick", "b"), (2.0, "tick", "a")]
 
 
@@ -45,7 +45,7 @@ def test_post_after_is_relative_to_now():
     sched, log = make()
     sched.after(0.25, lambda: sched.post(
         Message(kind="tick", payload=1, target="sink")))
-    sched.run_until_idle()
+    sched.run()
     assert log == [(0.25, "tick", 1)]
 
 

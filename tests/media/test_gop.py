@@ -74,10 +74,10 @@ class TestDependencies:
 
 class TestRates:
     def test_average_size_and_bitrate(self):
-        gop = GopStructure(pattern="IPB", fps=10, size_variation=0.0,
-                           sizes={"I": 3000, "P": 2000, "B": 1000})
-        assert gop.average_frame_size() == pytest.approx(2000)
-        assert gop.bitrate() == pytest.approx(2000 * 8 * 10)
+        gop = GopStructure(pattern="IPB", fps=10, size_variation=0.0)
+        # DEFAULT_SIZES: I 12 000, P 5 000, B 2 000 bytes at 640x480.
+        assert gop.average_frame_size() == pytest.approx(19_000 / 3)
+        assert gop.bitrate() == pytest.approx(19_000 / 3 * 8 * 10)
 
 
 class TestVideoFrame:

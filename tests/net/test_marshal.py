@@ -131,8 +131,3 @@ class TestMarshalFilters:
         assert restored[props.FORMAT] == "mpeg"
         assert restored[props.LOCATION] == "node-b"
         assert restored[props.LOSS_RATE] == 0.1
-
-    def test_marshal_cost_charged(self):
-        m = MarshalFilter(cost_per_kb=0.001)
-        m.convert(b"x" * 2048)
-        assert m.drain_cost() == pytest.approx(0.002, rel=0.1)

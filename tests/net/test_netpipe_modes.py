@@ -88,7 +88,7 @@ class TestProtocolEdgeCases:
         protocol.on_deliver(received.append, lambda: None)
         for i in range(30):
             protocol.send(b"%02d" % i)
-        scheduler.run_until_idle()
+        scheduler.run()
         assert received == [b"%02d" % i for i in range(30)]
 
     def test_stream_gives_up_after_max_retries(self):
@@ -101,7 +101,7 @@ class TestProtocolEdgeCases:
         protocol.send(b"doomed")
         with pytest.raises(RemoteError):
             try:
-                scheduler.run_until_idle()
+                scheduler.run()
             except SchedulerError as exc:  # pragma: no cover
                 raise exc.__cause__ or exc
 

@@ -46,7 +46,7 @@ class TestDelivery:
         # 1000B payload + 28B header = 1028B -> 1.028 s at 8 kbit/s
         assert net.transmit("a", "b", Packet(flow="f", seq=0,
                                              payload=b"x" * 1000))
-        sched.run_until_idle()
+        sched.run()
         assert arrivals[0] == pytest.approx(1.128, rel=0.01)
 
     def test_serialization_queues_back_to_back_packets(self):
@@ -56,7 +56,7 @@ class TestDelivery:
         net.register_receiver("f", lambda p: arrivals.append(sched.now()))
         for i in range(3):
             net.transmit("a", "b", Packet(flow="f", seq=i, payload=b"x" * 972))
-        sched.run_until_idle()
+        sched.run()
         # each packet is 1000B = 0.1s serialization; arrivals spaced 0.1s
         gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
         assert all(g == pytest.approx(0.1, rel=0.01) for g in gaps)
@@ -96,7 +96,7 @@ class TestDelivery:
             sched.after(1.0, lambda: send_spaced(i + 1))
 
         send_spaced()
-        sched.run_until_idle()
+        sched.run()
         latencies = [t - i * 1.0 for i, t in enumerate(sorted(arrivals))]
         assert all(0.1 <= lat <= 0.15001 for lat in latencies)
         assert max(latencies) - min(latencies) > 0.005  # jitter is real

@@ -25,7 +25,7 @@ class TestDatagram:
         sched, _, proto, received, _ = make(DatagramProtocol)
         for i in range(10):
             proto.send(f"msg-{i}".encode())
-        sched.run_until_idle()
+        sched.run()
         assert received == [f"msg-{i}".encode() for i in range(10)]
 
     def test_lossy_link_loses_messages(self):
@@ -34,7 +34,7 @@ class TestDatagram:
         )
         for i in range(100):
             proto.send(b"%d" % i)
-        sched.run_until_idle()
+        sched.run()
         assert 40 < len(received) < 90
         # Counted as it happens, at the link, not inferred at the end.
         assert proto.stats["lost"] == 100 - len(received)
@@ -43,7 +43,7 @@ class TestDatagram:
         sched, _, proto, received, eos = make(DatagramProtocol)
         proto.send(b"last")
         proto.send_eos()
-        sched.run_until_idle()
+        sched.run()
         assert received == [b"last"]
         assert eos == [True]  # duplicates suppressed
 
@@ -51,7 +51,7 @@ class TestDatagram:
         sched, _, proto, received, _ = make(DatagramProtocol, mtu=100)
         big = bytes(range(256)) * 4  # 1024 bytes -> 11 fragments
         proto.send(big)
-        sched.run_until_idle()
+        sched.run()
         assert received == [big]
 
     def test_fragment_loss_loses_whole_message(self):
@@ -61,7 +61,7 @@ class TestDatagram:
         )
         for i in range(50):
             proto.send(bytes([i]) * 1000)  # 10 fragments each
-        sched.run_until_idle()
+        sched.run()
         # survival probability ~0.9^10 ~ 35%; complete messages only
         assert 3 < len(received) < 40
         for message in received:
@@ -79,7 +79,7 @@ class TestDatagram:
         # A frame whose sender states nothing counts its chunks.
         proto.send_frame(encode_batch([b"d", b"e"]))
         proto.send(b"f")
-        sched.run_until_idle()
+        sched.run()
         assert received == []
         assert proto.stats["lost"] == 3 + 2 + 1
 
@@ -93,7 +93,7 @@ class TestDatagram:
                 proto.send(b"L" * 1500)  # 15 fragments
             else:
                 proto.send(b"s" * 80)    # 1 fragment
-        sched.run_until_idle()
+        sched.run()
         large = sum(1 for m in received if m[:1] == b"L")
         small = sum(1 for m in received if m[:1] == b"s")
         assert small > large
@@ -104,7 +104,7 @@ class TestStream:
         sched, _, proto, received, _ = make(StreamProtocol)
         for i in range(20):
             proto.send(b"%d" % i)
-        sched.run_until_idle()
+        sched.run()
         assert received == [b"%d" % i for i in range(20)]
 
     def test_reliable_in_order_with_loss(self):
@@ -113,7 +113,7 @@ class TestStream:
         )
         for i in range(50):
             proto.send(b"%03d" % i)
-        sched.run_until_idle()
+        sched.run()
         assert received == [b"%03d" % i for i in range(50)]
         assert proto.stats["retransmits"] > 0
 
@@ -122,13 +122,13 @@ class TestStream:
         sched1, _, p1, r1, _ = make(StreamProtocol, seed=2, loss_rate=0.0)
         for i in range(30):
             p1.send(b"x")
-        sched1.run_until_idle()
+        sched1.run()
         t_clean = sched1.now()
 
         sched2, _, p2, r2, _ = make(StreamProtocol, seed=2, loss_rate=0.3)
         for i in range(30):
             p2.send(b"x")
-        sched2.run_until_idle()
+        sched2.run()
         t_lossy = sched2.now()
         assert len(r1) == len(r2) == 30
         assert p2.stats["retransmits"] > 0 and p2.stats["lost"] == 0
@@ -140,7 +140,7 @@ class TestStream:
         )
         proto.send(b"data")
         proto.send_eos()
-        sched.run_until_idle()
+        sched.run()
         assert received == [b"data"]
         assert eos == [True]
 
@@ -150,5 +150,5 @@ class TestStream:
         messages = [bytes([i]) * 200 for i in range(10)]
         for message in messages:
             proto.send(message)
-        sched.run_until_idle()
+        sched.run()
         assert received == messages

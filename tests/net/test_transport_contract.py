@@ -56,7 +56,7 @@ def simulated(protocol_cls):
     network = Network(scheduler, seed=0)
     network.add_link("a", "b", bandwidth_bps=10_000_000, delay=0.01)
     protocol = protocol_cls(network, "flow", "a", "b")
-    rig = Rig(protocol, protocol, scheduler.run_until_idle)
+    rig = Rig(protocol, protocol, scheduler.run)
     rig.scheduler = scheduler
     return rig
 

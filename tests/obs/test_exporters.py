@@ -205,7 +205,7 @@ class TestJsonl:
 # ---------------------------------------------------------------------------
 
 
-def _traced_engine(source=None, batch_max=None, registry=None):
+def _traced_engine(source=None, batch_max=None, metrics=False):
     engine = Engine(
         pipeline(
             source or IterSource(range(20)), GreedyPump(), CollectSink()
@@ -213,8 +213,7 @@ def _traced_engine(source=None, batch_max=None, registry=None):
         batch_max=batch_max,
         scheduler=Scheduler(trace=True),
     )
-    if registry is not None:
-        Telemetry(registry=registry).attach(engine)
+    registry = Telemetry().attach(engine).registry if metrics else None
     tracer = FlowTracer(sample_every=1, registry=registry).attach(engine)
     engine.start()
     engine.run()
@@ -306,14 +305,13 @@ class TestBatchedMediaExport:
     FRAMES = 48
 
     def _run(self, batch_max):
-        registry = MetricsRegistry()
         source = MpegFileSource(
             "export.mpg", frames=self.FRAMES, payloads=True
         )
         engine, tracer = _traced_engine(
-            source=source, batch_max=batch_max, registry=registry
+            source=source, batch_max=batch_max, metrics=True
         )
-        return engine, tracer, registry
+        return engine, tracer, tracer.registry
 
     @pytest.mark.parametrize("batch_max", [None, 16])
     def test_prometheus_and_chrome_agree_across_planes(
@@ -343,7 +341,6 @@ class TestBatchedMediaExport:
         wait histogram's count must reflect items (satellite 2)."""
         from repro import Buffer, ClockedPump
 
-        registry = MetricsRegistry()
         engine = Engine(
             pipeline(
                 MpegFileSource("w.mpg", frames=32, payloads=False),
@@ -354,7 +351,7 @@ class TestBatchedMediaExport:
             ),
             batch_max=16,
         )
-        Telemetry(registry=registry).attach(engine)
+        registry = Telemetry().attach(engine).registry
         engine.start()
         engine.run()
         waits = registry.family("repro_buffer_wait_seconds")

@@ -28,7 +28,7 @@ from repro.obs import (
     MetricsRegistry,
     TraceContext,
 )
-from repro.obs.flow import DELIVERED, DROPPED
+from repro.obs.flow import DELIVERED, DROPPED, MAX_TRACES
 
 
 def _tiles_exactly(trace) -> bool:
@@ -91,21 +91,15 @@ class TestLineageStore:
         return ctx
 
     def test_evicts_boring_delivered_first(self):
-        store = LineageStore(max_traces=3)
+        store = LineageStore()
         dropped = self._finished("bad", status=DROPPED)
         store.complete(dropped)
-        for i in range(5):
+        for i in range(MAX_TRACES):
             store.complete(self._finished(f"ok{i}"))
-        assert len(store) == 3
+        assert len(store) == MAX_TRACES
         assert store.trace("bad") is not None  # kept over boring traces
-        assert store.evicted == 3
-
-    def test_slow_threshold_marks_slow_traces_interesting(self):
-        store = LineageStore(max_traces=2, slow_threshold=0.1)
-        store.complete(self._finished("slow", duration=0.5))
-        for i in range(4):
-            store.complete(self._finished(f"fast{i}", duration=0.01))
-        assert store.trace("slow") is not None
+        assert store.trace("ok0") is None  # the oldest boring one went
+        assert store.evicted == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.obs.metrics import (
+    DEFAULT_SERIES_LIMIT,
     Counter,
     Gauge,
     Histogram,
@@ -197,15 +198,21 @@ class TestRegistry:
 
 class TestCardinalityCap:
     """Per-family label-set cap: the million-tenant fabric exports
-    tenant-labeled series; past ``max_series_per_family`` new label sets
+    tenant-labeled series; past ``DEFAULT_SERIES_LIMIT`` new label sets
     collapse into one ``overflow="true"`` bucket and are counted."""
+
+    @staticmethod
+    def fill(registry, family, kind="counter"):
+        """Create the family's last series below the cap."""
+        make = getattr(registry, kind)
+        return [make(family, tenant=f"t{i}")
+                for i in range(DEFAULT_SERIES_LIMIT)]
 
     def test_cap_routes_new_label_sets_to_overflow(self):
         from repro.obs.metrics import OVERFLOW_LABELS
 
-        registry = MetricsRegistry(max_series_per_family=3)
-        for tenant in ("a", "b", "c"):
-            registry.counter("items_total", tenant=tenant).inc()
+        registry = MetricsRegistry()
+        self.fill(registry, "items_total")
         extra = registry.counter("items_total", tenant="d")
         assert extra.labels == OVERFLOW_LABELS
         # Every further new label set shares the SAME bucket.
@@ -215,8 +222,10 @@ class TestCardinalityCap:
         assert overflow.value == 2
 
     def test_dropped_series_counted_per_family_and_total(self):
-        registry = MetricsRegistry(max_series_per_family=2)
-        for tenant in ("a", "b", "c", "d"):
+        registry = MetricsRegistry()
+        self.fill(registry, "items_total")
+        self.fill(registry, "depth", kind="gauge")
+        for tenant in ("c", "d"):
             registry.counter("items_total", tenant=tenant)
             registry.gauge("depth", tenant=tenant)
         assert registry.dropped_series("items_total") == 2
@@ -225,36 +234,25 @@ class TestCardinalityCap:
         assert registry.dropped_series("never_seen") == 0
 
     def test_existing_series_keep_working_at_cap(self):
-        registry = MetricsRegistry(max_series_per_family=2)
-        a = registry.counter("items_total", tenant="a")
-        registry.counter("items_total", tenant="b")
+        registry = MetricsRegistry()
+        a = self.fill(registry, "items_total")[0]
         registry.counter("items_total", tenant="c")  # overflow
-        # The cap gates CREATION only: 'a' still resolves to its own
+        # The cap gates CREATION only: 't0' still resolves to its own
         # series, not the overflow bucket.
-        assert registry.counter("items_total", tenant="a") is a
+        assert registry.counter("items_total", tenant="t0") is a
         a.inc()
-        assert registry.get("items_total", tenant="a").value == 1
+        assert registry.get("items_total", tenant="t0").value == 1
         assert registry.dropped_series("items_total") == 1
 
     def test_cap_is_per_family(self):
-        registry = MetricsRegistry(max_series_per_family=2)
-        registry.counter("fam_one_total", tenant="a")
-        registry.counter("fam_one_total", tenant="b")
+        registry = MetricsRegistry()
+        self.fill(registry, "fam_one_total")
         # fam_two has its own budget.
         two = registry.counter("fam_two_total", tenant="a")
         assert two.labels != (("overflow", "true"),)
         assert registry.dropped_series() == 0
 
-    def test_none_means_unbounded(self):
-        registry = MetricsRegistry(max_series_per_family=None)
-        for i in range(2000):
-            registry.counter("items_total", tenant=f"t{i}")
-        assert len(registry) == 2000
-        assert registry.dropped_series() == 0
-
     def test_default_limit_bounds_fabric_scale(self):
-        from repro.obs.metrics import DEFAULT_SERIES_LIMIT
-
         registry = MetricsRegistry()
         for i in range(DEFAULT_SERIES_LIMIT + 500):
             registry.gauge("repro_fabric_tenant_vtime", tenant=f"s{i}")

@@ -288,8 +288,8 @@ class TestMetricSensorLoop:
         assert latency.sample() >= 0.0
 
     def test_unknown_metric_samples_default(self):
-        sensor = MetricSensor(MetricsRegistry(), "nope", default=0.25)
-        assert sensor.sample() == 0.25
+        sensor = MetricSensor(MetricsRegistry(), "nope")
+        assert sensor.sample() == 0.0
 
     def test_rate_stat_uses_bound_clock(self):
         registry = MetricsRegistry()

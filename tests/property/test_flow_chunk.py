@@ -120,7 +120,7 @@ def test_bytes_that_are_not_tlv_are_a_marshal_error(data, raw):
 
 
 def traced_lane() -> Lane:
-    lane = Lane(Buffer(8, name="q"), now=lambda: 1.0, fill=lambda: 0)
+    lane = Lane(Buffer(8, name="q"), now=lambda: 1.0)
     lane.tracer = FlowTracer()
     return lane
 

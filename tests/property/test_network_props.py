@@ -29,7 +29,7 @@ def test_datagram_delivers_subset_without_corruption(sent, seed, loss):
     protocol.on_deliver(received.append, lambda: None)
     for message in sent:
         protocol.send(message)
-    scheduler.run_until_idle()
+    scheduler.run()
 
     assert len(received) <= len(sent)
     # subsequence check
@@ -54,7 +54,7 @@ def test_stream_delivers_everything_in_order(sent, seed, loss):
     protocol.on_deliver(received.append, lambda: None)
     for message in sent:
         protocol.send(message)
-    scheduler.run_until_idle()
+    scheduler.run()
     assert received == sent
 
 

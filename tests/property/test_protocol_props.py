@@ -60,7 +60,7 @@ def test_stream_survives_loss_and_reorder(blobs, seed, loss, jitter):
     protocol.on_deliver(received.append, lambda: None)
     for message in sent:
         protocol.send(message)
-    scheduler.run_until_idle()
+    scheduler.run()
     assert received == sent
 
 
@@ -79,7 +79,7 @@ def test_datagram_never_duplicates_or_corrupts(blobs, seed, loss, jitter):
     protocol.on_deliver(received.append, lambda: None)
     for message in sent:
         protocol.send(message)
-    scheduler.run_until_idle()
+    scheduler.run()
 
     assert len(received) == len(set(received)), "duplicate delivery"
     assert set(received) <= set(sent), "corrupted delivery"
@@ -103,5 +103,5 @@ def test_datagram_eos_is_delivered_at_most_once(blobs, seed, loss):
     for message in sent:
         protocol.send(message)
     protocol.send_eos()
-    scheduler.run_until_idle()
+    scheduler.run()
     assert eos_count <= 1

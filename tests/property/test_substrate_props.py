@@ -61,7 +61,7 @@ def test_scheduler_processes_every_message_once(priority_list):
             Message(kind="d", payload=i, target="t",
                     constraint=Constraint(priority=priority))
         )
-    scheduler.run_until_idle()
+    scheduler.run()
     assert sorted(seen) == list(range(len(priority_list)))
 
 

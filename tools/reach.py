@@ -389,7 +389,8 @@ def render(found: list[Function]) -> str:
     for name, lines, reached, tests in DELETED:
         out.append(f"| `{name}` | {lines} | {reached} | *deleted* | {tests} |")
     out.append(PARAMS_HEADER)
-    out.extend(unpassed_parameters(found))
+    out.extend(unpassed_parameters(
+        [f for f in found if real_driver(f.labels)]))
     return "\n".join(out) + "\n"
 
 
@@ -427,53 +428,111 @@ def driver_sources() -> list[Path]:
     return files
 
 
-def _call_sites() -> dict[str, list[tuple[int, set[str], bool]]]:
+def _base_names(node) -> list[str]:
+    return [base.id if isinstance(base, ast.Name) else base.attr
+            for base in node.bases
+            if isinstance(base, (ast.Name, ast.Attribute))]
+
+
+def _call_sites(trees: list | None = None
+                ) -> dict[str, list[tuple[int, set[str], bool]]]:
     """callee name -> [(positional count, keywords, has */** splat)] over
-    ``src/repro`` and :func:`driver_sources`."""
+    ``trees`` (by default ``src/repro`` and :func:`driver_sources`).
+
+    A ``super().__init__(...)`` is filed under the bases of the class
+    whose method holds it, and under their bases in turn while a base
+    defines no ``__init__`` of its own, so it passes nothing to an
+    unrelated constructor."""
     sites: dict[str, list] = defaultdict(list)
-    for file in [*PACKAGE.rglob("*.py"), *driver_sources()]:
-        for node in ast.walk(ast.parse(file.read_text())):
-            if not isinstance(node, ast.Call):
+    if trees is None:
+        trees = [ast.parse(file.read_text())
+                 for file in [*PACKAGE.rglob("*.py"), *driver_sources()]]
+    classes = {
+        node.name: node for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def inits(cls, seen):
+        for base in _base_names(cls):
+            if base in seen:
                 continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None)
-            if name is None:
-                continue
-            splat = any(isinstance(a, ast.Starred) for a in node.args) or any(
-                k.arg is None for k in node.keywords)
-            sites[name].append((
-                len(node.args),
-                {k.arg for k in node.keywords if k.arg is not None},
-                splat,
-            ))
+            seen.add(base)
+            yield base
+            node = classes.get(base)
+            if node is not None and not any(
+                isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+                for stmt in node.body
+            ):
+                yield from inits(node, seen)
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            visit(child, child if isinstance(child, ast.ClassDef) else cls)
+        if not isinstance(node, ast.Call):
+            return
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else None)
+        if name is None:
+            return
+        splat = any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords)
+        site = (len(node.args),
+                {k.arg for k in node.keywords if k.arg is not None}, splat)
+        if (name == "__init__" and isinstance(func.value, ast.Call)
+                and getattr(func.value.func, "id", None) == "super"):
+            for base in inits(cls, set()) if cls is not None else ():
+                sites[base].append(site)
+        else:
+            sites[name].append(site)
+
+    for tree in trees:
+        visit(tree, None)
     return sites
 
 
-def unpassed_parameters(found: list[Function]) -> list[str]:
-    """One line per optional parameter of a D1-D4-reached function that
+def registered_classes() -> set[str]:
+    """The classes ``default_registry`` registers: the values of its
+    ``register`` dict loop (``comp.Buffer``) and of its ``defer`` one
+    (``lambda: import_module(...).MpegDecoder``)."""
+    registry = ast.parse((PACKAGE / "lang" / "registry.py").read_text())
+    registered = set()
+    for node in ast.walk(registry):
+        if not isinstance(node, ast.Dict):
+            continue
+        for value in node.values:
+            if isinstance(value, ast.Lambda):
+                value = value.body
+                if not (isinstance(value, ast.Attribute)
+                        and isinstance(value.value, ast.Call)
+                        and getattr(value.value.func, "id", None)
+                        == "import_module"):
+                    continue
+            if isinstance(value, ast.Attribute):
+                registered.add(value.attr)
+    return registered
+
+
+def unpassed_parameters(found: list[Function], sites: dict | None = None,
+                        registered: set[str] | None = None) -> list[str]:
+    """One line per optional parameter of a function in ``found`` that
     no call site by that name passes, positionally or by keyword.
 
-    Call sites are matched by bare name (``Buffer(...)`` and any
-    ``super().__init__(...)`` for ``Buffer.__init__``, ``.run(...)`` for
-    any ``run``), and a site with
+    Call sites are matched by bare name (``Buffer(...)`` and a
+    ``super().__init__(...)`` in a subclass for ``Buffer.__init__``,
+    ``.run(...)`` for any ``run``), and a site with
     a ``*`` / ``**`` splat counts as passing everything, so the list
     errs towards silence; parameters of the classes the pipeline
     language registers are skipped (a description string can name them).
+    ``sites`` and ``registered`` default to the repository's.
     """
-    registry = ast.parse((PACKAGE / "lang" / "registry.py").read_text())
-    registered = {
-        node.args[1].attr for node in ast.walk(registry)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", None) == "register"
-        and isinstance(node.args[1], ast.Attribute)
-    }
-    sites = _call_sites()
+    if registered is None:
+        registered = registered_classes()
+    if sites is None:
+        sites = _call_sites()
     out = []
     for function in found:
-        if not real_driver(function.labels):
-            continue  # has a row above already
         owner, _, method = function.qualname.rpartition(".")
         if method.startswith("_") and method != "__init__":
             continue
@@ -488,8 +547,6 @@ def unpassed_parameters(found: list[Function]) -> list[str]:
             if d is not None
         ]
         candidates = sites.get(callee, [])
-        if method == "__init__":  # and `super().__init__(...)` in a subclass
-            candidates = candidates + sites.get("__init__", [])
         unpassed = []
         for name in optional:
             index = (positional.index(name) - offset
@@ -592,8 +649,8 @@ DELETED_HEADER = """
 
 Measured at the parent commit of the change that cut each block
 (70f6951; then 23dc996, 63561ee, 30d89ed, 8d6c636, ce3664e, 146f5e2,
-66269f1, 6887ba6, 92056dd, 9ad5420 and 89df355 for the later blocks, in
-order), where these rows stood.  A test is listed only when the deleted name was its sole subject.
+66269f1, 6887ba6, 92056dd, 9ad5420, 89df355 and 1cc2550 for the later
+blocks, in order), where these rows stood.  A test is listed only when the deleted name was its sole subject.
 
 | function | lines | reached at the parent by | verdict | tests deleted with it |
 |---|---:|---|---|---|"""
@@ -609,7 +666,10 @@ entry without one reads UNDECIDED and fails the tool).  It errs towards
 silence: call sites are matched by bare callee name, a `*args` /
 `**kwargs` site counts as passing everything, private functions and the
 constructors the pipeline language registers (a description string can
-pass any of their parameters) are skipped.
+pass any of their parameters) are skipped.  A `super().__init__(…)`
+counts only for the bases of the class whose method holds it.  The
+census is static, so the tier-1 guard `tests/core/test_reach_guard.py`
+runs it too and fails on an UNDECIDED entry.
 """
 
 

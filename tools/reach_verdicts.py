@@ -33,7 +33,6 @@ VERDICTS = {
 
 OPEN_10K = ("owed ROADMAP 1(a) `fabric-open-10k` (open / park / unpark / "
             "close churn at a steady fleet)")
-FAIRNESS = "owed ROADMAP 1(c): tenant fairness as a step-counted metric"
 CROSSING = ("owed ROADMAP 3(a): an instrumented run with a coroutine "
             "crossing (`fig9a-obs` has none)")
 
@@ -83,8 +82,6 @@ RULES = [
     ("repro.mbt.scheduler:Scheduler.park_thread", "exception", OPEN_10K),
     ("repro.mbt.scheduler:Scheduler.unpark_thread", "exception", OPEN_10K),
     ("repro.mbt.scheduler:Scheduler.parked_threads", "exception", OPEN_10K),
-    ("repro.fabric.session:Session.set_weight", "exception", FAIRNESS),
-    ("repro.mbt.scheduler:Tenant.weight*", "exception", FAIRNESS),
     ("repro.obs.flow:Hand.depart", "exception", CROSSING),
     ("repro.obs.flow:Hand.arrive", "exception", CROSSING),
     ("repro.runtime.section:_item_data_count", "exception", CROSSING),
@@ -272,8 +269,6 @@ RULES = [
     ("repro.mbt.thread:MThread.is_blocked", "verification",
      "reference accessor: blocked-in-receive, the state the event tests "
      "put a pump in before signalling its component"),
-    ("repro.mbt.scheduler:Scheduler.run_until_idle", "verification",
-     "the substrate tests' spelling of `run()` to quiescence (12 files)"),
     ("repro.mbt.mailbox:Mailbox.__len__", "verification",
      "reference accessor: queued-message count"),
     ("repro.mbt.coroutine:*Suspendable.finished", "verification",
@@ -801,6 +796,24 @@ DELETED: list[tuple[str, int, str, str]] = [
     ("repro.runtime.section:BufferGate._waits (split into `_space_wait` / "
      "`_item_wait`, each built at its own direction's first park)", 7,
      "D1-D4", "none"),
+    # Options no driver set (measured at their parent, 1cc2550): the
+    # scheduler charges every tenant one unit a dispatch.
+    ("repro.mbt.scheduler:Tenant.weight / weight.setter (with "
+     "`Tenant(weight=)`, `_weight`, `_inv_weight`, `Scheduler.add_tenant("
+     "weight=)`, `SessionFabric.open_session(weight=)` and "
+     "`Session.weight`)", 9, "fabric/test_session.py, "
+     "mbt/test_scheduler_tenants.py",
+     "`test_tenant_weight_must_be_positive`, `test_weighted_shares_are_"
+     "proportional`, `TestFailedOpenLeavesNothing::test_failure_after_set_"
+     "up_removes_the_spawned_threads` (the weights of "
+     "`test_add_tenant_is_get_or_create`, `test_weighted_vtime_accrual` and "
+     "the mixed-weight fabrics are restated equal)"),
+    ("repro.fabric.session:Session.set_weight", 6, "fabric/test_session.py",
+     "`TestWeights::test_set_weight_live`, `::test_a_refused_weight_"
+     "changes_nothing`"),
+    ("repro.mbt.scheduler:Scheduler.run_until_idle (the substrate tests "
+     "call `run()`)", 2, "mbt/test_clock.py, mbt/test_scheduler.py, "
+     "mbt/test_scheduler_edges.py, +10 more", "none"),
 ]
 
 #: Why a parameter docs/REACH.md's appendix lists is still there:
@@ -810,6 +823,8 @@ ONE_SIGNATURE = ("one entry signature for single- and multi-port "
                  "components: the runtime always passes the port, tees read "
                  "it")
 INJECTION = "injection seam: a test substitutes a fake through it"
+TYPESPEC = ("the paper's Typespec capability and property stamping "
+            "(§2.3)")
 KEPT_PARAMETERS = [
     ("*", "port", ONE_SIGNATURE),
     ("repro.__main__:main", "argv",
@@ -824,10 +839,30 @@ KEPT_PARAMETERS = [
      "closes the last running slice of a bare event list, which has no "
      "clock to ask (a scheduler source knows its own time): the exporter "
      "tests' input"),
-    ("repro.fabric.session:SessionFabric.open_session", "weight",
-     "the session's fair share, which `TestWeights` and "
-     "`tests/fabric/test_fairness.py` set (`admit_pending`'s `**kwargs` "
-     "counted as passing it); " + FAIRNESS),
+    *((f"repro.{where}.__init__", "name",
+       "every component takes one: the session prefix and the event table "
+       "key on it")
+      for where in ("components.filters:CostFilter",
+                    "components.frag:ActiveDefragmenter",
+                    "components.sinks:CallbackSink",
+                    "core.styles:_LinearComponent")),
+    *((f"repro.components.{where}.__init__", "input_spec", TYPESPEC)
+      for where in ("filters:MapFilter", "sinks:CallbackSink",
+                    "sinks:ActiveSink")),
+    ("repro.components.filters:MapFilter.__init__", "output_props",
+     TYPESPEC),
+    ("repro.components.frag:*Defragmenter.__init__", "assemble",
+     "§3.3's `y = assemble(x1, x2)`: how a defragmenter joins its parts"),
+    ("repro.fabric.session:SessionFabric.__init__", "scheduler",
+     "the one way to trace a fabric (`SessionFabric(scheduler=Scheduler("
+     "trace=True))`, which the `DeployError` for a traced spec names)"),
+    ("repro.feedback.sensors:MetricSensor.__init__", "stat",
+     "which aggregate of a histogram family the sensor reads"),
+    ("repro.obs.metrics:*.__init__", "labels",
+     "passed as `cls(name, key[1])`, which a bare-name census cannot "
+     "resolve"),
+    ("repro.media.gop:GopStructure.__init__", "size_variation",
+     "tests/media turn the size noise off to pin exact frame sizes"),
     ("repro.api:Pipeline.deploy", "placement",
      "the hand-placed deploy in one call: D4's hand-placed run (`repro "
      "deploy --place`) passes its `Placement` to `Pipeline.deployment`, "
