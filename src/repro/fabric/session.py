@@ -81,12 +81,12 @@ class Session:
 
     @property
     def threads(self) -> list:
-        registry = self.fabric.scheduler.threads
+        registry = self.fabric.scheduler.threads if self._held else {}
         return [registry[n] for n in self.thread_names if n in registry]
 
     @property
     def tenant(self):
-        return self.fabric.scheduler.tenant(self.name)
+        return self.fabric.scheduler.tenant(self.name) if self._held else None
 
     @property
     def stats(self) -> PipelineStats:
@@ -102,19 +102,24 @@ class Session:
 
     # A handle reaches the fabric only while the fabric holds it under its
     # name.  A stale one (closed, its name perhaps open again) is CLOSED,
-    # whose row holds no edge: park and unpark raise, close does nothing.
+    # whose row holds no edge: park and unpark raise, close does nothing,
+    # and it reads no threads and no tenant.
+    @property
+    def _held(self) -> bool:
+        return self.fabric.sessions.get(self.name) is self
+
     def park(self) -> None:
-        if self.fabric.sessions.get(self.name) is not self:
+        if not self._held:
             self._move("park")
         self.fabric.park(self.name)
 
     def unpark(self) -> None:
-        if self.fabric.sessions.get(self.name) is not self:
+        if not self._held:
             self._move("unpark")
         self.fabric.unpark(self.name)
 
     def close(self) -> None:
-        if self.fabric.sessions.get(self.name) is self:
+        if self._held:
             self.fabric.close_session(self.name)
 
     def _move(self, verb: str) -> bool:

@@ -13,13 +13,13 @@ Two encodings coexist on the wire, and the first has two routes:
 * **per-item TLV** — :func:`encode_item` / :func:`decode_item`, the
   original format, unchanged byte-for-byte (golden traces pin it).  A
   run of two or more plain ``int``s, or of plain ``float``s, produces
-  and consumes *the same bytes* by another route: one cached
-  ``struct.Struct`` packs the whole run straight into frame layout
-  (:func:`_encode_scalar_run`, returning an :class:`EncodedRun`), one
-  ``unpack`` checks every length prefix of a uniform-stride frame
-  (:func:`decode_frame_run`, which keeps the frame whole as an
-  :class:`EncodedRun`), and one ``unpack`` checks every tag and reads
-  every value (:func:`_decode_scalar_run`).  The route is chosen from
+  and consumes *the same bytes* by another route: one cached ``Struct``
+  packs the count and values into frame layout, two strided stores the
+  prefixes and tags (:func:`_encode_scalar_run`); one ``unpack`` checks
+  every length prefix (:func:`decode_frame_run`), each side holding the
+  run as a uniform :class:`EncodedRun` (buffer, count, chunk length);
+  one checks every tag and reads every value (:func:`_decode_scalar_run`,
+  tried before the raw codecs' disjoint ids).  The route is chosen from
   what the run is observed to hold; anything it does not recognise —
   ``bool``, ``int`` subclasses, mixed or single-item runs, an int
   outside int64, unequal lengths, a foreign tag — takes the per-item
@@ -339,45 +339,53 @@ class EncodedRun(ColumnarRun):
     chunk slices, so the run still behaves as N byte items for gates,
     stats and any per-item fallback path.
 
-    The receiving netpipe keeps a uniform-stride frame in the same form
-    (:func:`decode_frame_run`), over the received bytes: read-only, so
-    :meth:`append_side_chunk` is for the sending side alone.
+    A :meth:`uniform` run is its buffer, ``count`` and chunk ``length``
+    (None on any other run); its offset and length lists are built when
+    first indexed.  The receiving netpipe keeps a uniform-stride frame as
+    one (:func:`decode_frame_run`), over the received bytes: read-only,
+    so :meth:`append_side_chunk` is for the sending side alone.
     """
 
-    __slots__ = ("buffer", "offsets", "lengths", "_mv")
+    __slots__ = ("buffer", "count", "length", "nbytes", "_lists", "_mv")
 
     def __init__(self, buffer: "bytearray | memoryview",
                  offsets: list[int], lengths: list[int]):
-        self.buffer = buffer
-        self.offsets = offsets
-        self.lengths = lengths
-        self._mv = memoryview(buffer)
+        self.buffer, self._mv = buffer, memoryview(buffer)
+        self.count, self.length, self.nbytes = len(offsets), None, sum(lengths)
+        self._lists = offsets, lengths
 
     @classmethod
     def uniform(cls, buffer, count: int, length: int) -> "EncodedRun":
         """The run over a frame-format ``buffer`` of ``count`` chunks,
         every one ``length`` bytes long."""
-        stride = 4 + length
-        return cls(
-            buffer, list(range(8, 8 + count * stride, stride)),
-            [length] * count,
-        )
+        run = cls.__new__(cls)
+        run.buffer, run._mv = buffer, memoryview(buffer)
+        run.count, run.length, run.nbytes = count, length, count * length
+        run._lists = None
+        return run
+
+    def _tables(self) -> tuple[list[int], list[int]]:
+        """Where each chunk's body starts, and its length."""
+        if self._lists is None:
+            stride = 4 + self.length
+            self._lists = (list(range(8, 8 + self.count * stride, stride)),
+                           [self.length] * self.count)
+        return self._lists
+
+    offsets = property(lambda self: self._tables()[0])
+    lengths = property(lambda self: self._tables()[1])
 
     def __len__(self) -> int:
-        return len(self.offsets)
+        return self.count
 
     def chunk(self, i: int) -> memoryview:
-        offset = self.offsets[i]
-        return self._mv[offset : offset + self.lengths[i]]
+        offsets, lengths = self._tables()
+        return self._mv[offsets[i] : offsets[i] + lengths[i]]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self.chunk(i) for i in range(len(self))[index]]
-        return self.chunk(range(len(self))[index])
-
-    @property
-    def nbytes(self) -> int:
-        return sum(self.lengths)
+            return [self.chunk(i) for i in range(self.count)[index]]
+        return self.chunk(range(self.count)[index])
 
     def frame_payload(self) -> memoryview:
         """The whole buffer, ready for ``protocol.send_frame``."""
@@ -392,6 +400,7 @@ class EncodedRun(ColumnarRun):
         exported ``memoryview`` must be released around the resize; if
         some other view still pins the buffer, fall back to a copy.
         """
+        offsets, lengths = self._tables()
         self._mv.release()
         buffer = self.buffer
         try:
@@ -400,10 +409,12 @@ class EncodedRun(ColumnarRun):
             buffer = bytearray(buffer)
             buffer += struct.pack("!I", len(side))
             self.buffer = buffer
-        self.offsets.append(len(buffer))
-        self.lengths.append(len(side))
+        offsets.append(len(buffer))
+        lengths.append(len(side))
         buffer += side
-        struct.pack_into("!I", buffer, 0, len(self.offsets))
+        self.count, self.length = self.count + 1, None
+        self.nbytes += len(side)
+        struct.pack_into("!I", buffer, 0, self.count)
         self._mv = memoryview(buffer)
 
 
@@ -439,12 +450,19 @@ def _repeat_struct(head: str, unit: str, n: int) -> struct.Struct:
     return struct.Struct("!" + head + unit * n)
 
 
+@lru_cache(maxsize=128)
+def _prefixes_struct(length: int, count: int) -> struct.Struct:
+    """The length prefixes of ``count`` chunks of ``length`` bytes."""
+    return _repeat_struct("4x", f"I{length}x", count)
+
+
 def _encode_scalar_run(items: list) -> EncodedRun | None:
     """A run of two or more exact ``int``s, or of exact ``float``s, packed
     by ONE struct call straight into frame layout — byte for byte
-    ``encode_batch([encode_item(i) for i in items])``.  ``None`` for any
-    other run (mixed, ``bool``, subclasses, an int outside int64): the
-    caller encodes those per item."""
+    ``encode_batch([encode_item(i) for i in items])``; each chunk's two
+    non-zero prefix and tag bytes go in as two strided slice stores.
+    ``None`` for any other run (mixed, ``bool``, subclasses, an int
+    outside int64): the caller encodes those per item."""
     n = len(items)
     if not 2 <= n <= _RUN_MAX:
         return None
@@ -455,28 +473,33 @@ def _encode_scalar_run(items: list) -> EncodedRun | None:
     if wire is None:
         return None
     tag, code = wire
-    fields = [_SCALAR_LEN, tag, None] * n
-    fields[2::3] = items
-    buffer = bytearray(4 + (4 + _SCALAR_LEN) * n)
+    stride = 4 + _SCALAR_LEN
+    buffer = bytearray(4 + stride * n)
     try:
-        _repeat_struct("I", "IB" + code, n).pack_into(buffer, 0, n, *fields)
+        _repeat_struct("I", "5x" + code, n).pack_into(buffer, 0, n, *items)
     except struct.error:
         return None
+    buffer[7::stride] = bytes((_SCALAR_LEN,)) * n
+    buffer[8::stride] = bytes((tag,)) * n
     return EncodedRun.uniform(buffer, n, _SCALAR_LEN)
 
 
-def _decode_scalar_run(chunks, lengths: list[int]) -> list | None:
+def _decode_scalar_run(chunks) -> list | None:
     """Inverse of :func:`_encode_scalar_run`: ONE unpack when every chunk
     is scalar-sized and every tag equals the first (int or float);
-    ``None`` otherwise, for :func:`decode_item`.  A frame kept whole
+    ``None`` otherwise, for the other routes.  A uniform run
     (:func:`decode_frame_run`) is unpacked where it lies, stepping over
-    the count and the length prefixes; a list of chunks is joined first."""
-    n = len(lengths)
-    if not 2 <= n <= _RUN_MAX or lengths.count(_SCALAR_LEN) != n:
-        return None
+    the count and the length prefixes, sized by its own count and length;
+    a list of chunks is joined first."""
     if type(chunks) is EncodedRun:
-        data, gap, first = chunks.frame_payload(), "4x", 8
+        n = chunks.count
+        if chunks.length != _SCALAR_LEN or not 2 <= n <= _RUN_MAX:
+            return None
+        data, gap, first = chunks.buffer, "4x", 8
     else:
+        n = len(chunks)
+        if not 2 <= n <= _RUN_MAX or set(map(len, chunks)) != {_SCALAR_LEN}:
+            return None
         data, gap, first = b"".join(chunks), "", 0
     tag = data[first]
     code = _SCALAR_CODE.get(tag)
@@ -551,7 +574,7 @@ def decode_frame_run(data) -> "EncodedRun | list[memoryview]":
     if total >= 8:
         count, length = _COUNT_AND_LENGTH.unpack_from(view, 0)
         if 2 <= count <= _RUN_MAX and 4 + count * (4 + length) == total:
-            prefixes = _repeat_struct("4x", f"I{length}x", count).unpack(view)
+            prefixes = _prefixes_struct(length, count).unpack(view)
             if prefixes.count(length) == count:
                 return EncodedRun.uniform(view, count, length)
     return decode_batch_views(view)
@@ -661,14 +684,12 @@ class UnmarshalFilter(FunctionComponent):
 
     def convert_many(self, chunks: list) -> Any:
         if type(chunks) is EncodedRun:
-            lengths = chunks.lengths
+            self.stats["bytes_in"] += chunks.nbytes
         else:
-            lengths = list(map(len, chunks))
-        total = sum(lengths)
-        self.stats["bytes_in"] += total
-        run = self._decode_run(chunks)
+            self.stats["bytes_in"] += sum(map(len, chunks))
+        run = _decode_scalar_run(chunks)  # TLV tags: disjoint from raw ids
         if run is None:
-            run = _decode_scalar_run(chunks, lengths)
+            run = self._decode_run(chunks)
         if run is not None:
             return run
         return [decode_item(data) for data in chunks]
@@ -678,24 +699,17 @@ class UnmarshalFilter(FunctionComponent):
         """Rebuild a ColumnarRun when every chunk carries the same
         registered raw wire id — the received payload views flow straight
         into the batch's payload columns, zero copies."""
-        if not chunks:
-            return None
-        first = chunks[0]
-        if not isinstance(first, (bytes, bytearray, memoryview)):
-            return None
-        if not len(first) or first[0] < RUN_WIRE_BASE:
+        byte_like = (bytes, bytearray, memoryview)
+        first = chunks[0] if len(chunks) else None
+        if not isinstance(first, byte_like) or not len(first):
             return None
         wire_id = first[0]
-        codec = _run_decoders.get(wire_id)
-        if codec is None:
+        codec = _run_decoders.get(wire_id)  # TLV tags are never registered
+        if codec is None or not all(
+            isinstance(chunk, byte_like) and len(chunk) and chunk[0] == wire_id
+            for chunk in chunks
+        ):
             return None
-        for chunk in chunks:
-            if (
-                not isinstance(chunk, (bytes, bytearray, memoryview))
-                or not len(chunk)
-                or chunk[0] != wire_id
-            ):
-                return None
         return codec[0](chunks)
 
     def transform_typespec(self, spec: Typespec) -> Typespec:

@@ -221,7 +221,7 @@ class NetpipeReceiver(Boundary):
         if queued:
             k = queued if queued < n else n
             run = self._queue[0]
-            if type(run) is EncodedRun and len(run) == k:
+            if type(run) is EncodedRun and run.count == k:
                 # The head frame is exactly the run asked for: it goes
                 # downstream whole, as it went into the wire.
                 self._queue.popleft()
@@ -235,9 +235,7 @@ class NetpipeReceiver(Boundary):
                 self._drained_hook(k)
             if k < n and self._eos_pending:
                 self._eos_pending = False
-                if type(run) is not list:
-                    run = run[:]
-                run.append(EOS)
+                run = [*run, EOS]
             return OK, run
         if self._eos_pending:
             self._eos_pending = False
@@ -278,10 +276,12 @@ class NetpipeReceiver(Boundary):
             chunks = gate.external_put(chunks, framed)
         if type(chunks) is list:
             self._queue.extend(chunks)
+            items = len(chunks)
         else:
             self._queue.append(chunks)
-        self._queued += len(chunks)
-        self.stats["items_in"] += len(chunks)
+            items = chunks.count
+        self._queued += items
+        self.stats["items_in"] += items
         self.stats["bytes_in"] += nbytes
         if gate is not None:
             gate.external_wake_pullers()

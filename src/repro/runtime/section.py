@@ -364,11 +364,11 @@ def _bind_receive_push(component, port: str):
 
 def ends_in_eos(run) -> bool:
     """True when ``run`` carries a trailing EOS.  Columnar runs are pure
-    data by convention and are never indexed here (indexing one would
-    materialize a per-item object just to compare it with EOS)."""
+    data by convention and are neither measured nor indexed here (indexing
+    one would materialize a per-item object just to compare it with EOS)."""
     return (
-        len(run) > 0
-        and not isinstance(run, ColumnarRun)
+        not isinstance(run, ColumnarRun)
+        and len(run) > 0
         and run[-1] is EOS
     )
 
@@ -997,13 +997,13 @@ def compile_pull_many(ctx: ThreadCtx, target: FlowTarget):
 
             def function_pull_many(n):
                 run = yield from inner_many(n)
-                if not run:
-                    return run
                 eos = ends_in_eos(run)
-                data = run[:-1] if eos else run
-                if data:
-                    stats["items_in"] += len(data)
-                    results = convert_many(data)
+                count = len(run) - 1 if eos else len(run)  # one len call
+                if not (count or eos):
+                    return run
+                if count:
+                    stats["items_in"] += count
+                    results = convert_many(run[:-1] if eos else run)
                     stats["items_out"] += len(results)
                     cost = take_cost()
                     if cost > 0.0:

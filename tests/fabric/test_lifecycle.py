@@ -252,9 +252,21 @@ def what_the_fabric_holds(fabric):
     return before, now()
 
 
+def check_a_stale_handle_reads_nothing(reopen: bool):
+    fabric, stale = closed_handle(reopen)
+    assert stale.tenant is None
+    assert stale.threads == []
+    if reopen:
+        fresh = fabric.sessions["a"]
+        assert fresh.tenant is fabric.scheduler.tenant("a") is not None
+        assert fresh.threads and all(thread.name in fresh.thread_names
+                                     for thread in fresh.threads)
+
+
 class TestStaleHandles:
-    """A closed session's handle acts on nothing, even once its name is
-    open again; its mutant twin routes a handle's verbs by name."""
+    """A closed session's handle acts on nothing and reads nothing, even
+    once its name is open again; its mutant twins route a handle's verbs
+    and its reads by name."""
 
     @pytest.mark.parametrize("reopen", [True, False],
                              ids=["namesake", "no-namesake"])
@@ -287,6 +299,23 @@ class TestStaleHandles:
                 lambda self, act=act: act(self.fabric, self.name))
         with pytest.raises(AssertionError):
             check_a_stale_handle_leaves_its_namesake_alone()
+
+    @pytest.mark.parametrize("reopen", [True, False],
+                             ids=["namesake", "no-namesake"])
+    def test_a_stale_handle_reads_no_tenant_and_no_threads(self, reopen):
+        check_a_stale_handle_reads_nothing(reopen)
+
+    def test_a_handle_read_by_name_reads_its_namesake(self, monkeypatch):
+        def threads(self):
+            registry = self.fabric.scheduler.threads
+            return [registry[n] for n in self.thread_names if n in registry]
+
+        monkeypatch.setattr(Session, "threads", property(threads))
+        monkeypatch.setattr(Session, "tenant", property(
+            lambda self: self.fabric.scheduler.tenant(self.name)))
+        check_a_stale_handle_reads_nothing(reopen=False)
+        with pytest.raises(AssertionError):
+            check_a_stale_handle_reads_nothing(reopen=True)
 
 
 # ---------------------------------------------------------------------------

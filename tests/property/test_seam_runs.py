@@ -6,7 +6,11 @@ A homogeneous scalar run is packed, split and unpacked a run at a time
 object in the netpipe receiver's queue.  None of that may change a wire
 byte, a decoded value or type, an error, or the order and size of what a
 pull returns: ``encode_item`` / ``decode_item``, the per-chunk frame
-loop and a flat list of chunks are the references.
+loop and a flat list of chunks are the references.  A uniform run is
+held as its buffer, chunk count and chunk length alone, and must behave
+as the run built with its offset and length lists; the scalar decoder,
+asked before the raw codecs, must still leave an equal-length raw run to
+its codec and read every tag (its mutant twin trusts the first).
 """
 
 import enum
@@ -19,10 +23,14 @@ from hypothesis import example, given, strategies as st
 from repro.components.buffers import EMPTY, OK
 from repro.core.events import EOS
 from repro.errors import MarshalError
+from repro.media import arrays
+from repro.media.batch import FrameBatch
+from repro.net import marshal
 from repro.net.marshal import (
     EncodedRun,
     MarshalFilter,
     UnmarshalFilter,
+    alloc_run_buffer,
     decode_batch_views,
     decode_frame_run,
     decode_item,
@@ -188,13 +196,7 @@ def test_one_mutated_byte_splits_like_the_loop(frame, data):
         loop_outcome(frame[:cut])
 
 
-@given(uniform_frames, st.data())
-def test_one_mutated_byte_decodes_like_the_items(frame, data):
-    """A tag or body byte flipped inside a scalar frame: the one-unpack
-    decode and ``decode_item`` agree on every item or on the error."""
-    index = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
-    value = data.draw(st.integers(min_value=0, max_value=255))
-    mutated = frame[:index] + bytes([value]) + frame[index + 1:]
+def check_decodes_like_the_items(mutated):
     chunks = outcome(decode_batch_views, mutated)
     if isinstance(chunks, tuple):
         return
@@ -205,6 +207,43 @@ def test_one_mutated_byte_decodes_like_the_items(frame, data):
             assert got == want
         else:
             assert same_values_and_types(list(got), want)
+
+
+@given(uniform_frames, st.data())
+def test_one_mutated_byte_decodes_like_the_items(frame, data):
+    """A tag or body byte flipped inside a scalar frame: the one-unpack
+    decode and ``decode_item`` agree on every item or on the error."""
+    index = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+    value = data.draw(st.integers(min_value=0, max_value=255))
+    check_decodes_like_the_items(frame[:index] + bytes([value])
+                                 + frame[index + 1:])
+
+
+def scalar_run_trusting_the_first_tag(chunks):
+    """Mutant: the first chunk's tag read, every other one stepped over."""
+    if type(chunks) is not EncodedRun or chunks.length != 9:
+        return None
+    code = {3: "q", 4: "d"}.get(chunks.buffer[8])
+    if code is None:
+        return None
+    unit = "5x" + code  # the length prefix and the tag, unread
+    return list(struct.unpack("!4x" + unit * len(chunks), chunks.buffer))
+
+
+def test_a_scalar_decoder_that_trusts_the_first_tag_fails(monkeypatch):
+    """Mutant twin of the test above: chunk 5 of a 32-int frame retagged
+    as a float, or as None, must not decode as an int."""
+    frame = frame_bytes(MarshalFilter().convert_many(list(range(32))))
+    at = 4 + 13 * 5 + 4  # chunk 5's tag byte
+    retagged = [frame[:at] + bytes([tag]) + frame[at + 1:] for tag in (4, 0)]
+    for mutated in (frame, *retagged):
+        check_decodes_like_the_items(mutated)
+    monkeypatch.setattr(marshal, "_decode_scalar_run",
+                        scalar_run_trusting_the_first_tag)
+    check_decodes_like_the_items(frame)
+    for mutated in retagged:
+        with pytest.raises(AssertionError):
+            check_decodes_like_the_items(mutated)
 
 
 @pytest.mark.parametrize("forged", [2**32 - 1, 2**31, 2**24 + 1])
@@ -300,3 +339,101 @@ def test_a_frame_pulled_whole_stays_one_run_over_the_received_bytes():
     assert run.frame_payload().obj is wire  # not one byte copied or sliced
     assert receiver.stats["bytes_out"] == 9 * 32
     assert UnmarshalFilter().convert_many(run) == list(range(100, 132))
+
+
+# -- (d) a uniform run is its buffer, count and length -------------------------
+
+
+def bodies(count: int, length: int):
+    body = st.binary(min_size=length, max_size=length)
+    if length == 9:  # scalar-sized: scalar chunks too
+        body = st.one_of(body, ints.map(encode_item), floats.map(encode_item))
+    return st.lists(body, min_size=count, max_size=count)
+
+
+uniform_bodies = st.tuples(
+    st.integers(min_value=2, max_value=64),
+    st.one_of(st.just(9), st.integers(min_value=0, max_value=40)),
+).flatmap(lambda shape: bodies(*shape))
+
+
+def eager_run(chunks) -> EncodedRun:
+    """The run built with explicit offset and length lists."""
+    lengths = [len(chunk) for chunk in chunks]
+    buffer, offsets = alloc_run_buffer(lengths)
+    for offset, chunk in zip(offsets, chunks):
+        buffer[offset : offset + len(chunk)] = chunk
+    return EncodedRun(buffer, offsets, lengths)
+
+
+def decoded(run):
+    got = outcome(UnmarshalFilter().convert_many, run)
+    return got if isinstance(got, tuple) else [encode_item(x) for x in got]
+
+
+def check_same_run(cheap: EncodedRun, eager: EncodedRun, cut: slice):
+    n = len(eager)
+    assert len(cheap) == n and cheap.nbytes == eager.nbytes
+    assert bytes(cheap.frame_payload()) == bytes(eager.frame_payload())
+    assert [bytes(cheap.chunk(i)) for i in range(n)] == \
+        [bytes(eager.chunk(i)) for i in range(n)]
+    for index in (cut, slice(None), -1, 0):
+        got, want = cheap[index], eager[index]
+        if isinstance(index, slice):
+            got, want = list(map(bytes, got)), list(map(bytes, want))
+        else:
+            got, want = bytes(got), bytes(want)
+        assert got == want
+    assert cheap.lengths == eager.lengths and cheap.offsets == eager.offsets
+
+
+@given(uniform_bodies, st.data())
+def test_a_uniform_run_is_the_eager_run(chunks, data):
+    """Buffer, count and length alone: the same length, bytes, chunks,
+    slices, tables and decoded items as the run built with its tables,
+    before and after a side chunk, whichever is read first."""
+    eager = eager_run(chunks)
+    frame = bytes(eager.frame_payload())
+    assert frame == encode_batch(chunks)
+    shape = (len(chunks), len(chunks[0]))
+    cut = data.draw(st.slices(len(chunks)))
+    side = data.draw(st.binary(max_size=12))
+    indexed = EncodedRun.uniform(bytearray(frame), *shape)
+    check_same_run(indexed, eager, cut)
+    assert decoded(EncodedRun.uniform(frame, *shape)) == decoded(eager) \
+        == decoded(decode_batch_views(frame))
+    unread = EncodedRun.uniform(bytearray(frame), *shape)
+    for run in (eager, indexed, unread):
+        run.append_side_chunk(side)
+    check_same_run(indexed, eager, cut)
+    check_same_run(unread, eager, cut)
+    assert bytes(unread.frame_payload()) == encode_batch([*chunks, side])
+
+
+@given(st.integers(min_value=2, max_value=64),
+       st.integers(min_value=0, max_value=200))
+def test_a_raw_codec_run_of_one_length_decodes_to_its_batch(count, size):
+    """Equal-length raw chunks stay one uniform run on arrival and still
+    rebuild their ColumnarRun: the scalar route, asked first, declines."""
+
+    def column(make, value):
+        return make([value] * count)
+
+    batch = FrameBatch(
+        seq=arrays.i64(list(range(count))), kind="P" * count,
+        pts=arrays.f64([i / 30 for i in range(count)]),
+        size=column(arrays.i64, size), width=column(arrays.i64, 160),
+        height=column(arrays.i64, 120), gop_id=column(arrays.i64, 0),
+        encoded=column(arrays.u8, 1), deps=((),) * count,
+    )
+    frame = frame_bytes(MarshalFilter().convert_many(batch))
+    received = decode_frame_run(frame)
+    assert type(received) is EncodedRun and received.length is not None
+    for run in (received, decode_batch_views(frame)):
+        got = UnmarshalFilter().convert_many(run)
+        assert isinstance(got, FrameBatch)
+        assert (got.kind, got.deps) == (batch.kind, batch.deps)
+        for name in ("seq", "pts", "size", "width", "height", "gop_id",
+                     "encoded"):
+            assert arrays.tolist(getattr(got, name)) == \
+                arrays.tolist(getattr(batch, name))

@@ -414,6 +414,10 @@ RULES = [
     ("repro.fabric.session:Session.threads", "verification",
      "reference accessor: a session's threads, for the isolation and "
      "parked-fleet tests"),
+    ("repro.fabric.session:Session._held", "verification",
+     "input validation: a handle acts and reads only while its fabric "
+     "holds it under its name (`tests/fabric/test_lifecycle.py::"
+     "TestStaleHandles`)"),
     ("repro.fabric.session:SessionFabric._open", "verification",
      "input validation: `park` / `unpark` name an open session, or raise "
      "`DeployError` naming it"),
